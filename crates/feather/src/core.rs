@@ -6,8 +6,11 @@
 //!   ([`feather_birrd::CompiledRoute`]); steady-state fires are pure index
 //!   arithmetic over reusable scratch, with the programs shared across
 //!   layers (and worker threads) through a [`RouteCache`].
-//! * **Zero-alloc steady state** — weight staging, fire buses, reduction
-//!   groups and BIRRD input/output vectors live in span-lifetime scratch;
+//! * **Zero-alloc, zero-copy steady state** — weights stay stationary in the
+//!   layer's filter tensor and are addressed in place (the ping/pong weight
+//!   registers cost no time in the model, so they cost none on the host
+//!   either); the NEST array, fire buses, reduction groups and BIRRD
+//!   input/output vectors live in run-lifetime scratch ([`SpanScratch`]);
 //!   iAct/oAct addressing goes through precompiled per-dimension location
 //!   tables ([`feather_arch::layout::LocationPlan4`]) and precomputed
 //!   `h`/`w` coordinate tables instead of per-element coordinate maps.
@@ -545,6 +548,21 @@ impl LayerExec {
         })
     }
 
+    /// Marks in `c_ok` the columns whose reduction lane holds an in-range
+    /// input channel under channel tile `wt_c` — the whole per-tile cost of
+    /// switching weights.
+    fn mark_live_lanes(&self, wt_c: usize, c_ok: &mut [bool]) {
+        let c_live = if self.depthwise {
+            1
+        } else {
+            self.c_cols.min(self.layer.c - wt_c * self.c_cols)
+        };
+        c_ok.fill(false);
+        for lane in c_ok[..self.q_cols * self.c_cols].chunks_exact_mut(self.c_cols) {
+            lane[..c_live].fill(true);
+        }
+    }
+
     /// Work units for sharding: one per `(weight tile, batch sample)` pair.
     fn units(&self) -> usize {
         self.m_tiles * self.layer.n
@@ -585,6 +603,80 @@ struct SpanAccum {
     macs: u64,
 }
 
+/// Run-lifetime scratch of the tile loop: the NEST array plus the fire-bus,
+/// reduction-group and BIRRD input/output buffers. A run allocates one and
+/// hands it to every layer pass, so the per-layer and per-tile steady state
+/// allocates nothing. (The one exception is the interpreted path's lookup
+/// `request`, whose `BTreeMap` nodes reallocate per fire batch; replay never
+/// touches it.)
+///
+/// Every pass leaves the array drained — each `(n, p, qt)` step fires all of
+/// its rows — so the next layer starts from zeroed accumulators.
+pub(crate) struct SpanScratch {
+    nest: NestArray,
+    /// Column-major lane stripes the firing row drains onto.
+    bus: Vec<i32>,
+    /// `c_ok[col]`: under the current weight tile, column `col`'s reduction
+    /// lane holds an in-range input channel. With the row's `m < M` bit this
+    /// is the whole lane-mapping mask: the third factor, `q < Q`, is the
+    /// guard under which a reduction group exists at all, and the mask is
+    /// only ever consulted inside a group's column span.
+    c_ok: Vec<bool>,
+    groups: Vec<FireGroup>,
+    batch: Vec<FireGroup>,
+    pending: Vec<FireGroup>,
+    bank_used: Vec<bool>,
+    // Scalar fires: `Option`-typed BIRRD ports and the route-lookup request.
+    inputs: Vec<Option<i64>>,
+    outputs: Vec<Option<i64>>,
+    request: ReductionRequest,
+    // Batched fires: flat lane stripes plus per-port presence masks.
+    lane_inputs: Vec<i64>,
+    lane_outputs: Vec<i64>,
+    in_present: Vec<bool>,
+    out_present: Vec<bool>,
+    lane_vals: Vec<i8>,
+    acc_scratch: Vec<i32>,
+}
+
+impl SpanScratch {
+    /// Scratch for a `rows × cols` fabric carrying `lanes` batch samples
+    /// (`1` for the scalar paths).
+    pub(crate) fn new(rows: usize, cols: usize, lanes: usize) -> Self {
+        SpanScratch {
+            nest: NestArray::with_lanes(rows, cols, lanes),
+            bus: vec![0; cols * lanes],
+            c_ok: vec![false; cols],
+            groups: Vec::with_capacity(cols),
+            batch: Vec::with_capacity(cols),
+            pending: Vec::with_capacity(cols),
+            bank_used: vec![false; cols],
+            inputs: vec![None; cols],
+            outputs: vec![None; cols],
+            request: ReductionRequest {
+                input_groups: vec![None; cols],
+                group_destinations: BTreeMap::new(),
+            },
+            lane_inputs: vec![0; cols * lanes],
+            lane_outputs: vec![0; cols * lanes],
+            in_present: vec![false; cols],
+            out_present: vec![false; cols],
+            lane_vals: vec![0; lanes],
+            acc_scratch: vec![0; lanes],
+        }
+    }
+
+    /// # Panics
+    /// Panics if the scratch was sized for another fabric or lane count.
+    fn check_fabric(&self, ctx: &LayerExec, lanes: usize) {
+        assert_eq!(
+            (self.nest.rows(), self.nest.cols(), self.nest.lanes()),
+            (ctx.rows, ctx.cols, lanes),
+            "span scratch sized for another fabric"
+        );
+    }
+}
+
 /// The inner tile loop shared by the single-layer entry point and the
 /// network-level pipeline executor: weight-stationary tiling over `(M, C)`,
 /// Phase-1 local temporal reduction in NEST, Phase-2 row fires through BIRRD
@@ -598,7 +690,14 @@ struct SpanAccum {
 /// of the first tile; a pipelined layer whose weights were prefetched during
 /// the previous layer passes `false`. `threads` requests an exact worker
 /// count (`Some(1)` forces serial); `None` auto-sizes from
-/// [`default_threads`] for layers with enough work.
+/// [`default_threads`] for layers with enough work. `scratch` is the run's
+/// [`SpanScratch`] (sharded workers bring their own).
+///
+/// `weights` must already have passed
+/// [`check_weight_shape`](crate::accelerator::check_weight_shape): the tile
+/// loop multiplies against its flat `[M, C, R, S]` (depthwise `[C, 1, R, S]`)
+/// storage in place.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_conv_core(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
@@ -607,6 +706,7 @@ pub(crate) fn run_conv_core(
     routes: RouteExecution<'_>,
     expose_first_weight_load: bool,
     threads: Option<usize>,
+    scratch: &mut SpanScratch,
 ) -> Result<CoreRun, ArchError> {
     let units_total = ctx.units();
     let workers = effective_workers(threads, &ctx.layer, units_total);
@@ -625,6 +725,7 @@ pub(crate) fn run_conv_core(
                 iact,
                 oact,
                 &mut span_routes,
+                scratch,
             )?]
         }
         RouteExecution::Cached(cache) => run_worker_spans(
@@ -634,6 +735,7 @@ pub(crate) fn run_conv_core(
             iact,
             oact,
             WorkerRoutes::Cached(cache),
+            scratch,
         )?,
         RouteExecution::Replay(stream) => run_worker_spans(
             ctx,
@@ -642,6 +744,7 @@ pub(crate) fn run_conv_core(
             iact,
             oact,
             WorkerRoutes::Replay(stream),
+            scratch,
         )?,
     };
 
@@ -713,6 +816,7 @@ fn run_worker_spans(
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
     routes: WorkerRoutes<'_>,
+    scratch: &mut SpanScratch,
 ) -> Result<Vec<SpanAccum>, ArchError> {
     let units_total = ctx.units();
     if workers <= 1 {
@@ -723,6 +827,7 @@ fn run_worker_spans(
             iact,
             oact,
             &mut routes.span_routes(),
+            scratch,
         )?]);
     }
     run_sharded(ctx, weights, workers, iact, oact, routes)
@@ -770,6 +875,7 @@ fn run_sharded(
                             &mut iview,
                             &mut oview,
                             &mut routes.span_routes(),
+                            &mut SpanScratch::new(ctx.rows, ctx.cols, 1),
                         )?
                     };
                     Ok((accum, ibuf, obuf))
@@ -793,8 +899,9 @@ fn run_sharded(
 }
 
 /// Simulates the contiguous unit range `units` (units flatten the
-/// `(wt_m, n)` loop, `n` innermost). This is the whole hot loop; everything
-/// it allocates lives for the span.
+/// `(wt_m, n)` loop, `n` innermost). This is the whole hot loop; it
+/// allocates nothing per tile and copies no weights — a tile switch is a
+/// mask-row refresh.
 fn run_span(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
@@ -802,37 +909,32 @@ fn run_span(
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
     routes: &mut SpanRoutes<'_>,
+    scratch: &mut SpanScratch,
 ) -> Result<SpanAccum, ArchError> {
     let cols = ctx.cols;
     let layer = &ctx.layer;
-    let mut nest = NestArray::new(ctx.rows, cols);
+    scratch.check_fabric(ctx, 1);
+    let SpanScratch {
+        nest,
+        bus,
+        c_ok,
+        groups,
+        batch,
+        pending,
+        bank_used,
+        inputs,
+        outputs,
+        request,
+        ..
+    } = scratch;
+    let ws = weights.as_slice();
+    let macs_before = nest.total_macs();
     let mut accum = SpanAccum {
         tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
         extra_cycles: 0,
         birrd_passes: 0,
         birrd_adds: 0,
         macs: 0,
-    };
-
-    // Span-lifetime scratch: the steady state below is allocation-free (the
-    // one exception is the reused lookup request's tiny destination map,
-    // whose `BTreeMap` nodes reallocate per batch).
-    let mut w_scratch = vec![0i8; ctx.rs];
-    // Lane-mapping masks, one `cols`-wide row per `(qt, m_lane)` pair. The
-    // mask depends only on the weight tile `(wt_m, wt_c)` and those two
-    // indices — not on `(n, p)` — so it is rebuilt once per tile and merely
-    // indexed inside the per-pixel hot loop.
-    let mut mapped_table = vec![false; ctx.q_tiles * ctx.m_rows * cols];
-    let mut bus: Vec<Option<i32>> = vec![None; cols];
-    let mut inputs: Vec<Option<i64>> = vec![None; cols];
-    let mut outputs: Vec<Option<i64>> = vec![None; cols];
-    let mut groups: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut batch: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut pending: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut bank_used = vec![false; cols];
-    let mut request = ReductionRequest {
-        input_groups: vec![None; cols],
-        group_destinations: BTreeMap::new(),
     };
 
     let n_total = layer.n;
@@ -843,25 +945,8 @@ fn run_span(
         unit = wt_m * n_total + n_range.end;
 
         for wt_c in 0..ctx.c_tiles {
-            stage_weights(ctx, weights, &mut nest, wt_m, wt_c, &mut w_scratch);
+            ctx.mark_live_lanes(wt_c, c_ok);
             let tile = wt_m * ctx.c_tiles + wt_c;
-            for qt in 0..ctx.q_tiles {
-                for m_lane in 0..ctx.m_rows {
-                    let m = wt_m * ctx.m_rows + m_lane;
-                    let row = &mut mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                    for (col, slot) in row.iter_mut().enumerate() {
-                        let q_lane = col / ctx.c_cols;
-                        let q = qt * ctx.q_cols + q_lane;
-                        let c = if ctx.depthwise {
-                            m
-                        } else {
-                            wt_c * ctx.c_cols + col % ctx.c_cols
-                        };
-                        *slot =
-                            q_lane < ctx.q_cols && q < ctx.q_total && m < layer.m && c < layer.c;
-                    }
-                }
-            }
 
             for n in n_range.clone() {
                 // One `(wt_m, wt_c, n)` triple is a work block with a
@@ -887,7 +972,7 @@ fn run_span(
                             iact.begin_cycle();
                             if let Some(h) = h {
                                 phase1_step(
-                                    ctx, &mut nest, iact, wt_m, wt_c, n, h, s_i, qt, rs_step,
+                                    ctx, nest, iact, ws, wt_m, wt_c, n, h, s_i, qt, rs_step,
                                 );
                             }
                             iact.flush_cycle();
@@ -896,24 +981,21 @@ fn run_span(
                         // ---- Phase 2: row fires through BIRRD (RIR) ----
                         for m_lane in 0..ctx.m_rows {
                             let m = wt_m * ctx.m_rows + m_lane;
-                            let mapped = &mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                            nest.fire_row_into(m_lane, mapped, &mut bus);
+                            nest.fire_row_stripe(m_lane, c_ok, bus);
                             accum.tile_fires[tile] += 1;
                             if m >= layer.m {
                                 continue;
                             }
 
-                            // Build the reduction groups: one per live
-                            // q_lane, destination = the StaB bank the oAct
-                            // lands in under the next layer's layout.
+                            // Build the reduction groups: one per in-range
+                            // q_lane (every tile has a live reduction lane:
+                            // `wt_c < c_tiles`, and depthwise has `M == C`),
+                            // destination = the StaB bank the oAct lands in
+                            // under the next layer's layout.
                             groups.clear();
                             for q_lane in 0..ctx.q_cols {
                                 let q = qt * ctx.q_cols + q_lane;
                                 if q >= ctx.q_total {
-                                    continue;
-                                }
-                                let lane = q_lane * ctx.c_cols;
-                                if !mapped[lane..lane + ctx.c_cols].iter().any(|&b| b) {
                                     continue;
                                 }
                                 let loc = ctx.oact_plan.location([n, m, p, q]);
@@ -938,7 +1020,7 @@ fn run_span(
                                         pending.push(g);
                                     }
                                 }
-                                std::mem::swap(&mut groups, &mut pending);
+                                std::mem::swap(groups, pending);
 
                                 let owned_route;
                                 let route: &CompiledRoute = match routes {
@@ -952,8 +1034,8 @@ fn run_span(
                                         &stream.slots[slot]
                                     }
                                     SpanRoutes::Cached { cache, local } => {
-                                        fill_request(&mut request, &batch, mapped, ctx.c_cols);
-                                        owned_route = cache.lookup(&ctx.birrd, &request, local)?;
+                                        fill_request(request, batch, c_ok, ctx.c_cols);
+                                        owned_route = cache.lookup(&ctx.birrd, request, local)?;
                                         &owned_route
                                     }
                                     SpanRoutes::Collect {
@@ -961,30 +1043,30 @@ fn run_span(
                                         local,
                                         recorder,
                                     } => {
-                                        fill_request(&mut request, &batch, mapped, ctx.c_cols);
-                                        owned_route = cache.lookup(&ctx.birrd, &request, local)?;
-                                        recorder.record(&request, &owned_route);
+                                        fill_request(request, batch, c_ok, ctx.c_cols);
+                                        owned_route = cache.lookup(&ctx.birrd, request, local)?;
+                                        recorder.record(request, &owned_route);
                                         &owned_route
                                     }
                                 };
 
                                 inputs.fill(None);
-                                for g in &batch {
+                                for g in batch.iter() {
                                     let lane = g.q_lane * ctx.c_cols;
                                     for col in lane..lane + ctx.c_cols {
-                                        if mapped[col] {
-                                            inputs[col] = bus[col].map(|v| v as i64);
+                                        if c_ok[col] {
+                                            inputs[col] = Some(bus[col] as i64);
                                         }
                                     }
                                 }
                                 route
-                                    .run(&inputs, &mut outputs)
+                                    .run(inputs, outputs)
                                     .expect("compiled route matches the network width");
                                 accum.birrd_passes += 1;
                                 accum.birrd_adds += route.adder_activations() as u64;
 
                                 oact.begin_cycle();
-                                for g in &batch {
+                                for g in batch.iter() {
                                     let value = outputs[g.bank].unwrap_or(0) as i32;
                                     // In-situ accumulation in the output
                                     // buffer across channel tiles.
@@ -1003,18 +1085,20 @@ fn run_span(
             }
         }
     }
-    accum.macs = nest.total_macs();
+    accum.macs = nest.total_macs() - macs_before;
     Ok(accum)
 }
 
 /// One Phase-1 `rs_step` of a `(n, p, qt)` pixel group: feed every mapped PE
-/// its iAct and advance the local temporal reduction. The input row `h` is
-/// already validated against the padding halo.
+/// its iAct and advance the local temporal reduction against the stationary
+/// weight, read in place from the filter tensor's flat storage `ws`. The
+/// input row `h` is already validated against the padding halo.
 #[allow(clippy::too_many_arguments)]
 fn phase1_step(
     ctx: &LayerExec,
     nest: &mut NestArray,
     iact: &mut LayoutView<'_, i32>,
+    ws: &[i8],
     wt_m: usize,
     wt_c: usize,
     n: usize,
@@ -1049,7 +1133,8 @@ fn phase1_step(
                     let value = iact
                         .read_at(ctx.iact_plan.location([n, c, h, w]))
                         .unwrap_or(0);
-                    nest.mac(m_lane, col, value as i8, rs_step);
+                    let lane_vals = &[value as i8];
+                    nest.mac_operand(m_lane, col, lane_vals, ws[c * ctx.rs + rs_step]);
                 }
             } else {
                 // The same iAct is shared by every row: one accounted read,
@@ -1061,53 +1146,14 @@ fn phase1_step(
                 let value = iact
                     .read_at(ctx.iact_plan.location([n, c, h, w]))
                     .unwrap_or(0);
+                let lane_vals = &[value as i8];
                 for m_lane in 0..m_lanes {
-                    nest.mac(m_lane, col, value as i8, rs_step);
+                    let filter = (m_base + m_lane) * layer.c + c;
+                    nest.mac_operand(m_lane, col, lane_vals, ws[filter * ctx.rs + rs_step]);
                 }
             }
         }
     }
-}
-
-/// Stages one `(wt_m, wt_c)` weight tile into the NEST shadow registers and
-/// swaps it in. Fully out-of-range `(m, c)` lanes are skipped outright: they
-/// neither MAC nor drive the bus, so their stale registers are never read —
-/// no need to stage zero vectors for ragged tail tiles.
-fn stage_weights(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    nest: &mut NestArray,
-    wt_m: usize,
-    wt_c: usize,
-    w_scratch: &mut [i8],
-) {
-    let layer = &ctx.layer;
-    for m_lane in 0..ctx.m_rows {
-        let m = wt_m * ctx.m_rows + m_lane;
-        for q_lane in 0..ctx.q_cols {
-            for c_lane in 0..ctx.c_cols {
-                let c = if ctx.depthwise {
-                    m
-                } else {
-                    wt_c * ctx.c_cols + c_lane
-                };
-                if m >= layer.m || c >= layer.c {
-                    continue;
-                }
-                for r in 0..layer.r {
-                    for s in 0..layer.s {
-                        w_scratch[r * layer.s + s] = if ctx.depthwise {
-                            weights.get(c, 0, r, s)
-                        } else {
-                            weights.get(m, c, r, s)
-                        };
-                    }
-                }
-                nest.load_weights(m_lane, q_lane * ctx.c_cols + c_lane, w_scratch);
-            }
-        }
-    }
-    nest.swap_all_weights();
 }
 
 // ---------------------------------------------------------------------------
@@ -1135,6 +1181,7 @@ pub(crate) fn run_conv_core_batched(
     expose_first_weight_load: bool,
     threads: Option<usize>,
     lanes: usize,
+    scratch: &mut SpanScratch,
 ) -> Result<CoreRun, ArchError> {
     let units_total = ctx.units();
     let workers = effective_workers(threads, &ctx.layer, units_total);
@@ -1147,6 +1194,7 @@ pub(crate) fn run_conv_core_batched(
             oact,
             stream,
             lanes,
+            scratch,
         )?]
     } else {
         run_sharded_batched(ctx, weights, workers, iact, oact, stream, lanes)?
@@ -1212,7 +1260,14 @@ fn run_sharded_batched(
                         let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
                         let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
                         run_span_batched(
-                            ctx, weights, units, &mut iview, &mut oview, stream, lanes,
+                            ctx,
+                            weights,
+                            units,
+                            &mut iview,
+                            &mut oview,
+                            stream,
+                            lanes,
+                            &mut SpanScratch::new(ctx.rows, ctx.cols, lanes),
                         )?
                     };
                     Ok((accum, ibuf, obuf))
@@ -1249,10 +1304,29 @@ fn run_span_batched(
     oact: &mut LayoutView<'_, i32>,
     stream: &RouteStream,
     lanes: usize,
+    scratch: &mut SpanScratch,
 ) -> Result<SpanAccum, ArchError> {
     let cols = ctx.cols;
     let layer = &ctx.layer;
-    let mut nest = NestArray::with_lanes(ctx.rows, cols, lanes);
+    scratch.check_fabric(ctx, lanes);
+    let SpanScratch {
+        nest,
+        bus,
+        c_ok,
+        groups,
+        batch,
+        pending,
+        bank_used,
+        lane_inputs: inputs,
+        lane_outputs: outputs,
+        in_present,
+        out_present,
+        lane_vals,
+        acc_scratch,
+        ..
+    } = scratch;
+    let ws = weights.as_slice();
+    let macs_before = nest.total_macs();
     let mut accum = SpanAccum {
         tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
         extra_cycles: 0,
@@ -1260,20 +1334,6 @@ fn run_span_batched(
         birrd_adds: 0,
         macs: 0,
     };
-
-    let mut w_scratch = vec![0i8; ctx.rs];
-    let mut mapped_table = vec![false; ctx.q_tiles * ctx.m_rows * cols];
-    let mut bus: Vec<i32> = vec![0; cols * lanes];
-    let mut inputs: Vec<i64> = vec![0; cols * lanes];
-    let mut outputs: Vec<i64> = vec![0; cols * lanes];
-    let mut in_present: Vec<bool> = vec![false; cols];
-    let mut out_present: Vec<bool> = vec![false; cols];
-    let mut lane_vals: Vec<i8> = vec![0; lanes];
-    let mut acc_scratch: Vec<i32> = vec![0; lanes];
-    let mut groups: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut batch: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut pending: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut bank_used = vec![false; cols];
 
     let n_total = layer.n;
     let mut unit = units.start;
@@ -1283,25 +1343,8 @@ fn run_span_batched(
         unit = wt_m * n_total + n_range.end;
 
         for wt_c in 0..ctx.c_tiles {
-            stage_weights(ctx, weights, &mut nest, wt_m, wt_c, &mut w_scratch);
+            ctx.mark_live_lanes(wt_c, c_ok);
             let tile = wt_m * ctx.c_tiles + wt_c;
-            for qt in 0..ctx.q_tiles {
-                for m_lane in 0..ctx.m_rows {
-                    let m = wt_m * ctx.m_rows + m_lane;
-                    let row = &mut mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                    for (col, slot) in row.iter_mut().enumerate() {
-                        let q_lane = col / ctx.c_cols;
-                        let q = qt * ctx.q_cols + q_lane;
-                        let c = if ctx.depthwise {
-                            m
-                        } else {
-                            wt_c * ctx.c_cols + col % ctx.c_cols
-                        };
-                        *slot =
-                            q_lane < ctx.q_cols && q < ctx.q_total && m < layer.m && c < layer.c;
-                    }
-                }
-            }
 
             for n in n_range.clone() {
                 let mut pos = stream.block_starts[tile * n_total + n] as usize;
@@ -1315,16 +1358,7 @@ fn run_span_batched(
                             iact.begin_cycle();
                             if let Some(h) = h {
                                 phase1_step_batched(
-                                    ctx,
-                                    &mut nest,
-                                    iact,
-                                    &mut lane_vals,
-                                    wt_m,
-                                    wt_c,
-                                    n,
-                                    h,
-                                    s_i,
-                                    qt,
+                                    ctx, nest, iact, ws, lane_vals, wt_m, wt_c, n, h, s_i, qt,
                                     rs_step,
                                 );
                             }
@@ -1334,8 +1368,7 @@ fn run_span_batched(
                         // ---- Phase 2: row fires through BIRRD (RIR) ----
                         for m_lane in 0..ctx.m_rows {
                             let m = wt_m * ctx.m_rows + m_lane;
-                            let mapped = &mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                            nest.fire_row_stripe(m_lane, mapped, &mut bus);
+                            nest.fire_row_stripe(m_lane, c_ok, bus);
                             accum.tile_fires[tile] += 1;
                             if m >= layer.m {
                                 continue;
@@ -1345,10 +1378,6 @@ fn run_span_batched(
                             for q_lane in 0..ctx.q_cols {
                                 let q = qt * ctx.q_cols + q_lane;
                                 if q >= ctx.q_total {
-                                    continue;
-                                }
-                                let lane = q_lane * ctx.c_cols;
-                                if !mapped[lane..lane + ctx.c_cols].iter().any(|&b| b) {
                                     continue;
                                 }
                                 let loc = ctx.oact_plan.location([n, m, p, q]);
@@ -1371,17 +1400,17 @@ fn run_span_batched(
                                         pending.push(g);
                                     }
                                 }
-                                std::mem::swap(&mut groups, &mut pending);
+                                std::mem::swap(groups, pending);
 
                                 let slot = stream.stream[pos] as usize;
                                 pos += 1;
                                 let route: &CompiledRoute = &stream.slots[slot];
 
                                 in_present.fill(false);
-                                for g in &batch {
+                                for g in batch.iter() {
                                     let lane = g.q_lane * ctx.c_cols;
                                     for col in lane..lane + ctx.c_cols {
-                                        if mapped[col] {
+                                        if c_ok[col] {
                                             in_present[col] = true;
                                             for l in 0..lanes {
                                                 inputs[col * lanes + l] =
@@ -1391,19 +1420,13 @@ fn run_span_batched(
                                     }
                                 }
                                 route
-                                    .run_batched(
-                                        &inputs,
-                                        &in_present,
-                                        lanes,
-                                        &mut outputs,
-                                        &mut out_present,
-                                    )
+                                    .run_batched(inputs, in_present, lanes, outputs, out_present)
                                     .expect("compiled route matches the network width");
                                 accum.birrd_passes += 1;
                                 accum.birrd_adds += route.adder_activations() as u64;
 
                                 oact.begin_cycle();
-                                for g in &batch {
+                                for g in batch.iter() {
                                     // In-situ accumulation across channel
                                     // tiles, all lanes at once; absent BIRRD
                                     // outputs contribute zero, exactly like
@@ -1417,8 +1440,10 @@ fn run_span_batched(
                                         let prev = oact.peek_stripe_at(g.loc)[l].unwrap_or(0);
                                         *acc = prev + value;
                                     }
-                                    for (slot, acc) in
-                                        oact.write_stripe_at(g.loc).iter_mut().zip(&acc_scratch)
+                                    for (slot, acc) in oact
+                                        .write_stripe_at(g.loc)
+                                        .iter_mut()
+                                        .zip(acc_scratch.iter())
                                     {
                                         *slot = Some(*acc);
                                     }
@@ -1434,7 +1459,7 @@ fn run_span_batched(
             }
         }
     }
-    accum.macs = nest.total_macs();
+    accum.macs = nest.total_macs() - macs_before;
     Ok(accum)
 }
 
@@ -1445,6 +1470,7 @@ fn phase1_step_batched(
     ctx: &LayerExec,
     nest: &mut NestArray,
     iact: &mut LayoutView<'_, i32>,
+    ws: &[i8],
     lane_vals: &mut [i8],
     wt_m: usize,
     wt_c: usize,
@@ -1480,7 +1506,7 @@ fn phase1_step_batched(
                     for (v, cell) in lane_vals.iter_mut().zip(stripe) {
                         *v = cell.unwrap_or(0) as i8;
                     }
-                    nest.mac_stripe(m_lane, col, lane_vals, rs_step);
+                    nest.mac_operand(m_lane, col, lane_vals, ws[c * ctx.rs + rs_step]);
                 }
             } else {
                 let c = wt_c * ctx.c_cols + c_lane;
@@ -1492,7 +1518,8 @@ fn phase1_step_batched(
                     *v = cell.unwrap_or(0) as i8;
                 }
                 for m_lane in 0..m_lanes {
-                    nest.mac_stripe(m_lane, col, lane_vals, rs_step);
+                    let filter = (m_base + m_lane) * layer.c + c;
+                    nest.mac_operand(m_lane, col, lane_vals, ws[filter * ctx.rs + rs_step]);
                 }
             }
         }

@@ -53,6 +53,7 @@ use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
 use crate::core::{
     run_conv_core, run_conv_core_batched, LayerExec, RouteExecution, RouteRecorder, RouteStream,
+    SpanScratch,
 };
 use crate::graph_session::{pool_window_weights, widen, GraphSession, Step};
 use crate::mapping::LayerMapping;
@@ -693,6 +694,16 @@ impl ProgramSession {
     /// originating session — outputs, cycles, access statistics and reports
     /// alike — with zero planning, hashing or weight cloning on the hot path.
     ///
+    /// `weights` is an input of every call and nothing derived from it
+    /// outlives the call: each `Fire` looks its layer's tensor up by node,
+    /// checks its shape, and multiplies against it where it lies — the
+    /// weight-stationary NEST holds an address, not a copy. What a `Fire`
+    /// still does per call is the data-dependent work (one accounted StaB
+    /// read and `m_rows` MACs per mapped iAct, one BIRRD pass and one in-situ
+    /// oAct accumulation per row fire) plus the data-independent accounting
+    /// that rides on it (bank-conflict assessment, access statistics, fire
+    /// counts); per weight tile it refreshes one `cols`-wide lane mask.
+    ///
     /// # Errors
     /// Returns an error on missing weights or operand shape mismatches.
     pub fn run(
@@ -728,6 +739,7 @@ impl ProgramSession {
             )));
         }
         let threads = self.threads.or(p.threads);
+        let mut span_scratch = SpanScratch::new(p.config.rows, p.config.cols, 1);
 
         let mut scratch: ScratchRegion<i8> = ScratchRegion::new(p.config.cols.max(1));
         let mut fresh: Option<(usize, Tensor4<i8>)> = Some((p.input_slot, iacts.clone()));
@@ -854,6 +866,7 @@ impl ProgramSession {
                             RouteExecution::Replay(&cl.routes),
                             layer == 0,
                             threads,
+                            &mut span_scratch,
                         )?
                     };
                     let iact_stats = pp.active_ref().stats().since(&iact_base);
@@ -1016,6 +1029,7 @@ impl ProgramSession {
         }
         scratch_bufs.begin(p, lanes);
         let threads = self.threads.or(p.threads);
+        let mut span_scratch = SpanScratch::new(p.config.rows, p.config.cols, lanes);
 
         // Parked tensors hold `lanes` concatenated per-lane copies; the lane
         // factor divides the region's accounting and occupancy back to one
@@ -1163,6 +1177,7 @@ impl ProgramSession {
                             layer == 0,
                             threads,
                             lanes,
+                            &mut span_scratch,
                         )?
                     };
                     let iact_stats = pp.active_ref().stats().since(&iact_base);
@@ -1403,6 +1418,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // layer's route stream with a zero-input pass that replicates the
     // interpreted StaB sequence exactly (routes are data-independent).
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
+    let mut span_scratch = SpanScratch::new(config.rows, config.cols, 1);
     for exec in &session.segments {
         let seg = &exec.segment;
         let steps = exec.session.steps();
@@ -1447,6 +1463,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                     RouteExecution::Collect(route_cache, &mut recorder),
                     i == 0,
                     Some(1),
+                    &mut span_scratch,
                 )?;
             }
             stab.swap();
@@ -2205,7 +2222,9 @@ fn unesc(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph_session::run_graph_reference;
     use feather_arch::graph::Graph;
+    use feather_arch::tensor::conv2d_reference;
 
     fn residual_graph() -> Graph {
         let mut g = Graph::new("residual", [1, 4, 6, 6]);
@@ -2370,6 +2389,124 @@ mod tests {
             assert_eq!(sharded[lane].report, solo.report, "lane {lane} sharded");
         }
         assert!(replay.run_batched(&[], &weights).is_err());
+    }
+
+    /// Weights are a per-call input: nothing derived from one call's weight
+    /// map may survive into the next, whatever is reused between them.
+    #[test]
+    fn alternating_weight_maps_through_one_session_and_scratch() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let (shift, zero) = session.quantization();
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let samples: Vec<Tensor4<i8>> = (0..4u64)
+            .map(|seed| Tensor4::random([1, 4, 6, 6], 90 + seed))
+            .collect();
+        let weight_maps = [g.random_weights(7), g.random_weights(1007)];
+        assert_ne!(weight_maps[0], weight_maps[1]);
+        let golden = |sample: &Tensor4<i8>, which: usize| {
+            run_graph_reference(&g, sample, &weight_maps[which], shift, zero).unwrap()
+        };
+        // Join saturation is the one data-dependent count in a report.
+        let accounting = |run: &GraphRun| {
+            let mut report = run.report.clone();
+            report.joins.iter_mut().for_each(|j| j.saturated = 0);
+            report
+        };
+
+        let mut scratch = ReplayScratch::new();
+        let mut lane_scratch = BatchedScratch::new();
+        let mut reports = Vec::new();
+        for round in 0..4 {
+            let which = round % 2;
+            let weights = &weight_maps[which];
+            let fresh = replay.run(&samples[0], weights).unwrap();
+            let reused = replay
+                .run_with_scratch(&mut scratch, &samples[0], weights)
+                .unwrap();
+            assert_eq!(fresh.oacts, golden(&samples[0], which), "round {round} run");
+            assert_eq!(reused.oacts, fresh.oacts, "round {round} run_with_scratch");
+            reports.push(accounting(&fresh));
+            reports.push(accounting(&reused));
+            for lanes in [1usize, 4] {
+                let fresh = replay.run_batched(&samples[..lanes], weights).unwrap();
+                let reused = replay
+                    .run_batched_with_scratch(&mut lane_scratch, &samples[..lanes], weights)
+                    .unwrap();
+                for (lane, sample) in samples[..lanes].iter().enumerate() {
+                    let want = golden(sample, which);
+                    assert_eq!(fresh[lane].oacts, want, "round {round} lane {lane}/{lanes}");
+                    assert_eq!(
+                        reused[lane].oacts, want,
+                        "round {round} lane {lane}/{lanes}"
+                    );
+                    reports.push(accounting(&fresh[lane]));
+                    reports.push(accounting(&reused[lane]));
+                }
+            }
+        }
+        // Cycles, traffic and energy never depend on the weight values.
+        assert!(reports.iter().all(|r| *r == reports[0]));
+    }
+
+    /// The in-place weight addressing on its awkward shapes: ragged `(M, C)`
+    /// tail tiles under a strided, padded 3×3 kernel, and the depthwise
+    /// `[C, 1, R, S]` filter layout — through every replay flavour.
+    #[test]
+    fn ragged_and_depthwise_layers_replay_to_the_reference_convolution() {
+        let ragged = ConvLayer::new(1, 7, 11, 9, 9, 3, 3)
+            .with_stride(2)
+            .with_padding(1)
+            .with_name("ragged");
+        let depthwise = ConvLayer::new(1, 6, 6, 9, 9, 3, 3)
+            .with_padding(1)
+            .depthwise()
+            .with_name("depthwise");
+        for layer in [ragged, depthwise] {
+            let mut g = Graph::new(&layer.name, [layer.n, layer.c, layer.h, layer.w]);
+            g.conv(g.input(), layer.clone()).unwrap();
+            let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+            let program = session.compile().unwrap();
+            let mapping = &program.segments[0].layers[0].exec.mapping;
+            assert_ne!(
+                layer.m % mapping.m_rows,
+                0,
+                "{}: M tiles evenly",
+                layer.name
+            );
+            if !layer.is_depthwise() {
+                assert_ne!(
+                    layer.c % mapping.c_cols,
+                    0,
+                    "{}: C tiles evenly",
+                    layer.name
+                );
+            }
+
+            let weights = g.random_weights(31);
+            let filter = weights.values().next().unwrap();
+            let samples: Vec<Tensor4<i8>> = (0..3u64)
+                .map(|seed| Tensor4::random([layer.n, layer.c, layer.h, layer.w], 40 + seed))
+                .collect();
+            let golden: Vec<Tensor4<i32>> = samples
+                .iter()
+                .map(|sample| conv2d_reference(&layer, sample, filter).unwrap())
+                .collect();
+
+            let replay = ProgramSession::new(program);
+            let sharded = replay.clone().with_threads(3);
+            for (sample, want) in samples.iter().zip(&golden) {
+                assert_eq!(&session.run(sample, &weights).unwrap().oacts, want);
+                assert_eq!(&replay.run(sample, &weights).unwrap().oacts, want);
+                assert_eq!(&sharded.run(sample, &weights).unwrap().oacts, want);
+            }
+            for session in [&replay, &sharded] {
+                let lanes = session.run_batched(&samples, &weights).unwrap();
+                for (lane, want) in lanes.iter().zip(&golden) {
+                    assert_eq!(&lane.oacts, want, "{} batched", layer.name);
+                }
+            }
+        }
     }
 
     #[test]

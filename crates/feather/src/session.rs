@@ -57,7 +57,9 @@ use feather_memsim::{AccessStats, Banking, BufferSpec, LayoutView, PingPong};
 
 use crate::accelerator::{check_weight_shape, Feather};
 use crate::config::FeatherConfig;
-use crate::core::{run_conv_core, CoreRun, LayerExec, RouteCache, RouteCacheStats, RouteExecution};
+use crate::core::{
+    run_conv_core, CoreRun, LayerExec, RouteCache, RouteCacheStats, RouteExecution, SpanScratch,
+};
 use crate::mapping::LayerMapping;
 use crate::report::{LayerSummary, NetworkReport, NetworkRun, RunReport};
 
@@ -368,6 +370,7 @@ impl NetworkSession {
         }
 
         let route_cache = &*self.route_cache;
+        let mut span_scratch = SpanScratch::new(self.config.rows, self.config.cols, 1);
         let mut summaries: Vec<LayerSummary> = Vec::with_capacity(self.steps.len());
         let num_layers = self.steps.len();
 
@@ -403,6 +406,7 @@ impl NetworkSession {
                     // registers while the previous layer drains.
                     i == 0,
                     self.threads,
+                    &mut span_scratch,
                 )?
             };
 

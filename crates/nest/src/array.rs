@@ -26,12 +26,15 @@ pub struct NestArray {
     cols: usize,
     pes: Vec<ProcessingElement>,
     fires: u64,
+    /// MACs performed through [`NestArray::mac_operand`].
+    operand_macs: u64,
     lanes: usize,
-    /// Per-PE lane-striped accumulators for the batched replay backend: the
+    /// Per-PE lane-striped accumulators, the executor's working set: the
     /// stripe of PE `(row, col)` lives at `index(row, col) * lanes ..`. One
-    /// lane carries one batch sample; the PEs' own accumulators and activity
-    /// counters keep describing a single sample, so the scalar accounting is
-    /// untouched.
+    /// lane carries one batch sample (scalar execution is `lanes = 1`); the
+    /// activity counters describe a single sample whatever the lane count.
+    /// The PEs' own accumulators serve the register-level `mac`/`fire_row`
+    /// API only.
     lane_accs: Vec<i32>,
 }
 
@@ -60,6 +63,7 @@ impl NestArray {
             cols,
             pes: vec![ProcessingElement::new(); rows * cols],
             fires: 0,
+            operand_macs: 0,
             lanes,
             lane_accs: vec![0; rows * cols * lanes],
         }
@@ -136,10 +140,34 @@ impl NestArray {
     /// `iacts` is not one value per lane.
     #[inline]
     pub fn mac_stripe(&mut self, row: usize, col: usize, iacts: &[i8], weight_index: usize) {
-        assert_eq!(iacts.len(), self.lanes, "one iAct per lane");
         let idx = self.index(row, col);
-        let w = self.pes[idx].active_weights()[weight_index] as i32;
+        let weight = self.pes[idx].active_weights()[weight_index];
         self.pes[idx].mac_count += 1;
+        self.accumulate_stripe(idx, iacts, weight);
+    }
+
+    /// [`NestArray::mac_stripe`] with the stationary operand supplied by the
+    /// caller instead of read from the PE's weight register: the executor
+    /// addresses the layer's filter tensor in place, so a tile's weights are
+    /// never copied into the array. The scalar MAC is this at `lanes = 1`.
+    /// Accumulators and [`NestArray::total_macs`] advance exactly as they do
+    /// for `mac_stripe` against a register holding `weight`; the MAC is
+    /// counted on the array, not in the PE's own `mac_count`, so the hot loop
+    /// touches nothing but the accumulator stripe.
+    ///
+    /// # Panics
+    /// Panics if `iacts` is not one value per lane.
+    #[inline]
+    pub fn mac_operand(&mut self, row: usize, col: usize, iacts: &[i8], weight: i8) {
+        let idx = self.index(row, col);
+        self.operand_macs += 1;
+        self.accumulate_stripe(idx, iacts, weight);
+    }
+
+    #[inline]
+    fn accumulate_stripe(&mut self, idx: usize, iacts: &[i8], weight: i8) {
+        assert_eq!(iacts.len(), self.lanes, "one iAct per lane");
+        let w = weight as i32;
         let base = idx * self.lanes;
         for (acc, &iact) in self.lane_accs[base..base + self.lanes]
             .iter_mut()
@@ -152,41 +180,35 @@ impl NestArray {
     /// Fires one row: drains the accumulators of every PE in the row onto the
     /// column buses (Phase 2). `mapped` marks which columns actually carry
     /// data under the current dataflow; unmapped columns yield `None`.
-    pub fn fire_row(&mut self, row: usize, mapped: &[bool]) -> RowFire {
-        let mut values = vec![None; self.cols];
-        self.fire_row_into(row, mapped, &mut values);
-        RowFire { row, values }
-    }
-
-    /// [`NestArray::fire_row`] writing into caller-owned scratch instead of
-    /// allocating a fresh bus vector — the hot-loop variant: the executor
-    /// fires one row per (pixel, tile) step, millions of times per layer.
     ///
     /// # Panics
-    /// Panics if `mapped` or `bus` do not have one entry per column.
-    pub fn fire_row_into(&mut self, row: usize, mapped: &[bool], bus: &mut [Option<i32>]) {
+    /// Panics if `mapped` does not have one entry per column.
+    pub fn fire_row(&mut self, row: usize, mapped: &[bool]) -> RowFire {
         assert_eq!(
             mapped.len(),
             self.cols,
             "mapped mask must have one entry per column"
         );
-        assert_eq!(bus.len(), self.cols, "bus must have one slot per column");
-        for (col, slot) in bus.iter_mut().enumerate() {
-            // Unmapped PEs drain anyway so stale partial sums never leak into
-            // the next tile, but put nothing on the bus.
-            let value = self.pe_mut(row, col).fire();
-            *slot = if mapped[col] { Some(value) } else { None };
-        }
+        let values = (0..self.cols)
+            .map(|col| {
+                // Unmapped PEs drain anyway so stale partial sums never leak
+                // into the next tile, but put nothing on the bus.
+                let value = self.pe_mut(row, col).fire();
+                mapped[col].then_some(value)
+            })
+            .collect();
         self.fires += 1;
+        RowFire { row, values }
     }
 
-    /// [`NestArray::fire_row_into`] across all lanes: drains every column's
-    /// lane-striped accumulators of `row` onto the bus (column-major stripes,
-    /// so column `c` lane `l` lands at `bus[c * lanes + l]`). Unmapped
-    /// columns drain too — stale partial sums never leak into the next tile —
-    /// but the caller's `mapped` mask governs which stripes carry data, the
-    /// batched analogue of the scalar path's `None` bus slots. Counts one
-    /// fire, matching a single sample's activity.
+    /// [`NestArray::fire_row`] across all lanes, into caller-owned scratch —
+    /// the hot-loop variant: drains every column's lane-striped accumulators
+    /// of `row` onto the bus (column-major stripes, so column `c` lane `l`
+    /// lands at `bus[c * lanes + l]`). Unmapped columns drain too — stale
+    /// partial sums never leak into the next tile — but the caller's `mapped`
+    /// mask governs which stripes carry data, the analogue of `fire_row`'s
+    /// `None` bus slots. Counts one fire, matching a single sample's
+    /// activity.
     ///
     /// # Panics
     /// Panics if `mapped` is not one entry per column or `bus` is not
@@ -211,9 +233,9 @@ impl NestArray {
         self.fires += 1;
     }
 
-    /// Total MACs performed by all PEs.
+    /// Total MACs performed by all PEs, register and explicit-operand alike.
     pub fn total_macs(&self) -> u64 {
-        self.pes.iter().map(|pe| pe.mac_count).sum()
+        self.pes.iter().map(|pe| pe.mac_count).sum::<u64>() + self.operand_macs
     }
 
     /// Total weight-register loads performed by all PEs.

@@ -27,7 +27,10 @@ impl ProcessingElement {
 
     /// Loads a weight vector into the *shadow* (pong) register set.
     pub fn load_weights(&mut self, weights: &[i8]) {
-        self.weights_shadow = weights.to_vec();
+        // Overwrite in place: after the first tile the register keeps its
+        // capacity, so reloading allocates nothing.
+        self.weights_shadow.clear();
+        self.weights_shadow.extend_from_slice(weights);
         self.weight_loads += weights.len() as u64;
     }
 
