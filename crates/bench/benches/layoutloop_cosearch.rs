@@ -1,6 +1,7 @@
 //! Criterion bench: Layoutloop evaluation and (dataflow, layout) co-search
 //! throughput on a representative ResNet-50 layer, plus the memoized
-//! whole-network planner (`plan_network`) with its cache-hit rate.
+//! whole-network planner (`plan_network`) with its cache-hit rate and the
+//! cold whole-graph plan (`plan_graph`) the benchmark's `cold_start` pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use feather_arch::dataflow::Dataflow;
@@ -9,6 +10,7 @@ use layoutloop::arch::ArchSpec;
 use layoutloop::cache::CoSearchCache;
 use layoutloop::cosearch::{co_search_with, plan_network, plan_network_with, PlanParallelism};
 use layoutloop::evaluate::evaluate;
+use layoutloop::graphplan::plan_graph;
 use layoutloop::mapper::MapperConfig;
 
 fn layer() -> Workload {
@@ -83,6 +85,23 @@ fn bench_plan_network_memoized(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_plan_graph_cold(c: &mut Criterion) {
+    // Model B of the repo benchmark (`cold_start`): every table is a miss, so
+    // this is the planner's share of a new model's time to first result.
+    let graph = feather_arch::graph::resnet50_graph_scaled(8, 8);
+    let arch = ArchSpec::feather_like(16, 16);
+    let mapper = MapperConfig::fast();
+    let mut group = c.benchmark_group("plan_graph");
+    group.sample_size(10);
+    group.bench_function("model_b_cold", |b| {
+        b.iter(|| {
+            let mut cache = CoSearchCache::new();
+            plan_graph(&arch, &graph, &mapper, 0, &mut cache).unwrap()
+        })
+    });
+    group.finish();
+}
+
 fn bench_plan_parallelism(c: &mut Criterion) {
     // Layer-parallel table computation vs the sequential baseline, on a
     // denser ResNet-50 subset (more distinct shapes → more overlap to win).
@@ -133,6 +152,7 @@ criterion_group!(
     bench_evaluate,
     bench_cosearch,
     bench_plan_network_memoized,
+    bench_plan_graph_cold,
     bench_plan_parallelism
 );
 criterion_main!(benches);

@@ -6,12 +6,24 @@
 //! Fig. 13: for a (workload, dataflow, layout) triple we reconstruct concrete
 //! coordinate sets for a sample of execution cycles and ask the
 //! [`ConflictModel`] how many cycles the reads actually take.
+//!
+//! The analysis has two halves, so a co-search over `D` dataflows and `L`
+//! layouts does each once instead of `D × L` times:
+//!
+//! * **dataflow only** — [`SampledReads`]: which cycles are sampled (the
+//!   temporal base points, drawn from the seed) and which `[n, c, h, w]`
+//!   element every lane requests in each of them;
+//! * **layout only** — [`iact_plan`]: the `coordinate → line` tables of
+//!   [`Layout::plan4`], built per (workload, layout).
+//!
+//! [`SampledReads::analyze`] joins the two. Nothing here depends on the layout
+//! the previous layer left behind.
 
 use std::collections::BTreeMap;
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Dim;
-use feather_arch::layout::Layout;
+use feather_arch::layout::{Layout, LocationPlan4};
 use feather_arch::workload::Workload;
 use feather_memsim::ConflictModel;
 use rand::Rng;
@@ -39,71 +51,130 @@ impl AccessAnalysis {
     }
 }
 
-/// The iAct coordinate a given lane touches for a given temporal base point.
-fn iact_coord(
-    workload: &Workload,
-    base: &BTreeMap<Dim, usize>,
-    lane: &BTreeMap<Dim, usize>,
-    stride: usize,
-    padding: usize,
-) -> BTreeMap<Dim, usize> {
-    let get = |dim: Dim| -> usize {
-        base.get(&dim).copied().unwrap_or(0) + lane.get(&dim).copied().unwrap_or(0)
-    };
-    let c = get(Dim::C).min(workload.dim(Dim::C).saturating_sub(1));
-    let n = get(Dim::N).min(workload.dim(Dim::N).saturating_sub(1));
-    let p = get(Dim::P);
-    let q = get(Dim::Q);
-    let r = get(Dim::R);
-    let s = get(Dim::S);
-    let h_raw = p * stride + r;
-    let w_raw = q * stride + s;
-    let h = h_raw
-        .saturating_sub(padding)
-        .min(workload.dim(Dim::H).saturating_sub(1));
-    let w = w_raw
-        .saturating_sub(padding)
-        .min(workload.dim(Dim::W).saturating_sub(1));
-    [(Dim::N, n), (Dim::C, c), (Dim::H, h), (Dim::W, w)]
-        .into_iter()
-        .collect()
-}
+/// Per-[`Dim`] values (offsets or base coordinates), indexed by `dim as usize`.
+type PerDim = [usize; Dim::ALL.len()];
 
 /// Enumerates all spatial-lane offset combinations for the dims that index the
 /// input activations (`N`, `C`, and `P`/`Q`/`R`/`S` through the sliding
 /// window). Dims like `M` broadcast the same iAct to many PEs and therefore do
 /// not multiply the number of distinct requests.
-fn iact_lanes(dataflow: &Dataflow) -> Vec<BTreeMap<Dim, usize>> {
-    let relevant: Vec<(Dim, usize)> = dataflow
-        .spatial_factors()
-        .into_iter()
-        .filter(|(d, _)| matches!(d, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S))
-        .collect();
-    let mut lanes: Vec<BTreeMap<Dim, usize>> = vec![BTreeMap::new()];
-    for (dim, factor) in relevant {
-        let mut next = Vec::with_capacity(lanes.len() * factor);
-        for lane in &lanes {
-            for off in 0..factor {
-                let mut l = lane.clone();
-                l.insert(dim, off);
-                next.push(l);
-            }
+fn iact_lanes(spatial: &BTreeMap<Dim, usize>) -> Vec<PerDim> {
+    let mut lanes = vec![[0; Dim::ALL.len()]];
+    for (&dim, &factor) in spatial {
+        if matches!(dim, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S) {
+            lanes = lanes
+                .iter()
+                .flat_map(|lane| {
+                    (0..factor).map(move |off| {
+                        let mut l = *lane;
+                        l[dim as usize] = off;
+                        l
+                    })
+                })
+                .collect();
         }
-        lanes = next;
     }
     lanes
 }
 
-/// Dimension extents of the iAct tensor (what the layout maps over).
-pub fn iact_dim_sizes(workload: &Workload) -> BTreeMap<Dim, usize> {
-    [
-        (Dim::N, workload.dim(Dim::N)),
-        (Dim::C, workload.dim(Dim::C)),
-        (Dim::H, workload.dim(Dim::H)),
-        (Dim::W, workload.dim(Dim::W)),
-    ]
-    .into_iter()
-    .collect()
+/// The layout-independent half of the analysis: the `[n, c, h, w]` iAct
+/// element every lane of `dataflow` requests in every sampled cycle.
+#[derive(Debug, Clone)]
+pub struct SampledReads {
+    /// `lanes` coordinates per sampled cycle, cycle-major.
+    coords: Vec<[usize; 4]>,
+    lanes: usize,
+}
+
+impl SampledReads {
+    /// Samples up to `max_samples` (at least four) execution cycles of
+    /// `dataflow`, deterministically from `seed`.
+    pub fn new(workload: &Workload, dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
+        let (stride, padding) = match workload.as_conv_layer() {
+            Some(c) => (c.stride, c.padding),
+            None => (1, 0),
+        };
+        let last = |dim: Dim| workload.dim(dim).saturating_sub(1);
+        let (n_last, c_last, h_last, w_last) =
+            (last(Dim::N), last(Dim::C), last(Dim::H), last(Dim::W));
+        let spatial = dataflow.spatial_factors();
+        let lanes = iact_lanes(&spatial);
+        let innermost = dataflow.temporal.innermost();
+        let samples = max_samples.max(4);
+        let mut coords = Vec::with_capacity(samples * lanes.len());
+
+        // Temporal base points: the per-dimension block index times the spatial
+        // factor gives the starting coordinate of the tile processed that cycle.
+        // We sample the first few steps of the innermost loop plus random
+        // points, which covers both the "corner" behaviour (cycle 0..3 tables of
+        // Fig. 4) and the steady state.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for k in 0..samples {
+            let mut base: PerDim = [0; Dim::ALL.len()];
+            for l in &dataflow.temporal.loops {
+                let step = if k < 4 {
+                    if Some(l.dim) == innermost {
+                        k.min(l.extent.saturating_sub(1))
+                    } else {
+                        0
+                    }
+                } else if l.extent <= 1 {
+                    0
+                } else {
+                    rng.gen_range(0..l.extent)
+                };
+                base[l.dim as usize] = step * spatial.get(&l.dim).copied().unwrap_or(1);
+            }
+            coords.extend(lanes.iter().map(|lane| {
+                let at = |dim: Dim| base[dim as usize] + lane[dim as usize];
+                let h = (at(Dim::P) * stride + at(Dim::R)).saturating_sub(padding);
+                let w = (at(Dim::Q) * stride + at(Dim::S)).saturating_sub(padding);
+                [
+                    at(Dim::N).min(n_last),
+                    at(Dim::C).min(c_last),
+                    h.min(h_last),
+                    w.min(w_last),
+                ]
+            }));
+        }
+        SampledReads {
+            coords,
+            lanes: lanes.len(),
+        }
+    }
+
+    /// Joins the sampled reads with a layout's [`iact_plan`]: per sampled
+    /// cycle, the lines the lanes touch and what `conflicts` makes of them.
+    /// `lines` is scratch, reused across calls.
+    pub fn analyze(
+        &self,
+        plan: &LocationPlan4,
+        conflicts: &ConflictModel,
+        lines: &mut Vec<usize>,
+    ) -> AccessAnalysis {
+        let mut total_slowdown = 0.0;
+        let mut total_lines = 0.0;
+        for cycle in self.coords.chunks(self.lanes) {
+            lines.clear();
+            lines.extend(cycle.iter().map(|&coord| plan.location(coord).line));
+            let assessment = conflicts.assess_reads_in_place(lines);
+            total_slowdown += assessment.slowdown;
+            total_lines += assessment.lines_touched as f64;
+        }
+        let sampled_cycles = self.coords.len() / self.lanes;
+        AccessAnalysis {
+            read_slowdown: total_slowdown / sampled_cycles as f64,
+            avg_lines_per_cycle: total_lines / sampled_cycles as f64,
+            concurrent_reads: self.lanes,
+            sampled_cycles,
+        }
+    }
+}
+
+/// The layout-dependent half of the analysis: `layout` precompiled over the
+/// `[n, c, h, w]` extents of `workload`'s iAct tensor.
+pub fn iact_plan(workload: &Workload, layout: &Layout) -> LocationPlan4 {
+    layout.plan4(Dim::IACT_DIMS.map(|dim| (dim, workload.dim(dim))))
 }
 
 /// Analyzes the iAct read pattern of a (workload, dataflow, layout) triple
@@ -117,84 +188,248 @@ pub fn analyze_iact_reads(
     max_samples: usize,
     seed: u64,
 ) -> AccessAnalysis {
-    let (stride, padding) = match workload.as_conv_layer() {
-        Some(c) => (c.stride, c.padding),
-        None => (1, 0),
-    };
-    let dim_sizes = iact_dim_sizes(workload);
-    let lanes = iact_lanes(dataflow);
-    let spatial = dataflow.spatial_factors();
+    SampledReads::new(workload, dataflow, max_samples, seed).analyze(
+        &iact_plan(workload, layout),
+        conflicts,
+        &mut Vec::new(),
+    )
+}
 
-    // Temporal base points: the per-dimension block index times the spatial
-    // factor gives the starting coordinate of the tile processed that cycle.
-    // We sample the first few steps of every temporal dimension plus random
-    // points, which covers both the "corner" behaviour (cycle 0..3 tables of
-    // Fig. 4) and the steady state.
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut samples: Vec<BTreeMap<Dim, usize>> = Vec::new();
-    let temporal_dims: Vec<(Dim, usize)> = dataflow
-        .temporal
-        .loops
-        .iter()
-        .map(|l| (l.dim, l.extent))
-        .collect();
-    let base_for = |steps: &mut dyn FnMut(Dim, usize) -> usize| -> BTreeMap<Dim, usize> {
-        let mut base = BTreeMap::new();
-        for &(dim, extent) in &temporal_dims {
-            let step = steps(dim, extent);
-            let spatial_f = spatial.get(&dim).copied().unwrap_or(1);
-            base.insert(dim, step * spatial_f);
-        }
-        base
-    };
-    // First four deterministic steps of the innermost loops.
-    for k in 0..4usize {
-        samples.push(base_for(&mut |dim, extent| {
-            if Some(dim) == dataflow.temporal.innermost() {
-                k.min(extent.saturating_sub(1))
-            } else {
-                0
-            }
-        }));
-    }
-    while samples.len() < max_samples.max(4) {
-        let sample = base_for(&mut |_, extent| {
-            if extent <= 1 {
-                0
-            } else {
-                rng.gen_range(0..extent)
-            }
-        });
-        samples.push(sample);
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The iAct coordinate a given lane touches for a given temporal base point.
+    fn iact_coord(
+        workload: &Workload,
+        base: &BTreeMap<Dim, usize>,
+        lane: &BTreeMap<Dim, usize>,
+        stride: usize,
+        padding: usize,
+    ) -> BTreeMap<Dim, usize> {
+        let get = |dim: Dim| -> usize {
+            base.get(&dim).copied().unwrap_or(0) + lane.get(&dim).copied().unwrap_or(0)
+        };
+        let c = get(Dim::C).min(workload.dim(Dim::C).saturating_sub(1));
+        let n = get(Dim::N).min(workload.dim(Dim::N).saturating_sub(1));
+        let p = get(Dim::P);
+        let q = get(Dim::Q);
+        let r = get(Dim::R);
+        let s = get(Dim::S);
+        let h_raw = p * stride + r;
+        let w_raw = q * stride + s;
+        let h = h_raw
+            .saturating_sub(padding)
+            .min(workload.dim(Dim::H).saturating_sub(1));
+        let w = w_raw
+            .saturating_sub(padding)
+            .min(workload.dim(Dim::W).saturating_sub(1));
+        [(Dim::N, n), (Dim::C, c), (Dim::H, h), (Dim::W, w)]
+            .into_iter()
+            .collect()
     }
 
-    let mut total_slowdown = 0.0;
-    let mut total_lines = 0.0;
-    for base in &samples {
-        let coords: Vec<BTreeMap<Dim, usize>> = lanes
-            .iter()
-            .map(|lane| iact_coord(workload, base, lane, stride, padding))
+    /// Enumerates all spatial-lane offset combinations for the dims that index the
+    /// input activations (`N`, `C`, and `P`/`Q`/`R`/`S` through the sliding
+    /// window). Dims like `M` broadcast the same iAct to many PEs and therefore do
+    /// not multiply the number of distinct requests.
+    fn iact_lanes(dataflow: &Dataflow) -> Vec<BTreeMap<Dim, usize>> {
+        let relevant: Vec<(Dim, usize)> = dataflow
+            .spatial_factors()
+            .into_iter()
+            .filter(|(d, _)| matches!(d, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S))
             .collect();
-        let lines = layout.lines_touched(coords.iter(), &dim_sizes);
-        let assessment = conflicts.assess_reads(lines.iter().copied());
-        total_slowdown += assessment.slowdown;
-        total_lines += assessment.lines_touched as f64;
+        let mut lanes: Vec<BTreeMap<Dim, usize>> = vec![BTreeMap::new()];
+        for (dim, factor) in relevant {
+            let mut next = Vec::with_capacity(lanes.len() * factor);
+            for lane in &lanes {
+                for off in 0..factor {
+                    let mut l = lane.clone();
+                    l.insert(dim, off);
+                    next.push(l);
+                }
+            }
+            lanes = next;
+        }
+        lanes
     }
-    let n = samples.len() as f64;
-    AccessAnalysis {
-        read_slowdown: total_slowdown / n,
-        avg_lines_per_cycle: total_lines / n,
-        concurrent_reads: lanes.len(),
-        sampled_cycles: samples.len(),
+
+    /// Dimension extents of the iAct tensor (what the layout maps over).
+    fn iact_dim_sizes(workload: &Workload) -> BTreeMap<Dim, usize> {
+        [
+            (Dim::N, workload.dim(Dim::N)),
+            (Dim::C, workload.dim(Dim::C)),
+            (Dim::H, workload.dim(Dim::H)),
+            (Dim::W, workload.dim(Dim::W)),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    /// The map-based analysis [`super::analyze_iact_reads`] replaced, kept as the
+    /// reference the equivalence proptest compares against.
+    pub fn analyze_iact_reads(
+        workload: &Workload,
+        dataflow: &Dataflow,
+        layout: &Layout,
+        conflicts: &ConflictModel,
+        max_samples: usize,
+        seed: u64,
+    ) -> AccessAnalysis {
+        let (stride, padding) = match workload.as_conv_layer() {
+            Some(c) => (c.stride, c.padding),
+            None => (1, 0),
+        };
+        let dim_sizes = iact_dim_sizes(workload);
+        let lanes = iact_lanes(dataflow);
+        let spatial = dataflow.spatial_factors();
+
+        // Temporal base points: the per-dimension block index times the spatial
+        // factor gives the starting coordinate of the tile processed that cycle.
+        // We sample the first few steps of every temporal dimension plus random
+        // points, which covers both the "corner" behaviour (cycle 0..3 tables of
+        // Fig. 4) and the steady state.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut samples: Vec<BTreeMap<Dim, usize>> = Vec::new();
+        let temporal_dims: Vec<(Dim, usize)> = dataflow
+            .temporal
+            .loops
+            .iter()
+            .map(|l| (l.dim, l.extent))
+            .collect();
+        let base_for = |steps: &mut dyn FnMut(Dim, usize) -> usize| -> BTreeMap<Dim, usize> {
+            let mut base = BTreeMap::new();
+            for &(dim, extent) in &temporal_dims {
+                let step = steps(dim, extent);
+                let spatial_f = spatial.get(&dim).copied().unwrap_or(1);
+                base.insert(dim, step * spatial_f);
+            }
+            base
+        };
+        // First four deterministic steps of the innermost loops.
+        for k in 0..4usize {
+            samples.push(base_for(&mut |dim, extent| {
+                if Some(dim) == dataflow.temporal.innermost() {
+                    k.min(extent.saturating_sub(1))
+                } else {
+                    0
+                }
+            }));
+        }
+        while samples.len() < max_samples.max(4) {
+            let sample = base_for(&mut |_, extent| {
+                if extent <= 1 {
+                    0
+                } else {
+                    rng.gen_range(0..extent)
+                }
+            });
+            samples.push(sample);
+        }
+
+        let mut total_slowdown = 0.0;
+        let mut total_lines = 0.0;
+        for base in &samples {
+            let coords: Vec<BTreeMap<Dim, usize>> = lanes
+                .iter()
+                .map(|lane| iact_coord(workload, base, lane, stride, padding))
+                .collect();
+            let lines = layout.lines_touched(coords.iter(), &dim_sizes);
+            let assessment = conflicts.assess_reads(lines.iter().copied());
+            total_slowdown += assessment.slowdown;
+            total_lines += assessment.lines_touched as f64;
+        }
+        let n = samples.len() as f64;
+        AccessAnalysis {
+            read_slowdown: total_slowdown / n,
+            avg_lines_per_cycle: total_lines / n,
+            concurrent_reads: lanes.len(),
+            sampled_cycles: samples.len(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::ArchSpec;
+    use crate::mapper::{search_dataflows, MapperConfig};
     use feather_arch::dataflow::ArrayShape;
-    use feather_arch::workload::ConvLayer;
+    use feather_arch::workload::{ConvLayer, GemmLayer};
     use feather_memsim::{Banking, BufferSpec};
+    use proptest::prelude::*;
+
+    /// Every mapper candidate × every conv and GEMM layout candidate, new
+    /// analysis against the map-based oracle, `==` on the f64s. The picks
+    /// choose the array shape, the mapper and `max_samples`.
+    fn assert_matches_oracle(
+        w: &Workload,
+        (shape_pick, mapper_pick, samples_pick): (usize, usize, usize),
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let (rows, cols) = [(4, 4), (4, 8), (16, 16)][shape_pick];
+        let arch = ArchSpec::feather_like(rows, cols);
+        let mapper = [MapperConfig::fast(), MapperConfig::default()][mapper_pick];
+        let max_samples = [1, 4, 16][samples_pick];
+        let models = [arch.conflict_model(), conflict_model()];
+        let mut layouts = Layout::conv_candidates();
+        layouts.extend(Layout::gemm_candidates());
+        for df in search_dataflows(&arch, w, &mapper) {
+            for layout in &layouts {
+                for cm in &models {
+                    prop_assert_eq!(
+                        analyze_iact_reads(w, &df, layout, cm, max_samples, seed),
+                        oracle::analyze_iact_reads(w, &df, layout, cm, max_samples, seed),
+                        "{} under {}",
+                        df,
+                        layout
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn conv_analysis_equals_map_based_oracle(
+            m in 1usize..40,
+            c in 1usize..40,
+            h in 1usize..20,
+            w in 1usize..20,
+            kernel_pick in 0usize..4,
+            stride in 1usize..3,
+            padding in 0usize..4,
+            shape_pick in 0usize..3,
+            mapper_pick in 0usize..2,
+            samples_pick in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let k = [1, 3, 5, 7][kernel_pick];
+            prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
+            let layer: Workload = ConvLayer::new(1, m, c, h, w, k, k)
+                .with_stride(stride)
+                .with_padding(padding)
+                .into();
+            assert_matches_oracle(&layer, (shape_pick, mapper_pick, samples_pick), seed)?;
+        }
+
+        #[test]
+        fn gemm_analysis_equals_map_based_oracle(
+            m in 1usize..70,
+            k in 1usize..70,
+            n in 1usize..70,
+            shape_pick in 0usize..3,
+            mapper_pick in 0usize..2,
+            samples_pick in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let gemm: Workload = GemmLayer::new(m, k, n).into();
+            assert_matches_oracle(&gemm, (shape_pick, mapper_pick, samples_pick), seed)?;
+        }
+    }
 
     fn conflict_model() -> ConflictModel {
         // Single bank with dual ports: any access of more than two lines stalls.

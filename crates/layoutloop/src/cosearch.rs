@@ -1,6 +1,17 @@
 //! (Dataflow, layout) co-search — the paper's per-layer exploration flow
 //! (§V, §VI-A.2): exhaustively sweep the layout candidates, search dataflows
 //! under each, and keep the pair with the lowest energy-delay product.
+//!
+//! What each part of a candidate's cost depends on decides how often it is
+//! computed ([`co_search_table`]):
+//!
+//! * the **dataflow only** — validity, and the sampled per-lane coordinates
+//!   ([`SampledReads`]): once per dataflow;
+//! * the **layout only** — the coordinate → line tables ([`iact_plan`]): once
+//!   per layout;
+//! * the **pair** — the bank-conflict analysis joining the two: once per pair;
+//! * the **predecessor layout only** — nothing but the reorder price: *stay*
+//!   and *switch* are two pricings of that one analysis.
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::layout::Layout;
@@ -9,9 +20,10 @@ use feather_arch::workload::Workload;
 use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
+use crate::access::{iact_plan, SampledReads};
 use crate::arch::ArchSpec;
 use crate::cache::CoSearchCache;
-use crate::evaluate::{evaluate, Evaluation};
+use crate::evaluate::{check_dataflow, price, Evaluation, ACCESS_SAMPLES};
 use crate::mapper::{search_dataflows, MapperConfig};
 
 /// The winning (dataflow, layout) pair for one layer.
@@ -51,64 +63,20 @@ pub fn co_search_with(
     mapper: &MapperConfig,
     seed: u64,
 ) -> Result<CoSearchResult, ArchError> {
-    workload.validate()?;
-    let dataflows = search_dataflows(arch, workload, mapper);
-    let layouts = arch.layout_policy.candidates();
-
-    let mut best: Option<CoSearchResult> = None;
-    // Evaluate layout × dataflow candidates in parallel chunks.
-    let results: Vec<CoSearchResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = layouts
-            .iter()
-            .map(|layout| {
-                let dataflows = &dataflows;
-                scope.spawn(move || {
-                    let mut local_best: Option<CoSearchResult> = None;
-                    for df in dataflows {
-                        if let Ok(eval) = evaluate(arch, workload, df, layout, prev_layout, seed) {
-                            let better = local_best
-                                .as_ref()
-                                .map(|b| eval.edp < b.evaluation.edp)
-                                .unwrap_or(true);
-                            if better {
-                                local_best = Some(CoSearchResult {
-                                    dataflow: df.clone(),
-                                    layout: layout.clone(),
-                                    evaluation: eval,
-                                });
-                            }
-                        }
-                    }
-                    local_best
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("co-search worker panicked"))
-            .collect()
-    });
-    for candidate in results {
-        let better = best
-            .as_ref()
-            .map(|b| candidate.evaluation.edp < b.evaluation.edp)
-            .unwrap_or(true);
-        if better {
-            best = Some(candidate);
-        }
-    }
-    best.ok_or_else(|| {
-        ArchError::InvalidDataflow(format!(
-            "no valid (dataflow, layout) pair found for layer `{}` on {}",
-            workload.name(),
-            arch.name
-        ))
-    })
+    co_search_table(arch, workload, mapper, seed)?
+        .select(workload.name(), prev_layout)
+        .ok_or_else(|| {
+            ArchError::InvalidDataflow(format!(
+                "no valid (dataflow, layout) pair found for layer `{}` on {}",
+                workload.name(),
+                arch.name
+            ))
+        })
 }
 
-/// Best dataflow for one candidate layout, evaluated under both possible
-/// predecessor relations. [`evaluate`] consults the predecessor layout only
-/// through the boolean `prev != layout`, so two evaluations per `(dataflow,
+/// Best dataflow for one candidate layout, priced under both possible
+/// predecessor relations. The cost model consults the predecessor layout only
+/// through the boolean `prev != layout`, so two pricings per `(dataflow,
 /// layout)` pair — *stay* (no reorder needed) and *switch* (reorder penalty
 /// applied) — answer the co-search exhaustively for **every** possible
 /// predecessor. This is what makes layer-parallel planning exact: tables are
@@ -160,20 +128,12 @@ impl CoSearchTable {
     }
 }
 
-/// Any layout different from `l`, used to price the *switch* variant (only
-/// the inequality matters to [`evaluate`], not the concrete value).
-fn different_layout(l: &Layout) -> Layout {
-    let a: Layout = "HWC_C1".parse().expect("constant layout parses");
-    if &a != l {
-        a
-    } else {
-        "HWC_W1".parse().expect("constant layout parses")
-    }
-}
-
-/// Computes the full predecessor-independent [`CoSearchTable`] for one layer:
-/// the layout candidates are swept in parallel (scoped threads), and each
-/// `(dataflow, layout)` pair is evaluated in both predecessor variants.
+/// Computes the full predecessor-independent [`CoSearchTable`] for one layer
+/// on the calling thread: each `(dataflow, layout)` pair is analysed once and
+/// priced in both predecessor variants. Dataflows are the outer loop so only
+/// one dataflow's sampled coordinates are alive at a time; every layout still
+/// sees its candidates in dataflow order, which with the strict `<` keeps the
+/// first of equal-EDP candidates.
 ///
 /// # Errors
 /// Returns an error if the workload itself is malformed. An empty table (no
@@ -187,49 +147,48 @@ pub fn co_search_table(
     workload.validate()?;
     let dataflows = search_dataflows(arch, workload, mapper);
     let layouts = arch.layout_policy.candidates();
+    let plans: Vec<_> = layouts.iter().map(|l| iact_plan(workload, l)).collect();
+    let conflicts = arch.conflict_model();
 
-    let choices: Vec<LayoutChoice> = std::thread::scope(|scope| {
-        let handles: Vec<_> = layouts
-            .iter()
-            .map(|layout| {
-                let dataflows = &dataflows;
-                scope.spawn(move || {
-                    let other = different_layout(layout);
-                    let mut stay: Option<CoSearchResult> = None;
-                    let mut switch: Option<CoSearchResult> = None;
-                    for df in dataflows {
-                        let consider =
-                            |slot: &mut Option<CoSearchResult>, prev: Option<&Layout>| {
-                                if let Ok(eval) = evaluate(arch, workload, df, layout, prev, seed) {
-                                    let better = slot
-                                        .as_ref()
-                                        .map(|b| eval.edp < b.evaluation.edp)
-                                        .unwrap_or(true);
-                                    if better {
-                                        *slot = Some(CoSearchResult {
-                                            dataflow: df.clone(),
-                                            layout: layout.clone(),
-                                            evaluation: eval,
-                                        });
-                                    }
-                                }
-                            };
-                        consider(&mut stay, None);
-                        consider(&mut switch, Some(&other));
-                    }
-                    stay.zip(switch).map(|(stay, switch)| LayoutChoice {
-                        layout: layout.clone(),
-                        stay,
-                        switch,
-                    })
-                })
+    // Per layout, the best (dataflow, unlabeled evaluation) for [stay, switch].
+    let mut best: Vec<[Option<(&Dataflow, Evaluation)>; 2]> = vec![[None, None]; layouts.len()];
+    let mut lines = Vec::new();
+    for df in &dataflows {
+        if check_dataflow(arch, workload, df).is_err() {
+            continue;
+        }
+        let reads = SampledReads::new(workload, df, ACCESS_SAMPLES, seed);
+        for (plan, slots) in plans.iter().zip(&mut best) {
+            let analysis = reads.analyze(plan, &conflicts, &mut lines);
+            for (slot, needs_reorder) in slots.iter_mut().zip([false, true]) {
+                let eval = price(arch, workload, df, &analysis, needs_reorder);
+                if slot.as_ref().map_or(true, |(_, b)| eval.edp < b.edp) {
+                    *slot = Some((df, eval));
+                }
+            }
+        }
+    }
+
+    let choices = layouts
+        .into_iter()
+        .zip(best)
+        .filter_map(|(layout, [stay, switch])| {
+            let result = |(df, mut evaluation): (&Dataflow, Evaluation)| {
+                evaluation.label(arch, workload.name(), df, &layout);
+                CoSearchResult {
+                    dataflow: df.clone(),
+                    layout: layout.clone(),
+                    evaluation,
+                }
+            };
+            let (stay, switch) = (result(stay?), result(switch?));
+            Some(LayoutChoice {
+                layout,
+                stay,
+                switch,
             })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("co-search table worker panicked"))
-            .collect()
-    });
+        })
+        .collect();
     Ok(CoSearchTable { choices })
 }
 
@@ -412,9 +371,8 @@ pub(crate) fn ensure_tables<'a>(
             }
         }
         PlanParallelism::Scoped => {
-            // Bound the outer fan-out at the core count: each co_search_table
-            // already parallelizes over layout candidates internally, so one
-            // worker per missing shape would oversubscribe quadratically.
+            // The planner's one level of threads: co_search_table runs on its
+            // caller, so a worker per core keeps every core busy.
             let workers = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -545,6 +503,43 @@ mod tests {
             f.evaluation.edp,
             s.evaluation.edp
         );
+    }
+
+    #[test]
+    fn table_selection_equals_exhaustive_evaluation() {
+        // Off-chip reordering makes *switch* dearer than *stay*, so the
+        // predecessor matters. The reference prices every pair through the
+        // public `evaluate` with the real predecessor, first-best-wins in
+        // layout-then-dataflow order.
+        let arch = ArchSpec::sigma_like_offchip_reorder(16, 16);
+        let mapper = MapperConfig::fast();
+        let w: Workload = ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
+            .with_padding(1)
+            .with_name("l1")
+            .into();
+        let table = co_search_table(&arch, &w, &mapper, 0).unwrap();
+        assert!(table.choices.iter().any(|c| c.stay != c.switch));
+
+        let layouts = arch.layout_policy.candidates();
+        let free = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
+        let other = layouts.iter().find(|l| **l != free.layout).unwrap();
+        for prev in [None, Some(&free.layout), Some(other)] {
+            let mut best: Option<CoSearchResult> = None;
+            for layout in &layouts {
+                for df in search_dataflows(&arch, &w, &mapper) {
+                    let eval = crate::evaluate::evaluate(&arch, &w, &df, layout, prev, 0).unwrap();
+                    if best.as_ref().map_or(true, |b| eval.edp < b.evaluation.edp) {
+                        best = Some(CoSearchResult {
+                            dataflow: df,
+                            layout: layout.clone(),
+                            evaluation: eval,
+                        });
+                    }
+                }
+            }
+            assert_eq!(table.select("l1", prev), best);
+            assert_eq!(co_search_with(&arch, &w, prev, &mapper, 0).ok(), best);
+        }
     }
 
     #[test]

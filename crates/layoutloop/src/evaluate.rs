@@ -1,6 +1,8 @@
 //! The Layoutloop cost model: latency, energy and utilization of one layer
 //! executed with a given (dataflow, layout) pair on a given architecture.
 
+use std::borrow::Cow;
+
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Operand;
 use feather_arch::energy::EnergyBreakdown;
@@ -13,7 +15,7 @@ use crate::access::{analyze_iact_reads, AccessAnalysis};
 use crate::arch::{ArchSpec, DistributionStyle, ReductionStyle, ReorderCapability};
 
 /// Number of execution cycles sampled by the access analyzer.
-const ACCESS_SAMPLES: usize = 16;
+pub(crate) const ACCESS_SAMPLES: usize = 16;
 
 /// Result of evaluating one layer under one (dataflow, layout) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,6 +78,27 @@ pub fn evaluate(
     prev_layout: Option<&Layout>,
     seed: u64,
 ) -> Result<Evaluation, ArchError> {
+    check_dataflow(arch, workload, dataflow)?;
+    let analysis = analyze_iact_reads(
+        workload,
+        dataflow,
+        layout,
+        &arch.conflict_model(),
+        ACCESS_SAMPLES,
+        seed,
+    );
+    let needs_reorder = prev_layout.map(|p| p != layout).unwrap_or(false);
+    let mut evaluation = price(arch, workload, dataflow, &analysis, needs_reorder);
+    evaluation.label(arch, workload.name(), dataflow, layout);
+    Ok(evaluation)
+}
+
+/// The validity half of [`evaluate`]: depends on neither layout.
+pub(crate) fn check_dataflow(
+    arch: &ArchSpec,
+    workload: &Workload,
+    dataflow: &Dataflow,
+) -> Result<(), ArchError> {
     dataflow.validate(workload)?;
     if dataflow.shape != arch.shape {
         return Err(ArchError::InvalidDataflow(format!(
@@ -83,18 +106,33 @@ pub fn evaluate(
             dataflow.shape, arch.shape
         )));
     }
+    Ok(())
+}
 
+impl Evaluation {
+    /// Fills in the four names [`price`] leaves empty.
+    pub(crate) fn label(&mut self, arch: &ArchSpec, layer: &str, df: &Dataflow, layout: &Layout) {
+        self.arch = arch.name.clone();
+        self.layer = layer.to_string();
+        self.dataflow = df.name.clone();
+        self.layout = layout.to_string();
+    }
+}
+
+/// The pricing half of [`evaluate`]: every number of the [`Evaluation`] from
+/// one [`AccessAnalysis`]. The predecessor layout enters only as
+/// `needs_reorder`, so a co-search prices *stay* and *switch* from the same
+/// analysis. The names stay empty (no allocation) until [`Evaluation::label`]:
+/// candidates are compared by `edp` and only winners get labeled.
+pub(crate) fn price(
+    arch: &ArchSpec,
+    workload: &Workload,
+    dataflow: &Dataflow,
+    analysis: &AccessAnalysis,
+    needs_reorder: bool,
+) -> Evaluation {
     let macs = workload.macs();
     let ideal_cycles = dataflow.ideal_compute_cycles(workload);
-    let conflict_model = arch.conflict_model();
-    let analysis: AccessAnalysis = analyze_iact_reads(
-        workload,
-        dataflow,
-        layout,
-        &conflict_model,
-        ACCESS_SAMPLES,
-        seed,
-    );
 
     // Designs with per-PE buffering (systolic FIFOs, Eyeriss scratchpads) are
     // bandwidth-limited: stalls only appear when the aggregate line bandwidth
@@ -114,9 +152,13 @@ pub fn evaluate(
     let stall_cycles = ((slowdown - 1.0) * ideal_cycles as f64).round() as u64;
 
     // --- Layout reordering cost -------------------------------------------------
-    let needs_reorder = prev_layout.map(|p| p != layout).unwrap_or(false);
     let dtype_bytes = arch.dtype.bytes() as u64;
-    let oact_bytes = workload.to_conv().operand_elems(Operand::OActs) * dtype_bytes;
+    // Borrowed for convolutions: a pricing must not clone the layer (its name).
+    let conv = match workload.as_conv_layer() {
+        Some(conv) => Cow::Borrowed(conv),
+        None => Cow::Owned(workload.to_conv()),
+    };
+    let oact_bytes = conv.operand_elems(Operand::OActs) * dtype_bytes;
     let line_size = arch.activation_buffer.line_size.max(1) as u64;
     let compute_cycles = ideal_cycles + stall_cycles;
     let (reorder_cycles, reorder_energy_pj, reorder_dram_bytes) = if !needs_reorder {
@@ -155,7 +197,6 @@ pub fn evaluate(
     };
 
     // --- Energy ------------------------------------------------------------------
-    let conv = workload.to_conv();
     let iact_bytes = conv.operand_elems(Operand::IActs) * dtype_bytes;
     let weight_bytes = conv.operand_elems(Operand::Weights) * dtype_bytes;
 
@@ -239,11 +280,11 @@ pub fn evaluate(
     let cycles = total_cycles_pre_leak;
     let edp = energy.total_pj() * cycles as f64;
 
-    Ok(Evaluation {
-        arch: arch.name.clone(),
-        layer: workload.name().to_string(),
-        dataflow: dataflow.name.clone(),
-        layout: layout.to_string(),
+    Evaluation {
+        arch: String::new(),
+        layer: String::new(),
+        dataflow: String::new(),
+        layout: String::new(),
         cycles,
         ideal_cycles,
         conflict_slowdown: slowdown,
@@ -255,7 +296,7 @@ pub fn evaluate(
         energy,
         reorder_energy_pj,
         edp,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -8,15 +8,11 @@
 //! layout downstream; the shortcut operand is reordered into the consumer's
 //! layout at the join itself, which RIR prices at zero for FEATHER).
 //!
-//! Parallelism comes in two layers, both exact because co-search tables are
-//! predecessor-independent ([`crate::cosearch::LayoutChoice`]):
-//!
-//! 1. all missing tables — across *every* branch and layer of the graph —
-//!    are computed concurrently with scoped threads
-//!    ([`crate::cosearch::PlanParallelism::Scoped`]);
-//! 2. the per-segment chaining passes of independent branches (e.g. a
-//!    bottleneck main path and its projection shortcut) run concurrently in
-//!    dependency waves, again under `std::thread::scope`.
+//! Both steps are exact because co-search tables are predecessor-independent
+//! ([`crate::cosearch::LayoutChoice`]): all missing tables — across *every*
+//! branch and layer of the graph — are computed concurrently
+//! ([`crate::cosearch::PlanParallelism::Scoped`]), after which the chaining
+//! passes are table lookups, run segment by segment in dependency waves.
 
 use std::collections::BTreeMap;
 
@@ -140,49 +136,24 @@ pub fn plan_graph(
         PlanParallelism::Scoped,
     )?;
 
-    // Phase 2: chain layouts per segment, independent branches concurrently
-    // in dependency waves.
+    // Phase 2: chain layouts per segment, in dependency waves (independent
+    // branches share a wave).
     let (seg_levels, max_level) = segment_levels(graph, &segments);
     let mut tensor_layout: BTreeMap<TensorId, Layout> = BTreeMap::new();
     let mut per_node: BTreeMap<NodeId, CoSearchResult> = BTreeMap::new();
     for level in 0..=max_level {
-        let wave: Vec<usize> = (0..segments.len())
+        for seg in (0..segments.len())
             .filter(|&si| seg_levels[si] == level)
-            .collect();
-        if wave.is_empty() {
-            continue;
+            .map(|si| &segments[si])
+        {
+            let prev = tensor_layout.get(&seg.input).cloned();
+            let planned = plan_segment(arch, graph, seg, prev, mapper, seed, cache, &workloads)?;
+            let (_, last) = planned.last().expect("segments are non-empty");
+            tensor_layout.insert(seg.output, last.layout.clone());
+            per_node.extend(planned);
         }
-        let planned: Vec<Result<Vec<(NodeId, CoSearchResult)>, ArchError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|&si| {
-                        let seg = &segments[si];
-                        let prev = tensor_layout.get(&seg.input).cloned();
-                        let workloads = &workloads;
-                        let cache = &*cache;
-                        scope.spawn(move || {
-                            plan_segment(arch, graph, seg, prev, mapper, seed, cache, workloads)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("graph plan worker panicked"))
-                    .collect()
-            });
-        for results in planned {
-            for (id, result) in results? {
-                per_node.insert(id, result);
-            }
-        }
-        // Publish this wave's boundary layouts, then resolve joins whose
-        // operands are now planned (a join forwards its main-path layout).
-        for &si in &wave {
-            let seg = &segments[si];
-            let last = *seg.nodes.last().expect("segments are non-empty");
-            tensor_layout.insert(seg.output, per_node[&last].layout.clone());
-        }
+        // Resolve joins whose operands are now planned (a join forwards its
+        // main-path layout).
         loop {
             let mut changed = false;
             for node in graph.nodes() {
@@ -246,7 +217,7 @@ fn plan_segment(
 /// Dependency level of every segment: a segment's level is its input
 /// tensor's level; a segment's output lands one level deeper; a join's output
 /// sits at the deepest of its operands. Segments of equal level are
-/// independent and plan concurrently.
+/// independent of each other.
 fn segment_levels(graph: &Graph, segments: &[GraphSegment]) -> (Vec<usize>, usize) {
     let head_of: BTreeMap<NodeId, usize> = segments
         .iter()
@@ -399,6 +370,20 @@ mod tests {
             plan.cache_misses
         );
         assert_eq!(plan.cache_hits + plan.cache_misses, 56);
+    }
+
+    #[test]
+    fn model_b_plan_is_pinned() {
+        // The benchmark's `cold_start` plan. Its simulated cycles (gated at
+        // bound 0) follow from this schedule, so a planner change that moves
+        // a co-search decision has to fail here first.
+        let g = resnet50_graph_scaled(8, 8);
+        let arch = ArchSpec::feather_like(16, 16);
+        let mut cache = CoSearchCache::new();
+        let plan = plan_graph(&arch, &g, &MapperConfig::fast(), 0, &mut cache).unwrap();
+        assert_eq!(plan.fingerprint(), 0x2605_bb24_d6d2_f58e);
+        assert_eq!(plan.total_cycles(), 17701);
+        assert_eq!((plan.cache_misses, plan.cache_hits), (26, 30));
     }
 
     #[test]

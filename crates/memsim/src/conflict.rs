@@ -6,13 +6,12 @@
 //! > bank with NP ports."
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use feather_arch::layout::Layout;
 use feather_arch::Dim;
 use serde::{Deserialize, Serialize};
 
-use crate::BufferSpec;
+use crate::{Banking, BufferSpec};
 
 /// Result of assessing one cycle's worth of concurrent accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,18 +68,44 @@ impl ConflictModel {
         self.assess_writes(lines).slowdown
     }
 
+    /// [`ConflictModel::assess_reads`] on a caller-owned buffer: `lines` is
+    /// sorted, deduplicated and then overwritten in place, so a hot loop can
+    /// refill and re-assess one `Vec` without allocating.
+    pub fn assess_reads_in_place(&self, lines: &mut Vec<usize>) -> ConflictAssessment {
+        self.assess_in_place(lines, self.spec.read_ports)
+    }
+
     fn assess(&self, lines: impl IntoIterator<Item = usize>, ports: usize) -> ConflictAssessment {
-        let distinct: BTreeSet<usize> = lines.into_iter().collect();
-        let lines_touched = distinct.len();
-        let mut per_bank: BTreeMap<usize, usize> = BTreeMap::new();
-        for &line in &distinct {
+        self.assess_in_place(&mut lines.into_iter().collect(), ports)
+    }
+
+    /// Sort + dedup leaves the distinct lines; mapping those to their banks
+    /// and sorting again turns the fullest bank into the longest run.
+    fn assess_in_place(&self, lines: &mut Vec<usize>, ports: usize) -> ConflictAssessment {
+        lines.sort_unstable();
+        lines.dedup();
+        let lines_touched = lines.len();
+        let max_lines_per_bank = if self.spec.banking == Banking::Horizontal {
             // Horizontal banking: every line read engages all banks once, so
             // the effective "bank" is the line itself (each extra line costs a
             // full extra access of every bank).
-            let bank = self.spec.bank_of_line(line).unwrap_or(line);
-            *per_bank.entry(bank).or_insert(0) += 1;
-        }
-        let max_lines_per_bank = per_bank.values().copied().max().unwrap_or(0);
+            lines_touched.min(1)
+        } else {
+            for line in lines.iter_mut() {
+                *line = self.spec.bank_of_line(*line).unwrap_or(*line);
+            }
+            lines.sort_unstable();
+            let (mut longest, mut run) = (0, 0);
+            for (i, bank) in lines.iter().enumerate() {
+                run = if i > 0 && lines[i - 1] == *bank {
+                    run + 1
+                } else {
+                    1
+                };
+                longest = longest.max(run);
+            }
+            longest
+        };
         let slowdown = if max_lines_per_bank == 0 {
             1.0
         } else {
@@ -109,8 +134,11 @@ impl ConflictModel {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::Banking;
 
     fn blocked_spec() -> BufferSpec {
         BufferSpec::new(64, 8, 4, Banking::VerticalBlocked).with_ports(2, 2)
@@ -183,6 +211,58 @@ mod tests {
         assert_eq!(m.read_slowdown([0usize, 1, 2, 3]), 1.0);
         // ... but lines 0,4,8,12 collide again.
         assert_eq!(m.read_slowdown([0usize, 4, 8, 12]), 2.0);
+    }
+
+    /// The set/map formulation `assess` had before it became sort + dedup +
+    /// run-length: distinct lines in a `BTreeSet`, lines per bank in a
+    /// `BTreeMap`.
+    fn reference_assess(spec: &BufferSpec, lines: &[usize], ports: usize) -> ConflictAssessment {
+        let distinct: BTreeSet<usize> = lines.iter().copied().collect();
+        let mut per_bank: BTreeMap<usize, usize> = BTreeMap::new();
+        for &line in &distinct {
+            *per_bank
+                .entry(spec.bank_of_line(line).unwrap_or(line))
+                .or_insert(0) += 1;
+        }
+        let max_lines_per_bank = per_bank.values().copied().max().unwrap_or(0);
+        ConflictAssessment {
+            lines_touched: distinct.len(),
+            max_lines_per_bank,
+            slowdown: if max_lines_per_bank == 0 {
+                1.0
+            } else {
+                (max_lines_per_bank as f64 / ports.max(1) as f64).max(1.0)
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn assess_equals_set_and_map_reference(
+            // A narrow value range forces duplicates; length 0 is the empty cycle.
+            lines in collection::vec(0usize..96, 0..48),
+            banking_pick in 0usize..3,
+            read_pick in 0usize..3,
+            write_pick in 0usize..3,
+        ) {
+            let banking = [
+                Banking::VerticalBlocked,
+                Banking::VerticalInterleaved,
+                Banking::Horizontal,
+            ][banking_pick];
+            let (read_ports, write_ports) = ([1, 2, 4][read_pick], [1, 2, 4][write_pick]);
+            let spec = BufferSpec::new(64, 8, 4, banking).with_ports(read_ports, write_ports);
+            let m = ConflictModel::new(spec);
+            let reads = reference_assess(&spec, &lines, read_ports);
+            prop_assert_eq!(m.assess_reads(lines.iter().copied()), reads);
+            prop_assert_eq!(m.assess_reads_in_place(&mut lines.clone()), reads);
+            prop_assert_eq!(
+                m.assess_writes(lines.iter().copied()),
+                reference_assess(&spec, &lines, write_ports)
+            );
+        }
     }
 
     #[test]
