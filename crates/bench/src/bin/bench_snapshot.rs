@@ -178,7 +178,7 @@ fn graph_resnet(iters: usize) -> (Snapshot, Snapshot, Snapshot) {
     let samples: Vec<Tensor4<i8>> = (0..REPLAY_LANES)
         .map(|i| Tensor4::random([1, ch, h, w], 7 + i as u64))
         .collect();
-    let mut scratch = feather::BatchedScratch::new();
+    let mut scratch = feather::ReplayScratch::new();
     let batched = replay
         .run_batched_with_scratch(&mut scratch, &samples, &weights)
         .expect("batched replay executes");

@@ -137,6 +137,19 @@ impl CompiledRoute {
         self.copies.len() + self.gathers.len()
     }
 
+    /// The input ports whose values sum into output `port` under this route
+    /// (empty where no data can arrive) — what a caller folds into its own
+    /// gather list when the set of present inputs is known ahead of time.
+    pub fn sources_of(&self, port: usize) -> &[u32] {
+        if let Some((_, src)) = self.copies.iter().find(|(p, _)| *p as usize == port) {
+            return std::slice::from_ref(src);
+        }
+        match self.gathers.iter().find(|(p, ..)| *p as usize == port) {
+            Some(&(_, start, end)) => &self.sources[start as usize..end as usize],
+            None => &[],
+        }
+    }
+
     /// Evaluates the program: `outputs[port]` receives the sum of the present
     /// inputs routed to `port` (`None` where no data arrives), exactly as
     /// [`Birrd::evaluate`](crate::Birrd::evaluate) would produce for the
@@ -305,6 +318,13 @@ mod tests {
             // Ports not consumed by a reduction still pass through the
             // fabric, so the live-output count is at least the group count.
             assert!(compiled.live_outputs() >= groups.len());
+            // `sources_of` names exactly the inputs `run` sums per port.
+            for (port, &got) in outputs.iter().enumerate() {
+                let sources = compiled.sources_of(port);
+                let want: i64 = sources.iter().map(|&s| inputs[s as usize].unwrap()).sum();
+                assert_eq!(got, (!sources.is_empty()).then_some(want), "port {port}");
+            }
+            assert!(compiled.sources_of(8).is_empty());
         }
     }
 

@@ -22,6 +22,12 @@
 //!   merged at join; per-tile timing is reduced *after* the join from the
 //!   summed fire counts, so the parallel run is bit-identical to the serial
 //!   one — outputs, statistics and cycle counts alike.
+//! * **Replay as pure data movement** — none of the accounting depends on
+//!   data, so a compiled program records it once and [`replay_fire`] moves
+//!   values only: plain cells, local accumulators and the folded gather
+//!   lists of a program-wide [`RouteTable`]. The accounted loop above stays
+//!   the interpreter's, the record pass's, and the oracle replay is tested
+//!   against.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
@@ -40,6 +46,7 @@ use crate::config::FeatherConfig;
 use crate::mapping::LayerMapping;
 
 /// Raw counters produced by one pass of the inner tile loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CoreRun {
     /// Compute cycles (tile timings + serialized BIRRD passes), excluding
     /// bank-conflict stalls — the caller charges those from the buffer stats.
@@ -176,14 +183,7 @@ impl RouteCache {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let config = birrd
-                    .route(request)
-                    .map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
-                let compiled = Arc::new(
-                    CompiledRoute::compile(birrd.topology(), &config)
-                        .expect("routed configuration always matches the network shape"),
-                );
-                self.publish(request, compiled)
+                self.publish(request, Arc::new(route_and_compile(birrd, request)?))
             }
         };
         local.insert(request.clone(), compiled.clone());
@@ -214,114 +214,214 @@ impl RouteCache {
     }
 }
 
-/// Records the exact sequence of compiled routes a serial layer pass
-/// consumes, for ahead-of-time compilation ([`crate::program`]).
+/// Routes `request` and lowers the configuration to its gather-sum program.
+fn route_and_compile(
+    birrd: &Birrd,
+    request: &ReductionRequest,
+) -> Result<CompiledRoute, ArchError> {
+    let config = birrd
+        .route(request)
+        .map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
+    Ok(CompiledRoute::compile(birrd.topology(), &config)
+        .expect("routed configuration always matches the network shape"))
+}
+
+/// One reduction group of a folded BIRRD pass: the `q_lane` whose output
+/// cell it accumulates into and the span of [`RouteTable::cols`] holding the
+/// bus columns that sum into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FoldedGroup {
+    q_lane: u32,
+    cols_start: u32,
+    cols_end: u32,
+}
+
+/// The program-wide table of BIRRD passes, constant-folded for replay.
 ///
-/// Routes are a pure function of layer geometry (the mapped-lane pattern and
-/// the oAct layout's bank assignment), never of data, so one zero-input
-/// collect pass captures the stream any future run will consume. The stream
-/// is stored as indices into a deduplicated slot table — the replay path
-/// borrows `&CompiledRoute` straight from the slot, with no hashing and no
-/// `Arc` traffic.
-#[derive(Debug, Default)]
-pub(crate) struct RouteRecorder {
-    slot_of: HashMap<ReductionRequest, u32>,
-    slots: Vec<Arc<CompiledRoute>>,
-    requests: Vec<ReductionRequest>,
-    stream: Vec<u32>,
-    block_starts: Vec<u32>,
+/// A pass is identified by its reduce-reorder request plus the `c_cols` of
+/// the layer that issued it (which fixes how bus columns group into
+/// `q_lane`s); layers of one program share passes heavily, so the table is
+/// deduplicated across all of them. Each pass is stored *folded*: per
+/// reduction group, the bus columns the routed [`CompiledRoute`] sums into
+/// the group's destination bank, with input presence already applied — what
+/// is left of a BIRRD pass once its configuration is known ahead of time.
+/// The originating requests are kept so an artifact can store them and
+/// re-derive the folded lists by deterministic re-routing on load.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RouteTable {
+    requests: Vec<(usize, ReductionRequest)>,
+    /// Pass `s` owns `groups[pass_starts[s]..pass_starts[s + 1]]`.
+    pass_starts: Vec<u32>,
+    groups: Vec<FoldedGroup>,
+    cols: Vec<u32>,
 }
 
-impl RouteRecorder {
-    pub(crate) fn new() -> Self {
-        RouteRecorder::default()
-    }
-
-    /// Marks the start of work block `block` (one `(wt_m, wt_c, n)` triple).
-    /// The serial collect pass visits blocks in order, so the start offsets
-    /// land densely; sharded replay workers jump their cursor to
-    /// `block_starts[block]` when they pick up a block mid-stream.
-    fn enter_block(&mut self, block: usize) {
-        debug_assert_eq!(
-            block,
-            self.block_starts.len(),
-            "collect pass must visit blocks in order"
-        );
-        self.block_starts.push(self.stream.len() as u32);
-    }
-
-    fn record(&mut self, request: &ReductionRequest, route: &Arc<CompiledRoute>) {
-        let slot = match self.slot_of.get(request) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slot_of.insert(request.clone(), slot);
-                self.slots.push(route.clone());
-                self.requests.push(request.clone());
-                slot
-            }
-        };
-        self.stream.push(slot);
-    }
-
-    pub(crate) fn into_stream(self) -> RouteStream {
-        RouteStream {
-            slots: self.slots,
-            requests: self.requests,
-            stream: self.stream,
-            block_starts: self.block_starts,
+impl RouteTable {
+    /// Rebuilds a table from the `(c_cols, request)` pairs of an artifact by
+    /// re-routing every request (routing is deterministic, so the folded
+    /// lists equal the recorded ones).
+    pub(crate) fn from_requests(
+        birrd: &Birrd,
+        requests: Vec<(usize, ReductionRequest)>,
+    ) -> Result<Self, ArchError> {
+        let mut table = RouteTable::default();
+        for (c_cols, request) in requests {
+            let route = route_and_compile(birrd, &request)?;
+            table.push(c_cols, request, &route)?;
         }
+        Ok(table)
+    }
+
+    /// The `(c_cols, request)` pair behind every pass, in slot order.
+    pub(crate) fn requests(&self) -> &[(usize, ReductionRequest)] {
+        &self.requests
+    }
+
+    /// Number of distinct passes.
+    pub(crate) fn len(&self) -> usize {
+        self.requests.len()
+    }
+
+    /// Folds `route` under `request`'s presence mask and appends it as a new
+    /// pass, returning its slot.
+    fn push(
+        &mut self,
+        c_cols: usize,
+        request: ReductionRequest,
+        route: &CompiledRoute,
+    ) -> Result<u32, ArchError> {
+        let malformed = |what: &str| ArchError::InvalidDataflow(format!("route table: {what}"));
+        let narrow = |n: usize| u32::try_from(n).map_err(|_| malformed("index exceeds u32"));
+        if c_cols == 0 || request.input_groups.len() != route.width() {
+            return Err(malformed("request does not fit the fabric"));
+        }
+        let slot = narrow(self.requests.len())?;
+        if self.pass_starts.is_empty() {
+            self.pass_starts.push(0);
+        }
+        for (&gid, &bank) in &request.group_destinations {
+            let first = request
+                .input_groups
+                .iter()
+                .position(|g| *g == Some(gid))
+                .ok_or_else(|| malformed("reduction group without inputs"))?;
+            let cols_start = narrow(self.cols.len())?;
+            // Absent ports put nothing on the wire, whatever the fabric would
+            // forward from them.
+            self.cols.extend(
+                route
+                    .sources_of(bank)
+                    .iter()
+                    .filter(|&&src| request.input_groups[src as usize].is_some()),
+            );
+            self.groups.push(FoldedGroup {
+                q_lane: narrow(first / c_cols)?,
+                cols_start,
+                cols_end: narrow(self.cols.len())?,
+            });
+        }
+        self.pass_starts.push(narrow(self.groups.len())?);
+        self.requests.push((c_cols, request));
+        Ok(slot)
+    }
+
+    /// The reduction groups of pass `slot`.
+    #[inline]
+    fn pass(&self, slot: u32) -> &[FoldedGroup] {
+        let slot = slot as usize;
+        &self.groups[self.pass_starts[slot] as usize..self.pass_starts[slot + 1] as usize]
+    }
+
+    /// The bus columns that sum into `group`.
+    #[inline]
+    fn cols_of(&self, group: &FoldedGroup) -> &[u32] {
+        &self.cols[group.cols_start as usize..group.cols_end as usize]
+    }
+
+    /// Pass `slot` as `(q_lane, bus columns)` pairs, for listings.
+    pub(crate) fn pass_groups(&self, slot: usize) -> impl Iterator<Item = (u32, &[u32])> {
+        self.pass(slot as u32)
+            .iter()
+            .map(|g| (g.q_lane, self.cols_of(g)))
     }
 }
 
-/// A frozen route consumption sequence for one layer: the deduplicated
-/// compiled programs (`slots`), the originating requests (kept so a program
-/// artifact can be serialized and the routes deterministically recompiled on
-/// load), the per-fire slot indices in serial order, and the stream offset at
+/// One layer's frozen pass consumption sequence: per BIRRD pass, in serial
+/// order, its slot in the program's [`RouteTable`], plus the stream offset at
 /// which each `(wt_m, wt_c, n)` work block begins.
-#[derive(Debug, Clone)]
-pub(crate) struct RouteStream {
-    pub(crate) slots: Vec<Arc<CompiledRoute>>,
-    pub(crate) requests: Vec<ReductionRequest>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LayerStream {
     pub(crate) stream: Vec<u32>,
     pub(crate) block_starts: Vec<u32>,
 }
 
-impl RouteStream {
-    /// Rebuilds a stream from its serialized parts by re-routing every
-    /// request (routing is deterministic, so the recompiled programs are
-    /// identical to the recorded ones).
-    pub(crate) fn recompile(
-        birrd: &Birrd,
-        requests: Vec<ReductionRequest>,
-        stream: Vec<u32>,
-        block_starts: Vec<u32>,
-    ) -> Result<Self, ArchError> {
-        let slots = requests
-            .iter()
-            .map(|request| {
-                let config = birrd
-                    .route(request)
-                    .map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
-                Ok(Arc::new(
-                    CompiledRoute::compile(birrd.topology(), &config)
-                        .expect("routed configuration always matches the network shape"),
-                ))
-            })
-            .collect::<Result<Vec<_>, ArchError>>()?;
-        for &slot in &stream {
-            if slot as usize >= slots.len() {
-                return Err(ArchError::InvalidDataflow(
-                    "route stream references an out-of-range slot".into(),
-                ));
+/// Records the exact sequence of BIRRD passes the serial record pass of a
+/// whole program consumes, for ahead-of-time compilation ([`crate::program`]).
+///
+/// Routes are a pure function of layer geometry (the mapped-lane pattern and
+/// the oAct layout's bank assignment), never of data, so one zero-input
+/// collect pass per layer captures the stream any future run will consume.
+/// One recorder serves every layer of a program: passes land in a single
+/// deduplicated [`RouteTable`], and each layer takes its own stream of slot
+/// indices with [`RouteRecorder::finish_layer`].
+#[derive(Debug, Default)]
+pub(crate) struct RouteRecorder {
+    table: RouteTable,
+    /// Slots by request, then by the issuing layer's `c_cols`.
+    slot_of: HashMap<ReductionRequest, Vec<(usize, u32)>>,
+    layer: LayerStream,
+}
+
+impl RouteRecorder {
+    /// Marks the start of work block `block` (one `(wt_m, wt_c, n)` triple).
+    /// The serial collect pass visits blocks in order, so the start offsets
+    /// land densely.
+    fn enter_block(&mut self, block: usize) -> Result<(), ArchError> {
+        debug_assert_eq!(
+            block,
+            self.layer.block_starts.len(),
+            "collect pass must visit blocks in order"
+        );
+        let start = u32::try_from(self.layer.stream.len()).map_err(|_| {
+            ArchError::InvalidWorkload("route stream exceeds u32 offsets".to_string())
+        })?;
+        self.layer.block_starts.push(start);
+        Ok(())
+    }
+
+    fn record(
+        &mut self,
+        c_cols: usize,
+        request: &ReductionRequest,
+        route: &CompiledRoute,
+    ) -> Result<(), ArchError> {
+        let known = self
+            .slot_of
+            .get(request)
+            .and_then(|slots| slots.iter().find(|(c, _)| *c == c_cols));
+        let slot = match known {
+            Some(&(_, slot)) => slot,
+            None => {
+                let slot = self.table.push(c_cols, request.clone(), route)?;
+                self.slot_of
+                    .entry(request.clone())
+                    .or_default()
+                    .push((c_cols, slot));
+                slot
             }
-        }
-        Ok(RouteStream {
-            slots,
-            requests,
-            stream,
-            block_starts,
-        })
+        };
+        self.layer.stream.push(slot);
+        Ok(())
+    }
+
+    /// Takes the stream recorded since the previous call — one layer's.
+    pub(crate) fn finish_layer(&mut self) -> LayerStream {
+        std::mem::take(&mut self.layer)
+    }
+
+    /// The program-wide pass table.
+    pub(crate) fn into_table(self) -> RouteTable {
+        self.table
     }
 }
 
@@ -333,9 +433,6 @@ pub(crate) enum RouteExecution<'a> {
     /// Compile path: like `Cached`, but also record the serial consumption
     /// order into a [`RouteRecorder`]. Forces a single worker.
     Collect(&'a RouteCache, &'a mut RouteRecorder),
-    /// Replay path: consume a prerecorded [`RouteStream`] cursor-style —
-    /// no request building, no hashing, no `Arc` clones.
-    Replay(&'a RouteStream),
 }
 
 /// The per-worker view of a [`RouteExecution`].
@@ -349,30 +446,6 @@ enum SpanRoutes<'a> {
         local: LocalRoutes,
         recorder: &'a mut RouteRecorder,
     },
-    Replay {
-        stream: &'a RouteStream,
-        pos: usize,
-    },
-}
-
-/// The shareable (`Copy`) subset of [`RouteExecution`] handed to sharded
-/// workers; `Collect` is excluded because recording is inherently serial.
-#[derive(Clone, Copy)]
-enum WorkerRoutes<'a> {
-    Cached(&'a RouteCache),
-    Replay(&'a RouteStream),
-}
-
-impl<'a> WorkerRoutes<'a> {
-    fn span_routes(self) -> SpanRoutes<'a> {
-        match self {
-            WorkerRoutes::Cached(cache) => SpanRoutes::Cached {
-                cache,
-                local: LocalRoutes::new(),
-            },
-            WorkerRoutes::Replay(stream) => SpanRoutes::Replay { stream, pos: 0 },
-        }
-    }
 }
 
 /// Fills the reusable scratch `request` from the current fire batch: lane
@@ -567,18 +640,6 @@ impl LayerExec {
     fn units(&self) -> usize {
         self.m_tiles * self.layer.n
     }
-
-    /// The layer's BIRRD instance (used to re-route recorded requests when
-    /// loading a program artifact).
-    pub(crate) fn birrd(&self) -> &Birrd {
-        &self.birrd
-    }
-
-    /// Number of `(wt_m, wt_c, n)` work blocks a recorded route stream must
-    /// cover — one entry per `RouteStream::block_starts` slot.
-    pub(crate) fn block_count(&self) -> usize {
-        self.m_tiles * self.c_tiles * self.layer.n
-    }
 }
 
 /// One reduction group of a row fire: the column-lane span it gathers from,
@@ -606,15 +667,14 @@ struct SpanAccum {
 /// Run-lifetime scratch of the tile loop: the NEST array plus the fire-bus,
 /// reduction-group and BIRRD input/output buffers. A run allocates one and
 /// hands it to every layer pass, so the per-layer and per-tile steady state
-/// allocates nothing. (The one exception is the interpreted path's lookup
-/// `request`, whose `BTreeMap` nodes reallocate per fire batch; replay never
-/// touches it.)
+/// allocates nothing (except the lookup `request`, whose `BTreeMap` nodes
+/// reallocate per fire batch).
 ///
 /// Every pass leaves the array drained — each `(n, p, qt)` step fires all of
 /// its rows — so the next layer starts from zeroed accumulators.
 pub(crate) struct SpanScratch {
     nest: NestArray,
-    /// Column-major lane stripes the firing row drains onto.
+    /// The columns the firing row drains onto.
     bus: Vec<i32>,
     /// `c_ok[col]`: under the current weight tile, column `col`'s reduction
     /// lane holds an in-range input channel. With the row's `m < M` bit this
@@ -626,26 +686,17 @@ pub(crate) struct SpanScratch {
     batch: Vec<FireGroup>,
     pending: Vec<FireGroup>,
     bank_used: Vec<bool>,
-    // Scalar fires: `Option`-typed BIRRD ports and the route-lookup request.
     inputs: Vec<Option<i64>>,
     outputs: Vec<Option<i64>>,
     request: ReductionRequest,
-    // Batched fires: flat lane stripes plus per-port presence masks.
-    lane_inputs: Vec<i64>,
-    lane_outputs: Vec<i64>,
-    in_present: Vec<bool>,
-    out_present: Vec<bool>,
-    lane_vals: Vec<i8>,
-    acc_scratch: Vec<i32>,
 }
 
 impl SpanScratch {
-    /// Scratch for a `rows × cols` fabric carrying `lanes` batch samples
-    /// (`1` for the scalar paths).
-    pub(crate) fn new(rows: usize, cols: usize, lanes: usize) -> Self {
+    /// Scratch for a `rows × cols` fabric.
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         SpanScratch {
-            nest: NestArray::with_lanes(rows, cols, lanes),
-            bus: vec![0; cols * lanes],
+            nest: NestArray::new(rows, cols),
+            bus: vec![0; cols],
             c_ok: vec![false; cols],
             groups: Vec::with_capacity(cols),
             batch: Vec::with_capacity(cols),
@@ -657,21 +708,15 @@ impl SpanScratch {
                 input_groups: vec![None; cols],
                 group_destinations: BTreeMap::new(),
             },
-            lane_inputs: vec![0; cols * lanes],
-            lane_outputs: vec![0; cols * lanes],
-            in_present: vec![false; cols],
-            out_present: vec![false; cols],
-            lane_vals: vec![0; lanes],
-            acc_scratch: vec![0; lanes],
         }
     }
 
     /// # Panics
-    /// Panics if the scratch was sized for another fabric or lane count.
-    fn check_fabric(&self, ctx: &LayerExec, lanes: usize) {
+    /// Panics if the scratch was sized for another fabric.
+    fn check_fabric(&self, ctx: &LayerExec) {
         assert_eq!(
-            (self.nest.rows(), self.nest.cols(), self.nest.lanes()),
-            (ctx.rows, ctx.cols, lanes),
+            (self.nest.rows(), self.nest.cols()),
+            (ctx.rows, ctx.cols),
             "span scratch sized for another fabric"
         );
     }
@@ -685,8 +730,8 @@ impl SpanScratch {
 /// `iact` is the active StaB half (the layer's inputs, already staged in
 /// `mapping.iact_layout`); `oact` is the shadow half the reduced outputs land
 /// in, addressed by `mapping.oact_layout`. `routes` selects how reduce-reorder
-/// programs are resolved (cached lookup, cached + record, or replay of a
-/// recorded stream). `expose_first_weight_load` charges the cold weight load
+/// programs are resolved (cached lookup, or cached + record for the
+/// compiler). `expose_first_weight_load` charges the cold weight load
 /// of the first tile; a pipelined layer whose weights were prefetched during
 /// the previous layer passes `false`. `threads` requests an exact worker
 /// count (`Some(1)` forces serial); `None` auto-sizes from
@@ -728,24 +773,9 @@ pub(crate) fn run_conv_core(
                 scratch,
             )?]
         }
-        RouteExecution::Cached(cache) => run_worker_spans(
-            ctx,
-            weights,
-            workers,
-            iact,
-            oact,
-            WorkerRoutes::Cached(cache),
-            scratch,
-        )?,
-        RouteExecution::Replay(stream) => run_worker_spans(
-            ctx,
-            weights,
-            workers,
-            iact,
-            oact,
-            WorkerRoutes::Replay(stream),
-            scratch,
-        )?,
+        RouteExecution::Cached(cache) => {
+            run_worker_spans(ctx, weights, workers, iact, oact, cache, scratch)?
+        }
     };
 
     // Reduce: sum the fire counts per tile across workers, then charge each
@@ -815,22 +845,26 @@ fn run_worker_spans(
     workers: usize,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    routes: WorkerRoutes<'_>,
+    cache: &RouteCache,
     scratch: &mut SpanScratch,
 ) -> Result<Vec<SpanAccum>, ArchError> {
     let units_total = ctx.units();
     if workers <= 1 {
+        let mut routes = SpanRoutes::Cached {
+            cache,
+            local: LocalRoutes::new(),
+        };
         return Ok(vec![run_span(
             ctx,
             weights,
             0..units_total,
             iact,
             oact,
-            &mut routes.span_routes(),
+            &mut routes,
             scratch,
         )?]);
     }
-    run_sharded(ctx, weights, workers, iact, oact, routes)
+    run_sharded(ctx, weights, workers, iact, oact, cache)
 }
 
 /// Runs the span `0..units` split across `workers` scoped threads, each on
@@ -841,7 +875,7 @@ fn run_sharded(
     workers: usize,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    routes: WorkerRoutes<'_>,
+    cache: &RouteCache,
 ) -> Result<Vec<SpanAccum>, ArchError> {
     let units_total = ctx.units();
     let chunk = units_total.div_ceil(workers);
@@ -868,14 +902,18 @@ fn run_sharded(
                     let accum = {
                         let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
                         let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
+                        let mut routes = SpanRoutes::Cached {
+                            cache,
+                            local: LocalRoutes::new(),
+                        };
                         run_span(
                             ctx,
                             weights,
                             units,
                             &mut iview,
                             &mut oview,
-                            &mut routes.span_routes(),
-                            &mut SpanScratch::new(ctx.rows, ctx.cols, 1),
+                            &mut routes,
+                            &mut SpanScratch::new(ctx.rows, ctx.cols),
                         )?
                     };
                     Ok((accum, ibuf, obuf))
@@ -913,7 +951,7 @@ fn run_span(
 ) -> Result<SpanAccum, ArchError> {
     let cols = ctx.cols;
     let layer = &ctx.layer;
-    scratch.check_fabric(ctx, 1);
+    scratch.check_fabric(ctx);
     let SpanScratch {
         nest,
         bus,
@@ -925,7 +963,6 @@ fn run_span(
         inputs,
         outputs,
         request,
-        ..
     } = scratch;
     let ws = weights.as_slice();
     let macs_before = nest.total_macs();
@@ -951,16 +988,9 @@ fn run_span(
             for n in n_range.clone() {
                 // One `(wt_m, wt_c, n)` triple is a work block with a
                 // data-independent route sub-sequence; recording marks its
-                // start and replay jumps its cursor there, so sharded
-                // replay workers stay in sync with the serial recording.
-                match routes {
-                    SpanRoutes::Cached { .. } => {}
-                    SpanRoutes::Collect { recorder, .. } => {
-                        recorder.enter_block(tile * n_total + n);
-                    }
-                    SpanRoutes::Replay { stream, pos } => {
-                        *pos = stream.block_starts[tile * n_total + n] as usize;
-                    }
+                // start, which is where replay sets its cursor.
+                if let SpanRoutes::Collect { recorder, .. } = routes {
+                    recorder.enter_block(tile * n_total + n)?;
                 }
                 for p in 0..ctx.p_total {
                     for qt in 0..ctx.q_tiles {
@@ -1024,15 +1054,6 @@ fn run_span(
 
                                 let owned_route;
                                 let route: &CompiledRoute = match routes {
-                                    SpanRoutes::Replay { stream, pos } => {
-                                        // The hot path: a prerecorded slot
-                                        // index — no request assembly, no
-                                        // hashing, no shared-map traffic.
-                                        let stream: &RouteStream = stream;
-                                        let slot = stream.stream[*pos] as usize;
-                                        *pos += 1;
-                                        &stream.slots[slot]
-                                    }
                                     SpanRoutes::Cached { cache, local } => {
                                         fill_request(request, batch, c_ok, ctx.c_cols);
                                         owned_route = cache.lookup(&ctx.birrd, request, local)?;
@@ -1045,7 +1066,7 @@ fn run_span(
                                     } => {
                                         fill_request(request, batch, c_ok, ctx.c_cols);
                                         owned_route = cache.lookup(&ctx.birrd, request, local)?;
-                                        recorder.record(request, &owned_route);
+                                        recorder.record(ctx.c_cols, request, &owned_route)?;
                                         &owned_route
                                     }
                                 };
@@ -1157,372 +1178,308 @@ fn phase1_step(
 }
 
 // ---------------------------------------------------------------------------
-// Batched lane-vectorized replay
+// Replay: pure data movement
 //
-// A second interpreter of the same recorded route stream: activations live in
-// lane-striped buffers (one batch sample per lane), every op executes once
-// across all lanes, and all accounting — fires, BIRRD passes, buffer stats,
-// conflict stalls — describes a single sample, exactly as one scalar replay
-// would produce. The control flow below mirrors `run_span` line for line;
-// only the data movement is widened.
+// Everything `run_span` accounts for — cycles, fires, BIRRD passes and adds,
+// buffer statistics, conflict stalls — is independent of the data, so the
+// compiler's record pass (`run_span` in `Collect` mode) computes it once and
+// a replayed `Fire` only moves values: plain StaB cells, local accumulators,
+// folded gather lists. `run_span` stays the cycle-level oracle the
+// equivalence suites compare replay against.
 // ---------------------------------------------------------------------------
 
-/// Batched-replay counterpart of [`run_conv_core`]: executes the layer once
-/// across `lanes` batch samples held in the views' lane stripes, replaying a
-/// prerecorded route stream. The returned counters equal a single scalar
-/// replay's (per-sample accounting).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_conv_core_batched(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    stream: &RouteStream,
-    expose_first_weight_load: bool,
-    threads: Option<usize>,
-    lanes: usize,
-    scratch: &mut SpanScratch,
-) -> Result<CoreRun, ArchError> {
-    let units_total = ctx.units();
-    let workers = effective_workers(threads, &ctx.layer, units_total);
-    let spans = if workers <= 1 {
-        vec![run_span_batched(
-            ctx,
-            weights,
-            0..units_total,
+/// A layout precompiled over a fixed 4-dimension coordinate order down to
+/// flat *cell* indices (`line · line_size + offset`) of a plain StaB half:
+/// the index is separable like [`LocationPlan4`], so it is four table
+/// lookups and three adds. Lane `l` of cell `i` lives at `i · lanes + l`.
+#[derive(Debug, Clone)]
+pub(crate) struct FlatPlan4 {
+    tables: [Vec<u32>; 4],
+    cells: usize,
+}
+
+impl FlatPlan4 {
+    /// Flattens `plan` (built over `extents`) for a half of `cells` cells in
+    /// lines of `line_size`.
+    ///
+    /// # Errors
+    /// Fails if a cell index does not fit `u32` or some coordinate would fall
+    /// outside the half — so [`FlatPlan4::cell`] is always in range.
+    fn new(
+        plan: &LocationPlan4,
+        extents: [usize; 4],
+        line_size: usize,
+        cells: usize,
+    ) -> Result<Self, ArchError> {
+        let too_big = || ArchError::InvalidWorkload("layer exceeds the u32 cell index".to_string());
+        let mut tables: [Vec<u32>; 4] = Default::default();
+        let mut farthest = 0usize;
+        for (dim, table) in tables.iter_mut().enumerate() {
+            for v in 0..extents[dim].max(1) {
+                let mut coord = [0; 4];
+                coord[dim] = v;
+                let loc = plan.location(coord);
+                let cell = loc
+                    .line
+                    .checked_mul(line_size)
+                    .and_then(|c| c.checked_add(loc.offset))
+                    .ok_or_else(too_big)?;
+                table.push(u32::try_from(cell).map_err(|_| too_big())?);
+            }
+            let reach = table.iter().copied().max().unwrap_or(0) as usize;
+            farthest = farthest.checked_add(reach).ok_or_else(too_big)?;
+        }
+        if farthest >= cells {
+            return Err(ArchError::InvalidWorkload(
+                "layout addresses cells outside its buffer".to_string(),
+            ));
+        }
+        Ok(FlatPlan4 { tables, cells })
+    }
+
+    /// Cells of the half this plan addresses.
+    pub(crate) fn cells(&self) -> usize {
+        self.cells
+    }
+
+    /// Cell index of a coordinate given in the plan's dimension order.
+    #[inline]
+    pub(crate) fn cell(&self, v: [usize; 4]) -> usize {
+        (self.tables[0][v[0]] + self.tables[1][v[1]] + self.tables[2][v[2]] + self.tables[3][v[3]])
+            as usize
+    }
+}
+
+/// Everything a replayed `Fire` of one layer needs besides the data: the
+/// tile-loop context, both halves' flat addressing, and the recorded pass
+/// stream into the program's [`RouteTable`].
+#[derive(Debug, Clone)]
+pub(crate) struct ReplayLayer {
+    pub(crate) exec: LayerExec,
+    pub(crate) iact: FlatPlan4,
+    pub(crate) oact: FlatPlan4,
+    pub(crate) routes: LayerStream,
+}
+
+impl ReplayLayer {
+    /// Pairs a layer context with its recorded stream. `iact_cells` /
+    /// `oact_cells` are the capacities of the halves under the layer's
+    /// buffer specs.
+    pub(crate) fn new(
+        exec: LayerExec,
+        iact_cells: usize,
+        oact_cells: usize,
+        routes: LayerStream,
+    ) -> Result<Self, ArchError> {
+        let l = &exec.layer;
+        let iact = FlatPlan4::new(
+            &exec.iact_plan,
+            [l.n, l.c, l.h, l.w],
+            exec.mapping.iact_layout.line_size(),
+            iact_cells,
+        )?;
+        let oact = FlatPlan4::new(
+            &exec.oact_plan,
+            [l.n, l.m, exec.p_total, exec.q_total],
+            exec.mapping.oact_layout.line_size(),
+            oact_cells,
+        )?;
+        Ok(ReplayLayer {
+            exec,
             iact,
             oact,
+            routes,
+        })
+    }
+
+    /// Dry cursor walk of the recorded stream against `table`: `true` iff
+    /// [`replay_fire`] would consume it without ever indexing out of range —
+    /// every block offset inside the stream, every slot inside the table,
+    /// and every row fire covered exactly once per in-range `q_lane` by
+    /// passes whose bus columns exist. Run on streams that come from an
+    /// artifact; a recorded stream satisfies it by construction.
+    pub(crate) fn stream_is_sound(&self, table: &RouteTable) -> bool {
+        let ctx = &self.exec;
+        let LayerStream {
             stream,
-            lanes,
-            scratch,
-        )?]
-    } else {
-        run_sharded_batched(ctx, weights, workers, iact, oact, stream, lanes)?
-    };
-
-    let timing = NestTiming::new(ctx.rows, ctx.cols, ctx.birrd.latency_cycles());
-    let mut run = CoreRun {
-        cycles: 0,
-        birrd_passes: 0,
-        birrd_adds: 0,
-        macs: 0,
-    };
-    let mut tile_fires = vec![0u64; ctx.m_tiles * ctx.c_tiles];
-    for span in &spans {
-        for (tile, fires) in span.tile_fires.iter().enumerate() {
-            tile_fires[tile] += fires;
+            block_starts,
+        } = &self.routes;
+        // One entry per `(wt_m, wt_c, n)` work block.
+        if block_starts.len() != ctx.m_tiles * ctx.c_tiles * ctx.layer.n {
+            return false;
         }
-        run.cycles += span.extra_cycles;
-        run.birrd_passes += span.birrd_passes;
-        run.birrd_adds += span.birrd_adds;
-        run.macs += span.macs;
-    }
-    for (tile, &fires) in tile_fires.iter().enumerate() {
-        let first_tile = tile == 0 && expose_first_weight_load;
-        run.cycles += timing.tile(ctx.rs, fires, ctx.rs, first_tile).total();
-    }
-    Ok(run)
-}
-
-/// Batched counterpart of [`run_sharded`]: the forked worker buffers inherit
-/// the views' lane striping, so each worker runs the batched span on its own
-/// stripe copies and the absorb merges data and per-sample statistics back.
-fn run_sharded_batched(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    workers: usize,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    stream: &RouteStream,
-    lanes: usize,
-) -> Result<Vec<SpanAccum>, ArchError> {
-    let units_total = ctx.units();
-    let chunk = units_total.div_ceil(workers);
-    let ranges: Vec<Range<usize>> = (0..workers)
-        .map(|w| (w * chunk)..((w + 1) * chunk).min(units_total))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let idims = ctx.layer.iact_dim_sizes();
-    let odims = ctx.layer.oact_dim_sizes();
-    let ibase = iact.fork_buffer();
-    let obase = oact.fork_buffer();
-
-    type WorkerOut = Result<(SpanAccum, FunctionalBuffer<i32>, FunctionalBuffer<i32>), ArchError>;
-    let outcomes: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|units| {
-                let mut ibuf = ibase.fork();
-                let mut obuf = obase.fork();
-                let (idims, odims) = (&idims, &odims);
-                scope.spawn(move || -> WorkerOut {
-                    let accum = {
-                        let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
-                        let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
-                        run_span_batched(
-                            ctx,
-                            weights,
-                            units,
-                            &mut iview,
-                            &mut oview,
-                            stream,
-                            lanes,
-                            &mut SpanScratch::new(ctx.rows, ctx.cols, lanes),
-                        )?
-                    };
-                    Ok((accum, ibuf, obuf))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    });
-
-    let mut spans = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        let (accum, ibuf, obuf) = outcome?;
-        iact.absorb(&ibuf, &ibase);
-        oact.absorb(&obuf, &obase);
-        spans.push(accum);
-    }
-    Ok(spans)
-}
-
-/// Batched counterpart of [`run_span`]: the same tile loop with lane-striped
-/// data movement. Buses, BIRRD inputs and outputs are column-major stripes
-/// (`cols * lanes` flat values plus a `cols`-wide shared presence mask);
-/// buffer traffic goes through the stripe accessors, which account one
-/// sample's accesses.
-#[allow(clippy::too_many_arguments)]
-fn run_span_batched(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    units: Range<usize>,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    stream: &RouteStream,
-    lanes: usize,
-    scratch: &mut SpanScratch,
-) -> Result<SpanAccum, ArchError> {
-    let cols = ctx.cols;
-    let layer = &ctx.layer;
-    scratch.check_fabric(ctx, lanes);
-    let SpanScratch {
-        nest,
-        bus,
-        c_ok,
-        groups,
-        batch,
-        pending,
-        bank_used,
-        lane_inputs: inputs,
-        lane_outputs: outputs,
-        in_present,
-        out_present,
-        lane_vals,
-        acc_scratch,
-        ..
-    } = scratch;
-    let ws = weights.as_slice();
-    let macs_before = nest.total_macs();
-    let mut accum = SpanAccum {
-        tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
-        extra_cycles: 0,
-        birrd_passes: 0,
-        birrd_adds: 0,
-        macs: 0,
-    };
-
-    let n_total = layer.n;
-    let mut unit = units.start;
-    while unit < units.end {
-        let wt_m = unit / n_total;
-        let n_range = (unit % n_total)..(units.end - wt_m * n_total).min(n_total);
-        unit = wt_m * n_total + n_range.end;
-
-        for wt_c in 0..ctx.c_tiles {
-            ctx.mark_live_lanes(wt_c, c_ok);
-            let tile = wt_m * ctx.c_tiles + wt_c;
-
-            for n in n_range.clone() {
-                let mut pos = stream.block_starts[tile * n_total + n] as usize;
-                for p in 0..ctx.p_total {
-                    for qt in 0..ctx.q_tiles {
-                        // ---- Phase 1: local temporal reduction ----
-                        for rs_step in 0..ctx.rs {
-                            let r_i = rs_step / layer.s;
-                            let s_i = rs_step % layer.s;
-                            let h = ctx.h_table[p * layer.r + r_i];
-                            iact.begin_cycle();
-                            if let Some(h) = h {
-                                phase1_step_batched(
-                                    ctx, nest, iact, ws, lane_vals, wt_m, wt_c, n, h, s_i, qt,
-                                    rs_step,
-                                );
+        let mut seen = vec![false; ctx.q_cols];
+        for wt_m in 0..ctx.m_tiles {
+            let m_lanes = ctx.m_rows.min(ctx.layer.m - wt_m * ctx.m_rows);
+            let blocks = wt_m * ctx.c_tiles * ctx.layer.n..(wt_m + 1) * ctx.c_tiles * ctx.layer.n;
+            for &start in &block_starts[blocks] {
+                let mut pos = start as usize;
+                // Row fires of a block, in replay order: `p`, `qt`, `m_lane`.
+                for fire in 0..ctx.p_total * ctx.q_tiles * m_lanes {
+                    let qt = fire / m_lanes % ctx.q_tiles;
+                    let q_live = ctx.q_cols.min(ctx.q_total - qt * ctx.q_cols);
+                    seen.fill(false);
+                    let mut covered = 0;
+                    while covered < q_live {
+                        let pass = match stream.get(pos) {
+                            Some(&slot) if (slot as usize) < table.len() => table.pass(slot),
+                            _ => return false,
+                        };
+                        for g in pass {
+                            let q_lane = g.q_lane as usize;
+                            if q_lane >= q_live || std::mem::replace(&mut seen[q_lane], true) {
+                                return false;
                             }
-                            iact.flush_cycle();
+                            if table.cols_of(g).iter().any(|&col| col as usize >= ctx.cols) {
+                                return false;
+                            }
                         }
+                        if pass.is_empty() {
+                            return false;
+                        }
+                        covered += pass.len();
+                        pos += 1;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
 
-                        // ---- Phase 2: row fires through BIRRD (RIR) ----
-                        for m_lane in 0..ctx.m_rows {
-                            let m = wt_m * ctx.m_rows + m_lane;
-                            nest.fire_row_stripe(m_lane, c_ok, bus);
-                            accum.tile_fires[tile] += 1;
-                            if m >= layer.m {
+/// Replays one layer's `Fire` as pure data movement across `lanes` samples
+/// (`SCALAR` pins `lanes` to 1 at compile time — the scalar replay is the
+/// same source, specialised): unaccounted reads of the `iact` half feed
+/// local accumulator stripes (Phase 1), then every recorded BIRRD pass of a
+/// row fire sums its folded bus columns into the `oact` half in place
+/// (Phase 2). `acc` is `rows · cols · lanes` zeroed accumulators and is left
+/// zeroed; `oact` must be zeroed over the layer's cells by the caller.
+///
+/// `weights` must already have passed
+/// [`check_weight_shape`](crate::accelerator::check_weight_shape), and the
+/// layer's stream must be sound against `table`
+/// ([`ReplayLayer::stream_is_sound`]).
+pub(crate) fn replay_fire<const SCALAR: bool>(
+    layer: &ReplayLayer,
+    table: &RouteTable,
+    weights: &[i8],
+    iact: &[i32],
+    oact: &mut [i32],
+    acc: &mut [i32],
+    lanes: usize,
+) {
+    let lanes = if SCALAR { 1 } else { lanes };
+    let ctx = &layer.exec;
+    let l = &ctx.layer;
+    let (cols, rs) = (ctx.cols, ctx.rs);
+    let [in_n, in_c, in_h, in_w] = &layer.iact.tables;
+    let [out_n, out_m, out_p, out_q] = &layer.oact.tables;
+    let stream = &layer.routes.stream;
+
+    for wt_m in 0..ctx.m_tiles {
+        let m_base = wt_m * ctx.m_rows;
+        let m_lanes = ctx.m_rows.min(l.m - m_base);
+        for wt_c in 0..ctx.c_tiles {
+            let c_base = wt_c * ctx.c_cols;
+            let c_live = if ctx.depthwise {
+                1
+            } else {
+                ctx.c_cols.min(l.c - c_base)
+            };
+            for n in 0..l.n {
+                let block = (wt_m * ctx.c_tiles + wt_c) * l.n + n;
+                let mut pos = layer.routes.block_starts[block] as usize;
+                for (p, &out_row) in out_p.iter().enumerate() {
+                    for qt in 0..ctx.q_tiles {
+                        let q_base = qt * ctx.q_cols;
+                        let q_live = ctx.q_cols.min(ctx.q_total - q_base);
+
+                        // ---- Phase 1: local temporal reduction ----
+                        for rs_step in 0..rs {
+                            let Some(h) = ctx.h_table[p * l.r + rs_step / l.s] else {
                                 continue;
-                            }
-
-                            groups.clear();
-                            for q_lane in 0..ctx.q_cols {
-                                let q = qt * ctx.q_cols + q_lane;
-                                if q >= ctx.q_total {
+                            };
+                            let row_cell = in_n[n] + in_h[h];
+                            for q_lane in 0..q_live {
+                                let Some(w) = ctx.w_table[(q_base + q_lane) * l.s + rs_step % l.s]
+                                else {
+                                    continue;
+                                };
+                                let pixel_cell = row_cell + in_w[w];
+                                if ctx.depthwise {
+                                    // Each output channel reads its own input
+                                    // channel (`M == C`, one column per lane).
+                                    for m_lane in 0..m_lanes {
+                                        let c = m_base + m_lane;
+                                        let cell = (pixel_cell + in_c[c]) as usize * lanes;
+                                        let at = (m_lane * cols + q_lane) * lanes;
+                                        mac_stripe(
+                                            &mut acc[at..at + lanes],
+                                            &iact[cell..cell + lanes],
+                                            weights[c * rs + rs_step],
+                                        );
+                                    }
                                     continue;
                                 }
-                                let loc = ctx.oact_plan.location([n, m, p, q]);
-                                groups.push(FireGroup {
-                                    q_lane,
-                                    bank: loc.offset % cols,
-                                    loc,
-                                });
-                            }
-
-                            while !groups.is_empty() {
-                                batch.clear();
-                                pending.clear();
-                                bank_used.fill(false);
-                                for g in groups.drain(..) {
-                                    if !bank_used[g.bank] {
-                                        bank_used[g.bank] = true;
-                                        batch.push(g);
-                                    } else {
-                                        pending.push(g);
+                                for c_lane in 0..c_live {
+                                    // One cell, broadcast to every mapped row.
+                                    let c = c_base + c_lane;
+                                    let cell = (pixel_cell + in_c[c]) as usize * lanes;
+                                    let x = &iact[cell..cell + lanes];
+                                    let col = q_lane * ctx.c_cols + c_lane;
+                                    for m_lane in 0..m_lanes {
+                                        let filter = (m_base + m_lane) * l.c + c;
+                                        let at = (m_lane * cols + col) * lanes;
+                                        mac_stripe(
+                                            &mut acc[at..at + lanes],
+                                            x,
+                                            weights[filter * rs + rs_step],
+                                        );
                                     }
                                 }
-                                std::mem::swap(groups, pending);
+                            }
+                        }
 
-                                let slot = stream.stream[pos] as usize;
+                        // ---- Phase 2: row fires through the folded BIRRD ----
+                        for m_lane in 0..m_lanes {
+                            let row = &mut acc[m_lane * cols * lanes..(m_lane + 1) * cols * lanes];
+                            let out_cell = out_n[n] + out_m[m_base + m_lane] + out_row;
+                            let mut covered = 0;
+                            while covered < q_live {
+                                let pass = table.pass(stream[pos]);
                                 pos += 1;
-                                let route: &CompiledRoute = &stream.slots[slot];
-
-                                in_present.fill(false);
-                                for g in batch.iter() {
-                                    let lane = g.q_lane * ctx.c_cols;
-                                    for col in lane..lane + ctx.c_cols {
-                                        if c_ok[col] {
-                                            in_present[col] = true;
-                                            for l in 0..lanes {
-                                                inputs[col * lanes + l] =
-                                                    bus[col * lanes + l] as i64;
-                                            }
+                                covered += pass.len();
+                                for g in pass {
+                                    let q = q_base + g.q_lane as usize;
+                                    let cell = (out_cell + out_q[q]) as usize * lanes;
+                                    let out = &mut oact[cell..cell + lanes];
+                                    // In-situ accumulation across channel
+                                    // tiles, wrapping like the i64 BIRRD sum
+                                    // it folds once truncated to the cell.
+                                    for &col in table.cols_of(g) {
+                                        let bus = &row[col as usize * lanes..][..lanes];
+                                        for (out, &v) in out.iter_mut().zip(bus) {
+                                            *out = out.wrapping_add(v);
                                         }
                                     }
                                 }
-                                route
-                                    .run_batched(inputs, in_present, lanes, outputs, out_present)
-                                    .expect("compiled route matches the network width");
-                                accum.birrd_passes += 1;
-                                accum.birrd_adds += route.adder_activations() as u64;
-
-                                oact.begin_cycle();
-                                for g in batch.iter() {
-                                    // In-situ accumulation across channel
-                                    // tiles, all lanes at once; absent BIRRD
-                                    // outputs contribute zero, exactly like
-                                    // the scalar path's `unwrap_or(0)`.
-                                    for (l, acc) in acc_scratch.iter_mut().enumerate() {
-                                        let value = if out_present[g.bank] {
-                                            outputs[g.bank * lanes + l] as i32
-                                        } else {
-                                            0
-                                        };
-                                        let prev = oact.peek_stripe_at(g.loc)[l].unwrap_or(0);
-                                        *acc = prev + value;
-                                    }
-                                    for (slot, acc) in oact
-                                        .write_stripe_at(g.loc)
-                                        .iter_mut()
-                                        .zip(acc_scratch.iter())
-                                    {
-                                        *slot = Some(*acc);
-                                    }
-                                }
-                                oact.flush_cycle();
-                                if !groups.is_empty() {
-                                    accum.extra_cycles += 1;
-                                }
                             }
+                            row.fill(0);
                         }
                     }
                 }
             }
         }
     }
-    accum.macs = nest.total_macs() - macs_before;
-    Ok(accum)
 }
 
-/// Batched counterpart of [`phase1_step`]: one accounted stripe read per iAct
-/// cell, broadcast to every mapped PE row across all lanes.
-#[allow(clippy::too_many_arguments)]
-fn phase1_step_batched(
-    ctx: &LayerExec,
-    nest: &mut NestArray,
-    iact: &mut LayoutView<'_, i32>,
-    ws: &[i8],
-    lane_vals: &mut [i8],
-    wt_m: usize,
-    wt_c: usize,
-    n: usize,
-    h: usize,
-    s_i: usize,
-    qt: usize,
-    rs_step: usize,
-) {
-    let layer = &ctx.layer;
-    let m_base = wt_m * ctx.m_rows;
-    if m_base >= layer.m {
-        return;
-    }
-    let m_lanes = ctx.m_rows.min(layer.m - m_base);
-    for q_lane in 0..ctx.q_cols {
-        let q = qt * ctx.q_cols + q_lane;
-        if q >= ctx.q_total {
-            continue;
-        }
-        let Some(w) = ctx.w_table[q * layer.s + s_i] else {
-            continue;
-        };
-        for c_lane in 0..ctx.c_cols {
-            let col = q_lane * ctx.c_cols + c_lane;
-            if ctx.depthwise {
-                for m_lane in 0..m_lanes {
-                    let c = m_base + m_lane;
-                    if c >= layer.c {
-                        continue;
-                    }
-                    let stripe = iact.read_stripe_at(ctx.iact_plan.location([n, c, h, w]));
-                    for (v, cell) in lane_vals.iter_mut().zip(stripe) {
-                        *v = cell.unwrap_or(0) as i8;
-                    }
-                    nest.mac_operand(m_lane, col, lane_vals, ws[c * ctx.rs + rs_step]);
-                }
-            } else {
-                let c = wt_c * ctx.c_cols + c_lane;
-                if c >= layer.c {
-                    continue;
-                }
-                let stripe = iact.read_stripe_at(ctx.iact_plan.location([n, c, h, w]));
-                for (v, cell) in lane_vals.iter_mut().zip(stripe) {
-                    *v = cell.unwrap_or(0) as i8;
-                }
-                for m_lane in 0..m_lanes {
-                    let filter = (m_base + m_lane) * layer.c + c;
-                    nest.mac_operand(m_lane, col, lane_vals, ws[filter * ctx.rs + rs_step]);
-                }
-            }
-        }
+/// One Phase-1 MAC across a lane stripe: every lane's iAct cell (an INT8
+/// value held in an `i32` StaB cell) against the stationary `weight`.
+#[inline(always)]
+fn mac_stripe(acc: &mut [i32], cells: &[i32], weight: i8) {
+    let w = weight as i32;
+    for (acc, &cell) in acc.iter_mut().zip(cells) {
+        *acc += cell as i8 as i32 * w;
     }
 }
 

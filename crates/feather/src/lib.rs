@@ -63,7 +63,7 @@ pub use accelerator::Feather;
 pub use config::FeatherConfig;
 pub use graph_session::GraphSession;
 pub use mapping::LayerMapping;
-pub use program::{ArtifactStatus, BatchedScratch, Program, ProgramSession, ReplayScratch};
+pub use program::{ArtifactStatus, Program, ProgramSession, ReplayScratch};
 pub use report::{
     GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, NetworkReport, NetworkRun,
     RunReport, SegmentSummary,

@@ -1,40 +1,47 @@
 //! Ahead-of-time graph compilation: lower a planned [`GraphSession`] into a
 //! flat, serializable [`Program`] of ops and replay it with zero per-layer
-//! planning — the accelerator-as-ISA execution model.
+//! planning and zero accounting — the accelerator-as-ISA execution model.
 //!
 //! The interpreted [`GraphSession::run`] re-walks the DAG on every call:
-//! consumer counts, scratch keys, weight clones, per-layer context builds and
-//! hashed route-cache lookups all happen on the hot path. A serving process
-//! replays the *same* schedule thousands of times, so all of that work is
+//! consumer counts, scratch keys, weight clones, per-layer context builds,
+//! hashed route-cache lookups and the whole cycle/conflict/traffic accounting
+//! all happen on the hot path. A serving process replays the *same* schedule
+//! thousands of times, and none of that depends on the data, so all of it is
 //! hoisted here into a one-time compile:
 //!
 //! * **[`Program`]** — a linear op stream ([`Op`]: `Stage`, `Fire`,
 //!   `Reorder`, `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout,
-//!   location plan, buffer spec, scratch move and compiled BIRRD route
-//!   resolved at compile time. Routes live in direct `Arc` slots inside a
-//!   per-layer [`RouteStream`] — replay never hashes a request or touches
-//!   the shared route cache.
-//! * **[`ProgramSession`]** — the executor: dispatches the op stream
-//!   linearly. Replay is bit-identical to the interpreted session — outputs,
-//!   cycle counts, access statistics, energy, the whole [`GraphRun`] report
-//!   (enforced by the `program_equivalence` suite).
+//!   cell index table, scratch move and BIRRD pass resolved at compile time.
+//!   Passes live constant-folded in one program-wide, deduplicated
+//!   [`RouteTable`]; each layer keeps only its stream of slot indices.
+//! * **[`Program::cost`]** — the exact report of one run, assembled once from
+//!   what the compile-time record pass counts: the cost oracle for a
+//!   (model, batch) pair, available without running a single MAC.
+//! * **[`ProgramSession`]** — the executor: dispatches the op stream linearly
+//!   as pure data movement and returns [`Program::cost`] with the one
+//!   data-dependent count (join saturation) patched in. Replay is
+//!   bit-identical to the interpreted session — outputs and the whole
+//!   [`GraphRun`] report (enforced by the `program_equivalence` suite).
 //! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
 //!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
 //!   co-search cache), keyed by a schedule fingerprint. Loading an artifact
 //!   skips the compile pass entirely; the recorded route *requests* are
-//!   re-routed deterministically, so artifacts stay small and the compiled
-//!   programs identical.
+//!   re-routed deterministically and the per-layer cost counters are stored
+//!   as integers, so artifacts stay small and the loaded program identical.
+//!   Everything an artifact names is validated at load, so a damaged one is
+//!   `Corrupt`, never a panic inside replay.
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
-//!   will do, locked down by a golden snapshot test.
+//!   will do and cost, locked down by a golden snapshot test.
 //!
-//! Route streams can be recorded without any input data because the
-//! reduce-reorder pattern of every fire is a pure function of layer geometry
-//! (the mapped-lane pattern and the oAct layout's bank assignment) — never of
-//! activation or weight values. The compile pass therefore runs the tile loop
-//! once over zeroed buffers in record mode, and replay consumes the recorded
-//! stream cursor-style, jumping to per-block offsets so sharded workers stay
-//! in sync with the serial recording.
+//! Routes and costs can be recorded without any input data because the
+//! reduce-reorder pattern and the access pattern of every fire are pure
+//! functions of layer geometry (the mapped-lane pattern and the layouts'
+//! bank assignment) — never of activation or weight values. The compile pass
+//! therefore runs the accounted tile loop once over zeroed buffers in record
+//! mode, and replay consumes the recorded stream cursor-style from per-block
+//! offsets.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -42,30 +49,32 @@ use std::sync::Arc;
 
 use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeId, NodeOp, TensorId};
-use feather_arch::layout::LocationPlan4;
 use feather_arch::tensor::{quantize_to_i8, quantize_value, saturating_add_i8, Tensor4};
 use feather_arch::workload::{ConvKind, ConvLayer};
-use feather_arch::{ArchError, Dim};
-use feather_birrd::ReductionRequest;
-use feather_memsim::{BufferSpec, LayoutView, PingPong, ScratchRegion};
+use feather_arch::ArchError;
+use feather_birrd::{Birrd, ReductionRequest};
+use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 
 use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
 use crate::core::{
-    run_conv_core, run_conv_core_batched, LayerExec, RouteExecution, RouteRecorder, RouteStream,
-    SpanScratch,
+    replay_fire, run_conv_core, CoreRun, LayerExec, LayerStream, ReplayLayer, RouteExecution,
+    RouteRecorder, RouteTable, SpanScratch,
 };
 use crate::graph_session::{pool_window_weights, widen, GraphSession, Step};
 use crate::mapping::LayerMapping;
-use crate::report::{
-    GraphReport, GraphRun, JoinSummary, LayerSummary, NetworkReport, SegmentSummary,
-};
+use crate::report::{GraphReport, GraphRun, JoinSummary, NetworkReport, SegmentSummary};
 use crate::session::{for_each_oact, iact_spec, layer_summary, oact_spec};
 
 /// Format header of a serialized program artifact; bump on layout changes
 /// (unknown versions degrade to a recompile, never to an error). v2 added
-/// the trailing whole-file `checksum` line.
-const HEADER: &str = "feather-program v2";
+/// the trailing whole-file `checksum` line; v3 stores per-layer `cost`
+/// counters and one program-wide `route` table, and dropped `threads=`.
+const HEADER: &str = "feather-program v3";
+
+/// Largest tensor (in elements) or route stream (in passes) an artifact may
+/// declare: bounds what loading allocates before the contents are trusted.
+const MAX_ARTIFACT_ELEMS: usize = 1 << 28;
 
 /// Where a compiled program came from in [`GraphSession::compile_cached`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,16 +86,17 @@ pub enum ArtifactStatus {
     /// `FEATHER_CACHE_DIR` is unset — compiled fresh, nothing persisted.
     Disabled,
     /// An artifact existed at the right path but was unusable — bad
-    /// checksum, truncation, stale format, or a fingerprint mismatch. It
-    /// was renamed aside to `<name>.bad` (so it is detected exactly once,
-    /// not re-parsed on every cache miss) and a fresh compile replaced it.
+    /// checksum, truncation, stale format, inconsistent contents, or a
+    /// fingerprint mismatch. It was renamed aside to `<name>.bad` (so it is
+    /// detected exactly once, not re-parsed on every cache miss) and a fresh
+    /// compile replaced it.
     Quarantined,
 }
 
 /// What [`Program::load_checked`] found on disk.
 #[derive(Debug)]
 pub(crate) enum LoadOutcome {
-    /// Parsed and checksum-verified.
+    /// Parsed, checksum-verified and validated.
     Loaded(Box<Program>),
     /// A file exists but is unusable (corrupt, truncated, or stale format).
     Corrupt,
@@ -116,20 +126,23 @@ enum WeightSource {
     Pool(Tensor4<i8>),
 }
 
-/// One fully-resolved layer of a compiled segment: the owned tile-loop
-/// context, the buffer disciplines of both StaB halves, the precompiled
-/// location plans and the frozen route stream.
+/// What one layer costs, exactly as the compile-time record pass counted it:
+/// the tile loop's counters and the access statistics of both StaB halves.
+/// All integers — the floats of a report are re-derived by [`layer_summary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LayerCost {
+    core: CoreRun,
+    iact: AccessStats,
+    oact: AccessStats,
+}
+
+/// One fully-resolved layer of a compiled segment: what its `Fire` replays,
+/// where its weights come from and what it costs.
 #[derive(Debug, Clone)]
 struct CompiledLayer {
-    exec: LayerExec,
+    replay: ReplayLayer,
     weight: WeightSource,
-    iact_spec: BufferSpec,
-    oact_spec: BufferSpec,
-    idims: BTreeMap<Dim, usize>,
-    odims: BTreeMap<Dim, usize>,
-    iact_plan: LocationPlan4,
-    oact_plan: LocationPlan4,
-    routes: RouteStream,
+    cost: LayerCost,
 }
 
 /// A compiled linear segment: its layers plus the graph-level flags that
@@ -179,12 +192,12 @@ enum OperandSrc {
 /// One instruction of a compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
-    /// Acquire the segment input and stage it into a fresh ping/pong StaB.
+    /// Acquire the segment input and stage it into the active StaB half.
     Stage {
         seg: usize,
         /// Source: the fresh register (`true`) or the unpark queue.
         fresh: bool,
-        /// Move the fresh tensor out instead of cloning it.
+        /// Move the fresh tensor out instead of leaving it in place.
         take: bool,
     },
     /// Run one layer's tile loop, replaying its recorded route stream.
@@ -193,8 +206,7 @@ enum Op {
     Reorder { seg: usize, layer: usize },
     /// Swap the StaB halves.
     Swap { seg: usize },
-    /// Drain the segment output, assemble its report, quantize it into the
-    /// fresh register.
+    /// Drain the segment output and quantize it into the fresh register.
     Drain { seg: usize },
     /// Perform a residual add.
     Join { join: usize },
@@ -206,10 +218,11 @@ enum Op {
     Unpark { tensor: usize, free: bool },
 }
 
-/// A flat, replayable lowering of a planned graph: every layout, location
-/// plan, BIRRD route and scratch move resolved ahead of time. Produced by
-/// [`GraphSession::compile`], executed by [`ProgramSession`], serialized to
-/// the `FEATHER_CACHE_DIR/programs/` artifact cache.
+/// A flat, replayable lowering of a planned graph: every layout, cell index,
+/// BIRRD pass and scratch move resolved — and the whole report counted —
+/// ahead of time. Produced by [`GraphSession::compile`], executed by
+/// [`ProgramSession`], serialized to the `FEATHER_CACHE_DIR/programs/`
+/// artifact cache.
 #[derive(Debug, Clone)]
 pub struct Program {
     name: String,
@@ -217,17 +230,19 @@ pub struct Program {
     batch: usize,
     quant_shift: u32,
     quant_zero: i8,
-    threads: Option<usize>,
     /// Batched `(N, C, H, W)` shape of the graph input.
     input_shape: [usize; 4],
     /// Tensor-table slot of the graph input.
     input_slot: usize,
     fingerprint: u64,
-    energy_model: EnergyModel,
     tensors: Vec<TensorSlot>,
     segments: Vec<CompiledSegment>,
     joins: Vec<JoinSpec>,
     ops: Vec<Op>,
+    /// Every BIRRD pass of every layer, folded and deduplicated.
+    routes: RouteTable,
+    /// The report of one run with no join saturation — see [`Program::cost`].
+    cost: GraphReport,
 }
 
 impl Program {
@@ -257,13 +272,28 @@ impl Program {
         self.ops.len()
     }
 
-    /// Total recorded route-stream entries (BIRRD fires) across all layers.
+    /// Total recorded route-stream entries (BIRRD passes) across all layers.
     pub fn route_fires(&self) -> usize {
         self.segments
             .iter()
             .flat_map(|s| &s.layers)
-            .map(|l| l.routes.stream.len())
+            .map(|l| l.replay.routes.stream.len())
             .sum()
+    }
+
+    /// The exact cost of one run of this program — the cost oracle for its
+    /// (model, batch) pair: cycles, stalls, MACs, BIRRD passes, buffer and
+    /// scratch traffic, DRAM bytes and energy, per layer and in total, equal
+    /// to the report [`GraphSession::run`] of the originating session
+    /// returns for *any* input and weights. It is counted once, by the
+    /// compile-time record pass (and stored in artifacts as integers), so
+    /// reading it executes nothing.
+    ///
+    /// The one data-dependent field of a report, [`JoinSummary::saturated`],
+    /// is zero here; every replay returns this report with that count
+    /// patched in per sample.
+    pub fn cost(&self) -> &GraphReport {
+        &self.cost
     }
 
     /// The default artifact location for this program:
@@ -285,8 +315,9 @@ impl Program {
     }
 
     /// Loads a program from `path`. Any failure — missing file, unknown
-    /// header version, checksum mismatch, malformed content, an unroutable
-    /// recorded request — returns `None` so callers degrade to a recompile.
+    /// header version, checksum mismatch, malformed or inconsistent content,
+    /// an unroutable recorded request — returns `None` so callers degrade to
+    /// a recompile.
     pub fn load_from(path: &Path) -> Option<Program> {
         match Program::load_checked(path) {
             LoadOutcome::Loaded(program) => Some(*program),
@@ -298,19 +329,23 @@ impl Program {
     /// one*, so the artifact cache can quarantine the latter instead of
     /// re-parsing it on every miss.
     pub(crate) fn load_checked(path: &Path) -> LoadOutcome {
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(bytes) = std::fs::read(path) else {
             return LoadOutcome::Missing;
         };
-        match parse_program(&text) {
+        match String::from_utf8(bytes)
+            .ok()
+            .and_then(|t| parse_program(&t))
+        {
             Some(program) => LoadOutcome::Loaded(Box::new(program)),
             None => LoadOutcome::Corrupt,
         }
     }
 
-    /// A diffable text listing of exactly what a replayed run does: the
-    /// fabric, the tensor table, every compiled layer with its mapping,
-    /// layouts and route-stream size, the joins and the full op stream. The
-    /// format is deterministic and locked by a golden snapshot test.
+    /// A diffable text listing of exactly what a replayed run does and
+    /// costs: the fabric, the tensor table, every compiled layer with its
+    /// mapping, layouts, cost and route-stream size, the joins, the
+    /// program-wide folded route table and the full op stream. The format is
+    /// deterministic and locked by a golden snapshot test.
     pub fn dump(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -323,19 +358,22 @@ impl Program {
             "fabric {}x{} stab_lines={} strb_lines={}",
             self.config.rows, self.config.cols, self.config.stab_lines, self.config.strb_lines
         );
-        let threads = match self.threads {
-            Some(n) => n.to_string(),
-            None => "auto".to_string(),
-        };
         let _ = writeln!(
             out,
-            "batch {} quant shift={} zero={} threads={}",
-            self.batch, self.quant_shift, self.quant_zero, threads
+            "batch {} quant shift={} zero={}",
+            self.batch, self.quant_shift, self.quant_zero
         );
         let _ = writeln!(
             out,
             "input {} {:?}",
             self.tensors[self.input_slot].key, self.input_shape
+        );
+        let _ = writeln!(
+            out,
+            "cost cycles={} dram_bytes={} scratch_peak={}",
+            self.cost.total_cycles(),
+            self.cost.dram_bytes(),
+            self.cost.scratch_peak_elems
         );
         let _ = writeln!(out, "tensors:");
         for slot in &self.tensors {
@@ -356,8 +394,8 @@ impl Program {
                 self.tensors[seg.input].key, self.tensors[seg.output].key, flags
             );
             for (li, layer) in seg.layers.iter().enumerate() {
-                let l = &layer.exec.layer;
-                let m = &layer.exec.mapping;
+                let l = &layer.replay.exec.layer;
+                let m = &layer.replay.exec.mapping;
                 let kind = kind_token(l.kind);
                 let weights = match &layer.weight {
                     WeightSource::Node(id) => format!("w={id}"),
@@ -373,12 +411,21 @@ impl Program {
                     "      map m_rows={} c_cols={} q_cols={} iact={} oact={}",
                     m.m_rows, m.c_cols, m.q_cols, m.iact_layout, m.oact_layout
                 );
+                let cost = &layer.cost;
                 let _ = writeln!(
                     out,
-                    "      routes slots={} fires={} blocks={}",
-                    layer.routes.slots.len(),
-                    layer.routes.stream.len(),
-                    layer.routes.block_starts.len()
+                    "      cost cycles={} stalls={} macs={} passes={} adds={}",
+                    cost.core.cycles + cost.iact.conflict_stall_cycles,
+                    cost.iact.conflict_stall_cycles,
+                    cost.core.macs,
+                    cost.core.birrd_passes,
+                    cost.core.birrd_adds
+                );
+                let _ = writeln!(
+                    out,
+                    "      routes fires={} blocks={}",
+                    layer.replay.routes.stream.len(),
+                    layer.replay.routes.block_starts.len()
                 );
             }
         }
@@ -397,6 +444,15 @@ impl Program {
                     ""
                 }
             );
+        }
+        let _ = writeln!(out, "routes:");
+        for (slot, (c_cols, request)) in self.routes.requests().iter().enumerate() {
+            let _ = write!(out, "  {slot:04} c_cols={c_cols}");
+            let banks = request.group_destinations.values();
+            for ((q_lane, cols), bank) in self.routes.pass_groups(slot).zip(banks) {
+                let _ = write!(out, " q{q_lane}@bank{bank}<-{}", join_ints(cols));
+            }
+            out.push('\n');
         }
         let _ = writeln!(out, "ops:");
         for (i, op) in self.ops.iter().enumerate() {
@@ -431,14 +487,10 @@ impl Program {
     fn serialize(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{HEADER}");
-        let threads = match self.threads {
-            Some(n) => n.to_string(),
-            None => "auto".to_string(),
-        };
         let _ = writeln!(
             out,
             "meta name={} rows={} cols={} stab={} strb={} batch={} shift={} zero={} \
-             threads={} fp={:016x} input={}",
+             fp={:016x} input={}",
             esc(&self.name),
             self.config.rows,
             self.config.cols,
@@ -447,7 +499,6 @@ impl Program {
             self.batch,
             self.quant_shift,
             self.quant_zero,
-            threads,
             self.fingerprint,
             self.input_slot
         );
@@ -456,7 +507,7 @@ impl Program {
                 out,
                 "tensor id={} shape={}",
                 slot.id,
-                join_usizes(&slot.shape)
+                join_ints(&slot.shape)
             );
         }
         for seg in &self.segments {
@@ -471,8 +522,8 @@ impl Program {
         }
         for (si, seg) in self.segments.iter().enumerate() {
             for (li, layer) in seg.layers.iter().enumerate() {
-                let l = &layer.exec.layer;
-                let m = &layer.exec.mapping;
+                let l = &layer.replay.exec.layer;
+                let m = &layer.replay.exec.mapping;
                 let wsrc = match &layer.weight {
                     WeightSource::Node(id) => format!("n{}", id.0),
                     WeightSource::Pool(_) => "pool".to_string(),
@@ -498,35 +549,47 @@ impl Program {
                     esc(&m.iact_layout.to_string()),
                     esc(&m.oact_layout.to_string())
                 );
-                for request in &layer.routes.requests {
-                    let groups: Vec<String> = request
-                        .input_groups
-                        .iter()
-                        .map(|g| match g {
-                            Some(gid) => gid.to_string(),
-                            None => "-".to_string(),
-                        })
-                        .collect();
-                    let dests: Vec<String> = request
-                        .group_destinations
-                        .iter()
-                        .map(|(gid, bank)| format!("{gid}:{bank}"))
-                        .collect();
-                    let _ = writeln!(
-                        out,
-                        "slot seg={si} layer={li} groups={} dests={}",
-                        groups.join(","),
-                        dests.join(",")
-                    );
-                }
+                let LayerCost { core, iact, oact } = &layer.cost;
+                let _ = writeln!(
+                    out,
+                    "cost seg={si} layer={li} core={},{},{},{} iact={} oact={}",
+                    core.cycles,
+                    core.birrd_passes,
+                    core.birrd_adds,
+                    core.macs,
+                    join_ints(&stats_fields(iact)),
+                    join_ints(&stats_fields(oact))
+                );
+                let routes = &layer.replay.routes;
                 let _ = writeln!(
                     out,
                     "stream seg={si} layer={li} {}",
-                    rle_encode(&layer.routes.stream)
+                    rle_encode(&routes.stream)
                 );
-                let deltas = deltas_of(&layer.routes.block_starts);
+                let deltas = deltas_of(&routes.block_starts);
                 let _ = writeln!(out, "blocks seg={si} layer={li} {}", rle_encode(&deltas));
             }
+        }
+        for (c_cols, request) in self.routes.requests() {
+            let groups: Vec<String> = request
+                .input_groups
+                .iter()
+                .map(|g| match g {
+                    Some(gid) => gid.to_string(),
+                    None => "-".to_string(),
+                })
+                .collect();
+            let dests: Vec<String> = request
+                .group_destinations
+                .iter()
+                .map(|(gid, bank)| format!("{gid}:{bank}"))
+                .collect();
+            let _ = writeln!(
+                out,
+                "route c={c_cols} groups={} dests={}",
+                groups.join(","),
+                dests.join(",")
+            );
         }
         for join in &self.joins {
             let _ = writeln!(
@@ -560,31 +623,29 @@ impl Program {
         }
         // Whole-file integrity: the checksum covers every byte above it, so
         // truncation, bit flips and partial writes are all detected on load.
-        let sum = fnv1a64(out.as_bytes());
-        let _ = writeln!(out, "checksum {sum:016x}");
+        out.push_str(&checksum_line(&out));
         out
     }
 }
 
-/// Reusable replay allocations: the per-segment StaB ping/pong pairs a
-/// [`ProgramSession::run_with_scratch`] call parks between runs instead of
-/// reallocating. One scratch belongs to one executor thread at a time (it is
-/// `&mut` for the whole run) and adapts automatically when handed a
-/// different program — the parked buffers are reshaped to the new program's
-/// specs, so a worker serving many (model, batch) pairs can keep one scratch
-/// per pair or share fewer and only pay a reshape.
+/// Reusable replay allocations: the two StaB halves (plain `i32` cells, one
+/// lane stripe per cell) and the NEST accumulators. A
+/// [`ProgramSession::run_with_scratch`] / [`run_batched_with_scratch`] call
+/// grows them to what its program and lane count need and keeps them, so a
+/// serving executor's steady state allocates no buffer memory. One scratch
+/// belongs to one executor thread at a time (it is `&mut` for the whole run)
+/// and serves any program and any lane count.
 ///
 /// Replaying through a reused scratch is bit-identical to replaying through
-/// a fresh one (outputs *and* the full report) — buffers are re-provisioned
-/// with [`PingPong::reset`] at every segment stage.
+/// a fresh one: every `Stage` and `Fire` zeroes the cells it is about to
+/// use and every run starts from zeroed accumulators, so nothing a previous
+/// run — even one that panicked half-way — left behind is ever read.
+///
+/// [`run_batched_with_scratch`]: ProgramSession::run_batched_with_scratch
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// `(fingerprint, batch)` of the program the stash was last used with;
-    /// a mismatch drops the stash so one scratch never hoards buffers shaped
-    /// for a program it no longer serves.
-    shaped_for: Option<(u64, usize)>,
-    /// One parked StaB pair per program segment.
-    stabs: Vec<Option<PingPong<i32>>>,
+    halves: [Vec<i32>; 2],
+    acc: Vec<i32>,
 }
 
 impl ReplayScratch {
@@ -593,64 +654,24 @@ impl ReplayScratch {
         ReplayScratch::default()
     }
 
-    /// Re-targets the stash at `program`, dropping buffers from any other,
-    /// and marks it dirty until [`ReplayScratch::commit`]: if the replay
-    /// panics mid-run (a supervised serving worker catches it), the next
-    /// `begin` sees the mismatch and drops the half-staged stash instead of
-    /// replaying through it.
-    fn begin(&mut self, program: &Program) {
-        let key = (program.fingerprint, program.batch);
-        if self.shaped_for != Some(key) {
-            self.stabs.clear();
+    /// Sizes the halves for `program` at `lanes` samples and zeroes the
+    /// accumulators.
+    fn provision(&mut self, program: &Program, lanes: usize) {
+        // The largest StaB half any layer addresses.
+        let layers = program.segments.iter().flat_map(|s| &s.layers);
+        let cells = layers
+            .map(|l| l.replay.iact.cells().max(l.replay.oact.cells()))
+            .max()
+            .unwrap_or(0)
+            * lanes;
+        for half in &mut self.halves {
+            if half.len() < cells {
+                half.resize(cells, 0);
+            }
         }
-        self.shaped_for = None;
-        if self.stabs.len() != program.segments.len() {
-            self.stabs.resize_with(program.segments.len(), || None);
-        }
-    }
-
-    /// Marks a completed run's stash clean so the next `begin` reuses it.
-    fn commit(&mut self, program: &Program) {
-        self.shaped_for = Some((program.fingerprint, program.batch));
-    }
-}
-
-/// Reusable allocations for [`ProgramSession::run_batched_with_scratch`]:
-/// the lane-striped StaB pairs of the batched replay backend. Works exactly
-/// like [`ReplayScratch`] but keys the stash on the lane count too — a pair
-/// striped for 4 lanes cannot serve an 8-lane run, so a mismatch drops the
-/// stash and the next run regrows it.
-#[derive(Debug, Default)]
-pub struct BatchedScratch {
-    /// `(fingerprint, batch, lanes)` of the last run through this scratch.
-    shaped_for: Option<(u64, usize, usize)>,
-    /// One parked lane-striped StaB pair per program segment.
-    stabs: Vec<Option<PingPong<i32>>>,
-}
-
-impl BatchedScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        BatchedScratch::default()
-    }
-
-    /// Re-targets the stash at `(program, lanes)`, dropping buffers from any
-    /// other shape; dirty until [`BatchedScratch::commit`] — a panicking
-    /// replay abandons the stash (see [`ReplayScratch::begin`]).
-    fn begin(&mut self, program: &Program, lanes: usize) {
-        let key = (program.fingerprint, program.batch, lanes);
-        if self.shaped_for != Some(key) {
-            self.stabs.clear();
-        }
-        self.shaped_for = None;
-        if self.stabs.len() != program.segments.len() {
-            self.stabs.resize_with(program.segments.len(), || None);
-        }
-    }
-
-    /// Marks a completed run's stash clean so the next `begin` reuses it.
-    fn commit(&mut self, program: &Program, lanes: usize) {
-        self.shaped_for = Some((program.fingerprint, program.batch, lanes));
+        self.acc.clear();
+        self.acc
+            .resize(program.config.rows * program.config.cols * lanes, 0);
     }
 }
 
@@ -660,7 +681,6 @@ impl BatchedScratch {
 #[derive(Debug, Clone)]
 pub struct ProgramSession {
     program: Arc<Program>,
-    threads: Option<usize>,
 }
 
 impl ProgramSession {
@@ -671,18 +691,7 @@ impl ProgramSession {
 
     /// Wraps an already-shared compiled program.
     pub fn from_arc(program: Arc<Program>) -> Self {
-        ProgramSession {
-            program,
-            threads: None,
-        }
-    }
-
-    /// Pins the executor's worker-thread count (builder style), overriding
-    /// the count captured at compile time. The parallel replay is
-    /// bit-identical to the serial one.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
+        ProgramSession { program }
     }
 
     /// The compiled program this session replays.
@@ -691,18 +700,22 @@ impl ProgramSession {
     }
 
     /// Replays the program: bit-identical to [`GraphSession::run`] of the
-    /// originating session — outputs, cycles, access statistics and reports
-    /// alike — with zero planning, hashing or weight cloning on the hot path.
+    /// originating session — outputs and report alike — with zero planning,
+    /// hashing, weight cloning or accounting on the hot path.
+    ///
+    /// A replay is pure data movement. Cycles, stalls, buffer and scratch
+    /// traffic, DRAM bytes and energy do not depend on activation or weight
+    /// values, so they are not computed here at all: the returned report is
+    /// a clone of [`Program::cost`] with each join's `saturated` count — the
+    /// one number that is data — patched in. What a `Fire` does per call is
+    /// one plain StaB cell read and `m_rows` MACs into local accumulators
+    /// per mapped iAct, then per recorded BIRRD pass one gather over the
+    /// pass's folded bus columns into the output cell, in place.
     ///
     /// `weights` is an input of every call and nothing derived from it
     /// outlives the call: each `Fire` looks its layer's tensor up by node,
     /// checks its shape, and multiplies against it where it lies — the
-    /// weight-stationary NEST holds an address, not a copy. What a `Fire`
-    /// still does per call is the data-dependent work (one accounted StaB
-    /// read and `m_rows` MACs per mapped iAct, one BIRRD pass and one in-situ
-    /// oAct accumulation per row fire) plus the data-independent accounting
-    /// that rides on it (bank-conflict assessment, access statistics, fire
-    /// counts); per weight tile it refreshes one `cols`-wide lane mask.
+    /// weight-stationary NEST holds an address, not a copy.
     ///
     /// # Errors
     /// Returns an error on missing weights or operand shape mismatches.
@@ -715,275 +728,30 @@ impl ProgramSession {
     }
 
     /// [`ProgramSession::run`] reusing `scratch`'s buffer allocations across
-    /// calls: each segment's StaB ping/pong pair is parked in the scratch at
-    /// drain time and re-provisioned (reshaped + cleared, no reallocation) at
-    /// the next stage, so a serving executor's steady state allocates no
-    /// buffer memory per request. Results are bit-identical to
+    /// calls, so a serving executor's steady state allocates no buffer
+    /// memory per request. Results are bit-identical to
     /// [`ProgramSession::run`] with a fresh scratch.
     ///
     /// # Errors
     /// Returns an error on missing weights or operand shape mismatches.
     pub fn run_with_scratch(
         &self,
-        scratch_bufs: &mut ReplayScratch,
+        scratch: &mut ReplayScratch,
         iacts: &Tensor4<i8>,
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<GraphRun, ArchError> {
-        let p = &*self.program;
-        scratch_bufs.begin(p);
-        if iacts.shape() != p.input_shape {
-            return Err(ArchError::ShapeMismatch(format!(
-                "graph input shape {:?}, expected {:?}",
-                iacts.shape(),
-                p.input_shape
-            )));
-        }
-        let threads = self.threads.or(p.threads);
-        let mut span_scratch = SpanScratch::new(p.config.rows, p.config.cols, 1);
-
-        let mut scratch: ScratchRegion<i8> = ScratchRegion::new(p.config.cols.max(1));
-        let mut fresh: Option<(usize, Tensor4<i8>)> = Some((p.input_slot, iacts.clone()));
-        let mut displaced: Option<(usize, Tensor4<i8>)> = None;
-        let mut queue: VecDeque<Tensor4<i8>> = VecDeque::new();
-        let mut segment_reports: Vec<SegmentSummary> = Vec::with_capacity(p.segments.len());
-        let mut join_reports: Vec<JoinSummary> = Vec::with_capacity(p.joins.len());
-        let mut final_acc: Option<Tensor4<i32>> = None;
-
-        // In-flight segment state between its Stage and Drain ops.
-        let mut stab: Option<PingPong<i32>> = None;
-        let mut summaries: Vec<LayerSummary> = Vec::new();
-        let mut input_from_scratch = false;
-
-        let broken = |what: &str| {
-            ArchError::InvalidWorkload(format!("compiled program is inconsistent: {what}"))
-        };
-
-        for op in &p.ops {
-            match *op {
-                Op::Unpark { tensor, free } => {
-                    let slot = &p.tensors[tensor];
-                    let missing = || {
-                        ArchError::InvalidWorkload(format!(
-                            "tensor t{} consumed before being produced or after being freed",
-                            slot.id
-                        ))
-                    };
-                    // `fetch` counts the read; the final consumer then moves
-                    // the parked allocation out instead of copying it.
-                    let data = if free {
-                        scratch.fetch(&slot.key).ok_or_else(missing)?;
-                        scratch.release(&slot.key).expect("fetched above")
-                    } else {
-                        scratch.fetch(&slot.key).ok_or_else(missing)?.to_vec()
-                    };
-                    queue.push_back(Tensor4::from_vec(slot.shape, data)?);
-                }
-                Op::Stage {
-                    seg,
-                    fresh: from_fresh,
-                    take,
-                } => {
-                    let input = if from_fresh {
-                        if take {
-                            fresh
-                                .take()
-                                .ok_or_else(|| broken("fresh operand missing"))?
-                                .1
-                        } else {
-                            fresh
-                                .as_ref()
-                                .ok_or_else(|| broken("fresh operand missing"))?
-                                .1
-                                .clone()
-                        }
-                    } else {
-                        queue
-                            .pop_front()
-                            .ok_or_else(|| broken("unpark queue is empty"))?
-                    };
-                    input_from_scratch = !from_fresh;
-                    let cs = &p.segments[seg];
-                    let first = &cs.layers[0];
-                    let l = &first.exec.layer;
-                    let expected = [l.n, l.c, l.h, l.w];
-                    if input.shape() != expected {
-                        return Err(ArchError::ShapeMismatch(format!(
-                            "iacts shape {:?}, expected {:?}",
-                            input.shape(),
-                            expected
-                        )));
-                    }
-                    let mut pp: PingPong<i32> = match scratch_bufs.stabs[seg].take() {
-                        Some(mut parked) => {
-                            parked.reset(first.iact_spec);
-                            parked
-                        }
-                        None => PingPong::new(first.iact_spec),
-                    };
-                    {
-                        let (active, _) = pp.split_mut();
-                        let mut view =
-                            LayoutView::new(active, &first.exec.mapping.iact_layout, &first.idims);
-                        input.for_each(|coord, v| {
-                            view.write_at(first.iact_plan.location(coord), v as i32)
-                        });
-                        view.flush_cycle();
-                    }
-                    stab = Some(pp);
-                    summaries = Vec::with_capacity(cs.layers.len());
-                }
-                Op::Fire { seg, layer } => {
-                    let cs = &p.segments[seg];
-                    let cl = &cs.layers[layer];
-                    let lw: &Tensor4<i8> = match &cl.weight {
-                        WeightSource::Pool(w) => w,
-                        WeightSource::Node(id) => weights.get(id).ok_or_else(|| {
-                            ArchError::InvalidWorkload(format!(
-                                "no weight tensor supplied for node `{}`",
-                                cs.names[layer]
-                            ))
-                        })?,
-                    };
-                    check_weight_shape(&cl.exec.layer, lw)?;
-                    let pp = stab.as_mut().ok_or_else(|| broken("fire before stage"))?;
-                    pp.shadow().reshape(cl.oact_spec);
-                    if layer > 0 {
-                        pp.active().rebank(cl.iact_spec);
-                    }
-                    let iact_base = *pp.active_ref().stats();
-                    let oact_base = *pp.shadow_ref().stats();
-                    let core = {
-                        let (active, shadow) = pp.split_mut();
-                        let mut iact_view =
-                            LayoutView::new(active, &cl.exec.mapping.iact_layout, &cl.idims);
-                        let mut oact_view =
-                            LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                        run_conv_core(
-                            &cl.exec,
-                            lw,
-                            &mut iact_view,
-                            &mut oact_view,
-                            RouteExecution::Replay(&cl.routes),
-                            layer == 0,
-                            threads,
-                            &mut span_scratch,
-                        )?
-                    };
-                    let iact_stats = pp.active_ref().stats().since(&iact_base);
-                    let oact_stats = pp.shadow_ref().stats().since(&oact_base);
-                    summaries.push(layer_summary(
-                        &p.config,
-                        &p.energy_model,
-                        &cl.exec.layer,
-                        &core,
-                        iact_stats,
-                        oact_stats,
-                        layer == 0,
-                        layer + 1 == cs.layers.len(),
-                    ));
-                }
-                Op::Reorder { seg, layer } => {
-                    let cl = &p.segments[seg].layers[layer];
-                    let pp = stab
-                        .as_mut()
-                        .ok_or_else(|| broken("reorder before stage"))?;
-                    let shadow = pp.shadow();
-                    let mut view = LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                    let (shift, zero) = (p.quant_shift, p.quant_zero);
-                    for_each_oact(&cl.exec.layer, |coord| {
-                        let loc = cl.oact_plan.location(coord);
-                        let acc = view.peek_at(loc).unwrap_or(0);
-                        view.poke_at(loc, quantize_value(acc, shift, zero) as i32);
-                    });
-                }
-                Op::Swap { .. } => {
-                    stab.as_mut()
-                        .ok_or_else(|| broken("swap before stage"))?
-                        .swap();
-                }
-                Op::Drain { seg } => {
-                    let cs = &p.segments[seg];
-                    let last = cs.layers.last().expect("segments are non-empty");
-                    let mut pp = stab.take().ok_or_else(|| broken("drain before stage"))?;
-                    let oacts = {
-                        let (active, _) = pp.split_mut();
-                        let view =
-                            LayoutView::new(active, &last.exec.mapping.oact_layout, &last.odims);
-                        let l = &last.exec.layer;
-                        Tensor4::from_fn(
-                            [l.n, l.m, l.output_height(), l.output_width()],
-                            |n, m, ph, q| {
-                                view.peek_at(last.oact_plan.location([n, m, ph, q]))
-                                    .unwrap_or(0)
-                            },
-                        )
-                    };
-                    let mut report = NetworkReport {
-                        layers: std::mem::take(&mut summaries),
-                        stab_swaps: pp.swaps(),
-                    };
-                    scratch_bufs.stabs[seg] = Some(pp);
-                    adjust_report(&mut report, cs, &p.energy_model);
-                    segment_reports.push(SegmentSummary {
-                        nodes: cs.names.clone(),
-                        report,
-                        input_from_scratch,
-                    });
-                    if cs.graph_output {
-                        final_acc = Some(oacts.clone());
-                    }
-                    let quantized = quantize_to_i8(&oacts, p.quant_shift, p.quant_zero);
-                    displaced = fresh.take();
-                    fresh = Some((cs.output, quantized));
-                }
-                Op::Join { join } => {
-                    let spec = &p.joins[join];
-                    let a = take_operand(spec.a, &mut fresh, &mut queue, &broken)?;
-                    let b = take_operand(spec.b, &mut fresh, &mut queue, &broken)?;
-                    let (sum, saturated) = saturating_add_i8(&a, &b)?;
-                    join_reports.push(JoinSummary {
-                        name: spec.name.clone(),
-                        elements: sum.len() as u64,
-                        saturated,
-                    });
-                    if spec.graph_output {
-                        final_acc = Some(widen(&sum));
-                    }
-                    displaced = fresh.take();
-                    fresh = Some((spec.output, sum));
-                }
-                Op::Park { tensor } => {
-                    let (_, data) = displaced
-                        .take()
-                        .ok_or_else(|| broken("park without a displaced tensor"))?;
-                    scratch.park(p.tensors[tensor].key.clone(), data.as_slice().to_vec());
-                }
-            }
-        }
-
-        scratch_bufs.commit(p);
-        Ok(GraphRun {
-            oacts: final_acc.ok_or_else(|| broken("no op produced the graph output"))?,
-            report: GraphReport {
-                segments: segment_reports,
-                joins: join_reports,
-                scratch: *scratch.stats(),
-                scratch_peak_elems: scratch.peak_occupancy() as u64,
-            },
-        })
+        let mut runs = self.replay::<true>(scratch, std::slice::from_ref(iacts), weights)?;
+        Ok(runs.pop().expect("one run per sample"))
     }
 
     /// Replays the program once per input sample, executing every op a single
-    /// time across all samples in lane-vectorized lockstep — the batched
-    /// replay backend. Activations live in lane stripes (sample `l` occupies
-    /// lane `l` of every StaB cell), each BIRRD route gathers whole stripes,
-    /// and every piece of cycle/conflict/traffic accounting runs **once**:
-    /// the schedule, routes and access patterns are data-independent, so one
-    /// sample's accounting is every sample's accounting. The returned runs —
-    /// outputs *and* full reports — are bit-identical to calling
-    /// [`ProgramSession::run`] on each sample alone (the per-lane
-    /// [`JoinSummary`] saturation flags are the only data-dependent bits and
-    /// are computed per lane).
+    /// time across all samples in lane-vectorized lockstep. Activations live
+    /// in lane stripes (sample `l` occupies lane `l` of every StaB cell and
+    /// accumulator), and each folded BIRRD pass gathers whole stripes. It is
+    /// the same replay loop as [`ProgramSession::run`] — the scalar call is
+    /// its one-lane specialisation — so the returned runs, outputs *and*
+    /// reports, are bit-identical to calling `run` on each sample alone:
+    /// every lane gets [`Program::cost`] with its own join saturation counts.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -993,32 +761,42 @@ impl ProgramSession {
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
-        self.run_batched_with_scratch(&mut BatchedScratch::new(), iacts, weights)
+        self.run_batched_with_scratch(&mut ReplayScratch::new(), iacts, weights)
     }
 
-    /// [`ProgramSession::run_batched`] reusing `scratch`'s lane-striped StaB
-    /// allocations across calls, the batched analogue of
-    /// [`ProgramSession::run_with_scratch`]: a serving executor's steady
-    /// state allocates no buffer memory per batch. Results are bit-identical
-    /// to [`ProgramSession::run_batched`] with a fresh scratch.
+    /// [`ProgramSession::run_batched`] reusing `scratch`'s allocations across
+    /// calls, the batched analogue of [`ProgramSession::run_with_scratch`].
+    /// Results are bit-identical to [`ProgramSession::run_batched`] with a
+    /// fresh scratch.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
     /// missing weights.
     pub fn run_batched_with_scratch(
         &self,
-        scratch_bufs: &mut BatchedScratch,
+        scratch: &mut ReplayScratch,
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
-        let p = &*self.program;
-        let lanes = iacts.len();
-        if lanes == 0 {
+        if iacts.is_empty() {
             return Err(ArchError::InvalidWorkload(
                 "batched replay needs at least one sample".to_string(),
             ));
         }
-        for sample in iacts {
+        self.replay::<false>(scratch, iacts, weights)
+    }
+
+    /// The replay loop behind every entry point: one sample per lane,
+    /// `SCALAR` pinning the lane count to 1 at compile time.
+    fn replay<const SCALAR: bool>(
+        &self,
+        scratch: &mut ReplayScratch,
+        samples: &[Tensor4<i8>],
+        weights: &BTreeMap<NodeId, Tensor4<i8>>,
+    ) -> Result<Vec<GraphRun>, ArchError> {
+        let p = &*self.program;
+        let lanes = samples.len();
+        for sample in samples {
             if sample.shape() != p.input_shape {
                 return Err(ArchError::ShapeMismatch(format!(
                     "graph input shape {:?}, expected {:?}",
@@ -1027,29 +805,24 @@ impl ProgramSession {
                 )));
             }
         }
-        scratch_bufs.begin(p, lanes);
-        let threads = self.threads.or(p.threads);
-        let mut span_scratch = SpanScratch::new(p.config.rows, p.config.cols, lanes);
+        scratch.provision(p, lanes);
+        let ReplayScratch {
+            halves: [ping, pong],
+            acc,
+        } = scratch;
+        let (mut active, mut shadow) = (ping, pong);
+        let (shift, zero) = (p.quant_shift, p.quant_zero);
 
-        // Parked tensors hold `lanes` concatenated per-lane copies; the lane
-        // factor divides the region's accounting and occupancy back to one
-        // sample's numbers — exactly what every lane's report clones.
-        let mut scratch: ScratchRegion<i8> =
-            ScratchRegion::with_lane_factor(p.config.cols.max(1), lanes);
-        let mut fresh: Option<(usize, Vec<Tensor4<i8>>)> = Some((p.input_slot, iacts.to_vec()));
-        let mut displaced: Option<(usize, Vec<Tensor4<i8>>)> = None;
+        // One tensor per lane everywhere below. The fresh register starts
+        // out borrowing the caller's samples; the scratch region is one slot
+        // per tensor of the table.
+        let mut fresh: Option<Cow<'_, [Tensor4<i8>]>> = Some(Cow::Borrowed(samples));
+        let mut displaced: Option<Cow<'_, [Tensor4<i8>]>> = None;
         let mut queue: VecDeque<Vec<Tensor4<i8>>> = VecDeque::new();
-        // Segment reports are identical across lanes (all accounting is
-        // data-independent); join saturation is per lane.
-        let mut segment_reports: Vec<SegmentSummary> = Vec::with_capacity(p.segments.len());
-        let mut join_reports: Vec<Vec<JoinSummary>> =
-            vec![Vec::with_capacity(p.joins.len()); lanes];
+        let mut parked: Vec<Option<Vec<Tensor4<i8>>>> = vec![None; p.tensors.len()];
+        // Join saturation counts, join-major: the only data in a report.
+        let mut saturated: Vec<u64> = Vec::with_capacity(p.joins.len() * lanes);
         let mut final_acc: Option<Vec<Tensor4<i32>>> = None;
-
-        // In-flight segment state between its Stage and Drain ops.
-        let mut stab: Option<PingPong<i32>> = None;
-        let mut summaries: Vec<LayerSummary> = Vec::new();
-        let mut input_from_scratch = false;
 
         let broken = |what: &str| {
             ArchError::InvalidWorkload(format!("compiled program is inconsistent: {what}"))
@@ -1058,89 +831,55 @@ impl ProgramSession {
         for op in &p.ops {
             match *op {
                 Op::Unpark { tensor, free } => {
-                    let slot = &p.tensors[tensor];
-                    let missing = || {
+                    let slot = &mut parked[tensor];
+                    let data = if free { slot.take() } else { slot.clone() };
+                    queue.push_back(data.ok_or_else(|| {
                         ArchError::InvalidWorkload(format!(
                             "tensor t{} consumed before being produced or after being freed",
-                            slot.id
+                            p.tensors[tensor].id
                         ))
-                    };
-                    let data = if free {
-                        scratch.fetch(&slot.key).ok_or_else(missing)?;
-                        scratch.release(&slot.key).expect("fetched above")
-                    } else {
-                        scratch.fetch(&slot.key).ok_or_else(missing)?.to_vec()
-                    };
-                    let per_lane = data.len() / lanes;
-                    let tensors = data
-                        .chunks_exact(per_lane)
-                        .map(|chunk| Tensor4::from_vec(slot.shape, chunk.to_vec()))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    queue.push_back(tensors);
+                    })?);
                 }
                 Op::Stage {
                     seg,
                     fresh: from_fresh,
                     take,
                 } => {
-                    let input = if from_fresh {
-                        if take {
-                            fresh
-                                .take()
-                                .ok_or_else(|| broken("fresh operand missing"))?
-                                .1
-                        } else {
-                            fresh
-                                .as_ref()
-                                .ok_or_else(|| broken("fresh operand missing"))?
-                                .1
-                                .clone()
-                        }
+                    let moved;
+                    let input: &[Tensor4<i8>] = if !from_fresh {
+                        moved = Cow::Owned(
+                            queue
+                                .pop_front()
+                                .ok_or_else(|| broken("unpark queue is empty"))?,
+                        );
+                        &moved
+                    } else if take {
+                        moved = fresh
+                            .take()
+                            .ok_or_else(|| broken("fresh operand missing"))?;
+                        &moved
                     } else {
-                        queue
-                            .pop_front()
-                            .ok_or_else(|| broken("unpark queue is empty"))?
+                        fresh
+                            .as_deref()
+                            .ok_or_else(|| broken("fresh operand missing"))?
                     };
-                    input_from_scratch = !from_fresh;
-                    let cs = &p.segments[seg];
-                    let first = &cs.layers[0];
+                    let first = &p.segments[seg].layers[0].replay;
                     let l = &first.exec.layer;
                     let expected = [l.n, l.c, l.h, l.w];
-                    if input[0].shape() != expected {
+                    if let Some(bad) = input.iter().find(|t| t.shape() != expected) {
                         return Err(ArchError::ShapeMismatch(format!(
                             "iacts shape {:?}, expected {:?}",
-                            input[0].shape(),
+                            bad.shape(),
                             expected
                         )));
                     }
-                    let mut pp: PingPong<i32> = match scratch_bufs.stabs[seg].take() {
-                        Some(mut parked) => {
-                            parked.reset(first.iact_spec);
-                            parked
-                        }
-                        None => PingPong::with_lanes(first.iact_spec, lanes),
-                    };
-                    {
-                        let (active, _) = pp.split_mut();
-                        let mut view =
-                            LayoutView::new(active, &first.exec.mapping.iact_layout, &first.idims);
-                        // Lane 0 drives the coordinate walk; the other lanes
-                        // follow by flat index (`for_each` visits coordinates
-                        // in the row-major order `as_slice` stores).
-                        let rest: Vec<&[i8]> = input.iter().skip(1).map(|t| t.as_slice()).collect();
-                        let mut flat = 0usize;
-                        input[0].for_each(|coord, v| {
-                            let stripe = view.write_stripe_at(first.iact_plan.location(coord));
-                            stripe[0] = Some(v as i32);
-                            for (lane, data) in rest.iter().enumerate() {
-                                stripe[lane + 1] = Some(data[flat] as i32);
-                            }
-                            flat += 1;
+                    let cells = &mut active[..first.iact.cells() * lanes];
+                    cells.fill(0);
+                    for (lane, tensor) in input.iter().enumerate() {
+                        tensor.for_each(|coord, v| {
+                            cells[first.iact.cell(coord) * lanes + lane] = v as i32;
                         });
-                        view.flush_cycle();
                     }
-                    stab = Some(pp);
-                    summaries = Vec::with_capacity(cs.layers.len());
                 }
                 Op::Fire { seg, layer } => {
                     let cs = &p.segments[seg];
@@ -1154,204 +893,119 @@ impl ProgramSession {
                             ))
                         })?,
                     };
-                    check_weight_shape(&cl.exec.layer, lw)?;
-                    let pp = stab.as_mut().ok_or_else(|| broken("fire before stage"))?;
-                    pp.shadow().reshape(cl.oact_spec);
-                    if layer > 0 {
-                        pp.active().rebank(cl.iact_spec);
-                    }
-                    let iact_base = *pp.active_ref().stats();
-                    let oact_base = *pp.shadow_ref().stats();
-                    let core = {
-                        let (active, shadow) = pp.split_mut();
-                        let mut iact_view =
-                            LayoutView::new(active, &cl.exec.mapping.iact_layout, &cl.idims);
-                        let mut oact_view =
-                            LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                        run_conv_core_batched(
-                            &cl.exec,
-                            lw,
-                            &mut iact_view,
-                            &mut oact_view,
-                            &cl.routes,
-                            layer == 0,
-                            threads,
-                            lanes,
-                            &mut span_scratch,
-                        )?
-                    };
-                    let iact_stats = pp.active_ref().stats().since(&iact_base);
-                    let oact_stats = pp.shadow_ref().stats().since(&oact_base);
-                    summaries.push(layer_summary(
-                        &p.config,
-                        &p.energy_model,
-                        &cl.exec.layer,
-                        &core,
-                        iact_stats,
-                        oact_stats,
-                        layer == 0,
-                        layer + 1 == cs.layers.len(),
-                    ));
+                    check_weight_shape(&cl.replay.exec.layer, lw)?;
+                    shadow[..cl.replay.oact.cells() * lanes].fill(0);
+                    replay_fire::<SCALAR>(
+                        &cl.replay,
+                        &p.routes,
+                        lw.as_slice(),
+                        active,
+                        shadow,
+                        acc,
+                        lanes,
+                    );
                 }
                 Op::Reorder { seg, layer } => {
-                    let cl = &p.segments[seg].layers[layer];
-                    let pp = stab
-                        .as_mut()
-                        .ok_or_else(|| broken("reorder before stage"))?;
-                    let shadow = pp.shadow();
-                    let mut view = LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                    let (shift, zero) = (p.quant_shift, p.quant_zero);
-                    for_each_oact(&cl.exec.layer, |coord| {
-                        let stripe = view.poke_stripe_at(cl.oact_plan.location(coord));
-                        for cell in stripe.iter_mut() {
-                            let acc = cell.unwrap_or(0);
-                            *cell = Some(quantize_value(acc, shift, zero) as i32);
+                    let rl = &p.segments[seg].layers[layer].replay;
+                    for_each_oact(&rl.exec.layer, |coord| {
+                        let at = rl.oact.cell(coord) * lanes;
+                        for cell in &mut shadow[at..at + lanes] {
+                            *cell = quantize_value(*cell, shift, zero) as i32;
                         }
                     });
                 }
-                Op::Swap { .. } => {
-                    stab.as_mut()
-                        .ok_or_else(|| broken("swap before stage"))?
-                        .swap();
-                }
+                Op::Swap { .. } => std::mem::swap(&mut active, &mut shadow),
                 Op::Drain { seg } => {
                     let cs = &p.segments[seg];
-                    let last = cs.layers.last().expect("segments are non-empty");
-                    let mut pp = stab.take().ok_or_else(|| broken("drain before stage"))?;
-                    let oacts: Vec<Tensor4<i32>> = {
-                        let (active, _) = pp.split_mut();
-                        let view =
-                            LayoutView::new(active, &last.exec.mapping.oact_layout, &last.odims);
-                        let l = &last.exec.layer;
+                    let last = &cs.layers.last().expect("segments are non-empty").replay;
+                    let l = &last.exec.layer;
+                    let shape = [l.n, l.m, l.output_height(), l.output_width()];
+                    let cell = |lane: usize, coord: [usize; 4]| {
+                        active[last.oact.cell(coord) * lanes + lane]
+                    };
+                    let quantized = if cs.graph_output {
+                        let accs: Vec<Tensor4<i32>> = (0..lanes)
+                            .map(|lane| {
+                                Tensor4::from_fn(shape, |n, m, p, q| cell(lane, [n, m, p, q]))
+                            })
+                            .collect();
+                        let quantized = accs
+                            .iter()
+                            .map(|acc| quantize_to_i8(acc, shift, zero))
+                            .collect();
+                        final_acc = Some(accs);
+                        quantized
+                    } else {
                         (0..lanes)
                             .map(|lane| {
-                                Tensor4::from_fn(
-                                    [l.n, l.m, l.output_height(), l.output_width()],
-                                    |n, m, ph, q| {
-                                        view.peek_stripe_at(last.oact_plan.location([n, m, ph, q]))
-                                            [lane]
-                                            .unwrap_or(0)
-                                    },
-                                )
+                                Tensor4::from_fn(shape, |n, m, p, q| {
+                                    quantize_value(cell(lane, [n, m, p, q]), shift, zero)
+                                })
                             })
                             .collect()
                     };
-                    let mut report = NetworkReport {
-                        layers: std::mem::take(&mut summaries),
-                        stab_swaps: pp.swaps(),
-                    };
-                    scratch_bufs.stabs[seg] = Some(pp);
-                    adjust_report(&mut report, cs, &p.energy_model);
-                    segment_reports.push(SegmentSummary {
-                        nodes: cs.names.clone(),
-                        report,
-                        input_from_scratch,
-                    });
-                    if cs.graph_output {
-                        final_acc = Some(oacts.clone());
-                    }
-                    let quantized: Vec<Tensor4<i8>> = oacts
-                        .iter()
-                        .map(|o| quantize_to_i8(o, p.quant_shift, p.quant_zero))
-                        .collect();
-                    displaced = fresh.take();
-                    fresh = Some((cs.output, quantized));
+                    displaced = fresh.replace(Cow::Owned(quantized));
                 }
                 Op::Join { join } => {
                     let spec = &p.joins[join];
-                    let a = take_operand_lanes(spec.a, &mut fresh, &mut queue, &broken)?;
-                    let b = take_operand_lanes(spec.b, &mut fresh, &mut queue, &broken)?;
+                    let a = take_operand(spec.a, &mut fresh, &mut queue, &broken)?;
+                    let b = take_operand(spec.b, &mut fresh, &mut queue, &broken)?;
                     let mut sums: Vec<Tensor4<i8>> = Vec::with_capacity(lanes);
-                    for (lane, (la, lb)) in a.iter().zip(&b).enumerate() {
-                        let (sum, saturated) = saturating_add_i8(la, lb)?;
-                        join_reports[lane].push(JoinSummary {
-                            name: spec.name.clone(),
-                            elements: sum.len() as u64,
-                            saturated,
-                        });
+                    for (la, lb) in a.iter().zip(b.iter()) {
+                        let (sum, clamped) = saturating_add_i8(la, lb)?;
+                        saturated.push(clamped);
                         sums.push(sum);
                     }
                     if spec.graph_output {
                         final_acc = Some(sums.iter().map(widen).collect());
                     }
-                    displaced = fresh.take();
-                    fresh = Some((spec.output, sums));
+                    displaced = fresh.replace(Cow::Owned(sums));
                 }
                 Op::Park { tensor } => {
-                    let (_, data) = displaced
+                    let data = displaced
                         .take()
                         .ok_or_else(|| broken("park without a displaced tensor"))?;
-                    let mut flat: Vec<i8> = Vec::with_capacity(data.len() * data[0].len());
-                    for lane in &data {
-                        flat.extend_from_slice(lane.as_slice());
-                    }
-                    scratch.park(p.tensors[tensor].key.clone(), flat);
+                    parked[tensor] = Some(data.into_owned());
                 }
             }
         }
 
         let final_acc = final_acc.ok_or_else(|| broken("no op produced the graph output"))?;
-        scratch_bufs.commit(p, lanes);
-        let scratch_stats = *scratch.stats();
-        let scratch_peak = scratch.peak_occupancy() as u64;
+        if saturated.len() != p.cost.joins.len() * lanes {
+            return Err(broken("a join did not cover every lane"));
+        }
         Ok(final_acc
             .into_iter()
             .enumerate()
-            .map(|(lane, oacts)| GraphRun {
-                oacts,
-                report: GraphReport {
-                    segments: segment_reports.clone(),
-                    joins: std::mem::take(&mut join_reports[lane]),
-                    scratch: scratch_stats,
-                    scratch_peak_elems: scratch_peak,
-                },
+            .map(|(lane, oacts)| {
+                let mut report = p.cost.clone();
+                for (join, summary) in report.joins.iter_mut().enumerate() {
+                    summary.saturated = saturated[join * lanes + lane];
+                }
+                GraphRun { oacts, report }
             })
             .collect())
     }
 }
 
-/// [`take_operand`] for the batched executor: one tensor per lane.
-fn take_operand_lanes(
+/// Resolves a join operand (one tensor per lane) from the fresh register or
+/// the unpark queue.
+fn take_operand<'a>(
     src: OperandSrc,
-    fresh: &mut Option<(usize, Vec<Tensor4<i8>>)>,
+    fresh: &mut Option<Cow<'a, [Tensor4<i8>]>>,
     queue: &mut VecDeque<Vec<Tensor4<i8>>>,
     broken: &impl Fn(&str) -> ArchError,
-) -> Result<Vec<Tensor4<i8>>, ArchError> {
+) -> Result<Cow<'a, [Tensor4<i8>]>, ArchError> {
     match src {
-        OperandSrc::Fresh { take: true } => Ok(fresh
-            .take()
-            .ok_or_else(|| broken("fresh operand missing"))?
-            .1),
-        OperandSrc::Fresh { take: false } => Ok(fresh
-            .as_ref()
-            .ok_or_else(|| broken("fresh operand missing"))?
-            .1
-            .clone()),
+        OperandSrc::Fresh { take: true } => {
+            fresh.take().ok_or_else(|| broken("fresh operand missing"))
+        }
+        OperandSrc::Fresh { take: false } => {
+            fresh.clone().ok_or_else(|| broken("fresh operand missing"))
+        }
         OperandSrc::Queue => queue
             .pop_front()
-            .ok_or_else(|| broken("unpark queue is empty")),
-    }
-}
-
-/// Resolves a join operand from the fresh register or the unpark queue.
-fn take_operand(
-    src: OperandSrc,
-    fresh: &mut Option<(usize, Tensor4<i8>)>,
-    queue: &mut VecDeque<Tensor4<i8>>,
-    broken: &impl Fn(&str) -> ArchError,
-) -> Result<Tensor4<i8>, ArchError> {
-    match src {
-        OperandSrc::Fresh { take: true } => Ok(fresh
-            .take()
-            .ok_or_else(|| broken("fresh operand missing"))?
-            .1),
-        OperandSrc::Fresh { take: false } => Ok(fresh
-            .as_ref()
-            .ok_or_else(|| broken("fresh operand missing"))?
-            .1
-            .clone()),
-        OperandSrc::Queue => queue
-            .pop_front()
+            .map(Cow::Owned)
             .ok_or_else(|| broken("unpark queue is empty")),
     }
 }
@@ -1379,6 +1033,110 @@ fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &Ene
         let layer = &mut report.layers[i].report;
         layer.energy.dram_pj = energy.dram_pj(layer.dram_bytes());
     }
+}
+
+/// Assembles [`Program::cost`] by walking the op stream symbolically: each
+/// `Drain` turns its segment's recorded layer costs into a report entry,
+/// each `Join` contributes its shape, and `Park`/`Unpark` drive a real
+/// [`ScratchRegion`] (over zeros) so shortcut traffic is counted by the code
+/// that defines it. `None` when the stream is inconsistent — an index past
+/// its table, an op outside its segment's `Stage`…`Drain` bracket, a fetch of
+/// a tensor that is not parked — which is also what makes every index the
+/// replay loop and [`Program::dump`] follow safe.
+fn cost_of(
+    config: &FeatherConfig,
+    energy: &EnergyModel,
+    tensors: &[TensorSlot],
+    segments: &[CompiledSegment],
+    joins: &[JoinSpec],
+    ops: &[Op],
+) -> Option<GraphReport> {
+    let elems = |tensor: usize| -> Option<usize> {
+        let shape = tensors.get(tensor)?.shape;
+        let elems = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+        (elems <= MAX_ARTIFACT_ELEMS).then_some(elems)
+    };
+    for seg in segments {
+        tensors.get(seg.input)?;
+        tensors.get(seg.output)?;
+    }
+    let mut scratch: ScratchRegion<i8> = ScratchRegion::new(config.cols.max(1));
+    let mut report = GraphReport {
+        segments: Vec::with_capacity(segments.len()),
+        joins: Vec::with_capacity(joins.len()),
+        scratch: AccessStats::new(),
+        scratch_peak_elems: 0,
+    };
+    // The segment between its Stage and Drain: (index, staged from the
+    // scratch region, swaps so far).
+    let mut in_flight: Option<(usize, bool, u64)> = None;
+    for op in ops {
+        match *op {
+            Op::Stage { seg, fresh, .. } => {
+                segments.get(seg)?;
+                in_flight = Some((seg, !fresh, 0));
+            }
+            Op::Fire { seg, layer } | Op::Reorder { seg, layer } => {
+                segments.get(seg)?.layers.get(layer)?;
+                in_flight.filter(|(s, ..)| *s == seg)?;
+            }
+            Op::Swap { seg } => {
+                let (_, _, swaps) = in_flight.as_mut().filter(|(s, ..)| *s == seg)?;
+                *swaps += 1;
+            }
+            Op::Drain { seg } => {
+                let (_, input_from_scratch, stab_swaps) =
+                    in_flight.take().filter(|(s, ..)| *s == seg)?;
+                let cs = &segments[seg];
+                let last = cs.layers.len() - 1;
+                let layers = cs
+                    .layers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, cl)| {
+                        layer_summary(
+                            config,
+                            energy,
+                            &cl.replay.exec.layer,
+                            &cl.cost.core,
+                            cl.cost.iact,
+                            cl.cost.oact,
+                            i == 0,
+                            i == last,
+                        )
+                    })
+                    .collect();
+                let mut network = NetworkReport { layers, stab_swaps };
+                adjust_report(&mut network, cs, energy);
+                report.segments.push(SegmentSummary {
+                    nodes: cs.names.clone(),
+                    report: network,
+                    input_from_scratch,
+                });
+            }
+            Op::Join { join } => {
+                let spec = joins.get(join)?;
+                report.joins.push(JoinSummary {
+                    name: spec.name.clone(),
+                    elements: elems(spec.output)? as u64,
+                    saturated: 0,
+                });
+            }
+            Op::Park { tensor } => {
+                scratch.park(tensors.get(tensor)?.key.clone(), vec![0; elems(tensor)?]);
+            }
+            Op::Unpark { tensor, free } => {
+                let key = &tensors.get(tensor)?.key;
+                scratch.fetch(key)?;
+                if free {
+                    scratch.release(key);
+                }
+            }
+        }
+    }
+    report.scratch = *scratch.stats();
+    report.scratch_peak_elems = scratch.peak_occupancy() as u64;
+    Some(report)
 }
 
 // ------------------------------------------------------------------ compile
@@ -1414,11 +1172,14 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_slot = slot_of[&graph.input()];
     let input_shape = tensors[input_slot].shape;
 
-    // Compile every segment: build the owned layer contexts and record each
-    // layer's route stream with a zero-input pass that replicates the
-    // interpreted StaB sequence exactly (routes are data-independent).
+    // Compile every segment: build the owned layer contexts and run each
+    // layer's accounted tile loop once over zeroed buffers, replicating the
+    // interpreted StaB sequence exactly. Routes and costs are
+    // data-independent, so this one pass records the BIRRD pass stream every
+    // replay will consume and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
-    let mut span_scratch = SpanScratch::new(config.rows, config.cols, 1);
+    let mut span_scratch = SpanScratch::new(config.rows, config.cols);
+    let mut recorder = RouteRecorder::default();
     for exec in &session.segments {
         let seg = &exec.segment;
         let steps = exec.session.steps();
@@ -1450,8 +1211,9 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
             if i > 0 {
                 stab.active().rebank(ispec);
             }
-            let mut recorder = RouteRecorder::new();
-            {
+            let iact_base = *stab.active_ref().stats();
+            let oact_base = *stab.shadow_ref().stats();
+            let core = {
                 let (active, shadow) = stab.split_mut();
                 let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
                 let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
@@ -1464,20 +1226,24 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                     i == 0,
                     Some(1),
                     &mut span_scratch,
-                )?;
-            }
+                )?
+            };
+            let cost = LayerCost {
+                core,
+                iact: stab.active_ref().stats().since(&iact_base),
+                oact: stab.shadow_ref().stats().since(&oact_base),
+            };
             stab.swap();
 
             layers.push(CompiledLayer {
-                exec,
+                replay: ReplayLayer::new(
+                    exec,
+                    ispec.capacity(),
+                    ospec.capacity(),
+                    recorder.finish_layer(),
+                )?,
                 weight,
-                iact_spec: ispec,
-                oact_spec: ospec,
-                idims,
-                odims,
-                iact_plan: crate::core::iact_plan(&mapping.iact_layout, layer),
-                oact_plan: crate::core::oact_plan(&mapping.oact_layout, layer),
-                routes: recorder.into_stream(),
+                cost,
             });
         }
 
@@ -1581,21 +1347,33 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         }
     }
 
+    let routes = recorder.into_table();
+    let cost = cost_of(
+        &config,
+        &session.energy_model,
+        &tensors,
+        &segments,
+        &joins,
+        &ops,
+    )
+    .ok_or_else(|| {
+        ArchError::InvalidWorkload("compiled program is inconsistent: op stream".to_string())
+    })?;
     Ok(Program {
         name: graph.name.clone(),
         config,
         batch,
         quant_shift,
         quant_zero,
-        threads: session.segments[0].session.threads(),
         input_shape,
         input_slot,
         fingerprint: session_fingerprint(session),
-        energy_model: session.energy_model,
         tensors,
         segments,
         joins,
         ops,
+        routes,
+        cost,
     })
 }
 
@@ -1676,13 +1454,9 @@ pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
     let config = session.config();
     let (shift, zero) = session.quantization();
     let mut text = String::new();
-    let threads = match session.segments[0].session.threads() {
-        Some(n) => n.to_string(),
-        None => "auto".to_string(),
-    };
     let _ = writeln!(
         text,
-        "program|{}|rows={}|cols={}|stab={}|strb={}|batch={}|shift={shift}|zero={zero}|threads={threads}",
+        "program|{}|rows={}|cols={}|stab={}|strb={}|batch={}|shift={shift}|zero={zero}",
         graph.name,
         config.rows,
         config.cols,
@@ -1751,20 +1525,32 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 // -------------------------------------------------------------------- load
 
-/// Parses a serialized program; `None` on any malformed content, including
-/// a missing or mismatched trailing checksum line.
+/// The trailing integrity line for `body`: every byte of an artifact is
+/// covered either by the hash or by this line's fixed spelling.
+fn checksum_line(body: &str) -> String {
+    format!("checksum {:016x}\n", fnv1a64(body.as_bytes()))
+}
+
+/// Parses a serialized program; `None` on any malformed or inconsistent
+/// content, including a missing or mismatched trailing checksum line.
+///
+/// Everything the artifact names is checked here — op operands against
+/// their tables (by [`cost_of`]), route streams against the folded route
+/// table by a dry cursor walk ([`ReplayLayer::stream_is_sound`]), layers and
+/// mappings against the fabric and each other, sizes against
+/// [`MAX_ARTIFACT_ELEMS`] — so a program that loads replays without ever
+/// indexing out of range.
 fn parse_program(text: &str) -> Option<Program> {
     // The artifact ends with `checksum <fnv1a64-hex>` covering every byte
     // before it; verify that first so truncation or bit flips anywhere in
-    // the body fail fast instead of surfacing as a puzzling parse error.
+    // the body fail fast instead of surfacing as a puzzling parse error. The
+    // line is compared as text, so no byte of it has a second spelling.
     let sum_at = text.rfind("checksum ")?;
     if sum_at != 0 && text.as_bytes()[sum_at - 1] != b'\n' {
         return None;
     }
-    let expected =
-        u64::from_str_radix(text[sum_at..].trim_end().strip_prefix("checksum ")?, 16).ok()?;
-    let covered = &text[..sum_at];
-    if fnv1a64(covered.as_bytes()) != expected {
+    let (covered, sum_line) = text.split_at(sum_at);
+    if sum_line != checksum_line(covered) {
         return None;
     }
 
@@ -1779,9 +1565,8 @@ fn parse_program(text: &str) -> Option<Program> {
         mapping: LayerMapping,
         pool: bool,
         weight_node: usize,
-        requests: Vec<ReductionRequest>,
-        stream: Vec<u32>,
-        block_starts: Vec<u32>,
+        cost: Option<LayerCost>,
+        routes: LayerStream,
     }
     struct SegmentParts {
         input: usize,
@@ -1790,17 +1575,23 @@ fn parse_program(text: &str) -> Option<Program> {
         graph_output: bool,
         layers: Vec<LayerParts>,
     }
+    fn layer_of(
+        segments: &mut [SegmentParts],
+        (si, li): (usize, usize),
+    ) -> Option<&mut LayerParts> {
+        segments.get_mut(si)?.layers.get_mut(li)
+    }
 
     let mut name = String::new();
     let mut config: Option<FeatherConfig> = None;
     let mut batch = 0usize;
     let mut quant_shift = 0u32;
     let mut quant_zero = 0i8;
-    let mut threads: Option<usize> = None;
     let mut fingerprint = 0u64;
     let mut input_slot = 0usize;
     let mut tensors: Vec<TensorSlot> = Vec::new();
     let mut segments: Vec<SegmentParts> = Vec::new();
+    let mut requests: Vec<(usize, ReductionRequest)> = Vec::new();
     let mut joins: Vec<JoinSpec> = Vec::new();
     let mut ops: Vec<Op> = Vec::new();
 
@@ -1817,6 +1608,10 @@ fn parse_program(text: &str) -> Option<Program> {
             .collect();
         let get =
             |key: &str| -> Option<&str> { kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v) };
+        // The layer a `seg=`/`layer=` pair addresses.
+        let layer_at = || -> Option<(usize, usize)> {
+            Some((get("seg")?.parse().ok()?, get("layer")?.parse().ok()?))
+        };
         match tag {
             "meta" => {
                 name = unesc(get("name")?);
@@ -1829,16 +1624,12 @@ fn parse_program(text: &str) -> Option<Program> {
                 batch = get("batch")?.parse().ok()?;
                 quant_shift = get("shift")?.parse().ok()?;
                 quant_zero = get("zero")?.parse().ok()?;
-                threads = match get("threads")? {
-                    "auto" => None,
-                    n => Some(n.parse().ok()?),
-                };
                 fingerprint = u64::from_str_radix(get("fp")?, 16).ok()?;
                 input_slot = get("input")?.parse().ok()?;
             }
             "tensor" => {
                 let id: usize = get("id")?.parse().ok()?;
-                let shape = parse_usizes::<4>(get("shape")?)?;
+                let shape = parse_ints::<usize, 4>(get("shape")?)?;
                 tensors.push(TensorSlot {
                     id,
                     key: format!("t{id}"),
@@ -1856,25 +1647,19 @@ fn parse_program(text: &str) -> Option<Program> {
             }
             "layer" => {
                 let si: usize = get("seg")?.parse().ok()?;
-                let conv = get("conv")?;
-                let mut fields = conv.split(',');
-                let n: usize = fields.next()?.parse().ok()?;
-                let m: usize = fields.next()?.parse().ok()?;
-                let c: usize = fields.next()?.parse().ok()?;
-                let h: usize = fields.next()?.parse().ok()?;
-                let w: usize = fields.next()?.parse().ok()?;
-                let r: usize = fields.next()?.parse().ok()?;
-                let s: usize = fields.next()?.parse().ok()?;
-                let stride: usize = fields.next()?.parse().ok()?;
-                let padding: usize = fields.next()?.parse().ok()?;
-                let kind = parse_kind(fields.next()?)?;
+                let (dims, kind) = get("conv")?.rsplit_once(',')?;
+                let dims = parse_ints::<usize, 9>(dims)?;
+                if dims.iter().any(|&d| d > MAX_ARTIFACT_ELEMS) {
+                    return None;
+                }
+                let [n, m, c, h, w, r, s, stride, padding] = dims;
                 let layer_name = unesc(get("name")?);
                 let mut layer = ConvLayer::new(n, m, c, h, w, r, s)
                     .with_stride(stride)
                     .with_padding(padding)
                     .with_name(layer_name.clone());
-                layer.kind = kind;
-                let map = parse_usizes::<3>(get("map")?)?;
+                layer.kind = parse_kind(kind)?;
+                let map = parse_ints::<usize, 3>(get("map")?)?;
                 let mapping = LayerMapping {
                     m_rows: map[0],
                     c_cols: map[1],
@@ -1892,14 +1677,38 @@ fn parse_program(text: &str) -> Option<Program> {
                     mapping,
                     pool,
                     weight_node,
-                    requests: Vec::new(),
-                    stream: Vec::new(),
-                    block_starts: Vec::new(),
+                    cost: None,
+                    routes: LayerStream::default(),
                 });
             }
-            "slot" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let li: usize = get("layer")?.parse().ok()?;
+            "cost" => {
+                let [cycles, birrd_passes, birrd_adds, macs] = parse_ints::<u64, 4>(get("core")?)?;
+                layer_of(&mut segments, layer_at()?)?.cost = Some(LayerCost {
+                    core: CoreRun {
+                        cycles,
+                        birrd_passes,
+                        birrd_adds,
+                        macs,
+                    },
+                    iact: parse_stats(get("iact")?)?,
+                    oact: parse_stats(get("oact")?)?,
+                });
+            }
+            "stream" => {
+                layer_of(&mut segments, layer_at()?)?.routes.stream = rle_decode(line)?;
+            }
+            "blocks" => {
+                let mut acc = 0u32;
+                let starts = rle_decode(line)?
+                    .iter()
+                    .map(|&d| {
+                        acc = acc.checked_add(d)?;
+                        Some(acc)
+                    })
+                    .collect::<Option<Vec<u32>>>()?;
+                layer_of(&mut segments, layer_at()?)?.routes.block_starts = starts;
+            }
+            "route" => {
                 let input_groups: Vec<Option<usize>> = get("groups")?
                     .split(',')
                     .map(|tok| {
@@ -1911,42 +1720,29 @@ fn parse_program(text: &str) -> Option<Program> {
                     })
                     .collect::<Option<Vec<_>>>()?;
                 let mut group_destinations = BTreeMap::new();
-                let dests = get("dests")?;
-                if !dests.is_empty() {
-                    for pair in dests.split(',') {
-                        let (gid, bank) = pair.split_once(':')?;
-                        group_destinations.insert(gid.parse().ok()?, bank.parse().ok()?);
-                    }
+                for pair in get("dests")?.split(',').filter(|pair| !pair.is_empty()) {
+                    let (gid, bank) = pair.split_once(':')?;
+                    group_destinations.insert(gid.parse().ok()?, bank.parse().ok()?);
                 }
-                segments
-                    .get_mut(si)?
-                    .layers
-                    .get_mut(li)?
-                    .requests
-                    .push(ReductionRequest {
-                        input_groups,
-                        group_destinations,
-                    });
-            }
-            "stream" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let li: usize = get("layer")?.parse().ok()?;
-                let values = rle_decode(line)?;
-                segments.get_mut(si)?.layers.get_mut(li)?.stream = values;
-            }
-            "blocks" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let li: usize = get("layer")?.parse().ok()?;
-                let deltas = rle_decode(line)?;
-                let mut acc = 0u32;
-                let starts = deltas
+                let request = ReductionRequest {
+                    input_groups,
+                    group_destinations,
+                };
+                // Only a request `from_groups` would build is well-formed
+                // (the router indexes destinations by group unchecked).
+                let groups: Vec<(Vec<usize>, usize)> = request
+                    .group_destinations
                     .iter()
-                    .map(|&d| {
-                        acc = acc.checked_add(d)?;
-                        Some(acc)
+                    .map(|(&gid, &bank)| {
+                        let ports = request.input_groups.iter().enumerate();
+                        let members = ports.filter(|(_, g)| **g == Some(gid));
+                        (members.map(|(port, _)| port).collect(), bank)
                     })
-                    .collect::<Option<Vec<u32>>>()?;
-                segments.get_mut(si)?.layers.get_mut(li)?.block_starts = starts;
+                    .collect();
+                if ReductionRequest::from_groups(request.width(), &groups).ok()? != request {
+                    return None;
+                }
+                requests.push((get("c")?.parse().ok()?, request));
             }
             "join" => {
                 joins.push(JoinSpec {
@@ -1998,19 +1794,42 @@ fn parse_program(text: &str) -> Option<Program> {
     }
 
     let config = config?;
-    let energy_model = EnergyModel::tsmc28();
+    if config.rows == 0 {
+        return None;
+    }
+    let birrd = Birrd::new(config.cols).ok()?;
+    let routes = RouteTable::from_requests(&birrd, requests).ok()?;
     let mut compiled_segments: Vec<CompiledSegment> = Vec::with_capacity(segments.len());
     for seg in segments {
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(seg.layers.len());
         let mut names: Vec<String> = Vec::with_capacity(seg.layers.len());
         for lp in seg.layers {
+            // Validate before building: the tile-loop context divides by the
+            // mapping factors and tabulates every extent.
+            lp.layer.validate().ok()?;
+            lp.mapping.validate(&lp.layer, &config).ok()?;
+            let l = &lp.layer;
+            let (p, q) = (l.output_height(), l.output_width());
+            for extents in [[l.n, l.c, l.h, l.w], [l.n, l.m, p, q]] {
+                let elems = extents.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+                if elems > MAX_ARTIFACT_ELEMS {
+                    return None;
+                }
+            }
             let exec = LayerExec::new(&config, &lp.layer, &lp.mapping).ok()?;
-            let routes =
-                RouteStream::recompile(exec.birrd(), lp.requests, lp.stream, lp.block_starts)
-                    .ok()?;
-            // The block table must cover every (wt_m, wt_c, n) work block or
-            // replay would index out of range.
-            if routes.block_starts.len() != exec.block_count() {
+            let replay = ReplayLayer::new(
+                exec,
+                iact_spec(&lp.layer, &lp.mapping).capacity(),
+                oact_spec(&lp.layer, &lp.mapping).capacity(),
+                lp.routes,
+            )
+            .ok()?;
+            // The RIR boundary contract: a layer reads the very cells the
+            // previous one wrote.
+            let chains = layers.last().map_or(true, |prev: &CompiledLayer| {
+                prev.replay.oact.cells() == replay.iact.cells()
+            });
+            if !chains || !replay.stream_is_sound(&routes) {
                 return None;
             }
             let weight = if lp.pool {
@@ -2020,15 +1839,9 @@ fn parse_program(text: &str) -> Option<Program> {
             };
             names.push(lp.name);
             layers.push(CompiledLayer {
-                iact_spec: iact_spec(&lp.layer, &lp.mapping),
-                oact_spec: oact_spec(&lp.layer, &lp.mapping),
-                idims: lp.layer.iact_dim_sizes(),
-                odims: lp.layer.oact_dim_sizes(),
-                iact_plan: crate::core::iact_plan(&lp.mapping.iact_layout, &lp.layer),
-                oact_plan: crate::core::oact_plan(&lp.mapping.oact_layout, &lp.layer),
-                exec,
+                replay,
                 weight,
-                routes,
+                cost: lp.cost?,
             });
         }
         if layers.is_empty() {
@@ -2043,25 +1856,30 @@ fn parse_program(text: &str) -> Option<Program> {
             layers,
         });
     }
-    if tensors.get(input_slot).is_none() || compiled_segments.is_empty() {
-        return None;
-    }
-    let input_shape = tensors[input_slot].shape;
+    let input_shape = tensors.get(input_slot)?.shape;
+    let cost = cost_of(
+        &config,
+        &EnergyModel::tsmc28(),
+        &tensors,
+        &compiled_segments,
+        &joins,
+        &ops,
+    )?;
     Some(Program {
         name,
         config,
         batch,
         quant_shift,
         quant_zero,
-        threads,
         input_shape,
         input_slot,
         fingerprint,
-        energy_model,
         tensors,
         segments: compiled_segments,
         joins,
         ops,
+        routes,
+        cost,
     })
 }
 
@@ -2101,7 +1919,7 @@ fn parse_operand(token: &str) -> Option<OperandSrc> {
     }
 }
 
-fn join_usizes(values: &[usize]) -> String {
+fn join_ints<T: ToString>(values: &[T]) -> String {
     values
         .iter()
         .map(|v| v.to_string())
@@ -2109,12 +1927,38 @@ fn join_usizes(values: &[usize]) -> String {
         .join(",")
 }
 
-fn parse_usizes<const N: usize>(text: &str) -> Option<[usize; N]> {
-    let parsed: Vec<usize> = text
+fn parse_ints<T: std::str::FromStr, const N: usize>(text: &str) -> Option<[T; N]> {
+    let parsed: Vec<T> = text
         .split(',')
         .map(|tok| tok.parse().ok())
         .collect::<Option<Vec<_>>>()?;
     parsed.try_into().ok()
+}
+
+/// The six counters of an [`AccessStats`], in artifact order.
+fn stats_fields(stats: &AccessStats) -> [u64; 6] {
+    [
+        stats.element_reads,
+        stats.element_writes,
+        stats.line_reads,
+        stats.line_writes,
+        stats.active_cycles,
+        stats.conflict_stall_cycles,
+    ]
+}
+
+/// Reverses [`stats_fields`].
+fn parse_stats(text: &str) -> Option<AccessStats> {
+    let [element_reads, element_writes, line_reads, line_writes, active_cycles, conflict_stall_cycles] =
+        parse_ints::<u64, 6>(text)?;
+    Some(AccessStats {
+        element_reads,
+        element_writes,
+        line_reads,
+        line_writes,
+        active_cycles,
+        conflict_stall_cycles,
+    })
 }
 
 /// First differences of a non-decreasing sequence (starting from zero), the
@@ -2166,6 +2010,9 @@ fn rle_decode(line: &str) -> Option<Vec<u32>> {
             Some((v, n)) => {
                 let v: u32 = v.parse().ok()?;
                 let n: usize = n.parse().ok()?;
+                if n > MAX_ARTIFACT_ELEMS - values.len() {
+                    return None;
+                }
                 values.extend(std::iter::repeat(v).take(n));
             }
             None => values.push(tok.parse().ok()?),
@@ -2291,19 +2138,41 @@ mod tests {
         let weights = g.random_weights(22);
         let interpreted = session.run(&iacts, &weights).unwrap();
         let replay = ProgramSession::new(session.compile().unwrap());
-        // Replay twice (a serving process reuses one program) and once with
-        // explicit sharding — all bit-identical.
+        // Replay twice (a serving process reuses one program) and from
+        // several threads at once through the shared `&self` — all
+        // bit-identical.
         let first = replay.run(&iacts, &weights).unwrap();
         let second = replay.run(&iacts, &weights).unwrap();
-        let sharded = replay
-            .clone()
-            .with_threads(3)
-            .run(&iacts, &weights)
-            .unwrap();
         assert_eq!(first.report, interpreted.report);
         assert_eq!(second.report, interpreted.report);
-        assert_eq!(sharded.oacts, interpreted.oacts);
-        assert_eq!(sharded.report, interpreted.report);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| replay.run(&iacts, &weights).unwrap()))
+                .collect();
+            for handle in handles {
+                let run = handle.join().unwrap();
+                assert_eq!(run.oacts, interpreted.oacts);
+                assert_eq!(run.report, interpreted.report);
+            }
+        });
+    }
+
+    /// The cost oracle: available without executing anything, equal to the
+    /// interpreted report up to join saturation, and preserved by artifacts.
+    #[test]
+    fn cost_is_the_interpreted_report_without_saturation() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let program = session.compile().unwrap();
+        let run = session
+            .run(&Tensor4::random([1, 4, 6, 6], 5), &g.random_weights(6))
+            .unwrap();
+        let mut expected = run.report;
+        expected.joins.iter_mut().for_each(|j| j.saturated = 0);
+        assert_eq!(program.cost(), &expected);
+        assert!(program.cost().total_cycles() > 0);
+        let reloaded = parse_program(&program.serialize()).expect("artifact loads");
+        assert_eq!(reloaded.cost(), program.cost());
     }
 
     #[test]
@@ -2358,7 +2227,7 @@ mod tests {
             .map(|seed| Tensor4::random([1, 4, 6, 6], 80 + seed))
             .collect();
 
-        let mut scratch = BatchedScratch::new();
+        let mut scratch = ReplayScratch::new();
         for lanes in [1usize, 2, 4] {
             let batch = &samples[..lanes];
             let fresh = replay.run_batched(batch, &weights).unwrap();
@@ -2376,17 +2245,6 @@ mod tests {
                     "lane {lane} reused report"
                 );
             }
-        }
-        // Sharded batched replay stays exact too.
-        let sharded = replay
-            .clone()
-            .with_threads(3)
-            .run_batched(&samples, &weights)
-            .unwrap();
-        for (lane, sample) in samples.iter().enumerate() {
-            let solo = replay.run(sample, &weights).unwrap();
-            assert_eq!(sharded[lane].oacts, solo.oacts, "lane {lane} sharded");
-            assert_eq!(sharded[lane].report, solo.report, "lane {lane} sharded");
         }
         assert!(replay.run_batched(&[], &weights).is_err());
     }
@@ -2415,7 +2273,7 @@ mod tests {
         };
 
         let mut scratch = ReplayScratch::new();
-        let mut lane_scratch = BatchedScratch::new();
+        let mut lane_scratch = ReplayScratch::new();
         let mut reports = Vec::new();
         for round in 0..4 {
             let which = round % 2;
@@ -2467,7 +2325,7 @@ mod tests {
             g.conv(g.input(), layer.clone()).unwrap();
             let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
             let program = session.compile().unwrap();
-            let mapping = &program.segments[0].layers[0].exec.mapping;
+            let mapping = &program.segments[0].layers[0].replay.exec.mapping;
             assert_ne!(
                 layer.m % mapping.m_rows,
                 0,
@@ -2494,17 +2352,13 @@ mod tests {
                 .collect();
 
             let replay = ProgramSession::new(program);
-            let sharded = replay.clone().with_threads(3);
             for (sample, want) in samples.iter().zip(&golden) {
                 assert_eq!(&session.run(sample, &weights).unwrap().oacts, want);
                 assert_eq!(&replay.run(sample, &weights).unwrap().oacts, want);
-                assert_eq!(&sharded.run(sample, &weights).unwrap().oacts, want);
             }
-            for session in [&replay, &sharded] {
-                let lanes = session.run_batched(&samples, &weights).unwrap();
-                for (lane, want) in lanes.iter().zip(&golden) {
-                    assert_eq!(&lane.oacts, want, "{} batched", layer.name);
-                }
+            let lanes = replay.run_batched(&samples, &weights).unwrap();
+            for (lane, want) in lanes.iter().zip(&golden) {
+                assert_eq!(&lane.oacts, want, "{} batched", layer.name);
             }
         }
     }

@@ -298,12 +298,6 @@ impl NetworkSession {
         &self.route_cache
     }
 
-    /// The pinned executor worker count (`None` = auto-size per layer) — a
-    /// compiled program captures it so replay shards identically.
-    pub(crate) fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// Counters of the session's shared compiled-route cache (hits, misses,
     /// evictions, resident programs). Batched copies made with
     /// [`NetworkSession::with_batch`] share the same cache, so their traffic
@@ -370,7 +364,7 @@ impl NetworkSession {
         }
 
         let route_cache = &*self.route_cache;
-        let mut span_scratch = SpanScratch::new(self.config.rows, self.config.cols, 1);
+        let mut span_scratch = SpanScratch::new(self.config.rows, self.config.cols);
         let mut summaries: Vec<LayerSummary> = Vec::with_capacity(self.steps.len());
         let num_layers = self.steps.len();
 

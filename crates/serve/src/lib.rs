@@ -33,8 +33,8 @@
 //!   first); every later request replays the resident
 //!   [`feather::ProgramSession`] with zero planning or per-layer dispatch
 //!   work. [`ProgramCacheStats`] exposes the hit/miss/evict counters, and
-//!   each worker reuses a [`feather::ReplayScratch`] per (model, batch) so
-//!   steady-state replay allocates no buffer memory either.
+//!   each worker reuses one [`feather::ReplayScratch`] so steady-state
+//!   replay allocates no buffer memory either.
 //! - **Per-tenant accounting** — [`ServerStats`]/[`TenantStats`] aggregate
 //!   latency plus the modeled cycle and DRAM-byte totals of each batch,
 //!   divided across its requests. Counters are sharded per worker and

@@ -28,8 +28,8 @@
 //! first), and every later request replays the cached [`ProgramSession`]
 //! with zero planning, hashing or per-layer dispatch work —
 //! [`ProgramCacheStats`] counts exactly that. Each worker additionally
-//! keeps a [`ReplayScratch`] per (model, batch) it has served, so
-//! steady-state replay allocates no buffer memory either.
+//! keeps one [`ReplayScratch`] for everything it serves, so steady-state
+//! replay allocates no buffer memory either.
 //!
 //! The server is **fault tolerant**. Replays run under `catch_unwind`: a
 //! panicking worker resolves only its own batch (retrying members with
@@ -54,8 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use feather::{
-    ArtifactStatus, BatchedScratch, FeatherConfig, GraphSession, ProgramSession, ReplayScratch,
-    RouteCacheStats,
+    ArtifactStatus, FeatherConfig, GraphSession, ProgramSession, ReplayScratch, RouteCacheStats,
 };
 use feather_arch::graph::{Graph, NodeId};
 use feather_arch::tensor::Tensor4;
@@ -220,11 +219,6 @@ pub struct Response {
 /// `max_batch` of 8 every batch size fits; a bigger knob evicts in FIFO
 /// (oldest-compiled-first) order.
 const PROGRAM_CACHE_CAPACITY: usize = 16;
-
-/// Most (model, batch) replay scratches one executor worker parks before it
-/// drops them all and regrows — a backstop against unbounded buffer stash
-/// growth when a server cycles through many models and batch sizes.
-const SCRATCH_CAPACITY: usize = 32;
 
 /// One model's resident compiled programs plus the counters that prove the
 /// hot path replays instead of replanning.
@@ -1271,18 +1265,16 @@ fn wait_slot_supervised<F: FnMut(&mut ReadyState)>(inner: &Arc<Inner>, mut then:
 }
 
 /// One executor worker: pop ready batches and replay them until the former
-/// closes the queue and it runs dry. The worker keeps a [`ReplayScratch`]
-/// (and, with the batched backend on, a [`BatchedScratch`]) per
-/// (model, batch) it serves, so its steady state allocates no buffer
-/// memory.
+/// closes the queue and it runs dry. The worker keeps one [`ReplayScratch`]
+/// — it serves any program at any lane count — so its steady state
+/// allocates no buffer memory.
 fn run_worker(inner: &Arc<Inner>, worker: usize) {
     let mut sentinel = WorkerSentinel {
         inner: inner.clone(),
         worker,
         armed: true,
     };
-    let mut scratches: BTreeMap<(String, usize), ReplayScratch> = BTreeMap::new();
-    let mut batched_scratches: BTreeMap<(String, usize), BatchedScratch> = BTreeMap::new();
+    let mut scratch = ReplayScratch::new();
     loop {
         let batch = {
             let mut ready = lock_recover(&inner.ready);
@@ -1327,7 +1319,7 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             }
             continue;
         }
-        match execute_batch(inner, worker, batch, &mut scratches, &mut batched_scratches) {
+        match execute_batch(inner, worker, batch, &mut scratch) {
             BatchOutcome::Done => {}
             BatchOutcome::WorkerDied => {
                 // The replay panicked (caught, batch resolved). Retire this
@@ -1358,8 +1350,7 @@ fn execute_batch(
     inner: &Arc<Inner>,
     worker: usize,
     batch: ReadyBatch,
-    scratches: &mut BTreeMap<(String, usize), ReplayScratch>,
-    batched_scratches: &mut BTreeMap<(String, usize), BatchedScratch>,
+    scratch: &mut ReplayScratch,
 ) -> BatchOutcome {
     let launched = Instant::now();
     let mut live = Vec::with_capacity(batch.requests.len());
@@ -1418,7 +1409,6 @@ fn execute_batch(
 
     let executing = inner.executing.fetch_add(1, Ordering::SeqCst) + 1;
     inner.max_executing.fetch_max(executing, Ordering::SeqCst);
-    let key = (batch.model.clone(), size);
     // Per-request `(oacts, cycles, dram_bytes)` from either backend, under
     // a supervision boundary: an injected (or real) panic inside the replay
     // must fail only this batch, not the server.
@@ -1436,11 +1426,6 @@ fn execute_batch(
             // replay and gets back its own exact solo outputs and report
             // totals.
             let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
-            if !batched_scratches.contains_key(&key) && batched_scratches.len() >= SCRATCH_CAPACITY
-            {
-                batched_scratches.clear();
-            }
-            let scratch = batched_scratches.entry(key.clone()).or_default();
             program
                 .run_batched_with_scratch(scratch, &inputs, &model.weights)
                 .map(|runs| {
@@ -1460,10 +1445,6 @@ fn execute_batch(
             let iacts = Tensor4::from_fn([size, c, h, w], |n, cc, hh, ww| {
                 live[n].iacts.get(0, cc, hh, ww)
             });
-            if !scratches.contains_key(&key) && scratches.len() >= SCRATCH_CAPACITY {
-                scratches.clear();
-            }
-            let scratch = scratches.entry(key.clone()).or_default();
             program
                 .run_with_scratch(scratch, &iacts, &model.weights)
                 .map(|run| {

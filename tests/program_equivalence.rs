@@ -4,12 +4,120 @@
 //! not just the output tensor, but the entire [`GraphRun`] report: cycles,
 //! DRAM traffic, scratch accounting and join saturation counts. The artifact
 //! form (save → load → recompile routes) must preserve all of it too.
+//!
+//! Replay computes none of that report: it returns [`feather::Program::cost`],
+//! counted once at compile time, with join saturation patched in. The
+//! cost-oracle tests below pin that constant to the interpreter — the
+//! cycle-level oracle — on awkward shapes, on every kind of input, through
+//! artifacts, and on the two benchmark models without running a MAC.
+//! `FEATHER_FULL=1` (the weekly CI job) adds a model 4096× Model A's size.
 
-use feather::{FeatherConfig, GraphSession, ProgramSession};
-use feather_arch::graph::{resnet50_graph_scaled, Graph};
+use std::collections::BTreeMap;
+
+use feather::{FeatherConfig, GraphReport, GraphSession, Program, ProgramSession};
+use feather_arch::graph::{resnet50_graph_scaled, Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
+use layoutloop::{plan_graph, ArchSpec, CoSearchCache, MapperConfig};
 use proptest::prelude::*;
+
+/// `FEATHER_FULL=1` asks for the slow, full-size variants.
+fn full() -> bool {
+    std::env::var("FEATHER_FULL").is_ok_and(|v| v == "1")
+}
+
+/// A report with the one data-dependent count — join saturation — zeroed.
+fn accounting(report: &GraphReport) -> GraphReport {
+    let mut report = report.clone();
+    report.joins.iter_mut().for_each(|j| j.saturated = 0);
+    report
+}
+
+/// Saves and reloads a program through a scratch file.
+fn through_artifact(program: &Program, tag: &str) -> Program {
+    let path = std::env::temp_dir().join(format!(
+        "feather-prog-eq-{}-{tag}.program",
+        std::process::id()
+    ));
+    program.save_to(&path).unwrap();
+    let loaded = Program::load_from(&path).expect("artifact parses back");
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
+/// A residual DAG on the executor's awkward shapes: channel counts that do
+/// not tile the array (ragged `C`/`M` tails), an optional stride-2 stem, an
+/// optional depthwise layer, padded 3×3 kernels and one residual join with
+/// an identity or projected shortcut.
+fn build_ragged_dag(
+    c_in: usize,
+    c_mid: usize,
+    c_out: usize,
+    hw: usize,
+    stride2: bool,
+    depthwise: bool,
+    identity: bool,
+) -> Graph {
+    let mut g = Graph::new("ragged_dag", [1, c_in, hw, hw]);
+    let stride = if stride2 { 2 } else { 1 };
+    let mut cur = g
+        .conv(
+            g.input(),
+            ConvLayer::new(1, c_mid, c_in, hw, hw, 3, 3)
+                .with_stride(stride)
+                .with_padding(1)
+                .with_name("stem"),
+        )
+        .unwrap();
+    let hw = (hw + 2 - 3) / stride + 1;
+    if depthwise {
+        cur = g
+            .conv(
+                cur,
+                ConvLayer::new(1, c_mid, c_mid, hw, hw, 3, 3)
+                    .with_padding(1)
+                    .depthwise()
+                    .with_name("dw"),
+            )
+            .unwrap();
+    }
+    let block_input = cur;
+    cur = g
+        .conv(
+            cur,
+            ConvLayer::new(1, c_mid, c_mid, hw, hw, 3, 3)
+                .with_padding(1)
+                .with_name("main"),
+        )
+        .unwrap();
+    let shortcut = if identity {
+        block_input
+    } else {
+        g.conv(
+            block_input,
+            ConvLayer::new(1, c_mid, c_mid, hw, hw, 1, 1).with_name("proj"),
+        )
+        .unwrap()
+    };
+    cur = g.add(cur, shortcut, "add").unwrap();
+    g.conv(
+        cur,
+        ConvLayer::new(1, c_out, c_mid, hw, hw, 1, 1).with_name("head"),
+    )
+    .unwrap();
+    g
+}
+
+/// `weights` with every element replaced by `value`.
+fn constant_weights(
+    weights: &BTreeMap<NodeId, Tensor4<i8>>,
+    value: i8,
+) -> BTreeMap<NodeId, Tensor4<i8>> {
+    weights
+        .iter()
+        .map(|(id, w)| (*id, Tensor4::from_fn(w.shape(), |_, _, _, _| value)))
+        .collect()
+}
 
 /// Builds a random residual DAG: trunk conv, `blocks` residual blocks (1–2
 /// conv main path plus identity or 1×1-projection shortcut joined by an add),
@@ -67,9 +175,9 @@ fn build_dag(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Replay == interpretation for random residual DAGs, across batch sizes
-    /// and a sharded (multi-worker) replay, plus a full save/load round trip
-    /// of the artifact — each compared on the complete `GraphRun`.
+    /// Replay == interpretation for random residual DAGs, across batch
+    /// sizes, plus a full save/load round trip of the artifact — each
+    /// compared on the complete `GraphRun`.
     #[test]
     fn replayed_program_equals_interpreted_session(
         batch in 1usize..3,
@@ -103,24 +211,8 @@ proptest! {
         prop_assert_eq!(&replayed.oacts, &run.oacts);
         prop_assert_eq!(&replayed.report, &run.report);
 
-        // Sharded replay must land on the same bits and the same statistics.
-        let sharded = ProgramSession::from_arc(replay.program().clone())
-            .with_threads(3)
-            .run(&iacts, &weights)
-            .unwrap();
-        prop_assert_eq!(&sharded.oacts, &run.oacts);
-        prop_assert_eq!(&sharded.report, &run.report);
-
         // Artifact round trip: text form → parse → recompiled routes.
-        let dir = std::env::temp_dir().join(format!(
-            "feather-prog-eq-{}-{seed}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dag.program");
-        replay.program().save_to(&path).unwrap();
-        let loaded = feather::Program::load_from(&path).expect("artifact parses back");
-        std::fs::remove_dir_all(&dir).ok();
+        let loaded = through_artifact(replay.program(), &format!("dag-{seed}"));
         prop_assert_eq!(loaded.fingerprint(), replay.program().fingerprint());
         prop_assert_eq!(loaded.dump(), replay.program().dump());
         let reloaded = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
@@ -134,8 +226,8 @@ proptest! {
 
     /// Batched lane-vectorized replay == N solo scalar replays — outputs AND
     /// the full `GraphRun` report (cycles, DRAM traffic, scratch accounting,
-    /// join saturation) — for batches of 1, 2, 4 and 8 samples, serial and
-    /// sharded, on random residual DAGs.
+    /// join saturation) — for batches of 1, 2, 4 and 8 samples on random
+    /// residual DAGs.
     #[test]
     fn batched_replay_equals_solo_replays(
         c0 in 1usize..4,
@@ -165,14 +257,6 @@ proptest! {
             for (lane, (b, solo)) in batched.iter().zip(&solos).enumerate() {
                 prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} outputs", lane);
                 prop_assert_eq!(&b.report, &solo.report, "lane {} report", lane);
-            }
-            let sharded = ProgramSession::from_arc(replay.program().clone())
-                .with_threads(3)
-                .run_batched(&samples[..lanes], &weights)
-                .unwrap();
-            for (lane, (b, solo)) in sharded.iter().zip(&solos).enumerate() {
-                prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} sharded outputs", lane);
-                prop_assert_eq!(&b.report, &solo.report, "lane {} sharded report", lane);
             }
         }
     }
@@ -207,4 +291,140 @@ fn scaled_resnet50_program_replays_end_to_end() {
     // The program really covers the whole network.
     assert_eq!(replayed.report.joins.len(), 16);
     assert_eq!(replayed.report.layers().count(), 56);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `Program::cost()` is the interpreter's report with join saturation
+    /// masked — on ragged, strided, depthwise residual DAGs, for the batch-1
+    /// program and for the `with_batch(N)` programs serving's coalesced path
+    /// builds — survives the artifact, and is what every replay entry point
+    /// returns for zero, all-`i8::MIN` and all-`i8::MAX` inputs and weights
+    /// alike.
+    #[test]
+    fn cost_oracle_equals_the_interpreted_report(
+        c_in in 1usize..7,
+        c_mid in 1usize..7,
+        c_out in 1usize..7,
+        hw in 4usize..8,
+        stride2 in 0usize..2,
+        depthwise in 0usize..2,
+        identity in 0usize..2,
+        batch in 1usize..4,
+        seed in 0u64..100,
+    ) {
+        let g = build_ragged_dag(c_in, c_mid, c_out, hw, stride2 == 1, depthwise == 1, identity == 1);
+        let solo = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
+        let session = solo.with_batch(batch).unwrap();
+        let program = session.compile().unwrap();
+        let cost = program.cost().clone();
+        prop_assert!(cost.total_cycles() > 0);
+        prop_assert!(cost.joins.iter().all(|j| j.saturated == 0));
+        let reloaded = through_artifact(&program, &format!("cost-{seed}"));
+        prop_assert_eq!(reloaded.cost(), &cost);
+
+        let random = g.random_weights(seed + 3000);
+        let replay = ProgramSession::new(program);
+        let cases: [(i8, BTreeMap<NodeId, Tensor4<i8>>); 4] = [
+            (0, constant_weights(&random, 0)),
+            (i8::MIN, constant_weights(&random, i8::MIN)),
+            (i8::MAX, constant_weights(&random, i8::MAX)),
+            (1, random),
+        ];
+        for (fill, weights) in &cases {
+            let iacts = if *fill == 1 {
+                Tensor4::random([batch, c_in, hw, hw], seed)
+            } else {
+                Tensor4::from_fn([batch, c_in, hw, hw], |_, _, _, _| *fill)
+            };
+            let interpreted = session.run(&iacts, weights).unwrap();
+            prop_assert_eq!(&accounting(&interpreted.report), &cost, "interpreted, fill {}", fill);
+            let replayed = replay.run(&iacts, weights).unwrap();
+            prop_assert_eq!(&replayed.oacts, &interpreted.oacts, "fill {}", fill);
+            prop_assert_eq!(&replayed.report, &interpreted.report, "fill {}", fill);
+        }
+
+        // The lane-batched path of the batch-1 program returns the batch-1
+        // cost per lane.
+        let solo_replay = ProgramSession::new(solo.compile().unwrap());
+        let samples: Vec<Tensor4<i8>> = (0..batch as u64)
+            .map(|i| Tensor4::random([1, c_in, hw, hw], seed + i))
+            .collect();
+        for run in solo_replay.run_batched(&samples, &cases[3].1).unwrap() {
+            prop_assert_eq!(&accounting(&run.report), solo_replay.program().cost());
+        }
+    }
+}
+
+/// Cycles, DRAM bytes and energy (nJ) of one run, as the benchmark gates them.
+fn totals(report: &GraphReport) -> (u64, u64, f64) {
+    (
+        report.total_cycles(),
+        report.dram_bytes(),
+        report.total_energy_pj() / 1e3,
+    )
+}
+
+/// The benchmark's Model A — `resnet50_graph_scaled(16, 16)` on 8×16 through
+/// `GraphSession::auto` — costs exactly what `BENCHMARK.json` gates with a
+/// zero bound, known from the compile alone.
+#[test]
+fn model_a_cost_is_pinned_without_running_a_mac() {
+    let g = resnet50_graph_scaled(16, 16);
+    let session = GraphSession::auto(FeatherConfig::new(8, 16), &g).unwrap();
+    let (cycles, dram_bytes, energy_nj) = totals(session.compile().unwrap().cost());
+    assert_eq!((cycles, dram_bytes), (15_395, 100_758));
+    assert!((energy_nj - 13_099.957_52).abs() < 1e-5, "{energy_nj} nJ");
+}
+
+/// The benchmark's Model B — `resnet50_graph_scaled(8, 8)` on 16×16, planned
+/// by `plan_graph` (seed 0, fresh cache) — likewise.
+#[test]
+fn model_b_cost_is_pinned_without_running_a_mac() {
+    let g = resnet50_graph_scaled(8, 8);
+    let plan = plan_graph(
+        &ArchSpec::feather_like(16, 16),
+        &g,
+        &MapperConfig::fast(),
+        0,
+        &mut CoSearchCache::new(),
+    )
+    .unwrap();
+    let session =
+        GraphSession::from_schedules(FeatherConfig::new(16, 16), &g, &plan.schedules()).unwrap();
+    let (cycles, dram_bytes, energy_nj) = totals(session.compile().unwrap().cost());
+    assert_eq!((cycles, dram_bytes), (73_969, 401_989));
+    assert!((energy_nj - 53_169.062_4).abs() < 1e-4, "{energy_nj} nJ");
+}
+
+/// The weekly full-size check (`FEATHER_FULL=1`): at ÷2 — 4096× Model A's
+/// MACs, a quarter of a minute in release — the `u32` cursor, slot and cell tables and the lane-striped flat
+/// index carry real magnitudes, and cost, scalar replay, batched replay and
+/// the artifact must still agree with the interpreter.
+#[test]
+fn full_size_program_costs_and_replays_like_the_interpreter() {
+    if !full() {
+        return;
+    }
+    let g = resnet50_graph_scaled(2, 2);
+    let session = GraphSession::auto(FeatherConfig::new(8, 16), &g).unwrap();
+    let [_, c, h, w] = g.tensor_shape(g.input());
+    let samples: Vec<Tensor4<i8>> = (0..2)
+        .map(|i| Tensor4::random([1, c, h, w], 70 + i))
+        .collect();
+    let weights = g.random_weights(8);
+    let program = session.compile().unwrap();
+    let replay = ProgramSession::new(through_artifact(&program, "full"));
+    assert_eq!(replay.program().cost(), program.cost());
+    let batched = replay.run_batched(&samples, &weights).unwrap();
+    for (sample, lane) in samples.iter().zip(&batched) {
+        let interpreted = session.run(sample, &weights).unwrap();
+        assert_eq!(&accounting(&interpreted.report), program.cost());
+        let replayed = replay.run(sample, &weights).unwrap();
+        assert_eq!(replayed.oacts, interpreted.oacts);
+        assert_eq!(replayed.report, interpreted.report);
+        assert_eq!(lane.oacts, interpreted.oacts);
+        assert_eq!(lane.report, interpreted.report);
+    }
 }
