@@ -53,51 +53,6 @@ impl Network {
             .filter_map(|w| w.as_conv_layer())
             .collect()
     }
-
-    /// Splits the network's layer list into maximal runs of *consecutive*
-    /// shape-chainable convolutions (each layer's output tensor shape is
-    /// exactly the next one's input shape, see [`ConvLayer::chains_into`]);
-    /// an intervening non-convolution layer (GEMM) always starts a new chain.
-    ///
-    /// Chaining is purely shape-based because [`Network`] is a flat list: it
-    /// cannot represent branches or residual joins, so e.g. ResNet identity
-    /// blocks (whose expand output shape-chains into the next block's reduce)
-    /// stay in one chain even though the real network also adds a shortcut
-    /// tensor between them. A pipeline executor fed such a chain computes the
-    /// main path only.
-    #[deprecated(
-        note = "lossy: residual joins are silently dropped. Model the network as a \
-                `crate::graph::Graph` (e.g. `graph::resnet50_graph()`) and use \
-                `Graph::segments()`, which puts every branch and add join on a \
-                segment boundary instead of merging across it"
-    )]
-    pub fn conv_chains(&self) -> Vec<Vec<&ConvLayer>> {
-        let mut chains: Vec<Vec<&ConvLayer>> = Vec::new();
-        let mut current: Vec<&ConvLayer> = Vec::new();
-        for workload in &self.layers {
-            let Some(layer) = workload.as_conv_layer() else {
-                // A non-conv layer consumes the running chain's output; two
-                // convs straddling it are not back-to-back even if their
-                // shapes happen to line up.
-                if !current.is_empty() {
-                    chains.push(std::mem::take(&mut current));
-                }
-                continue;
-            };
-            match current.last() {
-                Some(prev) if prev.chains_into(layer) => current.push(layer),
-                Some(_) => {
-                    chains.push(std::mem::take(&mut current));
-                    current.push(layer);
-                }
-                None => current.push(layer),
-            }
-        }
-        if !current.is_empty() {
-            chains.push(current);
-        }
-        chains
-    }
 }
 
 impl<'a> IntoIterator for &'a Network {
@@ -415,46 +370,6 @@ mod tests {
             .conv_layers()
             .iter()
             .any(|l| l.c >= 512 && l.h == 7 && l.r == 3));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn resnet50_conv_chains_cover_all_layers() {
-        let net = resnet50();
-        let chains = net.conv_chains();
-        let total: usize = chains.iter().map(|c| c.len()).sum();
-        assert_eq!(total, net.conv_layers().len());
-        // Every adjacent pair inside a chain really chains.
-        for chain in &chains {
-            for pair in chain.windows(2) {
-                assert!(pair[0].chains_into(pair[1]));
-            }
-        }
-        // The bottleneck main paths give chains of at least three layers
-        // (1x1 reduce → 3x3 → 1x1 expand).
-        assert!(chains.iter().any(|c| c.len() >= 3), "{chains:?}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn conv_chains_break_at_non_conv_layers() {
-        use crate::workload::GemmLayer;
-        // Two shape-compatible convs with a GEMM between them must not chain:
-        // the first conv's output feeds the GEMM, not the second conv.
-        let a = ConvLayer::new(1, 4, 4, 8, 8, 3, 3)
-            .with_padding(1)
-            .with_name("a");
-        let b = ConvLayer::new(1, 4, 4, 8, 8, 3, 3)
-            .with_padding(1)
-            .with_name("b");
-        assert!(a.chains_into(&b));
-        let net = Network::new(
-            "split",
-            vec![a.into(), GemmLayer::new(4, 4, 4).into(), b.into()],
-        );
-        let chains = net.conv_chains();
-        assert_eq!(chains.len(), 2);
-        assert!(chains.iter().all(|c| c.len() == 1));
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub fn feather_area_power(rows: usize, cols: usize) -> AreaPower {
 }
 
 /// The shapes listed in Table V of the paper, with the paper's measured
-/// post-PnR numbers for comparison in EXPERIMENTS.md.
+/// post-PnR numbers; the `tab05_area_power_scaling` bin prints the model
+/// next to them.
 pub fn table_v_shapes() -> Vec<(usize, usize, f64, f64)> {
     vec![
         (64, 128, 36_920_519.69, 26_400.00),

@@ -1,7 +1,7 @@
 //! Shared helpers for the experiment binaries that regenerate the paper's
 //! tables and figures. Each binary prints a plain-text table with the same
-//! rows/series the paper reports; see `EXPERIMENTS.md` at the workspace root
-//! for the mapping and the expected shapes.
+//! rows/series the paper reports; each binary's module docs name the figure
+//! or table it regenerates and the shape to expect.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -740,7 +740,8 @@ impl ProgramSession {
         iacts: &Tensor4<i8>,
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<GraphRun, ArchError> {
-        let mut runs = self.replay::<true>(scratch, std::slice::from_ref(iacts), weights)?;
+        let mut runs =
+            self.run_batched_with_scratch(scratch, std::slice::from_ref(iacts), weights)?;
         Ok(runs.pop().expect("one run per sample"))
     }
 
@@ -767,7 +768,9 @@ impl ProgramSession {
     /// [`ProgramSession::run_batched`] reusing `scratch`'s allocations across
     /// calls, the batched analogue of [`ProgramSession::run_with_scratch`].
     /// Results are bit-identical to [`ProgramSession::run_batched`] with a
-    /// fresh scratch.
+    /// fresh scratch. Every entry point ends here, and here alone the lane
+    /// count picks the loop: a batch of one sample — a lone serving request,
+    /// or [`ProgramSession::run`] — gets the scalar (one-lane) specialisation.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -778,12 +781,13 @@ impl ProgramSession {
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
-        if iacts.is_empty() {
-            return Err(ArchError::InvalidWorkload(
+        match iacts.len() {
+            0 => Err(ArchError::InvalidWorkload(
                 "batched replay needs at least one sample".to_string(),
-            ));
+            )),
+            1 => self.replay::<true>(scratch, iacts, weights),
+            _ => self.replay::<false>(scratch, iacts, weights),
         }
-        self.replay::<false>(scratch, iacts, weights)
     }
 
     /// The replay loop behind every entry point: one sample per lane,
@@ -2218,7 +2222,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_is_bit_identical_to_solo_replays() {
+    fn run_batched_is_bit_identical_to_solo_replays() {
         let g = residual_graph();
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let weights = g.random_weights(82);

@@ -14,22 +14,9 @@ use crate::BufferSpec;
 /// simulated cycle, then perform reads/writes; the buffer accumulates the set
 /// of lines touched and charges the appropriate slowdown when the next cycle
 /// begins (or when [`FunctionalBuffer::flush_cycle`] is called).
-///
-/// # Lane striping
-///
-/// A buffer built with [`FunctionalBuffer::with_lanes`] stores `lanes`
-/// independent copies of every cell, laid out structure-of-arrays (the lane
-/// stripe of one cell is contiguous). This backs the batched replay executor:
-/// every batch sample occupies one lane, the access *pattern* is identical
-/// across lanes, so the stripe accessors account each access **once** —
-/// element/line counters and the per-cycle bank-conflict assessment model a
-/// single sample's traffic exactly while the data of all lanes moves. The
-/// scalar accessors keep addressing lane 0 and a `lanes == 1` buffer is
-/// bit-identical to one built with [`FunctionalBuffer::new`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FunctionalBuffer<T> {
     spec: BufferSpec,
-    lanes: usize,
     data: Vec<Option<T>>,
     stats: AccessStats,
     // Distinct lines touched this cycle. A handful of lines per cycle is the
@@ -43,27 +30,14 @@ pub struct FunctionalBuffer<T> {
 impl<T: Copy> FunctionalBuffer<T> {
     /// Creates an empty buffer of the given shape.
     pub fn new(spec: BufferSpec) -> Self {
-        FunctionalBuffer::with_lanes(spec, 1)
-    }
-
-    /// Creates an empty buffer holding `lanes` data lanes per cell (see the
-    /// type docs). `lanes` is clamped to at least 1.
-    pub fn with_lanes(spec: BufferSpec, lanes: usize) -> Self {
-        let lanes = lanes.max(1);
         FunctionalBuffer {
             spec,
-            lanes,
-            data: vec![None; spec.capacity() * lanes],
+            data: vec![None; spec.capacity()],
             stats: AccessStats::new(),
             cycle_read_lines: Vec::new(),
             cycle_write_lines: Vec::new(),
             in_cycle: false,
         }
-    }
-
-    /// Number of data lanes per cell.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// The buffer specification.
@@ -89,7 +63,6 @@ impl<T: Copy> FunctionalBuffer<T> {
     pub fn fork(&self) -> Self {
         FunctionalBuffer {
             spec: self.spec,
-            lanes: self.lanes,
             data: self.data.clone(),
             stats: AccessStats::new(),
             cycle_read_lines: Vec::new(),
@@ -116,15 +89,12 @@ impl<T: Copy> FunctionalBuffer<T> {
         for other in [worker, base] {
             assert!(
                 other.spec.num_lines == self.spec.num_lines
-                    && other.spec.line_size == self.spec.line_size
-                    && other.lanes == self.lanes,
-                "absorb requires identical geometry: {}x{}x{} vs {}x{}x{}",
+                    && other.spec.line_size == self.spec.line_size,
+                "absorb requires identical geometry: {}x{} vs {}x{}",
                 self.spec.num_lines,
                 self.spec.line_size,
-                self.lanes,
                 other.spec.num_lines,
-                other.spec.line_size,
-                other.lanes
+                other.spec.line_size
             );
         }
         for ((mine, theirs), orig) in self.data.iter_mut().zip(&worker.data).zip(&base.data) {
@@ -167,7 +137,7 @@ impl<T: Copy> FunctionalBuffer<T> {
         self.flush_cycle();
         self.spec = spec;
         self.data.clear();
-        self.data.resize(spec.capacity() * self.lanes, None);
+        self.data.resize(spec.capacity(), None);
     }
 
     /// Writes one element without recording an access — the counterpart of
@@ -189,11 +159,9 @@ impl<T: Copy> FunctionalBuffer<T> {
         self.data[idx] = Some(value);
     }
 
-    /// Index of a cell's lane-0 slot; the cell's stripe occupies
-    /// `flat..flat + lanes`.
     #[inline]
     fn flat(&self, line: usize, offset: usize) -> usize {
-        (line * self.spec.line_size + offset) * self.lanes
+        line * self.spec.line_size + offset
     }
 
     /// Begins a new simulated cycle: charges the previous cycle's conflicts.
@@ -273,79 +241,6 @@ impl<T: Copy> FunctionalBuffer<T> {
             self.stats.line_reads += 1;
         }
         self.data[idx]
-    }
-
-    /// Reads a cell's whole lane stripe, accounted as **one** element read:
-    /// every lane performs the same access in the same cycle, so a single
-    /// sample's counters (and conflict assessment) describe all of them.
-    ///
-    /// # Panics
-    /// Panics if the location is out of bounds.
-    #[inline]
-    pub fn read_stripe(&mut self, line: usize, offset: usize) -> &[Option<T>] {
-        assert!(
-            line < self.spec.num_lines && offset < self.spec.line_size,
-            "read out of bounds: line {line}, offset {offset} (buffer is {}x{})",
-            self.spec.num_lines,
-            self.spec.line_size
-        );
-        let idx = self.flat(line, offset);
-        self.stats.element_reads += 1;
-        if !self.cycle_read_lines.contains(&line) {
-            self.cycle_read_lines.push(line);
-            self.stats.line_reads += 1;
-        }
-        &self.data[idx..idx + self.lanes]
-    }
-
-    /// Returns a cell's whole lane stripe for writing, accounted as **one**
-    /// element write (see [`FunctionalBuffer::read_stripe`]). The caller
-    /// fills the returned slice; lanes left `None` stay absent.
-    ///
-    /// # Panics
-    /// Panics if the location is out of bounds.
-    #[inline]
-    pub fn write_stripe(&mut self, line: usize, offset: usize) -> &mut [Option<T>] {
-        assert!(
-            line < self.spec.num_lines && offset < self.spec.line_size,
-            "write out of bounds: line {line}, offset {offset} (buffer is {}x{})",
-            self.spec.num_lines,
-            self.spec.line_size
-        );
-        let idx = self.flat(line, offset);
-        self.stats.element_writes += 1;
-        if !self.cycle_write_lines.contains(&line) {
-            self.cycle_write_lines.push(line);
-            self.stats.line_writes += 1;
-        }
-        &mut self.data[idx..idx + self.lanes]
-    }
-
-    /// Peeks at a cell's whole lane stripe without recording an access.
-    ///
-    /// # Panics
-    /// Panics if the location is out of bounds.
-    #[inline]
-    pub fn peek_stripe(&self, line: usize, offset: usize) -> &[Option<T>] {
-        let idx = self.flat(line, offset);
-        &self.data[idx..idx + self.lanes]
-    }
-
-    /// Returns a cell's whole lane stripe for writing without recording an
-    /// access — the stripe counterpart of [`FunctionalBuffer::poke`].
-    ///
-    /// # Panics
-    /// Panics if the location is out of bounds.
-    #[inline]
-    pub fn poke_stripe(&mut self, line: usize, offset: usize) -> &mut [Option<T>] {
-        assert!(
-            line < self.spec.num_lines && offset < self.spec.line_size,
-            "poke out of bounds: line {line}, offset {offset} (buffer is {}x{})",
-            self.spec.num_lines,
-            self.spec.line_size
-        );
-        let idx = self.flat(line, offset);
-        &mut self.data[idx..idx + self.lanes]
     }
 
     /// Reads a whole line (missing elements come back as `None`).
@@ -527,53 +422,6 @@ mod tests {
         assert_eq!(b.peek(1, 1), Some(5));
         assert_eq!(b.stats().element_writes, 0);
         assert_eq!(b.stats().line_writes, 0);
-    }
-
-    #[test]
-    fn striped_buffer_accounts_like_one_solo_buffer() {
-        // The batched-replay contract: a lanes=4 buffer driven through the
-        // stripe accessors produces *exactly* the stats of one scalar buffer
-        // driven through the scalar accessors with the same access pattern —
-        // including the bank-conflict assessment, which runs once per cycle
-        // regardless of lane count.
-        let spec = BufferSpec::new(16, 4, 4, Banking::VerticalBlocked).with_ports(2, 2);
-        let mut solo = FunctionalBuffer::<i8>::new(spec);
-        let mut striped = FunctionalBuffer::<i8>::with_lanes(spec, 4);
-        assert_eq!(striped.lanes(), 4);
-
-        // Conflict-heavy pattern: lines 0..4 all live in bank 0.
-        solo.begin_cycle();
-        striped.begin_cycle();
-        for line in 0..4 {
-            solo.write(line, 1, line as i8);
-            for (lane, slot) in striped.write_stripe(line, 1).iter_mut().enumerate() {
-                *slot = Some(line as i8 + lane as i8);
-            }
-        }
-        solo.begin_cycle();
-        striped.begin_cycle();
-        for line in 0..4 {
-            assert_eq!(solo.read(line, 1), Some(line as i8));
-            let stripe = striped.read_stripe(line, 1).to_vec();
-            for (lane, v) in stripe.into_iter().enumerate() {
-                assert_eq!(v, Some(line as i8 + lane as i8));
-            }
-        }
-        solo.flush_cycle();
-        striped.flush_cycle();
-        assert_eq!(striped.stats(), solo.stats());
-        assert!(solo.stats().conflict_stall_cycles > 0);
-    }
-
-    #[test]
-    fn stripe_peek_and_poke_are_unaccounted() {
-        let mut b =
-            FunctionalBuffer::<i8>::with_lanes(BufferSpec::new(4, 4, 1, Banking::Horizontal), 2);
-        b.poke_stripe(1, 2).fill(Some(9));
-        assert_eq!(b.peek_stripe(1, 2), &[Some(9), Some(9)]);
-        assert_eq!(b.stats(), &AccessStats::new());
-        // Scalar accessors address lane 0 of the stripe.
-        assert_eq!(b.peek(1, 2), Some(9));
     }
 
     #[test]

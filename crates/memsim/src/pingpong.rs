@@ -41,25 +41,12 @@ pub struct PingPong<T> {
 impl<T: Copy> PingPong<T> {
     /// Creates a ping/pong pair of identical halves.
     pub fn new(spec: BufferSpec) -> Self {
-        PingPong::with_lanes(spec, 1)
-    }
-
-    /// Creates a ping/pong pair whose halves carry `lanes` data lanes per
-    /// cell (see [`FunctionalBuffer::with_lanes`]) — the StaB of the batched
-    /// replay backend, holding one batch sample per lane. [`PingPong::reset`]
-    /// preserves the lane count.
-    pub fn with_lanes(spec: BufferSpec, lanes: usize) -> Self {
         PingPong {
-            ping: FunctionalBuffer::with_lanes(spec, lanes),
-            pong: FunctionalBuffer::with_lanes(spec, lanes),
+            ping: FunctionalBuffer::new(spec),
+            pong: FunctionalBuffer::new(spec),
             active: Half::Ping,
             swaps: 0,
         }
-    }
-
-    /// Number of data lanes per cell in each half.
-    pub fn lanes(&self) -> usize {
-        self.ping.lanes()
     }
 
     /// Which half is currently active (being read by compute).

@@ -40,7 +40,6 @@ use crate::stats::AccessStats;
 pub struct ScratchRegion<T> {
     slots: BTreeMap<String, Vec<T>>,
     line_size: usize,
-    lane_factor: usize,
     stats: AccessStats,
     occupancy: usize,
     peak_occupancy: usize,
@@ -50,28 +49,13 @@ impl<T: Copy> ScratchRegion<T> {
     /// Creates an empty region whose line (row) width is `line_size` elements
     /// — the granularity the line-access counters use.
     pub fn new(line_size: usize) -> Self {
-        ScratchRegion::with_lane_factor(line_size, 1)
-    }
-
-    /// Creates a region whose parked tensors carry `lane_factor` batch lanes
-    /// concatenated into each allocation. Accounting and occupancy are
-    /// divided by the factor, so the statistics describe **one** lane's
-    /// traffic — exactly the solo numbers the batched replay backend clones
-    /// into every lane's report.
-    pub fn with_lane_factor(line_size: usize, lane_factor: usize) -> Self {
         ScratchRegion {
             slots: BTreeMap::new(),
             line_size: line_size.max(1),
-            lane_factor: lane_factor.max(1),
             stats: AccessStats::new(),
             occupancy: 0,
             peak_occupancy: 0,
         }
-    }
-
-    /// Elements of one lane in an allocation of `len` raw elements.
-    fn per_lane(&self, len: usize) -> usize {
-        len / self.lane_factor
     }
 
     /// Parks a tensor's elements under a key, counting the element and line
@@ -80,14 +64,9 @@ impl<T: Copy> ScratchRegion<T> {
     pub fn park(&mut self, key: impl Into<String>, data: Vec<T>) {
         let key = key.into();
         if let Some(old) = self.slots.remove(&key) {
-            self.occupancy -= self.per_lane(old.len());
+            self.occupancy -= old.len();
         }
-        debug_assert_eq!(
-            data.len() % self.lane_factor,
-            0,
-            "parked data must hold whole lane stripes"
-        );
-        let elems = self.per_lane(data.len());
+        let elems = data.len();
         self.stats.element_writes += elems as u64;
         self.stats.line_writes += elems.div_ceil(self.line_size) as u64;
         self.occupancy += elems;
@@ -98,7 +77,7 @@ impl<T: Copy> ScratchRegion<T> {
     /// Reads a parked tensor without freeing it, counting the element and
     /// line reads. Returns `None` for unknown keys.
     pub fn fetch(&mut self, key: &str) -> Option<&[T]> {
-        let elems = self.per_lane(self.slots.get(key)?.len());
+        let elems = self.slots.get(key)?.len();
         self.stats.element_reads += elems as u64;
         self.stats.line_reads += elems.div_ceil(self.line_size) as u64;
         self.slots.get(key).map(|data| data.as_slice())
@@ -108,7 +87,7 @@ impl<T: Copy> ScratchRegion<T> {
     /// (pair with [`ScratchRegion::fetch`] for read-then-free).
     pub fn release(&mut self, key: &str) -> Option<Vec<T>> {
         let data = self.slots.remove(key)?;
-        self.occupancy -= self.per_lane(data.len());
+        self.occupancy -= data.len();
         Some(data)
     }
 
@@ -190,23 +169,6 @@ mod tests {
         assert_eq!(s.peak_occupancy(), 100);
         assert!(s.release("b").is_some());
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn lane_factor_divides_accounting_back_to_solo() {
-        // A lanes=4 region parked with 4 concatenated lane copies must report
-        // exactly what a solo region parked with one copy reports.
-        let mut solo = ScratchRegion::<i8>::new(4);
-        let mut striped = ScratchRegion::<i8>::with_lane_factor(4, 4);
-        solo.park("t", vec![0; 10]);
-        striped.park("t", vec![0; 40]);
-        solo.fetch("t");
-        striped.fetch("t");
-        assert_eq!(striped.stats(), solo.stats());
-        assert_eq!(striped.occupancy(), solo.occupancy());
-        assert_eq!(striped.peak_occupancy(), solo.peak_occupancy());
-        assert_eq!(striped.release("t").unwrap().len(), 40);
-        assert_eq!(striped.occupancy(), 0);
     }
 
     #[test]

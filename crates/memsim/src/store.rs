@@ -237,39 +237,6 @@ impl<'a, T: Copy> LayoutView<'a, T> {
         self.buffer.poke(loc.line, loc.offset, value);
     }
 
-    // --- Lane-stripe accessors (batched replay) --------------------------
-    //
-    // One accounted access moves a whole batch's worth of data; see
-    // `FunctionalBuffer::read_stripe` for the accounting contract.
-
-    /// Reads the lane stripe at a precomputed location, accounted as one
-    /// element read.
-    #[inline]
-    pub fn read_stripe_at(&mut self, loc: Location) -> &[Option<T>] {
-        self.buffer.read_stripe(loc.line, loc.offset)
-    }
-
-    /// Returns the lane stripe at a precomputed location for writing,
-    /// accounted as one element write.
-    #[inline]
-    pub fn write_stripe_at(&mut self, loc: Location) -> &mut [Option<T>] {
-        self.buffer.write_stripe(loc.line, loc.offset)
-    }
-
-    /// Peeks at the lane stripe at a precomputed location without recording
-    /// an access.
-    #[inline]
-    pub fn peek_stripe_at(&self, loc: Location) -> &[Option<T>] {
-        self.buffer.peek_stripe(loc.line, loc.offset)
-    }
-
-    /// Returns the lane stripe at a precomputed location for writing without
-    /// recording an access.
-    #[inline]
-    pub fn poke_stripe_at(&mut self, loc: Location) -> &mut [Option<T>] {
-        self.buffer.poke_stripe(loc.line, loc.offset)
-    }
-
     /// Forks the underlying buffer for a parallel worker (see
     /// [`FunctionalBuffer::fork`]); pair with [`LayoutView::absorb`].
     pub fn fork_buffer(&self) -> FunctionalBuffer<T> {

@@ -97,6 +97,13 @@ impl SiteRates {
     }
 }
 
+/// A probability clamped to `[0, 1]`; `None` for NaN and the infinities,
+/// which no clamp turns into a rate (`NaN.clamp(0.0, 1.0)` is still NaN: a
+/// rate that never fires yet makes its plan non-empty).
+fn finite_rate(rate: f64) -> Option<f64> {
+    rate.is_finite().then(|| rate.clamp(0.0, 1.0))
+}
+
 /// A deterministic injection schedule over the four [`FaultSite`]s.
 ///
 /// Construct with [`FaultPlan::parse`]/[`FaultPlan::from_env`] or the
@@ -121,17 +128,19 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the transient-failure probability at `site` (clamped to [0, 1]).
+    /// Sets the transient-failure probability at `site` (clamped to [0, 1];
+    /// a non-finite rate injects nothing).
     #[must_use]
     pub fn with_fail(mut self, site: FaultSite, rate: f64) -> Self {
-        self.sites[site as usize].fail = rate.clamp(0.0, 1.0);
+        self.sites[site as usize].fail = finite_rate(rate).unwrap_or(0.0);
         self
     }
 
-    /// Sets the panic probability at `site` (clamped to [0, 1]).
+    /// Sets the panic probability at `site` (clamped to [0, 1]; a
+    /// non-finite rate injects nothing).
     #[must_use]
     pub fn with_panic(mut self, site: FaultSite, rate: f64) -> Self {
-        self.sites[site as usize].panic = rate.clamp(0.0, 1.0);
+        self.sites[site as usize].panic = finite_rate(rate).unwrap_or(0.0);
         self
     }
 
@@ -158,8 +167,9 @@ impl FaultPlan {
     /// pairs, keys being `seed` or `<site>.<action>[_first]` with sites
     /// `replay`/`artifact`/`insert`/`pickup` and actions `fail`/`panic`.
     /// Returns `None` for an empty/whitespace string or a plan that injects
-    /// nothing; unknown or malformed pairs are ignored (an injection plan
-    /// must never take the server down by itself).
+    /// nothing; unknown or malformed pairs — a non-finite rate among them —
+    /// are ignored (an injection plan must never take the server down by
+    /// itself).
     pub fn parse(text: &str) -> Option<FaultPlan> {
         let mut plan = FaultPlan::default();
         for pair in text.split(';') {
@@ -182,13 +192,13 @@ impl FaultPlan {
             let rates = &mut plan.sites[*site as usize];
             match action {
                 "fail" => {
-                    if let Ok(rate) = value.parse::<f64>() {
-                        rates.fail = rate.clamp(0.0, 1.0);
+                    if let Some(rate) = value.parse().ok().and_then(finite_rate) {
+                        rates.fail = rate;
                     }
                 }
                 "panic" => {
-                    if let Ok(rate) = value.parse::<f64>() {
-                        rates.panic = rate.clamp(0.0, 1.0);
+                    if let Some(rate) = value.parse().ok().and_then(finite_rate) {
+                        rates.panic = rate;
                     }
                 }
                 "fail_first" => {
@@ -228,7 +238,7 @@ impl FaultPlan {
         if draw < rates.panic_first {
             return Some(FaultAction::Panic);
         }
-        if draw < rates.panic_first + rates.fail_first {
+        if draw < rates.panic_first.saturating_add(rates.fail_first) {
             return Some(FaultAction::Fail);
         }
         if rates.panic == 0.0 && rates.fail == 0.0 {
@@ -255,6 +265,59 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const ACTIONS: [&str; 4] = ["fail", "panic", "fail_first", "panic_first"];
+    /// The numbers a rate or count parser is most likely to mishandle.
+    const VALUES: [&str; 14] = [
+        "0",
+        "1",
+        "0.5",
+        "-1",
+        "1e308",
+        "1e-320",
+        "NaN",
+        "-nan",
+        "inf",
+        "-infinity",
+        "18446744073709551615",
+        "18446744073709551616",
+        "",
+        " 7 ",
+    ];
+
+    proptest! {
+        /// No string panics `parse` — neither arbitrary characters nor the
+        /// grammar's own `<site>.<action>=` pairs around extreme numbers —
+        /// and whatever plan comes back rolls at every site, well past its
+        /// first draw, without panicking.
+        #[test]
+        fn hostile_plans_never_panic(
+            // One cell per (site, action): an index into `VALUES`, or absent.
+            cells in proptest::collection::vec(0usize..VALUES.len() + 4, 16),
+            noise in "[seedrplayticfnkup_.=; 0189+NIé\u{0}-]{0,24}",
+            at in 0usize..17,
+        ) {
+            let mut pairs: Vec<String> = cells
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &v)| {
+                    let (site, action) = (FaultSite::ALL[i / 4].token(), ACTIONS[i % 4]);
+                    Some(format!("{site}.{action}={}", VALUES.get(v)?))
+                })
+                .collect();
+            pairs.insert(at.min(pairs.len()), noise.clone());
+            for text in [pairs.join(";"), pairs.concat(), noise] {
+                let Some(plan) = FaultPlan::parse(&text) else { continue };
+                prop_assert!(!plan.is_empty());
+                for site in FaultSite::ALL {
+                    for _ in 0..64 {
+                        plan.roll(site);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn parse_reads_sites_seed_and_clamps() {
@@ -274,6 +337,14 @@ mod tests {
         assert!(FaultPlan::parse("seed=9").is_none());
         assert!(FaultPlan::parse("replay.fail=0.0").is_none());
         assert!(FaultPlan::parse("garbage;;also=bad.keys").is_none());
+        // NaN survives `clamp`: accepted, it would never fire yet make the
+        // plan non-empty. Non-finite rates are malformed pairs.
+        assert!(FaultPlan::parse("replay.fail=NaN;pickup.panic=inf;insert.fail=-inf").is_none());
+        assert!(FaultPlan::seeded(1)
+            .with_fail(FaultSite::ReplayEntry, f64::NAN)
+            .is_empty());
+        let plan = FaultPlan::parse("replay.fail=0.5;replay.fail=NaN").unwrap();
+        assert_eq!(plan.sites[FaultSite::ReplayEntry as usize].fail, 0.5);
     }
 
     #[test]
@@ -296,6 +367,13 @@ mod tests {
         assert_eq!(plan.roll(FaultSite::WorkerPickup), Some(FaultAction::Panic));
         assert_eq!(plan.roll(FaultSite::WorkerPickup), Some(FaultAction::Fail));
         assert_eq!(plan.roll(FaultSite::WorkerPickup), None);
+        // Counts that sum past `u64::MAX` mean "fail forever": no overflow
+        // panic (debug), no wrap to "never fail" (release).
+        let plan = FaultPlan::seeded(1)
+            .with_panic_first(FaultSite::WorkerPickup, 1)
+            .with_fail_first(FaultSite::WorkerPickup, u64::MAX);
+        assert_eq!(plan.roll(FaultSite::WorkerPickup), Some(FaultAction::Panic));
+        assert_eq!(plan.roll(FaultSite::WorkerPickup), Some(FaultAction::Fail));
     }
 
     #[test]

@@ -19,27 +19,29 @@
 //!   [`ServeConfig::max_batch`], waiting at most
 //!   [`ServeConfig::batch_window`]) and hands formed batches to
 //!   [`ServeConfig::workers`] executor workers over a bounded ready queue;
-//!   different batches replay concurrently. Batch-`N` execution is
-//!   bit-identical to `N` solo runs, so neither coalescing nor the worker
-//!   that ran a request is observable in the results.
+//!   different batches replay concurrently. A batch is one replay of the
+//!   model's program with one request per lane, each lane bit-identical to
+//!   a solo run, so neither coalescing nor the worker that ran a request is
+//!   observable in the results.
 //! - **Cancellation** — dropping a [`Ticket`] (or calling
 //!   [`Ticket::cancel`]) flags the request; the former and the executor
 //!   boundary prune flagged or deadline-expired requests into
 //!   [`ServeError::Cancelled`]/[`ServeError::Timeout`] before they ever
 //!   run.
-//! - **Compiled-program replay** — the first request at a (model, batch)
-//!   compiles the planned [`feather::GraphSession`] into a flat
-//!   [`feather::Program`] (checking the `FEATHER_CACHE_DIR` artifact cache
-//!   first); every later request replays the resident
+//! - **One compiled program per model** — a model's first request compiles
+//!   its planned [`feather::GraphSession`] into a flat [`feather::Program`]
+//!   (checking the `FEATHER_CACHE_DIR` artifact cache first); every batch
+//!   after it, whatever its size, lane-stripes that one resident
 //!   [`feather::ProgramSession`] with zero planning or per-layer dispatch
-//!   work. [`ProgramCacheStats`] exposes the hit/miss/evict counters, and
-//!   each worker reuses one [`feather::ReplayScratch`] so steady-state
-//!   replay allocates no buffer memory either.
+//!   work. [`ProgramCacheStats`] exposes the hit/miss counters, and each
+//!   worker reuses one [`feather::ReplayScratch`] so steady-state replay
+//!   allocates no buffer memory either.
 //! - **Per-tenant accounting** — [`ServerStats`]/[`TenantStats`] aggregate
-//!   latency plus the modeled cycle and DRAM-byte totals of each batch,
-//!   divided across its requests. Counters are sharded per worker and
-//!   merged on [`Server::stats`]; `max_concurrent_batches` is the
-//!   observable proof of executor overlap.
+//!   latency plus the modeled cycles and DRAM bytes each request is charged:
+//!   its program's exact [`cost`](feather::Program::cost) totals — a solo
+//!   inference on FEATHER, whatever it was co-scheduled with. Counters are
+//!   sharded per worker and merged on [`Server::stats`];
+//!   `max_concurrent_batches` is the observable proof of executor overlap.
 //! - **Fault tolerance** — workers replay under `catch_unwind` and are
 //!   respawned if a batch panics; failed batch members are retried with
 //!   exponential backoff up to [`ServeConfig::max_retries`] (retry results

@@ -7,8 +7,10 @@ use std::collections::BTreeMap;
 
 /// Aggregates for one tenant (the `tenant` string passed to `submit`).
 ///
-/// `cycles` and `dram_bytes` are the modeled executor totals of each batch
-/// divided evenly across the batch's requests — the serving analogue of a
+/// `cycles` and `dram_bytes` sum what each completed request was charged —
+/// its model's exact solo-inference cost (`Program::cost()` totals),
+/// whatever it was batched with — so a tenant's totals are
+/// `Σ completed(model) × cost(model)`: the serving analogue of a
 /// `NetworkReport`'s `total_cycles()`/`dram_bytes()` rollup, attributable
 /// per tenant for chargeback.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -66,25 +68,22 @@ impl TenantStats {
     }
 }
 
-/// Counters of one model's compiled-program caches: the in-memory per-batch
-/// program cache the scheduler replays from, and the on-disk artifact cache
-/// (`FEATHER_CACHE_DIR/programs/`) consulted whenever an in-memory miss
-/// forces a compile.
+/// Counters of one model's compiled program: the single in-memory program
+/// every batch replays, and the on-disk artifact cache
+/// (`FEATHER_CACHE_DIR/programs/`) consulted when the model's first request
+/// finds it not yet compiled.
 ///
-/// Steady-state serving shows `hits` growing and everything else flat: each
-/// (model, batch) pair compiles at most once per process, and with a warm
-/// artifact cache even that compile is replaced by a disk load
-/// (`artifact_hits`).
+/// Steady-state serving shows `hits` growing and everything else flat: a
+/// model compiles once per process, and with a warm artifact cache even
+/// that compile is replaced by a disk load (`artifact_hits`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
-    /// Requests served by replaying an already-resident compiled program
+    /// Batches served by replaying the already-resident compiled program
     /// (zero planning or compile work).
     pub hits: u64,
-    /// Batch sizes that had no resident program and triggered a compile or
-    /// artifact load.
+    /// Batches that found no resident program and triggered a compile or
+    /// artifact load: one per model, plus one per failed attempt before it.
     pub misses: u64,
-    /// Resident programs dropped to keep the per-model cache bounded.
-    pub evictions: u64,
     /// Compiles avoided by loading a matching on-disk artifact.
     pub artifact_hits: u64,
     /// Compiles that ran because no matching artifact existed (or the
@@ -94,8 +93,6 @@ pub struct ProgramCacheStats {
     /// mismatch) detected on load and renamed aside to `*.bad` before a
     /// fresh compile replaced them.
     pub artifact_quarantined: u64,
-    /// Programs currently resident in the in-memory cache.
-    pub resident: usize,
 }
 
 /// A snapshot of the whole server's counters.
@@ -144,10 +141,6 @@ pub struct ServerStats {
     /// High-water mark of batches executing simultaneously across the pool.
     /// `>= 2` proves real overlap; always `<=` the configured worker count.
     pub max_concurrent_batches: u64,
-    /// Batches executed through the lane-vectorized batched replay backend
-    /// (`ServeConfig::batched_replay` with ≥ 2 coalesced requests) instead
-    /// of the coalesced scalar replay.
-    pub batched_replays: u64,
 }
 
 impl ServerStats {
@@ -183,7 +176,6 @@ impl ServerStats {
         self.max_concurrent_batches = self
             .max_concurrent_batches
             .max(other.max_concurrent_batches);
-        self.batched_replays += other.batched_replays;
     }
 
     /// Sum of all terminal outcomes — the right-hand side of the
@@ -246,7 +238,6 @@ mod tests {
             worker_panics: 1,
             respawns: 1,
             max_concurrent_batches: 2,
-            batched_replays: 1,
             ..ServerStats::default()
         };
         a.batches.insert(2, 1);
@@ -270,7 +261,6 @@ mod tests {
             shed: 1,
             breaker_opens: 1,
             max_concurrent_batches: 1,
-            batched_replays: 2,
             ..ServerStats::default()
         };
         b.batches.insert(2, 2);
@@ -303,7 +293,6 @@ mod tests {
         assert_eq!(a.accounted(), 5 + 1 + 1 + 4 + 1 + 1);
         assert_eq!(a.accounted(), a.submitted);
         assert_eq!(a.max_concurrent_batches, 2);
-        assert_eq!(a.batched_replays, 3);
         assert_eq!(a.batches[&2], 3);
         assert_eq!(a.batches[&4], 1);
         assert_eq!(a.executed_batches(), 4);

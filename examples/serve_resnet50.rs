@@ -2,15 +2,16 @@
 //! clients against one `feather_serve::Server`.
 //!
 //! 1. **Register** — the scaled-down ResNet-50 DAG (`÷16` channels and
-//!    spatial, full 72-node topology) is compiled once into a batch-1
-//!    `GraphSession`; batched variants are derived on demand and share its
-//!    compiled-route cache.
+//!    spatial, full 72-node topology) is planned once into a batch-1
+//!    `GraphSession`; the first request compiles it into the model's one
+//!    `Program`, which every batch of every size then replays.
 //! 2. **Load** — 64 client threads release from a barrier simultaneously and
 //!    each submit single-sample requests drawn from a pool of 8 distinct
 //!    images, then block on their tickets.
-//! 3. **Coalesce** — the scheduler folds concurrent requests into
-//!    multi-batch runs (up to `max_batch = 8`), so the batch-size histogram
-//!    shows real dynamic batching, not 128 solo runs.
+//! 3. **Coalesce** — the scheduler folds concurrent requests into batches
+//!    (up to `max_batch = 8`), each one replay of that program with one
+//!    request per lane, so the batch-size histogram shows real dynamic
+//!    batching, not 128 solo runs.
 //! 4. **Verify** — every response is compared bit-for-bit against a solo
 //!    batch-1 run of the same image: batching must be unobservable in the
 //!    numbers.

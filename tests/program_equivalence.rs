@@ -227,9 +227,10 @@ proptest! {
     /// Batched lane-vectorized replay == N solo scalar replays — outputs AND
     /// the full `GraphRun` report (cycles, DRAM traffic, scratch accounting,
     /// join saturation) — for batches of 1, 2, 4 and 8 samples on random
-    /// residual DAGs.
+    /// residual DAGs, and for every sample as a batch of one (what serving
+    /// runs for a lone request).
     #[test]
-    fn batched_replay_equals_solo_replays(
+    fn run_batched_equals_solo_replays(
         c0 in 1usize..4,
         hw in 4usize..6,
         depth in 1usize..3,
@@ -258,6 +259,12 @@ proptest! {
                 prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} outputs", lane);
                 prop_assert_eq!(&b.report, &solo.report, "lane {} report", lane);
             }
+        }
+        for (i, (sample, solo)) in samples.iter().zip(&solos).enumerate() {
+            let alone = replay.run_batched(std::slice::from_ref(sample), &weights).unwrap();
+            prop_assert_eq!(alone.len(), 1);
+            prop_assert_eq!(&alone[0].oacts, &solo.oacts, "sample {} alone, outputs", i);
+            prop_assert_eq!(&alone[0].report, &solo.report, "sample {} alone, report", i);
         }
     }
 }
@@ -298,8 +305,8 @@ proptest! {
 
     /// `Program::cost()` is the interpreter's report with join saturation
     /// masked — on ragged, strided, depthwise residual DAGs, for the batch-1
-    /// program and for the `with_batch(N)` programs serving's coalesced path
-    /// builds — survives the artifact, and is what every replay entry point
+    /// program and for the modelled batch-`N` programs of `with_batch(N)` —
+    /// survives the artifact, and is what every replay entry point
     /// returns for zero, all-`i8::MIN` and all-`i8::MAX` inputs and weights
     /// alike.
     #[test]
