@@ -3,9 +3,12 @@
 //!
 //! * **Compiled BIRRD routes** — every distinct reduction-reorder request is
 //!   routed once and lowered to a flat gather-sum program
-//!   ([`feather_birrd::CompiledRoute`]); steady-state fires are pure index
-//!   arithmetic over reusable scratch, with the programs shared across
-//!   layers (and worker threads) through a [`RouteCache`].
+//!   ([`feather_birrd::CompiledRoute`]), shared across layers (and worker
+//!   threads) through a [`RouteCache`]. Inside one layer span a row fire
+//!   *selects* its route, as FEATHER's controller does: a span-local
+//!   [`RouteMemo`] resolves it from the fire batch's bank signature, and a
+//!   request is built (and hashed into the shared cache) once per distinct
+//!   route of the span, not once per BIRRD pass.
 //! * **Zero-alloc, zero-copy steady state** — weights stay stationary in the
 //!   layer's filter tensor and are addressed in place (the ping/pong weight
 //!   registers cost no time in the model, so they cost none on the host
@@ -63,8 +66,8 @@ pub(crate) struct CoreRun {
 /// what a long-running serving process watches to size the cache.
 ///
 /// The counters reflect *shared-map* traffic: steady-state lookups are
-/// absorbed by the lock-free worker-local L1 maps (which live for one layer
-/// span), so `hits + misses` counts L1 misses, and `misses` counts actual
+/// absorbed by each worker's span memo (which lives for one layer span), so
+/// `hits + misses` counts span-first look-ups, and `misses` counts actual
 /// route-and-compile work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
@@ -99,14 +102,14 @@ struct RouteMap {
 /// one routed-and-compiled program per distinct request serves a whole
 /// network run — and, because sessions keep their cache in an [`Arc`],
 /// every subsequent run of the same session (and every segment of a graph
-/// session) too. Workers keep a lock-free local map in front of this shared
-/// map, so steady-state lookups never touch the lock.
+/// session) too. Workers keep a span-local [`RouteMemo`] in front of this
+/// shared map, so steady-state lookups never touch the lock.
 ///
 /// The shared map is bounded: once `capacity` distinct programs are resident,
 /// inserting a new one evicts the oldest (FIFO). Eviction only drops the
-/// shared reference — workers holding the program in their L1 (or in-flight
-/// `Arc`s) keep using it; a later lookup simply recompiles. Hit/miss/eviction
-/// counters are exposed through [`RouteCache::stats`].
+/// shared reference — workers holding the program in their span memo (or
+/// in-flight `Arc`s) keep using it; a later lookup simply recompiles.
+/// Hit/miss/eviction counters are exposed through [`RouteCache::stats`].
 #[derive(Debug)]
 pub(crate) struct RouteCache {
     shared: RwLock<RouteMap>,
@@ -121,9 +124,6 @@ impl Default for RouteCache {
         RouteCache::new()
     }
 }
-
-/// The worker-local L1 in front of a [`RouteCache`].
-type LocalRoutes = HashMap<ReductionRequest, Arc<CompiledRoute>>;
 
 impl RouteCache {
     pub(crate) fn new() -> Self {
@@ -156,19 +156,14 @@ impl RouteCache {
         }
     }
 
-    /// Resolves a request to its compiled program: worker-local map, then the
-    /// shared map, then route + compile (publishing the result to both). The
-    /// request is borrowed so the caller can reuse one scratch request across
-    /// fires; it is only cloned on the rare local-map miss.
+    /// Resolves a request to its compiled program: the shared map, then
+    /// route + compile (publishing the result). The request is borrowed so
+    /// the caller can reuse one scratch request across look-ups.
     fn lookup(
         &self,
         birrd: &Birrd,
         request: &ReductionRequest,
-        local: &mut LocalRoutes,
     ) -> Result<Arc<CompiledRoute>, ArchError> {
-        if let Some(hit) = local.get(request) {
-            return Ok(hit.clone());
-        }
         let shared_hit = self
             .shared
             .read()
@@ -176,7 +171,7 @@ impl RouteCache {
             .routes
             .get(request)
             .cloned();
-        let compiled = match shared_hit {
+        Ok(match shared_hit {
             Some(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 hit
@@ -185,9 +180,7 @@ impl RouteCache {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.publish(request, Arc::new(route_and_compile(birrd, request)?))
             }
-        };
-        local.insert(request.clone(), compiled.clone());
-        Ok(compiled)
+        })
     }
 
     /// Installs a freshly-compiled program in the shared map, evicting the
@@ -389,29 +382,27 @@ impl RouteRecorder {
         Ok(())
     }
 
-    fn record(
+    /// The table slot of `request` as issued by a layer of `c_cols`, folding
+    /// `route` into a new pass the first time the pair is seen.
+    fn slot(
         &mut self,
         c_cols: usize,
         request: &ReductionRequest,
         route: &CompiledRoute,
-    ) -> Result<(), ArchError> {
+    ) -> Result<u32, ArchError> {
         let known = self
             .slot_of
             .get(request)
             .and_then(|slots| slots.iter().find(|(c, _)| *c == c_cols));
-        let slot = match known {
-            Some(&(_, slot)) => slot,
-            None => {
-                let slot = self.table.push(c_cols, request.clone(), route)?;
-                self.slot_of
-                    .entry(request.clone())
-                    .or_default()
-                    .push((c_cols, slot));
-                slot
-            }
-        };
-        self.layer.stream.push(slot);
-        Ok(())
+        if let Some(&(_, slot)) = known {
+            return Ok(slot);
+        }
+        let slot = self.table.push(c_cols, request.clone(), route)?;
+        self.slot_of
+            .entry(request.clone())
+            .or_default()
+            .push((c_cols, slot));
+        Ok(slot)
     }
 
     /// Takes the stream recorded since the previous call — one layer's.
@@ -427,25 +418,93 @@ impl RouteRecorder {
 
 /// How `run_conv_core` resolves reduce-reorder routes for a layer pass.
 pub(crate) enum RouteExecution<'a> {
-    /// Interpreted path: hash each request through the shared [`RouteCache`]
-    /// (with a worker-local L1 in front).
+    /// Interpreted path: resolve each span's distinct routes through the
+    /// shared [`RouteCache`] (every worker keeps a [`RouteMemo`] in front).
     Cached(&'a RouteCache),
     /// Compile path: like `Cached`, but also record the serial consumption
     /// order into a [`RouteRecorder`]. Forces a single worker.
     Collect(&'a RouteCache, &'a mut RouteRecorder),
 }
 
-/// The per-worker view of a [`RouteExecution`].
-enum SpanRoutes<'a> {
-    Cached {
-        cache: &'a RouteCache,
-        local: LocalRoutes,
-    },
-    Collect {
-        cache: &'a RouteCache,
-        local: LocalRoutes,
-        recorder: &'a mut RouteRecorder,
-    },
+/// One distinct route of a span: the compiled program, its [`RouteTable`]
+/// slot when the span records (`Collect`), and the request both came from.
+struct MemoEntry {
+    route: Arc<CompiledRoute>,
+    slot: u32,
+    /// Debug builds rebuild the request on every hit and compare.
+    request: ReductionRequest,
+}
+
+/// The route memo of one `run_span` call, keyed by what a fire batch's route
+/// is a function of inside a layer span: the live reduction width of the
+/// channel tile and the batch's `(q_lane, bank)` pairs. Within a span this
+/// signature and the [`ReductionRequest`] determine each other, so the memo
+/// reaches the shared [`RouteCache`] (and the recorder's slot resolution)
+/// exactly once per distinct request — on a miss, the only way an entry is
+/// created.
+#[derive(Default)]
+struct RouteMemo {
+    /// `[c_live, q_lane, bank, q_lane, bank, …]` → index into `entries`.
+    index: HashMap<Vec<u32>, usize>,
+    entries: Vec<MemoEntry>,
+    key: Vec<u32>,
+}
+
+impl RouteMemo {
+    /// Resolves `batch`'s route under the channel tile whose lane mask is
+    /// `c_ok` (`c_live` live columns per lane) and, in `Collect` mode, pushes
+    /// its slot onto the layer stream.
+    fn resolve(
+        &mut self,
+        ctx: &LayerExec,
+        c_live: usize,
+        c_ok: &[bool],
+        batch: &[FireGroup],
+        request: &mut ReductionRequest,
+        routes: &mut RouteExecution<'_>,
+    ) -> Result<&CompiledRoute, ArchError> {
+        let (cache, mut recorder) = match routes {
+            RouteExecution::Cached(cache) => (*cache, None),
+            RouteExecution::Collect(cache, recorder) => (*cache, Some(&mut **recorder)),
+        };
+        self.key.clear();
+        self.key.push(c_live as u32);
+        let pairs = batch.iter().flat_map(|g| [g.q_lane as u32, g.bank as u32]);
+        self.key.extend(pairs);
+        let at = match self.index.get(self.key.as_slice()) {
+            Some(&at) => {
+                if cfg!(debug_assertions) {
+                    fill_request(request, batch, c_ok, ctx.c_cols);
+                    assert_eq!(
+                        *request, self.entries[at].request,
+                        "memo key {:?}",
+                        self.key
+                    );
+                }
+                at
+            }
+            None => {
+                fill_request(request, batch, c_ok, ctx.c_cols);
+                let route = cache.lookup(&ctx.birrd, request)?;
+                let slot = match &mut recorder {
+                    Some(recorder) => recorder.slot(ctx.c_cols, request, &route)?,
+                    None => 0,
+                };
+                self.index.insert(self.key.clone(), self.entries.len());
+                self.entries.push(MemoEntry {
+                    route,
+                    slot,
+                    request: request.clone(),
+                });
+                self.entries.len() - 1
+            }
+        };
+        let entry = &self.entries[at];
+        if let Some(recorder) = recorder {
+            recorder.layer.stream.push(entry.slot);
+        }
+        Ok(&entry.route)
+    }
 }
 
 /// Fills the reusable scratch `request` from the current fire batch: lane
@@ -500,8 +559,11 @@ fn available_threads() -> usize {
 
 /// Below this many (reference-kernel) MACs a layer is not worth forking
 /// buffers and spawning workers for; auto-threading falls back to serial.
-/// An explicit thread request always wins.
-const AUTO_PARALLEL_MIN_MACS: u64 = 16_384;
+/// An explicit thread request always wins. Measured, not guessed: the
+/// smallest power of two from which two workers are no slower than one in
+/// the `sharding_crossover` bench group on a 2-thread host (README, *On
+/// probation*).
+const AUTO_PARALLEL_MIN_MACS: u64 = 1 << 20;
 
 /// Precompiles an iAct layout over a layer's `(N, C, H, W)` extents — the
 /// single source of the iAct coordinate order used by the executor.
@@ -621,18 +683,43 @@ impl LayerExec {
         })
     }
 
+    /// Live reduction width of channel tile `wt_c`: the columns of a lane
+    /// that hold an in-range input channel.
+    fn c_live(&self, wt_c: usize) -> usize {
+        if self.depthwise {
+            1
+        } else {
+            self.c_cols.min(self.layer.c - wt_c * self.c_cols)
+        }
+    }
+
     /// Marks in `c_ok` the columns whose reduction lane holds an in-range
     /// input channel under channel tile `wt_c` — the whole per-tile cost of
     /// switching weights.
     fn mark_live_lanes(&self, wt_c: usize, c_ok: &mut [bool]) {
-        let c_live = if self.depthwise {
-            1
-        } else {
-            self.c_cols.min(self.layer.c - wt_c * self.c_cols)
-        };
+        let c_live = self.c_live(wt_c);
         c_ok.fill(false);
         for lane in c_ok[..self.q_cols * self.c_cols].chunks_exact_mut(self.c_cols) {
             lane[..c_live].fill(true);
+        }
+    }
+
+    /// Builds the reduction groups of output channel `m`'s row fire at
+    /// pixel group `(n, p, qt)`: one per in-range `q_lane` (every tile has a
+    /// live reduction lane: `wt_c < c_tiles`, and depthwise has `M == C`),
+    /// destination = the StaB bank the oAct lands in under the next layer's
+    /// layout.
+    fn fire_groups(&self, [n, m, p, qt]: [usize; 4], groups: &mut Vec<FireGroup>) {
+        groups.clear();
+        for q_lane in 0..self.q_cols.min(self.q_total - qt * self.q_cols) {
+            let loc = self
+                .oact_plan
+                .location([n, m, p, qt * self.q_cols + q_lane]);
+            groups.push(FireGroup {
+                q_lane,
+                bank: loc.offset % self.cols,
+                loc,
+            });
         }
     }
 
@@ -651,6 +738,28 @@ struct FireGroup {
     loc: Location,
 }
 
+/// Moves the next batch of `groups` with unique destination banks into
+/// `batch`, leaving the rest in `groups` (a concordant mapping needs one
+/// batch per fire).
+fn next_batch(
+    groups: &mut Vec<FireGroup>,
+    batch: &mut Vec<FireGroup>,
+    pending: &mut Vec<FireGroup>,
+    bank_used: &mut [bool],
+) {
+    batch.clear();
+    pending.clear();
+    bank_used.fill(false);
+    for g in groups.drain(..) {
+        if !std::mem::replace(&mut bank_used[g.bank], true) {
+            batch.push(g);
+        } else {
+            pending.push(g);
+        }
+    }
+    std::mem::swap(groups, pending);
+}
+
 /// Per-worker result: everything needed to reconstruct the serial counters.
 struct SpanAccum {
     /// Row fires per `(wt_m, wt_c)` tile (index `wt_m * c_tiles + wt_c`);
@@ -667,8 +776,8 @@ struct SpanAccum {
 /// Run-lifetime scratch of the tile loop: the NEST array plus the fire-bus,
 /// reduction-group and BIRRD input/output buffers. A run allocates one and
 /// hands it to every layer pass, so the per-layer and per-tile steady state
-/// allocates nothing (except the lookup `request`, whose `BTreeMap` nodes
-/// reallocate per fire batch).
+/// allocates nothing (the lookup `request` is only filled on a span's first
+/// sight of a route).
 ///
 /// Every pass leaves the array drained — each `(n, p, qt)` step fires all of
 /// its rows — so the next layer starts from zeroed accumulators.
@@ -756,25 +865,21 @@ pub(crate) fn run_conv_core(
     let units_total = ctx.units();
     let workers = effective_workers(threads, &ctx.layer, units_total);
 
+    // Recording always takes the serial span, whatever `workers` says.
     let spans = match routes {
-        RouteExecution::Collect(cache, recorder) => {
-            let mut span_routes = SpanRoutes::Collect {
-                cache,
-                local: LocalRoutes::new(),
-                recorder,
-            };
+        RouteExecution::Cached(cache) if workers > 1 => {
+            run_sharded(ctx, weights, workers, iact, oact, cache)?
+        }
+        mut routes => {
             vec![run_span(
                 ctx,
                 weights,
                 0..units_total,
                 iact,
                 oact,
-                &mut span_routes,
+                &mut routes,
                 scratch,
             )?]
-        }
-        RouteExecution::Cached(cache) => {
-            run_worker_spans(ctx, weights, workers, iact, oact, cache, scratch)?
         }
     };
 
@@ -838,35 +943,6 @@ fn reference_macs(layer: &ConvLayer) -> u64 {
         * (c_red * layer.r * layer.s) as u64
 }
 
-/// Dispatches the full unit range serially or sharded, per `workers`.
-fn run_worker_spans(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    workers: usize,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    cache: &RouteCache,
-    scratch: &mut SpanScratch,
-) -> Result<Vec<SpanAccum>, ArchError> {
-    let units_total = ctx.units();
-    if workers <= 1 {
-        let mut routes = SpanRoutes::Cached {
-            cache,
-            local: LocalRoutes::new(),
-        };
-        return Ok(vec![run_span(
-            ctx,
-            weights,
-            0..units_total,
-            iact,
-            oact,
-            &mut routes,
-            scratch,
-        )?]);
-    }
-    run_sharded(ctx, weights, workers, iact, oact, cache)
-}
-
 /// Runs the span `0..units` split across `workers` scoped threads, each on
 /// forked buffers, and absorbs data + statistics back into the real views.
 fn run_sharded(
@@ -902,17 +978,13 @@ fn run_sharded(
                     let accum = {
                         let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
                         let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
-                        let mut routes = SpanRoutes::Cached {
-                            cache,
-                            local: LocalRoutes::new(),
-                        };
                         run_span(
                             ctx,
                             weights,
                             units,
                             &mut iview,
                             &mut oview,
-                            &mut routes,
+                            &mut RouteExecution::Cached(cache),
                             &mut SpanScratch::new(ctx.rows, ctx.cols),
                         )?
                     };
@@ -946,10 +1018,9 @@ fn run_span(
     units: Range<usize>,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    routes: &mut SpanRoutes<'_>,
+    routes: &mut RouteExecution<'_>,
     scratch: &mut SpanScratch,
 ) -> Result<SpanAccum, ArchError> {
-    let cols = ctx.cols;
     let layer = &ctx.layer;
     scratch.check_fabric(ctx);
     let SpanScratch {
@@ -966,6 +1037,7 @@ fn run_span(
     } = scratch;
     let ws = weights.as_slice();
     let macs_before = nest.total_macs();
+    let mut memo = RouteMemo::default();
     let mut accum = SpanAccum {
         tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
         extra_cycles: 0,
@@ -983,13 +1055,14 @@ fn run_span(
 
         for wt_c in 0..ctx.c_tiles {
             ctx.mark_live_lanes(wt_c, c_ok);
+            let c_live = ctx.c_live(wt_c);
             let tile = wt_m * ctx.c_tiles + wt_c;
 
             for n in n_range.clone() {
                 // One `(wt_m, wt_c, n)` triple is a work block with a
                 // data-independent route sub-sequence; recording marks its
                 // start, which is where replay sets its cursor.
-                if let SpanRoutes::Collect { recorder, .. } = routes {
+                if let RouteExecution::Collect(_, recorder) = routes {
                     recorder.enter_block(tile * n_total + n)?;
                 }
                 for p in 0..ctx.p_total {
@@ -1017,59 +1090,11 @@ fn run_span(
                                 continue;
                             }
 
-                            // Build the reduction groups: one per in-range
-                            // q_lane (every tile has a live reduction lane:
-                            // `wt_c < c_tiles`, and depthwise has `M == C`),
-                            // destination = the StaB bank the oAct lands in
-                            // under the next layer's layout.
-                            groups.clear();
-                            for q_lane in 0..ctx.q_cols {
-                                let q = qt * ctx.q_cols + q_lane;
-                                if q >= ctx.q_total {
-                                    continue;
-                                }
-                                let loc = ctx.oact_plan.location([n, m, p, q]);
-                                groups.push(FireGroup {
-                                    q_lane,
-                                    bank: loc.offset % cols,
-                                    loc,
-                                });
-                            }
-
-                            // Split into batches with unique destination
-                            // banks (a concordant mapping needs one batch).
+                            ctx.fire_groups([n, m, p, qt], groups);
                             while !groups.is_empty() {
-                                batch.clear();
-                                pending.clear();
-                                bank_used.fill(false);
-                                for g in groups.drain(..) {
-                                    if !bank_used[g.bank] {
-                                        bank_used[g.bank] = true;
-                                        batch.push(g);
-                                    } else {
-                                        pending.push(g);
-                                    }
-                                }
-                                std::mem::swap(groups, pending);
-
-                                let owned_route;
-                                let route: &CompiledRoute = match routes {
-                                    SpanRoutes::Cached { cache, local } => {
-                                        fill_request(request, batch, c_ok, ctx.c_cols);
-                                        owned_route = cache.lookup(&ctx.birrd, request, local)?;
-                                        &owned_route
-                                    }
-                                    SpanRoutes::Collect {
-                                        cache,
-                                        local,
-                                        recorder,
-                                    } => {
-                                        fill_request(request, batch, c_ok, ctx.c_cols);
-                                        owned_route = cache.lookup(&ctx.birrd, request, local)?;
-                                        recorder.record(ctx.c_cols, request, &owned_route)?;
-                                        &owned_route
-                                    }
-                                };
+                                next_batch(groups, batch, pending, bank_used);
+                                let route =
+                                    memo.resolve(ctx, c_live, c_ok, batch, request, routes)?;
 
                                 inputs.fill(None);
                                 for g in batch.iter() {
@@ -1381,11 +1406,7 @@ pub(crate) fn replay_fire<const SCALAR: bool>(
         let m_lanes = ctx.m_rows.min(l.m - m_base);
         for wt_c in 0..ctx.c_tiles {
             let c_base = wt_c * ctx.c_cols;
-            let c_live = if ctx.depthwise {
-                1
-            } else {
-                ctx.c_cols.min(l.c - c_base)
-            };
+            let c_live = ctx.c_live(wt_c);
             for n in 0..l.n {
                 let block = (wt_m * ctx.c_tiles + wt_c) * l.n + n;
                 let mut pos = layer.routes.block_starts[block] as usize;
@@ -1509,10 +1530,13 @@ mod tests {
     #[test]
     fn effective_workers_falls_back_to_serial() {
         let _guard = ENV_LOCK.lock().unwrap();
-        // Big enough to clear AUTO_PARALLEL_MIN_MACS; tiny layers stay serial.
-        let big = ConvLayer::new(2, 16, 16, 14, 14, 3, 3).with_padding(1);
+        // Big enough to clear AUTO_PARALLEL_MIN_MACS; a layer just under it
+        // and tiny layers stay serial.
+        let big = ConvLayer::new(2, 32, 16, 14, 14, 3, 3).with_padding(1);
+        let medium = ConvLayer::new(2, 16, 16, 14, 14, 3, 3).with_padding(1);
         let small = ConvLayer::new(1, 2, 2, 4, 4, 1, 1);
         assert!(reference_macs(&big) >= AUTO_PARALLEL_MIN_MACS);
+        assert!(reference_macs(&medium) < AUTO_PARALLEL_MIN_MACS);
         assert!(reference_macs(&small) < AUTO_PARALLEL_MIN_MACS);
 
         // Explicit requests clamp to the unit count: asking for 8 workers on
@@ -1529,6 +1553,7 @@ mod tests {
         // ...a parallel host shards big layers but never small ones.
         std::env::set_var("FEATHER_THREADS", "4");
         assert_eq!(effective_workers(None, &big, 64), 4);
+        assert_eq!(effective_workers(None, &medium, 64), 1);
         assert_eq!(effective_workers(None, &small, 64), 1);
         std::env::remove_var("FEATHER_THREADS");
     }
@@ -1551,14 +1576,11 @@ mod tests {
     fn route_cache_counts_hits_and_misses() {
         let cache = RouteCache::new();
         let birrd = Birrd::new(4).unwrap();
-        let mut local = LocalRoutes::new();
         let req = request(4, 2, 1);
-        cache.lookup(&birrd, &req, &mut local).unwrap();
-        // A fresh worker (empty L1) hits the shared map.
-        let mut other = LocalRoutes::new();
-        cache.lookup(&birrd, &req, &mut other).unwrap();
-        // The warm worker's L1 absorbs the lookup without touching counters.
-        cache.lookup(&birrd, &req, &mut local).unwrap();
+        let first = cache.lookup(&birrd, &req).unwrap();
+        // A second span's first look-up hits the shared map.
+        let again = cache.lookup(&birrd, &req).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
@@ -1570,13 +1592,9 @@ mod tests {
     fn route_cache_evicts_oldest_beyond_capacity() {
         let cache = RouteCache::with_capacity(2);
         let birrd = Birrd::new(4).unwrap();
-        // Distinct requests (different destination banks); a fresh L1 per
-        // lookup forces every resolution through the shared map.
+        // Distinct requests (different destination banks).
         for bank in 0..4 {
-            let mut local = LocalRoutes::new();
-            cache
-                .lookup(&birrd, &request(4, 2, bank), &mut local)
-                .unwrap();
+            cache.lookup(&birrd, &request(4, 2, bank)).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 4);
@@ -1584,10 +1602,8 @@ mod tests {
         assert_eq!(stats.entries, 2);
         // The oldest two were evicted; re-resolving one recompiles (a miss),
         // while the newest two still hit.
-        let mut local = LocalRoutes::new();
-        cache.lookup(&birrd, &request(4, 2, 0), &mut local).unwrap();
-        let mut local = LocalRoutes::new();
-        cache.lookup(&birrd, &request(4, 2, 3), &mut local).unwrap();
+        cache.lookup(&birrd, &request(4, 2, 0)).unwrap();
+        cache.lookup(&birrd, &request(4, 2, 3)).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.misses, 5);
         assert_eq!(stats.hits, 1);
@@ -1597,20 +1613,155 @@ mod tests {
     fn evicted_routes_remain_usable_through_live_references() {
         let cache = RouteCache::with_capacity(1);
         let birrd = Birrd::new(4).unwrap();
-        let mut local = LocalRoutes::new();
-        let first = cache.lookup(&birrd, &request(4, 2, 0), &mut local).unwrap();
+        let first = cache.lookup(&birrd, &request(4, 2, 0)).unwrap();
         // Evict it from the shared map…
-        let mut other = LocalRoutes::new();
-        cache.lookup(&birrd, &request(4, 2, 1), &mut other).unwrap();
+        cache.lookup(&birrd, &request(4, 2, 1)).unwrap();
         assert_eq!(cache.stats().evictions, 1);
-        // …the held Arc (and the warm L1 copy) still run fine.
+        // …the held Arc (as a span memo holds it) still runs fine.
         let mut inputs = vec![None; 4];
         inputs[0] = Some(5i64);
         inputs[1] = Some(7);
         let mut outputs = vec![None; 4];
         first.run(&inputs, &mut outputs).unwrap();
         assert_eq!(outputs[0], Some(12), "reduction of lanes 0..2 into bank 0");
-        let again = cache.lookup(&birrd, &request(4, 2, 0), &mut local).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "L1 copy survives eviction");
+        // A later look-up simply recompiles.
+        cache.lookup(&birrd, &request(4, 2, 0)).unwrap();
+        assert_eq!(cache.stats().misses, 3);
+    }
+
+    use proptest::prelude::*;
+
+    /// oAct layouts from concordant (one bank per `q_lane`) to discordant
+    /// (`PQM_M4`: every `q_lane` of a fire lands in the same bank).
+    const OACT_LAYOUTS: [&str; 6] = [
+        "MPQ_Q8", "MPQ_Q4", "PQM_M4Q2", "PMQ_Q2M4", "MQP_P2M2", "PQM_M4",
+    ];
+
+    /// Generated cases whose fires needed more than one BIRRD pass.
+    static MULTI_BATCH_CASES: AtomicU64 = AtomicU64::new(0);
+
+    /// Resolves every pass of `layer` under `mapping` through a span memo
+    /// and checks each against the oracle — a request rebuilt for that pass,
+    /// hashed into the shared cache and into first-seen slot order. Returns
+    /// `(row fires, BIRRD passes)`.
+    fn check_memo_against_request_lookups(
+        layer: &ConvLayer,
+        mapping: &LayerMapping,
+    ) -> Result<(u64, u64), TestCaseError> {
+        let config = FeatherConfig::new(4, 8);
+        let ctx = LayerExec::new(&config, layer, mapping).unwrap();
+        let cache = RouteCache::new();
+        let mut recorder = RouteRecorder::default();
+        let mut routes = RouteExecution::Collect(&cache, &mut recorder);
+        let mut memo = RouteMemo::default();
+        let mut scratch = SpanScratch::new(config.rows, config.cols);
+        let mut oracle = scratch.request.clone();
+        let mut slots: HashMap<ReductionRequest, u32> = HashMap::new();
+        let (mut fires, mut passes) = (0u64, 0u64);
+        let SpanScratch {
+            c_ok,
+            groups,
+            batch,
+            pending,
+            bank_used,
+            request,
+            ..
+        } = &mut scratch;
+        for tile in 0..ctx.m_tiles * ctx.c_tiles {
+            let (wt_m, wt_c) = (tile / ctx.c_tiles, tile % ctx.c_tiles);
+            ctx.mark_live_lanes(wt_c, c_ok);
+            for fire in 0..layer.n * ctx.p_total * ctx.q_tiles * ctx.m_rows {
+                let m = wt_m * ctx.m_rows + fire % ctx.m_rows;
+                if m >= layer.m {
+                    continue;
+                }
+                let pixel_group = fire / ctx.m_rows;
+                let (n, p) = (
+                    pixel_group / ctx.q_tiles / ctx.p_total,
+                    pixel_group / ctx.q_tiles % ctx.p_total,
+                );
+                fires += 1;
+                ctx.fire_groups([n, m, p, pixel_group % ctx.q_tiles], groups);
+                while !groups.is_empty() {
+                    next_batch(groups, batch, pending, bank_used);
+                    passes += 1;
+                    let c_live = ctx.c_live(wt_c);
+                    let Ok(route) = memo
+                        .resolve(&ctx, c_live, c_ok, batch, request, &mut routes)
+                        .map(|route| route as *const CompiledRoute)
+                    else {
+                        // A pattern BIRRD cannot route is not this test's.
+                        return Err(TestCaseError::reject("unroutable pattern"));
+                    };
+                    fill_request(&mut oracle, batch, c_ok, ctx.c_cols);
+                    let hashed = cache.lookup(&ctx.birrd, &oracle).unwrap();
+                    prop_assert!(std::ptr::eq(route, Arc::as_ptr(&hashed)));
+                    let next_slot = slots.len() as u32;
+                    let slot = *slots.entry(oracle.clone()).or_insert(next_slot);
+                    let RouteExecution::Collect(_, recorder) = &routes else {
+                        unreachable!()
+                    };
+                    prop_assert_eq!(recorder.layer.stream.last(), Some(&slot));
+                    let recorded = &recorder.table.requests()[slot as usize];
+                    prop_assert_eq!(recorded, &(ctx.c_cols, oracle.clone()));
+                }
+            }
+        }
+        // One memo entry, one shared-map miss, one table pass per distinct
+        // request — no more, no fewer.
+        prop_assert_eq!(memo.entries.len(), slots.len());
+        prop_assert_eq!(recorder.table.len(), slots.len());
+        prop_assert_eq!(recorder.layer.stream.len() as u64, passes);
+        prop_assert_eq!(cache.stats().misses as usize, slots.len());
+        Ok((fires, passes))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Ragged `C`/`M`, strides, padding, depthwise and oAct layouts of
+        /// every degree of discordance: the memo agrees with the oracle.
+        fn memo_cases(
+            dims in proptest::collection::vec(1usize..=9, 2),
+            hw in proptest::collection::vec(3usize..=7, 2),
+            kernel_stride_pad in proptest::collection::vec(0usize..=2, 3),
+            depthwise in 0usize..4,
+            factors in proptest::collection::vec(0usize..4, 3),
+            oact in 0usize..OACT_LAYOUTS.len(),
+        ) {
+            let depthwise = depthwise == 0;
+            let c = if depthwise { dims[0] } else { dims[1] };
+            let k = [1, 3, 3][kernel_stride_pad[0]];
+            let base = ConvLayer::new(2, dims[0], c, hw[0], hw[1], k, k)
+                .with_stride(1 + kernel_stride_pad[1] % 2)
+                .with_padding(kernel_stride_pad[2]);
+            let layer = if depthwise { base.depthwise() } else { base };
+            prop_assume!(layer.validate().is_ok());
+
+            let config = FeatherConfig::new(4, 8);
+            let oact = OACT_LAYOUTS[oact];
+            let mut mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C4", oact);
+            mapping.m_rows = (1 + factors[0]).min(mapping.m_rows);
+            mapping.c_cols = (1 << factors[1]).min(mapping.c_cols);
+            mapping.q_cols = (1 << factors[2]).min(layer.output_width()).min(8 / mapping.c_cols);
+            prop_assume!(mapping.validate(&layer, &config).is_ok());
+
+            let (fires, passes) = check_memo_against_request_lookups(&layer, &mapping)?;
+            if oact == "PQM_M4" && mapping.q_cols > 1 {
+                prop_assert!(passes > fires, "a discordant layout must split its fires");
+            }
+            if passes > fires {
+                MULTI_BATCH_CASES.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn memo_resolves_every_pass_like_a_request_hashed_lookup() {
+        memo_cases();
+        assert!(
+            MULTI_BATCH_CASES.load(Ordering::Relaxed) > 0,
+            "no generated case split a fire into several batches"
+        );
     }
 }

@@ -19,6 +19,13 @@
 //! load (a stale or corrupt cache degrades to recomputation, never to an
 //! error), and a header mismatch discards the whole file.
 //!
+//! The planner trusts what it finds in the cache, so loading is strict: every
+//! value has exactly one spelling (a record is kept only if re-encoding what
+//! it decoded to reproduces the line), a result no search can produce — a
+//! zero factor, extent or array side, a non-finite or negative number — is
+//! malformed, and one malformed record inside a table drops the whole table
+//! rather than leaving the planner a shorter list of layouts to choose from.
+//!
 //! Persistence is **gated behind the `FEATHER_CACHE_DIR` environment
 //! variable**: [`CoSearchCache::load_persistent`] returns an empty cache and
 //! [`CoSearchCache::save_persistent`] is a no-op unless it is set. The
@@ -79,7 +86,8 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Reverses [`esc`]; returns `None` on a malformed escape.
+/// Reverses [`esc`]; returns `None` on an escape that is not `%` followed by
+/// two hex digits.
 fn unesc(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -88,12 +96,16 @@ fn unesc(s: &str) -> Option<String> {
             out.push(ch);
             continue;
         }
-        let hi = chars.next()?;
-        let lo = chars.next()?;
-        let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16).ok()?;
-        out.push(byte as char);
+        let hi = chars.next()?.to_digit(16)?;
+        let lo = chars.next()?.to_digit(16)?;
+        out.push(char::from((hi * 16 + lo) as u8));
     }
     Some(out)
+}
+
+/// [`unesc`] for a whole record body that must be in [`esc`]'s own spelling.
+fn unesc_exact(body: &str) -> Option<String> {
+    unesc(body).filter(|s| esc(s) == body)
 }
 
 fn encode_parallel(dims: &[ParallelDim]) -> String {
@@ -183,26 +195,64 @@ fn encode_result(r: &CoSearchResult) -> String {
     .join(" ")
 }
 
-/// Decodes [`encode_result`] output; `None` on any malformed token.
+/// The product of `sizes`, unless one is zero or the product overflows.
+fn product(sizes: impl IntoIterator<Item = usize>) -> Option<usize> {
+    sizes
+        .into_iter()
+        .try_fold(1usize, |acc, n| acc.checked_mul(n).filter(|&p| p > 0))
+}
+
+/// Decodes [`encode_result`] output; `None` on any malformed token, on a
+/// result no search can produce, and on any spelling but `encode_result`'s.
 fn decode_result(s: &str) -> Option<CoSearchResult> {
-    let get = |wanted: &str| -> Option<String> {
-        s.split(' ').find_map(|tok| {
-            let (k, v) = tok.split_once('=')?;
-            (k == wanted).then(|| v.to_string())
-        })
+    let result = decode_tokens(s)?;
+    let df = &result.dataflow;
+    let ev = &result.evaluation;
+    let e = &ev.energy;
+    let fits = |dims: &[ParallelDim], side: usize| {
+        product(dims.iter().map(|p| p.factor)).is_some_and(|lanes| lanes <= side)
     };
-    let shape = get("df.shape")?;
-    let (rows, cols) = shape.split_once('x')?;
+    let sizes_sane = product([df.shape.rows, df.shape.cols]).is_some()
+        && fits(&df.row_parallel, df.shape.rows)
+        && fits(&df.col_parallel, df.shape.cols)
+        && product(df.temporal.loops.iter().map(|l| l.extent)).is_some()
+        && product(result.layout.intraline.iter().map(|d| d.size)).is_some();
+    let numbers_sane = [
+        ev.conflict_slowdown,
+        ev.spatial_utilization,
+        ev.utilization,
+        ev.lines_per_cycle,
+        ev.reorder_energy_pj,
+        ev.edp,
+        e.compute_pj,
+        e.register_pj,
+        e.sram_pj,
+        e.dram_pj,
+        e.noc_pj,
+        e.leakage_pj,
+    ]
+    .iter()
+    .all(|x| x.is_finite() && x.is_sign_positive());
+    (sizes_sane && numbers_sane && encode_result(&result) == s).then_some(result)
+}
+
+/// The grammar half of [`decode_result`]: every token present and parseable.
+fn decode_tokens(s: &str) -> Option<CoSearchResult> {
+    let tokens: Vec<(&str, &str)> = s
+        .split(' ')
+        .map(|tok| tok.split_once('='))
+        .collect::<Option<_>>()?;
+    let get = |wanted: &str| tokens.iter().find(|(k, _)| *k == wanted).map(|(_, v)| *v);
+    let (rows, cols) = get("df.shape")?.split_once('x')?;
     let dataflow = Dataflow::new(
-        unesc(&get("df.name")?)?,
+        unesc(get("df.name")?)?,
         ArrayShape::new(rows.parse().ok()?, cols.parse().ok()?),
-        decode_parallel(&get("df.row")?)?,
-        decode_parallel(&get("df.col")?)?,
-        decode_temporal(&get("df.tmp")?)?,
+        decode_parallel(get("df.row")?)?,
+        decode_parallel(get("df.col")?)?,
+        decode_temporal(get("df.tmp")?)?,
     );
-    let layout: Layout = unesc(&get("layout")?)?.parse().ok()?;
-    let energy_raw = get("ev.e")?;
-    let parts: Vec<f64> = energy_raw
+    let layout: Layout = unesc(get("layout")?)?.parse().ok()?;
+    let parts: Vec<f64> = get("ev.e")?
         .split('+')
         .map(|p| p.parse().ok())
         .collect::<Option<Vec<_>>>()?;
@@ -210,10 +260,10 @@ fn decode_result(s: &str) -> Option<CoSearchResult> {
         return None;
     };
     let evaluation = Evaluation {
-        arch: unesc(&get("ev.arch")?)?,
-        layer: unesc(&get("ev.layer")?)?,
-        dataflow: unesc(&get("ev.dataflow")?)?,
-        layout: unesc(&get("ev.layout")?)?,
+        arch: unesc(get("ev.arch")?)?,
+        layer: unesc(get("ev.layer")?)?,
+        dataflow: unesc(get("ev.dataflow")?)?,
+        layout: unesc(get("ev.layout")?)?,
         cycles: get("ev.cycles")?.parse().ok()?,
         ideal_cycles: get("ev.ideal")?.parse().ok()?,
         conflict_slowdown: get("ev.conflict")?.parse().ok()?,
@@ -246,6 +296,14 @@ impl CoSearchCache {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        fs::write(path, self.render())
+    }
+
+    /// The file [`CoSearchCache::save_to`] writes.
+    fn render(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
         for (key, result) in self.entries() {
@@ -260,10 +318,7 @@ impl CoSearchCache {
                 out.push_str(&format!("W {}\n", encode_result(&choice.switch)));
             }
         }
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(path, out)
+        out
     }
 
     /// Loads a cache previously written by [`CoSearchCache::save_to`].
@@ -273,11 +328,15 @@ impl CoSearchCache {
     /// # Errors
     /// Propagates filesystem errors (e.g. the file does not exist).
     pub fn load_from(path: &Path) -> io::Result<CoSearchCache> {
-        let text = fs::read_to_string(path)?;
+        Ok(Self::parse(&fs::read_to_string(path)?))
+    }
+
+    /// Decodes the text of a cache file, keeping what is well-formed.
+    fn parse(text: &str) -> CoSearchCache {
         let mut cache = CoSearchCache::new();
         let mut lines = text.lines();
         if lines.next() != Some(HEADER) {
-            return Ok(cache);
+            return cache;
         }
         let mut pending_entry: Option<String> = None;
         let mut pending_table: Option<(String, CoSearchTable)> = None;
@@ -296,7 +355,7 @@ impl CoSearchCache {
             match tag {
                 "E" => {
                     flush_table(&mut cache, pending_table.take());
-                    pending_entry = unesc(body);
+                    pending_entry = unesc_exact(body);
                 }
                 "R" => {
                     if let (Some(key), Some(result)) = (pending_entry.take(), decode_result(body)) {
@@ -306,22 +365,24 @@ impl CoSearchCache {
                 "T" => {
                     flush_table(&mut cache, pending_table.take());
                     pending_choice = None;
-                    pending_table = unesc(body).map(|key| (key, CoSearchTable::default()));
+                    pending_table = unesc_exact(body).map(|key| (key, CoSearchTable::default()));
                 }
+                // A table record that does not decode takes its table with it.
                 "C" => {
-                    pending_choice = unesc(body)
-                        .and_then(|l| l.parse::<Layout>().ok())
-                        .map(|l| (l, None));
-                }
-                "S" => {
-                    if let Some((_, stay)) = pending_choice.as_mut() {
-                        *stay = decode_result(body);
+                    pending_choice = unesc_exact(body).and_then(|text| {
+                        let layout = text.parse::<Layout>().ok()?;
+                        (layout.to_string() == text).then_some((layout, None))
+                    });
+                    if pending_choice.is_none() {
+                        pending_table = None;
                     }
                 }
-                "W" => {
-                    if let (Some((layout, Some(stay))), Some(switch)) =
-                        (pending_choice.take(), decode_result(body))
-                    {
+                "S" => match (pending_choice.as_mut(), decode_result(body)) {
+                    (Some((_, stay @ None)), Some(result)) => *stay = Some(result),
+                    _ => pending_table = None,
+                },
+                "W" => match (pending_choice.take(), decode_result(body)) {
+                    (Some((layout, Some(stay))), Some(switch)) => {
                         if let Some((_, table)) = pending_table.as_mut() {
                             table.choices.push(LayoutChoice {
                                 layout,
@@ -330,12 +391,13 @@ impl CoSearchCache {
                             });
                         }
                     }
-                }
+                    _ => pending_table = None,
+                },
                 _ => {}
             }
         }
         flush_table(&mut cache, pending_table.take());
-        Ok(cache)
+        cache
     }
 
     /// The persistent cache file location, when `FEATHER_CACHE_DIR` is set.
@@ -414,6 +476,184 @@ mod tests {
         // Malformed escapes are rejected, not mangled.
         assert_eq!(unesc("%2"), None);
         assert_eq!(unesc("%zz"), None);
+        // `u8::from_str_radix` would take the sign and decode 0x0F.
+        assert_eq!(unesc("%+f"), None);
+        // A second spelling of an unescaped character is not `esc`'s.
+        assert_eq!(unesc("%41").as_deref(), Some("A"));
+        assert_eq!(unesc_exact("%41"), None);
+        assert_eq!(unesc_exact("a%20b").as_deref(), Some("a b"));
+    }
+
+    /// A real result line with the value of token `key` replaced.
+    fn with_token(line: &str, key: &str, value: &str) -> String {
+        let tokens: Vec<String> = line
+            .split(' ')
+            .map(|tok| match tok.split_once('=') {
+                Some((k, _)) if k == key => format!("{k}={value}"),
+                _ => tok.to_string(),
+            })
+            .collect();
+        assert!(tokens.iter().any(|t| t.starts_with(&format!("{key}="))));
+        tokens.join(" ")
+    }
+
+    #[test]
+    fn results_no_search_can_produce_are_malformed() {
+        let arch = ArchSpec::feather_like(16, 16);
+        let result = co_search_with(&arch, &workload(), None, &MapperConfig::fast(), 0).unwrap();
+        let line = encode_result(&result);
+        for (key, value) in [
+            ("df.row", "C:0"),
+            ("df.col", "M:4+C:0"),
+            ("df.row", "M:4294967296+C:4294967296+M:4294967296"),
+            ("df.row", "M:17"),
+            ("df.shape", "0x0"),
+            ("df.shape", "16x0"),
+            ("df.shape", "4294967296x4294967296"),
+            ("df.tmp", "C:0"),
+            ("df.tmp", "P:14+Q:0"),
+            ("layout", "HWC_C4294967296W4294967296H4294967296"),
+            ("ev.conflict", "NaN"),
+            ("ev.edp", "inf"),
+            ("ev.edp", "-1.0"),
+            ("ev.util", "-0.0"),
+            ("ev.redpj", "1e999"),
+            ("ev.e", "NaN+0.0+0.0+0.0+0.0+0.0"),
+            ("ev.e", "0.0+0.0+0.0+0.0+0.0+-inf"),
+            // Well-formed values in a second spelling.
+            ("ev.cycles", "+7"),
+            ("ev.stall", "007"),
+            ("ev.lpc", "1e0"),
+            ("df.name", "%77s"),
+        ] {
+            let hostile = with_token(&line, key, value);
+            assert_eq!(decode_result(&hostile), None, "{key}={value} decoded");
+        }
+        // Unknown and repeated tokens have no place in the one spelling.
+        assert_eq!(decode_result(&format!("{line} extra=1")), None);
+        assert_eq!(decode_result(&format!("ev.cycles=1 {line}")), None);
+        assert_eq!(decode_result(&line), Some(result));
+    }
+
+    /// A real saved cache, small enough to damage exhaustively: one
+    /// per-predecessor result and a table cut to its first layout.
+    fn small_saved_cache() -> &'static str {
+        static SAVED: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        SAVED.get_or_init(render_small_cache)
+    }
+
+    fn render_small_cache() -> String {
+        let arch = ArchSpec::feather_like(16, 16);
+        let mapper = MapperConfig::fast();
+        let w = workload();
+        let mut cache = CoSearchCache::new();
+        let result = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
+        cache.insert(&arch, &w, None, &mapper, 0, result);
+        let mut table = co_search_table(&arch, &w, &mapper, 0).unwrap();
+        table.choices.truncate(1);
+        cache.insert_table(crate::cache::table_key(&arch, &w, &mapper, 0), table);
+        cache.render()
+    }
+
+    /// Loads `bytes` as `load_from` would (a file that is not UTF-8 is an
+    /// I/O error there) and checks that what loaded survives a save → load
+    /// round trip unchanged. Returns how many records loaded.
+    fn load_and_roundtrip(bytes: &[u8]) -> usize {
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            return 0;
+        };
+        let loaded = CoSearchCache::parse(text);
+        let saved = loaded.render();
+        assert_eq!(CoSearchCache::parse(&saved).render(), saved);
+        loaded.len() + loaded.table_count()
+    }
+
+    #[test]
+    fn every_mutation_and_truncation_of_a_saved_cache_loads_cleanly() {
+        let bytes = small_saved_cache().as_bytes();
+        assert_eq!(load_and_roundtrip(bytes), 2);
+        for at in 0..bytes.len() {
+            // A bit flip (the next digit or letter), a separator, an escape
+            // and a byte that leaves the file no longer UTF-8.
+            for new in [bytes[at] ^ 1, b' ', b'%', 0xC3] {
+                let mut mutated = bytes.to_vec();
+                mutated[at] = new;
+                assert!(load_and_roundtrip(&mutated) <= 2);
+            }
+            assert!(load_and_roundtrip(&bytes[..at]) <= 2);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Values the grammar's number, list and name positions might be fed.
+    const EXTREMES: [&str; 24] = [
+        "0",
+        "1",
+        "-1",
+        "+1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4294967296",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e308",
+        "1e309",
+        "-0.0",
+        "5e-324",
+        "0x0",
+        "16x16",
+        "C:0",
+        "M:4294967296+C:4294967296",
+        "-",
+        "",
+        "%+f",
+        "%",
+        "HWC_C0",
+        "HWC_C18446744073709551615W2",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_loader(
+            bytes in proptest::collection::vec(0u8..=255, 0..256),
+            tags in proptest::collection::vec(0usize..8, 0..8),
+        ) {
+            load_and_roundtrip(&bytes);
+            // Past the header, and cut into tagged records.
+            let mut text = format!("{HEADER}\n").into_bytes();
+            let mut chunks = bytes.chunks(bytes.len() / (tags.len() + 1) + 1);
+            for tag in tags {
+                text.extend_from_slice(["E ", "R ", "T ", "C ", "S ", "W ", "Q ", ""][tag].as_bytes());
+                text.extend_from_slice(chunks.next().unwrap_or_default());
+                text.push(b'\n');
+            }
+            load_and_roundtrip(&text);
+        }
+
+        #[test]
+        fn the_grammars_own_tokens_with_extreme_values_load_cleanly(
+            edits in proptest::collection::vec(0usize..1_000_000, 1..4),
+            values in proptest::collection::vec(0usize..EXTREMES.len(), 3),
+        ) {
+            let mut lines: Vec<String> = small_saved_cache().lines().map(str::to_string).collect();
+            for (edit, value) in edits.iter().zip(&values) {
+                // Skip the header; replace one `key=value` token's value (or
+                // the whole body of a key or layout line).
+                let at = 1 + edit % (lines.len() - 1);
+                let (tag, body) = lines[at].split_once(' ').expect("every record is tagged");
+                let keys: Vec<&str> = body.split(' ').filter_map(|t| Some(t.split_once('=')?.0)).collect();
+                let edited = match keys.get(edit / 1000 % keys.len().max(1)) {
+                    Some(key) => with_token(&lines[at], key, EXTREMES[*value]),
+                    None => format!("{tag} {}", EXTREMES[*value]),
+                };
+                lines[at] = edited;
+            }
+            load_and_roundtrip(lines.join("\n").as_bytes());
+        }
     }
 
     #[test]

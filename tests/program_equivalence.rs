@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use feather::{FeatherConfig, GraphReport, GraphSession, Program, ProgramSession};
+use feather::{FeatherConfig, GraphReport, GraphSession, Program, ProgramSession, RouteCacheStats};
 use feather_arch::graph::{resnet50_graph_scaled, Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
@@ -403,6 +403,58 @@ fn model_b_cost_is_pinned_without_running_a_mac() {
     let (cycles, dram_bytes, energy_nj) = totals(session.compile().unwrap().cost());
     assert_eq!((cycles, dram_bytes), (73_969, 401_989));
     assert!((energy_nj - 53_169.062_4).abs() < 1e-4, "{energy_nj} nJ");
+}
+
+/// Shared-route-cache traffic of one serial interpreted run followed by a
+/// compile, and the BIRRD passes the program replays: `(stats after the run,
+/// hits after the compile, route fires)`.
+fn route_traffic(session: GraphSession, g: &Graph) -> (RouteCacheStats, u64, usize) {
+    let session = session.with_threads(1);
+    let iacts = Tensor4::random(g.tensor_shape(g.input()), 1);
+    session.run(&iacts, &g.random_weights(2)).unwrap();
+    let after_run = session.route_cache_stats();
+    let program = session.compile().unwrap();
+    let after_compile = session.route_cache_stats();
+    assert_eq!(
+        (after_compile.misses, after_compile.entries),
+        (after_run.misses, after_run.entries),
+        "the compile pass re-resolves routes the run already compiled"
+    );
+    (after_run, after_compile.hits, program.route_fires())
+}
+
+/// How often the accounted loop reaches the shared route cache is a property
+/// of the models, not of the host (one worker): each layer span looks a
+/// route up once — its span memo absorbs every later pass — so `hits +
+/// misses` is the sum over layers of their distinct routes, `misses` the
+/// distinct routes of the whole model, and a compile adds one more look-up
+/// per (layer, route). A span memo that hid a look-up, or let one through
+/// twice, moves these.
+#[test]
+fn models_a_and_b_route_cache_traffic_is_pinned() {
+    let a = resnet50_graph_scaled(16, 16);
+    let session = GraphSession::auto(FeatherConfig::new(8, 16), &a).unwrap();
+    let stats = |hits, misses| RouteCacheStats {
+        hits,
+        misses,
+        evictions: 0,
+        entries: misses as usize,
+    };
+    assert_eq!(route_traffic(session, &a), (stats(925, 160), 2_010, 6_548));
+
+    let b = resnet50_graph_scaled(8, 8);
+    let plan = plan_graph(
+        &ArchSpec::feather_like(16, 16),
+        &b,
+        &MapperConfig::fast(),
+        0,
+        &mut CoSearchCache::new(),
+    )
+    .unwrap();
+    let session =
+        GraphSession::from_schedules(FeatherConfig::new(16, 16), &b, &plan.schedules()).unwrap();
+    // 1 794 = 841 + the compile's 953 per-layer first look-ups.
+    assert_eq!(route_traffic(session, &b), (stats(841, 112), 1_794, 52_312));
 }
 
 /// The weekly full-size check (`FEATHER_FULL=1`): at ÷2 — 4096× Model A's
