@@ -3,7 +3,7 @@
 //!
 //! * **Compiled BIRRD routes** — every distinct reduction-reorder request is
 //!   routed once and lowered to a flat gather-sum program
-//!   ([`feather_birrd::CompiledRoute`]), shared across layers (and worker
+//!   ([`feather_birrd::CompiledRoute`]), shared across layers (and calling
 //!   threads) through a [`RouteCache`]. Inside one layer span a row fire
 //!   *selects* its route, as FEATHER's controller does: a span-local
 //!   [`RouteMemo`] resolves it from the fire batch's bank signature, and a
@@ -17,23 +17,15 @@
 //!   iAct/oAct addressing goes through precompiled per-dimension location
 //!   tables ([`feather_arch::layout::LocationPlan4`]) and precomputed
 //!   `h`/`w` coordinate tables instead of per-element coordinate maps.
-//! * **Thread-parallel sharding** — the outer `(weight-tile, batch)` loop is
-//!   sharded across `std::thread::scope` workers (the same no-registry
-//!   pattern as `layoutloop::PlanParallelism`). Each worker simulates its
-//!   shard on forked buffers ([`feather_memsim::FunctionalBuffer::fork`])
-//!   writing disjoint output regions, with private statistics and counters
-//!   merged at join; per-tile timing is reduced *after* the join from the
-//!   summed fire counts, so the parallel run is bit-identical to the serial
-//!   one — outputs, statistics and cycle counts alike.
 //! * **Replay as pure data movement** — none of the accounting depends on
 //!   data, so a compiled program records it once and [`replay_fire`] moves
 //!   values only: plain cells, local accumulators and the folded gather
-//!   lists of a program-wide [`RouteTable`]. The accounted loop above stays
-//!   the interpreter's, the record pass's, and the oracle replay is tested
-//!   against.
+//!   lists of a program-wide [`RouteTable`]. The accounted loop above is
+//!   serial: it runs once per layer as the compiler's record pass, runs
+//!   chains with real data ([`crate::NetworkSession::run`]), and is the
+//!   cycle-level oracle replay is tested against.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -42,7 +34,7 @@ use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, Dim};
 use feather_birrd::{Birrd, CompiledRoute, ReductionRequest};
-use feather_memsim::{FunctionalBuffer, LayoutView};
+use feather_memsim::LayoutView;
 use feather_nest::{NestArray, NestTiming};
 
 use crate::config::FeatherConfig;
@@ -62,13 +54,14 @@ pub(crate) struct CoreRun {
     pub macs: u64,
 }
 
-/// Hit/miss/eviction counters and the current size of a [`RouteCache`] —
-/// what a long-running serving process watches to size the cache.
+/// Hit/miss/eviction counters and the current size of a session's shared
+/// compiled-route cache — what a long-running process watches to size it.
 ///
 /// The counters reflect *shared-map* traffic: steady-state lookups are
-/// absorbed by each worker's span memo (which lives for one layer span), so
-/// `hits + misses` counts span-first look-ups, and `misses` counts actual
-/// route-and-compile work.
+/// absorbed by the accounted loop's span memo (which lives for one layer
+/// span), so `hits + misses` counts span-first look-ups, and `misses` counts
+/// actual route-and-compile work. A graph session reaches the cache only
+/// while it compiles; replaying its program never does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
     /// Lookups served by the shared compiled-route map.
@@ -102,13 +95,13 @@ struct RouteMap {
 /// one routed-and-compiled program per distinct request serves a whole
 /// network run — and, because sessions keep their cache in an [`Arc`],
 /// every subsequent run of the same session (and every segment of a graph
-/// session) too. Workers keep a span-local [`RouteMemo`] in front of this
+/// session) too. Every layer span keeps a [`RouteMemo`] in front of this
 /// shared map, so steady-state lookups never touch the lock.
 ///
 /// The shared map is bounded: once `capacity` distinct programs are resident,
 /// inserting a new one evicts the oldest (FIFO). Eviction only drops the
-/// shared reference — workers holding the program in their span memo (or
-/// in-flight `Arc`s) keep using it; a later lookup simply recompiles.
+/// shared reference — a span holding the program in its memo (or an
+/// in-flight `Arc`) keeps using it; a later lookup simply recompiles.
 /// Hit/miss/eviction counters are exposed through [`RouteCache::stats`].
 #[derive(Debug)]
 pub(crate) struct RouteCache {
@@ -184,7 +177,7 @@ impl RouteCache {
     }
 
     /// Installs a freshly-compiled program in the shared map, evicting the
-    /// oldest resident program if the map is full. Another worker may have
+    /// oldest resident program if the map is full. Another thread may have
     /// routed the same request concurrently; keep whichever program landed
     /// first (they are identical — routing is deterministic).
     fn publish(
@@ -418,11 +411,12 @@ impl RouteRecorder {
 
 /// How `run_conv_core` resolves reduce-reorder routes for a layer pass.
 pub(crate) enum RouteExecution<'a> {
-    /// Interpreted path: resolve each span's distinct routes through the
-    /// shared [`RouteCache`] (every worker keeps a [`RouteMemo`] in front).
+    /// Real-data path ([`crate::NetworkSession::run`]): resolve each span's
+    /// distinct routes through the shared [`RouteCache`] (the span's
+    /// [`RouteMemo`] sits in front).
     Cached(&'a RouteCache),
-    /// Compile path: like `Cached`, but also record the serial consumption
-    /// order into a [`RouteRecorder`]. Forces a single worker.
+    /// Compile path: like `Cached`, but also record the consumption order
+    /// into a [`RouteRecorder`].
     Collect(&'a RouteCache, &'a mut RouteRecorder),
 }
 
@@ -532,39 +526,6 @@ fn fill_request(
     }
 }
 
-/// Number of worker threads the executor uses when none is requested
-/// explicitly: the `FEATHER_THREADS` environment variable if set to a
-/// positive integer, otherwise the machine's available parallelism
-/// (`FEATHER_THREADS=1` forces the serial path).
-///
-/// The variable is re-read on every call — a server that adjusts
-/// `FEATHER_THREADS` between sessions (or a test that sets it after some
-/// other test already ran a layer) sees the new value immediately instead of
-/// a process-lifetime latch.
-pub fn default_threads() -> usize {
-    match std::env::var("FEATHER_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => available_threads(),
-        },
-        Err(_) => available_threads(),
-    }
-}
-
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Below this many (reference-kernel) MACs a layer is not worth forking
-/// buffers and spawning workers for; auto-threading falls back to serial.
-/// An explicit thread request always wins. Measured, not guessed: the
-/// smallest power of two from which two workers are no slower than one in
-/// the `sharding_crossover` bench group on a 2-thread host (README, *On
-/// probation*).
-const AUTO_PARALLEL_MIN_MACS: u64 = 1 << 20;
-
 /// Precompiles an iAct layout over a layer's `(N, C, H, W)` extents — the
 /// single source of the iAct coordinate order used by the executor.
 pub(crate) fn iact_plan(layout: &feather_arch::layout::Layout, layer: &ConvLayer) -> LocationPlan4 {
@@ -589,11 +550,11 @@ pub(crate) fn oact_plan(layout: &feather_arch::layout::Layout, layer: &ConvLayer
 
 /// Everything the tile loop needs that is immutable across the whole layer:
 /// tiling factors, the precompiled address plans, the padded-coordinate
-/// tables and the BIRRD instance. Shared by reference across workers.
+/// tables and the BIRRD instance.
 ///
 /// The struct is *owned* (no borrows) so a compiled [`crate::program::Program`]
-/// can build it once and replay it for the lifetime of a serving process; the
-/// interpreted path simply constructs one per run.
+/// can build it once and replay it for the lifetime of a serving process; a
+/// chain run ([`crate::NetworkSession::run`]) simply constructs one per layer.
 #[derive(Debug, Clone)]
 pub(crate) struct LayerExec {
     pub(crate) layer: ConvLayer,
@@ -722,11 +683,6 @@ impl LayerExec {
             });
         }
     }
-
-    /// Work units for sharding: one per `(weight tile, batch sample)` pair.
-    fn units(&self) -> usize {
-        self.m_tiles * self.layer.n
-    }
 }
 
 /// One reduction group of a row fire: the column-lane span it gathers from,
@@ -760,11 +716,10 @@ fn next_batch(
     std::mem::swap(groups, pending);
 }
 
-/// Per-worker result: everything needed to reconstruct the serial counters.
+/// What one `run_span` counts; `run_conv_core` turns it into a [`CoreRun`].
 struct SpanAccum {
-    /// Row fires per `(wt_m, wt_c)` tile (index `wt_m * c_tiles + wt_c`);
-    /// tile timing is derived from the *summed* counts after the join so the
-    /// shard boundaries never show up in the cycle model.
+    /// Row fires per `(wt_m, wt_c)` tile (index `wt_m * c_tiles + wt_c`),
+    /// which the NEST timing model charges tile by tile.
     tile_fires: Vec<u64>,
     /// Serialization cycles charged for multi-batch BIRRD fires.
     extra_cycles: u64,
@@ -831,10 +786,11 @@ impl SpanScratch {
     }
 }
 
-/// The inner tile loop shared by the single-layer entry point and the
-/// network-level pipeline executor: weight-stationary tiling over `(M, C)`,
-/// Phase-1 local temporal reduction in NEST, Phase-2 row fires through BIRRD
-/// with Reorder-in-Reduction into the output view.
+/// The inner tile loop shared by the single-layer entry point, the
+/// network-level pipeline executor and the compiler's record pass:
+/// weight-stationary tiling over `(M, C)`, Phase-1 local temporal reduction in
+/// NEST, Phase-2 row fires through BIRRD with Reorder-in-Reduction into the
+/// output view.
 ///
 /// `iact` is the active StaB half (the layer's inputs, already staged in
 /// `mapping.iact_layout`); `oact` is the shadow half the reduced outputs land
@@ -842,180 +798,42 @@ impl SpanScratch {
 /// programs are resolved (cached lookup, or cached + record for the
 /// compiler). `expose_first_weight_load` charges the cold weight load
 /// of the first tile; a pipelined layer whose weights were prefetched during
-/// the previous layer passes `false`. `threads` requests an exact worker
-/// count (`Some(1)` forces serial); `None` auto-sizes from
-/// [`default_threads`] for layers with enough work. `scratch` is the run's
-/// [`SpanScratch`] (sharded workers bring their own).
+/// the previous layer passes `false`. `scratch` is the run's [`SpanScratch`].
 ///
 /// `weights` must already have passed
 /// [`check_weight_shape`](crate::accelerator::check_weight_shape): the tile
 /// loop multiplies against its flat `[M, C, R, S]` (depthwise `[C, 1, R, S]`)
 /// storage in place.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_conv_core(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    routes: RouteExecution<'_>,
+    mut routes: RouteExecution<'_>,
     expose_first_weight_load: bool,
-    threads: Option<usize>,
     scratch: &mut SpanScratch,
 ) -> Result<CoreRun, ArchError> {
-    let units_total = ctx.units();
-    let workers = effective_workers(threads, &ctx.layer, units_total);
-
-    // Recording always takes the serial span, whatever `workers` says.
-    let spans = match routes {
-        RouteExecution::Cached(cache) if workers > 1 => {
-            run_sharded(ctx, weights, workers, iact, oact, cache)?
-        }
-        mut routes => {
-            vec![run_span(
-                ctx,
-                weights,
-                0..units_total,
-                iact,
-                oact,
-                &mut routes,
-                scratch,
-            )?]
-        }
-    };
-
-    // Reduce: sum the fire counts per tile across workers, then charge each
-    // tile's timing once — exactly what the serial loop computes inline.
+    let span = run_span(ctx, weights, iact, oact, &mut routes, scratch)?;
     let timing = NestTiming::new(ctx.rows, ctx.cols, ctx.birrd.latency_cycles());
-    let mut run = CoreRun {
-        cycles: 0,
-        birrd_passes: 0,
-        birrd_adds: 0,
-        macs: 0,
-    };
-    let mut tile_fires = vec![0u64; ctx.m_tiles * ctx.c_tiles];
-    for span in &spans {
-        for (tile, fires) in span.tile_fires.iter().enumerate() {
-            tile_fires[tile] += fires;
-        }
-        run.cycles += span.extra_cycles;
-        run.birrd_passes += span.birrd_passes;
-        run.birrd_adds += span.birrd_adds;
-        run.macs += span.macs;
-    }
-    for (tile, &fires) in tile_fires.iter().enumerate() {
+    let mut cycles = span.extra_cycles;
+    for (tile, &fires) in span.tile_fires.iter().enumerate() {
         let first_tile = tile == 0 && expose_first_weight_load;
-        run.cycles += timing.tile(ctx.rs, fires, ctx.rs, first_tile).total();
+        cycles += timing.tile(ctx.rs, fires, ctx.rs, first_tile).total();
     }
-    Ok(run)
+    Ok(CoreRun {
+        cycles,
+        birrd_passes: span.birrd_passes,
+        birrd_adds: span.birrd_adds,
+        macs: span.macs,
+    })
 }
 
-/// Resolves the worker count a layer pass actually shards across — the
-/// single place the serial-vs-sharded decision is made:
-///
-/// * An explicit request (`Some(n)`) is honored but clamped to the number of
-///   work units; `Some(1)` forces the serial path.
-/// * The auto path (`None`) uses [`default_threads`] only for layers with
-///   enough work ([`AUTO_PARALLEL_MIN_MACS`]); below that it stays serial.
-///
-/// Whenever this resolves to 1 — including an explicit `Some(8)` on a layer
-/// with a single `(weight-tile, batch)` unit, or the auto path on a
-/// single-thread host where [`default_threads`] is 1 — the dispatcher runs
-/// the plain serial span and never pays fork/absorb overhead for workers
-/// that cannot help.
-pub(crate) fn effective_workers(
-    threads: Option<usize>,
-    layer: &ConvLayer,
-    units_total: usize,
-) -> usize {
-    let requested = match threads {
-        Some(n) => n.max(1),
-        None if reference_macs(layer) >= AUTO_PARALLEL_MIN_MACS => default_threads(),
-        None => 1,
-    };
-    requested.min(units_total)
-}
-
-/// MACs of the reference kernel for this layer — the work estimate behind the
-/// auto-parallelism threshold.
-fn reference_macs(layer: &ConvLayer) -> u64 {
-    let c_red = if layer.is_depthwise() { 1 } else { layer.c };
-    (layer.n * layer.m * layer.output_height() * layer.output_width()) as u64
-        * (c_red * layer.r * layer.s) as u64
-}
-
-/// Runs the span `0..units` split across `workers` scoped threads, each on
-/// forked buffers, and absorbs data + statistics back into the real views.
-fn run_sharded(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    workers: usize,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    cache: &RouteCache,
-) -> Result<Vec<SpanAccum>, ArchError> {
-    let units_total = ctx.units();
-    let chunk = units_total.div_ceil(workers);
-    let ranges: Vec<Range<usize>> = (0..workers)
-        .map(|w| (w * chunk)..((w + 1) * chunk).min(units_total))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let idims = ctx.layer.iact_dim_sizes();
-    let odims = ctx.layer.oact_dim_sizes();
-    // Pristine pre-fork copies: worker changes are diffed against these at
-    // the join, so absorbing one worker can never revert another's writes.
-    let ibase = iact.fork_buffer();
-    let obase = oact.fork_buffer();
-
-    type WorkerOut = Result<(SpanAccum, FunctionalBuffer<i32>, FunctionalBuffer<i32>), ArchError>;
-    let outcomes: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|units| {
-                let mut ibuf = ibase.fork();
-                let mut obuf = obase.fork();
-                let (idims, odims) = (&idims, &odims);
-                scope.spawn(move || -> WorkerOut {
-                    let accum = {
-                        let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
-                        let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
-                        run_span(
-                            ctx,
-                            weights,
-                            units,
-                            &mut iview,
-                            &mut oview,
-                            &mut RouteExecution::Cached(cache),
-                            &mut SpanScratch::new(ctx.rows, ctx.cols),
-                        )?
-                    };
-                    Ok((accum, ibuf, obuf))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    });
-
-    let mut spans = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        let (accum, ibuf, obuf) = outcome?;
-        iact.absorb(&ibuf, &ibase);
-        oact.absorb(&obuf, &obase);
-        spans.push(accum);
-    }
-    Ok(spans)
-}
-
-/// Simulates the contiguous unit range `units` (units flatten the
-/// `(wt_m, n)` loop, `n` innermost). This is the whole hot loop; it
-/// allocates nothing per tile and copies no weights — a tile switch is a
-/// mask-row refresh.
+/// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
+/// also walks. This is the whole hot loop; it allocates nothing per tile and
+/// copies no weights — a tile switch is a mask-row refresh.
 fn run_span(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
-    units: Range<usize>,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
     routes: &mut RouteExecution<'_>,
@@ -1046,24 +864,18 @@ fn run_span(
         macs: 0,
     };
 
-    let n_total = layer.n;
-    let mut unit = units.start;
-    while unit < units.end {
-        let wt_m = unit / n_total;
-        let n_range = (unit % n_total)..(units.end - wt_m * n_total).min(n_total);
-        unit = wt_m * n_total + n_range.end;
-
+    for wt_m in 0..ctx.m_tiles {
         for wt_c in 0..ctx.c_tiles {
             ctx.mark_live_lanes(wt_c, c_ok);
             let c_live = ctx.c_live(wt_c);
             let tile = wt_m * ctx.c_tiles + wt_c;
 
-            for n in n_range.clone() {
+            for n in 0..layer.n {
                 // One `(wt_m, wt_c, n)` triple is a work block with a
                 // data-independent route sub-sequence; recording marks its
                 // start, which is where replay sets its cursor.
                 if let RouteExecution::Collect(_, recorder) = routes {
-                    recorder.enter_block(tile * n_total + n)?;
+                    recorder.enter_block(tile * layer.n + n)?;
                 }
                 for p in 0..ctx.p_total {
                     for qt in 0..ctx.q_tiles {
@@ -1507,56 +1319,6 @@ fn mac_stripe(acc: &mut [i32], cells: &[i32], weight: i8) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that mutate `FEATHER_THREADS` (process-global
-    /// environment).
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn default_threads_rereads_the_environment() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("FEATHER_THREADS", "3");
-        assert_eq!(default_threads(), 3);
-        // Not latched: a later change is visible immediately.
-        std::env::set_var("FEATHER_THREADS", "1");
-        assert_eq!(default_threads(), 1);
-        std::env::set_var("FEATHER_THREADS", "not a number");
-        assert_eq!(default_threads(), available_threads());
-        std::env::remove_var("FEATHER_THREADS");
-        assert_eq!(default_threads(), available_threads());
-    }
-
-    #[test]
-    fn effective_workers_falls_back_to_serial() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        // Big enough to clear AUTO_PARALLEL_MIN_MACS; a layer just under it
-        // and tiny layers stay serial.
-        let big = ConvLayer::new(2, 32, 16, 14, 14, 3, 3).with_padding(1);
-        let medium = ConvLayer::new(2, 16, 16, 14, 14, 3, 3).with_padding(1);
-        let small = ConvLayer::new(1, 2, 2, 4, 4, 1, 1);
-        assert!(reference_macs(&big) >= AUTO_PARALLEL_MIN_MACS);
-        assert!(reference_macs(&medium) < AUTO_PARALLEL_MIN_MACS);
-        assert!(reference_macs(&small) < AUTO_PARALLEL_MIN_MACS);
-
-        // Explicit requests clamp to the unit count: asking for 8 workers on
-        // one work unit resolves to the serial path, not a 1-worker shard.
-        assert_eq!(effective_workers(Some(8), &big, 1), 1);
-        assert_eq!(effective_workers(Some(8), &big, 3), 3);
-        assert_eq!(effective_workers(Some(1), &big, 64), 1);
-        assert_eq!(effective_workers(Some(0), &big, 64), 1);
-
-        // Auto path: a single-thread host (FEATHER_THREADS=1) resolves to
-        // serial regardless of how much work the layer has...
-        std::env::set_var("FEATHER_THREADS", "1");
-        assert_eq!(effective_workers(None, &big, 64), 1);
-        // ...a parallel host shards big layers but never small ones.
-        std::env::set_var("FEATHER_THREADS", "4");
-        assert_eq!(effective_workers(None, &big, 64), 4);
-        assert_eq!(effective_workers(None, &medium, 64), 1);
-        assert_eq!(effective_workers(None, &small, 64), 1);
-        std::env::remove_var("FEATHER_THREADS");
-    }
 
     /// A one-group request reducing lanes `0..lanes` into `bank`.
     fn request(cols: usize, lanes: usize, bank: usize) -> ReductionRequest {

@@ -1,26 +1,38 @@
-//! Whole-graph DAG execution: residual branches and joins over the pipelined
-//! ping/pong StaB.
+//! Whole-graph DAG execution — residual branches and joins over the pipelined
+//! ping/pong StaB — as plan → compile once → replay.
 //!
 //! [`NetworkSession`] runs one *linear* chain of layers back-to-back. Real
 //! models are DAGs: ResNet's shortcut tensors branch off, survive several
 //! layers, and rejoin through an element-wise add. [`GraphSession`] closes
-//! that gap:
+//! that gap. Building one *plans* the graph:
 //!
 //! 1. The [`Graph`] is partitioned into linear [`GraphSegment`]s (branch
 //!    fan-outs and joins always fall on segment boundaries).
-//! 2. Each segment runs through the existing ping/pong [`NetworkSession`]
-//!    core — intermediate activations inside a segment never leave the chip.
+//! 2. Each segment becomes a ping/pong [`NetworkSession`] chain —
+//!    intermediate activations inside a segment never leave the chip.
 //! 3. A tensor still needed after the pipeline moves on (a shortcut) is
-//!    parked in a [`ScratchRegion`] with its own traffic accounting.
+//!    parked in a [`feather_memsim::ScratchRegion`] with its own traffic
+//!    accounting.
 //! 4. At a join, the quantized INT8 main-path and shortcut tensors are added
 //!    with saturation ([`saturating_add_i8`]) before the result is staged
 //!    into the consumer segment in its preferred layout.
 //!
+//! Nothing in that plan depends on the data, so it executes the way FEATHER's
+//! controller executes a layer: decided once, then played back. The session's
+//! first [`GraphSession::run`] (or [`GraphSession::compile`]) lowers the plan
+//! into one flat [`crate::Program`] — the only accounted pass over the graph,
+//! which also counts the whole report — and every `run` replays that program
+//! as pure data movement ([`crate::ProgramSession`]). A session compiles at
+//! most once, however many threads call it first.
+//!
 //! DRAM accounting is graph-level: only the graph input is staged from DRAM
 //! and only the graph output drains back; every other boundary lives in the
-//! StaB handoff or the scratch region. [`run_graph_reference`] provides the
-//! naive golden executor (reference convolutions, explicit materialization of
-//! every tensor) that [`GraphSession::run`] is bit-identical to.
+//! StaB handoff or the scratch region. Two executors that share nothing with
+//! the compiler's lowering are the oracles [`GraphSession::run`] is
+//! bit-identical to: [`run_graph_reference`] (reference convolutions,
+//! explicit materialization of every tensor — no NEST or BIRRD code at all)
+//! and [`GraphSession::run_layer_at_a_time`] (every layer through the
+//! accounted simulator with a DRAM round trip in between).
 //!
 //! # Example
 //!
@@ -54,6 +66,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::energy::EnergyModel;
@@ -62,11 +75,11 @@ use feather_arch::layout::Layout;
 use feather_arch::tensor::{conv2d_reference, quantize_to_i8, saturating_add_i8, Tensor4};
 use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
-use feather_memsim::ScratchRegion;
 
 use crate::config::FeatherConfig;
 use crate::mapping::LayerMapping;
-use crate::report::{GraphReport, GraphRun, JoinSummary, NetworkReport, SegmentSummary};
+use crate::program::{Program, ProgramSession};
+use crate::report::GraphRun;
 use crate::session::{NetworkSession, DEFAULT_QUANT_SHIFT};
 
 /// Per-node scheduling callback used by the session builders: maps a
@@ -106,6 +119,12 @@ pub struct GraphSession {
     quant_shift: u32,
     quant_zero: i8,
     pub(crate) energy_model: EnergyModel,
+    /// The plan lowered to its program (or why it does not lower), filled by
+    /// the first [`GraphSession::run`] / [`GraphSession::compile`]. A clone
+    /// of a filled cell shares the program; anything that changes what the
+    /// program would be ([`GraphSession::with_batch`],
+    /// [`GraphSession::with_quantization`]) starts from an empty one.
+    program: OnceLock<Result<Program, ArchError>>,
 }
 
 impl GraphSession {
@@ -233,6 +252,7 @@ impl GraphSession {
             quant_shift: DEFAULT_QUANT_SHIFT,
             quant_zero: 0,
             energy_model: EnergyModel::tsmc28(),
+            program: OnceLock::new(),
         })
     }
 
@@ -240,6 +260,7 @@ impl GraphSession {
     pub fn with_quantization(mut self, shift: u32, zero_point: i8) -> Self {
         self.quant_shift = shift;
         self.quant_zero = zero_point;
+        self.program = OnceLock::new();
         for seg in &mut self.segments {
             seg.session = seg.session.clone().with_quantization(shift, zero_point);
         }
@@ -249,16 +270,6 @@ impl GraphSession {
     /// The boundary quantization parameters `(shift, zero_point)`.
     pub fn quantization(&self) -> (u32, i8) {
         (self.quant_shift, self.quant_zero)
-    }
-
-    /// Pins the executor's worker-thread count for every segment (builder
-    /// style) — see [`NetworkSession::with_threads`]. `1` forces the serial
-    /// path; the parallel run is bit-identical either way.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        for seg in &mut self.segments {
-            seg.session.set_threads(threads);
-        }
-        self
     }
 
     /// Returns a copy of the session that executes `n` samples per run: every
@@ -281,6 +292,7 @@ impl GraphSession {
         }
         let mut session = self.clone();
         session.batch = n;
+        session.program = OnceLock::new();
         for seg in &mut session.segments {
             seg.session = seg.session.with_batch(n)?;
         }
@@ -294,16 +306,10 @@ impl GraphSession {
 
     /// Counters of the compiled-route cache shared by every segment of this
     /// session (and by batched copies made with [`GraphSession::with_batch`]).
+    /// Only lowering the plan reaches the cache — a session's replays leave
+    /// these counters where its one compile put them.
     pub fn route_cache_stats(&self) -> crate::core::RouteCacheStats {
         self.segments[0].session.route_cache_stats()
-    }
-
-    /// A tensor's shape at run time: the authored shape with the `N` extent
-    /// replaced by the session's batch size.
-    fn batched_shape(&self, t: TensorId) -> [usize; 4] {
-        let mut shape = self.graph.tensor_shape(t);
-        shape[0] = self.batch;
-        shape
     }
 
     /// The hardware configuration.
@@ -321,17 +327,20 @@ impl GraphSession {
         self.segments.len()
     }
 
-    /// Lowers this session into a flat, replayable [`crate::Program`]: all
-    /// layouts, location tables, BIRRD routes and scratch moves resolved
-    /// ahead of time, so [`crate::ProgramSession::run`] dispatches the op
-    /// stream linearly with zero per-layer planning. Replay is bit-identical
-    /// to [`GraphSession::run`] — outputs, cycles and access statistics alike.
+    /// This session's flat, replayable [`Program`]: all layouts, location
+    /// tables, BIRRD routes and scratch moves resolved ahead of time, and the
+    /// whole report counted ([`Program::cost`]). The first call — here or
+    /// through [`GraphSession::run`] — lowers the plan (one accounted record
+    /// pass over zeroed buffers, exactly once even when several threads race
+    /// it); every later call hands out another handle to the same program.
     ///
     /// # Errors
-    /// Returns an error if a route cannot be compiled — the same conditions
-    /// under which [`GraphSession::run`] itself would fail.
-    pub fn compile(&self) -> Result<crate::Program, ArchError> {
-        crate::program::compile(self)
+    /// Returns an error if a route cannot be compiled. The outcome is kept
+    /// either way: lowering is a pure function of the session.
+    pub fn compile(&self) -> Result<Program, ArchError> {
+        self.program
+            .get_or_init(|| crate::program::compile(self))
+            .clone()
     }
 
     /// Like [`GraphSession::compile`], but backed by the on-disk artifact
@@ -345,7 +354,7 @@ impl GraphSession {
     /// degrade to a recompile, never to an error. A corrupt or stale
     /// artifact (checksum failure, truncation, old format, fingerprint
     /// mismatch) is quarantined aside as `<name>.bad` and recompiled.
-    pub fn compile_cached(&self) -> Result<(crate::Program, crate::ArtifactStatus), ArchError> {
+    pub fn compile_cached(&self) -> Result<(Program, crate::ArtifactStatus), ArchError> {
         crate::program::compile_cached(self)
     }
 
@@ -357,9 +366,11 @@ impl GraphSession {
         crate::program::session_fingerprint(self)
     }
 
-    /// Executes the whole DAG. `weights` holds one tensor per node that
-    /// needs one ([`Node::weight_shape`]); pooling lowerings synthesize their
-    /// own window weights.
+    /// Executes the whole DAG by replaying this session's program
+    /// ([`GraphSession::compile`], lowered on first use) — what
+    /// [`ProgramSession::run`] does, report included. `weights` holds one
+    /// tensor per node that needs one ([`Node::weight_shape`]); pooling
+    /// lowerings synthesize their own window weights.
     ///
     /// # Errors
     /// Returns an error on missing weights, operand shape mismatches, or an
@@ -369,66 +380,7 @@ impl GraphSession {
         iacts: &Tensor4<i8>,
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<GraphRun, ArchError> {
-        self.check_input(iacts)?;
-        let graph = &self.graph;
-        let mut state = RunState::new(graph, iacts.clone(), self.config.cols, self.batch);
-        let mut segments = Vec::with_capacity(self.segments.len());
-        let mut joins = Vec::new();
-        let mut final_acc: Option<Tensor4<i32>> = None;
-
-        for step in &self.plan {
-            match *step {
-                Step::Segment(si) => {
-                    let exec = &self.segments[si];
-                    let seg = &exec.segment;
-                    let (input, input_from_scratch) = state.take(seg.input)?;
-                    let layer_weights = self.segment_weights(seg, weights)?;
-                    let run = exec.session.run(&input, &layer_weights)?;
-                    let is_graph_output = seg.output == graph.output();
-                    segments.push(SegmentSummary {
-                        nodes: seg
-                            .nodes
-                            .iter()
-                            .map(|&id| graph.node(id).name.clone())
-                            .collect(),
-                        report: self.adjust_report(seg, run.report, is_graph_output),
-                        input_from_scratch,
-                    });
-                    if is_graph_output {
-                        final_acc = Some(run.oacts.clone());
-                    }
-                    state.publish(
-                        seg.output,
-                        quantize_to_i8(&run.oacts, self.quant_shift, self.quant_zero),
-                    );
-                }
-                Step::Join(id) => {
-                    let node = graph.node(id);
-                    let (a, _) = state.take(node.inputs[0])?;
-                    let (b, _) = state.take(node.inputs[1])?;
-                    let (sum, saturated) = saturating_add_i8(&a, &b)?;
-                    joins.push(JoinSummary {
-                        name: node.name.clone(),
-                        elements: sum.len() as u64,
-                        saturated,
-                    });
-                    if node.output == graph.output() {
-                        final_acc = Some(widen(&sum));
-                    }
-                    state.publish(node.output, sum);
-                }
-            }
-        }
-
-        Ok(GraphRun {
-            oacts: final_acc.expect("the plan visits the output node"),
-            report: GraphReport {
-                segments,
-                joins,
-                scratch: *state.scratch.stats(),
-                scratch_peak_elems: state.scratch.peak_occupancy() as u64,
-            },
-        })
+        ProgramSession::new(self.compile()?).run(iacts, weights)
     }
 
     /// Runs the same graph layer-at-a-time: every segment through the
@@ -483,7 +435,9 @@ impl GraphSession {
     }
 
     fn check_input(&self, iacts: &Tensor4<i8>) -> Result<(), ArchError> {
-        let expected = self.batched_shape(self.graph.input());
+        // The authored shape with the `N` extent replaced by the batch size.
+        let mut expected = self.graph.tensor_shape(self.graph.input());
+        expected[0] = self.batch;
         if iacts.shape() != expected {
             return Err(ArchError::ShapeMismatch(format!(
                 "graph input shape {:?}, expected {:?}",
@@ -515,40 +469,6 @@ impl GraphSession {
                 }
             })
             .collect()
-    }
-
-    /// Rewrites a segment's [`NetworkReport`] for graph-level DRAM
-    /// accounting: interior boundary tensors stay on chip (StaB handoff or
-    /// scratch region), and pooling lowerings carry no weight traffic — their
-    /// window constants are synthesized, not streamed.
-    fn adjust_report(
-        &self,
-        seg: &GraphSegment,
-        mut report: NetworkReport,
-        is_graph_output: bool,
-    ) -> NetworkReport {
-        let is_graph_input = seg.input == self.graph.input();
-        let mut dirty: Vec<usize> = Vec::new();
-        if !is_graph_input {
-            report.layers[0].report.dram_iact_bytes = 0;
-            dirty.push(0);
-        }
-        if !is_graph_output {
-            let last = report.layers.len() - 1;
-            report.layers[last].report.dram_oact_bytes = 0;
-            dirty.push(last);
-        }
-        for (i, &id) in seg.nodes.iter().enumerate() {
-            if matches!(self.graph.node(id).op, NodeOp::PoolAsConv(_)) {
-                report.layers[i].report.dram_weight_bytes = 0;
-                dirty.push(i);
-            }
-        }
-        for i in dirty {
-            let layer = &mut report.layers[i].report;
-            layer.energy.dram_pj = self.energy_model.dram_pj(layer.dram_bytes());
-        }
-        report
     }
 }
 
@@ -611,93 +531,6 @@ pub(crate) fn pool_window_weights(conv: &ConvLayer) -> Tensor4<i8> {
 pub(crate) fn widen(t: &Tensor4<i8>) -> Tensor4<i32> {
     let [a, b, c, d] = t.shape();
     Tensor4::from_fn([a, b, c, d], |i, j, k, l| t.get(i, j, k, l) as i32)
-}
-
-/// Tracks where every live tensor currently resides during a graph run: the
-/// single *fresh* tensor sits in the StaB (the last pipeline output), and
-/// everything still needed beyond that is parked in the shortcut scratch
-/// region.
-struct RunState<'g> {
-    graph: &'g Graph,
-    scratch: ScratchRegion<i8>,
-    /// The session's batch size — tensors reconstructed from the scratch
-    /// region get the authored shape with this `N` extent.
-    batch: usize,
-    /// The tensor most recently produced, still in the StaB active half.
-    fresh: Option<(TensorId, Tensor4<i8>)>,
-    /// Consumers not yet served, per tensor.
-    remaining: BTreeMap<TensorId, usize>,
-}
-
-impl<'g> RunState<'g> {
-    fn new(graph: &'g Graph, input: Tensor4<i8>, line_size: usize, batch: usize) -> Self {
-        let mut remaining = BTreeMap::new();
-        let mut count = |t: TensorId| {
-            remaining.insert(t, graph.consumers(t).len());
-        };
-        count(graph.input());
-        for node in graph.nodes() {
-            count(node.output);
-        }
-        RunState {
-            graph,
-            scratch: ScratchRegion::new(line_size.max(1)),
-            batch,
-            fresh: Some((graph.input(), input)),
-            remaining,
-        }
-    }
-
-    /// Hands a tensor to its next consumer. Returns the data plus whether it
-    /// came out of the scratch region (vs. the fresh StaB handoff). The last
-    /// consumer takes ownership (no copy); earlier consumers get a clone.
-    fn take(&mut self, t: TensorId) -> Result<(Tensor4<i8>, bool), ArchError> {
-        let uses = self
-            .remaining
-            .get_mut(&t)
-            .ok_or_else(|| ArchError::InvalidWorkload(format!("unknown tensor {t}")))?;
-        *uses = uses.saturating_sub(1);
-        let uses_left = *uses;
-        if let Some((fresh_t, data)) = &self.fresh {
-            if *fresh_t == t {
-                return Ok(if uses_left == 0 {
-                    (self.fresh.take().expect("just matched").1, false)
-                } else {
-                    (data.clone(), false)
-                });
-            }
-        }
-        let key = t.to_string();
-        let missing = || {
-            ArchError::InvalidWorkload(format!(
-                "tensor {t} consumed before being produced or after being freed"
-            ))
-        };
-        // `fetch` counts the read; the final consumer then moves the parked
-        // allocation out instead of copying it.
-        let data = if uses_left == 0 {
-            self.scratch.fetch(&key).ok_or_else(missing)?;
-            self.scratch.release(&key).expect("fetched above")
-        } else {
-            self.scratch.fetch(&key).ok_or_else(missing)?.to_vec()
-        };
-        let mut shape = self.graph.tensor_shape(t);
-        shape[0] = self.batch;
-        Ok((Tensor4::from_vec(shape, data)?, true))
-    }
-
-    /// Installs a newly produced tensor as the fresh StaB resident. The
-    /// previous fresh tensor is parked in the scratch region if it still has
-    /// consumers waiting (it is a shortcut crossing this production).
-    fn publish(&mut self, t: TensorId, data: Tensor4<i8>) {
-        if let Some((old_t, old_data)) = self.fresh.take() {
-            if self.remaining.get(&old_t).copied().unwrap_or(0) > 0 {
-                self.scratch
-                    .park(old_t.to_string(), old_data.as_slice().to_vec());
-            }
-        }
-        self.fresh = Some((t, data));
-    }
 }
 
 /// Executes a graph naively with the golden reference kernels: every tensor
@@ -932,6 +765,52 @@ mod tests {
             run.report.total_cycles() < n as u64 * solo0.report.total_cycles(),
             "batching must amortize weight staging"
         );
+    }
+
+    /// The program cell holds what *this* session lowers to: a session
+    /// re-parameterised after a run compiles again (a stale cell under
+    /// `with_quantization` would be silently wrong, not an error), and a
+    /// clone of a run session shares the program it already has.
+    #[test]
+    fn the_program_cell_follows_the_session_it_was_compiled_for() {
+        let (session, g, iacts, weights) = session_and_operands();
+        let base = session.run(&iacts, &weights).unwrap();
+
+        let requantized = session.clone().with_quantization(4, 3);
+        assert_ne!(requantized.fingerprint(), session.fingerprint());
+        assert_eq!(
+            requantized.compile().unwrap().fingerprint(),
+            requantized.fingerprint()
+        );
+        let run = requantized.run(&iacts, &weights).unwrap();
+        let golden = run_graph_reference(&g, &iacts, &weights, 4, 3).unwrap();
+        assert_eq!(run.oacts, golden);
+        assert_ne!(run.oacts, base.oacts, "the new parameters must matter");
+
+        let batched = session.with_batch(2).unwrap();
+        assert_eq!(
+            batched.compile().unwrap().fingerprint(),
+            batched.fingerprint()
+        );
+        let pair = Tensor4::random([2, 4, 6, 6], 77);
+        let run = batched.run(&pair, &weights).unwrap();
+        let (shift, zero) = batched.quantization();
+        for i in 0..2 {
+            let golden =
+                run_graph_reference(&g, &sample_of(&pair, i), &weights, shift, zero).unwrap();
+            assert_sample_matches(&run.oacts, i, &golden, "batched after a run");
+        }
+
+        // All of the above share one route cache; only compiling reaches it.
+        let before = session.route_cache_stats();
+        let clone = session.clone();
+        let run = clone.run(&iacts, &weights).unwrap();
+        assert_eq!((run.oacts, run.report), (base.oacts, base.report));
+        assert_eq!(
+            clone.compile().unwrap().fingerprint(),
+            session.fingerprint()
+        );
+        assert_eq!(session.route_cache_stats(), before);
     }
 
     #[test]

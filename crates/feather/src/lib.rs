@@ -19,11 +19,13 @@
 //! [`Feather::execute_gemm`]; whole layer chains pipeline back-to-back
 //! through the ping/pong StaB via [`session::NetworkSession`], which is where
 //! RIR pays off: intermediate activations are reduced directly into the next
-//! layer's layout and never leave the chip. Full model *graphs* — residual
-//! branches and joins included — execute through
-//! [`graph_session::GraphSession`], which schedules the tensor DAG over the
-//! same pipeline core, parks shortcut tensors in an on-chip scratch region
-//! and performs the quantized residual adds at join points.
+//! layer's layout and never leave the chip. Both move real data through the
+//! accounted simulator. Full model *graphs* — residual branches and joins
+//! included — go through [`graph_session::GraphSession`], which plans the
+//! tensor DAG over the same pipeline core (shortcut tensors parked in an
+//! on-chip scratch region, quantized residual adds at the joins), lowers the
+//! plan once into a flat [`Program`] whose cost is known exactly without
+//! running it, and executes every run as a replay of that program.
 //!
 //! # Example
 //!
@@ -58,7 +60,7 @@ pub mod program;
 pub mod report;
 pub mod session;
 
-pub use crate::core::{default_threads, RouteCacheStats};
+pub use crate::core::RouteCacheStats;
 pub use accelerator::Feather;
 pub use config::FeatherConfig;
 pub use graph_session::GraphSession;

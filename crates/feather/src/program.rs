@@ -2,26 +2,34 @@
 //! flat, serializable [`Program`] of ops and replay it with zero per-layer
 //! planning and zero accounting — the accelerator-as-ISA execution model.
 //!
-//! The interpreted [`GraphSession::run`] re-walks the DAG on every call:
-//! consumer counts, scratch keys, weight clones, per-layer context builds,
-//! hashed route-cache lookups and the whole cycle/conflict/traffic accounting
-//! all happen on the hot path. A serving process replays the *same* schedule
-//! thousands of times, and none of that depends on the data, so all of it is
-//! hoisted here into a one-time compile:
+//! FEATHER switches dataflows at negligible cost because nothing is decided
+//! at run time: every layer's dataflow, layout and BIRRD configurations are
+//! fixed offline and the controller only plays them back. A graph runs here
+//! the same way. Walking the DAG — consumer counts, scratch keys, per-layer
+//! context builds, hashed route-cache lookups — and the whole
+//! cycle/conflict/traffic accounting depend on the plan, never on the data,
+//! so all of it happens once, in a compile, and [`GraphSession::run`] is a
+//! replay of the result:
 //!
-//! * **[`Program`]** — a linear op stream ([`Op`]: `Stage`, `Fire`,
-//!   `Reorder`, `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout,
-//!   cell index table, scratch move and BIRRD pass resolved at compile time.
-//!   Passes live constant-folded in one program-wide, deduplicated
-//!   [`RouteTable`]; each layer keeps only its stream of slot indices.
+//! * **[`Program`]** — a linear op stream (`Stage`, `Fire`, `Reorder`,
+//!   `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout, cell index
+//!   table, scratch move and BIRRD pass resolved at compile time. Passes live
+//!   constant-folded in one program-wide, deduplicated route table; each
+//!   layer keeps only its stream of slot indices. A `Program` is a cheaply
+//!   clonable handle: the session that compiled it, every
+//!   [`GraphSession::compile`] caller and every [`ProgramSession`] share one
+//!   set of tables.
 //! * **[`Program::cost`]** — the exact report of one run, assembled once from
 //!   what the compile-time record pass counts: the cost oracle for a
 //!   (model, batch) pair, available without running a single MAC.
 //! * **[`ProgramSession`]** — the executor: dispatches the op stream linearly
 //!   as pure data movement and returns [`Program::cost`] with the one
-//!   data-dependent count (join saturation) patched in. Replay is
-//!   bit-identical to the interpreted session — outputs and the whole
-//!   [`GraphRun`] report (enforced by the `program_equivalence` suite).
+//!   data-dependent count (join saturation) patched in. Outputs are
+//!   bit-identical to [`crate::graph_session::run_graph_reference`] (the
+//!   `program_equivalence` and `graph_equivalence` suites), and every
+//!   compiled layer's cost equals what an accounted
+//!   [`crate::NetworkSession::run`] over real data counts (this module's
+//!   tests).
 //! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
 //!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
 //!   co-search cache), keyed by a schedule fingerprint. Loading an artifact
@@ -29,7 +37,8 @@
 //!   re-routed deterministically and the per-layer cost counters are stored
 //!   as integers, so artifacts stay small and the loaded program identical.
 //!   Everything an artifact names is validated at load, so a damaged one is
-//!   `Corrupt`, never a panic inside replay.
+//!   `Corrupt`, never a panic inside replay; a save replaces the file in one
+//!   rename, so a concurrent reader sees the old artifact or the new one.
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
 //!   will do and cost, locked down by a golden snapshot test.
 //!
@@ -38,13 +47,14 @@
 //! functions of layer geometry (the mapped-lane pattern and the layouts'
 //! bank assignment) — never of activation or weight values. The compile pass
 //! therefore runs the accounted tile loop once over zeroed buffers in record
-//! mode, and replay consumes the recorded stream cursor-style from per-block
-//! offsets.
+//! mode — the only accounted pass a graph ever gets — and replay consumes the
+//! recorded stream cursor-style from per-block offsets.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use feather_arch::energy::EnergyModel;
@@ -97,7 +107,7 @@ pub enum ArtifactStatus {
 #[derive(Debug)]
 pub(crate) enum LoadOutcome {
     /// Parsed, checksum-verified and validated.
-    Loaded(Box<Program>),
+    Loaded(Program),
     /// A file exists but is unusable (corrupt, truncated, or stale format).
     Corrupt,
     /// No file (or it is unreadable).
@@ -110,8 +120,7 @@ pub(crate) enum LoadOutcome {
 struct TensorSlot {
     /// The graph [`TensorId`] index.
     id: usize,
-    /// Scratch-region key — identical to the interpreted session's
-    /// `TensorId::to_string` so scratch traffic accounting matches exactly.
+    /// Scratch-region key: the tensor's `TensorId::to_string`.
     key: String,
     /// `(N, C, H, W)` shape with the batch extent applied.
     shape: [usize; 4],
@@ -175,7 +184,7 @@ struct JoinSpec {
 }
 
 /// How a join operand (or segment input) is acquired at replay time —
-/// resolved at compile time from the interpreted session's consumer counts.
+/// resolved at compile time from the graph's consumer counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OperandSrc {
     /// The fresh StaB resident; `take` moves it out (last consumer),
@@ -221,10 +230,18 @@ enum Op {
 /// A flat, replayable lowering of a planned graph: every layout, cell index,
 /// BIRRD pass and scratch move resolved — and the whole report counted —
 /// ahead of time. Produced by [`GraphSession::compile`], executed by
-/// [`ProgramSession`], serialized to the `FEATHER_CACHE_DIR/programs/`
-/// artifact cache.
+/// [`ProgramSession`] (and by [`GraphSession::run`]), serialized to the
+/// `FEATHER_CACHE_DIR/programs/` artifact cache.
+///
+/// A `Program` is a handle to immutable tables: cloning it copies a pointer.
 #[derive(Debug, Clone)]
 pub struct Program {
+    tables: Arc<Tables>,
+}
+
+/// Everything a [`Program`] holds, shared by all of its handles.
+#[derive(Debug)]
+struct Tables {
     name: String,
     config: FeatherConfig,
     batch: usize,
@@ -248,33 +265,34 @@ pub struct Program {
 impl Program {
     /// The compiled graph's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.tables.name
     }
 
     /// Samples per replayed run.
     pub fn batch(&self) -> usize {
-        self.batch
+        self.tables.batch
     }
 
     /// The hardware configuration the program was compiled for.
     pub fn config(&self) -> FeatherConfig {
-        self.config
+        self.tables.config
     }
 
     /// The schedule fingerprint this program was compiled from — matches
     /// [`GraphSession::fingerprint`] of the originating session.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.tables.fingerprint
     }
 
     /// Number of ops in the instruction stream.
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
+        self.tables.ops.len()
     }
 
     /// Total recorded route-stream entries (BIRRD passes) across all layers.
     pub fn route_fires(&self) -> usize {
-        self.segments
+        self.tables
+            .segments
             .iter()
             .flat_map(|s| &s.layers)
             .map(|l| l.replay.routes.stream.len())
@@ -293,17 +311,27 @@ impl Program {
     /// is zero here; every replay returns this report with that count
     /// patched in per sample.
     pub fn cost(&self) -> &GraphReport {
-        &self.cost
+        &self.tables.cost
     }
 
     /// The default artifact location for this program:
     /// `FEATHER_CACHE_DIR/programs/<name>-b<batch>-<fingerprint>.program`,
     /// or `None` when `FEATHER_CACHE_DIR` is unset.
     pub fn artifact_path(&self) -> Option<PathBuf> {
-        cache_dir().map(|dir| artifact_path(&dir, &self.name, self.batch, self.fingerprint))
+        cache_dir().map(|dir| {
+            artifact_path(
+                &dir,
+                &self.tables.name,
+                self.tables.batch,
+                self.tables.fingerprint,
+            )
+        })
     }
 
     /// Serializes the program to `path` (parent directories are created).
+    /// The artifact is written to a sibling temporary file and renamed over
+    /// `path`, so a process loading the same path meanwhile reads the
+    /// previous artifact or this one, never a prefix of it.
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -311,7 +339,7 @@ impl Program {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, self.serialize())
+        write_atomically(path, self.serialize().as_bytes())
     }
 
     /// Loads a program from `path`. Any failure — missing file, unknown
@@ -320,7 +348,7 @@ impl Program {
     /// a recompile.
     pub fn load_from(path: &Path) -> Option<Program> {
         match Program::load_checked(path) {
-            LoadOutcome::Loaded(program) => Some(*program),
+            LoadOutcome::Loaded(program) => Some(program),
             LoadOutcome::Corrupt | LoadOutcome::Missing => None,
         }
     }
@@ -336,7 +364,7 @@ impl Program {
             .ok()
             .and_then(|t| parse_program(&t))
         {
-            Some(program) => LoadOutcome::Loaded(Box::new(program)),
+            Some(program) => LoadOutcome::Loaded(program),
             None => LoadOutcome::Corrupt,
         }
     }
@@ -347,40 +375,41 @@ impl Program {
     /// program-wide folded route table and the full op stream. The format is
     /// deterministic and locked by a golden snapshot test.
     pub fn dump(&self) -> String {
+        let t = &*self.tables;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "program \"{}\" fingerprint {:016x}",
-            self.name, self.fingerprint
+            t.name, t.fingerprint
         );
         let _ = writeln!(
             out,
             "fabric {}x{} stab_lines={} strb_lines={}",
-            self.config.rows, self.config.cols, self.config.stab_lines, self.config.strb_lines
+            t.config.rows, t.config.cols, t.config.stab_lines, t.config.strb_lines
         );
         let _ = writeln!(
             out,
             "batch {} quant shift={} zero={}",
-            self.batch, self.quant_shift, self.quant_zero
+            t.batch, t.quant_shift, t.quant_zero
         );
         let _ = writeln!(
             out,
             "input {} {:?}",
-            self.tensors[self.input_slot].key, self.input_shape
+            t.tensors[t.input_slot].key, t.input_shape
         );
         let _ = writeln!(
             out,
             "cost cycles={} dram_bytes={} scratch_peak={}",
-            self.cost.total_cycles(),
-            self.cost.dram_bytes(),
-            self.cost.scratch_peak_elems
+            t.cost.total_cycles(),
+            t.cost.dram_bytes(),
+            t.cost.scratch_peak_elems
         );
         let _ = writeln!(out, "tensors:");
-        for slot in &self.tensors {
+        for slot in &t.tensors {
             let _ = writeln!(out, "  {} {:?}", slot.key, slot.shape);
         }
         let _ = writeln!(out, "segments:");
-        for (si, seg) in self.segments.iter().enumerate() {
+        for (si, seg) in t.segments.iter().enumerate() {
             let mut flags = String::new();
             if seg.graph_input {
                 flags.push_str(" graph_input");
@@ -391,7 +420,7 @@ impl Program {
             let _ = writeln!(
                 out,
                 "  seg {si}: in={} out={}{}",
-                self.tensors[seg.input].key, self.tensors[seg.output].key, flags
+                t.tensors[seg.input].key, t.tensors[seg.output].key, flags
             );
             for (li, layer) in seg.layers.iter().enumerate() {
                 let l = &layer.replay.exec.layer;
@@ -430,12 +459,12 @@ impl Program {
             }
         }
         let _ = writeln!(out, "joins:");
-        for (ji, join) in self.joins.iter().enumerate() {
+        for (ji, join) in t.joins.iter().enumerate() {
             let _ = writeln!(
                 out,
                 "  join {ji} {}: out={} a={} b={}{}",
                 join.name,
-                self.tensors[join.output].key,
+                t.tensors[join.output].key,
                 operand_token(join.a),
                 operand_token(join.b),
                 if join.graph_output {
@@ -446,16 +475,16 @@ impl Program {
             );
         }
         let _ = writeln!(out, "routes:");
-        for (slot, (c_cols, request)) in self.routes.requests().iter().enumerate() {
+        for (slot, (c_cols, request)) in t.routes.requests().iter().enumerate() {
             let _ = write!(out, "  {slot:04} c_cols={c_cols}");
             let banks = request.group_destinations.values();
-            for ((q_lane, cols), bank) in self.routes.pass_groups(slot).zip(banks) {
+            for ((q_lane, cols), bank) in t.routes.pass_groups(slot).zip(banks) {
                 let _ = write!(out, " q{q_lane}@bank{bank}<-{}", join_ints(cols));
             }
             out.push('\n');
         }
         let _ = writeln!(out, "ops:");
-        for (i, op) in self.ops.iter().enumerate() {
+        for (i, op) in t.ops.iter().enumerate() {
             let text = match *op {
                 Op::Stage { seg, fresh, take } => {
                     let src = match (fresh, take) {
@@ -469,11 +498,11 @@ impl Program {
                 Op::Reorder { seg, layer } => format!("reorder seg={seg} layer={layer}"),
                 Op::Swap { seg } => format!("swap    seg={seg}"),
                 Op::Drain { seg } => format!("drain   seg={seg}"),
-                Op::Join { join } => format!("join    {}", self.joins[join].name),
-                Op::Park { tensor } => format!("park    {}", self.tensors[tensor].key),
+                Op::Join { join } => format!("join    {}", t.joins[join].name),
+                Op::Park { tensor } => format!("park    {}", t.tensors[tensor].key),
                 Op::Unpark { tensor, free } => format!(
                     "unpark  {}{}",
-                    self.tensors[tensor].key,
+                    t.tensors[tensor].key,
                     if free { " free" } else { "" }
                 ),
             };
@@ -485,24 +514,25 @@ impl Program {
     // ---------------------------------------------------------------- save
 
     fn serialize(&self) -> String {
+        let t = &*self.tables;
         let mut out = String::new();
         let _ = writeln!(out, "{HEADER}");
         let _ = writeln!(
             out,
             "meta name={} rows={} cols={} stab={} strb={} batch={} shift={} zero={} \
              fp={:016x} input={}",
-            esc(&self.name),
-            self.config.rows,
-            self.config.cols,
-            self.config.stab_lines,
-            self.config.strb_lines,
-            self.batch,
-            self.quant_shift,
-            self.quant_zero,
-            self.fingerprint,
-            self.input_slot
+            esc(&t.name),
+            t.config.rows,
+            t.config.cols,
+            t.config.stab_lines,
+            t.config.strb_lines,
+            t.batch,
+            t.quant_shift,
+            t.quant_zero,
+            t.fingerprint,
+            t.input_slot
         );
-        for slot in &self.tensors {
+        for slot in &t.tensors {
             let _ = writeln!(
                 out,
                 "tensor id={} shape={}",
@@ -510,7 +540,7 @@ impl Program {
                 join_ints(&slot.shape)
             );
         }
-        for seg in &self.segments {
+        for seg in &t.segments {
             let _ = writeln!(
                 out,
                 "segment in={} out={} gin={} gout={}",
@@ -520,7 +550,7 @@ impl Program {
                 u8::from(seg.graph_output)
             );
         }
-        for (si, seg) in self.segments.iter().enumerate() {
+        for (si, seg) in t.segments.iter().enumerate() {
             for (li, layer) in seg.layers.iter().enumerate() {
                 let l = &layer.replay.exec.layer;
                 let m = &layer.replay.exec.mapping;
@@ -570,7 +600,7 @@ impl Program {
                 let _ = writeln!(out, "blocks seg={si} layer={li} {}", rle_encode(&deltas));
             }
         }
-        for (c_cols, request) in self.routes.requests() {
+        for (c_cols, request) in t.routes.requests() {
             let groups: Vec<String> = request
                 .input_groups
                 .iter()
@@ -591,7 +621,7 @@ impl Program {
                 dests.join(",")
             );
         }
-        for join in &self.joins {
+        for join in &t.joins {
             let _ = writeln!(
                 out,
                 "join name={} out={} a={} b={} gout={}",
@@ -602,7 +632,7 @@ impl Program {
                 u8::from(join.graph_output)
             );
         }
-        for op in &self.ops {
+        for op in &t.ops {
             let line = match *op {
                 Op::Stage { seg, fresh, take } => format!(
                     "op stage seg={seg} fresh={} take={}",
@@ -656,7 +686,7 @@ impl ReplayScratch {
 
     /// Sizes the halves for `program` at `lanes` samples and zeroes the
     /// accumulators.
-    fn provision(&mut self, program: &Program, lanes: usize) {
+    fn provision(&mut self, program: &Tables, lanes: usize) {
         // The largest StaB half any layer addresses.
         let layers = program.segments.iter().flat_map(|s| &s.layers);
         let cells = layers
@@ -676,32 +706,27 @@ impl ReplayScratch {
 }
 
 /// The graph-DAG replay executor: dispatches a compiled [`Program`]'s op
-/// stream linearly. Cheap to clone (the program is shared through an `Arc`);
-/// safe to use from multiple threads via `&self`.
+/// stream linearly. Cheap to clone (it holds a [`Program`] handle); safe to
+/// use from multiple threads via `&self`.
 #[derive(Debug, Clone)]
 pub struct ProgramSession {
-    program: Arc<Program>,
+    program: Program,
 }
 
 impl ProgramSession {
     /// Wraps a compiled program for execution.
     pub fn new(program: Program) -> Self {
-        Self::from_arc(Arc::new(program))
-    }
-
-    /// Wraps an already-shared compiled program.
-    pub fn from_arc(program: Arc<Program>) -> Self {
         ProgramSession { program }
     }
 
     /// The compiled program this session replays.
-    pub fn program(&self) -> &Arc<Program> {
+    pub fn program(&self) -> &Program {
         &self.program
     }
 
-    /// Replays the program: bit-identical to [`GraphSession::run`] of the
-    /// originating session — outputs and report alike — with zero planning,
-    /// hashing, weight cloning or accounting on the hot path.
+    /// Replays the program — what [`GraphSession::run`] of the originating
+    /// session does, outputs and report alike — with zero planning, hashing,
+    /// weight cloning or accounting on the hot path.
     ///
     /// A replay is pure data movement. Cycles, stalls, buffer and scratch
     /// traffic, DRAM bytes and energy do not depend on activation or weight
@@ -798,7 +823,7 @@ impl ProgramSession {
         samples: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
-        let p = &*self.program;
+        let p = &*self.program.tables;
         let lanes = samples.len();
         for sample in samples {
             if sample.shape() != p.input_shape {
@@ -1014,8 +1039,10 @@ fn take_operand<'a>(
     }
 }
 
-/// Rewrites a drained segment's report for graph-level DRAM accounting —
-/// the compiled mirror of the interpreted session's `adjust_report`.
+/// Rewrites a drained segment's report for graph-level DRAM accounting:
+/// interior boundary tensors stay on chip (StaB handoff or scratch region),
+/// and pooling lowerings carry no weight traffic — their window constants
+/// are synthesized, not streamed.
 fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &EnergyModel) {
     let mut dirty: Vec<usize> = Vec::new();
     if !seg.graph_input {
@@ -1145,8 +1172,8 @@ fn cost_of(
 
 // ------------------------------------------------------------------ compile
 
-/// Lowers a planned session into a [`Program`] — the implementation behind
-/// [`GraphSession::compile`].
+/// Lowers a planned session into a [`Program`] — what fills the cell behind
+/// [`GraphSession::compile`], once per session.
 pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let graph = session.graph();
     let config = session.config();
@@ -1154,7 +1181,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let batch = session.batch();
 
     // Tensor table: the graph input plus every node output, with batched
-    // shapes and the scratch keys the interpreted session uses.
+    // shapes and scratch keys.
     let mut tensors: Vec<TensorSlot> = Vec::new();
     let mut slot_of: BTreeMap<TensorId, usize> = BTreeMap::new();
     let mut add_tensor = |t: TensorId, tensors: &mut Vec<TensorSlot>| {
@@ -1177,8 +1204,8 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_shape = tensors[input_slot].shape;
 
     // Compile every segment: build the owned layer contexts and run each
-    // layer's accounted tile loop once over zeroed buffers, replicating the
-    // interpreted StaB sequence exactly. Routes and costs are
+    // layer's accounted tile loop once over zeroed buffers, through the StaB
+    // sequence of a chain run (`NetworkSession::run`). Routes and costs are
     // data-independent, so this one pass records the BIRRD pass stream every
     // replay will consume and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
@@ -1228,7 +1255,6 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                     &mut oact_view,
                     RouteExecution::Collect(route_cache, &mut recorder),
                     i == 0,
-                    Some(1),
                     &mut span_scratch,
                 )?
             };
@@ -1261,8 +1287,10 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         });
     }
 
-    // Emit the op stream by symbolically replaying the interpreted run-state
-    // transitions (consumer counts, the fresh register, scratch parking).
+    // Emit the op stream by walking the plan symbolically: consumer counts
+    // decide which tensor is the fresh StaB resident, which one a consumer
+    // moves out, and which must be parked in (or fetched from) the scratch
+    // region because the pipeline moved on while it still had consumers.
     let mut remaining: BTreeMap<TensorId, usize> = BTreeMap::new();
     remaining.insert(graph.input(), graph.consumers(graph.input()).len());
     for node in graph.nodes() {
@@ -1364,20 +1392,22 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         ArchError::InvalidWorkload("compiled program is inconsistent: op stream".to_string())
     })?;
     Ok(Program {
-        name: graph.name.clone(),
-        config,
-        batch,
-        quant_shift,
-        quant_zero,
-        input_shape,
-        input_slot,
-        fingerprint: session_fingerprint(session),
-        tensors,
-        segments,
-        joins,
-        ops,
-        routes,
-        cost,
+        tables: Arc::new(Tables {
+            name: graph.name.clone(),
+            config,
+            batch,
+            quant_shift,
+            quant_zero,
+            input_shape,
+            input_slot,
+            fingerprint: session_fingerprint(session),
+            tensors,
+            segments,
+            joins,
+            ops,
+            routes,
+            cost,
+        }),
     })
 }
 
@@ -1387,7 +1417,7 @@ pub(crate) fn compile_cached(
     session: &GraphSession,
 ) -> Result<(Program, ArtifactStatus), ArchError> {
     let Some(dir) = cache_dir() else {
-        return Ok((compile(session)?, ArtifactStatus::Disabled));
+        return Ok((session.compile()?, ArtifactStatus::Disabled));
     };
     compile_cached_in(session, &dir)
 }
@@ -1403,8 +1433,8 @@ pub(crate) fn compile_cached_in(
     let fingerprint = session_fingerprint(session);
     let path = artifact_path(dir, &session.graph().name, session.batch(), fingerprint);
     let status = match Program::load_checked(&path) {
-        LoadOutcome::Loaded(program) if program.fingerprint == fingerprint => {
-            return Ok((*program, ArtifactStatus::Hit));
+        LoadOutcome::Loaded(program) if program.fingerprint() == fingerprint => {
+            return Ok((program, ArtifactStatus::Hit));
         }
         // The path encodes the fingerprint, so parseable-but-mismatched
         // content is just as wrong as a bad checksum.
@@ -1414,7 +1444,7 @@ pub(crate) fn compile_cached_in(
         }
         LoadOutcome::Missing => ArtifactStatus::Miss,
     };
-    let program = compile(session)?;
+    let program = session.compile()?;
     // Persistence is best-effort: an unwritable cache degrades to recompiles.
     let _ = program.save_to(&path);
     Ok((program, status))
@@ -1426,6 +1456,33 @@ fn quarantine(path: &Path) {
     let mut bad = path.as_os_str().to_os_string();
     bad.push(".bad");
     let _ = std::fs::rename(path, &bad);
+}
+
+/// Writes `bytes` to a temporary sibling of `path` and renames it over
+/// `path`: readers of a cache directory shared across processes see the old
+/// file or the whole new one. The temporary name is unique per process and
+/// call, so concurrent savers never share one. (`layoutloop::persist` keeps
+/// a private twin of this function; change them together.)
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        // On disk before the rename makes it visible under `path`.
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// The artifact cache root: `FEATHER_CACHE_DIR` (shared with layoutloop's
@@ -1870,20 +1927,22 @@ fn parse_program(text: &str) -> Option<Program> {
         &ops,
     )?;
     Some(Program {
-        name,
-        config,
-        batch,
-        quant_shift,
-        quant_zero,
-        input_shape,
-        input_slot,
-        fingerprint,
-        tensors,
-        segments: compiled_segments,
-        joins,
-        ops,
-        routes,
-        cost,
+        tables: Arc::new(Tables {
+            name,
+            config,
+            batch,
+            quant_shift,
+            quant_zero,
+            input_shape,
+            input_slot,
+            fingerprint,
+            tensors,
+            segments: compiled_segments,
+            joins,
+            ops,
+            routes,
+            cost,
+        }),
     })
 }
 
@@ -2121,17 +2180,30 @@ mod tests {
         ))
     }
 
+    /// The golden output of `session`'s graph for these operands.
+    fn reference(
+        session: &GraphSession,
+        iacts: &Tensor4<i8>,
+        weights: &BTreeMap<NodeId, Tensor4<i8>>,
+    ) -> Tensor4<i32> {
+        let (shift, zero) = session.quantization();
+        run_graph_reference(session.graph(), iacts, weights, shift, zero).unwrap()
+    }
+
+    /// A session's `run` and a `ProgramSession` over its `compile()` are the
+    /// same replay, and both produce the reference executor's output.
     #[test]
     fn replay_matches_interpreted_run_exactly() {
         let g = residual_graph();
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let iacts = Tensor4::random([1, 4, 6, 6], 11);
         let weights = g.random_weights(12);
-        let interpreted = session.run(&iacts, &weights).unwrap();
+        let run = session.run(&iacts, &weights).unwrap();
         let program = session.compile().unwrap();
         let replayed = ProgramSession::new(program).run(&iacts, &weights).unwrap();
-        assert_eq!(replayed.oacts, interpreted.oacts);
-        assert_eq!(replayed.report, interpreted.report);
+        assert_eq!(replayed.oacts, reference(&session, &iacts, &weights));
+        assert_eq!(run.oacts, replayed.oacts);
+        assert_eq!(run.report, replayed.report);
     }
 
     #[test]
@@ -2140,29 +2212,31 @@ mod tests {
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let iacts = Tensor4::random([1, 4, 6, 6], 21);
         let weights = g.random_weights(22);
-        let interpreted = session.run(&iacts, &weights).unwrap();
+        let golden = reference(&session, &iacts, &weights);
         let replay = ProgramSession::new(session.compile().unwrap());
         // Replay twice (a serving process reuses one program) and from
         // several threads at once through the shared `&self` — all
         // bit-identical.
         let first = replay.run(&iacts, &weights).unwrap();
         let second = replay.run(&iacts, &weights).unwrap();
-        assert_eq!(first.report, interpreted.report);
-        assert_eq!(second.report, interpreted.report);
+        assert_eq!(first.oacts, golden);
+        assert_eq!(second.report, first.report);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
                 .map(|_| scope.spawn(|| replay.run(&iacts, &weights).unwrap()))
                 .collect();
             for handle in handles {
                 let run = handle.join().unwrap();
-                assert_eq!(run.oacts, interpreted.oacts);
-                assert_eq!(run.report, interpreted.report);
+                assert_eq!(run.oacts, golden);
+                assert_eq!(run.report, first.report);
             }
         });
     }
 
-    /// The cost oracle: available without executing anything, equal to the
-    /// interpreted report up to join saturation, and preserved by artifacts.
+    /// The cost oracle: available without executing anything, equal to a
+    /// run's report up to join saturation, and preserved by artifacts. (What
+    /// pins it to the accounted simulator is
+    /// `compiled_layer_costs_equal_accounted_real_data_runs`.)
     #[test]
     fn cost_is_the_interpreted_report_without_saturation() {
         let g = residual_graph();
@@ -2177,6 +2251,128 @@ mod tests {
         assert!(program.cost().total_cycles() > 0);
         let reloaded = parse_program(&program.serialize()).expect("artifact loads");
         assert_eq!(reloaded.cost(), program.cost());
+    }
+
+    /// `build_ragged_dag` of `tests/program_equivalence.rs`: channel counts
+    /// that do not tile the array, an optional stride-2 stem, an optional
+    /// depthwise layer, padded 3×3 kernels and one residual join with an
+    /// identity or projected shortcut.
+    fn ragged_dag(
+        [c_in, c_mid, c_out, hw]: [usize; 4],
+        stride2: bool,
+        depthwise: bool,
+        identity: bool,
+    ) -> Graph {
+        let mut g = Graph::new("ragged_dag", [1, c_in, hw, hw]);
+        let stride = if stride2 { 2 } else { 1 };
+        let stem = ConvLayer::new(1, c_mid, c_in, hw, hw, 3, 3)
+            .with_stride(stride)
+            .with_padding(1)
+            .with_name("stem");
+        let mut cur = g.conv(g.input(), stem).unwrap();
+        let hw = (hw + 2 - 3) / stride + 1;
+        let conv3 = |name: &str| {
+            ConvLayer::new(1, c_mid, c_mid, hw, hw, 3, 3)
+                .with_padding(1)
+                .with_name(name)
+        };
+        if depthwise {
+            cur = g.conv(cur, conv3("dw").depthwise()).unwrap();
+        }
+        let block_input = cur;
+        cur = g.conv(cur, conv3("main")).unwrap();
+        let shortcut = if identity {
+            block_input
+        } else {
+            let proj = ConvLayer::new(1, c_mid, c_mid, hw, hw, 1, 1).with_name("proj");
+            g.conv(block_input, proj).unwrap()
+        };
+        cur = g.add(cur, shortcut, "add").unwrap();
+        let head = ConvLayer::new(1, c_out, c_mid, hw, hw, 1, 1).with_name("head");
+        g.conv(cur, head).unwrap();
+        g
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The record pass runs over zeros, and nothing but a replay ever
+        /// runs a graph — so this is where compiled costs meet the accounted
+        /// simulator: every segment's chain run over real data (zero,
+        /// extreme and random operands, modelled batches 1–3) must count,
+        /// layer by layer, exactly what the program says the layer costs.
+        #[test]
+        fn compiled_layer_costs_equal_accounted_real_data_runs(
+            dims in proptest::collection::vec(1usize..7, 3),
+            hw in 4usize..8,
+            stride2 in 0usize..2,
+            depthwise in 0usize..2,
+            identity in 0usize..2,
+            batch in 1usize..4,
+            seed in 0u64..100,
+        ) {
+            let g = ragged_dag(
+                [dims[0], dims[1], dims[2], hw],
+                stride2 == 1,
+                depthwise == 1,
+                identity == 1,
+            );
+            let solo = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
+            let session = solo.with_batch(batch).unwrap();
+            let program = session.compile().unwrap();
+            // `cost().segments` is in drain order: the plan's.
+            let drained: Vec<usize> = session
+                .plan
+                .iter()
+                .filter_map(|step| match *step {
+                    Step::Segment(si) => Some(si),
+                    Step::Join(_) => None,
+                })
+                .collect();
+
+            for fill in [Some(0), Some(i8::MIN), Some(i8::MAX), None] {
+                let operand = |shape: [usize; 4], seed: u64| match fill {
+                    Some(value) => Tensor4::from_fn(shape, |_, _, _, _| value),
+                    None => Tensor4::random(shape, seed),
+                };
+                let compiled = session.segments.iter().zip(&program.tables.segments);
+                for (si, (exec, segment)) in compiled.enumerate() {
+                    let first = &exec.session.steps()[0].0;
+                    let iacts = operand([first.n, first.c, first.h, first.w], seed);
+                    let weights: Vec<Tensor4<i8>> = segment
+                        .layers
+                        .iter()
+                        .zip(1u64..)
+                        .map(|(layer, i)| match &layer.weight {
+                            WeightSource::Pool(window) => window.clone(),
+                            WeightSource::Node(id) => {
+                                operand(g.node(*id).weight_shape().unwrap(), seed + i)
+                            }
+                        })
+                        .collect();
+                    let run = exec.session.run(&iacts, &weights).unwrap();
+
+                    prop_assert_eq!(run.report.layers.len(), segment.layers.len());
+                    for (counted, layer) in run.report.layers.iter().zip(&segment.layers) {
+                        let r = &counted.report;
+                        let LayerCost { core, iact, oact } = layer.cost;
+                        prop_assert_eq!(r.cycles - r.stall_cycles, core.cycles, "{}", counted.name);
+                        prop_assert_eq!(r.stall_cycles, iact.conflict_stall_cycles);
+                        prop_assert_eq!(
+                            (r.macs, r.birrd_passes, r.birrd_adds),
+                            (core.macs, core.birrd_passes, core.birrd_adds)
+                        );
+                        prop_assert_eq!(r.iact_stats, iact, "{} iact", counted.name);
+                        prop_assert_eq!(r.oact_stats, oact, "{} oact", counted.name);
+                    }
+                    let at = drained.iter().position(|&d| d == si).unwrap();
+                    let summary = &program.cost().segments[at];
+                    prop_assert_eq!(run.report.stab_swaps, summary.report.stab_swaps);
+                }
+            }
+        }
     }
 
     #[test]
@@ -2329,7 +2525,7 @@ mod tests {
             g.conv(g.input(), layer.clone()).unwrap();
             let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
             let program = session.compile().unwrap();
-            let mapping = &program.segments[0].layers[0].replay.exec.mapping;
+            let mapping = &program.tables.segments[0].layers[0].replay.exec.mapping;
             assert_ne!(
                 layer.m % mapping.m_rows,
                 0,
@@ -2380,10 +2576,62 @@ mod tests {
         assert_eq!(loaded.dump(), program.dump());
         let iacts = Tensor4::random([1, 4, 6, 6], 31);
         let weights = g.random_weights(32);
-        let interpreted = session.run(&iacts, &weights).unwrap();
         let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
-        assert_eq!(replayed.oacts, interpreted.oacts);
-        assert_eq!(replayed.report, interpreted.report);
+        assert_eq!(replayed.oacts, reference(&session, &iacts, &weights));
+        assert_eq!(
+            replayed.report,
+            session.run(&iacts, &weights).unwrap().report
+        );
+    }
+
+    /// One `FEATHER_CACHE_DIR` serves several processes: a loader racing a
+    /// saver finds no artifact or the whole artifact, never a prefix that
+    /// `compile_cached` would quarantine as `.bad`.
+    #[test]
+    fn a_loader_racing_a_saver_sees_no_artifact_or_the_whole_artifact() {
+        use std::sync::atomic::AtomicBool;
+        // The benchmark's Model A.
+        let g = feather_arch::graph::resnet50_graph_scaled(16, 16);
+        let session = GraphSession::auto(FeatherConfig::new(8, 16), &g).unwrap();
+        let program = session.compile().unwrap();
+        let whole = program.serialize().into_bytes();
+
+        let dir = temp_path("racing-saver");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = artifact_path(&dir, &g.name, 1, program.fingerprint());
+        let start = std::sync::Barrier::new(2);
+        let saved = AtomicBool::new(false);
+        let mut complete = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..40 {
+                    program.save_to(&path).unwrap();
+                }
+                saved.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            while !saved.load(Ordering::SeqCst) {
+                match std::fs::read(&path) {
+                    Ok(bytes) => {
+                        assert!(bytes == whole, "read {} of {}", bytes.len(), whole.len());
+                        complete += 1;
+                    }
+                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
+                }
+            }
+        });
+        assert!(complete > 0, "the loader never overlapped the saver");
+        assert!(matches!(
+            Program::load_checked(&path),
+            LoadOutcome::Loaded(loaded) if loaded.dump() == program.dump()
+        ));
+        let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(left, [path], "temporary files left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! of §III-C.4) and swaps the StaB halves. The result carries per-layer
 //! [`RunReport`]s with *pipelined* DRAM accounting plus network totals.
 //!
+//! [`NetworkSession::run`] is the *accounted* executor: real values move
+//! through the simulated NEST, BIRRD and banked StaB while every cycle,
+//! access and conflict is counted, one layer after the other on the calling
+//! thread. Whole graphs do not run this way — a [`crate::GraphSession`]
+//! compiles once and replays — but its compiler records every segment with
+//! this same tile loop, and a chain run is the real-data reference the
+//! compiled per-layer costs are tested against.
+//!
 //! # Example
 //!
 //! ```
@@ -78,12 +86,8 @@ pub struct NetworkSession {
     steps: Vec<(ConvLayer, LayerMapping)>,
     quant_shift: u32,
     quant_zero: i8,
-    /// Explicit executor worker count; `None` auto-sizes per layer (the
-    /// `FEATHER_THREADS` environment variable, else all cores, with small
-    /// layers staying serial).
-    threads: Option<usize>,
     /// Compiled BIRRD route programs, shared across this session's layers,
-    /// runs, worker threads — and sibling sessions of a graph.
+    /// runs, calling threads — and sibling sessions of a graph.
     route_cache: Arc<RouteCache>,
 }
 
@@ -133,7 +137,6 @@ impl NetworkSession {
             steps,
             quant_shift: DEFAULT_QUANT_SHIFT,
             quant_zero: 0,
-            threads: None,
             route_cache: Arc::new(RouteCache::new()),
         })
     }
@@ -245,27 +248,6 @@ impl NetworkSession {
         (self.quant_shift, self.quant_zero)
     }
 
-    /// Pins the executor's worker-thread count (builder style). `1` forces
-    /// the serial path; higher counts shard each layer's `(weight-tile,
-    /// batch)` loop across that many `std::thread::scope` workers. The
-    /// parallel run is bit-identical to the serial one — outputs, access
-    /// statistics and cycle counts alike (enforced by the
-    /// `parallel_equivalence` suite).
-    ///
-    /// Without an explicit pin the executor auto-sizes per layer: the
-    /// `FEATHER_THREADS` environment variable if set, otherwise all available
-    /// cores, with small layers staying serial to skip the fork overhead.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// In-place form of [`NetworkSession::with_threads`] (no session clone —
-    /// how a graph session pins every segment's worker count).
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.threads = Some(threads.max(1));
-    }
-
     /// Returns a copy of the session with every layer's batch size replaced:
     /// the same staged weights serve all `n` samples of each tile.
     ///
@@ -281,7 +263,6 @@ impl NetworkSession {
         let mut session = NetworkSession::from_mappings(self.config, steps)?;
         session.quant_shift = self.quant_shift;
         session.quant_zero = self.quant_zero;
-        session.threads = self.threads;
         session.route_cache = self.route_cache.clone();
         Ok(session)
     }
@@ -399,7 +380,6 @@ impl NetworkSession {
                     // pipelined layer's weights prefetch into the NEST shadow
                     // registers while the previous layer drains.
                     i == 0,
-                    self.threads,
                     &mut span_scratch,
                 )?
             };
@@ -531,7 +511,7 @@ impl NetworkSession {
 /// Buffer discipline of the active StaB half while a layer reads its iActs:
 /// for read-conflict purposes the StaB behaves like one dual-ported logical
 /// bank — reading more than two distinct lines in a cycle stalls. Shared by
-/// the interpreted session and the compiled-program replay path.
+/// the chain executor and the graph compiler's record pass.
 pub(crate) fn iact_spec(layer: &ConvLayer, mapping: &LayerMapping) -> BufferSpec {
     let lines = mapping
         .iact_layout
@@ -565,7 +545,7 @@ pub(crate) fn oact_spec(layer: &ConvLayer, mapping: &LayerMapping) -> BufferSpec
 /// Assembles one layer's report from the core counters and the per-layer
 /// buffer statistics, with pipelined DRAM accounting: only the first layer
 /// stages iActs from DRAM, only the last drains oActs back. Shared by the
-/// interpreted session and the compiled-program replay path.
+/// chain executor and the compiled program's cost assembly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn layer_summary(
     config: &FeatherConfig,

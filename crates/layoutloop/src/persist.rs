@@ -290,8 +290,40 @@ fn decode_tokens(s: &str) -> Option<CoSearchResult> {
     })
 }
 
+/// Writes `bytes` to a temporary sibling of `path` and renames it over
+/// `path`: readers of a cache directory shared across processes see the old
+/// file or the whole new one. The temporary name is unique per process and
+/// call, so concurrent savers never share one. (`feather::Program::save_to`
+/// keeps a private twin of this function; change them together.)
+fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    use std::io::Write as _;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        // On disk before the rename makes it visible under `path`.
+        file.sync_all()?;
+        fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
+
 impl CoSearchCache {
     /// Serializes the cache (both result entries and whole tables) to `path`.
+    /// The file is written to a sibling temporary file and renamed over
+    /// `path`: the v1 format cannot tell a file cut on a line boundary from
+    /// a shorter cache, so a process loading the same path meanwhile must
+    /// see the previous file or this one, never a prefix of it.
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -299,7 +331,7 @@ impl CoSearchCache {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
-        fs::write(path, self.render())
+        write_atomically(path, self.render().as_bytes())
     }
 
     /// The file [`CoSearchCache::save_to`] writes.
@@ -683,6 +715,58 @@ mod tests {
         let hit = loaded.lookup(&arch, &w, None, &mapper, 0).unwrap();
         assert_eq!(hit.layout, result.layout);
         assert_eq!(hit.evaluation.edp, result.evaluation.edp);
+    }
+
+    /// One `FEATHER_CACHE_DIR` serves several processes: a loader racing a
+    /// saver finds no file or the whole cache — a prefix cut on a line
+    /// boundary would load as a cache with fewer tables.
+    #[test]
+    fn a_loader_racing_a_saver_sees_no_file_or_the_whole_cache() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // As many tables as planning the benchmark's Model A leaves behind.
+        const TABLES: usize = 26;
+        let arch = ArchSpec::feather_like(16, 16);
+        let mapper = MapperConfig::fast();
+        let w = workload();
+        let table = co_search_table(&arch, &w, &mapper, 0).unwrap();
+        let key = crate::cache::table_key(&arch, &w, &mapper, 0);
+        let mut cache = CoSearchCache::new();
+        for i in 0..TABLES {
+            cache.insert_table(format!("{key}#{i}"), table.clone());
+        }
+
+        let dir = temp_path("racing-saver");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join(FILE_NAME);
+        let start = std::sync::Barrier::new(2);
+        let saved = AtomicBool::new(false);
+        let mut whole = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..40 {
+                    cache.save_to(&path).unwrap();
+                }
+                saved.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            while !saved.load(Ordering::SeqCst) {
+                match CoSearchCache::load_from(&path) {
+                    Ok(loaded) => {
+                        assert_eq!(loaded.table_count(), TABLES, "a cut file loaded");
+                        whole += 1;
+                    }
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::NotFound, "{e}"),
+                }
+            }
+        });
+        assert!(whole > 0, "the loader never overlapped the saver");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [FILE_NAME], "temporary files left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

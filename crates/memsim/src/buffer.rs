@@ -55,56 +55,6 @@ impl<T: Copy> FunctionalBuffer<T> {
         self.data.fill(None);
     }
 
-    /// Forks the buffer for a parallel worker: same spec and data, zeroed
-    /// statistics and cycle state. Workers simulate disjoint slices of a
-    /// layer on their forks and the owner merges them back with
-    /// [`FunctionalBuffer::absorb`], so the parallel run's data *and*
-    /// statistics are bit-identical to the serial run's.
-    pub fn fork(&self) -> Self {
-        FunctionalBuffer {
-            spec: self.spec,
-            data: self.data.clone(),
-            stats: AccessStats::new(),
-            cycle_read_lines: Vec::new(),
-            cycle_write_lines: Vec::new(),
-            in_cycle: false,
-        }
-    }
-
-    /// Merges a [`FunctionalBuffer::fork`]ed worker back: every cell the
-    /// worker changed — relative to `base`, the pristine pre-fork content all
-    /// workers started from — is copied over, and the worker's statistics are
-    /// added. Workers of one layer write disjoint cells, so absorb order
-    /// never matters; diffing against the shared `base` (not this buffer's
-    /// progressively-updated content) is what keeps one worker's merge from
-    /// reverting another's.
-    ///
-    /// # Panics
-    /// Panics if the worker's or base's geometry differs (they cannot have
-    /// been forked from this buffer).
-    pub fn absorb(&mut self, worker: &FunctionalBuffer<T>, base: &FunctionalBuffer<T>)
-    where
-        T: PartialEq,
-    {
-        for other in [worker, base] {
-            assert!(
-                other.spec.num_lines == self.spec.num_lines
-                    && other.spec.line_size == self.spec.line_size,
-                "absorb requires identical geometry: {}x{} vs {}x{}",
-                self.spec.num_lines,
-                self.spec.line_size,
-                other.spec.num_lines,
-                other.spec.line_size
-            );
-        }
-        for ((mine, theirs), orig) in self.data.iter_mut().zip(&worker.data).zip(&base.data) {
-            if theirs != orig {
-                *mine = *theirs;
-            }
-        }
-        self.stats.merge(&worker.stats);
-    }
-
     /// Switches the conflict-accounting discipline (banking/ports) without
     /// touching the stored data or statistics. The line geometry must be
     /// unchanged — this models the *same* SRAM being accessed under a
@@ -380,39 +330,6 @@ mod tests {
     fn rebank_rejects_geometry_change() {
         let mut b = buf();
         b.rebank(BufferSpec::new(8, 4, 4, Banking::Horizontal));
-    }
-
-    #[test]
-    fn fork_and_absorb_merge_disjoint_workers_exactly() {
-        let mut main = buf();
-        main.begin_cycle();
-        main.write(0, 0, 7); // pre-existing data both workers inherit
-        main.flush_cycle();
-        let base = main.fork();
-        assert_eq!(base.stats().element_writes, 0);
-        assert_eq!(base.peek(0, 0), Some(7));
-
-        // Two workers write disjoint cells; worker B also overwrites a
-        // pre-existing cell.
-        let mut a = base.fork();
-        let mut b = base.fork();
-        a.begin_cycle();
-        a.write(1, 0, 10);
-        a.flush_cycle();
-        b.begin_cycle();
-        b.write(2, 3, 20);
-        b.write(0, 0, 9);
-        b.flush_cycle();
-
-        // Absorb order must not matter: A's write survives B's merge because
-        // diffs are taken against the shared base, not the updated main.
-        main.absorb(&a, &base);
-        main.absorb(&b, &base);
-        assert_eq!(main.peek(1, 0), Some(10));
-        assert_eq!(main.peek(2, 3), Some(20));
-        assert_eq!(main.peek(0, 0), Some(9));
-        assert_eq!(main.stats().element_writes, 1 + 1 + 2);
-        assert_eq!(main.stats().active_cycles, 1 + 1 + 1);
     }
 
     #[test]

@@ -236,22 +236,6 @@ impl<'a, T: Copy> LayoutView<'a, T> {
     pub fn poke_at(&mut self, loc: Location, value: T) {
         self.buffer.poke(loc.line, loc.offset, value);
     }
-
-    /// Forks the underlying buffer for a parallel worker (see
-    /// [`FunctionalBuffer::fork`]); pair with [`LayoutView::absorb`].
-    pub fn fork_buffer(&self) -> FunctionalBuffer<T> {
-        self.buffer.fork()
-    }
-
-    /// Merges a forked worker buffer back into the underlying buffer (see
-    /// [`FunctionalBuffer::absorb`]); `base` is the pristine pre-fork copy
-    /// the workers' changes are diffed against.
-    pub fn absorb(&mut self, worker: &FunctionalBuffer<T>, base: &FunctionalBuffer<T>)
-    where
-        T: PartialEq,
-    {
-        self.buffer.absorb(worker, base);
-    }
 }
 
 /// Convenience constructor: sizes the buffer exactly to the tensor under the

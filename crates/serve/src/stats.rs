@@ -144,7 +144,9 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Number of `GraphSession` runs the scheduler launched.
+    /// Number of batches the executor pool replayed: one
+    /// `ProgramSession::run_batched_with_scratch` call each, whatever its
+    /// size.
     pub fn executed_batches(&self) -> u64 {
         self.batches.values().sum()
     }

@@ -1,19 +1,26 @@
-//! The graph compiler's contract: lowering a planned DAG to a flat
-//! [`feather::Program`] and replaying it through [`feather::ProgramSession`]
-//! is *bit-identical* to interpreting the same [`feather::GraphSession`] —
-//! not just the output tensor, but the entire [`GraphRun`] report: cycles,
-//! DRAM traffic, scratch accounting and join saturation counts. The artifact
-//! form (save → load → recompile routes) must preserve all of it too.
+//! The graph compiler's contract: a planned DAG lowers to one flat
+//! [`feather::Program`], and replaying it — through [`feather::ProgramSession`]
+//! or through the [`feather::GraphSession`] that compiled it, which is the
+//! same replay — produces the output of the naive reference executor
+//! ([`run_graph_reference`], which shares no NEST or BIRRD code with the
+//! compiler) and one and the same [`GraphRun`] report: cycles, DRAM traffic,
+//! scratch accounting and join saturation counts. The artifact form (save →
+//! load → recompile routes) must preserve all of it too.
 //!
 //! Replay computes none of that report: it returns [`feather::Program::cost`],
 //! counted once at compile time, with join saturation patched in. The
-//! cost-oracle tests below pin that constant to the interpreter — the
-//! cycle-level oracle — on awkward shapes, on every kind of input, through
-//! artifacts, and on the two benchmark models without running a MAC.
+//! cost-oracle tests below pin that constant on awkward shapes, on every kind
+//! of input, through artifacts, and on the two benchmark models without
+//! running a MAC; that each compiled layer's cost is what the accounted
+//! simulator counts over real data is pinned inside the `feather` crate
+//! (`compiled_layer_costs_equal_accounted_real_data_runs`).
 //! `FEATHER_FULL=1` (the weekly CI job) adds a model 4096× Model A's size.
+//!
+//! [`GraphRun`]: feather::GraphRun
 
 use std::collections::BTreeMap;
 
+use feather::graph_session::run_graph_reference;
 use feather::{FeatherConfig, GraphReport, GraphSession, Program, ProgramSession, RouteCacheStats};
 use feather_arch::graph::{resnet50_graph_scaled, Graph, NodeId};
 use feather_arch::tensor::Tensor4;
@@ -31,6 +38,31 @@ fn accounting(report: &GraphReport) -> GraphReport {
     let mut report = report.clone();
     report.joins.iter_mut().for_each(|j| j.saturated = 0);
     report
+}
+
+/// The reference executor's output for `session`'s graph, sample by sample
+/// (the reference runs the graph at its authored batch of one).
+fn reference_outputs(
+    session: &GraphSession,
+    iacts: &Tensor4<i8>,
+    weights: &BTreeMap<NodeId, Tensor4<i8>>,
+) -> Vec<Tensor4<i32>> {
+    let (shift, zero) = session.quantization();
+    let [n, c, h, w] = iacts.shape();
+    (0..n)
+        .map(|i| {
+            let sample = Tensor4::from_fn([1, c, h, w], |_, cc, hh, ww| iacts.get(i, cc, hh, ww));
+            run_graph_reference(session.graph(), &sample, weights, shift, zero).unwrap()
+        })
+        .collect()
+}
+
+/// Splits a batched output into its samples.
+fn samples_of(oacts: &Tensor4<i32>) -> Vec<Tensor4<i32>> {
+    let [n, m, p, q] = oacts.shape();
+    (0..n)
+        .map(|i| Tensor4::from_fn([1, m, p, q], |_, mm, pp, qq| oacts.get(i, mm, pp, qq)))
+        .collect()
 }
 
 /// Saves and reloads a program through a scratch file.
@@ -121,8 +153,7 @@ fn constant_weights(
 
 /// Builds a random residual DAG: trunk conv, `blocks` residual blocks (1–2
 /// conv main path plus identity or 1×1-projection shortcut joined by an add),
-/// head conv. Mirrors the generator in `graph_equivalence.rs` so the compiler
-/// sees the same shapes the interpreter is validated on.
+/// head conv. Mirrors the generator in `graph_equivalence.rs`.
 fn build_dag(
     batch: usize,
     c0: usize,
@@ -175,9 +206,10 @@ fn build_dag(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Replay == interpretation for random residual DAGs, across batch
-    /// sizes, plus a full save/load round trip of the artifact — each
-    /// compared on the complete `GraphRun`.
+    /// Replay == the reference executor for random residual DAGs, across
+    /// authored batch sizes; the session's own `run`, a `ProgramSession` and
+    /// a full save/load round trip of the artifact agree on the complete
+    /// `GraphRun`.
     #[test]
     fn replayed_program_equals_interpreted_session(
         batch in 1usize..3,
@@ -199,13 +231,16 @@ proptest! {
         let iacts = Tensor4::random([batch, c0, hw, hw], seed);
         let weights = g.random_weights(seed + 1000);
         let run = session.run(&iacts, &weights).unwrap();
+        let (shift, zero) = session.quantization();
+        let golden = run_graph_reference(&g, &iacts, &weights, shift, zero).unwrap();
+        prop_assert_eq!(&run.oacts, &golden);
 
         let program = session.compile().unwrap();
         prop_assert!(program.num_ops() > 0);
         prop_assert!(program.route_fires() > 0);
         prop_assert_eq!(program.batch(), batch);
 
-        // Serial replay: identical outputs AND identical report.
+        // The session's run is this replay: identical outputs AND report.
         let replay = ProgramSession::new(program);
         let replayed = replay.run(&iacts, &weights).unwrap();
         prop_assert_eq!(&replayed.oacts, &run.oacts);
@@ -270,8 +305,8 @@ proptest! {
 }
 
 /// The full ResNet-50 topology — 53 convs, 16 residual joins, pools and FC —
-/// lowers to one program whose replay reproduces the interpreted run exactly,
-/// report included.
+/// lowers to one program whose replay reproduces the reference executor's
+/// output, with one report however it is run.
 #[test]
 fn scaled_resnet50_program_replays_end_to_end() {
     let g = resnet50_graph_scaled(16, 16);
@@ -283,6 +318,10 @@ fn scaled_resnet50_program_replays_end_to_end() {
     let iacts = Tensor4::random([1, c, h, w], 7);
     let weights = g.random_weights(8);
     let run = session.run(&iacts, &weights).unwrap();
+    assert_eq!(
+        samples_of(&run.oacts),
+        reference_outputs(&session, &iacts, &weights)
+    );
 
     let replay = ProgramSession::new(session.compile().unwrap());
     let replayed = replay.run(&iacts, &weights).unwrap();
@@ -303,12 +342,12 @@ fn scaled_resnet50_program_replays_end_to_end() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `Program::cost()` is the interpreter's report with join saturation
-    /// masked — on ragged, strided, depthwise residual DAGs, for the batch-1
-    /// program and for the modelled batch-`N` programs of `with_batch(N)` —
-    /// survives the artifact, and is what every replay entry point
-    /// returns for zero, all-`i8::MIN` and all-`i8::MAX` inputs and weights
-    /// alike.
+    /// `Program::cost()` is every run's report with join saturation masked —
+    /// on ragged, strided, depthwise residual DAGs, for the batch-1 program
+    /// and for the modelled batch-`N` programs of `with_batch(N)` — survives
+    /// the artifact, and is what every replay entry point returns for zero,
+    /// all-`i8::MIN` and all-`i8::MAX` inputs and weights alike, next to the
+    /// reference executor's output.
     #[test]
     fn cost_oracle_equals_the_interpreted_report(
         c_in in 1usize..7,
@@ -345,11 +384,13 @@ proptest! {
             } else {
                 Tensor4::from_fn([batch, c_in, hw, hw], |_, _, _, _| *fill)
             };
-            let interpreted = session.run(&iacts, weights).unwrap();
-            prop_assert_eq!(&accounting(&interpreted.report), &cost, "interpreted, fill {}", fill);
+            let run = session.run(&iacts, weights).unwrap();
+            prop_assert_eq!(&accounting(&run.report), &cost, "session run, fill {}", fill);
+            let golden = reference_outputs(&session, &iacts, weights);
+            prop_assert_eq!(&samples_of(&run.oacts), &golden, "fill {}", fill);
             let replayed = replay.run(&iacts, weights).unwrap();
-            prop_assert_eq!(&replayed.oacts, &interpreted.oacts, "fill {}", fill);
-            prop_assert_eq!(&replayed.report, &interpreted.report, "fill {}", fill);
+            prop_assert_eq!(&replayed.oacts, &run.oacts, "fill {}", fill);
+            prop_assert_eq!(&replayed.report, &run.report, "fill {}", fill);
         }
 
         // The lane-batched path of the batch-1 program returns the batch-1
@@ -405,31 +446,29 @@ fn model_b_cost_is_pinned_without_running_a_mac() {
     assert!((energy_nj - 53_169.062_4).abs() < 1e-4, "{energy_nj} nJ");
 }
 
-/// Shared-route-cache traffic of one serial interpreted run followed by a
-/// compile, and the BIRRD passes the program replays: `(stats after the run,
-/// hits after the compile, route fires)`.
-fn route_traffic(session: GraphSession, g: &Graph) -> (RouteCacheStats, u64, usize) {
-    let session = session.with_threads(1);
+/// Shared-route-cache traffic of a session's first run followed by a
+/// `compile()`, and the BIRRD passes the program replays: `(stats after the
+/// run, stats after the compile, route fires)`.
+fn route_traffic(session: GraphSession, g: &Graph) -> (RouteCacheStats, RouteCacheStats, usize) {
     let iacts = Tensor4::random(g.tensor_shape(g.input()), 1);
     session.run(&iacts, &g.random_weights(2)).unwrap();
     let after_run = session.route_cache_stats();
     let program = session.compile().unwrap();
-    let after_compile = session.route_cache_stats();
-    assert_eq!(
-        (after_compile.misses, after_compile.entries),
-        (after_run.misses, after_run.entries),
-        "the compile pass re-resolves routes the run already compiled"
-    );
-    (after_run, after_compile.hits, program.route_fires())
+    (
+        after_run,
+        session.route_cache_stats(),
+        program.route_fires(),
+    )
 }
 
-/// How often the accounted loop reaches the shared route cache is a property
-/// of the models, not of the host (one worker): each layer span looks a
-/// route up once — its span memo absorbs every later pass — so `hits +
-/// misses` is the sum over layers of their distinct routes, `misses` the
-/// distinct routes of the whole model, and a compile adds one more look-up
-/// per (layer, route). A span memo that hid a look-up, or let one through
-/// twice, moves these.
+/// How often a session reaches its shared route cache is a property of the
+/// models, not of the host or of how often they run: the first `run` lowers
+/// the graph in one accounted pass in which each layer span looks a route up
+/// once — its span memo absorbs every later pass — so `hits + misses` is the
+/// sum over layers of their distinct routes and `misses` the distinct routes
+/// of the whole model; the `compile()` after it hands out the program the
+/// run made and adds no look-up. A span memo that hid a look-up or let one
+/// through twice, or a second pass over the graph, moves these.
 #[test]
 fn models_a_and_b_route_cache_traffic_is_pinned() {
     let a = resnet50_graph_scaled(16, 16);
@@ -440,7 +479,10 @@ fn models_a_and_b_route_cache_traffic_is_pinned() {
         evictions: 0,
         entries: misses as usize,
     };
-    assert_eq!(route_traffic(session, &a), (stats(925, 160), 2_010, 6_548));
+    assert_eq!(
+        route_traffic(session, &a),
+        (stats(925, 160), stats(925, 160), 6_548)
+    );
 
     let b = resnet50_graph_scaled(8, 8);
     let plan = plan_graph(
@@ -453,14 +495,16 @@ fn models_a_and_b_route_cache_traffic_is_pinned() {
     .unwrap();
     let session =
         GraphSession::from_schedules(FeatherConfig::new(16, 16), &b, &plan.schedules()).unwrap();
-    // 1 794 = 841 + the compile's 953 per-layer first look-ups.
-    assert_eq!(route_traffic(session, &b), (stats(841, 112), 1_794, 52_312));
+    assert_eq!(
+        route_traffic(session, &b),
+        (stats(841, 112), stats(841, 112), 52_312)
+    );
 }
 
 /// The weekly full-size check (`FEATHER_FULL=1`): at ÷2 — 4096× Model A's
-/// MACs, a quarter of a minute in release — the `u32` cursor, slot and cell tables and the lane-striped flat
-/// index carry real magnitudes, and cost, scalar replay, batched replay and
-/// the artifact must still agree with the interpreter.
+/// MACs, ~7 s in release — the `u32` cursor, slot and cell tables and the lane-striped flat
+/// index carry real magnitudes, and scalar replay, batched replay and the
+/// artifact must still agree with the reference executor and with the cost.
 #[test]
 fn full_size_program_costs_and_replays_like_the_interpreter() {
     if !full() {
@@ -478,12 +522,11 @@ fn full_size_program_costs_and_replays_like_the_interpreter() {
     assert_eq!(replay.program().cost(), program.cost());
     let batched = replay.run_batched(&samples, &weights).unwrap();
     for (sample, lane) in samples.iter().zip(&batched) {
-        let interpreted = session.run(sample, &weights).unwrap();
-        assert_eq!(&accounting(&interpreted.report), program.cost());
+        let golden = reference_outputs(&session, sample, &weights);
         let replayed = replay.run(sample, &weights).unwrap();
-        assert_eq!(replayed.oacts, interpreted.oacts);
-        assert_eq!(replayed.report, interpreted.report);
-        assert_eq!(lane.oacts, interpreted.oacts);
-        assert_eq!(lane.report, interpreted.report);
+        assert_eq!(samples_of(&replayed.oacts), golden);
+        assert_eq!(&accounting(&replayed.report), program.cost());
+        assert_eq!(samples_of(&lane.oacts), golden);
+        assert_eq!(lane.report, replayed.report);
     }
 }
