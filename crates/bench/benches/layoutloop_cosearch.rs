@@ -8,7 +8,7 @@ use feather_arch::dataflow::Dataflow;
 use feather_arch::workload::{ConvLayer, Workload};
 use layoutloop::arch::ArchSpec;
 use layoutloop::cache::CoSearchCache;
-use layoutloop::cosearch::{co_search_with, plan_network, plan_network_with, PlanParallelism};
+use layoutloop::cosearch::{co_search_with, plan_network};
 use layoutloop::evaluate::evaluate;
 use layoutloop::graphplan::plan_graph;
 use layoutloop::mapper::MapperConfig;
@@ -102,57 +102,11 @@ fn bench_plan_graph_cold(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_plan_parallelism(c: &mut Criterion) {
-    // Layer-parallel table computation vs the sequential baseline, on a
-    // denser ResNet-50 subset (more distinct shapes → more overlap to win).
-    // Both strategies produce the identical plan — tables are
-    // predecessor-independent — so this is a pure throughput comparison.
-    let net = feather_arch::models::resnet50();
-    let subset = feather_arch::models::Network::new(
-        "resnet50_dense_subset",
-        net.layers.iter().step_by(3).cloned().collect(),
-    );
-    let arch = ArchSpec::feather_like(16, 16);
-    let mapper = MapperConfig::fast();
-
-    let time_with = |parallelism: PlanParallelism| {
-        let mut cache = CoSearchCache::new();
-        let start = std::time::Instant::now();
-        let plan = plan_network_with(&arch, &subset, &mapper, 0, &mut cache, parallelism).unwrap();
-        (start.elapsed(), plan)
-    };
-    let (t_seq, plan_seq) = time_with(PlanParallelism::Sequential);
-    let (t_par, plan_par) = time_with(PlanParallelism::Scoped);
-    assert_eq!(plan_seq.per_layer, plan_par.per_layer);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "plan_network({}, {} layers, {} distinct shapes): sequential {t_seq:.2?} vs \
-         scoped-threads {t_par:.2?} — {:.2}x speedup on {cores} core(s); identical plans",
-        subset.name,
-        subset.len(),
-        plan_seq.cache_misses,
-        t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9),
-    );
-
-    let mut group = c.benchmark_group("plan_network_parallelism");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| time_with(PlanParallelism::Sequential).1)
-    });
-    group.bench_function("scoped_threads", |b| {
-        b.iter(|| time_with(PlanParallelism::Scoped).1)
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_evaluate,
     bench_cosearch,
     bench_plan_network_memoized,
-    bench_plan_graph_cold,
-    bench_plan_parallelism
+    bench_plan_graph_cold
 );
 criterion_main!(benches);

@@ -25,9 +25,8 @@
 //!   chains with real data ([`crate::NetworkSession::run`]), and is the
 //!   cycle-level oracle replay is tested against.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use feather_arch::layout::{Location, LocationPlan4};
 use feather_arch::tensor::Tensor4;
@@ -54,8 +53,8 @@ pub(crate) struct CoreRun {
     pub macs: u64,
 }
 
-/// Hit/miss/eviction counters and the current size of a session's shared
-/// compiled-route cache — what a long-running process watches to size it.
+/// Hit/miss counters and the current size of a session's shared
+/// compiled-route cache.
 ///
 /// The counters reflect *shared-map* traffic: steady-state lookups are
 /// absorbed by the accounted loop's span memo (which lives for one layer
@@ -68,24 +67,17 @@ pub struct RouteCacheStats {
     pub hits: u64,
     /// Lookups that had to route and compile a fresh program.
     pub misses: u64,
-    /// Programs dropped to keep the shared map within its capacity.
-    pub evictions: u64,
-    /// Compiled programs currently resident in the shared map.
+    /// Compiled programs resident in the shared map.
     pub entries: usize,
 }
 
-/// Default capacity of a [`RouteCache`]'s shared map. A whole scaled
-/// ResNet-50 graph needs well under a hundred distinct reduce-reorder
-/// programs, so this comfortably holds many models' working sets while
-/// bounding a serving process that churns through arbitrary graphs.
-const ROUTE_CACHE_CAPACITY: usize = 1024;
-
-/// The bounded shared map behind a [`RouteCache`]: compiled programs keyed by
-/// request, plus the insertion order that drives FIFO eviction.
+/// The map behind a [`RouteCache`] with its traffic counts beside it, so one
+/// lock covers a look-up and the count it bumps.
 #[derive(Debug, Default)]
 struct RouteMap {
     routes: HashMap<ReductionRequest, Arc<CompiledRoute>>,
-    order: VecDeque<ReductionRequest>,
+    hits: u64,
+    misses: u64,
 }
 
 /// A shared, thread-safe memo of compiled BIRRD route programs.
@@ -98,105 +90,59 @@ struct RouteMap {
 /// session) too. Every layer span keeps a [`RouteMemo`] in front of this
 /// shared map, so steady-state lookups never touch the lock.
 ///
-/// The shared map is bounded: once `capacity` distinct programs are resident,
-/// inserting a new one evicts the oldest (FIFO). Eviction only drops the
-/// shared reference — a span holding the program in its memo (or an
-/// in-flight `Arc`) keeps using it; a later lookup simply recompiles.
-/// Hit/miss/eviction counters are exposed through [`RouteCache::stats`].
-#[derive(Debug)]
+/// The map only grows: a model needs a hundred-odd distinct programs
+/// (ResNet-50 Models A / B: 160 / 112) and it lives as long as the session
+/// that owns it. Traffic is exposed through [`RouteCache::stats`].
+#[derive(Debug, Default)]
 pub(crate) struct RouteCache {
-    shared: RwLock<RouteMap>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for RouteCache {
-    fn default() -> Self {
-        RouteCache::new()
-    }
+    shared: Mutex<RouteMap>,
 }
 
 impl RouteCache {
     pub(crate) fn new() -> Self {
-        RouteCache::with_capacity(ROUTE_CACHE_CAPACITY)
+        RouteCache::default()
     }
 
-    /// A cache bounded to `capacity` resident programs (at least one).
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        RouteCache {
-            shared: RwLock::new(RouteMap::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    fn map(&self) -> MutexGuard<'_, RouteMap> {
+        self.shared.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// A snapshot of the shared-map counters and occupancy.
     pub(crate) fn stats(&self) -> RouteCacheStats {
+        let map = self.map();
         RouteCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shared
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .routes
-                .len(),
+            hits: map.hits,
+            misses: map.misses,
+            entries: map.routes.len(),
         }
     }
 
     /// Resolves a request to its compiled program: the shared map, then
-    /// route + compile (publishing the result). The request is borrowed so
+    /// route + compile with the lock released. The request is borrowed so
     /// the caller can reuse one scratch request across look-ups.
     fn lookup(
         &self,
         birrd: &Birrd,
         request: &ReductionRequest,
     ) -> Result<Arc<CompiledRoute>, ArchError> {
-        let shared_hit = self
-            .shared
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
+        {
+            let mut map = self.map();
+            if let Some(hit) = map.routes.get(request).cloned() {
+                map.hits += 1;
+                return Ok(hit);
+            }
+            map.misses += 1;
+        }
+        let compiled = Arc::new(route_and_compile(birrd, request)?);
+        // Another thread may have routed the same request concurrently; keep
+        // whichever program landed first (they are identical — routing is
+        // deterministic).
+        let mut map = self.map();
+        Ok(map
             .routes
-            .get(request)
-            .cloned();
-        Ok(match shared_hit {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.publish(request, Arc::new(route_and_compile(birrd, request)?))
-            }
-        })
-    }
-
-    /// Installs a freshly-compiled program in the shared map, evicting the
-    /// oldest resident program if the map is full. Another thread may have
-    /// routed the same request concurrently; keep whichever program landed
-    /// first (they are identical — routing is deterministic).
-    fn publish(
-        &self,
-        request: &ReductionRequest,
-        compiled: Arc<CompiledRoute>,
-    ) -> Arc<CompiledRoute> {
-        let mut shared = self.shared.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = shared.routes.get(request) {
-            return existing.clone();
-        }
-        while shared.routes.len() >= self.capacity {
-            let oldest = shared.order.pop_front().expect("map is non-empty");
-            shared.routes.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.routes.insert(request.clone(), compiled.clone());
-        shared.order.push_back(request.clone());
-        compiled
+            .entry(request.clone())
+            .or_insert(compiled)
+            .clone())
     }
 }
 
@@ -1319,6 +1265,7 @@ fn mac_stripe(acc: &mut [i32], cells: &[i32], weight: i8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A one-group request reducing lanes `0..lanes` into `bank`.
     fn request(cols: usize, lanes: usize, bank: usize) -> ReductionRequest {
@@ -1346,49 +1293,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.evictions, 0);
         assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn route_cache_evicts_oldest_beyond_capacity() {
-        let cache = RouteCache::with_capacity(2);
-        let birrd = Birrd::new(4).unwrap();
-        // Distinct requests (different destination banks).
-        for bank in 0..4 {
-            cache.lookup(&birrd, &request(4, 2, bank)).unwrap();
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.entries, 2);
-        // The oldest two were evicted; re-resolving one recompiles (a miss),
-        // while the newest two still hit.
-        cache.lookup(&birrd, &request(4, 2, 0)).unwrap();
-        cache.lookup(&birrd, &request(4, 2, 3)).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 5);
-        assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn evicted_routes_remain_usable_through_live_references() {
-        let cache = RouteCache::with_capacity(1);
-        let birrd = Birrd::new(4).unwrap();
-        let first = cache.lookup(&birrd, &request(4, 2, 0)).unwrap();
-        // Evict it from the shared map…
-        cache.lookup(&birrd, &request(4, 2, 1)).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        // …the held Arc (as a span memo holds it) still runs fine.
-        let mut inputs = vec![None; 4];
-        inputs[0] = Some(5i64);
-        inputs[1] = Some(7);
-        let mut outputs = vec![None; 4];
-        first.run(&inputs, &mut outputs).unwrap();
-        assert_eq!(outputs[0], Some(12), "reduction of lanes 0..2 into bank 0");
-        // A later look-up simply recompiles.
-        cache.lookup(&birrd, &request(4, 2, 0)).unwrap();
-        assert_eq!(cache.stats().misses, 3);
     }
 
     use proptest::prelude::*;

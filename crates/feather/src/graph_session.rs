@@ -343,10 +343,18 @@ impl GraphSession {
             .clone()
     }
 
+    /// Fills an empty program cell with `program` — an artifact this
+    /// session's fingerprint vouches for. First writer wins, as in
+    /// [`GraphSession::compile`].
+    pub(crate) fn keep_program(&self, program: &Program) {
+        let _ = self.program.set(Ok(program.clone()));
+    }
+
     /// Like [`GraphSession::compile`], but backed by the on-disk artifact
     /// cache under `FEATHER_CACHE_DIR/programs/` (next to the co-search
-    /// cache): a matching artifact is loaded instead of recompiled, and a
-    /// fresh compile is saved back. Returns the program together with where
+    /// cache): a matching artifact is loaded instead of recompiled — and
+    /// kept, so a later [`GraphSession::run`] replays it — and a fresh
+    /// compile is saved back. Returns the program together with where
     /// it came from.
     ///
     /// # Errors

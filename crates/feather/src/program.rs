@@ -1434,6 +1434,9 @@ pub(crate) fn compile_cached_in(
     let path = artifact_path(dir, &session.graph().name, session.batch(), fingerprint);
     let status = match Program::load_checked(&path) {
         LoadOutcome::Loaded(program) if program.fingerprint() == fingerprint => {
+            // Compile at most once: the session's first `run` replays what
+            // was just loaded instead of lowering the plan again.
+            session.keep_program(&program);
             return Ok((program, ArtifactStatus::Hit));
         }
         // The path encodes the fingerprint, so parseable-but-mismatched
@@ -2713,6 +2716,33 @@ mod tests {
         assert_eq!(status, ArtifactStatus::Quarantined);
         let (_, status) = compile_cached_in(&session, &dir).unwrap();
         assert_eq!(status, ArtifactStatus::Hit);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session that loaded its program from disk holds it: its first
+    /// `run` replays the artifact and never reaches the route cache.
+    #[test]
+    fn artifact_hit_fills_the_session_so_run_does_not_compile() {
+        let g = residual_graph();
+        let config = FeatherConfig::new(4, 8);
+        let dir =
+            std::env::temp_dir().join(format!("feather-program-test-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, status) =
+            compile_cached_in(&GraphSession::auto(config, &g).unwrap(), &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Miss);
+
+        let session = GraphSession::auto(config, &g).unwrap();
+        let (loaded, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Hit);
+        let iacts = Tensor4::random([1, 4, 6, 6], 41);
+        let weights = g.random_weights(42);
+        let run = session.run(&iacts, &weights).unwrap();
+        let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
+        assert_eq!(run.oacts, replayed.oacts);
+        assert_eq!(run.report, replayed.report);
+        assert_eq!(session.route_cache_stats().misses, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

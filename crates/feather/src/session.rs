@@ -280,7 +280,7 @@ impl NetworkSession {
     }
 
     /// Counters of the session's shared compiled-route cache (hits, misses,
-    /// evictions, resident programs). Batched copies made with
+    /// resident programs). Batched copies made with
     /// [`NetworkSession::with_batch`] share the same cache, so their traffic
     /// shows up here too.
     pub fn route_cache_stats(&self) -> RouteCacheStats {

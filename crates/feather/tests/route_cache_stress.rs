@@ -1,7 +1,7 @@
 //! Concurrency stress for the two things callers of one session contend on.
 //!
 //! A [`NetworkSession`] shared by many threads replays layers through one
-//! bounded compiled-route cache, and the hit/miss/eviction counters must stay
+//! compiled-route cache, and the hit/miss counters must stay
 //! exactly consistent — no lost updates, and no compile work beyond what the
 //! `misses` counter admits to.
 //!
@@ -102,8 +102,8 @@ fn warm_cache_counters_are_exact_under_contention() {
     });
 
     // Every shared lookup from every thread must be accounted for exactly:
-    // atomically-counted hits, zero compiles, zero evictions, stable
-    // occupancy. A lost update or a sneaked-in recompile shows up here.
+    // every hit counted, zero compiles, stable occupancy. A lost update or a
+    // sneaked-in recompile shows up here.
     let after = session.route_cache_stats();
     assert_eq!(
         after.hits - before.hits,
@@ -114,7 +114,6 @@ fn warm_cache_counters_are_exact_under_contention() {
         after.misses, before.misses,
         "warm cache must never recompile"
     );
-    assert_eq!(after.evictions, before.evictions);
     assert_eq!(after.entries, before.entries);
 }
 

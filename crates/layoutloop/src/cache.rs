@@ -1,28 +1,26 @@
-//! Memoization of co-search results.
+//! Memoization of co-search tables.
 //!
 //! Real networks repeat layer shapes heavily — ResNet-50's 53 convolutions
 //! collapse to ~20 distinct shapes, and BERT's 360 GEMMs to 4 — so a
 //! per-(layer-shape, arch) cache turns a full-network co-search into a handful
 //! of unique searches plus lookups. The cache key deliberately ignores layer
 //! *names*: two layers with identical dimensions, stride, padding and kind on
-//! the same architecture with the same mapper settings, seed and predecessor
-//! layout are the same search problem.
+//! the same architecture with the same mapper settings and seed are the same
+//! search problem — whatever layouts their predecessors chose, because a
+//! [`CoSearchTable`] answers for every predecessor at once.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use feather_arch::layout::Layout;
 use feather_arch::workload::Workload;
-use feather_arch::ArchError;
 
 use crate::arch::ArchSpec;
-use crate::cosearch::{CoSearchResult, CoSearchTable};
+use crate::cosearch::CoSearchTable;
 use crate::mapper::MapperConfig;
 
-/// A name-agnostic signature of a co-search problem.
-fn cache_key(
+/// A name-agnostic signature of a co-search table problem.
+pub(crate) fn table_key(
     arch: &ArchSpec,
     workload: &Workload,
-    prev_layout: Option<&Layout>,
     mapper: &MapperConfig,
     seed: u64,
 ) -> String {
@@ -38,94 +36,31 @@ fn cache_key(
     // one name across array sizes (e.g. "SIGMA-like-HWC_C32" at 16x16 and
     // 32x32), and every public field — buffer organization, bandwidth,
     // policies, energy constants, candidate budgets — feeds the evaluation.
-    // Debug keeps the key in sync when fields are added later.
-    format!(
-        "{arch:?}|{}|{}|{mapper:?}|seed{}",
-        shape,
-        prev_layout.map(|l| l.to_string()).unwrap_or_default(),
-        seed
-    )
+    // Debug keeps the key in sync when fields are added later. The empty
+    // slot after the shape once held a predecessor layout; it stays so that
+    // persisted `feather-cosearch-cache v1` files keep hitting.
+    format!("{arch:?}|{shape}||{mapper:?}|seed{seed}")
 }
 
-/// A name-agnostic signature of a *predecessor-independent* co-search table
-/// problem: the same as [`cache_key`] minus the predecessor layout, which a
-/// [`CoSearchTable`] answers for every predecessor at once.
-pub(crate) fn table_key(
-    arch: &ArchSpec,
-    workload: &Workload,
-    mapper: &MapperConfig,
-    seed: u64,
-) -> String {
-    cache_key(arch, workload, None, mapper, seed)
-}
-
-/// Default cap on memoized per-predecessor results. Shapes repeat heavily,
-/// so even a fleet of big models stays far below this; the cap exists so a
-/// long-lived process (or the `FEATHER_CACHE_DIR` file it persists) cannot
-/// grow without bound.
-pub const DEFAULT_MAX_ENTRIES: usize = 4096;
-
-/// Default cap on memoized whole co-search tables. Must stay comfortably
-/// above the distinct-shape count of any single network (ResNet-50 ≈ 20,
-/// BERT ≈ 4): the planners assume every table they ensured survives until the
-/// end of the planning call.
-pub const DEFAULT_MAX_TABLES: usize = 512;
-
-/// A memo table for co-search problems, keyed by
-/// (architecture, layer shape, mapper settings, seed):
+/// A memo of whole [`CoSearchTable`]s, keyed by (architecture, layer shape,
+/// mapper settings, seed). A table answers the co-search for *every*
+/// predecessor layout at once, so repeated shapes hit regardless of how the
+/// chained predecessor layouts differ.
 ///
-/// * `entries` memoize single [`CoSearchResult`]s per predecessor layout
-///   (the original, finer-grained form — see [`CoSearchCache::lookup`]);
-/// * `tables` memoize whole [`CoSearchTable`]s, which answer the co-search
-///   for *every* predecessor layout at once (the form the network/graph
-///   planners use — repeated shapes hit regardless of how the chained
-///   predecessor layouts differ).
-///
-/// Both maps are bounded: inserting past the cap evicts the oldest-inserted
-/// problem (FIFO) and counts it in [`CoSearchCache::evictions`]. The caps
-/// also bound the file that [`CoSearchCache::save_persistent`] writes under
-/// `FEATHER_CACHE_DIR`.
-#[derive(Debug, Clone)]
+/// The cache only grows — a network contributes its distinct shapes
+/// (ResNet-50 ≈ 20, BERT ≈ 4) — so a table the planners ensured is still
+/// there when they chain through it.
+#[derive(Debug, Clone, Default)]
 pub struct CoSearchCache {
-    entries: BTreeMap<String, CoSearchResult>,
     tables: BTreeMap<String, CoSearchTable>,
-    /// Insertion order of `entries` keys — the FIFO eviction queue.
-    entry_order: VecDeque<String>,
-    /// Insertion order of `tables` keys — the FIFO eviction queue.
-    table_order: VecDeque<String>,
-    max_entries: usize,
-    max_tables: usize,
     hits: u64,
     misses: u64,
-    evictions: u64,
-}
-
-impl Default for CoSearchCache {
-    fn default() -> Self {
-        CoSearchCache::with_capacity(DEFAULT_MAX_ENTRIES, DEFAULT_MAX_TABLES)
-    }
 }
 
 impl CoSearchCache {
-    /// Creates an empty cache with the default capacity.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         CoSearchCache::default()
-    }
-
-    /// Creates an empty cache bounded to `max_entries` per-predecessor
-    /// results and `max_tables` whole tables (each at least one).
-    pub fn with_capacity(max_entries: usize, max_tables: usize) -> Self {
-        CoSearchCache {
-            entries: BTreeMap::new(),
-            tables: BTreeMap::new(),
-            entry_order: VecDeque::new(),
-            table_order: VecDeque::new(),
-            max_entries: max_entries.max(1),
-            max_tables: max_tables.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
     }
 
     /// Number of lookups served from the cache so far.
@@ -136,100 +71,6 @@ impl CoSearchCache {
     /// Number of lookups that had to run a fresh co-search.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of results and tables dropped to stay within the caps.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of distinct (shape, arch, …) problems stored.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up a cached result for the given problem, counting a hit or
-    /// miss. The returned result's layer name is rewritten to the queried
-    /// workload's name (the cache is shape-keyed, not name-keyed).
-    pub fn lookup(
-        &mut self,
-        arch: &ArchSpec,
-        workload: &Workload,
-        prev_layout: Option<&Layout>,
-        mapper: &MapperConfig,
-        seed: u64,
-    ) -> Option<CoSearchResult> {
-        let key = cache_key(arch, workload, prev_layout, mapper, seed);
-        match self.entries.get(&key) {
-            Some(hit) => {
-                self.hits += 1;
-                let mut result = hit.clone();
-                result.evaluation.layer = workload.name().to_string();
-                Some(result)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Returns the cached result for the given problem or computes, stores
-    /// and returns a fresh one — building the (arch, shape, mapper) key
-    /// string only once per call, unlike a `lookup` + `insert` pair.
-    pub fn get_or_compute(
-        &mut self,
-        arch: &ArchSpec,
-        workload: &Workload,
-        prev_layout: Option<&Layout>,
-        mapper: &MapperConfig,
-        seed: u64,
-        compute: impl FnOnce() -> Result<CoSearchResult, ArchError>,
-    ) -> Result<CoSearchResult, ArchError> {
-        let key = cache_key(arch, workload, prev_layout, mapper, seed);
-        if let Some(hit) = self.entries.get(&key) {
-            self.hits += 1;
-            let mut result = hit.clone();
-            result.evaluation.layer = workload.name().to_string();
-            return Ok(result);
-        }
-        self.misses += 1;
-        let result = compute()?;
-        self.store_entry(key, result.clone());
-        Ok(result)
-    }
-
-    /// Stores a freshly-computed result for the given problem.
-    pub fn insert(
-        &mut self,
-        arch: &ArchSpec,
-        workload: &Workload,
-        prev_layout: Option<&Layout>,
-        mapper: &MapperConfig,
-        seed: u64,
-        result: CoSearchResult,
-    ) {
-        let key = cache_key(arch, workload, prev_layout, mapper, seed);
-        self.store_entry(key, result);
-    }
-
-    /// Inserts a result under its final key, evicting the oldest entries
-    /// beyond the cap. Re-inserting an existing key replaces the value
-    /// without disturbing its eviction position.
-    fn store_entry(&mut self, key: String, result: CoSearchResult) {
-        if self.entries.insert(key.clone(), result).is_none() {
-            self.entry_order.push_back(key);
-            while self.entries.len() > self.max_entries {
-                let oldest = self.entry_order.pop_front().expect("order tracks entries");
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
-        }
     }
 
     /// Number of whole co-search tables stored.
@@ -244,17 +85,9 @@ impl CoSearchCache {
         self.tables.get(key)
     }
 
-    /// Stores a computed table under its [`table_key`], evicting the oldest
-    /// tables beyond the cap.
+    /// Stores a computed table under its [`table_key`].
     pub(crate) fn insert_table(&mut self, key: String, table: CoSearchTable) {
-        if self.tables.insert(key.clone(), table).is_none() {
-            self.table_order.push_back(key);
-            while self.tables.len() > self.max_tables {
-                let oldest = self.table_order.pop_front().expect("order tracks tables");
-                self.tables.remove(&oldest);
-                self.evictions += 1;
-            }
-        }
+        self.tables.insert(key, table);
     }
 
     /// Records a lookup served from the cache (or from a table another layer
@@ -268,28 +101,16 @@ impl CoSearchCache {
         self.misses += 1;
     }
 
-    /// Iterates over the raw `(key, result)` entries (for persistence).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&String, &CoSearchResult)> {
-        self.entries.iter()
-    }
-
     /// Iterates over the raw `(key, table)` entries (for persistence).
     pub(crate) fn table_entries(&self) -> impl Iterator<Item = (&String, &CoSearchTable)> {
         self.tables.iter()
-    }
-
-    /// Inserts a raw entry by key (for persistence). Subject to the same cap
-    /// as [`CoSearchCache::insert`], so loading an oversized persisted file
-    /// re-bounds it.
-    pub(crate) fn insert_raw(&mut self, key: String, result: CoSearchResult) {
-        self.store_entry(key, result);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosearch::co_search_with;
+    use crate::cosearch::co_search_table;
     use feather_arch::workload::ConvLayer;
 
     fn layer(name: &str) -> Workload {
@@ -299,119 +120,54 @@ mod tests {
             .into()
     }
 
+    /// A cache holding `workload`'s table for (`arch`, `mapper`, seed 0).
+    fn cache_with(arch: &ArchSpec, workload: &Workload, mapper: &MapperConfig) -> CoSearchCache {
+        let mut cache = CoSearchCache::new();
+        let table = co_search_table(arch, workload, mapper, 0).unwrap();
+        cache.insert_table(table_key(arch, workload, mapper, 0), table);
+        cache
+    }
+
     #[test]
     fn same_shape_different_name_hits() {
         let arch = ArchSpec::feather_like(16, 16);
         let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::new();
         let a = layer("a");
-        assert!(cache.lookup(&arch, &a, None, &mapper, 0).is_none());
-        let result = co_search_with(&arch, &a, None, &mapper, 0).unwrap();
-        cache.insert(&arch, &a, None, &mapper, 0, result.clone());
+        assert!(CoSearchCache::new()
+            .peek_table(&table_key(&arch, &a, &mapper, 0))
+            .is_none());
+        let cache = cache_with(&arch, &a, &mapper);
 
         let b = layer("b");
-        let hit = cache.lookup(&arch, &b, None, &mapper, 0).unwrap();
-        assert_eq!(hit.layout, result.layout);
-        assert_eq!(hit.evaluation.cycles, result.evaluation.cycles);
-        // The hit is relabeled for the querying layer.
-        assert_eq!(hit.evaluation.layer, "b");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn different_prev_layout_misses() {
-        let arch = ArchSpec::feather_like(16, 16);
-        let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::new();
-        let w = layer("a");
-        let result = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
-        cache.insert(&arch, &w, None, &mapper, 0, result);
-        let prev: Layout = "HWC_W32".parse().unwrap();
-        assert!(cache.lookup(&arch, &w, Some(&prev), &mapper, 0).is_none());
-        // Different architecture also misses.
+        let hit = cache
+            .peek_table(&table_key(&arch, &b, &mapper, 0))
+            .expect("the key ignores the layer name");
+        // Selection relabels the answer for the querying layer.
+        assert_eq!(hit.select("b", None).unwrap().evaluation.layer, "b");
+        assert_eq!(cache.table_count(), 1);
+        // A different seed or architecture is a different problem.
+        assert!(cache
+            .peek_table(&table_key(&arch, &b, &mapper, 1))
+            .is_none());
         let sigma = ArchSpec::sigma_like_fixed_layout(16, 16, "HWC_C32");
-        assert!(cache.lookup(&sigma, &w, None, &mapper, 0).is_none());
-    }
-
-    #[test]
-    fn get_or_compute_computes_once_then_hits() {
-        let arch = ArchSpec::feather_like(16, 16);
-        let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::new();
-        let mut computes = 0;
-        for name in ["a", "b"] {
-            let w = layer(name);
-            let hit = cache
-                .get_or_compute(&arch, &w, None, &mapper, 0, || {
-                    computes += 1;
-                    co_search_with(&arch, &w, None, &mapper, 0)
-                })
-                .unwrap();
-            assert_eq!(hit.evaluation.layer, name);
-        }
-        assert_eq!(computes, 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert!(cache
+            .peek_table(&table_key(&sigma, &b, &mapper, 0))
+            .is_none());
     }
 
     #[test]
     fn different_mapper_settings_miss() {
         let arch = ArchSpec::feather_like(16, 16);
         let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::new();
         let w = layer("a");
-        let result = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
-        cache.insert(&arch, &w, None, &mapper, 0, result);
+        let cache = cache_with(&arch, &w, &mapper);
         let mut tweaked = mapper;
         tweaked.max_candidates += 1;
-        assert!(cache.lookup(&arch, &w, None, &tweaked, 0).is_none());
-        assert!(cache.lookup(&arch, &w, None, &mapper, 0).is_some());
-    }
-
-    #[test]
-    fn entry_cap_evicts_oldest_first() {
-        let arch = ArchSpec::feather_like(16, 16);
-        let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::with_capacity(2, 1);
-        let w = layer("a");
-        let result = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
-        // Three distinct problems (different seeds) through a 2-entry cache.
-        for seed in 0..3u64 {
-            cache.insert(&arch, &w, None, &mapper, seed, result.clone());
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        // Seed 0 (oldest) was evicted; 1 and 2 survive.
-        assert!(cache.lookup(&arch, &w, None, &mapper, 0).is_none());
-        assert!(cache.lookup(&arch, &w, None, &mapper, 1).is_some());
-        assert!(cache.lookup(&arch, &w, None, &mapper, 2).is_some());
-        // Replacing a resident key is not an eviction and does not grow.
-        cache.insert(&arch, &w, None, &mapper, 2, result);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-    }
-
-    #[test]
-    fn table_cap_evicts_oldest_first() {
-        use crate::cosearch::co_search_table;
-        let arch = ArchSpec::feather_like(16, 16);
-        let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::with_capacity(1, 2);
-        for seed in 0..3u64 {
-            let w = layer("t");
-            let table = co_search_table(&arch, &w, &mapper, seed).unwrap();
-            cache.insert_table(table_key(&arch, &w, &mapper, seed), table);
-        }
-        assert_eq!(cache.table_count(), 2);
-        assert_eq!(cache.evictions(), 1);
-        let w = layer("t");
         assert!(cache
-            .peek_table(&table_key(&arch, &w, &mapper, 0))
+            .peek_table(&table_key(&arch, &w, &tweaked, 0))
             .is_none());
         assert!(cache
-            .peek_table(&table_key(&arch, &w, &mapper, 2))
+            .peek_table(&table_key(&arch, &w, &mapper, 0))
             .is_some());
     }
 
@@ -424,16 +180,20 @@ mod tests {
         let large = ArchSpec::sigma_like_fixed_layout(32, 32, "HWC_C32");
         assert_eq!(small.name, large.name);
         let mapper = MapperConfig::fast();
-        let mut cache = CoSearchCache::new();
         let w = layer("a");
-        let result = co_search_with(&small, &w, None, &mapper, 0).unwrap();
-        cache.insert(&small, &w, None, &mapper, 0, result.clone());
-        assert!(cache.lookup(&large, &w, None, &mapper, 0).is_none());
+        let cache = cache_with(&small, &w, &mapper);
+        assert!(cache
+            .peek_table(&table_key(&large, &w, &mapper, 0))
+            .is_none());
         // Same name and shape but a tweaked field also misses.
         let mut tweaked = small.clone();
         tweaked.dram_bandwidth_bytes_per_cycle *= 2.0;
-        assert!(cache.lookup(&tweaked, &w, None, &mapper, 0).is_none());
+        assert!(cache
+            .peek_table(&table_key(&tweaked, &w, &mapper, 0))
+            .is_none());
         // The untouched spec still hits.
-        assert!(cache.lookup(&small, &w, None, &mapper, 0).is_some());
+        assert!(cache
+            .peek_table(&table_key(&small, &w, &mapper, 0))
+            .is_some());
     }
 }

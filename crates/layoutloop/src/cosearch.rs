@@ -192,25 +192,6 @@ pub fn co_search_table(
     Ok(CoSearchTable { choices })
 }
 
-/// Like [`co_search_with`], but consults (and fills) a [`CoSearchCache`]
-/// first: repeated layer shapes on the same architecture are looked up
-/// instead of re-searched.
-///
-/// # Errors
-/// Same failure modes as [`co_search_with`].
-pub fn co_search_memoized(
-    cache: &mut CoSearchCache,
-    arch: &ArchSpec,
-    workload: &Workload,
-    prev_layout: Option<&Layout>,
-    mapper: &MapperConfig,
-    seed: u64,
-) -> Result<CoSearchResult, ArchError> {
-    cache.get_or_compute(arch, workload, prev_layout, mapper, seed, || {
-        co_search_with(arch, workload, prev_layout, mapper, seed)
-    })
-}
-
 /// Per-layer co-search over a whole network, chaining layouts: each layer's
 /// chosen layout becomes the next layer's predecessor layout, so designs
 /// without free reordering pay the conversion cost whenever the optimal layout
@@ -254,28 +235,14 @@ impl NetworkPlan {
     }
 }
 
-/// How [`plan_network_with`] computes the co-search tables the plan needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanParallelism {
-    /// One layer's table at a time (the baseline the `layoutloop_cosearch`
-    /// bench compares against).
-    Sequential,
-    /// All missing tables concurrently via `std::thread::scope`, one worker
-    /// per *distinct* layer shape. The chaining pass that threads each
-    /// layer's chosen layout into the next layer's predecessor constraint is
-    /// exact either way: tables are predecessor-independent
-    /// ([`LayoutChoice`]), so parallelism never changes the plan.
-    #[default]
-    Scoped,
-}
-
 /// Plans a whole network for pipelined execution: per-layer co-search with
 /// layout chaining, memoized through `cache` so repeated layer shapes (ResNet
 /// bottlenecks, BERT encoder blocks) are searched once — regardless of the
 /// chained predecessor layouts, because whole [`CoSearchTable`]s are cached.
-/// Missing tables are computed in parallel across layers
-/// ([`PlanParallelism::Scoped`]). The same cache can be shared across
-/// networks and repeated planning calls.
+/// Missing tables are computed in parallel across layers; the chaining pass
+/// is exact either way, because tables are predecessor-independent
+/// ([`LayoutChoice`]). The same cache can be shared across networks and
+/// repeated planning calls.
 ///
 /// # Errors
 /// Propagates the first per-layer co-search failure.
@@ -286,31 +253,9 @@ pub fn plan_network(
     seed: u64,
     cache: &mut CoSearchCache,
 ) -> Result<NetworkPlan, ArchError> {
-    plan_network_with(arch, network, mapper, seed, cache, PlanParallelism::Scoped)
-}
-
-/// [`plan_network`] with an explicit table-computation strategy.
-///
-/// # Errors
-/// Propagates the first per-layer co-search failure.
-pub fn plan_network_with(
-    arch: &ArchSpec,
-    network: &Network,
-    mapper: &MapperConfig,
-    seed: u64,
-    cache: &mut CoSearchCache,
-    parallelism: PlanParallelism,
-) -> Result<NetworkPlan, ArchError> {
     let hits_before = cache.hits();
     let misses_before = cache.misses();
-    ensure_tables(
-        arch,
-        network.layers.iter(),
-        mapper,
-        seed,
-        cache,
-        parallelism,
-    )?;
+    ensure_tables(arch, network.layers.iter(), mapper, seed, cache)?;
 
     // Chaining pass: each layer's chosen layout becomes the next layer's
     // predecessor constraint — pure table lookups at this point.
@@ -343,15 +288,15 @@ pub fn plan_network_with(
 
 /// Makes sure the cache holds a [`CoSearchTable`] for every workload,
 /// counting one miss per *distinct* missing shape and one hit per repeated or
-/// already-cached lookup, then computing the missing tables per the chosen
-/// [`PlanParallelism`].
+/// already-cached lookup, then computing the missing tables concurrently via
+/// `std::thread::scope`. Nothing leaves a live cache, so every table ensured
+/// here is there for the caller's chaining pass.
 pub(crate) fn ensure_tables<'a>(
     arch: &ArchSpec,
     workloads: impl Iterator<Item = &'a Workload>,
     mapper: &MapperConfig,
     seed: u64,
     cache: &mut CoSearchCache,
-    parallelism: PlanParallelism,
 ) -> Result<(), ArchError> {
     let mut missing: Vec<(String, Workload)> = Vec::new();
     for workload in workloads {
@@ -363,47 +308,36 @@ pub(crate) fn ensure_tables<'a>(
             missing.push((key, workload.clone()));
         }
     }
-    match parallelism {
-        PlanParallelism::Sequential => {
-            for (key, workload) in missing {
-                let table = co_search_table(arch, &workload, mapper, seed)?;
-                cache.insert_table(key, table);
-            }
-        }
-        PlanParallelism::Scoped => {
-            // The planner's one level of threads: co_search_table runs on its
-            // caller, so a worker per core keeps every core busy.
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(missing.len().max(1));
-            let chunk = missing.len().div_ceil(workers).max(1);
-            let chunks: Vec<Vec<(String, Workload)>> =
-                missing.chunks(chunk).map(|c| c.to_vec()).collect();
-            let computed: Vec<Vec<(String, Result<CoSearchTable, ArchError>)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                chunk
-                                    .into_iter()
-                                    .map(|(key, workload)| {
-                                        (key, co_search_table(arch, &workload, mapper, seed))
-                                    })
-                                    .collect()
+    // The planner's one level of threads: co_search_table runs on its
+    // caller, so a worker per core keeps every core busy.
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(missing.len().max(1));
+    let chunk = missing.len().div_ceil(workers).max(1);
+    let chunks: Vec<Vec<(String, Workload)>> = missing.chunks(chunk).map(|c| c.to_vec()).collect();
+    let computed: Vec<Vec<(String, Result<CoSearchTable, ArchError>)>> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .into_iter()
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        chunk
+                            .into_iter()
+                            .map(|(key, workload)| {
+                                (key, co_search_table(arch, &workload, mapper, seed))
                             })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("plan worker panicked"))
-                        .collect()
-                });
-            for (key, table) in computed.into_iter().flatten() {
-                cache.insert_table(key, table?);
-            }
-        }
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("plan worker panicked"))
+                .collect()
+        });
+    for (key, table) in computed.into_iter().flatten() {
+        cache.insert_table(key, table?);
     }
     Ok(())
 }

@@ -10,9 +10,9 @@
 //!
 //! Both steps are exact because co-search tables are predecessor-independent
 //! ([`crate::cosearch::LayoutChoice`]): all missing tables — across *every*
-//! branch and layer of the graph — are computed concurrently
-//! ([`crate::cosearch::PlanParallelism::Scoped`]), after which the chaining
-//! passes are table lookups, run segment by segment in dependency waves.
+//! branch and layer of the graph — are computed concurrently, after which
+//! the chaining passes are table lookups, run segment by segment in
+//! dependency waves.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +24,7 @@ use feather_arch::ArchError;
 
 use crate::arch::ArchSpec;
 use crate::cache::{table_key, CoSearchCache};
-use crate::cosearch::{ensure_tables, CoSearchResult, PlanParallelism};
+use crate::cosearch::{ensure_tables, CoSearchResult};
 use crate::mapper::MapperConfig;
 
 /// The per-node `(dataflow, layout)` schedule of a planned graph, the shape
@@ -127,14 +127,7 @@ pub fn plan_graph(
 
     // Phase 1: compute every missing co-search table, concurrently across all
     // branches and layers of the graph.
-    ensure_tables(
-        arch,
-        workloads.values(),
-        mapper,
-        seed,
-        cache,
-        PlanParallelism::Scoped,
-    )?;
+    ensure_tables(arch, workloads.values(), mapper, seed, cache)?;
 
     // Phase 2: chain layouts per segment, in dependency waves (independent
     // branches share a wave).

@@ -44,10 +44,7 @@ pub mod persist;
 
 pub use arch::{ArchSpec, DataflowFlexibility, ReorderCapability};
 pub use cache::CoSearchCache;
-pub use cosearch::{
-    co_search, plan_network, plan_network_with, CoSearchResult, CoSearchTable, NetworkPlan,
-    PlanParallelism,
-};
+pub use cosearch::{co_search, plan_network, CoSearchResult, CoSearchTable, NetworkPlan};
 pub use evaluate::{evaluate, Evaluation};
 pub use graphplan::{plan_graph, GraphPlan};
 pub use mapper::{search_dataflows, MapperConfig};

@@ -6,8 +6,6 @@
 //!
 //! ```text
 //! feather-cosearch-cache v1
-//! E <escaped cache key>
-//! R <result tokens>
 //! T <escaped table key>
 //! C <layout>
 //! S <result tokens>      (the layout's best "stay" choice)
@@ -17,7 +15,9 @@
 //! where result tokens are space-separated `key=value` pairs with the
 //! separators percent-escaped. Unknown or malformed records are skipped on
 //! load (a stale or corrupt cache degrades to recomputation, never to an
-//! error), and a header mismatch discards the whole file.
+//! error), and a header mismatch discards the whole file. (Earlier v1
+//! writers also emitted per-predecessor `E`/`R` record pairs; they are
+//! unknown records now, and the tables of such a file still load.)
 //!
 //! The planner trusts what it finds in the cache, so loading is strict: every
 //! value has exactly one spelling (a record is kept only if re-encoding what
@@ -25,6 +25,9 @@
 //! zero factor, extent or array side, a non-finite or negative number — is
 //! malformed, and one malformed record inside a table drops the whole table
 //! rather than leaving the planner a shorter list of layouts to choose from.
+//! A live cache never drops a table, so what bounds a file from outside is a
+//! check here: no more than `MAX_LOADED_TABLES` (512) tables are taken from
+//! one.
 //!
 //! Persistence is **gated behind the `FEATHER_CACHE_DIR` environment
 //! variable**: [`CoSearchCache::load_persistent`] returns an empty cache and
@@ -48,6 +51,11 @@ use crate::evaluate::Evaluation;
 
 /// File format header; bump the version when the encoding changes.
 const HEADER: &str = "feather-cosearch-cache v1";
+
+/// The most tables one file contributes. Comfortably above what this
+/// process would have saved — a network has tens of distinct shapes
+/// (ResNet-50 ≈ 20, BERT ≈ 4) — so only a foreign or damaged file meets it.
+const MAX_LOADED_TABLES: usize = 512;
 
 /// File name used inside `FEATHER_CACHE_DIR`.
 const FILE_NAME: &str = "cosearch.cache";
@@ -319,7 +327,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 impl CoSearchCache {
-    /// Serializes the cache (both result entries and whole tables) to `path`.
+    /// Serializes the cache's tables to `path`.
     /// The file is written to a sibling temporary file and renamed over
     /// `path`: the v1 format cannot tell a file cut on a line boundary from
     /// a shorter cache, so a process loading the same path meanwhile must
@@ -338,10 +346,6 @@ impl CoSearchCache {
     fn render(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
-        for (key, result) in self.entries() {
-            out.push_str(&format!("E {}\n", esc(key)));
-            out.push_str(&format!("R {}\n", encode_result(result)));
-        }
         for (key, table) in self.table_entries() {
             out.push_str(&format!("T {}\n", esc(key)));
             for choice in &table.choices {
@@ -354,8 +358,9 @@ impl CoSearchCache {
     }
 
     /// Loads a cache previously written by [`CoSearchCache::save_to`].
-    /// Malformed records are skipped; a header mismatch yields an empty
-    /// cache. Hit/miss counters start at zero.
+    /// Malformed records are skipped, tables past the first
+    /// `MAX_LOADED_TABLES` (512) are ignored, and a header mismatch yields an
+    /// empty cache. Hit/miss counters start at zero.
     ///
     /// # Errors
     /// Propagates filesystem errors (e.g. the file does not exist).
@@ -370,12 +375,11 @@ impl CoSearchCache {
         if lines.next() != Some(HEADER) {
             return cache;
         }
-        let mut pending_entry: Option<String> = None;
         let mut pending_table: Option<(String, CoSearchTable)> = None;
         let mut pending_choice: Option<(Layout, Option<CoSearchResult>)> = None;
         let flush_table = |cache: &mut CoSearchCache, table: Option<(String, CoSearchTable)>| {
             if let Some((key, table)) = table {
-                if !table.choices.is_empty() {
+                if !table.choices.is_empty() && cache.table_count() < MAX_LOADED_TABLES {
                     cache.insert_table(key, table);
                 }
             }
@@ -385,15 +389,6 @@ impl CoSearchCache {
                 continue;
             };
             match tag {
-                "E" => {
-                    flush_table(&mut cache, pending_table.take());
-                    pending_entry = unesc_exact(body);
-                }
-                "R" => {
-                    if let (Some(key), Some(result)) = (pending_entry.take(), decode_result(body)) {
-                        cache.insert_raw(key, result);
-                    }
-                }
                 "T" => {
                     flush_table(&mut cache, pending_table.take());
                     pending_choice = None;
@@ -567,8 +562,8 @@ mod tests {
         assert_eq!(decode_result(&line), Some(result));
     }
 
-    /// A real saved cache, small enough to damage exhaustively: one
-    /// per-predecessor result and a table cut to its first layout.
+    /// A real saved cache, small enough to damage exhaustively: one table cut
+    /// to its first layout.
     fn small_saved_cache() -> &'static str {
         static SAVED: std::sync::OnceLock<String> = std::sync::OnceLock::new();
         SAVED.get_or_init(render_small_cache)
@@ -579,8 +574,6 @@ mod tests {
         let mapper = MapperConfig::fast();
         let w = workload();
         let mut cache = CoSearchCache::new();
-        let result = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
-        cache.insert(&arch, &w, None, &mapper, 0, result);
         let mut table = co_search_table(&arch, &w, &mapper, 0).unwrap();
         table.choices.truncate(1);
         cache.insert_table(crate::cache::table_key(&arch, &w, &mapper, 0), table);
@@ -589,7 +582,7 @@ mod tests {
 
     /// Loads `bytes` as `load_from` would (a file that is not UTF-8 is an
     /// I/O error there) and checks that what loaded survives a save → load
-    /// round trip unchanged. Returns how many records loaded.
+    /// round trip unchanged. Returns how many tables loaded.
     fn load_and_roundtrip(bytes: &[u8]) -> usize {
         let Ok(text) = std::str::from_utf8(bytes) else {
             return 0;
@@ -597,22 +590,22 @@ mod tests {
         let loaded = CoSearchCache::parse(text);
         let saved = loaded.render();
         assert_eq!(CoSearchCache::parse(&saved).render(), saved);
-        loaded.len() + loaded.table_count()
+        loaded.table_count()
     }
 
     #[test]
     fn every_mutation_and_truncation_of_a_saved_cache_loads_cleanly() {
         let bytes = small_saved_cache().as_bytes();
-        assert_eq!(load_and_roundtrip(bytes), 2);
+        assert_eq!(load_and_roundtrip(bytes), 1);
         for at in 0..bytes.len() {
             // A bit flip (the next digit or letter), a separator, an escape
             // and a byte that leaves the file no longer UTF-8.
             for new in [bytes[at] ^ 1, b' ', b'%', 0xC3] {
                 let mut mutated = bytes.to_vec();
                 mutated[at] = new;
-                assert!(load_and_roundtrip(&mutated) <= 2);
+                assert!(load_and_roundtrip(&mutated) <= 1);
             }
-            assert!(load_and_roundtrip(&bytes[..at]) <= 2);
+            assert!(load_and_roundtrip(&bytes[..at]) <= 1);
         }
     }
 
@@ -694,27 +687,65 @@ mod tests {
         let mapper = MapperConfig::fast();
         let w = workload();
         let mut cache = CoSearchCache::new();
-        let result = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
-        cache.insert(&arch, &w, None, &mapper, 0, result.clone());
         let table = co_search_table(&arch, &w, &mapper, 0).unwrap();
-        cache.insert_table(
-            crate::cache::table_key(&arch, &w, &mapper, 0),
-            table.clone(),
-        );
+        let key = crate::cache::table_key(&arch, &w, &mapper, 0);
+        cache.insert_table(key.clone(), table.clone());
 
         let path = temp_path("roundtrip");
         cache.save_to(&path).unwrap();
         let loaded = CoSearchCache::load_from(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(loaded.len(), 1);
         assert_eq!(loaded.table_count(), 1);
-        let key = crate::cache::table_key(&arch, &w, &mapper, 0);
         assert_eq!(loaded.peek_table(&key), Some(&table));
-        let mut loaded = loaded;
-        let hit = loaded.lookup(&arch, &w, None, &mapper, 0).unwrap();
-        assert_eq!(hit.layout, result.layout);
-        assert_eq!(hit.evaluation.edp, result.evaluation.edp);
+    }
+
+    /// A file the previous v1 writer saved: a per-predecessor `E`/`R` pair
+    /// ahead of the table, both under the key spelled out as that writer
+    /// spelled it (empty predecessor slot included). The pair is skipped,
+    /// the table loads and a fresh `plan_network` hits it.
+    #[test]
+    fn a_file_with_per_predecessor_records_still_loads_its_tables() {
+        let arch = ArchSpec::feather_like(16, 16);
+        let mapper = MapperConfig::fast();
+        let w = workload();
+        let key = format!("{arch:?}|conv:n1m32c16h14w14r3s3st1p1kStandard||{mapper:?}|seed0");
+        let table = co_search_table(&arch, &w, &mapper, 0).unwrap();
+        let result = table.select(w.name(), None).unwrap();
+        let mut tables = CoSearchCache::new();
+        tables.insert_table(key.clone(), table);
+        let text = tables.render().replacen(
+            '\n',
+            &format!("\nE {}\nR {}\n", esc(&key), encode_result(&result)),
+            1,
+        );
+        assert!(text.starts_with(&format!("{HEADER}\nE ")));
+
+        let mut loaded = CoSearchCache::parse(&text);
+        assert_eq!(loaded.table_count(), 1);
+        assert_eq!(loaded.render(), tables.render(), "no E/R on re-save");
+        let net = feather_arch::models::Network::new("one", vec![w]);
+        let plan = crate::cosearch::plan_network(&arch, &net, &mapper, 0, &mut loaded).unwrap();
+        assert_eq!((plan.cache_hits, plan.cache_misses), (1, 0));
+        assert_eq!(plan.per_layer, [result]);
+    }
+
+    /// A live cache never drops a table, so the loader bounds what a file
+    /// from outside can make it hold.
+    #[test]
+    fn a_file_with_too_many_tables_loads_the_first_512() {
+        let mut lines = small_saved_cache().lines();
+        let (header, key) = (lines.next().unwrap(), lines.next().unwrap());
+        let choice: Vec<&str> = lines.collect();
+        let mut text = format!("{header}\n");
+        for i in 0..MAX_LOADED_TABLES + 1 {
+            text.push_str(&format!("{key}#{i}\n{}\n", choice.join("\n")));
+        }
+        let loaded = CoSearchCache::parse(&text);
+        assert_eq!(loaded.table_count(), MAX_LOADED_TABLES);
+        let last_kept = unesc(&key[2..]).unwrap() + &format!("#{}", MAX_LOADED_TABLES - 1);
+        assert!(loaded.peek_table(&last_kept).is_some());
+        assert_eq!(load_and_roundtrip(text.as_bytes()), MAX_LOADED_TABLES);
     }
 
     /// One `FEATHER_CACHE_DIR` serves several processes: a loader racing a
@@ -774,12 +805,11 @@ mod tests {
         let path = temp_path("garbage");
         std::fs::write(&path, "something else entirely\nE x\nR y\n").unwrap();
         let loaded = CoSearchCache::load_from(&path).unwrap();
-        assert!(loaded.is_empty());
         assert_eq!(loaded.table_count(), 0);
         // Right header, malformed records → skipped, not fatal.
         std::fs::write(&path, format!("{HEADER}\nE key\nR not-tokens\nQ ???\n")).unwrap();
         let loaded = CoSearchCache::load_from(&path).unwrap();
-        assert!(loaded.is_empty());
+        assert_eq!(loaded.table_count(), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -790,7 +820,7 @@ mod tests {
         // Without FEATHER_CACHE_DIR the persistent helpers are inert.
         if std::env::var_os("FEATHER_CACHE_DIR").is_none() {
             assert!(CoSearchCache::persistent_path().is_none());
-            assert!(CoSearchCache::load_persistent().is_empty());
+            assert_eq!(CoSearchCache::load_persistent().table_count(), 0);
             assert!(!CoSearchCache::new().save_persistent().unwrap());
         }
     }

@@ -56,9 +56,8 @@
 //!
 //! There is no async runtime in this workspace (the vendored shims are
 //! trait-surface only), so the concurrency is hand-rolled std: a former
-//! thread plus worker threads, condvar-backed [`Ticket`]s that both block
-//! ([`Ticket::wait`]) and implement [`Future`](std::future::Future), and a
-//! park/unpark [`block_on`] executor.
+//! thread plus worker threads and condvar-backed [`Ticket`]s that block
+//! ([`Ticket::wait`]).
 //!
 //! # Example
 //!
@@ -101,4 +100,4 @@ pub use error::ServeError;
 pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use server::{Response, ServeConfig, Server};
 pub use stats::{ProgramCacheStats, ServerStats, TenantStats};
-pub use ticket::{block_on, Ticket};
+pub use ticket::Ticket;

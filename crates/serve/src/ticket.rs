@@ -1,16 +1,10 @@
-//! Request completion handles: a [`Ticket`] is both a blocking handle
-//! ([`Ticket::wait`]) and a [`Future`], resolved by the scheduler thread
-//! through the shared promise cell. [`block_on`] is the minimal executor
-//! that drives any future to completion on the current thread — the
-//! workspace has no async runtime (the vendored shims are trait-surface
-//! only), so the waker is a plain `thread::park`/`unpark` pair.
+//! Request completion handles: a [`Ticket`] is a blocking handle
+//! ([`Ticket::wait`]), resolved by the scheduler thread through the shared
+//! promise cell. The workspace has no async runtime, so there is no second,
+//! future-style way to wait.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-use std::thread::Thread;
 
 use crate::error::ServeError;
 use crate::server::Response;
@@ -29,9 +23,8 @@ pub(crate) struct Promise {
 
 struct Slot {
     result: Option<Result<Response, ServeError>>,
-    waker: Option<Waker>,
-    /// The consumer already took the result (`wait` returned / the future
-    /// resolved) — the ticket's `Drop` must not treat this as abandonment.
+    /// The consumer already took the result (`wait` returned) — the ticket's
+    /// `Drop` must not treat this as abandonment.
     consumed: bool,
 }
 
@@ -40,7 +33,6 @@ impl Promise {
         Arc::new(Promise {
             slot: Mutex::new(Slot {
                 result: None,
-                waker: None,
                 consumed: false,
             }),
             ready: Condvar::new(),
@@ -48,19 +40,15 @@ impl Promise {
         })
     }
 
-    /// Writes the outcome (first write wins) and wakes both kinds of waiter.
+    /// Writes the outcome (first write wins) and wakes the waiter.
     pub(crate) fn fulfill(&self, result: Result<Response, ServeError>) {
-        let waker = {
+        {
             let mut slot = lock_recover(&self.slot);
             if slot.result.is_none() && !slot.consumed {
                 slot.result = Some(result);
             }
-            slot.waker.take()
-        };
-        self.ready.notify_all();
-        if let Some(waker) = waker {
-            waker.wake();
         }
+        self.ready.notify_all();
     }
 
     /// Flags the request for removal before execution. Best-effort: a
@@ -83,9 +71,7 @@ impl Promise {
 
 /// A handle to one in-flight inference request.
 ///
-/// Resolve it either synchronously with [`Ticket::wait`] or asynchronously
-/// by `await`ing it (it implements [`Future`]); [`block_on`] drives the
-/// latter without an async runtime. Abandoning the handle cancels the
+/// Resolve it with [`Ticket::wait`]. Abandoning the handle cancels the
 /// request: dropping an unresolved `Ticket` (or calling [`Ticket::cancel`])
 /// flags it, and the scheduler drops it before execution with
 /// [`ServeError::Cancelled`].
@@ -140,60 +126,10 @@ impl Drop for Ticket {
     }
 }
 
-impl Future for Ticket {
-    type Output = Result<Response, ServeError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut slot = lock_recover(&self.promise.slot);
-        match slot.result.take() {
-            Some(result) => {
-                slot.consumed = true;
-                Poll::Ready(result)
-            }
-            None => {
-                slot.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-/// Wakes the blocked [`block_on`] thread.
-struct ThreadWaker(Thread);
-
-impl Wake for ThreadWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
-/// Drives a future to completion on the current thread: polls, parks until
-/// woken, polls again. Spurious unparks only cost an extra poll.
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(value) => return value,
-            Poll::Pending => std::thread::park(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn block_on_runs_plain_futures() {
-        assert_eq!(block_on(async { 7 + 35 }), 42);
-    }
 
     #[test]
     fn wait_blocks_until_fulfilled() {
@@ -204,19 +140,6 @@ mod tests {
             promise.fulfill(Err(ServeError::Timeout));
         });
         assert_eq!(ticket.wait(), Err(ServeError::Timeout));
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn ticket_resolves_as_a_future() {
-        let promise = Promise::new();
-        let ticket = Ticket::new(promise.clone(), 2);
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            promise.fulfill(Err(ServeError::Shutdown));
-        });
-        // The first poll parks; the fulfill unparks through the waker.
-        assert_eq!(block_on(ticket), Err(ServeError::Shutdown));
         producer.join().unwrap();
     }
 

@@ -150,8 +150,8 @@ fn main() {
         .route_cache_stats("resnet50")
         .expect("model is registered");
     println!(
-        "\nshared route cache: {} entries, {} hits / {} misses / {} evictions",
-        cache.entries, cache.hits, cache.misses, cache.evictions,
+        "\nshared route cache: {} entries, {} hits / {} misses",
+        cache.entries, cache.hits, cache.misses,
     );
 
     println!("\nall {total} responses verified bit-identical to solo batch-1 runs");

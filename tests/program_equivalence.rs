@@ -476,7 +476,6 @@ fn models_a_and_b_route_cache_traffic_is_pinned() {
     let stats = |hits, misses| RouteCacheStats {
         hits,
         misses,
-        evictions: 0,
         entries: misses as usize,
     };
     assert_eq!(

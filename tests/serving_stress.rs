@@ -18,7 +18,7 @@ use feather::{FeatherConfig, GraphSession};
 use feather_arch::graph::{Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::{ConvLayer, GemmLayer};
-use feather_serve::{block_on, FaultPlan, FaultSite, ServeConfig, ServeError, Server, Ticket};
+use feather_serve::{FaultPlan, FaultSite, ServeConfig, ServeError, Server, Ticket};
 use proptest::prelude::*;
 
 const CLIENTS: usize = 8;
@@ -162,13 +162,7 @@ fn mixed_model_traffic(workers: usize) {
                             f.inputs[input].clone(),
                         )
                         .unwrap();
-                    // Half the clients exercise the Future surface, half the
-                    // blocking one.
-                    let response = if client % 2 == 0 {
-                        block_on(ticket).unwrap()
-                    } else {
-                        ticket.wait().unwrap()
-                    };
+                    let response = ticket.wait().unwrap();
                     assert_eq!(
                         response.oacts, f.goldens[input],
                         "client {client} request {i} ({}) diverged from the solo run",
@@ -230,7 +224,7 @@ fn mixed_model_traffic(workers: usize) {
     }
 
     // The shared route caches were hit from many threads; counters must be
-    // coherent and eviction must not have run for these few shapes.
+    // coherent.
     for f in fixtures.iter() {
         let cache = server.route_cache_stats(f.name).unwrap();
         assert!(
@@ -238,7 +232,6 @@ fn mixed_model_traffic(workers: usize) {
             "{}: the first lookups populate the cache",
             f.name
         );
-        assert_eq!(cache.evictions, 0);
         assert!(cache.entries as u64 <= cache.misses);
     }
 }
