@@ -19,11 +19,17 @@
 //!   `h`/`w` coordinate tables instead of per-element coordinate maps.
 //! * **Replay as pure data movement** — none of the accounting depends on
 //!   data, so a compiled program records it once and [`replay_fire`] moves
-//!   values only: plain cells, local accumulators and the folded gather
-//!   lists of a program-wide [`RouteTable`]. The accounted loop above is
-//!   serial: it runs once per layer as the compiler's record pass, runs
-//!   chains with real data ([`crate::NetworkSession::run`]), and is the
-//!   cycle-level oracle replay is tested against.
+//!   values only: plain cells, local accumulators and the folded column
+//!   runs of a program-wide [`RouteTable`]. Nothing about addressing is
+//!   decided while it runs either: a [`ReplayLayer`] holds, lowered at
+//!   compile time, the valid kernel taps of every output row and column as
+//!   ranges (no padding test inside a tile), the loop order whose innermost
+//!   run is contiguous for the layer's shape, and — in the table — every
+//!   reduction group as the `(start, len)` run of bus columns it drains.
+//!   The accounted loop above is serial: it runs once per layer as the
+//!   compiler's record pass, runs chains with real data
+//!   ([`crate::NetworkSession::run`]), and is the cycle-level oracle replay
+//!   is tested against.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -159,13 +165,14 @@ fn route_and_compile(
 }
 
 /// One reduction group of a folded BIRRD pass: the `q_lane` whose output
-/// cell it accumulates into and the span of [`RouteTable::cols`] holding the
-/// bus columns that sum into it.
+/// cell it accumulates into and the run of bus columns `start..start + len`
+/// that sums into it. A controller-issued group is the live prefix of its
+/// lane (`fill_request`), so its folded columns are always one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FoldedGroup {
     q_lane: u32,
-    cols_start: u32,
-    cols_end: u32,
+    start: u32,
+    len: u32,
 }
 
 /// The program-wide table of BIRRD passes, constant-folded for replay.
@@ -174,24 +181,23 @@ struct FoldedGroup {
 /// the layer that issued it (which fixes how bus columns group into
 /// `q_lane`s); layers of one program share passes heavily, so the table is
 /// deduplicated across all of them. Each pass is stored *folded*: per
-/// reduction group, the bus columns the routed [`CompiledRoute`] sums into
-/// the group's destination bank, with input presence already applied — what
-/// is left of a BIRRD pass once its configuration is known ahead of time.
-/// The originating requests are kept so an artifact can store them and
-/// re-derive the folded lists by deterministic re-routing on load.
+/// reduction group, the run of bus columns the routed [`CompiledRoute`] sums
+/// into the group's destination bank, with input presence already applied —
+/// what is left of a BIRRD pass once its configuration is known ahead of
+/// time. The originating requests are kept so an artifact can store them and
+/// re-derive the folded runs by deterministic re-routing on load.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteTable {
     requests: Vec<(usize, ReductionRequest)>,
     /// Pass `s` owns `groups[pass_starts[s]..pass_starts[s + 1]]`.
     pass_starts: Vec<u32>,
     groups: Vec<FoldedGroup>,
-    cols: Vec<u32>,
 }
 
 impl RouteTable {
     /// Rebuilds a table from the `(c_cols, request)` pairs of an artifact by
     /// re-routing every request (routing is deterministic, so the folded
-    /// lists equal the recorded ones).
+    /// runs equal the recorded ones).
     pub(crate) fn from_requests(
         birrd: &Birrd,
         requests: Vec<(usize, ReductionRequest)>,
@@ -216,6 +222,11 @@ impl RouteTable {
 
     /// Folds `route` under `request`'s presence mask and appends it as a new
     /// pass, returning its slot.
+    ///
+    /// # Errors
+    /// Fails on a request that does not fit the fabric, and on a group whose
+    /// folded columns are not one contiguous run — which the controller
+    /// never issues, so only a hand-made artifact can declare one.
     fn push(
         &mut self,
         c_cols: usize,
@@ -237,19 +248,25 @@ impl RouteTable {
                 .iter()
                 .position(|g| *g == Some(gid))
                 .ok_or_else(|| malformed("reduction group without inputs"))?;
-            let cols_start = narrow(self.cols.len())?;
             // Absent ports put nothing on the wire, whatever the fabric would
-            // forward from them.
-            self.cols.extend(
-                route
-                    .sources_of(bank)
-                    .iter()
-                    .filter(|&&src| request.input_groups[src as usize].is_some()),
-            );
+            // forward from them. Sources come in ascending order.
+            let mut sources = route
+                .sources_of(bank)
+                .iter()
+                .filter(|&&src| request.input_groups[src as usize].is_some());
+            let not_a_run = || malformed("folded columns are not one run");
+            let start = *sources.next().ok_or_else(not_a_run)?;
+            let mut len = 1;
+            for &src in sources {
+                if src != start + len {
+                    return Err(not_a_run());
+                }
+                len += 1;
+            }
             self.groups.push(FoldedGroup {
                 q_lane: narrow(first / c_cols)?,
-                cols_start,
-                cols_end: narrow(self.cols.len())?,
+                start,
+                len,
             });
         }
         self.pass_starts.push(narrow(self.groups.len())?);
@@ -264,17 +281,14 @@ impl RouteTable {
         &self.groups[self.pass_starts[slot] as usize..self.pass_starts[slot + 1] as usize]
     }
 
-    /// The bus columns that sum into `group`.
-    #[inline]
-    fn cols_of(&self, group: &FoldedGroup) -> &[u32] {
-        &self.cols[group.cols_start as usize..group.cols_end as usize]
-    }
-
     /// Pass `slot` as `(q_lane, bus columns)` pairs, for listings.
-    pub(crate) fn pass_groups(&self, slot: usize) -> impl Iterator<Item = (u32, &[u32])> {
+    pub(crate) fn pass_groups(
+        &self,
+        slot: usize,
+    ) -> impl Iterator<Item = (u32, std::ops::Range<u32>)> + '_ {
         self.pass(slot as u32)
             .iter()
-            .map(|g| (g.q_lane, self.cols_of(g)))
+            .map(|g| (g.q_lane, g.start..g.start + g.len))
     }
 }
 
@@ -494,15 +508,12 @@ pub(crate) fn oact_plan(layout: &feather_arch::layout::Layout, layer: &ConvLayer
     ])
 }
 
-/// Everything the tile loop needs that is immutable across the whole layer:
-/// tiling factors, the precompiled address plans, the padded-coordinate
-/// tables and the BIRRD instance.
-///
-/// The struct is *owned* (no borrows) so a compiled [`crate::program::Program`]
-/// can build it once and replay it for the lifetime of a serving process; a
-/// chain run ([`crate::NetworkSession::run`]) simply constructs one per layer.
+/// How a layer tiles onto the array: the extents of the `(wt_m, wt_c, n, p,
+/// qt)` nest that the accounted loop and [`replay_fire`] both walk. Owned and
+/// small, so a compiled [`crate::program::Program`] keeps one per layer for
+/// the lifetime of a serving process.
 #[derive(Debug, Clone)]
-pub(crate) struct LayerExec {
+pub(crate) struct Tiling {
     pub(crate) layer: ConvLayer,
     pub(crate) mapping: LayerMapping,
     rows: usize,
@@ -517,6 +528,18 @@ pub(crate) struct LayerExec {
     q_total: usize,
     rs: usize,
     depthwise: bool,
+}
+
+/// Everything the accounted tile loop needs that is immutable across the
+/// whole layer: the [`Tiling`] (which it derefs to), the precompiled address
+/// plans, the padded-coordinate tables and the BIRRD instance.
+///
+/// The struct is *owned* (no borrows): the compiler builds one per layer for
+/// its record pass and keeps only the tiling ([`ReplayLayer::new`]); a chain
+/// run ([`crate::NetworkSession::run`]) simply constructs one per layer.
+#[derive(Debug, Clone)]
+pub(crate) struct LayerExec {
+    tiling: Tiling,
     birrd: Birrd,
     /// `(N, C, H, W)` location plan for the iAct view.
     iact_plan: LocationPlan4,
@@ -528,6 +551,14 @@ pub(crate) struct LayerExec {
     /// `w_table[q * S + s]` = input column for output column `q` at kernel
     /// column `s`.
     w_table: Vec<Option<usize>>,
+}
+
+impl std::ops::Deref for LayerExec {
+    type Target = Tiling;
+
+    fn deref(&self) -> &Tiling {
+        &self.tiling
+    }
 }
 
 impl LayerExec {
@@ -568,20 +599,22 @@ impl LayerExec {
             .collect();
 
         Ok(LayerExec {
-            layer: layer.clone(),
-            mapping: mapping.clone(),
-            rows,
-            cols,
-            m_rows,
-            c_cols,
-            q_cols,
-            m_tiles,
-            c_tiles,
-            q_tiles,
-            p_total,
-            q_total,
-            rs: layer.r * layer.s,
-            depthwise,
+            tiling: Tiling {
+                layer: layer.clone(),
+                mapping: mapping.clone(),
+                rows,
+                cols,
+                m_rows,
+                c_cols,
+                q_cols,
+                m_tiles,
+                c_tiles,
+                q_tiles,
+                p_total,
+                q_total,
+                rs: layer.r * layer.s,
+                depthwise,
+            },
             birrd,
             iact_plan,
             oact_plan,
@@ -589,7 +622,9 @@ impl LayerExec {
             w_table,
         })
     }
+}
 
+impl Tiling {
     /// Live reduction width of channel tile `wt_c`: the columns of a lane
     /// that hold an in-range input channel.
     fn c_live(&self, wt_c: usize) -> usize {
@@ -599,7 +634,9 @@ impl LayerExec {
             self.c_cols.min(self.layer.c - wt_c * self.c_cols)
         }
     }
+}
 
+impl LayerExec {
     /// Marks in `c_ok` the columns whose reduction lane holds an in-range
     /// input channel under channel tile `wt_c` — the whole per-tile cost of
     /// switching weights.
@@ -967,14 +1004,14 @@ fn phase1_step(
 // buffer statistics, conflict stalls — is independent of the data, so the
 // compiler's record pass (`run_span` in `Collect` mode) computes it once and
 // a replayed `Fire` only moves values: plain StaB cells, local accumulators,
-// folded gather lists. `run_span` stays the cycle-level oracle the
+// folded column runs. `run_span` stays the cycle-level oracle the
 // equivalence suites compare replay against.
 // ---------------------------------------------------------------------------
 
 /// A layout precompiled over a fixed 4-dimension coordinate order down to
 /// flat *cell* indices (`line · line_size + offset`) of a plain StaB half:
-/// the index is separable like [`LocationPlan4`], so it is four table
-/// lookups and three adds. Lane `l` of cell `i` lives at `i · lanes + l`.
+/// the index is separable like [`LocationPlan4`] — the sum of one table
+/// entry per dimension. Lane `l` of cell `i` lives at `i · lanes + l`.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatPlan4 {
     tables: [Vec<u32>; 4],
@@ -987,7 +1024,8 @@ impl FlatPlan4 {
     ///
     /// # Errors
     /// Fails if a cell index does not fit `u32` or some coordinate would fall
-    /// outside the half — so [`FlatPlan4::cell`] is always in range.
+    /// outside the half — so every cell [`FlatPlan4::for_each_cell`] yields
+    /// is in range.
     fn new(
         plan: &LocationPlan4,
         extents: [usize; 4],
@@ -1025,29 +1063,81 @@ impl FlatPlan4 {
         self.cells
     }
 
-    /// Cell index of a coordinate given in the plan's dimension order.
+    /// Visits every coordinate of the plan's extents in row-major order as
+    /// `(row-major index, cell index)`, addressing each coordinate once:
+    /// the partial sum of the outer three tables is carried, not looked up
+    /// again per element.
     #[inline]
-    pub(crate) fn cell(&self, v: [usize; 4]) -> usize {
-        (self.tables[0][v[0]] + self.tables[1][v[1]] + self.tables[2][v[2]] + self.tables[3][v[3]])
-            as usize
+    pub(crate) fn for_each_cell(&self, mut f: impl FnMut(usize, usize)) {
+        let [t0, t1, t2, t3] = &self.tables;
+        let mut flat = 0;
+        for &c0 in t0 {
+            for &c1 in t1 {
+                for &c2 in t2 {
+                    let row = c0 + c1 + c2;
+                    for &c3 in t3 {
+                        f(flat, (row + c3) as usize);
+                        flat += 1;
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Everything a replayed `Fire` of one layer needs besides the data: the
-/// tile-loop context, both halves' flat addressing, and the recorded pass
-/// stream into the program's [`RouteTable`].
+/// The kernel taps of one output row (or column) that read real input: taps
+/// `lo..hi` read the input coordinates `first, first + 1, …` in step. A
+/// tap's raw coordinate `o · stride + k` grows by one with `k` and the real
+/// input is the interval `padding..padding + extent`, so the valid taps are
+/// always one run — empty where every tap falls in the padding halo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TapRun {
+    lo: usize,
+    hi: usize,
+    first: usize,
+}
+
+/// The tap run of every output coordinate `0..outputs` along one axis.
+fn tap_runs(
+    outputs: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    extent: usize,
+) -> Vec<TapRun> {
+    (0..outputs)
+        .map(|o| {
+            let raw = o * stride;
+            let lo = padding.saturating_sub(raw).min(kernel);
+            let hi = (padding + extent).saturating_sub(raw).clamp(lo, kernel);
+            // An empty run reads nothing; keep its origin inside the tables.
+            let first = if lo < hi { raw + lo - padding } else { 0 };
+            TapRun { lo, hi, first }
+        })
+        .collect()
+}
+
+/// Everything a replayed `Fire` of one layer needs besides the data, lowered
+/// when the program is compiled (or loaded): the tile-loop context, both
+/// halves' flat addressing, the valid kernel taps of every output row and
+/// column, and the recorded pass stream into the program's [`RouteTable`].
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayLayer {
-    pub(crate) exec: LayerExec,
+    pub(crate) tiling: Tiling,
     pub(crate) iact: FlatPlan4,
     pub(crate) oact: FlatPlan4,
     pub(crate) routes: LayerStream,
+    /// `h_taps[p]`: the kernel rows of output row `p` that read real input —
+    /// the `Some` entries of [`LayerExec`]'s `h_table[p · R..]`, as a range.
+    h_taps: Vec<TapRun>,
+    /// `w_taps[q]`: likewise the kernel columns of output column `q`.
+    w_taps: Vec<TapRun>,
 }
 
 impl ReplayLayer {
-    /// Pairs a layer context with its recorded stream. `iact_cells` /
-    /// `oact_cells` are the capacities of the halves under the layer's
-    /// buffer specs.
+    /// Lowers a layer context and its recorded stream to what replay reads,
+    /// keeping the context's tiling only. `iact_cells` / `oact_cells` are the
+    /// capacities of the halves under the layer's buffer specs.
     pub(crate) fn new(
         exec: LayerExec,
         iact_cells: usize,
@@ -1067,22 +1157,35 @@ impl ReplayLayer {
             exec.mapping.oact_layout.line_size(),
             oact_cells,
         )?;
+        let h_taps = tap_runs(exec.p_total, l.r, l.stride, l.padding, l.h);
+        let w_taps = tap_runs(exec.q_total, l.s, l.stride, l.padding, l.w);
         Ok(ReplayLayer {
-            exec,
             iact,
             oact,
             routes,
+            h_taps,
+            w_taps,
+            tiling: exec.tiling,
         })
     }
 
+    /// Cells of the operand gather row [`replay_fire`] needs behind its
+    /// accumulators (per lane): one tap's bus operands, or one PE's kernel
+    /// window.
+    pub(crate) fn operand_cells(&self) -> usize {
+        self.tiling.cols.max(self.tiling.rs)
+    }
+
     /// Dry cursor walk of the recorded stream against `table`: `true` iff
-    /// [`replay_fire`] would consume it without ever indexing out of range —
-    /// every block offset inside the stream, every slot inside the table,
-    /// and every row fire covered exactly once per in-range `q_lane` by
-    /// passes whose bus columns exist. Run on streams that come from an
-    /// artifact; a recorded stream satisfies it by construction.
+    /// [`replay_fire`] would consume it without ever indexing out of range
+    /// or leaving an accumulator undrained — every block offset inside the
+    /// stream, every slot inside the table, and every row fire covered
+    /// exactly once per in-range `q_lane` by passes whose runs are that
+    /// lane's live columns under the block's channel tile. Run on streams
+    /// that come from an artifact; a recorded stream satisfies it by
+    /// construction.
     pub(crate) fn stream_is_sound(&self, table: &RouteTable) -> bool {
-        let ctx = &self.exec;
+        let ctx = &self.tiling;
         let LayerStream {
             stream,
             block_starts,
@@ -1092,37 +1195,39 @@ impl ReplayLayer {
             return false;
         }
         let mut seen = vec![false; ctx.q_cols];
-        for wt_m in 0..ctx.m_tiles {
-            let m_lanes = ctx.m_rows.min(ctx.layer.m - wt_m * ctx.m_rows);
-            let blocks = wt_m * ctx.c_tiles * ctx.layer.n..(wt_m + 1) * ctx.c_tiles * ctx.layer.n;
-            for &start in &block_starts[blocks] {
-                let mut pos = start as usize;
-                // Row fires of a block, in replay order: `p`, `qt`, `m_lane`.
-                for fire in 0..ctx.p_total * ctx.q_tiles * m_lanes {
-                    let qt = fire / m_lanes % ctx.q_tiles;
-                    let q_live = ctx.q_cols.min(ctx.q_total - qt * ctx.q_cols);
-                    seen.fill(false);
-                    let mut covered = 0;
-                    while covered < q_live {
-                        let pass = match stream.get(pos) {
-                            Some(&slot) if (slot as usize) < table.len() => table.pass(slot),
-                            _ => return false,
-                        };
-                        for g in pass {
-                            let q_lane = g.q_lane as usize;
-                            if q_lane >= q_live || std::mem::replace(&mut seen[q_lane], true) {
-                                return false;
-                            }
-                            if table.cols_of(g).iter().any(|&col| col as usize >= ctx.cols) {
-                                return false;
-                            }
-                        }
-                        if pass.is_empty() {
+        for (block, &start) in block_starts.iter().enumerate() {
+            let tile = block / ctx.layer.n;
+            let m_lanes = ctx
+                .m_rows
+                .min(ctx.layer.m - tile / ctx.c_tiles * ctx.m_rows);
+            let c_live = ctx.c_live(tile % ctx.c_tiles);
+            let mut pos = start as usize;
+            // Row fires of a block, in replay order: `p`, `qt`, `m_lane`.
+            for fire in 0..ctx.p_total * ctx.q_tiles * m_lanes {
+                let qt = fire / m_lanes % ctx.q_tiles;
+                let q_live = ctx.q_cols.min(ctx.q_total - qt * ctx.q_cols);
+                seen.fill(false);
+                let mut covered = 0;
+                while covered < q_live {
+                    let pass = match stream.get(pos) {
+                        Some(&slot) if (slot as usize) < table.len() => table.pass(slot),
+                        _ => return false,
+                    };
+                    for g in pass {
+                        let q_lane = g.q_lane as usize;
+                        if q_lane >= q_live || std::mem::replace(&mut seen[q_lane], true) {
                             return false;
                         }
-                        covered += pass.len();
-                        pos += 1;
+                        // What Phase 1 writes is what Phase 2 must drain.
+                        if (g.start as usize, g.len as usize) != (q_lane * ctx.c_cols, c_live) {
+                            return false;
+                        }
                     }
+                    if pass.is_empty() {
+                        return false;
+                    }
+                    covered += pass.len();
+                    pos += 1;
                 }
             }
         }
@@ -1132,11 +1237,23 @@ impl ReplayLayer {
 
 /// Replays one layer's `Fire` as pure data movement across `lanes` samples
 /// (`SCALAR` pins `lanes` to 1 at compile time — the scalar replay is the
-/// same source, specialised): unaccounted reads of the `iact` half feed
-/// local accumulator stripes (Phase 1), then every recorded BIRRD pass of a
-/// row fire sums its folded bus columns into the `oact` half in place
-/// (Phase 2). `acc` is `rows · cols · lanes` zeroed accumulators and is left
-/// zeroed; `oact` must be zeroed over the layer's cells by the caller.
+/// same source, specialised). Per `(p, qt)` pixel group of a weight tile:
+///
+/// * **Phase 1, local temporal reduction** — every mapped PE accumulates its
+///   kernel window against weights read in place, from operands gathered
+///   once per group out of the `iact` half (unaccounted reads, INT8 cells
+///   widened once) and shared by all mapped rows. Only the taps of the
+///   layer's [`TapRun`]s are visited, so padding costs nothing. The loop
+///   order is the layer's ([`reduce_bus_major`] or [`reduce_window_major`],
+///   whichever has the longer contiguous innermost run; [`reduce_depthwise`]
+///   for depthwise layers).
+/// * **Phase 2, row fires** — every recorded BIRRD pass of a row drains its
+///   folded column runs into the `oact` half in place.
+///
+/// `acc` is `rows · cols · lanes` zeroed accumulators, left zeroed, followed
+/// by [`ReplayLayer::operand_cells`]` · lanes` cells of operand gather row
+/// whose contents are never read before they are written. `oact` must be
+/// zeroed over the layer's cells by the caller.
 ///
 /// `weights` must already have passed
 /// [`check_weight_shape`](crate::accelerator::check_weight_shape), and the
@@ -1152,76 +1269,63 @@ pub(crate) fn replay_fire<const SCALAR: bool>(
     lanes: usize,
 ) {
     let lanes = if SCALAR { 1 } else { lanes };
-    let ctx = &layer.exec;
+    let ctx = &layer.tiling;
     let l = &ctx.layer;
-    let (cols, rs) = (ctx.cols, ctx.rs);
+    let row_len = ctx.cols * lanes;
     let [in_n, in_c, in_h, in_w] = &layer.iact.tables;
     let [out_n, out_m, out_p, out_q] = &layer.oact.tables;
     let stream = &layer.routes.stream;
+    let (acc, operands) = acc.split_at_mut(ctx.rows * row_len);
+    // Which way Phase 1 walks a tile: so that its innermost loop runs over
+    // the longer of the two contiguous extents, a lane's channels (one
+    // kernel tap at a time across the whole bus) or a PE's kernel window.
+    let bus_major = ctx.c_cols >= ctx.rs;
 
     for wt_m in 0..ctx.m_tiles {
         let m_base = wt_m * ctx.m_rows;
         let m_lanes = ctx.m_rows.min(l.m - m_base);
         for wt_c in 0..ctx.c_tiles {
             let c_base = wt_c * ctx.c_cols;
-            let c_live = ctx.c_live(wt_c);
+            // The input channels of the tile: one per mapped row when
+            // depthwise (`M == C`), one per live column of a lane otherwise.
+            let in_c = if ctx.depthwise {
+                &in_c[m_base..][..m_lanes]
+            } else {
+                &in_c[c_base..][..ctx.c_live(wt_c)]
+            };
             for n in 0..l.n {
                 let block = (wt_m * ctx.c_tiles + wt_c) * l.n + n;
                 let mut pos = layer.routes.block_starts[block] as usize;
-                for (p, &out_row) in out_p.iter().enumerate() {
+                for (&out_row, rows) in out_p.iter().zip(&layer.h_taps) {
                     for qt in 0..ctx.q_tiles {
                         let q_base = qt * ctx.q_cols;
                         let q_live = ctx.q_cols.min(ctx.q_total - q_base);
+                        let group = PixelGroup {
+                            weights,
+                            iact,
+                            sample: in_n[n],
+                            in_c,
+                            in_rows: &in_h[rows.first..][..rows.hi - rows.lo],
+                            in_w,
+                            r_lo: rows.lo,
+                            w_taps: &layer.w_taps[q_base..][..q_live],
+                            m_base,
+                            m_lanes,
+                            c_base,
+                        };
 
                         // ---- Phase 1: local temporal reduction ----
-                        for rs_step in 0..rs {
-                            let Some(h) = ctx.h_table[p * l.r + rs_step / l.s] else {
-                                continue;
-                            };
-                            let row_cell = in_n[n] + in_h[h];
-                            for q_lane in 0..q_live {
-                                let Some(w) = ctx.w_table[(q_base + q_lane) * l.s + rs_step % l.s]
-                                else {
-                                    continue;
-                                };
-                                let pixel_cell = row_cell + in_w[w];
-                                if ctx.depthwise {
-                                    // Each output channel reads its own input
-                                    // channel (`M == C`, one column per lane).
-                                    for m_lane in 0..m_lanes {
-                                        let c = m_base + m_lane;
-                                        let cell = (pixel_cell + in_c[c]) as usize * lanes;
-                                        let at = (m_lane * cols + q_lane) * lanes;
-                                        mac_stripe(
-                                            &mut acc[at..at + lanes],
-                                            &iact[cell..cell + lanes],
-                                            weights[c * rs + rs_step],
-                                        );
-                                    }
-                                    continue;
-                                }
-                                for c_lane in 0..c_live {
-                                    // One cell, broadcast to every mapped row.
-                                    let c = c_base + c_lane;
-                                    let cell = (pixel_cell + in_c[c]) as usize * lanes;
-                                    let x = &iact[cell..cell + lanes];
-                                    let col = q_lane * ctx.c_cols + c_lane;
-                                    for m_lane in 0..m_lanes {
-                                        let filter = (m_base + m_lane) * l.c + c;
-                                        let at = (m_lane * cols + col) * lanes;
-                                        mac_stripe(
-                                            &mut acc[at..at + lanes],
-                                            x,
-                                            weights[filter * rs + rs_step],
-                                        );
-                                    }
-                                }
-                            }
+                        if ctx.depthwise {
+                            reduce_depthwise(ctx, &group, acc, lanes);
+                        } else if bus_major {
+                            reduce_bus_major(ctx, &group, acc, operands, lanes);
+                        } else {
+                            reduce_window_major::<SCALAR>(ctx, &group, acc, operands, lanes);
                         }
 
                         // ---- Phase 2: row fires through the folded BIRRD ----
                         for m_lane in 0..m_lanes {
-                            let row = &mut acc[m_lane * cols * lanes..(m_lane + 1) * cols * lanes];
+                            let row = &mut acc[m_lane * row_len..][..row_len];
                             let out_cell = out_n[n] + out_m[m_base + m_lane] + out_row;
                             let mut covered = 0;
                             while covered < q_live {
@@ -1231,19 +1335,127 @@ pub(crate) fn replay_fire<const SCALAR: bool>(
                                 for g in pass {
                                     let q = q_base + g.q_lane as usize;
                                     let cell = (out_cell + out_q[q]) as usize * lanes;
-                                    let out = &mut oact[cell..cell + lanes];
                                     // In-situ accumulation across channel
                                     // tiles, wrapping like the i64 BIRRD sum
-                                    // it folds once truncated to the cell.
-                                    for &col in table.cols_of(g) {
-                                        let bus = &row[col as usize * lanes..][..lanes];
-                                        for (out, &v) in out.iter_mut().zip(bus) {
-                                            *out = out.wrapping_add(v);
+                                    // it folds once truncated to the cell. A
+                                    // run drains as it is summed; the runs of
+                                    // a fire are every column Phase 1 wrote,
+                                    // so the row is left zeroed.
+                                    let (start, len) = (g.start as usize, g.len as usize);
+                                    let bus = &mut row[start * lanes..][..len * lanes];
+                                    if SCALAR {
+                                        let drain =
+                                            |sum: i32, v| sum.wrapping_add(std::mem::take(v));
+                                        oact[cell] = bus.iter_mut().fold(oact[cell], drain);
+                                    } else {
+                                        let out = &mut oact[cell..][..lanes];
+                                        for col in 0..len {
+                                            let bus = &mut bus[col * lanes..][..lanes];
+                                            for (out, v) in out.iter_mut().zip(bus) {
+                                                *out = out.wrapping_add(std::mem::take(v));
+                                            }
                                         }
                                     }
                                 }
                             }
-                            row.fill(0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    debug_assert!(acc.iter().all(|&a| a == 0), "accumulators left dirty");
+}
+
+/// What Phase 1 reads for one `(p, qt)` pixel group of one weight tile.
+struct PixelGroup<'a> {
+    weights: &'a [i8],
+    iact: &'a [i32],
+    /// Cell offset of the sample …
+    sample: u32,
+    /// … of each input channel of the tile (depthwise: one per mapped row;
+    /// otherwise one per live column of a lane) …
+    in_c: &'a [u32],
+    /// … of each valid kernel row's input row, from kernel row `r_lo` up …
+    in_rows: &'a [u32],
+    /// … and of every input column.
+    in_w: &'a [u32],
+    r_lo: usize,
+    /// The valid column taps of each live `q_lane`.
+    w_taps: &'a [TapRun],
+    m_base: usize,
+    m_lanes: usize,
+    c_base: usize,
+}
+
+/// Depthwise Phase 1: each mapped row reads its own input channel (one
+/// column per lane), one kernel tap at a time.
+#[inline(always)]
+fn reduce_depthwise(ctx: &Tiling, g: &PixelGroup<'_>, acc: &mut [i32], lanes: usize) {
+    let (s_total, row_len) = (ctx.layer.s, ctx.cols * lanes);
+    for (r, &row) in (g.r_lo..).zip(g.in_rows) {
+        for (q_lane, taps) in g.w_taps.iter().enumerate() {
+            for (s, &col) in (taps.lo..taps.hi).zip(&g.in_w[taps.first..]) {
+                let pixel = g.sample + row + col;
+                for (m_lane, &chan) in g.in_c.iter().enumerate() {
+                    let w = g.weights[(g.m_base + m_lane) * ctx.rs + r * s_total + s] as i32;
+                    let x = &g.iact[(pixel + chan) as usize * lanes..];
+                    let a = &mut acc[m_lane * row_len + q_lane * lanes..][..lanes];
+                    for (a, &x) in a.iter_mut().zip(x) {
+                        *a += x as i8 as i32 * w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Phase 1, one kernel tap at a time across the whole bus — for layers whose
+/// lanes hold at least as many channels as the kernel has taps. The tap's bus
+/// operands are gathered once (zeros under a lane whose tap is padding), then
+/// every mapped row walks its accumulators in column order:
+/// `acc[m][q][c] += x[q][c] · W[m][c_base + c][r][s]`.
+#[inline(always)]
+fn reduce_bus_major(
+    ctx: &Tiling,
+    g: &PixelGroup<'_>,
+    acc: &mut [i32],
+    operands: &mut [i32],
+    lanes: usize,
+) {
+    let (l, rs, row_len) = (&ctx.layer, ctx.rs, ctx.cols * lanes);
+    let (c_live, lane_len) = (g.in_c.len(), ctx.c_cols * lanes);
+    for (r, &row) in (g.r_lo..).zip(g.in_rows) {
+        for s in 0..l.s {
+            let mut live_lanes = 0;
+            for (q_lane, taps) in g.w_taps.iter().enumerate() {
+                let x = &mut operands[q_lane * lane_len..][..c_live * lanes];
+                if !(taps.lo..taps.hi).contains(&s) {
+                    x.fill(0);
+                    continue;
+                }
+                live_lanes += 1;
+                let pixel = g.sample + row + g.in_w[taps.first + (s - taps.lo)];
+                for (c_lane, &chan) in g.in_c.iter().enumerate() {
+                    let cell = (pixel + chan) as usize * lanes;
+                    load_stripe(&mut x[c_lane * lanes..][..lanes], &g.iact[cell..]);
+                }
+            }
+            if live_lanes == 0 {
+                continue;
+            }
+            for m_lane in 0..g.m_lanes {
+                let tap = ((g.m_base + m_lane) * l.c + g.c_base) * rs + r * l.s + s;
+                let w_row = &g.weights[tap..][..(c_live - 1) * rs + 1];
+                let acc_row = &mut acc[m_lane * row_len..][..g.w_taps.len() * lane_len];
+                for q_lane in 0..g.w_taps.len() {
+                    let a = &mut acc_row[q_lane * lane_len..][..c_live * lanes];
+                    let x = &operands[q_lane * lane_len..][..c_live * lanes];
+                    for c_lane in 0..c_live {
+                        let w = w_row[c_lane * rs] as i32;
+                        let x = &x[c_lane * lanes..][..lanes];
+                        for (a, &x) in a[c_lane * lanes..][..lanes].iter_mut().zip(x) {
+                            *a += x * w;
                         }
                     }
                 }
@@ -1252,13 +1464,67 @@ pub(crate) fn replay_fire<const SCALAR: bool>(
     }
 }
 
-/// One Phase-1 MAC across a lane stripe: every lane's iAct cell (an INT8
-/// value held in an `i32` StaB cell) against the stationary `weight`.
+/// Phase 1, one PE column at a time — for layers whose kernel has more taps
+/// than a lane has channels. The column's kernel window is gathered once
+/// (the valid rows, whole; zeros at the column taps that are padding), then
+/// every mapped row reduces it in one dot product against its own filter
+/// rows `W[m][c][r_lo..r_hi]`, contiguous where they lie.
 #[inline(always)]
-fn mac_stripe(acc: &mut [i32], cells: &[i32], weight: i8) {
-    let w = weight as i32;
-    for (acc, &cell) in acc.iter_mut().zip(cells) {
-        *acc += cell as i8 as i32 * w;
+fn reduce_window_major<const SCALAR: bool>(
+    ctx: &Tiling,
+    g: &PixelGroup<'_>,
+    acc: &mut [i32],
+    operands: &mut [i32],
+    lanes: usize,
+) {
+    let (l, rs, row_len) = (&ctx.layer, ctx.rs, ctx.cols * lanes);
+    let window = g.in_rows.len() * l.s;
+    if window == 0 {
+        return;
+    }
+    let x = &mut operands[..window * lanes];
+    for (q_lane, taps) in g.w_taps.iter().enumerate() {
+        let in_cols = &g.in_w[taps.first..][..taps.hi - taps.lo];
+        if in_cols.is_empty() {
+            continue;
+        }
+        if in_cols.len() < l.s {
+            x.fill(0);
+        }
+        for (c_lane, &chan) in g.in_c.iter().enumerate() {
+            for (i, &row) in g.in_rows.iter().enumerate() {
+                let x = &mut x[(i * l.s + taps.lo) * lanes..];
+                for (j, &col) in in_cols.iter().enumerate() {
+                    let cell = (g.sample + chan + row + col) as usize * lanes;
+                    load_stripe(&mut x[j * lanes..][..lanes], &g.iact[cell..]);
+                }
+            }
+            let at = (q_lane * ctx.c_cols + c_lane) * lanes;
+            for m_lane in 0..g.m_lanes {
+                let filter = (g.m_base + m_lane) * l.c + g.c_base + c_lane;
+                let w = &g.weights[filter * rs + g.r_lo * l.s..][..window];
+                let a = &mut acc[m_lane * row_len + at..][..lanes];
+                if SCALAR {
+                    let dot: i32 = x.iter().zip(w).map(|(&x, &w)| x * w as i32).sum();
+                    a[0] += dot;
+                } else {
+                    for (k, &w) in w.iter().enumerate() {
+                        for (a, &x) in a.iter_mut().zip(&x[k * lanes..][..lanes]) {
+                            *a += x * w as i32;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Widens one lane stripe of INT8 iAct values (held in `i32` StaB cells)
+/// into the operand gather row.
+#[inline(always)]
+fn load_stripe(x: &mut [i32], cells: &[i32]) {
+    for (x, &cell) in x.iter_mut().zip(cells) {
+        *x = cell as i8 as i32;
     }
 }
 
@@ -1296,7 +1562,76 @@ mod tests {
         assert_eq!(stats.entries, 1);
     }
 
+    /// Only a hand-made artifact can declare a group whose folded columns
+    /// skip a port; it is refused where it is folded, and a contiguous group
+    /// folds to its run.
+    #[test]
+    fn push_folds_a_group_to_one_run_or_refuses_it() {
+        let birrd = Birrd::new(4).unwrap();
+        let fold = |members: Vec<usize>| {
+            let request = ReductionRequest::from_groups(4, &[(members, 1)]).unwrap();
+            let route = route_and_compile(&birrd, &request).unwrap();
+            let mut table = RouteTable::default();
+            let slot = table.push(2, request, &route)?;
+            Ok::<_, ArchError>(table.pass_groups(slot as usize).collect::<Vec<_>>())
+        };
+        assert_eq!(fold(vec![2, 3]).unwrap(), [(1, 2..4)]);
+        let err = fold(vec![0, 2]).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("route table: folded columns are not one run"));
+    }
+
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The accounted loop's `Option` tables are the oracle: per output
+        /// row and column, a tap run enumerates exactly their `Some`
+        /// entries, in order — also where a stride skips past the kernel or
+        /// every tap of an output falls in the padding halo.
+        #[test]
+        fn tap_runs_enumerate_the_some_entries_of_the_option_tables(
+            hw in proptest::collection::vec(1usize..=9, 2),
+            kernel in proptest::collection::vec(1usize..=5, 2),
+            stride in 1usize..=4,
+            padding in 0usize..=6,
+        ) {
+            let layer = ConvLayer::new(1, 2, 2, hw[0], hw[1], kernel[0], kernel[1])
+                .with_stride(stride)
+                .with_padding(padding);
+            prop_assume!(layer.validate().is_ok());
+            let config = FeatherConfig::new(4, 8);
+            let mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C4", "MPQ_Q4");
+            let exec = LayerExec::new(&config, &layer, &mapping).unwrap();
+            let (h_table, w_table) = (exec.h_table.clone(), exec.w_table.clone());
+            let replay = ReplayLayer::new(exec, 1 << 16, 1 << 16, LayerStream::default()).unwrap();
+            let axes = [
+                (&replay.h_taps, &h_table, layer.r, layer.h),
+                (&replay.w_taps, &w_table, layer.s, layer.w),
+            ];
+            let mut halo_only = 0;
+            for (runs, table, kernel, extent) in axes {
+                prop_assert_eq!(runs.len() * kernel, table.len());
+                for (run, taps) in runs.iter().zip(table.chunks(kernel)) {
+                    let from_run: Vec<_> = (run.lo..run.hi).zip(run.first..).collect();
+                    let from_table: Vec<_> = taps
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(k, &at)| Some((k, at?)))
+                        .collect();
+                    prop_assert_eq!(&from_run, &from_table);
+                    // Sliced even when empty.
+                    prop_assert!(run.first + (run.hi - run.lo) <= extent);
+                    halo_only += usize::from(run.lo == run.hi);
+                }
+            }
+            if padding >= kernel[0].max(kernel[1]) {
+                prop_assert!(halo_only > 0, "an output inside the halo has no tap");
+            }
+        }
+    }
 
     /// oAct layouts from concordant (one bank per `q_lane`) to discordant
     /// (`PQM_M4`: every `q_lane` of a fire lands in the same bank).

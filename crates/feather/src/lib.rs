@@ -56,6 +56,7 @@ pub mod config;
 mod core;
 pub mod graph_session;
 pub mod mapping;
+pub mod profile;
 pub mod program;
 pub mod report;
 pub mod session;
@@ -65,6 +66,7 @@ pub use accelerator::Feather;
 pub use config::FeatherConfig;
 pub use graph_session::GraphSession;
 pub use mapping::LayerMapping;
+pub use profile::{OpFamily, ProfileRow, ReplayProfile};
 pub use program::{ArtifactStatus, Program, ProgramSession, ReplayScratch};
 pub use report::{
     GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, NetworkReport, NetworkRun,

@@ -56,6 +56,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeId, NodeOp, TensorId};
@@ -68,13 +69,14 @@ use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
 use crate::core::{
-    replay_fire, run_conv_core, CoreRun, LayerExec, LayerStream, ReplayLayer, RouteExecution,
-    RouteRecorder, RouteTable, SpanScratch,
+    replay_fire, run_conv_core, CoreRun, FlatPlan4, LayerExec, LayerStream, ReplayLayer,
+    RouteExecution, RouteRecorder, RouteTable, SpanScratch,
 };
 use crate::graph_session::{pool_window_weights, widen, GraphSession, Step};
 use crate::mapping::LayerMapping;
+use crate::profile::{OpFamily, ProfileRow, ReplayProfile};
 use crate::report::{GraphReport, GraphRun, JoinSummary, NetworkReport, SegmentSummary};
-use crate::session::{for_each_oact, iact_spec, layer_summary, oact_spec};
+use crate::session::{iact_spec, layer_summary, oact_spec};
 
 /// Format header of a serialized program artifact; bump on layout changes
 /// (unknown versions degrade to a recompile, never to an error). v2 added
@@ -262,6 +264,42 @@ struct Tables {
     cost: GraphReport,
 }
 
+impl Tables {
+    /// The profile row of one executed `op`: its family and owner, with the
+    /// layer's modelled cost on `Fire` rows.
+    fn profile_row(&self, op: Op, wall_ns: u64) -> ProfileRow {
+        let layer_of = |seg: usize, layer: usize| self.segments[seg].names[layer].clone();
+        let (family, segment, layer) = match op {
+            Op::Stage { seg, .. } => (OpFamily::Stage, Some(seg), layer_of(seg, 0)),
+            Op::Fire { seg, layer } => (OpFamily::Fire, Some(seg), layer_of(seg, layer)),
+            Op::Reorder { seg, layer } => (OpFamily::Reorder, Some(seg), layer_of(seg, layer)),
+            Op::Drain { seg } => {
+                let last = self.segments[seg].layers.len() - 1;
+                (OpFamily::Drain, Some(seg), layer_of(seg, last))
+            }
+            Op::Join { join } => (OpFamily::Join, None, self.joins[join].name.clone()),
+            Op::Swap { seg } => (OpFamily::Other, Some(seg), String::new()),
+            Op::Park { .. } | Op::Unpark { .. } => (OpFamily::Other, None, String::new()),
+        };
+        let mut row = ProfileRow {
+            family,
+            segment,
+            layer,
+            wall_ns,
+            cycles: 0,
+            macs: 0,
+            passes: 0,
+        };
+        if let Op::Fire { seg, layer } = op {
+            let cost = &self.segments[seg].layers[layer].cost;
+            row.cycles = cost.core.cycles + cost.iact.conflict_stall_cycles;
+            row.macs = cost.core.macs;
+            row.passes = cost.core.birrd_passes;
+        }
+        row
+    }
+}
+
 impl Program {
     /// The compiled graph's name.
     pub fn name(&self) -> &str {
@@ -423,8 +461,8 @@ impl Program {
                 t.tensors[seg.input].key, t.tensors[seg.output].key, flags
             );
             for (li, layer) in seg.layers.iter().enumerate() {
-                let l = &layer.replay.exec.layer;
-                let m = &layer.replay.exec.mapping;
+                let l = &layer.replay.tiling.layer;
+                let m = &layer.replay.tiling.mapping;
                 let kind = kind_token(l.kind);
                 let weights = match &layer.weight {
                     WeightSource::Node(id) => format!("w={id}"),
@@ -479,7 +517,8 @@ impl Program {
             let _ = write!(out, "  {slot:04} c_cols={c_cols}");
             let banks = request.group_destinations.values();
             for ((q_lane, cols), bank) in t.routes.pass_groups(slot).zip(banks) {
-                let _ = write!(out, " q{q_lane}@bank{bank}<-{}", join_ints(cols));
+                let cols: Vec<u32> = cols.collect();
+                let _ = write!(out, " q{q_lane}@bank{bank}<-{}", join_ints(&cols));
             }
             out.push('\n');
         }
@@ -552,8 +591,8 @@ impl Program {
         }
         for (si, seg) in t.segments.iter().enumerate() {
             for (li, layer) in seg.layers.iter().enumerate() {
-                let l = &layer.replay.exec.layer;
-                let m = &layer.replay.exec.mapping;
+                let l = &layer.replay.tiling.layer;
+                let m = &layer.replay.tiling.mapping;
                 let wsrc = match &layer.weight {
                     WeightSource::Node(id) => format!("n{}", id.0),
                     WeightSource::Pool(_) => "pool".to_string(),
@@ -659,7 +698,8 @@ impl Program {
 }
 
 /// Reusable replay allocations: the two StaB halves (plain `i32` cells, one
-/// lane stripe per cell) and the NEST accumulators. A
+/// lane stripe per cell) and the NEST accumulators with the operand gather
+/// row behind them. A
 /// [`ProgramSession::run_with_scratch`] / [`run_batched_with_scratch`] call
 /// grows them to what its program and lane count need and keeps them, so a
 /// serving executor's steady state allocates no buffer memory. One scratch
@@ -668,8 +708,9 @@ impl Program {
 ///
 /// Replaying through a reused scratch is bit-identical to replaying through
 /// a fresh one: every `Stage` and `Fire` zeroes the cells it is about to
-/// use and every run starts from zeroed accumulators, so nothing a previous
-/// run — even one that panicked half-way — left behind is ever read.
+/// use, every run starts from zeroed accumulators and a `Fire` writes the
+/// gather row before it reads it, so nothing a previous run — even one that
+/// panicked half-way — left behind is ever read.
 ///
 /// [`run_batched_with_scratch`]: ProgramSession::run_batched_with_scratch
 #[derive(Debug, Default)]
@@ -699,9 +740,15 @@ impl ReplayScratch {
                 half.resize(cells, 0);
             }
         }
+        // Zeroed accumulators, then the widest operand gather row.
+        let operands = program.segments.iter().flat_map(|s| &s.layers);
+        let operands = operands
+            .map(|l| l.replay.operand_cells())
+            .max()
+            .unwrap_or(0);
+        let accumulators = program.config.rows * program.config.cols;
         self.acc.clear();
-        self.acc
-            .resize(program.config.rows * program.config.cols * lanes, 0);
+        self.acc.resize((accumulators + operands) * lanes, 0);
     }
 }
 
@@ -733,9 +780,11 @@ impl ProgramSession {
     /// values, so they are not computed here at all: the returned report is
     /// a clone of [`Program::cost`] with each join's `saturated` count — the
     /// one number that is data — patched in. What a `Fire` does per call is
-    /// one plain StaB cell read and `m_rows` MACs into local accumulators
-    /// per mapped iAct, then per recorded BIRRD pass one gather over the
-    /// pass's folded bus columns into the output cell, in place.
+    /// one plain StaB cell read per mapped iAct into a gather row shared by
+    /// all `m_rows` mapped rows, their MACs into local accumulators walked
+    /// in order, then per recorded BIRRD pass one sum over each folded run
+    /// of bus columns into its output cell, in place
+    /// (`core::replay_fire`).
     ///
     /// `weights` is an input of every call and nothing derived from it
     /// outlives the call: each `Fire` looks its layer's tensor up by node,
@@ -806,12 +855,43 @@ impl ProgramSession {
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
+        self.dispatch(scratch, iacts, weights, None)
+    }
+
+    /// [`ProgramSession::run_batched_with_scratch`] with a stopwatch around
+    /// every op: the same replay loop, outputs and reports, plus one
+    /// [`ProfileRow`] per executed op — family, segment, layer, wall
+    /// nanoseconds — joined with what [`Program::cost`] charges that layer.
+    /// The plain entry points hand the loop no sink and read no clock.
+    ///
+    /// # Errors
+    /// Returns an error on an empty batch, a sample shape mismatch, or
+    /// missing weights.
+    pub fn run_profiled(
+        &self,
+        scratch: &mut ReplayScratch,
+        iacts: &[Tensor4<i8>],
+        weights: &BTreeMap<NodeId, Tensor4<i8>>,
+    ) -> Result<(Vec<GraphRun>, ReplayProfile), ArchError> {
+        let mut profile = ReplayProfile::default();
+        let runs = self.dispatch(scratch, iacts, weights, Some(&mut profile))?;
+        Ok((runs, profile))
+    }
+
+    /// Picks the loop by lane count, with or without a profile sink.
+    fn dispatch(
+        &self,
+        scratch: &mut ReplayScratch,
+        iacts: &[Tensor4<i8>],
+        weights: &BTreeMap<NodeId, Tensor4<i8>>,
+        profile: Option<&mut ReplayProfile>,
+    ) -> Result<Vec<GraphRun>, ArchError> {
         match iacts.len() {
             0 => Err(ArchError::InvalidWorkload(
                 "batched replay needs at least one sample".to_string(),
             )),
-            1 => self.replay::<true>(scratch, iacts, weights),
-            _ => self.replay::<false>(scratch, iacts, weights),
+            1 => self.replay::<true>(scratch, iacts, weights, profile),
+            _ => self.replay::<false>(scratch, iacts, weights, profile),
         }
     }
 
@@ -822,6 +902,7 @@ impl ProgramSession {
         scratch: &mut ReplayScratch,
         samples: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
+        mut profile: Option<&mut ReplayProfile>,
     ) -> Result<Vec<GraphRun>, ArchError> {
         let p = &*self.program.tables;
         let lanes = samples.len();
@@ -858,6 +939,7 @@ impl ProgramSession {
         };
 
         for op in &p.ops {
+            let started = profile.as_ref().map(|_| Instant::now());
             match *op {
                 Op::Unpark { tensor, free } => {
                     let slot = &mut parked[tensor];
@@ -893,7 +975,7 @@ impl ProgramSession {
                             .ok_or_else(|| broken("fresh operand missing"))?
                     };
                     let first = &p.segments[seg].layers[0].replay;
-                    let l = &first.exec.layer;
+                    let l = &first.tiling.layer;
                     let expected = [l.n, l.c, l.h, l.w];
                     if let Some(bad) = input.iter().find(|t| t.shape() != expected) {
                         return Err(ArchError::ShapeMismatch(format!(
@@ -904,11 +986,11 @@ impl ProgramSession {
                     }
                     let cells = &mut active[..first.iact.cells() * lanes];
                     cells.fill(0);
-                    for (lane, tensor) in input.iter().enumerate() {
-                        tensor.for_each(|coord, v| {
-                            cells[first.iact.cell(coord) * lanes + lane] = v as i32;
-                        });
-                    }
+                    first.iact.for_each_cell(|flat, cell| {
+                        for (slot, tensor) in cells[cell * lanes..].iter_mut().zip(input) {
+                            *slot = tensor.as_slice()[flat] as i32;
+                        }
+                    });
                 }
                 Op::Fire { seg, layer } => {
                     let cs = &p.segments[seg];
@@ -922,7 +1004,7 @@ impl ProgramSession {
                             ))
                         })?,
                     };
-                    check_weight_shape(&cl.replay.exec.layer, lw)?;
+                    check_weight_shape(&cl.replay.tiling.layer, lw)?;
                     shadow[..cl.replay.oact.cells() * lanes].fill(0);
                     replay_fire::<SCALAR>(
                         &cl.replay,
@@ -936,10 +1018,9 @@ impl ProgramSession {
                 }
                 Op::Reorder { seg, layer } => {
                     let rl = &p.segments[seg].layers[layer].replay;
-                    for_each_oact(&rl.exec.layer, |coord| {
-                        let at = rl.oact.cell(coord) * lanes;
-                        for cell in &mut shadow[at..at + lanes] {
-                            *cell = quantize_value(*cell, shift, zero) as i32;
+                    rl.oact.for_each_cell(|_, cell| {
+                        for v in &mut shadow[cell * lanes..][..lanes] {
+                            *v = quantize_value(*v, shift, zero) as i32;
                         }
                     });
                 }
@@ -947,17 +1028,10 @@ impl ProgramSession {
                 Op::Drain { seg } => {
                     let cs = &p.segments[seg];
                     let last = &cs.layers.last().expect("segments are non-empty").replay;
-                    let l = &last.exec.layer;
+                    let l = &last.tiling.layer;
                     let shape = [l.n, l.m, l.output_height(), l.output_width()];
-                    let cell = |lane: usize, coord: [usize; 4]| {
-                        active[last.oact.cell(coord) * lanes + lane]
-                    };
                     let quantized = if cs.graph_output {
-                        let accs: Vec<Tensor4<i32>> = (0..lanes)
-                            .map(|lane| {
-                                Tensor4::from_fn(shape, |n, m, p, q| cell(lane, [n, m, p, q]))
-                            })
-                            .collect();
+                        let accs = drain_lanes(&last.oact, shape, active, lanes, |v| v);
                         let quantized = accs
                             .iter()
                             .map(|acc| quantize_to_i8(acc, shift, zero))
@@ -965,13 +1039,8 @@ impl ProgramSession {
                         final_acc = Some(accs);
                         quantized
                     } else {
-                        (0..lanes)
-                            .map(|lane| {
-                                Tensor4::from_fn(shape, |n, m, p, q| {
-                                    quantize_value(cell(lane, [n, m, p, q]), shift, zero)
-                                })
-                            })
-                            .collect()
+                        let quantize = |v| quantize_value(v, shift, zero);
+                        drain_lanes(&last.oact, shape, active, lanes, quantize)
                     };
                     displaced = fresh.replace(Cow::Owned(quantized));
                 }
@@ -997,6 +1066,10 @@ impl ProgramSession {
                     parked[tensor] = Some(data.into_owned());
                 }
             }
+            if let (Some(profile), Some(started)) = (profile.as_deref_mut(), started) {
+                let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                profile.rows.push(p.profile_row(*op, wall_ns));
+            }
         }
 
         let final_acc = final_acc.ok_or_else(|| broken("no op produced the graph output"))?;
@@ -1015,6 +1088,24 @@ impl ProgramSession {
             })
             .collect())
     }
+}
+
+/// Drains a layer's oAct cells (addressed by `plan`, `lanes` per cell) into
+/// one `shape`d tensor per lane through `map`, visiting each cell once.
+fn drain_lanes<T: Copy + Default>(
+    plan: &FlatPlan4,
+    shape: [usize; 4],
+    cells: &[i32],
+    lanes: usize,
+    map: impl Fn(i32) -> T,
+) -> Vec<Tensor4<T>> {
+    let mut tensors: Vec<Tensor4<T>> = (0..lanes).map(|_| Tensor4::zeros(shape)).collect();
+    plan.for_each_cell(|flat, cell| {
+        for (tensor, &v) in tensors.iter_mut().zip(&cells[cell * lanes..]) {
+            tensor.as_mut_slice()[flat] = map(v);
+        }
+    });
+    tensors
 }
 
 /// Resolves a join operand (one tensor per lane) from the fresh register or
@@ -1128,7 +1219,7 @@ fn cost_of(
                         layer_summary(
                             config,
                             energy,
-                            &cl.replay.exec.layer,
+                            &cl.replay.tiling.layer,
                             &cl.cost.core,
                             cl.cost.iact,
                             cl.cost.oact,
@@ -1380,6 +1471,13 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     }
 
     let routes = recorder.into_table();
+    debug_assert!(
+        segments
+            .iter()
+            .flat_map(|s| &s.layers)
+            .all(|l| l.replay.stream_is_sound(&routes)),
+        "a recorded stream is sound by construction"
+    );
     let cost = cost_of(
         &config,
         &session.energy_model,
@@ -1874,7 +1972,8 @@ fn parse_program(text: &str) -> Option<Program> {
             lp.mapping.validate(&lp.layer, &config).ok()?;
             let l = &lp.layer;
             let (p, q) = (l.output_height(), l.output_width());
-            for extents in [[l.n, l.c, l.h, l.w], [l.n, l.m, p, q]] {
+            // iActs, oActs and the filter: what replay sizes buffers by.
+            for extents in [[l.n, l.c, l.h, l.w], [l.n, l.m, p, q], [l.m, l.c, l.r, l.s]] {
                 let elems = extents.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
                 if elems > MAX_ARTIFACT_ELEMS {
                     return None;
@@ -2420,6 +2519,125 @@ mod tests {
         assert_eq!(reused3.report, fresh3.report);
     }
 
+    /// The gather row behind the accumulators and the drained (not
+    /// re-zeroed) accumulator rows are the only state a `Fire` leaves in a
+    /// scratch: after eight lanes, one lane and then another program's
+    /// geometry — halo-only taps in both Phase-1 loop orders, a depthwise
+    /// layer — a reused scratch still equals a fresh one.
+    #[test]
+    fn scratch_carries_nothing_across_lane_counts_and_programs() {
+        let padded = |name: &str, m, c, hw, r, s| {
+            ConvLayer::new(1, m, c, hw, hw, r, s)
+                .with_padding(2)
+                .with_name(name)
+        };
+        // Window-major (25 taps over 3 channels), then bus-major with lanes
+        // whose pixel is padding.
+        let mut wide = Graph::new("wide", [1, 3, 5, 5]);
+        let stem = wide
+            .conv(wide.input(), padded("stem", 3, 3, 5, 5, 5))
+            .unwrap();
+        wide.conv(stem, padded("point", 5, 3, 5, 1, 1)).unwrap();
+        let mut deep = Graph::new("deep", [1, 7, 5, 5]);
+        let dw = padded("dw", 7, 7, 5, 3, 3).depthwise();
+        let dw = deep.conv(deep.input(), dw).unwrap();
+        deep.conv(dw, padded("tall", 9, 7, 7, 3, 1)).unwrap();
+
+        let compiled = |g: &Graph, rows, cols| {
+            let session = GraphSession::auto(FeatherConfig::new(rows, cols), g).unwrap();
+            ProgramSession::new(session.compile().unwrap())
+        };
+        let wide_run = (&wide, compiled(&wide, 4, 8), wide.random_weights(3));
+        let deep_run = (&deep, compiled(&deep, 4, 4), deep.random_weights(4));
+        let wide_samples: Vec<Tensor4<i8>> = (0..8u64)
+            .map(|seed| Tensor4::random([1, 3, 5, 5], 100 + seed))
+            .collect();
+        let deep_sample = [Tensor4::random([1, 7, 5, 5], 200)];
+
+        let mut scratch = ReplayScratch::new();
+        let steps = [
+            (&wide_run, &wide_samples[..]),
+            (&wide_run, &wide_samples[7..]),
+            (&deep_run, &deep_sample[..]),
+            (&wide_run, &wide_samples[..3]),
+        ];
+        for (step, ((graph, replay, weights), samples)) in steps.into_iter().enumerate() {
+            let fresh = replay.run_batched(samples, weights).unwrap();
+            let reused = replay
+                .run_batched_with_scratch(&mut scratch, samples, weights)
+                .unwrap();
+            let (shift, zero) = (
+                replay.program.tables.quant_shift,
+                replay.program.tables.quant_zero,
+            );
+            for (lane, sample) in samples.iter().enumerate() {
+                let golden = run_graph_reference(graph, sample, weights, shift, zero).unwrap();
+                assert_eq!(fresh[lane].oacts, golden, "step {step} lane {lane}");
+                assert_eq!(reused[lane].oacts, golden, "step {step} lane {lane} reused");
+                assert_eq!(reused[lane].report, fresh[lane].report);
+            }
+        }
+    }
+
+    /// A profiled replay is the same replay — outputs and reports — with
+    /// one row per executed op whose `Fire` rows carry the layers' modelled
+    /// cost exactly once.
+    #[test]
+    fn profiled_replay_equals_run_and_accounts_for_every_op() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let weights = g.random_weights(52);
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let samples: Vec<Tensor4<i8>> = (0..3u64)
+            .map(|seed| Tensor4::random([1, 4, 6, 6], 50 + seed))
+            .collect();
+        for lanes in [1usize, 3] {
+            let batch = &samples[..lanes];
+            let plain = replay.run_batched(batch, &weights).unwrap();
+            let (runs, profile) = replay
+                .run_profiled(&mut ReplayScratch::new(), batch, &weights)
+                .unwrap();
+            for (run, plain) in runs.iter().zip(&plain) {
+                assert_eq!(run.oacts, plain.oacts);
+                assert_eq!(run.report, plain.report);
+            }
+            assert_eq!(profile.rows.len(), replay.program().num_ops());
+
+            let cost = replay.program().cost();
+            let fires = profile.rows.iter().filter(|r| r.family == OpFamily::Fire);
+            assert_eq!(fires.clone().count(), cost.layers().count());
+            assert_eq!(
+                fires.clone().map(|r| r.macs).sum::<u64>(),
+                cost.total_macs()
+            );
+            assert_eq!(fires.map(|r| r.cycles).sum::<u64>(), cost.total_cycles());
+            let others = profile.rows.iter().filter(|r| r.family != OpFamily::Fire);
+            assert!(others.clone().all(|r| r.macs == 0 && r.cycles == 0));
+
+            // Every op of a layer lands in that layer's sum; families tile
+            // the whole.
+            let total: u64 = profile.rows.iter().map(|r| r.wall_ns).sum();
+            let by_family: u64 = profile.by_family().iter().map(|(_, ns)| ns).sum();
+            assert_eq!(by_family, total);
+            let by_layer = profile.by_layer();
+            assert_eq!(by_layer.len(), cost.layers().count() + cost.joins.len());
+            assert_eq!(
+                by_layer.iter().map(|l| l.macs).sum::<u64>(),
+                cost.total_macs()
+            );
+            let other: u64 = others
+                .filter(|r| r.layer.is_empty())
+                .map(|r| r.wall_ns)
+                .sum();
+            assert_eq!(
+                by_layer.iter().map(|l| l.wall_ns).sum::<u64>() + other,
+                total
+            );
+        }
+        let no_samples = replay.run_profiled(&mut ReplayScratch::new(), &[], &weights);
+        assert!(no_samples.is_err());
+    }
+
     #[test]
     fn run_batched_is_bit_identical_to_solo_replays() {
         let g = residual_graph();
@@ -2528,7 +2746,7 @@ mod tests {
             g.conv(g.input(), layer.clone()).unwrap();
             let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
             let program = session.compile().unwrap();
-            let mapping = &program.tables.segments[0].layers[0].replay.exec.mapping;
+            let mapping = &program.tables.segments[0].layers[0].replay.tiling.mapping;
             assert_ne!(
                 layer.m % mapping.m_rows,
                 0,

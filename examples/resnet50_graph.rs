@@ -172,5 +172,48 @@ fn main() {
         exec_wall,
         replay_wall,
     );
+
+    // ---- 6. Where a warm replay's time goes ------------------------------
+    // One stopwatch per op of the same replay loop, next to what the cost
+    // model charges each layer: the op-family split and the layers whose
+    // wall time per useful MAC is highest.
+    let mut scratch = feather::ReplayScratch::new();
+    let sample = std::slice::from_ref(&iacts);
+    let (profiled, profile) = replay
+        .run_profiled(&mut scratch, sample, &weights)
+        .expect("program replays under the profiler");
+    assert_eq!(profiled[0].oacts, golden, "profiled replay diverged");
+    assert_eq!(profile.rows.len(), replay.program().num_ops());
+    let total: u64 = profile.rows.iter().map(|r| r.wall_ns).sum();
+    print!(
+        "replay profile: {} ops, {:.1} us —",
+        profile.rows.len(),
+        total as f64 / 1e3
+    );
+    for (family, ns) in profile.by_family() {
+        print!(" {family:?} {:.1}%", 100.0 * ns as f64 / total as f64);
+    }
+    println!();
+    let mut fires: Vec<_> = profile
+        .rows
+        .iter()
+        .filter(|r| r.family == feather::OpFamily::Fire && r.macs > 0)
+        .collect();
+    fires.sort_by(|a, b| (b.wall_ns * a.macs).cmp(&(a.wall_ns * b.macs)));
+    println!(
+        "{:<38} {:>9} {:>10} {:>8} {:>10} {:>9}",
+        "costliest Fire per MAC", "wall ns", "MACs", "ns/MAC", "row fires", "cycles"
+    );
+    for row in fires.iter().take(3) {
+        println!(
+            "{:<38} {:>9} {:>10} {:>8.2} {:>10} {:>9}",
+            row.layer,
+            row.wall_ns,
+            row.macs,
+            row.wall_ns as f64 / row.macs as f64,
+            row.passes,
+            row.cycles,
+        );
+    }
     println!("graph pipeline OK");
 }

@@ -59,6 +59,10 @@ fn resnet50_graph_runs_the_full_dag_end_to_end() {
         "expected all 16 joins to execute\nstdout:\n{stdout}"
     );
     assert!(
+        stdout.contains("replay profile: 246 ops"),
+        "per-op replay profile missing\nstdout:\n{stdout}"
+    );
+    assert!(
         stdout.contains("output verified bit-identical to the sequential graph reference"),
         "verification line missing\nstdout:\n{stdout}"
     );

@@ -6,8 +6,8 @@
 //! The checksum catches accidents; the hand-built artifacts here carry a
 //! *recomputed* checksum, so they reach the content validation behind it:
 //! indexes past their tables, route streams that do not fit their blocks or
-//! the folded route table, requests the router would choke on, impossible
-//! fabrics. `FEATHER_FULL=1` (the weekly CI job) runs the byte-mutation
+//! the folded route table, requests the router would choke on or whose
+//! groups do not fold to the column runs replay drains, impossible fabrics. `FEATHER_FULL=1` (the weekly CI job) runs the byte-mutation
 //! sweep over the benchmark's Model A instead of the small residual graph.
 
 use std::path::PathBuf;
@@ -157,6 +157,8 @@ fn checksum_valid_artifacts_with_bad_contents_are_corrupt_not_panics() {
         ("route wider than the fabric", "route c=4", "route c=4 groups=0,0,0,0,-,-,-,-,-,-,-,-,-,-,-,- dests=0:0"),
         ("route destination past the fabric", "route c=4", "route c=4 groups=0,0,0,0,-,-,-,- dests=0:64"),
         ("route with zero c_cols", "route c=4", "route c=0 groups=0,0,0,0,-,-,-,- dests=0:0"),
+        ("route whose group is not one run of columns", "route c=4", "route c=4 groups=0,-,0,-,-,-,-,- dests=0:0"),
+        ("route draining fewer columns than its tile fills", "route c=4", "route c=4 groups=0,0,0,-,-,-,-,- dests=0:0"),
         ("layer without a cost line", "cost seg=0 layer=0", ""),
         ("cost line with a missing counter", "cost seg=0 layer=0", "cost seg=0 layer=0 core=1,2,3 iact=0,0,0,0,0,0 oact=0,0,0,0,0,0"),
         ("mapping with a zero factor", "layer seg=0", "layer seg=0 name=stem conv=1,4,4,6,6,3,3,1,1,standard map=0,4,2 iact=HWC_C4 oact=PQM_M4 wsrc=n0"),

@@ -304,6 +304,76 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lowered `Fire` on the geometry no model has: kernels that are not
+    /// square (so each Phase-1 loop order meets the other's shape: tall 1-wide
+    /// windows, wide 1-tall ones), strides longer than the kernel, padding
+    /// wide enough that whole output rows and columns have no valid tap,
+    /// `C` and `M` ragged against the array, depthwise — alone and feeding a
+    /// second convolution, at one lane and at 2, 3 and 8. Every replay equals
+    /// the reference executor bit for bit, and a batch equals its solo
+    /// replays, report included.
+    #[test]
+    fn lowered_fire_equals_the_reference_on_awkward_geometry(
+        channels in proptest::collection::vec(1usize..=20, 3),
+        hw in proptest::collection::vec(1usize..=6, 2),
+        kernel in proptest::collection::vec(0usize..4, 2),
+        stride in 1usize..=3,
+        padding in 0usize..=5,
+        depthwise in 0usize..2,
+        two_layers in 0usize..2,
+        lanes in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let (r, s) = ([1, 2, 3, 5][kernel[0]], [1, 2, 3, 5][kernel[1]]);
+        let (c, h, w) = (channels[0], hw[0], hw[1]);
+        let first = ConvLayer::new(1, channels[1], c, h, w, r, s)
+            .with_stride(stride)
+            .with_padding(padding % (r.max(s) + 1))
+            .with_name("first");
+        let first = if depthwise == 1 {
+            ConvLayer { m: c, ..first }.depthwise()
+        } else {
+            first
+        };
+        prop_assume!(first.validate().is_ok());
+        let mut g = Graph::new("awkward", [1, c, h, w]);
+        let (m, p, q) = (first.m, first.output_height(), first.output_width());
+        let mid = g.conv(g.input(), first).unwrap();
+        if two_layers == 1 {
+            // The transposed kernel, under a halo as wide as the kernel.
+            let second = ConvLayer::new(1, channels[2], m, p, q, s, r)
+                .with_padding(r.max(s))
+                .with_name("second");
+            g.conv(mid, second).unwrap();
+        }
+
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let weights = g.random_weights(seed);
+        let lanes = [1, 2, 3, 8][lanes];
+        let samples: Vec<Tensor4<i8>> = (0..lanes as u64)
+            .map(|i| Tensor4::random([1, c, h, w], seed + 1 + i))
+            .collect();
+        let (shift, zero) = session.quantization();
+
+        let batched = replay.run_batched(&samples, &weights).unwrap();
+        prop_assert_eq!(batched.len(), lanes);
+        for (lane, sample) in samples.iter().enumerate() {
+            let golden = run_graph_reference(&g, sample, &weights, shift, zero).unwrap();
+            let solo = replay.run(sample, &weights).unwrap();
+            prop_assert_eq!(&solo.oacts, &golden, "solo replay of sample {}", lane);
+            prop_assert_eq!(&batched[lane].oacts, &golden, "lane {} of {}", lane, lanes);
+            prop_assert_eq!(&batched[lane].report, &solo.report, "lane {} report", lane);
+        }
+        let run = session.run(&samples[0], &weights).unwrap();
+        prop_assert_eq!(&run.oacts, &batched[0].oacts);
+        prop_assert_eq!(&run.report, &batched[0].report);
+    }
+}
+
 /// The full ResNet-50 topology — 53 convs, 16 residual joins, pools and FC —
 /// lowers to one program whose replay reproduces the reference executor's
 /// output, with one report however it is run.
