@@ -1,0 +1,1220 @@
+//! Ahead-of-time graph compilation: lower a planned [`GraphSession`] into a
+//! flat, serializable [`Program`] of ops and replay it with zero per-layer
+//! planning and zero accounting — the accelerator-as-ISA execution model.
+//!
+//! FEATHER switches dataflows at negligible cost because nothing is decided
+//! at run time: every layer's dataflow, layout and BIRRD configurations are
+//! fixed offline and the controller only plays them back. A graph runs here
+//! the same way. Walking the DAG — consumer counts, scratch keys, per-layer
+//! context builds, hashed route-cache lookups — and the whole
+//! cycle/conflict/traffic accounting depend on the plan, never on the data,
+//! so all of it happens once, in a compile, and [`GraphSession::run`] is a
+//! replay of the result:
+//!
+//! * **[`Program`]** — a linear op stream (`Stage`, `Fire`, `Reorder`,
+//!   `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout, cell index
+//!   table, scratch move and BIRRD pass resolved at compile time. Passes live
+//!   constant-folded in one program-wide, deduplicated route table; each
+//!   layer keeps only its stream of slot indices. A `Program` is a cheaply
+//!   clonable handle: the session that compiled it, every
+//!   [`GraphSession::compile`] caller and every [`ProgramSession`] share one
+//!   set of tables.
+//! * **[`Program::cost`]** — the exact report of one run, assembled once from
+//!   what the compile-time record pass counts: the cost oracle for a
+//!   (model, batch) pair, available without running a single MAC.
+//! * **[`ProgramSession`]** — the executor: dispatches the op stream linearly
+//!   as pure data movement and returns [`Program::cost`] with the one
+//!   data-dependent count (join saturation) patched in. Outputs are
+//!   bit-identical to [`crate::graph_session::run_graph_reference`] (the
+//!   `program_equivalence` and `graph_equivalence` suites), and every
+//!   compiled layer's cost equals what an accounted
+//!   [`crate::NetworkSession::run`] over real data counts (this module's
+//!   tests).
+//! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
+//!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
+//!   co-search cache), keyed by a schedule fingerprint. Loading an artifact
+//!   skips the compile pass entirely; the recorded route *requests* are
+//!   re-routed deterministically and the per-layer cost counters are stored
+//!   as integers, so artifacts stay small and the loaded program identical.
+//!   Everything an artifact names is validated at load, so a damaged one is
+//!   `Corrupt`, never a panic inside replay; a save replaces the file in one
+//!   rename, so a concurrent reader sees the old artifact or the new one.
+//! * **[`Program::dump`]** — a diffable text listing of exactly what a run
+//!   will do and cost, locked down by a golden snapshot test.
+//!
+//! Routes and costs can be recorded without any input data because the
+//! reduce-reorder pattern and the access pattern of every fire are pure
+//! functions of layer geometry (the mapped-lane pattern and the layouts'
+//! bank assignment) — never of activation or weight values. The compile pass
+//! therefore runs the accounted tile loop once over zeroed buffers in record
+//! mode — the only accounted pass a graph ever gets — and replay consumes the
+//! recorded stream cursor-style from per-block offsets.
+
+mod artifact;
+mod compile;
+mod replay;
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use feather_arch::graph::NodeId;
+use feather_arch::tensor::Tensor4;
+use feather_arch::workload::ConvKind;
+use feather_memsim::AccessStats;
+
+use crate::config::FeatherConfig;
+use crate::core::{CoreRun, ReplayLayer, RouteTable};
+use crate::report::GraphReport;
+
+pub(crate) use artifact::compile_cached;
+pub use artifact::ArtifactStatus;
+pub(crate) use compile::{compile, session_fingerprint};
+pub use replay::{ProgramSession, ReplayScratch};
+
+/// One slot of a program's tensor table: a graph tensor's id, its scratch
+/// key and its batched run-time shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct TensorSlot {
+    /// The graph [`TensorId`] index.
+    id: usize,
+    /// Scratch-region key: the tensor's `TensorId::to_string`.
+    key: String,
+    /// `(N, C, H, W)` shape with the batch extent applied.
+    shape: [usize; 4],
+}
+
+/// Where a compiled layer's weights come from at replay time.
+#[derive(Debug, Clone)]
+enum WeightSource {
+    /// Supplied by the caller, keyed by graph node.
+    Node(NodeId),
+    /// Synthesized pooling-window constants (never streamed from DRAM).
+    Pool(Tensor4<i8>),
+}
+
+/// What one layer costs, exactly as the compile-time record pass counted it:
+/// the tile loop's counters and the access statistics of both StaB halves.
+/// All integers — the floats of a report are re-derived by [`layer_summary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LayerCost {
+    core: CoreRun,
+    iact: AccessStats,
+    oact: AccessStats,
+}
+
+/// One fully-resolved layer of a compiled segment: what its `Fire` replays,
+/// where its weights come from and what it costs.
+#[derive(Debug, Clone)]
+struct CompiledLayer {
+    replay: ReplayLayer,
+    weight: WeightSource,
+    cost: LayerCost,
+}
+
+/// A compiled linear segment: its layers plus the graph-level flags that
+/// drive DRAM accounting.
+#[derive(Debug, Clone)]
+struct CompiledSegment {
+    /// Node names in execution order (one per layer).
+    names: Vec<String>,
+    /// Tensor-table slot the segment reads.
+    input: usize,
+    /// Tensor-table slot the segment produces.
+    output: usize,
+    /// The segment reads the graph input (its iAct staging hits DRAM).
+    graph_input: bool,
+    /// The segment produces the graph output (its oActs drain to DRAM).
+    graph_output: bool,
+    layers: Vec<CompiledLayer>,
+}
+
+/// A compiled residual join: where its two operands come from and where the
+/// sum goes.
+#[derive(Debug, Clone)]
+struct JoinSpec {
+    name: String,
+    /// Tensor-table slot of the sum.
+    output: usize,
+    a: OperandSrc,
+    b: OperandSrc,
+    graph_output: bool,
+}
+
+/// How a join operand (or segment input) is acquired at replay time —
+/// resolved at compile time from the graph's consumer counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OperandSrc {
+    /// The fresh StaB resident; `take` moves it out (last consumer),
+    /// otherwise it is cloned and stays fresh.
+    Fresh {
+        /// This is the tensor's last consumer.
+        take: bool,
+    },
+    /// The front of the unpark queue (a preceding [`Op::Unpark`] fetched it
+    /// from the scratch region).
+    Queue,
+}
+
+/// One instruction of a compiled program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// Acquire the segment input and stage it into the active StaB half.
+    Stage {
+        seg: usize,
+        /// Source: the fresh register (`true`) or the unpark queue.
+        fresh: bool,
+        /// Move the fresh tensor out instead of leaving it in place.
+        take: bool,
+    },
+    /// Run one layer's tile loop, replaying its recorded route stream.
+    Fire { seg: usize, layer: usize },
+    /// Boundary quantization in place (RIR already reordered the values).
+    Reorder { seg: usize, layer: usize },
+    /// Swap the StaB halves.
+    Swap { seg: usize },
+    /// Drain the segment output and quantize it into the fresh register.
+    Drain { seg: usize },
+    /// Perform a residual add.
+    Join { join: usize },
+    /// Park the displaced fresh tensor in the scratch region (it still has
+    /// consumers).
+    Park { tensor: usize },
+    /// Fetch a parked tensor into the unpark queue; `free` releases the
+    /// allocation (last consumer).
+    Unpark { tensor: usize, free: bool },
+}
+
+/// A flat, replayable lowering of a planned graph: every layout, cell index,
+/// BIRRD pass and scratch move resolved — and the whole report counted —
+/// ahead of time. Produced by [`GraphSession::compile`], executed by
+/// [`ProgramSession`] (and by [`GraphSession::run`]), serialized to the
+/// `FEATHER_CACHE_DIR/programs/` artifact cache.
+///
+/// A `Program` is a handle to immutable tables: cloning it copies a pointer.
+#[derive(Debug, Clone)]
+pub struct Program {
+    tables: Arc<Tables>,
+}
+
+/// Everything a [`Program`] holds, shared by all of its handles.
+#[derive(Debug)]
+struct Tables {
+    name: String,
+    config: FeatherConfig,
+    batch: usize,
+    quant_shift: u32,
+    quant_zero: i8,
+    /// Batched `(N, C, H, W)` shape of the graph input.
+    input_shape: [usize; 4],
+    /// Tensor-table slot of the graph input.
+    input_slot: usize,
+    fingerprint: u64,
+    tensors: Vec<TensorSlot>,
+    segments: Vec<CompiledSegment>,
+    joins: Vec<JoinSpec>,
+    ops: Vec<Op>,
+    /// Every BIRRD pass of every layer, folded and deduplicated.
+    routes: RouteTable,
+    /// The report of one run with no join saturation — see [`Program::cost`].
+    cost: GraphReport,
+}
+
+impl Program {
+    /// The compiled graph's name.
+    pub fn name(&self) -> &str {
+        &self.tables.name
+    }
+
+    /// Samples per replayed run.
+    pub fn batch(&self) -> usize {
+        self.tables.batch
+    }
+
+    /// The hardware configuration the program was compiled for.
+    pub fn config(&self) -> FeatherConfig {
+        self.tables.config
+    }
+
+    /// The schedule fingerprint this program was compiled from — matches
+    /// [`GraphSession::fingerprint`] of the originating session.
+    pub fn fingerprint(&self) -> u64 {
+        self.tables.fingerprint
+    }
+
+    /// Number of ops in the instruction stream.
+    pub fn num_ops(&self) -> usize {
+        self.tables.ops.len()
+    }
+
+    /// Total recorded route-stream entries (BIRRD passes) across all layers.
+    pub fn route_fires(&self) -> usize {
+        self.tables
+            .segments
+            .iter()
+            .flat_map(|s| &s.layers)
+            .map(|l| l.replay.routes.stream.len())
+            .sum()
+    }
+
+    /// The exact cost of one run of this program — the cost oracle for its
+    /// (model, batch) pair: cycles, stalls, MACs, BIRRD passes, buffer and
+    /// scratch traffic, DRAM bytes and energy, per layer and in total, equal
+    /// to the report [`GraphSession::run`] of the originating session
+    /// returns for *any* input and weights. It is counted once, by the
+    /// compile-time record pass (and stored in artifacts as integers), so
+    /// reading it executes nothing.
+    ///
+    /// The one data-dependent field of a report, [`JoinSummary::saturated`],
+    /// is zero here; every replay returns this report with that count
+    /// patched in per sample.
+    pub fn cost(&self) -> &GraphReport {
+        &self.tables.cost
+    }
+
+    /// A diffable text listing of exactly what a replayed run does and
+    /// costs: the fabric, the tensor table, every compiled layer with its
+    /// mapping, layouts, cost and route-stream size, the joins, the
+    /// program-wide folded route table and the full op stream. The format is
+    /// deterministic and locked by a golden snapshot test.
+    pub fn dump(&self) -> String {
+        let t = &*self.tables;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "program \"{}\" fingerprint {:016x}",
+            t.name, t.fingerprint
+        );
+        let _ = writeln!(
+            out,
+            "fabric {}x{} stab_lines={} strb_lines={}",
+            t.config.rows, t.config.cols, t.config.stab_lines, t.config.strb_lines
+        );
+        let _ = writeln!(
+            out,
+            "batch {} quant shift={} zero={}",
+            t.batch, t.quant_shift, t.quant_zero
+        );
+        let _ = writeln!(
+            out,
+            "input {} {:?}",
+            t.tensors[t.input_slot].key, t.input_shape
+        );
+        let _ = writeln!(
+            out,
+            "cost cycles={} dram_bytes={} scratch_peak={}",
+            t.cost.total_cycles(),
+            t.cost.dram_bytes(),
+            t.cost.scratch_peak_elems
+        );
+        let _ = writeln!(out, "tensors:");
+        for slot in &t.tensors {
+            let _ = writeln!(out, "  {} {:?}", slot.key, slot.shape);
+        }
+        let _ = writeln!(out, "segments:");
+        for (si, seg) in t.segments.iter().enumerate() {
+            let mut flags = String::new();
+            if seg.graph_input {
+                flags.push_str(" graph_input");
+            }
+            if seg.graph_output {
+                flags.push_str(" graph_output");
+            }
+            let _ = writeln!(
+                out,
+                "  seg {si}: in={} out={}{}",
+                t.tensors[seg.input].key, t.tensors[seg.output].key, flags
+            );
+            for (li, layer) in seg.layers.iter().enumerate() {
+                let l = &layer.replay.tiling.layer;
+                let m = &layer.replay.tiling.mapping;
+                let kind = kind_token(l.kind);
+                let weights = match &layer.weight {
+                    WeightSource::Node(id) => format!("w={id}"),
+                    WeightSource::Pool(_) => "w=pool".to_string(),
+                };
+                let _ = writeln!(
+                    out,
+                    "    layer {li} {}: conv n{} m{} c{} {}x{} k{}x{} s{} p{} {kind} {weights}",
+                    seg.names[li], l.n, l.m, l.c, l.h, l.w, l.r, l.s, l.stride, l.padding
+                );
+                let _ = writeln!(
+                    out,
+                    "      map m_rows={} c_cols={} q_cols={} iact={} oact={}",
+                    m.m_rows, m.c_cols, m.q_cols, m.iact_layout, m.oact_layout
+                );
+                let cost = &layer.cost;
+                let _ = writeln!(
+                    out,
+                    "      cost cycles={} stalls={} macs={} passes={} adds={}",
+                    cost.core.cycles + cost.iact.conflict_stall_cycles,
+                    cost.iact.conflict_stall_cycles,
+                    cost.core.macs,
+                    cost.core.birrd_passes,
+                    cost.core.birrd_adds
+                );
+                let _ = writeln!(
+                    out,
+                    "      routes fires={} blocks={}",
+                    layer.replay.routes.stream.len(),
+                    layer.replay.routes.block_starts.len()
+                );
+            }
+        }
+        let _ = writeln!(out, "joins:");
+        for (ji, join) in t.joins.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "  join {ji} {}: out={} a={} b={}{}",
+                join.name,
+                t.tensors[join.output].key,
+                operand_token(join.a),
+                operand_token(join.b),
+                if join.graph_output {
+                    " graph_output"
+                } else {
+                    ""
+                }
+            );
+        }
+        let _ = writeln!(out, "routes:");
+        for (slot, (c_cols, request)) in t.routes.requests().iter().enumerate() {
+            let _ = write!(out, "  {slot:04} c_cols={c_cols}");
+            let banks = request.group_destinations.values();
+            for ((q_lane, cols), bank) in t.routes.pass_groups(slot).zip(banks) {
+                let cols: Vec<u32> = cols.collect();
+                let _ = write!(out, " q{q_lane}@bank{bank}<-{}", join_ints(&cols));
+            }
+            out.push('\n');
+        }
+        let _ = writeln!(out, "ops:");
+        for (i, op) in t.ops.iter().enumerate() {
+            let text = match *op {
+                Op::Stage { seg, fresh, take } => {
+                    let src = match (fresh, take) {
+                        (true, true) => "fresh move",
+                        (true, false) => "fresh copy",
+                        (false, _) => "queue",
+                    };
+                    format!("stage   seg={seg} src={src}")
+                }
+                Op::Fire { seg, layer } => format!("fire    seg={seg} layer={layer}"),
+                Op::Reorder { seg, layer } => format!("reorder seg={seg} layer={layer}"),
+                Op::Swap { seg } => format!("swap    seg={seg}"),
+                Op::Drain { seg } => format!("drain   seg={seg}"),
+                Op::Join { join } => format!("join    {}", t.joins[join].name),
+                Op::Park { tensor } => format!("park    {}", t.tensors[tensor].key),
+                Op::Unpark { tensor, free } => format!(
+                    "unpark  {}{}",
+                    t.tensors[tensor].key,
+                    if free { " free" } else { "" }
+                ),
+            };
+            let _ = writeln!(out, "  {i:04} {text}");
+        }
+        out
+    }
+}
+
+fn kind_token(kind: ConvKind) -> &'static str {
+    match kind {
+        ConvKind::Standard => "standard",
+        ConvKind::Depthwise => "depthwise",
+        ConvKind::Pointwise => "pointwise",
+    }
+}
+
+fn operand_token(src: OperandSrc) -> &'static str {
+    match src {
+        OperandSrc::Fresh { take: true } => "fresh_move",
+        OperandSrc::Fresh { take: false } => "fresh_copy",
+        OperandSrc::Queue => "queue",
+    }
+}
+
+fn join_ints<T: ToString>(values: &[T]) -> String {
+    values
+        .iter()
+        .map(|v| v.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::artifact::{
+        artifact_path, compile_cached_in, esc, parse_program, rle_decode, rle_encode, unesc,
+        LoadOutcome, HEADER,
+    };
+    use super::*;
+    use crate::graph_session::{run_graph_reference, GraphSession, Step};
+    use crate::profile::OpFamily;
+    use crate::report::GraphRun;
+    use feather_arch::graph::Graph;
+    use feather_arch::tensor::conv2d_reference;
+    use feather_arch::workload::ConvLayer;
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::Ordering;
+
+    fn residual_graph() -> Graph {
+        let mut g = Graph::new("residual", [1, 4, 6, 6]);
+        let stem = g
+            .conv(
+                g.input(),
+                ConvLayer::new(1, 4, 4, 6, 6, 3, 3)
+                    .with_padding(1)
+                    .with_name("stem"),
+            )
+            .unwrap();
+        let main = g
+            .conv(
+                stem,
+                ConvLayer::new(1, 8, 4, 6, 6, 1, 1).with_name("b0_main"),
+            )
+            .unwrap();
+        let proj = g
+            .conv(
+                stem,
+                ConvLayer::new(1, 8, 4, 6, 6, 1, 1).with_name("b0_proj"),
+            )
+            .unwrap();
+        let j0 = g.add(main, proj, "b0_add").unwrap();
+        let main1 = g
+            .conv(
+                j0,
+                ConvLayer::new(1, 8, 8, 6, 6, 3, 3)
+                    .with_padding(1)
+                    .with_name("b1_main"),
+            )
+            .unwrap();
+        let j1 = g.add(main1, j0, "b1_add").unwrap();
+        g.conv(j1, ConvLayer::new(1, 4, 8, 6, 6, 1, 1).with_name("head"))
+            .unwrap();
+        g
+    }
+
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "feather-program-test-{tag}-{}.program",
+            std::process::id()
+        ))
+    }
+
+    /// The golden output of `session`'s graph for these operands.
+    fn reference(
+        session: &GraphSession,
+        iacts: &Tensor4<i8>,
+        weights: &BTreeMap<NodeId, Tensor4<i8>>,
+    ) -> Tensor4<i32> {
+        let (shift, zero) = session.quantization();
+        run_graph_reference(session.graph(), iacts, weights, shift, zero).unwrap()
+    }
+
+    /// A session's `run` and a `ProgramSession` over its `compile()` are the
+    /// same replay, and both produce the reference executor's output.
+    #[test]
+    fn replay_matches_interpreted_run_exactly() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let iacts = Tensor4::random([1, 4, 6, 6], 11);
+        let weights = g.random_weights(12);
+        let run = session.run(&iacts, &weights).unwrap();
+        let program = session.compile().unwrap();
+        let replayed = ProgramSession::new(program).run(&iacts, &weights).unwrap();
+        assert_eq!(replayed.oacts, reference(&session, &iacts, &weights));
+        assert_eq!(run.oacts, replayed.oacts);
+        assert_eq!(run.report, replayed.report);
+    }
+
+    #[test]
+    fn replay_is_reusable_and_thread_invariant() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let iacts = Tensor4::random([1, 4, 6, 6], 21);
+        let weights = g.random_weights(22);
+        let golden = reference(&session, &iacts, &weights);
+        let replay = ProgramSession::new(session.compile().unwrap());
+        // Replay twice (a serving process reuses one program) and from
+        // several threads at once through the shared `&self` — all
+        // bit-identical.
+        let first = replay.run(&iacts, &weights).unwrap();
+        let second = replay.run(&iacts, &weights).unwrap();
+        assert_eq!(first.oacts, golden);
+        assert_eq!(second.report, first.report);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| replay.run(&iacts, &weights).unwrap()))
+                .collect();
+            for handle in handles {
+                let run = handle.join().unwrap();
+                assert_eq!(run.oacts, golden);
+                assert_eq!(run.report, first.report);
+            }
+        });
+    }
+
+    /// The cost oracle: available without executing anything, equal to a
+    /// run's report up to join saturation, and preserved by artifacts. (What
+    /// pins it to the accounted simulator is
+    /// `compiled_layer_costs_equal_accounted_real_data_runs`.)
+    #[test]
+    fn cost_is_the_interpreted_report_without_saturation() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let program = session.compile().unwrap();
+        let run = session
+            .run(&Tensor4::random([1, 4, 6, 6], 5), &g.random_weights(6))
+            .unwrap();
+        let mut expected = run.report;
+        expected.joins.iter_mut().for_each(|j| j.saturated = 0);
+        assert_eq!(program.cost(), &expected);
+        assert!(program.cost().total_cycles() > 0);
+        let reloaded = parse_program(&program.serialize()).expect("artifact loads");
+        assert_eq!(reloaded.cost(), program.cost());
+    }
+
+    /// `build_ragged_dag` of `tests/program_equivalence.rs`: channel counts
+    /// that do not tile the array, an optional stride-2 stem, an optional
+    /// depthwise layer, padded 3×3 kernels and one residual join with an
+    /// identity or projected shortcut.
+    fn ragged_dag(
+        [c_in, c_mid, c_out, hw]: [usize; 4],
+        stride2: bool,
+        depthwise: bool,
+        identity: bool,
+    ) -> Graph {
+        let mut g = Graph::new("ragged_dag", [1, c_in, hw, hw]);
+        let stride = if stride2 { 2 } else { 1 };
+        let stem = ConvLayer::new(1, c_mid, c_in, hw, hw, 3, 3)
+            .with_stride(stride)
+            .with_padding(1)
+            .with_name("stem");
+        let mut cur = g.conv(g.input(), stem).unwrap();
+        let hw = (hw + 2 - 3) / stride + 1;
+        let conv3 = |name: &str| {
+            ConvLayer::new(1, c_mid, c_mid, hw, hw, 3, 3)
+                .with_padding(1)
+                .with_name(name)
+        };
+        if depthwise {
+            cur = g.conv(cur, conv3("dw").depthwise()).unwrap();
+        }
+        let block_input = cur;
+        cur = g.conv(cur, conv3("main")).unwrap();
+        let shortcut = if identity {
+            block_input
+        } else {
+            let proj = ConvLayer::new(1, c_mid, c_mid, hw, hw, 1, 1).with_name("proj");
+            g.conv(block_input, proj).unwrap()
+        };
+        cur = g.add(cur, shortcut, "add").unwrap();
+        let head = ConvLayer::new(1, c_out, c_mid, hw, hw, 1, 1).with_name("head");
+        g.conv(cur, head).unwrap();
+        g
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The record pass runs over zeros, and nothing but a replay ever
+        /// runs a graph — so this is where compiled costs meet the accounted
+        /// simulator: every segment's chain run over real data (zero,
+        /// extreme and random operands, modelled batches 1–3) must count,
+        /// layer by layer, exactly what the program says the layer costs.
+        #[test]
+        fn compiled_layer_costs_equal_accounted_real_data_runs(
+            dims in proptest::collection::vec(1usize..7, 3),
+            hw in 4usize..8,
+            stride2 in 0usize..2,
+            depthwise in 0usize..2,
+            identity in 0usize..2,
+            batch in 1usize..4,
+            seed in 0u64..100,
+        ) {
+            let g = ragged_dag(
+                [dims[0], dims[1], dims[2], hw],
+                stride2 == 1,
+                depthwise == 1,
+                identity == 1,
+            );
+            let solo = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
+            let session = solo.with_batch(batch).unwrap();
+            let program = session.compile().unwrap();
+            // `cost().segments` is in drain order: the plan's.
+            let drained: Vec<usize> = session
+                .plan
+                .iter()
+                .filter_map(|step| match *step {
+                    Step::Segment(si) => Some(si),
+                    Step::Join(_) => None,
+                })
+                .collect();
+
+            for fill in [Some(0), Some(i8::MIN), Some(i8::MAX), None] {
+                let operand = |shape: [usize; 4], seed: u64| match fill {
+                    Some(value) => Tensor4::from_fn(shape, |_, _, _, _| value),
+                    None => Tensor4::random(shape, seed),
+                };
+                let compiled = session.segments.iter().zip(&program.tables.segments);
+                for (si, (exec, segment)) in compiled.enumerate() {
+                    let first = &exec.session.steps()[0].0;
+                    let iacts = operand([first.n, first.c, first.h, first.w], seed);
+                    let weights: Vec<Tensor4<i8>> = segment
+                        .layers
+                        .iter()
+                        .zip(1u64..)
+                        .map(|(layer, i)| match &layer.weight {
+                            WeightSource::Pool(window) => window.clone(),
+                            WeightSource::Node(id) => {
+                                operand(g.node(*id).weight_shape().unwrap(), seed + i)
+                            }
+                        })
+                        .collect();
+                    let run = exec.session.run(&iacts, &weights).unwrap();
+
+                    prop_assert_eq!(run.report.layers.len(), segment.layers.len());
+                    for (counted, layer) in run.report.layers.iter().zip(&segment.layers) {
+                        let r = &counted.report;
+                        let LayerCost { core, iact, oact } = layer.cost;
+                        prop_assert_eq!(r.cycles - r.stall_cycles, core.cycles, "{}", counted.name);
+                        prop_assert_eq!(r.stall_cycles, iact.conflict_stall_cycles);
+                        prop_assert_eq!(
+                            (r.macs, r.birrd_passes, r.birrd_adds),
+                            (core.macs, core.birrd_passes, core.birrd_adds)
+                        );
+                        prop_assert_eq!(r.iact_stats, iact, "{} iact", counted.name);
+                        prop_assert_eq!(r.oact_stats, oact, "{} oact", counted.name);
+                    }
+                    let at = drained.iter().position(|&d| d == si).unwrap();
+                    let summary = &program.cost().segments[at];
+                    prop_assert_eq!(run.report.stab_swaps, summary.report.stab_swaps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_is_bit_identical_and_retargets_across_programs() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let weights = g.random_weights(42);
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let batched = ProgramSession::new(session.with_batch(2).unwrap().compile().unwrap());
+
+        let mut scratch = ReplayScratch::new();
+        for seed in 0..3u64 {
+            // Different inputs through one reused scratch: each run must
+            // match a fresh-scratch run exactly (outputs and full report),
+            // i.e. no state may leak between requests.
+            let iacts = Tensor4::random([1, 4, 6, 6], 50 + seed);
+            let fresh = replay.run(&iacts, &weights).unwrap();
+            let reused = replay
+                .run_with_scratch(&mut scratch, &iacts, &weights)
+                .unwrap();
+            assert_eq!(reused.oacts, fresh.oacts, "seed {seed} outputs diverged");
+            assert_eq!(reused.report, fresh.report, "seed {seed} report diverged");
+        }
+
+        // Handing the same scratch a different program (the batch-2 variant)
+        // retargets the stash instead of corrupting the run.
+        let iacts2 = Tensor4::random([2, 4, 6, 6], 60);
+        let fresh2 = batched.run(&iacts2, &weights).unwrap();
+        let reused2 = batched
+            .run_with_scratch(&mut scratch, &iacts2, &weights)
+            .unwrap();
+        assert_eq!(reused2.oacts, fresh2.oacts);
+        assert_eq!(reused2.report, fresh2.report);
+
+        // And back again, still exact.
+        let iacts3 = Tensor4::random([1, 4, 6, 6], 70);
+        let fresh3 = replay.run(&iacts3, &weights).unwrap();
+        let reused3 = replay
+            .run_with_scratch(&mut scratch, &iacts3, &weights)
+            .unwrap();
+        assert_eq!(reused3.oacts, fresh3.oacts);
+        assert_eq!(reused3.report, fresh3.report);
+    }
+
+    /// The gather row behind the accumulators and the drained (not
+    /// re-zeroed) accumulator rows are the only state a `Fire` leaves in a
+    /// scratch: after eight lanes, one lane and then another program's
+    /// geometry — halo-only taps in both Phase-1 loop orders, a depthwise
+    /// layer — a reused scratch still equals a fresh one.
+    #[test]
+    fn scratch_carries_nothing_across_lane_counts_and_programs() {
+        let padded = |name: &str, m, c, hw, r, s| {
+            ConvLayer::new(1, m, c, hw, hw, r, s)
+                .with_padding(2)
+                .with_name(name)
+        };
+        // Window-major (25 taps over 3 channels), then bus-major with lanes
+        // whose pixel is padding.
+        let mut wide = Graph::new("wide", [1, 3, 5, 5]);
+        let stem = wide
+            .conv(wide.input(), padded("stem", 3, 3, 5, 5, 5))
+            .unwrap();
+        wide.conv(stem, padded("point", 5, 3, 5, 1, 1)).unwrap();
+        let mut deep = Graph::new("deep", [1, 7, 5, 5]);
+        let dw = padded("dw", 7, 7, 5, 3, 3).depthwise();
+        let dw = deep.conv(deep.input(), dw).unwrap();
+        deep.conv(dw, padded("tall", 9, 7, 7, 3, 1)).unwrap();
+
+        let compiled = |g: &Graph, rows, cols| {
+            let session = GraphSession::auto(FeatherConfig::new(rows, cols), g).unwrap();
+            ProgramSession::new(session.compile().unwrap())
+        };
+        let wide_run = (&wide, compiled(&wide, 4, 8), wide.random_weights(3));
+        let deep_run = (&deep, compiled(&deep, 4, 4), deep.random_weights(4));
+        let wide_samples: Vec<Tensor4<i8>> = (0..8u64)
+            .map(|seed| Tensor4::random([1, 3, 5, 5], 100 + seed))
+            .collect();
+        let deep_sample = [Tensor4::random([1, 7, 5, 5], 200)];
+
+        let mut scratch = ReplayScratch::new();
+        let steps = [
+            (&wide_run, &wide_samples[..]),
+            (&wide_run, &wide_samples[7..]),
+            (&deep_run, &deep_sample[..]),
+            (&wide_run, &wide_samples[..3]),
+        ];
+        for (step, ((graph, replay, weights), samples)) in steps.into_iter().enumerate() {
+            let fresh = replay.run_batched(samples, weights).unwrap();
+            let reused = replay
+                .run_batched_with_scratch(&mut scratch, samples, weights)
+                .unwrap();
+            let (shift, zero) = (
+                replay.program.tables.quant_shift,
+                replay.program.tables.quant_zero,
+            );
+            for (lane, sample) in samples.iter().enumerate() {
+                let golden = run_graph_reference(graph, sample, weights, shift, zero).unwrap();
+                assert_eq!(fresh[lane].oacts, golden, "step {step} lane {lane}");
+                assert_eq!(reused[lane].oacts, golden, "step {step} lane {lane} reused");
+                assert_eq!(reused[lane].report, fresh[lane].report);
+            }
+        }
+    }
+
+    /// A profiled replay is the same replay — outputs and reports — with
+    /// one row per executed op whose `Fire` rows carry the layers' modelled
+    /// cost exactly once.
+    #[test]
+    fn profiled_replay_equals_run_and_accounts_for_every_op() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let weights = g.random_weights(52);
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let samples: Vec<Tensor4<i8>> = (0..3u64)
+            .map(|seed| Tensor4::random([1, 4, 6, 6], 50 + seed))
+            .collect();
+        for lanes in [1usize, 3] {
+            let batch = &samples[..lanes];
+            let plain = replay.run_batched(batch, &weights).unwrap();
+            let (runs, profile) = replay
+                .run_profiled(&mut ReplayScratch::new(), batch, &weights)
+                .unwrap();
+            for (run, plain) in runs.iter().zip(&plain) {
+                assert_eq!(run.oacts, plain.oacts);
+                assert_eq!(run.report, plain.report);
+            }
+            assert_eq!(profile.rows.len(), replay.program().num_ops());
+
+            let cost = replay.program().cost();
+            let fires = profile.rows.iter().filter(|r| r.family == OpFamily::Fire);
+            assert_eq!(fires.clone().count(), cost.layers().count());
+            assert_eq!(
+                fires.clone().map(|r| r.macs).sum::<u64>(),
+                cost.total_macs()
+            );
+            assert_eq!(fires.map(|r| r.cycles).sum::<u64>(), cost.total_cycles());
+            let others = profile.rows.iter().filter(|r| r.family != OpFamily::Fire);
+            assert!(others.clone().all(|r| r.macs == 0 && r.cycles == 0));
+
+            // Every op of a layer lands in that layer's sum; families tile
+            // the whole.
+            let total: u64 = profile.rows.iter().map(|r| r.wall_ns).sum();
+            let by_family: u64 = profile.by_family().iter().map(|(_, ns)| ns).sum();
+            assert_eq!(by_family, total);
+            let by_layer = profile.by_layer();
+            assert_eq!(by_layer.len(), cost.layers().count() + cost.joins.len());
+            assert_eq!(
+                by_layer.iter().map(|l| l.macs).sum::<u64>(),
+                cost.total_macs()
+            );
+            let other: u64 = others
+                .filter(|r| r.layer.is_empty())
+                .map(|r| r.wall_ns)
+                .sum();
+            assert_eq!(
+                by_layer.iter().map(|l| l.wall_ns).sum::<u64>() + other,
+                total
+            );
+        }
+        let no_samples = replay.run_profiled(&mut ReplayScratch::new(), &[], &weights);
+        assert!(no_samples.is_err());
+    }
+
+    #[test]
+    fn run_batched_is_bit_identical_to_solo_replays() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let weights = g.random_weights(82);
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let samples: Vec<Tensor4<i8>> = (0..4u64)
+            .map(|seed| Tensor4::random([1, 4, 6, 6], 80 + seed))
+            .collect();
+
+        let mut scratch = ReplayScratch::new();
+        for lanes in [1usize, 2, 4] {
+            let batch = &samples[..lanes];
+            let fresh = replay.run_batched(batch, &weights).unwrap();
+            let reused = replay
+                .run_batched_with_scratch(&mut scratch, batch, &weights)
+                .unwrap();
+            assert_eq!(fresh.len(), lanes);
+            for (lane, sample) in batch.iter().enumerate() {
+                let solo = replay.run(sample, &weights).unwrap();
+                assert_eq!(fresh[lane].oacts, solo.oacts, "lane {lane} outputs");
+                assert_eq!(fresh[lane].report, solo.report, "lane {lane} report");
+                assert_eq!(reused[lane].oacts, solo.oacts, "lane {lane} reused outputs");
+                assert_eq!(
+                    reused[lane].report, solo.report,
+                    "lane {lane} reused report"
+                );
+            }
+        }
+        assert!(replay.run_batched(&[], &weights).is_err());
+    }
+
+    /// Weights are a per-call input: nothing derived from one call's weight
+    /// map may survive into the next, whatever is reused between them.
+    #[test]
+    fn alternating_weight_maps_through_one_session_and_scratch() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let (shift, zero) = session.quantization();
+        let replay = ProgramSession::new(session.compile().unwrap());
+        let samples: Vec<Tensor4<i8>> = (0..4u64)
+            .map(|seed| Tensor4::random([1, 4, 6, 6], 90 + seed))
+            .collect();
+        let weight_maps = [g.random_weights(7), g.random_weights(1007)];
+        assert_ne!(weight_maps[0], weight_maps[1]);
+        let golden = |sample: &Tensor4<i8>, which: usize| {
+            run_graph_reference(&g, sample, &weight_maps[which], shift, zero).unwrap()
+        };
+        // Join saturation is the one data-dependent count in a report.
+        let accounting = |run: &GraphRun| {
+            let mut report = run.report.clone();
+            report.joins.iter_mut().for_each(|j| j.saturated = 0);
+            report
+        };
+
+        let mut scratch = ReplayScratch::new();
+        let mut lane_scratch = ReplayScratch::new();
+        let mut reports = Vec::new();
+        for round in 0..4 {
+            let which = round % 2;
+            let weights = &weight_maps[which];
+            let fresh = replay.run(&samples[0], weights).unwrap();
+            let reused = replay
+                .run_with_scratch(&mut scratch, &samples[0], weights)
+                .unwrap();
+            assert_eq!(fresh.oacts, golden(&samples[0], which), "round {round} run");
+            assert_eq!(reused.oacts, fresh.oacts, "round {round} run_with_scratch");
+            reports.push(accounting(&fresh));
+            reports.push(accounting(&reused));
+            for lanes in [1usize, 4] {
+                let fresh = replay.run_batched(&samples[..lanes], weights).unwrap();
+                let reused = replay
+                    .run_batched_with_scratch(&mut lane_scratch, &samples[..lanes], weights)
+                    .unwrap();
+                for (lane, sample) in samples[..lanes].iter().enumerate() {
+                    let want = golden(sample, which);
+                    assert_eq!(fresh[lane].oacts, want, "round {round} lane {lane}/{lanes}");
+                    assert_eq!(
+                        reused[lane].oacts, want,
+                        "round {round} lane {lane}/{lanes}"
+                    );
+                    reports.push(accounting(&fresh[lane]));
+                    reports.push(accounting(&reused[lane]));
+                }
+            }
+        }
+        // Cycles, traffic and energy never depend on the weight values.
+        assert!(reports.iter().all(|r| *r == reports[0]));
+    }
+
+    /// The in-place weight addressing on its awkward shapes: ragged `(M, C)`
+    /// tail tiles under a strided, padded 3×3 kernel, and the depthwise
+    /// `[C, 1, R, S]` filter layout — through every replay flavour.
+    #[test]
+    fn ragged_and_depthwise_layers_replay_to_the_reference_convolution() {
+        let ragged = ConvLayer::new(1, 7, 11, 9, 9, 3, 3)
+            .with_stride(2)
+            .with_padding(1)
+            .with_name("ragged");
+        let depthwise = ConvLayer::new(1, 6, 6, 9, 9, 3, 3)
+            .with_padding(1)
+            .depthwise()
+            .with_name("depthwise");
+        for layer in [ragged, depthwise] {
+            let mut g = Graph::new(&layer.name, [layer.n, layer.c, layer.h, layer.w]);
+            g.conv(g.input(), layer.clone()).unwrap();
+            let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+            let program = session.compile().unwrap();
+            let mapping = &program.tables.segments[0].layers[0].replay.tiling.mapping;
+            assert_ne!(
+                layer.m % mapping.m_rows,
+                0,
+                "{}: M tiles evenly",
+                layer.name
+            );
+            if !layer.is_depthwise() {
+                assert_ne!(
+                    layer.c % mapping.c_cols,
+                    0,
+                    "{}: C tiles evenly",
+                    layer.name
+                );
+            }
+
+            let weights = g.random_weights(31);
+            let filter = weights.values().next().unwrap();
+            let samples: Vec<Tensor4<i8>> = (0..3u64)
+                .map(|seed| Tensor4::random([layer.n, layer.c, layer.h, layer.w], 40 + seed))
+                .collect();
+            let golden: Vec<Tensor4<i32>> = samples
+                .iter()
+                .map(|sample| conv2d_reference(&layer, sample, filter).unwrap())
+                .collect();
+
+            let replay = ProgramSession::new(program);
+            for (sample, want) in samples.iter().zip(&golden) {
+                assert_eq!(&session.run(sample, &weights).unwrap().oacts, want);
+                assert_eq!(&replay.run(sample, &weights).unwrap().oacts, want);
+            }
+            let lanes = replay.run_batched(&samples, &weights).unwrap();
+            for (lane, want) in lanes.iter().zip(&golden) {
+                assert_eq!(&lane.oacts, want, "{} batched", layer.name);
+            }
+        }
+    }
+
+    #[test]
+    fn artifact_roundtrip_preserves_program_and_results() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let program = session.compile().unwrap();
+        let path = temp_path("roundtrip");
+        program.save_to(&path).unwrap();
+        let loaded = Program::load_from(&path).expect("artifact loads");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.fingerprint(), program.fingerprint());
+        assert_eq!(loaded.dump(), program.dump());
+        let iacts = Tensor4::random([1, 4, 6, 6], 31);
+        let weights = g.random_weights(32);
+        let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
+        assert_eq!(replayed.oacts, reference(&session, &iacts, &weights));
+        assert_eq!(
+            replayed.report,
+            session.run(&iacts, &weights).unwrap().report
+        );
+    }
+
+    /// One `FEATHER_CACHE_DIR` serves several processes: a loader racing a
+    /// saver finds no artifact or the whole artifact, never a prefix that
+    /// `compile_cached` would quarantine as `.bad`.
+    #[test]
+    fn a_loader_racing_a_saver_sees_no_artifact_or_the_whole_artifact() {
+        use std::sync::atomic::AtomicBool;
+        // The benchmark's Model A.
+        let g = feather_arch::graph::resnet50_graph_scaled(16, 16);
+        let session = GraphSession::auto(FeatherConfig::new(8, 16), &g).unwrap();
+        let program = session.compile().unwrap();
+        let whole = program.serialize().into_bytes();
+
+        let dir = temp_path("racing-saver");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = artifact_path(&dir, &g.name, 1, program.fingerprint());
+        let start = std::sync::Barrier::new(2);
+        let saved = AtomicBool::new(false);
+        let mut complete = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..40 {
+                    program.save_to(&path).unwrap();
+                }
+                saved.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            while !saved.load(Ordering::SeqCst) {
+                match std::fs::read(&path) {
+                    Ok(bytes) => {
+                        assert!(bytes == whole, "read {} of {}", bytes.len(), whole.len());
+                        complete += 1;
+                    }
+                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
+                }
+            }
+        });
+        assert!(complete > 0, "the loader never overlapped the saver");
+        assert!(matches!(
+            Program::load_checked(&path),
+            LoadOutcome::Loaded(loaded) if loaded.dump() == program.dump()
+        ));
+        let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(left, [path], "temporary files left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_artifacts_degrade_to_none() {
+        let path = temp_path("malformed");
+        std::fs::write(&path, "not a program\n").unwrap();
+        assert!(Program::load_from(&path).is_none());
+        std::fs::write(&path, format!("{HEADER}\nmeta nope\n")).unwrap();
+        assert!(Program::load_from(&path).is_none());
+        let _ = std::fs::remove_file(&path);
+        assert!(Program::load_from(Path::new("/nonexistent/p.program")).is_none());
+    }
+
+    #[test]
+    fn checksum_rejects_truncation_and_bit_flips() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let program = session.compile().unwrap();
+        let text = program.serialize();
+        assert!(parse_program(&text).is_some(), "pristine artifact loads");
+
+        // Truncation: drop the tail (checksum line gone or body shortened).
+        for keep in [text.len() / 2, text.len() - 20] {
+            assert!(
+                parse_program(&text[..keep]).is_none(),
+                "truncated at {keep} must be rejected"
+            );
+        }
+        // A single flipped bit in the middle of the body.
+        let mut bytes = text.clone().into_bytes();
+        bytes[text.len() / 2] ^= 0x40;
+        let flipped = String::from_utf8(bytes).unwrap();
+        assert!(
+            parse_program(&flipped).is_none(),
+            "bit flip must be rejected"
+        );
+    }
+
+    #[test]
+    fn corrupt_artifacts_are_quarantined_once_then_cache_hits() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "feather-program-test-quarantine-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Populate the cache, then corrupt the artifact in place.
+        let (program, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Miss);
+        let path = artifact_path(&dir, &g.name, session.batch(), session.fingerprint());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        // The corruption is detected, the file moved aside, and the
+        // recompile produces the same program.
+        let (recompiled, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Quarantined);
+        assert_eq!(recompiled.dump(), program.dump());
+        let bad = {
+            let mut os = path.as_os_str().to_os_string();
+            os.push(".bad");
+            PathBuf::from(os)
+        };
+        assert_eq!(std::fs::read(&bad).unwrap(), bytes, "evidence preserved");
+
+        // Quarantined once: the path now holds a good artifact again, so
+        // the next miss is a plain Hit, not another parse of bad bytes.
+        let (_, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Hit);
+
+        // Truncation is caught the same way.
+        let good = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &good[..good.len() / 3]).unwrap();
+        let (_, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Quarantined);
+        let (_, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Hit);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session that loaded its program from disk holds it: its first
+    /// `run` replays the artifact and never reaches the route cache.
+    #[test]
+    fn artifact_hit_fills_the_session_so_run_does_not_compile() {
+        let g = residual_graph();
+        let config = FeatherConfig::new(4, 8);
+        let dir =
+            std::env::temp_dir().join(format!("feather-program-test-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, status) =
+            compile_cached_in(&GraphSession::auto(config, &g).unwrap(), &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Miss);
+
+        let session = GraphSession::auto(config, &g).unwrap();
+        let (loaded, status) = compile_cached_in(&session, &dir).unwrap();
+        assert_eq!(status, ArtifactStatus::Hit);
+        let iacts = Tensor4::random([1, 4, 6, 6], 41);
+        let weights = g.random_weights(42);
+        let run = session.run(&iacts, &weights).unwrap();
+        let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
+        assert_eq!(run.oacts, replayed.oacts);
+        assert_eq!(run.report, replayed.report);
+        assert_eq!(session.route_cache_stats().misses, 0);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_tracks_schedule_changes() {
+        let g = residual_graph();
+        let base = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        assert_eq!(base.fingerprint(), base.fingerprint());
+        let batched = base.with_batch(4).unwrap();
+        assert_ne!(base.fingerprint(), batched.fingerprint());
+        let requantized = base.clone().with_quantization(5, 1);
+        assert_ne!(base.fingerprint(), requantized.fingerprint());
+        let other_fabric = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
+        assert_ne!(base.fingerprint(), other_fabric.fingerprint());
+    }
+
+    #[test]
+    fn rle_roundtrip() {
+        for values in [
+            vec![],
+            vec![7],
+            vec![0, 0, 0, 1, 2, 2, 2, 2],
+            vec![5, 5, 5, 5, 5],
+            (0..40u32).collect(),
+        ] {
+            let line = format!("stream seg=0 layer=0 {}", rle_encode(&values));
+            assert_eq!(rle_decode(&line).unwrap(), values, "{line}");
+        }
+    }
+
+    #[test]
+    fn escape_roundtrip() {
+        for s in ["plain", "with space", "a=b", "100%", "t\nx", ""] {
+            assert_eq!(unesc(&esc(s)), s, "{s:?}");
+            assert!(!esc(s).contains(' '), "{s:?} escaped must be one token");
+        }
+    }
+}
