@@ -20,6 +20,8 @@
 //! * [`graph`] — the tensor-DAG IR ([`Graph`]) with explicit
 //!   producer→consumer edges, residual joins, and the real ResNet-50 topology
 //!   ([`graph::resnet50_graph`]).
+//! * [`codec`] — the sealed-file format (header, records, checksum trailer)
+//!   and atomic-write / quarantine helpers both on-disk stores share.
 //! * [`energy`] — per-action energy constants used by the cost models.
 //! * [`tensor`] — dense INT8/INT32 tensors and reference conv/GEMM kernels.
 //!
@@ -41,6 +43,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod codec;
 pub mod dataflow;
 pub mod dims;
 pub mod energy;

@@ -1176,13 +1176,16 @@ impl ReplayLayer {
         self.tiling.cols.max(self.tiling.rs)
     }
 
-    /// Dry cursor walk of the recorded stream against `table`: `true` iff
-    /// [`replay_fire`] would consume it without ever indexing out of range
-    /// or leaving an accumulator undrained — every block offset inside the
-    /// stream, every slot inside the table, and every row fire covered
-    /// exactly once per in-range `q_lane` by passes whose runs are that
-    /// lane's live columns under the block's channel tile. Run on streams
-    /// that come from an artifact; a recorded stream satisfies it by
+    /// Dry cursor walk of the recorded stream against `table`: `true` iff it
+    /// is the stream this layer records — so [`replay_fire`] consumes it
+    /// without ever indexing out of range or leaving an accumulator
+    /// undrained. Blocks lie back to back over the whole stream, every slot
+    /// is inside the table, and every row fire is the controller's: passes of
+    /// this layer's `c_cols` that take the fire's in-range `q_lane`s in
+    /// order, each into the bank the oAct layout puts its output in, a lane
+    /// whose bank is taken waiting for the next pass ([`next_batch`]), each
+    /// group the lane's live columns under the block's channel tile. Run on
+    /// streams that come from an artifact; a recorded stream satisfies it by
     /// construction.
     pub(crate) fn stream_is_sound(&self, table: &RouteTable) -> bool {
         let ctx = &self.tiling;
@@ -1194,44 +1197,66 @@ impl ReplayLayer {
         if block_starts.len() != ctx.m_tiles * ctx.c_tiles * ctx.layer.n {
             return false;
         }
-        let mut seen = vec![false; ctx.q_cols];
+        let [out_n, out_m, out_p, out_q] = &self.oact.tables;
+        let line_size = ctx.mapping.oact_layout.line_size();
+        let mut covered = vec![false; ctx.q_cols];
+        let mut bank_used = vec![false; ctx.cols];
+        let mut pos = 0;
         for (block, &start) in block_starts.iter().enumerate() {
+            if start as usize != pos {
+                return false;
+            }
             let tile = block / ctx.layer.n;
-            let m_lanes = ctx
-                .m_rows
-                .min(ctx.layer.m - tile / ctx.c_tiles * ctx.m_rows);
+            let m_base = tile / ctx.c_tiles * ctx.m_rows;
+            let m_lanes = ctx.m_rows.min(ctx.layer.m - m_base);
             let c_live = ctx.c_live(tile % ctx.c_tiles);
-            let mut pos = start as usize;
             // Row fires of a block, in replay order: `p`, `qt`, `m_lane`.
             for fire in 0..ctx.p_total * ctx.q_tiles * m_lanes {
-                let qt = fire / m_lanes % ctx.q_tiles;
-                let q_live = ctx.q_cols.min(ctx.q_total - qt * ctx.q_cols);
-                seen.fill(false);
-                let mut covered = 0;
-                while covered < q_live {
-                    let pass = match stream.get(pos) {
-                        Some(&slot) if (slot as usize) < table.len() => table.pass(slot),
+                let q_base = fire / m_lanes % ctx.q_tiles * ctx.q_cols;
+                let q_live = ctx.q_cols.min(ctx.q_total - q_base);
+                let out_cell = out_n[block % ctx.layer.n]
+                    + out_m[m_base + fire % m_lanes]
+                    + out_p[fire / m_lanes / ctx.q_tiles];
+                covered[..q_live].fill(false);
+                while covered[..q_live].contains(&false) {
+                    let slot = match stream.get(pos) {
+                        Some(&slot) if (slot as usize) < table.len() => slot,
                         _ => return false,
                     };
-                    for g in pass {
-                        let q_lane = g.q_lane as usize;
-                        if q_lane >= q_live || std::mem::replace(&mut seen[q_lane], true) {
-                            return false;
-                        }
-                        // What Phase 1 writes is what Phase 2 must drain.
-                        if (g.start as usize, g.len as usize) != (q_lane * ctx.c_cols, c_live) {
-                            return false;
-                        }
-                    }
-                    if pass.is_empty() {
+                    let (c_cols, request) = &table.requests[slot as usize];
+                    if *c_cols != ctx.c_cols {
                         return false;
                     }
-                    covered += pass.len();
+                    let banks = request.group_destinations.values();
+                    let mut issued = table.pass(slot).iter().zip(banks);
+                    bank_used.fill(false);
+                    for q_lane in 0..q_live {
+                        let cell = (out_cell + out_q[q_base + q_lane]) as usize;
+                        let bank = cell % line_size % ctx.cols;
+                        if covered[q_lane] || std::mem::replace(&mut bank_used[bank], true) {
+                            continue;
+                        }
+                        // What Phase 1 writes is what Phase 2 must drain.
+                        let run = (q_lane * ctx.c_cols, c_live);
+                        match issued.next() {
+                            Some((g, &to))
+                                if g.q_lane as usize == q_lane
+                                    && (g.start as usize, g.len as usize) == run
+                                    && to == bank =>
+                            {
+                                covered[q_lane] = true;
+                            }
+                            _ => return false,
+                        }
+                    }
+                    if issued.next().is_some() {
+                        return false;
+                    }
                     pos += 1;
                 }
             }
         }
-        true
+        pos == stream.len()
     }
 }
 

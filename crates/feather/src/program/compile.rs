@@ -1,26 +1,42 @@
+//! The one lowering of a planned [`GraphSession`] into a [`Program`]: tensor
+//! table, per-layer replay contexts, op stream and [`Program::cost`] all come
+//! from the session; only each layer's measured half — its [`LayerCost`] and
+//! pass stream — and the route requests come from a source: the accounted
+//! record pass, or a [`Recording`] of one loaded from an artifact.
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use feather_arch::codec::fnv1a64;
 use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::ArchError;
+use feather_birrd::{Birrd, ReductionRequest};
 use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 
 use crate::config::FeatherConfig;
 use crate::core::{
-    run_conv_core, LayerExec, ReplayLayer, RouteExecution, RouteRecorder, SpanScratch,
+    run_conv_core, LayerExec, LayerStream, ReplayLayer, RouteExecution, RouteRecorder, RouteTable,
+    SpanScratch,
 };
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
 use crate::report::{GraphReport, JoinSummary, NetworkReport, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
 
-use super::artifact::{fnv1a64, MAX_ARTIFACT_ELEMS};
 use super::{
     kind_token, CompiledLayer, CompiledSegment, JoinSpec, LayerCost, Op, OperandSrc, Program,
     Tables, TensorSlot, WeightSource,
 };
+
+/// What only the accounted record pass can produce, as an artifact stores
+/// it: every layer's cost and pass stream, in session order, and the
+/// `(c_cols, request)` pair behind every pass slot.
+pub(crate) struct Recording {
+    pub(super) layers: Vec<(LayerCost, LayerStream)>,
+    pub(super) routes: Vec<(usize, ReductionRequest)>,
+}
 
 /// Rewrites a drained segment's report for graph-level DRAM accounting:
 /// interior boundary tensors stay on chip (StaB handoff or scratch region),
@@ -53,11 +69,8 @@ fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &Ene
 /// `Drain` turns its segment's recorded layer costs into a report entry,
 /// each `Join` contributes its shape, and `Park`/`Unpark` drive a real
 /// [`ScratchRegion`] (over zeros) so shortcut traffic is counted by the code
-/// that defines it. `None` when the stream is inconsistent — an index past
-/// its table, an op outside its segment's `Stage`…`Drain` bracket, a fetch of
-/// a tensor that is not parked — which is also what makes every index the
-/// replay loop and [`Program::dump`] follow safe.
-pub(super) fn cost_of(
+/// that defines it. `None` when a tensor is fetched that is not parked.
+fn cost_of(
     config: &FeatherConfig,
     energy: &EnergyModel,
     tensors: &[TensorSlot],
@@ -65,15 +78,7 @@ pub(super) fn cost_of(
     joins: &[JoinSpec],
     ops: &[Op],
 ) -> Option<GraphReport> {
-    let elems = |tensor: usize| -> Option<usize> {
-        let shape = tensors.get(tensor)?.shape;
-        let elems = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
-        (elems <= MAX_ARTIFACT_ELEMS).then_some(elems)
-    };
-    for seg in segments {
-        tensors.get(seg.input)?;
-        tensors.get(seg.output)?;
-    }
+    let elems = |tensor: usize| tensors[tensor].shape.iter().product::<usize>();
     let mut scratch: ScratchRegion<i8> = ScratchRegion::new(config.cols.max(1));
     let mut report = GraphReport {
         segments: Vec::with_capacity(segments.len()),
@@ -81,26 +86,15 @@ pub(super) fn cost_of(
         scratch: AccessStats::new(),
         scratch_peak_elems: 0,
     };
-    // The segment between its Stage and Drain: (index, staged from the
-    // scratch region, swaps so far).
-    let mut in_flight: Option<(usize, bool, u64)> = None;
+    // Of the segment between its Stage and Drain: staged from the scratch
+    // region, swaps so far.
+    let (mut input_from_scratch, mut stab_swaps) = (false, 0);
     for op in ops {
         match *op {
-            Op::Stage { seg, fresh, .. } => {
-                segments.get(seg)?;
-                in_flight = Some((seg, !fresh, 0));
-            }
-            Op::Fire { seg, layer } | Op::Reorder { seg, layer } => {
-                segments.get(seg)?.layers.get(layer)?;
-                in_flight.filter(|(s, ..)| *s == seg)?;
-            }
-            Op::Swap { seg } => {
-                let (_, _, swaps) = in_flight.as_mut().filter(|(s, ..)| *s == seg)?;
-                *swaps += 1;
-            }
+            Op::Stage { fresh, .. } => (input_from_scratch, stab_swaps) = (!fresh, 0),
+            Op::Fire { .. } | Op::Reorder { .. } => {}
+            Op::Swap { .. } => stab_swaps += 1,
             Op::Drain { seg } => {
-                let (_, input_from_scratch, stab_swaps) =
-                    in_flight.take().filter(|(s, ..)| *s == seg)?;
                 let cs = &segments[seg];
                 let last = cs.layers.len() - 1;
                 let layers = cs
@@ -128,19 +122,16 @@ pub(super) fn cost_of(
                     input_from_scratch,
                 });
             }
-            Op::Join { join } => {
-                let spec = joins.get(join)?;
-                report.joins.push(JoinSummary {
-                    name: spec.name.clone(),
-                    elements: elems(spec.output)? as u64,
-                    saturated: 0,
-                });
-            }
+            Op::Join { join } => report.joins.push(JoinSummary {
+                name: joins[join].name.clone(),
+                elements: elems(joins[join].output) as u64,
+                saturated: 0,
+            }),
             Op::Park { tensor } => {
-                scratch.park(tensors.get(tensor)?.key.clone(), vec![0; elems(tensor)?]);
+                scratch.park(tensors[tensor].key.clone(), vec![0; elems(tensor)]);
             }
             Op::Unpark { tensor, free } => {
-                let key = &tensors.get(tensor)?.key;
+                let key = &tensors[tensor].key;
                 scratch.fetch(key)?;
                 if free {
                     scratch.release(key);
@@ -156,8 +147,18 @@ pub(super) fn cost_of(
 // ------------------------------------------------------------------ compile
 
 /// Lowers a planned session into a [`Program`] — what fills the cell behind
-/// [`GraphSession::compile`], once per session.
-pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
+/// [`GraphSession::compile`], once per session. With no `recording` every
+/// layer runs its accounted record pass; with one, the measured halves are
+/// taken from it instead and nothing is executed.
+///
+/// # Errors
+/// Fails on a layer that does not fit the fabric or a route that cannot be
+/// compiled, and on a recording that is not one of this session: the wrong
+/// number of layers, or streams and routes a replay could not follow.
+pub(crate) fn compile(
+    session: &GraphSession,
+    recording: Option<Recording>,
+) -> Result<Program, ArchError> {
     let graph = session.graph();
     let config = session.config();
     let (quant_shift, quant_zero) = session.quantization();
@@ -186,11 +187,17 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_slot = slot_of[&graph.input()];
     let input_shape = tensors[input_slot].shape;
 
-    // Compile every segment: build the owned layer contexts and run each
+    // Lower every segment: build the owned layer contexts and take each
+    // layer's measured half from the recording — or, with none, run the
     // layer's accounted tile loop once over zeroed buffers, through the StaB
     // sequence of a chain run (`NetworkSession::run`). Routes and costs are
     // data-independent, so this one pass records the BIRRD pass stream every
     // replay will consume and counts what every replay will report.
+    let foreign = |what: &str| ArchError::InvalidWorkload(format!("recording: {what}"));
+    let (mut recorded, requests) = match recording {
+        Some(Recording { layers, routes }) => (Some(layers.into_iter()), Some(routes)),
+        None => (None, None),
+    };
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
     let mut span_scratch = SpanScratch::new(config.rows, config.cols);
     let mut recorder = RouteRecorder::default();
@@ -201,7 +208,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(steps.len());
         let mut names: Vec<String> = Vec::with_capacity(steps.len());
 
-        let mut stab: PingPong<i32> = PingPong::new(iact_spec(&steps[0].0, &steps[0].1));
+        let mut stab: Option<PingPong<i32>> = None;
         for (i, (layer, mapping)) in steps.iter().enumerate() {
             let node = graph.node(seg.nodes[i]);
             names.push(node.name.clone());
@@ -209,52 +216,56 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 NodeOp::PoolAsConv(_) => WeightSource::Pool(pool_window_weights(layer)),
                 _ => WeightSource::Node(node.id),
             };
-            let zero_weights = match &weight {
-                WeightSource::Pool(w) => w.clone(),
-                WeightSource::Node(_) => {
-                    Tensor4::zeros(node.weight_shape().expect("conv-like nodes carry weights"))
-                }
-            };
             let exec = LayerExec::new(&config, layer, mapping)?;
             let ispec = iact_spec(layer, mapping);
             let ospec = oact_spec(layer, mapping);
-            let idims = layer.iact_dim_sizes();
-            let odims = layer.oact_dim_sizes();
 
-            stab.shadow().reshape(ospec);
-            if i > 0 {
-                stab.active().rebank(ispec);
-            }
-            let iact_base = *stab.active_ref().stats();
-            let oact_base = *stab.shadow_ref().stats();
-            let core = {
-                let (active, shadow) = stab.split_mut();
-                let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
-                let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                run_conv_core(
-                    &exec,
-                    &zero_weights,
-                    &mut iact_view,
-                    &mut oact_view,
-                    RouteExecution::Collect(route_cache, &mut recorder),
-                    i == 0,
-                    &mut span_scratch,
-                )?
+            let (cost, stream) = match &mut recorded {
+                Some(recorded) => recorded
+                    .next()
+                    .ok_or_else(|| foreign("fewer layers than the plan"))?,
+                None => {
+                    let stab = stab.get_or_insert_with(|| PingPong::new(ispec));
+                    let zero_weights = match &weight {
+                        WeightSource::Pool(w) => w.clone(),
+                        WeightSource::Node(_) => Tensor4::zeros(
+                            node.weight_shape().expect("conv-like nodes carry weights"),
+                        ),
+                    };
+                    let idims = layer.iact_dim_sizes();
+                    let odims = layer.oact_dim_sizes();
+                    stab.shadow().reshape(ospec);
+                    if i > 0 {
+                        stab.active().rebank(ispec);
+                    }
+                    let iact_base = *stab.active_ref().stats();
+                    let oact_base = *stab.shadow_ref().stats();
+                    let core = {
+                        let (active, shadow) = stab.split_mut();
+                        let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
+                        let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
+                        run_conv_core(
+                            &exec,
+                            &zero_weights,
+                            &mut iact_view,
+                            &mut oact_view,
+                            RouteExecution::Collect(route_cache, &mut recorder),
+                            i == 0,
+                            &mut span_scratch,
+                        )?
+                    };
+                    let cost = LayerCost {
+                        core,
+                        iact: stab.active_ref().stats().since(&iact_base),
+                        oact: stab.shadow_ref().stats().since(&oact_base),
+                    };
+                    stab.swap();
+                    (cost, recorder.finish_layer())
+                }
             };
-            let cost = LayerCost {
-                core,
-                iact: stab.active_ref().stats().since(&iact_base),
-                oact: stab.shadow_ref().stats().since(&oact_base),
-            };
-            stab.swap();
 
             layers.push(CompiledLayer {
-                replay: ReplayLayer::new(
-                    exec,
-                    ispec.capacity(),
-                    ospec.capacity(),
-                    recorder.finish_layer(),
-                )?,
+                replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity(), stream)?,
                 weight,
                 cost,
             });
@@ -362,23 +373,35 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         }
     }
 
-    let routes = recorder.into_table();
-    debug_assert!(
-        segments
-            .iter()
-            .flat_map(|s| &s.layers)
-            .all(|l| l.replay.stream_is_sound(&routes)),
-        "a recorded stream is sound by construction"
-    );
-    let cost = cost_of(
-        &config,
-        &session.energy_model,
-        &tensors,
-        &segments,
-        &joins,
-        &ops,
-    )
-    .ok_or_else(|| {
+    // A recorded stream is sound by construction. A loaded one is outside
+    // input until its requests are re-routed, every layer's cursor walk is
+    // checked against them, and the table is found to be what a recorder
+    // leaves behind: every slot used, first uses in slot order.
+    let all_layers = || segments.iter().flat_map(|s| &s.layers);
+    let sound = |routes: &RouteTable| all_layers().all(|l| l.replay.stream_is_sound(routes));
+    let routes = match requests {
+        None => {
+            let routes = recorder.into_table();
+            debug_assert!(sound(&routes), "a recorded stream is sound by construction");
+            routes
+        }
+        Some(requests) => {
+            let birrd =
+                Birrd::new(config.cols).map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
+            let routes = RouteTable::from_requests(&birrd, requests)?;
+            let mut slots = all_layers().flat_map(|l| &l.replay.routes.stream);
+            let used = slots.try_fold(0, |next, &slot| {
+                (slot <= next).then_some(next + u32::from(slot == next))
+            });
+            let leftover = recorded.is_some_and(|mut layers| layers.next().is_some());
+            if leftover || used.map(|n| n as usize) != Some(routes.len()) || !sound(&routes) {
+                return Err(foreign("not a recording of this plan"));
+            }
+            routes
+        }
+    };
+    let energy = &session.energy_model;
+    let cost = cost_of(&config, energy, &tensors, &segments, &joins, &ops).ok_or_else(|| {
         ArchError::InvalidWorkload("compiled program is inconsistent: op stream".to_string())
     })?;
     Ok(Program {

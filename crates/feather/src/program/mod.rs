@@ -32,13 +32,13 @@
 //!   tests).
 //! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
 //!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
-//!   co-search cache), keyed by a schedule fingerprint. Loading an artifact
-//!   skips the compile pass entirely; the recorded route *requests* are
-//!   re-routed deterministically and the per-layer cost counters are stored
-//!   as integers, so artifacts stay small and the loaded program identical.
-//!   Everything an artifact names is validated at load, so a damaged one is
-//!   `Corrupt`, never a panic inside replay; a save replaces the file in one
-//!   rename, so a concurrent reader sees the old artifact or the new one.
+//!   co-search cache), keyed by a schedule fingerprint. An artifact is a
+//!   *recording*: what the record pass measured — per-layer cost counters,
+//!   pass streams, the route requests — and nothing the session already
+//!   holds. A hit lowers the session exactly as a miss does and only skips
+//!   the accounted pass, so a loaded program's structure is the session's by
+//!   construction; a damaged, stale or foreign file is set aside once and
+//!   the session compiles afresh (`artifact`).
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
 //!   will do and cost, locked down by a golden snapshot test.
 //!
@@ -49,6 +49,11 @@
 //! therefore runs the accounted tile loop once over zeroed buffers in record
 //! mode — the only accounted pass a graph ever gets — and replay consumes the
 //! recorded stream cursor-style from per-block offsets.
+//!
+//! The module is split along those seams: this file holds the data model,
+//! the [`Program`] handle and its listing; `compile` the one lowering of a
+//! session (from a record pass or from a recording); `replay` the op loop
+//! ([`ProgramSession`], [`ReplayScratch`]); `artifact` the on-disk store.
 
 mod artifact;
 mod compile;
@@ -64,10 +69,14 @@ use feather_memsim::AccessStats;
 
 use crate::config::FeatherConfig;
 use crate::core::{CoreRun, ReplayLayer, RouteTable};
+#[cfg(doc)]
+use crate::graph_session::GraphSession;
 use crate::report::GraphReport;
+#[cfg(doc)]
+use crate::report::JoinSummary;
 
-pub(crate) use artifact::compile_cached;
 pub use artifact::ArtifactStatus;
+pub(crate) use artifact::{compile_cached, load_program};
 pub(crate) use compile::{compile, session_fingerprint};
 pub use replay::{ProgramSession, ReplayScratch};
 
@@ -187,8 +196,8 @@ enum Op {
 /// A flat, replayable lowering of a planned graph: every layout, cell index,
 /// BIRRD pass and scratch move resolved — and the whole report counted —
 /// ahead of time. Produced by [`GraphSession::compile`], executed by
-/// [`ProgramSession`] (and by [`GraphSession::run`]), serialized to the
-/// `FEATHER_CACHE_DIR/programs/` artifact cache.
+/// [`ProgramSession`] (and by [`GraphSession::run`]); its measured half is
+/// what the `FEATHER_CACHE_DIR/programs/` artifact cache stores.
 ///
 /// A `Program` is a handle to immutable tables: cloning it copies a pointer.
 #[derive(Debug, Clone)]
@@ -442,13 +451,13 @@ fn join_ints<T: ToString>(values: &[T]) -> String {
 #[cfg(test)]
 mod tests {
     use super::artifact::{
-        artifact_path, compile_cached_in, esc, parse_program, rle_decode, rle_encode, unesc,
-        LoadOutcome, HEADER,
+        artifact_path, compile_cached_in, load_checked, rle_decode, rle_encode, LoadOutcome, HEADER,
     };
     use super::*;
     use crate::graph_session::{run_graph_reference, GraphSession, Step};
     use crate::profile::OpFamily;
     use crate::report::GraphRun;
+    use feather_arch::codec::{seal, unseal};
     use feather_arch::graph::Graph;
     use feather_arch::tensor::conv2d_reference;
     use feather_arch::workload::ConvLayer;
@@ -498,6 +507,15 @@ mod tests {
             "feather-program-test-{tag}-{}.program",
             std::process::id()
         ))
+    }
+
+    /// What `session` makes of an artifact file holding `text`.
+    fn load_text(session: &GraphSession, text: &[u8], tag: &str) -> Option<Program> {
+        let path = temp_path(tag);
+        std::fs::write(&path, text).unwrap();
+        let loaded = session.load_program(&path);
+        let _ = std::fs::remove_file(&path);
+        loaded
     }
 
     /// The golden output of `session`'s graph for these operands.
@@ -569,8 +587,8 @@ mod tests {
         expected.joins.iter_mut().for_each(|j| j.saturated = 0);
         assert_eq!(program.cost(), &expected);
         assert!(program.cost().total_cycles() > 0);
-        let reloaded = parse_program(&program.serialize()).expect("artifact loads");
-        assert_eq!(reloaded.cost(), program.cost());
+        let reloaded = load_text(&session, program.serialize().as_bytes(), "cost");
+        assert_eq!(reloaded.expect("artifact loads").cost(), program.cost());
     }
 
     /// `build_ragged_dag` of `tests/program_equivalence.rs`: channel counts
@@ -1009,7 +1027,7 @@ mod tests {
         let program = session.compile().unwrap();
         let path = temp_path("roundtrip");
         program.save_to(&path).unwrap();
-        let loaded = Program::load_from(&path).expect("artifact loads");
+        let loaded = session.load_program(&path).expect("artifact loads");
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.fingerprint(), program.fingerprint());
         assert_eq!(loaded.dump(), program.dump());
@@ -1062,7 +1080,7 @@ mod tests {
         });
         assert!(complete > 0, "the loader never overlapped the saver");
         assert!(matches!(
-            Program::load_checked(&path),
+            load_checked(&session, &path),
             LoadOutcome::Loaded(loaded) if loaded.dump() == program.dump()
         ));
         let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
@@ -1075,38 +1093,41 @@ mod tests {
 
     #[test]
     fn malformed_artifacts_degrade_to_none() {
-        let path = temp_path("malformed");
-        std::fs::write(&path, "not a program\n").unwrap();
-        assert!(Program::load_from(&path).is_none());
-        std::fs::write(&path, format!("{HEADER}\nmeta nope\n")).unwrap();
-        assert!(Program::load_from(&path).is_none());
-        let _ = std::fs::remove_file(&path);
-        assert!(Program::load_from(Path::new("/nonexistent/p.program")).is_none());
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &residual_graph()).unwrap();
+        let fp = format!("fp {:016x}\n", session.fingerprint());
+        for text in [
+            "not a program\n".to_string(),
+            format!("{HEADER}\n{fp}"),
+            seal(HEADER, "fp nope\n"),
+            seal(HEADER, &fp),
+            seal(HEADER, &format!("{fp}cost seg=0 layer=0 nope\n")),
+        ] {
+            assert!(load_text(&session, text.as_bytes(), "malformed").is_none());
+        }
+        assert!(session
+            .load_program(Path::new("/nonexistent/p.program"))
+            .is_none());
     }
 
     #[test]
     fn checksum_rejects_truncation_and_bit_flips() {
         let g = residual_graph();
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let program = session.compile().unwrap();
-        let text = program.serialize();
-        assert!(parse_program(&text).is_some(), "pristine artifact loads");
+        let text = session.compile().unwrap().serialize();
+        let loads = |bytes: &[u8]| load_text(&session, bytes, "checksum").is_some();
+        assert!(loads(text.as_bytes()), "pristine artifact loads");
 
         // Truncation: drop the tail (checksum line gone or body shortened).
         for keep in [text.len() / 2, text.len() - 20] {
             assert!(
-                parse_program(&text[..keep]).is_none(),
+                !loads(&text.as_bytes()[..keep]),
                 "truncated at {keep} must be rejected"
             );
         }
         // A single flipped bit in the middle of the body.
         let mut bytes = text.clone().into_bytes();
         bytes[text.len() / 2] ^= 0x40;
-        let flipped = String::from_utf8(bytes).unwrap();
-        assert!(
-            parse_program(&flipped).is_none(),
-            "bit flip must be rejected"
-        );
+        assert!(!loads(&bytes), "bit flip must be rejected");
     }
 
     #[test]
@@ -1183,6 +1204,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The fingerprint in a file is a claim, not a credential: another
+    /// session's recording relabelled with this session's `fp`, resealed and
+    /// planted at this session's path is set aside, not replayed.
+    #[test]
+    fn a_foreign_recording_with_a_forged_fingerprint_is_quarantined() {
+        let g = residual_graph();
+        let victim = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let fresh = victim.compile().unwrap().dump();
+        let other_fabric = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
+        let other_batch = victim.with_batch(2).unwrap();
+        let dir = temp_path("forged");
+        let path = artifact_path(&dir, &g.name, victim.batch(), victim.fingerprint());
+        let bad = PathBuf::from(format!("{}.bad", path.display()));
+        for foreign in [other_fabric, other_batch] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let text = foreign.compile().unwrap().serialize();
+            let (claim, recording) = unseal(&text, HEADER).unwrap().split_once('\n').unwrap();
+            assert_eq!(claim, format!("fp {:016x}", foreign.fingerprint()));
+            let forged = seal(
+                HEADER,
+                &format!("fp {:016x}\n{recording}", victim.fingerprint()),
+            );
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &forged).unwrap();
+
+            let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+            let (program, status) = compile_cached_in(&session, &dir).unwrap();
+            assert_eq!(status, ArtifactStatus::Quarantined);
+            assert_eq!(program.dump(), fresh);
+            assert_eq!(std::fs::read_to_string(&bad).unwrap(), forged);
+            let (_, status) = compile_cached_in(&session, &dir).unwrap();
+            assert_eq!(status, ArtifactStatus::Hit);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn fingerprint_tracks_schedule_changes() {
         let g = residual_graph();
@@ -1205,16 +1262,8 @@ mod tests {
             vec![5, 5, 5, 5, 5],
             (0..40u32).collect(),
         ] {
-            let line = format!("stream seg=0 layer=0 {}", rle_encode(&values));
+            let line = rle_encode(&values);
             assert_eq!(rle_decode(&line).unwrap(), values, "{line}");
-        }
-    }
-
-    #[test]
-    fn escape_roundtrip() {
-        for s in ["plain", "with space", "a=b", "100%", "t\nx", ""] {
-            assert_eq!(unesc(&esc(s)), s, "{s:?}");
-            assert!(!esc(s).contains(' '), "{s:?} escaped must be one token");
         }
     }
 }

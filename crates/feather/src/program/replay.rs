@@ -9,6 +9,8 @@ use feather_arch::ArchError;
 use crate::accelerator::check_weight_shape;
 use crate::core::{replay_fire, FlatPlan4};
 use crate::graph_session::widen;
+#[cfg(doc)]
+use crate::graph_session::GraphSession;
 use crate::profile::{OpFamily, ProfileRow, ReplayProfile};
 use crate::report::GraphRun;
 

@@ -445,8 +445,7 @@ impl NetworkSession {
     /// re-staged as the next layer's iActs between calls — the DRAM round
     /// trip the pipelined [`NetworkSession::run`] avoids. Returns the final
     /// layer's accumulators, which are bit-identical to the pipelined run's;
-    /// this is the reference baseline the equivalence suite and the
-    /// `pipeline_resnet` bench compare against.
+    /// this is the reference baseline the equivalence suite compares against.
     ///
     /// # Errors
     /// Same conditions as [`NetworkSession::run`].

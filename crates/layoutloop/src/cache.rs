@@ -36,10 +36,8 @@ pub(crate) fn table_key(
     // one name across array sizes (e.g. "SIGMA-like-HWC_C32" at 16x16 and
     // 32x32), and every public field — buffer organization, bandwidth,
     // policies, energy constants, candidate budgets — feeds the evaluation.
-    // Debug keeps the key in sync when fields are added later. The empty
-    // slot after the shape once held a predecessor layout; it stays so that
-    // persisted `feather-cosearch-cache v1` files keep hitting.
-    format!("{arch:?}|{shape}||{mapper:?}|seed{seed}")
+    // Debug keeps the key in sync when fields are added later.
+    format!("{arch:?}|{shape}|{mapper:?}|seed{seed}")
 }
 
 /// A memo of whole [`CoSearchTable`]s, keyed by (architecture, layer shape,

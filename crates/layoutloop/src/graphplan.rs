@@ -73,8 +73,6 @@ impl GraphPlan {
     /// `FEATHER_CACHE_DIR`) invalidate on: it changes exactly when a
     /// co-search decision changes, not when modeled costs drift.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut text = format!("graph={}\n", self.graph_name);
         for (id, r) in &self.per_node {
             use std::fmt::Write;
@@ -84,12 +82,7 @@ impl GraphPlan {
                 r.dataflow, r.layout
             );
         }
-        let mut hash = OFFSET;
-        for byte in text.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        feather_arch::codec::fnv1a64(text.as_bytes())
     }
 }
 

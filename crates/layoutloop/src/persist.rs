@@ -1,45 +1,45 @@
 //! On-disk persistence of the co-search cache.
 //!
 //! The workspace's serde shim derives are no-ops (no registry access), so the
-//! format here is deliberately hand-rolled: a line-based text file that is
-//! trivially diffable and versioned by a header. A record is
+//! format here is deliberately hand-rolled: a line-based text file, trivially
+//! diffable, sealed by [`feather_arch::codec`] (versioned header, whole-file
+//! checksum trailer, atomic replacement). The body of a
+//! `feather-cosearch-cache v2` file is, per table,
 //!
 //! ```text
-//! feather-cosearch-cache v1
 //! T <escaped table key>
-//! C <layout>
+//! C <layout>             (then, for each of the table's layouts in turn)
 //! S <result tokens>      (the layout's best "stay" choice)
 //! W <result tokens>      (the layout's best "switch" choice)
 //! ```
 //!
 //! where result tokens are space-separated `key=value` pairs with the
-//! separators percent-escaped. Unknown or malformed records are skipped on
-//! load (a stale or corrupt cache degrades to recomputation, never to an
-//! error), and a header mismatch discards the whole file. (Earlier v1
-//! writers also emitted per-predecessor `E`/`R` record pairs; they are
-//! unknown records now, and the tables of such a file still load.)
+//! separators percent-escaped.
 //!
-//! The planner trusts what it finds in the cache, so loading is strict: every
-//! value has exactly one spelling (a record is kept only if re-encoding what
-//! it decoded to reproduces the line), a result no search can produce — a
-//! zero factor, extent or array side, a non-finite or negative number — is
-//! malformed, and one malformed record inside a table drops the whole table
-//! rather than leaving the planner a shorter list of layouts to choose from.
-//! A live cache never drops a table, so what bounds a file from outside is a
-//! check here: no more than `MAX_LOADED_TABLES` (512) tables are taken from
-//! one.
+//! The planner trusts what it finds in the cache, so a file loads whole or
+//! not at all: a wrong header or checksum (a truncated, damaged, `v1` or
+//! foreign file), a record out of place or one that does not decode makes it
+//! an empty cache — recomputation, never an error — and
+//! [`CoSearchCache::load_persistent`] sets the file aside as
+//! `cosearch.cache.bad`. Decoding is strict: every value has exactly one
+//! spelling (a record decodes only if re-encoding the result reproduces the
+//! line), and a result no search can produce — a zero factor, extent or
+//! array side, a non-finite or negative number — is malformed. A live cache
+//! never drops a table, so what bounds a file from outside is a check here:
+//! no more than `MAX_LOADED_TABLES` (512) tables are taken from one.
 //!
 //! Persistence is **gated behind the `FEATHER_CACHE_DIR` environment
 //! variable**: [`CoSearchCache::load_persistent`] returns an empty cache and
 //! [`CoSearchCache::save_persistent`] is a no-op unless it is set. The
-//! benches and the `resnet50_graph` example call these at startup/exit, so
-//! repeated runs skip every co-search they have seen before — across
-//! processes, not just within one.
+//! `resnet50_graph` example calls these at startup/exit, so repeated runs
+//! skip every co-search they have seen before — across processes, not just
+//! within one.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use feather_arch::codec::{cache_dir, quarantine, seal, unseal, write_atomically};
 use feather_arch::dataflow::{ArrayShape, Dataflow, LoopNest, ParallelDim, TemporalLoop};
 use feather_arch::dims::Dim;
 use feather_arch::energy::EnergyBreakdown;
@@ -49,8 +49,9 @@ use crate::cache::CoSearchCache;
 use crate::cosearch::{CoSearchResult, CoSearchTable, LayoutChoice};
 use crate::evaluate::Evaluation;
 
-/// File format header; bump the version when the encoding changes.
-const HEADER: &str = "feather-cosearch-cache v1";
+/// File format header; bump the version when the encoding changes. v2 is
+/// sealed by the shared codec and lost the per-predecessor `E`/`R` records.
+const HEADER: &str = "feather-cosearch-cache v2";
 
 /// The most tables one file contributes. Comfortably above what this
 /// process would have saved — a network has tens of distinct shapes
@@ -59,23 +60,6 @@ const MAX_LOADED_TABLES: usize = 512;
 
 /// File name used inside `FEATHER_CACHE_DIR`.
 const FILE_NAME: &str = "cosearch.cache";
-
-/// The shared on-disk cache root, when `FEATHER_CACHE_DIR` is set.
-///
-/// All persisted FEATHER artifacts live under this one directory so a single
-/// environment variable warms every layer of the stack:
-///
-/// ```text
-/// $FEATHER_CACHE_DIR/
-///   cosearch.cache            co-search tables (this module)
-///   programs/
-///     <model>-b<batch>-<fingerprint>.program
-///                             compiled graph programs
-///                             (`feather::GraphSession::compile_cached`)
-/// ```
-pub fn cache_dir() -> Option<PathBuf> {
-    std::env::var_os("FEATHER_CACHE_DIR").map(PathBuf::from)
-}
 
 /// Percent-escapes the characters the format uses as separators.
 fn esc(s: &str) -> String {
@@ -298,133 +282,71 @@ fn decode_tokens(s: &str) -> Option<CoSearchResult> {
     })
 }
 
-/// Writes `bytes` to a temporary sibling of `path` and renames it over
-/// `path`: readers of a cache directory shared across processes see the old
-/// file or the whole new one. The temporary name is unique per process and
-/// call, so concurrent savers never share one. (`feather::Program::save_to`
-/// keeps a private twin of this function; change them together.)
-fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write as _;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SAVES: AtomicU64 = AtomicU64::new(0);
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(format!(
-        ".{}-{}.tmp",
-        std::process::id(),
-        SAVES.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = PathBuf::from(tmp);
-    let written = fs::File::create(&tmp).and_then(|mut file| {
-        file.write_all(bytes)?;
-        // On disk before the rename makes it visible under `path`.
-        file.sync_all()?;
-        fs::rename(&tmp, path)
-    });
-    if written.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    written
-}
-
 impl CoSearchCache {
-    /// Serializes the cache's tables to `path`.
-    /// The file is written to a sibling temporary file and renamed over
-    /// `path`: the v1 format cannot tell a file cut on a line boundary from
-    /// a shorter cache, so a process loading the same path meanwhile must
-    /// see the previous file or this one, never a prefix of it.
+    /// Serializes the cache's tables to `path`, replacing the file whole
+    /// ([`write_atomically`]): a process loading the same path meanwhile
+    /// sees the previous file or this one.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
         write_atomically(path, self.render().as_bytes())
     }
 
     /// The file [`CoSearchCache::save_to`] writes.
     fn render(&self) -> String {
-        let mut out = String::from(HEADER);
-        out.push('\n');
+        let mut body = String::new();
         for (key, table) in self.table_entries() {
-            out.push_str(&format!("T {}\n", esc(key)));
+            body.push_str(&format!("T {}\n", esc(key)));
             for choice in &table.choices {
-                out.push_str(&format!("C {}\n", esc(&choice.layout.to_string())));
-                out.push_str(&format!("S {}\n", encode_result(&choice.stay)));
-                out.push_str(&format!("W {}\n", encode_result(&choice.switch)));
+                body.push_str(&format!("C {}\n", esc(&choice.layout.to_string())));
+                body.push_str(&format!("S {}\n", encode_result(&choice.stay)));
+                body.push_str(&format!("W {}\n", encode_result(&choice.switch)));
             }
         }
-        out
+        seal(HEADER, &body)
     }
 
-    /// Loads a cache previously written by [`CoSearchCache::save_to`].
-    /// Malformed records are skipped, tables past the first
-    /// `MAX_LOADED_TABLES` (512) are ignored, and a header mismatch yields an
-    /// empty cache. Hit/miss counters start at zero.
+    /// Loads a cache previously written by [`CoSearchCache::save_to`] — all
+    /// of it (up to the first `MAX_LOADED_TABLES` (512) tables), or, when
+    /// anything about the file is wrong, an empty cache. Hit/miss counters
+    /// start at zero.
     ///
     /// # Errors
     /// Propagates filesystem errors (e.g. the file does not exist).
     pub fn load_from(path: &Path) -> io::Result<CoSearchCache> {
-        Ok(Self::parse(&fs::read_to_string(path)?))
+        Ok(Self::read(path)?.unwrap_or_default())
     }
 
-    /// Decodes the text of a cache file, keeping what is well-formed.
-    fn parse(text: &str) -> CoSearchCache {
+    /// The cache in the file at `path`; `None` when the file is not one.
+    fn read(path: &Path) -> io::Result<Option<CoSearchCache>> {
+        let bytes = fs::read(path)?;
+        Ok(std::str::from_utf8(&bytes).ok().and_then(Self::parse))
+    }
+
+    /// Decodes the text of a cache file; `None` unless every byte of it is
+    /// what [`CoSearchCache::render`] would have written.
+    fn parse(text: &str) -> Option<CoSearchCache> {
         let mut cache = CoSearchCache::new();
-        let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
-            return cache;
-        }
-        let mut pending_table: Option<(String, CoSearchTable)> = None;
-        let mut pending_choice: Option<(Layout, Option<CoSearchResult>)> = None;
-        let flush_table = |cache: &mut CoSearchCache, table: Option<(String, CoSearchTable)>| {
-            if let Some((key, table)) = table {
-                if !table.choices.is_empty() && cache.table_count() < MAX_LOADED_TABLES {
-                    cache.insert_table(key, table);
-                }
+        let mut lines = unseal(text, HEADER)?.lines().peekable();
+        while let Some(line) = lines.next() {
+            let key = unesc_exact(line.strip_prefix("T ")?)?;
+            let mut table = CoSearchTable::default();
+            while let Some(layout) = lines.next_if(|l| l.starts_with("C ")) {
+                let text = unesc_exact(&layout[2..])?;
+                let layout = text.parse::<Layout>().ok()?;
+                (layout.to_string() == text).then_some(())?;
+                table.choices.push(LayoutChoice {
+                    layout,
+                    stay: decode_result(lines.next()?.strip_prefix("S ")?)?,
+                    switch: decode_result(lines.next()?.strip_prefix("W ")?)?,
+                });
             }
-        };
-        for line in lines {
-            let Some((tag, body)) = line.split_once(' ') else {
-                continue;
-            };
-            match tag {
-                "T" => {
-                    flush_table(&mut cache, pending_table.take());
-                    pending_choice = None;
-                    pending_table = unesc_exact(body).map(|key| (key, CoSearchTable::default()));
-                }
-                // A table record that does not decode takes its table with it.
-                "C" => {
-                    pending_choice = unesc_exact(body).and_then(|text| {
-                        let layout = text.parse::<Layout>().ok()?;
-                        (layout.to_string() == text).then_some((layout, None))
-                    });
-                    if pending_choice.is_none() {
-                        pending_table = None;
-                    }
-                }
-                "S" => match (pending_choice.as_mut(), decode_result(body)) {
-                    (Some((_, stay @ None)), Some(result)) => *stay = Some(result),
-                    _ => pending_table = None,
-                },
-                "W" => match (pending_choice.take(), decode_result(body)) {
-                    (Some((layout, Some(stay))), Some(switch)) => {
-                        if let Some((_, table)) = pending_table.as_mut() {
-                            table.choices.push(LayoutChoice {
-                                layout,
-                                stay,
-                                switch,
-                            });
-                        }
-                    }
-                    _ => pending_table = None,
-                },
-                _ => {}
+            if !table.choices.is_empty() && cache.table_count() < MAX_LOADED_TABLES {
+                cache.insert_table(key, table);
             }
         }
-        flush_table(&mut cache, pending_table.take());
-        cache
+        Some(cache)
     }
 
     /// The persistent cache file location, when `FEATHER_CACHE_DIR` is set.
@@ -433,12 +355,21 @@ impl CoSearchCache {
     }
 
     /// Loads the persistent cache if `FEATHER_CACHE_DIR` is set and holds
-    /// one; an empty cache otherwise. Never errors — persistence is a pure
+    /// one; an empty cache otherwise, with a file that is not a cache set
+    /// aside as `<name>.bad`. Never errors — persistence is a pure
     /// accelerator.
     pub fn load_persistent() -> CoSearchCache {
-        Self::persistent_path()
-            .and_then(|path| Self::load_from(&path).ok())
-            .unwrap_or_default()
+        let Some(path) = Self::persistent_path() else {
+            return CoSearchCache::new();
+        };
+        match Self::read(&path) {
+            Ok(Some(cache)) => cache,
+            Ok(None) => {
+                quarantine(&path);
+                CoSearchCache::new()
+            }
+            Err(_) => CoSearchCache::new(),
+        }
     }
 
     /// Writes the cache to the persistent location. Returns `Ok(false)` when
@@ -580,33 +511,26 @@ mod tests {
         cache.render()
     }
 
-    /// Loads `bytes` as `load_from` would (a file that is not UTF-8 is an
-    /// I/O error there) and checks that what loaded survives a save → load
-    /// round trip unchanged. Returns how many tables loaded.
+    /// Loads `bytes` as `load_from` would and checks that what loaded
+    /// survives a save → load round trip unchanged. Returns how many tables
+    /// loaded.
     fn load_and_roundtrip(bytes: &[u8]) -> usize {
-        let Ok(text) = std::str::from_utf8(bytes) else {
-            return 0;
-        };
-        let loaded = CoSearchCache::parse(text);
+        let text = std::str::from_utf8(bytes).ok();
+        let loaded = text.and_then(CoSearchCache::parse).unwrap_or_default();
         let saved = loaded.render();
-        assert_eq!(CoSearchCache::parse(&saved).render(), saved);
+        assert_eq!(CoSearchCache::parse(&saved).unwrap().render(), saved);
         loaded.table_count()
     }
 
-    #[test]
-    fn every_mutation_and_truncation_of_a_saved_cache_loads_cleanly() {
-        let bytes = small_saved_cache().as_bytes();
-        assert_eq!(load_and_roundtrip(bytes), 1);
-        for at in 0..bytes.len() {
-            // A bit flip (the next digit or letter), a separator, an escape
-            // and a byte that leaves the file no longer UTF-8.
-            for new in [bytes[at] ^ 1, b' ', b'%', 0xC3] {
-                let mut mutated = bytes.to_vec();
-                mutated[at] = new;
-                assert!(load_and_roundtrip(&mutated) <= 1);
-            }
-            assert!(load_and_roundtrip(&bytes[..at]) <= 1);
-        }
+    /// The records of [`small_saved_cache`], unsealed.
+    fn small_cache_records() -> Vec<String> {
+        let body = unseal(small_saved_cache(), HEADER).unwrap();
+        body.lines().map(str::to_string).collect()
+    }
+
+    /// `records` as a file a buggy or hostile writer sealed.
+    fn sealed(records: &[String]) -> String {
+        seal(HEADER, &(records.join("\n") + "\n"))
     }
 
     use proptest::prelude::*;
@@ -648,15 +572,15 @@ mod tests {
             tags in proptest::collection::vec(0usize..8, 0..8),
         ) {
             load_and_roundtrip(&bytes);
-            // Past the header, and cut into tagged records.
-            let mut text = format!("{HEADER}\n").into_bytes();
+            // Past the seal, and cut into tagged records.
+            let mut body = Vec::new();
             let mut chunks = bytes.chunks(bytes.len() / (tags.len() + 1) + 1);
             for tag in tags {
-                text.extend_from_slice(["E ", "R ", "T ", "C ", "S ", "W ", "Q ", ""][tag].as_bytes());
-                text.extend_from_slice(chunks.next().unwrap_or_default());
-                text.push(b'\n');
+                body.extend_from_slice(["E ", "R ", "T ", "C ", "S ", "W ", "Q ", ""][tag].as_bytes());
+                body.extend_from_slice(chunks.next().unwrap_or_default());
+                body.push(b'\n');
             }
-            load_and_roundtrip(&text);
+            load_and_roundtrip(seal(HEADER, &String::from_utf8_lossy(&body)).as_bytes());
         }
 
         #[test]
@@ -664,11 +588,11 @@ mod tests {
             edits in proptest::collection::vec(0usize..1_000_000, 1..4),
             values in proptest::collection::vec(0usize..EXTREMES.len(), 3),
         ) {
-            let mut lines: Vec<String> = small_saved_cache().lines().map(str::to_string).collect();
+            let mut lines = small_cache_records();
             for (edit, value) in edits.iter().zip(&values) {
-                // Skip the header; replace one `key=value` token's value (or
-                // the whole body of a key or layout line).
-                let at = 1 + edit % (lines.len() - 1);
+                // Replace one `key=value` token's value (or the whole body
+                // of a key or layout line).
+                let at = edit % lines.len();
                 let (tag, body) = lines[at].split_once(' ').expect("every record is tagged");
                 let keys: Vec<&str> = body.split(' ').filter_map(|t| Some(t.split_once('=')?.0)).collect();
                 let edited = match keys.get(edit / 1000 % keys.len().max(1)) {
@@ -677,7 +601,7 @@ mod tests {
                 };
                 lines[at] = edited;
             }
-            load_and_roundtrip(lines.join("\n").as_bytes());
+            load_and_roundtrip(sealed(&lines).as_bytes());
         }
     }
 
@@ -700,48 +624,50 @@ mod tests {
         assert_eq!(loaded.peek_table(&key), Some(&table));
     }
 
-    /// A file the previous v1 writer saved: a per-predecessor `E`/`R` pair
-    /// ahead of the table, both under the key spelled out as that writer
-    /// spelled it (empty predecessor slot included). The pair is skipped,
-    /// the table loads and a fresh `plan_network` hits it.
+    /// A `feather-cosearch-cache v1` file — unsealed, as its writer left it
+    /// — is not a v2 cache: it loads empty, `load_persistent` sets it aside
+    /// once, and the next save puts a v2 file in its place.
     #[test]
-    fn a_file_with_per_predecessor_records_still_loads_its_tables() {
-        let arch = ArchSpec::feather_like(16, 16);
-        let mapper = MapperConfig::fast();
-        let w = workload();
-        let key = format!("{arch:?}|conv:n1m32c16h14w14r3s3st1p1kStandard||{mapper:?}|seed0");
-        let table = co_search_table(&arch, &w, &mapper, 0).unwrap();
-        let result = table.select(w.name(), None).unwrap();
-        let mut tables = CoSearchCache::new();
-        tables.insert_table(key.clone(), table);
-        let text = tables.render().replacen(
-            '\n',
-            &format!("\nE {}\nR {}\n", esc(&key), encode_result(&result)),
-            1,
+    fn a_v1_file_degrades_to_an_empty_cache_and_is_set_aside_once() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        let dir = temp_path("v1-file");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(FILE_NAME);
+        let v1 = format!(
+            "feather-cosearch-cache v1\n{}\n",
+            small_cache_records().join("\n")
         );
-        assert!(text.starts_with(&format!("{HEADER}\nE ")));
+        std::fs::write(&path, &v1).unwrap();
+        assert_eq!(CoSearchCache::load_from(&path).unwrap().table_count(), 0);
 
-        let mut loaded = CoSearchCache::parse(&text);
-        assert_eq!(loaded.table_count(), 1);
-        assert_eq!(loaded.render(), tables.render(), "no E/R on re-save");
-        let net = feather_arch::models::Network::new("one", vec![w]);
-        let plan = crate::cosearch::plan_network(&arch, &net, &mapper, 0, &mut loaded).unwrap();
-        assert_eq!((plan.cache_hits, plan.cache_misses), (1, 0));
-        assert_eq!(plan.per_layer, [result]);
+        std::env::set_var("FEATHER_CACHE_DIR", &dir);
+        assert_eq!(CoSearchCache::load_persistent().table_count(), 0);
+        let bad = dir.join(format!("{FILE_NAME}.bad"));
+        assert_eq!(std::fs::read_to_string(&bad).unwrap(), v1, "evidence kept");
+        assert!(!path.exists(), "set aside, not re-parsed on the next load");
+        assert_eq!(CoSearchCache::load_persistent().table_count(), 0);
+
+        let current = CoSearchCache::parse(small_saved_cache()).unwrap();
+        assert!(current.save_persistent().unwrap());
+        assert_eq!(CoSearchCache::load_persistent().table_count(), 1);
+        std::env::remove_var("FEATHER_CACHE_DIR");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A live cache never drops a table, so the loader bounds what a file
     /// from outside can make it hold.
     #[test]
     fn a_file_with_too_many_tables_loads_the_first_512() {
-        let mut lines = small_saved_cache().lines();
-        let (header, key) = (lines.next().unwrap(), lines.next().unwrap());
-        let choice: Vec<&str> = lines.collect();
-        let mut text = format!("{header}\n");
+        let records = small_cache_records();
+        let (key, choice) = records.split_first().unwrap();
+        let mut many = Vec::new();
         for i in 0..MAX_LOADED_TABLES + 1 {
-            text.push_str(&format!("{key}#{i}\n{}\n", choice.join("\n")));
+            many.push(format!("{key}#{i}"));
+            many.extend_from_slice(choice);
         }
-        let loaded = CoSearchCache::parse(&text);
+        let text = sealed(&many);
+        let loaded = CoSearchCache::parse(&text).unwrap();
         assert_eq!(loaded.table_count(), MAX_LOADED_TABLES);
         let last_kept = unesc(&key[2..]).unwrap() + &format!("#{}", MAX_LOADED_TABLES - 1);
         assert!(loaded.peek_table(&last_kept).is_some());
@@ -749,8 +675,8 @@ mod tests {
     }
 
     /// One `FEATHER_CACHE_DIR` serves several processes: a loader racing a
-    /// saver finds no file or the whole cache — a prefix cut on a line
-    /// boundary would load as a cache with fewer tables.
+    /// saver finds no file or the whole cache — a prefix would load as an
+    /// empty one, and `load_persistent` would set the half-written file aside.
     #[test]
     fn a_loader_racing_a_saver_sees_no_file_or_the_whole_cache() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -803,13 +729,28 @@ mod tests {
     #[test]
     fn header_mismatch_and_garbage_degrade_to_empty() {
         let path = temp_path("garbage");
-        std::fs::write(&path, "something else entirely\nE x\nR y\n").unwrap();
-        let loaded = CoSearchCache::load_from(&path).unwrap();
-        assert_eq!(loaded.table_count(), 0);
-        // Right header, malformed records → skipped, not fatal.
-        std::fs::write(&path, format!("{HEADER}\nE key\nR not-tokens\nQ ???\n")).unwrap();
-        let loaded = CoSearchCache::load_from(&path).unwrap();
-        assert_eq!(loaded.table_count(), 0);
+        let mut records = small_cache_records();
+        let garbage = [
+            "something else entirely\nT x\n".to_string(),
+            // Another store's seal, the right seal over records that do not
+            // decode or sit out of place, and the right records unsealed.
+            seal("feather-program v4", &(records.join("\n") + "\n")),
+            seal(HEADER, "T key\nC not-a-layout\nQ ???\n"),
+            sealed(&records[1..]),
+            sealed(&records[..records.len() - 1]),
+            format!("{HEADER}\n{}\n", records.join("\n")),
+        ];
+        for text in garbage {
+            std::fs::write(&path, text).unwrap();
+            let loaded = CoSearchCache::load_from(&path).unwrap();
+            assert_eq!(loaded.table_count(), 0);
+        }
+        // One bad record anywhere takes the whole file, not its table.
+        records.extend(small_cache_records());
+        records[0].push_str("#2");
+        assert_eq!(load_and_roundtrip(sealed(&records).as_bytes()), 2);
+        records[2] = "S ev.cycles=1".to_string();
+        assert_eq!(load_and_roundtrip(sealed(&records).as_bytes()), 0);
         std::fs::remove_file(&path).ok();
     }
 

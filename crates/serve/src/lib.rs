@@ -30,7 +30,8 @@
 //!   run.
 //! - **One compiled program per model** — a model's first request compiles
 //!   its planned [`feather::GraphSession`] into a flat [`feather::Program`]
-//!   (checking the `FEATHER_CACHE_DIR` artifact cache first); every batch
+//!   (lowering it with a recording from the `FEATHER_CACHE_DIR` artifact
+//!   cache when one matches, instead of the accounted pass); every batch
 //!   after it, whatever its size, lane-stripes that one resident
 //!   [`feather::ProgramSession`] with zero planning or per-layer dispatch
 //!   work. [`ProgramCacheStats`] exposes the hit/miss counters, and each

@@ -23,8 +23,9 @@
 //! executor boundary, never run, and are counted in [`ServerStats`].
 //!
 //! A model has **one** compiled program: its first request compiles the
-//! planned batch-1 [`GraphSession`] into a [`feather::Program`] (consulting
-//! the `FEATHER_CACHE_DIR` artifact cache first), and every batch after it,
+//! planned batch-1 [`GraphSession`] into a [`feather::Program`] (with the
+//! recording in the `FEATHER_CACHE_DIR` artifact cache, when one matches, in
+//! place of the accounted pass), and every batch after it,
 //! of one request or of [`ServeConfig::max_batch`], lane-stripes that same
 //! [`ProgramSession`] with zero planning, hashing or per-layer dispatch work
 //! — [`ProgramCacheStats`] counts exactly that. A request is charged the

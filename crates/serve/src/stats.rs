@@ -75,7 +75,8 @@ impl TenantStats {
 ///
 /// Steady-state serving shows `hits` growing and everything else flat: a
 /// model compiles once per process, and with a warm artifact cache even
-/// that compile is replaced by a disk load (`artifact_hits`).
+/// that compile's accounted pass is replaced by a recording loaded from
+/// disk (`artifact_hits`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
     /// Batches served by replaying the already-resident compiled program
@@ -84,14 +85,15 @@ pub struct ProgramCacheStats {
     /// Batches that found no resident program and triggered a compile or
     /// artifact load: one per model, plus one per failed attempt before it.
     pub misses: u64,
-    /// Compiles avoided by loading a matching on-disk artifact.
+    /// Record passes avoided by lowering the session with a matching
+    /// on-disk recording.
     pub artifact_hits: u64,
     /// Compiles that ran because no matching artifact existed (or the
     /// artifact cache is disabled).
     pub artifact_misses: u64,
-    /// Corrupt artifacts (bad checksum, truncation, or fingerprint
-    /// mismatch) detected on load and renamed aside to `*.bad` before a
-    /// fresh compile replaced them.
+    /// Unusable artifacts (bad checksum, truncation, stale format, or a
+    /// recording of another session) detected on load and renamed aside to
+    /// `*.bad` before a fresh compile replaced them.
     pub artifact_quarantined: u64,
 }
 

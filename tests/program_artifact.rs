@@ -1,22 +1,26 @@
-//! Hostile and damaged program artifacts: whatever is on disk,
-//! [`feather::Program::load_from`] either returns the program that was saved
-//! or `None` — never a panic, never a different valid program, and never a
+//! Hostile program artifacts: whatever is on disk,
+//! [`feather::GraphSession::load_program`] either returns the program a fresh
+//! compile of that session would — up to the cost counters the file carries
+//! — or `None`: never a panic, never another session's program, and never a
 //! program whose replay would index out of range.
 //!
-//! The checksum catches accidents; the hand-built artifacts here carry a
-//! *recomputed* checksum, so they reach the content validation behind it:
-//! indexes past their tables, route streams that do not fit their blocks or
-//! the folded route table, requests the router would choke on or whose
-//! groups do not fold to the column runs replay drains, impossible fabrics. `FEATHER_FULL=1` (the weekly CI job) runs the byte-mutation
-//! sweep over the benchmark's Model A instead of the small residual graph.
+//! The checksum catches accidents (`tests/damage_sweep.rs`); the hand-built
+//! artifacts here are *resealed*, so they reach the content validation
+//! behind it: a recording of some other plan, route streams that do not fit
+//! their blocks or the folded route table, requests the router would choke
+//! on, whose groups do not fold to the column runs replay drains or whose
+//! destinations are not the banks the layout names.
 
 use std::path::PathBuf;
 
 use feather::{FeatherConfig, GraphSession, Program, ProgramSession};
-use feather_arch::graph::{resnet50_graph_scaled, Graph};
+use feather_arch::codec::{seal, unseal};
+use feather_arch::graph::Graph;
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
 use proptest::prelude::*;
+
+const HEADER: &str = "feather-program v4";
 
 /// stem → (1×1 main ‖ 1×1 projection) → add → 3×3 → 1×1 head: every op
 /// family, a parked shortcut, a two-layer segment.
@@ -50,11 +54,8 @@ fn residual_graph() -> Graph {
     g
 }
 
-fn compiled(graph: &Graph, config: FeatherConfig) -> Program {
-    GraphSession::auto(config, graph)
-        .unwrap()
-        .compile()
-        .unwrap()
+fn session() -> GraphSession {
+    GraphSession::auto(FeatherConfig::new(4, 8), &residual_graph()).unwrap()
 }
 
 fn scratch_path(tag: &str) -> PathBuf {
@@ -64,36 +65,28 @@ fn scratch_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// The saved text of `program`.
-fn saved(program: &Program, tag: &str) -> String {
+/// The saved text of `session`'s program.
+fn saved(session: &GraphSession, tag: &str) -> String {
     let path = scratch_path(tag);
-    program.save_to(&path).unwrap();
+    session.compile().unwrap().save_to(&path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     text
 }
 
-/// Loads `bytes` as an artifact file.
-fn load(bytes: &[u8], tag: &str) -> Option<Program> {
+/// What `session` makes of an artifact file holding `bytes`.
+fn load(session: &GraphSession, bytes: &[u8], tag: &str) -> Option<Program> {
     let path = scratch_path(tag);
     std::fs::write(&path, bytes).unwrap();
-    let loaded = Program::load_from(&path);
+    let loaded = session.load_program(&path);
     std::fs::remove_file(&path).ok();
     loaded
 }
 
-/// FNV-1a 64 — the artifact's whole-file checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// `text` with its body rewritten by `edit` and the checksum recomputed —
-/// what an attacker, or a buggy writer, would produce.
+/// `text` with its body rewritten by `edit` and the seal recomputed — what
+/// an attacker, or a buggy writer, would produce.
 fn resealed(text: &str, edit: impl FnOnce(&str) -> String) -> String {
-    let body = edit(&text[..text.rfind("checksum ").unwrap()]);
-    format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes()))
+    seal(HEADER, &edit(unseal(text, HEADER).unwrap()))
 }
 
 /// `body` with the first line starting with `prefix` replaced by `line`
@@ -117,37 +110,53 @@ fn with_line(body: &str, prefix: &str, line: &str) -> String {
     out
 }
 
+/// A dump without the lines a recording's cost counters feed.
+fn structure(program: &Program) -> String {
+    let dump = program.dump();
+    let kept = dump
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("cost "));
+    kept.collect::<Vec<_>>().join("\n")
+}
+
 #[test]
 fn resealing_an_untouched_artifact_loads_the_same_program() {
-    let program = compiled(&residual_graph(), FeatherConfig::new(4, 8));
-    let text = saved(&program, "control");
+    let session = session();
+    let program = session.compile().unwrap();
+    let text = saved(&session, "control");
     assert_eq!(resealed(&text, str::to_string), text);
-    let loaded = load(text.as_bytes(), "control").expect("pristine artifact loads");
+    let loaded = load(&session, text.as_bytes(), "control").expect("pristine artifact loads");
     assert_eq!(loaded.dump(), program.dump());
     assert_eq!(loaded.cost(), program.cost());
 }
 
 #[test]
 fn checksum_valid_artifacts_with_bad_contents_are_corrupt_not_panics() {
-    let program = compiled(&residual_graph(), FeatherConfig::new(4, 8));
-    let text = saved(&program, "hostile");
+    let session = session();
+    let text = saved(&session, "hostile");
+    let v3 = text.replacen(HEADER, "feather-program v3", 1);
+    assert!(load(&session, v3.as_bytes(), "hostile").is_none());
+    assert!(
+        load(
+            &session,
+            seal("feather-program v3", "").as_bytes(),
+            "hostile"
+        )
+        .is_none(),
+        "a stale format is not a recording"
+    );
     // (what is wrong, the line it replaces, the replacement)
+    #[rustfmt::skip]
     let edits: &[(&str, &str, &str)] = &[
-        ("op names a segment past the table", "op fire seg=0", "op fire seg=99 layer=0"),
-        ("op names a layer past the segment", "op fire seg=0", "op fire seg=0 layer=9"),
-        ("op names a join past the table", "op join", "op join join=7"),
-        ("park names a tensor past the table", "op park", "op park t=99"),
-        ("unpark names a tensor past the table", "op unpark", "op unpark t=99 free=1"),
-        ("unpark of a tensor that is not parked", "op unpark", "op unpark t=5 free=1"),
-        ("fire outside its segment's stage", "op stage", "op swap seg=0"),
-        ("drain of another segment", "op drain seg=0", "op drain seg=1"),
-        ("join output slot out of range", "join name=add", "join name=add out=99 a=queue b=fresh_move gout=0"),
-        ("segment output slot out of range", "segment in=0", "segment in=0 out=99 gin=1 gout=0"),
-        ("graph input slot out of range", "meta ", "meta name=x rows=4 cols=8 stab=65536 strb=16384 batch=1 shift=6 zero=0 fp=0000000000000000 input=99"),
-        ("fabric without rows", "meta ", "meta name=x rows=0 cols=8 stab=65536 strb=16384 batch=1 shift=6 zero=0 fp=0000000000000000 input=0"),
-        ("fabric width not a power of two", "meta ", "meta name=x rows=4 cols=6 stab=65536 strb=16384 batch=1 shift=6 zero=0 fp=0000000000000000 input=0"),
+        ("another session's fingerprint", "fp ", "fp 0000000000000000"),
+        ("a fingerprint in a second spelling", "fp ", "fp 0x0"),
+        ("no fingerprint", "fp ", ""),
+        ("a layer record missing", "blocks seg=3 layer=1", ""),
+        ("a layer too many", "route c=4", "cost seg=4 layer=0 core=1,2,3,4 iact=0,0,0,0,0,0 oact=0,0,0,0,0,0"),
+        ("a layer record of another layer", "stream seg=1 layer=0", "stream seg=2 layer=0 0x144"),
         ("block starts past the stream", "blocks seg=1 layer=0", "blocks seg=1 layer=0 0 100000"),
         ("block table of the wrong length", "blocks seg=1 layer=0", "blocks seg=1 layer=0 0"),
+        ("blocks that leave stream entries unread", "blocks seg=0 layer=0", "blocks seg=0 layer=0 1"),
         ("stream too short for its block", "stream seg=0 layer=0", "stream seg=0 layer=0 0 1"),
         ("stream names a slot past the route table", "stream seg=0 layer=0", "stream seg=0 layer=0 9999x144"),
         ("stream names a pass of another shape", "stream seg=3 layer=1", "stream seg=3 layer=1 1x144"),
@@ -161,30 +170,53 @@ fn checksum_valid_artifacts_with_bad_contents_are_corrupt_not_panics() {
         ("route draining fewer columns than its tile fills", "route c=4", "route c=4 groups=0,0,0,-,-,-,-,- dests=0:0"),
         ("layer without a cost line", "cost seg=0 layer=0", ""),
         ("cost line with a missing counter", "cost seg=0 layer=0", "cost seg=0 layer=0 core=1,2,3 iact=0,0,0,0,0,0 oact=0,0,0,0,0,0"),
-        ("mapping with a zero factor", "layer seg=0", "layer seg=0 name=stem conv=1,4,4,6,6,3,3,1,1,standard map=0,4,2 iact=HWC_C4 oact=PQM_M4 wsrc=n0"),
-        ("mapping wider than the fabric", "layer seg=0", "layer seg=0 name=stem conv=1,4,4,6,6,3,3,1,1,standard map=4,4,64 iact=HWC_C4 oact=PQM_M4 wsrc=n0"),
-        ("layer with a zero extent", "layer seg=0", "layer seg=0 name=stem conv=1,4,4,0,6,3,3,1,1,standard map=4,4,2 iact=HWC_C4 oact=PQM_M4 wsrc=n0"),
-        ("layer of absurd size", "layer seg=0", "layer seg=0 name=stem conv=1,4,4,99999999999,99999999999,3,3,1,1,standard map=4,4,2 iact=HWC_C4 oact=PQM_M4 wsrc=n0"),
-        ("layers that do not chain", "layer seg=3 name=head", "layer seg=3 name=head conv=1,4,8,9,9,1,1,1,0,pointwise map=4,8,1 iact=HWC_C8 oact=MPQ_Q6 wsrc=n5"),
-        ("tensor of absurd size", "tensor id=1", "tensor id=1 shape=99999999999,99999999999,6,6"),
     ];
     for (what, prefix, line) in edits {
         let hostile = resealed(&text, |body| with_line(body, prefix, line));
         assert_ne!(hostile, text, "{what}: the edit changed nothing");
         assert!(
-            load(hostile.as_bytes(), "hostile").is_none(),
+            load(&session, hostile.as_bytes(), "hostile").is_none(),
             "{what}: loaded as a valid program"
         );
     }
+    // Edits that depend on what the untouched line says.
+    let route = unseal(&text, HEADER)
+        .unwrap()
+        .lines()
+        .find(|l| l.starts_with("route c=4 "))
+        .unwrap();
+    let (head, bank) = route.rsplit_once(':').unwrap();
+    let other_bank = (bank.parse::<usize>().unwrap() + 1) % 8;
+    for (what, line) in [
+        (
+            "route into a bank the layout does not name",
+            format!("{head}:{other_bank}"),
+        ),
+        (
+            "route issued under another layer's c_cols",
+            route.replacen("c=4", "c=8", 1),
+        ),
+    ] {
+        let hostile = resealed(&text, |body| with_line(body, "route c=4 ", &line));
+        assert!(
+            load(&session, hostile.as_bytes(), "hostile").is_none(),
+            "{what}: loaded as a valid program"
+        );
+    }
+    let padded = resealed(&text, |body| format!("{body}{route}\n"));
+    assert!(
+        load(&session, padded.as_bytes(), "hostile").is_none(),
+        "a route no stream uses: loaded as a valid program"
+    );
 }
 
 /// What the validation is for: a loaded program replays. Damage that keeps
 /// the artifact loadable (a cost counter) changes the report, never safety.
 #[test]
 fn a_resealed_cost_edit_loads_and_replays_with_the_edited_cost() {
-    let g = residual_graph();
-    let program = compiled(&g, FeatherConfig::new(4, 8));
-    let text = saved(&program, "cost-edit");
+    let session = session();
+    let program = session.compile().unwrap();
+    let text = saved(&session, "cost-edit");
     let edited = resealed(&text, |body| {
         with_line(
             body,
@@ -192,32 +224,22 @@ fn a_resealed_cost_edit_loads_and_replays_with_the_edited_cost() {
             "cost seg=0 layer=0 core=1,2,3,4 iact=0,0,0,0,0,0 oact=0,0,0,0,0,0",
         )
     });
-    let loaded = load(edited.as_bytes(), "cost-edit").expect("still a consistent program");
+    let loaded = load(&session, edited.as_bytes(), "cost-edit").expect("still this session's");
     assert_ne!(loaded.cost(), program.cost());
+    assert_eq!(structure(&loaded), structure(&program));
     let iacts = Tensor4::random([1, 4, 6, 6], 3);
-    let weights = g.random_weights(4);
+    let weights = residual_graph().random_weights(4);
     let want = ProgramSession::new(program).run(&iacts, &weights).unwrap();
     let got = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
     assert_eq!(got.oacts, want.oacts);
-}
-
-/// The artifact the mutation sweep damages: the residual graph, or the
-/// benchmark's Model A under `FEATHER_FULL=1`.
-fn mutation_target() -> Vec<u8> {
-    let full = std::env::var("FEATHER_FULL").is_ok_and(|v| v == "1");
-    let program = if full {
-        compiled(&resnet50_graph_scaled(16, 16), FeatherConfig::new(8, 16))
-    } else {
-        compiled(&residual_graph(), FeatherConfig::new(4, 8))
-    };
-    saved(&program, "mutation").into_bytes()
 }
 
 /// Every byte of the trailing checksum line, replaced by a digit, a letter
 /// of either case, whitespace and a high byte: the line has one spelling.
 #[test]
 fn no_byte_of_the_checksum_line_has_a_second_spelling() {
-    let bytes = mutation_target();
+    let session = session();
+    let bytes = saved(&session, "sumline").into_bytes();
     let line_at = bytes.len() - "checksum 0123456789abcdef\n".len();
     for at in line_at..bytes.len() {
         for new in [b'0', b'7', b'a', b'F', b'c', b' ', b'\n', b'\t', 0xC3] {
@@ -227,30 +249,75 @@ fn no_byte_of_the_checksum_line_has_a_second_spelling() {
             let mut mutated = bytes.clone();
             mutated[at] = new;
             assert!(
-                load(&mutated, "sumline").is_none(),
+                load(&session, &mutated, "sumline").is_none(),
                 "byte {at} -> {new:#04x} still loads"
             );
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// What a resealed edit might put where a number stood.
+const VALUES: [&str; 12] = [
+    "0",
+    "1",
+    "2",
+    "7",
+    "8",
+    "144",
+    "4294967296",
+    "99999999999999999999",
+    "-",
+    "",
+    "x",
+    "1x3",
+];
 
-    /// Any single-byte mutation of a saved program — anywhere, to anything,
-    /// valid UTF-8 or not — loads as corrupt, never as a different valid
-    /// program; so does any truncation.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `a_resealed_cost_edit_…`, generalised: whatever a resealed recording
+    /// says — numbers replaced, records dropped, repeated or swapped — it
+    /// loads as nothing, or as the program a fresh compile gives up to the
+    /// lines its cost counters feed. A recording decides no structure.
     #[test]
-    fn single_byte_mutations_and_truncations_are_corrupt(
-        at in 0usize..1_000_000,
-        flip in 1u8..=255,
-        cut in 0usize..1_000_000,
+    fn a_resealed_edit_loads_nothing_or_differs_from_a_fresh_compile_only_in_cost(
+        picks in proptest::collection::vec(0usize..1_000_000, 1..4),
+        kinds in proptest::collection::vec(0usize..6, 3),
+        values in proptest::collection::vec(0usize..VALUES.len(), 3),
     ) {
-        let bytes = mutation_target();
-        let mut mutated = bytes.clone();
-        let at = at % bytes.len();
-        mutated[at] ^= flip;
-        prop_assert!(load(&mutated, "mutated").is_none(), "byte {} ^ {:#04x} still loads", at, flip);
-        prop_assert!(load(&bytes[..cut % bytes.len()], "cut").is_none(), "cut at {} still loads", cut % bytes.len());
+        let session = session();
+        let text = saved(&session, "edited");
+        let mut lines: Vec<String> = unseal(&text, HEADER).unwrap().lines().map(str::to_string).collect();
+        let mut log = Vec::new();
+        for ((pick, kind), value) in picks.into_iter().zip(kinds).zip(values) {
+            let (at, next) = (pick % lines.len(), (pick + 1) % lines.len());
+            log.push((at, kind, VALUES[value]));
+            match kind {
+                0 => drop(lines.remove(at)),
+                1 => lines.insert(at, lines[at].clone()),
+                2 => lines.swap(at, next),
+                // One of the line's numbers, replaced.
+                _ => {
+                    let line = &lines[at];
+                    let digit = |c: char| c.is_ascii_digit();
+                    let starts: Vec<usize> = line
+                        .char_indices()
+                        .filter(|&(i, c)| digit(c) && !line[..i].ends_with(digit))
+                        .map(|(i, _)| i)
+                        .collect();
+                    let start = starts[pick / 1000 % starts.len()];
+                    let len = line[start..].find(|c| !digit(c)).unwrap_or(line.len() - start);
+                    lines[at] = format!("{}{}{}", &line[..start], VALUES[value], &line[start + len..]);
+                }
+            }
+            if lines.is_empty() {
+                break;
+            }
+        }
+        let edited = seal(HEADER, &lines.iter().map(|l| format!("{l}\n")).collect::<String>());
+        if let Some(loaded) = load(&session, edited.as_bytes(), "edited") {
+            let fresh = session.compile().unwrap();
+            prop_assert_eq!(structure(&loaded), structure(&fresh), "(line, edit, value): {:?}", log);
+        }
     }
 }

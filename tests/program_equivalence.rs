@@ -65,14 +65,15 @@ fn samples_of(oacts: &Tensor4<i32>) -> Vec<Tensor4<i32>> {
         .collect()
 }
 
-/// Saves and reloads a program through a scratch file.
-fn through_artifact(program: &Program, tag: &str) -> Program {
+/// Saves `session`'s program and lowers the session again from the scratch
+/// file instead of a record pass.
+fn through_artifact(session: &GraphSession, tag: &str) -> Program {
     let path = std::env::temp_dir().join(format!(
         "feather-prog-eq-{}-{tag}.program",
         std::process::id()
     ));
-    program.save_to(&path).unwrap();
-    let loaded = Program::load_from(&path).expect("artifact parses back");
+    session.compile().unwrap().save_to(&path).unwrap();
+    let loaded = session.load_program(&path).expect("artifact loads back");
     std::fs::remove_file(&path).ok();
     loaded
 }
@@ -246,8 +247,8 @@ proptest! {
         prop_assert_eq!(&replayed.oacts, &run.oacts);
         prop_assert_eq!(&replayed.report, &run.report);
 
-        // Artifact round trip: text form → parse → recompiled routes.
-        let loaded = through_artifact(replay.program(), &format!("dag-{seed}"));
+        // Artifact round trip: recording → parse → re-routed, re-lowered.
+        let loaded = through_artifact(&session, &format!("dag-{seed}"));
         prop_assert_eq!(loaded.fingerprint(), replay.program().fingerprint());
         prop_assert_eq!(loaded.dump(), replay.program().dump());
         let reloaded = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
@@ -437,7 +438,7 @@ proptest! {
         let cost = program.cost().clone();
         prop_assert!(cost.total_cycles() > 0);
         prop_assert!(cost.joins.iter().all(|j| j.saturated == 0));
-        let reloaded = through_artifact(&program, &format!("cost-{seed}"));
+        let reloaded = through_artifact(&session, &format!("cost-{seed}"));
         prop_assert_eq!(reloaded.cost(), &cost);
 
         let random = g.random_weights(seed + 3000);
@@ -587,7 +588,7 @@ fn full_size_program_costs_and_replays_like_the_interpreter() {
         .collect();
     let weights = g.random_weights(8);
     let program = session.compile().unwrap();
-    let replay = ProgramSession::new(through_artifact(&program, "full"));
+    let replay = ProgramSession::new(through_artifact(&session, "full"));
     assert_eq!(replay.program().cost(), program.cost());
     let batched = replay.run_batched(&samples, &weights).unwrap();
     for (sample, lane) in samples.iter().zip(&batched) {
