@@ -16,10 +16,13 @@
 //!   one.
 //! - **Dynamic batching on an executor pool** — a batch-former thread
 //!   coalesces concurrent same-model requests (up to
-//!   [`ServeConfig::max_batch`], waiting at most
-//!   [`ServeConfig::batch_window`]) and hands formed batches to
-//!   [`ServeConfig::workers`] executor workers over a bounded ready queue;
-//!   different batches replay concurrently. A batch is one replay of the
+//!   [`ServeConfig::max_batch`]) and hands formed batches to
+//!   [`ServeConfig::workers`] executor workers over a one-batch ready slot;
+//!   different batches replay concurrently. Forming is work-conserving: an
+//!   idle executor never waits out a fixed window — a batch is held only
+//!   while every executor is busy, or, for at most one batch time, for the
+//!   returns the model's last batch predicts ([`ServeConfig::batch_window`]
+//!   is an optional floor, zero by default). A batch is one replay of the
 //!   model's program with one request per lane, each lane bit-identical to
 //!   a solo run, so neither coalescing nor the worker that ran a request is
 //!   observable in the results.

@@ -5,10 +5,14 @@
 //! owns the admission queues: it runs a deficit-round-robin pass over the
 //! backlogged tenants (each earns its configured weight per batch formed,
 //! pays one unit per admitted request), picks the richest tenant's oldest
-//! request to choose the model, holds the batch open up to
-//! [`ServeConfig::batch_window`] for more same-model requests (up to
-//! [`ServeConfig::max_batch`], filled across tenants in deficit order), and
-//! hands the formed batch to a bounded ready queue. **Executor workers**
+//! request to choose the model, fills the batch with same-model requests (up
+//! to [`ServeConfig::max_batch`], across tenants in deficit order), and hands
+//! it to a one-batch ready slot. Forming is **work-conserving**: an idle
+//! executor gets the batch at once, unless fewer requests wait than the
+//! model's last batch answered — then the former holds for those returns,
+//! never longer than one batch time — and a batch stays open only while
+//! every executor is busy (or for the [`ServeConfig::batch_window`] floor,
+//! zero by default). **Executor workers**
 //! ([`ServeConfig::workers`] of them) pop ready batches and replay them
 //! concurrently — different models, or different batches of one model, can
 //! be in flight at once. A batch is one replay of the model's program, one
@@ -51,7 +55,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -78,8 +82,12 @@ pub struct ServeConfig {
     /// gets further submissions rejected with [`ServeError::QueueFull`].
     /// Other tenants' queues are unaffected.
     pub queue_depth: usize,
-    /// How long the former holds a non-full batch open waiting for more
-    /// same-model requests. Zero launches whatever is queued immediately.
+    /// A floor on how long the former holds a non-full batch open for more
+    /// same-model requests, counted from when it picked the batch's lead.
+    /// Zero (the default) leaves the decision to the work-conserving rule:
+    /// launch when an executor is idle, hold for at most one batch time
+    /// while fewer requests wait than the model's last batch answered, and
+    /// hold while every executor is busy.
     pub batch_window: Duration,
     /// Deadline applied to every request without an explicit one: requests
     /// still queued past it are dropped with [`ServeError::Timeout`].
@@ -88,15 +96,6 @@ pub struct ServeConfig {
     /// Executor pool size: how many formed batches can execute
     /// concurrently. `1` reproduces the old single-scheduler behavior.
     pub workers: usize,
-    /// Formed batches buffered between the former and the pool. The former
-    /// does not form a batch until a slot is free, so this bounds how far
-    /// scheduling runs ahead of execution: `1` (the default) forms each
-    /// batch at the moment a worker can take it — from the fullest possible
-    /// backlog, with fairness and cancellation decided as late as possible.
-    /// Workers pop instantly when idle, so depth 1 never limits pool
-    /// overlap; raise it only to hide the former's batch-window latency
-    /// between executions.
-    pub ready_depth: usize,
     /// How many times a failed request (transient executor error, injected
     /// fault, or worker panic) is re-enqueued before resolving as
     /// [`ServeError::Failed`]. Retried responses are bit-identical to what
@@ -126,10 +125,9 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 8,
             queue_depth: 64,
-            batch_window: Duration::from_micros(500),
+            batch_window: Duration::ZERO,
             default_deadline: None,
             workers: 1,
-            ready_depth: 1,
             max_retries: 2,
             retry_backoff: Duration::from_micros(100),
             breaker_threshold: 8,
@@ -179,6 +177,10 @@ struct Model {
     /// Trips after [`ServeConfig::breaker_threshold`] consecutive failed
     /// batch executions; open, this model's submits fast-fail.
     breaker: CircuitBreaker,
+    /// Size of this model's last resolved batch, stored by the worker before
+    /// it answers the batch: how many returns the former expects when the
+    /// model's clients run a closed loop (see [`Forming::hold`]).
+    last_batch: AtomicUsize,
 }
 
 impl Model {
@@ -281,11 +283,11 @@ struct ReadyBatch {
     requests: Vec<Request>,
 }
 
-/// The bounded hand-off queue between the former and the executor pool.
+/// The one-batch hand-off slot between the former and the executor pool.
 struct ReadyState {
-    batches: VecDeque<ReadyBatch>,
+    batch: Option<ReadyBatch>,
     /// Set by the former after it drained admission; workers exit once the
-    /// queue is empty and closed.
+    /// slot is empty and closed.
     closed: bool,
     /// Indexes of workers that died (panicked) and need a replacement.
     /// Shares the lock with `closed` so a death is never reported into the
@@ -318,10 +320,10 @@ struct Inner {
     /// mark thereof — the observable proof of executor overlap.
     executing: AtomicU64,
     max_executing: AtomicU64,
-    /// Workers currently parked on an empty ready queue. The former reads
-    /// this to decide whether launching a non-full batch past its window
-    /// buys any latency: while every worker is busy it keeps the batch
-    /// open instead (see [`form_batch`]).
+    /// Workers currently parked on an empty ready slot. The former reads
+    /// this to decide whether launching a non-full batch buys any latency:
+    /// while every worker is busy it keeps the batch open instead (see
+    /// [`Forming::hold`]).
     idle_workers: AtomicU64,
     next_id: AtomicU64,
     /// The seeded fault-injection plan, if any. `None` (the production
@@ -373,7 +375,6 @@ impl Server {
             max_batch: cfg.max_batch.max(1),
             queue_depth: cfg.queue_depth.max(1),
             workers: cfg.workers.max(1),
-            ready_depth: cfg.ready_depth.max(1),
             ..cfg
         };
         let inner = Arc::new(Inner {
@@ -387,7 +388,7 @@ impl Server {
             arrived: Condvar::new(),
             weights: RwLock::new(BTreeMap::new()),
             ready: Mutex::new(ReadyState {
-                batches: VecDeque::new(),
+                batch: None,
                 closed: false,
                 dead_workers: Vec::new(),
             }),
@@ -468,6 +469,7 @@ impl Server {
                 self.inner.cfg.breaker_threshold,
                 self.inner.cfg.breaker_cooldown,
             ),
+            last_batch: AtomicUsize::new(0),
         });
         write_recover(&self.inner.models).insert(name, model);
         Ok(())
@@ -921,6 +923,65 @@ where
         .map(|(name, _)| name.clone())
 }
 
+/// What the former does next with the batch it is forming.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// Hand the batch to the pool now.
+    Launch,
+    /// Keep it open for same-model arrivals until this instant.
+    Until(Instant),
+    /// Keep it open until an executor frees: every one is busy.
+    WhileBusy,
+}
+
+/// A batch being formed: when its lead was picked, the configured floor, and
+/// the (brownout-adjusted) size that launches it at once.
+struct Forming {
+    start: Instant,
+    floor: Duration,
+    max_batch: usize,
+}
+
+impl Forming {
+    /// The work-conserving hold rule, a pure function of the former's view
+    /// at `now` — it reads no clock, takes no lock and spawns no thread:
+    ///
+    /// 1. `max_batch` requests wait → launch;
+    /// 2. the floor has not elapsed since `start` → hold until it does;
+    /// 3. no executor is idle → hold while busy (arrivals fatten the batch
+    ///    for free, since it could not start anyway);
+    /// 4. fewer requests wait than `expected` (the model's last batch size:
+    ///    in a closed loop, the returns that batch's answers will send) →
+    ///    hold for them, but never past one `batch_time` after `start`. A
+    ///    `batch_time` of zero (no batch has run) holds nothing;
+    /// 5. otherwise → launch.
+    fn hold(
+        &self,
+        now: Instant,
+        waiting: usize,
+        expected: usize,
+        batch_time: Duration,
+        executor_idle: bool,
+    ) -> Hold {
+        if waiting >= self.max_batch {
+            return Hold::Launch;
+        }
+        let floor_end = self.start + self.floor;
+        if now < floor_end {
+            return Hold::Until(floor_end);
+        }
+        if !executor_idle {
+            return Hold::WhileBusy;
+        }
+        let returns_end = self.start + batch_time;
+        if waiting < expected && now < returns_end {
+            Hold::Until(returns_end)
+        } else {
+            Hold::Launch
+        }
+    }
+}
+
 /// The batch-former loop: form batches until admission is closed *and* the
 /// queues are empty (shutdown still serves everything already admitted),
 /// then close the ready queue so the executor pool drains and exits. The
@@ -951,8 +1012,9 @@ fn run_former(inner: &Arc<Inner>) {
 
 /// Blocks until a batch is ready (or returns `None` at shutdown-and-
 /// drained). One deficit-round-robin pass picks the leading tenant (whose
-/// oldest request chooses the model); the window then holds the batch open
-/// for same-model arrivals, and extraction fills it across tenants in
+/// oldest request chooses the model); [`Forming::hold`] then decides how
+/// long the batch stays open for same-model arrivals, and extraction fills it
+/// across tenants in
 /// deficit order. Dead requests are pruned (and resolved) along the way, so
 /// an empty batch is possible when every candidate was cancelled or expired.
 fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
@@ -1031,17 +1093,27 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
         .model
         .clone();
 
-    // Hold the batch open up to the window for more same-model requests
-    // (shutdown launches immediately — latency no longer matters, drain
-    // fast). Past the window, keep holding while every executor is busy: a
-    // formed batch could not start anyway, so each extra arrival fattens it
-    // for free. This is the explicit version of the PR-7 inline scheduler's
-    // implicit back-pressure (it could not form while executing), and it is
-    // what keeps saturated closed-loop batches full — launching on the bare
-    // window measured mean batch 6.9 instead of 8 and a 13% throughput
-    // loss. A starving worker bumps `idle_workers` and knocks on `arrived`,
-    // so dispatch latency past the window is one wakeup, not a poll.
-    let window_end = Instant::now() + inner.cfg.batch_window;
+    // Hold the batch open only as long as `Forming::hold` says (shutdown
+    // launches immediately — latency no longer matters, drain fast). An idle
+    // executor gets the batch at once unless the model's last batch predicts
+    // more returns than wait; a busy pool keeps it open, since a formed batch
+    // could not start anyway and each arrival fattens it for free. A
+    // starving worker bumps `idle_workers` and knocks on `arrived`, so
+    // dispatch after a busy hold is one wakeup, not a poll. Measured on
+    // closed-loop Model A (req/s, medians of ten 5 s rounds, the fixed
+    // 500 µs window this replaced → this rule): 1 client 1049 → 3722,
+    // 2: 1246 → 1865, 4: 2148 → 3313, 8: 6177 → 6231 at mean batch 8.0 on
+    // both — a plain zero window breaks that loop up (mean batch 6.0, 4288
+    // req/s), which is what the expectation hold is for.
+    let forming = Forming {
+        start: now,
+        floor: inner.cfg.batch_window,
+        max_batch,
+    };
+    let served = read_recover(&inner.models)
+        .get(&model)
+        .cloned()
+        .expect("submit validated the model; models are never unregistered");
     while queue.open {
         timeouts += prune_queues(inner, &mut queue);
         let now = Instant::now();
@@ -1055,15 +1127,17 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
                     .count()
             })
             .sum();
-        if waiting >= max_batch {
-            break;
-        }
-        let wait = if now < window_end {
-            window_end - now
-        } else if inner.idle_workers.load(Ordering::SeqCst) > 0 {
-            break;
-        } else {
-            IDLE_POLL
+        let hold = forming.hold(
+            now,
+            waiting,
+            served.last_batch.load(Ordering::Relaxed),
+            Duration::from_micros(inner.batch_ewma_us.load(Ordering::Relaxed)),
+            inner.idle_workers.load(Ordering::SeqCst) > 0,
+        );
+        let wait = match hold {
+            Hold::Launch => break,
+            Hold::Until(end) => end - now,
+            Hold::WhileBusy => IDLE_POLL,
         };
         let (guard, _) = inner
             .arrived
@@ -1127,9 +1201,9 @@ fn record_miss_ewma(inner: &Inner, timeouts: usize) {
 
 /// Back-pressure: the former does not even begin forming a batch until the
 /// pool can accept it. Requests keep accumulating in the admission queues
-/// while every ready slot is full, so under sustained load each batch is
-/// formed at the moment a slot frees — from the fullest possible backlog —
-/// and the window only pads genuinely idle periods. Forming eagerly and
+/// while the ready slot is full, so under sustained load each batch is
+/// formed at the moment the slot frees — from the fullest possible backlog,
+/// with fairness and cancellation decided as late as possible. Forming eagerly and
 /// blocking on the push instead would lock undersized batches in far ahead
 /// of their execution (measured: mean batch 3.9 instead of 8 on the
 /// closed-loop sweep, a 27% throughput loss vs the PR-7 inline scheduler,
@@ -1143,11 +1217,7 @@ fn wait_ready_slot(inner: &Arc<Inner>) {
 /// belt-and-braces bound, not the back-pressure mechanism.
 fn push_ready(inner: &Arc<Inner>, batch: ReadyBatch) {
     let mut batch = Some(batch);
-    wait_slot_supervised(inner, |ready| {
-        if let Some(batch) = batch.take() {
-            ready.batches.push_back(batch);
-        }
-    });
+    wait_slot_supervised(inner, |ready| ready.batch = batch.take());
     inner.ready_pop.notify_one();
 }
 
@@ -1163,7 +1233,7 @@ fn wait_slot_supervised<F: FnMut(&mut ReadyState)>(inner: &Arc<Inner>, mut then:
                 if !ready.dead_workers.is_empty() {
                     break std::mem::take(&mut ready.dead_workers);
                 }
-                if ready.batches.len() < inner.cfg.ready_depth {
+                if ready.batch.is_none() {
                     then(&mut ready);
                     return;
                 }
@@ -1195,7 +1265,7 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
         let batch = {
             let mut ready = lock_recover(&inner.ready);
             loop {
-                if let Some(batch) = ready.batches.pop_front() {
+                if let Some(batch) = ready.batch.take() {
                     inner.ready_push.notify_one();
                     break batch;
                 }
@@ -1204,8 +1274,8 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
                     return;
                 }
                 // Starving: tell the former a non-full batch is now worth
-                // launching (it may be holding one open past its window
-                // because nobody could run it anyway).
+                // launching (it may be holding one open because nobody
+                // could run it anyway).
                 inner.idle_workers.fetch_add(1, Ordering::SeqCst);
                 inner.arrived.notify_all();
                 let (guard, _) = inner
@@ -1344,6 +1414,8 @@ fn execute_batch(
         }
     };
     model.breaker.record_success();
+    // Before any member is answered: their returns find it already set.
+    model.last_batch.store(size, Ordering::Relaxed);
 
     // Every member is charged the program's constant: a solo inference.
     let cost = program.program().cost();
@@ -1454,7 +1526,13 @@ mod tests {
             .map(|i| Tensor4::random([1, 2, 4, 4], 90 + i))
             .collect();
 
-        let server = Server::new(ServeConfig::default());
+        // A floor: with none, an idle former launches each burst's head at
+        // once and holds only up to the last batch's size, so a burst one
+        // larger than the last can split — every time, on one CPU.
+        let server = Server::new(ServeConfig {
+            batch_window: Duration::from_millis(5),
+            ..ServeConfig::default()
+        });
         server
             .register_model("m", config(), &g, weights.clone())
             .unwrap();
@@ -1651,7 +1729,7 @@ mod tests {
         let w_light = g_light.random_weights(21);
         let w_flood = g_flood.random_weights(22);
 
-        // One worker and a one-deep ready queue keep batch formation late;
+        // One worker and the one-batch ready slot keep batch formation late;
         // a long first window lets both tenants pile up their backlogs
         // before any fairness decision is made.
         let mut server = Server::new(ServeConfig {
@@ -1659,7 +1737,6 @@ mod tests {
             queue_depth: 64,
             batch_window: Duration::from_millis(150),
             workers: 1,
-            ready_depth: 1,
             ..ServeConfig::default()
         });
         server
@@ -1726,14 +1803,14 @@ mod tests {
         server.shutdown();
     }
 
-    /// A deeper graph whose replay spans several scheduler timeslices, so
-    /// two pool workers on one hardware thread still interleave mid-run.
-    fn stout_graph(name: &str) -> Graph {
-        let mut g = Graph::new(name, [1, 4, 8, 8]);
+    /// Three convs deep on an `hw`×`hw` input: at 8×8 a release replay
+    /// takes ≈ 0.4 ms, at 24×24 it spans several scheduler timeslices.
+    fn stout_graph(name: &str, hw: usize) -> Graph {
+        let mut g = Graph::new(name, [1, 4, hw, hw]);
         let stem = g
             .conv(
                 g.input(),
-                ConvLayer::new(1, 16, 4, 8, 8, 3, 3)
+                ConvLayer::new(1, 16, 4, hw, hw, 3, 3)
                     .with_padding(1)
                     .with_name("stem"),
             )
@@ -1741,26 +1818,34 @@ mod tests {
         let mid = g
             .conv(
                 stem,
-                ConvLayer::new(1, 16, 16, 8, 8, 3, 3)
+                ConvLayer::new(1, 16, 16, hw, hw, 3, 3)
                     .with_padding(1)
                     .with_name("mid"),
             )
             .unwrap();
-        g.conv(mid, ConvLayer::new(1, 4, 16, 8, 8, 1, 1).with_name("head"))
-            .unwrap();
+        g.conv(
+            mid,
+            ConvLayer::new(1, 4, 16, hw, hw, 1, 1).with_name("head"),
+        )
+        .unwrap();
         g
     }
 
     #[test]
     fn executor_pool_overlaps_batches_and_stays_exact() {
-        let g_a = stout_graph("a");
-        let g_b = stout_graph("b");
+        // Replays long enough that two workers on one hardware thread still
+        // interleave mid-run, in release too: pinned to one CPU, 8×8 graphs
+        // never overlapped in 150 rounds (the former must run between the
+        // two pickups), 24×24 overlapped within a few rounds 20 times of 20.
+        let hw = 24;
+        let g_a = stout_graph("a", hw);
+        let g_b = stout_graph("b", hw);
         let w_a = g_a.random_weights(31);
         let w_b = g_b.random_weights(32);
         let solo_a = GraphSession::auto(config(), &g_a).unwrap();
         let solo_b = GraphSession::auto(config(), &g_b).unwrap();
-        let ia = Tensor4::random([1, 4, 8, 8], 1000);
-        let ib = Tensor4::random([1, 4, 8, 8], 2000);
+        let ia = Tensor4::random([1, 4, hw, hw], 1000);
+        let ib = Tensor4::random([1, 4, hw, hw], 2000);
         let golden_a = solo_a.run(&ia, &w_a).unwrap().oacts;
         let golden_b = solo_b.run(&ib, &w_b).unwrap().oacts;
 
@@ -1768,7 +1853,6 @@ mod tests {
             max_batch: 1,
             batch_window: Duration::ZERO,
             workers: 2,
-            ready_depth: 2,
             ..ServeConfig::default()
         });
         server.register_model("a", config(), &g_a, w_a).unwrap();
@@ -1777,9 +1861,7 @@ mod tests {
         // Round after round, launch one request per model simultaneously;
         // with two workers the pair executes overlapped. On a single
         // hardware thread overlap relies on preemption mid-run, so keep
-        // trying until the watermark proves it (each run spans multiple
-        // timeslices, making that overwhelmingly likely within a few
-        // rounds).
+        // trying until the watermark proves it.
         let mut overlapped = false;
         for round in 0..150 {
             let ta = server.submit("t", "a", ia.clone()).unwrap();
@@ -1863,15 +1945,14 @@ mod tests {
     }
 
     #[test]
-    fn from_env_clamps_and_defaults() {
+    fn defaults_and_clamps() {
         // Field-level sanity on the defaults.
         let cfg = ServeConfig::default();
         assert_eq!(cfg.max_batch, 8);
         assert_eq!(cfg.queue_depth, 64);
-        assert!(cfg.batch_window > Duration::ZERO);
+        assert_eq!(cfg.batch_window, Duration::ZERO);
         assert_eq!(cfg.default_deadline, None);
         assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.ready_depth, 1);
         assert_eq!(cfg.max_retries, 2);
         assert!(cfg.retry_backoff > Duration::ZERO);
         assert_eq!(cfg.breaker_threshold, 8);
@@ -1882,14 +1963,74 @@ mod tests {
             max_batch: 0,
             queue_depth: 0,
             workers: 0,
-            ready_depth: 0,
             ..ServeConfig::default()
         });
         let cfg = server.config();
         assert_eq!(cfg.max_batch, 1);
         assert_eq!(cfg.queue_depth, 1);
         assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.ready_depth, 1);
+    }
+
+    #[test]
+    fn hold_rule_on_virtual_time() {
+        use Hold::{Launch, Until, WhileBusy};
+        // Virtual instants: the lead was picked at `t0`, `now` is µs after
+        // it; floor and batch time are µs too. Nothing sleeps.
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        #[rustfmt::skip]
+        let cases = [
+            // case                            floor max  now  wait exp  batch idle   decision
+            ("lone request, idle executor",      0,   8,    0,  1,   1,  200, true,  Launch),
+            ("returns expected",                 0,   8,   50,  3,   8,  200, true,  Until(at(200))),
+            ("one batch time elapsed",           0,   8,  200,  3,   8,  200, true,  Launch),
+            ("past one batch time",              0,   8,  900,  3,   8,  200, true,  Launch),
+            ("waiting reaches expected",         0,   8,   50,  5,   5,  200, true,  Launch),
+            ("full batch",                       0,   8,    0,  8,   8,  200, false, Launch),
+            ("brownout-halved full batch",       0,   4,    0,  4,   8,  200, false, Launch),
+            ("full batch inside the floor",    500,   8,   10,  8,   1,    0, true,  Launch),
+            ("floor not elapsed",              500,   8,   10,  1,   1,    0, true,  Until(at(500))),
+            ("floor elapsed",                  500,   8,  500,  1,   1,    0, true,  Launch),
+            ("floor outlasts the batch time",  500,   8,  500,  1,   8,  200, true,  Launch),
+            ("every executor busy",              0,   8,    0,  1,   1,  200, false, WhileBusy),
+            ("busy past one batch time",         0,   8,  900,  3,   8,  200, false, WhileBusy),
+            ("batch time 0: no hold",            0,   8,    0,  3,   8,    0, true,  Launch),
+            ("first batch: nothing expected",    0,   8,    0,  1,   0,    0, true,  Launch),
+        ];
+        for (case, floor, max_batch, now, waiting, expected, batch, idle, decision) in cases {
+            let forming = Forming {
+                start: t0,
+                floor: Duration::from_micros(floor),
+                max_batch,
+            };
+            let batch_time = Duration::from_micros(batch);
+            assert_eq!(
+                forming.hold(at(now), waiting, expected, batch_time, idle),
+                decision,
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn lone_requests_do_not_wait_for_a_window() {
+        // The parent held every non-full batch 500 µs, so its median here
+        // was ≥ 500 by construction; an idle executor now starts at once.
+        let g = tiny_graph("m");
+        let server = Server::new(ServeConfig::default());
+        server
+            .register_model("m", config(), &g, g.random_weights(90))
+            .unwrap();
+        let iacts = Tensor4::random([1, 2, 4, 4], 91);
+        let mut queue_us: Vec<u64> = (0..30)
+            .map(|_| {
+                let response = server.submit("t", "m", iacts.clone()).unwrap().wait();
+                response.unwrap().queue_us
+            })
+            .collect();
+        queue_us.sort_unstable();
+        let median = queue_us[queue_us.len() / 2];
+        assert!(median < 250, "median queue {median} µs: {queue_us:?}");
     }
 
     /// `submitted == completed + rejected + timed_out + cancelled + failed
@@ -2091,7 +2232,7 @@ mod tests {
 
     #[test]
     fn brownout_sheds_infeasible_deadlines_under_overload() {
-        let g = stout_graph("m");
+        let g = stout_graph("m", 8);
         let weights = g.random_weights(80);
         let iacts = Tensor4::random([1, 4, 8, 8], 81);
 

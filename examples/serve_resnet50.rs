@@ -21,7 +21,7 @@
 //! ```
 
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use feather::{FeatherConfig, GraphSession};
 use feather_arch::graph::resnet50_graph_scaled;
@@ -61,13 +61,13 @@ fn main() {
         t0.elapsed()
     );
 
-    // The server: batch up to 8, hold a non-full batch open 2 ms, admit up
-    // to 128 queued requests per tenant (all 64 clients can be in flight at
-    // once), and replay batches on a 2-worker executor pool.
+    // The server: batch up to 8 (a non-full batch is held only while both
+    // workers are busy, or for the returns its model's last batch predicts),
+    // admit up to 128 queued requests per tenant (all 64 clients can be in
+    // flight at once), and replay batches on a 2-worker executor pool.
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 8,
         queue_depth: 128,
-        batch_window: Duration::from_millis(2),
         default_deadline: None,
         workers: 2,
         ..ServeConfig::default()

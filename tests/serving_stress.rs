@@ -445,7 +445,6 @@ fn weighted_fair_scheduling_bounds_light_tenant_service_delay() {
         queue_depth: 32,
         batch_window: Duration::from_micros(100),
         workers: 1,
-        ready_depth: 1,
         ..ServeConfig::default()
     }));
     for f in [&light_model, &flood_model] {
