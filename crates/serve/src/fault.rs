@@ -44,9 +44,10 @@ pub enum FaultSite {
     /// Inserting a freshly-compiled program into the in-memory program
     /// cache (`insert`). Supports `fail`.
     CacheInsert = 2,
-    /// A worker picking a formed batch off the ready queue (`pickup`).
-    /// `panic` here unwinds the whole worker thread — the supervision and
-    /// respawn path — while `fail` fails the batch without running it.
+    /// A worker taking up the batch it has just formed, after handing the
+    /// lead on (`pickup`). `panic` here unwinds the whole worker thread —
+    /// the supervision and respawn path — while `fail` fails the batch
+    /// without running it.
     WorkerPickup = 3,
 }
 

@@ -14,20 +14,20 @@
 //!   one per admitted request, so sustained-contention batch shares are
 //!   proportional to weights and a flooding tenant cannot starve a light
 //!   one.
-//! - **Dynamic batching on an executor pool** — a batch-former thread
+//! - **Dynamic batching on an executor pool** — [`ServeConfig::workers`]
+//!   executor workers take turns as leader: an idle worker takes the lead,
 //!   coalesces concurrent same-model requests (up to
-//!   [`ServeConfig::max_batch`]) and hands formed batches to
-//!   [`ServeConfig::workers`] executor workers over a one-batch ready slot;
-//!   different batches replay concurrently. Forming is work-conserving: an
-//!   idle executor never waits out a fixed window — a batch is held only
-//!   while every executor is busy, or, for at most one batch time, for the
-//!   returns the model's last batch predicts ([`ServeConfig::batch_window`]
-//!   is an optional floor, zero by default). A batch is one replay of the
-//!   model's program with one request per lane, each lane bit-identical to
-//!   a solo run, so neither coalescing nor the worker that ran a request is
-//!   observable in the results.
+//!   [`ServeConfig::max_batch`]) into a batch, hands the lead on and replays
+//!   the batch it formed, so different batches replay concurrently. Forming
+//!   is work-conserving: an idle worker never waits out a fixed window — a
+//!   batch is held only for the returns the model's last batch predicts,
+//!   and never past one batch time after its lead request arrived
+//!   ([`ServeConfig::batch_window`] is an optional floor, zero by default).
+//!   A batch is one replay of the model's program with one request per
+//!   lane, each lane bit-identical to a solo run, so neither coalescing nor
+//!   the worker that ran a request is observable in the results.
 //! - **Cancellation** — dropping a [`Ticket`] (or calling
-//!   [`Ticket::cancel`]) flags the request; the former and the executor
+//!   [`Ticket::cancel`]) flags the request; batch forming and the executor
 //!   boundary prune flagged or deadline-expired requests into
 //!   [`ServeError::Cancelled`]/[`ServeError::Timeout`] before they ever
 //!   run.
@@ -59,8 +59,8 @@
 //!   plan the injection sites compile down to a null check.
 //!
 //! There is no async runtime in this workspace (the vendored shims are
-//! trait-surface only), so the concurrency is hand-rolled std: a former
-//! thread plus worker threads and condvar-backed [`Ticket`]s that block
+//! trait-surface only), so the concurrency is hand-rolled std: worker
+//! threads sharing a lead lock, and condvar-backed [`Ticket`]s that block
 //! ([`Ticket::wait`]).
 //!
 //! # Example

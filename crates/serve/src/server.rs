@@ -1,30 +1,31 @@
-//! The serving core: weighted-fair admission, a batch-forming scheduler,
-//! and a pool of executor workers.
+//! The serving core: weighted-fair admission and a pool of executor workers
+//! that form their own batches.
 //!
-//! Two kinds of threads share the work. One lightweight **batch former**
-//! owns the admission queues: it runs a deficit-round-robin pass over the
-//! backlogged tenants (each earns its configured weight per batch formed,
-//! pays one unit per admitted request), picks the richest tenant's oldest
-//! request to choose the model, fills the batch with same-model requests (up
-//! to [`ServeConfig::max_batch`], across tenants in deficit order), and hands
-//! it to a one-batch ready slot. Forming is **work-conserving**: an idle
-//! executor gets the batch at once, unless fewer requests wait than the
-//! model's last batch answered — then the former holds for those returns,
-//! never longer than one batch time — and a batch stays open only while
-//! every executor is busy (or for the [`ServeConfig::batch_window`] floor,
-//! zero by default). **Executor workers**
-//! ([`ServeConfig::workers`] of them) pop ready batches and replay them
-//! concurrently — different models, or different batches of one model, can
-//! be in flight at once. A batch is one replay of the model's program, one
-//! request per lane, and each lane is bit-identical to a solo run, so a
-//! tenant can observe neither coalescing nor which worker ran its request.
+//! There is one kind of server thread: the **executor worker**
+//! ([`ServeConfig::workers`] of them), scheduled leader/follower. An idle
+//! worker takes the lead lock and forms the next batch: it runs a
+//! deficit-round-robin pass over the backlogged tenants (each earns its
+//! configured weight per batch formed, pays one unit per admitted request),
+//! picks the richest tenant's oldest request to choose the model, and fills
+//! the batch with same-model requests (up to [`ServeConfig::max_batch`],
+//! across tenants in deficit order). It then releases the lead to the next
+//! idle worker and replays the batch it formed, so different models, or
+//! different batches of one model, can be in flight at once. Forming is
+//! **work-conserving**: the batch launches at once unless fewer requests wait
+//! than the model's last batch answered — then the leader holds for those
+//! returns, never past one batch time after the lead request arrived (or the
+//! [`ServeConfig::batch_window`] floor, zero by default). A batch is one
+//! replay of the model's program, one request per lane, and each lane is
+//! bit-identical to a solo run, so a tenant can observe neither coalescing
+//! nor which worker ran its request.
 //!
 //! Admission is bounded **per tenant** ([`ServeConfig::queue_depth`]), so a
 //! flooding tenant exhausts only its own quota. Requests leave the queue
 //! early in two ways: a deadline expiring into [`ServeError::Timeout`], or
 //! cancellation ([`crate::Ticket::cancel`], or simply dropping the ticket)
-//! into [`ServeError::Cancelled`] — both are pruned by the former or at the
-//! executor boundary, never run, and are counted in [`ServerStats`].
+//! into [`ServeError::Cancelled`] — both are pruned while a batch is formed
+//! or at the executor boundary, never run, and are counted in
+//! [`ServerStats`].
 //!
 //! A model has **one** compiled program: its first request compiles the
 //! planned batch-1 [`GraphSession`] into a [`feather::Program`] (with the
@@ -40,14 +41,14 @@
 //!
 //! The server is **fault tolerant**. Replays run under `catch_unwind`: a
 //! panicking worker resolves only its own batch (retrying members with
-//! budget left, failing the rest as [`ServeError::Failed`]) and is respawned
-//! by the former. Failed batch members are re-enqueued at their tenant's
+//! budget left, failing the rest as [`ServeError::Failed`]) and spawns its
+//! own replacement. Failed batch members are re-enqueued at their tenant's
 //! queue head with exponential backoff up to [`ServeConfig::max_retries`] —
 //! replay determinism makes the retried response bit-identical. Each model
 //! carries a [`CircuitBreaker`]: sustained consecutive failures open it and
 //! requests fast-fail as [`ServeError::Unavailable`] until a half-open probe
 //! succeeds. Under overload (queue occupancy or deadline-miss rate past
-//! [`ServeConfig::brownout_pct`]) the former halves the effective batch size
+//! [`ServeConfig::brownout_pct`]) the leader halves the effective batch size
 //! and admission sheds requests whose deadlines are already infeasible
 //! ([`ServeError::Overloaded`]) instead of letting them time out in the
 //! queue. All of it is exercised deterministically by the seeded
@@ -82,12 +83,11 @@ pub struct ServeConfig {
     /// gets further submissions rejected with [`ServeError::QueueFull`].
     /// Other tenants' queues are unaffected.
     pub queue_depth: usize,
-    /// A floor on how long the former holds a non-full batch open for more
-    /// same-model requests, counted from when it picked the batch's lead.
-    /// Zero (the default) leaves the decision to the work-conserving rule:
-    /// launch when an executor is idle, hold for at most one batch time
-    /// while fewer requests wait than the model's last batch answered, and
-    /// hold while every executor is busy.
+    /// A floor on how long a non-full batch is held open for more
+    /// same-model requests, counted from its lead request's arrival. Zero
+    /// (the default) leaves the decision to the work-conserving rule:
+    /// launch at once, unless fewer requests wait than the model's last
+    /// batch answered — then hold for them, up to one batch time.
     pub batch_window: Duration,
     /// Deadline applied to every request without an explicit one: requests
     /// still queued past it are dropped with [`ServeError::Timeout`].
@@ -112,7 +112,7 @@ pub struct ServeConfig {
     pub breaker_cooldown: Duration,
     /// Overload threshold as a percentage of `queue_depth`: when any
     /// tenant's queue occupancy reaches it (or the deadline-miss rate
-    /// sustains ≥ 1 per formed batch), the former enters brownout — the
+    /// sustains ≥ 1 per formed batch), the server enters brownout — the
     /// effective `max_batch` halves (smaller batches drain the head of the
     /// queue sooner) and admission sheds requests whose deadlines are
     /// already infeasible given the backlog ([`ServeError::Overloaded`]).
@@ -178,8 +178,8 @@ struct Model {
     /// batch executions; open, this model's submits fast-fail.
     breaker: CircuitBreaker,
     /// Size of this model's last resolved batch, stored by the worker before
-    /// it answers the batch: how many returns the former expects when the
-    /// model's clients run a closed loop (see [`Forming::hold`]).
+    /// it answers the batch: how many returns the next leader expects when
+    /// the model's clients run a closed loop (see [`Forming::hold`]).
     last_batch: AtomicUsize,
 }
 
@@ -230,8 +230,7 @@ struct Request {
     promise: Arc<Promise>,
     /// Failed executions so far; bounded by [`ServeConfig::max_retries`].
     attempts: u32,
-    /// Retry backoff: the former leaves the request queued until this
-    /// instant passes.
+    /// Retry backoff: the request stays queued until this instant passes.
     not_before: Option<Instant>,
 }
 
@@ -242,8 +241,8 @@ impl Request {
         self.promise.is_cancelled() || self.deadline.is_some_and(|d| d <= now)
     }
 
-    /// Whether the former may schedule this request at `now` (its retry
-    /// backoff, if any, has elapsed).
+    /// Whether a batch may take this request at `now` (its retry backoff,
+    /// if any, has elapsed).
     fn eligible_at(&self, now: Instant) -> bool {
         self.not_before.map_or(true, |t| t <= now)
     }
@@ -264,11 +263,6 @@ struct TenantQueue {
 struct QueueState {
     tenants: BTreeMap<String, TenantQueue>,
     open: bool,
-    /// True while the former is alive and will drain the queues. Checked
-    /// (under this lock) by the retry path: once the former has decided to
-    /// exit, re-enqueueing would strand tickets forever, so late failures
-    /// resolve as [`ServeError::Failed`] instead.
-    forming: bool,
 }
 
 impl QueueState {
@@ -277,39 +271,26 @@ impl QueueState {
     }
 }
 
-/// A formed batch travelling from the former to an executor worker.
-struct ReadyBatch {
+/// A formed batch: same-model requests in admission order.
+struct Batch {
     model: String,
     requests: Vec<Request>,
 }
 
-/// The one-batch hand-off slot between the former and the executor pool.
-struct ReadyState {
-    batch: Option<ReadyBatch>,
-    /// Set by the former after it drained admission; workers exit once the
-    /// slot is empty and closed.
-    closed: bool,
-    /// Indexes of workers that died (panicked) and need a replacement.
-    /// Shares the lock with `closed` so a death is never reported into the
-    /// gap after the former's final respawn sweep: a worker that observes
-    /// `closed` spawns its own replacement instead of pushing here.
-    dead_workers: Vec<usize>,
-}
-
-/// State shared between the front-end handles, the former, and the workers.
+/// State shared between the front-end handles and the workers.
 struct Inner {
     cfg: ServeConfig,
     models: RwLock<BTreeMap<String, Arc<Model>>>,
     queue: Mutex<QueueState>,
-    /// Signaled on every admission and on shutdown.
+    /// Signaled on every admission, every re-enqueued retry and on
+    /// shutdown; only the leader waits on it.
     arrived: Condvar,
     /// Per-tenant weights for the deficit round-robin (default 1).
     weights: RwLock<BTreeMap<String, u64>>,
-    ready: Mutex<ReadyState>,
-    /// Signaled when a batch lands in the ready queue (and at close).
-    ready_pop: Condvar,
-    /// Signaled when a worker frees a ready-queue slot.
-    ready_push: Condvar,
+    /// Held by the worker forming a batch (the leader); idle workers queue
+    /// on it. Taken through `lock_recover`, so a panic while forming
+    /// poisons nothing the next leader needs.
+    lead: Mutex<()>,
     /// Admission-side counters: rejects plus timeouts and cancellations
     /// pruned before execution. Executor-side counters live in `worker_stats`.
     stats: Mutex<ServerStats>,
@@ -320,46 +301,38 @@ struct Inner {
     /// mark thereof — the observable proof of executor overlap.
     executing: AtomicU64,
     max_executing: AtomicU64,
-    /// Workers currently parked on an empty ready slot. The former reads
-    /// this to decide whether launching a non-full batch buys any latency:
-    /// while every worker is busy it keeps the batch open instead (see
-    /// [`Forming::hold`]).
-    idle_workers: AtomicU64,
     next_id: AtomicU64,
     /// The seeded fault-injection plan, if any. `None` (the production
     /// default) keeps the hot path to a single null check per site.
     fault: Option<FaultPlan>,
-    /// Whether the former currently runs in overload brownout.
+    /// Whether the last batch was formed in overload brownout.
     brownout: AtomicBool,
-    /// The batch size the former is currently forming to: `max_batch`
-    /// normally, halved under brownout. Read by admission for its shed
-    /// estimate.
+    /// The batch size the last leader formed to: `max_batch` normally,
+    /// halved under brownout. Read by admission for its shed estimate.
     effective_max_batch: AtomicU64,
-    /// EWMA of batch execution time in microseconds (admission's service
-    ///-rate estimate for the brownout infeasibility check).
+    /// EWMA of batch replay time in microseconds (admission's service-rate
+    /// estimate for the brownout infeasibility check, and the hold's one
+    /// batch time).
     batch_ewma_us: AtomicU64,
-    /// EWMA of queue timeouts per formed batch, in 1/256ths (the former's
+    /// EWMA of queue timeouts per formed batch, in 1/256ths (the
     /// deadline-miss-rate brownout trigger).
     miss_ewma: AtomicU64,
-    /// Join handles of respawned workers (and post-close self-spawned
-    /// drainers); drained by [`Server::shutdown`].
-    extra_workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Join handles of every worker thread, replacements included; drained
+    /// by [`Server::shutdown`].
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// The inference server. See the [module docs](self) for the scheduling
 /// model; see [`ServeConfig`] for the knobs.
 ///
 /// Dropping the server shuts it down gracefully: admission closes, the
-/// former drains every queued request, the pool drains every formed batch,
-/// then all threads join.
+/// workers drain every queued request, then all threads join.
 pub struct Server {
     inner: Arc<Inner>,
-    former: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts a server, its batch-former thread, and its executor pool.
+    /// Starts a server and its executor pool.
     /// Models bring their own accelerator configuration at
     /// [`Server::register_model`] time. Reads `FEATHER_FAULT_PLAN` for a
     /// fault-injection plan (none in production).
@@ -383,53 +356,28 @@ impl Server {
             queue: Mutex::new(QueueState {
                 tenants: BTreeMap::new(),
                 open: true,
-                forming: true,
             }),
             arrived: Condvar::new(),
             weights: RwLock::new(BTreeMap::new()),
-            ready: Mutex::new(ReadyState {
-                batch: None,
-                closed: false,
-                dead_workers: Vec::new(),
-            }),
-            ready_pop: Condvar::new(),
-            ready_push: Condvar::new(),
+            lead: Mutex::new(()),
             stats: Mutex::new(ServerStats::default()),
             worker_stats: (0..cfg.workers)
                 .map(|_| Mutex::new(ServerStats::default()))
                 .collect(),
             executing: AtomicU64::new(0),
             max_executing: AtomicU64::new(0),
-            idle_workers: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             fault,
             brownout: AtomicBool::new(false),
             effective_max_batch: AtomicU64::new(cfg.max_batch as u64),
             batch_ewma_us: AtomicU64::new(0),
             miss_ewma: AtomicU64::new(0),
-            extra_workers: Mutex::new(Vec::new()),
+            workers: Mutex::new(Vec::new()),
         });
-        let former = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("feather-serve-former".to_string())
-                .spawn(move || run_former(&inner))
-                .expect("former thread spawns")
-        };
-        let workers = (0..cfg.workers)
-            .map(|worker| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("feather-serve-worker-{worker}"))
-                    .spawn(move || run_worker(&inner, worker))
-                    .expect("worker thread spawns")
-            })
-            .collect();
-        Server {
-            inner,
-            former: Some(former),
-            workers,
+        for worker in 0..cfg.workers {
+            spawn_worker(&inner, worker);
         }
+        Server { inner }
     }
 
     /// Registers a model under `name`: compiles a batch-1 [`GraphSession`]
@@ -658,36 +606,24 @@ impl Server {
         self.inner.cfg
     }
 
-    /// Closes admission, drains every queued request and formed batch, and
-    /// joins the former and the executor pool. Idempotent; also runs on
-    /// drop.
+    /// Closes admission, lets the executor pool drain every queued request,
+    /// and joins it. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if let Some(former) = self.former.take() {
-            {
-                let mut queue = lock_recover(&self.inner.queue);
-                queue.open = false;
+        lock_recover(&self.inner.queue).open = false;
+        self.inner.arrived.notify_all();
+        // Each worker exits once it leads over a closed, empty queue. A
+        // dying worker registers its replacement before it exits, so
+        // draining until empty joins replacements of replacements too.
+        loop {
+            let workers: Vec<JoinHandle<()>> =
+                lock_recover(&self.inner.workers).drain(..).collect();
+            if workers.is_empty() {
+                break;
             }
-            self.inner.arrived.notify_all();
-            // The former drains admission, then closes the ready queue; the
-            // workers drain that and exit.
-            former.join().expect("former thread panicked");
-            for worker in self.workers.drain(..) {
+            for handle in workers {
                 // A worker that died to an injected panic was replaced; its
                 // own join result is the panic payload, not an error.
-                let _ = worker.join();
-            }
-            // Respawned workers (and post-close drainers) register here —
-            // including replacements spawned while this loop runs, hence
-            // drain-until-empty.
-            loop {
-                let extras: Vec<JoinHandle<()>> =
-                    lock_recover(&self.inner.extra_workers).drain(..).collect();
-                if extras.is_empty() {
-                    break;
-                }
-                for handle in extras {
-                    let _ = handle.join();
-                }
+                let _ = handle.join();
             }
         }
     }
@@ -699,8 +635,9 @@ impl Drop for Server {
     }
 }
 
-/// How long an idle thread sleeps between checks — a backstop for missed
-/// wakeups, not the signaling path.
+/// How long the leader sleeps between checks while nothing is schedulable —
+/// a backstop for missed wakeups and running-out retry backoffs, not the
+/// signaling path.
 const IDLE_POLL: Duration = Duration::from_millis(5);
 
 /// Removes `tq`'s cancelled/expired requests (front to back, preserving the
@@ -721,7 +658,7 @@ fn take_dead(tq: &mut TenantQueue, now: Instant) -> Vec<Request> {
 
 /// Fulfils pruned requests and books them into the admission-side stats:
 /// cancellation wins over expiry when both apply. Returns how many resolved
-/// as timeouts (the former's deadline-miss-rate signal).
+/// as timeouts (the deadline-miss-rate signal).
 fn resolve_dead(inner: &Inner, dead: Vec<Request>) -> usize {
     if dead.is_empty() {
         return 0;
@@ -760,51 +697,28 @@ fn roll_fault(inner: &Inner, site: FaultSite) -> Option<FaultAction> {
     inner.fault.as_ref()?.roll(site)
 }
 
-/// Spawns a replacement executor for dead `worker` (same index, so it
-/// inherits the stats shard) and registers its handle for shutdown to join.
-fn spawn_replacement(inner: &Arc<Inner>, worker: usize) {
-    lock_recover(&inner.stats).respawns += 1;
+/// Spawns executor `worker` and registers its handle for shutdown to join.
+fn spawn_worker(inner: &Arc<Inner>, worker: usize) {
     let cloned = inner.clone();
     let handle = std::thread::Builder::new()
-        .name(format!("feather-serve-worker-{worker}-respawn"))
+        .name(format!("feather-serve-worker-{worker}"))
         .spawn(move || run_worker(&cloned, worker))
-        .expect("respawn thread spawns");
-    lock_recover(&inner.extra_workers).push(handle);
+        .expect("worker thread spawns");
+    lock_recover(&inner.workers).push(handle);
 }
 
-/// Respawns every worker reported dead. Called by the former each loop (and
-/// from its waits), plus once after closing the ready queue.
-fn respawn_dead(inner: &Arc<Inner>) {
-    let dead: Vec<usize> = {
-        let mut ready = lock_recover(&inner.ready);
-        std::mem::take(&mut ready.dead_workers)
-    };
-    for worker in dead {
-        spawn_replacement(inner, worker);
-    }
-}
-
-/// A dying worker's report: hand the former a respawn request — or, if the
-/// former already closed the ready queue (and may be gone), spawn the
-/// replacement directly so any still-queued batches get drained.
-fn request_respawn(inner: &Arc<Inner>, worker: usize) {
-    let closed = {
-        let mut ready = lock_recover(&inner.ready);
-        if !ready.closed {
-            ready.dead_workers.push(worker);
-        }
-        ready.closed
-    };
-    if closed {
-        spawn_replacement(inner, worker);
-    } else {
-        inner.arrived.notify_all();
-    }
+/// Spawns a replacement for dead `worker` (same index, so it inherits the
+/// stats shard). The dying worker calls it itself, after it re-enqueued
+/// its batch's retries: the replacement drains them, even after admission
+/// closed.
+fn spawn_replacement(inner: &Arc<Inner>, worker: usize) {
+    lock_recover(&inner.stats).respawns += 1;
+    spawn_worker(inner, worker);
 }
 
 /// Guards an executor worker's thread: dropped during an unwinding panic
-/// (an injected pickup panic, or any unexpected one), it reports the worker
-/// dead so a replacement is spawned. Disarmed on clean exit.
+/// (an injected pickup panic, or any unexpected one), it spawns the
+/// worker's replacement. Disarmed on clean exit.
 struct WorkerSentinel {
     inner: Arc<Inner>,
     worker: usize,
@@ -814,7 +728,7 @@ struct WorkerSentinel {
 impl Drop for WorkerSentinel {
     fn drop(&mut self) {
         if self.armed && std::thread::panicking() {
-            request_respawn(&self.inner, self.worker);
+            spawn_replacement(&self.inner, self.worker);
         }
     }
 }
@@ -822,9 +736,9 @@ impl Drop for WorkerSentinel {
 /// Resolves the members of a failed batch execution: cancelled/expired
 /// members resolve as usual, members with retry budget left are re-enqueued
 /// at their tenant's queue head with exponential backoff, the rest fail as
-/// [`ServeError::Failed`]. If the former has already stopped forming,
-/// nothing is re-enqueued (it would hang forever) — budget or not, the
-/// request fails.
+/// [`ServeError::Failed`]. Only a worker calls this, and it (or its
+/// replacement) forms again afterwards, so a re-enqueued retry is always
+/// drained — shutdown included.
 fn retry_or_fail(inner: &Inner, worker: usize, requests: Vec<Request>, reason: &str) {
     if requests.is_empty() {
         return;
@@ -880,32 +794,20 @@ fn retry_or_fail(inner: &Inner, worker: usize, requests: Vec<Request>, reason: &
     if requeue.is_empty() {
         return;
     }
-    let stranded = {
+    {
         let mut queue = lock_recover(&inner.queue);
-        if queue.forming {
-            // Queue-head re-enqueue: retries go back out ahead of newer
-            // arrivals from the same tenant.
-            for request in requeue.drain(..) {
-                queue
-                    .tenants
-                    .entry(request.tenant.clone())
-                    .or_default()
-                    .requests
-                    .push_front(request);
-            }
-            false
-        } else {
-            true
-        }
-    };
-    if stranded {
-        let mut stats = lock_recover(&inner.worker_stats[worker]);
+        // Queue-head re-enqueue: retries go back out ahead of newer
+        // arrivals from the same tenant.
         for request in requeue {
-            fail(&mut stats, request);
+            queue
+                .tenants
+                .entry(request.tenant.clone())
+                .or_default()
+                .requests
+                .push_front(request);
         }
-    } else {
-        inner.arrived.notify_all();
     }
+    inner.arrived.notify_all();
 }
 
 /// The tenant with the largest deficit among those `eligible` selects; ties
@@ -923,19 +825,18 @@ where
         .map(|(name, _)| name.clone())
 }
 
-/// What the former does next with the batch it is forming.
+/// What the leader does next with the batch it is forming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Hold {
-    /// Hand the batch to the pool now.
+    /// Run the batch now.
     Launch,
     /// Keep it open for same-model arrivals until this instant.
     Until(Instant),
-    /// Keep it open until an executor frees: every one is busy.
-    WhileBusy,
 }
 
-/// A batch being formed: when its lead was picked, the configured floor, and
-/// the (brownout-adjusted) size that launches it at once.
+/// A batch being formed: when its lead request became schedulable, the
+/// configured floor, and the (brownout-adjusted) size that launches it at
+/// once.
 struct Forming {
     start: Instant,
     floor: Duration,
@@ -943,35 +844,29 @@ struct Forming {
 }
 
 impl Forming {
-    /// The work-conserving hold rule, a pure function of the former's view
-    /// at `now` — it reads no clock, takes no lock and spawns no thread:
+    /// The work-conserving hold rule, a pure function of the leader's view
+    /// at `now` — it reads no clock, takes no lock and spawns no thread. The
+    /// leader is an idle worker, so there is no busy executor to wait for:
     ///
     /// 1. `max_batch` requests wait → launch;
     /// 2. the floor has not elapsed since `start` → hold until it does;
-    /// 3. no executor is idle → hold while busy (arrivals fatten the batch
-    ///    for free, since it could not start anyway);
-    /// 4. fewer requests wait than `expected` (the model's last batch size:
+    /// 3. fewer requests wait than `expected` (the model's last batch size:
     ///    in a closed loop, the returns that batch's answers will send) →
     ///    hold for them, but never past one `batch_time` after `start`. A
     ///    `batch_time` of zero (no batch has run) holds nothing;
-    /// 5. otherwise → launch.
-    fn hold(
-        &self,
-        now: Instant,
-        waiting: usize,
-        expected: usize,
-        batch_time: Duration,
-        executor_idle: bool,
-    ) -> Hold {
+    /// 4. otherwise → launch.
+    ///
+    /// `start` is the lead request's arrival (or the end of its retry
+    /// backoff), not the moment a worker came free: a lead that waited out
+    /// a busy pool has already waited, and counting its hold from the
+    /// pickup would stack one more batch time on that wait.
+    fn hold(&self, now: Instant, waiting: usize, expected: usize, batch_time: Duration) -> Hold {
         if waiting >= self.max_batch {
             return Hold::Launch;
         }
         let floor_end = self.start + self.floor;
         if now < floor_end {
             return Hold::Until(floor_end);
-        }
-        if !executor_idle {
-            return Hold::WhileBusy;
         }
         let returns_end = self.start + batch_time;
         if waiting < expected && now < returns_end {
@@ -982,42 +877,23 @@ impl Forming {
     }
 }
 
-/// The batch-former loop: form batches until admission is closed *and* the
-/// queues are empty (shutdown still serves everything already admitted),
-/// then close the ready queue so the executor pool drains and exits. The
-/// former doubles as the pool supervisor: every round it respawns workers
-/// that died to a panic.
-fn run_former(inner: &Arc<Inner>) {
-    loop {
-        respawn_dead(inner);
-        wait_ready_slot(inner);
-        match form_batch(inner) {
-            None => break,
-            Some(batch) if batch.requests.is_empty() => continue,
-            Some(batch) => push_ready(inner, batch),
-        }
-    }
-    // Close and take any last death reports in one critical section: a
-    // worker that dies after observing `closed` self-replaces instead.
-    let leftover: Vec<usize> = {
-        let mut ready = lock_recover(&inner.ready);
-        ready.closed = true;
-        std::mem::take(&mut ready.dead_workers)
-    };
-    inner.ready_pop.notify_all();
-    for worker in leftover {
-        spawn_replacement(inner, worker);
-    }
-}
-
-/// Blocks until a batch is ready (or returns `None` at shutdown-and-
-/// drained). One deficit-round-robin pass picks the leading tenant (whose
-/// oldest request chooses the model); [`Forming::hold`] then decides how
-/// long the batch stays open for same-model arrivals, and extraction fills it
-/// across tenants in
-/// deficit order. Dead requests are pruned (and resolved) along the way, so
-/// an empty batch is possible when every candidate was cancelled or expired.
-fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
+/// Forms the next batch; the caller is an idle worker holding the lead
+/// lock. Blocks until a batch is formed, or returns `None` once admission
+/// is closed *and* the queues are empty (shutdown still serves everything
+/// already admitted). One deficit-round-robin pass picks the leading tenant
+/// (whose oldest request chooses the model); [`Forming::hold`] then decides
+/// how long the batch stays open for same-model arrivals, and extraction
+/// fills it across tenants in deficit order. Dead requests are pruned (and
+/// resolved) along the way, so an empty batch is possible when every
+/// candidate was cancelled or expired.
+///
+/// Forming only when an executor is free is what keeps batches full under
+/// load: requests accumulate in the admission queues while every worker
+/// runs, so each batch is formed from the fullest backlog, with fairness
+/// and cancellation decided as late as possible. Forming eagerly ahead of
+/// execution locked undersized batches in (measured: mean batch 3.9
+/// instead of 8 on the closed-loop sweep, a 27% throughput loss).
+fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
     let mut timeouts = 0usize;
     let mut queue = lock_recover(&inner.queue);
     // Wait for schedulable work: a request whose retry backoff (if any) has
@@ -1034,9 +910,6 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
             break;
         }
         if !queue.open && !queue.backlogged() {
-            // Drained and closed: tell the retry path re-enqueueing is no
-            // longer possible, atomically with the decision to exit.
-            queue.forming = false;
             record_miss_ewma(inner, timeouts);
             return None;
         }
@@ -1045,8 +918,6 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
             .wait_timeout(queue, IDLE_POLL)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         queue = guard;
-        // Supervision must not stall while the former idles here.
-        respawn_dead(inner);
     }
 
     // Brownout decision, taken once per batch from the freshest backlog
@@ -1085,28 +956,23 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
     let now = Instant::now();
     let lead = richest_tenant(&queue, |tq| tq.requests.iter().any(|r| r.eligible_at(now)))
         .expect("an eligible request broke the wait");
-    let model = queue.tenants[&lead]
+    let lead = queue.tenants[&lead]
         .requests
         .iter()
         .find(|r| r.eligible_at(now))
-        .expect("lead tenant had an eligible request")
-        .model
-        .clone();
+        .expect("lead tenant had an eligible request");
+    let (model, start) = (lead.model.clone(), lead.not_before.unwrap_or(lead.enqueued));
 
     // Hold the batch open only as long as `Forming::hold` says (shutdown
-    // launches immediately — latency no longer matters, drain fast). An idle
-    // executor gets the batch at once unless the model's last batch predicts
-    // more returns than wait; a busy pool keeps it open, since a formed batch
-    // could not start anyway and each arrival fattens it for free. A
-    // starving worker bumps `idle_workers` and knocks on `arrived`, so
-    // dispatch after a busy hold is one wakeup, not a poll. Measured on
-    // closed-loop Model A (req/s, medians of ten 5 s rounds, the fixed
-    // 500 µs window this replaced → this rule): 1 client 1049 → 3722,
-    // 2: 1246 → 1865, 4: 2148 → 3313, 8: 6177 → 6231 at mean batch 8.0 on
-    // both — a plain zero window breaks that loop up (mean batch 6.0, 4288
-    // req/s), which is what the expectation hold is for.
+    // launches immediately — latency no longer matters, drain fast): at once
+    // unless the model's last batch predicts more returns than wait.
+    // Measured on closed-loop Model A (req/s, medians of ten 5 s rounds, a
+    // fixed 500 µs window → this rule): 1 client 1049 → 3722, 2: 1246 →
+    // 1865, 4: 2148 → 3313, 8: 6177 → 6231 at mean batch 8.0 on both — a
+    // plain zero window breaks that loop up (mean batch 6.0, 4288 req/s),
+    // which is what the expectation hold is for.
     let forming = Forming {
-        start: now,
+        start,
         floor: inner.cfg.batch_window,
         max_batch,
     };
@@ -1132,19 +998,13 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
             waiting,
             served.last_batch.load(Ordering::Relaxed),
             Duration::from_micros(inner.batch_ewma_us.load(Ordering::Relaxed)),
-            inner.idle_workers.load(Ordering::SeqCst) > 0,
         );
-        let wait = match hold {
-            Hold::Launch => break,
-            Hold::Until(end) => end - now,
-            Hold::WhileBusy => IDLE_POLL,
-        };
+        let Hold::Until(end) = hold else { break };
         let (guard, _) = inner
             .arrived
-            .wait_timeout(queue, wait)
+            .wait_timeout(queue, end - now)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         queue = guard;
-        respawn_dead(inner);
     }
     timeouts += prune_queues(inner, &mut queue);
 
@@ -1182,7 +1042,7 @@ fn form_batch(inner: &Arc<Inner>) -> Option<ReadyBatch> {
     // Admission order within the batch, so coalescing stays deterministic.
     batch.sort_by_key(|r| r.id);
     record_miss_ewma(inner, timeouts);
-    Some(ReadyBatch {
+    Some(Batch {
         model,
         requests: batch,
     })
@@ -1199,61 +1059,11 @@ fn record_miss_ewma(inner: &Inner, timeouts: usize) {
         .store(old - old / 4 + sample / 4, Ordering::Relaxed);
 }
 
-/// Back-pressure: the former does not even begin forming a batch until the
-/// pool can accept it. Requests keep accumulating in the admission queues
-/// while the ready slot is full, so under sustained load each batch is
-/// formed at the moment the slot frees — from the fullest possible backlog,
-/// with fairness and cancellation decided as late as possible. Forming eagerly and
-/// blocking on the push instead would lock undersized batches in far ahead
-/// of their execution (measured: mean batch 3.9 instead of 8 on the
-/// closed-loop sweep, a 27% throughput loss vs the PR-7 inline scheduler,
-/// whose execution time back-pressured formation implicitly).
-fn wait_ready_slot(inner: &Arc<Inner>) {
-    wait_slot_supervised(inner, |_| {});
-}
-
-/// Hands a formed batch to the pool. Only the former pushes, so after
-/// [`wait_ready_slot`] the slot is still free; the wait here is a
-/// belt-and-braces bound, not the back-pressure mechanism.
-fn push_ready(inner: &Arc<Inner>, batch: ReadyBatch) {
-    let mut batch = Some(batch);
-    wait_slot_supervised(inner, |ready| ready.batch = batch.take());
-    inner.ready_pop.notify_one();
-}
-
-/// Waits for a free ready-queue slot, then runs `then` under the ready
-/// lock. While waiting, the former keeps supervising: if every worker died
-/// the slot would never free, so death reports are respawned from inside
-/// the wait (the ready lock is released around each spawn).
-fn wait_slot_supervised<F: FnMut(&mut ReadyState)>(inner: &Arc<Inner>, mut then: F) {
-    loop {
-        let dead = {
-            let mut ready = lock_recover(&inner.ready);
-            loop {
-                if !ready.dead_workers.is_empty() {
-                    break std::mem::take(&mut ready.dead_workers);
-                }
-                if ready.batch.is_none() {
-                    then(&mut ready);
-                    return;
-                }
-                let (guard, _) = inner
-                    .ready_push
-                    .wait_timeout(ready, IDLE_POLL)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                ready = guard;
-            }
-        };
-        for worker in dead {
-            spawn_replacement(inner, worker);
-        }
-    }
-}
-
-/// One executor worker: pop ready batches and replay them until the former
-/// closes the queue and it runs dry. The worker keeps one [`ReplayScratch`]
-/// — it serves any program at any lane count — so its steady state
-/// allocates no buffer memory.
+/// One executor worker, leader/follower: take the lead lock, form a batch,
+/// hand the lead on, replay the batch — until admission is closed and the
+/// queues run dry. The worker keeps one [`ReplayScratch`] — it serves any
+/// program at any lane count — so its steady state allocates no buffer
+/// memory.
 fn run_worker(inner: &Arc<Inner>, worker: usize) {
     let mut sentinel = WorkerSentinel {
         inner: inner.clone(),
@@ -1262,33 +1072,20 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
     };
     let mut scratch = ReplayScratch::new();
     loop {
-        let batch = {
-            let mut ready = lock_recover(&inner.ready);
-            loop {
-                if let Some(batch) = ready.batch.take() {
-                    inner.ready_push.notify_one();
-                    break batch;
-                }
-                if ready.closed {
-                    sentinel.armed = false;
-                    return;
-                }
-                // Starving: tell the former a non-full batch is now worth
-                // launching (it may be holding one open because nobody
-                // could run it anyway).
-                inner.idle_workers.fetch_add(1, Ordering::SeqCst);
-                inner.arrived.notify_all();
-                let (guard, _) = inner
-                    .ready_pop
-                    .wait_timeout(ready, IDLE_POLL)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                ready = guard;
-                inner.idle_workers.fetch_sub(1, Ordering::SeqCst);
-            }
+        let formed = {
+            let _lead = lock_recover(&inner.lead);
+            form_batch(inner)
         };
+        let Some(batch) = formed else {
+            sentinel.armed = false;
+            return;
+        };
+        if batch.requests.is_empty() {
+            continue;
+        }
         // Injected pickup faults. Both resolve the batch's members first
         // (retry or fail — never strand a ticket); the panic then unwinds
-        // the worker thread and the sentinel requests a respawn.
+        // the worker thread and the sentinel spawns its replacement.
         if let Some(action) = roll_fault(inner, FaultSite::WorkerPickup) {
             let panics = action == FaultAction::Panic;
             if panics {
@@ -1309,10 +1106,10 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             BatchOutcome::Done => {}
             BatchOutcome::WorkerDied => {
                 // The replay panicked (caught, batch resolved). Retire this
-                // worker thread — its scratch state dies with it — and ask
-                // for a replacement.
+                // worker thread — its scratch state dies with it — and
+                // spawn a replacement.
                 sentinel.armed = false;
-                request_respawn(inner, worker);
+                spawn_replacement(inner, worker);
                 return;
             }
         }
@@ -1335,7 +1132,7 @@ enum BatchOutcome {
 fn execute_batch(
     inner: &Arc<Inner>,
     worker: usize,
-    batch: ReadyBatch,
+    batch: Batch,
     scratch: &mut ReplayScratch,
 ) -> BatchOutcome {
     let launched = Instant::now();
@@ -1373,6 +1170,9 @@ fn execute_batch(
 
     let executing = inner.executing.fetch_add(1, Ordering::SeqCst) + 1;
     inner.max_executing.fetch_max(executing, Ordering::SeqCst);
+    // Timed from here, not from `launched`: a model's first batch compiles
+    // in `program_for`, and that one-off must not pose as a batch time.
+    let replay_start = Instant::now();
     // One replay of the model's program, request `i` riding lane `i`, under
     // a supervision boundary: an injected (or real) panic inside the replay
     // must fail only this batch, not the server.
@@ -1391,8 +1191,8 @@ fn execute_batch(
             .map_err(ServeError::Exec)
     }));
     inner.executing.fetch_sub(1, Ordering::SeqCst);
-    // Feed the admission-side service-rate estimate (quarter-weight EWMA).
-    let elapsed_us = launched.elapsed().as_micros() as u64;
+    // Feed the service-rate estimate (quarter-weight EWMA).
+    let elapsed_us = replay_start.elapsed().as_micros() as u64;
     let old = inner.batch_ewma_us.load(Ordering::Relaxed);
     let ewma = if old == 0 {
         elapsed_us
@@ -1490,7 +1290,7 @@ mod tests {
             ..ServeConfig::default()
         });
         server.register_model("m", config(), &g, weights).unwrap();
-        // All four land inside the window, so the former coalesces them
+        // All four land inside the window, so the leader coalesces them
         // into one batch-4 run the moment the fourth arrives.
         let tickets: Vec<Ticket> = inputs
             .iter()
@@ -1526,7 +1326,7 @@ mod tests {
             .map(|i| Tensor4::random([1, 2, 4, 4], 90 + i))
             .collect();
 
-        // A floor: with none, an idle former launches each burst's head at
+        // A floor: with none, an idle worker launches each burst's head at
         // once and holds only up to the last batch's size, so a burst one
         // larger than the last can split — every time, on one CPU.
         let server = Server::new(ServeConfig {
@@ -1536,7 +1336,7 @@ mod tests {
         server
             .register_model("m", config(), &g, weights.clone())
             .unwrap();
-        // A burst of `size` submits lands inside the former's window unless
+        // A burst of `size` submits lands inside the floor unless
         // this thread is descheduled mid-burst, so repeat each size until
         // the histogram shows a batch of exactly that many requests.
         for size in 1..=server.config().max_batch {
@@ -1726,12 +1526,13 @@ mod tests {
     fn weighted_fair_admission_shares_batches_by_weight() {
         let g_light = tiny_graph("ml");
         let g_flood = tiny_graph("mf");
+        let g_plug = tiny_graph("mp");
         let w_light = g_light.random_weights(21);
         let w_flood = g_flood.random_weights(22);
 
-        // One worker and the one-batch ready slot keep batch formation late;
-        // a long first window lets both tenants pile up their backlogs
-        // before any fairness decision is made.
+        // One worker forms each batch only when it is free; a long first
+        // window lets both tenants pile up their backlogs before any
+        // fairness decision is made.
         let mut server = Server::new(ServeConfig {
             max_batch: 4,
             queue_depth: 64,
@@ -1745,14 +1546,19 @@ mod tests {
         server
             .register_model("mf", config(), &g_flood, w_flood)
             .unwrap();
+        server
+            .register_model("mp", config(), &g_plug, g_plug.random_weights(23))
+            .unwrap();
         server.set_tenant_weight("light", 4);
         server.set_tenant_weight("flood", 1);
 
-        // The plug opens a window on model `mf`; the backlogs below are
-        // queued while the former races through its first few flood-only
-        // batches, after which both tenants contend on every round.
+        // The plug leads a batch on a model of its own, so nothing joins it
+        // and its floor holds the worker for the full 150 ms: both backlogs
+        // below are queued before the first fairness round. (A plug on the
+        // flood's model would launch as soon as four flood requests joined
+        // it, and the flood could drain before light's submits landed.)
         let plug = server
-            .submit("warm", "mf", Tensor4::random([1, 2, 4, 4], 30))
+            .submit("warm", "mp", Tensor4::random([1, 2, 4, 4], 30))
             .unwrap();
         let flood: Vec<Ticket> = (0..64)
             .map(|i| {
@@ -1773,8 +1579,7 @@ mod tests {
         // tenant's 32 requests finish while the flood is still deeply
         // backlogged: under sustained contention it earns 4 of every 5
         // batches, so the flood advances by roughly a quarter of light's
-        // volume (plus the few batches it won before light's backlog
-        // landed). Equal weights would leave the flood at ~43 of 64 here;
+        // volume. Equal weights would leave the flood at ~43 of 64 here;
         // FIFO would drain it completely first.
         for ticket in light {
             ticket.wait().unwrap();
@@ -1835,8 +1640,9 @@ mod tests {
     fn executor_pool_overlaps_batches_and_stays_exact() {
         // Replays long enough that two workers on one hardware thread still
         // interleave mid-run, in release too: pinned to one CPU, 8×8 graphs
-        // never overlapped in 150 rounds (the former must run between the
-        // two pickups), 24×24 overlapped within a few rounds 20 times of 20.
+        // never overlapped in 150 rounds (the second batch must be formed
+        // while the first replays), 24×24 overlapped within a few rounds 20
+        // times of 20.
         let hw = 24;
         let g_a = stout_graph("a", hw);
         let g_b = stout_graph("b", hw);
@@ -1973,31 +1779,29 @@ mod tests {
 
     #[test]
     fn hold_rule_on_virtual_time() {
-        use Hold::{Launch, Until, WhileBusy};
-        // Virtual instants: the lead was picked at `t0`, `now` is µs after
-        // it; floor and batch time are µs too. Nothing sleeps.
+        use Hold::{Launch, Until};
+        // Virtual instants: the lead became schedulable at `t0`, `now` is µs
+        // after it; floor and batch time are µs too. Nothing sleeps.
         let t0 = Instant::now();
         let at = |us: u64| t0 + Duration::from_micros(us);
         #[rustfmt::skip]
         let cases = [
-            // case                            floor max  now  wait exp  batch idle   decision
-            ("lone request, idle executor",      0,   8,    0,  1,   1,  200, true,  Launch),
-            ("returns expected",                 0,   8,   50,  3,   8,  200, true,  Until(at(200))),
-            ("one batch time elapsed",           0,   8,  200,  3,   8,  200, true,  Launch),
-            ("past one batch time",              0,   8,  900,  3,   8,  200, true,  Launch),
-            ("waiting reaches expected",         0,   8,   50,  5,   5,  200, true,  Launch),
-            ("full batch",                       0,   8,    0,  8,   8,  200, false, Launch),
-            ("brownout-halved full batch",       0,   4,    0,  4,   8,  200, false, Launch),
-            ("full batch inside the floor",    500,   8,   10,  8,   1,    0, true,  Launch),
-            ("floor not elapsed",              500,   8,   10,  1,   1,    0, true,  Until(at(500))),
-            ("floor elapsed",                  500,   8,  500,  1,   1,    0, true,  Launch),
-            ("floor outlasts the batch time",  500,   8,  500,  1,   8,  200, true,  Launch),
-            ("every executor busy",              0,   8,    0,  1,   1,  200, false, WhileBusy),
-            ("busy past one batch time",         0,   8,  900,  3,   8,  200, false, WhileBusy),
-            ("batch time 0: no hold",            0,   8,    0,  3,   8,    0, true,  Launch),
-            ("first batch: nothing expected",    0,   8,    0,  1,   0,    0, true,  Launch),
+            // case                            floor max  now  wait exp  batch  decision
+            ("lone request, idle executor",      0,   8,    0,  1,   1,  200, Launch),
+            ("returns expected",                 0,   8,   50,  3,   8,  200, Until(at(200))),
+            ("one batch time elapsed",           0,   8,  200,  3,   8,  200, Launch),
+            ("past one batch time",              0,   8,  900,  3,   8,  200, Launch),
+            ("waiting reaches expected",         0,   8,   50,  5,   5,  200, Launch),
+            ("full batch",                       0,   8,    0,  8,   8,  200, Launch),
+            ("brownout-halved full batch",       0,   4,    0,  4,   8,  200, Launch),
+            ("full batch inside the floor",    500,   8,   10,  8,   1,    0, Launch),
+            ("floor not elapsed",              500,   8,   10,  1,   1,    0, Until(at(500))),
+            ("floor elapsed",                  500,   8,  500,  1,   1,    0, Launch),
+            ("floor outlasts the batch time",  500,   8,  500,  1,   8,  200, Launch),
+            ("batch time 0: no hold",            0,   8,    0,  3,   8,    0, Launch),
+            ("first batch: nothing expected",    0,   8,    0,  1,   0,    0, Launch),
         ];
-        for (case, floor, max_batch, now, waiting, expected, batch, idle, decision) in cases {
+        for (case, floor, max_batch, now, waiting, expected, batch, decision) in cases {
             let forming = Forming {
                 start: t0,
                 floor: Duration::from_micros(floor),
@@ -2005,7 +1809,7 @@ mod tests {
             };
             let batch_time = Duration::from_micros(batch);
             assert_eq!(
-                forming.hold(at(now), waiting, expected, batch_time, idle),
+                forming.hold(at(now), waiting, expected, batch_time),
                 decision,
                 "{case}"
             );
@@ -2031,6 +1835,42 @@ mod tests {
         queue_us.sort_unstable();
         let median = queue_us[queue_us.len() / 2];
         assert!(median < 250, "median queue {median} µs: {queue_us:?}");
+    }
+
+    #[test]
+    fn batch_time_estimate_excludes_the_first_batch_compile() {
+        // A model's first batch compiles its program. The batch time that
+        // bounds the hold and prices brownout's shedding must see only the
+        // replay. 1×1 convs over a 2×2 input whose channel count changes at
+        // every layer compile 14–23× slower than they replay (debug and
+        // release), so a compile folded into the estimate reads above a
+        // bare compile of the same graph.
+        let mut g = Graph::new("m", [1, 2, 2, 2]);
+        let mut t = g.input();
+        for (i, c) in [2, 3, 5, 7, 6, 4, 2].windows(2).enumerate() {
+            let layer = ConvLayer::new(1, c[1], c[0], 2, 2, 1, 1).with_name(format!("l{i}"));
+            t = g.conv(t, layer).unwrap();
+        }
+        let server = Server::new(ServeConfig::default());
+        server
+            .register_model("m", config(), &g, g.random_weights(95))
+            .unwrap();
+        let iacts = Tensor4::random([1, 2, 2, 2], 96);
+        server.submit("t", "m", iacts).unwrap().wait().unwrap();
+        let estimate = Duration::from_micros(server.inner.batch_ewma_us.load(Ordering::Relaxed));
+        let compile = (0..3)
+            .map(|_| {
+                let session = GraphSession::auto(config(), &g).unwrap();
+                let started = Instant::now();
+                session.compile().unwrap();
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            estimate < compile,
+            "batch time {estimate:?} is no less than a whole compile ({compile:?})"
+        );
     }
 
     /// `submitted == completed + rejected + timed_out + cancelled + failed
@@ -2254,7 +2094,7 @@ mod tests {
             .unwrap();
 
         // Flood past the occupancy threshold, then probe with deadlines no
-        // backlog this deep can meet. The former recomputes the brownout
+        // backlog this deep can meet. The leader recomputes the brownout
         // flag per formed batch, so allow a few probe rounds for it to
         // trip; a shed resolves at admission as Overloaded.
         let mut shed = false;

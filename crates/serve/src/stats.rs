@@ -111,7 +111,8 @@ pub struct ServerStats {
     /// exactly `k` coalesced requests.
     pub batches: BTreeMap<usize, u64>,
     /// Batches executed per pool worker, keyed by worker index — shows how
-    /// evenly the ready queue spread work across the pool.
+    /// evenly work spread across the pool (whichever worker is idle forms
+    /// and runs the next batch).
     pub worker_batches: BTreeMap<usize, u64>,
     /// Requests accepted past validation and breaker checks. Every
     /// submitted request resolves exactly one way, so at quiescence

@@ -1,5 +1,5 @@
 //! Request completion handles: a [`Ticket`] is a blocking handle
-//! ([`Ticket::wait`]), resolved by the scheduler thread through the shared
+//! ([`Ticket::wait`]), resolved by an executor worker through the shared
 //! promise cell. The workspace has no async runtime, so there is no second,
 //! future-style way to wait.
 
@@ -15,9 +15,10 @@ use crate::sync::lock_recover;
 pub(crate) struct Promise {
     slot: Mutex<Slot>,
     ready: Condvar,
-    /// Set by [`Ticket::cancel`] (or the ticket's `Drop`). The batch former
-    /// and the executor workers check it before execution and resolve
-    /// flagged requests as [`ServeError::Cancelled`] without running them.
+    /// Set by [`Ticket::cancel`] (or the ticket's `Drop`). A worker checks
+    /// it while forming a batch and again just before replaying it, and
+    /// resolves flagged requests as [`ServeError::Cancelled`] without
+    /// running them.
     cancelled: AtomicBool,
 }
 

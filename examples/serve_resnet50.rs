@@ -61,10 +61,10 @@ fn main() {
         t0.elapsed()
     );
 
-    // The server: batch up to 8 (a non-full batch is held only while both
-    // workers are busy, or for the returns its model's last batch predicts),
-    // admit up to 128 queued requests per tenant (all 64 clients can be in
-    // flight at once), and replay batches on a 2-worker executor pool.
+    // The server: batch up to 8 (a non-full batch is held only for the
+    // returns its model's last batch predicts), admit up to 128 queued
+    // requests per tenant (all 64 clients can be in flight at once), and
+    // run a 2-worker executor pool whose idle worker forms the next batch.
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 8,
         queue_depth: 128,
