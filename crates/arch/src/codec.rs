@@ -1,15 +1,9 @@
-//! The sealed-file codec both on-disk stores share: compiled-program
-//! recordings (`feather::program`) and the co-search cache
-//! (`layoutloop::persist`), side by side under `FEATHER_CACHE_DIR`:
-//!
-//! ```text
-//! $FEATHER_CACHE_DIR/
-//!   cosearch.cache                                   feather-cosearch-cache v2
-//!   programs/<model>-b<batch>-<fingerprint>.program  feather-program v4
-//! ```
+//! The sealed-file codec of the on-disk co-search cache
+//! (`layoutloop::persist`, `$FEATHER_CACHE_DIR/cosearch.cache`, header
+//! `feather-cosearch-cache v2`).
 //!
 //! A sealed file is a versioned header line, a body of newline-terminated
-//! records the owning store defines, and a trailer that covers every byte
+//! records the store defines, and a trailer that covers every byte
 //! above it:
 //!
 //! ```text
@@ -20,18 +14,18 @@
 //!
 //! The trailer is compared as text, so no byte of a file has a second
 //! spelling: any truncation, bit flip or partial write — and any other
-//! store's or version's header — makes [`unseal`] return `None`, and the
-//! store treats the file as absent after setting it aside once
-//! ([`quarantine`]). What a store makes of a body that unseals is its own
-//! input checking. Files are replaced whole ([`write_atomically`]), so
-//! processes sharing a cache directory never read a prefix.
+//! version's header — makes [`unseal`] return `None`, and the store treats
+//! the file as absent after setting it aside once ([`quarantine`]). What the
+//! store makes of a body that unseals is its own input checking. Files are
+//! replaced whole ([`write_atomically`]), so processes sharing a cache
+//! directory never read a prefix.
 
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FNV-1a 64-bit hash: the trailer of a sealed file, and the schedule
-/// fingerprints that name one.
+/// fingerprints of plans and programs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -98,7 +92,7 @@ pub fn quarantine(path: &Path) {
     let _ = std::fs::rename(path, &bad);
 }
 
-/// The cache root every store lives under: `FEATHER_CACHE_DIR`, or `None`
+/// The cache root the co-search cache lives under: `FEATHER_CACHE_DIR`, or `None`
 /// when unset (nothing is persisted).
 pub fn cache_dir() -> Option<PathBuf> {
     std::env::var_os("FEATHER_CACHE_DIR").map(PathBuf::from)

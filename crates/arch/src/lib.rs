@@ -21,7 +21,7 @@
 //!   producer→consumer edges, residual joins, and the real ResNet-50 topology
 //!   ([`graph::resnet50_graph`]).
 //! * [`codec`] — the sealed-file format (header, records, checksum trailer)
-//!   and atomic-write / quarantine helpers both on-disk stores share.
+//!   and atomic-write / quarantine helpers of the on-disk co-search cache.
 //! * [`energy`] — per-action energy constants used by the cost models.
 //! * [`tensor`] — dense INT8/INT32 tensors and reference conv/GEMM kernels.
 //!

@@ -184,8 +184,7 @@ struct FoldedGroup {
 /// reduction group, the run of bus columns the routed [`CompiledRoute`] sums
 /// into the group's destination bank, with input presence already applied —
 /// what is left of a BIRRD pass once its configuration is known ahead of
-/// time. The originating requests are kept so an artifact can store them and
-/// re-derive the folded runs by deterministic re-routing on load.
+/// time. The originating requests are kept for the program listing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteTable {
     requests: Vec<(usize, ReductionRequest)>,
@@ -195,29 +194,9 @@ pub(crate) struct RouteTable {
 }
 
 impl RouteTable {
-    /// Rebuilds a table from the `(c_cols, request)` pairs of an artifact by
-    /// re-routing every request (routing is deterministic, so the folded
-    /// runs equal the recorded ones).
-    pub(crate) fn from_requests(
-        birrd: &Birrd,
-        requests: Vec<(usize, ReductionRequest)>,
-    ) -> Result<Self, ArchError> {
-        let mut table = RouteTable::default();
-        for (c_cols, request) in requests {
-            let route = route_and_compile(birrd, &request)?;
-            table.push(c_cols, request, &route)?;
-        }
-        Ok(table)
-    }
-
     /// The `(c_cols, request)` pair behind every pass, in slot order.
     pub(crate) fn requests(&self) -> &[(usize, ReductionRequest)] {
         &self.requests
-    }
-
-    /// Number of distinct passes.
-    pub(crate) fn len(&self) -> usize {
-        self.requests.len()
     }
 
     /// Folds `route` under `request`'s presence mask and appends it as a new
@@ -226,7 +205,7 @@ impl RouteTable {
     /// # Errors
     /// Fails on a request that does not fit the fabric, and on a group whose
     /// folded columns are not one contiguous run — which the controller
-    /// never issues, so only a hand-made artifact can declare one.
+    /// never issues.
     fn push(
         &mut self,
         c_cols: usize,
@@ -1118,7 +1097,7 @@ fn tap_runs(
 }
 
 /// Everything a replayed `Fire` of one layer needs besides the data, lowered
-/// when the program is compiled (or loaded): the tile-loop context, both
+/// when the program is compiled: the tile-loop context, both
 /// halves' flat addressing, the valid kernel taps of every output row and
 /// column, and the recorded pass stream into the program's [`RouteTable`].
 #[derive(Debug, Clone)]
@@ -1175,89 +1154,6 @@ impl ReplayLayer {
     pub(crate) fn operand_cells(&self) -> usize {
         self.tiling.cols.max(self.tiling.rs)
     }
-
-    /// Dry cursor walk of the recorded stream against `table`: `true` iff it
-    /// is the stream this layer records — so [`replay_fire`] consumes it
-    /// without ever indexing out of range or leaving an accumulator
-    /// undrained. Blocks lie back to back over the whole stream, every slot
-    /// is inside the table, and every row fire is the controller's: passes of
-    /// this layer's `c_cols` that take the fire's in-range `q_lane`s in
-    /// order, each into the bank the oAct layout puts its output in, a lane
-    /// whose bank is taken waiting for the next pass ([`next_batch`]), each
-    /// group the lane's live columns under the block's channel tile. Run on
-    /// streams that come from an artifact; a recorded stream satisfies it by
-    /// construction.
-    pub(crate) fn stream_is_sound(&self, table: &RouteTable) -> bool {
-        let ctx = &self.tiling;
-        let LayerStream {
-            stream,
-            block_starts,
-        } = &self.routes;
-        // One entry per `(wt_m, wt_c, n)` work block.
-        if block_starts.len() != ctx.m_tiles * ctx.c_tiles * ctx.layer.n {
-            return false;
-        }
-        let [out_n, out_m, out_p, out_q] = &self.oact.tables;
-        let line_size = ctx.mapping.oact_layout.line_size();
-        let mut covered = vec![false; ctx.q_cols];
-        let mut bank_used = vec![false; ctx.cols];
-        let mut pos = 0;
-        for (block, &start) in block_starts.iter().enumerate() {
-            if start as usize != pos {
-                return false;
-            }
-            let tile = block / ctx.layer.n;
-            let m_base = tile / ctx.c_tiles * ctx.m_rows;
-            let m_lanes = ctx.m_rows.min(ctx.layer.m - m_base);
-            let c_live = ctx.c_live(tile % ctx.c_tiles);
-            // Row fires of a block, in replay order: `p`, `qt`, `m_lane`.
-            for fire in 0..ctx.p_total * ctx.q_tiles * m_lanes {
-                let q_base = fire / m_lanes % ctx.q_tiles * ctx.q_cols;
-                let q_live = ctx.q_cols.min(ctx.q_total - q_base);
-                let out_cell = out_n[block % ctx.layer.n]
-                    + out_m[m_base + fire % m_lanes]
-                    + out_p[fire / m_lanes / ctx.q_tiles];
-                covered[..q_live].fill(false);
-                while covered[..q_live].contains(&false) {
-                    let slot = match stream.get(pos) {
-                        Some(&slot) if (slot as usize) < table.len() => slot,
-                        _ => return false,
-                    };
-                    let (c_cols, request) = &table.requests[slot as usize];
-                    if *c_cols != ctx.c_cols {
-                        return false;
-                    }
-                    let banks = request.group_destinations.values();
-                    let mut issued = table.pass(slot).iter().zip(banks);
-                    bank_used.fill(false);
-                    for q_lane in 0..q_live {
-                        let cell = (out_cell + out_q[q_base + q_lane]) as usize;
-                        let bank = cell % line_size % ctx.cols;
-                        if covered[q_lane] || std::mem::replace(&mut bank_used[bank], true) {
-                            continue;
-                        }
-                        // What Phase 1 writes is what Phase 2 must drain.
-                        let run = (q_lane * ctx.c_cols, c_live);
-                        match issued.next() {
-                            Some((g, &to))
-                                if g.q_lane as usize == q_lane
-                                    && (g.start as usize, g.len as usize) == run
-                                    && to == bank =>
-                            {
-                                covered[q_lane] = true;
-                            }
-                            _ => return false,
-                        }
-                    }
-                    if issued.next().is_some() {
-                        return false;
-                    }
-                    pos += 1;
-                }
-            }
-        }
-        pos == stream.len()
-    }
 }
 
 /// Replays one layer's `Fire` as pure data movement across `lanes` samples
@@ -1281,9 +1177,9 @@ impl ReplayLayer {
 /// zeroed over the layer's cells by the caller.
 ///
 /// `weights` must already have passed
-/// [`check_weight_shape`](crate::accelerator::check_weight_shape), and the
-/// layer's stream must be sound against `table`
-/// ([`ReplayLayer::stream_is_sound`]).
+/// [`check_weight_shape`](crate::accelerator::check_weight_shape), and
+/// `table` must be the one the layer's stream was recorded into
+/// ([`RouteRecorder`]): only a record pass produces streams.
 pub(crate) fn replay_fire<const SCALAR: bool>(
     layer: &ReplayLayer,
     table: &RouteTable,
@@ -1587,9 +1483,9 @@ mod tests {
         assert_eq!(stats.entries, 1);
     }
 
-    /// Only a hand-made artifact can declare a group whose folded columns
-    /// skip a port; it is refused where it is folded, and a contiguous group
-    /// folds to its run.
+    /// The controller never issues a group whose folded columns skip a
+    /// port; one is refused where it is folded, and a contiguous group folds
+    /// to its run.
     #[test]
     fn push_folds_a_group_to_one_run_or_refuses_it() {
         let birrd = Birrd::new(4).unwrap();
@@ -1737,7 +1633,7 @@ mod tests {
         // One memo entry, one shared-map miss, one table pass per distinct
         // request — no more, no fewer.
         prop_assert_eq!(memo.entries.len(), slots.len());
-        prop_assert_eq!(recorder.table.len(), slots.len());
+        prop_assert_eq!(recorder.table.requests().len(), slots.len());
         prop_assert_eq!(recorder.layer.stream.len() as u64, passes);
         prop_assert_eq!(cache.stats().misses as usize, slots.len());
         Ok((fires, passes))

@@ -339,48 +339,14 @@ impl GraphSession {
     /// either way: lowering is a pure function of the session.
     pub fn compile(&self) -> Result<Program, ArchError> {
         self.program
-            .get_or_init(|| crate::program::compile(self, None))
+            .get_or_init(|| crate::program::compile(self))
             .clone()
-    }
-
-    /// Fills an empty program cell with `program` — this session lowered
-    /// with a recording from disk. First writer wins, as in
-    /// [`GraphSession::compile`].
-    pub(crate) fn keep_program(&self, program: &Program) {
-        let _ = self.program.set(Ok(program.clone()));
-    }
-
-    /// Lowers this session with the recording [`Program::save_to`] left at
-    /// `path` instead of running the accounted record pass: the program's
-    /// structure is this session's either way, only the measured costs,
-    /// pass streams and routes come from the file. Any failure — no file, a
-    /// damaged or stale one, a recording of some other session — returns
-    /// `None` so callers degrade to [`GraphSession::compile`].
-    pub fn load_program(&self, path: &std::path::Path) -> Option<Program> {
-        crate::program::load_program(self, path)
-    }
-
-    /// Like [`GraphSession::compile`], but backed by the on-disk artifact
-    /// cache under `FEATHER_CACHE_DIR/programs/` (next to the co-search
-    /// cache): a matching recording is loaded instead of re-measured — and
-    /// the program kept, so a later [`GraphSession::run`] replays it — and
-    /// a fresh compile is saved back. Returns the program together with
-    /// where it came from.
-    ///
-    /// # Errors
-    /// Same conditions as [`GraphSession::compile`]; artifact I/O failures
-    /// degrade to a recompile, never to an error. A corrupt, stale or
-    /// foreign artifact (checksum failure, truncation, old format, another
-    /// session's recording) is quarantined aside as `<name>.bad` and
-    /// recompiled.
-    pub fn compile_cached(&self) -> Result<(Program, crate::ArtifactStatus), ArchError> {
-        crate::program::compile_cached(self)
     }
 
     /// A stable fingerprint of everything that determines this session's
     /// compiled program: hardware config, batch, quantization, the schedule
-    /// (mappings and layouts) and the graph structure. Keys the on-disk
-    /// program artifacts.
+    /// (mappings and layouts) and the graph structure. A program's listing
+    /// ([`Program::dump`]) opens with it.
     pub fn fingerprint(&self) -> u64 {
         crate::program::session_fingerprint(self)
     }

@@ -67,7 +67,7 @@ pub use config::FeatherConfig;
 pub use graph_session::GraphSession;
 pub use mapping::LayerMapping;
 pub use profile::{OpFamily, ProfileRow, ReplayProfile};
-pub use program::{ArtifactStatus, Program, ProgramSession, ReplayScratch};
+pub use program::{Program, ProgramSession, ReplayScratch};
 pub use report::{
     GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, NetworkReport, NetworkRun,
     RunReport, SegmentSummary,

@@ -1,8 +1,7 @@
 //! The one lowering of a planned [`GraphSession`] into a [`Program`]: tensor
 //! table, per-layer replay contexts, op stream and [`Program::cost`] all come
-//! from the session; only each layer's measured half — its [`LayerCost`] and
-//! pass stream — and the route requests come from a source: the accounted
-//! record pass, or a [`Recording`] of one loaded from an artifact.
+//! from the session; each layer's measured half — its [`LayerCost`] and pass
+//! stream — and the route table come from the accounted record pass.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -13,13 +12,11 @@ use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::ArchError;
-use feather_birrd::{Birrd, ReductionRequest};
 use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 
 use crate::config::FeatherConfig;
 use crate::core::{
-    run_conv_core, LayerExec, LayerStream, ReplayLayer, RouteExecution, RouteRecorder, RouteTable,
-    SpanScratch,
+    run_conv_core, LayerExec, ReplayLayer, RouteExecution, RouteRecorder, SpanScratch,
 };
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
 use crate::report::{GraphReport, JoinSummary, NetworkReport, SegmentSummary};
@@ -29,14 +26,6 @@ use super::{
     kind_token, CompiledLayer, CompiledSegment, JoinSpec, LayerCost, Op, OperandSrc, Program,
     Tables, TensorSlot, WeightSource,
 };
-
-/// What only the accounted record pass can produce, as an artifact stores
-/// it: every layer's cost and pass stream, in session order, and the
-/// `(c_cols, request)` pair behind every pass slot.
-pub(crate) struct Recording {
-    pub(super) layers: Vec<(LayerCost, LayerStream)>,
-    pub(super) routes: Vec<(usize, ReductionRequest)>,
-}
 
 /// Rewrites a drained segment's report for graph-level DRAM accounting:
 /// interior boundary tensors stay on chip (StaB handoff or scratch region),
@@ -147,18 +136,13 @@ fn cost_of(
 // ------------------------------------------------------------------ compile
 
 /// Lowers a planned session into a [`Program`] — what fills the cell behind
-/// [`GraphSession::compile`], once per session. With no `recording` every
-/// layer runs its accounted record pass; with one, the measured halves are
-/// taken from it instead and nothing is executed.
+/// [`GraphSession::compile`], once per session: every layer runs its
+/// accounted record pass.
 ///
 /// # Errors
 /// Fails on a layer that does not fit the fabric or a route that cannot be
-/// compiled, and on a recording that is not one of this session: the wrong
-/// number of layers, or streams and routes a replay could not follow.
-pub(crate) fn compile(
-    session: &GraphSession,
-    recording: Option<Recording>,
-) -> Result<Program, ArchError> {
+/// compiled.
+pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let graph = session.graph();
     let config = session.config();
     let (quant_shift, quant_zero) = session.quantization();
@@ -187,17 +171,11 @@ pub(crate) fn compile(
     let input_slot = slot_of[&graph.input()];
     let input_shape = tensors[input_slot].shape;
 
-    // Lower every segment: build the owned layer contexts and take each
-    // layer's measured half from the recording — or, with none, run the
+    // Lower every segment: build the owned layer contexts and run each
     // layer's accounted tile loop once over zeroed buffers, through the StaB
     // sequence of a chain run (`NetworkSession::run`). Routes and costs are
     // data-independent, so this one pass records the BIRRD pass stream every
     // replay will consume and counts what every replay will report.
-    let foreign = |what: &str| ArchError::InvalidWorkload(format!("recording: {what}"));
-    let (mut recorded, requests) = match recording {
-        Some(Recording { layers, routes }) => (Some(layers.into_iter()), Some(routes)),
-        None => (None, None),
-    };
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
     let mut span_scratch = SpanScratch::new(config.rows, config.cols);
     let mut recorder = RouteRecorder::default();
@@ -208,7 +186,8 @@ pub(crate) fn compile(
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(steps.len());
         let mut names: Vec<String> = Vec::with_capacity(steps.len());
 
-        let mut stab: Option<PingPong<i32>> = None;
+        let (first, first_mapping) = &steps[0];
+        let mut stab: PingPong<i32> = PingPong::new(iact_spec(first, first_mapping));
         for (i, (layer, mapping)) in steps.iter().enumerate() {
             let node = graph.node(seg.nodes[i]);
             names.push(node.name.clone());
@@ -219,50 +198,41 @@ pub(crate) fn compile(
             let exec = LayerExec::new(&config, layer, mapping)?;
             let ispec = iact_spec(layer, mapping);
             let ospec = oact_spec(layer, mapping);
-
-            let (cost, stream) = match &mut recorded {
-                Some(recorded) => recorded
-                    .next()
-                    .ok_or_else(|| foreign("fewer layers than the plan"))?,
-                None => {
-                    let stab = stab.get_or_insert_with(|| PingPong::new(ispec));
-                    let zero_weights = match &weight {
-                        WeightSource::Pool(w) => w.clone(),
-                        WeightSource::Node(_) => Tensor4::zeros(
-                            node.weight_shape().expect("conv-like nodes carry weights"),
-                        ),
-                    };
-                    let idims = layer.iact_dim_sizes();
-                    let odims = layer.oact_dim_sizes();
-                    stab.shadow().reshape(ospec);
-                    if i > 0 {
-                        stab.active().rebank(ispec);
-                    }
-                    let iact_base = *stab.active_ref().stats();
-                    let oact_base = *stab.shadow_ref().stats();
-                    let core = {
-                        let (active, shadow) = stab.split_mut();
-                        let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
-                        let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                        run_conv_core(
-                            &exec,
-                            &zero_weights,
-                            &mut iact_view,
-                            &mut oact_view,
-                            RouteExecution::Collect(route_cache, &mut recorder),
-                            i == 0,
-                            &mut span_scratch,
-                        )?
-                    };
-                    let cost = LayerCost {
-                        core,
-                        iact: stab.active_ref().stats().since(&iact_base),
-                        oact: stab.shadow_ref().stats().since(&oact_base),
-                    };
-                    stab.swap();
-                    (cost, recorder.finish_layer())
+            let zero_weights = match &weight {
+                WeightSource::Pool(w) => w.clone(),
+                WeightSource::Node(_) => {
+                    Tensor4::zeros(node.weight_shape().expect("conv-like nodes carry weights"))
                 }
             };
+            let idims = layer.iact_dim_sizes();
+            let odims = layer.oact_dim_sizes();
+            stab.shadow().reshape(ospec);
+            if i > 0 {
+                stab.active().rebank(ispec);
+            }
+            let iact_base = *stab.active_ref().stats();
+            let oact_base = *stab.shadow_ref().stats();
+            let core = {
+                let (active, shadow) = stab.split_mut();
+                let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
+                let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
+                run_conv_core(
+                    &exec,
+                    &zero_weights,
+                    &mut iact_view,
+                    &mut oact_view,
+                    RouteExecution::Collect(route_cache, &mut recorder),
+                    i == 0,
+                    &mut span_scratch,
+                )?
+            };
+            let cost = LayerCost {
+                core,
+                iact: stab.active_ref().stats().since(&iact_base),
+                oact: stab.shadow_ref().stats().since(&oact_base),
+            };
+            stab.swap();
+            let stream = recorder.finish_layer();
 
             layers.push(CompiledLayer {
                 replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity(), stream)?,
@@ -373,33 +343,7 @@ pub(crate) fn compile(
         }
     }
 
-    // A recorded stream is sound by construction. A loaded one is outside
-    // input until its requests are re-routed, every layer's cursor walk is
-    // checked against them, and the table is found to be what a recorder
-    // leaves behind: every slot used, first uses in slot order.
-    let all_layers = || segments.iter().flat_map(|s| &s.layers);
-    let sound = |routes: &RouteTable| all_layers().all(|l| l.replay.stream_is_sound(routes));
-    let routes = match requests {
-        None => {
-            let routes = recorder.into_table();
-            debug_assert!(sound(&routes), "a recorded stream is sound by construction");
-            routes
-        }
-        Some(requests) => {
-            let birrd =
-                Birrd::new(config.cols).map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
-            let routes = RouteTable::from_requests(&birrd, requests)?;
-            let mut slots = all_layers().flat_map(|l| &l.replay.routes.stream);
-            let used = slots.try_fold(0, |next, &slot| {
-                (slot <= next).then_some(next + u32::from(slot == next))
-            });
-            let leftover = recorded.is_some_and(|mut layers| layers.next().is_some());
-            if leftover || used.map(|n| n as usize) != Some(routes.len()) || !sound(&routes) {
-                return Err(foreign("not a recording of this plan"));
-            }
-            routes
-        }
-    };
+    let routes = recorder.into_table();
     let energy = &session.energy_model;
     let cost = cost_of(&config, energy, &tensors, &segments, &joins, &ops).ok_or_else(|| {
         ArchError::InvalidWorkload("compiled program is inconsistent: op stream".to_string())

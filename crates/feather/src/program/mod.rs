@@ -1,6 +1,6 @@
 //! Ahead-of-time graph compilation: lower a planned [`GraphSession`] into a
-//! flat, serializable [`Program`] of ops and replay it with zero per-layer
-//! planning and zero accounting — the accelerator-as-ISA execution model.
+//! flat [`Program`] of ops and replay it with zero per-layer planning and
+//! zero accounting — the accelerator-as-ISA execution model.
 //!
 //! FEATHER switches dataflows at negligible cost because nothing is decided
 //! at run time: every layer's dataflow, layout and BIRRD configurations are
@@ -30,15 +30,6 @@
 //!   compiled layer's cost equals what an accounted
 //!   [`crate::NetworkSession::run`] over real data counts (this module's
 //!   tests).
-//! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
-//!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
-//!   co-search cache), keyed by a schedule fingerprint. An artifact is a
-//!   *recording*: what the record pass measured — per-layer cost counters,
-//!   pass streams, the route requests — and nothing the session already
-//!   holds. A hit lowers the session exactly as a miss does and only skips
-//!   the accounted pass, so a loaded program's structure is the session's by
-//!   construction; a damaged, stale or foreign file is set aside once and
-//!   the session compiles afresh (`artifact`).
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
 //!   will do and cost, locked down by a golden snapshot test.
 //!
@@ -52,10 +43,8 @@
 //!
 //! The module is split along those seams: this file holds the data model,
 //! the [`Program`] handle and its listing; `compile` the one lowering of a
-//! session (from a record pass or from a recording); `replay` the op loop
-//! ([`ProgramSession`], [`ReplayScratch`]); `artifact` the on-disk store.
+//! session; `replay` the op loop ([`ProgramSession`], [`ReplayScratch`]).
 
-mod artifact;
 mod compile;
 mod replay;
 
@@ -75,8 +64,6 @@ use crate::report::GraphReport;
 #[cfg(doc)]
 use crate::report::JoinSummary;
 
-pub use artifact::ArtifactStatus;
-pub(crate) use artifact::{compile_cached, load_program};
 pub(crate) use compile::{compile, session_fingerprint};
 pub use replay::{ProgramSession, ReplayScratch};
 
@@ -196,8 +183,7 @@ enum Op {
 /// A flat, replayable lowering of a planned graph: every layout, cell index,
 /// BIRRD pass and scratch move resolved — and the whole report counted —
 /// ahead of time. Produced by [`GraphSession::compile`], executed by
-/// [`ProgramSession`] (and by [`GraphSession::run`]); its measured half is
-/// what the `FEATHER_CACHE_DIR/programs/` artifact cache stores.
+/// [`ProgramSession`] (and by [`GraphSession::run`]).
 ///
 /// A `Program` is a handle to immutable tables: cloning it copies a pointer.
 #[derive(Debug, Clone)]
@@ -270,8 +256,7 @@ impl Program {
     /// scratch traffic, DRAM bytes and energy, per layer and in total, equal
     /// to the report [`GraphSession::run`] of the originating session
     /// returns for *any* input and weights. It is counted once, by the
-    /// compile-time record pass (and stored in artifacts as integers), so
-    /// reading it executes nothing.
+    /// compile-time record pass, so reading it executes nothing.
     ///
     /// The one data-dependent field of a report, [`JoinSummary::saturated`],
     /// is zero here; every replay returns this report with that count
@@ -450,20 +435,14 @@ fn join_ints<T: ToString>(values: &[T]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::artifact::{
-        artifact_path, compile_cached_in, load_checked, rle_decode, rle_encode, LoadOutcome, HEADER,
-    };
     use super::*;
     use crate::graph_session::{run_graph_reference, GraphSession, Step};
     use crate::profile::OpFamily;
     use crate::report::GraphRun;
-    use feather_arch::codec::{seal, unseal};
     use feather_arch::graph::Graph;
     use feather_arch::tensor::conv2d_reference;
     use feather_arch::workload::ConvLayer;
     use std::collections::BTreeMap;
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::Ordering;
 
     fn residual_graph() -> Graph {
         let mut g = Graph::new("residual", [1, 4, 6, 6]);
@@ -500,22 +479,6 @@ mod tests {
         g.conv(j1, ConvLayer::new(1, 4, 8, 6, 6, 1, 1).with_name("head"))
             .unwrap();
         g
-    }
-
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "feather-program-test-{tag}-{}.program",
-            std::process::id()
-        ))
-    }
-
-    /// What `session` makes of an artifact file holding `text`.
-    fn load_text(session: &GraphSession, text: &[u8], tag: &str) -> Option<Program> {
-        let path = temp_path(tag);
-        std::fs::write(&path, text).unwrap();
-        let loaded = session.load_program(&path);
-        let _ = std::fs::remove_file(&path);
-        loaded
     }
 
     /// The golden output of `session`'s graph for these operands.
@@ -571,9 +534,9 @@ mod tests {
         });
     }
 
-    /// The cost oracle: available without executing anything, equal to a
-    /// run's report up to join saturation, and preserved by artifacts. (What
-    /// pins it to the accounted simulator is
+    /// The cost oracle: available without executing anything, and equal to
+    /// a run's report up to join saturation. (What pins it to the accounted
+    /// simulator is
     /// `compiled_layer_costs_equal_accounted_real_data_runs`.)
     #[test]
     fn cost_is_the_interpreted_report_without_saturation() {
@@ -587,8 +550,6 @@ mod tests {
         expected.joins.iter_mut().for_each(|j| j.saturated = 0);
         assert_eq!(program.cost(), &expected);
         assert!(program.cost().total_cycles() > 0);
-        let reloaded = load_text(&session, program.serialize().as_bytes(), "cost");
-        assert_eq!(reloaded.expect("artifact loads").cost(), program.cost());
     }
 
     /// `build_ragged_dag` of `tests/program_equivalence.rs`: channel counts
@@ -1021,226 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrip_preserves_program_and_results() {
-        let g = residual_graph();
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let program = session.compile().unwrap();
-        let path = temp_path("roundtrip");
-        program.save_to(&path).unwrap();
-        let loaded = session.load_program(&path).expect("artifact loads");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded.fingerprint(), program.fingerprint());
-        assert_eq!(loaded.dump(), program.dump());
-        let iacts = Tensor4::random([1, 4, 6, 6], 31);
-        let weights = g.random_weights(32);
-        let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
-        assert_eq!(replayed.oacts, reference(&session, &iacts, &weights));
-        assert_eq!(
-            replayed.report,
-            session.run(&iacts, &weights).unwrap().report
-        );
-    }
-
-    /// One `FEATHER_CACHE_DIR` serves several processes: a loader racing a
-    /// saver finds no artifact or the whole artifact, never a prefix that
-    /// `compile_cached` would quarantine as `.bad`.
-    #[test]
-    fn a_loader_racing_a_saver_sees_no_artifact_or_the_whole_artifact() {
-        use std::sync::atomic::AtomicBool;
-        // The benchmark's Model A.
-        let g = feather_arch::graph::resnet50_graph_scaled(16, 16);
-        let session = GraphSession::auto(FeatherConfig::new(8, 16), &g).unwrap();
-        let program = session.compile().unwrap();
-        let whole = program.serialize().into_bytes();
-
-        let dir = temp_path("racing-saver");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = artifact_path(&dir, &g.name, 1, program.fingerprint());
-        let start = std::sync::Barrier::new(2);
-        let saved = AtomicBool::new(false);
-        let mut complete = 0;
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                start.wait();
-                for _ in 0..40 {
-                    program.save_to(&path).unwrap();
-                }
-                saved.store(true, Ordering::SeqCst);
-            });
-            start.wait();
-            while !saved.load(Ordering::SeqCst) {
-                match std::fs::read(&path) {
-                    Ok(bytes) => {
-                        assert!(bytes == whole, "read {} of {}", bytes.len(), whole.len());
-                        complete += 1;
-                    }
-                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
-                }
-            }
-        });
-        assert!(complete > 0, "the loader never overlapped the saver");
-        assert!(matches!(
-            load_checked(&session, &path),
-            LoadOutcome::Loaded(loaded) if loaded.dump() == program.dump()
-        ));
-        let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .collect();
-        assert_eq!(left, [path], "temporary files left behind");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn malformed_artifacts_degrade_to_none() {
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &residual_graph()).unwrap();
-        let fp = format!("fp {:016x}\n", session.fingerprint());
-        for text in [
-            "not a program\n".to_string(),
-            format!("{HEADER}\n{fp}"),
-            seal(HEADER, "fp nope\n"),
-            seal(HEADER, &fp),
-            seal(HEADER, &format!("{fp}cost seg=0 layer=0 nope\n")),
-        ] {
-            assert!(load_text(&session, text.as_bytes(), "malformed").is_none());
-        }
-        assert!(session
-            .load_program(Path::new("/nonexistent/p.program"))
-            .is_none());
-    }
-
-    #[test]
-    fn checksum_rejects_truncation_and_bit_flips() {
-        let g = residual_graph();
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let text = session.compile().unwrap().serialize();
-        let loads = |bytes: &[u8]| load_text(&session, bytes, "checksum").is_some();
-        assert!(loads(text.as_bytes()), "pristine artifact loads");
-
-        // Truncation: drop the tail (checksum line gone or body shortened).
-        for keep in [text.len() / 2, text.len() - 20] {
-            assert!(
-                !loads(&text.as_bytes()[..keep]),
-                "truncated at {keep} must be rejected"
-            );
-        }
-        // A single flipped bit in the middle of the body.
-        let mut bytes = text.clone().into_bytes();
-        bytes[text.len() / 2] ^= 0x40;
-        assert!(!loads(&bytes), "bit flip must be rejected");
-    }
-
-    #[test]
-    fn corrupt_artifacts_are_quarantined_once_then_cache_hits() {
-        let g = residual_graph();
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "feather-program-test-quarantine-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Populate the cache, then corrupt the artifact in place.
-        let (program, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Miss);
-        let path = artifact_path(&dir, &g.name, session.batch(), session.fingerprint());
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        // The corruption is detected, the file moved aside, and the
-        // recompile produces the same program.
-        let (recompiled, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Quarantined);
-        assert_eq!(recompiled.dump(), program.dump());
-        let bad = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".bad");
-            PathBuf::from(os)
-        };
-        assert_eq!(std::fs::read(&bad).unwrap(), bytes, "evidence preserved");
-
-        // Quarantined once: the path now holds a good artifact again, so
-        // the next miss is a plain Hit, not another parse of bad bytes.
-        let (_, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Hit);
-
-        // Truncation is caught the same way.
-        let good = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &good[..good.len() / 3]).unwrap();
-        let (_, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Quarantined);
-        let (_, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Hit);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A session that loaded its program from disk holds it: its first
-    /// `run` replays the artifact and never reaches the route cache.
-    #[test]
-    fn artifact_hit_fills_the_session_so_run_does_not_compile() {
-        let g = residual_graph();
-        let config = FeatherConfig::new(4, 8);
-        let dir =
-            std::env::temp_dir().join(format!("feather-program-test-hit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (_, status) =
-            compile_cached_in(&GraphSession::auto(config, &g).unwrap(), &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Miss);
-
-        let session = GraphSession::auto(config, &g).unwrap();
-        let (loaded, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Hit);
-        let iacts = Tensor4::random([1, 4, 6, 6], 41);
-        let weights = g.random_weights(42);
-        let run = session.run(&iacts, &weights).unwrap();
-        let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
-        assert_eq!(run.oacts, replayed.oacts);
-        assert_eq!(run.report, replayed.report);
-        assert_eq!(session.route_cache_stats().misses, 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The fingerprint in a file is a claim, not a credential: another
-    /// session's recording relabelled with this session's `fp`, resealed and
-    /// planted at this session's path is set aside, not replayed.
-    #[test]
-    fn a_foreign_recording_with_a_forged_fingerprint_is_quarantined() {
-        let g = residual_graph();
-        let victim = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let fresh = victim.compile().unwrap().dump();
-        let other_fabric = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
-        let other_batch = victim.with_batch(2).unwrap();
-        let dir = temp_path("forged");
-        let path = artifact_path(&dir, &g.name, victim.batch(), victim.fingerprint());
-        let bad = PathBuf::from(format!("{}.bad", path.display()));
-        for foreign in [other_fabric, other_batch] {
-            let _ = std::fs::remove_dir_all(&dir);
-            let text = foreign.compile().unwrap().serialize();
-            let (claim, recording) = unseal(&text, HEADER).unwrap().split_once('\n').unwrap();
-            assert_eq!(claim, format!("fp {:016x}", foreign.fingerprint()));
-            let forged = seal(
-                HEADER,
-                &format!("fp {:016x}\n{recording}", victim.fingerprint()),
-            );
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &forged).unwrap();
-
-            let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-            let (program, status) = compile_cached_in(&session, &dir).unwrap();
-            assert_eq!(status, ArtifactStatus::Quarantined);
-            assert_eq!(program.dump(), fresh);
-            assert_eq!(std::fs::read_to_string(&bad).unwrap(), forged);
-            let (_, status) = compile_cached_in(&session, &dir).unwrap();
-            assert_eq!(status, ArtifactStatus::Hit);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fingerprint_tracks_schedule_changes() {
         let g = residual_graph();
         let base = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
@@ -1251,19 +992,5 @@ mod tests {
         assert_ne!(base.fingerprint(), requantized.fingerprint());
         let other_fabric = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
         assert_ne!(base.fingerprint(), other_fabric.fingerprint());
-    }
-
-    #[test]
-    fn rle_roundtrip() {
-        for values in [
-            vec![],
-            vec![7],
-            vec![0, 0, 0, 1, 2, 2, 2, 2],
-            vec![5, 5, 5, 5, 5],
-            (0..40u32).collect(),
-        ] {
-            let line = rle_encode(&values);
-            assert_eq!(rle_decode(&line).unwrap(), values, "{line}");
-        }
     }
 }

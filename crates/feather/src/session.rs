@@ -148,10 +148,8 @@ impl NetworkSession {
     ///
     /// # Errors
     /// Same as [`NetworkSession::from_mappings`], plus a shape error if the
-    /// layout slice length does not match the layer count.
-    ///
-    /// # Panics
-    /// Panics if a layout string does not parse.
+    /// layout slice length does not match the layer count and
+    /// [`ArchError::ParseLayout`] if a layout string does not parse.
     pub fn weight_stationary(
         config: FeatherConfig,
         layers: &[ConvLayer],
@@ -165,19 +163,18 @@ impl NetworkSession {
                 iact_layouts.len()
             )));
         }
-        let parsed: Vec<Layout> = iact_layouts
+        let parsed = iact_layouts
             .iter()
-            .map(|s| s.parse().expect("iact layout string must be valid"))
-            .collect();
+            .map(|s| s.parse())
+            .collect::<Result<Vec<Layout>, _>>()?;
+        let last_oact_layout: Layout = last_oact_layout.parse()?;
         let steps = layers
             .iter()
             .zip(parsed.iter().enumerate())
             .map(|(layer, (i, iact_layout))| {
                 let oact_layout = match parsed.get(i + 1) {
                     Some(next) => next.as_producer_oact_layout(),
-                    None => last_oact_layout
-                        .parse()
-                        .expect("oact layout string must be valid"),
+                    None => last_oact_layout.clone(),
                 };
                 let mapping = LayerMapping::weight_stationary_layouts(
                     layer,
@@ -747,6 +744,21 @@ mod tests {
             NetworkSession::weight_stationary(cfg, &[l0, l1], &["HWC_C4", "HWC_C4"], "MPQ_Q4")
                 .unwrap_err();
         assert!(err.to_string().contains("does not chain"), "{err}");
+    }
+
+    #[test]
+    fn unparsable_layouts_are_errors_not_panics() {
+        let (layers, _, _) = chain();
+        let cfg = FeatherConfig::new(4, 8);
+        let cases = [
+            (["HWC_X4", "HWC_C4", "HWC_C4"], "MPQ_Q4"),
+            (["HWC_C4", "HWC_C4", "HWC_C4"], "HWC_X4"),
+        ];
+        for (iact_layouts, last) in cases {
+            let err =
+                NetworkSession::weight_stationary(cfg, &layers, &iact_layouts, last).unwrap_err();
+            assert!(matches!(err, ArchError::ParseLayout { .. }), "{err}");
+        }
     }
 
     #[test]

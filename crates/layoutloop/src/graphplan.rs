@@ -67,11 +67,9 @@ impl GraphPlan {
 
     /// FNV-1a 64 fingerprint of the plan's *schedule* — graph name plus every
     /// node's chosen `(dataflow, layout)` pair, in node order. Two plans that
-    /// fingerprint equal would lower to byte-identical compiled programs, so
-    /// this is the key downstream artifact caches (e.g.
-    /// `feather::GraphSession::compile_cached`'s program store under
-    /// `FEATHER_CACHE_DIR`) invalidate on: it changes exactly when a
-    /// co-search decision changes, not when modeled costs drift.
+    /// fingerprint equal would lower to byte-identical compiled programs: it
+    /// changes exactly when a co-search decision changes, not when modeled
+    /// costs drift.
     pub fn fingerprint(&self) -> u64 {
         let mut text = format!("graph={}\n", self.graph_name);
         for (id, r) in &self.per_node {

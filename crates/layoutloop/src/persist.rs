@@ -732,9 +732,9 @@ mod tests {
         let mut records = small_cache_records();
         let garbage = [
             "something else entirely\nT x\n".to_string(),
-            // Another store's seal, the right seal over records that do not
-            // decode or sit out of place, and the right records unsealed.
-            seal("feather-program v4", &(records.join("\n") + "\n")),
+            // An older version's seal, the right seal over records that do
+            // not decode or sit out of place, and the right records unsealed.
+            seal("feather-cosearch-cache v1", &(records.join("\n") + "\n")),
             seal(HEADER, "T key\nC not-a-layout\nQ ???\n"),
             sealed(&records[1..]),
             sealed(&records[..records.len() - 1]),

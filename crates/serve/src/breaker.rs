@@ -1,7 +1,7 @@
 //! Per-model circuit breaker.
 //!
-//! When a model fails `threshold` batch executions in a row — a corrupt
-//! artifact, a replay that keeps panicking — continuing to admit its
+//! When a model fails `threshold` batch executions in a row — a replay that
+//! keeps failing or panicking — continuing to admit its
 //! requests just burns queue slots and worker time on work that will fail
 //! anyway, and starves healthy models behind it. The breaker cuts that off:
 //! after the threshold trips it **opens** and requests for the model

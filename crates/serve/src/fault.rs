@@ -1,13 +1,12 @@
 //! Deterministic, seeded fault injection for the serving stack.
 //!
 //! A [`FaultPlan`] names a ChaCha8 seed plus per-site injection rates; the
-//! server consults it at four points — replay entry, artifact load, program
-//! cache insert, and worker pickup — and the chaos tests drive the whole
-//! retry/supervision/breaker machinery through it. Each decision is a pure
-//! function of `(seed, site, draw index)`, so a given plan replays the same
-//! fault sequence on every run regardless of wall-clock timing (thread
-//! interleaving can still reorder which *request* hits draw `n`, but the
-//! fault pattern itself is fixed).
+//! server consults it at two points — replay entry and worker pickup — and
+//! the chaos tests drive the whole retry/supervision/breaker machinery
+//! through it. Each decision is a pure function of `(seed, site, draw
+//! index)`, so a given plan replays the same fault sequence on every run
+//! regardless of wall-clock timing (thread interleaving can still reorder
+//! which *request* hits draw `n`, but the fault pattern itself is fixed).
 //!
 //! Plans come from [`FaultPlan::parse`] or the `FEATHER_FAULT_PLAN`
 //! environment variable, e.g.:
@@ -16,9 +15,8 @@
 //! FEATHER_FAULT_PLAN="seed=7;replay.fail=0.15;replay.panic=0.05;pickup.panic=0.02"
 //! ```
 //!
-//! Sites are `replay` ([`FaultSite::ReplayEntry`]), `artifact`
-//! ([`FaultSite::ArtifactLoad`]), `insert` ([`FaultSite::CacheInsert`]) and
-//! `pickup` ([`FaultSite::WorkerPickup`]); actions are `.fail` (a transient
+//! Sites are `replay` ([`FaultSite::ReplayEntry`]) and `pickup`
+//! ([`FaultSite::WorkerPickup`]); actions are `.fail` (a transient
 //! executor error, eligible for retry) and `.panic` (an injected panic that
 //! exercises `catch_unwind` supervision and worker respawn). `.fail_first=N`
 //! / `.panic_first=N` fire deterministically on the first `N` draws at a
@@ -38,32 +36,19 @@ pub enum FaultSite {
     /// Entry of a program replay on an executor worker (`replay`). Supports
     /// `fail` and `panic`.
     ReplayEntry = 0,
-    /// Loading/compiling a program through the artifact cache (`artifact`).
-    /// Supports `fail` (panics here would poison no useful state).
-    ArtifactLoad = 1,
-    /// Inserting a freshly-compiled program into the in-memory program
-    /// cache (`insert`). Supports `fail`.
-    CacheInsert = 2,
     /// A worker taking up the batch it has just formed, after handing the
     /// lead on (`pickup`). `panic` here unwinds the whole worker thread —
     /// the supervision and respawn path — while `fail` fails the batch
     /// without running it.
-    WorkerPickup = 3,
+    WorkerPickup = 1,
 }
 
 impl FaultSite {
-    const ALL: [FaultSite; 4] = [
-        FaultSite::ReplayEntry,
-        FaultSite::ArtifactLoad,
-        FaultSite::CacheInsert,
-        FaultSite::WorkerPickup,
-    ];
+    const ALL: [FaultSite; 2] = [FaultSite::ReplayEntry, FaultSite::WorkerPickup];
 
     fn token(self) -> &'static str {
         match self {
             FaultSite::ReplayEntry => "replay",
-            FaultSite::ArtifactLoad => "artifact",
-            FaultSite::CacheInsert => "insert",
             FaultSite::WorkerPickup => "pickup",
         }
     }
@@ -105,7 +90,7 @@ fn finite_rate(rate: f64) -> Option<f64> {
     rate.is_finite().then(|| rate.clamp(0.0, 1.0))
 }
 
-/// A deterministic injection schedule over the four [`FaultSite`]s.
+/// A deterministic injection schedule over the two [`FaultSite`]s.
 ///
 /// Construct with [`FaultPlan::parse`]/[`FaultPlan::from_env`] or the
 /// builder methods, hand it to
@@ -114,10 +99,10 @@ fn finite_rate(rate: f64) -> Option<f64> {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
-    sites: [SiteRates; 4],
+    sites: [SiteRates; 2],
     /// Draws consumed per site; the only mutable state, so one plan can be
     /// shared across every server thread.
-    draws: [AtomicU64; 4],
+    draws: [AtomicU64; 2],
 }
 
 impl FaultPlan {
@@ -166,7 +151,7 @@ impl FaultPlan {
 
     /// Parses the `FEATHER_FAULT_PLAN` format: `;`-separated `key=value`
     /// pairs, keys being `seed` or `<site>.<action>[_first]` with sites
-    /// `replay`/`artifact`/`insert`/`pickup` and actions `fail`/`panic`.
+    /// `replay`/`pickup` and actions `fail`/`panic`.
     /// Returns `None` for an empty/whitespace string or a plan that injects
     /// nothing; unknown or malformed pairs — a non-finite rate among them —
     /// are ignored (an injection plan must never take the server down by
@@ -268,6 +253,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The two sites' tokens, then two that name no site: their pairs are
+    /// ignored, never a panic.
+    const SITES: [&str; 4] = ["replay", "pickup", "artifact", "insert"];
     const ACTIONS: [&str; 4] = ["fail", "panic", "fail_first", "panic_first"];
     /// The numbers a rate or count parser is most likely to mishandle.
     const VALUES: [&str; 14] = [
@@ -303,7 +291,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, &v)| {
-                    let (site, action) = (FaultSite::ALL[i / 4].token(), ACTIONS[i % 4]);
+                    let (site, action) = (SITES[i / 4], ACTIONS[i % 4]);
                     Some(format!("{site}.{action}={}", VALUES.get(v)?))
                 })
                 .collect();
@@ -322,13 +310,16 @@ mod tests {
 
     #[test]
     fn parse_reads_sites_seed_and_clamps() {
-        let plan =
-            FaultPlan::parse("seed=42; replay.fail=0.5; pickup.panic=7.0; artifact.fail_first=3")
-                .unwrap();
+        let plan = FaultPlan::parse(
+            "seed=42; replay.fail=0.5; pickup.panic=7.0; artifact.fail_first=3; insert.fail=1",
+        )
+        .unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.sites[FaultSite::ReplayEntry as usize].fail, 0.5);
         assert_eq!(plan.sites[FaultSite::WorkerPickup as usize].panic, 1.0);
-        assert_eq!(plan.sites[FaultSite::ArtifactLoad as usize].fail_first, 3);
+        // No site is named `artifact` or `insert`: those pairs set nothing.
+        assert!(plan.sites.iter().all(|s| s.fail_first == 0));
+        assert_eq!(plan.sites[FaultSite::WorkerPickup as usize].fail, 0.0);
         assert!(!plan.is_empty());
     }
 
@@ -338,6 +329,7 @@ mod tests {
         assert!(FaultPlan::parse("seed=9").is_none());
         assert!(FaultPlan::parse("replay.fail=0.0").is_none());
         assert!(FaultPlan::parse("garbage;;also=bad.keys").is_none());
+        assert!(FaultPlan::parse("artifact.fail=1.0;insert.fail_first=3").is_none());
         // NaN survives `clamp`: accepted, it would never fire yet make the
         // plan non-empty. Non-finite rates are malformed pairs.
         assert!(FaultPlan::parse("replay.fail=NaN;pickup.panic=inf;insert.fail=-inf").is_none());
@@ -357,7 +349,7 @@ mod tests {
             assert_eq!(plan.roll(FaultSite::ReplayEntry), None);
         }
         // Other sites are untouched.
-        assert_eq!(plan.roll(FaultSite::ArtifactLoad), None);
+        assert_eq!(plan.roll(FaultSite::WorkerPickup), None);
     }
 
     #[test]
@@ -400,9 +392,9 @@ mod tests {
 
     #[test]
     fn full_rate_always_fires() {
-        let plan = FaultPlan::seeded(3).with_fail(FaultSite::CacheInsert, 1.0);
+        let plan = FaultPlan::seeded(3).with_fail(FaultSite::WorkerPickup, 1.0);
         for _ in 0..16 {
-            assert_eq!(plan.roll(FaultSite::CacheInsert), Some(FaultAction::Fail));
+            assert_eq!(plan.roll(FaultSite::WorkerPickup), Some(FaultAction::Fail));
         }
     }
 }

@@ -31,15 +31,13 @@
 //!   boundary prune flagged or deadline-expired requests into
 //!   [`ServeError::Cancelled`]/[`ServeError::Timeout`] before they ever
 //!   run.
-//! - **One compiled program per model** — a model's first request compiles
-//!   its planned [`feather::GraphSession`] into a flat [`feather::Program`]
-//!   (lowering it with a recording from the `FEATHER_CACHE_DIR` artifact
-//!   cache when one matches, instead of the accounted pass); every batch
-//!   after it, whatever its size, lane-stripes that one resident
-//!   [`feather::ProgramSession`] with zero planning or per-layer dispatch
-//!   work. [`ProgramCacheStats`] exposes the hit/miss counters, and each
-//!   worker reuses one [`feather::ReplayScratch`] so steady-state replay
-//!   allocates no buffer memory either.
+//! - **One compiled program per model** — [`Server::register_model`]
+//!   compiles the model's planned [`feather::GraphSession`] into a flat
+//!   [`feather::Program`] (a model that does not compile is refused there);
+//!   every batch, whatever its size, lane-stripes that one resident
+//!   [`feather::ProgramSession`] with zero planning, compiling or per-layer
+//!   dispatch work, and each worker reuses one [`feather::ReplayScratch`] so
+//!   steady-state replay allocates no buffer memory either.
 //! - **Per-tenant accounting** — [`ServerStats`]/[`TenantStats`] aggregate
 //!   latency plus the modeled cycles and DRAM bytes each request is charged:
 //!   its program's exact [`cost`](feather::Program::cost) totals — a solo
@@ -103,5 +101,5 @@ pub use breaker::CircuitBreaker;
 pub use error::ServeError;
 pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use server::{Response, ServeConfig, Server};
-pub use stats::{ProgramCacheStats, ServerStats, TenantStats};
+pub use stats::{ServerStats, TenantStats};
 pub use ticket::Ticket;

@@ -27,13 +27,11 @@
 //! or at the executor boundary, never run, and are counted in
 //! [`ServerStats`].
 //!
-//! A model has **one** compiled program: its first request compiles the
-//! planned batch-1 [`GraphSession`] into a [`feather::Program`] (with the
-//! recording in the `FEATHER_CACHE_DIR` artifact cache, when one matches, in
-//! place of the accounted pass), and every batch after it,
-//! of one request or of [`ServeConfig::max_batch`], lane-stripes that same
-//! [`ProgramSession`] with zero planning, hashing or per-layer dispatch work
-//! — [`ProgramCacheStats`] counts exactly that. A request is charged the
+//! A model has **one** compiled program: [`Server::register_model`] compiles
+//! the planned batch-1 [`GraphSession`] into a [`feather::Program`], and
+//! every batch, of one request or of [`ServeConfig::max_batch`],
+//! lane-stripes that same [`ProgramSession`] with zero planning, hashing,
+//! compiling or per-layer dispatch work. A request is charged the
 //! program's [`cost`](feather::Program::cost): a solo inference on FEATHER,
 //! whatever it was co-scheduled with. Each worker additionally keeps one
 //! [`ReplayScratch`] for everything it serves, so steady-state replay
@@ -61,16 +59,14 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use feather::{
-    ArtifactStatus, FeatherConfig, GraphSession, ProgramSession, ReplayScratch, RouteCacheStats,
-};
+use feather::{FeatherConfig, GraphSession, ProgramSession, ReplayScratch, RouteCacheStats};
 use feather_arch::graph::{Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 
 use crate::breaker::CircuitBreaker;
 use crate::error::ServeError;
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
-use crate::stats::{ProgramCacheStats, ServerStats};
+use crate::stats::ServerStats;
 use crate::sync::{lock_recover, read_recover, write_recover};
 use crate::ticket::{Promise, Ticket};
 
@@ -159,21 +155,16 @@ pub struct Response {
     pub dram_bytes: u64,
 }
 
-/// A model's one compiled program — empty until the first request — plus the
-/// counters that prove the hot path replays instead of replanning.
-struct ProgramSlot {
-    session: Option<Arc<ProgramSession>>,
-    stats: ProgramCacheStats,
-}
-
 /// A registered model: its weights plus its compiled program.
 struct Model {
     weights: BTreeMap<NodeId, Tensor4<i8>>,
     input_shape: [usize; 4],
-    /// The planned batch-1 session from registration: the compile source of
-    /// the model's program and the owner of its compiled-route cache.
+    /// The planned batch-1 session from registration: the owner of the
+    /// compiled-route cache its one compile filled.
     base: GraphSession,
-    program: Mutex<ProgramSlot>,
+    /// The program `base` compiled at registration, which every batch
+    /// replays.
+    program: ProgramSession,
     /// Trips after [`ServeConfig::breaker_threshold`] consecutive failed
     /// batch executions; open, this model's submits fast-fail.
     breaker: CircuitBreaker,
@@ -181,41 +172,6 @@ struct Model {
     /// it answers the batch: how many returns the next leader expects when
     /// the model's clients run a closed loop (see [`Forming::hold`]).
     last_batch: AtomicUsize,
-}
-
-impl Model {
-    /// The model's replay session, compiled (through the on-disk artifact
-    /// cache) by the first request and shared by every batch after it.
-    /// `fault` injects load/insert failures on the miss path — with a plan
-    /// active the `artifact_*` counters can undercount `misses` by the
-    /// injected failures.
-    fn program_for(&self, fault: Option<&FaultPlan>) -> Result<Arc<ProgramSession>, ServeError> {
-        let mut slot = lock_recover(&self.program);
-        if let Some(session) = slot.session.clone() {
-            slot.stats.hits += 1;
-            return Ok(session);
-        }
-        slot.stats.misses += 1;
-        let injected = |site| fault.and_then(|f| f.roll(site)).is_some();
-        if injected(FaultSite::ArtifactLoad) {
-            return Err(ServeError::Failed("injected: artifact load failure".into()));
-        }
-        let (program, status) = self.base.compile_cached()?;
-        match status {
-            ArtifactStatus::Hit => slot.stats.artifact_hits += 1,
-            ArtifactStatus::Miss | ArtifactStatus::Disabled => slot.stats.artifact_misses += 1,
-            ArtifactStatus::Quarantined => {
-                slot.stats.artifact_misses += 1;
-                slot.stats.artifact_quarantined += 1;
-            }
-        }
-        if injected(FaultSite::CacheInsert) {
-            return Err(ServeError::Failed("injected: cache insert failure".into()));
-        }
-        let session = Arc::new(ProgramSession::new(program));
-        slot.session = Some(session.clone());
-        Ok(session)
-    }
 }
 
 /// One queued request.
@@ -380,10 +336,10 @@ impl Server {
         Server { inner }
     }
 
-    /// Registers a model under `name`: compiles a batch-1 [`GraphSession`]
-    /// for `graph` on `accelerator` and keeps `weights` resident. The graph
-    /// must be authored at batch 1 (requests are single-sample; the
-    /// scheduler batches them).
+    /// Registers a model under `name`: plans a batch-1 [`GraphSession`] for
+    /// `graph` on `accelerator`, compiles it to the one program every batch
+    /// replays and keeps `weights` resident. The graph must be authored at
+    /// batch 1 (requests are single-sample; the scheduler batches them).
     ///
     /// # Errors
     /// [`ServeError::BadInput`] if the graph's batch extent is not 1, or a
@@ -405,14 +361,12 @@ impl Server {
             )));
         }
         let base = GraphSession::auto(accelerator, graph)?;
+        let program = ProgramSession::new(base.compile()?);
         let model = Arc::new(Model {
             weights,
             input_shape,
             base,
-            program: Mutex::new(ProgramSlot {
-                session: None,
-                stats: ProgramCacheStats::default(),
-            }),
+            program,
             breaker: CircuitBreaker::new(
                 self.inner.cfg.breaker_threshold,
                 self.inner.cfg.breaker_cooldown,
@@ -576,21 +530,11 @@ impl Server {
     }
 
     /// Counters of a registered model's compiled-route cache, filled while
-    /// its session is planned and its program compiled.
+    /// its program is compiled at registration; no batch moves them.
     pub fn route_cache_stats(&self, model: &str) -> Option<RouteCacheStats> {
         read_recover(&self.inner.models)
             .get(model)
             .map(|m| m.base.route_cache_stats())
-    }
-
-    /// Counters of a registered model's compiled program: in-memory replay
-    /// hits/misses plus on-disk artifact hits/misses. A warm server shows
-    /// only `hits` moving — every batch after a model's first does zero
-    /// planning or compile work.
-    pub fn program_cache_stats(&self, model: &str) -> Option<ProgramCacheStats> {
-        read_recover(&self.inner.models)
-            .get(model)
-            .map(|m| lock_recover(&m.program).stats)
     }
 
     /// Whether `model`'s circuit breaker is currently rejecting traffic.
@@ -1160,18 +1104,8 @@ fn execute_batch(
         retry_or_fail(inner, worker, live, reason);
     };
 
-    let program = match model.program_for(inner.fault.as_ref()) {
-        Ok(program) => program,
-        Err(err) => {
-            strike(&err.to_string(), live);
-            return BatchOutcome::Done;
-        }
-    };
-
     let executing = inner.executing.fetch_add(1, Ordering::SeqCst) + 1;
     inner.max_executing.fetch_max(executing, Ordering::SeqCst);
-    // Timed from here, not from `launched`: a model's first batch compiles
-    // in `program_for`, and that one-off must not pose as a batch time.
     let replay_start = Instant::now();
     // One replay of the model's program, request `i` riding lane `i`, under
     // a supervision boundary: an injected (or real) panic inside the replay
@@ -1186,7 +1120,8 @@ fn execute_batch(
             }
         }
         let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
-        program
+        model
+            .program
             .run_batched_with_scratch(scratch, &inputs, &model.weights)
             .map_err(ServeError::Exec)
     }));
@@ -1218,7 +1153,7 @@ fn execute_batch(
     model.last_batch.store(size, Ordering::Relaxed);
 
     // Every member is charged the program's constant: a solo inference.
-    let cost = program.program().cost();
+    let cost = model.program.program().cost();
     let (cycles, dram_bytes) = (cost.total_cycles(), cost.dram_bytes());
     let mut stats = lock_recover(&inner.worker_stats[worker]);
     *stats.batches.entry(size).or_insert(0) += 1;
@@ -1336,6 +1271,7 @@ mod tests {
         server
             .register_model("m", config(), &g, weights.clone())
             .unwrap();
+        let compiled = server.route_cache_stats("m").unwrap();
         // A burst of `size` submits lands inside the floor unless
         // this thread is descheduled mid-burst, so repeat each size until
         // the histogram shows a batch of exactly that many requests.
@@ -1357,38 +1293,30 @@ mod tests {
                 }
             }
         }
-        // Eight batch sizes, one program: compiled by the first batch,
-        // replayed by every other.
-        let cache = server.program_cache_stats("m").unwrap();
-        assert_eq!(cache.misses, 1);
-        assert_eq!(cache.hits, server.stats().executed_batches() - 1);
-        assert_eq!(cache.artifact_hits + cache.artifact_misses, 1);
+        // Eight batch sizes, one program: compiled at registration, and no
+        // batch reaches the route cache again.
+        assert_eq!(server.route_cache_stats("m"), Some(compiled));
     }
 
     #[test]
-    fn second_request_replays_the_cached_program() {
+    fn a_model_that_cannot_compile_fails_at_registration() {
+        // Plans (`GraphSession::auto` accepts the fabric), but BIRRD needs a
+        // power-of-two width, so its one compile fails.
         let g = tiny_graph("m");
-        let weights = g.random_weights(7);
-        let solo = GraphSession::auto(config(), &g).unwrap();
-        let server = Server::new(ServeConfig {
-            max_batch: 1,
-            ..ServeConfig::default()
-        });
-        server
-            .register_model("m", config(), &g, weights.clone())
-            .unwrap();
-        for seed in 0..3 {
-            let iacts = Tensor4::random([1, 2, 4, 4], 70 + seed);
-            let golden = solo.run(&iacts, &weights).unwrap().oacts;
-            let response = server.submit("t", "m", iacts).unwrap().wait().unwrap();
-            assert_eq!(response.oacts, golden);
-        }
-        let stats = server.program_cache_stats("m").unwrap();
-        // One compile on the first request, replays ever after.
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.artifact_hits + stats.artifact_misses, 1);
-        assert!(server.program_cache_stats("nope").is_none());
+        let six_wide = FeatherConfig {
+            cols: 6,
+            ..FeatherConfig::new(4, 4)
+        };
+        let server = Server::new(ServeConfig::default());
+        let registered = server.register_model("m", six_wide, &g, g.random_weights(7));
+        assert!(
+            matches!(registered, Err(ServeError::Exec(_))),
+            "{registered:?}"
+        );
+        assert!(matches!(
+            server.submit("t", "m", Tensor4::random([1, 2, 4, 4], 8)),
+            Err(ServeError::UnknownModel(_))
+        ));
     }
 
     #[test]
@@ -1697,36 +1625,6 @@ mod tests {
     }
 
     #[test]
-    fn program_cache_counters_are_exact_under_contention() {
-        let g = tiny_graph("m");
-        let server = Server::new(ServeConfig::default());
-        server
-            .register_model("m", config(), &g, g.random_weights(1))
-            .unwrap();
-        let model = read_recover(&server.inner.models)["m"].clone();
-
-        // Four threads leave a barrier together and race for the fresh
-        // model's program: the slot's lock lets exactly one of them compile.
-        const THREADS: usize = 4;
-        const CALLS: usize = 8;
-        let start = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    start.wait();
-                    for _ in 0..CALLS {
-                        model.program_for(None).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = lock_recover(&model.program).stats;
-        assert_eq!(stats.misses, 1, "exactly one compile");
-        assert_eq!(stats.hits + stats.misses, (THREADS * CALLS) as u64);
-        assert_eq!(stats.artifact_hits + stats.artifact_misses, 1);
-    }
-
-    #[test]
     fn expired_requests_resolve_as_timeouts() {
         let g = tiny_graph("m");
         let server = Server::new(ServeConfig {
@@ -1839,12 +1737,12 @@ mod tests {
 
     #[test]
     fn batch_time_estimate_excludes_the_first_batch_compile() {
-        // A model's first batch compiles its program. The batch time that
-        // bounds the hold and prices brownout's shedding must see only the
-        // replay. 1×1 convs over a 2×2 input whose channel count changes at
-        // every layer compile 14–23× slower than they replay (debug and
-        // release), so a compile folded into the estimate reads above a
-        // bare compile of the same graph.
+        // The batch time that bounds the hold and prices brownout's
+        // shedding must see only the replay, never a compile. 1×1 convs
+        // over a 2×2 input whose channel count changes at every layer
+        // compile 14–23× slower than they replay (debug and release), so a
+        // compile folded into the estimate reads above a bare compile of
+        // the same graph.
         let mut g = Graph::new("m", [1, 2, 2, 2]);
         let mut t = g.input();
         for (i, c) in [2, 3, 5, 7, 6, 4, 2].windows(2).enumerate() {

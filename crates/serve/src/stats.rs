@@ -68,35 +68,6 @@ impl TenantStats {
     }
 }
 
-/// Counters of one model's compiled program: the single in-memory program
-/// every batch replays, and the on-disk artifact cache
-/// (`FEATHER_CACHE_DIR/programs/`) consulted when the model's first request
-/// finds it not yet compiled.
-///
-/// Steady-state serving shows `hits` growing and everything else flat: a
-/// model compiles once per process, and with a warm artifact cache even
-/// that compile's accounted pass is replaced by a recording loaded from
-/// disk (`artifact_hits`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgramCacheStats {
-    /// Batches served by replaying the already-resident compiled program
-    /// (zero planning or compile work).
-    pub hits: u64,
-    /// Batches that found no resident program and triggered a compile or
-    /// artifact load: one per model, plus one per failed attempt before it.
-    pub misses: u64,
-    /// Record passes avoided by lowering the session with a matching
-    /// on-disk recording.
-    pub artifact_hits: u64,
-    /// Compiles that ran because no matching artifact existed (or the
-    /// artifact cache is disabled).
-    pub artifact_misses: u64,
-    /// Unusable artifacts (bad checksum, truncation, stale format, or a
-    /// recording of another session) detected on load and renamed aside to
-    /// `*.bad` before a fresh compile replaced them.
-    pub artifact_quarantined: u64,
-}
-
 /// A snapshot of the whole server's counters.
 ///
 /// With an executor pool, each worker keeps its own shard of these counters

@@ -153,10 +153,9 @@ fn main() {
     assert!(report.dram_activation_bytes() < report.layer_at_a_time_activation_bytes());
 
     // ---- 5. The program behind the run, and a warm replay ----------------
-    // Step 2's run compiled the session's program before replaying it. With
-    // FEATHER_CACHE_DIR set the artifact persists next to the co-search
-    // cache (and a second run of this example finds it there).
-    let (program, status) = session.compile_cached().expect("graph lowers to a program");
+    // Step 2's run compiled the session's program before replaying it; this
+    // hands out the same program.
+    let program = session.compile().expect("graph lowers to a program");
     let replay = feather::ProgramSession::new(program);
     let t2 = std::time::Instant::now();
     let replayed = replay.run(&iacts, &weights).expect("program replays");
@@ -164,11 +163,10 @@ fn main() {
     assert_eq!(replayed.oacts, golden, "replay diverged from the reference");
     assert_eq!(replayed.report, run.report, "replay report diverged");
     println!(
-        "compiled program: {} ops, {} route fires, artifact {:?}; first run (compile + \
-         replay) {:.2?}, warm replay {:.2?}, bit-identical",
+        "compiled program: {} ops, {} route fires; first run (compile + replay) {:.2?}, \
+         warm replay {:.2?}, bit-identical",
         replay.program().num_ops(),
         replay.program().route_fires(),
-        status,
         exec_wall,
         replay_wall,
     );

@@ -2,9 +2,9 @@
 //! clients against one `feather_serve::Server`.
 //!
 //! 1. **Register** — the scaled-down ResNet-50 DAG (`÷16` channels and
-//!    spatial, full 72-node topology) is planned once into a batch-1
-//!    `GraphSession`; the first request compiles it into the model's one
-//!    `Program`, which every batch of every size then replays.
+//!    spatial, full 72-node topology) is planned into a batch-1
+//!    `GraphSession` and compiled into the model's one `Program`, which
+//!    every batch of every size then replays.
 //! 2. **Load** — 64 client threads release from a barrier simultaneously and
 //!    each submit single-sample requests drawn from a pool of 8 distinct
 //!    images, then block on their tickets.

@@ -4,13 +4,12 @@
 //! same replay — produces the output of the naive reference executor
 //! ([`run_graph_reference`], which shares no NEST or BIRRD code with the
 //! compiler) and one and the same [`GraphRun`] report: cycles, DRAM traffic,
-//! scratch accounting and join saturation counts. The artifact form (save →
-//! load → recompile routes) must preserve all of it too.
+//! scratch accounting and join saturation counts.
 //!
 //! Replay computes none of that report: it returns [`feather::Program::cost`],
 //! counted once at compile time, with join saturation patched in. The
 //! cost-oracle tests below pin that constant on awkward shapes, on every kind
-//! of input, through artifacts, and on the two benchmark models without
+//! of input, and on the two benchmark models without
 //! running a MAC; that each compiled layer's cost is what the accounted
 //! simulator counts over real data is pinned inside the `feather` crate
 //! (`compiled_layer_costs_equal_accounted_real_data_runs`).
@@ -21,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use feather::graph_session::run_graph_reference;
-use feather::{FeatherConfig, GraphReport, GraphSession, Program, ProgramSession, RouteCacheStats};
+use feather::{FeatherConfig, GraphReport, GraphSession, ProgramSession, RouteCacheStats};
 use feather_arch::graph::{resnet50_graph_scaled, Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
@@ -63,19 +62,6 @@ fn samples_of(oacts: &Tensor4<i32>) -> Vec<Tensor4<i32>> {
     (0..n)
         .map(|i| Tensor4::from_fn([1, m, p, q], |_, mm, pp, qq| oacts.get(i, mm, pp, qq)))
         .collect()
-}
-
-/// Saves `session`'s program and lowers the session again from the scratch
-/// file instead of a record pass.
-fn through_artifact(session: &GraphSession, tag: &str) -> Program {
-    let path = std::env::temp_dir().join(format!(
-        "feather-prog-eq-{}-{tag}.program",
-        std::process::id()
-    ));
-    session.compile().unwrap().save_to(&path).unwrap();
-    let loaded = session.load_program(&path).expect("artifact loads back");
-    std::fs::remove_file(&path).ok();
-    loaded
 }
 
 /// A residual DAG on the executor's awkward shapes: channel counts that do
@@ -208,9 +194,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Replay == the reference executor for random residual DAGs, across
-    /// authored batch sizes; the session's own `run`, a `ProgramSession` and
-    /// a full save/load round trip of the artifact agree on the complete
-    /// `GraphRun`.
+    /// authored batch sizes; the session's own `run` and a `ProgramSession`
+    /// agree on the complete `GraphRun`.
     #[test]
     fn replayed_program_equals_interpreted_session(
         batch in 1usize..3,
@@ -246,14 +231,6 @@ proptest! {
         let replayed = replay.run(&iacts, &weights).unwrap();
         prop_assert_eq!(&replayed.oacts, &run.oacts);
         prop_assert_eq!(&replayed.report, &run.report);
-
-        // Artifact round trip: recording → parse → re-routed, re-lowered.
-        let loaded = through_artifact(&session, &format!("dag-{seed}"));
-        prop_assert_eq!(loaded.fingerprint(), replay.program().fingerprint());
-        prop_assert_eq!(loaded.dump(), replay.program().dump());
-        let reloaded = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
-        prop_assert_eq!(&reloaded.oacts, &run.oacts);
-        prop_assert_eq!(&reloaded.report, &run.report);
     }
 }
 
@@ -415,8 +392,8 @@ proptest! {
 
     /// `Program::cost()` is every run's report with join saturation masked —
     /// on ragged, strided, depthwise residual DAGs, for the batch-1 program
-    /// and for the modelled batch-`N` programs of `with_batch(N)` — survives
-    /// the artifact, and is what every replay entry point returns for zero,
+    /// and for the modelled batch-`N` programs of `with_batch(N)` — and is
+    /// what every replay entry point returns for zero,
     /// all-`i8::MIN` and all-`i8::MAX` inputs and weights alike, next to the
     /// reference executor's output.
     #[test]
@@ -438,8 +415,6 @@ proptest! {
         let cost = program.cost().clone();
         prop_assert!(cost.total_cycles() > 0);
         prop_assert!(cost.joins.iter().all(|j| j.saturated == 0));
-        let reloaded = through_artifact(&session, &format!("cost-{seed}"));
-        prop_assert_eq!(reloaded.cost(), &cost);
 
         let random = g.random_weights(seed + 3000);
         let replay = ProgramSession::new(program);
@@ -573,8 +548,8 @@ fn models_a_and_b_route_cache_traffic_is_pinned() {
 
 /// The weekly full-size check (`FEATHER_FULL=1`): at ÷2 — 4096× Model A's
 /// MACs, ~7 s in release — the `u32` cursor, slot and cell tables and the lane-striped flat
-/// index carry real magnitudes, and scalar replay, batched replay and the
-/// artifact must still agree with the reference executor and with the cost.
+/// index carry real magnitudes, and scalar and batched replay must still
+/// agree with the reference executor and with the cost.
 #[test]
 fn full_size_program_costs_and_replays_like_the_interpreter() {
     if !full() {
@@ -588,8 +563,7 @@ fn full_size_program_costs_and_replays_like_the_interpreter() {
         .collect();
     let weights = g.random_weights(8);
     let program = session.compile().unwrap();
-    let replay = ProgramSession::new(through_artifact(&session, "full"));
-    assert_eq!(replay.program().cost(), program.cost());
+    let replay = ProgramSession::new(program.clone());
     let batched = replay.run_batched(&samples, &weights).unwrap();
     for (sample, lane) in samples.iter().zip(&batched) {
         let golden = reference_outputs(&session, sample, &weights);

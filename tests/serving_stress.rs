@@ -546,8 +546,8 @@ fn weighted_fair_scheduling_bounds_light_tenant_service_delay() {
 // ---------------------------------------------------------------- chaos
 //
 // The fault-injection suite (all names start with `chaos_` so CI can run it
-// standalone): a seeded `FaultPlan` makes batches fail, workers panic, and
-// artifact/cache operations misbehave, deterministically per seed. Under any
+// standalone): a seeded `FaultPlan` makes replays fail and panic and workers
+// fail or panic as they pick up a batch, deterministically per seed. Under any
 // plan the server must neither deadlock nor lose a request: every admitted
 // request resolves exactly once (the conservation invariant), every
 // `Ok` response is bit-identical to the solo golden, and the pool keeps
@@ -565,8 +565,6 @@ fn chaos_round(seed: u64, workers: usize) {
     let plan = FaultPlan::seeded(seed)
         .with_fail(FaultSite::ReplayEntry, 0.08)
         .with_panic(FaultSite::ReplayEntry, 0.04)
-        .with_fail(FaultSite::ArtifactLoad, 0.05)
-        .with_fail(FaultSite::CacheInsert, 0.05)
         .with_fail(FaultSite::WorkerPickup, 0.03)
         .with_panic(FaultSite::WorkerPickup, 0.02);
     let server = Arc::new(Server::with_fault_plan(
