@@ -296,20 +296,40 @@ impl Layout {
     /// per dimension and no cross terms (each dimension appears at most once
     /// intra-line and once in the line computation, enforced by
     /// [`Layout::validate`]). The plan therefore tabulates each dimension's
-    /// summand by evaluating `location` at single-coordinate points, and
-    /// summing the four summands reproduces `location` bit-for-bit (the
-    /// all-zero coordinate maps to `(0, 0)`).
+    /// summand — `location` at a single-coordinate point — and summing the
+    /// four summands reproduces `location` bit-for-bit (the all-zero
+    /// coordinate maps to `(0, 0)`).
     ///
     /// `order` lists the four dimensions with their extents (e.g.
     /// `[(Dim::N, n), (Dim::C, c), (Dim::H, h), (Dim::W, w)]` for iActs);
     /// the extents play the role of `dim_sizes` in [`Layout::location`].
     pub fn plan4(&self, order: [(Dim, usize); 4]) -> LocationPlan4 {
         let dim_sizes: BTreeMap<Dim, usize> = order.iter().copied().collect();
+        // The digits of `location`'s line index, outermost first, with their
+        // extents: a dimension's summand is its digit times the product of
+        // the extents inside it, and likewise for the intra-line offset.
+        let line_digits: Vec<(Dim, usize)> = self
+            .implicit_outer_dims(&dim_sizes)
+            .into_iter()
+            .chain(self.interline.iter().copied())
+            .map(|dim| (dim, self.inter_extent(dim, &dim_sizes)))
+            .collect();
         let tables = order.map(|(dim, extent)| {
+            let intra = self.intra_size(dim);
+            let line = line_digits.iter().position(|&(d, _)| d == dim).map(|i| {
+                let inner: usize = line_digits[i + 1..].iter().map(|&(_, e)| e).product();
+                (line_digits[i].1 - 1, inner)
+            });
+            let offset = self.intraline.iter().position(|e| e.dim == dim).map(|i| {
+                self.intraline[i + 1..]
+                    .iter()
+                    .map(|e| e.size)
+                    .product::<usize>()
+            });
             (0..extent.max(1))
-                .map(|v| {
-                    let coord: BTreeMap<Dim, usize> = [(dim, v)].into_iter().collect();
-                    self.location(&coord, &dim_sizes)
+                .map(|v| Location {
+                    line: line.map_or(0, |(last, inner)| (v / intra).min(last) * inner),
+                    offset: offset.map_or(0, |inner| v % intra * inner),
                 })
                 .collect::<Vec<Location>>()
         });
@@ -658,6 +678,23 @@ mod tests {
                 }
             }
         }
+
+        // An order naming `C` twice: `location` sees one extent per
+        // dimension (the last), so the first `C` axis runs past it and its
+        // inter-line digit clamps to the last line of `C`.
+        let layout: Layout = "CHW_C4".parse().unwrap();
+        let order = [(Dim::N, 2), (Dim::C, 16), (Dim::H, 3), (Dim::C, 5)];
+        let dim_sizes: BTreeMap<Dim, usize> = order.iter().copied().collect();
+        let plan = layout.plan4(order);
+        for (axis, &(dim, extent)) in order.iter().enumerate() {
+            for v in 0..extent {
+                let mut point = [0; 4];
+                point[axis] = v;
+                let golden = layout.location(&coord(&[(dim, v)]), &dim_sizes);
+                assert_eq!(plan.location(point), golden, "axis {axis} at {v}");
+            }
+        }
+        assert_eq!(plan.location([0, 15, 0, 0]), plan.location([0, 7, 0, 0]));
     }
 
     #[test]

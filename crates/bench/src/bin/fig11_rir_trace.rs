@@ -17,7 +17,7 @@ fn main() {
     let cfg = FeatherConfig::new(4, 4);
 
     // Channel-last (HWC_C4) in, row-major (MPQ_Q4) out — the Fig. 11 switch.
-    let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4");
+    let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
     let mut acc = Feather::new(cfg);
     let run = acc
         .execute_conv(&layer, &mapping, &iacts, &weights)

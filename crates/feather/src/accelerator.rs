@@ -143,7 +143,8 @@ mod tests {
         };
         let weights = Tensor4::random(wshape, 12);
         let golden = conv2d_reference(&layer, &iacts, &weights).unwrap();
-        let mapping = LayerMapping::weight_stationary(&layer, &cfg, iact_layout, oact_layout);
+        let mapping =
+            LayerMapping::weight_stationary(&layer, &cfg, iact_layout, oact_layout).unwrap();
         let mut acc = Feather::new(cfg);
         let run = acc
             .execute_conv(&layer, &mapping, &iacts, &weights)
@@ -239,7 +240,7 @@ mod tests {
         let cfg = FeatherConfig::new(4, 4);
         let iacts = Tensor4::random([1, 4, 6, 6], 3);
         let weights = Tensor4::random([4, 4, 3, 3], 4);
-        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4");
+        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         let mut acc = Feather::new(cfg);
         let run = acc
             .execute_conv(&layer, &mapping, &iacts, &weights)
@@ -259,7 +260,7 @@ mod tests {
         let golden = gemm_reference(&layer, &a, &b).unwrap();
         let cfg = FeatherConfig::new(8, 8);
         let conv = layer.as_conv();
-        let mapping = LayerMapping::weight_stationary(&conv, &cfg, "HWC_C8", "MPQ_Q8");
+        let mapping = LayerMapping::weight_stationary(&conv, &cfg, "HWC_C8", "MPQ_Q8").unwrap();
         let mut acc = Feather::new(cfg);
         let run = acc.execute_gemm(&layer, &a, &b, &mapping).unwrap();
         for m in 0..8 {
@@ -273,7 +274,7 @@ mod tests {
     fn shape_mismatch_rejected() {
         let layer = ConvLayer::new(1, 4, 4, 6, 6, 3, 3).with_padding(1);
         let cfg = FeatherConfig::new(4, 4);
-        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4");
+        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         let mut acc = Feather::new(cfg);
         let bad_iacts = Tensor4::random([1, 5, 6, 6], 0);
         let weights = Tensor4::random([4, 4, 3, 3], 0);
@@ -288,7 +289,7 @@ mod tests {
         let cfg = FeatherConfig::new(4, 4);
         let iacts = Tensor4::random([1, 8, 6, 6], 3);
         let weights = Tensor4::random([8, 8, 3, 3], 4);
-        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4");
+        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         let mut acc = Feather::new(cfg);
         let run = acc
             .execute_conv(&layer, &mapping, &iacts, &weights)

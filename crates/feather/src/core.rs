@@ -26,10 +26,14 @@
 //!   ranges (no padding test inside a tile), the loop order whose innermost
 //!   run is contiguous for the layer's shape, and — in the table — every
 //!   reduction group as the `(start, len)` run of bus columns it drains.
-//!   The accounted loop above is serial: it runs once per layer as the
-//!   compiler's record pass, runs chains with real data
-//!   ([`crate::NetworkSession::run`]), and is the cycle-level oracle replay
-//!   is tested against.
+//! * **Compile counts, it does not compute** — the compiler's record pass is
+//!   a counting walk ([`count_conv_core`]): the accounted loop's buffer
+//!   addresses, fire batches and route resolutions, with no NEST array,
+//!   weights, bus or cell value, walking each distinct block once.
+//!
+//! The accounted loop ([`run_conv_core`]) is serial: it runs chains with real
+//! data ([`crate::NetworkSession::run`]) and is the cycle-level oracle both
+//! the counting walk and replay are tested against.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -39,7 +43,7 @@ use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, Dim};
 use feather_birrd::{Birrd, CompiledRoute, ReductionRequest};
-use feather_memsim::LayoutView;
+use feather_memsim::{AccessStats, LayoutView};
 use feather_nest::{NestArray, NestTiming};
 
 use crate::config::FeatherConfig;
@@ -284,8 +288,8 @@ pub(crate) struct LayerStream {
 /// whole program consumes, for ahead-of-time compilation ([`crate::program`]).
 ///
 /// Routes are a pure function of layer geometry (the mapped-lane pattern and
-/// the oAct layout's bank assignment), never of data, so one zero-input
-/// collect pass per layer captures the stream any future run will consume.
+/// the oAct layout's bank assignment), never of data, so one counting walk
+/// per layer captures the stream any future run will consume.
 /// One recorder serves every layer of a program: passes land in a single
 /// deduplicated [`RouteTable`], and each layer takes its own stream of slot
 /// indices with [`RouteRecorder::finish_layer`].
@@ -311,6 +315,20 @@ impl RouteRecorder {
             ArchError::InvalidWorkload("route stream exceeds u32 offsets".to_string())
         })?;
         self.layer.block_starts.push(start);
+        Ok(())
+    }
+
+    /// Records the `n` work blocks of `tile` as a repeat of those of the
+    /// earlier tile `src`, whose passes they consume pass for pass.
+    fn repeat_blocks(&mut self, src: usize, tile: usize, n: usize) -> Result<(), ArchError> {
+        for i in 0..n {
+            self.enter_block(tile * n + i)?;
+            // Block `i` of `src` ends where the next recorded block starts —
+            // at the latest, the block just entered.
+            let starts = &self.layer.block_starts;
+            let run = starts[src * n + i] as usize..starts[src * n + i + 1] as usize;
+            self.layer.stream.extend_from_within(run);
+        }
         Ok(())
     }
 
@@ -354,8 +372,8 @@ pub(crate) enum RouteExecution<'a> {
     /// distinct routes through the shared [`RouteCache`] (the span's
     /// [`RouteMemo`] sits in front).
     Cached(&'a RouteCache),
-    /// Compile path: like `Cached`, but also record the consumption order
-    /// into a [`RouteRecorder`].
+    /// Record path ([`count_conv_core`] and its oracle): like `Cached`, but
+    /// also record the consumption order into a [`RouteRecorder`].
     Collect(&'a RouteCache, &'a mut RouteRecorder),
 }
 
@@ -748,8 +766,8 @@ impl SpanScratch {
     }
 }
 
-/// The inner tile loop shared by the single-layer entry point, the
-/// network-level pipeline executor and the compiler's record pass:
+/// The accounted tile loop of the single-layer entry point and the
+/// network-level pipeline executor, and the oracle of [`count_conv_core`]:
 /// weight-stationary tiling over `(M, C)`, Phase-1 local temporal reduction in
 /// NEST, Phase-2 row fires through BIRRD with Reorder-in-Reduction into the
 /// output view.
@@ -757,8 +775,8 @@ impl SpanScratch {
 /// `iact` is the active StaB half (the layer's inputs, already staged in
 /// `mapping.iact_layout`); `oact` is the shadow half the reduced outputs land
 /// in, addressed by `mapping.oact_layout`. `routes` selects how reduce-reorder
-/// programs are resolved (cached lookup, or cached + record for the
-/// compiler). `expose_first_weight_load` charges the cold weight load
+/// programs are resolved (cached lookup, or cached + record).
+/// `expose_first_weight_load` charges the cold weight load
 /// of the first tile; a pipelined layer whose weights were prefetched during
 /// the previous layer passes `false`. `scratch` is the run's [`SpanScratch`].
 ///
@@ -776,18 +794,26 @@ pub(crate) fn run_conv_core(
     scratch: &mut SpanScratch,
 ) -> Result<CoreRun, ArchError> {
     let span = run_span(ctx, weights, iact, oact, &mut routes, scratch)?;
-    let timing = NestTiming::new(ctx.rows, ctx.cols, ctx.birrd.latency_cycles());
-    let mut cycles = span.extra_cycles;
-    for (tile, &fires) in span.tile_fires.iter().enumerate() {
-        let first_tile = tile == 0 && expose_first_weight_load;
-        cycles += timing.tile(ctx.rs, fires, ctx.rs, first_tile).total();
+    Ok(span.into_core_run(ctx, expose_first_weight_load))
+}
+
+impl SpanAccum {
+    /// Charges every tile's NEST timing — the first tile's weight load only
+    /// when it is exposed — on top of the serialized BIRRD passes.
+    fn into_core_run(self, ctx: &LayerExec, expose_first_weight_load: bool) -> CoreRun {
+        let timing = NestTiming::new(ctx.rows, ctx.cols, ctx.birrd.latency_cycles());
+        let mut cycles = self.extra_cycles;
+        for (tile, &fires) in self.tile_fires.iter().enumerate() {
+            let first_tile = tile == 0 && expose_first_weight_load;
+            cycles += timing.tile(ctx.rs, fires, ctx.rs, first_tile).total();
+        }
+        CoreRun {
+            cycles,
+            birrd_passes: self.birrd_passes,
+            birrd_adds: self.birrd_adds,
+            macs: self.macs,
+        }
     }
-    Ok(CoreRun {
-        cycles,
-        birrd_passes: span.birrd_passes,
-        birrd_adds: span.birrd_adds,
-        macs: span.macs,
-    })
 }
 
 /// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
@@ -976,15 +1002,143 @@ fn phase1_step(
     }
 }
 
+/// The compiler's record pass over one layer: what [`run_conv_core`] counts
+/// and records in `Collect` mode, with no NEST array, weights, bus, route
+/// evaluation or cell value. None of it depends on data (paper §III), so the
+/// walk drives the same buffer and route accounting at the same addresses,
+/// each distinct block once, and returns the counters with both halves'
+/// access statistics (`iact` and `oact` are charged the walked part only):
+///
+/// * **iAct reads** do not depend on `wt_m` outside depthwise layers: one
+///   tile row is walked, counted `m_tiles` times, each read feeding `M`
+///   MACs. Depthwise rows read their own channels: all walked, one MAC each.
+/// * **Passes** depend only on `wt_m` and the live width `c_live`, which
+///   only the last channel tile can narrow: a later tile as wide as the
+///   first of its `wt_m` (all memo hits) repeats that tile's stream and
+///   counts. Tiles go in the accounted order, so slots are first seen alike.
+/// * **Row fires** are `n · p_total · q_tiles · m_rows` per tile.
+pub(crate) fn count_conv_core(
+    ctx: &LayerExec,
+    iact: &mut LayoutView<'_, i32>,
+    oact: &mut LayoutView<'_, i32>,
+    cache: &RouteCache,
+    recorder: &mut RouteRecorder,
+    expose_first_weight_load: bool,
+) -> Result<(CoreRun, AccessStats, AccessStats), ArchError> {
+    let layer = &ctx.layer;
+    let (c_ok, bank_used) = (&mut vec![false; ctx.cols], &mut vec![false; ctx.cols]);
+    let (groups, batch, pending) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+    let request = &mut ReductionRequest {
+        input_groups: vec![None; ctx.cols],
+        group_destinations: BTreeMap::new(),
+    };
+
+    // ---- Phase 1: iAct reads ----
+    let iact_base = *iact.stats();
+    for wt_m in 0..if ctx.depthwise { ctx.m_tiles } else { 1 } {
+        for wt_c in 0..ctx.c_tiles {
+            let channels = if ctx.depthwise {
+                wt_m * ctx.m_rows..layer.c.min((wt_m + 1) * ctx.m_rows)
+            } else {
+                wt_c * ctx.c_cols..wt_c * ctx.c_cols + ctx.c_live(wt_c)
+            };
+            for n in 0..layer.n {
+                for p in 0..ctx.p_total {
+                    for qt in 0..ctx.q_tiles {
+                        let qs = qt * ctx.q_cols..ctx.q_total.min((qt + 1) * ctx.q_cols);
+                        for rs_step in 0..ctx.rs {
+                            iact.begin_cycle();
+                            if let Some(h) = ctx.h_table[p * layer.r + rs_step / layer.s] {
+                                let s_i = rs_step % layer.s;
+                                for w in qs.clone().filter_map(|q| ctx.w_table[q * layer.s + s_i]) {
+                                    for c in channels.clone() {
+                                        iact.read_at(ctx.iact_plan.location([n, c, h, w]));
+                                    }
+                                }
+                            }
+                            iact.flush_cycle();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let row = iact.stats().since(&iact_base);
+    let (iact_stats, macs) = if ctx.depthwise {
+        (row, row.element_reads)
+    } else {
+        let macs = row.element_reads * layer.m as u64;
+        (std::iter::repeat(row).take(ctx.m_tiles).sum(), macs)
+    };
+
+    // ---- Phase 2: row fires through BIRRD (RIR) ----
+    // BIRRD passes, adder activations and serialization cycles.
+    let (mut counts, mut oact_stats) = ([0u64; 3], AccessStats::new());
+    let mut memo = RouteMemo::default();
+    for wt_m in 0..ctx.m_tiles {
+        let mut first = ([0; 3], AccessStats::new());
+        for wt_c in 0..ctx.c_tiles {
+            let (tile, c_live) = (wt_m * ctx.c_tiles + wt_c, ctx.c_live(wt_c));
+            let walked = if wt_c > 0 && c_live == ctx.c_live(0) {
+                recorder.repeat_blocks(tile - wt_c, tile, layer.n)?;
+                first
+            } else {
+                ctx.mark_live_lanes(wt_c, c_ok);
+                let (mut tile_counts, oact_base) = ([0; 3], *oact.stats());
+                for n in 0..layer.n {
+                    recorder.enter_block(tile * layer.n + n)?;
+                    for p in 0..ctx.p_total {
+                        for qt in 0..ctx.q_tiles {
+                            for m in wt_m * ctx.m_rows..layer.m.min((wt_m + 1) * ctx.m_rows) {
+                                ctx.fire_groups([n, m, p, qt], groups);
+                                while !groups.is_empty() {
+                                    next_batch(groups, batch, pending, bank_used);
+                                    let routes =
+                                        &mut RouteExecution::Collect(cache, &mut *recorder);
+                                    let route =
+                                        memo.resolve(ctx, c_live, c_ok, batch, request, routes)?;
+                                    oact.begin_cycle();
+                                    for g in batch.iter() {
+                                        oact.write_at(g.loc, 0);
+                                    }
+                                    oact.flush_cycle();
+                                    let extra = u64::from(!groups.is_empty());
+                                    let pass = [1, route.adder_activations() as u64, extra];
+                                    tile_counts.iter_mut().zip(pass).for_each(|(t, k)| *t += k);
+                                }
+                            }
+                        }
+                    }
+                }
+                (tile_counts, oact.stats().since(&oact_base))
+            };
+            first = if wt_c == 0 { walked } else { first };
+            counts.iter_mut().zip(walked.0).for_each(|(t, k)| *t += k);
+            oact_stats.merge(&walked.1);
+        }
+    }
+    let [birrd_passes, birrd_adds, extra_cycles] = counts;
+    let fires = (layer.n * ctx.p_total * ctx.q_tiles * ctx.m_rows) as u64;
+    let span = SpanAccum {
+        tile_fires: vec![fires; ctx.m_tiles * ctx.c_tiles],
+        extra_cycles,
+        birrd_passes,
+        birrd_adds,
+        macs,
+    };
+    let core = span.into_core_run(ctx, expose_first_weight_load);
+    Ok((core, iact_stats, oact_stats))
+}
+
 // ---------------------------------------------------------------------------
 // Replay: pure data movement
 //
 // Everything `run_span` accounts for — cycles, fires, BIRRD passes and adds,
 // buffer statistics, conflict stalls — is independent of the data, so the
-// compiler's record pass (`run_span` in `Collect` mode) computes it once and
-// a replayed `Fire` only moves values: plain StaB cells, local accumulators,
-// folded column runs. `run_span` stays the cycle-level oracle the
-// equivalence suites compare replay against.
+// compiler's record pass (`count_conv_core`) counts it once and a replayed
+// `Fire` only moves values: plain StaB cells, local accumulators, folded
+// column runs. `run_span` stays the cycle-level oracle the equivalence
+// suites compare replay against.
 // ---------------------------------------------------------------------------
 
 /// A layout precompiled over a fixed 4-dimension coordinate order down to
@@ -1524,7 +1678,8 @@ mod tests {
                 .with_padding(padding);
             prop_assume!(layer.validate().is_ok());
             let config = FeatherConfig::new(4, 8);
-            let mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C4", "MPQ_Q4");
+            let mapping =
+                LayerMapping::weight_stationary(&layer, &config, "HWC_C4", "MPQ_Q4").unwrap();
             let exec = LayerExec::new(&config, &layer, &mapping).unwrap();
             let (h_table, w_table) = (exec.h_table.clone(), exec.w_table.clone());
             let replay = ReplayLayer::new(exec, 1 << 16, 1 << 16, LayerStream::default()).unwrap();
@@ -1663,7 +1818,8 @@ mod tests {
 
             let config = FeatherConfig::new(4, 8);
             let oact = OACT_LAYOUTS[oact];
-            let mut mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C4", oact);
+            let mut mapping =
+                LayerMapping::weight_stationary(&layer, &config, "HWC_C4", oact).unwrap();
             mapping.m_rows = (1 + factors[0]).min(mapping.m_rows);
             mapping.c_cols = (1 << factors[1]).min(mapping.c_cols);
             mapping.q_cols = (1 << factors[2]).min(layer.output_width()).min(8 / mapping.c_cols);
@@ -1685,6 +1841,135 @@ mod tests {
         assert!(
             MULTI_BATCH_CASES.load(Ordering::Relaxed) > 0,
             "no generated case split a fire into several batches"
+        );
+    }
+
+    /// What a record pass left behind for one layer walked twice through
+    /// one recorder and route cache — the second time as a pipelined layer,
+    /// every route a shared-map hit.
+    #[derive(Debug, PartialEq)]
+    struct Recorded {
+        /// Per pass: the counters and both halves' access statistics.
+        costs: Vec<(CoreRun, AccessStats, AccessStats)>,
+        /// Per pass: the stream and its block starts.
+        streams: Vec<(Vec<u32>, Vec<u32>)>,
+        /// The route table's requests, in slot order.
+        requests: Vec<(usize, ReductionRequest)>,
+        cache: RouteCacheStats,
+    }
+
+    /// Records `layer` with the counting walk, or with the accounted loop in
+    /// `Collect` mode — its oracle.
+    fn record(
+        config: &FeatherConfig,
+        layer: &ConvLayer,
+        mapping: &LayerMapping,
+        counting: bool,
+    ) -> Result<Recorded, ArchError> {
+        use crate::session::{iact_spec, oact_spec};
+        use feather_memsim::FunctionalBuffer;
+
+        let ctx = LayerExec::new(config, layer, mapping)?;
+        let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+        let mut span = SpanScratch::new(config.rows, config.cols);
+        let (m, c, r, s) = (layer.m, layer.c, layer.r, layer.s);
+        let weights = Tensor4::zeros(if layer.is_depthwise() {
+            [c, 1, r, s]
+        } else {
+            [m, c, r, s]
+        });
+        let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
+        let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
+        let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
+        let (mut costs, mut streams) = (Vec::new(), Vec::new());
+        for expose in [true, false] {
+            let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
+            let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
+            costs.push(if counting {
+                count_conv_core(&ctx, &mut iact, &mut oact, &cache, &mut recorder, expose)?
+            } else {
+                let (iact_base, oact_base) = (*iact.stats(), *oact.stats());
+                let routes = RouteExecution::Collect(&cache, &mut recorder);
+                let core = run_conv_core(
+                    &ctx, &weights, &mut iact, &mut oact, routes, expose, &mut span,
+                )?;
+                (
+                    core,
+                    iact.stats().since(&iact_base),
+                    oact.stats().since(&oact_base),
+                )
+            });
+            let layer = recorder.finish_layer();
+            streams.push((layer.stream, layer.block_starts));
+        }
+        Ok(Recorded {
+            costs,
+            streams,
+            requests: recorder.into_table().requests().to_vec(),
+            cache: cache.stats(),
+        })
+    }
+
+    /// Generated cases with a repeated channel tile beside a ragged one.
+    static RAGGED_REPEAT_CASES: AtomicU64 = AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The awkward geometry of `lowered_fire_equals_the_reference_on_
+        /// awkward_geometry` (non-square kernels, strides past the kernel,
+        /// wide halos, depthwise), batches 1–3, ragged `M`/`C`/`Q` tiles and
+        /// iAct/oAct layouts from conflict-free to conflicting: the counting
+        /// walk counts and records exactly what the accounted loop does.
+        fn counting_walk_cases(
+            channels in proptest::collection::vec(1usize..=20, 2),
+            hw in proptest::collection::vec(1usize..=6, 2),
+            kernel in proptest::collection::vec(0usize..4, 2),
+            stride in 1usize..=3,
+            padding in 0usize..=5,
+            depthwise in 0usize..2,
+            batch in 1usize..=3,
+            factors in proptest::collection::vec(0usize..4, 3),
+            layouts in proptest::collection::vec(0usize..OACT_LAYOUTS.len(), 2),
+        ) {
+            let (r, s) = ([1, 2, 3, 5][kernel[0]], [1, 2, 3, 5][kernel[1]]);
+            let c = channels[0];
+            let base = ConvLayer::new(batch, channels[1], c, hw[0], hw[1], r, s)
+                .with_stride(stride)
+                .with_padding(padding % (r.max(s) + 1));
+            let layer = if depthwise == 1 {
+                ConvLayer { m: c, ..base }.depthwise()
+            } else {
+                base
+            };
+            prop_assume!(layer.validate().is_ok());
+
+            let config = FeatherConfig::new(4, 8);
+            let iact = ["HWC_C4", "HCW_W8", "CHW_W2H2C2", "HWC_C2W2"][layouts[0] % 4];
+            let oact = OACT_LAYOUTS[layouts[1]];
+            let mut mapping = LayerMapping::weight_stationary(&layer, &config, iact, oact).unwrap();
+            mapping.m_rows = (1 + factors[0]).min(mapping.m_rows);
+            mapping.c_cols = (1 << factors[1]).min(mapping.c_cols);
+            mapping.q_cols = (1 << factors[2]).min(layer.output_width()).min(8 / mapping.c_cols);
+            prop_assume!(mapping.validate(&layer, &config).is_ok());
+
+            let Ok(oracle) = record(&config, &layer, &mapping, false) else {
+                prop_assert!(record(&config, &layer, &mapping, true).is_err());
+                return Err(TestCaseError::reject("unroutable pattern"));
+            };
+            prop_assert_eq!(record(&config, &layer, &mapping, true).unwrap(), oracle);
+            if !layer.is_depthwise() && c.div_ceil(mapping.c_cols) > 2 && c % mapping.c_cols != 0 {
+                RAGGED_REPEAT_CASES.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn counting_walk_equals_the_accounted_loop() {
+        counting_walk_cases();
+        assert!(
+            RAGGED_REPEAT_CASES.load(Ordering::Relaxed) > 0,
+            "no generated case repeated a channel tile beside a ragged one"
         );
     }
 }

@@ -39,13 +39,14 @@
 //! let weights = Tensor4::random([8, 8, 3, 3], 2);
 //!
 //! let mut acc = Feather::new(FeatherConfig::new(4, 4));
-//! let mapping = LayerMapping::weight_stationary(&layer, &acc.config(), "HWC_C4", "MPQ_Q4");
+//! let mapping = LayerMapping::weight_stationary(&layer, &acc.config(), "HWC_C4", "MPQ_Q4")?;
 //! let run = acc.execute_conv(&layer, &mapping, &iacts, &weights).unwrap();
 //!
 //! // The functional result matches the golden convolution.
 //! let golden = feather_arch::tensor::conv2d_reference(&layer, &iacts, &weights).unwrap();
 //! assert_eq!(run.oacts, golden);
 //! assert!(run.report.utilization > 0.0);
+//! # Ok::<(), feather_arch::ArchError>(())
 //! ```
 
 #![warn(missing_docs)]

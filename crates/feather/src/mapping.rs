@@ -33,25 +33,20 @@ impl LayerMapping {
     /// walk-throughs (Fig. 9 / Fig. 11): `M` across rows, `C` across adjacent
     /// columns, remaining columns used for `Q` parallelism.
     ///
-    /// # Panics
-    /// Panics if the layout strings do not parse (they are compile-time
-    /// constants in normal use).
+    /// # Errors
+    /// Returns [`ArchError::ParseLayout`] if a layout string does not parse.
     pub fn weight_stationary(
         layer: &ConvLayer,
         config: &FeatherConfig,
         iact_layout: &str,
         oact_layout: &str,
-    ) -> Self {
-        Self::weight_stationary_layouts(
+    ) -> Result<Self, ArchError> {
+        Ok(Self::weight_stationary_layouts(
             layer,
             config,
-            iact_layout
-                .parse()
-                .expect("iact layout string must be valid"),
-            oact_layout
-                .parse()
-                .expect("oact layout string must be valid"),
-        )
+            iact_layout.parse()?,
+            oact_layout.parse()?,
+        ))
     }
 
     /// [`LayerMapping::weight_stationary`] with already-parsed layouts (the
@@ -206,7 +201,7 @@ mod tests {
     #[test]
     fn weight_stationary_mapping_fits() {
         let cfg = FeatherConfig::new(4, 4);
-        let m = LayerMapping::weight_stationary(&layer(), &cfg, "HWC_C4", "MPQ_Q4");
+        let m = LayerMapping::weight_stationary(&layer(), &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         m.validate(&layer(), &cfg).unwrap();
         assert_eq!(m.m_rows, 4);
         assert_eq!(m.c_cols, 4);
@@ -214,10 +209,19 @@ mod tests {
     }
 
     #[test]
+    fn unparsable_layout_is_a_parse_error() {
+        let cfg = FeatherConfig::new(4, 4);
+        for (iact, oact) in [("HWC_C", "MPQ_Q4"), ("HWC_C4", "MPQ")] {
+            let err = LayerMapping::weight_stationary(&layer(), &cfg, iact, oact).unwrap_err();
+            assert!(matches!(err, ArchError::ParseLayout { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn small_channel_layer_uses_q_parallelism() {
         let l = ConvLayer::new(1, 8, 2, 6, 6, 3, 3).with_padding(1);
         let cfg = FeatherConfig::new(4, 8);
-        let m = LayerMapping::weight_stationary(&l, &cfg, "HWC_C2", "MPQ_Q8");
+        let m = LayerMapping::weight_stationary(&l, &cfg, "HWC_C2", "MPQ_Q8").unwrap();
         assert_eq!(m.c_cols, 2);
         assert_eq!(m.q_cols, 4);
         m.validate(&l, &cfg).unwrap();
@@ -226,10 +230,10 @@ mod tests {
     #[test]
     fn validation_catches_oversized_factors() {
         let cfg = FeatherConfig::new(4, 4);
-        let mut m = LayerMapping::weight_stationary(&layer(), &cfg, "HWC_C4", "MPQ_Q4");
+        let mut m = LayerMapping::weight_stationary(&layer(), &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         m.c_cols = 8;
         assert!(m.validate(&layer(), &cfg).is_err());
-        let mut m2 = LayerMapping::weight_stationary(&layer(), &cfg, "HWC_C4", "MPQ_Q4");
+        let mut m2 = LayerMapping::weight_stationary(&layer(), &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         m2.oact_layout = "MPQ_Q8".parse().unwrap();
         assert!(m2.validate(&layer(), &cfg).is_err());
     }
@@ -238,7 +242,7 @@ mod tests {
     fn from_dataflow_roundtrips_weight_stationary() {
         let cfg = FeatherConfig::new(4, 4);
         let l = layer();
-        let ws = LayerMapping::weight_stationary(&l, &cfg, "HWC_C4", "MPQ_Q4");
+        let ws = LayerMapping::weight_stationary(&l, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         let df = ws.as_dataflow(&l, &cfg);
         let projected = LayerMapping::from_dataflow(
             &l,
@@ -282,7 +286,7 @@ mod tests {
     fn as_dataflow_is_valid() {
         let cfg = FeatherConfig::new(4, 4);
         let l = layer();
-        let m = LayerMapping::weight_stationary(&l, &cfg, "HWC_C4", "MPQ_Q4");
+        let m = LayerMapping::weight_stationary(&l, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         let df = m.as_dataflow(&l, &cfg);
         df.validate(&l.clone().into()).unwrap();
         assert_eq!(df.spatial_reduction_size(), 4);

@@ -1,7 +1,9 @@
 //! The one lowering of a planned [`GraphSession`] into a [`Program`]: tensor
 //! table, per-layer replay contexts, op stream and [`Program::cost`] all come
 //! from the session; each layer's measured half — its [`LayerCost`] and pass
-//! stream — and the route table come from the accounted record pass.
+//! stream — and the route table come from the record pass, a counting walk
+//! of each layer ([`count_conv_core`]) that moves no value. The accounted
+//! tile loop over real data is the oracle it is tested against.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -10,14 +12,11 @@ use std::sync::Arc;
 use feather_arch::codec::fnv1a64;
 use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeOp, TensorId};
-use feather_arch::tensor::Tensor4;
 use feather_arch::ArchError;
 use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 
 use crate::config::FeatherConfig;
-use crate::core::{
-    run_conv_core, LayerExec, ReplayLayer, RouteExecution, RouteRecorder, SpanScratch,
-};
+use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteRecorder};
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
 use crate::report::{GraphReport, JoinSummary, NetworkReport, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
@@ -137,7 +136,7 @@ fn cost_of(
 
 /// Lowers a planned session into a [`Program`] — what fills the cell behind
 /// [`GraphSession::compile`], once per session: every layer runs its
-/// accounted record pass.
+/// counting record pass.
 ///
 /// # Errors
 /// Fails on a layer that does not fit the fabric or a route that cannot be
@@ -171,13 +170,12 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_slot = slot_of[&graph.input()];
     let input_shape = tensors[input_slot].shape;
 
-    // Lower every segment: build the owned layer contexts and run each
-    // layer's accounted tile loop once over zeroed buffers, through the StaB
-    // sequence of a chain run (`NetworkSession::run`). Routes and costs are
-    // data-independent, so this one pass records the BIRRD pass stream every
-    // replay will consume and counts what every replay will report.
+    // Lower every segment: build the owned layer contexts and walk each
+    // layer's tile loop once, counting, through the StaB sequence of a chain
+    // run (`NetworkSession::run`). Routes and costs are data-independent, so
+    // this one pass records the BIRRD pass stream every replay will consume
+    // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
-    let mut span_scratch = SpanScratch::new(config.rows, config.cols);
     let mut recorder = RouteRecorder::default();
     for exec in &session.segments {
         let seg = &exec.segment;
@@ -198,39 +196,26 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
             let exec = LayerExec::new(&config, layer, mapping)?;
             let ispec = iact_spec(layer, mapping);
             let ospec = oact_spec(layer, mapping);
-            let zero_weights = match &weight {
-                WeightSource::Pool(w) => w.clone(),
-                WeightSource::Node(_) => {
-                    Tensor4::zeros(node.weight_shape().expect("conv-like nodes carry weights"))
-                }
-            };
             let idims = layer.iact_dim_sizes();
             let odims = layer.oact_dim_sizes();
             stab.shadow().reshape(ospec);
             if i > 0 {
                 stab.active().rebank(ispec);
             }
-            let iact_base = *stab.active_ref().stats();
-            let oact_base = *stab.shadow_ref().stats();
-            let core = {
+            let (core, iact, oact) = {
                 let (active, shadow) = stab.split_mut();
                 let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
                 let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                run_conv_core(
+                count_conv_core(
                     &exec,
-                    &zero_weights,
                     &mut iact_view,
                     &mut oact_view,
-                    RouteExecution::Collect(route_cache, &mut recorder),
+                    route_cache,
+                    &mut recorder,
                     i == 0,
-                    &mut span_scratch,
                 )?
             };
-            let cost = LayerCost {
-                core,
-                iact: stab.active_ref().stats().since(&iact_base),
-                oact: stab.shadow_ref().stats().since(&oact_base),
-            };
+            let cost = LayerCost { core, iact, oact };
             stab.swap();
             let stream = recorder.finish_layer();
 

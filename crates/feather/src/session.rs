@@ -724,7 +724,7 @@ mod tests {
             .map(|l| {
                 (
                     l.clone(),
-                    LayerMapping::weight_stationary(l, &cfg, "HWC_C4", "PQM_M4"),
+                    LayerMapping::weight_stationary(l, &cfg, "HWC_C4", "PQM_M4").unwrap(),
                 )
             })
             .collect();

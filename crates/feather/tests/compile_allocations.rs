@@ -1,12 +1,12 @@
-//! The accounted tile loop — the compiler's record pass over a graph, and
-//! how a chain runs with real data — resolves a BIRRD pass's route from its
-//! span memo without building a request, so how often it allocates is a
-//! property of the layers and their distinct routes, not of how many row
-//! fires they make. This test compiles the residual test graph, and runs its
-//! main-path chain warm, at 6×6 and at 12×12 inputs (4× the BIRRD passes)
-//! under a counting allocator and bounds the difference. Before the span memo
-//! every pass refilled a `BTreeMap` (one node freed, one allocated), and the
-//! larger input cost thousands of allocations more.
+//! Both tile loops — the compiler's counting record pass over a graph, and
+//! the accounted loop a chain runs with real data — resolve a BIRRD pass's
+//! route from a span memo without building a request, so how often they
+//! allocate is a property of the layers and their distinct routes, not of
+//! how many row fires they make. This test compiles the residual test graph,
+//! and runs its main-path chain warm, at 6×6 and at 12×12 inputs (4× the
+//! BIRRD passes) under a counting allocator and bounds the difference. Before
+//! the span memo every pass refilled a `BTreeMap` (one node freed, one
+//! allocated), and the larger input cost thousands of allocations more.
 //!
 //! The bound is a release-build property: with `debug_assertions` every memo
 //! hit rebuilds its request to check the entry it found, which is that same
@@ -149,10 +149,11 @@ fn the_accounted_loop_does_not_allocate_per_birrd_pass() {
             continue;
         }
         // What still grows with the input is per layer, not per pass: the
-        // address-plan tables (one entry per row and column), the StaB lines
-        // and a recorded stream doubling its capacity twice more — 47 per
-        // layer for the compile and 81 for the chain run today.
-        let per_layer = 128;
+        // StaB lines and a recorded stream doubling its capacity twice more
+        // — 6 per layer for the compile and 2 for the chain run today. (An
+        // address plan that allocated per row and column, as `Layout::plan4`
+        // once did, added ~40 and ~80.)
+        let per_layer = 16;
         assert!(
             added < per_layer * layers,
             "{what}: {small} -> {large} allocations for {added_passes} more passes"

@@ -32,7 +32,9 @@ pub fn functional_smoke() -> bool {
     let iacts = Tensor4::random([1, 4, 4, 4], 7);
     let weights = Tensor4::random([4, 4, 3, 3], 8);
     let cfg = FeatherConfig::new(4, 4);
-    let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4");
+    let Ok(mapping) = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4") else {
+        return false;
+    };
     let mut acc = Feather::new(cfg);
     let run = match acc.execute_conv(&layer, &mapping, &iacts, &weights) {
         Ok(run) => run,

@@ -18,7 +18,8 @@ fn main() {
     let a = Tensor4::random([1, 1, 8, 8], 21);
     let b = Tensor4::random([1, 1, 8, 5], 22);
     let cfg = FeatherConfig::new(4, 8);
-    let mapping = LayerMapping::weight_stationary(&gemm.as_conv(), &cfg, "HWC_C8", "MPQ_Q8");
+    let mapping = LayerMapping::weight_stationary(&gemm.as_conv(), &cfg, "HWC_C8", "MPQ_Q8")
+        .expect("built-in layout strings parse");
     let mut acc = Feather::new(cfg);
     let run = acc
         .execute_gemm(&gemm, &a, &b, &mapping)

@@ -24,7 +24,8 @@ fn main() {
 
     // iActs arrive channel-last; the next layer wants row-major outputs.
     // RIR performs that layout switch during reduction, for free.
-    let mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C16", "MPQ_Q16");
+    let mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C16", "MPQ_Q16")
+        .expect("built-in layout strings parse");
     let run = accelerator
         .execute_conv(&layer, &mapping, &iacts, &weights)
         .expect("layer executes");

@@ -153,7 +153,7 @@ proptest! {
         let iacts = Tensor4::random([1, c, hw, hw], seed);
         let weights = Tensor4::random([m, c, k, k], seed + 1);
         let cfg = FeatherConfig::new(4, 4);
-        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4");
+        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
         let mut acc = Feather::new(cfg);
         let run = acc.execute_conv(&layer, &mapping, &iacts, &weights).unwrap();
         let golden = conv2d_reference(&layer, &iacts, &weights).unwrap();

@@ -25,7 +25,7 @@ fn two_layer_pipeline_switches_layout_for_free() {
     // layout layer 2's dataflow wants to read. That per-layer oAct-layout
     // choice is the co-switching the paper describes, and RIR performs it
     // inside the reduction at no cost.
-    let mapping1 = LayerMapping::weight_stationary(&layer1, &cfg, "HWC_C4", "PQM_M4");
+    let mapping1 = LayerMapping::weight_stationary(&layer1, &cfg, "HWC_C4", "PQM_M4").unwrap();
     let run1 = acc
         .execute_conv(&layer1, &mapping1, &iacts1, &weights1)
         .unwrap();
@@ -50,7 +50,7 @@ fn two_layer_pipeline_switches_layout_for_free() {
     // concordant with its channel-parallel mapping — no conflicts.
     let layer2 = ConvLayer::new(1, 4, 4, 6, 6, 1, 1).with_name("l2");
     let weights2 = Tensor4::random([4, 4, 1, 1], 102);
-    let mapping2 = LayerMapping::weight_stationary(&layer2, &cfg, "HWC_C4", "MPQ_Q4");
+    let mapping2 = LayerMapping::weight_stationary(&layer2, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
     let run2 = acc
         .execute_conv(&layer2, &mapping2, &iacts2, &weights2)
         .unwrap();
@@ -69,7 +69,7 @@ fn rar_style_extra_pass_never_needed() {
     let iacts = Tensor4::random([1, 4, 5, 5], 7);
     let weights = Tensor4::random([4, 4, 3, 3], 8);
     for oact_layout in ["MPQ_Q4", "MPQ_M4", "PQM_M4", "MPQ_P2Q2"] {
-        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", oact_layout);
+        let mapping = LayerMapping::weight_stationary(&layer, &cfg, "HWC_C4", oact_layout).unwrap();
         let mut acc = Feather::new(cfg);
         let run = acc
             .execute_conv(&layer, &mapping, &iacts, &weights)
