@@ -10,16 +10,16 @@
 //! The analysis has two halves, so a co-search over `D` dataflows and `L`
 //! layouts does each once instead of `D × L` times:
 //!
-//! * **dataflow only** — [`SampledReads`]: which cycles are sampled (the
-//!   temporal base points, drawn from the seed) and which `[n, c, h, w]`
-//!   element every lane requests in each of them;
+//! * **dataflow only** — a [`ReadSignature`] (the spatial factors and the
+//!   sampled temporal base points, drawn from the seed, on the dims that index
+//!   iActs) and its expansion [`SampledReads`] (the `[n, c, h, w]` element
+//!   every lane requests in each sampled cycle); dataflows that differ only
+//!   where the buffer cannot see it (how they place `M`) share a signature;
 //! * **layout only** — [`iact_plan`]: the `coordinate → line` tables of
 //!   [`Layout::plan4`], built per (workload, layout).
 //!
 //! [`SampledReads::analyze`] joins the two. Nothing here depends on the layout
 //! the previous layer left behind.
-
-use std::collections::BTreeMap;
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Dim;
@@ -54,31 +54,90 @@ impl AccessAnalysis {
 /// Per-[`Dim`] values (offsets or base coordinates), indexed by `dim as usize`.
 type PerDim = [usize; Dim::ALL.len()];
 
-/// Enumerates all spatial-lane offset combinations for the dims that index the
-/// input activations (`N`, `C`, and `P`/`Q`/`R`/`S` through the sliding
-/// window). Dims like `M` broadcast the same iAct to many PEs and therefore do
-/// not multiply the number of distinct requests.
-fn iact_lanes(spatial: &BTreeMap<Dim, usize>) -> Vec<PerDim> {
+/// The dims that index the input activations: `N`, `C`, and `P`/`Q`/`R`/`S`
+/// through the sliding window. Dims like `M` broadcast the same iAct to many
+/// PEs and therefore neither multiply the distinct requests nor move them.
+fn indexes_iacts(dim: Dim) -> bool {
+    matches!(dim, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S)
+}
+
+/// Enumerates all spatial-lane offset combinations of `spatial` factors.
+fn iact_lanes(spatial: &PerDim) -> Vec<PerDim> {
     let mut lanes = vec![[0; Dim::ALL.len()]];
-    for (&dim, &factor) in spatial {
-        if matches!(dim, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S) {
-            lanes = lanes
-                .iter()
-                .flat_map(|lane| {
-                    (0..factor).map(move |off| {
-                        let mut l = *lane;
-                        l[dim as usize] = off;
-                        l
-                    })
+    for (dim, factor) in Dim::ALL.into_iter().zip(*spatial) {
+        lanes = lanes
+            .iter()
+            .flat_map(|lane| {
+                (0..factor).map(move |off| {
+                    let mut l = *lane;
+                    l[dim as usize] = off;
+                    l
                 })
-                .collect();
-        }
+            })
+            .collect();
     }
     lanes
 }
 
+/// What the buffer sees of a dataflow's sampled cycles: its spatial factors
+/// on the dims that index iActs, and every sampled cycle's base point on
+/// them. Two dataflows with equal signatures request the same elements in
+/// every sampled cycle of a workload, so one analysis per layout serves both.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ReadSignature {
+    /// The spatial factor of every iAct-indexing dim (1 elsewhere).
+    spatial: PerDim,
+    /// Per sampled cycle, the base coordinate on those dims (0 elsewhere).
+    bases: Vec<PerDim>,
+}
+
+impl ReadSignature {
+    /// Samples up to `max_samples` (at least four) execution cycles of
+    /// `dataflow`, deterministically from `seed`.
+    pub fn new(dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
+        let mut spatial = [1; Dim::ALL.len()];
+        for (dim, factor) in dataflow.spatial_factors() {
+            if indexes_iacts(dim) {
+                spatial[dim as usize] = factor;
+            }
+        }
+        let innermost = dataflow.temporal.innermost();
+
+        // Temporal base points: the per-dimension block index times the spatial
+        // factor gives the starting coordinate of the tile processed that cycle.
+        // We sample the first few steps of the innermost loop plus random
+        // points, which covers both the "corner" behaviour (cycle 0..3 tables of
+        // Fig. 4) and the steady state. Every loop draws, iAct-indexing or not,
+        // so the signature keeps the draws of the full loop nest.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let bases = (0..max_samples.max(4))
+            .map(|k| {
+                let mut base: PerDim = [0; Dim::ALL.len()];
+                for l in &dataflow.temporal.loops {
+                    let step = if k < 4 {
+                        if Some(l.dim) == innermost {
+                            k.min(l.extent.saturating_sub(1))
+                        } else {
+                            0
+                        }
+                    } else if l.extent <= 1 {
+                        0
+                    } else {
+                        rng.gen_range(0..l.extent)
+                    };
+                    if indexes_iacts(l.dim) {
+                        base[l.dim as usize] = step * spatial[l.dim as usize];
+                    }
+                }
+                base
+            })
+            .collect();
+        ReadSignature { spatial, bases }
+    }
+}
+
 /// The layout-independent half of the analysis: the `[n, c, h, w]` iAct
-/// element every lane of `dataflow` requests in every sampled cycle.
+/// element every lane requests in every sampled cycle.
 #[derive(Debug, Clone)]
 pub struct SampledReads {
     /// `lanes` coordinates per sampled cycle, cycle-major.
@@ -87,9 +146,8 @@ pub struct SampledReads {
 }
 
 impl SampledReads {
-    /// Samples up to `max_samples` (at least four) execution cycles of
-    /// `dataflow`, deterministically from `seed`.
-    pub fn new(workload: &Workload, dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
+    /// Expands `signature` into the coordinates it reads on `workload`.
+    pub fn new(workload: &Workload, signature: &ReadSignature) -> Self {
         let (stride, padding) = match workload.as_conv_layer() {
             Some(c) => (c.stride, c.padding),
             None => (1, 0),
@@ -97,34 +155,9 @@ impl SampledReads {
         let last = |dim: Dim| workload.dim(dim).saturating_sub(1);
         let (n_last, c_last, h_last, w_last) =
             (last(Dim::N), last(Dim::C), last(Dim::H), last(Dim::W));
-        let spatial = dataflow.spatial_factors();
-        let lanes = iact_lanes(&spatial);
-        let innermost = dataflow.temporal.innermost();
-        let samples = max_samples.max(4);
-        let mut coords = Vec::with_capacity(samples * lanes.len());
-
-        // Temporal base points: the per-dimension block index times the spatial
-        // factor gives the starting coordinate of the tile processed that cycle.
-        // We sample the first few steps of the innermost loop plus random
-        // points, which covers both the "corner" behaviour (cycle 0..3 tables of
-        // Fig. 4) and the steady state.
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for k in 0..samples {
-            let mut base: PerDim = [0; Dim::ALL.len()];
-            for l in &dataflow.temporal.loops {
-                let step = if k < 4 {
-                    if Some(l.dim) == innermost {
-                        k.min(l.extent.saturating_sub(1))
-                    } else {
-                        0
-                    }
-                } else if l.extent <= 1 {
-                    0
-                } else {
-                    rng.gen_range(0..l.extent)
-                };
-                base[l.dim as usize] = step * spatial.get(&l.dim).copied().unwrap_or(1);
-            }
+        let lanes = iact_lanes(&signature.spatial);
+        let mut coords = Vec::with_capacity(signature.bases.len() * lanes.len());
+        for base in &signature.bases {
             coords.extend(lanes.iter().map(|lane| {
                 let at = |dim: Dim| base[dim as usize] + lane[dim as usize];
                 let h = (at(Dim::P) * stride + at(Dim::R)).saturating_sub(padding);
@@ -188,7 +221,8 @@ pub fn analyze_iact_reads(
     max_samples: usize,
     seed: u64,
 ) -> AccessAnalysis {
-    SampledReads::new(workload, dataflow, max_samples, seed).analyze(
+    let signature = ReadSignature::new(dataflow, max_samples, seed);
+    SampledReads::new(workload, &signature).analyze(
         &iact_plan(workload, layout),
         conflicts,
         &mut Vec::new(),
@@ -197,6 +231,8 @@ pub fn analyze_iact_reads(
 
 #[cfg(test)]
 mod oracle {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     /// The iAct coordinate a given lane touches for a given temporal base point.

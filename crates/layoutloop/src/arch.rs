@@ -11,6 +11,7 @@ use feather_arch::dataflow::ArrayShape;
 use feather_arch::dims::DataType;
 use feather_arch::energy::EnergyModel;
 use feather_arch::layout::Layout;
+use feather_arch::ArchError;
 use feather_memsim::{Banking, BufferSpec};
 use serde::{Deserialize, Serialize};
 
@@ -405,6 +406,32 @@ impl ArchSpec {
         spec.reduction = ReductionStyle::Linear;
         spec.distribution = DistributionStyle::Systolic;
         spec
+    }
+
+    /// Rejects a spec the cost model cannot price (it divides by these): a
+    /// zero buffer or array dimension, or a DRAM bandwidth not positive and finite.
+    pub(crate) fn validate(&self) -> Result<(), ArchError> {
+        let buffer = &self.activation_buffer;
+        let zero = [
+            ("activation_buffer.num_lines", buffer.num_lines),
+            ("activation_buffer.num_banks", buffer.num_banks),
+            ("activation_buffer.line_size", buffer.line_size),
+            ("activation_buffer.read_ports", buffer.read_ports),
+            ("shape.rows", self.shape.rows),
+            ("shape.cols", self.shape.cols),
+        ]
+        .into_iter()
+        .find(|&(_, n)| n == 0);
+        let bandwidth = self.dram_bandwidth_bytes_per_cycle;
+        let problem = match zero {
+            Some((field, _)) => format!("{field} is zero"),
+            None if bandwidth.is_finite() && bandwidth > 0.0 => return Ok(()),
+            None => format!("dram_bandwidth_bytes_per_cycle is {bandwidth}"),
+        };
+        Err(ArchError::InvalidDataflow(format!(
+            "architecture `{}`: {problem}",
+            self.name
+        )))
     }
 
     /// The conflict model for the activation buffer, accounting for reorder

@@ -170,6 +170,22 @@ mod tests {
     }
 
     #[test]
+    fn table_key_format_is_pinned() {
+        // Persisted caches are looked up by these bytes: a drift in the key
+        // format orphans every saved table without failing anything else.
+        let key = table_key(
+            &ArchSpec::feather_like(16, 16),
+            &layer("ignored"),
+            &MapperConfig::fast(),
+            7,
+        );
+        assert_eq!(
+            feather_arch::codec::fnv1a64(key.as_bytes()),
+            0x4960_9742_5994_1271
+        );
+    }
+
+    #[test]
     fn same_name_different_spec_misses() {
         // Several constructors reuse one name across array sizes, and specs
         // are freely mutable; the full spec is part of the key so differing

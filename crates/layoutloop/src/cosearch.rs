@@ -5,13 +5,20 @@
 //! What each part of a candidate's cost depends on decides how often it is
 //! computed ([`co_search_table`]):
 //!
-//! * the **dataflow only** — validity, and the sampled per-lane coordinates
-//!   ([`SampledReads`]): once per dataflow;
+//! * the **dataflow only** — validity, and the *read signature*
+//!   ([`ReadSignature`]): once per dataflow;
+//! * the **read signature only** — the sampled per-lane coordinates
+//!   ([`SampledReads`]): once per distinct signature, which dataflows share
+//!   when they differ only where the buffer cannot see it (how they place `M`);
 //! * the **layout only** — the coordinate → line tables ([`iact_plan`]): once
 //!   per layout;
-//! * the **pair** — the bank-conflict analysis joining the two: once per pair;
+//! * the **(signature, layout) pair** — the bank-conflict analysis joining
+//!   the two: once per pair, then priced for every dataflow of the signature;
 //! * the **predecessor layout only** — nothing but the reorder price: *stay*
 //!   and *switch* are two pricings of that one analysis.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::layout::Layout;
@@ -20,9 +27,9 @@ use feather_arch::workload::Workload;
 use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
-use crate::access::{iact_plan, SampledReads};
+use crate::access::{iact_plan, AccessAnalysis, ReadSignature, SampledReads};
 use crate::arch::ArchSpec;
-use crate::cache::CoSearchCache;
+use crate::cache::{table_key, CoSearchCache};
 use crate::evaluate::{check_dataflow, price, Evaluation, ACCESS_SAMPLES};
 use crate::mapper::{search_dataflows, MapperConfig};
 
@@ -129,15 +136,16 @@ impl CoSearchTable {
 }
 
 /// Computes the full predecessor-independent [`CoSearchTable`] for one layer
-/// on the calling thread: each `(dataflow, layout)` pair is analysed once and
-/// priced in both predecessor variants. Dataflows are the outer loop so only
-/// one dataflow's sampled coordinates are alive at a time; every layout still
-/// sees its candidates in dataflow order, which with the strict `<` keeps the
-/// first of equal-EDP candidates.
+/// on the calling thread: each `(read signature, layout)` pair is analysed
+/// once, and each `(dataflow, layout)` pair priced in both predecessor
+/// variants. Dataflows are the outer loop so only one signature's sampled
+/// coordinates are alive at a time; every layout still sees its candidates in
+/// dataflow order, which with the strict `<` keeps the first of equal-EDP
+/// candidates.
 ///
 /// # Errors
-/// Returns an error if the workload itself is malformed. An empty table (no
-/// valid pair at all) is reported at selection time.
+/// Returns an error if the workload or the architecture is malformed. An
+/// empty table (no valid pair at all) is reported at selection time.
 pub fn co_search_table(
     arch: &ArchSpec,
     workload: &Workload,
@@ -145,6 +153,7 @@ pub fn co_search_table(
     seed: u64,
 ) -> Result<CoSearchTable, ArchError> {
     workload.validate()?;
+    arch.validate()?;
     let dataflows = search_dataflows(arch, workload, mapper);
     let layouts = arch.layout_policy.candidates();
     let plans: Vec<_> = layouts.iter().map(|l| iact_plan(workload, l)).collect();
@@ -152,16 +161,24 @@ pub fn co_search_table(
 
     // Per layout, the best (dataflow, unlabeled evaluation) for [stay, switch].
     let mut best: Vec<[Option<(&Dataflow, Evaluation)>; 2]> = vec![[None, None]; layouts.len()];
+    // Per read signature, its analysis under every layout.
+    let mut analyses: BTreeMap<ReadSignature, Vec<AccessAnalysis>> = BTreeMap::new();
     let mut lines = Vec::new();
     for df in &dataflows {
         if check_dataflow(arch, workload, df).is_err() {
             continue;
         }
-        let reads = SampledReads::new(workload, df, ACCESS_SAMPLES, seed);
-        for (plan, slots) in plans.iter().zip(&mut best) {
-            let analysis = reads.analyze(plan, &conflicts, &mut lines);
+        let signature = ReadSignature::new(df, ACCESS_SAMPLES, seed);
+        let per_layout = analyses.entry(signature).or_insert_with_key(|signature| {
+            let reads = SampledReads::new(workload, signature);
+            plans
+                .iter()
+                .map(|plan| reads.analyze(plan, &conflicts, &mut lines))
+                .collect()
+        });
+        for (analysis, slots) in per_layout.iter().zip(&mut best) {
             for (slot, needs_reorder) in slots.iter_mut().zip([false, true]) {
-                let eval = price(arch, workload, df, &analysis, needs_reorder);
+                let eval = price(arch, workload, df, analysis, needs_reorder);
                 if slot.as_ref().map_or(true, |(_, b)| eval.edp < b.edp) {
                     *slot = Some((df, eval));
                 }
@@ -255,16 +272,15 @@ pub fn plan_network(
 ) -> Result<NetworkPlan, ArchError> {
     let hits_before = cache.hits();
     let misses_before = cache.misses();
-    ensure_tables(arch, network.layers.iter(), mapper, seed, cache)?;
+    let keys = ensure_tables(arch, network.layers.iter(), mapper, seed, cache)?;
 
     // Chaining pass: each layer's chosen layout becomes the next layer's
     // predecessor constraint — pure table lookups at this point.
     let mut per_layer = Vec::with_capacity(network.len());
     let mut prev_layout: Option<Layout> = None;
-    for layer in network {
-        let key = crate::cache::table_key(arch, layer, mapper, seed);
+    for (layer, key) in network.iter().zip(&keys) {
         let table = cache
-            .peek_table(&key)
+            .peek_table(key)
             .expect("ensure_tables filled the cache");
         let result = table
             .select(layer.name(), prev_layout.as_ref())
@@ -286,60 +302,67 @@ pub fn plan_network(
     })
 }
 
-/// Makes sure the cache holds a [`CoSearchTable`] for every workload,
-/// counting one miss per *distinct* missing shape and one hit per repeated or
-/// already-cached lookup, then computing the missing tables concurrently via
-/// `std::thread::scope`. Nothing leaves a live cache, so every table ensured
-/// here is there for the caller's chaining pass.
+/// Makes sure the cache holds a [`CoSearchTable`] for every workload and
+/// returns each workload's cache key, in input order. Counts one miss per
+/// *distinct* missing shape and one hit per repeated or already-cached
+/// lookup, then computes the missing tables concurrently. Nothing leaves a
+/// live cache, so every table ensured here is there for the caller's
+/// chaining pass.
+///
+/// # Errors
+/// The first failing table in input order, whichever worker finished first.
 pub(crate) fn ensure_tables<'a>(
     arch: &ArchSpec,
     workloads: impl Iterator<Item = &'a Workload>,
     mapper: &MapperConfig,
     seed: u64,
     cache: &mut CoSearchCache,
-) -> Result<(), ArchError> {
-    let mut missing: Vec<(String, Workload)> = Vec::new();
+) -> Result<Vec<String>, ArchError> {
+    let mut keys = Vec::new();
+    let mut pending = BTreeSet::new();
+    // (index into `keys`, workload) of each distinct missing table.
+    let mut missing: Vec<(usize, &Workload)> = Vec::new();
     for workload in workloads {
-        let key = crate::cache::table_key(arch, workload, mapper, seed);
-        if cache.peek_table(&key).is_some() || missing.iter().any(|(k, _)| *k == key) {
+        let key = table_key(arch, workload, mapper, seed);
+        if cache.peek_table(&key).is_some() || pending.contains(&key) {
             cache.record_hit();
         } else {
             cache.record_miss();
-            missing.push((key, workload.clone()));
+            pending.insert(key.clone());
+            missing.push((keys.len(), workload));
         }
+        keys.push(key);
     }
-    // The planner's one level of threads: co_search_table runs on its
-    // caller, so a worker per core keeps every core busy.
+    // The planner's one level of threads, a worker per core (the caller is
+    // one). Table costs differ tenfold, so each takes the next missing one;
+    // `next` publishes no data (tables come back through `join`): Relaxed.
     let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(missing.len().max(1));
-    let chunk = missing.len().div_ceil(workers).max(1);
-    let chunks: Vec<Vec<(String, Workload)>> = missing.chunks(chunk).map(|c| c.to_vec()).collect();
-    let computed: Vec<Vec<(String, Result<CoSearchTable, ArchError>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(key, workload)| {
-                                (key, co_search_table(arch, &workload, mapper, seed))
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("plan worker panicked"))
-                .collect()
-        });
-    for (key, table) in computed.into_iter().flatten() {
-        cache.insert_table(key, table?);
+        .map_or(1, |n| n.get())
+        .min(missing.len());
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(_, workload)) = missing.get(i) else {
+                return done;
+            };
+            done.push((i, co_search_table(arch, workload, mapper, seed)));
+        }
+    };
+    let mut computed = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("plan worker panicked"));
+        }
+        done
+    });
+    computed.sort_unstable_by_key(|&(i, _)| i);
+    for (&(k, _), (_, table)) in missing.iter().zip(computed) {
+        cache.insert_table(keys[k].clone(), table?);
     }
-    Ok(())
+    Ok(keys)
 }
 
 /// Aggregate metrics over a network co-search (geometric means, the statistics
@@ -386,8 +409,11 @@ pub fn summarize(network: &Network, results: &[CoSearchResult]) -> NetworkSummar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::evaluate;
     use feather_arch::models::Network;
-    use feather_arch::workload::ConvLayer;
+    use feather_arch::workload::{ConvLayer, GemmLayer};
+    use feather_memsim::{Banking, BufferSpec};
+    use proptest::prelude::*;
 
     fn small_net() -> Network {
         Network::new(
@@ -439,41 +465,238 @@ mod tests {
         );
     }
 
+    /// Tables checked by `check_table` in which two valid dataflows share a
+    /// read signature, so the table reused an analysis.
+    static SIGNATURE_HITS: AtomicUsize = AtomicUsize::new(0);
+
+    /// First-best-wins over the public per-pair `evaluate`, in
+    /// layout-then-dataflow order, with `prev` as every pair's predecessor.
+    fn exhaustive(
+        arch: &ArchSpec,
+        workload: &Workload,
+        dataflows: &[Dataflow],
+        layouts: &[Layout],
+        prev: Option<&Layout>,
+        seed: u64,
+    ) -> Option<CoSearchResult> {
+        let mut best: Option<CoSearchResult> = None;
+        for layout in layouts {
+            for df in dataflows {
+                let Ok(eval) = evaluate(arch, workload, df, layout, prev, seed) else {
+                    continue;
+                };
+                if best.as_ref().map_or(true, |b| eval.edp < b.evaluation.edp) {
+                    best = Some(CoSearchResult {
+                        dataflow: df.clone(),
+                        layout: layout.clone(),
+                        evaluation: eval,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// Every stay/switch entry of the table, and its answer (and
+    /// `co_search_with`'s) for each kind of predecessor, must equal
+    /// `exhaustive`: a table that shares an analysis between dataflows whose
+    /// reads differ fails this. Returns the checked table.
+    fn check_table(
+        arch: &ArchSpec,
+        workload: &Workload,
+        mapper: &MapperConfig,
+        seed: u64,
+    ) -> Result<CoSearchTable, TestCaseError> {
+        let dataflows = search_dataflows(arch, workload, mapper);
+        let valid: Vec<&Dataflow> = dataflows
+            .iter()
+            .filter(|df| check_dataflow(arch, workload, df).is_ok())
+            .collect();
+        let signatures: BTreeSet<ReadSignature> = valid
+            .iter()
+            .map(|df| ReadSignature::new(df, ACCESS_SAMPLES, seed))
+            .collect();
+        if signatures.len() < valid.len() {
+            SIGNATURE_HITS.fetch_add(1, Ordering::Relaxed);
+        }
+
+        let table = co_search_table(arch, workload, mapper, seed).unwrap();
+        let layouts = arch.layout_policy.candidates();
+        let other_than = |layout: Option<&Layout>| {
+            Layout::conv_candidates()
+                .into_iter()
+                .find(|l| Some(l) != layout)
+                .unwrap()
+        };
+        let search = |layouts: &[Layout], prev: Option<&Layout>| {
+            exhaustive(arch, workload, &dataflows, layouts, prev, seed)
+        };
+        let choices: Vec<LayoutChoice> = layouts
+            .iter()
+            .filter_map(|layout| {
+                let one = std::slice::from_ref(layout);
+                Some(LayoutChoice {
+                    layout: layout.clone(),
+                    stay: search(one, Some(layout))?,
+                    switch: search(one, Some(&other_than(Some(layout))))?,
+                })
+            })
+            .collect();
+        prop_assert_eq!(&table.choices, &choices);
+        let name = workload.name();
+        let winner = table.select(name, None).map(|r| r.layout);
+        let other = other_than(winner.as_ref());
+        for prev in [None, winner.as_ref(), Some(&other)] {
+            let best = search(&layouts, prev);
+            prop_assert_eq!(table.select(name, prev), best.clone());
+            prop_assert_eq!(
+                co_search_with(arch, workload, prev, mapper, seed).ok(),
+                best
+            );
+        }
+        Ok(table)
+    }
+
+    /// Splits the activation buffer into 8 banks of 8 lines: the lines a read
+    /// lands on then decide its conflicts, not only how many it touches.
+    fn banked(mut arch: ArchSpec) -> ArchSpec {
+        arch.activation_buffer = BufferSpec::new(64, 32, 8, Banking::VerticalBlocked);
+        arch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Called by `table_selection_equals_exhaustive_evaluation`.
+        fn table_selection_cases(
+            gemm in 0usize..2,
+            n in 1usize..4,
+            m in 1usize..40,
+            c in 1usize..20,
+            h in 1usize..8,
+            w in 1usize..8,
+            kernel_pick in 0usize..3,
+            stride in 1usize..3,
+            padding in 0usize..2,
+            arch_pick in 0usize..4,
+            bank_pick in 0usize..2,
+            mapper_pick in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let (r, s) = [(1, 1), (3, 3), (3, 1)][kernel_pick];
+            let workload: Workload = if gemm == 1 {
+                GemmLayer::new(m, c, h * w).with_name("l").into()
+            } else {
+                ConvLayer::new(n, m, c, h, w, r, s)
+                    .with_stride(stride)
+                    .with_padding(padding)
+                    .with_name("l")
+                    .into()
+            };
+            prop_assume!(workload.validate().is_ok());
+            let mut arch = match arch_pick {
+                0 => ArchSpec::feather_like(16, 16),
+                1 => ArchSpec::sigma_like_offchip_reorder(16, 16),
+                2 => ArchSpec::nvdla_like(16, 16),
+                _ => ArchSpec::eyeriss_like(8, 8),
+            };
+            if bank_pick == 1 {
+                arch = banked(arch);
+            }
+            let mapper = [MapperConfig::fast(), MapperConfig::default()][mapper_pick];
+            check_table(&arch, &workload, &mapper, seed)?;
+        }
+    }
+
     #[test]
     fn table_selection_equals_exhaustive_evaluation() {
-        // Off-chip reordering makes *switch* dearer than *stay*, so the
-        // predecessor matters. The reference prices every pair through the
-        // public `evaluate` with the real predecessor, first-best-wins in
-        // layout-then-dataflow order.
-        let arch = ArchSpec::sigma_like_offchip_reorder(16, 16);
-        let mapper = MapperConfig::fast();
-        let w: Workload = ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
+        table_selection_cases();
+        assert!(
+            SIGNATURE_HITS.load(Ordering::Relaxed) > 0,
+            "the memo never hit"
+        );
+        // Two corners random shapes almost never reach, where one part of the
+        // signature alone tells two dataflows' reads apart. Batch bases: every
+        // other iAct dim fits the array, so only `N` moves, and on a banked
+        // buffer where it lands matters. `R` factors: R4 on the rows vs R3 on
+        // the columns (both two steps of `R`), and this seed draws step 0 of
+        // `R` in every sampled cycle.
+        let batch: Workload = ConvLayer::new(2, 3, 2, 2, 3, 1, 1).with_name("l").into();
+        let feather = banked(ArchSpec::feather_like(16, 16));
+        check_table(&feather, &batch, &MapperConfig::default(), 0).unwrap();
+        let tall: Workload = ConvLayer::new(1, 1, 1, 5, 2, 5, 2).with_name("l").into();
+        let narrow = ArchSpec::feather_like(4, 3);
+        check_table(&narrow, &tall, &MapperConfig::fast(), 10567).unwrap();
+        // A full-size layer where off-chip reordering makes *switch* dearer
+        // than *stay*, so the predecessor matters.
+        let wide: Workload = ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
             .with_padding(1)
             .with_name("l1")
             .into();
-        let table = co_search_table(&arch, &w, &mapper, 0).unwrap();
+        let offchip = ArchSpec::sigma_like_offchip_reorder(16, 16);
+        let table = check_table(&offchip, &wide, &MapperConfig::fast(), 0).unwrap();
         assert!(table.choices.iter().any(|c| c.stay != c.switch));
+    }
 
-        let layouts = arch.layout_policy.candidates();
-        let free = co_search_with(&arch, &w, None, &mapper, 0).unwrap();
-        let other = layouts.iter().find(|l| **l != free.layout).unwrap();
-        for prev in [None, Some(&free.layout), Some(other)] {
-            let mut best: Option<CoSearchResult> = None;
-            for layout in &layouts {
-                for df in search_dataflows(&arch, &w, &mapper) {
-                    let eval = crate::evaluate::evaluate(&arch, &w, &df, layout, prev, 0).unwrap();
-                    if best.as_ref().map_or(true, |b| eval.edp < b.evaluation.edp) {
-                        best = Some(CoSearchResult {
-                            dataflow: df,
-                            layout: layout.clone(),
-                            evaluation: eval,
-                        });
-                    }
-                }
+    #[test]
+    fn malformed_architectures_are_errors() {
+        let layer: Workload = ConvLayer::new(1, 16, 16, 8, 8, 3, 3).with_padding(1).into();
+        let base = ArchSpec::feather_like(16, 16);
+        let layout = &base.layout_policy.candidates()[0];
+        let dataflow = search_dataflows(&base, &layer, &MapperConfig::fast())
+            .into_iter()
+            .find(|df| evaluate(&base, &layer, df, layout, None, 0).is_ok())
+            .unwrap();
+        type Breakage = (&'static str, fn(&mut ArchSpec));
+        let cases: [Breakage; 8] = [
+            ("num_lines", |a| {
+                a.activation_buffer = BufferSpec::new(0, 32, 16, Banking::VerticalBlocked)
+            }),
+            ("num_banks", |a| a.activation_buffer.num_banks = 0),
+            ("line_size", |a| a.activation_buffer.line_size = 0),
+            ("read_ports", |a| a.activation_buffer.read_ports = 0),
+            ("rows", |a| a.shape.rows = 0),
+            ("cols", |a| a.shape.cols = 0),
+            ("dram_bandwidth", |a| a.dram_bandwidth_bytes_per_cycle = 0.0),
+            ("dram_bandwidth", |a| {
+                a.dram_bandwidth_bytes_per_cycle = f64::NAN
+            }),
+        ];
+        for (field, break_it) in cases {
+            let mut arch = base.clone();
+            break_it(&mut arch);
+            match co_search(&arch, &layer, 0) {
+                Err(ArchError::InvalidDataflow(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: {other:?}"),
             }
-            assert_eq!(table.select("l1", prev), best);
-            assert_eq!(co_search_with(&arch, &w, prev, &mapper, 0).ok(), best);
+            match evaluate(&arch, &layer, &dataflow, layout, None, 0) {
+                Err(ArchError::InvalidDataflow(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: {other:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn plan_network_reports_the_first_failing_layer_in_input_order() {
+        let mut layers = small_net().layers;
+        layers.insert(
+            1,
+            ConvLayer::new(1, 0, 8, 8, 8, 1, 1).with_name("bad1").into(),
+        );
+        layers.insert(
+            3,
+            ConvLayer::new(1, 8, 0, 8, 8, 1, 1).with_name("bad3").into(),
+        );
+        let net = Network::new("two_bad", layers);
+        let err = plan_network(
+            &ArchSpec::feather_like(16, 16),
+            &net,
+            &MapperConfig::fast(),
+            0,
+            &mut CoSearchCache::new(),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("`bad1`"), "{err}");
     }
 
     #[test]

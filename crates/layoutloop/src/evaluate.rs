@@ -68,8 +68,8 @@ impl Evaluation {
 /// determines the cost of the conversion.
 ///
 /// # Errors
-/// Returns [`ArchError::InvalidDataflow`] if the dataflow does not fit the
-/// workload or the architecture's array.
+/// Returns [`ArchError::InvalidDataflow`] if the architecture is malformed or
+/// the dataflow does not fit the workload or the architecture's array.
 pub fn evaluate(
     arch: &ArchSpec,
     workload: &Workload,
@@ -78,6 +78,7 @@ pub fn evaluate(
     prev_layout: Option<&Layout>,
     seed: u64,
 ) -> Result<Evaluation, ArchError> {
+    arch.validate()?;
     check_dataflow(arch, workload, dataflow)?;
     let analysis = analyze_iact_reads(
         workload,

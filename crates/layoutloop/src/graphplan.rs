@@ -23,8 +23,8 @@ use feather_arch::workload::Workload;
 use feather_arch::ArchError;
 
 use crate::arch::ArchSpec;
-use crate::cache::{table_key, CoSearchCache};
-use crate::cosearch::{ensure_tables, CoSearchResult};
+use crate::cache::CoSearchCache;
+use crate::cosearch::{ensure_tables, CoSearchResult, CoSearchTable};
 use crate::mapper::MapperConfig;
 
 /// The per-node `(dataflow, layout)` schedule of a planned graph, the shape
@@ -118,7 +118,15 @@ pub fn plan_graph(
 
     // Phase 1: compute every missing co-search table, concurrently across all
     // branches and layers of the graph.
-    ensure_tables(arch, workloads.values(), mapper, seed, cache)?;
+    let keys = ensure_tables(arch, workloads.values(), mapper, seed, cache)?;
+    let tables: BTreeMap<NodeId, &CoSearchTable> = workloads
+        .keys()
+        .zip(&keys)
+        .map(|(&id, key)| {
+            let table = cache.peek_table(key).expect("phase 1 computed every table");
+            (id, table)
+        })
+        .collect();
 
     // Phase 2: chain layouts per segment, in dependency waves (independent
     // branches share a wave).
@@ -131,7 +139,7 @@ pub fn plan_graph(
             .map(|si| &segments[si])
         {
             let prev = tensor_layout.get(&seg.input).cloned();
-            let planned = plan_segment(arch, graph, seg, prev, mapper, seed, cache, &workloads)?;
+            let planned = plan_segment(arch, graph, seg, prev, &tables)?;
             let (_, last) = planned.last().expect("segments are non-empty");
             tensor_layout.insert(seg.output, last.layout.clone());
             per_node.extend(planned);
@@ -163,27 +171,18 @@ pub fn plan_graph(
     })
 }
 
-/// Chains one segment's layers through their cached tables.
-#[allow(clippy::too_many_arguments)]
+/// Chains one segment's layers through their tables.
 fn plan_segment(
     arch: &ArchSpec,
     graph: &Graph,
     seg: &GraphSegment,
     prev: Option<Layout>,
-    mapper: &MapperConfig,
-    seed: u64,
-    cache: &CoSearchCache,
-    workloads: &BTreeMap<NodeId, Workload>,
+    tables: &BTreeMap<NodeId, &CoSearchTable>,
 ) -> Result<Vec<(NodeId, CoSearchResult)>, ArchError> {
     let mut prev_layout = prev;
     let mut out = Vec::with_capacity(seg.nodes.len());
     for &id in &seg.nodes {
-        let workload = &workloads[&id];
-        let key = table_key(arch, workload, mapper, seed);
-        let table = cache
-            .peek_table(&key)
-            .expect("phase 1 computed every table");
-        let result = table
+        let result = tables[&id]
             .select(&graph.node(id).name, prev_layout.as_ref())
             .ok_or_else(|| {
                 ArchError::InvalidDataflow(format!(

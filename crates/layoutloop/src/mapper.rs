@@ -261,7 +261,7 @@ fn dedupe(candidates: Vec<Dataflow>) -> Vec<Dataflow> {
                     .map(|p| (p.dim, p.factor))
                     .collect::<Vec<_>>(),
             );
-            seen.insert(format!("{key:?}"))
+            seen.insert(key)
         })
         .collect()
 }
