@@ -78,8 +78,9 @@ impl Layout {
         }
     }
 
-    /// Validates that intra-line sizes are non-zero and dimensions are not
-    /// duplicated within the intra-line part.
+    /// Validates that intra-line sizes are non-zero, that their product (the
+    /// line size) fits a `usize`, and that no dimension appears twice on
+    /// either side.
     ///
     /// # Errors
     /// Returns [`ArchError::ParseLayout`] describing the problem.
@@ -98,6 +99,16 @@ impl Layout {
                     reason: format!("dimension {} appears twice intra-line", entry.dim),
                 });
             }
+        }
+        let line_size = self
+            .intraline
+            .iter()
+            .try_fold(1usize, |product, entry| product.checked_mul(entry.size));
+        if line_size.is_none() {
+            return Err(ArchError::ParseLayout {
+                input: self.to_string(),
+                reason: "intra-line line size overflows".to_string(),
+            });
         }
         let mut seen_inter = BTreeSet::new();
         for dim in &self.interline {
@@ -502,6 +513,54 @@ mod tests {
         assert!("CHW_W4W2".parse::<Layout>().is_err()); // duplicate intra dim
         assert!("CHWC_W4".parse::<Layout>().is_err()); // duplicate inter dim
         assert!("CHW_W0".parse::<Layout>().is_err()); // zero size
+        let err = "HWC_C4294967296W4294967296H4294967296"
+            .parse::<Layout>()
+            .unwrap_err();
+        assert!(err.to_string().contains("line size overflows"), "{err}");
+    }
+
+    /// Dimension letters a layout string may hold (`K` is `C`'s GEMM alias;
+    /// lower case is accepted too).
+    const LETTERS: [&str; 12] = ["N", "M", "C", "K", "P", "Q", "R", "S", "H", "W", "k", "w"];
+    /// Bytes a layout string may be damaged with: none is a letter or a
+    /// digit, and a second `_` is out of place.
+    const FOREIGN: [&str; 5] = ["Z", "é", " ", "-", "_"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(4096))]
+
+        #[test]
+        fn parsing_never_panics_and_has_one_canonical_spelling(
+            inter in proptest::collection::vec(0usize..LETTERS.len(), 0..4),
+            intra in proptest::collection::vec(0usize..LETTERS.len(), 0..4),
+            runs in proptest::collection::vec(1usize..=25, 4),
+            digits in proptest::collection::vec(0u8..10, 100),
+            damage in proptest::collection::vec(0usize..10_000, 0..3),
+        ) {
+            // `INTER_INTRA` with a digit run after each intra-line letter
+            // (leading zeros and `0` included), then `damage` pieces inserted.
+            let mut s: String = inter.iter().map(|&l| LETTERS[l]).collect();
+            s.push('_');
+            for (i, &l) in intra.iter().enumerate() {
+                s.push_str(LETTERS[l]);
+                s.extend(digits[25 * i..][..runs[i]].iter().map(|&d| char::from(b'0' + d)));
+            }
+            let mut chars: Vec<char> = s.chars().collect();
+            for &d in &damage {
+                let at = d / FOREIGN.len() % (chars.len() + 1);
+                chars.splice(at..at, FOREIGN[d % FOREIGN.len()].chars());
+            }
+            let s: String = chars.into_iter().collect();
+
+            if let Ok(layout) = s.parse::<Layout>() {
+                let product = layout
+                    .intraline
+                    .iter()
+                    .try_fold(1usize, |p, e| p.checked_mul(e.size));
+                proptest::prop_assert_eq!(Some(layout.line_size()), product);
+                proptest::prop_assert_eq!(layout.to_string().parse::<Layout>(), Ok(layout));
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! * [`graph`] — the tensor-DAG IR ([`Graph`]) with explicit
 //!   producer→consumer edges, residual joins, and the real ResNet-50 topology
 //!   ([`graph::resnet50_graph`]).
-//! * [`codec`] — the sealed-file format (header, records, checksum trailer)
-//!   and atomic-write / quarantine helpers of the on-disk co-search cache.
+//! * [`fingerprint`] — the FNV-1a hash behind plan and program fingerprints.
 //! * [`energy`] — per-action energy constants used by the cost models.
 //! * [`tensor`] — dense INT8/INT32 tensors and reference conv/GEMM kernels.
 //!
@@ -43,11 +42,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod codec;
 pub mod dataflow;
 pub mod dims;
 pub mod energy;
 pub mod error;
+pub mod fingerprint;
 pub mod graph;
 pub mod layout;
 pub mod models;

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use feather_arch::codec::fnv1a64;
 use feather_arch::energy::EnergyModel;
+use feather_arch::fingerprint::fnv1a64;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::ArchError;
 use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};

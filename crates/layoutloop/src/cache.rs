@@ -8,6 +8,9 @@
 //! the same architecture with the same mapper settings and seed are the same
 //! search problem — whatever layouts their predecessors chose, because a
 //! [`CoSearchTable`] answers for every predecessor at once.
+//!
+//! The cache lives in memory only. A table is a pure function of its key,
+//! so a new process recomputes the tables it needs.
 
 use std::collections::BTreeMap;
 
@@ -98,11 +101,6 @@ impl CoSearchCache {
     pub(crate) fn record_miss(&mut self) {
         self.misses += 1;
     }
-
-    /// Iterates over the raw `(key, table)` entries (for persistence).
-    pub(crate) fn table_entries(&self) -> impl Iterator<Item = (&String, &CoSearchTable)> {
-        self.tables.iter()
-    }
 }
 
 #[cfg(test)]
@@ -167,22 +165,6 @@ mod tests {
         assert!(cache
             .peek_table(&table_key(&arch, &w, &mapper, 0))
             .is_some());
-    }
-
-    #[test]
-    fn table_key_format_is_pinned() {
-        // Persisted caches are looked up by these bytes: a drift in the key
-        // format orphans every saved table without failing anything else.
-        let key = table_key(
-            &ArchSpec::feather_like(16, 16),
-            &layer("ignored"),
-            &MapperConfig::fast(),
-            7,
-        );
-        assert_eq!(
-            feather_arch::codec::fnv1a64(key.as_bytes()),
-            0x4960_9742_5994_1271
-        );
     }
 
     #[test]

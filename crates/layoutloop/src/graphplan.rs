@@ -80,7 +80,7 @@ impl GraphPlan {
                 r.dataflow, r.layout
             );
         }
-        feather_arch::codec::fnv1a64(text.as_bytes())
+        feather_arch::fingerprint::fnv1a64(text.as_bytes())
     }
 }
 

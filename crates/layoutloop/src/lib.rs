@@ -40,7 +40,6 @@ pub mod cosearch;
 pub mod evaluate;
 pub mod graphplan;
 pub mod mapper;
-pub mod persist;
 
 pub use arch::{ArchSpec, DataflowFlexibility, ReorderCapability};
 pub use cache::CoSearchCache;

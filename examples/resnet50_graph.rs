@@ -6,8 +6,8 @@
 //!    layer list silently drops.
 //! 2. **Plan** — `layoutloop::plan_graph` co-searches (dataflow, layout) per
 //!    segment, computing missing co-search tables in parallel across branches
-//!    and layers, memoized through `CoSearchCache` (persisted across runs
-//!    when `FEATHER_CACHE_DIR` is set).
+//!    and layers, memoized in memory through `CoSearchCache` so repeated
+//!    layer shapes share one table.
 //! 3. **Execute** — `feather::GraphSession` schedules the DAG: every linear
 //!    segment pipelines through the ping/pong StaB, shortcut tensors park in
 //!    the scratch region, and each join performs the saturating quantized
@@ -58,26 +58,19 @@ fn main() {
     // ---- 1. Plan: per-segment co-search over the DAG --------------------
     let arch = ArchSpec::feather_like(16, 16);
     let mapper = MapperConfig::fast();
-    let mut cache = CoSearchCache::load_persistent();
-    let preloaded = cache.table_count();
+    let mut cache = CoSearchCache::new();
     let t0 = std::time::Instant::now();
     let plan = plan_graph(&arch, &graph, &mapper, 0, &mut cache).expect("graph plans");
     let plan_wall = t0.elapsed();
     println!(
-        "plan: {} nodes in {:.2?} — {} fresh co-search tables, {} served from cache \
-         ({} preloaded from FEATHER_CACHE_DIR), modeled total {} cycles",
+        "plan: {} nodes in {:.2?} — {} fresh co-search tables, {} served from cache, \
+         modeled total {} cycles",
         plan.per_node.len(),
         plan_wall,
         plan.cache_misses,
         plan.cache_hits,
-        preloaded,
         plan.total_cycles(),
     );
-    match cache.save_persistent() {
-        Ok(true) => println!("co-search cache persisted to FEATHER_CACHE_DIR"),
-        Ok(false) => {}
-        Err(e) => println!("cache persist failed (non-fatal): {e}"),
-    }
 
     // ---- 2. Execute: the whole DAG through the pipelined StaB -----------
     let config = FeatherConfig::paper_16x16();
