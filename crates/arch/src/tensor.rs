@@ -271,9 +271,10 @@ pub fn gemm_reference(
 /// Quantizes one INT32 accumulator to INT8 with a power-of-two scale and zero
 /// point — the element-wise operation of FEATHER's quantization module
 /// (§III-C.4), shared by [`quantize_to_i8`] and the pipeline session's
-/// boundary requantization.
+/// boundary requantization. A shift of 31 or more leaves only the sign: the
+/// arithmetic shift saturates there instead of wrapping the shift amount.
 pub fn quantize_value(v: i32, scale_shift: u32, zero_point: i8) -> i8 {
-    let scaled = v >> scale_shift;
+    let scaled = v >> scale_shift.min(31);
     (scaled + zero_point as i32).clamp(i8::MIN as i32, i8::MAX as i32) as i8
 }
 
@@ -480,6 +481,11 @@ mod tests {
         assert_eq!(q.get(0, 0, 0, 0), 64);
         assert_eq!(q.get(0, 0, 0, 1), -128);
         assert_eq!(q.get(0, 0, 0, 2), 0);
+        // Shifts of 32 and more are sign fill, not a shift by `s mod 32`.
+        for shift in [32, 33, 40] {
+            assert_eq!(quantize_value(1000, shift, 0), 0, "shift {shift}");
+        }
+        assert_eq!(quantize_value(-1000, 40, 0), -1);
     }
 
     #[test]

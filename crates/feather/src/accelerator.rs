@@ -42,9 +42,9 @@ impl Feather {
     /// `mapping.iact_layout`; output activations are written to the other half
     /// in `mapping.oact_layout` during BIRRD reduction (RIR).
     ///
-    /// This is a one-layer [`NetworkSession`]: the same staging, tile loop and
-    /// accounting as the multi-layer pipeline, with the single layer paying
-    /// both the iAct staging and the oAct drain DRAM traffic.
+    /// This is a one-layer [`NetworkSession`], compiled and replayed like any
+    /// chain, with the single layer paying both the iAct staging and the oAct
+    /// drain DRAM traffic.
     ///
     /// # Errors
     /// Returns an error if the mapping is invalid for the layer/hardware, the

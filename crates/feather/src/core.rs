@@ -9,14 +9,13 @@
 //!   [`RouteMemo`] resolves it from the fire batch's bank signature, and a
 //!   request is built (and hashed into the shared cache) once per distinct
 //!   route of the span, not once per BIRRD pass.
-//! * **Zero-alloc, zero-copy steady state** — weights stay stationary in the
-//!   layer's filter tensor and are addressed in place (the ping/pong weight
-//!   registers cost no time in the model, so they cost none on the host
-//!   either); the NEST array, fire buses, reduction groups and BIRRD
-//!   input/output vectors live in run-lifetime scratch ([`SpanScratch`]);
+//! * **Compile counts, it does not compute** — the compiler's record pass is
+//!   a counting walk ([`count_conv_core`]): the buffer addresses, fire
+//!   batches and route resolutions of the accounted loop, with no NEST
+//!   array, weights, bus or cell value, walking each distinct block once.
 //!   iAct/oAct addressing goes through precompiled per-dimension location
-//!   tables ([`feather_arch::layout::LocationPlan4`]) and precomputed
-//!   `h`/`w` coordinate tables instead of per-element coordinate maps.
+//!   tables ([`feather_arch::layout::LocationPlan4`]) and precomputed `h`/`w`
+//!   coordinate tables instead of per-element coordinate maps.
 //! * **Replay as pure data movement** — none of the accounting depends on
 //!   data, so a compiled program records it once and [`replay_fire`] moves
 //!   values only: plain cells, local accumulators and the folded column
@@ -26,25 +25,24 @@
 //!   ranges (no padding test inside a tile), the loop order whose innermost
 //!   run is contiguous for the layer's shape, and — in the table — every
 //!   reduction group as the `(start, len)` run of bus columns it drains.
-//! * **Compile counts, it does not compute** — the compiler's record pass is
-//!   a counting walk ([`count_conv_core`]): the accounted loop's buffer
-//!   addresses, fire batches and route resolutions, with no NEST array,
-//!   weights, bus or cell value, walking each distinct block once.
+//!   Weights stay stationary in the layer's filter tensor and are addressed
+//!   in place.
 //!
-//! The accounted loop ([`run_conv_core`]) is serial: it runs chains with real
-//! data ([`crate::NetworkSession::run`]) and is the cycle-level oracle both
-//! the counting walk and replay are tested against.
+//! Replay is the only executor that ships. The accounted loop — real values
+//! through a simulated NEST array and BIRRD bus, every access counted, one
+//! layer on fresh StaB halves — is test code (`accounted`): the cycle-level
+//! oracle that the counting walk, replay and the public entry points are
+//! tested against.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use feather_arch::layout::{Location, LocationPlan4};
-use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, Dim};
 use feather_birrd::{Birrd, CompiledRoute, ReductionRequest};
 use feather_memsim::{AccessStats, LayoutView};
-use feather_nest::{NestArray, NestTiming};
+use feather_nest::NestTiming;
 
 use crate::config::FeatherConfig;
 use crate::mapping::LayerMapping;
@@ -67,10 +65,10 @@ pub(crate) struct CoreRun {
 /// compiled-route cache.
 ///
 /// The counters reflect *shared-map* traffic: steady-state lookups are
-/// absorbed by the accounted loop's span memo (which lives for one layer
-/// span), so `hits + misses` counts span-first look-ups, and `misses` counts
-/// actual route-and-compile work. A graph session reaches the cache only
-/// while it compiles; replaying its program never does.
+/// absorbed by the record pass's span memo (which lives for one layer span),
+/// so `hits + misses` counts span-first look-ups, and `misses` counts actual
+/// route-and-compile work. A session reaches the cache only while it
+/// compiles; replaying its program never does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
     /// Lookups served by the shared compiled-route map.
@@ -366,19 +364,8 @@ impl RouteRecorder {
     }
 }
 
-/// How `run_conv_core` resolves reduce-reorder routes for a layer pass.
-pub(crate) enum RouteExecution<'a> {
-    /// Real-data path ([`crate::NetworkSession::run`]): resolve each span's
-    /// distinct routes through the shared [`RouteCache`] (the span's
-    /// [`RouteMemo`] sits in front).
-    Cached(&'a RouteCache),
-    /// Record path ([`count_conv_core`] and its oracle): like `Cached`, but
-    /// also record the consumption order into a [`RouteRecorder`].
-    Collect(&'a RouteCache, &'a mut RouteRecorder),
-}
-
 /// One distinct route of a span: the compiled program, its [`RouteTable`]
-/// slot when the span records (`Collect`), and the request both came from.
+/// slot, and the request both came from.
 struct MemoEntry {
     route: Arc<CompiledRoute>,
     slot: u32,
@@ -386,7 +373,7 @@ struct MemoEntry {
     request: ReductionRequest,
 }
 
-/// The route memo of one `run_span` call, keyed by what a fire batch's route
+/// The route memo of one layer span, keyed by what a fire batch's route
 /// is a function of inside a layer span: the live reduction width of the
 /// channel tile and the batch's `(q_lane, bank)` pairs. Within a span this
 /// signature and the [`ReductionRequest`] determine each other, so the memo
@@ -403,8 +390,9 @@ struct RouteMemo {
 
 impl RouteMemo {
     /// Resolves `batch`'s route under the channel tile whose lane mask is
-    /// `c_ok` (`c_live` live columns per lane) and, in `Collect` mode, pushes
-    /// its slot onto the layer stream.
+    /// `c_ok` (`c_live` live columns per lane) through `cache`, and pushes its
+    /// slot onto `recorder`'s layer stream.
+    #[allow(clippy::too_many_arguments)]
     fn resolve(
         &mut self,
         ctx: &LayerExec,
@@ -412,12 +400,9 @@ impl RouteMemo {
         c_ok: &[bool],
         batch: &[FireGroup],
         request: &mut ReductionRequest,
-        routes: &mut RouteExecution<'_>,
+        cache: &RouteCache,
+        recorder: &mut RouteRecorder,
     ) -> Result<&CompiledRoute, ArchError> {
-        let (cache, mut recorder) = match routes {
-            RouteExecution::Cached(cache) => (*cache, None),
-            RouteExecution::Collect(cache, recorder) => (*cache, Some(&mut **recorder)),
-        };
         self.key.clear();
         self.key.push(c_live as u32);
         let pairs = batch.iter().flat_map(|g| [g.q_lane as u32, g.bank as u32]);
@@ -437,10 +422,7 @@ impl RouteMemo {
             None => {
                 fill_request(request, batch, c_ok, ctx.c_cols);
                 let route = cache.lookup(&ctx.birrd, request)?;
-                let slot = match &mut recorder {
-                    Some(recorder) => recorder.slot(ctx.c_cols, request, &route)?,
-                    None => 0,
-                };
+                let slot = recorder.slot(ctx.c_cols, request, &route)?;
                 self.index.insert(self.key.clone(), self.entries.len());
                 self.entries.push(MemoEntry {
                     route,
@@ -451,9 +433,7 @@ impl RouteMemo {
             }
         };
         let entry = &self.entries[at];
-        if let Some(recorder) = recorder {
-            recorder.layer.stream.push(entry.slot);
-        }
+        recorder.layer.stream.push(entry.slot);
         Ok(&entry.route)
     }
 }
@@ -527,13 +507,12 @@ pub(crate) struct Tiling {
     depthwise: bool,
 }
 
-/// Everything the accounted tile loop needs that is immutable across the
-/// whole layer: the [`Tiling`] (which it derefs to), the precompiled address
-/// plans, the padded-coordinate tables and the BIRRD instance.
+/// Everything the record pass needs that is immutable across the whole
+/// layer: the [`Tiling`] (which it derefs to), the precompiled address plans,
+/// the padded-coordinate tables and the BIRRD instance.
 ///
 /// The struct is *owned* (no borrows): the compiler builds one per layer for
-/// its record pass and keeps only the tiling ([`ReplayLayer::new`]); a chain
-/// run ([`crate::NetworkSession::run`]) simply constructs one per layer.
+/// its record pass and keeps only the tiling ([`ReplayLayer::new`]).
 #[derive(Debug, Clone)]
 pub(crate) struct LayerExec {
     tiling: Tiling,
@@ -696,7 +675,8 @@ fn next_batch(
     std::mem::swap(groups, pending);
 }
 
-/// What one `run_span` counts; `run_conv_core` turns it into a [`CoreRun`].
+/// What a layer's tile loop counts, before the NEST timing turns it into a
+/// [`CoreRun`].
 struct SpanAccum {
     /// Row fires per `(wt_m, wt_c)` tile (index `wt_m * c_tiles + wt_c`),
     /// which the NEST timing model charges tile by tile.
@@ -706,95 +686,6 @@ struct SpanAccum {
     birrd_passes: u64,
     birrd_adds: u64,
     macs: u64,
-}
-
-/// Run-lifetime scratch of the tile loop: the NEST array plus the fire-bus,
-/// reduction-group and BIRRD input/output buffers. A run allocates one and
-/// hands it to every layer pass, so the per-layer and per-tile steady state
-/// allocates nothing (the lookup `request` is only filled on a span's first
-/// sight of a route).
-///
-/// Every pass leaves the array drained — each `(n, p, qt)` step fires all of
-/// its rows — so the next layer starts from zeroed accumulators.
-pub(crate) struct SpanScratch {
-    nest: NestArray,
-    /// The columns the firing row drains onto.
-    bus: Vec<i32>,
-    /// `c_ok[col]`: under the current weight tile, column `col`'s reduction
-    /// lane holds an in-range input channel. With the row's `m < M` bit this
-    /// is the whole lane-mapping mask: the third factor, `q < Q`, is the
-    /// guard under which a reduction group exists at all, and the mask is
-    /// only ever consulted inside a group's column span.
-    c_ok: Vec<bool>,
-    groups: Vec<FireGroup>,
-    batch: Vec<FireGroup>,
-    pending: Vec<FireGroup>,
-    bank_used: Vec<bool>,
-    inputs: Vec<Option<i64>>,
-    outputs: Vec<Option<i64>>,
-    request: ReductionRequest,
-}
-
-impl SpanScratch {
-    /// Scratch for a `rows × cols` fabric.
-    pub(crate) fn new(rows: usize, cols: usize) -> Self {
-        SpanScratch {
-            nest: NestArray::new(rows, cols),
-            bus: vec![0; cols],
-            c_ok: vec![false; cols],
-            groups: Vec::with_capacity(cols),
-            batch: Vec::with_capacity(cols),
-            pending: Vec::with_capacity(cols),
-            bank_used: vec![false; cols],
-            inputs: vec![None; cols],
-            outputs: vec![None; cols],
-            request: ReductionRequest {
-                input_groups: vec![None; cols],
-                group_destinations: BTreeMap::new(),
-            },
-        }
-    }
-
-    /// # Panics
-    /// Panics if the scratch was sized for another fabric.
-    fn check_fabric(&self, ctx: &LayerExec) {
-        assert_eq!(
-            (self.nest.rows(), self.nest.cols()),
-            (ctx.rows, ctx.cols),
-            "span scratch sized for another fabric"
-        );
-    }
-}
-
-/// The accounted tile loop of the single-layer entry point and the
-/// network-level pipeline executor, and the oracle of [`count_conv_core`]:
-/// weight-stationary tiling over `(M, C)`, Phase-1 local temporal reduction in
-/// NEST, Phase-2 row fires through BIRRD with Reorder-in-Reduction into the
-/// output view.
-///
-/// `iact` is the active StaB half (the layer's inputs, already staged in
-/// `mapping.iact_layout`); `oact` is the shadow half the reduced outputs land
-/// in, addressed by `mapping.oact_layout`. `routes` selects how reduce-reorder
-/// programs are resolved (cached lookup, or cached + record).
-/// `expose_first_weight_load` charges the cold weight load
-/// of the first tile; a pipelined layer whose weights were prefetched during
-/// the previous layer passes `false`. `scratch` is the run's [`SpanScratch`].
-///
-/// `weights` must already have passed
-/// [`check_weight_shape`](crate::accelerator::check_weight_shape): the tile
-/// loop multiplies against its flat `[M, C, R, S]` (depthwise `[C, 1, R, S]`)
-/// storage in place.
-pub(crate) fn run_conv_core(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    mut routes: RouteExecution<'_>,
-    expose_first_weight_load: bool,
-    scratch: &mut SpanScratch,
-) -> Result<CoreRun, ArchError> {
-    let span = run_span(ctx, weights, iact, oact, &mut routes, scratch)?;
-    Ok(span.into_core_run(ctx, expose_first_weight_load))
 }
 
 impl SpanAccum {
@@ -816,195 +707,9 @@ impl SpanAccum {
     }
 }
 
-/// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
-/// also walks. This is the whole hot loop; it allocates nothing per tile and
-/// copies no weights — a tile switch is a mask-row refresh.
-fn run_span(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    routes: &mut RouteExecution<'_>,
-    scratch: &mut SpanScratch,
-) -> Result<SpanAccum, ArchError> {
-    let layer = &ctx.layer;
-    scratch.check_fabric(ctx);
-    let SpanScratch {
-        nest,
-        bus,
-        c_ok,
-        groups,
-        batch,
-        pending,
-        bank_used,
-        inputs,
-        outputs,
-        request,
-    } = scratch;
-    let ws = weights.as_slice();
-    let macs_before = nest.total_macs();
-    let mut memo = RouteMemo::default();
-    let mut accum = SpanAccum {
-        tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
-        extra_cycles: 0,
-        birrd_passes: 0,
-        birrd_adds: 0,
-        macs: 0,
-    };
-
-    for wt_m in 0..ctx.m_tiles {
-        for wt_c in 0..ctx.c_tiles {
-            ctx.mark_live_lanes(wt_c, c_ok);
-            let c_live = ctx.c_live(wt_c);
-            let tile = wt_m * ctx.c_tiles + wt_c;
-
-            for n in 0..layer.n {
-                // One `(wt_m, wt_c, n)` triple is a work block with a
-                // data-independent route sub-sequence; recording marks its
-                // start, which is where replay sets its cursor.
-                if let RouteExecution::Collect(_, recorder) = routes {
-                    recorder.enter_block(tile * layer.n + n)?;
-                }
-                for p in 0..ctx.p_total {
-                    for qt in 0..ctx.q_tiles {
-                        // ---- Phase 1: local temporal reduction ----
-                        for rs_step in 0..ctx.rs {
-                            let r_i = rs_step / layer.s;
-                            let s_i = rs_step % layer.s;
-                            let h = ctx.h_table[p * layer.r + r_i];
-                            iact.begin_cycle();
-                            if let Some(h) = h {
-                                phase1_step(
-                                    ctx, nest, iact, ws, wt_m, wt_c, n, h, s_i, qt, rs_step,
-                                );
-                            }
-                            iact.flush_cycle();
-                        }
-
-                        // ---- Phase 2: row fires through BIRRD (RIR) ----
-                        for m_lane in 0..ctx.m_rows {
-                            let m = wt_m * ctx.m_rows + m_lane;
-                            nest.fire_row_stripe(m_lane, c_ok, bus);
-                            accum.tile_fires[tile] += 1;
-                            if m >= layer.m {
-                                continue;
-                            }
-
-                            ctx.fire_groups([n, m, p, qt], groups);
-                            while !groups.is_empty() {
-                                next_batch(groups, batch, pending, bank_used);
-                                let route =
-                                    memo.resolve(ctx, c_live, c_ok, batch, request, routes)?;
-
-                                inputs.fill(None);
-                                for g in batch.iter() {
-                                    let lane = g.q_lane * ctx.c_cols;
-                                    for col in lane..lane + ctx.c_cols {
-                                        if c_ok[col] {
-                                            inputs[col] = Some(bus[col] as i64);
-                                        }
-                                    }
-                                }
-                                route
-                                    .run(inputs, outputs)
-                                    .expect("compiled route matches the network width");
-                                accum.birrd_passes += 1;
-                                accum.birrd_adds += route.adder_activations() as u64;
-
-                                oact.begin_cycle();
-                                for g in batch.iter() {
-                                    let value = outputs[g.bank].unwrap_or(0) as i32;
-                                    // In-situ accumulation in the output
-                                    // buffer across channel tiles.
-                                    let prev = oact.peek_at(g.loc).unwrap_or(0);
-                                    oact.write_at(g.loc, prev + value);
-                                }
-                                oact.flush_cycle();
-                                if !groups.is_empty() {
-                                    // An extra BIRRD pass serializes the fire.
-                                    accum.extra_cycles += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    accum.macs = nest.total_macs() - macs_before;
-    Ok(accum)
-}
-
-/// One Phase-1 `rs_step` of a `(n, p, qt)` pixel group: feed every mapped PE
-/// its iAct and advance the local temporal reduction against the stationary
-/// weight, read in place from the filter tensor's flat storage `ws`. The
-/// input row `h` is already validated against the padding halo.
-#[allow(clippy::too_many_arguments)]
-fn phase1_step(
-    ctx: &LayerExec,
-    nest: &mut NestArray,
-    iact: &mut LayoutView<'_, i32>,
-    ws: &[i8],
-    wt_m: usize,
-    wt_c: usize,
-    n: usize,
-    h: usize,
-    s_i: usize,
-    qt: usize,
-    rs_step: usize,
-) {
-    let layer = &ctx.layer;
-    let m_base = wt_m * ctx.m_rows;
-    if m_base >= layer.m {
-        return;
-    }
-    let m_lanes = ctx.m_rows.min(layer.m - m_base);
-    for q_lane in 0..ctx.q_cols {
-        let q = qt * ctx.q_cols + q_lane;
-        if q >= ctx.q_total {
-            continue;
-        }
-        let Some(w) = ctx.w_table[q * layer.s + s_i] else {
-            continue;
-        };
-        for c_lane in 0..ctx.c_cols {
-            let col = q_lane * ctx.c_cols + c_lane;
-            if ctx.depthwise {
-                // Each output channel reads its own input channel.
-                for m_lane in 0..m_lanes {
-                    let c = m_base + m_lane;
-                    if c >= layer.c {
-                        continue;
-                    }
-                    let value = iact
-                        .read_at(ctx.iact_plan.location([n, c, h, w]))
-                        .unwrap_or(0);
-                    let lane_vals = &[value as i8];
-                    nest.mac_operand(m_lane, col, lane_vals, ws[c * ctx.rs + rs_step]);
-                }
-            } else {
-                // The same iAct is shared by every row: one accounted read,
-                // broadcast to all mapped rows.
-                let c = wt_c * ctx.c_cols + c_lane;
-                if c >= layer.c {
-                    continue;
-                }
-                let value = iact
-                    .read_at(ctx.iact_plan.location([n, c, h, w]))
-                    .unwrap_or(0);
-                let lane_vals = &[value as i8];
-                for m_lane in 0..m_lanes {
-                    let filter = (m_base + m_lane) * layer.c + c;
-                    nest.mac_operand(m_lane, col, lane_vals, ws[filter * ctx.rs + rs_step]);
-                }
-            }
-        }
-    }
-}
-
-/// The compiler's record pass over one layer: what [`run_conv_core`] counts
-/// and records in `Collect` mode, with no NEST array, weights, bus, route
-/// evaluation or cell value. None of it depends on data (paper §III), so the
+/// The compiler's record pass over one layer: what the accounted loop counts
+/// and records, with no NEST array, weights, bus, route evaluation or cell
+/// value. None of it depends on data (paper §III), so the
 /// walk drives the same buffer and route accounting at the same addresses,
 /// each distinct block once, and returns the counters with both halves'
 /// access statistics (`iact` and `oact` are charged the walked part only):
@@ -1093,10 +798,9 @@ pub(crate) fn count_conv_core(
                                 ctx.fire_groups([n, m, p, qt], groups);
                                 while !groups.is_empty() {
                                     next_batch(groups, batch, pending, bank_used);
-                                    let routes =
-                                        &mut RouteExecution::Collect(cache, &mut *recorder);
-                                    let route =
-                                        memo.resolve(ctx, c_live, c_ok, batch, request, routes)?;
+                                    let route = memo.resolve(
+                                        ctx, c_live, c_ok, batch, request, cache, recorder,
+                                    )?;
                                     oact.begin_cycle();
                                     for g in batch.iter() {
                                         oact.write_at(g.loc, 0);
@@ -1133,12 +837,11 @@ pub(crate) fn count_conv_core(
 // ---------------------------------------------------------------------------
 // Replay: pure data movement
 //
-// Everything `run_span` accounts for — cycles, fires, BIRRD passes and adds,
-// buffer statistics, conflict stalls — is independent of the data, so the
-// compiler's record pass (`count_conv_core`) counts it once and a replayed
-// `Fire` only moves values: plain StaB cells, local accumulators, folded
-// column runs. `run_span` stays the cycle-level oracle the equivalence
-// suites compare replay against.
+// Everything the accounted loop accounts for — cycles, fires, BIRRD passes
+// and adds, buffer statistics, conflict stalls — is independent of the data,
+// so the compiler's record pass (`count_conv_core`) counts it once and a
+// replayed `Fire` only moves values: plain StaB cells, local accumulators,
+// folded column runs.
 // ---------------------------------------------------------------------------
 
 /// A layout precompiled over a fixed 4-dimension coordinate order down to
@@ -1603,9 +1306,255 @@ fn load_stripe(x: &mut [i32], cells: &[i32]) {
     }
 }
 
+/// The accounted tile loop: real values through a simulated NEST array and
+/// BIRRD bus while every cycle, access and conflict is counted. Test code
+/// only — the cycle-level oracle the counting walk, replay and the public
+/// entry points are checked against.
+#[cfg(test)]
+pub(crate) mod accounted {
+    use feather_arch::tensor::Tensor4;
+    use feather_memsim::FunctionalBuffer;
+    use feather_nest::NestArray;
+
+    use super::*;
+    use crate::session::{iact_spec, oact_spec};
+
+    /// One layer through the accounted loop on fresh StaB halves, as the
+    /// first (`expose`) or a pipelined layer of a chain: `iacts` staged in the
+    /// iAct layout (the DMA is not counted), weight-stationary tiling over
+    /// `(M, C)`, Phase-1 local temporal reduction in NEST, Phase-2 row fires
+    /// through BIRRD with Reorder-in-Reduction into the oAct layout, and the
+    /// accumulators drained. Routes resolve through `cache` and record into
+    /// `recorder`. Returns the outputs, the counters and both halves' access
+    /// statistics.
+    pub(crate) fn run_layer(
+        ctx: &LayerExec,
+        iacts: &Tensor4<i8>,
+        weights: &Tensor4<i8>,
+        cache: &RouteCache,
+        recorder: &mut RouteRecorder,
+        expose: bool,
+    ) -> Result<(Tensor4<i32>, CoreRun, AccessStats, AccessStats), ArchError> {
+        let (layer, mapping) = (&ctx.layer, &ctx.mapping);
+        let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
+        let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
+        let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
+        let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
+        let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
+        iacts.for_each(|coord, v| iact.write_at(ctx.iact_plan.location(coord), v as i32));
+        iact.flush_cycle();
+        let (iact_base, oact_base) = (*iact.stats(), *oact.stats());
+        let span = run_span(ctx, weights, &mut iact, &mut oact, cache, recorder)?;
+        let core = span.into_core_run(ctx, expose);
+        let shape = [layer.n, layer.m, ctx.p_total, ctx.q_total];
+        let oacts = Tensor4::from_fn(shape, |n, m, p, q| {
+            oact.peek_at(ctx.oact_plan.location([n, m, p, q]))
+                .unwrap_or(0)
+        });
+        Ok((
+            oacts,
+            core,
+            iact.stats().since(&iact_base),
+            oact.stats().since(&oact_base),
+        ))
+    }
+
+    /// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
+    /// also walks. It allocates nothing per tile and copies no weights — a
+    /// tile switch is a mask-row refresh — and a request is only filled on a
+    /// span's first sight of a route.
+    fn run_span(
+        ctx: &LayerExec,
+        weights: &Tensor4<i8>,
+        iact: &mut LayoutView<'_, i32>,
+        oact: &mut LayoutView<'_, i32>,
+        cache: &RouteCache,
+        recorder: &mut RouteRecorder,
+    ) -> Result<SpanAccum, ArchError> {
+        let (layer, cols) = (&ctx.layer, ctx.cols);
+        let mut nest = NestArray::new(ctx.rows, cols);
+        // The columns the firing row drains onto.
+        let bus = &mut vec![0; cols];
+        // `c_ok[col]`: under the current weight tile, column `col`'s
+        // reduction lane holds an in-range input channel. With the row's
+        // `m < M` bit this is the whole lane-mapping mask: the third factor,
+        // `q < Q`, is the guard under which a reduction group exists at all,
+        // and the mask is only ever consulted inside a group's column span.
+        let (c_ok, bank_used) = (&mut vec![false; cols], &mut vec![false; cols]);
+        let (groups, batch, pending) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+        let (inputs, outputs) = (&mut vec![None; cols], &mut vec![None; cols]);
+        let request = &mut ReductionRequest {
+            input_groups: vec![None; cols],
+            group_destinations: BTreeMap::new(),
+        };
+        let ws = weights.as_slice();
+        let mut memo = RouteMemo::default();
+        let mut accum = SpanAccum {
+            tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
+            extra_cycles: 0,
+            birrd_passes: 0,
+            birrd_adds: 0,
+            macs: 0,
+        };
+
+        for wt_m in 0..ctx.m_tiles {
+            for wt_c in 0..ctx.c_tiles {
+                ctx.mark_live_lanes(wt_c, c_ok);
+                let c_live = ctx.c_live(wt_c);
+                let tile = wt_m * ctx.c_tiles + wt_c;
+
+                for n in 0..layer.n {
+                    // One `(wt_m, wt_c, n)` triple is a work block with a
+                    // data-independent route sub-sequence; recording marks its
+                    // start, which is where replay sets its cursor.
+                    recorder.enter_block(tile * layer.n + n)?;
+                    for p in 0..ctx.p_total {
+                        for qt in 0..ctx.q_tiles {
+                            // ---- Phase 1: local temporal reduction ----
+                            for rs_step in 0..ctx.rs {
+                                let r_i = rs_step / layer.s;
+                                let s_i = rs_step % layer.s;
+                                let h = ctx.h_table[p * layer.r + r_i];
+                                iact.begin_cycle();
+                                if let Some(h) = h {
+                                    phase1_step(
+                                        ctx, &mut nest, iact, ws, wt_m, wt_c, n, h, s_i, qt,
+                                        rs_step,
+                                    );
+                                }
+                                iact.flush_cycle();
+                            }
+
+                            // ---- Phase 2: row fires through BIRRD (RIR) ----
+                            for m_lane in 0..ctx.m_rows {
+                                let m = wt_m * ctx.m_rows + m_lane;
+                                nest.fire_row_stripe(m_lane, c_ok, bus);
+                                accum.tile_fires[tile] += 1;
+                                if m >= layer.m {
+                                    continue;
+                                }
+
+                                ctx.fire_groups([n, m, p, qt], groups);
+                                while !groups.is_empty() {
+                                    next_batch(groups, batch, pending, bank_used);
+                                    let route = memo.resolve(
+                                        ctx, c_live, c_ok, batch, request, cache, recorder,
+                                    )?;
+
+                                    inputs.fill(None);
+                                    for g in batch.iter() {
+                                        let lane = g.q_lane * ctx.c_cols;
+                                        for col in lane..lane + ctx.c_cols {
+                                            if c_ok[col] {
+                                                inputs[col] = Some(bus[col] as i64);
+                                            }
+                                        }
+                                    }
+                                    route
+                                        .run(inputs, outputs)
+                                        .expect("compiled route matches the network width");
+                                    accum.birrd_passes += 1;
+                                    accum.birrd_adds += route.adder_activations() as u64;
+
+                                    oact.begin_cycle();
+                                    for g in batch.iter() {
+                                        let value = outputs[g.bank].unwrap_or(0) as i32;
+                                        // In-situ accumulation in the output
+                                        // buffer across channel tiles.
+                                        let prev = oact.peek_at(g.loc).unwrap_or(0);
+                                        oact.write_at(g.loc, prev + value);
+                                    }
+                                    oact.flush_cycle();
+                                    if !groups.is_empty() {
+                                        // An extra BIRRD pass serializes the fire.
+                                        accum.extra_cycles += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        accum.macs = nest.total_macs();
+        Ok(accum)
+    }
+
+    /// One Phase-1 `rs_step` of a `(n, p, qt)` pixel group: feed every mapped PE
+    /// its iAct and advance the local temporal reduction against the stationary
+    /// weight, read in place from the filter tensor's flat storage `ws`. The
+    /// input row `h` is already validated against the padding halo.
+    #[allow(clippy::too_many_arguments)]
+    fn phase1_step(
+        ctx: &LayerExec,
+        nest: &mut NestArray,
+        iact: &mut LayoutView<'_, i32>,
+        ws: &[i8],
+        wt_m: usize,
+        wt_c: usize,
+        n: usize,
+        h: usize,
+        s_i: usize,
+        qt: usize,
+        rs_step: usize,
+    ) {
+        let layer = &ctx.layer;
+        let m_base = wt_m * ctx.m_rows;
+        if m_base >= layer.m {
+            return;
+        }
+        let m_lanes = ctx.m_rows.min(layer.m - m_base);
+        for q_lane in 0..ctx.q_cols {
+            let q = qt * ctx.q_cols + q_lane;
+            if q >= ctx.q_total {
+                continue;
+            }
+            let Some(w) = ctx.w_table[q * layer.s + s_i] else {
+                continue;
+            };
+            for c_lane in 0..ctx.c_cols {
+                let col = q_lane * ctx.c_cols + c_lane;
+                if ctx.depthwise {
+                    // Each output channel reads its own input channel.
+                    for m_lane in 0..m_lanes {
+                        let c = m_base + m_lane;
+                        if c >= layer.c {
+                            continue;
+                        }
+                        let value = iact
+                            .read_at(ctx.iact_plan.location([n, c, h, w]))
+                            .unwrap_or(0);
+                        let lane_vals = &[value as i8];
+                        nest.mac_operand(m_lane, col, lane_vals, ws[c * ctx.rs + rs_step]);
+                    }
+                } else {
+                    // The same iAct is shared by every row: one accounted read,
+                    // broadcast to all mapped rows.
+                    let c = wt_c * ctx.c_cols + c_lane;
+                    if c >= layer.c {
+                        continue;
+                    }
+                    let value = iact
+                        .read_at(ctx.iact_plan.location([n, c, h, w]))
+                        .unwrap_or(0);
+                    let lane_vals = &[value as i8];
+                    for m_lane in 0..m_lanes {
+                        let filter = (m_base + m_lane) * layer.c + c;
+                        nest.mac_operand(m_lane, col, lane_vals, ws[filter * ctx.rs + rs_step]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::layer_summary;
+    use crate::Feather;
+    use feather_arch::energy::EnergyModel;
+    use feather_arch::tensor::{conv2d_reference, Tensor4};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A one-group request reducing lanes `0..lanes` into `bank`.
@@ -1730,21 +1679,16 @@ mod tests {
         let ctx = LayerExec::new(&config, layer, mapping).unwrap();
         let cache = RouteCache::new();
         let mut recorder = RouteRecorder::default();
-        let mut routes = RouteExecution::Collect(&cache, &mut recorder);
         let mut memo = RouteMemo::default();
-        let mut scratch = SpanScratch::new(config.rows, config.cols);
-        let mut oracle = scratch.request.clone();
+        let (c_ok, bank_used) = (&mut vec![false; config.cols], &mut vec![false; config.cols]);
+        let (groups, batch, pending) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+        let request = &mut ReductionRequest {
+            input_groups: vec![None; config.cols],
+            group_destinations: BTreeMap::new(),
+        };
+        let mut oracle = request.clone();
         let mut slots: HashMap<ReductionRequest, u32> = HashMap::new();
         let (mut fires, mut passes) = (0u64, 0u64);
-        let SpanScratch {
-            c_ok,
-            groups,
-            batch,
-            pending,
-            bank_used,
-            request,
-            ..
-        } = &mut scratch;
         for tile in 0..ctx.m_tiles * ctx.c_tiles {
             let (wt_m, wt_c) = (tile / ctx.c_tiles, tile % ctx.c_tiles);
             ctx.mark_live_lanes(wt_c, c_ok);
@@ -1765,7 +1709,7 @@ mod tests {
                     passes += 1;
                     let c_live = ctx.c_live(wt_c);
                     let Ok(route) = memo
-                        .resolve(&ctx, c_live, c_ok, batch, request, &mut routes)
+                        .resolve(&ctx, c_live, c_ok, batch, request, &cache, &mut recorder)
                         .map(|route| route as *const CompiledRoute)
                     else {
                         // A pattern BIRRD cannot route is not this test's.
@@ -1776,9 +1720,6 @@ mod tests {
                     prop_assert!(std::ptr::eq(route, Arc::as_ptr(&hashed)));
                     let next_slot = slots.len() as u32;
                     let slot = *slots.entry(oracle.clone()).or_insert(next_slot);
-                    let RouteExecution::Collect(_, recorder) = &routes else {
-                        unreachable!()
-                    };
                     prop_assert_eq!(recorder.layer.stream.last(), Some(&slot));
                     let recorded = &recorder.table.requests()[slot as usize];
                     prop_assert_eq!(recorded, &(ctx.c_cols, oracle.clone()));
@@ -1858,8 +1799,20 @@ mod tests {
         cache: RouteCacheStats,
     }
 
-    /// Records `layer` with the counting walk, or with the accounted loop in
-    /// `Collect` mode — its oracle.
+    /// Random operands for `layer`: its iActs and its filter tensor.
+    fn operands(layer: &ConvLayer) -> (Tensor4<i8>, Tensor4<i8>) {
+        let (m, c, r, s) = (layer.m, layer.c, layer.r, layer.s);
+        let filter = if layer.is_depthwise() {
+            [c, 1, r, s]
+        } else {
+            [m, c, r, s]
+        };
+        let iacts = Tensor4::random([layer.n, c, layer.h, layer.w], 1);
+        (iacts, Tensor4::random(filter, 2))
+    }
+
+    /// Records `layer` with the counting walk, or with its oracle: the
+    /// accounted loop over real operands.
     fn record(
         config: &FeatherConfig,
         layer: &ConvLayer,
@@ -1871,33 +1824,21 @@ mod tests {
 
         let ctx = LayerExec::new(config, layer, mapping)?;
         let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
-        let mut span = SpanScratch::new(config.rows, config.cols);
-        let (m, c, r, s) = (layer.m, layer.c, layer.r, layer.s);
-        let weights = Tensor4::zeros(if layer.is_depthwise() {
-            [c, 1, r, s]
-        } else {
-            [m, c, r, s]
-        });
+        let (iacts, weights) = operands(layer);
         let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
-        let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
-        let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
         let (mut costs, mut streams) = (Vec::new(), Vec::new());
         for expose in [true, false] {
-            let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
-            let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
             costs.push(if counting {
+                let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
+                let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
+                let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
+                let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
                 count_conv_core(&ctx, &mut iact, &mut oact, &cache, &mut recorder, expose)?
             } else {
-                let (iact_base, oact_base) = (*iact.stats(), *oact.stats());
-                let routes = RouteExecution::Collect(&cache, &mut recorder);
-                let core = run_conv_core(
-                    &ctx, &weights, &mut iact, &mut oact, routes, expose, &mut span,
-                )?;
-                (
-                    core,
-                    iact.stats().since(&iact_base),
-                    oact.stats().since(&oact_base),
-                )
+                let run =
+                    accounted::run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, expose);
+                let (_, core, iact, oact) = run?;
+                (core, iact, oact)
             });
             let layer = recorder.finish_layer();
             streams.push((layer.stream, layer.block_starts));
@@ -1958,6 +1899,21 @@ mod tests {
                 return Err(TestCaseError::reject("unroutable pattern"));
             };
             prop_assert_eq!(record(&config, &layer, &mapping, true).unwrap(), oracle);
+
+            // What the public entry point, which compiles and replays,
+            // returns for real operands: the oracle's outputs — the
+            // reference convolution — and its whole report.
+            let (iacts, weights) = operands(&layer);
+            let ctx = LayerExec::new(&config, &layer, &mapping).unwrap();
+            let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+            let (oacts, core, iact_stats, oact_stats) =
+                accounted::run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, true).unwrap();
+            let energy = EnergyModel::tsmc28();
+            let summary = layer_summary(&config, &energy, &layer, &core, iact_stats, oact_stats, true, true);
+            let run = Feather::new(config).execute_conv(&layer, &mapping, &iacts, &weights).unwrap();
+            prop_assert_eq!(&oacts, &conv2d_reference(&layer, &iacts, &weights).unwrap());
+            prop_assert_eq!(&run.oacts, &oacts);
+            prop_assert_eq!(run.report, summary.report);
             if !layer.is_depthwise() && c.div_ceil(mapping.c_cols) > 2 && c % mapping.c_cols != 0 {
                 RAGGED_REPEAT_CASES.fetch_add(1, Ordering::Relaxed);
             }

@@ -27,12 +27,11 @@
 //!
 //! DRAM accounting is graph-level: only the graph input is staged from DRAM
 //! and only the graph output drains back; every other boundary lives in the
-//! StaB handoff or the scratch region. Two executors that share nothing with
-//! the compiler's lowering are the oracles [`GraphSession::run`] is
-//! bit-identical to: [`run_graph_reference`] (reference convolutions,
-//! explicit materialization of every tensor — no NEST or BIRRD code at all)
-//! and [`GraphSession::run_layer_at_a_time`] (every layer through the
-//! accounted simulator with a DRAM round trip in between).
+//! StaB handoff or the scratch region. [`GraphSession::run`] is bit-identical
+//! to [`run_graph_reference`], which shares nothing with the compiler's
+//! lowering: reference convolutions and explicit materialization of every
+//! tensor, no NEST or BIRRD code at all. A linear chain
+//! ([`NetworkSession::run`]) runs as a graph of one segment.
 //!
 //! # Example
 //!
@@ -256,6 +255,34 @@ impl GraphSession {
         })
     }
 
+    /// A linear chain as a graph of one segment: its layers become conv
+    /// nodes, `chain` — mappings, quantization and route cache unchanged —
+    /// the segment's session, and the plan runs that segment.
+    pub(crate) fn from_chain(chain: NetworkSession) -> Result<Self, ArchError> {
+        let layers: Vec<ConvLayer> = chain.steps().iter().map(|(l, _)| l.clone()).collect();
+        let graph = Graph::linear("chain", &layers)?;
+        let segment = GraphSegment {
+            nodes: graph.nodes().iter().map(|node| node.id).collect(),
+            input: graph.input(),
+            output: graph.output(),
+        };
+        let (quant_shift, quant_zero) = chain.quantization();
+        Ok(GraphSession {
+            config: chain.config(),
+            batch: layers[0].n,
+            graph,
+            segments: vec![SegmentExec {
+                segment,
+                session: chain,
+            }],
+            plan: vec![Step::Segment(0)],
+            quant_shift,
+            quant_zero,
+            energy_model: EnergyModel::tsmc28(),
+            program: OnceLock::new(),
+        })
+    }
+
     /// Overrides the boundary quantization parameters (builder style).
     pub fn with_quantization(mut self, shift: u32, zero_point: i8) -> Self {
         self.quant_shift = shift;
@@ -330,9 +357,9 @@ impl GraphSession {
     /// This session's flat, replayable [`Program`]: all layouts, location
     /// tables, BIRRD routes and scratch moves resolved ahead of time, and the
     /// whole report counted ([`Program::cost`]). The first call — here or
-    /// through [`GraphSession::run`] — lowers the plan (one accounted record
-    /// pass over zeroed buffers, exactly once even when several threads race
-    /// it); every later call hands out another handle to the same program.
+    /// through [`GraphSession::run`] — lowers the plan (one counting record
+    /// pass, exactly once even when several threads race it); every later
+    /// call hands out another handle to the same program.
     ///
     /// # Errors
     /// Returns an error if a route cannot be compiled. The outcome is kept
@@ -366,93 +393,6 @@ impl GraphSession {
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<GraphRun, ArchError> {
         ProgramSession::new(self.compile()?).run(iacts, weights)
-    }
-
-    /// Runs the same graph layer-at-a-time: every segment through the
-    /// sequential [`NetworkSession::run_layer_at_a_time`] baseline (each layer
-    /// staging and draining through DRAM), joins applied on the materialized
-    /// tensors. Bit-identical to [`GraphSession::run`]; this is the golden
-    /// baseline the equivalence suite compares against.
-    ///
-    /// # Errors
-    /// Same conditions as [`GraphSession::run`].
-    pub fn run_layer_at_a_time(
-        &self,
-        iacts: &Tensor4<i8>,
-        weights: &BTreeMap<NodeId, Tensor4<i8>>,
-    ) -> Result<Tensor4<i32>, ArchError> {
-        self.check_input(iacts)?;
-        let graph = &self.graph;
-        let mut values: BTreeMap<TensorId, Tensor4<i8>> = BTreeMap::new();
-        values.insert(graph.input(), iacts.clone());
-        let mut final_acc: Option<Tensor4<i32>> = None;
-        for step in &self.plan {
-            match *step {
-                Step::Segment(si) => {
-                    let exec = &self.segments[si];
-                    let seg = &exec.segment;
-                    let input = values
-                        .get(&seg.input)
-                        .expect("plan order materializes inputs first");
-                    let layer_weights = self.segment_weights(seg, weights)?;
-                    let acc = exec.session.run_layer_at_a_time(input, &layer_weights)?;
-                    values.insert(
-                        seg.output,
-                        quantize_to_i8(&acc, self.quant_shift, self.quant_zero),
-                    );
-                    if seg.output == graph.output() {
-                        final_acc = Some(acc);
-                    }
-                }
-                Step::Join(id) => {
-                    let node = graph.node(id);
-                    let (sum, _) =
-                        saturating_add_i8(&values[&node.inputs[0]], &values[&node.inputs[1]])?;
-                    if node.output == graph.output() {
-                        final_acc = Some(widen(&sum));
-                    }
-                    values.insert(node.output, sum);
-                }
-            }
-        }
-        Ok(final_acc.expect("the plan visits the output node"))
-    }
-
-    fn check_input(&self, iacts: &Tensor4<i8>) -> Result<(), ArchError> {
-        // The authored shape with the `N` extent replaced by the batch size.
-        let mut expected = self.graph.tensor_shape(self.graph.input());
-        expected[0] = self.batch;
-        if iacts.shape() != expected {
-            return Err(ArchError::ShapeMismatch(format!(
-                "graph input shape {:?}, expected {:?}",
-                iacts.shape(),
-                expected
-            )));
-        }
-        Ok(())
-    }
-
-    /// Collects (or synthesizes) the per-layer weight tensors of a segment.
-    fn segment_weights(
-        &self,
-        seg: &GraphSegment,
-        weights: &BTreeMap<NodeId, Tensor4<i8>>,
-    ) -> Result<Vec<Tensor4<i8>>, ArchError> {
-        seg.nodes
-            .iter()
-            .map(|&id| {
-                let node = self.graph.node(id);
-                match &node.op {
-                    NodeOp::PoolAsConv(conv) => Ok(pool_window_weights(conv)),
-                    _ => weights.get(&id).cloned().ok_or_else(|| {
-                        ArchError::InvalidWorkload(format!(
-                            "no weight tensor supplied for node `{}`",
-                            node.name
-                        ))
-                    }),
-                }
-            })
-            .collect()
     }
 }
 
@@ -627,8 +567,6 @@ mod tests {
         let (shift, zero) = session.quantization();
         let golden = run_graph_reference(&g, &iacts, &weights, shift, zero).unwrap();
         assert_eq!(run.oacts, golden);
-        let sequential = session.run_layer_at_a_time(&iacts, &weights).unwrap();
-        assert_eq!(run.oacts, sequential);
     }
 
     #[test]
@@ -729,7 +667,7 @@ mod tests {
 
     #[test]
     fn batched_graph_run_matches_per_sample_solo_runs() {
-        let (session, _, _, weights) = session_and_operands();
+        let (session, g, _, weights) = session_and_operands();
         let n = 3;
         let batched = session.with_batch(n).unwrap();
         assert_eq!(batched.batch(), n);
@@ -740,9 +678,12 @@ mod tests {
             let solo = session.run(&sample_of(&iacts, i), &weights).unwrap();
             assert_sample_matches(&run.oacts, i, &solo.oacts, "residual graph");
         }
-        // The batched session is also self-consistent with its own baseline.
-        let sequential = batched.run_layer_at_a_time(&iacts, &weights).unwrap();
-        assert_eq!(run.oacts, sequential);
+        // And every sample matches the reference executor.
+        let (shift, zero) = batched.quantization();
+        for i in 0..n {
+            let golden = run_graph_reference(&g, &sample_of(&iacts, i), &weights, shift, zero);
+            assert_sample_matches(&run.oacts, i, &golden.unwrap(), "residual graph reference");
+        }
         // Per-tile weight staging is shared across the batch.
         let solo0 = session.run(&sample_of(&iacts, 0), &weights).unwrap();
         assert!(
@@ -795,6 +736,19 @@ mod tests {
             session.fingerprint()
         );
         assert_eq!(session.route_cache_stats(), before);
+    }
+
+    /// A shift past the accumulator width leaves every boundary tensor its
+    /// sign, in the replay and in the reference alike.
+    #[test]
+    fn a_shift_of_forty_quantizes_like_the_reference() {
+        let (session, g, iacts, weights) = session_and_operands();
+        let run = session
+            .with_quantization(40, 0)
+            .run(&iacts, &weights)
+            .unwrap();
+        let golden = run_graph_reference(&g, &iacts, &weights, 40, 0).unwrap();
+        assert_eq!(run.oacts, golden);
     }
 
     #[test]

@@ -8,25 +8,29 @@
 //! StaB already in the layout the *next* layer's dataflow wants, at zero extra
 //! latency.
 //!
-//! The simulator is *functional*: it moves real INT8/INT32 values through the
-//! PE accumulators, the BIRRD switches and the banked buffers, and its results
-//! are checked against the golden convolution/GEMM kernels of
+//! The simulator is *functional*: its results are real INT8/INT32 values,
+//! checked against the golden convolution/GEMM kernels of
 //! [`feather_arch::tensor`]. A cycle-accounting layer
 //! ([`feather_nest::timing`]) and the buffer access statistics provide the
-//! latency/energy numbers used by the examples and benchmarks.
+//! latency/energy numbers used by the examples and benchmarks. Nothing that
+//! NEST, BIRRD or the StaB count depends on data, so every entry point runs
+//! the way FEATHER's controller does: a record pass counts the schedule once
+//! and lowers it into a flat [`Program`], whose cost is known exactly without
+//! running it, and every run replays that program as pure data movement.
 //!
 //! Single layers run through [`Feather::execute_conv`] /
 //! [`Feather::execute_gemm`]; whole layer chains pipeline back-to-back
 //! through the ping/pong StaB via [`session::NetworkSession`], which is where
 //! RIR pays off: intermediate activations are reduced directly into the next
-//! layer's layout and never leave the chip. Both move real data through the
-//! accounted simulator. Full model *graphs* — residual branches and joins
-//! included — go through [`graph_session::GraphSession`], which plans the
-//! tensor DAG over the same pipeline core (shortcut tensors parked in an
-//! on-chip scratch region, quantized residual adds at the joins), lowers the
-//! plan once into a flat [`Program`] whose cost is known exactly without
-//! running it, and executes every run as a replay of that program.
-//!
+//! layer's layout and never leave the chip. Full model *graphs* — residual
+//! branches and joins included — go through [`graph_session::GraphSession`],
+//! which plans the tensor DAG as pipelined segments (shortcut tensors parked
+//! in an on-chip scratch region, quantized residual adds at the joins). A
+//! layer is a chain of one and a chain is a graph of one segment, so all
+//! three compile and replay through the same [`GraphSession`]. The accounted
+//! loop that moves values through a simulated NEST array and BIRRD bus while
+//! counting is the tests' oracle, not shipped code.
+
 //! # Example
 //!
 //! ```

@@ -3,7 +3,8 @@
 //! from the session; each layer's measured half — its [`LayerCost`] and pass
 //! stream — and the route table come from the record pass, a counting walk
 //! of each layer ([`count_conv_core`]) that moves no value. The accounted
-//! tile loop over real data is the oracle it is tested against.
+//! tile loop over real data, which is test code, is the oracle it is tested
+//! against.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -171,8 +172,8 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_shape = tensors[input_slot].shape;
 
     // Lower every segment: build the owned layer contexts and walk each
-    // layer's tile loop once, counting, through the StaB sequence of a chain
-    // run (`NetworkSession::run`). Routes and costs are data-independent, so
+    // layer's tile loop once, counting, through the StaB sequence of a
+    // pipelined chain. Routes and costs are data-independent, so
     // this one pass records the BIRRD pass stream every replay will consume
     // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());

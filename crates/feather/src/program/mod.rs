@@ -27,9 +27,8 @@
 //!   data-dependent count (join saturation) patched in. Outputs are
 //!   bit-identical to [`crate::graph_session::run_graph_reference`] (the
 //!   `program_equivalence` and `graph_equivalence` suites), and every
-//!   compiled layer's cost equals what an accounted
-//!   [`crate::NetworkSession::run`] over real data counts (this module's
-//!   tests).
+//!   compiled layer's cost equals what the accounted loop — the tests'
+//!   cycle-level oracle — counts over real data (this module's tests).
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
 //!   will do and cost, locked down by a golden snapshot test.
 //!
@@ -37,9 +36,11 @@
 //! reduce-reorder pattern and the access pattern of every fire are pure
 //! functions of layer geometry (the mapped-lane pattern and the layouts'
 //! bank assignment) — never of activation or weight values. The compile pass
-//! therefore runs the accounted tile loop once over zeroed buffers in record
-//! mode — the only accounted pass a graph ever gets — and replay consumes the
-//! recorded stream cursor-style from per-block offsets.
+//! therefore walks each layer's tile loop once, counting and moving no value
+//! — the only accounted pass a program ever gets — and replay consumes the
+//! recorded stream cursor-style from per-block offsets. Every public entry
+//! point runs this way: a single layer ([`crate::Feather::execute_conv`]) and
+//! a chain ([`crate::NetworkSession::run`]) compile as one-segment graphs.
 //!
 //! The module is split along those seams: this file holds the data model,
 //! the [`Program`] handle and its listing; `compile` the one lowering of a
@@ -436,6 +437,8 @@ fn join_ints<T: ToString>(values: &[T]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::accounted::run_layer;
+    use crate::core::{LayerExec, RouteCache, RouteRecorder};
     use crate::graph_session::{run_graph_reference, GraphSession, Step};
     use crate::profile::OpFamily;
     use crate::report::GraphRun;
@@ -597,11 +600,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The record pass runs over zeros, and nothing but a replay ever
-        /// runs a graph — so this is where compiled costs meet the accounted
-        /// simulator: every segment's chain run over real data (zero,
-        /// extreme and random operands, modelled batches 1–3) must count,
-        /// layer by layer, exactly what the program says the layer costs.
+        /// The record pass counts without data, and nothing but a replay
+        /// ever runs a graph — so this is where compiled costs meet the
+        /// accounted simulator: every layer of every segment, run through
+        /// the accounted loop over real data (zero, extreme and random
+        /// operands, modelled batches 1–3) as the first or a pipelined layer
+        /// of its chain, must count exactly what the program says it costs.
         #[test]
         fn compiled_layer_costs_equal_accounted_real_data_runs(
             dims in proptest::collection::vec(1usize..7, 3),
@@ -638,37 +642,25 @@ mod tests {
                 };
                 let compiled = session.segments.iter().zip(&program.tables.segments);
                 for (si, (exec, segment)) in compiled.enumerate() {
-                    let first = &exec.session.steps()[0].0;
-                    let iacts = operand([first.n, first.c, first.h, first.w], seed);
-                    let weights: Vec<Tensor4<i8>> = segment
-                        .layers
-                        .iter()
-                        .zip(1u64..)
-                        .map(|(layer, i)| match &layer.weight {
+                    let steps = exec.session.steps();
+                    prop_assert_eq!(steps.len(), segment.layers.len());
+                    for (i, ((layer, mapping), compiled)) in steps.iter().zip(&segment.layers).enumerate() {
+                        let iacts = operand([layer.n, layer.c, layer.h, layer.w], seed);
+                        let weights = match &compiled.weight {
                             WeightSource::Pool(window) => window.clone(),
                             WeightSource::Node(id) => {
-                                operand(g.node(*id).weight_shape().unwrap(), seed + i)
+                                operand(g.node(*id).weight_shape().unwrap(), seed + 1 + i as u64)
                             }
-                        })
-                        .collect();
-                    let run = exec.session.run(&iacts, &weights).unwrap();
-
-                    prop_assert_eq!(run.report.layers.len(), segment.layers.len());
-                    for (counted, layer) in run.report.layers.iter().zip(&segment.layers) {
-                        let r = &counted.report;
-                        let LayerCost { core, iact, oact } = layer.cost;
-                        prop_assert_eq!(r.cycles - r.stall_cycles, core.cycles, "{}", counted.name);
-                        prop_assert_eq!(r.stall_cycles, iact.conflict_stall_cycles);
-                        prop_assert_eq!(
-                            (r.macs, r.birrd_passes, r.birrd_adds),
-                            (core.macs, core.birrd_passes, core.birrd_adds)
-                        );
-                        prop_assert_eq!(r.iact_stats, iact, "{} iact", counted.name);
-                        prop_assert_eq!(r.oact_stats, oact, "{} oact", counted.name);
+                        };
+                        let ctx = LayerExec::new(&session.config(), layer, mapping).unwrap();
+                        let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+                        let (_, core, iact, oact) =
+                            run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, i == 0).unwrap();
+                        prop_assert_eq!(LayerCost { core, iact, oact }, compiled.cost, "{}", layer.name);
                     }
                     let at = drained.iter().position(|&d| d == si).unwrap();
                     let summary = &program.cost().segments[at];
-                    prop_assert_eq!(run.report.stab_swaps, summary.report.stab_swaps);
+                    prop_assert_eq!(summary.report.stab_swaps, steps.len() as u64);
                 }
             }
         }

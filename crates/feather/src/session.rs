@@ -10,18 +10,15 @@
 //!
 //! [`NetworkSession`] is that executor: it takes an ordered chain of
 //! convolution layers with per-layer mappings, stages the first layer's iActs
-//! once, runs every layer through the shared tile-loop core, quantizes
-//! accumulators at each boundary (the architecturally-free quantization module
-//! of §III-C.4) and swaps the StaB halves. The result carries per-layer
-//! [`RunReport`]s with *pipelined* DRAM accounting plus network totals.
+//! once, runs every layer through the tile loop, quantizes accumulators at
+//! each boundary (the architecturally-free quantization module of §III-C.4)
+//! and swaps the StaB halves. The result carries per-layer [`RunReport`]s
+//! with *pipelined* DRAM accounting plus network totals.
 //!
-//! [`NetworkSession::run`] is the *accounted* executor: real values move
-//! through the simulated NEST, BIRRD and banked StaB while every cycle,
-//! access and conflict is counted, one layer after the other on the calling
-//! thread. Whole graphs do not run this way — a [`crate::GraphSession`]
-//! compiles once and replays — but its compiler records every segment with
-//! this same tile loop, and a chain run is the real-data reference the
-//! compiled per-layer costs are tested against.
+//! A chain is a graph with one segment, and it executes like one:
+//! [`NetworkSession::run`] compiles the chain into a [`crate::Program`] — the
+//! record pass counts every cycle, access and conflict without touching a
+//! value — and replays it over the real operands.
 //!
 //! # Example
 //!
@@ -58,18 +55,17 @@ use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Operand;
 use feather_arch::energy::{EnergyBreakdown, EnergyModel};
 use feather_arch::layout::Layout;
-use feather_arch::tensor::{quantize_to_i8, quantize_value, Tensor4};
+use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, DataType};
-use feather_memsim::{AccessStats, Banking, BufferSpec, LayoutView, PingPong};
+use feather_memsim::{AccessStats, Banking, BufferSpec};
 
-use crate::accelerator::{check_weight_shape, Feather};
+use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
-use crate::core::{
-    run_conv_core, CoreRun, LayerExec, RouteCache, RouteCacheStats, RouteExecution, SpanScratch,
-};
+use crate::core::{CoreRun, RouteCache, RouteCacheStats};
+use crate::graph_session::GraphSession;
 use crate::mapping::LayerMapping;
-use crate::report::{LayerSummary, NetworkReport, NetworkRun, RunReport};
+use crate::report::{LayerSummary, NetworkRun, RunReport};
 
 /// Default power-of-two quantization shift applied to the INT32 accumulators
 /// at every layer boundary before they become the next layer's INT8 iActs.
@@ -82,7 +78,6 @@ pub const DEFAULT_QUANT_SHIFT: u32 = 6;
 #[derive(Debug, Clone)]
 pub struct NetworkSession {
     config: FeatherConfig,
-    energy_model: EnergyModel,
     steps: Vec<(ConvLayer, LayerMapping)>,
     quant_shift: u32,
     quant_zero: i8,
@@ -133,7 +128,6 @@ impl NetworkSession {
         }
         Ok(NetworkSession {
             config,
-            energy_model: EnergyModel::tsmc28(),
             steps,
             quant_shift: DEFAULT_QUANT_SHIFT,
             quant_zero: 0,
@@ -297,7 +291,9 @@ impl NetworkSession {
     /// Executes the whole chain back-to-back: stages `iacts` once into the
     /// active StaB half, then for each layer reads from the active half,
     /// BIRRD-reduces into the shadow half in the next layer's layout, and
-    /// swaps at the boundary. `weights` holds one tensor per layer.
+    /// swaps at the boundary. `weights` holds one tensor per layer. The chain
+    /// compiles as a one-segment [`GraphSession`] and its program replays;
+    /// the report is the program's cost.
     ///
     /// # Errors
     /// Returns an error on operand shape mismatches or if BIRRD cannot route
@@ -326,188 +322,21 @@ impl NetworkSession {
         for ((layer, _), w) in self.steps.iter().zip(weights) {
             check_weight_shape(layer, w)?;
         }
-
-        // --- StaB: one ping/pong pair shared by the whole chain -----------
-        let mut stab: PingPong<i32> = PingPong::new(self.iact_spec(0));
-
-        // Stage the first layer's iActs (DRAM → StaB bulk DMA; excluded from
-        // the compute-cycle accounting by snapshotting the stats below).
-        {
-            let (active, _) = stab.split_mut();
-            let idims = first_layer.iact_dim_sizes();
-            let mut view = LayoutView::new(active, &self.steps[0].1.iact_layout, &idims);
-            let plan = crate::core::iact_plan(&self.steps[0].1.iact_layout, first_layer);
-            iacts.for_each(|coord, v| view.write_at(plan.location(coord), v as i32));
-            view.flush_cycle();
-        }
-
-        let route_cache = &*self.route_cache;
-        let mut span_scratch = SpanScratch::new(self.config.rows, self.config.cols);
-        let mut summaries: Vec<LayerSummary> = Vec::with_capacity(self.steps.len());
-        let num_layers = self.steps.len();
-
-        for (i, layer_weights) in weights.iter().enumerate() {
-            let (layer, mapping) = &self.steps[i];
-            let idims = layer.iact_dim_sizes();
-            let odims = layer.oact_dim_sizes();
-
-            // The shadow half becomes this layer's oAct target; the active
-            // half (filled by the DMA or by the previous layer's RIR writes)
-            // is re-disciplined for its read role. Geometry is preserved
-            // across the boundary by the RIR layout contract.
-            stab.shadow().reshape(self.oact_spec(i));
-            if i > 0 {
-                stab.active().rebank(self.iact_spec(i));
-            }
-            let iact_base = *stab.active_ref().stats();
-            let oact_base = *stab.shadow_ref().stats();
-
-            let core = {
-                let exec = LayerExec::new(&self.config, layer, mapping)?;
-                let (active, shadow) = stab.split_mut();
-                let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
-                let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                run_conv_core(
-                    &exec,
-                    layer_weights,
-                    &mut iact_view,
-                    &mut oact_view,
-                    RouteExecution::Cached(route_cache),
-                    // Only the very first tile's weight load is exposed: a
-                    // pipelined layer's weights prefetch into the NEST shadow
-                    // registers while the previous layer drains.
-                    i == 0,
-                    &mut span_scratch,
-                )?
-            };
-
-            let iact_stats = stab.active_ref().stats().since(&iact_base);
-            let oact_stats = stab.shadow_ref().stats().since(&oact_base);
-            summaries.push(self.layer_summary(
-                layer,
-                &core,
-                iact_stats,
-                oact_stats,
-                i == 0,
-                i + 1 == num_layers,
-            ));
-
-            if i + 1 < num_layers {
-                // Boundary: the quantization module rescales the INT32
-                // accumulators to INT8 on their way into the StaB (free,
-                // §III-C.4) — they are the next layer's iActs.
-                let (shift, zero) = (self.quant_shift, self.quant_zero);
-                let shadow = stab.shadow();
-                let mut view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                let plan = crate::core::oact_plan(&mapping.oact_layout, layer);
-                for_each_oact(layer, |coord| {
-                    let loc = plan.location(coord);
-                    let acc = view.peek_at(loc).unwrap_or(0);
-                    view.poke_at(loc, quantize_value(acc, shift, zero) as i32);
-                });
-            }
-            stab.swap();
-        }
-
-        // The final swap left the last layer's (unquantized) accumulators on
-        // the active side; drain them to the output tensor.
-        let (last_layer, last_mapping) = self.steps.last().expect("session is non-empty");
-        let odims = last_layer.oact_dim_sizes();
-        let oacts = {
-            let (active, _) = stab.split_mut();
-            let view = LayoutView::new(active, &last_mapping.oact_layout, &odims);
-            let plan = crate::core::oact_plan(&last_mapping.oact_layout, last_layer);
-            Tensor4::from_fn(
-                [
-                    last_layer.n,
-                    last_layer.m,
-                    last_layer.output_height(),
-                    last_layer.output_width(),
-                ],
-                |n, m, p, q| view.peek_at(plan.location([n, m, p, q])).unwrap_or(0),
-            )
-        };
-
+        let chain = GraphSession::from_chain(self.clone())?;
+        let nodes = chain.graph().nodes().iter().map(|node| node.id);
+        let run = chain.run(iacts, &nodes.zip(weights.iter().cloned()).collect())?;
+        let segment = run.report.segments.into_iter().next();
         Ok(NetworkRun {
-            oacts,
-            report: NetworkReport {
-                layers: summaries,
-                stab_swaps: stab.swaps(),
-            },
+            oacts: run.oacts,
+            report: segment.expect("a chain is one segment").report,
         })
-    }
-
-    /// Runs the same chain layer-at-a-time: each layer through a standalone
-    /// [`Feather::execute_conv`] call, with its accumulators quantized and
-    /// re-staged as the next layer's iActs between calls — the DRAM round
-    /// trip the pipelined [`NetworkSession::run`] avoids. Returns the final
-    /// layer's accumulators, which are bit-identical to the pipelined run's;
-    /// this is the reference baseline the equivalence suite compares against.
-    ///
-    /// # Errors
-    /// Same conditions as [`NetworkSession::run`].
-    pub fn run_layer_at_a_time(
-        &self,
-        iacts: &Tensor4<i8>,
-        weights: &[Tensor4<i8>],
-    ) -> Result<Tensor4<i32>, ArchError> {
-        if weights.len() != self.steps.len() {
-            return Err(ArchError::ShapeMismatch(format!(
-                "{} weight tensors for {} layers",
-                weights.len(),
-                self.steps.len()
-            )));
-        }
-        let mut acc = Feather::new(self.config);
-        let mut current = iacts.clone();
-        let mut last = None;
-        for ((layer, mapping), w) in self.steps.iter().zip(weights) {
-            let run = acc.execute_conv(layer, mapping, &current, w)?;
-            current = quantize_to_i8(&run.oacts, self.quant_shift, self.quant_zero);
-            last = Some(run.oacts);
-        }
-        Ok(last.expect("session is non-empty"))
-    }
-
-    /// Buffer discipline of the active half while layer `i` reads its iActs.
-    fn iact_spec(&self, i: usize) -> BufferSpec {
-        let (layer, mapping) = &self.steps[i];
-        iact_spec(layer, mapping)
-    }
-
-    /// Buffer discipline of the shadow half while layer `i` writes its oActs.
-    fn oact_spec(&self, i: usize) -> BufferSpec {
-        let (layer, mapping) = &self.steps[i];
-        oact_spec(layer, mapping)
-    }
-
-    /// Assembles one layer's report — see [`layer_summary`].
-    fn layer_summary(
-        &self,
-        layer: &ConvLayer,
-        core: &CoreRun,
-        iact_stats: AccessStats,
-        oact_stats: AccessStats,
-        is_first: bool,
-        is_last: bool,
-    ) -> LayerSummary {
-        layer_summary(
-            &self.config,
-            &self.energy_model,
-            layer,
-            core,
-            iact_stats,
-            oact_stats,
-            is_first,
-            is_last,
-        )
     }
 }
 
 /// Buffer discipline of the active StaB half while a layer reads its iActs:
 /// for read-conflict purposes the StaB behaves like one dual-ported logical
 /// bank — reading more than two distinct lines in a cycle stalls. Shared by
-/// the chain executor and the graph compiler's record pass.
+/// the graph compiler's record pass and the accounted test loop.
 pub(crate) fn iact_spec(layer: &ConvLayer, mapping: &LayerMapping) -> BufferSpec {
     let lines = mapping
         .iact_layout
@@ -540,8 +369,8 @@ pub(crate) fn oact_spec(layer: &ConvLayer, mapping: &LayerMapping) -> BufferSpec
 
 /// Assembles one layer's report from the core counters and the per-layer
 /// buffer statistics, with pipelined DRAM accounting: only the first layer
-/// stages iActs from DRAM, only the last drains oActs back. Shared by the
-/// chain executor and the compiled program's cost assembly.
+/// stages iActs from DRAM, only the last drains oActs back. Used by the
+/// compiled program's cost assembly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn layer_summary(
     config: &FeatherConfig,
@@ -597,22 +426,10 @@ pub(crate) fn layer_summary(
     }
 }
 
-/// Visits every oAct coordinate of a layer in `(N, M, P, Q)` order.
-pub(crate) fn for_each_oact(layer: &ConvLayer, mut f: impl FnMut([usize; 4])) {
-    for n in 0..layer.n {
-        for m in 0..layer.m {
-            for p in 0..layer.output_height() {
-                for q in 0..layer.output_width() {
-                    f([n, m, p, q]);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use feather_arch::tensor::{conv2d_reference, quantize_to_i8};
 
     /// A 3-layer chain with a layout switch at every boundary.
     fn chain() -> (Vec<ConvLayer>, Vec<&'static str>, &'static str) {
@@ -642,14 +459,24 @@ mod tests {
             .unwrap()
     }
 
+    /// The chain through the reference convolution, quantized between
+    /// layers: the last layer's accumulators.
+    fn reference(s: &NetworkSession, iacts: &Tensor4<i8>, weights: &[Tensor4<i8>]) -> Tensor4<i32> {
+        let (shift, zero) = s.quantization();
+        let mut acc = conv2d_reference(&s.steps()[0].0, iacts, &weights[0]).unwrap();
+        for ((layer, _), w) in s.steps().iter().zip(weights).skip(1) {
+            acc = conv2d_reference(layer, &quantize_to_i8(&acc, shift, zero), w).unwrap();
+        }
+        acc
+    }
+
     #[test]
     fn pipeline_matches_sequential_execution_bit_exactly() {
         let s = session();
         let iacts = Tensor4::random([1, 4, 6, 6], 20);
         let weights = chain_weights();
         let run = s.run(&iacts, &weights).unwrap();
-        let golden = s.run_layer_at_a_time(&iacts, &weights).unwrap();
-        assert_eq!(run.oacts, golden);
+        assert_eq!(run.oacts, reference(&s, &iacts, &weights));
     }
 
     #[test]
@@ -803,7 +630,6 @@ mod tests {
             .unwrap();
         let iacts = Tensor4::random([1, 4, 6, 6], 20);
         let run = s.run(&iacts, &chain_weights()).unwrap();
-        let golden = s.run_layer_at_a_time(&iacts, &chain_weights()).unwrap();
-        assert_eq!(run.oacts, golden);
+        assert_eq!(run.oacts, reference(&s, &iacts, &chain_weights()));
     }
 }

@@ -1,12 +1,12 @@
-//! Both tile loops — the compiler's counting record pass over a graph, and
-//! the accounted loop a chain runs with real data — resolve a BIRRD pass's
-//! route from a span memo without building a request, so how often they
-//! allocate is a property of the layers and their distinct routes, not of
-//! how many row fires they make. This test compiles the residual test graph,
-//! and runs its main-path chain warm, at 6×6 and at 12×12 inputs (4× the
-//! BIRRD passes) under a counting allocator and bounds the difference. Before
-//! the span memo every pass refilled a `BTreeMap` (one node freed, one
-//! allocated), and the larger input cost thousands of allocations more.
+//! The compiler's counting record pass resolves a BIRRD pass's route from a
+//! span memo without building a request, so how often it allocates is a
+//! property of the layers and their distinct routes, not of how many row
+//! fires they make. This test compiles the residual test graph at 6×6 and at
+//! 12×12 inputs (4× the BIRRD passes) under a counting allocator and bounds
+//! the difference. Before the span memo every pass refilled a `BTreeMap`
+//! (one node freed, one allocated), and the larger input cost thousands of
+//! allocations more. Replay, the one executor, is bounded by
+//! `replay_allocations`.
 //!
 //! The bound is a release-build property: with `debug_assertions` every memo
 //! hit rebuilds its request to check the entry it found, which is that same
@@ -15,9 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use feather::{FeatherConfig, GraphSession, NetworkSession};
+use feather::{FeatherConfig, GraphSession};
 use feather_arch::graph::Graph;
-use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
 
 thread_local! {
@@ -85,78 +84,30 @@ fn compile_allocations_at(hw: usize) -> (u64, u64) {
     (allocations, program.unwrap().route_fires() as u64)
 }
 
-/// `(allocations, BIRRD passes)` of a warm accounted run of the graph's
-/// main path — stem → b0_main → b1_main → head — as one chain.
-fn chain_run_allocations_at(hw: usize) -> (u64, u64) {
-    let layers = [
-        conv3(hw, 4, 4, "stem"),
-        conv1(hw, 8, 4, "b0_main"),
-        conv3(hw, 8, 8, "b1_main"),
-        conv1(hw, 4, 8, "head"),
-    ];
-    let last_oact = format!("MPQ_Q{}", hw.min(8));
-    let session = NetworkSession::weight_stationary(
-        FeatherConfig::new(4, 8),
-        &layers,
-        &["HWC_C4", "HWC_C4", "HWC_C8", "HWC_C8"],
-        &last_oact,
-    )
-    .unwrap();
-    let weights = [
-        Tensor4::random([4, 4, 3, 3], 2),
-        Tensor4::random([8, 4, 1, 1], 3),
-        Tensor4::random([8, 8, 3, 3], 4),
-        Tensor4::random([4, 8, 1, 1], 5),
-    ];
-    let iacts = Tensor4::random([1, 4, hw, hw], 1);
-    // The first run routes and compiles the chain's distinct requests.
-    session.run(&iacts, &weights).unwrap();
-    let (run, allocations) = allocations_of(|| session.run(&iacts, &weights));
-    let report = run.unwrap().report;
-    let passes = report.layers.iter().map(|l| l.report.birrd_passes);
-    (allocations, passes.sum())
-}
-
 #[test]
 fn the_accounted_loop_does_not_allocate_per_birrd_pass() {
-    // (what, its layers, at 6×6, at 12×12)
-    let legs = [
-        (
-            "compile",
-            6,
-            compile_allocations_at(6),
-            compile_allocations_at(12),
-        ),
-        (
-            "warm chain run",
-            4,
-            chain_run_allocations_at(6),
-            chain_run_allocations_at(12),
-        ),
-    ];
-    for (what, layers, (small, passes_small), (large, passes_large)) in legs {
-        let added_passes = passes_large - passes_small;
+    let (layers, (small, passes_small), (large, passes_large)) =
+        (6, compile_allocations_at(6), compile_allocations_at(12));
+    let added_passes = passes_large - passes_small;
+    assert!(
+        added_passes > 2_000,
+        "{passes_small} -> {passes_large} passes"
+    );
+    let added = large.abs_diff(small);
+    if cfg!(debug_assertions) {
         assert!(
-            added_passes > 2_000,
-            "{what}: {passes_small} -> {passes_large} passes"
+            added >= added_passes,
+            "{small} -> {large} allocations; is the memo's debug oracle off?"
         );
-        let added = large.abs_diff(small);
-        if cfg!(debug_assertions) {
-            assert!(
-                added >= added_passes,
-                "{what}: {small} -> {large} allocations; is the memo's debug oracle off?"
-            );
-            continue;
-        }
-        // What still grows with the input is per layer, not per pass: the
-        // StaB lines and a recorded stream doubling its capacity twice more
-        // — 6 per layer for the compile and 2 for the chain run today. (An
-        // address plan that allocated per row and column, as `Layout::plan4`
-        // once did, added ~40 and ~80.)
-        let per_layer = 16;
-        assert!(
-            added < per_layer * layers,
-            "{what}: {small} -> {large} allocations for {added_passes} more passes"
-        );
+        return;
     }
+    // What still grows with the input is per layer, not per pass: the StaB
+    // lines and a recorded stream doubling its capacity twice more — 6 per
+    // layer today. (An address plan that allocated per row and column, as
+    // `Layout::plan4` once did, added ~40.)
+    let per_layer = 16;
+    assert!(
+        added < per_layer * layers,
+        "{small} -> {large} allocations for {added_passes} more passes"
+    );
 }

@@ -1,7 +1,7 @@
 //! Concurrency stress for the two things callers of one session contend on.
 //!
-//! A [`NetworkSession`] shared by many threads replays layers through one
-//! compiled-route cache, and the hit/miss counters must stay
+//! A [`NetworkSession`] shared by many threads compiles its chain on every
+//! run through one compiled-route cache, and the hit/miss counters must stay
 //! exactly consistent — no lost updates, and no compile work beyond what the
 //! `misses` counter admits to.
 //!
@@ -77,8 +77,8 @@ fn warm_cache_counters_are_exact_under_contention() {
     let golden = session.run(&iacts, &weights).unwrap().oacts;
 
     // Warm: the first run populates the shared map; a second run measures
-    // how many shared-map lookups one run performs once warm (the span memo
-    // lives for a single layer span, so steady-state runs still touch the
+    // how many shared-map lookups one run's compile performs once warm (the
+    // span memo lives for a single layer span, so every compile touches the
     // shared map a deterministic number of times).
     let after_warm = session.route_cache_stats();
     let lookups_per_run = {

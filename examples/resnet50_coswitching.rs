@@ -5,10 +5,11 @@
 //!    ResNet-50, chaining each layer's chosen layout into the next layer's
 //!    predecessor constraint and reporting how many searches the
 //!    per-(layer-shape, arch) cache absorbed.
-//! 2. **Execute** — a `feather::NetworkSession` runs a (scaled-down) ResNet-50
-//!    bottleneck chain back-to-back through the ping/pong StaB: layer `i`'s
-//!    oActs are BIRRD-reduced straight into layer `i+1`'s preferred layout in
-//!    the shadow half (RIR), so the intermediate activations never touch DRAM.
+//! 2. **Execute** — a `feather::NetworkSession` compiles a (scaled-down)
+//!    ResNet-50 bottleneck chain and replays it back-to-back through the
+//!    ping/pong StaB: layer `i`'s oActs are BIRRD-reduced straight into layer
+//!    `i+1`'s preferred layout in the shadow half (RIR), so the intermediate
+//!    activations never touch DRAM.
 //!
 //! ```text
 //! cargo run --release -p feather-suite --example resnet50_coswitching
@@ -149,5 +150,7 @@ fn main() {
         report.dram_activation_savings() * 100.0,
     );
     assert!(report.dram_activation_bytes() < report.layer_at_a_time_activation_bytes());
-    println!("pipeline OK (outputs verified bit-identical to sequential execution in the suite)");
+    println!(
+        "pipeline OK (outputs verified bit-identical to the reference convolutions in the suite)"
+    );
 }

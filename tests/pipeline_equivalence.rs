@@ -1,11 +1,13 @@
 //! The pipeline executor's contract: running a chain of layers back-to-back
 //! through the ping/pong StaB ([`feather::NetworkSession`]) is *bit-identical*
-//! to running the same layers one at a time through `execute_conv` with
-//! explicit quantize-and-restage steps between them — while swapping the StaB
-//! once per layer and never moving intermediate activations through DRAM.
+//! to running the same layers one at a time through the reference
+//! convolution with explicit quantization steps between them — while swapping
+//! the StaB once per layer and never moving intermediate activations through
+//! DRAM. The chains mix in iAct layouts (`HWC_C2W2`, `HWC_W4`) that no
+//! planned graph picks.
 
 use feather::{FeatherConfig, NetworkSession};
-use feather_arch::tensor::Tensor4;
+use feather_arch::tensor::{conv2d_reference, quantize_to_i8, Tensor4};
 use feather_arch::workload::ConvLayer;
 use proptest::prelude::*;
 
@@ -23,6 +25,22 @@ fn build_chain(c0: usize, hw: usize, specs: &[(usize, usize)]) -> Vec<ConvLayer>
         c = m;
     }
     layers
+}
+
+/// The chain through the reference convolution, quantized between layers:
+/// the last layer's accumulators.
+fn reference(
+    session: &NetworkSession,
+    iacts: &Tensor4<i8>,
+    weights: &[Tensor4<i8>],
+) -> Tensor4<i32> {
+    let (shift, zero) = session.quantization();
+    let layers = session.steps().iter().map(|(layer, _)| layer);
+    let mut acc = conv2d_reference(&session.steps()[0].0, iacts, &weights[0]).unwrap();
+    for (layer, w) in layers.zip(weights).skip(1) {
+        acc = conv2d_reference(layer, &quantize_to_i8(&acc, shift, zero), w).unwrap();
+    }
+    acc
 }
 
 proptest! {
@@ -59,8 +77,7 @@ proptest! {
             .collect();
 
         let run = session.run(&iacts, &weights).unwrap();
-        let golden = session.run_layer_at_a_time(&iacts, &weights).unwrap();
-        prop_assert_eq!(run.oacts, golden);
+        prop_assert_eq!(run.oacts, reference(&session, &iacts, &weights));
         prop_assert_eq!(run.report.stab_swaps, layers.len() as u64);
     }
 }
@@ -121,6 +138,5 @@ fn pipelined_dram_iact_traffic_beats_layer_at_a_time() {
 fn pipeline_output_matches_sequential_on_the_three_layer_chain() {
     let (session, iacts, weights) = three_layer_session();
     let run = session.run(&iacts, &weights).unwrap();
-    let golden = session.run_layer_at_a_time(&iacts, &weights).unwrap();
-    assert_eq!(run.oacts, golden);
+    assert_eq!(run.oacts, reference(&session, &iacts, &weights));
 }
