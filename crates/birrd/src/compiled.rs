@@ -73,44 +73,59 @@ impl CompiledRoute {
             return Err(EvalError::ConfigMismatch);
         }
 
-        // Symbolic evaluation: each wire carries the set of input ports whose
-        // values merge on it. Pass/Swap move sets, Add unions them; the
+        // Symbolic evaluation over input ports: every wire carries the class
+        // of input ports whose values merge on it, named by its union-find
+        // representative. Pass/Swap move a class, Add unions two; the
         // inter-stage permutation relocates them — exactly mirroring
-        // `EggConfig::apply` and `Birrd::evaluate`, with "set of contributing
-        // inputs" in place of "optional value".
-        let mut current: Vec<Vec<u32>> = (0..width as u32).map(|p| vec![p]).collect();
+        // `EggConfig::apply` and `Birrd::evaluate`, with "inputs that
+        // contribute" in place of "optional value". A class sits on one wire
+        // per level, so every class lands on exactly one output port.
+        let mut classes = Classes {
+            parent: (0..width as u32).collect(),
+            size: vec![1; width],
+        };
+        let mut current: Vec<Option<u32>> = (0..width as u32).map(Some).collect();
+        let mut next: Vec<Option<u32>> = vec![None; width];
         for (s, stage_cfg) in config.stages.iter().enumerate() {
-            let mut next: Vec<Vec<u32>> = vec![Vec::new(); width];
+            // The switches' outputs cross a permutation: every slot of
+            // `next` is written once.
             for (sw, cfg) in stage_cfg.iter().enumerate() {
-                let left = std::mem::take(&mut current[2 * sw]);
-                let right = std::mem::take(&mut current[2 * sw + 1]);
+                let (left, right) = (current[2 * sw], current[2 * sw + 1]);
                 let (l, r) = match cfg {
                     EggConfig::Pass => (left, right),
                     EggConfig::Swap => (right, left),
-                    EggConfig::AddLeft => (union(left, right), Vec::new()),
-                    EggConfig::AddRight => (Vec::new(), union(left, right)),
+                    EggConfig::AddLeft => (classes.union(left, right), None),
+                    EggConfig::AddRight => (None, classes.union(left, right)),
                 };
-                for (out, set) in [(2 * sw, l), (2 * sw + 1, r)] {
-                    if !set.is_empty() {
-                        next[topology.next_port(s, out)] = set;
-                    }
-                }
+                next[topology.next_port(s, 2 * sw)] = l;
+                next[topology.next_port(s, 2 * sw + 1)] = r;
             }
-            current = next;
+            std::mem::swap(&mut current, &mut next);
         }
 
-        let mut sources = Vec::new();
-        let mut gathers = Vec::new();
-        let mut copies = Vec::new();
-        for (port, set) in current.into_iter().enumerate() {
-            match set.as_slice() {
-                [] => {}
-                [src] => copies.push((port as u32, *src)),
-                _ => {
-                    let start = sources.len() as u32;
-                    sources.extend(set);
-                    gathers.push((port as u32, start, sources.len() as u32));
+        // Output ports in order: a class of one input is a copy, a larger one
+        // a gather, whose run of `sources` is then filled in ascending input
+        // order (`cursor`, indexed by representative, walks each run).
+        let (mut copies, mut gathers) = (Vec::new(), Vec::new());
+        let mut cursor = vec![0u32; width];
+        let mut total = 0u32;
+        for (port, class) in current.iter().enumerate() {
+            let Some(root) = *class else { continue };
+            match classes.size[root as usize] {
+                1 => copies.push((port as u32, root)),
+                n => {
+                    cursor[root as usize] = total;
+                    gathers.push((port as u32, total, total + n));
+                    total += n;
                 }
+            }
+        }
+        let mut sources = vec![0u32; total as usize];
+        for input in 0..width as u32 {
+            let root = classes.find(input) as usize;
+            if classes.size[root] > 1 {
+                sources[cursor[root] as usize] = input;
+                cursor[root] += 1;
             }
         }
         Ok(CompiledRoute {
@@ -267,12 +282,37 @@ impl CompiledRoute {
     }
 }
 
-/// Sorted union of two contributing-input sets (each set is sorted and
-/// duplicate-free by construction: an input port reaches a wire at most once).
-fn union(mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-    a.extend(b);
-    a.sort_unstable();
-    a
+/// Disjoint classes of input ports: union-find with path halving.
+struct Classes {
+    parent: Vec<u32>,
+    /// Input ports per class, valid at representatives.
+    size: Vec<u32>,
+}
+
+impl Classes {
+    /// The representative of `port`'s class.
+    fn find(&mut self, mut port: u32) -> u32 {
+        while self.parent[port as usize] != port {
+            let up = self.parent[self.parent[port as usize] as usize];
+            self.parent[port as usize] = up;
+            port = up;
+        }
+        port
+    }
+
+    /// The class an adder emits: the union of its two inputs' classes,
+    /// either of which may be absent.
+    fn union(&mut self, a: Option<u32>, b: Option<u32>) -> Option<u32> {
+        match (a, b) {
+            (Some(a), Some(b)) => {
+                let (a, b) = (self.find(a), self.find(b));
+                self.parent[b as usize] = a;
+                self.size[a as usize] += self.size[b as usize];
+                Some(a)
+            }
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -422,6 +462,91 @@ mod tests {
         assert!(compiled
             .run_batched(&[0; 8], &[true; 3], 2, &mut outputs, &mut out_present)
             .is_err());
+    }
+
+    /// The lowering as it was first written — one sorted `Vec` of input
+    /// ports per wire, unioned at every adder — kept as the oracle of the
+    /// union-find lowering.
+    fn lower_with_port_sets(topology: &Topology, config: &NetworkConfig) -> CompiledRoute {
+        let width = topology.width();
+        let mut current: Vec<Vec<u32>> = (0..width as u32).map(|p| vec![p]).collect();
+        for (s, stage_cfg) in config.stages.iter().enumerate() {
+            let mut next: Vec<Vec<u32>> = vec![Vec::new(); width];
+            for (sw, cfg) in stage_cfg.iter().enumerate() {
+                let left = std::mem::take(&mut current[2 * sw]);
+                let right = std::mem::take(&mut current[2 * sw + 1]);
+                let union = |a: Vec<u32>, b: Vec<u32>| {
+                    let mut set = [a, b].concat();
+                    set.sort_unstable();
+                    set
+                };
+                let (l, r) = match cfg {
+                    EggConfig::Pass => (left, right),
+                    EggConfig::Swap => (right, left),
+                    EggConfig::AddLeft => (union(left, right), Vec::new()),
+                    EggConfig::AddRight => (Vec::new(), union(left, right)),
+                };
+                next[topology.next_port(s, 2 * sw)] = l;
+                next[topology.next_port(s, 2 * sw + 1)] = r;
+            }
+            current = next;
+        }
+        let (mut sources, mut gathers, mut copies) = (Vec::new(), Vec::new(), Vec::new());
+        for (port, set) in current.into_iter().enumerate() {
+            match set.as_slice() {
+                [] => {}
+                [src] => copies.push((port as u32, *src)),
+                _ => {
+                    let start = sources.len() as u32;
+                    sources.extend(set);
+                    gathers.push((port as u32, start, sources.len() as u32));
+                }
+            }
+        }
+        CompiledRoute {
+            width,
+            sources,
+            gathers,
+            copies,
+            adder_activations: config.adder_activations(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any configuration at any width up to 128 — adders over empty
+        /// wires included, routable or not — lowers to the program the
+        /// per-wire port sets gave, and (up to 16 ports, where `evaluate` is
+        /// cheap) runs like the stage walk.
+        #[test]
+        fn union_find_lowering_equals_the_port_set_lowering(
+            log_width in 1u32..=7,
+            picks in proptest::collection::vec(0usize..4, 448..449),
+        ) {
+            let width = 1usize << log_width;
+            let topology = Topology::new(width).unwrap();
+            let mut picks = picks.iter().cycle();
+            let stages = (0..topology.stages())
+                .map(|_| {
+                    (0..topology.switches_per_stage())
+                        .map(|_| {
+                            use EggConfig::*;
+                            [Pass, Swap, AddLeft, AddRight][*picks.next().unwrap()]
+                        })
+                        .collect()
+                })
+                .collect();
+            let config = NetworkConfig { stages };
+            let compiled = CompiledRoute::compile(&topology, &config).unwrap();
+            proptest::prop_assert_eq!(&compiled, &lower_with_port_sets(&topology, &config));
+            if width <= 16 {
+                let birrd = Birrd::new(width).unwrap();
+                let mut outputs = vec![None; width];
+                compiled.run(&seq(width), &mut outputs).unwrap();
+                proptest::prop_assert_eq!(outputs, birrd.evaluate(&config, &seq(width)).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use compiled::CompiledRoute;
 pub use network::{Birrd, NetworkConfig};
 pub use route::{ReductionRequest, RouteError};
 pub use switch::EggConfig;
-pub use topology::Topology;
+pub use topology::{Topology, MAX_ROUTED_WIDTH};

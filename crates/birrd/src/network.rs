@@ -130,9 +130,11 @@ impl Birrd {
     ///
     /// # Errors
     /// Returns [`RouteError`] if the request is malformed, of the wrong width,
-    /// or no configuration was found within the search budget.
+    /// the network is wider than the router supports
+    /// ([`RouteError::WidthUnsupported`]), or no configuration was found
+    /// within the search budget.
     pub fn route(&self, request: &ReductionRequest) -> Result<NetworkConfig, RouteError> {
-        let mut router = Router::new(&self.topology, self.route_budget);
+        let mut router = Router::new(&self.topology, self.route_budget)?;
         let stages = router.route(request)?;
         Ok(NetworkConfig { stages })
     }
@@ -385,6 +387,26 @@ mod tests {
         ));
         let cfg = NetworkConfig::passthrough(6, 4);
         assert!(birrd.evaluate(&cfg, &seq(4)).is_err());
+    }
+
+    /// A 128-port network builds and evaluates, but its reachability masks
+    /// would need 128 bits: routing it is refused, not a panic.
+    #[test]
+    fn routing_wider_than_sixty_four_ports_is_an_error() {
+        let birrd = Birrd::new(128).unwrap();
+        let request = ReductionRequest::from_groups(128, &[(vec![0, 1], 5)]).unwrap();
+        assert_eq!(
+            birrd.route(&request),
+            Err(RouteError::WidthUnsupported {
+                width: 128,
+                max: 64
+            })
+        );
+        let passthrough = NetworkConfig::passthrough(
+            birrd.topology().stages(),
+            birrd.topology().switches_per_stage(),
+        );
+        assert!(birrd.evaluate(&passthrough, &seq(128)).is_ok());
     }
 
     #[test]

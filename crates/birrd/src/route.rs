@@ -30,7 +30,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::switch::EggConfig;
-use crate::topology::Topology;
+use crate::topology::{Topology, MAX_ROUTED_WIDTH};
 
 /// Identifier of a reduction group.
 pub type GroupId = usize;
@@ -146,6 +146,13 @@ pub enum RouteError {
         /// Number of search nodes explored before giving up.
         explored: u64,
     },
+    /// The network is wider than the router's reachability masks cover.
+    WidthUnsupported {
+        /// Network width.
+        width: usize,
+        /// Widest routable network ([`MAX_ROUTED_WIDTH`]).
+        max: usize,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -162,6 +169,10 @@ impl fmt::Display for RouteError {
                     "no routing found after exploring {explored} search nodes"
                 )
             }
+            RouteError::WidthUnsupported { width, max } => write!(
+                f,
+                "cannot route a {width}-port network: the router supports widths up to {max}"
+            ),
         }
     }
 }
@@ -174,7 +185,8 @@ impl std::error::Error for RouteError {}
 /// already-routed same-group path.
 #[derive(Debug, Clone, Copy)]
 struct Signal {
-    group: GroupId,
+    /// The group's index in [`Router::route`]'s ascending-id group list.
+    group: u32,
     input: usize,
     dest: usize,
     first: bool,
@@ -195,11 +207,15 @@ struct Hop {
 
 const MERGED: usize = usize::MAX;
 
+/// An input link no signal occupies.
+const FREE: u32 = u32::MAX;
+
 pub(crate) struct Router<'a> {
     topology: &'a Topology,
-    reach: Vec<Vec<u64>>,
-    /// `occ[s][j]` = group occupying input link `j` of stage `s`.
-    occ: Vec<Vec<Option<GroupId>>>,
+    reach: &'a [Vec<u64>],
+    /// `occ[s * width + j]` = group (signal index) occupying input link `j`
+    /// of stage `s`, or [`FREE`].
+    occ: Vec<u32>,
     /// Hops of all fully-routed signals (rolled back on backtrack).
     hops: Vec<Hop>,
     budget: u64,
@@ -208,16 +224,33 @@ pub(crate) struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    pub(crate) fn new(topology: &'a Topology, budget: u64) -> Self {
-        Router {
-            reach: topology.reachability(),
-            occ: vec![vec![None; topology.width()]; topology.stages()],
+    /// A router over `topology`'s precomputed reachability masks.
+    ///
+    /// # Errors
+    /// Returns [`RouteError::WidthUnsupported`] for a network wider than
+    /// [`MAX_ROUTED_WIDTH`].
+    pub(crate) fn new(topology: &'a Topology, budget: u64) -> Result<Self, RouteError> {
+        let reach = topology
+            .reachability()
+            .ok_or(RouteError::WidthUnsupported {
+                width: topology.width(),
+                max: MAX_ROUTED_WIDTH,
+            })?;
+        Ok(Router {
+            reach,
+            occ: vec![FREE; topology.width() * topology.stages()],
             hops: Vec::new(),
             topology,
             budget,
             budget_this_restart: budget,
             explored: 0,
-        }
+        })
+    }
+
+    /// The [`Router::occ`] index of input link `link` of `stage`.
+    #[inline]
+    fn at(&self, stage: usize, link: usize) -> usize {
+        stage * self.topology.width() + link
     }
 
     /// Attempts to find a full network configuration for the request,
@@ -234,12 +267,22 @@ impl<'a> Router<'a> {
             });
         }
 
-        // Group members in input-port order; the first member of each group
-        // carries the reduced value all the way to the output port.
-        let mut group_members: BTreeMap<GroupId, Vec<usize>> = BTreeMap::new();
-        for (port, g) in request.input_groups.iter().enumerate() {
-            if let Some(group) = *g {
-                group_members.entry(group).or_default().push(port);
+        // `(group, input port)` of every live port, by ascending group id and
+        // then port (the sort is stable), and `groups[i]`: group `i`'s id and
+        // run of `members`. The first member of each group carries the
+        // reduced value all the way to the output port.
+        let mut members: Vec<(GroupId, usize)> = request
+            .input_groups
+            .iter()
+            .enumerate()
+            .filter_map(|(port, g)| g.map(|group| (group, port)))
+            .collect();
+        members.sort_by_key(|&(group, _)| group);
+        let mut groups: Vec<(GroupId, std::ops::Range<usize>)> = Vec::new();
+        for (at, &(group, _)) in members.iter().enumerate() {
+            match groups.last_mut() {
+                Some((id, run)) if *id == group => run.end = at + 1,
+                _ => groups.push((group, at..at + 1)),
             }
         }
 
@@ -250,45 +293,45 @@ impl<'a> Router<'a> {
         let per_restart = (self.budget / 64).max(10_000);
         let mut total_explored = 0u64;
         let mut seed = 0u64;
+        let (mut group_order, mut signals) = (Vec::new(), Vec::new());
         while total_explored < self.budget {
             self.explored = 0;
             self.budget_this_restart = per_restart.min(self.budget - total_explored);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // The first pass draws nothing, so it keys no generator.
+            let mut rng = (seed > 0).then(|| ChaCha8Rng::seed_from_u64(seed));
 
-            let mut group_order: Vec<GroupId> = group_members.keys().copied().collect();
-            if seed > 0 {
-                group_order.shuffle(&mut rng);
+            group_order.clear();
+            group_order.extend(0..groups.len() as u32);
+            if let Some(rng) = rng.as_mut() {
+                group_order.shuffle(rng);
             }
             // Largest groups first (most constrained); stable sort keeps the
             // shuffled order within equal sizes.
-            group_order.sort_by_key(|g| std::cmp::Reverse(group_members[g].len()));
+            group_order.sort_by_key(|&g| std::cmp::Reverse(groups[g as usize].1.len()));
 
-            let signals: Vec<Signal> = group_order
-                .iter()
-                .flat_map(|&group| {
-                    let dest = request.group_destinations[&group];
-                    group_members[&group]
-                        .iter()
-                        .enumerate()
-                        .map(move |(mi, &input)| Signal {
-                            group,
-                            input,
-                            dest,
-                            first: mi == 0,
-                            order_flip: 0,
-                        })
-                })
-                .map(|mut signal| {
-                    if seed > 0 {
-                        signal.order_flip = rng.next_u64();
-                    }
-                    signal
-                })
-                .collect();
-
-            for row in self.occ.iter_mut() {
-                row.iter_mut().for_each(|slot| *slot = None);
+            signals.clear();
+            let ordered = group_order.iter().flat_map(|&group| {
+                let (id, run) = &groups[group as usize];
+                let dest = request.group_destinations[id];
+                members[run.clone()]
+                    .iter()
+                    .enumerate()
+                    .map(move |(mi, &(_, input))| Signal {
+                        group,
+                        input,
+                        dest,
+                        first: mi == 0,
+                        order_flip: 0,
+                    })
+            });
+            signals.extend(ordered);
+            if let Some(rng) = rng.as_mut() {
+                for signal in &mut signals {
+                    signal.order_flip = rng.next_u64();
+                }
             }
+
+            self.occ.fill(FREE);
             self.hops.clear();
             let found = self.pack(&signals, 0);
             total_explored += self.explored;
@@ -309,13 +352,14 @@ impl<'a> Router<'a> {
             return true;
         }
         let input = signals[idx].input;
-        self.occ[0][input] = Some(signals[idx].group);
+        let at = self.at(0, input);
+        self.occ[at] = signals[idx].group;
         let hops_before = self.hops.len();
         if self.walk(signals, idx, 0, input) {
             return true;
         }
         self.hops.truncate(hops_before);
-        self.occ[0][input] = None;
+        self.occ[at] = FREE;
         false
     }
 
@@ -340,7 +384,7 @@ impl<'a> Router<'a> {
         // Merge-first: if the other input of this switch already carries this
         // signal's group, add into it — the sum continues on the existing
         // path, no further links are needed.
-        if !signal.first && self.occ[stage][link ^ 1] == Some(signal.group) {
+        if !signal.first && self.occ[self.at(stage, link ^ 1)] == signal.group {
             self.hops.push(Hop {
                 stage,
                 in_link: link,
@@ -358,17 +402,17 @@ impl<'a> Router<'a> {
         for k in 0..2usize {
             let out = 2 * sw + (k ^ flip);
             let next = self.topology.next_port(stage, out);
+            let at = self.at(stage + 1, next);
             let viable = if stage + 1 == stages {
                 signal.first && next == signal.dest
             } else {
-                self.reach[stage + 1][next] & (1u64 << signal.dest) != 0
-                    && self.occ[stage + 1][next].is_none()
+                self.reach[stage + 1][next] & (1u64 << signal.dest) != 0 && self.occ[at] == FREE
             };
             if !viable {
                 continue;
             }
             if stage + 1 < stages {
-                self.occ[stage + 1][next] = Some(signal.group);
+                self.occ[at] = signal.group;
             }
             self.hops.push(Hop {
                 stage,
@@ -380,7 +424,7 @@ impl<'a> Router<'a> {
             }
             self.hops.pop();
             if stage + 1 < stages {
-                self.occ[stage + 1][next] = None;
+                self.occ[at] = FREE;
             }
         }
         false

@@ -38,6 +38,10 @@ pub fn reverse_bits(data: usize, bit_range: u32) -> usize {
     (data & !mask) | reversed
 }
 
+/// The widest network [`Topology::reachability`] covers — one `u64` mask bit
+/// per output port — and so the widest one the router can configure.
+pub const MAX_ROUTED_WIDTH: usize = 64;
+
 /// The static wiring of an `AW`-input BIRRD.
 ///
 /// The network has [`Topology::stages`] switch stages of `AW/2` switches each.
@@ -50,6 +54,10 @@ pub struct Topology {
     stages: usize,
     /// `perms[s][j]` = input port of level `s+1` that output port `j` of stage `s` drives.
     perms: Vec<Vec<usize>>,
+    /// `reach[s][j]` = the output ports reachable from input port `j` of
+    /// stage `s`, as a bitmask: a function of the wiring, so computed once
+    /// here. Empty above [`MAX_ROUTED_WIDTH`].
+    reach: Vec<Vec<u64>>,
 }
 
 impl Topology {
@@ -70,16 +78,22 @@ impl Topology {
             4 => 3,
             _ => (2 * log) as usize,
         };
-        let perms = (0..stages)
+        let perms: Vec<Vec<usize>> = (0..stages)
             .map(|i| {
                 let bit_range = (log.min(2 + i as u32)).min(2 * log - i as u32);
                 (0..width).map(|j| reverse_bits(j, bit_range)).collect()
             })
             .collect();
+        let reach = if width <= MAX_ROUTED_WIDTH {
+            reachability(&perms, width)
+        } else {
+            Vec::new()
+        };
         Ok(Topology {
             width,
             stages,
             perms,
+            reach,
         })
     }
 
@@ -124,32 +138,35 @@ impl Topology {
     }
 
     /// For every stage, the set of final output ports reachable from each of
-    /// that stage's *input* ports, as bitmasks (used for routing pruning).
-    pub fn reachability(&self) -> Vec<Vec<u64>> {
-        assert!(
-            self.width <= 64,
-            "reachability masks support widths up to 64"
-        );
-        let mut reach = vec![vec![0u64; self.width]; self.stages];
-        // Last stage: input j sits on switch j/2, can exit either output of
-        // that switch, then crosses the final permutation.
-        let last = self.stages - 1;
-        for (j, mask) in reach[last].iter_mut().enumerate() {
-            let sw = j / 2;
-            let a = self.perms[last][2 * sw];
-            let b = self.perms[last][2 * sw + 1];
-            *mask = (1u64 << a) | (1u64 << b);
-        }
-        for s in (0..last).rev() {
-            for j in 0..self.width {
-                let sw = j / 2;
-                let a = self.perms[s][2 * sw];
-                let b = self.perms[s][2 * sw + 1];
-                reach[s][j] = reach[s + 1][a] | reach[s + 1][b];
-            }
-        }
-        reach
+    /// that stage's *input* ports, as bitmasks (used for routing pruning);
+    /// `None` for a network wider than [`MAX_ROUTED_WIDTH`].
+    pub fn reachability(&self) -> Option<&[Vec<u64>]> {
+        (self.width <= MAX_ROUTED_WIDTH).then_some(&self.reach)
     }
+}
+
+/// The reachability masks of a network of `width ≤ 64` ports wired by `perms`.
+fn reachability(perms: &[Vec<usize>], width: usize) -> Vec<Vec<u64>> {
+    let stages = perms.len();
+    let mut reach = vec![vec![0u64; width]; stages];
+    // Last stage: input j sits on switch j/2, can exit either output of
+    // that switch, then crosses the final permutation.
+    let last = stages - 1;
+    for (j, mask) in reach[last].iter_mut().enumerate() {
+        let sw = j / 2;
+        let a = perms[last][2 * sw];
+        let b = perms[last][2 * sw + 1];
+        *mask = (1u64 << a) | (1u64 << b);
+    }
+    for s in (0..last).rev() {
+        for j in 0..width {
+            let sw = j / 2;
+            let a = perms[s][2 * sw];
+            let b = perms[s][2 * sw + 1];
+            reach[s][j] = reach[s + 1][a] | reach[s + 1][b];
+        }
+    }
+    reach
 }
 
 #[cfg(test)]
@@ -213,9 +230,9 @@ mod tests {
     fn reachability_is_complete_at_input() {
         // From the first stage every input must be able to reach every output
         // (the network is rearrangeably non-blocking).
-        for width in [4usize, 8, 16, 32] {
+        for width in [4usize, 8, 16, 32, 64] {
             let t = Topology::new(width).unwrap();
-            let reach = t.reachability();
+            let reach = t.reachability().unwrap();
             let full = if width == 64 {
                 u64::MAX
             } else {
@@ -233,10 +250,19 @@ mod tests {
     #[test]
     fn reachability_narrows_towards_output() {
         let t = Topology::new(16).unwrap();
-        let reach = t.reachability();
+        let reach = t.reachability().unwrap();
         let last = t.stages() - 1;
         for mask in &reach[last] {
             assert_eq!(mask.count_ones(), 2);
         }
+    }
+
+    #[test]
+    fn reachability_stops_at_sixty_four_ports() {
+        assert!(Topology::new(MAX_ROUTED_WIDTH)
+            .unwrap()
+            .reachability()
+            .is_some());
+        assert_eq!(Topology::new(128).unwrap().reachability(), None);
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! * **Compiled BIRRD routes** — every distinct reduction-reorder request is
 //!   routed once and lowered to a flat gather-sum program
-//!   ([`feather_birrd::CompiledRoute`]), shared across layers (and calling
-//!   threads) through a [`RouteCache`]. Inside one layer span a row fire
-//!   *selects* its route, as FEATHER's controller does: a span-local
-//!   [`RouteMemo`] resolves it from the fire batch's bank signature, and a
-//!   request is built (and hashed into the shared cache) once per distinct
-//!   route of the span, not once per BIRRD pass.
+//!   ([`feather_birrd::CompiledRoute`]), shared across sessions' compiles
+//!   (and calling threads) through a [`RouteCache`]. Inside one program a
+//!   row fire *selects* its route, as FEATHER's controller selects a
+//!   configuration fixed ahead of time: the compiler's program-wide
+//!   [`RouteMemo`] resolves it from the issuing layer's `c_cols` and the fire
+//!   batch's bank signature, and a request is built (and hashed into the
+//!   shared cache) once per distinct route of the program, not once per
+//!   layer or per BIRRD pass.
 //! * **Compile counts, it does not compute** — the compiler's record pass is
 //!   a counting walk ([`count_conv_core`]): the buffer addresses, fire
 //!   batches and route resolutions of the accounted loop, with no NEST
@@ -35,6 +37,7 @@
 //! tested against.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use feather_arch::layout::{Location, LocationPlan4};
@@ -65,8 +68,10 @@ pub(crate) struct CoreRun {
 /// compiled-route cache.
 ///
 /// The counters reflect *shared-map* traffic: steady-state lookups are
-/// absorbed by the record pass's span memo (which lives for one layer span),
-/// so `hits + misses` counts span-first look-ups, and `misses` counts actual
+/// absorbed by the compiler's program route memo, which looks each distinct
+/// `(c_cols, request)` of a program up once per compile, so `hits + misses`
+/// counts those first look-ups — all misses in a session's first compile,
+/// unless two `c_cols` issue one request — and `misses` counts actual
 /// route-and-compile work. A session reaches the cache only while it
 /// compiles; replaying its program never does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,11 +84,50 @@ pub struct RouteCacheStats {
     pub entries: usize,
 }
 
+/// A word-wise multiplicative hasher (FxHash-style) for the route maps: a
+/// rotate, xor and multiply per word instead of SipHash's rounds. Their keys
+/// — memo keys and reduction requests — are small integers derived from
+/// layer geometry, never input from outside.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &byte in words.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed with [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// The map behind a [`RouteCache`] with its traffic counts beside it, so one
 /// lock covers a look-up and the count it bumps.
 #[derive(Debug, Default)]
 struct RouteMap {
-    routes: HashMap<ReductionRequest, Arc<CompiledRoute>>,
+    routes: WordMap<ReductionRequest, Arc<CompiledRoute>>,
     hits: u64,
     misses: u64,
 }
@@ -94,9 +138,10 @@ struct RouteMap {
 /// millions of times per layer and routing is deterministic per request, so
 /// one routed-and-compiled program per distinct request serves a whole
 /// network run — and, because sessions keep their cache in an [`Arc`],
-/// every subsequent run of the same session (and every segment of a graph
-/// session) too. Every layer span keeps a [`RouteMemo`] in front of this
-/// shared map, so steady-state lookups never touch the lock.
+/// every subsequent compile of the same session (and every segment of a
+/// graph session) too. Every compile keeps one [`RouteMemo`] in front of
+/// this shared map, so only a program's first sight of a route takes the
+/// lock.
 ///
 /// The map only grows: a model needs a hundred-odd distinct programs
 /// (ResNet-50 Models A / B: 160 / 112) and it lives as long as the session
@@ -295,7 +340,7 @@ pub(crate) struct LayerStream {
 pub(crate) struct RouteRecorder {
     table: RouteTable,
     /// Slots by request, then by the issuing layer's `c_cols`.
-    slot_of: HashMap<ReductionRequest, Vec<(usize, u32)>>,
+    slot_of: WordMap<ReductionRequest, Vec<(usize, u32)>>,
     layer: LayerStream,
 }
 
@@ -364,26 +409,28 @@ impl RouteRecorder {
     }
 }
 
-/// One distinct route of a span: the compiled program, its [`RouteTable`]
-/// slot, and the request both came from.
+/// One distinct route of a program: the compiled program and its
+/// [`RouteTable`] slot, whose `(c_cols, request)` the table keeps.
 struct MemoEntry {
     route: Arc<CompiledRoute>,
     slot: u32,
-    /// Debug builds rebuild the request on every hit and compare.
-    request: ReductionRequest,
 }
 
-/// The route memo of one layer span, keyed by what a fire batch's route
-/// is a function of inside a layer span: the live reduction width of the
-/// channel tile and the batch's `(q_lane, bank)` pairs. Within a span this
-/// signature and the [`ReductionRequest`] determine each other, so the memo
-/// reaches the shared [`RouteCache`] (and the recorder's slot resolution)
-/// exactly once per distinct request — on a miss, the only way an entry is
-/// created.
+/// The route memo of one program, keyed by what a fire batch's route is a
+/// function of on a fabric of fixed width: the issuing layer's `c_cols`, the
+/// live reduction width of its channel tile and the batch's `(q_lane, bank)`
+/// pairs (`fill_request` and `mark_live_lanes` read nothing else). Over one
+/// program this signature and the `(c_cols, request)` pair determine each
+/// other, so the memo reaches the shared [`RouteCache`] (and the recorder's
+/// slot resolution) exactly once per distinct route of the program — on a
+/// miss, the only way an entry is created — and every later layer that
+/// issues the route only selects it, as FEATHER's controller selects a
+/// configuration fixed ahead of time.
 #[derive(Default)]
-struct RouteMemo {
-    /// `[c_live, q_lane, bank, q_lane, bank, …]` → index into `entries`.
-    index: HashMap<Vec<u32>, usize>,
+pub(crate) struct RouteMemo {
+    /// `[c_cols, c_live, q_lane, bank, q_lane, bank, …]` → index into
+    /// `entries`.
+    index: WordMap<Vec<u32>, usize>,
     entries: Vec<MemoEntry>,
     key: Vec<u32>,
 }
@@ -404,15 +451,20 @@ impl RouteMemo {
         recorder: &mut RouteRecorder,
     ) -> Result<&CompiledRoute, ArchError> {
         self.key.clear();
-        self.key.push(c_live as u32);
+        self.key.extend([ctx.c_cols as u32, c_live as u32]);
         let pairs = batch.iter().flat_map(|g| [g.q_lane as u32, g.bank as u32]);
         self.key.extend(pairs);
         let at = match self.index.get(self.key.as_slice()) {
             Some(&at) => {
+                // Debug builds rebuild the request on every hit and compare
+                // it with the one its slot was recorded under.
                 if cfg!(debug_assertions) {
                     fill_request(request, batch, c_ok, ctx.c_cols);
+                    let (c_cols, recorded) =
+                        &recorder.table.requests()[self.entries[at].slot as usize];
                     assert_eq!(
-                        *request, self.entries[at].request,
+                        (*c_cols, &*request),
+                        (ctx.c_cols, recorded),
                         "memo key {:?}",
                         self.key
                     );
@@ -424,11 +476,7 @@ impl RouteMemo {
                 let route = cache.lookup(&ctx.birrd, request)?;
                 let slot = recorder.slot(ctx.c_cols, request, &route)?;
                 self.index.insert(self.key.clone(), self.entries.len());
-                self.entries.push(MemoEntry {
-                    route,
-                    slot,
-                    request: request.clone(),
-                });
+                self.entries.push(MemoEntry { route, slot });
                 self.entries.len() - 1
             }
         };
@@ -709,10 +757,12 @@ impl SpanAccum {
 
 /// The compiler's record pass over one layer: what the accounted loop counts
 /// and records, with no NEST array, weights, bus, route evaluation or cell
-/// value. None of it depends on data (paper §III), so the
-/// walk drives the same buffer and route accounting at the same addresses,
-/// each distinct block once, and returns the counters with both halves'
-/// access statistics (`iact` and `oact` are charged the walked part only):
+/// value. Routes resolve through `memo`, which the compiler keeps for the
+/// whole program (the accounted loop keeps one per layer). None of it
+/// depends on data (paper §III), so the walk drives the same buffer and
+/// route accounting at the same addresses, each distinct block once, and
+/// returns the counters with both halves' access statistics (`iact` and
+/// `oact` are charged the walked part only):
 ///
 /// * **iAct reads** do not depend on `wt_m` outside depthwise layers: one
 ///   tile row is walked, counted `m_tiles` times, each read feeding `M`
@@ -720,13 +770,16 @@ impl SpanAccum {
 /// * **Passes** depend only on `wt_m` and the live width `c_live`, which
 ///   only the last channel tile can narrow: a later tile as wide as the
 ///   first of its `wt_m` (all memo hits) repeats that tile's stream and
-///   counts. Tiles go in the accounted order, so slots are first seen alike.
+///   counts. Tiles go in the accounted order, so slots are first seen alike
+///   — and, since a memo hit never creates a slot, a memo that arrives
+///   holding earlier layers' routes records the same slots.
 /// * **Row fires** are `n · p_total · q_tiles · m_rows` per tile.
 pub(crate) fn count_conv_core(
     ctx: &LayerExec,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
     cache: &RouteCache,
+    memo: &mut RouteMemo,
     recorder: &mut RouteRecorder,
     expose_first_weight_load: bool,
 ) -> Result<(CoreRun, AccessStats, AccessStats), ArchError> {
@@ -779,7 +832,6 @@ pub(crate) fn count_conv_core(
     // ---- Phase 2: row fires through BIRRD (RIR) ----
     // BIRRD passes, adder activations and serialization cycles.
     let (mut counts, mut oact_stats) = ([0u64; 3], AccessStats::new());
-    let mut memo = RouteMemo::default();
     for wt_m in 0..ctx.m_tiles {
         let mut first = ([0; 3], AccessStats::new());
         for wt_c in 0..ctx.c_tiles {
@@ -1361,8 +1413,8 @@ pub(crate) mod accounted {
 
     /// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
     /// also walks. It allocates nothing per tile and copies no weights — a
-    /// tile switch is a mask-row refresh — and a request is only filled on a
-    /// span's first sight of a route.
+    /// tile switch is a mask-row refresh — and a request is only filled on
+    /// the layer's first sight of a route: its memo lives for the layer.
     fn run_span(
         ctx: &LayerExec,
         weights: &Tensor4<i8>,
@@ -1577,13 +1629,55 @@ mod tests {
         let birrd = Birrd::new(4).unwrap();
         let req = request(4, 2, 1);
         let first = cache.lookup(&birrd, &req).unwrap();
-        // A second span's first look-up hits the shared map.
+        // A second compile's first look-up hits the shared map.
         let again = cache.lookup(&birrd, &req).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
+    }
+
+    /// The memo keys a batch by its layer's `c_cols` too: the same `c_live`
+    /// and `(q_lane, bank)` pairs under `c_cols = 2` and `c_cols = 4` span
+    /// different bus columns, so one program memo must resolve them to two
+    /// requests in two slots.
+    #[test]
+    fn one_memo_tells_c_cols_apart() {
+        let config = FeatherConfig::new(4, 8);
+        let layer = ConvLayer::new(1, 4, 6, 4, 4, 1, 1);
+        let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+        let mut memo = RouteMemo::default();
+        let mut slots = Vec::new();
+        // Channel tile 0 of `c_cols = 2` and tile 1 of `c_cols = 4` both
+        // have two live columns per lane.
+        for (c_cols, wt_c) in [(2, 0), (4, 1)] {
+            let mut mapping =
+                LayerMapping::weight_stationary(&layer, &config, "HWC_C4", "MPQ_Q4").unwrap();
+            (mapping.c_cols, mapping.q_cols) = (c_cols, config.cols / c_cols);
+            let ctx = LayerExec::new(&config, &layer, &mapping).unwrap();
+            let c_ok = &mut vec![false; config.cols];
+            ctx.mark_live_lanes(wt_c, c_ok);
+            assert_eq!(ctx.c_live(wt_c), 2);
+            let loc = Location { line: 0, offset: 0 };
+            let batch = [FireGroup {
+                q_lane: 1,
+                bank: 0,
+                loc,
+            }];
+            let request = &mut ReductionRequest {
+                input_groups: vec![None; config.cols],
+                group_destinations: BTreeMap::new(),
+            };
+            memo.resolve(&ctx, 2, c_ok, &batch, request, &cache, &mut recorder)
+                .unwrap();
+            slots.push(*recorder.layer.stream.last().unwrap());
+        }
+        assert_eq!(slots, [0, 1]);
+        let requests = recorder.table.requests();
+        assert_eq!((requests[0].0, requests[1].0), (2, 4));
+        assert_ne!(requests[0].1, requests[1].1);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     /// The controller never issues a group whose folded columns skip a
@@ -1667,7 +1761,7 @@ mod tests {
     /// Generated cases whose fires needed more than one BIRRD pass.
     static MULTI_BATCH_CASES: AtomicU64 = AtomicU64::new(0);
 
-    /// Resolves every pass of `layer` under `mapping` through a span memo
+    /// Resolves every pass of `layer` under `mapping` through one memo
     /// and checks each against the oracle — a request rebuilt for that pass,
     /// hashed into the shared cache and into first-seen slot order. Returns
     /// `(row fires, BIRRD passes)`.
@@ -1833,7 +1927,16 @@ mod tests {
                 let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
                 let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
                 let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
-                count_conv_core(&ctx, &mut iact, &mut oact, &cache, &mut recorder, expose)?
+                let memo = &mut RouteMemo::default();
+                count_conv_core(
+                    &ctx,
+                    &mut iact,
+                    &mut oact,
+                    &cache,
+                    memo,
+                    &mut recorder,
+                    expose,
+                )?
             } else {
                 let run =
                     accounted::run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, expose);

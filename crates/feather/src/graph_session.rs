@@ -738,6 +738,45 @@ mod tests {
         assert_eq!(session.route_cache_stats(), before);
     }
 
+    /// A 128-column fabric builds, but BIRRD routing stops at 64 ports: its
+    /// compile is refused with an error instead of a panic.
+    #[test]
+    fn a_fabric_wider_than_the_router_is_refused_at_compile() {
+        let mut g = Graph::new("wide", [1, 4, 4, 4]);
+        g.conv(g.input(), ConvLayer::new(1, 4, 4, 4, 4, 1, 1))
+            .unwrap();
+        let session = GraphSession::auto(FeatherConfig::new(4, 128), &g).unwrap();
+        match session.compile() {
+            Err(ArchError::InvalidDataflow(msg)) => assert!(msg.contains("up to 64"), "{msg}"),
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(_) => panic!("a 128-port BIRRD cannot be routed"),
+        }
+    }
+
+    /// A compile looks each distinct `(c_cols, request)` up in the shared
+    /// route cache once, however many layers issue it: a chain of six
+    /// identical 1×1 convs reaches the cache as often as a chain of two.
+    #[test]
+    fn identical_layers_look_their_routes_up_once_per_compile() {
+        let traffic = |k: usize| {
+            let mut g = Graph::new("chain", [1, 8, 4, 4]);
+            let mut t = g.input();
+            for i in 0..k {
+                let layer = ConvLayer::new(1, 8, 8, 4, 4, 1, 1).with_name(format!("c{i}"));
+                t = g.conv(t, layer).unwrap();
+            }
+            let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+            session.compile().unwrap();
+            session.route_cache_stats()
+        };
+        let (two, six) = (traffic(2), traffic(6));
+        assert!(two.misses > 0);
+        for stats in [two, six] {
+            assert_eq!(stats.hits + stats.misses, stats.entries as u64, "{stats:?}");
+        }
+        assert_eq!(six, two);
+    }
+
     /// A shift past the accumulator width leaves every boundary tensor its
     /// sign, in the replay and in the reference alike.
     #[test]

@@ -17,7 +17,7 @@ use feather_arch::ArchError;
 use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 
 use crate::config::FeatherConfig;
-use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteRecorder};
+use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo, RouteRecorder};
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
 use crate::report::{GraphReport, JoinSummary, NetworkReport, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
@@ -178,6 +178,11 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
     let mut recorder = RouteRecorder::default();
+    // One memo for the whole program: the fabric width is fixed and every
+    // segment shares the session's route cache, so each distinct route is
+    // requested, hashed and looked up once, by the first layer that issues
+    // it.
+    let mut memo = RouteMemo::default();
     for exec in &session.segments {
         let seg = &exec.segment;
         let steps = exec.session.steps();
@@ -212,6 +217,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                     &mut iact_view,
                     &mut oact_view,
                     route_cache,
+                    &mut memo,
                     &mut recorder,
                     i == 0,
                 )?

@@ -134,12 +134,14 @@ impl<T: Copy> FunctionalBuffer<T> {
             // so the slowdown is exactly 1.0 and the full assessment — which
             // groups lines by bank — can be skipped. This is the common case
             // in the replay hot path.
+            // Otherwise the lines are assessed where they are retained; both
+            // lists are cleared below anyway.
             if self.cycle_read_lines.len() > self.spec.read_ports.max(1)
                 || self.cycle_write_lines.len() > self.spec.write_ports.max(1)
             {
                 let model = ConflictModel::new(self.spec);
-                let read = model.assess_reads(self.cycle_read_lines.iter().copied());
-                let write = model.assess_writes(self.cycle_write_lines.iter().copied());
+                let read = model.assess_reads_in_place(&mut self.cycle_read_lines);
+                let write = model.assess_writes_in_place(&mut self.cycle_write_lines);
                 let slowdown = read.slowdown.max(write.slowdown);
                 // A slowdown of e.g. 2.0 means the accesses of this cycle
                 // actually take 2 cycles: one nominal + one stall.

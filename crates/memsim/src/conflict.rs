@@ -75,6 +75,12 @@ impl ConflictModel {
         self.assess_in_place(lines, self.spec.read_ports)
     }
 
+    /// [`ConflictModel::assess_writes`] on a caller-owned buffer, which it
+    /// overwrites like [`ConflictModel::assess_reads_in_place`].
+    pub fn assess_writes_in_place(&self, lines: &mut Vec<usize>) -> ConflictAssessment {
+        self.assess_in_place(lines, self.spec.write_ports)
+    }
+
     fn assess(&self, lines: impl IntoIterator<Item = usize>, ports: usize) -> ConflictAssessment {
         self.assess_in_place(&mut lines.into_iter().collect(), ports)
     }
@@ -258,10 +264,9 @@ mod tests {
             let reads = reference_assess(&spec, &lines, read_ports);
             prop_assert_eq!(m.assess_reads(lines.iter().copied()), reads);
             prop_assert_eq!(m.assess_reads_in_place(&mut lines.clone()), reads);
-            prop_assert_eq!(
-                m.assess_writes(lines.iter().copied()),
-                reference_assess(&spec, &lines, write_ports)
-            );
+            let writes = reference_assess(&spec, &lines, write_ports);
+            prop_assert_eq!(m.assess_writes(lines.iter().copied()), writes);
+            prop_assert_eq!(m.assess_writes_in_place(&mut lines.clone()), writes);
         }
     }
 
