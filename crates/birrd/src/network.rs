@@ -89,7 +89,6 @@ impl std::error::Error for EvalError {}
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Birrd {
     topology: Topology,
-    route_budget: u64,
 }
 
 impl Birrd {
@@ -100,14 +99,7 @@ impl Birrd {
     pub fn new(width: usize) -> Result<Self, TopologyError> {
         Ok(Birrd {
             topology: Topology::new(width)?,
-            route_budget: 2_000_000,
         })
-    }
-
-    /// Overrides the routing search budget (number of explored search nodes).
-    pub fn with_route_budget(mut self, budget: u64) -> Self {
-        self.route_budget = budget;
-        self
     }
 
     /// The static topology.
@@ -129,12 +121,15 @@ impl Birrd {
     /// Routes a reduction-reorder request into a switch configuration.
     ///
     /// # Errors
-    /// Returns [`RouteError`] if the request is malformed, of the wrong width,
-    /// the network is wider than the router supports
-    /// ([`RouteError::WidthUnsupported`]), or no configuration was found
-    /// within the search budget.
+    /// Returns [`RouteError`] if the network is wider than the router
+    /// supports ([`RouteError::WidthUnsupported`]), the request is of the
+    /// wrong width or malformed ([`RouteError::MalformedRequest`]: a
+    /// destination out of range or shared by two groups, a group without
+    /// inputs, an input whose group has no destination), or no
+    /// configuration was found within the router's fixed search budget of
+    /// 2 000 000 explored nodes.
     pub fn route(&self, request: &ReductionRequest) -> Result<NetworkConfig, RouteError> {
-        let mut router = Router::new(&self.topology, self.route_budget)?;
+        let mut router = Router::new(&self.topology)?;
         let stages = router.route(request)?;
         Ok(NetworkConfig { stages })
     }
@@ -360,7 +355,7 @@ mod tests {
 
     #[test]
     #[ignore = "width-32 routing still degrades under restart-based path packing; \
-                current budget: 2_000_000 search nodes (Birrd::new default). This is \
+                current budget: 2_000_000 search nodes (the router's fixed budget). This is \
                 the measurable target for the ROADMAP 'wider BIRRD routing' item — \
                 un-ignore once an exact Algorithm-1 decomposition or conflict-directed \
                 backjumping lands."]
@@ -370,11 +365,98 @@ mod tests {
         let request = ReductionRequest::permutation(&perm).unwrap();
         let config = birrd
             .route(&request)
-            .expect("32-wide pinned permutation within the 2M-node default budget");
+            .expect("32-wide pinned permutation within the router's 2M-node budget");
         let outputs = birrd.evaluate(&config, &seq(32)).unwrap();
         for (i, &dest) in perm.iter().enumerate() {
             assert_eq!(outputs[dest], Some((i + 1) as i64));
         }
+    }
+
+    /// Width 8 is a Beneš network plus one stage, and it is rearrangeably
+    /// non-blocking: every one of the 8! = 40 320 permutations routes, and
+    /// its configuration delivers input `i` to port `perm[i]` and nothing
+    /// anywhere else.
+    #[test]
+    fn every_width_8_permutation_routes() {
+        let birrd = Birrd::new(8).unwrap();
+        let inputs = seq(8);
+        let mut routed = 0;
+        let mut check = |perm: &[usize]| {
+            let request = ReductionRequest::permutation(perm).unwrap();
+            let config = birrd
+                .route(&request)
+                .unwrap_or_else(|e| panic!("{perm:?}: {e}"));
+            let mut expected = vec![None; 8];
+            for (i, &dest) in perm.iter().enumerate() {
+                expected[dest] = inputs[i];
+            }
+            assert_eq!(
+                birrd.evaluate(&config, &inputs).unwrap(),
+                expected,
+                "{perm:?}"
+            );
+            routed += 1;
+        };
+        // Heap's algorithm: one swap per step visits every order once.
+        let mut perm: Vec<usize> = (0..8).collect();
+        let mut counters = [0usize; 8];
+        check(&perm);
+        let mut i = 1;
+        while i < perm.len() {
+            if counters[i] < i {
+                perm.swap(if i % 2 == 0 { 0 } else { counters[i] }, i);
+                check(&perm);
+                counters[i] += 1;
+                i = 1;
+            } else {
+                counters[i] = 0;
+                i += 1;
+            }
+        }
+        assert_eq!(routed, 40_320);
+    }
+
+    /// A request built through the public fields: each port's group, and
+    /// `(group, destination)` pairs.
+    fn raw(input_groups: Vec<Option<usize>>, destinations: &[(usize, usize)]) -> ReductionRequest {
+        ReductionRequest {
+            input_groups,
+            group_destinations: destinations.iter().copied().collect(),
+        }
+    }
+
+    /// Routes `request` on a 4-wide BIRRD and expects it refused as
+    /// malformed, before any search.
+    fn assert_malformed(request: ReductionRequest) {
+        match Birrd::new(4).unwrap().route(&request) {
+            Err(RouteError::MalformedRequest(_)) => {}
+            other => panic!("{request:?} routed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_live_port_whose_group_has_no_destination_is_malformed() {
+        assert_malformed(raw(vec![Some(0), Some(1), None, None], &[(0, 0)]));
+    }
+
+    #[test]
+    fn two_groups_sharing_a_destination_are_malformed() {
+        assert_malformed(raw(vec![Some(0), Some(1), None, None], &[(0, 2), (1, 2)]));
+    }
+
+    #[test]
+    fn a_destination_past_the_width_is_malformed() {
+        assert_malformed(raw(vec![Some(0), None, None, None], &[(0, 9)]));
+    }
+
+    #[test]
+    fn a_destination_past_sixty_four_is_malformed() {
+        assert_malformed(raw(vec![Some(0), None, None, None], &[(0, 64)]));
+    }
+
+    #[test]
+    fn a_group_without_inputs_is_malformed() {
+        assert_malformed(raw(vec![Some(0), None, None, None], &[(0, 0), (1, 1)]));
     }
 
     #[test]

@@ -56,27 +56,12 @@ impl ReductionRequest {
     ///
     /// # Errors
     /// Returns [`RouteError::MalformedRequest`] if a port is referenced twice,
-    /// a port or destination is out of range, or two groups share a destination.
+    /// a port or destination is out of range, a group has no member, or two
+    /// groups share a destination.
     pub fn from_groups(width: usize, groups: &[(Vec<usize>, usize)]) -> Result<Self, RouteError> {
         let mut input_groups = vec![None; width];
         let mut group_destinations = BTreeMap::new();
-        let mut dests_seen = std::collections::BTreeSet::new();
         for (gid, (members, dest)) in groups.iter().enumerate() {
-            if *dest >= width {
-                return Err(RouteError::MalformedRequest(format!(
-                    "destination port {dest} out of range for width {width}"
-                )));
-            }
-            if !dests_seen.insert(*dest) {
-                return Err(RouteError::MalformedRequest(format!(
-                    "two groups target output port {dest}"
-                )));
-            }
-            if members.is_empty() {
-                return Err(RouteError::MalformedRequest(format!(
-                    "group {gid} has no member inputs"
-                )));
-            }
             for &port in members {
                 if port >= width {
                     return Err(RouteError::MalformedRequest(format!(
@@ -92,10 +77,48 @@ impl ReductionRequest {
             }
             group_destinations.insert(gid, *dest);
         }
-        Ok(ReductionRequest {
+        let request = ReductionRequest {
             input_groups,
             group_destinations,
-        })
+        };
+        request.validate()?;
+        Ok(request)
+    }
+
+    /// Checks what the public fields alone do not guarantee: every
+    /// destination is a port of the request's width, no two groups share
+    /// one, every group with a destination has a member input, and every
+    /// member input's group has a destination.
+    /// [`ReductionRequest::from_groups`] and [`crate::Birrd::route`] both
+    /// call it.
+    pub(crate) fn validate(&self) -> Result<(), RouteError> {
+        let width = self.width();
+        let malformed = |msg: String| Err(RouteError::MalformedRequest(msg));
+        let mut targeted = vec![false; width];
+        for (&gid, &dest) in &self.group_destinations {
+            if dest >= width {
+                return malformed(format!(
+                    "destination port {dest} out of range for width {width}"
+                ));
+            }
+            if std::mem::replace(&mut targeted[dest], true) {
+                return malformed(format!("two groups target output port {dest}"));
+            }
+            if !self.input_groups.contains(&Some(gid)) {
+                return malformed(format!("group {gid} has no member inputs"));
+            }
+        }
+        for (port, group) in self.input_groups.iter().enumerate() {
+            match group {
+                Some(gid) if !self.group_destinations.contains_key(gid) => {
+                    return malformed(format!(
+                        "input port {port} belongs to group {gid}, which has no destination"
+                    ));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// A pure permutation request: input `i` goes (un-reduced) to `perm[i]`.
@@ -210,6 +233,10 @@ const MERGED: usize = usize::MAX;
 /// An input link no signal occupies.
 const FREE: u32 = u32::MAX;
 
+/// Search nodes the router explores, over all its restarts, before it gives
+/// up on a request with [`RouteError::Unroutable`].
+const ROUTE_BUDGET: u64 = 2_000_000;
+
 pub(crate) struct Router<'a> {
     topology: &'a Topology,
     reach: &'a [Vec<u64>],
@@ -218,7 +245,6 @@ pub(crate) struct Router<'a> {
     occ: Vec<u32>,
     /// Hops of all fully-routed signals (rolled back on backtrack).
     hops: Vec<Hop>,
-    budget: u64,
     budget_this_restart: u64,
     explored: u64,
 }
@@ -229,7 +255,7 @@ impl<'a> Router<'a> {
     /// # Errors
     /// Returns [`RouteError::WidthUnsupported`] for a network wider than
     /// [`MAX_ROUTED_WIDTH`].
-    pub(crate) fn new(topology: &'a Topology, budget: u64) -> Result<Self, RouteError> {
+    pub(crate) fn new(topology: &'a Topology) -> Result<Self, RouteError> {
         let reach = topology
             .reachability()
             .ok_or(RouteError::WidthUnsupported {
@@ -241,8 +267,7 @@ impl<'a> Router<'a> {
             occ: vec![FREE; topology.width() * topology.stages()],
             hops: Vec::new(),
             topology,
-            budget,
-            budget_this_restart: budget,
+            budget_this_restart: ROUTE_BUDGET,
             explored: 0,
         })
     }
@@ -255,6 +280,8 @@ impl<'a> Router<'a> {
 
     /// Attempts to find a full network configuration for the request,
     /// retrying with different randomized tie-breaking before giving up.
+    /// A request that fails [`ReductionRequest::validate`] is refused before
+    /// any search.
     pub(crate) fn route(
         &mut self,
         request: &ReductionRequest,
@@ -266,6 +293,7 @@ impl<'a> Router<'a> {
                 request: request.width(),
             });
         }
+        request.validate()?;
 
         // `(group, input port)` of every live port, by ascending group id and
         // then port (the sort is stable), and `groups[i]`: group `i`'s id and
@@ -290,13 +318,13 @@ impl<'a> Router<'a> {
         // order; later passes shuffle the group order and per-stage output
         // preferences. Each restart gets a slice of the node budget so a
         // doomed ordering is abandoned quickly.
-        let per_restart = (self.budget / 64).max(10_000);
+        let per_restart = (ROUTE_BUDGET / 64).max(10_000);
         let mut total_explored = 0u64;
         let mut seed = 0u64;
         let (mut group_order, mut signals) = (Vec::new(), Vec::new());
-        while total_explored < self.budget {
+        while total_explored < ROUTE_BUDGET {
             self.explored = 0;
-            self.budget_this_restart = per_restart.min(self.budget - total_explored);
+            self.budget_this_restart = per_restart.min(ROUTE_BUDGET - total_explored);
             // The first pass draws nothing, so it keys no generator.
             let mut rng = (seed > 0).then(|| ChaCha8Rng::seed_from_u64(seed));
 

@@ -226,6 +226,40 @@ mod tests {
         }
     }
 
+    /// The address bit each stage's switches exchange: a label follows every
+    /// input port through the wiring with all switches passing, the two
+    /// inputs of every switch of a stage differ in exactly that one bit, and
+    /// the sequence is pinned per width. Width 8 is a Beneš network plus one
+    /// stage; from 16 on, the network is a three-stage Clos whose 4-port
+    /// ingress and egress blocks are 2-stage butterflies.
+    #[test]
+    fn each_stage_exchanges_one_address_bit() {
+        let exchanged = |width: usize| {
+            let t = Topology::new(width).unwrap();
+            let mut label: Vec<usize> = (0..width).collect();
+            let mut bits = Vec::new();
+            for s in 0..t.stages() {
+                let bit = label[0] ^ label[1];
+                assert!(bit.is_power_of_two(), "width {width} stage {s}");
+                for pair in label.chunks_exact(2) {
+                    assert_eq!(pair[0] ^ pair[1], bit, "width {width} stage {s}");
+                }
+                bits.push(bit.trailing_zeros());
+                let mut next = vec![0; width];
+                for (port, &l) in label.iter().enumerate() {
+                    next[t.next_port(s, port)] = l;
+                }
+                label = next;
+            }
+            bits
+        };
+        assert_eq!(exchanged(4), [0, 1, 0]);
+        assert_eq!(exchanged(8), [0, 1, 2, 1, 2, 0]);
+        assert_eq!(exchanged(16), [0, 1, 2, 3, 2, 3, 0, 1]);
+        assert_eq!(exchanged(32), [0, 1, 2, 3, 4, 3, 4, 1, 2, 0]);
+        assert_eq!(exchanged(64), [0, 1, 2, 3, 4, 5, 4, 5, 2, 3, 0, 1]);
+    }
+
     #[test]
     fn reachability_is_complete_at_input() {
         // From the first stage every input must be able to reach every output

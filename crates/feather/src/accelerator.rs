@@ -1,13 +1,20 @@
 //! The FEATHER accelerator: controller + NEST + BIRRD + StaB, with RIR.
+//!
+//! One layer at a time: [`Feather::execute_conv`] runs a layer as a chain of
+//! one — a one-segment [`GraphSession`], compiled and replayed like any
+//! graph — and [`Feather::execute_gemm`] lowers a GEMM to that convolution.
 
+use std::collections::BTreeMap;
+
+use feather_arch::graph::NodeId;
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::{ConvLayer, GemmLayer};
 use feather_arch::ArchError;
 
 use crate::config::FeatherConfig;
+use crate::graph_session::GraphSession;
 use crate::mapping::LayerMapping;
 use crate::report::LayerRun;
-use crate::session::NetworkSession;
 
 /// A FEATHER accelerator instance.
 ///
@@ -15,20 +22,13 @@ use crate::session::NetworkSession;
 #[derive(Debug, Clone)]
 pub struct Feather {
     config: FeatherConfig,
-    /// Compiled BIRRD route programs, persisted across `execute_*` calls —
-    /// successive layers on one accelerator replay the same reduce-reorder
-    /// patterns.
-    route_cache: std::sync::Arc<crate::core::RouteCache>,
 }
 
 impl Feather {
     /// Creates an accelerator with the given hardware configuration and the
     /// default TSMC-28 energy model.
     pub fn new(config: FeatherConfig) -> Self {
-        Feather {
-            config,
-            route_cache: std::sync::Arc::new(crate::core::RouteCache::new()),
-        }
+        Feather { config }
     }
 
     /// The hardware configuration.
@@ -42,9 +42,9 @@ impl Feather {
     /// `mapping.iact_layout`; output activations are written to the other half
     /// in `mapping.oact_layout` during BIRRD reduction (RIR).
     ///
-    /// This is a one-layer [`NetworkSession`], compiled and replayed like any
-    /// chain, with the single layer paying both the iAct staging and the oAct
-    /// drain DRAM traffic.
+    /// This is a one-layer [`GraphSession::chain`], compiled and replayed like
+    /// any chain, with the single layer paying both the iAct staging and the
+    /// oAct drain DRAM traffic.
     ///
     /// # Errors
     /// Returns an error if the mapping is invalid for the layer/hardware, the
@@ -57,16 +57,15 @@ impl Feather {
         iacts: &Tensor4<i8>,
         weights: &Tensor4<i8>,
     ) -> Result<LayerRun, ArchError> {
-        let mut session =
-            NetworkSession::from_mappings(self.config, vec![(layer.clone(), mapping.clone())])?;
-        session.share_route_cache(self.route_cache.clone());
-        let run = session.run(iacts, std::slice::from_ref(weights))?;
+        let chain = GraphSession::chain(self.config, vec![(layer.clone(), mapping.clone())])?;
+        let run = chain.run(iacts, &BTreeMap::from([(NodeId(0), weights.clone())]))?;
         let report = run
             .report
-            .layers
+            .segments
             .into_iter()
+            .flat_map(|segment| segment.report.layers)
             .next()
-            .expect("one-layer session produces one report")
+            .expect("a one-layer chain reports one layer")
             .report;
         Ok(LayerRun {
             oacts: run.oacts,

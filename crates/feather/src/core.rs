@@ -1,16 +1,14 @@
 //! The shared tile-loop core of the functional executor, optimized for
 //! evaluations-per-second:
 //!
-//! * **Compiled BIRRD routes** — every distinct reduction-reorder request is
-//!   routed once and lowered to a flat gather-sum program
-//!   ([`feather_birrd::CompiledRoute`]), shared across sessions' compiles
-//!   (and calling threads) through a [`RouteCache`]. Inside one program a
-//!   row fire *selects* its route, as FEATHER's controller selects a
-//!   configuration fixed ahead of time: the compiler's program-wide
-//!   [`RouteMemo`] resolves it from the issuing layer's `c_cols` and the fire
-//!   batch's bank signature, and a request is built (and hashed into the
-//!   shared cache) once per distinct route of the program, not once per
-//!   layer or per BIRRD pass.
+//! * **Compiled BIRRD routes** — every distinct reduction-reorder request of
+//!   a program is routed once and lowered to a flat gather-sum program
+//!   ([`feather_birrd::CompiledRoute`]). A row fire *selects* its route, as
+//!   FEATHER's controller selects a configuration fixed ahead of time: the
+//!   compiler's program-wide [`RouteMemo`] resolves it from the issuing
+//!   layer's `c_cols` and the fire batch's bank signature, and a request is
+//!   built, routed and folded into the program's [`RouteTable`] once per
+//!   distinct route, not once per layer or per BIRRD pass.
 //! * **Compile counts, it does not compute** — the compiler's record pass is
 //!   a counting walk ([`count_conv_core`]): the buffer addresses, fire
 //!   batches and route resolutions of the accounted loop, with no NEST
@@ -38,7 +36,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use feather_arch::layout::{Location, LocationPlan4};
 use feather_arch::workload::ConvLayer;
@@ -64,30 +61,9 @@ pub(crate) struct CoreRun {
     pub macs: u64,
 }
 
-/// Hit/miss counters and the current size of a session's shared
-/// compiled-route cache.
-///
-/// The counters reflect *shared-map* traffic: steady-state lookups are
-/// absorbed by the compiler's program route memo, which looks each distinct
-/// `(c_cols, request)` of a program up once per compile, so `hits + misses`
-/// counts those first look-ups — all misses in a session's first compile,
-/// unless two `c_cols` issue one request — and `misses` counts actual
-/// route-and-compile work. A session reaches the cache only while it
-/// compiles; replaying its program never does.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteCacheStats {
-    /// Lookups served by the shared compiled-route map.
-    pub hits: u64,
-    /// Lookups that had to route and compile a fresh program.
-    pub misses: u64,
-    /// Compiled programs resident in the shared map.
-    pub entries: usize,
-}
-
-/// A word-wise multiplicative hasher (FxHash-style) for the route maps: a
-/// rotate, xor and multiply per word instead of SipHash's rounds. Their keys
-/// — memo keys and reduction requests — are small integers derived from
-/// layer geometry, never input from outside.
+/// A word-wise multiplicative hasher (FxHash-style) for the route memo: a
+/// rotate, xor and multiply per word instead of SipHash's rounds. Its keys
+/// are small integers derived from layer geometry, never input from outside.
 #[derive(Default)]
 struct WordHasher(u64);
 
@@ -122,82 +98,6 @@ impl std::hash::Hasher for WordHasher {
 
 /// A `HashMap` hashed with [`WordHasher`].
 type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
-/// The map behind a [`RouteCache`] with its traffic counts beside it, so one
-/// lock covers a look-up and the count it bumps.
-#[derive(Debug, Default)]
-struct RouteMap {
-    routes: WordMap<ReductionRequest, Arc<CompiledRoute>>,
-    hits: u64,
-    misses: u64,
-}
-
-/// A shared, thread-safe memo of compiled BIRRD route programs.
-///
-/// The controller replays the same handful of reduce-reorder patterns
-/// millions of times per layer and routing is deterministic per request, so
-/// one routed-and-compiled program per distinct request serves a whole
-/// network run — and, because sessions keep their cache in an [`Arc`],
-/// every subsequent compile of the same session (and every segment of a
-/// graph session) too. Every compile keeps one [`RouteMemo`] in front of
-/// this shared map, so only a program's first sight of a route takes the
-/// lock.
-///
-/// The map only grows: a model needs a hundred-odd distinct programs
-/// (ResNet-50 Models A / B: 160 / 112) and it lives as long as the session
-/// that owns it. Traffic is exposed through [`RouteCache::stats`].
-#[derive(Debug, Default)]
-pub(crate) struct RouteCache {
-    shared: Mutex<RouteMap>,
-}
-
-impl RouteCache {
-    pub(crate) fn new() -> Self {
-        RouteCache::default()
-    }
-
-    fn map(&self) -> MutexGuard<'_, RouteMap> {
-        self.shared.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A snapshot of the shared-map counters and occupancy.
-    pub(crate) fn stats(&self) -> RouteCacheStats {
-        let map = self.map();
-        RouteCacheStats {
-            hits: map.hits,
-            misses: map.misses,
-            entries: map.routes.len(),
-        }
-    }
-
-    /// Resolves a request to its compiled program: the shared map, then
-    /// route + compile with the lock released. The request is borrowed so
-    /// the caller can reuse one scratch request across look-ups.
-    fn lookup(
-        &self,
-        birrd: &Birrd,
-        request: &ReductionRequest,
-    ) -> Result<Arc<CompiledRoute>, ArchError> {
-        {
-            let mut map = self.map();
-            if let Some(hit) = map.routes.get(request).cloned() {
-                map.hits += 1;
-                return Ok(hit);
-            }
-            map.misses += 1;
-        }
-        let compiled = Arc::new(route_and_compile(birrd, request)?);
-        // Another thread may have routed the same request concurrently; keep
-        // whichever program landed first (they are identical — routing is
-        // deterministic).
-        let mut map = self.map();
-        Ok(map
-            .routes
-            .entry(request.clone())
-            .or_insert(compiled)
-            .clone())
-    }
-}
 
 /// Routes `request` and lowers the configuration to its gather-sum program.
 fn route_and_compile(
@@ -334,13 +234,12 @@ pub(crate) struct LayerStream {
 /// the oAct layout's bank assignment), never of data, so one counting walk
 /// per layer captures the stream any future run will consume.
 /// One recorder serves every layer of a program: passes land in a single
-/// deduplicated [`RouteTable`], and each layer takes its own stream of slot
+/// deduplicated [`RouteTable`] — filled by the program's [`RouteMemo`], one
+/// slot per distinct route — and each layer takes its own stream of slot
 /// indices with [`RouteRecorder::finish_layer`].
 #[derive(Debug, Default)]
 pub(crate) struct RouteRecorder {
     table: RouteTable,
-    /// Slots by request, then by the issuing layer's `c_cols`.
-    slot_of: WordMap<ReductionRequest, Vec<(usize, u32)>>,
     layer: LayerStream,
 }
 
@@ -375,29 +274,6 @@ impl RouteRecorder {
         Ok(())
     }
 
-    /// The table slot of `request` as issued by a layer of `c_cols`, folding
-    /// `route` into a new pass the first time the pair is seen.
-    fn slot(
-        &mut self,
-        c_cols: usize,
-        request: &ReductionRequest,
-        route: &CompiledRoute,
-    ) -> Result<u32, ArchError> {
-        let known = self
-            .slot_of
-            .get(request)
-            .and_then(|slots| slots.iter().find(|(c, _)| *c == c_cols));
-        if let Some(&(_, slot)) = known {
-            return Ok(slot);
-        }
-        let slot = self.table.push(c_cols, request.clone(), route)?;
-        self.slot_of
-            .entry(request.clone())
-            .or_default()
-            .push((c_cols, slot));
-        Ok(slot)
-    }
-
     /// Takes the stream recorded since the previous call — one layer's.
     pub(crate) fn finish_layer(&mut self) -> LayerStream {
         std::mem::take(&mut self.layer)
@@ -412,20 +288,21 @@ impl RouteRecorder {
 /// One distinct route of a program: the compiled program and its
 /// [`RouteTable`] slot, whose `(c_cols, request)` the table keeps.
 struct MemoEntry {
-    route: Arc<CompiledRoute>,
+    route: CompiledRoute,
     slot: u32,
 }
 
-/// The route memo of one program, keyed by what a fire batch's route is a
-/// function of on a fabric of fixed width: the issuing layer's `c_cols`, the
-/// live reduction width of its channel tile and the batch's `(q_lane, bank)`
-/// pairs (`fill_request` and `mark_live_lanes` read nothing else). Over one
-/// program this signature and the `(c_cols, request)` pair determine each
-/// other, so the memo reaches the shared [`RouteCache`] (and the recorder's
-/// slot resolution) exactly once per distinct route of the program — on a
-/// miss, the only way an entry is created — and every later layer that
-/// issues the route only selects it, as FEATHER's controller selects a
-/// configuration fixed ahead of time.
+/// The route memo of one program — its only route cache — keyed by what a
+/// fire batch's route is a function of on a fabric of fixed width: the
+/// issuing layer's `c_cols`, the live reduction width of its channel tile
+/// and the batch's `(q_lane, bank)` pairs (`fill_request` and
+/// `mark_live_lanes` read nothing else). Over one program this signature and
+/// the `(c_cols, request)` pair determine each other, so a miss — the only
+/// way an entry is created — builds, routes and lowers each distinct route
+/// of the program exactly once and folds it into the recorder's table as a
+/// new slot, and every later layer that issues the route only selects it, as
+/// FEATHER's controller selects a configuration fixed ahead of time. A memo
+/// and its recorder start empty together and serve one program.
 #[derive(Default)]
 pub(crate) struct RouteMemo {
     /// `[c_cols, c_live, q_lane, bank, q_lane, bank, …]` → index into
@@ -437,9 +314,8 @@ pub(crate) struct RouteMemo {
 
 impl RouteMemo {
     /// Resolves `batch`'s route under the channel tile whose lane mask is
-    /// `c_ok` (`c_live` live columns per lane) through `cache`, and pushes its
-    /// slot onto `recorder`'s layer stream.
-    #[allow(clippy::too_many_arguments)]
+    /// `c_ok` (`c_live` live columns per lane), and pushes its slot onto
+    /// `recorder`'s layer stream.
     fn resolve(
         &mut self,
         ctx: &LayerExec,
@@ -447,21 +323,22 @@ impl RouteMemo {
         c_ok: &[bool],
         batch: &[FireGroup],
         request: &mut ReductionRequest,
-        cache: &RouteCache,
         recorder: &mut RouteRecorder,
     ) -> Result<&CompiledRoute, ArchError> {
         self.key.clear();
         self.key.extend([ctx.c_cols as u32, c_live as u32]);
         let pairs = batch.iter().flat_map(|g| [g.q_lane as u32, g.bank as u32]);
         self.key.extend(pairs);
+        let table = &mut recorder.table;
         let at = match self.index.get(self.key.as_slice()) {
             Some(&at) => {
-                // Debug builds rebuild the request on every hit and compare
-                // it with the one its slot was recorded under.
+                // Debug builds check the key ↔ request bijection both ways:
+                // a hit rebuilds its request and compares it with the one its
+                // slot was recorded under, and a miss (below) must be a pair
+                // the table does not hold yet.
                 if cfg!(debug_assertions) {
                     fill_request(request, batch, c_ok, ctx.c_cols);
-                    let (c_cols, recorded) =
-                        &recorder.table.requests()[self.entries[at].slot as usize];
+                    let (c_cols, recorded) = &table.requests()[self.entries[at].slot as usize];
                     assert_eq!(
                         (*c_cols, &*request),
                         (ctx.c_cols, recorded),
@@ -473,8 +350,16 @@ impl RouteMemo {
             }
             None => {
                 fill_request(request, batch, c_ok, ctx.c_cols);
-                let route = cache.lookup(&ctx.birrd, request)?;
-                let slot = recorder.slot(ctx.c_cols, request, &route)?;
+                if cfg!(debug_assertions) {
+                    let mut recorded = table.requests().iter();
+                    assert!(
+                        !recorded.any(|(c_cols, r)| (*c_cols, r) == (ctx.c_cols, &*request)),
+                        "memo key {:?} names a recorded route",
+                        self.key
+                    );
+                }
+                let route = route_and_compile(&ctx.birrd, request)?;
+                let slot = table.push(ctx.c_cols, request.clone(), &route)?;
                 self.index.insert(self.key.clone(), self.entries.len());
                 self.entries.push(MemoEntry { route, slot });
                 self.entries.len() - 1
@@ -758,11 +643,11 @@ impl SpanAccum {
 /// The compiler's record pass over one layer: what the accounted loop counts
 /// and records, with no NEST array, weights, bus, route evaluation or cell
 /// value. Routes resolve through `memo`, which the compiler keeps for the
-/// whole program (the accounted loop keeps one per layer). None of it
-/// depends on data (paper §III), so the walk drives the same buffer and
-/// route accounting at the same addresses, each distinct block once, and
-/// returns the counters with both halves' access statistics (`iact` and
-/// `oact` are charged the walked part only):
+/// whole program beside its `recorder`. None of it depends on data (paper
+/// §III), so the walk drives the same buffer and route accounting at the
+/// same addresses, each distinct block once, and returns the counters with
+/// both halves' access statistics (`iact` and `oact` are charged the walked
+/// part only):
 ///
 /// * **iAct reads** do not depend on `wt_m` outside depthwise layers: one
 ///   tile row is walked, counted `m_tiles` times, each read feeding `M`
@@ -778,7 +663,6 @@ pub(crate) fn count_conv_core(
     ctx: &LayerExec,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    cache: &RouteCache,
     memo: &mut RouteMemo,
     recorder: &mut RouteRecorder,
     expose_first_weight_load: bool,
@@ -850,9 +734,8 @@ pub(crate) fn count_conv_core(
                                 ctx.fire_groups([n, m, p, qt], groups);
                                 while !groups.is_empty() {
                                     next_batch(groups, batch, pending, bank_used);
-                                    let route = memo.resolve(
-                                        ctx, c_live, c_ok, batch, request, cache, recorder,
-                                    )?;
+                                    let route =
+                                        memo.resolve(ctx, c_live, c_ok, batch, request, recorder)?;
                                     oact.begin_cycle();
                                     for g in batch.iter() {
                                         oact.write_at(g.loc, 0);
@@ -1376,14 +1259,14 @@ pub(crate) mod accounted {
     /// iAct layout (the DMA is not counted), weight-stationary tiling over
     /// `(M, C)`, Phase-1 local temporal reduction in NEST, Phase-2 row fires
     /// through BIRRD with Reorder-in-Reduction into the oAct layout, and the
-    /// accumulators drained. Routes resolve through `cache` and record into
+    /// accumulators drained. Routes resolve through `memo` and record into
     /// `recorder`. Returns the outputs, the counters and both halves' access
     /// statistics.
     pub(crate) fn run_layer(
         ctx: &LayerExec,
         iacts: &Tensor4<i8>,
         weights: &Tensor4<i8>,
-        cache: &RouteCache,
+        memo: &mut RouteMemo,
         recorder: &mut RouteRecorder,
         expose: bool,
     ) -> Result<(Tensor4<i32>, CoreRun, AccessStats, AccessStats), ArchError> {
@@ -1396,7 +1279,7 @@ pub(crate) mod accounted {
         iacts.for_each(|coord, v| iact.write_at(ctx.iact_plan.location(coord), v as i32));
         iact.flush_cycle();
         let (iact_base, oact_base) = (*iact.stats(), *oact.stats());
-        let span = run_span(ctx, weights, &mut iact, &mut oact, cache, recorder)?;
+        let span = run_span(ctx, weights, &mut iact, &mut oact, memo, recorder)?;
         let core = span.into_core_run(ctx, expose);
         let shape = [layer.n, layer.m, ctx.p_total, ctx.q_total];
         let oacts = Tensor4::from_fn(shape, |n, m, p, q| {
@@ -1414,13 +1297,13 @@ pub(crate) mod accounted {
     /// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
     /// also walks. It allocates nothing per tile and copies no weights — a
     /// tile switch is a mask-row refresh — and a request is only filled on
-    /// the layer's first sight of a route: its memo lives for the layer.
+    /// `memo`'s first sight of a route.
     fn run_span(
         ctx: &LayerExec,
         weights: &Tensor4<i8>,
         iact: &mut LayoutView<'_, i32>,
         oact: &mut LayoutView<'_, i32>,
-        cache: &RouteCache,
+        memo: &mut RouteMemo,
         recorder: &mut RouteRecorder,
     ) -> Result<SpanAccum, ArchError> {
         let (layer, cols) = (&ctx.layer, ctx.cols);
@@ -1440,7 +1323,6 @@ pub(crate) mod accounted {
             group_destinations: BTreeMap::new(),
         };
         let ws = weights.as_slice();
-        let mut memo = RouteMemo::default();
         let mut accum = SpanAccum {
             tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
             extra_cycles: 0,
@@ -1489,9 +1371,8 @@ pub(crate) mod accounted {
                                 ctx.fire_groups([n, m, p, qt], groups);
                                 while !groups.is_empty() {
                                     next_batch(groups, batch, pending, bank_used);
-                                    let route = memo.resolve(
-                                        ctx, c_live, c_ok, batch, request, cache, recorder,
-                                    )?;
+                                    let route =
+                                        memo.resolve(ctx, c_live, c_ok, batch, request, recorder)?;
 
                                     inputs.fill(None);
                                     for g in batch.iter() {
@@ -1609,35 +1490,6 @@ mod tests {
     use feather_arch::tensor::{conv2d_reference, Tensor4};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A one-group request reducing lanes `0..lanes` into `bank`.
-    fn request(cols: usize, lanes: usize, bank: usize) -> ReductionRequest {
-        let mut input_groups = vec![None; cols];
-        for slot in input_groups.iter_mut().take(lanes) {
-            *slot = Some(0);
-        }
-        let mut group_destinations = BTreeMap::new();
-        group_destinations.insert(0, bank);
-        ReductionRequest {
-            input_groups,
-            group_destinations,
-        }
-    }
-
-    #[test]
-    fn route_cache_counts_hits_and_misses() {
-        let cache = RouteCache::new();
-        let birrd = Birrd::new(4).unwrap();
-        let req = request(4, 2, 1);
-        let first = cache.lookup(&birrd, &req).unwrap();
-        // A second compile's first look-up hits the shared map.
-        let again = cache.lookup(&birrd, &req).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
-    }
-
     /// The memo keys a batch by its layer's `c_cols` too: the same `c_live`
     /// and `(q_lane, bank)` pairs under `c_cols = 2` and `c_cols = 4` span
     /// different bus columns, so one program memo must resolve them to two
@@ -1646,8 +1498,7 @@ mod tests {
     fn one_memo_tells_c_cols_apart() {
         let config = FeatherConfig::new(4, 8);
         let layer = ConvLayer::new(1, 4, 6, 4, 4, 1, 1);
-        let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
-        let mut memo = RouteMemo::default();
+        let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
         let mut slots = Vec::new();
         // Channel tile 0 of `c_cols = 2` and tile 1 of `c_cols = 4` both
         // have two live columns per lane.
@@ -1669,7 +1520,7 @@ mod tests {
                 input_groups: vec![None; config.cols],
                 group_destinations: BTreeMap::new(),
             };
-            memo.resolve(&ctx, 2, c_ok, &batch, request, &cache, &mut recorder)
+            memo.resolve(&ctx, 2, c_ok, &batch, request, &mut recorder)
                 .unwrap();
             slots.push(*recorder.layer.stream.last().unwrap());
         }
@@ -1677,7 +1528,7 @@ mod tests {
         let requests = recorder.table.requests();
         assert_eq!((requests[0].0, requests[1].0), (2, 4));
         assert_ne!(requests[0].1, requests[1].1);
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(memo.entries.len(), 2);
     }
 
     /// The controller never issues a group whose folded columns skip a
@@ -1763,7 +1614,7 @@ mod tests {
 
     /// Resolves every pass of `layer` under `mapping` through one memo
     /// and checks each against the oracle — a request rebuilt for that pass,
-    /// hashed into the shared cache and into first-seen slot order. Returns
+    /// routed afresh and hashed into first-seen slot order. Returns
     /// `(row fires, BIRRD passes)`.
     fn check_memo_against_request_lookups(
         layer: &ConvLayer,
@@ -1771,7 +1622,6 @@ mod tests {
     ) -> Result<(u64, u64), TestCaseError> {
         let config = FeatherConfig::new(4, 8);
         let ctx = LayerExec::new(&config, layer, mapping).unwrap();
-        let cache = RouteCache::new();
         let mut recorder = RouteRecorder::default();
         let mut memo = RouteMemo::default();
         let (c_ok, bank_used) = (&mut vec![false; config.cols], &mut vec![false; config.cols]);
@@ -1803,15 +1653,14 @@ mod tests {
                     passes += 1;
                     let c_live = ctx.c_live(wt_c);
                     let Ok(route) = memo
-                        .resolve(&ctx, c_live, c_ok, batch, request, &cache, &mut recorder)
-                        .map(|route| route as *const CompiledRoute)
+                        .resolve(&ctx, c_live, c_ok, batch, request, &mut recorder)
+                        .cloned()
                     else {
                         // A pattern BIRRD cannot route is not this test's.
                         return Err(TestCaseError::reject("unroutable pattern"));
                     };
                     fill_request(&mut oracle, batch, c_ok, ctx.c_cols);
-                    let hashed = cache.lookup(&ctx.birrd, &oracle).unwrap();
-                    prop_assert!(std::ptr::eq(route, Arc::as_ptr(&hashed)));
+                    prop_assert_eq!(route, route_and_compile(&ctx.birrd, &oracle).unwrap());
                     let next_slot = slots.len() as u32;
                     let slot = *slots.entry(oracle.clone()).or_insert(next_slot);
                     prop_assert_eq!(recorder.layer.stream.last(), Some(&slot));
@@ -1820,12 +1669,11 @@ mod tests {
                 }
             }
         }
-        // One memo entry, one shared-map miss, one table pass per distinct
-        // request — no more, no fewer.
+        // One memo entry (one route compiled) and one table pass per
+        // distinct request — no more, no fewer.
         prop_assert_eq!(memo.entries.len(), slots.len());
         prop_assert_eq!(recorder.table.requests().len(), slots.len());
         prop_assert_eq!(recorder.layer.stream.len() as u64, passes);
-        prop_assert_eq!(cache.stats().misses as usize, slots.len());
         Ok((fires, passes))
     }
 
@@ -1880,8 +1728,8 @@ mod tests {
     }
 
     /// What a record pass left behind for one layer walked twice through
-    /// one recorder and route cache — the second time as a pipelined layer,
-    /// every route a shared-map hit.
+    /// one memo and recorder — the second time as a pipelined layer, every
+    /// route a memo hit.
     #[derive(Debug, PartialEq)]
     struct Recorded {
         /// Per pass: the counters and both halves' access statistics.
@@ -1890,7 +1738,6 @@ mod tests {
         streams: Vec<(Vec<u32>, Vec<u32>)>,
         /// The route table's requests, in slot order.
         requests: Vec<(usize, ReductionRequest)>,
-        cache: RouteCacheStats,
     }
 
     /// Random operands for `layer`: its iActs and its filter tensor.
@@ -1917,7 +1764,7 @@ mod tests {
         use feather_memsim::FunctionalBuffer;
 
         let ctx = LayerExec::new(config, layer, mapping)?;
-        let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+        let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
         let (iacts, weights) = operands(layer);
         let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
         let (mut costs, mut streams) = (Vec::new(), Vec::new());
@@ -1927,19 +1774,10 @@ mod tests {
                 let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
                 let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
                 let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
-                let memo = &mut RouteMemo::default();
-                count_conv_core(
-                    &ctx,
-                    &mut iact,
-                    &mut oact,
-                    &cache,
-                    memo,
-                    &mut recorder,
-                    expose,
-                )?
+                count_conv_core(&ctx, &mut iact, &mut oact, &mut memo, &mut recorder, expose)?
             } else {
                 let run =
-                    accounted::run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, expose);
+                    accounted::run_layer(&ctx, &iacts, &weights, &mut memo, &mut recorder, expose);
                 let (_, core, iact, oact) = run?;
                 (core, iact, oact)
             });
@@ -1950,7 +1788,6 @@ mod tests {
             costs,
             streams,
             requests: recorder.into_table().requests().to_vec(),
-            cache: cache.stats(),
         })
     }
 
@@ -2008,9 +1845,9 @@ mod tests {
             // reference convolution — and its whole report.
             let (iacts, weights) = operands(&layer);
             let ctx = LayerExec::new(&config, &layer, &mapping).unwrap();
-            let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+            let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
             let (oacts, core, iact_stats, oact_stats) =
-                accounted::run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, true).unwrap();
+                accounted::run_layer(&ctx, &iacts, &weights, &mut memo, &mut recorder, true).unwrap();
             let energy = EnergyModel::tsmc28();
             let summary = layer_summary(&config, &energy, &layer, &core, iact_stats, oact_stats, true, true);
             let run = Feather::new(config).execute_conv(&layer, &mapping, &iacts, &weights).unwrap();

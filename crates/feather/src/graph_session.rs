@@ -1,21 +1,25 @@
 //! Whole-graph DAG execution — residual branches and joins over the pipelined
 //! ping/pong StaB — as plan → compile once → replay.
 //!
-//! [`NetworkSession`] runs one *linear* chain of layers back-to-back. Real
-//! models are DAGs: ResNet's shortcut tensors branch off, survive several
-//! layers, and rejoin through an element-wise add. [`GraphSession`] closes
-//! that gap. Building one *plans* the graph:
+//! Real models are DAGs: ResNet's shortcut tensors branch off, survive
+//! several layers, and rejoin through an element-wise add.
+//! [`GraphSession`] runs them. Building one *plans* the graph:
 //!
 //! 1. The [`Graph`] is partitioned into linear [`GraphSegment`]s (branch
 //!    fan-outs and joins always fall on segment boundaries).
-//! 2. Each segment becomes a ping/pong [`NetworkSession`] chain —
-//!    intermediate activations inside a segment never leave the chip.
+//! 2. Each segment becomes a validated ping/pong chain of `(layer, mapping)`
+//!    steps ([`crate::session`]) — intermediate activations inside a segment
+//!    never leave the chip.
 //! 3. A tensor still needed after the pipeline moves on (a shortcut) is
 //!    parked in a [`feather_memsim::ScratchRegion`] with its own traffic
 //!    accounting.
 //! 4. At a join, the quantized INT8 main-path and shortcut tensors are added
 //!    with saturation ([`saturating_add_i8`]) before the result is staged
 //!    into the consumer segment in its preferred layout.
+//!
+//! A linear chain is a graph of one segment: [`GraphSession::chain`] and
+//! [`GraphSession::weight_stationary_chain`] build one from per-layer
+//! mappings or layouts, and it plans, compiles and runs like any graph.
 //!
 //! Nothing in that plan depends on the data, so it executes the way FEATHER's
 //! controller executes a layer: decided once, then played back. The session's
@@ -30,8 +34,7 @@
 //! StaB handoff or the scratch region. [`GraphSession::run`] is bit-identical
 //! to [`run_graph_reference`], which shares nothing with the compiler's
 //! lowering: reference convolutions and explicit materialization of every
-//! tensor, no NEST or BIRRD code at all. A linear chain
-//! ([`NetworkSession::run`]) runs as a graph of one segment.
+//! tensor, no NEST or BIRRD code at all.
 //!
 //! # Example
 //!
@@ -79,7 +82,7 @@ use crate::config::FeatherConfig;
 use crate::mapping::LayerMapping;
 use crate::program::{Program, ProgramSession};
 use crate::report::GraphRun;
-use crate::session::{NetworkSession, DEFAULT_QUANT_SHIFT};
+use crate::session::{validate_chain, DEFAULT_QUANT_SHIFT};
 
 /// Per-node scheduling callback used by the session builders: maps a
 /// conv-like node (and its execution convolution) to the `(dataflow, iAct
@@ -91,17 +94,18 @@ type SchedulePick<'a> =
 /// One scheduled step of a graph execution plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// Run segment `i` of the segment list through its [`NetworkSession`].
+    /// Run segment `i` of the segment list as one pipelined chain.
     Segment(usize),
     /// Perform the residual add of the given node.
     Join(NodeId),
 }
 
-/// A compiled segment: its graph span plus the pipeline session executing it.
+/// A planned segment: its graph span plus the validated `(layer, mapping)`
+/// chain that executes it, in order.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentExec {
     pub(crate) segment: GraphSegment,
-    pub(crate) session: NetworkSession,
+    pub(crate) steps: Vec<(ConvLayer, LayerMapping)>,
 }
 
 /// A DAG executor over FEATHER's pipelined StaB. See the
@@ -132,8 +136,8 @@ impl GraphSession {
     /// width). The go-to constructor when no co-searched plan is available.
     ///
     /// # Errors
-    /// Returns an error if the graph is invalid or a segment cannot be
-    /// compiled into a pipeline session.
+    /// Returns an error if the graph is invalid or a segment does not form a
+    /// valid pipelined chain.
     pub fn auto(config: FeatherConfig, graph: &Graph) -> Result<Self, ArchError> {
         Self::build(config, graph, &|_, conv| {
             Ok((None, auto_layout(conv, &config)))
@@ -147,8 +151,8 @@ impl GraphSession {
     ///
     /// # Errors
     /// Returns an error if the graph is invalid, a scheduled dataflow cannot
-    /// be projected onto FEATHER's controller, or a segment cannot be
-    /// compiled.
+    /// be projected onto FEATHER's controller, or a segment does not form a
+    /// valid pipelined chain.
     pub fn from_schedules(
         config: FeatherConfig,
         graph: &Graph,
@@ -160,6 +164,84 @@ impl GraphSession {
             }
             _ => Ok((None, auto_layout(conv, &config))),
         })
+    }
+
+    /// A chain of layers with fully resolved mappings, as a graph of one
+    /// segment: the layers become the conv nodes of a [`Graph::linear`]
+    /// named `chain`, in order, and run back-to-back through the ping/pong
+    /// StaB under the given mappings. Node `i` (`NodeId(i)`) takes layer
+    /// `i`'s weights.
+    ///
+    /// # Errors
+    /// Returns an error if the chain is empty, a layer or mapping is invalid,
+    /// consecutive layers do not chain shape-wise
+    /// ([`ConvLayer::chains_into`]), or a layer's oAct layout is not the
+    /// producer-side view of the next layer's iAct layout (the RIR boundary
+    /// contract, [`Layout::as_producer_oact_layout`]).
+    pub fn chain(
+        config: FeatherConfig,
+        steps: Vec<(ConvLayer, LayerMapping)>,
+    ) -> Result<Self, ArchError> {
+        validate_chain(&config, &steps)?;
+        let layers: Vec<ConvLayer> = steps.iter().map(|(layer, _)| layer.clone()).collect();
+        let graph = Graph::linear("chain", &layers)?;
+        let segment = GraphSegment {
+            nodes: graph.nodes().iter().map(|node| node.id).collect(),
+            input: graph.input(),
+            output: graph.output(),
+        };
+        Ok(Self::new(
+            config,
+            graph,
+            vec![SegmentExec { segment, steps }],
+        ))
+    }
+
+    /// A chain under the paper's weight-stationary mapping, with the given
+    /// per-layer iAct layouts. Each layer's oAct layout is derived from the
+    /// *next* layer's iAct layout (the RIR boundary contract); the last
+    /// layer uses `last_oact_layout`.
+    ///
+    /// # Errors
+    /// Same as [`GraphSession::chain`], plus a shape error if the layout
+    /// slice length does not match the layer count and
+    /// [`ArchError::ParseLayout`] if a layout string does not parse.
+    pub fn weight_stationary_chain(
+        config: FeatherConfig,
+        layers: &[ConvLayer],
+        iact_layouts: &[&str],
+        last_oact_layout: &str,
+    ) -> Result<Self, ArchError> {
+        if layers.len() != iact_layouts.len() {
+            return Err(ArchError::ShapeMismatch(format!(
+                "{} layers but {} iAct layouts",
+                layers.len(),
+                iact_layouts.len()
+            )));
+        }
+        let parsed = iact_layouts
+            .iter()
+            .map(|s| s.parse())
+            .collect::<Result<Vec<Layout>, _>>()?;
+        let last_oact_layout: Layout = last_oact_layout.parse()?;
+        let steps = layers
+            .iter()
+            .zip(parsed.iter().enumerate())
+            .map(|(layer, (i, iact_layout))| {
+                let oact_layout = match parsed.get(i + 1) {
+                    Some(next) => next.as_producer_oact_layout(),
+                    None => last_oact_layout.clone(),
+                };
+                let mapping = LayerMapping::weight_stationary_layouts(
+                    layer,
+                    &config,
+                    iact_layout.clone(),
+                    oact_layout,
+                );
+                (layer.clone(), mapping)
+            })
+            .collect();
+        Self::chain(config, steps)
     }
 
     fn build(
@@ -189,21 +271,18 @@ impl GraphSession {
             }
         }
 
-        // One compiled-route memo for the whole graph: segments share the
-        // array width, so their reduce-reorder patterns overlap heavily.
-        let route_cache = std::sync::Arc::new(crate::core::RouteCache::new());
-        let mut compiled = Vec::with_capacity(segments.len());
-        for seg in &segments {
-            let mut steps = Vec::with_capacity(seg.nodes.len());
-            for (i, &id) in seg.nodes.iter().enumerate() {
+        let mut planned = Vec::with_capacity(segments.len());
+        for segment in segments {
+            let mut steps = Vec::with_capacity(segment.nodes.len());
+            for (i, &id) in segment.nodes.iter().enumerate() {
                 let node = graph.node(id);
                 let conv = node
                     .execution_conv()
                     .expect("segments hold conv-like nodes");
                 let (dataflow, iact_layout) = schedules[&id].clone();
-                let oact_layout = match seg.nodes.get(i + 1) {
+                let oact_layout = match segment.nodes.get(i + 1) {
                     Some(next) => schedules[next].1.as_producer_oact_layout(),
-                    None => boundary_oact_layout(graph, seg.output, &schedules, &conv, &config),
+                    None => boundary_oact_layout(graph, segment.output, &schedules, &conv, &config),
                 };
                 let mapping = match dataflow {
                     Some(df) => {
@@ -218,69 +297,44 @@ impl GraphSession {
                 };
                 steps.push((conv, mapping));
             }
-            let mut session = NetworkSession::from_mappings(config, steps)?;
-            session.share_route_cache(route_cache.clone());
-            compiled.push(SegmentExec {
-                segment: seg.clone(),
-                session,
-            });
+            validate_chain(&config, &steps)?;
+            planned.push(SegmentExec { segment, steps });
         }
+        Ok(Self::new(config, graph.clone(), planned))
+    }
 
-        // The execution plan: walk nodes topologically, entering a segment at
-        // its head (its whole chain runs back-to-back) and a join at its add.
-        let mut plan = Vec::new();
-        let head_of: BTreeMap<NodeId, usize> = compiled
+    /// A session over planned `segments` of `graph` with the default
+    /// quantization. The execution plan walks nodes topologically, entering
+    /// a segment at its head (its whole chain runs back-to-back) and a join
+    /// at its add.
+    fn new(config: FeatherConfig, graph: Graph, segments: Vec<SegmentExec>) -> Self {
+        let head_of: BTreeMap<NodeId, usize> = segments
             .iter()
             .enumerate()
             .map(|(i, s)| (s.segment.nodes[0], i))
             .collect();
-        for node in graph.nodes() {
-            if node.op.is_add() {
-                plan.push(Step::Join(node.id));
-            } else if let Some(&si) = head_of.get(&node.id) {
-                plan.push(Step::Segment(si));
-            }
-        }
-
-        Ok(GraphSession {
+        let plan = graph
+            .nodes()
+            .iter()
+            .filter_map(|node| {
+                if node.op.is_add() {
+                    Some(Step::Join(node.id))
+                } else {
+                    head_of.get(&node.id).map(|&si| Step::Segment(si))
+                }
+            })
+            .collect();
+        GraphSession {
             config,
             batch: graph.tensor_shape(graph.input())[0],
-            graph: graph.clone(),
-            segments: compiled,
+            graph,
+            segments,
             plan,
             quant_shift: DEFAULT_QUANT_SHIFT,
             quant_zero: 0,
             energy_model: EnergyModel::tsmc28(),
             program: OnceLock::new(),
-        })
-    }
-
-    /// A linear chain as a graph of one segment: its layers become conv
-    /// nodes, `chain` — mappings, quantization and route cache unchanged —
-    /// the segment's session, and the plan runs that segment.
-    pub(crate) fn from_chain(chain: NetworkSession) -> Result<Self, ArchError> {
-        let layers: Vec<ConvLayer> = chain.steps().iter().map(|(l, _)| l.clone()).collect();
-        let graph = Graph::linear("chain", &layers)?;
-        let segment = GraphSegment {
-            nodes: graph.nodes().iter().map(|node| node.id).collect(),
-            input: graph.input(),
-            output: graph.output(),
-        };
-        let (quant_shift, quant_zero) = chain.quantization();
-        Ok(GraphSession {
-            config: chain.config(),
-            batch: layers[0].n,
-            graph,
-            segments: vec![SegmentExec {
-                segment,
-                session: chain,
-            }],
-            plan: vec![Step::Segment(0)],
-            quant_shift,
-            quant_zero,
-            energy_model: EnergyModel::tsmc28(),
-            program: OnceLock::new(),
-        })
+        }
     }
 
     /// Overrides the boundary quantization parameters (builder style).
@@ -288,9 +342,6 @@ impl GraphSession {
         self.quant_shift = shift;
         self.quant_zero = zero_point;
         self.program = OnceLock::new();
-        for seg in &mut self.segments {
-            seg.session = seg.session.clone().with_quantization(shift, zero_point);
-        }
         self
     }
 
@@ -300,17 +351,14 @@ impl GraphSession {
     }
 
     /// Returns a copy of the session that executes `n` samples per run: every
-    /// segment layer's batch extent becomes `n`
-    /// ([`NetworkSession::with_batch`]), shortcut scratch parking and the
-    /// residual joins follow the batched shapes, and each tile's staged
-    /// weights serve all `n` samples. The copy shares this session's
-    /// compiled-route cache, and its output is bit-identical to `n` solo
+    /// segment layer's batch extent becomes `n`, shortcut scratch parking and
+    /// the residual joins follow the batched shapes, and each tile's staged
+    /// weights serve all `n` samples. Its output is bit-identical to `n` solo
     /// runs of the per-sample session (sample `i` of the batch equals the
     /// solo run of sample `i`).
     ///
     /// # Errors
-    /// Returns an error if `n` is zero; segment re-validation errors do not
-    /// occur in practice (batching preserves chainability).
+    /// Returns an error if `n` is zero.
     pub fn with_batch(&self, n: usize) -> Result<Self, ArchError> {
         if n == 0 {
             return Err(ArchError::InvalidWorkload(
@@ -321,7 +369,9 @@ impl GraphSession {
         session.batch = n;
         session.program = OnceLock::new();
         for seg in &mut session.segments {
-            seg.session = seg.session.with_batch(n)?;
+            for (layer, _) in &mut seg.steps {
+                layer.n = n;
+            }
         }
         Ok(session)
     }
@@ -329,14 +379,6 @@ impl GraphSession {
     /// Samples per [`GraphSession::run`] call.
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// Counters of the compiled-route cache shared by every segment of this
-    /// session (and by batched copies made with [`GraphSession::with_batch`]).
-    /// Only lowering the plan reaches the cache — a session's replays leave
-    /// these counters where its one compile put them.
-    pub fn route_cache_stats(&self) -> crate::core::RouteCacheStats {
-        self.segments[0].session.route_cache_stats()
     }
 
     /// The hardware configuration.
@@ -507,6 +549,7 @@ pub fn run_graph_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     /// conv → (identity ‖ proj conv) → add → conv, plus a second identity
     /// join — two joins, one fan-out of each flavor.
@@ -726,16 +769,44 @@ mod tests {
             assert_sample_matches(&run.oacts, i, &golden, "batched after a run");
         }
 
-        // All of the above share one route cache; only compiling reaches it.
-        let before = session.route_cache_stats();
+        // A clone of the run session holds the very program it compiled.
         let clone = session.clone();
         let run = clone.run(&iacts, &weights).unwrap();
         assert_eq!((run.oacts, run.report), (base.oacts, base.report));
-        assert_eq!(
-            clone.compile().unwrap().fingerprint(),
-            session.fingerprint()
-        );
-        assert_eq!(session.route_cache_stats(), before);
+        let (compiled, cloned) = (session.compile().unwrap(), clone.compile().unwrap());
+        assert!(compiled.shares_tables_with(&cloned));
+    }
+
+    /// Threads racing a fresh session's first compile all get the one
+    /// program a single compile produced, and every run they make replays it
+    /// to the solo session's outputs.
+    #[test]
+    fn racing_first_runs_share_one_compile() {
+        const THREADS: usize = 4;
+        let (solo, _, iacts, weights) = session_and_operands();
+        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let (session, ..) = session_and_operands();
+        let start = Barrier::new(THREADS);
+        let programs: Vec<Program> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let program = session.compile().unwrap();
+                        for _ in 0..3 {
+                            let run = session.run(&iacts, &weights).unwrap();
+                            assert_eq!(run.oacts, golden, "cold-race run diverged");
+                        }
+                        program
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for program in &programs {
+            assert!(program.shares_tables_with(&programs[0]));
+        }
+        assert_eq!(programs[0].fingerprint(), session.fingerprint());
     }
 
     /// A 128-column fabric builds, but BIRRD routing stops at 64 ports: its
@@ -753,12 +824,12 @@ mod tests {
         }
     }
 
-    /// A compile looks each distinct `(c_cols, request)` up in the shared
-    /// route cache once, however many layers issue it: a chain of six
-    /// identical 1×1 convs reaches the cache as often as a chain of two.
+    /// A compile routes each distinct `(c_cols, request)` once, however many
+    /// layers issue it: a chain of six identical 1×1 convs has as many
+    /// distinct routes as a chain of two.
     #[test]
     fn identical_layers_look_their_routes_up_once_per_compile() {
-        let traffic = |k: usize| {
+        let routes = |k: usize| {
             let mut g = Graph::new("chain", [1, 8, 4, 4]);
             let mut t = g.input();
             for i in 0..k {
@@ -766,14 +837,10 @@ mod tests {
                 t = g.conv(t, layer).unwrap();
             }
             let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-            session.compile().unwrap();
-            session.route_cache_stats()
+            session.compile().unwrap().distinct_routes()
         };
-        let (two, six) = (traffic(2), traffic(6));
-        assert!(two.misses > 0);
-        for stats in [two, six] {
-            assert_eq!(stats.hits + stats.misses, stats.entries as u64, "{stats:?}");
-        }
+        let (two, six) = (routes(2), routes(6));
+        assert!(two > 0);
         assert_eq!(six, two);
     }
 

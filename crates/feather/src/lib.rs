@@ -18,18 +18,20 @@
 //! and lowers it into a flat [`Program`], whose cost is known exactly without
 //! running it, and every run replays that program as pure data movement.
 //!
-//! Single layers run through [`Feather::execute_conv`] /
-//! [`Feather::execute_gemm`]; whole layer chains pipeline back-to-back
-//! through the ping/pong StaB via [`session::NetworkSession`], which is where
-//! RIR pays off: intermediate activations are reduced directly into the next
-//! layer's layout and never leave the chip. Full model *graphs* — residual
-//! branches and joins included — go through [`graph_session::GraphSession`],
-//! which plans the tensor DAG as pipelined segments (shortcut tensors parked
-//! in an on-chip scratch region, quantized residual adds at the joins). A
-//! layer is a chain of one and a chain is a graph of one segment, so all
-//! three compile and replay through the same [`GraphSession`]. The accounted
-//! loop that moves values through a simulated NEST array and BIRRD bus while
-//! counting is the tests' oracle, not shipped code.
+//! Full model *graphs* — residual branches and joins included — go through
+//! [`graph_session::GraphSession`], which plans the tensor DAG as pipelined
+//! segments (shortcut tensors parked in an on-chip scratch region, quantized
+//! residual adds at the joins). Inside a segment, layers pipeline
+//! back-to-back through the ping/pong StaB ([`session`]), which is where RIR
+//! pays off: intermediate activations are reduced directly into the next
+//! layer's layout and never leave the chip. A chain is a graph of one segment
+//! ([`GraphSession::chain`], [`GraphSession::weight_stationary_chain`]) and a
+//! single layer ([`Feather::execute_conv`] / [`Feather::execute_gemm`]) is a
+//! chain of one, so everything compiles and replays through the same
+//! [`GraphSession`]; each compile routes every distinct BIRRD configuration
+//! of its program once. The accounted loop that moves values through a
+//! simulated NEST array and BIRRD bus while counting is the tests' oracle,
+//! not shipped code.
 
 //! # Example
 //!
@@ -66,7 +68,6 @@ pub mod program;
 pub mod report;
 pub mod session;
 
-pub use crate::core::RouteCacheStats;
 pub use accelerator::Feather;
 pub use config::FeatherConfig;
 pub use graph_session::GraphSession;
@@ -74,7 +75,6 @@ pub use mapping::LayerMapping;
 pub use profile::{OpFamily, ProfileRow, ReplayProfile};
 pub use program::{Program, ProgramSession, ReplayScratch};
 pub use report::{
-    GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, NetworkReport, NetworkRun,
-    RunReport, SegmentSummary,
+    GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, NetworkReport, RunReport,
+    SegmentSummary,
 };
-pub use session::NetworkSession;

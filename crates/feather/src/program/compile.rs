@@ -178,15 +178,12 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
     let mut recorder = RouteRecorder::default();
-    // One memo for the whole program: the fabric width is fixed and every
-    // segment shares the session's route cache, so each distinct route is
-    // requested, hashed and looked up once, by the first layer that issues
-    // it.
+    // One memo for the whole program: the fabric width is fixed, so each
+    // distinct route is requested, routed and lowered once, by the first
+    // layer that issues it.
     let mut memo = RouteMemo::default();
     for exec in &session.segments {
-        let seg = &exec.segment;
-        let steps = exec.session.steps();
-        let route_cache = exec.session.route_cache();
+        let (seg, steps) = (&exec.segment, &exec.steps);
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(steps.len());
         let mut names: Vec<String> = Vec::with_capacity(steps.len());
 
@@ -216,7 +213,6 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                     &exec,
                     &mut iact_view,
                     &mut oact_view,
-                    route_cache,
                     &mut memo,
                     &mut recorder,
                     i == 0,
@@ -395,7 +391,7 @@ pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
         );
     }
     for (si, exec) in session.segments.iter().enumerate() {
-        for (li, (layer, mapping)) in exec.session.steps().iter().enumerate() {
+        for (li, (layer, mapping)) in exec.steps.iter().enumerate() {
             let _ = writeln!(
                 text,
                 "layer|{si}|{li}|{},{},{},{},{},{},{},{},{},{}|{},{},{}|{}|{}",

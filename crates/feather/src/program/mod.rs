@@ -6,7 +6,7 @@
 //! at run time: every layer's dataflow, layout and BIRRD configurations are
 //! fixed offline and the controller only plays them back. A graph runs here
 //! the same way. Walking the DAG — consumer counts, scratch keys, per-layer
-//! context builds, hashed route-cache lookups — and the whole
+//! context builds, BIRRD routing — and the whole
 //! cycle/conflict/traffic accounting depend on the plan, never on the data,
 //! so all of it happens once, in a compile, and [`GraphSession::run`] is a
 //! replay of the result:
@@ -40,7 +40,10 @@
 //! — the only accounted pass a program ever gets — and replay consumes the
 //! recorded stream cursor-style from per-block offsets. Every public entry
 //! point runs this way: a single layer ([`crate::Feather::execute_conv`]) and
-//! a chain ([`crate::NetworkSession::run`]) compile as one-segment graphs.
+//! a chain ([`GraphSession::chain`]) are one-segment graphs. Each distinct
+//! route of a program is routed and lowered once, by the compile's route
+//! memo, into the program's route table ([`Program::distinct_routes`]);
+//! nothing outlives the compile but that table.
 //!
 //! The module is split along those seams: this file holds the data model,
 //! the [`Program`] handle and its listing; `compile` the one lowering of a
@@ -242,6 +245,12 @@ impl Program {
         self.tables.ops.len()
     }
 
+    /// Number of distinct BIRRD routes — slots of the program's route table
+    /// — that its compile routed and lowered, each once.
+    pub fn distinct_routes(&self) -> usize {
+        self.tables.routes.requests().len()
+    }
+
     /// Total recorded route-stream entries (BIRRD passes) across all layers.
     pub fn route_fires(&self) -> usize {
         self.tables
@@ -435,10 +444,19 @@ fn join_ints<T: ToString>(values: &[T]) -> String {
 }
 
 #[cfg(test)]
+impl Program {
+    /// Whether `other` is a handle to this very program (not merely an equal
+    /// one): one compile's tables.
+    pub(crate) fn shares_tables_with(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::core::accounted::run_layer;
-    use crate::core::{LayerExec, RouteCache, RouteRecorder};
+    use crate::core::{LayerExec, RouteMemo, RouteRecorder};
     use crate::graph_session::{run_graph_reference, GraphSession, Step};
     use crate::profile::OpFamily;
     use crate::report::GraphRun;
@@ -642,7 +660,7 @@ mod tests {
                 };
                 let compiled = session.segments.iter().zip(&program.tables.segments);
                 for (si, (exec, segment)) in compiled.enumerate() {
-                    let steps = exec.session.steps();
+                    let steps = &exec.steps;
                     prop_assert_eq!(steps.len(), segment.layers.len());
                     for (i, ((layer, mapping), compiled)) in steps.iter().zip(&segment.layers).enumerate() {
                         let iacts = operand([layer.n, layer.c, layer.h, layer.w], seed);
@@ -653,9 +671,9 @@ mod tests {
                             }
                         };
                         let ctx = LayerExec::new(&session.config(), layer, mapping).unwrap();
-                        let (cache, mut recorder) = (RouteCache::new(), RouteRecorder::default());
+                        let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
                         let (_, core, iact, oact) =
-                            run_layer(&ctx, &iacts, &weights, &cache, &mut recorder, i == 0).unwrap();
+                            run_layer(&ctx, &iacts, &weights, &mut memo, &mut recorder, i == 0).unwrap();
                         prop_assert_eq!(LayerCost { core, iact, oact }, compiled.cost, "{}", layer.name);
                     }
                     let at = drained.iter().position(|&d| d == si).unwrap();

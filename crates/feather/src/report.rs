@@ -1,5 +1,6 @@
-//! Results of running a layer — or a whole layer pipeline — on the
-//! functional simulator.
+//! Results of running a layer, a pipelined chain or a whole graph on the
+//! functional simulator: per-layer [`RunReport`]s, one pipelined segment's
+//! [`NetworkReport`], and the [`GraphReport`] every run returns.
 
 use feather_arch::energy::EnergyBreakdown;
 use feather_arch::tensor::Tensor4;
@@ -88,8 +89,8 @@ pub struct LayerSummary {
     pub standalone_activation_dram_bytes: u64,
 }
 
-/// Aggregate accounting for a multi-layer pipelined execution
-/// ([`NetworkSession`](crate::session::NetworkSession)).
+/// Aggregate accounting for one pipelined chain of layers — a segment of a
+/// [`GraphReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkReport {
     /// Per-layer entries, in execution order.
@@ -160,16 +161,6 @@ impl NetworkReport {
         let denom = self.total_cycles().max(1) as f64 * num_pes.max(1) as f64;
         (self.total_macs() as f64 / denom).min(1.0)
     }
-}
-
-/// The final output tensor plus the aggregate report of a pipelined run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkRun {
-    /// The last layer's output activations (INT32 accumulators,
-    /// pre-quantization), in `(N, M, P, Q)` order.
-    pub oacts: Tensor4<i32>,
-    /// Aggregate per-layer + network accounting.
-    pub report: NetworkReport,
 }
 
 /// One linear segment's entry in a [`GraphReport`]: the pipelined

@@ -3,10 +3,10 @@
 //! allocates is a property of the layers and the program's distinct routes,
 //! not of how many row fires they make. This test compiles the residual test
 //! graph at 6×6 and at 12×12 inputs (4× the BIRRD passes) under a counting
-//! allocator and bounds the difference. Before a memo fronted the route
-//! cache every pass refilled a `BTreeMap` (one node freed, one allocated),
-//! and the larger input cost thousands of allocations more. Replay, the one
-//! executor, is bounded by `replay_allocations`.
+//! allocator and bounds the difference. Without the memo every pass would
+//! refill a `BTreeMap` (one node freed, one allocated), and the larger input
+//! would cost thousands of allocations more. Replay, the one executor, is
+//! bounded by `replay_allocations`.
 //!
 //! The bound is a release-build property: with `debug_assertions` every memo
 //! hit rebuilds its request to check the entry it found, which is that same

@@ -242,8 +242,10 @@ pub struct NetworkPlan {
 }
 
 impl NetworkPlan {
-    /// The `(dataflow, iAct layout)` schedule in the shape
-    /// `feather::NetworkSession::from_schedule` consumes.
+    /// The `(dataflow, iAct layout)` schedule, one entry per layer in order:
+    /// entry `i` keyed by `NodeId(i)` is the schedule map
+    /// `feather::GraphSession::from_schedules` consumes for a
+    /// `Graph::linear` of the same layers.
     pub fn schedule(&self) -> Vec<(Dataflow, Layout)> {
         self.per_layer
             .iter()

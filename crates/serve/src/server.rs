@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use feather::{FeatherConfig, GraphSession, ProgramSession, ReplayScratch, RouteCacheStats};
+use feather::{FeatherConfig, GraphSession, ProgramSession, ReplayScratch};
 use feather_arch::graph::{Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 
@@ -159,11 +159,8 @@ pub struct Response {
 struct Model {
     weights: BTreeMap<NodeId, Tensor4<i8>>,
     input_shape: [usize; 4],
-    /// The planned batch-1 session from registration: the owner of the
-    /// compiled-route cache its one compile filled.
-    base: GraphSession,
-    /// The program `base` compiled at registration, which every batch
-    /// replays.
+    /// The program the planned batch-1 session compiled at registration,
+    /// which every batch replays.
     program: ProgramSession,
     /// Trips after [`ServeConfig::breaker_threshold`] consecutive failed
     /// batch executions; open, this model's submits fast-fail.
@@ -360,12 +357,10 @@ impl Server {
                 input_shape[0]
             )));
         }
-        let base = GraphSession::auto(accelerator, graph)?;
-        let program = ProgramSession::new(base.compile()?);
+        let program = ProgramSession::new(GraphSession::auto(accelerator, graph)?.compile()?);
         let model = Arc::new(Model {
             weights,
             input_shape,
-            base,
             program,
             breaker: CircuitBreaker::new(
                 self.inner.cfg.breaker_threshold,
@@ -527,14 +522,6 @@ impl Server {
             .max_concurrent_batches
             .max(self.inner.max_executing.load(Ordering::Acquire));
         stats
-    }
-
-    /// Counters of a registered model's compiled-route cache, filled while
-    /// its program is compiled at registration; no batch moves them.
-    pub fn route_cache_stats(&self, model: &str) -> Option<RouteCacheStats> {
-        read_recover(&self.inner.models)
-            .get(model)
-            .map(|m| m.base.route_cache_stats())
     }
 
     /// Whether `model`'s circuit breaker is currently rejecting traffic.
@@ -1271,7 +1258,6 @@ mod tests {
         server
             .register_model("m", config(), &g, weights.clone())
             .unwrap();
-        let compiled = server.route_cache_stats("m").unwrap();
         // A burst of `size` submits lands inside the floor unless
         // this thread is descheduled mid-burst, so repeat each size until
         // the histogram shows a batch of exactly that many requests.
@@ -1293,9 +1279,6 @@ mod tests {
                 }
             }
         }
-        // Eight batch sizes, one program: compiled at registration, and no
-        // batch reaches the route cache again.
-        assert_eq!(server.route_cache_stats("m"), Some(compiled));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!    ResNet-50, chaining each layer's chosen layout into the next layer's
 //!    predecessor constraint and reporting how many searches the
 //!    per-(layer-shape, arch) cache absorbed.
-//! 2. **Execute** — a `feather::NetworkSession` compiles a (scaled-down)
+//! 2. **Execute** — a `feather::GraphSession` chain compiles a (scaled-down)
 //!    ResNet-50 bottleneck chain and replays it back-to-back through the
 //!    ping/pong StaB: layer `i`'s oActs are BIRRD-reduced straight into layer
 //!    `i+1`'s preferred layout in the shadow half (RIR), so the intermediate
@@ -15,7 +15,7 @@
 //! cargo run --release -p feather-suite --example resnet50_coswitching
 //! ```
 
-use feather::{FeatherConfig, NetworkSession};
+use feather::{FeatherConfig, GraphSession};
 use feather_arch::models::resnet50;
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
@@ -112,7 +112,7 @@ fn main() {
         .map(|l| format!("HWC_C{}", l.c.min(16)))
         .collect();
     let layout_refs: Vec<&str> = iact_layouts.iter().map(String::as_str).collect();
-    let session = NetworkSession::weight_stationary(cfg, &scaled, &layout_refs, "MPQ_Q16")
+    let session = GraphSession::weight_stationary_chain(cfg, &scaled, &layout_refs, "MPQ_Q16")
         .expect("bottleneck chain maps onto FEATHER");
 
     let iacts = Tensor4::random([1, scaled[0].c, scaled[0].h, scaled[0].w], 42);
@@ -121,14 +121,17 @@ fn main() {
         .enumerate()
         .map(|(i, l)| Tensor4::random([l.m, l.c, l.r, l.s], 43 + i as u64))
         .collect();
-    let run = session.run(&iacts, &weights).expect("pipeline executes");
+    let nodes = session.graph().nodes().iter().map(|node| node.id);
+    let run = session
+        .run(&iacts, &nodes.zip(weights).collect())
+        .expect("pipeline executes");
 
     println!("\npipelined bottleneck chain ({} layers):", scaled.len());
     println!(
         "{:<34} {:>10} {:>8} {:>12} {:>12}",
         "layer", "cycles", "stalls", "MACs", "DRAM bytes"
     );
-    for l in &run.report.layers {
+    for l in run.report.layers() {
         println!(
             "{:<34} {:>10} {:>8} {:>12} {:>12}",
             l.name,
@@ -141,7 +144,7 @@ fn main() {
     let report = &run.report;
     println!(
         "\nStaB swaps: {} (one per layer; the last swap publishes the outputs)",
-        report.stab_swaps
+        report.stab_swaps()
     );
     println!(
         "activation DRAM traffic: pipelined {} B vs layer-at-a-time {} B ({:.0}% saved)",

@@ -146,12 +146,11 @@ fn main() {
         );
     }
 
-    let cache = server
-        .route_cache_stats("resnet50")
-        .expect("model is registered");
+    let program = solo.compile().expect("solo session compiles");
     println!(
-        "\nshared route cache: {} entries, {} hits / {} misses",
-        cache.entries, cache.hits, cache.misses,
+        "\nprogram: {} distinct BIRRD routes, {} route fires per replay",
+        program.distinct_routes(),
+        program.route_fires(),
     );
 
     println!("\nall {total} responses verified bit-identical to solo batch-1 runs");

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use feather::graph_session::run_graph_reference;
-use feather::{FeatherConfig, GraphReport, GraphSession, ProgramSession, RouteCacheStats};
+use feather::{FeatherConfig, GraphReport, GraphSession, ProgramSession};
 use feather_arch::graph::{resnet50_graph_scaled, Graph, NodeId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvLayer;
@@ -492,43 +492,27 @@ fn model_b_cost_is_pinned_without_running_a_mac() {
     assert!((energy_nj - 53_169.062_4).abs() < 1e-4, "{energy_nj} nJ");
 }
 
-/// Shared-route-cache traffic of a session's first run followed by a
-/// `compile()`, and the BIRRD passes the program replays: `(stats after the
-/// run, stats after the compile, route fires)`.
-fn route_traffic(session: GraphSession, g: &Graph) -> (RouteCacheStats, RouteCacheStats, usize) {
+/// The program a session's first run compiled, as the `compile()` after it
+/// hands it out: `(distinct routes, BIRRD passes it replays)`.
+fn route_traffic(session: GraphSession, g: &Graph) -> (usize, usize) {
     let iacts = Tensor4::random(g.tensor_shape(g.input()), 1);
     session.run(&iacts, &g.random_weights(2)).unwrap();
-    let after_run = session.route_cache_stats();
     let program = session.compile().unwrap();
-    (
-        after_run,
-        session.route_cache_stats(),
-        program.route_fires(),
-    )
+    (program.distinct_routes(), program.route_fires())
 }
 
-/// How often a session reaches its shared route cache is a property of the
-/// models, not of the host or of how often they run: the first `run`
-/// compiles the graph in one counting pass whose program route memo absorbs
-/// every pass after a route's first, so each distinct `(c_cols, request)` is
-/// looked up once per compile — `hits + misses` is the distinct routes of
-/// the whole model, all of them misses on a fresh session — and the
-/// `compile()` after it hands out the program the run made and adds no
-/// look-up. A memo that hid a look-up or let one through twice, or a second
-/// pass over the graph, moves these.
+/// How many routes a model compiles is a property of the model, not of the
+/// host or of how often it runs: the first `run` compiles the graph in one
+/// counting pass whose program route memo routes each distinct
+/// `(c_cols, request)` once, into one slot of the program's route table, and
+/// the `compile()` after it hands out the program the run made. A memo that
+/// routed a pattern twice or merged two, or a second pass over the graph,
+/// moves these.
 #[test]
 fn models_a_and_b_route_cache_traffic_is_pinned() {
     let a = resnet50_graph_scaled(16, 16);
     let session = GraphSession::auto(FeatherConfig::new(8, 16), &a).unwrap();
-    let stats = |hits, misses| RouteCacheStats {
-        hits,
-        misses,
-        entries: misses as usize,
-    };
-    assert_eq!(
-        route_traffic(session, &a),
-        (stats(0, 160), stats(0, 160), 6_548)
-    );
+    assert_eq!(route_traffic(session, &a), (160, 6_548));
 
     let b = resnet50_graph_scaled(8, 8);
     let plan = plan_graph(
@@ -541,10 +525,7 @@ fn models_a_and_b_route_cache_traffic_is_pinned() {
     .unwrap();
     let session =
         GraphSession::from_schedules(FeatherConfig::new(16, 16), &b, &plan.schedules()).unwrap();
-    assert_eq!(
-        route_traffic(session, &b),
-        (stats(0, 112), stats(0, 112), 52_312)
-    );
+    assert_eq!(route_traffic(session, &b), (112, 52_312));
 }
 
 /// The weekly full-size check (`FEATHER_FULL=1`): at ÷2 — 4096× Model A's

@@ -1,7 +1,7 @@
 //! Concurrency stress for the serving front-end: many client threads drive
-//! one `Server` hosting several small models at once, so the shared
-//! compiled-route cache, the per-model programs, the per-tenant
-//! admission queues, and the executor pool all see real contention. Every
+//! one `Server` hosting several small models at once, so the per-model
+//! programs, the per-tenant admission queues, and the executor pool all see
+//! real contention. Every
 //! response must be bit-identical to a solo (batch-1) run of the same input
 //! — the scheduler is free to coalesce requests however the timing falls
 //! and to spread batches across however many workers are configured, and
@@ -221,18 +221,6 @@ fn mixed_model_traffic(workers: usize) {
     for (tenant, t) in &stats.tenants {
         assert_eq!((t.completed, t.cycles, t.dram_bytes), charged[tenant]);
         assert!(t.mean_latency_us() > 0.0);
-    }
-
-    // The shared route caches were hit from many threads; counters must be
-    // coherent.
-    for f in fixtures.iter() {
-        let cache = server.route_cache_stats(f.name).unwrap();
-        assert!(
-            cache.misses > 0,
-            "{}: the first lookups populate the cache",
-            f.name
-        );
-        assert!(cache.entries as u64 <= cache.misses);
     }
 }
 
