@@ -1,5 +1,6 @@
 //! Static configuration of a FEATHER instance.
 
+use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
 /// Hardware parameters of one FEATHER instance (Fig. 7 / Fig. 8).
@@ -8,7 +9,7 @@ pub struct FeatherConfig {
     /// Number of PE rows (`AH`).
     pub rows: usize,
     /// Number of PE columns (`AW`) — also the BIRRD width and the number of
-    /// StaB banks. Must be a power of two.
+    /// StaB banks. Must be a power of two ([`FeatherConfig::validate`]).
     pub cols: usize,
     /// Depth (lines per bank) of each StaB half.
     pub stab_lines: usize,
@@ -24,17 +25,37 @@ impl FeatherConfig {
     /// Panics if `cols` is not a power of two (BIRRD requirement) or either
     /// dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be non-zero");
-        assert!(
-            cols.is_power_of_two(),
-            "AW (columns / BIRRD width) must be a power of two, got {cols}"
-        );
-        FeatherConfig {
+        let config = FeatherConfig {
             rows,
             cols,
             stab_lines: 65_536,
             strb_lines: 16_384,
+        };
+        if let Err(e) = config.validate() {
+            panic!("{e}");
         }
+        config
+    }
+
+    /// Checks the array shape: both dimensions non-zero and a power-of-two
+    /// width (BIRRD requirement). Sessions check it before planning, since
+    /// the fields are public.
+    ///
+    /// # Errors
+    /// [`ArchError::InvalidDataflow`] naming the violated constraint.
+    pub fn validate(&self) -> Result<(), ArchError> {
+        let (rows, cols) = (self.rows, self.cols);
+        if rows == 0 || cols == 0 {
+            return Err(ArchError::InvalidDataflow(format!(
+                "array dimensions must be non-zero, got {rows}x{cols}"
+            )));
+        }
+        if !cols.is_power_of_two() {
+            return Err(ArchError::InvalidDataflow(format!(
+                "AW (columns / BIRRD width) must be a power of two, got {cols}"
+            )));
+        }
+        Ok(())
     }
 
     /// Overrides the StaB depth (builder style).
@@ -68,6 +89,31 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_cols_rejected() {
         FeatherConfig::new(4, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_dimension_rejected() {
+        FeatherConfig::new(0, 4);
+    }
+
+    #[test]
+    fn validate_names_each_bad_shape() {
+        assert_eq!(FeatherConfig::new(4, 8).validate(), Ok(()));
+        let shaped = |rows, cols| FeatherConfig {
+            rows,
+            cols,
+            ..FeatherConfig::new(1, 1)
+        };
+        for (rows, cols, what) in [
+            (0, 8, "non-zero"),
+            (4, 0, "non-zero"),
+            (4, 12, "power of two"),
+        ] {
+            let err = shaped(rows, cols).validate().unwrap_err();
+            assert!(matches!(err, ArchError::InvalidDataflow(_)), "{err}");
+            assert!(err.to_string().contains(what), "{rows}x{cols}: {err}");
+        }
     }
 
     #[test]

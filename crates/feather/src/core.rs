@@ -18,15 +18,18 @@
 //!   coordinate tables instead of per-element coordinate maps.
 //! * **Replay as pure data movement** — none of the accounting depends on
 //!   data, so a compiled program records it once and [`replay_fire`] moves
-//!   values only: plain cells, local accumulators and the folded column
-//!   runs of a program-wide [`RouteTable`]. Nothing about addressing is
-//!   decided while it runs either: a [`ReplayLayer`] holds, lowered at
-//!   compile time, the valid kernel taps of every output row and column as
-//!   ranges (no padding test inside a tile), the loop order whose innermost
-//!   run is contiguous for the layer's shape, and — in the table — every
-//!   reduction group as the `(start, len)` run of bus columns it drains.
-//!   Weights stay stationary in the layer's filter tensor and are addressed
-//!   in place.
+//!   values only: plain cells and one accumulator per mapped row and live
+//!   `q_lane`, which each row fire adds straight into its lane's output
+//!   cell. That fusion of NEST's two phases is what every BIRRD pass of the
+//!   program delivers — [`RouteTable::push`] refuses, at compile time, a
+//!   folded group that is not its lane's own live ports — so replay reads
+//!   no pass. Nothing about addressing is decided while it runs either: a
+//!   [`ReplayLayer`] holds, lowered at compile time, the valid kernel taps
+//!   of every output row and column as ranges (no padding test inside a
+//!   tile) and the loop order whose innermost run is contiguous for the
+//!   layer's shape. Weights stay stationary in the layer's filter tensor
+//!   and are addressed in place. The loop is built for one lane and for
+//!   [`LANES`] samples in lockstep, nothing between.
 //!
 //! Replay is the only executor that ships. The accounted loop — real values
 //! through a simulated NEST array and BIRRD bus, every access counted, one
@@ -113,8 +116,8 @@ fn route_and_compile(
 
 /// One reduction group of a folded BIRRD pass: the `q_lane` whose output
 /// cell it accumulates into and the run of bus columns `start..start + len`
-/// that sums into it. A controller-issued group is the live prefix of its
-/// lane (`fill_request`), so its folded columns are always one run.
+/// that sums into it — always the live prefix of that lane, as the
+/// controller issues a group (`fill_request`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FoldedGroup {
     q_lane: u32,
@@ -122,7 +125,7 @@ struct FoldedGroup {
     len: u32,
 }
 
-/// The program-wide table of BIRRD passes, constant-folded for replay.
+/// The program-wide table of BIRRD passes, constant-folded.
 ///
 /// A pass is identified by its reduce-reorder request plus the `c_cols` of
 /// the layer that issued it (which fixes how bus columns group into
@@ -131,7 +134,10 @@ struct FoldedGroup {
 /// reduction group, the run of bus columns the routed [`CompiledRoute`] sums
 /// into the group's destination bank, with input presence already applied —
 /// what is left of a BIRRD pass once its configuration is known ahead of
-/// time. The originating requests are kept for the program listing.
+/// time. Every run is its group's own live ports ([`RouteTable::push`]
+/// refuses any other), so a pass delivers each `q_lane`'s reduction to its
+/// own output cell and replay, which sums each lane's columns straight into
+/// that cell, never reads the table: it is what the program listing prints.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteTable {
     requests: Vec<(usize, ReductionRequest)>,
@@ -150,9 +156,11 @@ impl RouteTable {
     /// pass, returning its slot.
     ///
     /// # Errors
-    /// Fails on a request that does not fit the fabric, and on a group whose
-    /// folded columns are not one contiguous run — which the controller
-    /// never issues.
+    /// Fails on a request that does not fit the fabric, on a group whose
+    /// folded columns are not one contiguous run, and on a group whose run
+    /// is not exactly its own live ports within one lane — a route that
+    /// delivers some other group's columns to its bank. The controller
+    /// issues neither.
     fn push(
         &mut self,
         c_cols: usize,
@@ -169,11 +177,6 @@ impl RouteTable {
             self.pass_starts.push(0);
         }
         for (&gid, &bank) in &request.group_destinations {
-            let first = request
-                .input_groups
-                .iter()
-                .position(|g| *g == Some(gid))
-                .ok_or_else(|| malformed("reduction group without inputs"))?;
             // Absent ports put nothing on the wire, whatever the fabric would
             // forward from them. Sources come in ascending order.
             let mut sources = route
@@ -189,6 +192,16 @@ impl RouteTable {
                 }
                 len += 1;
             }
+            // Replay sums a lane's live columns into the lane's own cell, so
+            // the run must be exactly the group's ports, inside one lane.
+            let (first, last) = (start as usize, (start + len - 1) as usize);
+            let members = request.input_groups.iter().filter(|g| **g == Some(gid));
+            let own = request.input_groups[first..=last]
+                .iter()
+                .all(|g| *g == Some(gid));
+            if !own || members.count() != len as usize || first / c_cols != last / c_cols {
+                return Err(malformed("a group's folded run is not its own live ports"));
+            }
             self.groups.push(FoldedGroup {
                 q_lane: narrow(first / c_cols)?,
                 start,
@@ -200,88 +213,14 @@ impl RouteTable {
         Ok(slot)
     }
 
-    /// The reduction groups of pass `slot`.
-    #[inline]
-    fn pass(&self, slot: u32) -> &[FoldedGroup] {
-        let slot = slot as usize;
-        &self.groups[self.pass_starts[slot] as usize..self.pass_starts[slot + 1] as usize]
-    }
-
     /// Pass `slot` as `(q_lane, bus columns)` pairs, for listings.
     pub(crate) fn pass_groups(
         &self,
         slot: usize,
     ) -> impl Iterator<Item = (u32, std::ops::Range<u32>)> + '_ {
-        self.pass(slot as u32)
-            .iter()
-            .map(|g| (g.q_lane, g.start..g.start + g.len))
-    }
-}
-
-/// One layer's frozen pass consumption sequence: per BIRRD pass, in serial
-/// order, its slot in the program's [`RouteTable`], plus the stream offset at
-/// which each `(wt_m, wt_c, n)` work block begins.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LayerStream {
-    pub(crate) stream: Vec<u32>,
-    pub(crate) block_starts: Vec<u32>,
-}
-
-/// Records the exact sequence of BIRRD passes the serial record pass of a
-/// whole program consumes, for ahead-of-time compilation ([`crate::program`]).
-///
-/// Routes are a pure function of layer geometry (the mapped-lane pattern and
-/// the oAct layout's bank assignment), never of data, so one counting walk
-/// per layer captures the stream any future run will consume.
-/// One recorder serves every layer of a program: passes land in a single
-/// deduplicated [`RouteTable`] — filled by the program's [`RouteMemo`], one
-/// slot per distinct route — and each layer takes its own stream of slot
-/// indices with [`RouteRecorder::finish_layer`].
-#[derive(Debug, Default)]
-pub(crate) struct RouteRecorder {
-    table: RouteTable,
-    layer: LayerStream,
-}
-
-impl RouteRecorder {
-    /// Marks the start of work block `block` (one `(wt_m, wt_c, n)` triple).
-    /// The serial collect pass visits blocks in order, so the start offsets
-    /// land densely.
-    fn enter_block(&mut self, block: usize) -> Result<(), ArchError> {
-        debug_assert_eq!(
-            block,
-            self.layer.block_starts.len(),
-            "collect pass must visit blocks in order"
-        );
-        let start = u32::try_from(self.layer.stream.len()).map_err(|_| {
-            ArchError::InvalidWorkload("route stream exceeds u32 offsets".to_string())
-        })?;
-        self.layer.block_starts.push(start);
-        Ok(())
-    }
-
-    /// Records the `n` work blocks of `tile` as a repeat of those of the
-    /// earlier tile `src`, whose passes they consume pass for pass.
-    fn repeat_blocks(&mut self, src: usize, tile: usize, n: usize) -> Result<(), ArchError> {
-        for i in 0..n {
-            self.enter_block(tile * n + i)?;
-            // Block `i` of `src` ends where the next recorded block starts —
-            // at the latest, the block just entered.
-            let starts = &self.layer.block_starts;
-            let run = starts[src * n + i] as usize..starts[src * n + i + 1] as usize;
-            self.layer.stream.extend_from_within(run);
-        }
-        Ok(())
-    }
-
-    /// Takes the stream recorded since the previous call — one layer's.
-    pub(crate) fn finish_layer(&mut self) -> LayerStream {
-        std::mem::take(&mut self.layer)
-    }
-
-    /// The program-wide pass table.
-    pub(crate) fn into_table(self) -> RouteTable {
-        self.table
+        let groups =
+            &self.groups[self.pass_starts[slot] as usize..self.pass_starts[slot + 1] as usize];
+        groups.iter().map(|g| (g.q_lane, g.start..g.start + g.len))
     }
 }
 
@@ -299,10 +238,11 @@ struct MemoEntry {
 /// `mark_live_lanes` read nothing else). Over one program this signature and
 /// the `(c_cols, request)` pair determine each other, so a miss — the only
 /// way an entry is created — builds, routes and lowers each distinct route
-/// of the program exactly once and folds it into the recorder's table as a
-/// new slot, and every later layer that issues the route only selects it, as
-/// FEATHER's controller selects a configuration fixed ahead of time. A memo
-/// and its recorder start empty together and serve one program.
+/// of the program exactly once and folds it into the program's
+/// [`RouteTable`] as a new slot, and every later layer that issues the route
+/// only selects it, as FEATHER's controller selects a configuration fixed
+/// ahead of time. A memo starts empty and serves one program; its table is
+/// what the program keeps ([`RouteMemo::into_table`]).
 #[derive(Default)]
 pub(crate) struct RouteMemo {
     /// `[c_cols, c_live, q_lane, bank, q_lane, bank, …]` → index into
@@ -310,12 +250,12 @@ pub(crate) struct RouteMemo {
     index: WordMap<Vec<u32>, usize>,
     entries: Vec<MemoEntry>,
     key: Vec<u32>,
+    table: RouteTable,
 }
 
 impl RouteMemo {
     /// Resolves `batch`'s route under the channel tile whose lane mask is
-    /// `c_ok` (`c_live` live columns per lane), and pushes its slot onto
-    /// `recorder`'s layer stream.
+    /// `c_ok` (`c_live` live columns per lane).
     fn resolve(
         &mut self,
         ctx: &LayerExec,
@@ -323,13 +263,12 @@ impl RouteMemo {
         c_ok: &[bool],
         batch: &[FireGroup],
         request: &mut ReductionRequest,
-        recorder: &mut RouteRecorder,
     ) -> Result<&CompiledRoute, ArchError> {
         self.key.clear();
         self.key.extend([ctx.c_cols as u32, c_live as u32]);
         let pairs = batch.iter().flat_map(|g| [g.q_lane as u32, g.bank as u32]);
         self.key.extend(pairs);
-        let table = &mut recorder.table;
+        let table = &mut self.table;
         let at = match self.index.get(self.key.as_slice()) {
             Some(&at) => {
                 // Debug builds check the key ↔ request bijection both ways:
@@ -365,9 +304,20 @@ impl RouteMemo {
                 self.entries.len() - 1
             }
         };
-        let entry = &self.entries[at];
-        recorder.layer.stream.push(entry.slot);
-        Ok(&entry.route)
+        Ok(&self.entries[at].route)
+    }
+
+    /// The program-wide route table: one folded pass per distinct route.
+    pub(crate) fn into_table(self) -> RouteTable {
+        self.table
+    }
+}
+
+#[cfg(test)]
+impl RouteMemo {
+    /// The slot of the route the last [`RouteMemo::resolve`] selected.
+    fn selected_slot(&self) -> u32 {
+        self.entries[self.index[self.key.as_slice()]].slot
     }
 }
 
@@ -534,6 +484,11 @@ impl LayerExec {
 }
 
 impl Tiling {
+    /// The layer's `(wt_m, wt_c, n)` work blocks.
+    pub(crate) fn blocks(&self) -> usize {
+        self.m_tiles * self.c_tiles * self.layer.n
+    }
+
     /// Live reduction width of channel tile `wt_c`: the columns of a lane
     /// that hold an in-range input channel.
     fn c_live(&self, wt_c: usize) -> usize {
@@ -643,28 +598,26 @@ impl SpanAccum {
 /// The compiler's record pass over one layer: what the accounted loop counts
 /// and records, with no NEST array, weights, bus, route evaluation or cell
 /// value. Routes resolve through `memo`, which the compiler keeps for the
-/// whole program beside its `recorder`. None of it depends on data (paper
-/// §III), so the walk drives the same buffer and route accounting at the
-/// same addresses, each distinct block once, and returns the counters with
-/// both halves' access statistics (`iact` and `oact` are charged the walked
-/// part only):
+/// whole program. None of it depends on data (paper §III), so the walk
+/// drives the same buffer and route accounting at the same addresses, each
+/// distinct block once, and returns the counters with both halves' access
+/// statistics (`iact` and `oact` are charged the walked part only):
 ///
 /// * **iAct reads** do not depend on `wt_m` outside depthwise layers: one
 ///   tile row is walked, counted `m_tiles` times, each read feeding `M`
 ///   MACs. Depthwise rows read their own channels: all walked, one MAC each.
 /// * **Passes** depend only on `wt_m` and the live width `c_live`, which
 ///   only the last channel tile can narrow: a later tile as wide as the
-///   first of its `wt_m` (all memo hits) repeats that tile's stream and
-///   counts. Tiles go in the accounted order, so slots are first seen alike
-///   — and, since a memo hit never creates a slot, a memo that arrives
-///   holding earlier layers' routes records the same slots.
+///   first of its `wt_m` (all memo hits) repeats that tile's counts. Tiles
+///   go in the accounted order, so slots are first seen alike — and, since
+///   a memo hit never creates a slot, a memo that arrives holding earlier
+///   layers' routes records the same slots.
 /// * **Row fires** are `n · p_total · q_tiles · m_rows` per tile.
 pub(crate) fn count_conv_core(
     ctx: &LayerExec,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
     memo: &mut RouteMemo,
-    recorder: &mut RouteRecorder,
     expose_first_weight_load: bool,
 ) -> Result<(CoreRun, AccessStats, AccessStats), ArchError> {
     let layer = &ctx.layer;
@@ -719,23 +672,20 @@ pub(crate) fn count_conv_core(
     for wt_m in 0..ctx.m_tiles {
         let mut first = ([0; 3], AccessStats::new());
         for wt_c in 0..ctx.c_tiles {
-            let (tile, c_live) = (wt_m * ctx.c_tiles + wt_c, ctx.c_live(wt_c));
+            let c_live = ctx.c_live(wt_c);
             let walked = if wt_c > 0 && c_live == ctx.c_live(0) {
-                recorder.repeat_blocks(tile - wt_c, tile, layer.n)?;
                 first
             } else {
                 ctx.mark_live_lanes(wt_c, c_ok);
                 let (mut tile_counts, oact_base) = ([0; 3], *oact.stats());
                 for n in 0..layer.n {
-                    recorder.enter_block(tile * layer.n + n)?;
                     for p in 0..ctx.p_total {
                         for qt in 0..ctx.q_tiles {
                             for m in wt_m * ctx.m_rows..layer.m.min((wt_m + 1) * ctx.m_rows) {
                                 ctx.fire_groups([n, m, p, qt], groups);
                                 while !groups.is_empty() {
                                     next_batch(groups, batch, pending, bank_used);
-                                    let route =
-                                        memo.resolve(ctx, c_live, c_ok, batch, request, recorder)?;
+                                    let route = memo.resolve(ctx, c_live, c_ok, batch, request)?;
                                     oact.begin_cycle();
                                     for g in batch.iter() {
                                         oact.write_at(g.loc, 0);
@@ -775,9 +725,14 @@ pub(crate) fn count_conv_core(
 // Everything the accounted loop accounts for — cycles, fires, BIRRD passes
 // and adds, buffer statistics, conflict stalls — is independent of the data,
 // so the compiler's record pass (`count_conv_core`) counts it once and a
-// replayed `Fire` only moves values: plain StaB cells, local accumulators,
-// folded column runs.
+// replayed `Fire` only moves values: plain StaB cells, one accumulator per
+// mapped row and live `q_lane`, output cells.
 // ---------------------------------------------------------------------------
+
+/// Samples a batched replay moves in lockstep: eight `i16` operands fill
+/// one 128-bit SSE2 register, the x86-64 baseline. [`replay_fire`] is
+/// instantiated for one lane (the scalar replay) and for this many.
+pub(crate) const LANES: usize = 8;
 
 /// A layout precompiled over a fixed 4-dimension coordinate order down to
 /// flat *cell* indices (`line · line_size + offset`) of a plain StaB half:
@@ -889,15 +844,13 @@ fn tap_runs(
 }
 
 /// Everything a replayed `Fire` of one layer needs besides the data, lowered
-/// when the program is compiled: the tile-loop context, both
-/// halves' flat addressing, the valid kernel taps of every output row and
-/// column, and the recorded pass stream into the program's [`RouteTable`].
+/// when the program is compiled: the tile-loop context, both halves' flat
+/// addressing and the valid kernel taps of every output row and column.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayLayer {
     pub(crate) tiling: Tiling,
     pub(crate) iact: FlatPlan4,
     pub(crate) oact: FlatPlan4,
-    pub(crate) routes: LayerStream,
     /// `h_taps[p]`: the kernel rows of output row `p` that read real input —
     /// the `Some` entries of [`LayerExec`]'s `h_table[p · R..]`, as a range.
     h_taps: Vec<TapRun>,
@@ -906,14 +859,13 @@ pub(crate) struct ReplayLayer {
 }
 
 impl ReplayLayer {
-    /// Lowers a layer context and its recorded stream to what replay reads,
-    /// keeping the context's tiling only. `iact_cells` / `oact_cells` are the
-    /// capacities of the halves under the layer's buffer specs.
+    /// Lowers a layer context to what replay reads, keeping the context's
+    /// tiling only. `iact_cells` / `oact_cells` are the capacities of the
+    /// halves under the layer's buffer specs.
     pub(crate) fn new(
         exec: LayerExec,
         iact_cells: usize,
         oact_cells: usize,
-        routes: LayerStream,
     ) -> Result<Self, ArchError> {
         let l = &exec.layer;
         let iact = FlatPlan4::new(
@@ -933,62 +885,61 @@ impl ReplayLayer {
         Ok(ReplayLayer {
             iact,
             oact,
-            routes,
             h_taps,
             w_taps,
             tiling: exec.tiling,
         })
     }
 
-    /// Cells of the operand gather row [`replay_fire`] needs behind its
-    /// accumulators (per lane): one tap's bus operands, or one PE's kernel
-    /// window.
+    /// Cells of the operand gather row [`replay_fire`] needs (per lane): one
+    /// tap's bus operands, or one PE's kernel window.
     pub(crate) fn operand_cells(&self) -> usize {
         self.tiling.cols.max(self.tiling.rs)
     }
 }
 
-/// Replays one layer's `Fire` as pure data movement across `lanes` samples
-/// (`SCALAR` pins `lanes` to 1 at compile time — the scalar replay is the
-/// same source, specialised). Per `(p, qt)` pixel group of a weight tile:
+/// Replays one layer's `Fire` as pure data movement across `L` samples, one
+/// per lane of every cell: `L` is 1 (the scalar replay) or [`LANES`], and
+/// both are this one source, specialised. Per `(p, qt)` pixel group of a
+/// weight tile:
 ///
-/// * **Phase 1, local temporal reduction** — every mapped PE accumulates its
-///   kernel window against weights read in place, from operands gathered
-///   once per group out of the `iact` half (unaccounted reads, INT8 cells
-///   widened once) and shared by all mapped rows. Only the taps of the
-///   layer's [`TapRun`]s are visited, so padding costs nothing. The loop
-///   order is the layer's ([`reduce_bus_major`] or [`reduce_window_major`],
-///   whichever has the longer contiguous innermost run; [`reduce_depthwise`]
-///   for depthwise layers).
-/// * **Phase 2, row fires** — every recorded BIRRD pass of a row drains its
-///   folded column runs into the `oact` half in place.
+/// * **Phase 1, local temporal reduction** — every mapped PE row keeps one
+///   accumulator stripe per live `q_lane` and reduces that lane's channels
+///   and kernel taps into it, in wrapping `i32`, against weights read in
+///   place. Operands are gathered once per group out of the `iact` half
+///   (unaccounted reads, INT8 cells widened once to `i16`) and shared by all
+///   mapped rows, and every kernel sums a stripe in a register-local
+///   `[i32; L]`. Only the taps of the layer's [`TapRun`]s are visited, so
+///   padding costs nothing. The loop order is the layer's
+///   ([`reduce_bus_major`] or [`reduce_window_major`], whichever has the
+///   longer contiguous innermost run; [`reduce_depthwise`] for depthwise
+///   layers).
+/// * **Phase 2, row fires** — each accumulator drains into its output cell
+///   `out_n[n] + out_m[m] + out_p[p] + out_q[q]` in place and is zeroed.
+///   That is what the row's BIRRD passes deliver: every folded group of the
+///   program's route table sums exactly its `q_lane`'s live columns into
+///   that lane's own cell ([`RouteTable::push`] refuses anything else), and
+///   wrapping addition is associative and commutative, so summing the
+///   columns first changes no bit.
 ///
-/// `acc` is `rows · cols · lanes` zeroed accumulators, left zeroed, followed
-/// by [`ReplayLayer::operand_cells`]` · lanes` cells of operand gather row
-/// whose contents are never read before they are written. `oact` must be
-/// zeroed over the layer's cells by the caller.
-///
-/// `weights` must already have passed
-/// [`check_weight_shape`](crate::accelerator::check_weight_shape), and
-/// `table` must be the one the layer's stream was recorded into
-/// ([`RouteRecorder`]): only a record pass produces streams.
-pub(crate) fn replay_fire<const SCALAR: bool>(
+/// `acc` is `m_rows · q_cols · L` zeroed accumulators or more, left zeroed;
+/// `operands` is [`ReplayLayer::operand_cells`]` · L` gather cells whose
+/// contents are never read before they are written. `oact` must be zeroed
+/// over the layer's cells by the caller, and `weights` must already have
+/// passed [`check_weight_shape`](crate::accelerator::check_weight_shape).
+pub(crate) fn replay_fire<const L: usize>(
     layer: &ReplayLayer,
-    table: &RouteTable,
     weights: &[i8],
     iact: &[i32],
     oact: &mut [i32],
     acc: &mut [i32],
-    lanes: usize,
+    operands: &mut [i16],
 ) {
-    let lanes = if SCALAR { 1 } else { lanes };
     let ctx = &layer.tiling;
     let l = &ctx.layer;
-    let row_len = ctx.cols * lanes;
+    let row_len = ctx.q_cols * L;
     let [in_n, in_c, in_h, in_w] = &layer.iact.tables;
     let [out_n, out_m, out_p, out_q] = &layer.oact.tables;
-    let stream = &layer.routes.stream;
-    let (acc, operands) = acc.split_at_mut(ctx.rows * row_len);
     // Which way Phase 1 walks a tile: so that its innermost loop runs over
     // the longer of the two contiguous extents, a lane's channels (one
     // kernel tap at a time across the whole bus) or a PE's kernel window.
@@ -1007,8 +958,6 @@ pub(crate) fn replay_fire<const SCALAR: bool>(
                 &in_c[c_base..][..ctx.c_live(wt_c)]
             };
             for n in 0..l.n {
-                let block = (wt_m * ctx.c_tiles + wt_c) * l.n + n;
-                let mut pos = layer.routes.block_starts[block] as usize;
                 for (&out_row, rows) in out_p.iter().zip(&layer.h_taps) {
                     for qt in 0..ctx.q_tiles {
                         let q_base = qt * ctx.q_cols;
@@ -1025,50 +974,31 @@ pub(crate) fn replay_fire<const SCALAR: bool>(
                             m_base,
                             m_lanes,
                             c_base,
+                            row_len,
                         };
 
                         // ---- Phase 1: local temporal reduction ----
                         if ctx.depthwise {
-                            reduce_depthwise(ctx, &group, acc, lanes);
+                            reduce_depthwise::<L>(ctx, &group, acc);
                         } else if bus_major {
-                            reduce_bus_major(ctx, &group, acc, operands, lanes);
+                            reduce_bus_major::<L>(ctx, &group, acc, operands);
                         } else {
-                            reduce_window_major::<SCALAR>(ctx, &group, acc, operands, lanes);
+                            reduce_window_major::<L>(ctx, &group, acc, operands);
                         }
 
-                        // ---- Phase 2: row fires through the folded BIRRD ----
+                        // ---- Phase 2: row fires, each lane into its cell ----
+                        // In-situ accumulation across channel tiles, wrapping
+                        // like the i64 BIRRD sum it folds once truncated to
+                        // the cell; every accumulator drains as it is added,
+                        // so the rows are left zeroed.
+                        let out_q = &out_q[q_base..][..q_live];
                         for m_lane in 0..m_lanes {
-                            let row = &mut acc[m_lane * row_len..][..row_len];
                             let out_cell = out_n[n] + out_m[m_base + m_lane] + out_row;
-                            let mut covered = 0;
-                            while covered < q_live {
-                                let pass = table.pass(stream[pos]);
-                                pos += 1;
-                                covered += pass.len();
-                                for g in pass {
-                                    let q = q_base + g.q_lane as usize;
-                                    let cell = (out_cell + out_q[q]) as usize * lanes;
-                                    // In-situ accumulation across channel
-                                    // tiles, wrapping like the i64 BIRRD sum
-                                    // it folds once truncated to the cell. A
-                                    // run drains as it is summed; the runs of
-                                    // a fire are every column Phase 1 wrote,
-                                    // so the row is left zeroed.
-                                    let (start, len) = (g.start as usize, g.len as usize);
-                                    let bus = &mut row[start * lanes..][..len * lanes];
-                                    if SCALAR {
-                                        let drain =
-                                            |sum: i32, v| sum.wrapping_add(std::mem::take(v));
-                                        oact[cell] = bus.iter_mut().fold(oact[cell], drain);
-                                    } else {
-                                        let out = &mut oact[cell..][..lanes];
-                                        for col in 0..len {
-                                            let bus = &mut bus[col * lanes..][..lanes];
-                                            for (out, v) in out.iter_mut().zip(bus) {
-                                                *out = out.wrapping_add(std::mem::take(v));
-                                            }
-                                        }
-                                    }
+                            let row = &mut acc[m_lane * row_len..][..q_live * L];
+                            for (stripe, &out_q) in row.chunks_exact_mut(L).zip(out_q) {
+                                let cell = (out_cell + out_q) as usize * L;
+                                for (out, a) in oact[cell..][..L].iter_mut().zip(stripe) {
+                                    *out = out.wrapping_add(std::mem::take(a));
                                 }
                             }
                         }
@@ -1099,59 +1029,106 @@ struct PixelGroup<'a> {
     m_base: usize,
     m_lanes: usize,
     c_base: usize,
+    /// Accumulator cells per mapped row: `q_cols` stripes.
+    row_len: usize,
+}
+
+/// `sum += x · w`, lane by lane.
+#[inline(always)]
+fn mac<const L: usize>(sum: &mut [i32; L], x: &[i16], w: i8) {
+    let w = i32::from(w);
+    for (s, &x) in sum.iter_mut().zip(&x[..L]) {
+        *s = s.wrapping_add(i32::from(x) * w);
+    }
+}
+
+/// `Σ_k x_k · w_k` lane by lane, over the operand stripes `x_k` of a gather
+/// row and their weights `w`. The one-lane instantiation is a plain dot
+/// product, which LLVM vectorizes across `k`; wider ones take two taps per
+/// step, which leaves the stripe as the vector — a plain loop would be
+/// vectorized across `k` there too, into per-lane gathers.
+#[inline(always)]
+fn dot<const L: usize>(x: &[i16], w: &[i8]) -> [i32; L] {
+    let mut sum = [0i32; L];
+    if L == 1 {
+        for (&x, &w) in x.iter().zip(w) {
+            sum[0] = sum[0].wrapping_add(i32::from(x) * i32::from(w));
+        }
+        return sum;
+    }
+    for (x, w) in x.chunks_exact(2 * L).zip(w.chunks_exact(2)) {
+        mac(&mut sum, x, w[0]);
+        mac(&mut sum, &x[L..], w[1]);
+    }
+    if w.len() % 2 == 1 {
+        let last = w.len() - 1;
+        mac(&mut sum, &x[last * L..], w[last]);
+    }
+    sum
+}
+
+/// Adds a register-local stripe into its accumulator stripe.
+#[inline(always)]
+fn add_stripe<const L: usize>(acc: &mut [i32], sum: [i32; L]) {
+    for (a, s) in acc[..L].iter_mut().zip(sum) {
+        *a = a.wrapping_add(s);
+    }
 }
 
 /// Depthwise Phase 1: each mapped row reads its own input channel (one
-/// column per lane), one kernel tap at a time.
+/// column per `q_lane`) and sums each `q_lane`'s kernel window, read in
+/// place.
 #[inline(always)]
-fn reduce_depthwise(ctx: &Tiling, g: &PixelGroup<'_>, acc: &mut [i32], lanes: usize) {
-    let (s_total, row_len) = (ctx.layer.s, ctx.cols * lanes);
-    for (r, &row) in (g.r_lo..).zip(g.in_rows) {
-        for (q_lane, taps) in g.w_taps.iter().enumerate() {
-            for (s, &col) in (taps.lo..taps.hi).zip(&g.in_w[taps.first..]) {
-                let pixel = g.sample + row + col;
-                for (m_lane, &chan) in g.in_c.iter().enumerate() {
-                    let w = g.weights[(g.m_base + m_lane) * ctx.rs + r * s_total + s] as i32;
-                    let x = &g.iact[(pixel + chan) as usize * lanes..];
-                    let a = &mut acc[m_lane * row_len + q_lane * lanes..][..lanes];
-                    for (a, &x) in a.iter_mut().zip(x) {
-                        *a += x as i8 as i32 * w;
+fn reduce_depthwise<const L: usize>(ctx: &Tiling, g: &PixelGroup<'_>, acc: &mut [i32]) {
+    let s_total = ctx.layer.s;
+    for (m_lane, &chan) in g.in_c.iter().enumerate() {
+        let filter = &g.weights[(g.m_base + m_lane) * ctx.rs..][..ctx.rs];
+        let acc_row = &mut acc[m_lane * g.row_len..][..g.w_taps.len() * L];
+        for (a, taps) in acc_row.chunks_exact_mut(L).zip(g.w_taps) {
+            let mut sum = [0i32; L];
+            for (r, &row) in (g.r_lo..).zip(g.in_rows) {
+                let in_cols = &g.in_w[taps.first..][..taps.hi - taps.lo];
+                for (&w, &col) in filter[r * s_total + taps.lo..].iter().zip(in_cols) {
+                    let cells = &g.iact[(g.sample + chan + row + col) as usize * L..][..L];
+                    let w = i32::from(w);
+                    for (s, &x) in sum.iter_mut().zip(cells) {
+                        *s = s.wrapping_add(i32::from(x as i8) * w);
                     }
                 }
             }
+            add_stripe(a, sum);
         }
     }
 }
 
 /// Phase 1, one kernel tap at a time across the whole bus — for layers whose
 /// lanes hold at least as many channels as the kernel has taps. The tap's bus
-/// operands are gathered once (zeros under a lane whose tap is padding), then
-/// every mapped row walks its accumulators in column order:
-/// `acc[m][q][c] += x[q][c] · W[m][c_base + c][r][s]`.
+/// operands are gathered once for the lanes whose tap reads input, then
+/// every mapped row reduces each such lane's channels against its filter
+/// column `W[m][c_base..][r][s]`:
+/// `acc[m][q] += Σ_c x[q][c] · W[m][c_base + c][r][s]`.
 #[inline(always)]
-fn reduce_bus_major(
+fn reduce_bus_major<const L: usize>(
     ctx: &Tiling,
     g: &PixelGroup<'_>,
     acc: &mut [i32],
-    operands: &mut [i32],
-    lanes: usize,
+    operands: &mut [i16],
 ) {
-    let (l, rs, row_len) = (&ctx.layer, ctx.rs, ctx.cols * lanes);
-    let (c_live, lane_len) = (g.in_c.len(), ctx.c_cols * lanes);
+    let (l, rs) = (&ctx.layer, ctx.rs);
+    let c_live = g.in_c.len();
+    let lane_len = c_live * L;
+    let reads = |taps: &TapRun, s: usize| (taps.lo..taps.hi).contains(&s);
     for (r, &row) in (g.r_lo..).zip(g.in_rows) {
         for s in 0..l.s {
             let mut live_lanes = 0;
-            for (q_lane, taps) in g.w_taps.iter().enumerate() {
-                let x = &mut operands[q_lane * lane_len..][..c_live * lanes];
-                if !(taps.lo..taps.hi).contains(&s) {
-                    x.fill(0);
+            for (x, taps) in operands.chunks_exact_mut(lane_len).zip(g.w_taps) {
+                if !reads(taps, s) {
                     continue;
                 }
                 live_lanes += 1;
                 let pixel = g.sample + row + g.in_w[taps.first + (s - taps.lo)];
-                for (c_lane, &chan) in g.in_c.iter().enumerate() {
-                    let cell = (pixel + chan) as usize * lanes;
-                    load_stripe(&mut x[c_lane * lanes..][..lanes], &g.iact[cell..]);
+                for (x, &chan) in x.chunks_exact_mut(L).zip(g.in_c) {
+                    load_stripe(x, &g.iact[(pixel + chan) as usize * L..]);
                 }
             }
             if live_lanes == 0 {
@@ -1159,18 +1136,20 @@ fn reduce_bus_major(
             }
             for m_lane in 0..g.m_lanes {
                 let tap = ((g.m_base + m_lane) * l.c + g.c_base) * rs + r * l.s + s;
-                let w_row = &g.weights[tap..][..(c_live - 1) * rs + 1];
-                let acc_row = &mut acc[m_lane * row_len..][..g.w_taps.len() * lane_len];
-                for q_lane in 0..g.w_taps.len() {
-                    let a = &mut acc_row[q_lane * lane_len..][..c_live * lanes];
-                    let x = &operands[q_lane * lane_len..][..c_live * lanes];
-                    for c_lane in 0..c_live {
-                        let w = w_row[c_lane * rs] as i32;
-                        let x = &x[c_lane * lanes..][..lanes];
-                        for (a, &x) in a[c_lane * lanes..][..lanes].iter_mut().zip(x) {
-                            *a += x * w;
-                        }
+                let w_col = &g.weights[tap..][..(c_live - 1) * rs + 1];
+                let acc_row = &mut acc[m_lane * g.row_len..][..g.w_taps.len() * L];
+                let lanes = acc_row
+                    .chunks_exact_mut(L)
+                    .zip(operands.chunks_exact(lane_len));
+                for ((a, x), taps) in lanes.zip(g.w_taps) {
+                    if !reads(taps, s) {
+                        continue;
                     }
+                    let mut sum = [0i32; L];
+                    for (x, &w) in x.chunks_exact(L).zip(w_col.iter().step_by(rs)) {
+                        mac(&mut sum, x, w);
+                    }
+                    add_stripe(a, sum);
                 }
             }
         }
@@ -1183,19 +1162,18 @@ fn reduce_bus_major(
 /// every mapped row reduces it in one dot product against its own filter
 /// rows `W[m][c][r_lo..r_hi]`, contiguous where they lie.
 #[inline(always)]
-fn reduce_window_major<const SCALAR: bool>(
+fn reduce_window_major<const L: usize>(
     ctx: &Tiling,
     g: &PixelGroup<'_>,
     acc: &mut [i32],
-    operands: &mut [i32],
-    lanes: usize,
+    operands: &mut [i16],
 ) {
-    let (l, rs, row_len) = (&ctx.layer, ctx.rs, ctx.cols * lanes);
+    let (l, rs) = (&ctx.layer, ctx.rs);
     let window = g.in_rows.len() * l.s;
     if window == 0 {
         return;
     }
-    let x = &mut operands[..window * lanes];
+    let x = &mut operands[..window * L];
     for (q_lane, taps) in g.w_taps.iter().enumerate() {
         let in_cols = &g.in_w[taps.first..][..taps.hi - taps.lo];
         if in_cols.is_empty() {
@@ -1206,27 +1184,16 @@ fn reduce_window_major<const SCALAR: bool>(
         }
         for (c_lane, &chan) in g.in_c.iter().enumerate() {
             for (i, &row) in g.in_rows.iter().enumerate() {
-                let x = &mut x[(i * l.s + taps.lo) * lanes..];
-                for (j, &col) in in_cols.iter().enumerate() {
-                    let cell = (g.sample + chan + row + col) as usize * lanes;
-                    load_stripe(&mut x[j * lanes..][..lanes], &g.iact[cell..]);
+                let x = &mut x[(i * l.s + taps.lo) * L..][..in_cols.len() * L];
+                for (x, &col) in x.chunks_exact_mut(L).zip(in_cols) {
+                    load_stripe(x, &g.iact[(g.sample + chan + row + col) as usize * L..]);
                 }
             }
-            let at = (q_lane * ctx.c_cols + c_lane) * lanes;
             for m_lane in 0..g.m_lanes {
                 let filter = (g.m_base + m_lane) * l.c + g.c_base + c_lane;
                 let w = &g.weights[filter * rs + g.r_lo * l.s..][..window];
-                let a = &mut acc[m_lane * row_len + at..][..lanes];
-                if SCALAR {
-                    let dot: i32 = x.iter().zip(w).map(|(&x, &w)| x * w as i32).sum();
-                    a[0] += dot;
-                } else {
-                    for (k, &w) in w.iter().enumerate() {
-                        for (a, &x) in a.iter_mut().zip(&x[k * lanes..][..lanes]) {
-                            *a += x * w as i32;
-                        }
-                    }
-                }
+                let sum = dot::<L>(x, w);
+                add_stripe(&mut acc[m_lane * g.row_len + q_lane * L..], sum);
             }
         }
     }
@@ -1235,9 +1202,9 @@ fn reduce_window_major<const SCALAR: bool>(
 /// Widens one lane stripe of INT8 iAct values (held in `i32` StaB cells)
 /// into the operand gather row.
 #[inline(always)]
-fn load_stripe(x: &mut [i32], cells: &[i32]) {
+fn load_stripe(x: &mut [i16], cells: &[i32]) {
     for (x, &cell) in x.iter_mut().zip(cells) {
-        *x = cell as i8 as i32;
+        *x = i16::from(cell as i8);
     }
 }
 
@@ -1259,15 +1226,14 @@ pub(crate) mod accounted {
     /// iAct layout (the DMA is not counted), weight-stationary tiling over
     /// `(M, C)`, Phase-1 local temporal reduction in NEST, Phase-2 row fires
     /// through BIRRD with Reorder-in-Reduction into the oAct layout, and the
-    /// accumulators drained. Routes resolve through `memo` and record into
-    /// `recorder`. Returns the outputs, the counters and both halves' access
-    /// statistics.
+    /// accumulators drained. Routes resolve through `memo`, whose table
+    /// records them. Returns the outputs, the counters and both halves'
+    /// access statistics.
     pub(crate) fn run_layer(
         ctx: &LayerExec,
         iacts: &Tensor4<i8>,
         weights: &Tensor4<i8>,
         memo: &mut RouteMemo,
-        recorder: &mut RouteRecorder,
         expose: bool,
     ) -> Result<(Tensor4<i32>, CoreRun, AccessStats, AccessStats), ArchError> {
         let (layer, mapping) = (&ctx.layer, &ctx.mapping);
@@ -1279,7 +1245,7 @@ pub(crate) mod accounted {
         iacts.for_each(|coord, v| iact.write_at(ctx.iact_plan.location(coord), v as i32));
         iact.flush_cycle();
         let (iact_base, oact_base) = (*iact.stats(), *oact.stats());
-        let span = run_span(ctx, weights, &mut iact, &mut oact, memo, recorder)?;
+        let span = run_span(ctx, weights, &mut iact, &mut oact, memo)?;
         let core = span.into_core_run(ctx, expose);
         let shape = [layer.n, layer.m, ctx.p_total, ctx.q_total];
         let oacts = Tensor4::from_fn(shape, |n, m, p, q| {
@@ -1304,7 +1270,6 @@ pub(crate) mod accounted {
         iact: &mut LayoutView<'_, i32>,
         oact: &mut LayoutView<'_, i32>,
         memo: &mut RouteMemo,
-        recorder: &mut RouteRecorder,
     ) -> Result<SpanAccum, ArchError> {
         let (layer, cols) = (&ctx.layer, ctx.cols);
         let mut nest = NestArray::new(ctx.rows, cols);
@@ -1338,10 +1303,6 @@ pub(crate) mod accounted {
                 let tile = wt_m * ctx.c_tiles + wt_c;
 
                 for n in 0..layer.n {
-                    // One `(wt_m, wt_c, n)` triple is a work block with a
-                    // data-independent route sub-sequence; recording marks its
-                    // start, which is where replay sets its cursor.
-                    recorder.enter_block(tile * layer.n + n)?;
                     for p in 0..ctx.p_total {
                         for qt in 0..ctx.q_tiles {
                             // ---- Phase 1: local temporal reduction ----
@@ -1371,8 +1332,7 @@ pub(crate) mod accounted {
                                 ctx.fire_groups([n, m, p, qt], groups);
                                 while !groups.is_empty() {
                                     next_batch(groups, batch, pending, bank_used);
-                                    let route =
-                                        memo.resolve(ctx, c_live, c_ok, batch, request, recorder)?;
+                                    let route = memo.resolve(ctx, c_live, c_ok, batch, request)?;
 
                                     inputs.fill(None);
                                     for g in batch.iter() {
@@ -1498,7 +1458,7 @@ mod tests {
     fn one_memo_tells_c_cols_apart() {
         let config = FeatherConfig::new(4, 8);
         let layer = ConvLayer::new(1, 4, 6, 4, 4, 1, 1);
-        let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
+        let mut memo = RouteMemo::default();
         let mut slots = Vec::new();
         // Channel tile 0 of `c_cols = 2` and tile 1 of `c_cols = 4` both
         // have two live columns per lane.
@@ -1520,12 +1480,11 @@ mod tests {
                 input_groups: vec![None; config.cols],
                 group_destinations: BTreeMap::new(),
             };
-            memo.resolve(&ctx, 2, c_ok, &batch, request, &mut recorder)
-                .unwrap();
-            slots.push(*recorder.layer.stream.last().unwrap());
+            memo.resolve(&ctx, 2, c_ok, &batch, request).unwrap();
+            slots.push(memo.selected_slot());
         }
         assert_eq!(slots, [0, 1]);
-        let requests = recorder.table.requests();
+        let requests = memo.table.requests();
         assert_eq!((requests[0].0, requests[1].0), (2, 4));
         assert_ne!(requests[0].1, requests[1].1);
         assert_eq!(memo.entries.len(), 2);
@@ -1549,6 +1508,33 @@ mod tests {
         assert!(err
             .to_string()
             .contains("route table: folded columns are not one run"));
+    }
+
+    /// Replay sums each lane's live columns into that lane's own output
+    /// cell, so a pass whose runs are contiguous but deliver another group's
+    /// columns to a bank must be refused where it is folded: groups {0,1} →
+    /// bank 0 and {2,3} → bank 1, under a configuration that routes them the
+    /// other way round.
+    #[test]
+    fn push_refuses_a_run_that_is_not_its_groups_own_ports() {
+        let birrd = Birrd::new(4).unwrap();
+        let groups = |banks: [usize; 2]| {
+            ReductionRequest::from_groups(4, &[(vec![0, 1], banks[0]), (vec![2, 3], banks[1])])
+                .unwrap()
+        };
+        let swapped = route_and_compile(&birrd, &groups([1, 0])).unwrap();
+        assert_eq!(swapped.sources_of(0), [2, 3]);
+        let err = RouteTable::default()
+            .push(2, groups([0, 1]), &swapped)
+            .unwrap_err();
+        assert!(matches!(err, ArchError::InvalidDataflow(_)), "{err}");
+        assert!(err.to_string().contains("not its own live ports"), "{err}");
+        // The configuration routed for the request itself folds.
+        let mut table = RouteTable::default();
+        let route = route_and_compile(&birrd, &groups([0, 1])).unwrap();
+        let slot = table.push(2, groups([0, 1]), &route).unwrap();
+        let folded: Vec<_> = table.pass_groups(slot as usize).collect();
+        assert_eq!(folded, [(0, 0..2), (1, 2..4)]);
     }
 
     use proptest::prelude::*;
@@ -1576,7 +1562,7 @@ mod tests {
                 LayerMapping::weight_stationary(&layer, &config, "HWC_C4", "MPQ_Q4").unwrap();
             let exec = LayerExec::new(&config, &layer, &mapping).unwrap();
             let (h_table, w_table) = (exec.h_table.clone(), exec.w_table.clone());
-            let replay = ReplayLayer::new(exec, 1 << 16, 1 << 16, LayerStream::default()).unwrap();
+            let replay = ReplayLayer::new(exec, 1 << 16, 1 << 16).unwrap();
             let axes = [
                 (&replay.h_taps, &h_table, layer.r, layer.h),
                 (&replay.w_taps, &w_table, layer.s, layer.w),
@@ -1622,7 +1608,6 @@ mod tests {
     ) -> Result<(u64, u64), TestCaseError> {
         let config = FeatherConfig::new(4, 8);
         let ctx = LayerExec::new(&config, layer, mapping).unwrap();
-        let mut recorder = RouteRecorder::default();
         let mut memo = RouteMemo::default();
         let (c_ok, bank_used) = (&mut vec![false; config.cols], &mut vec![false; config.cols]);
         let (groups, batch, pending) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
@@ -1652,9 +1637,7 @@ mod tests {
                     next_batch(groups, batch, pending, bank_used);
                     passes += 1;
                     let c_live = ctx.c_live(wt_c);
-                    let Ok(route) = memo
-                        .resolve(&ctx, c_live, c_ok, batch, request, &mut recorder)
-                        .cloned()
+                    let Ok(route) = memo.resolve(&ctx, c_live, c_ok, batch, request).cloned()
                     else {
                         // A pattern BIRRD cannot route is not this test's.
                         return Err(TestCaseError::reject("unroutable pattern"));
@@ -1663,8 +1646,8 @@ mod tests {
                     prop_assert_eq!(route, route_and_compile(&ctx.birrd, &oracle).unwrap());
                     let next_slot = slots.len() as u32;
                     let slot = *slots.entry(oracle.clone()).or_insert(next_slot);
-                    prop_assert_eq!(recorder.layer.stream.last(), Some(&slot));
-                    let recorded = &recorder.table.requests()[slot as usize];
+                    prop_assert_eq!(memo.selected_slot(), slot);
+                    let recorded = &memo.table.requests()[slot as usize];
                     prop_assert_eq!(recorded, &(ctx.c_cols, oracle.clone()));
                 }
             }
@@ -1672,8 +1655,7 @@ mod tests {
         // One memo entry (one route compiled) and one table pass per
         // distinct request — no more, no fewer.
         prop_assert_eq!(memo.entries.len(), slots.len());
-        prop_assert_eq!(recorder.table.requests().len(), slots.len());
-        prop_assert_eq!(recorder.layer.stream.len() as u64, passes);
+        prop_assert_eq!(memo.table.requests().len(), slots.len());
         Ok((fires, passes))
     }
 
@@ -1728,14 +1710,12 @@ mod tests {
     }
 
     /// What a record pass left behind for one layer walked twice through
-    /// one memo and recorder — the second time as a pipelined layer, every
-    /// route a memo hit.
+    /// one memo — the second time as a pipelined layer, every route a memo
+    /// hit.
     #[derive(Debug, PartialEq)]
     struct Recorded {
         /// Per pass: the counters and both halves' access statistics.
         costs: Vec<(CoreRun, AccessStats, AccessStats)>,
-        /// Per pass: the stream and its block starts.
-        streams: Vec<(Vec<u32>, Vec<u32>)>,
         /// The route table's requests, in slot order.
         requests: Vec<(usize, ReductionRequest)>,
     }
@@ -1764,30 +1744,26 @@ mod tests {
         use feather_memsim::FunctionalBuffer;
 
         let ctx = LayerExec::new(config, layer, mapping)?;
-        let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
+        let mut memo = RouteMemo::default();
         let (iacts, weights) = operands(layer);
         let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
-        let (mut costs, mut streams) = (Vec::new(), Vec::new());
+        let mut costs = Vec::new();
         for expose in [true, false] {
             costs.push(if counting {
                 let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
                 let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
                 let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
                 let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
-                count_conv_core(&ctx, &mut iact, &mut oact, &mut memo, &mut recorder, expose)?
+                count_conv_core(&ctx, &mut iact, &mut oact, &mut memo, expose)?
             } else {
-                let run =
-                    accounted::run_layer(&ctx, &iacts, &weights, &mut memo, &mut recorder, expose);
-                let (_, core, iact, oact) = run?;
+                let (_, core, iact, oact) =
+                    accounted::run_layer(&ctx, &iacts, &weights, &mut memo, expose)?;
                 (core, iact, oact)
             });
-            let layer = recorder.finish_layer();
-            streams.push((layer.stream, layer.block_starts));
         }
         Ok(Recorded {
             costs,
-            streams,
-            requests: recorder.into_table().requests().to_vec(),
+            requests: memo.into_table().requests().to_vec(),
         })
     }
 
@@ -1845,9 +1821,8 @@ mod tests {
             // reference convolution — and its whole report.
             let (iacts, weights) = operands(&layer);
             let ctx = LayerExec::new(&config, &layer, &mapping).unwrap();
-            let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
             let (oacts, core, iact_stats, oact_stats) =
-                accounted::run_layer(&ctx, &iacts, &weights, &mut memo, &mut recorder, true).unwrap();
+                accounted::run_layer(&ctx, &iacts, &weights, &mut RouteMemo::default(), true).unwrap();
             let energy = EnergyModel::tsmc28();
             let summary = layer_summary(&config, &energy, &layer, &core, iact_stats, oact_stats, true, true);
             let run = Feather::new(config).execute_conv(&layer, &mapping, &iacts, &weights).unwrap();

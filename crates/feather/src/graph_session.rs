@@ -249,6 +249,7 @@ impl GraphSession {
         graph: &Graph,
         pick: SchedulePick<'_>,
     ) -> Result<Self, ArchError> {
+        config.validate()?;
         graph.validate()?;
         if graph.is_empty() {
             return Err(ArchError::InvalidWorkload(
@@ -822,6 +823,46 @@ mod tests {
             Err(other) => panic!("unexpected error: {other}"),
             Ok(_) => panic!("a 128-port BIRRD cannot be routed"),
         }
+    }
+
+    /// A configuration set through its public fields is checked before
+    /// anything is planned, by the graph constructors and the chain one
+    /// alike: a bad array shape is `config.validate()`'s error.
+    fn assert_shape_refused(rows: usize, cols: usize, what: &str) {
+        let config = FeatherConfig {
+            rows,
+            cols,
+            ..FeatherConfig::new(4, 8)
+        };
+        let layer = ConvLayer::new(1, 4, 4, 4, 4, 1, 1);
+        let mut g = Graph::new("tiny", [1, 4, 4, 4]);
+        g.conv(g.input(), layer.clone()).unwrap();
+        let expected = config.validate().unwrap_err();
+        assert!(expected.to_string().contains(what), "{expected}");
+        let err = GraphSession::auto(config, &g).unwrap_err();
+        assert_eq!(err, expected, "auto on {rows}x{cols}");
+        let err = GraphSession::from_schedules(config, &g, &BTreeMap::new()).unwrap_err();
+        assert_eq!(err, expected, "from_schedules on {rows}x{cols}");
+        let fits = FeatherConfig::new(4, 8);
+        let mapping = LayerMapping::weight_stationary(&layer, &fits, "HWC_C4", "MPQ_Q4").unwrap();
+        let err = GraphSession::chain(config, vec![(layer, mapping)]).unwrap_err();
+        assert_eq!(err, expected, "chain on {rows}x{cols}");
+    }
+
+    /// Zero columns once panicked in the default `HWC_C0` iAct layout.
+    #[test]
+    fn a_zero_width_fabric_is_an_error_not_a_panic() {
+        assert_shape_refused(4, 0, "non-zero");
+    }
+
+    #[test]
+    fn a_zero_height_fabric_is_an_error() {
+        assert_shape_refused(0, 8, "non-zero");
+    }
+
+    #[test]
+    fn a_width_that_is_not_a_power_of_two_is_an_error() {
+        assert_shape_refused(4, 12, "power of two");
     }
 
     /// A compile routes each distinct `(c_cols, request)` once, however many

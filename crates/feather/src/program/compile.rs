@@ -1,7 +1,7 @@
 //! The one lowering of a planned [`GraphSession`] into a [`Program`]: tensor
 //! table, per-layer replay contexts, op stream and [`Program::cost`] all come
-//! from the session; each layer's measured half — its [`LayerCost`] and pass
-//! stream — and the route table come from the record pass, a counting walk
+//! from the session; each layer's measured half — its [`LayerCost`] — and the
+//! route table come from the record pass, a counting walk
 //! of each layer ([`count_conv_core`]) that moves no value. The accounted
 //! tile loop over real data, which is test code, is the oracle it is tested
 //! against.
@@ -17,7 +17,7 @@ use feather_arch::ArchError;
 use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
 
 use crate::config::FeatherConfig;
-use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo, RouteRecorder};
+use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo};
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
 use crate::report::{GraphReport, JoinSummary, NetworkReport, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
@@ -174,13 +174,12 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // Lower every segment: build the owned layer contexts and walk each
     // layer's tile loop once, counting, through the StaB sequence of a
     // pipelined chain. Routes and costs are data-independent, so
-    // this one pass records the BIRRD pass stream every replay will consume
+    // this one pass resolves every BIRRD pass a replay's row fires stand for
     // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
-    let mut recorder = RouteRecorder::default();
     // One memo for the whole program: the fabric width is fixed, so each
-    // distinct route is requested, routed and lowered once, by the first
-    // layer that issues it.
+    // distinct route is requested, routed, lowered and folded into the
+    // program's route table once, by the first layer that issues it.
     let mut memo = RouteMemo::default();
     for exec in &session.segments {
         let (seg, steps) = (&exec.segment, &exec.steps);
@@ -209,21 +208,13 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 let (active, shadow) = stab.split_mut();
                 let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
                 let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                count_conv_core(
-                    &exec,
-                    &mut iact_view,
-                    &mut oact_view,
-                    &mut memo,
-                    &mut recorder,
-                    i == 0,
-                )?
+                count_conv_core(&exec, &mut iact_view, &mut oact_view, &mut memo, i == 0)?
             };
             let cost = LayerCost { core, iact, oact };
             stab.swap();
-            let stream = recorder.finish_layer();
 
             layers.push(CompiledLayer {
-                replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity(), stream)?,
+                replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity())?,
                 weight,
                 cost,
             });
@@ -331,7 +322,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         }
     }
 
-    let routes = recorder.into_table();
+    let routes = memo.into_table();
     let energy = &session.energy_model;
     let cost = cost_of(&config, energy, &tensors, &segments, &joins, &ops).ok_or_else(|| {
         ArchError::InvalidWorkload("compiled program is inconsistent: op stream".to_string())

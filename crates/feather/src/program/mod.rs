@@ -14,8 +14,8 @@
 //! * **[`Program`]** — a linear op stream (`Stage`, `Fire`, `Reorder`,
 //!   `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout, cell index
 //!   table, scratch move and BIRRD pass resolved at compile time. Passes live
-//!   constant-folded in one program-wide, deduplicated route table; each
-//!   layer keeps only its stream of slot indices. A `Program` is a cheaply
+//!   constant-folded in one program-wide, deduplicated route table; a layer
+//!   keeps none of them, only how many it fires. A `Program` is a cheaply
 //!   clonable handle: the session that compiled it, every
 //!   [`GraphSession::compile`] caller and every [`ProgramSession`] share one
 //!   set of tables.
@@ -37,8 +37,10 @@
 //! functions of layer geometry (the mapped-lane pattern and the layouts'
 //! bank assignment) — never of activation or weight values. The compile pass
 //! therefore walks each layer's tile loop once, counting and moving no value
-//! — the only accounted pass a program ever gets — and replay consumes the
-//! recorded stream cursor-style from per-block offsets. Every public entry
+//! — the only accounted pass a program ever gets. Its route table proves
+//! every folded pass delivers each `q_lane`'s live columns to that lane's
+//! own output cell, so replay sums a row's lanes straight into their cells
+//! and reads no pass at all. Every public entry
 //! point runs this way: a single layer ([`crate::Feather::execute_conv`]) and
 //! a chain ([`GraphSession::chain`]) are one-segment graphs. Each distinct
 //! route of a program is routed and lowered once, by the compile's route
@@ -166,7 +168,8 @@ enum Op {
         /// Move the fresh tensor out instead of leaving it in place.
         take: bool,
     },
-    /// Run one layer's tile loop, replaying its recorded route stream.
+    /// Run one layer's tile loop, each row fire summing its lanes into
+    /// their output cells.
     Fire { seg: usize, layer: usize },
     /// Boundary quantization in place (RIR already reordered the values).
     Reorder { seg: usize, layer: usize },
@@ -251,13 +254,13 @@ impl Program {
         self.tables.routes.requests().len()
     }
 
-    /// Total recorded route-stream entries (BIRRD passes) across all layers.
+    /// Total BIRRD passes one run fires across all layers.
     pub fn route_fires(&self) -> usize {
         self.tables
             .segments
             .iter()
             .flat_map(|s| &s.layers)
-            .map(|l| l.replay.routes.stream.len())
+            .map(|l| l.cost.core.birrd_passes as usize)
             .sum()
     }
 
@@ -277,7 +280,7 @@ impl Program {
 
     /// A diffable text listing of exactly what a replayed run does and
     /// costs: the fabric, the tensor table, every compiled layer with its
-    /// mapping, layouts, cost and route-stream size, the joins, the
+    /// mapping, layouts, cost, BIRRD passes and work blocks, the joins, the
     /// program-wide folded route table and the full op stream. The format is
     /// deterministic and locked by a golden snapshot test.
     pub fn dump(&self) -> String {
@@ -359,8 +362,8 @@ impl Program {
                 let _ = writeln!(
                     out,
                     "      routes fires={} blocks={}",
-                    layer.replay.routes.stream.len(),
-                    layer.replay.routes.block_starts.len()
+                    cost.core.birrd_passes,
+                    layer.replay.tiling.blocks()
                 );
             }
         }
@@ -456,7 +459,7 @@ impl Program {
 mod tests {
     use super::*;
     use crate::core::accounted::run_layer;
-    use crate::core::{LayerExec, RouteMemo, RouteRecorder};
+    use crate::core::{LayerExec, RouteMemo};
     use crate::graph_session::{run_graph_reference, GraphSession, Step};
     use crate::profile::OpFamily;
     use crate::report::GraphRun;
@@ -671,9 +674,8 @@ mod tests {
                             }
                         };
                         let ctx = LayerExec::new(&session.config(), layer, mapping).unwrap();
-                        let (mut memo, mut recorder) = (RouteMemo::default(), RouteRecorder::default());
                         let (_, core, iact, oact) =
-                            run_layer(&ctx, &iacts, &weights, &mut memo, &mut recorder, i == 0).unwrap();
+                            run_layer(&ctx, &iacts, &weights, &mut RouteMemo::default(), i == 0).unwrap();
                         prop_assert_eq!(LayerCost { core, iact, oact }, compiled.cost, "{}", layer.name);
                     }
                     let at = drained.iter().position(|&d| d == si).unwrap();
@@ -726,9 +728,8 @@ mod tests {
         assert_eq!(reused3.report, fresh3.report);
     }
 
-    /// The gather row behind the accumulators and the drained (not
-    /// re-zeroed) accumulator rows are the only state a `Fire` leaves in a
-    /// scratch: after eight lanes, one lane and then another program's
+    /// The operand gather row and the drained (not re-zeroed) accumulators
+    /// are the only state a `Fire` leaves in a scratch: after eight lanes, one lane and then another program's
     /// geometry — halo-only taps in both Phase-1 loop orders, a depthwise
     /// layer — a reused scratch still equals a fresh one.
     #[test]

@@ -7,7 +7,7 @@ use feather_arch::tensor::{quantize_to_i8, quantize_value, saturating_add_i8, Te
 use feather_arch::ArchError;
 
 use crate::accelerator::check_weight_shape;
-use crate::core::{replay_fire, FlatPlan4};
+use crate::core::{replay_fire, FlatPlan4, LANES};
 use crate::graph_session::widen;
 #[cfg(doc)]
 use crate::graph_session::GraphSession;
@@ -53,13 +53,13 @@ impl Tables {
 }
 
 /// Reusable replay allocations: the two StaB halves (plain `i32` cells, one
-/// lane stripe per cell) and the NEST accumulators with the operand gather
-/// row behind them. A
+/// lane stripe per cell), the NEST accumulators (one stripe per mapped row
+/// and `q_lane`) and the `i16` operand gather row. A
 /// [`ProgramSession::run_with_scratch`] / [`run_batched_with_scratch`] call
-/// grows them to what its program and lane count need and keeps them, so a
-/// serving executor's steady state allocates no buffer memory. One scratch
-/// belongs to one executor thread at a time (it is `&mut` for the whole run)
-/// and serves any program and any lane count.
+/// grows them to what its program needs at one lane or at eight and keeps
+/// them, so a serving executor's steady state allocates no buffer memory.
+/// One scratch belongs to one executor thread at a time (it is `&mut` for
+/// the whole run) and serves any program and both lane widths.
 ///
 /// Replaying through a reused scratch is bit-identical to replaying through
 /// a fresh one: every `Stage` and `Fire` zeroes the cells it is about to
@@ -72,6 +72,7 @@ impl Tables {
 pub struct ReplayScratch {
     halves: [Vec<i32>; 2],
     acc: Vec<i32>,
+    operands: Vec<i16>,
 }
 
 impl ReplayScratch {
@@ -80,8 +81,8 @@ impl ReplayScratch {
         ReplayScratch::default()
     }
 
-    /// Sizes the halves for `program` at `lanes` samples and zeroes the
-    /// accumulators.
+    /// Sizes the buffers for `program` at `lanes` samples per cell and
+    /// zeroes the accumulators.
     fn provision(&mut self, program: &Tables, lanes: usize) {
         // The largest StaB half any layer addresses.
         let layers = program.segments.iter().flat_map(|s| &s.layers);
@@ -95,15 +96,18 @@ impl ReplayScratch {
                 half.resize(cells, 0);
             }
         }
-        // Zeroed accumulators, then the widest operand gather row.
+        // Zeroed accumulators, and the widest operand gather row.
+        let accumulators = program.config.rows * program.config.cols;
+        self.acc.clear();
+        self.acc.resize(accumulators * lanes, 0);
         let operands = program.segments.iter().flat_map(|s| &s.layers);
         let operands = operands
             .map(|l| l.replay.operand_cells())
             .max()
             .unwrap_or(0);
-        let accumulators = program.config.rows * program.config.cols;
-        self.acc.clear();
-        self.acc.resize((accumulators + operands) * lanes, 0);
+        if self.operands.len() < operands * lanes {
+            self.operands.resize(operands * lanes, 0);
+        }
     }
 }
 
@@ -136,10 +140,11 @@ impl ProgramSession {
     /// a clone of [`Program::cost`] with each join's `saturated` count — the
     /// one number that is data — patched in. What a `Fire` does per call is
     /// one plain StaB cell read per mapped iAct into a gather row shared by
-    /// all `m_rows` mapped rows, their MACs into local accumulators walked
-    /// in order, then per recorded BIRRD pass one sum over each folded run
-    /// of bus columns into its output cell, in place
-    /// (`core::replay_fire`).
+    /// all `m_rows` mapped rows, their MACs summed per row and `q_lane` into
+    /// one register-local accumulator, then per row fire each lane's sum
+    /// added into its output cell in place — what the row's folded BIRRD
+    /// passes deliver, without reading them (`core::replay_fire`). A single
+    /// sample runs the one-lane specialisation of that loop.
     ///
     /// `weights` is an input of every call and nothing derived from it
     /// outlives the call: each `Fire` looks its layer's tensor up by node,
@@ -174,14 +179,18 @@ impl ProgramSession {
         Ok(runs.pop().expect("one run per sample"))
     }
 
-    /// Replays the program once per input sample, executing every op a single
-    /// time across all samples in lane-vectorized lockstep. Activations live
-    /// in lane stripes (sample `l` occupies lane `l` of every StaB cell and
-    /// accumulator), and each folded BIRRD pass gathers whole stripes. It is
-    /// the same replay loop as [`ProgramSession::run`] — the scalar call is
-    /// its one-lane specialisation — so the returned runs, outputs *and*
+    /// Replays the program once per input sample, in groups of eight samples
+    /// that execute every op a single time in lane-vectorized lockstep.
+    /// Activations live in lane stripes (sample `l` of a group occupies lane
+    /// `l` of every StaB cell and accumulator), so every multiply-accumulate
+    /// and every row fire moves a whole 8-lane stripe. A batch of `n ≥ 2`
+    /// samples replays as `⌈n / 8⌉` such groups, the last padded with zero
+    /// lanes whose outputs and join counts are dropped; a batch of one runs
+    /// the one-lane specialisation [`ProgramSession::run`] runs. It is the
+    /// same replay loop either way, so the returned runs, outputs *and*
     /// reports, are bit-identical to calling `run` on each sample alone:
-    /// every lane gets [`Program::cost`] with its own join saturation counts.
+    /// every sample gets [`Program::cost`] with its own join saturation
+    /// counts.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -197,9 +206,10 @@ impl ProgramSession {
     /// [`ProgramSession::run_batched`] reusing `scratch`'s allocations across
     /// calls, the batched analogue of [`ProgramSession::run_with_scratch`].
     /// Results are bit-identical to [`ProgramSession::run_batched`] with a
-    /// fresh scratch. Every entry point ends here, and here alone the lane
-    /// count picks the loop: a batch of one sample — a lone serving request,
-    /// or [`ProgramSession::run`] — gets the scalar (one-lane) specialisation.
+    /// fresh scratch. Every entry point ends here, and here alone the batch
+    /// size picks the loop: a batch of one sample — a lone serving request,
+    /// or [`ProgramSession::run`] — gets the scalar (one-lane)
+    /// specialisation, any larger one eight-lane groups.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -216,8 +226,10 @@ impl ProgramSession {
     /// [`ProgramSession::run_batched_with_scratch`] with a stopwatch around
     /// every op: the same replay loop, outputs and reports, plus one
     /// [`ProfileRow`] per executed op — family, segment, layer, wall
-    /// nanoseconds — joined with what [`Program::cost`] charges that layer.
-    /// The plain entry points hand the loop no sink and read no clock.
+    /// nanoseconds — joined with what [`Program::cost`] charges that layer
+    /// (a batch of more than eight samples executes, and profiles, the op
+    /// stream once per eight-lane group). The plain entry points hand the
+    /// loop no sink and read no clock.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -233,60 +245,71 @@ impl ProgramSession {
         Ok((runs, profile))
     }
 
-    /// Picks the loop by lane count, with or without a profile sink.
+    /// Checks the samples and picks the loop by batch size — one lane for a
+    /// lone sample, [`LANES`]-wide groups otherwise — with or without a
+    /// profile sink.
     fn dispatch(
         &self,
         scratch: &mut ReplayScratch,
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
-        profile: Option<&mut ReplayProfile>,
+        mut profile: Option<&mut ReplayProfile>,
     ) -> Result<Vec<GraphRun>, ArchError> {
+        let expected = self.program.tables.input_shape;
+        if let Some(bad) = iacts.iter().find(|t| t.shape() != expected) {
+            return Err(ArchError::ShapeMismatch(format!(
+                "graph input shape {:?}, expected {expected:?}",
+                bad.shape()
+            )));
+        }
         match iacts.len() {
             0 => Err(ArchError::InvalidWorkload(
                 "batched replay needs at least one sample".to_string(),
             )),
-            1 => self.replay::<true>(scratch, iacts, weights, profile),
-            _ => self.replay::<false>(scratch, iacts, weights, profile),
+            1 => self.replay::<1>(scratch, iacts, weights, profile),
+            n => {
+                let mut runs = Vec::with_capacity(n);
+                for group in iacts.chunks(LANES) {
+                    let sink = profile.as_deref_mut();
+                    runs.extend(self.replay::<LANES>(scratch, group, weights, sink)?);
+                }
+                Ok(runs)
+            }
         }
     }
 
-    /// The replay loop behind every entry point: one sample per lane,
-    /// `SCALAR` pinning the lane count to 1 at compile time.
-    fn replay<const SCALAR: bool>(
+    /// The replay loop behind every entry point: `samples` (at most `L`)
+    /// occupy the first lanes of `L`-lane stripes; the rest are zero lanes,
+    /// staged as zeros, carried through every `Fire` and dropped at every
+    /// `Drain`, so nothing of theirs is returned or joined.
+    fn replay<const L: usize>(
         &self,
         scratch: &mut ReplayScratch,
         samples: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
         mut profile: Option<&mut ReplayProfile>,
     ) -> Result<Vec<GraphRun>, ArchError> {
+        debug_assert!((1..=L).contains(&samples.len()));
         let p = &*self.program.tables;
-        let lanes = samples.len();
-        for sample in samples {
-            if sample.shape() != p.input_shape {
-                return Err(ArchError::ShapeMismatch(format!(
-                    "graph input shape {:?}, expected {:?}",
-                    sample.shape(),
-                    p.input_shape
-                )));
-            }
-        }
+        let (lanes, live) = (L, samples.len());
         scratch.provision(p, lanes);
         let ReplayScratch {
             halves: [ping, pong],
             acc,
+            operands,
         } = scratch;
         let (mut active, mut shadow) = (ping, pong);
         let (shift, zero) = (p.quant_shift, p.quant_zero);
 
-        // One tensor per lane everywhere below. The fresh register starts
-        // out borrowing the caller's samples; the scratch region is one slot
-        // per tensor of the table.
+        // One tensor per live lane everywhere below. The fresh register
+        // starts out borrowing the caller's samples; the scratch region is
+        // one slot per tensor of the table.
         let mut fresh: Option<Cow<'_, [Tensor4<i8>]>> = Some(Cow::Borrowed(samples));
         let mut displaced: Option<Cow<'_, [Tensor4<i8>]>> = None;
         let mut queue: VecDeque<Vec<Tensor4<i8>>> = VecDeque::new();
         let mut parked: Vec<Option<Vec<Tensor4<i8>>>> = vec![None; p.tensors.len()];
         // Join saturation counts, join-major: the only data in a report.
-        let mut saturated: Vec<u64> = Vec::with_capacity(p.joins.len() * lanes);
+        let mut saturated: Vec<u64> = Vec::with_capacity(p.joins.len() * live);
         let mut final_acc: Option<Vec<Tensor4<i32>>> = None;
 
         let broken = |what: &str| {
@@ -339,6 +362,7 @@ impl ProgramSession {
                             expected
                         )));
                     }
+                    // Padding lanes stay zero.
                     let cells = &mut active[..first.iact.cells() * lanes];
                     cells.fill(0);
                     first.iact.for_each_cell(|flat, cell| {
@@ -361,15 +385,7 @@ impl ProgramSession {
                     };
                     check_weight_shape(&cl.replay.tiling.layer, lw)?;
                     shadow[..cl.replay.oact.cells() * lanes].fill(0);
-                    replay_fire::<SCALAR>(
-                        &cl.replay,
-                        &p.routes,
-                        lw.as_slice(),
-                        active,
-                        shadow,
-                        acc,
-                        lanes,
-                    );
+                    replay_fire::<L>(&cl.replay, lw.as_slice(), active, shadow, acc, operands);
                 }
                 Op::Reorder { seg, layer } => {
                     let rl = &p.segments[seg].layers[layer].replay;
@@ -386,7 +402,7 @@ impl ProgramSession {
                     let l = &last.tiling.layer;
                     let shape = [l.n, l.m, l.output_height(), l.output_width()];
                     let quantized = if cs.graph_output {
-                        let accs = drain_lanes(&last.oact, shape, active, lanes, |v| v);
+                        let accs = drain_lanes::<L, _>(&last.oact, shape, active, live, |v| v);
                         let quantized = accs
                             .iter()
                             .map(|acc| quantize_to_i8(acc, shift, zero))
@@ -395,7 +411,7 @@ impl ProgramSession {
                         quantized
                     } else {
                         let quantize = |v| quantize_value(v, shift, zero);
-                        drain_lanes(&last.oact, shape, active, lanes, quantize)
+                        drain_lanes::<L, _>(&last.oact, shape, active, live, quantize)
                     };
                     displaced = fresh.replace(Cow::Owned(quantized));
                 }
@@ -428,7 +444,7 @@ impl ProgramSession {
         }
 
         let final_acc = final_acc.ok_or_else(|| broken("no op produced the graph output"))?;
-        if saturated.len() != p.cost.joins.len() * lanes {
+        if saturated.len() != p.cost.joins.len() * live {
             return Err(broken("a join did not cover every lane"));
         }
         Ok(final_acc
@@ -437,7 +453,7 @@ impl ProgramSession {
             .map(|(lane, oacts)| {
                 let mut report = p.cost.clone();
                 for (join, summary) in report.joins.iter_mut().enumerate() {
-                    summary.saturated = saturated[join * lanes + lane];
+                    summary.saturated = saturated[join * live + lane];
                 }
                 GraphRun { oacts, report }
             })
@@ -445,18 +461,19 @@ impl ProgramSession {
     }
 }
 
-/// Drains a layer's oAct cells (addressed by `plan`, `lanes` per cell) into
-/// one `shape`d tensor per lane through `map`, visiting each cell once.
-fn drain_lanes<T: Copy + Default>(
+/// Drains a layer's oAct cells (addressed by `plan`, `L` lanes per cell)
+/// into one `shape`d tensor per live lane — the first `live` — through
+/// `map`, visiting each cell once.
+fn drain_lanes<const L: usize, T: Copy + Default>(
     plan: &FlatPlan4,
     shape: [usize; 4],
     cells: &[i32],
-    lanes: usize,
+    live: usize,
     map: impl Fn(i32) -> T,
 ) -> Vec<Tensor4<T>> {
-    let mut tensors: Vec<Tensor4<T>> = (0..lanes).map(|_| Tensor4::zeros(shape)).collect();
+    let mut tensors: Vec<Tensor4<T>> = (0..live).map(|_| Tensor4::zeros(shape)).collect();
     plan.for_each_cell(|flat, cell| {
-        for (tensor, &v) in tensors.iter_mut().zip(&cells[cell * lanes..]) {
+        for (tensor, &v) in tensors.iter_mut().zip(&cells[cell * L..]) {
             tensor.as_mut_slice()[flat] = map(v);
         }
     });

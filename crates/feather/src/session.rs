@@ -64,8 +64,9 @@ use feather_arch::layout::Layout;
 /// at every layer boundary before they become the next layer's INT8 iActs.
 pub const DEFAULT_QUANT_SHIFT: u32 = 6;
 
-/// Checks that `steps` form a pipelined chain: at least one layer, every
-/// layer and its mapping valid, consecutive layers chaining shape-wise
+/// Checks that `steps` form a pipelined chain on `config`: a valid array
+/// shape ([`FeatherConfig::validate`]), at least one layer, every layer and
+/// its mapping valid, consecutive layers chaining shape-wise
 /// ([`ConvLayer::chains_into`]), and each layer's oAct layout the
 /// producer-side view of the next layer's iAct layout (the RIR boundary
 /// contract, [`Layout::as_producer_oact_layout`]).
@@ -73,6 +74,7 @@ pub(crate) fn validate_chain(
     config: &FeatherConfig,
     steps: &[(ConvLayer, LayerMapping)],
 ) -> Result<(), ArchError> {
+    config.validate()?;
     if steps.is_empty() {
         return Err(ArchError::InvalidWorkload(
             "a pipeline session needs at least one layer".to_string(),

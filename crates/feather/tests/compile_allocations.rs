@@ -102,9 +102,8 @@ fn the_accounted_loop_does_not_allocate_per_birrd_pass() {
         return;
     }
     // What still grows with the input is per layer, not per pass: the StaB
-    // lines and a recorded stream doubling its capacity twice more — 6 per
-    // layer today. (An address plan that allocated per row and column, as
-    // `Layout::plan4` once did, added ~40.)
+    // lines — 20 more over the six layers today. (An address plan that
+    // allocated per row and column, as `Layout::plan4` once did, added ~40.)
     let per_layer = 16;
     assert!(
         added < per_layer * layers,

@@ -993,7 +993,7 @@ fn record_miss_ewma(inner: &Inner, timeouts: usize) {
 /// One executor worker, leader/follower: take the lead lock, form a batch,
 /// hand the lead on, replay the batch — until admission is closed and the
 /// queues run dry. The worker keeps one [`ReplayScratch`] — it serves any
-/// program at any lane count — so its steady state allocates no buffer
+/// program at one lane or eight — so its steady state allocates no buffer
 /// memory.
 fn run_worker(inner: &Arc<Inner>, worker: usize) {
     let mut sentinel = WorkerSentinel {

@@ -239,9 +239,10 @@ proptest! {
 
     /// Batched lane-vectorized replay == N solo scalar replays — outputs AND
     /// the full `GraphRun` report (cycles, DRAM traffic, scratch accounting,
-    /// join saturation) — for batches of 1, 2, 4 and 8 samples on random
-    /// residual DAGs, and for every sample as a batch of one (what serving
-    /// runs for a lone request).
+    /// join saturation) — and the reference executor's outputs, for batches
+    /// of 1, 2, 4, 8, 9 (a padded eight-lane group after a full one) and 16
+    /// (two full groups) samples on random residual DAGs, and for every
+    /// sample as a batch of one (what serving runs for a lone request).
     #[test]
     fn run_batched_equals_solo_replays(
         c0 in 1usize..4,
@@ -257,20 +258,25 @@ proptest! {
         let weights = g.random_weights(seed + 2000);
         let replay = ProgramSession::new(session.compile().unwrap());
 
-        let samples: Vec<Tensor4<i8>> = (0..8)
+        let samples: Vec<Tensor4<i8>> = (0..16)
             .map(|i| Tensor4::random([1, c0, hw, hw], seed + i))
             .collect();
         let solos: Vec<_> = samples
             .iter()
             .map(|s| replay.run(s, &weights).unwrap())
             .collect();
+        let (shift, zero) = session.quantization();
+        for (i, (sample, solo)) in samples.iter().zip(&solos).enumerate() {
+            let golden = run_graph_reference(&g, sample, &weights, shift, zero).unwrap();
+            prop_assert_eq!(&solo.oacts, &golden, "sample {} solo vs reference", i);
+        }
 
-        for lanes in [1usize, 2, 4, 8] {
+        for lanes in [1usize, 2, 4, 8, 9, 16] {
             let batched = replay.run_batched(&samples[..lanes], &weights).unwrap();
             prop_assert_eq!(batched.len(), lanes);
             for (lane, (b, solo)) in batched.iter().zip(&solos).enumerate() {
-                prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} outputs", lane);
-                prop_assert_eq!(&b.report, &solo.report, "lane {} report", lane);
+                prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} of {} outputs", lane, lanes);
+                prop_assert_eq!(&b.report, &solo.report, "lane {} of {} report", lane, lanes);
             }
         }
         for (i, (sample, solo)) in samples.iter().zip(&solos).enumerate() {
@@ -290,8 +296,9 @@ proptest! {
     /// windows, wide 1-tall ones), strides longer than the kernel, padding
     /// wide enough that whole output rows and columns have no valid tap,
     /// `C` and `M` ragged against the array, depthwise — alone and feeding a
-    /// second convolution, at one lane and at 2, 3 and 8. Every replay equals
-    /// the reference executor bit for bit, and a batch equals its solo
+    /// second convolution, at one lane and at 2, 3, 8, 9 and 16 (a padded
+    /// eight-lane group after a full one, and two full groups). Every replay
+    /// equals the reference executor bit for bit, and a batch equals its solo
     /// replays, report included.
     #[test]
     fn lowered_fire_equals_the_reference_on_awkward_geometry(
@@ -302,7 +309,7 @@ proptest! {
         padding in 0usize..=5,
         depthwise in 0usize..2,
         two_layers in 0usize..2,
-        lanes in 0usize..4,
+        lanes in 0usize..6,
         seed in 0u64..1000,
     ) {
         let (r, s) = ([1, 2, 3, 5][kernel[0]], [1, 2, 3, 5][kernel[1]]);
@@ -331,7 +338,7 @@ proptest! {
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let replay = ProgramSession::new(session.compile().unwrap());
         let weights = g.random_weights(seed);
-        let lanes = [1, 2, 3, 8][lanes];
+        let lanes = [1, 2, 3, 8, 9, 16][lanes];
         let samples: Vec<Tensor4<i8>> = (0..lanes as u64)
             .map(|i| Tensor4::random([1, c, h, w], seed + 1 + i))
             .collect();
@@ -529,7 +536,7 @@ fn models_a_and_b_route_cache_traffic_is_pinned() {
 }
 
 /// The weekly full-size check (`FEATHER_FULL=1`): at ÷2 — 4096× Model A's
-/// MACs, ~7 s in release — the `u32` cursor, slot and cell tables and the lane-striped flat
+/// MACs, ~7 s in release — the `u32` slot and cell tables and the lane-striped flat
 /// index carry real magnitudes, and scalar and batched replay must still
 /// agree with the reference executor and with the cost.
 #[test]
