@@ -61,12 +61,11 @@ impl Feather {
         let run = chain.run(iacts, &BTreeMap::from([(NodeId(0), weights.clone())]))?;
         let report = run
             .report
-            .segments
-            .into_iter()
-            .flat_map(|segment| segment.report.layers)
+            .layers()
             .next()
             .expect("a one-layer chain reports one layer")
-            .report;
+            .report
+            .clone();
         Ok(LayerRun {
             oacts: run.oacts,
             report,

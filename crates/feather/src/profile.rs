@@ -61,6 +61,11 @@ pub struct ProfileRow {
 pub struct ReplayProfile {
     /// One row per executed op: [`crate::Program::num_ops`] of them.
     pub rows: Vec<ProfileRow>,
+    /// Wall time spent outside the op loop, in no row: provisioning the
+    /// scratch, striping the input samples, splitting the graph output into
+    /// per-lane tensors, handing the boundary stripes back and assembling
+    /// the reports — summed over a batch's eight-lane groups.
+    pub outside_ns: u64,
 }
 
 impl ReplayProfile {

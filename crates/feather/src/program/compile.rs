@@ -14,7 +14,7 @@ use feather_arch::energy::EnergyModel;
 use feather_arch::fingerprint::fnv1a64;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::ArchError;
-use feather_memsim::{AccessStats, LayoutView, PingPong, ScratchRegion};
+use feather_memsim::{LayoutView, PingPong, ScratchRegion};
 
 use crate::config::FeatherConfig;
 use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo};
@@ -54,7 +54,8 @@ fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &Ene
     }
 }
 
-/// Assembles [`Program::cost`] by walking the op stream symbolically: each
+/// Assembles [`Program::cost`], whose segment list every run of the program
+/// shares, by walking the op stream symbolically: each
 /// `Drain` turns its segment's recorded layer costs into a report entry,
 /// each `Join` contributes its shape, and `Park`/`Unpark` drive a real
 /// [`ScratchRegion`] (over zeros) so shortcut traffic is counted by the code
@@ -69,12 +70,8 @@ fn cost_of(
 ) -> Option<GraphReport> {
     let elems = |tensor: usize| tensors[tensor].shape.iter().product::<usize>();
     let mut scratch: ScratchRegion<i8> = ScratchRegion::new(config.cols.max(1));
-    let mut report = GraphReport {
-        segments: Vec::with_capacity(segments.len()),
-        joins: Vec::with_capacity(joins.len()),
-        scratch: AccessStats::new(),
-        scratch_peak_elems: 0,
-    };
+    let mut summaries: Vec<SegmentSummary> = Vec::with_capacity(segments.len());
+    let mut join_summaries: Vec<JoinSummary> = Vec::with_capacity(joins.len());
     // Of the segment between its Stage and Drain: staged from the scratch
     // region, swaps so far.
     let (mut input_from_scratch, mut stab_swaps) = (false, 0);
@@ -105,13 +102,13 @@ fn cost_of(
                     .collect();
                 let mut network = NetworkReport { layers, stab_swaps };
                 adjust_report(&mut network, cs, energy);
-                report.segments.push(SegmentSummary {
+                summaries.push(SegmentSummary {
                     nodes: cs.names.clone(),
                     report: network,
                     input_from_scratch,
                 });
             }
-            Op::Join { join } => report.joins.push(JoinSummary {
+            Op::Join { join } => join_summaries.push(JoinSummary {
                 name: joins[join].name.clone(),
                 elements: elems(joins[join].output) as u64,
                 saturated: 0,
@@ -128,9 +125,12 @@ fn cost_of(
             }
         }
     }
-    report.scratch = *scratch.stats();
-    report.scratch_peak_elems = scratch.peak_occupancy() as u64;
-    Some(report)
+    Some(GraphReport {
+        segments: summaries.into(),
+        joins: join_summaries,
+        scratch: *scratch.stats(),
+        scratch_peak_elems: scratch.peak_occupancy() as u64,
+    })
 }
 
 // ------------------------------------------------------------------ compile

@@ -23,8 +23,9 @@
 //!   what the compile-time record pass counts: the cost oracle for a
 //!   (model, batch) pair, available without running a single MAC.
 //! * **[`ProgramSession`]** — the executor: dispatches the op stream linearly
-//!   as pure data movement and returns [`Program::cost`] with the one
-//!   data-dependent count (join saturation) patched in. Outputs are
+//!   as pure data movement, keeping every segment boundary a lane stripe,
+//!   and returns [`Program::cost`]'s shared segment list with the one
+//!   data-dependent count (join saturation) in a join list of its own. Outputs are
 //!   bit-identical to [`crate::graph_session::run_graph_reference`] (the
 //!   `program_equivalence` and `graph_equivalence` suites), and every
 //!   compiled layer's cost equals what the accounted loop — the tests'
@@ -272,8 +273,9 @@ impl Program {
     /// compile-time record pass, so reading it executes nothing.
     ///
     /// The one data-dependent field of a report, [`JoinSummary::saturated`],
-    /// is zero here; every replay returns this report with that count
-    /// patched in per sample.
+    /// is zero here; every replay returns this report's segment list — the
+    /// same allocation, shared — with a join list of its own that carries
+    /// the sample's counts.
     pub fn cost(&self) -> &GraphReport {
         &self.tables.cost
     }
@@ -810,6 +812,8 @@ mod tests {
                 assert_eq!(run.report, plain.report);
             }
             assert_eq!(profile.rows.len(), replay.program().num_ops());
+            // Provisioning, striping and the reports are in no row.
+            assert!(profile.outside_ns > 0);
 
             let cost = replay.program().cost();
             let fires = profile.rows.iter().filter(|r| r.family == OpFamily::Fire);

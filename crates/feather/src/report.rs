@@ -2,6 +2,8 @@
 //! functional simulator: per-layer [`RunReport`]s, one pipelined segment's
 //! [`NetworkReport`], and the [`GraphReport`] every run returns.
 
+use std::sync::Arc;
+
 use feather_arch::energy::EnergyBreakdown;
 use feather_arch::tensor::Tensor4;
 use feather_memsim::AccessStats;
@@ -194,8 +196,11 @@ pub struct JoinSummary {
 /// ([`GraphSession`](crate::graph_session::GraphSession)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GraphReport {
-    /// Per-segment entries, in execution order.
-    pub segments: Vec<SegmentSummary>,
+    /// Per-segment entries, in execution order. Nothing in them depends on
+    /// the data, so every run of a program shares one list with
+    /// [`Program::cost`](crate::Program::cost): a run's report holds a
+    /// reference to it, not a copy.
+    pub segments: Arc<[SegmentSummary]>,
     /// Per-join entries, in execution order.
     pub joins: Vec<JoinSummary>,
     /// Traffic of the shortcut scratch region (element counts are bytes for

@@ -244,8 +244,10 @@ mod tests {
         let run = s
             .run(iacts, &nodes.zip(weights.iter().cloned()).collect())
             .unwrap();
-        let [segment] = <[_; 1]>::try_from(run.report.segments).expect("a chain is one segment");
-        (run.oacts, segment.report)
+        let [segment] = &*run.report.segments else {
+            panic!("a chain is one segment")
+        };
+        (run.oacts, segment.report.clone())
     }
 
     /// The chain through the reference convolution, quantized between

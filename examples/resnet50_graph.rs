@@ -166,8 +166,10 @@ fn main() {
 
     // ---- 6. Where a warm replay's time goes ------------------------------
     // One stopwatch per op of the same replay loop, next to what the cost
-    // model charges each layer: the op-family split and the layers whose
-    // wall time per useful MAC is highest.
+    // model charges each layer: the op-family split, the time outside the op
+    // loop (scratch, input striping, outputs, reports), the same split for
+    // eight samples in one lane-striped group, and the layers whose wall time
+    // per useful MAC is highest.
     let mut scratch = feather::ReplayScratch::new();
     let sample = std::slice::from_ref(&iacts);
     let (profiled, profile) = replay
@@ -175,16 +177,20 @@ fn main() {
         .expect("program replays under the profiler");
     assert_eq!(profiled[0].oacts, golden, "profiled replay diverged");
     assert_eq!(profile.rows.len(), replay.program().num_ops());
-    let total: u64 = profile.rows.iter().map(|r| r.wall_ns).sum();
-    print!(
-        "replay profile: {} ops, {:.1} us —",
-        profile.rows.len(),
-        total as f64 / 1e3
+    print_profile("replay profile", &profile);
+    let eight = vec![iacts.clone(); 8];
+    // The first eight-lane call grows the scratch to eight lanes.
+    replay
+        .run_batched_with_scratch(&mut scratch, &eight, &weights)
+        .expect("program replays eight lanes");
+    let (lanes, profile8) = replay
+        .run_profiled(&mut scratch, &eight, &weights)
+        .expect("program replays eight lanes under the profiler");
+    assert!(
+        lanes.iter().all(|run| run.oacts == golden),
+        "a lane diverged"
     );
-    for (family, ns) in profile.by_family() {
-        print!(" {family:?} {:.1}%", 100.0 * ns as f64 / total as f64);
-    }
-    println!();
+    print_profile("eight-sample replay profile", &profile8);
     let mut fires: Vec<_> = profile
         .rows
         .iter()
@@ -207,4 +213,22 @@ fn main() {
         );
     }
     println!("graph pipeline OK");
+}
+
+/// One line: op count, wall time in and outside the op loop, and the share
+/// of each op family.
+fn print_profile(title: &str, profile: &feather::ReplayProfile) {
+    let total: u64 = profile.rows.iter().map(|r| r.wall_ns).sum();
+    print!(
+        "{title}: {} ops, {:.1} us —",
+        profile.rows.len(),
+        total as f64 / 1e3
+    );
+    for (family, ns) in profile.by_family() {
+        print!(" {family:?} {:.1}%", 100.0 * ns as f64 / total as f64);
+    }
+    println!(
+        "; outside the op loop {:.1} us",
+        profile.outside_ns as f64 / 1e3
+    );
 }

@@ -54,8 +54,10 @@ fn run(
     let run = session
         .run(iacts, &nodes.zip(weights.iter().cloned()).collect())
         .unwrap();
-    let [segment] = <[_; 1]>::try_from(run.report.segments).expect("a chain is one segment");
-    (run.oacts, segment.report)
+    let [segment] = &*run.report.segments else {
+        panic!("a chain is one segment")
+    };
+    (run.oacts, segment.report.clone())
 }
 
 proptest! {

@@ -6,8 +6,9 @@
 //! compiler) and one and the same [`GraphRun`] report: cycles, DRAM traffic,
 //! scratch accounting and join saturation counts.
 //!
-//! Replay computes none of that report: it returns [`feather::Program::cost`],
-//! counted once at compile time, with join saturation patched in. The
+//! Replay computes none of that report: it returns [`feather::Program::cost`]'s
+//! segment list, counted once at compile time and shared by every run, with
+//! a join list of its own carrying the run's join saturation. The
 //! cost-oracle tests below pin that constant on awkward shapes, on every kind
 //! of input, and on the two benchmark models without
 //! running a MAC; that each compiled layer's cost is what the accounted
@@ -18,6 +19,7 @@
 //! [`GraphRun`]: feather::GraphRun
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use feather::graph_session::run_graph_reference;
 use feather::{FeatherConfig, GraphReport, GraphSession, ProgramSession};
@@ -357,6 +359,50 @@ proptest! {
         prop_assert_eq!(&run.oacts, &batched[0].oacts);
         prop_assert_eq!(&run.report, &batched[0].report);
     }
+}
+
+/// Every run of a batch — a lone sample, a full eight-lane group, a padded
+/// group after a full one, and the session's own `run` — shares
+/// `Program::cost()`'s segment list (the very allocation, not a copy) and
+/// equals the cost apart from join saturation, which is the run's own.
+#[test]
+fn every_run_shares_the_program_report() {
+    let g = build_dag(1, 3, 5, &[(2, 3, true), (1, 1, false)], 1);
+    // No quantization shift, so joins saturate.
+    let session = GraphSession::auto(FeatherConfig::new(4, 4), &g)
+        .unwrap()
+        .with_quantization(0, 0);
+    let weights = g.random_weights(5);
+    let replay = ProgramSession::new(session.compile().unwrap());
+    let cost = replay.program().cost();
+    assert_eq!(cost.joins.len(), 2);
+    // Zero samples (nothing saturates) next to random ones.
+    let samples: Vec<Tensor4<i8>> = (0..9u64)
+        .map(|i| match i % 3 {
+            0 => Tensor4::zeros([1, 3, 5, 5]),
+            _ => Tensor4::random([1, 3, 5, 5], 40 + i),
+        })
+        .collect();
+    let mut runs = vec![session.run(&samples[0], &weights).unwrap()];
+    for lanes in [1usize, 8, 9] {
+        runs.extend(replay.run_batched(&samples[..lanes], &weights).unwrap());
+    }
+    for (i, run) in runs.iter().enumerate() {
+        assert!(
+            Arc::ptr_eq(&run.report.segments, &cost.segments),
+            "run {i} copied the segment list"
+        );
+        assert_eq!(&accounting(&run.report), cost, "run {i}");
+    }
+    let saturated: Vec<u64> = runs
+        .iter()
+        .map(|run| run.report.saturated_join_elements())
+        .collect();
+    assert!(saturated.iter().any(|&s| s > 0), "{saturated:?}");
+    assert!(
+        saturated.iter().any(|&s| s != saturated[0]),
+        "{saturated:?}"
+    );
 }
 
 /// The full ResNet-50 topology — 53 convs, 16 residual joins, pools and FC —
