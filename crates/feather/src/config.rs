@@ -11,9 +11,14 @@ pub struct FeatherConfig {
     /// Number of PE columns (`AW`) — also the BIRRD width and the number of
     /// StaB banks. Must be a power of two ([`FeatherConfig::validate`]).
     pub cols: usize,
-    /// Depth (lines per bank) of each StaB half.
+    /// Depth (lines per bank) of each StaB half. Hashed into a session's
+    /// fingerprint and printed in `Program::dump`, but it bounds nothing
+    /// yet: a layer's StaB halves are sized to its tensors whatever this
+    /// says (ROADMAP item Q: make it a checked capacity, or delete it).
     pub stab_lines: usize,
-    /// Depth of the streaming buffer.
+    /// Depth of the streaming buffer. Like [`FeatherConfig::stab_lines`],
+    /// hashed into the fingerprint and printed in the dump, but it bounds
+    /// nothing yet (ROADMAP item Q).
     pub strb_lines: usize,
 }
 

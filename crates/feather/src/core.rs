@@ -44,7 +44,7 @@ use feather_arch::layout::{Location, LocationPlan4};
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, Dim};
 use feather_birrd::{Birrd, CompiledRoute, ReductionRequest};
-use feather_memsim::{AccessStats, LayoutView};
+use feather_memsim::{AccessLedger, AccessStats};
 use feather_nest::NestTiming;
 
 use crate::config::FeatherConfig;
@@ -599,8 +599,9 @@ impl SpanAccum {
 /// and records, with no NEST array, weights, bus, route evaluation or cell
 /// value. Routes resolve through `memo`, which the compiler keeps for the
 /// whole program. None of it depends on data (paper §III), so the walk
-/// drives the same buffer and route accounting at the same addresses, each
-/// distinct block once, and returns the counters with both halves' access
+/// charges the same ledgers and route accounting at the same addresses —
+/// `ctx.iact_plan` reads, each fire group's `loc` writes — each distinct
+/// block once, and returns the counters with both halves' access
 /// statistics (`iact` and `oact` are charged the walked part only):
 ///
 /// * **iAct reads** do not depend on `wt_m` outside depthwise layers: one
@@ -615,8 +616,8 @@ impl SpanAccum {
 /// * **Row fires** are `n · p_total · q_tiles · m_rows` per tile.
 pub(crate) fn count_conv_core(
     ctx: &LayerExec,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
+    iact: &mut AccessLedger,
+    oact: &mut AccessLedger,
     memo: &mut RouteMemo,
     expose_first_weight_load: bool,
 ) -> Result<(CoreRun, AccessStats, AccessStats), ArchError> {
@@ -647,7 +648,8 @@ pub(crate) fn count_conv_core(
                                 let s_i = rs_step % layer.s;
                                 for w in qs.clone().filter_map(|q| ctx.w_table[q * layer.s + s_i]) {
                                     for c in channels.clone() {
-                                        iact.read_at(ctx.iact_plan.location([n, c, h, w]));
+                                        let loc = ctx.iact_plan.location([n, c, h, w]);
+                                        iact.read(loc.line, loc.offset);
                                     }
                                 }
                             }
@@ -688,7 +690,7 @@ pub(crate) fn count_conv_core(
                                     let route = memo.resolve(ctx, c_live, c_ok, batch, request)?;
                                     oact.begin_cycle();
                                     for g in batch.iter() {
-                                        oact.write_at(g.loc, 0);
+                                        oact.write(g.loc.line, g.loc.offset);
                                     }
                                     oact.flush_cycle();
                                     let extra = u64::from(!groups.is_empty());
@@ -762,6 +764,7 @@ impl FlatPlan4 {
         let mut tables: [Vec<u32>; 4] = Default::default();
         let mut farthest = 0usize;
         for (dim, table) in tables.iter_mut().enumerate() {
+            table.reserve_exact(extents[dim].max(1));
             for v in 0..extents[dim].max(1) {
                 let mut coord = [0; 4];
                 coord[dim] = v;
@@ -1215,11 +1218,49 @@ fn load_stripe(x: &mut [i16], cells: &[i32]) {
 #[cfg(test)]
 pub(crate) mod accounted {
     use feather_arch::tensor::Tensor4;
-    use feather_memsim::FunctionalBuffer;
+    use feather_memsim::BufferSpec;
     use feather_nest::NestArray;
 
     use super::*;
     use crate::session::{iact_spec, oact_spec};
+
+    /// One StaB half of the oracle: the ledger that counts its accesses and,
+    /// beside it, the values it holds — a physical image indexed
+    /// `line · line_size + offset`, so a value lands at (and is read from)
+    /// the address its layout gives it.
+    struct Half {
+        ledger: AccessLedger,
+        cells: Vec<i32>,
+    }
+
+    impl Half {
+        fn new(spec: BufferSpec) -> Self {
+            Half {
+                ledger: AccessLedger::new(spec),
+                cells: vec![0; spec.capacity()],
+            }
+        }
+
+        fn cell(&self, loc: Location) -> usize {
+            let line_size = self.ledger.spec().line_size;
+            assert!(
+                loc.offset < line_size,
+                "{loc:?} is past a line of {line_size}"
+            );
+            loc.line * line_size + loc.offset
+        }
+
+        fn read(&mut self, loc: Location) -> i32 {
+            self.ledger.read(loc.line, loc.offset);
+            self.cells[self.cell(loc)]
+        }
+
+        fn write(&mut self, loc: Location, value: i32) {
+            self.ledger.write(loc.line, loc.offset);
+            let cell = self.cell(loc);
+            self.cells[cell] = value;
+        }
+    }
 
     /// One layer through the accounted loop on fresh StaB halves, as the
     /// first (`expose`) or a pipelined layer of a chain: `iacts` staged in the
@@ -1237,27 +1278,19 @@ pub(crate) mod accounted {
         expose: bool,
     ) -> Result<(Tensor4<i32>, CoreRun, AccessStats, AccessStats), ArchError> {
         let (layer, mapping) = (&ctx.layer, &ctx.mapping);
-        let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
-        let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
-        let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
-        let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
-        let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
-        iacts.for_each(|coord, v| iact.write_at(ctx.iact_plan.location(coord), v as i32));
-        iact.flush_cycle();
-        let (iact_base, oact_base) = (*iact.stats(), *oact.stats());
+        let mut iact = Half::new(iact_spec(layer, mapping));
+        let mut oact = Half::new(oact_spec(layer, mapping));
+        iacts.for_each(|coord, v| {
+            let cell = iact.cell(ctx.iact_plan.location(coord));
+            iact.cells[cell] = v as i32;
+        });
         let span = run_span(ctx, weights, &mut iact, &mut oact, memo)?;
         let core = span.into_core_run(ctx, expose);
         let shape = [layer.n, layer.m, ctx.p_total, ctx.q_total];
         let oacts = Tensor4::from_fn(shape, |n, m, p, q| {
-            oact.peek_at(ctx.oact_plan.location([n, m, p, q]))
-                .unwrap_or(0)
+            oact.cells[oact.cell(ctx.oact_plan.location([n, m, p, q]))]
         });
-        Ok((
-            oacts,
-            core,
-            iact.stats().since(&iact_base),
-            oact.stats().since(&oact_base),
-        ))
+        Ok((oacts, core, *iact.ledger.stats(), *oact.ledger.stats()))
     }
 
     /// Simulates one layer: the `(wt_m, wt_c, n, p, qt)` nest [`replay_fire`]
@@ -1267,8 +1300,8 @@ pub(crate) mod accounted {
     fn run_span(
         ctx: &LayerExec,
         weights: &Tensor4<i8>,
-        iact: &mut LayoutView<'_, i32>,
-        oact: &mut LayoutView<'_, i32>,
+        iact: &mut Half,
+        oact: &mut Half,
         memo: &mut RouteMemo,
     ) -> Result<SpanAccum, ArchError> {
         let (layer, cols) = (&ctx.layer, ctx.cols);
@@ -1310,14 +1343,14 @@ pub(crate) mod accounted {
                                 let r_i = rs_step / layer.s;
                                 let s_i = rs_step % layer.s;
                                 let h = ctx.h_table[p * layer.r + r_i];
-                                iact.begin_cycle();
+                                iact.ledger.begin_cycle();
                                 if let Some(h) = h {
                                     phase1_step(
                                         ctx, &mut nest, iact, ws, wt_m, wt_c, n, h, s_i, qt,
                                         rs_step,
                                     );
                                 }
-                                iact.flush_cycle();
+                                iact.ledger.flush_cycle();
                             }
 
                             // ---- Phase 2: row fires through BIRRD (RIR) ----
@@ -1349,15 +1382,15 @@ pub(crate) mod accounted {
                                     accum.birrd_passes += 1;
                                     accum.birrd_adds += route.adder_activations() as u64;
 
-                                    oact.begin_cycle();
+                                    oact.ledger.begin_cycle();
                                     for g in batch.iter() {
                                         let value = outputs[g.bank].unwrap_or(0) as i32;
                                         // In-situ accumulation in the output
                                         // buffer across channel tiles.
-                                        let prev = oact.peek_at(g.loc).unwrap_or(0);
-                                        oact.write_at(g.loc, prev + value);
+                                        let prev = oact.cells[oact.cell(g.loc)];
+                                        oact.write(g.loc, prev + value);
                                     }
-                                    oact.flush_cycle();
+                                    oact.ledger.flush_cycle();
                                     if !groups.is_empty() {
                                         // An extra BIRRD pass serializes the fire.
                                         accum.extra_cycles += 1;
@@ -1381,7 +1414,7 @@ pub(crate) mod accounted {
     fn phase1_step(
         ctx: &LayerExec,
         nest: &mut NestArray,
-        iact: &mut LayoutView<'_, i32>,
+        iact: &mut Half,
         ws: &[i8],
         wt_m: usize,
         wt_c: usize,
@@ -1414,9 +1447,7 @@ pub(crate) mod accounted {
                         if c >= layer.c {
                             continue;
                         }
-                        let value = iact
-                            .read_at(ctx.iact_plan.location([n, c, h, w]))
-                            .unwrap_or(0);
+                        let value = iact.read(ctx.iact_plan.location([n, c, h, w]));
                         let lane_vals = &[value as i8];
                         nest.mac_operand(m_lane, col, lane_vals, ws[c * ctx.rs + rs_step]);
                     }
@@ -1427,9 +1458,7 @@ pub(crate) mod accounted {
                     if c >= layer.c {
                         continue;
                     }
-                    let value = iact
-                        .read_at(ctx.iact_plan.location([n, c, h, w]))
-                        .unwrap_or(0);
+                    let value = iact.read(ctx.iact_plan.location([n, c, h, w]));
                     let lane_vals = &[value as i8];
                     for m_lane in 0..m_lanes {
                         let filter = (m_base + m_lane) * layer.c + c;
@@ -1741,19 +1770,15 @@ mod tests {
         counting: bool,
     ) -> Result<Recorded, ArchError> {
         use crate::session::{iact_spec, oact_spec};
-        use feather_memsim::FunctionalBuffer;
 
         let ctx = LayerExec::new(config, layer, mapping)?;
         let mut memo = RouteMemo::default();
         let (iacts, weights) = operands(layer);
-        let (idims, odims) = (layer.iact_dim_sizes(), layer.oact_dim_sizes());
         let mut costs = Vec::new();
         for expose in [true, false] {
             costs.push(if counting {
-                let mut iact_half = FunctionalBuffer::new(iact_spec(layer, mapping));
-                let mut oact_half = FunctionalBuffer::new(oact_spec(layer, mapping));
-                let mut iact = LayoutView::new(&mut iact_half, &mapping.iact_layout, &idims);
-                let mut oact = LayoutView::new(&mut oact_half, &mapping.oact_layout, &odims);
+                let mut iact = AccessLedger::new(iact_spec(layer, mapping));
+                let mut oact = AccessLedger::new(oact_spec(layer, mapping));
                 count_conv_core(&ctx, &mut iact, &mut oact, &mut memo, expose)?
             } else {
                 let (_, core, iact, oact) =

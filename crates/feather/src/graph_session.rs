@@ -11,8 +11,10 @@
 //!    steps ([`crate::session`]) — intermediate activations inside a segment
 //!    never leave the chip.
 //! 3. A tensor still needed after the pipeline moves on (a shortcut) is
-//!    parked in a [`feather_memsim::ScratchRegion`] with its own traffic
-//!    accounting.
+//!    parked in the scratch region until its join; the compiled program
+//!    counts that traffic apart from the StaB's with a
+//!    [`feather_memsim::ScratchRegion`], which keeps element counts per
+//!    tensor slot, not values.
 //! 4. At a join, the quantized INT8 main-path and shortcut tensors are added
 //!    with saturation ([`saturating_add_i8`]) before the result is staged
 //!    into the consumer segment in its preferred layout.

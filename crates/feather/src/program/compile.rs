@@ -14,7 +14,7 @@ use feather_arch::energy::EnergyModel;
 use feather_arch::fingerprint::fnv1a64;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::ArchError;
-use feather_memsim::{LayoutView, PingPong, ScratchRegion};
+use feather_memsim::{AccessLedger, Banking, BufferSpec, ScratchRegion};
 
 use crate::config::FeatherConfig;
 use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo};
@@ -57,9 +57,10 @@ fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &Ene
 /// Assembles [`Program::cost`], whose segment list every run of the program
 /// shares, by walking the op stream symbolically: each
 /// `Drain` turns its segment's recorded layer costs into a report entry,
-/// each `Join` contributes its shape, and `Park`/`Unpark` drive a real
-/// [`ScratchRegion`] (over zeros) so shortcut traffic is counted by the code
-/// that defines it. `None` when a tensor is fetched that is not parked.
+/// each `Join` contributes its shape, and `Park`/`Unpark` drive a
+/// [`ScratchRegion`], keyed by tensor slot and holding element counts, so
+/// shortcut traffic is counted by the code that defines it. `None` when a
+/// tensor is fetched that is not parked.
 fn cost_of(
     config: &FeatherConfig,
     energy: &EnergyModel,
@@ -69,7 +70,7 @@ fn cost_of(
     ops: &[Op],
 ) -> Option<GraphReport> {
     let elems = |tensor: usize| tensors[tensor].shape.iter().product::<usize>();
-    let mut scratch: ScratchRegion<i8> = ScratchRegion::new(config.cols.max(1));
+    let mut scratch = ScratchRegion::new(config.cols.max(1));
     let mut summaries: Vec<SegmentSummary> = Vec::with_capacity(segments.len());
     let mut join_summaries: Vec<JoinSummary> = Vec::with_capacity(joins.len());
     // Of the segment between its Stage and Drain: staged from the scratch
@@ -113,14 +114,11 @@ fn cost_of(
                 elements: elems(joins[join].output) as u64,
                 saturated: 0,
             }),
-            Op::Park { tensor } => {
-                scratch.park(tensors[tensor].key.clone(), vec![0; elems(tensor)]);
-            }
+            Op::Park { tensor } => scratch.park(tensor, elems(tensor)),
             Op::Unpark { tensor, free } => {
-                let key = &tensors[tensor].key;
-                scratch.fetch(key)?;
+                scratch.fetch(tensor)?;
                 if free {
-                    scratch.release(key);
+                    scratch.release(tensor);
                 }
             }
         }
@@ -149,18 +147,14 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let batch = session.batch();
 
     // Tensor table: the graph input plus every node output, with batched
-    // shapes and scratch keys.
+    // shapes.
     let mut tensors: Vec<TensorSlot> = Vec::new();
     let mut slot_of: BTreeMap<TensorId, usize> = BTreeMap::new();
     let mut add_tensor = |t: TensorId, tensors: &mut Vec<TensorSlot>| {
         let mut shape = graph.tensor_shape(t);
         shape[0] = batch;
         slot_of.entry(t).or_insert_with(|| {
-            tensors.push(TensorSlot {
-                id: t.0,
-                key: t.to_string(),
-                shape,
-            });
+            tensors.push(TensorSlot { id: t.0, shape });
             tensors.len() - 1
         });
     };
@@ -181,13 +175,17 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // distinct route is requested, routed, lowered and folded into the
     // program's route table once, by the first layer that issues it.
     let mut memo = RouteMemo::default();
+    // The StaB's two halves as a layer uses them: the iAct half it reads and
+    // the oAct half it writes. A layer's costs are its own accesses, and the
+    // walk flushes every cycle it opens, so a ping/pong swap carries nothing
+    // over: each layer resets both ledgers to its own specs.
+    let empty = BufferSpec::new(0, 0, 1, Banking::Horizontal);
+    let (mut iact_half, mut oact_half) = (AccessLedger::new(empty), AccessLedger::new(empty));
     for exec in &session.segments {
         let (seg, steps) = (&exec.segment, &exec.steps);
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(steps.len());
         let mut names: Vec<String> = Vec::with_capacity(steps.len());
 
-        let (first, first_mapping) = &steps[0];
-        let mut stab: PingPong<i32> = PingPong::new(iact_spec(first, first_mapping));
         for (i, (layer, mapping)) in steps.iter().enumerate() {
             let node = graph.node(seg.nodes[i]);
             names.push(node.name.clone());
@@ -196,22 +194,12 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 _ => WeightSource::Node(node.id),
             };
             let exec = LayerExec::new(&config, layer, mapping)?;
-            let ispec = iact_spec(layer, mapping);
-            let ospec = oact_spec(layer, mapping);
-            let idims = layer.iact_dim_sizes();
-            let odims = layer.oact_dim_sizes();
-            stab.shadow().reshape(ospec);
-            if i > 0 {
-                stab.active().rebank(ispec);
-            }
-            let (core, iact, oact) = {
-                let (active, shadow) = stab.split_mut();
-                let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
-                let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                count_conv_core(&exec, &mut iact_view, &mut oact_view, &mut memo, i == 0)?
-            };
+            let (ispec, ospec) = (iact_spec(layer, mapping), oact_spec(layer, mapping));
+            iact_half.reset(ispec);
+            oact_half.reset(ospec);
+            let (core, iact, oact) =
+                count_conv_core(&exec, &mut iact_half, &mut oact_half, &mut memo, i == 0)?;
             let cost = LayerCost { core, iact, oact };
-            stab.swap();
 
             layers.push(CompiledLayer {
                 replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity())?,
@@ -411,4 +399,24 @@ pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
         };
     }
     fnv1a64(text.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unpark_of_a_never_parked_slot_is_inconsistent() {
+        let config = FeatherConfig::new(4, 8);
+        let tensors = [TensorSlot {
+            id: 0,
+            shape: [1, 4, 6, 6],
+        }];
+        let unpark = |free| Op::Unpark { tensor: 0, free };
+        let cost = |ops: &[Op]| cost_of(&config, &EnergyModel::tsmc28(), &tensors, &[], &[], ops);
+        assert!(cost(&[unpark(true)]).is_none());
+        assert!(cost(&[Op::Park { tensor: 0 }, unpark(true), unpark(false)]).is_none());
+        let report = cost(&[Op::Park { tensor: 0 }, unpark(false), unpark(true)]).unwrap();
+        assert_eq!(report.scratch.element_reads, 2 * 144);
+    }
 }

@@ -58,7 +58,7 @@ mod replay;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use feather_arch::graph::NodeId;
+use feather_arch::graph::{NodeId, TensorId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvKind;
 use feather_memsim::AccessStats;
@@ -74,14 +74,12 @@ use crate::report::JoinSummary;
 pub(crate) use compile::{compile, session_fingerprint};
 pub use replay::{ProgramSession, ReplayScratch};
 
-/// One slot of a program's tensor table: a graph tensor's id, its scratch
-/// key and its batched run-time shape.
+/// One slot of a program's tensor table: a graph tensor's id and its batched
+/// run-time shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct TensorSlot {
     /// The graph [`TensorId`] index.
     id: usize,
-    /// Scratch-region key: the tensor's `TensorId::to_string`.
-    key: String,
     /// `(N, C, H, W)` shape with the batch extent applied.
     shape: [usize; 4],
 }
@@ -287,6 +285,7 @@ impl Program {
     /// deterministic and locked by a golden snapshot test.
     pub fn dump(&self) -> String {
         let t = &*self.tables;
+        let name = |slot: usize| TensorId(t.tensors[slot].id);
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -303,11 +302,7 @@ impl Program {
             "batch {} quant shift={} zero={}",
             t.batch, t.quant_shift, t.quant_zero
         );
-        let _ = writeln!(
-            out,
-            "input {} {:?}",
-            t.tensors[t.input_slot].key, t.input_shape
-        );
+        let _ = writeln!(out, "input {} {:?}", name(t.input_slot), t.input_shape);
         let _ = writeln!(
             out,
             "cost cycles={} dram_bytes={} scratch_peak={}",
@@ -317,7 +312,7 @@ impl Program {
         );
         let _ = writeln!(out, "tensors:");
         for slot in &t.tensors {
-            let _ = writeln!(out, "  {} {:?}", slot.key, slot.shape);
+            let _ = writeln!(out, "  {} {:?}", TensorId(slot.id), slot.shape);
         }
         let _ = writeln!(out, "segments:");
         for (si, seg) in t.segments.iter().enumerate() {
@@ -331,7 +326,9 @@ impl Program {
             let _ = writeln!(
                 out,
                 "  seg {si}: in={} out={}{}",
-                t.tensors[seg.input].key, t.tensors[seg.output].key, flags
+                name(seg.input),
+                name(seg.output),
+                flags
             );
             for (li, layer) in seg.layers.iter().enumerate() {
                 let l = &layer.replay.tiling.layer;
@@ -375,7 +372,7 @@ impl Program {
                 out,
                 "  join {ji} {}: out={} a={} b={}{}",
                 join.name,
-                t.tensors[join.output].key,
+                name(join.output),
                 operand_token(join.a),
                 operand_token(join.b),
                 if join.graph_output {
@@ -411,10 +408,10 @@ impl Program {
                 Op::Swap { seg } => format!("swap    seg={seg}"),
                 Op::Drain { seg } => format!("drain   seg={seg}"),
                 Op::Join { join } => format!("join    {}", t.joins[join].name),
-                Op::Park { tensor } => format!("park    {}", t.tensors[tensor].key),
+                Op::Park { tensor } => format!("park    {}", name(tensor)),
                 Op::Unpark { tensor, free } => format!(
                     "unpark  {}{}",
-                    t.tensors[tensor].key,
+                    name(tensor),
                     if free { " free" } else { "" }
                 ),
             };

@@ -69,7 +69,9 @@ pub const DEFAULT_QUANT_SHIFT: u32 = 6;
 /// its mapping valid, consecutive layers chaining shape-wise
 /// ([`ConvLayer::chains_into`]), and each layer's oAct layout the
 /// producer-side view of the next layer's iAct layout (the RIR boundary
-/// contract, [`Layout::as_producer_oact_layout`]).
+/// contract, [`Layout::as_producer_oact_layout`]). Together the last two
+/// give a layer's oAct half and the next layer's iAct half the same line
+/// geometry, which the record pass relies on at every ping/pong swap.
 pub(crate) fn validate_chain(
     config: &FeatherConfig,
     steps: &[(ConvLayer, LayerMapping)],
@@ -203,6 +205,7 @@ mod tests {
     use super::*;
     use crate::report::NetworkReport;
     use crate::GraphSession;
+    use feather_arch::graph::{resnet50_graph_scaled, Graph};
     use feather_arch::tensor::{conv2d_reference, quantize_to_i8, Tensor4};
 
     /// A 3-layer chain with a layout switch at every boundary.
@@ -356,6 +359,61 @@ mod tests {
         assert!(err.to_string().contains("RIR must target"), "{err}");
     }
 
+    /// The golden dump's residual graph (`tests/program_dump_golden.rs`):
+    /// its `pre_head → head` tail is a two-layer segment.
+    fn golden_residual() -> Graph {
+        let conv = |m, c, k, name| {
+            ConvLayer::new(1, m, c, 6, 6, k, k)
+                .with_padding(k / 2)
+                .with_name(name)
+        };
+        let mut g = Graph::new("golden_residual", [1, 4, 6, 6]);
+        let stem = g.conv(g.input(), conv(4, 4, 3, "stem")).unwrap();
+        let main = g.conv(stem, conv(8, 4, 1, "b0_main")).unwrap();
+        let proj = g.conv(stem, conv(8, 4, 1, "b0_proj")).unwrap();
+        let joined = g.add(main, proj, "b0_add").unwrap();
+        let tail = g.conv(joined, conv(8, 8, 3, "pre_head")).unwrap();
+        g.conv(tail, conv(4, 8, 1, "head")).unwrap();
+        g
+    }
+
+    /// At a pipelined boundary the ping/pong swap hands layer `i`'s oAct
+    /// half to layer `i + 1` as its iAct half, so the record pass, which
+    /// resets one ledger per half to each layer's own spec, relies on both
+    /// specs describing the same lines. [`validate_chain`] is what
+    /// guarantees it: `chains_into` makes the producer's oAct extents the
+    /// consumer's iAct extents, and the RIR layout contract makes the oAct
+    /// layout the producer-side view of the next iAct layout.
+    #[test]
+    fn pipelined_boundaries_hand_over_the_same_stab_geometry() {
+        let models = [
+            (FeatherConfig::new(8, 16), resnet50_graph_scaled(16, 16)),
+            (FeatherConfig::new(16, 16), resnet50_graph_scaled(8, 8)),
+            (FeatherConfig::new(4, 8), golden_residual()),
+        ];
+        for (config, graph) in models {
+            let session = GraphSession::auto(config, &graph).unwrap();
+            let mut boundaries = 0;
+            for seg in &session.segments {
+                for pair in seg.steps.windows(2) {
+                    let ((layer, mapping), (next, next_mapping)) = (&pair[0], &pair[1]);
+                    let out = oact_spec(layer, mapping);
+                    let next_in = iact_spec(next, next_mapping);
+                    assert_eq!(
+                        (out.num_lines, out.line_size),
+                        (next_in.num_lines, next_in.line_size),
+                        "{}: `{layer}` hands {} to `{next}` reading {}",
+                        graph.name,
+                        mapping.oact_layout,
+                        next_mapping.iact_layout
+                    );
+                    boundaries += 1;
+                }
+            }
+            assert!(boundaries > 0, "{} has no pipelined boundary", graph.name);
+        }
+    }
+
     #[test]
     fn non_chaining_layers_rejected() {
         let cfg = FeatherConfig::new(4, 4);
@@ -410,8 +468,6 @@ mod tests {
     #[test]
     fn from_schedule_builds_runnable_session() {
         use feather_arch::dataflow::{ArrayShape, Dataflow};
-        use feather_arch::graph::Graph;
-
         let (layers, _, _) = chain();
         let graph = Graph::linear("chain", &layers).unwrap();
         let schedules = graph

@@ -101,10 +101,12 @@ fn the_accounted_loop_does_not_allocate_per_birrd_pass() {
         );
         return;
     }
-    // What still grows with the input is per layer, not per pass: the StaB
-    // lines — 20 more over the six layers today. (An address plan that
-    // allocated per row and column, as `Layout::plan4` once did, added ~40.)
-    let per_layer = 16;
+    // Nothing grows with the input any more: the StaB halves are data-free
+    // ledgers and replay's flat address tables are sized up front — 0 more
+    // allocations over the six layers today. (Tables grown element by
+    // element added 20; an address plan that allocated per row and column,
+    // as `Layout::plan4` once did, added ~40.)
+    let per_layer = 1;
     assert!(
         added < per_layer * layers,
         "{small} -> {large} allocations for {added_passes} more passes"

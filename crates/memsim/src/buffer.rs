@@ -1,38 +1,35 @@
-//! Data-carrying buffer with per-cycle port accounting.
-
-use serde::{Deserialize, Serialize};
+//! Data-free buffer ledger with per-cycle port accounting.
 
 use crate::conflict::ConflictModel;
 use crate::stats::AccessStats;
 use crate::BufferSpec;
 
-/// A functional model of one logical 2-D buffer: it stores actual element
-/// values and tracks, per simulated cycle, which lines were touched so that
-/// bank-conflict stalls can be charged.
+/// The access ledger of one logical 2-D buffer. It holds addresses, not
+/// values: a bank-conflict stall depends only on which lines a cycle
+/// touches (§II-B), so the ledger tracks, per simulated cycle, the lines
+/// read and written and charges the stalls when the cycle ends.
 ///
-/// Access pattern: call [`FunctionalBuffer::begin_cycle`] at the start of each
-/// simulated cycle, then perform reads/writes; the buffer accumulates the set
+/// Access pattern: call [`AccessLedger::begin_cycle`] at the start of each
+/// simulated cycle, then record reads/writes; the ledger accumulates the set
 /// of lines touched and charges the appropriate slowdown when the next cycle
-/// begins (or when [`FunctionalBuffer::flush_cycle`] is called).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FunctionalBuffer<T> {
+/// begins (or when [`AccessLedger::flush_cycle`] is called).
+#[derive(Debug, Clone, PartialEq)]
+pub struct AccessLedger {
     spec: BufferSpec,
-    data: Vec<Option<T>>,
     stats: AccessStats,
     // Distinct lines touched this cycle. A handful of lines per cycle is the
     // norm, so a linear-scanned Vec (capacity retained across cycles) beats a
-    // node-allocating set in the replay hot path.
+    // node-allocating set in the record pass.
     cycle_read_lines: Vec<usize>,
     cycle_write_lines: Vec<usize>,
     in_cycle: bool,
 }
 
-impl<T: Copy> FunctionalBuffer<T> {
-    /// Creates an empty buffer of the given shape.
+impl AccessLedger {
+    /// Creates a ledger with no accesses for a buffer of the given shape.
     pub fn new(spec: BufferSpec) -> Self {
-        FunctionalBuffer {
+        AccessLedger {
             spec,
-            data: vec![None; spec.capacity()],
             stats: AccessStats::new(),
             cycle_read_lines: Vec::new(),
             cycle_write_lines: Vec::new(),
@@ -50,68 +47,15 @@ impl<T: Copy> FunctionalBuffer<T> {
         &self.stats
     }
 
-    /// Clears all stored data (keeps statistics).
-    pub fn clear(&mut self) {
-        self.data.fill(None);
-    }
-
-    /// Switches the conflict-accounting discipline (banking/ports) without
-    /// touching the stored data or statistics. The line geometry must be
-    /// unchanged — this models the *same* SRAM being accessed under a
-    /// different role, e.g. a StaB half that was the BIRRD write target of
-    /// layer `i` becoming the read side of layer `i + 1` after a ping/pong
-    /// swap.
-    ///
-    /// # Panics
-    /// Panics if `spec` changes `num_lines` or `line_size` (that would
-    /// invalidate the stored addresses; use [`FunctionalBuffer::reshape`]).
-    pub fn rebank(&mut self, spec: BufferSpec) {
-        assert!(
-            spec.num_lines == self.spec.num_lines && spec.line_size == self.spec.line_size,
-            "rebank must preserve geometry: {}x{} -> {}x{}",
-            self.spec.num_lines,
-            self.spec.line_size,
-            spec.num_lines,
-            spec.line_size
-        );
-        self.flush_cycle();
+    /// Starts over for a new tenant, keeping the allocations: adopts `spec`,
+    /// zeroes the statistics and drops the lines of an unflushed cycle
+    /// uncharged. Observationally the same as `AccessLedger::new(spec)`.
+    pub fn reset(&mut self, spec: BufferSpec) {
         self.spec = spec;
-    }
-
-    /// Re-provisions the buffer for a new tenant: adopts the new spec
-    /// (including a different line geometry), discards all stored data, and
-    /// keeps the accumulated statistics. This is what happens to the shadow
-    /// StaB half at a layer boundary — the previous layer's stale iActs are
-    /// dead and the half is redrawn for the next layer's oAct layout.
-    pub fn reshape(&mut self, spec: BufferSpec) {
-        self.flush_cycle();
-        self.spec = spec;
-        self.data.clear();
-        self.data.resize(spec.capacity(), None);
-    }
-
-    /// Writes one element without recording an access — the counterpart of
-    /// [`FunctionalBuffer::peek`]. Used for operations that are architecturally
-    /// free, e.g. the quantization module rescaling accumulators in place on
-    /// the way into the StaB (§III-C.4).
-    ///
-    /// # Panics
-    /// Panics if the location is out of bounds.
-    #[inline]
-    pub fn poke(&mut self, line: usize, offset: usize, value: T) {
-        assert!(
-            line < self.spec.num_lines && offset < self.spec.line_size,
-            "poke out of bounds: line {line}, offset {offset} (buffer is {}x{})",
-            self.spec.num_lines,
-            self.spec.line_size
-        );
-        let idx = self.flat(line, offset);
-        self.data[idx] = Some(value);
-    }
-
-    #[inline]
-    fn flat(&self, line: usize, offset: usize) -> usize {
-        line * self.spec.line_size + offset
+        self.stats = AccessStats::new();
+        self.cycle_read_lines.clear();
+        self.cycle_write_lines.clear();
+        self.in_cycle = false;
     }
 
     /// Begins a new simulated cycle: charges the previous cycle's conflicts.
@@ -133,7 +77,7 @@ impl<T: Copy> FunctionalBuffer<T> {
             // can exceed its ports either (max_lines_per_bank <= total lines),
             // so the slowdown is exactly 1.0 and the full assessment — which
             // groups lines by bank — can be skipped. This is the common case
-            // in the replay hot path.
+            // in the record pass.
             // Otherwise the lines are assessed where they are retained; both
             // lists are cleared below anyway.
             if self.cycle_read_lines.len() > self.spec.read_ports.max(1)
@@ -153,20 +97,23 @@ impl<T: Copy> FunctionalBuffer<T> {
         self.in_cycle = false;
     }
 
-    /// Writes one element at `(line, offset)`.
+    #[inline]
+    fn check(&self, op: &str, line: usize, offset: usize) {
+        assert!(
+            line < self.spec.num_lines && offset < self.spec.line_size,
+            "{op} out of bounds: line {line}, offset {offset} (buffer is {}x{})",
+            self.spec.num_lines,
+            self.spec.line_size
+        );
+    }
+
+    /// Records a write of one element at `(line, offset)`.
     ///
     /// # Panics
     /// Panics if the location is out of bounds.
     #[inline]
-    pub fn write(&mut self, line: usize, offset: usize, value: T) {
-        assert!(
-            line < self.spec.num_lines && offset < self.spec.line_size,
-            "write out of bounds: line {line}, offset {offset} (buffer is {}x{})",
-            self.spec.num_lines,
-            self.spec.line_size
-        );
-        let idx = self.flat(line, offset);
-        self.data[idx] = Some(value);
+    pub fn write(&mut self, line: usize, offset: usize) {
+        self.check("write", line, offset);
         self.stats.element_writes += 1;
         if !self.cycle_write_lines.contains(&line) {
             self.cycle_write_lines.push(line);
@@ -174,98 +121,55 @@ impl<T: Copy> FunctionalBuffer<T> {
         }
     }
 
-    /// Reads one element, returning `None` if it was never written.
+    /// Records a read of one element at `(line, offset)`.
     ///
     /// # Panics
     /// Panics if the location is out of bounds.
     #[inline]
-    pub fn read(&mut self, line: usize, offset: usize) -> Option<T> {
-        assert!(
-            line < self.spec.num_lines && offset < self.spec.line_size,
-            "read out of bounds: line {line}, offset {offset} (buffer is {}x{})",
-            self.spec.num_lines,
-            self.spec.line_size
-        );
-        let idx = self.flat(line, offset);
+    pub fn read(&mut self, line: usize, offset: usize) {
+        self.check("read", line, offset);
         self.stats.element_reads += 1;
         if !self.cycle_read_lines.contains(&line) {
             self.cycle_read_lines.push(line);
             self.stats.line_reads += 1;
         }
-        self.data[idx]
-    }
-
-    /// Reads a whole line (missing elements come back as `None`).
-    pub fn read_line(&mut self, line: usize) -> Vec<Option<T>> {
-        (0..self.spec.line_size)
-            .map(|offset| self.read(line, offset))
-            .collect()
-    }
-
-    /// Writes a whole line starting at offset 0.
-    ///
-    /// # Panics
-    /// Panics if `values.len()` exceeds the line size.
-    pub fn write_line(&mut self, line: usize, values: &[T]) {
-        assert!(
-            values.len() <= self.spec.line_size,
-            "line write of {} elements exceeds line size {}",
-            values.len(),
-            self.spec.line_size
-        );
-        for (offset, v) in values.iter().enumerate() {
-            self.write(line, offset, *v);
-        }
-    }
-
-    /// Peeks at a value without recording an access (for assertions in tests).
-    #[inline]
-    pub fn peek(&self, line: usize, offset: usize) -> Option<T> {
-        self.data.get(self.flat(line, offset)).copied().flatten()
-    }
-
-    /// Number of elements currently holding data.
-    pub fn occupancy(&self) -> usize {
-        self.data.iter().filter(|v| v.is_some()).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::ops::Range;
+
+    use feather_arch::layout::Layout;
+    use feather_arch::Dim;
+
     use super::*;
     use crate::Banking;
 
-    fn buf() -> FunctionalBuffer<i8> {
-        FunctionalBuffer::new(BufferSpec::new(16, 4, 4, Banking::VerticalBlocked).with_ports(2, 2))
+    fn spec() -> BufferSpec {
+        BufferSpec::new(16, 4, 4, Banking::VerticalBlocked).with_ports(2, 2)
     }
 
     #[test]
-    fn write_then_read_roundtrips() {
-        let mut b = buf();
-        b.begin_cycle();
-        b.write(3, 2, 42);
-        b.begin_cycle();
-        assert_eq!(b.read(3, 2), Some(42));
-        assert_eq!(b.read(3, 3), None);
-        assert_eq!(b.peek(3, 2), Some(42));
-        assert_eq!(b.occupancy(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "write out of bounds")]
     fn out_of_bounds_write_panics() {
-        let mut b = buf();
-        b.write(99, 0, 1);
+        AccessLedger::new(spec()).write(99, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "read out of bounds")]
+    fn out_of_bounds_offset_read_panics() {
+        AccessLedger::new(spec()).read(0, 4);
     }
 
     #[test]
     fn line_level_stats() {
-        let mut b = buf();
+        let mut b = AccessLedger::new(spec());
         b.begin_cycle();
-        b.write_line(0, &[1, 2, 3, 4]);
+        (0..4).for_each(|offset| b.write(0, offset));
         b.begin_cycle();
-        let line = b.read_line(0);
-        assert_eq!(line, vec![Some(1), Some(2), Some(3), Some(4)]);
+        (0..4).for_each(|offset| b.read(0, offset));
         b.flush_cycle();
         assert_eq!(b.stats().line_writes, 1);
         assert_eq!(b.stats().line_reads, 1);
@@ -279,10 +183,10 @@ mod tests {
     fn conflicting_reads_accumulate_stalls() {
         // All of lines 0..4 live in bank 0 (conflict_depth=4): reading 4 lines
         // in one cycle with dual ports costs one extra cycle.
-        let mut b = buf();
+        let mut b = AccessLedger::new(spec());
         for line in 0..4 {
             b.begin_cycle();
-            b.write(line, 0, line as i8);
+            b.write(line, 0);
         }
         b.flush_cycle();
         let stalls_after_writes = b.stats().conflict_stall_cycles;
@@ -297,10 +201,10 @@ mod tests {
 
     #[test]
     fn conflict_free_reads_do_not_stall() {
-        let mut b = buf();
+        let mut b = AccessLedger::new(spec());
         b.begin_cycle();
         for line in [0usize, 4, 8, 12] {
-            b.write(line, 0, 1);
+            b.write(line, 0);
         }
         b.begin_cycle();
         for line in [0usize, 4, 8, 12] {
@@ -310,47 +214,65 @@ mod tests {
         assert_eq!(b.stats().conflict_stall_cycles, 0);
     }
 
-    #[test]
-    fn rebank_keeps_data_reshape_keeps_stats() {
-        let mut b = buf();
+    /// Records one cycle of accesses to channels `cs` of pixel `(0, 0)` of
+    /// an 8×4×4 (C×H×W) tensor stored under `layout`.
+    fn access_channels(b: &mut AccessLedger, layout: &Layout, cs: Range<usize>, write: bool) {
+        let dims: BTreeMap<Dim, usize> = [(Dim::C, 8), (Dim::H, 4), (Dim::W, 4)].into();
         b.begin_cycle();
-        b.write(2, 1, 9);
+        for c in cs {
+            let loc = layout.location(&[(Dim::C, c), (Dim::H, 0), (Dim::W, 0)].into(), &dims);
+            if write {
+                b.write(loc.line, loc.offset);
+            } else {
+                b.read(loc.line, loc.offset);
+            }
+        }
         b.flush_cycle();
-        // Same geometry, different banking: data survives.
-        b.rebank(BufferSpec::new(16, 4, 4, Banking::Horizontal));
-        assert_eq!(b.peek(2, 1), Some(9));
-        assert_eq!(b.spec().banking, Banking::Horizontal);
-        // New geometry: data is gone, stats survive.
-        b.reshape(BufferSpec::new(8, 8, 8, Banking::Horizontal));
-        assert_eq!(b.occupancy(), 0);
-        assert_eq!(b.spec().line_size, 8);
-        assert_eq!(b.stats().element_writes, 1);
     }
 
     #[test]
-    #[should_panic(expected = "rebank must preserve geometry")]
-    fn rebank_rejects_geometry_change() {
-        let mut b = buf();
-        b.rebank(BufferSpec::new(8, 4, 4, Banking::Horizontal));
+    fn ledger_tracks_conflicts_of_discordant_layout_access() {
+        // Row-major layout, channel-parallel reads: 4 distinct lines per cycle
+        // in a single-bank buffer with 2 ports → 1 stall cycle per access cycle.
+        let layout: Layout = "HCW_W4".parse().unwrap();
+        let spec = BufferSpec::new(32, 4, 1, Banking::VerticalBlocked).with_ports(2, 2);
+        let mut b = AccessLedger::new(spec);
+        for c in 0..4 {
+            access_channels(&mut b, &layout, c..c + 1, true);
+        }
+        assert_eq!(b.stats().conflict_stall_cycles, 0);
+        access_channels(&mut b, &layout, 0..4, false);
+        assert_eq!(b.stats().conflict_stall_cycles, 1);
     }
 
     #[test]
-    fn poke_stores_without_accounting() {
-        let mut b = buf();
-        b.poke(1, 1, 5);
-        assert_eq!(b.peek(1, 1), Some(5));
-        assert_eq!(b.stats().element_writes, 0);
-        assert_eq!(b.stats().line_writes, 0);
+    fn horizontal_banked_line_reads_are_free_of_conflicts() {
+        let layout: Layout = "HWC_C8".parse().unwrap();
+        let mut b = AccessLedger::new(BufferSpec::new(16, 8, 8, Banking::Horizontal));
+        access_channels(&mut b, &layout, 0..8, false);
+        // All eight elements share one line → no conflict.
+        assert_eq!(b.stats().line_reads, 1);
+        assert_eq!(b.stats().conflict_stall_cycles, 0);
     }
 
     #[test]
-    fn clear_keeps_stats() {
-        let mut b = buf();
+    fn reset_behaves_like_new() {
+        let mut b = AccessLedger::new(spec());
         b.begin_cycle();
-        b.write(0, 0, 7);
+        for line in 0..4 {
+            b.read(line, 0);
+        }
         b.flush_cycle();
-        b.clear();
-        assert_eq!(b.occupancy(), 0);
-        assert_eq!(b.stats().element_writes, 1);
+        // An open cycle is dropped, not charged.
+        b.begin_cycle();
+        b.write(2, 1);
+        let new_spec = BufferSpec::new(8, 8, 8, Banking::Horizontal);
+        b.reset(new_spec);
+        assert_eq!(b, AccessLedger::new(new_spec));
+        b.flush_cycle();
+        assert_eq!(*b.stats(), AccessStats::new());
+        // The new geometry bounds the next accesses.
+        b.read(7, 7);
+        assert_eq!(b.stats().element_reads, 1);
     }
 }

@@ -11,16 +11,12 @@
 //!   banking organization, port counts and `conflict_depth` (§V-A);
 //! * [`ConflictModel`] — the bank-conflict slowdown
 //!   assessment used by Layoutloop (§V-B);
-//! * [`FunctionalBuffer`] — a data-carrying buffer
-//!   with per-cycle access legality checks and statistics;
-//! * [`LayoutStore`] — a tensor stored in a buffer under a
-//!   [`Layout`](feather_arch::layout::Layout), addressed by logical
-//!   coordinates;
-//! * [`PingPong`] — the double-buffering wrapper used by
-//!   FEATHER's StaB/StrB;
-//! * [`ScratchRegion`] — the shortcut staging area a
-//!   graph executor parks residual branch tensors in, with separate traffic
-//!   accounting.
+//! * [`AccessLedger`] — a data-free buffer ledger: it keeps addresses, not
+//!   values, and charges each cycle's port accesses and bank-conflict stalls
+//!   to [`AccessStats`];
+//! * [`ScratchRegion`] — the accounting of the shortcut staging area a graph
+//!   executor parks residual branch tensors in, with separate traffic
+//!   statistics.
 //!
 //! # Example
 //!
@@ -42,17 +38,13 @@
 
 pub mod buffer;
 pub mod conflict;
-pub mod pingpong;
 pub mod scratch;
 pub mod stats;
-pub mod store;
 
-pub use buffer::FunctionalBuffer;
+pub use buffer::AccessLedger;
 pub use conflict::ConflictModel;
-pub use pingpong::PingPong;
 pub use scratch::ScratchRegion;
 pub use stats::AccessStats;
-pub use store::{LayoutStore, LayoutView};
 
 use serde::{Deserialize, Serialize};
 
@@ -137,8 +129,8 @@ impl BufferSpec {
         self.num_lines * self.line_size
     }
 
-    /// FEATHER's Stationary Buffer organization: `aw` one-byte-wide banks,
-    /// ping/pong handled by [`PingPong`]. `depth` lines per bank.
+    /// FEATHER's Stationary Buffer organization (one ping/pong half): `aw`
+    /// one-byte-wide banks, `depth` lines per bank.
     pub fn feather_stab(aw: usize, depth: usize) -> Self {
         BufferSpec {
             num_lines: depth,

@@ -6,22 +6,21 @@
 //! layer boundary: its value is produced at a branch point and consumed only
 //! at the join several layers later, so it must sit in a separate scratch
 //! region (on real silicon: spare StaB lines or a dedicated SRAM slice). This
-//! type models that region functionally: named allocations holding real
-//! element data, with its own [`AccessStats`] so shortcut traffic is
-//! accounted separately from the main-path StaB traffic, plus peak-occupancy
-//! tracking for sizing.
+//! type models that region's accounting: allocations keyed by tensor slot,
+//! each holding only its element count, with its own [`AccessStats`] so
+//! shortcut traffic is accounted separately from the main-path StaB traffic,
+//! plus peak-occupancy tracking for sizing.
 //!
 //! # Example
 //!
 //! ```
 //! use feather_memsim::ScratchRegion;
 //!
-//! let mut scratch = ScratchRegion::<i8>::new(16);
-//! scratch.park("shortcut", vec![1, 2, 3, 4]);
+//! let mut scratch = ScratchRegion::new(16);
+//! scratch.park(7, 4);
 //! assert_eq!(scratch.occupancy(), 4);
-//! assert_eq!(scratch.fetch("shortcut"), Some(&[1i8, 2, 3, 4][..]));
-//! let released = scratch.release("shortcut").unwrap();
-//! assert_eq!(released.len(), 4);
+//! assert_eq!(scratch.fetch(7), Some(4));
+//! assert_eq!(scratch.release(7), Some(4));
 //! assert_eq!(scratch.occupancy(), 0);
 //! assert_eq!(scratch.peak_occupancy(), 4);
 //! // One line write per 16-element row, one line read back.
@@ -34,18 +33,19 @@ use std::collections::BTreeMap;
 
 use crate::stats::AccessStats;
 
-/// A functional scratch region for parked tensors. See the
+/// The accounting of a scratch region for parked tensors. See the
 /// [module docs](self) for the architectural role.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScratchRegion<T> {
-    slots: BTreeMap<String, Vec<T>>,
+pub struct ScratchRegion {
+    /// Element count per parked tensor slot.
+    slots: BTreeMap<usize, usize>,
     line_size: usize,
     stats: AccessStats,
     occupancy: usize,
     peak_occupancy: usize,
 }
 
-impl<T: Copy> ScratchRegion<T> {
+impl ScratchRegion {
     /// Creates an empty region whose line (row) width is `line_size` elements
     /// — the granularity the line-access counters use.
     pub fn new(line_size: usize) -> Self {
@@ -58,42 +58,41 @@ impl<T: Copy> ScratchRegion<T> {
         }
     }
 
-    /// Parks a tensor's elements under a key, counting the element and line
-    /// writes. Re-parking an existing key replaces its data (the old
-    /// allocation is freed first).
-    pub fn park(&mut self, key: impl Into<String>, data: Vec<T>) {
-        let key = key.into();
-        if let Some(old) = self.slots.remove(&key) {
-            self.occupancy -= old.len();
+    /// Parks a tensor of `elems` elements in `slot`, counting the element
+    /// and line writes. Re-parking an occupied slot replaces its tensor (the
+    /// old allocation is freed first).
+    pub fn park(&mut self, slot: usize, elems: usize) {
+        if let Some(old) = self.slots.insert(slot, elems) {
+            self.occupancy -= old;
         }
-        let elems = data.len();
         self.stats.element_writes += elems as u64;
         self.stats.line_writes += elems.div_ceil(self.line_size) as u64;
         self.occupancy += elems;
         self.peak_occupancy = self.peak_occupancy.max(self.occupancy);
-        self.slots.insert(key, data);
     }
 
-    /// Reads a parked tensor without freeing it, counting the element and
-    /// line reads. Returns `None` for unknown keys.
-    pub fn fetch(&mut self, key: &str) -> Option<&[T]> {
-        let elems = self.slots.get(key)?.len();
+    /// Reads the tensor parked in `slot` without freeing it, counting the
+    /// element and line reads. Returns its element count, or `None` for an
+    /// empty slot.
+    pub fn fetch(&mut self, slot: usize) -> Option<usize> {
+        let elems = *self.slots.get(&slot)?;
         self.stats.element_reads += elems as u64;
         self.stats.line_reads += elems.div_ceil(self.line_size) as u64;
-        self.slots.get(key).map(|data| data.as_slice())
+        Some(elems)
     }
 
-    /// Frees a parked tensor, returning its data without counting a read
-    /// (pair with [`ScratchRegion::fetch`] for read-then-free).
-    pub fn release(&mut self, key: &str) -> Option<Vec<T>> {
-        let data = self.slots.remove(key)?;
-        self.occupancy -= data.len();
-        Some(data)
+    /// Frees the tensor parked in `slot`, returning its element count without
+    /// counting a read (pair with [`ScratchRegion::fetch`] for
+    /// read-then-free).
+    pub fn release(&mut self, slot: usize) -> Option<usize> {
+        let elems = self.slots.remove(&slot)?;
+        self.occupancy -= elems;
+        Some(elems)
     }
 
-    /// Returns `true` if a tensor is parked under `key`.
-    pub fn contains(&self, key: &str) -> bool {
-        self.slots.contains_key(key)
+    /// Returns `true` if a tensor is parked in `slot`.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.slots.contains_key(&slot)
     }
 
     /// Elements currently parked.
@@ -129,56 +128,56 @@ mod tests {
 
     #[test]
     fn park_fetch_release_roundtrip() {
-        let mut s = ScratchRegion::<i32>::new(4);
-        s.park("a", vec![10; 10]);
-        s.park("b", vec![20; 6]);
+        let mut s = ScratchRegion::new(4);
+        s.park(0, 10);
+        s.park(1, 6);
         assert_eq!(s.occupancy(), 16);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.fetch("a").unwrap().len(), 10);
-        assert_eq!(s.release("a").unwrap(), vec![10; 10]);
+        assert_eq!(s.fetch(0), Some(10));
+        assert_eq!(s.release(0), Some(10));
         assert_eq!(s.occupancy(), 6);
-        assert!(!s.contains("a"));
-        assert!(s.contains("b"));
-        assert_eq!(s.fetch("a"), None);
-        assert_eq!(s.release("missing"), None);
+        assert!(!s.contains(0));
+        assert!(s.contains(1));
+        assert_eq!(s.fetch(0), None);
+        assert_eq!(s.release(9), None);
     }
 
     #[test]
     fn stats_count_elements_and_lines() {
-        let mut s = ScratchRegion::<i8>::new(4);
-        s.park("t", vec![0; 10]);
+        let mut s = ScratchRegion::new(4);
+        s.park(3, 10);
         // 10 elements over 4-wide lines → 3 line writes.
         assert_eq!(s.stats().element_writes, 10);
         assert_eq!(s.stats().line_writes, 3);
-        s.fetch("t");
-        s.fetch("t");
+        s.fetch(3);
+        s.fetch(3);
         assert_eq!(s.stats().element_reads, 20);
         assert_eq!(s.stats().line_reads, 6);
         // Release is free (no read counted).
-        s.release("t");
+        s.release(3);
         assert_eq!(s.stats().element_reads, 20);
     }
 
     #[test]
     fn peak_occupancy_is_a_high_water_mark() {
-        let mut s = ScratchRegion::<i8>::new(8);
-        s.park("a", vec![0; 100]);
-        s.release("a");
-        s.park("b", vec![0; 30]);
+        let mut s = ScratchRegion::new(8);
+        s.park(0, 100);
+        s.release(0);
+        s.park(1, 30);
         assert_eq!(s.occupancy(), 30);
         assert_eq!(s.peak_occupancy(), 100);
-        assert!(s.release("b").is_some());
+        assert!(s.release(1).is_some());
         assert!(s.is_empty());
     }
 
     #[test]
     fn repark_replaces_without_leaking_occupancy() {
-        let mut s = ScratchRegion::<i8>::new(8);
-        s.park("a", vec![0; 50]);
-        s.park("a", vec![1; 10]);
+        let mut s = ScratchRegion::new(8);
+        s.park(0, 50);
+        s.park(0, 10);
         assert_eq!(s.occupancy(), 10);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.fetch("a").unwrap()[0], 1);
+        assert_eq!(s.fetch(0), Some(10));
         // Both parks counted as writes.
         assert_eq!(s.stats().element_writes, 60);
     }
