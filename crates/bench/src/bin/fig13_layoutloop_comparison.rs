@@ -3,21 +3,28 @@
 //! stall and off-chip-reorder cost breakdowns. Results are normalized to
 //! FEATHER (= 1.0), lower is better. Set `FEATHER_FULL=1` for all layers.
 
-use feather_arch::models::{bert_base, mobilenet_v3, resnet50};
+use feather_arch::models::{bert_base, mobilenet_v3, resnet50, Network};
+use feather_arch::ArchError;
 use feather_baselines::suite::{fig13_bert_suite, fig13_suite};
-use feather_bench::{layer_subset, print_table, run_design, totals};
+use feather_bench::{layer_subset, print_table};
+use layoutloop::cosearch::{plan_network, summarize};
 use layoutloop::mapper::MapperConfig;
+use layoutloop::CoSearchCache;
 
-fn main() {
+fn main() -> Result<(), ArchError> {
     let mapper = MapperConfig::fast();
     let ablate_rir = std::env::args().any(|a| a == "--ablate-rir");
+    // One memo for every design and network: a table is keyed by the whole
+    // design spec, so a shape repeated within or across networks is searched
+    // once per design.
+    let mut cache = CoSearchCache::new();
 
     for (net, stride, suite) in [
         (bert_base(), 30, fig13_bert_suite(16, 16)),
         (resnet50(), 4, fig13_suite(16, 16)),
         (mobilenet_v3(), 4, fig13_suite(16, 16)),
     ] {
-        let layers = layer_subset(&net, stride);
+        let layers = Network::new(net.name.clone(), layer_subset(&net, stride));
         let mut rows = Vec::new();
         let mut all = Vec::new();
         for entry in &suite {
@@ -28,9 +35,9 @@ fn main() {
                 arch.reorder = layoutloop::arch::ReorderCapability::Transpose;
                 arch.name = "FEATHER (RAR ablation)".to_string();
             }
-            let results = run_design(&arch, &layers, &mapper, 0);
-            let t = totals(&layers, &results);
-            all.push((entry, t));
+            // A layer with no valid pair fails the figure, naming it.
+            let plan = plan_network(&arch, &layers, &mapper, 0, &mut cache)?;
+            all.push((entry, summarize(&layers, &plan.per_layer)));
         }
         let feather = all
             .iter()
@@ -41,16 +48,19 @@ fn main() {
             rows.push(vec![
                 entry.label.clone(),
                 entry.layout_note.clone(),
-                format!("{:.2}x", t.cycles as f64 / feather.cycles.max(1) as f64),
-                format!("{:.2}x", t.pj_per_mac() / feather.pj_per_mac().max(1e-12)),
-                format!("{:.0}%", t.utilization * 100.0),
+                format!(
+                    "{:.2}x",
+                    t.total_cycles as f64 / feather.total_cycles.max(1) as f64
+                ),
+                format!("{:.2}x", t.pj_per_mac / feather.pj_per_mac.max(1e-12)),
+                format!("{:.0}%", t.avg_utilization * 100.0),
                 format!(
                     "{:.1}%",
-                    100.0 * t.stall_cycles as f64 / t.cycles.max(1) as f64
+                    100.0 * t.total_stall_cycles as f64 / t.total_cycles.max(1) as f64
                 ),
                 format!(
                     "{:.1}%",
-                    100.0 * t.reorder_cycles as f64 / t.cycles.max(1) as f64
+                    100.0 * t.total_reorder_cycles as f64 / t.total_cycles.max(1) as f64
                 ),
             ]);
         }
@@ -68,4 +78,5 @@ fn main() {
             &rows,
         );
     }
+    Ok(())
 }

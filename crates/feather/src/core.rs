@@ -1849,7 +1849,7 @@ mod tests {
             let (oacts, core, iact_stats, oact_stats) =
                 accounted::run_layer(&ctx, &iacts, &weights, &mut RouteMemo::default(), true).unwrap();
             let energy = EnergyModel::tsmc28();
-            let summary = layer_summary(&config, &energy, &layer, &core, iact_stats, oact_stats, true, true);
+            let summary = layer_summary(&config, &energy, &layer, &core, iact_stats, oact_stats, true, true, true);
             let run = Feather::new(config).execute_conv(&layer, &mapping, &iacts, &weights).unwrap();
             prop_assert_eq!(&oacts, &conv2d_reference(&layer, &iacts, &weights).unwrap());
             prop_assert_eq!(&run.oacts, &oacts);

@@ -17,6 +17,9 @@
 //! the way FEATHER's controller does: a record pass counts the schedule once
 //! and lowers it into a flat [`Program`], whose cost is known exactly without
 //! running it, and every run replays that program as pure data movement.
+//! That cost is one [`LayerSummary`] per layer — the only record of what a
+//! compiled layer costs — grouped by segment into the [`GraphReport`] every
+//! run returns, the only place that totals them.
 //!
 //! Full model *graphs* — residual branches and joins included — go through
 //! [`graph_session::GraphSession`], which plans the tensor DAG as pipelined
@@ -75,6 +78,5 @@ pub use mapping::LayerMapping;
 pub use profile::{OpFamily, ProfileRow, ReplayProfile};
 pub use program::{Program, ProgramSession, ReplayScratch};
 pub use report::{
-    GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, NetworkReport, RunReport,
-    SegmentSummary,
+    GraphReport, GraphRun, JoinSummary, LayerRun, LayerSummary, RunReport, SegmentSummary,
 };

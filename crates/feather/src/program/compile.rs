@@ -1,16 +1,15 @@
 //! The one lowering of a planned [`GraphSession`] into a [`Program`]: tensor
 //! table, per-layer replay contexts, op stream and [`Program::cost`] all come
-//! from the session; each layer's measured half — its [`LayerCost`] — and the
-//! route table come from the record pass, a counting walk
-//! of each layer ([`count_conv_core`]) that moves no value. The accounted
-//! tile loop over real data, which is test code, is the oracle it is tested
-//! against.
+//! from the session; each layer's cost record — its
+//! [`LayerSummary`], made once from the counts — and the route table come
+//! from the record pass, a counting walk of each layer ([`count_conv_core`])
+//! that moves no value. The accounted tile loop over real data, which is test
+//! code, is the oracle it is tested against.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use feather_arch::energy::EnergyModel;
 use feather_arch::fingerprint::fnv1a64;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::ArchError;
@@ -19,93 +18,47 @@ use feather_memsim::{AccessLedger, Banking, BufferSpec, ScratchRegion};
 use crate::config::FeatherConfig;
 use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo};
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
-use crate::report::{GraphReport, JoinSummary, NetworkReport, SegmentSummary};
+use crate::report::{GraphReport, JoinSummary, LayerSummary, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
 
 use super::{
-    kind_token, CompiledLayer, CompiledSegment, JoinSpec, LayerCost, Op, OperandSrc, Program,
-    Tables, TensorSlot, WeightSource,
+    kind_token, CompiledLayer, CompiledSegment, JoinSpec, Op, OperandSrc, Program, Tables,
+    TensorSlot, WeightSource,
 };
 
-/// Rewrites a drained segment's report for graph-level DRAM accounting:
-/// interior boundary tensors stay on chip (StaB handoff or scratch region),
-/// and pooling lowerings carry no weight traffic — their window constants
-/// are synthesized, not streamed.
-fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &EnergyModel) {
-    let mut dirty: Vec<usize> = Vec::new();
-    if !seg.graph_input {
-        report.layers[0].report.dram_iact_bytes = 0;
-        dirty.push(0);
-    }
-    if !seg.graph_output {
-        let last = report.layers.len() - 1;
-        report.layers[last].report.dram_oact_bytes = 0;
-        dirty.push(last);
-    }
-    for (i, layer) in seg.layers.iter().enumerate() {
-        if matches!(layer.weight, WeightSource::Pool(_)) {
-            report.layers[i].report.dram_weight_bytes = 0;
-            dirty.push(i);
-        }
-    }
-    for i in dirty {
-        let layer = &mut report.layers[i].report;
-        layer.energy.dram_pj = energy.dram_pj(layer.dram_bytes());
-    }
-}
-
 /// Assembles [`Program::cost`], whose segment list every run of the program
-/// shares, by walking the op stream symbolically: each
-/// `Drain` turns its segment's recorded layer costs into a report entry,
-/// each `Join` contributes its shape, and `Park`/`Unpark` drive a
-/// [`ScratchRegion`], keyed by tensor slot and holding element counts, so
-/// shortcut traffic is counted by the code that defines it. `None` when a
-/// tensor is fetched that is not parked.
+/// shares, by walking the op stream symbolically: each `Drain` moves its
+/// segment's layer records (`layers[seg]`, already final) into the report —
+/// segments drain in the order they were compiled, so segment `i` of the
+/// report is segment `i` of the program — each `Join` contributes its shape,
+/// and `Park`/`Unpark` drive a [`ScratchRegion`], keyed by tensor slot and
+/// holding element counts, so shortcut traffic is counted by the code that
+/// defines it. `None` when a tensor is fetched that is not parked or a
+/// segment drains out of order.
 fn cost_of(
     config: &FeatherConfig,
-    energy: &EnergyModel,
     tensors: &[TensorSlot],
-    segments: &[CompiledSegment],
+    mut layers: Vec<Vec<LayerSummary>>,
     joins: &[JoinSpec],
     ops: &[Op],
 ) -> Option<GraphReport> {
     let elems = |tensor: usize| tensors[tensor].shape.iter().product::<usize>();
     let mut scratch = ScratchRegion::new(config.cols.max(1));
-    let mut summaries: Vec<SegmentSummary> = Vec::with_capacity(segments.len());
+    let mut summaries: Vec<SegmentSummary> = Vec::with_capacity(layers.len());
     let mut join_summaries: Vec<JoinSummary> = Vec::with_capacity(joins.len());
     // Of the segment between its Stage and Drain: staged from the scratch
-    // region, swaps so far.
-    let (mut input_from_scratch, mut stab_swaps) = (false, 0);
+    // region.
+    let mut input_from_scratch = false;
     for op in ops {
         match *op {
-            Op::Stage { fresh, .. } => (input_from_scratch, stab_swaps) = (!fresh, 0),
-            Op::Fire { .. } | Op::Reorder { .. } => {}
-            Op::Swap { .. } => stab_swaps += 1,
+            Op::Stage { fresh, .. } => input_from_scratch = !fresh,
+            Op::Fire { .. } | Op::Reorder { .. } | Op::Swap { .. } => {}
             Op::Drain { seg } => {
-                let cs = &segments[seg];
-                let last = cs.layers.len() - 1;
-                let layers = cs
-                    .layers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, cl)| {
-                        layer_summary(
-                            config,
-                            energy,
-                            &cl.replay.tiling.layer,
-                            &cl.cost.core,
-                            cl.cost.iact,
-                            cl.cost.oact,
-                            i == 0,
-                            i == last,
-                        )
-                    })
-                    .collect();
-                let mut network = NetworkReport { layers, stab_swaps };
-                adjust_report(&mut network, cs, energy);
+                if seg != summaries.len() {
+                    return None;
+                }
                 summaries.push(SegmentSummary {
-                    nodes: cs.names.clone(),
-                    report: network,
+                    layers: std::mem::take(&mut layers[seg]),
                     input_from_scratch,
                 });
             }
@@ -171,6 +124,10 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // this one pass resolves every BIRRD pass a replay's row fires stand for
     // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
+    // Each segment's layer records: the record pass's counts, with their
+    // final graph-level DRAM accounting.
+    let mut costs: Vec<Vec<LayerSummary>> = Vec::with_capacity(session.segments.len());
+    let energy = &session.energy_model;
     // One memo for the whole program: the fabric width is fixed, so each
     // distinct route is requested, routed, lowered and folded into the
     // program's route table once, by the first layer that issues it.
@@ -183,12 +140,13 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let (mut iact_half, mut oact_half) = (AccessLedger::new(empty), AccessLedger::new(empty));
     for exec in &session.segments {
         let (seg, steps) = (&exec.segment, &exec.steps);
+        let (graph_input, graph_output) =
+            (seg.input == graph.input(), seg.output == graph.output());
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(steps.len());
-        let mut names: Vec<String> = Vec::with_capacity(steps.len());
+        let mut cost: Vec<LayerSummary> = Vec::with_capacity(steps.len());
 
         for (i, (layer, mapping)) in steps.iter().enumerate() {
             let node = graph.node(seg.nodes[i]);
-            names.push(node.name.clone());
             let weight = match &node.op {
                 NodeOp::PoolAsConv(_) => WeightSource::Pool(pool_window_weights(layer)),
                 _ => WeightSource::Node(node.id),
@@ -199,21 +157,29 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
             oact_half.reset(ospec);
             let (core, iact, oact) =
                 count_conv_core(&exec, &mut iact_half, &mut oact_half, &mut memo, i == 0)?;
-            let cost = LayerCost { core, iact, oact };
-
+            cost.push(layer_summary(
+                &config,
+                energy,
+                layer,
+                &core,
+                iact,
+                oact,
+                graph_input && i == 0,
+                graph_output && i + 1 == steps.len(),
+                matches!(weight, WeightSource::Node(_)),
+            ));
             layers.push(CompiledLayer {
                 replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity())?,
                 weight,
-                cost,
             });
         }
 
+        costs.push(cost);
         segments.push(CompiledSegment {
-            names,
             input: slot_of[&seg.input],
             output: slot_of[&seg.output],
-            graph_input: seg.input == graph.input(),
-            graph_output: seg.output == graph.output(),
+            graph_input,
+            graph_output,
             layers,
         });
     }
@@ -311,8 +277,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     }
 
     let routes = memo.into_table();
-    let energy = &session.energy_model;
-    let cost = cost_of(&config, energy, &tensors, &segments, &joins, &ops).ok_or_else(|| {
+    let cost = cost_of(&config, &tensors, costs, &joins, &ops).ok_or_else(|| {
         ArchError::InvalidWorkload("compiled program is inconsistent: op stream".to_string())
     })?;
     Ok(Program {
@@ -413,7 +378,7 @@ mod tests {
             shape: [1, 4, 6, 6],
         }];
         let unpark = |free| Op::Unpark { tensor: 0, free };
-        let cost = |ops: &[Op]| cost_of(&config, &EnergyModel::tsmc28(), &tensors, &[], &[], ops);
+        let cost = |ops: &[Op]| cost_of(&config, &tensors, Vec::new(), &[], ops);
         assert!(cost(&[unpark(true)]).is_none());
         assert!(cost(&[Op::Park { tensor: 0 }, unpark(true), unpark(false)]).is_none());
         let report = cost(&[Op::Park { tensor: 0 }, unpark(false), unpark(true)]).unwrap();

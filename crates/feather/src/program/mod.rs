@@ -61,15 +61,14 @@ use std::sync::Arc;
 use feather_arch::graph::{NodeId, TensorId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvKind;
-use feather_memsim::AccessStats;
 
 use crate::config::FeatherConfig;
-use crate::core::{CoreRun, ReplayLayer, RouteTable};
+use crate::core::{ReplayLayer, RouteTable};
 #[cfg(doc)]
 use crate::graph_session::GraphSession;
-use crate::report::GraphReport;
 #[cfg(doc)]
 use crate::report::JoinSummary;
+use crate::report::{GraphReport, LayerSummary};
 
 pub(crate) use compile::{compile, session_fingerprint};
 pub use replay::{ProgramSession, ReplayScratch};
@@ -93,31 +92,19 @@ enum WeightSource {
     Pool(Tensor4<i8>),
 }
 
-/// What one layer costs, exactly as the compile-time record pass counted it:
-/// the tile loop's counters and the access statistics of both StaB halves.
-/// All integers — the floats of a report are re-derived by [`layer_summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LayerCost {
-    core: CoreRun,
-    iact: AccessStats,
-    oact: AccessStats,
-}
-
-/// One fully-resolved layer of a compiled segment: what its `Fire` replays,
-/// where its weights come from and what it costs.
+/// One fully-resolved layer of a compiled segment: what its `Fire` replays
+/// and where its weights come from. What it costs is its entry in
+/// [`Program::cost`], at the same segment and layer index.
 #[derive(Debug, Clone)]
 struct CompiledLayer {
     replay: ReplayLayer,
     weight: WeightSource,
-    cost: LayerCost,
 }
 
 /// A compiled linear segment: its layers plus the graph-level flags that
-/// drive DRAM accounting.
+/// drove its DRAM accounting.
 #[derive(Debug, Clone)]
 struct CompiledSegment {
-    /// Node names in execution order (one per layer).
-    names: Vec<String>,
     /// Tensor-table slot the segment reads.
     input: usize,
     /// Tensor-table slot the segment produces.
@@ -217,7 +204,16 @@ struct Tables {
     /// Every BIRRD pass of every layer, folded and deduplicated.
     routes: RouteTable,
     /// The report of one run with no join saturation — see [`Program::cost`].
+    /// Its segment `i` is [`Tables::segments`]`[i]`: segments drain in the
+    /// order they were compiled.
     cost: GraphReport,
+}
+
+impl Tables {
+    /// The cost record of layer `layer` of segment `seg`.
+    fn layer_cost(&self, seg: usize, layer: usize) -> &LayerSummary {
+        &self.cost.segments[seg].layers[layer]
+    }
 }
 
 impl Program {
@@ -255,12 +251,8 @@ impl Program {
 
     /// Total BIRRD passes one run fires across all layers.
     pub fn route_fires(&self) -> usize {
-        self.tables
-            .segments
-            .iter()
-            .flat_map(|s| &s.layers)
-            .map(|l| l.cost.core.birrd_passes as usize)
-            .sum()
+        let layers = self.tables.cost.layers();
+        layers.map(|l| l.report.birrd_passes as usize).sum()
     }
 
     /// The exact cost of one run of this program — the cost oracle for its
@@ -269,6 +261,14 @@ impl Program {
     /// to the report [`GraphSession::run`] of the originating session
     /// returns for *any* input and weights. It is counted once, by the
     /// compile-time record pass, so reading it executes nothing.
+    ///
+    /// Each layer's [`LayerSummary`] is the only record
+    /// of what that compiled layer costs — the listing, [`route_fires`] and
+    /// replay profiles all read it — and [`GraphReport`] is the only place
+    /// that totals it. Segment `i` of the report is the program's segment
+    /// `i`.
+    ///
+    /// [`route_fires`]: Program::route_fires
     ///
     /// The one data-dependent field of a report, [`JoinSummary::saturated`],
     /// is zero here; every replay returns this report's segment list — the
@@ -338,30 +338,30 @@ impl Program {
                     WeightSource::Node(id) => format!("w={id}"),
                     WeightSource::Pool(_) => "w=pool".to_string(),
                 };
+                let LayerSummary { name, report, .. } = t.layer_cost(si, li);
                 let _ = writeln!(
                     out,
-                    "    layer {li} {}: conv n{} m{} c{} {}x{} k{}x{} s{} p{} {kind} {weights}",
-                    seg.names[li], l.n, l.m, l.c, l.h, l.w, l.r, l.s, l.stride, l.padding
+                    "    layer {li} {name}: conv n{} m{} c{} {}x{} k{}x{} s{} p{} {kind} {weights}",
+                    l.n, l.m, l.c, l.h, l.w, l.r, l.s, l.stride, l.padding
                 );
                 let _ = writeln!(
                     out,
                     "      map m_rows={} c_cols={} q_cols={} iact={} oact={}",
                     m.m_rows, m.c_cols, m.q_cols, m.iact_layout, m.oact_layout
                 );
-                let cost = &layer.cost;
                 let _ = writeln!(
                     out,
                     "      cost cycles={} stalls={} macs={} passes={} adds={}",
-                    cost.core.cycles + cost.iact.conflict_stall_cycles,
-                    cost.iact.conflict_stall_cycles,
-                    cost.core.macs,
-                    cost.core.birrd_passes,
-                    cost.core.birrd_adds
+                    report.cycles,
+                    report.stall_cycles,
+                    report.macs,
+                    report.birrd_passes,
+                    report.birrd_adds
                 );
                 let _ = writeln!(
                     out,
                     "      routes fires={} blocks={}",
-                    cost.core.birrd_passes,
+                    report.birrd_passes,
                     layer.replay.tiling.blocks()
                 );
             }
@@ -459,10 +459,10 @@ mod tests {
     use super::*;
     use crate::core::accounted::run_layer;
     use crate::core::{LayerExec, RouteMemo};
-    use crate::graph_session::{run_graph_reference, GraphSession, Step};
+    use crate::graph_session::{run_graph_reference, GraphSession};
     use crate::profile::OpFamily;
     use crate::report::GraphRun;
-    use feather_arch::graph::Graph;
+    use feather_arch::graph::{resnet50_graph_scaled, Graph};
     use feather_arch::tensor::conv2d_reference;
     use feather_arch::workload::ConvLayer;
     use std::collections::BTreeMap;
@@ -645,15 +645,7 @@ mod tests {
             let solo = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
             let session = solo.with_batch(batch).unwrap();
             let program = session.compile().unwrap();
-            // `cost().segments` is in drain order: the plan's.
-            let drained: Vec<usize> = session
-                .plan
-                .iter()
-                .filter_map(|step| match *step {
-                    Step::Segment(si) => Some(si),
-                    Step::Join(_) => None,
-                })
-                .collect();
+            assert_segments_are_reported_in_order(&session, &program);
 
             for fill in [Some(0), Some(i8::MIN), Some(i8::MAX), None] {
                 let operand = |shape: [usize; 4], seed: u64| match fill {
@@ -675,13 +667,97 @@ mod tests {
                         let ctx = LayerExec::new(&session.config(), layer, mapping).unwrap();
                         let (_, core, iact, oact) =
                             run_layer(&ctx, &iacts, &weights, &mut RouteMemo::default(), i == 0).unwrap();
-                        prop_assert_eq!(LayerCost { core, iact, oact }, compiled.cost, "{}", layer.name);
+                        let report = &program.tables.layer_cost(si, i).report;
+                        let counted = (
+                            report.cycles - report.stall_cycles,
+                            report.stall_cycles,
+                            report.macs,
+                            report.birrd_passes,
+                            report.birrd_adds,
+                            report.iact_stats,
+                            report.oact_stats,
+                        );
+                        let oracle = (
+                            core.cycles,
+                            iact.conflict_stall_cycles,
+                            core.macs,
+                            core.birrd_passes,
+                            core.birrd_adds,
+                            iact,
+                            oact,
+                        );
+                        prop_assert_eq!(counted, oracle, "{}", layer.name);
                     }
-                    let at = drained.iter().position(|&d| d == si).unwrap();
-                    let summary = &program.cost().segments[at];
-                    prop_assert_eq!(summary.report.stab_swaps, steps.len() as u64);
                 }
             }
+        }
+    }
+
+    /// The op-stream invariants the report's derived counts rest on: each
+    /// segment's ops hold exactly one `Swap` per layer (what
+    /// [`GraphReport::stab_swaps`] counts), and segment `i` of
+    /// [`Program::cost`] is segment `i` of the program — its layer count that
+    /// of `tables.segments[i]`, its names those of the session's segment `i`
+    /// nodes — which the listing, `route_fires` and replay profiles index by.
+    fn assert_segments_are_reported_in_order(session: &GraphSession, program: &Program) {
+        let t = &*program.tables;
+        assert_eq!(t.cost.segments.len(), t.segments.len());
+        let segments = t
+            .cost
+            .segments
+            .iter()
+            .zip(&t.segments)
+            .zip(&session.segments);
+        for (si, ((summary, segment), exec)) in segments.enumerate() {
+            let swaps = t.ops.iter().filter(|op| **op == Op::Swap { seg: si });
+            assert_eq!(swaps.count(), segment.layers.len(), "segment {si} swaps");
+            assert_eq!(summary.layers.len(), segment.layers.len(), "segment {si}");
+            let nodes = exec
+                .segment
+                .nodes
+                .iter()
+                .map(|&id| &session.graph().node(id).name);
+            let names: Vec<&String> = summary.layers.iter().map(|l| &l.name).collect();
+            assert_eq!(names, nodes.collect::<Vec<_>>(), "segment {si}");
+        }
+        assert_eq!(
+            program.cost().stab_swaps(),
+            t.ops
+                .iter()
+                .filter(|op| matches!(op, Op::Swap { .. }))
+                .count() as u64
+        );
+    }
+
+    /// [`assert_segments_are_reported_in_order`] on the benchmark's Models A
+    /// (`resnet50_graph_scaled(16, 16)` on 8×16) and B (÷8 on 16×16, planned
+    /// by the weight-stationary default here) and the golden dump's residual
+    /// graph.
+    #[test]
+    fn op_stream_holds_one_swap_per_layer_and_reports_segments_in_order() {
+        let golden = {
+            let conv = |m, c, k, name| {
+                ConvLayer::new(1, m, c, 6, 6, k, k)
+                    .with_padding(k / 2)
+                    .with_name(name)
+            };
+            let mut g = Graph::new("golden_residual", [1, 4, 6, 6]);
+            let stem = g.conv(g.input(), conv(4, 4, 3, "stem")).unwrap();
+            let main = g.conv(stem, conv(8, 4, 1, "b0_main")).unwrap();
+            let proj = g.conv(stem, conv(8, 4, 1, "b0_proj")).unwrap();
+            let joined = g.add(main, proj, "b0_add").unwrap();
+            let tail = g.conv(joined, conv(8, 8, 3, "pre_head")).unwrap();
+            g.conv(tail, conv(4, 8, 1, "head")).unwrap();
+            g
+        };
+        let models = [
+            (FeatherConfig::new(8, 16), resnet50_graph_scaled(16, 16)),
+            (FeatherConfig::new(16, 16), resnet50_graph_scaled(8, 8)),
+            (FeatherConfig::new(4, 8), golden),
+        ];
+        for (config, graph) in models {
+            let session = GraphSession::auto(config, &graph).unwrap();
+            assert_segments_are_reported_in_order(&session, &session.compile().unwrap());
         }
     }
 

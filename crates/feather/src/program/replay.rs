@@ -19,7 +19,7 @@ impl Tables {
     /// The profile row of one executed `op`: its family and owner, with the
     /// layer's modelled cost on `Fire` rows.
     fn profile_row(&self, op: Op, wall_ns: u64) -> ProfileRow {
-        let layer_of = |seg: usize, layer: usize| self.segments[seg].names[layer].clone();
+        let layer_of = |seg: usize, layer: usize| self.layer_cost(seg, layer).name.clone();
         let (family, segment, layer) = match op {
             Op::Stage { seg, .. } => (OpFamily::Stage, Some(seg), layer_of(seg, 0)),
             Op::Fire { seg, layer } => (OpFamily::Fire, Some(seg), layer_of(seg, layer)),
@@ -42,10 +42,10 @@ impl Tables {
             passes: 0,
         };
         if let Op::Fire { seg, layer } = op {
-            let cost = &self.segments[seg].layers[layer].cost;
-            row.cycles = cost.core.cycles + cost.iact.conflict_stall_cycles;
-            row.macs = cost.core.macs;
-            row.passes = cost.core.birrd_passes;
+            let cost = &self.layer_cost(seg, layer).report;
+            row.cycles = cost.cycles;
+            row.macs = cost.macs;
+            row.passes = cost.birrd_passes;
         }
         row
     }
@@ -476,7 +476,7 @@ impl ProgramSession {
                         WeightSource::Node(id) => weights.get(id).ok_or_else(|| {
                             ArchError::InvalidWorkload(format!(
                                 "no weight tensor supplied for node `{}`",
-                                cs.names[layer]
+                                p.layer_cost(seg, layer).name
                             ))
                         })?,
                     };

@@ -1,6 +1,8 @@
 //! Results of running a layer, a pipelined chain or a whole graph on the
-//! functional simulator: per-layer [`RunReport`]s, one pipelined segment's
-//! [`NetworkReport`], and the [`GraphReport`] every run returns.
+//! functional simulator: the [`GraphReport`] every run returns, one
+//! [`SegmentSummary`] per pipelined segment and one [`RunReport`] per layer.
+//! A compiled layer's cost is recorded once, as its [`LayerSummary`], and
+//! totalled only here, by [`GraphReport`].
 
 use std::sync::Arc;
 
@@ -77,13 +79,16 @@ pub struct LayerRun {
     pub report: RunReport,
 }
 
-/// One layer's entry in a [`NetworkReport`].
+/// One layer's entry in a [`SegmentSummary`]: the only cost record of a
+/// compiled layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerSummary {
     /// Layer name.
     pub name: String,
-    /// The layer's run report, with *pipelined* DRAM accounting (intermediate
-    /// activations never touch DRAM).
+    /// The layer's run report, with graph-level DRAM accounting: a layer
+    /// stages iActs from DRAM only when it heads the segment that reads the
+    /// graph input, drains oActs only when it ends the segment that produces
+    /// the graph output, and streams weights unless it is a pooling lowering.
     pub report: RunReport,
     /// The activation DRAM bytes this layer would have paid if executed
     /// layer-at-a-time (stage iActs from DRAM, drain oActs back) — the
@@ -91,91 +96,15 @@ pub struct LayerSummary {
     pub standalone_activation_dram_bytes: u64,
 }
 
-/// Aggregate accounting for one pipelined chain of layers — a segment of a
-/// [`GraphReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkReport {
-    /// Per-layer entries, in execution order.
-    pub layers: Vec<LayerSummary>,
-    /// Number of StaB ping/pong swaps performed: one per executed layer —
-    /// every layer (including the last) ends with the boundary swap that
-    /// publishes its oActs to the active side, so this equals the layer
-    /// count.
-    pub stab_swaps: u64,
-}
-
-impl NetworkReport {
-    /// Total cycles across all layers.
-    pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.report.cycles).sum()
-    }
-
-    /// Total useful MACs across all layers.
-    pub fn total_macs(&self) -> u64 {
-        self.layers.iter().map(|l| l.report.macs).sum()
-    }
-
-    /// Total cycles lost to bank conflicts.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.report.stall_cycles).sum()
-    }
-
-    /// Total energy in pJ.
-    pub fn total_energy_pj(&self) -> f64 {
-        self.layers.iter().map(|l| l.report.energy.total_pj()).sum()
-    }
-
-    /// Total DRAM traffic of the pipelined execution.
-    pub fn dram_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.report.dram_bytes()).sum()
-    }
-
-    /// Activation DRAM traffic of the pipelined execution: the first layer's
-    /// iAct staging plus the last layer's oAct drain.
-    pub fn dram_activation_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.report.dram_activation_bytes())
-            .sum()
-    }
-
-    /// Activation DRAM traffic a layer-at-a-time execution of the same
-    /// network would pay (every layer stages and drains through DRAM).
-    pub fn layer_at_a_time_activation_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.standalone_activation_dram_bytes)
-            .sum()
-    }
-
-    /// Fraction of activation DRAM traffic the pipeline eliminated relative
-    /// to layer-at-a-time execution (0 for a single-layer session).
-    pub fn dram_activation_savings(&self) -> f64 {
-        let baseline = self.layer_at_a_time_activation_bytes();
-        if baseline == 0 {
-            return 0.0;
-        }
-        1.0 - self.dram_activation_bytes() as f64 / baseline as f64
-    }
-
-    /// MAC-per-PE-cycle utilization over the whole run.
-    pub fn utilization(&self, num_pes: usize) -> f64 {
-        let denom = self.total_cycles().max(1) as f64 * num_pes.max(1) as f64;
-        (self.total_macs() as f64 / denom).min(1.0)
-    }
-}
-
-/// One linear segment's entry in a [`GraphReport`]: the pipelined
-/// [`NetworkReport`] of its layers, with graph-level DRAM accounting (an
-/// intermediate segment's boundary tensors stay on chip — in the StaB
-/// ping/pong handoff or the shortcut scratch region — so only the graph's
-/// true input/output segments carry activation DRAM traffic).
+/// One linear segment's entry in a [`GraphReport`]: its layers, pipelined
+/// back-to-back through the ping/pong StaB (an intermediate segment's
+/// boundary tensors stay on chip — in the StaB handoff or the shortcut
+/// scratch region — so only the graph's true input/output segments carry
+/// activation DRAM traffic).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SegmentSummary {
-    /// Names of the nodes executed, in order.
-    pub nodes: Vec<String>,
-    /// The segment's pipelined execution report.
-    pub report: NetworkReport,
+    /// Per-layer entries, in execution order.
+    pub layers: Vec<LayerSummary>,
     /// `true` when the segment's input was fetched from the shortcut scratch
     /// region rather than handed over in the StaB (projection branches).
     pub input_from_scratch: bool,
@@ -214,57 +143,63 @@ pub struct GraphReport {
 impl GraphReport {
     /// Iterates over every executed layer's summary, across all segments.
     pub fn layers(&self) -> impl Iterator<Item = &LayerSummary> {
-        self.segments.iter().flat_map(|s| s.report.layers.iter())
+        self.segments.iter().flat_map(|s| s.layers.iter())
     }
 
-    /// Total cycles across all segments.
+    /// Total cycles across all layers.
     pub fn total_cycles(&self) -> u64 {
-        self.segments.iter().map(|s| s.report.total_cycles()).sum()
+        self.layers().map(|l| l.report.cycles).sum()
     }
 
-    /// Total useful MACs across all segments.
+    /// Total useful MACs across all layers.
     pub fn total_macs(&self) -> u64 {
-        self.segments.iter().map(|s| s.report.total_macs()).sum()
+        self.layers().map(|l| l.report.macs).sum()
     }
 
-    /// Total StaB ping/pong swaps (one per executed layer).
+    /// Total StaB ping/pong swaps: one per executed layer — every layer,
+    /// including a segment's last, ends with the boundary swap that
+    /// publishes its oActs to the active side.
     pub fn stab_swaps(&self) -> u64 {
-        self.segments.iter().map(|s| s.report.stab_swaps).sum()
+        self.layers().count() as u64
     }
 
-    /// Total energy in pJ.
+    /// Total energy in pJ: a partial sum per segment, then their sum (the
+    /// order the benchmark's bit-exact energy gate was pinned with).
     pub fn total_energy_pj(&self) -> f64 {
         self.segments
             .iter()
-            .map(|s| s.report.total_energy_pj())
+            .map(|s| {
+                s.layers
+                    .iter()
+                    .map(|l| l.report.energy.total_pj())
+                    .sum::<f64>()
+            })
             .sum()
     }
 
     /// Total DRAM traffic of the graph execution.
     pub fn dram_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.report.dram_bytes()).sum()
+        self.layers().map(|l| l.report.dram_bytes()).sum()
     }
 
     /// Activation DRAM traffic: only the graph input staging and the graph
     /// output drain (every other boundary stayed on chip).
     pub fn dram_activation_bytes(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| s.report.dram_activation_bytes())
+        self.layers()
+            .map(|l| l.report.dram_activation_bytes())
             .sum()
     }
 
     /// Activation DRAM traffic a layer-at-a-time execution would pay (every
     /// layer staging its iActs from DRAM and draining its oActs back).
     pub fn layer_at_a_time_activation_bytes(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| s.report.layer_at_a_time_activation_bytes())
+        self.layers()
+            .map(|l| l.standalone_activation_dram_bytes)
             .sum()
     }
 
     /// Fraction of activation DRAM traffic eliminated relative to
-    /// layer-at-a-time execution.
+    /// layer-at-a-time execution (0 when there is no activation traffic).
     pub fn dram_activation_savings(&self) -> f64 {
         let baseline = self.layer_at_a_time_activation_bytes();
         if baseline == 0 {
@@ -342,36 +277,38 @@ mod tests {
     }
 
     #[test]
-    fn network_report_aggregates_and_savings() {
+    fn graph_report_aggregates_and_savings() {
         let mut first = report(100, 400);
         first.dram_iact_bytes = 1000;
         first.dram_weight_bytes = 64;
         let mut last = report(50, 200);
         last.dram_oact_bytes = 500;
         last.dram_weight_bytes = 32;
-        let net = NetworkReport {
-            layers: vec![
-                LayerSummary {
-                    name: "l0".into(),
-                    report: first,
-                    standalone_activation_dram_bytes: 1000 + 800,
-                },
-                LayerSummary {
-                    name: "l1".into(),
-                    report: last,
-                    standalone_activation_dram_bytes: 800 + 500,
-                },
-            ],
-            stab_swaps: 2,
+        let layer = |name: &str, report, standalone| LayerSummary {
+            name: name.into(),
+            report,
+            standalone_activation_dram_bytes: standalone,
         };
-        assert_eq!(net.total_cycles(), 150);
-        assert_eq!(net.total_macs(), 600);
-        assert_eq!(net.dram_bytes(), 1000 + 64 + 500 + 32);
-        assert_eq!(net.dram_activation_bytes(), 1500);
-        assert_eq!(net.layer_at_a_time_activation_bytes(), 3100);
-        assert!(net.dram_activation_bytes() < net.layer_at_a_time_activation_bytes());
-        let savings = net.dram_activation_savings();
+        let segment = SegmentSummary {
+            layers: vec![layer("l0", first, 1000 + 800), layer("l1", last, 800 + 500)],
+            input_from_scratch: false,
+        };
+        let graph = GraphReport {
+            segments: vec![segment].into(),
+            joins: Vec::new(),
+            scratch: AccessStats::default(),
+            scratch_peak_elems: 0,
+        };
+        assert_eq!(graph.total_cycles(), 150);
+        assert_eq!(graph.total_macs(), 600);
+        assert_eq!(graph.stab_swaps(), 2);
+        assert_eq!(graph.total_energy_pj(), 400.0);
+        assert_eq!(graph.dram_bytes(), 1000 + 64 + 500 + 32);
+        assert_eq!(graph.dram_activation_bytes(), 1500);
+        assert_eq!(graph.layer_at_a_time_activation_bytes(), 3100);
+        assert!(graph.dram_activation_bytes() < graph.layer_at_a_time_activation_bytes());
+        let savings = graph.dram_activation_savings();
         assert!(savings > 0.5 && savings < 0.52, "{savings}");
-        assert!((net.utilization(4) - 1.0).abs() < 1e-12);
+        assert!((graph.utilization(4) - 1.0).abs() < 1e-12);
     }
 }

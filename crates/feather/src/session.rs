@@ -141,10 +141,14 @@ pub(crate) fn oact_spec(layer: &ConvLayer, mapping: &LayerMapping) -> BufferSpec
     .with_ports(2, 2)
 }
 
-/// Assembles one layer's report from the core counters and the per-layer
-/// buffer statistics, with pipelined DRAM accounting: only the first layer
-/// stages iActs from DRAM, only the last drains oActs back. Used by the
-/// compiled program's cost assembly.
+/// The one record of what a compiled layer costs: its report, assembled from
+/// the record pass's core counters and StaB statistics, with the layer's
+/// DRAM traffic decided by three facts of the graph — whether it stages its
+/// iActs from DRAM (`stages_iacts`: the first layer of the segment that reads
+/// the graph input), drains its oActs to DRAM (`drains_oacts`: the last layer
+/// of the segment that produces the graph output) and streams weights
+/// (`streams_weights`: any layer but a pooling lowering, whose window
+/// constants are synthesized).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn layer_summary(
     config: &FeatherConfig,
@@ -153,15 +157,17 @@ pub(crate) fn layer_summary(
     core: &CoreRun,
     iact_stats: AccessStats,
     oact_stats: AccessStats,
-    is_first: bool,
-    is_last: bool,
+    stages_iacts: bool,
+    drains_oacts: bool,
+    streams_weights: bool,
 ) -> LayerSummary {
     let dtype = DataType::Int8;
     let staged_iact_bytes = layer.operand_bytes(Operand::IActs, dtype);
     let drained_oact_bytes = layer.operand_bytes(Operand::OActs, dtype);
-    let dram_iact_bytes = if is_first { staged_iact_bytes } else { 0 };
-    let dram_weight_bytes = layer.operand_bytes(Operand::Weights, dtype);
-    let dram_oact_bytes = if is_last { drained_oact_bytes } else { 0 };
+    let weight_bytes = layer.operand_bytes(Operand::Weights, dtype);
+    let dram_iact_bytes = if stages_iacts { staged_iact_bytes } else { 0 };
+    let dram_weight_bytes = if streams_weights { weight_bytes } else { 0 };
+    let dram_oact_bytes = if drains_oacts { drained_oact_bytes } else { 0 };
     let dram_bytes = dram_iact_bytes + dram_weight_bytes + dram_oact_bytes;
 
     let stall_cycles = iact_stats.conflict_stall_cycles;
@@ -203,7 +209,7 @@ pub(crate) fn layer_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::NetworkReport;
+    use crate::report::GraphReport;
     use crate::GraphSession;
     use feather_arch::graph::{resnet50_graph_scaled, Graph};
     use feather_arch::tensor::{conv2d_reference, quantize_to_i8, Tensor4};
@@ -237,20 +243,18 @@ mod tests {
     }
 
     /// Runs chain `s` with one weight tensor per layer, in order: the
-    /// outputs and the report of its one segment.
+    /// outputs and the report of the run, which has one segment.
     fn run(
         s: &GraphSession,
         iacts: &Tensor4<i8>,
         weights: &[Tensor4<i8>],
-    ) -> (Tensor4<i32>, NetworkReport) {
+    ) -> (Tensor4<i32>, GraphReport) {
         let nodes = s.graph().nodes().iter().map(|node| node.id);
         let run = s
             .run(iacts, &nodes.zip(weights.iter().cloned()).collect())
             .unwrap();
-        let [segment] = &*run.report.segments else {
-            panic!("a chain is one segment")
-        };
-        (run.oacts, segment.report.clone())
+        assert_eq!(run.report.segments.len(), 1, "a chain is one segment");
+        (run.oacts, run.report)
     }
 
     /// The chain through the reference convolution, quantized between
@@ -282,8 +286,8 @@ mod tests {
             &Tensor4::random([1, 4, 6, 6], 20),
             &chain_weights(),
         );
-        assert_eq!(report.stab_swaps, 3);
-        assert_eq!(report.layers.len(), 3);
+        assert_eq!(report.stab_swaps(), 3);
+        assert_eq!(report.layers().count(), 3);
     }
 
     #[test]
@@ -295,10 +299,11 @@ mod tests {
         );
         assert!(report.dram_activation_bytes() < report.layer_at_a_time_activation_bytes());
         // Intermediate layers pay no activation DRAM traffic at all.
-        assert_eq!(report.layers[1].report.dram_iact_bytes, 0);
-        assert_eq!(report.layers[1].report.dram_oact_bytes, 0);
-        assert_eq!(report.layers[0].report.dram_oact_bytes, 0);
-        assert_eq!(report.layers[2].report.dram_iact_bytes, 0);
+        let layers = &report.segments[0].layers;
+        assert_eq!(layers[1].report.dram_iact_bytes, 0);
+        assert_eq!(layers[1].report.dram_oact_bytes, 0);
+        assert_eq!(layers[0].report.dram_oact_bytes, 0);
+        assert_eq!(layers[2].report.dram_iact_bytes, 0);
         assert!(report.dram_activation_savings() > 0.0);
     }
 
@@ -450,7 +455,7 @@ mod tests {
     fn per_layer_reports_are_plausible() {
         let s = session();
         let (_, report) = run(&s, &Tensor4::random([1, 4, 6, 6], 20), &chain_weights());
-        for layer in &report.layers {
+        for layer in report.layers() {
             assert!(layer.report.cycles > 0, "{}", layer.name);
             assert!(layer.report.macs > 0);
             assert!(layer.report.utilization > 0.0 && layer.report.utilization <= 1.0);

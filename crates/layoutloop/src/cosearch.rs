@@ -70,15 +70,36 @@ pub fn co_search_with(
     mapper: &MapperConfig,
     seed: u64,
 ) -> Result<CoSearchResult, ArchError> {
-    co_search_table(arch, workload, mapper, seed)?
-        .select(workload.name(), prev_layout)
-        .ok_or_else(|| {
-            ArchError::InvalidDataflow(format!(
-                "no valid (dataflow, layout) pair found for layer `{}` on {}",
-                workload.name(),
-                arch.name
-            ))
+    let table = co_search_table(arch, workload, mapper, seed)?;
+    let mut chained = chain(arch, prev_layout, [(workload.name(), &table)])?;
+    Ok(chained.pop().expect("one layer in, one result out"))
+}
+
+/// The chaining pass of every planner: answers each `(layer name, table)` in
+/// order, with the layout the previous layer chose — `prev` for the first —
+/// as its predecessor constraint.
+///
+/// # Errors
+/// The first layer whose table holds no valid (dataflow, layout) pair.
+pub(crate) fn chain<'t>(
+    arch: &ArchSpec,
+    prev: Option<&Layout>,
+    layers: impl IntoIterator<Item = (&'t str, &'t CoSearchTable)>,
+) -> Result<Vec<CoSearchResult>, ArchError> {
+    let mut prev = prev.cloned();
+    layers
+        .into_iter()
+        .map(|(name, table)| {
+            let result = table.select(name, prev.as_ref()).ok_or_else(|| {
+                ArchError::InvalidDataflow(format!(
+                    "no valid (dataflow, layout) pair found for layer `{name}` on {}",
+                    arch.name
+                ))
+            })?;
+            prev = Some(result.layout.clone());
+            Ok(result)
         })
+        .collect()
 }
 
 /// Best dataflow for one candidate layout, priced under both possible
@@ -209,23 +230,6 @@ pub fn co_search_table(
     Ok(CoSearchTable { choices })
 }
 
-/// Per-layer co-search over a whole network, chaining layouts: each layer's
-/// chosen layout becomes the next layer's predecessor layout, so designs
-/// without free reordering pay the conversion cost whenever the optimal layout
-/// changes between layers.
-///
-/// # Errors
-/// Propagates the first per-layer failure.
-pub fn co_search_network(
-    arch: &ArchSpec,
-    network: &Network,
-    mapper: &MapperConfig,
-    seed: u64,
-) -> Result<Vec<CoSearchResult>, ArchError> {
-    let mut cache = CoSearchCache::new();
-    Ok(plan_network(arch, network, mapper, seed, &mut cache)?.per_layer)
-}
-
 /// The per-layer (dataflow, layout) schedule a pipeline executor consumes,
 /// produced by [`plan_network`].
 #[derive(Debug, Clone, PartialEq)]
@@ -254,14 +258,20 @@ impl NetworkPlan {
     }
 }
 
-/// Plans a whole network for pipelined execution: per-layer co-search with
-/// layout chaining, memoized through `cache` so repeated layer shapes (ResNet
-/// bottlenecks, BERT encoder blocks) are searched once — regardless of the
-/// chained predecessor layouts, because whole [`CoSearchTable`]s are cached.
-/// Missing tables are computed in parallel across layers; the chaining pass
-/// is exact either way, because tables are predecessor-independent
-/// ([`LayoutChoice`]). The same cache can be shared across networks and
-/// repeated planning calls.
+/// Plans a whole network: per-layer co-search with layout chaining — each
+/// layer's chosen layout becomes the next layer's predecessor constraint, so
+/// designs without free reordering pay the conversion cost whenever the
+/// optimal layout changes between layers. The one planner of a flat
+/// network; [`summarize`] totals what it returns.
+///
+/// Memoized through `cache` so repeated layer shapes (ResNet bottlenecks,
+/// BERT encoder blocks) are searched once — regardless of the chained
+/// predecessor layouts, because whole [`CoSearchTable`]s are cached. Missing
+/// tables are computed in parallel across layers; the chaining pass is exact
+/// either way, because tables are predecessor-independent
+/// ([`LayoutChoice`]): it returns, layer for layer, what chaining
+/// [`co_search_with`] would. The same cache can be shared across networks,
+/// architectures and repeated planning calls.
 ///
 /// # Errors
 /// Propagates the first per-layer co-search failure.
@@ -276,26 +286,12 @@ pub fn plan_network(
     let misses_before = cache.misses();
     let keys = ensure_tables(arch, network.layers.iter(), mapper, seed, cache)?;
 
-    // Chaining pass: each layer's chosen layout becomes the next layer's
-    // predecessor constraint — pure table lookups at this point.
-    let mut per_layer = Vec::with_capacity(network.len());
-    let mut prev_layout: Option<Layout> = None;
-    for (layer, key) in network.iter().zip(&keys) {
-        let table = cache
-            .peek_table(key)
-            .expect("ensure_tables filled the cache");
-        let result = table
-            .select(layer.name(), prev_layout.as_ref())
-            .ok_or_else(|| {
-                ArchError::InvalidDataflow(format!(
-                    "no valid (dataflow, layout) pair found for layer `{}` on {}",
-                    layer.name(),
-                    arch.name
-                ))
-            })?;
-        prev_layout = Some(result.layout.clone());
-        per_layer.push(result);
-    }
+    // Chaining pass: pure table lookups at this point.
+    let tables = network.iter().zip(&keys).map(|(layer, key)| {
+        let table = cache.peek_table(key);
+        (layer.name(), table.expect("ensure_tables filled the cache"))
+    });
+    let per_layer = chain(arch, None, tables)?;
     Ok(NetworkPlan {
         network_name: network.name.clone(),
         per_layer,
@@ -705,7 +701,14 @@ mod tests {
     fn network_cosearch_chains_layouts() {
         let arch = ArchSpec::feather_like(16, 16);
         let net = small_net();
-        let results = co_search_network(&arch, &net, &MapperConfig::fast(), 0).unwrap();
+        let plan = plan_network(
+            &arch,
+            &net,
+            &MapperConfig::fast(),
+            0,
+            &mut CoSearchCache::new(),
+        );
+        let results = plan.unwrap().per_layer;
         assert_eq!(results.len(), net.len());
         let summary = summarize(&net, &results);
         assert!(summary.total_cycles > 0);
@@ -751,7 +754,14 @@ mod tests {
     fn fixed_layout_design_never_switches() {
         let arch = ArchSpec::nvdla_like(16, 16);
         let net = small_net();
-        let results = co_search_network(&arch, &net, &MapperConfig::fast(), 0).unwrap();
+        let plan = plan_network(
+            &arch,
+            &net,
+            &MapperConfig::fast(),
+            0,
+            &mut CoSearchCache::new(),
+        );
+        let results = plan.unwrap().per_layer;
         let first = &results[0].layout;
         assert!(results.iter().all(|r| &r.layout == first));
         assert!(results.iter().all(|r| r.evaluation.reorder_cycles == 0));

@@ -24,7 +24,7 @@ use feather_arch::ArchError;
 
 use crate::arch::ArchSpec;
 use crate::cache::CoSearchCache;
-use crate::cosearch::{ensure_tables, CoSearchResult, CoSearchTable};
+use crate::cosearch::{chain, ensure_tables, CoSearchResult, CoSearchTable};
 use crate::mapper::MapperConfig;
 
 /// The per-node `(dataflow, layout)` schedule of a planned graph, the shape
@@ -138,11 +138,14 @@ pub fn plan_graph(
             .filter(|&si| seg_levels[si] == level)
             .map(|si| &segments[si])
         {
-            let prev = tensor_layout.get(&seg.input).cloned();
-            let planned = plan_segment(arch, graph, seg, prev, &tables)?;
-            let (_, last) = planned.last().expect("segments are non-empty");
+            let layers = seg
+                .nodes
+                .iter()
+                .map(|id| (&*graph.node(*id).name, tables[id]));
+            let planned = chain(arch, tensor_layout.get(&seg.input), layers)?;
+            let last = planned.last().expect("segments are non-empty");
             tensor_layout.insert(seg.output, last.layout.clone());
-            per_node.extend(planned);
+            per_node.extend(seg.nodes.iter().copied().zip(planned));
         }
         // Resolve joins whose operands are now planned (a join forwards its
         // main-path layout).
@@ -169,32 +172,6 @@ pub fn plan_graph(
         cache_hits: cache.hits() - hits_before,
         cache_misses: cache.misses() - misses_before,
     })
-}
-
-/// Chains one segment's layers through their tables.
-fn plan_segment(
-    arch: &ArchSpec,
-    graph: &Graph,
-    seg: &GraphSegment,
-    prev: Option<Layout>,
-    tables: &BTreeMap<NodeId, &CoSearchTable>,
-) -> Result<Vec<(NodeId, CoSearchResult)>, ArchError> {
-    let mut prev_layout = prev;
-    let mut out = Vec::with_capacity(seg.nodes.len());
-    for &id in &seg.nodes {
-        let result = tables[&id]
-            .select(&graph.node(id).name, prev_layout.as_ref())
-            .ok_or_else(|| {
-                ArchError::InvalidDataflow(format!(
-                    "no valid (dataflow, layout) pair found for node `{}` on {}",
-                    graph.node(id).name,
-                    arch.name
-                ))
-            })?;
-        prev_layout = Some(result.layout.clone());
-        out.push((id, result));
-    }
-    Ok(out)
 }
 
 /// Dependency level of every segment: a segment's level is its input

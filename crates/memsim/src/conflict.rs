@@ -5,10 +5,6 @@
 //! > `max(NL/NP, 1)` slowdown is introduced if NL lines are accessed from a
 //! > bank with NP ports."
 
-use std::collections::BTreeMap;
-
-use feather_arch::layout::Layout;
-use feather_arch::Dim;
 use serde::{Deserialize, Serialize};
 
 use crate::{Banking, BufferSpec};
@@ -123,24 +119,11 @@ impl ConflictModel {
             slowdown,
         }
     }
-
-    /// Assesses the per-cycle read pattern of a dataflow under a layout: the
-    /// caller provides the concrete coordinates requested in one cycle (one
-    /// map per concurrent lane) and the stored tensor's dimension extents.
-    pub fn assess_layout_reads(
-        &self,
-        layout: &Layout,
-        coords: &[BTreeMap<Dim, usize>],
-        dim_sizes: &BTreeMap<Dim, usize>,
-    ) -> ConflictAssessment {
-        let lines = layout.lines_touched(coords.iter(), dim_sizes);
-        self.assess_reads(lines)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use proptest::prelude::*;
 
@@ -268,33 +251,5 @@ mod tests {
             prop_assert_eq!(m.assess_writes(lines.iter().copied()), writes);
             prop_assert_eq!(m.assess_writes_in_place(&mut lines.clone()), writes);
         }
-    }
-
-    #[test]
-    fn layout_level_assessment_matches_fig4() {
-        use feather_arch::layout::Layout;
-
-        // ResNet-50 layer 47-style tensor, channel-parallel reads of C0:3.
-        let dims: BTreeMap<Dim, usize> = [(Dim::C, 2048), (Dim::H, 7), (Dim::W, 7)]
-            .into_iter()
-            .collect();
-        let reads: Vec<BTreeMap<Dim, usize>> = (0..4)
-            .map(|c| {
-                [(Dim::H, 0), (Dim::W, 0), (Dim::C, c)]
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
-        let spec = BufferSpec::new(2048, 8, 1, Banking::VerticalBlocked).with_ports(2, 2);
-        let m = ConflictModel::new(spec);
-
-        let channel_last: Layout = "HWC_C8".parse().unwrap();
-        assert!(m
-            .assess_layout_reads(&channel_last, &reads, &dims)
-            .is_concordant());
-
-        let row_major: Layout = "HCW_W8".parse().unwrap();
-        let a = m.assess_layout_reads(&row_major, &reads, &dims);
-        assert_eq!(a.slowdown, 2.0); // 4 lines / 2 ports, Fig. 4-M7.
     }
 }

@@ -52,21 +52,6 @@ impl AccessStats {
                 .saturating_sub(baseline.conflict_stall_cycles),
         }
     }
-
-    /// Total lines moved (reads + writes).
-    pub fn total_line_accesses(&self) -> u64 {
-        self.line_reads + self.line_writes
-    }
-
-    /// Fraction of active cycles lost to conflicts.
-    pub fn stall_fraction(&self) -> f64 {
-        let total = self.active_cycles + self.conflict_stall_cycles;
-        if total == 0 {
-            0.0
-        } else {
-            self.conflict_stall_cycles as f64 / total as f64
-        }
-    }
 }
 
 impl std::ops::Add for AccessStats {
@@ -106,9 +91,9 @@ mod tests {
         let c = a + b;
         assert_eq!(c.element_reads, 10);
         assert_eq!(c.element_writes, 4);
-        assert_eq!(c.total_line_accesses(), 3);
+        assert_eq!((c.line_reads, c.line_writes), (2, 1));
         assert_eq!(c.active_cycles, 8);
-        assert!((c.stall_fraction() - 1.0 / 9.0).abs() < 1e-12);
+        assert_eq!(c.conflict_stall_cycles, 1);
     }
 
     #[test]
@@ -130,11 +115,6 @@ mod tests {
         assert_eq!(delta.active_cycles, 4);
         // Saturation instead of underflow.
         assert_eq!(before.since(&after).element_reads, 0);
-    }
-
-    #[test]
-    fn stall_fraction_of_idle_buffer_is_zero() {
-        assert_eq!(AccessStats::default().stall_fraction(), 0.0);
     }
 
     #[test]

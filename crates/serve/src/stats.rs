@@ -1,5 +1,5 @@
 //! Serving-side accounting: per-tenant aggregates in the style of the
-//! executor's `NetworkReport` totals (latency, modeled cycles, DRAM bytes)
+//! executor's `GraphReport` totals (latency, modeled cycles, DRAM bytes)
 //! plus the server-wide batch-size histogram the batching knobs are tuned
 //! against.
 
@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 /// its model's exact solo-inference cost (`Program::cost()` totals),
 /// whatever it was batched with — so a tenant's totals are
 /// `Σ completed(model) × cost(model)`: the serving analogue of a
-/// `NetworkReport`'s `total_cycles()`/`dram_bytes()` rollup, attributable
+/// `GraphReport`'s `total_cycles()`/`dram_bytes()` rollup, attributable
 /// per tenant for chargeback.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantStats {

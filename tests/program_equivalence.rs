@@ -504,12 +504,14 @@ proptest! {
     }
 }
 
-/// Cycles, DRAM bytes and energy (nJ) of one run, as the benchmark gates them.
-fn totals(report: &GraphReport) -> (u64, u64, f64) {
+/// Cycles, DRAM bytes and energy of one run, as the benchmark gates them —
+/// energy as the bits of its pJ total, since the benchmark's zero bound on
+/// it is exact and `f64` sums depend on their order.
+fn totals(report: &GraphReport) -> (u64, u64, u64) {
     (
         report.total_cycles(),
         report.dram_bytes(),
-        report.total_energy_pj() / 1e3,
+        report.total_energy_pj().to_bits(),
     )
 }
 
@@ -520,9 +522,9 @@ fn totals(report: &GraphReport) -> (u64, u64, f64) {
 fn model_a_cost_is_pinned_without_running_a_mac() {
     let g = resnet50_graph_scaled(16, 16);
     let session = GraphSession::auto(FeatherConfig::new(8, 16), &g).unwrap();
-    let (cycles, dram_bytes, energy_nj) = totals(session.compile().unwrap().cost());
-    assert_eq!((cycles, dram_bytes), (15_395, 100_758));
-    assert!((energy_nj - 13_099.957_52).abs() < 1e-5, "{energy_nj} nJ");
+    let cost = totals(session.compile().unwrap().cost());
+    // 13 099 957.52 pJ.
+    assert_eq!(cost, (15_395, 100_758, 0x4168_fc76_b0a3_d70a));
 }
 
 /// The benchmark's Model B — `resnet50_graph_scaled(8, 8)` on 16×16, planned
@@ -540,9 +542,9 @@ fn model_b_cost_is_pinned_without_running_a_mac() {
     .unwrap();
     let session =
         GraphSession::from_schedules(FeatherConfig::new(16, 16), &g, &plan.schedules()).unwrap();
-    let (cycles, dram_bytes, energy_nj) = totals(session.compile().unwrap().cost());
-    assert_eq!((cycles, dram_bytes), (73_969, 401_989));
-    assert!((energy_nj - 53_169.062_4).abs() < 1e-4, "{energy_nj} nJ");
+    let cost = totals(session.compile().unwrap().cost());
+    // 53 169 062.400 000 006 pJ.
+    assert_eq!(cost, (73_969, 401_989, 0x4189_5a5d_3333_3334));
 }
 
 /// The program a session's first run compiled, as the `compile()` after it
