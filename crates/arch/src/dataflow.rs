@@ -276,20 +276,6 @@ impl Dataflow {
             .max(1)
     }
 
-    /// Number of *distinct outputs* produced per column-group activation, i.e.
-    /// how many concurrent oActs leave the array when one PE row fires its
-    /// results. Equal to `col_spatial_size / spatial_reduction_size_in_columns`.
-    pub fn outputs_per_row_fire(&self) -> usize {
-        let col_red: usize = self
-            .col_parallel
-            .iter()
-            .filter(|p| p.dim.is_reduction())
-            .map(|p| p.factor)
-            .product::<usize>()
-            .max(1);
-        (self.col_spatial_size() / col_red).max(1)
-    }
-
     /// The set of dimensions whose concurrent values differ across the
     /// spatially-parallel lanes that read `operand`. Bank-conflict analysis
     /// uses this to know which coordinates are requested in the same cycle.
@@ -445,21 +431,6 @@ impl Dataflow {
             shape,
             vec![ParallelDim::new(Dim::M, m)],
             vec![ParallelDim::new(Dim::Q, q)],
-            temporal,
-        )
-    }
-
-    /// Row-stationary-like dataflow (Eyeriss): kernel rows `R` across PE rows,
-    /// output rows `P` across PE columns.
-    pub fn row_stationary(shape: ArrayShape, workload: &Workload) -> Self {
-        let r = workload.dim(Dim::R).min(shape.rows).max(1);
-        let p = workload.dim(Dim::P).min(shape.cols).max(1);
-        let temporal = Self::remainder_loops(workload, &[(Dim::R, r), (Dim::P, p)]);
-        Dataflow::new(
-            "row-stationary-R_rows-P_cols",
-            shape,
-            vec![ParallelDim::new(Dim::R, r)],
-            vec![ParallelDim::new(Dim::P, p)],
             temporal,
         )
     }

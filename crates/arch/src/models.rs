@@ -6,6 +6,7 @@
 //! FEATHER executes them (§III-A: "AvgPooling layers are transformed into
 //! convolution operations").
 
+use crate::graph::{resnet50_graph, NodeOp};
 use crate::workload::{ConvLayer, GemmLayer, Workload};
 
 /// A named network: an ordered list of layers.
@@ -90,98 +91,20 @@ fn depthwise(name: String, c: usize, hw: usize, k: usize, stride: usize) -> Work
 }
 
 /// ResNet-50 (ImageNet, batch 1): the 53 convolution layers plus the final FC
-/// lowered to a GEMM. Layer indices match the usual torchvision enumeration
-/// (conv1 = layer 0).
+/// lowered to a GEMM, in execution order — the `Conv` and `Gemm` nodes of
+/// [`resnet50_graph`], without its two pooling lowerings and 16 residual
+/// adds. Layer indices match the usual torchvision enumeration (conv1 =
+/// layer 0).
 pub fn resnet50() -> Network {
-    let mut layers = Vec::new();
-    let mut idx = 0usize;
-    let mut push = |l: Workload| {
-        layers.push(l);
-    };
-
-    // conv1: 7x7/2, 64 filters on 3x224x224.
-    push(conv(
-        format!("resnet50_l{idx:02}_conv1"),
-        64,
-        3,
-        224,
-        7,
-        2,
-        3,
-    ));
-    idx += 1;
-
-    // Bottleneck stages: (num_blocks, mid_channels, out_channels, spatial_in, stride).
-    let stages = [
-        (3usize, 64usize, 256usize, 56usize, 1usize),
-        (4, 128, 512, 56, 2),
-        (6, 256, 1024, 28, 2),
-        (3, 512, 2048, 14, 2),
-    ];
-    let mut in_channels = 64usize;
-    for (stage_i, &(blocks, mid, out, spatial_in, stage_stride)) in stages.iter().enumerate() {
-        let mut spatial = spatial_in;
-        for block in 0..blocks {
-            let stride = if block == 0 { stage_stride } else { 1 };
-            let spatial_out = spatial / stride;
-            // 1x1 reduce.
-            push(conv(
-                format!("resnet50_l{idx:02}_s{stage_i}b{block}_1x1a"),
-                mid,
-                in_channels,
-                spatial,
-                1,
-                1,
-                0,
-            ));
-            idx += 1;
-            // 3x3 (carries the stride).
-            push(conv(
-                format!("resnet50_l{idx:02}_s{stage_i}b{block}_3x3"),
-                mid,
-                mid,
-                spatial,
-                3,
-                stride,
-                1,
-            ));
-            idx += 1;
-            // 1x1 expand.
-            push(conv(
-                format!("resnet50_l{idx:02}_s{stage_i}b{block}_1x1b"),
-                out,
-                mid,
-                spatial_out,
-                1,
-                1,
-                0,
-            ));
-            idx += 1;
-            if block == 0 {
-                // Projection shortcut.
-                push(conv(
-                    format!("resnet50_l{idx:02}_s{stage_i}b{block}_proj"),
-                    out,
-                    in_channels,
-                    spatial,
-                    1,
-                    stride,
-                    0,
-                ));
-                idx += 1;
-            }
-            in_channels = out;
-            spatial = spatial_out;
-        }
-    }
-
-    // Final FC as a GEMM: 2048 → 1000.
-    layers.push(
-        GemmLayer::new(1, 2048, 1000)
-            .with_name(format!("resnet50_l{idx:02}_fc"))
-            .into(),
-    );
-
+    let layers = resnet50_graph()
+        .nodes()
+        .iter()
+        .filter_map(|node| match &node.op {
+            NodeOp::Conv(conv) => Some(conv.clone().into()),
+            NodeOp::Gemm(gemm) => Some(gemm.clone().into()),
+            NodeOp::PoolAsConv(_) | NodeOp::Add => None,
+        })
+        .collect();
     Network::new("resnet50", layers)
 }
 

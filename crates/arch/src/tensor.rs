@@ -115,11 +115,6 @@ impl<T: Copy + Default> Tensor4<T> {
         &self.data
     }
 
-    /// Mutable view of the backing storage, in the same row-major order.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Flat index of a coordinate.
     #[inline]
     fn index(&self, i: usize, j: usize, k: usize, l: usize) -> usize {

@@ -155,11 +155,6 @@ impl LayerMapping {
         Ok(())
     }
 
-    /// Number of column groups (independent outputs) per row fire.
-    pub fn groups_per_fire(&self) -> usize {
-        self.q_cols
-    }
-
     /// The equivalent [`Dataflow`] description (for reporting and for feeding
     /// the analytic models).
     pub fn as_dataflow(&self, layer: &ConvLayer, config: &FeatherConfig) -> Dataflow {

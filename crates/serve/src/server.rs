@@ -19,42 +19,45 @@
 //! bit-identical to a solo run, so a tenant can observe neither coalescing
 //! nor which worker ran its request.
 //!
-//! Admission is bounded **per tenant** ([`ServeConfig::queue_depth`]), so a
-//! flooding tenant exhausts only its own quota. Requests leave the queue
-//! early in two ways: a deadline expiring into [`ServeError::Timeout`], or
-//! cancellation ([`crate::Ticket::cancel`], or simply dropping the ticket)
-//! into [`ServeError::Cancelled`] — both are pruned while a batch is formed
-//! or at the executor boundary, never run, and are counted in
-//! [`ServerStats`].
-//!
 //! A model has **one** compiled program: [`Server::register_model`] compiles
 //! the planned batch-1 [`GraphSession`] into a [`feather::Program`], and
-//! every batch, of one request or of [`ServeConfig::max_batch`],
-//! lane-stripes that same [`ProgramSession`] with zero planning, hashing,
-//! compiling or per-layer dispatch work. A request is charged the
-//! program's [`cost`](feather::Program::cost): a solo inference on FEATHER,
-//! whatever it was co-scheduled with. Each worker additionally keeps one
-//! [`ReplayScratch`] for everything it serves, so steady-state replay
-//! allocates no buffer memory either.
+//! every batch lane-stripes that same [`ProgramSession`] with zero planning
+//! or compiling work. A request is charged the program's
+//! [`cost`](feather::Program::cost): a solo inference on FEATHER, whatever
+//! it was co-scheduled with. Each worker keeps one [`ReplayScratch`], so
+//! steady-state replay allocates no buffer memory either.
 //!
-//! The server is **fault tolerant**. Replays run under `catch_unwind`: a
-//! panicking worker resolves only its own batch (retrying members with
-//! budget left, failing the rest as [`ServeError::Failed`]) and spawns its
-//! own replacement. Failed batch members are re-enqueued at their tenant's
-//! queue head with exponential backoff up to [`ServeConfig::max_retries`] —
-//! replay determinism makes the retried response bit-identical. Each model
-//! carries a [`CircuitBreaker`]: sustained consecutive failures open it and
-//! requests fast-fail as [`ServeError::Unavailable`] until a half-open probe
-//! succeeds. Under overload (queue occupancy or deadline-miss rate past
-//! [`ServeConfig::brownout_pct`]) the leader halves the effective batch size
-//! and admission sheds requests whose deadlines are already infeasible
-//! ([`ServeError::Overloaded`]) instead of letting them time out in the
-//! queue. All of it is exercised deterministically by the seeded
-//! [`FaultPlan`] injection plane (`FEATHER_FAULT_PLAN`).
+//! **One way a request ends.** Admission is bounded per tenant
+//! ([`ServeConfig::queue_depth`]). Besides completing, a submitted request
+//! can be refused at admission (queue full, an open [`CircuitBreaker`],
+//! brownout shedding), be cancelled ([`crate::Ticket::cancel`], or dropping
+//! the ticket), expire, or fail once its retries are spent. Cancelled and
+//! expired requests are pruned while a batch forms and again at the
+//! executor boundary, never run; one `Request` method decides which of the
+//! two applies. Whatever the outcome, one call books it into
+//! [`ServerStats`] — the only writer of the terminal counters — and the
+//! ticket receives that same result.
+//!
+//! **Supervision.** Replays run under `catch_unwind`. Failed batch members
+//! are re-enqueued at their tenant's queue head with exponential backoff up
+//! to [`ServeConfig::max_retries`] (replay determinism keeps the retried
+//! response bit-identical); a backoff past what `Instant` can represent
+//! fails the request instead. A worker that panics — in a replay or at an
+//! injected pickup fault — settles its own batch first, then unwinds, and
+//! its sentinel spawns the replacement: one respawn path for every panic.
+//! Each model carries a [`CircuitBreaker`] that sustained failures open.
+//!
+//! **Overload.** When a tenant's queue occupancy reaches
+//! [`ServeConfig::brownout_pct`] or deadline misses persist, the leader
+//! halves the effective batch size and admission sheds requests whose
+//! deadlines are already infeasible ([`ServeError::Overloaded`]). That state
+//! is one plain struct under the queue lock, with its rules as pure methods.
+//! All of this is exercised deterministically by the seeded [`FaultPlan`]
+//! injection plane (`FEATHER_FAULT_PLAN`).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -83,11 +86,13 @@ pub struct ServeConfig {
     /// same-model requests, counted from its lead request's arrival. Zero
     /// (the default) leaves the decision to the work-conserving rule:
     /// launch at once, unless fewer requests wait than the model's last
-    /// batch answered — then hold for them, up to one batch time.
+    /// batch answered — then hold for them, up to one batch time. A floor
+    /// past what `Instant` can represent holds until the batch is full.
     pub batch_window: Duration,
     /// Deadline applied to every request without an explicit one: requests
     /// still queued past it are dropped with [`ServeError::Timeout`].
-    /// `None` means requests wait indefinitely.
+    /// `None`, or a deadline past what `Instant` can represent, means
+    /// requests wait indefinitely.
     pub default_deadline: Option<Duration>,
     /// Executor pool size: how many formed batches can execute
     /// concurrently. `1` reproduces the old single-scheduler behavior.
@@ -98,7 +103,8 @@ pub struct ServeConfig {
     /// the first attempt would have returned. `0` disables retries.
     pub max_retries: u32,
     /// Backoff before a request's first retry; attempt `n` waits
-    /// `retry_backoff * 2^(n-1)`.
+    /// `retry_backoff * 2^(n-1)`. A retry whose backoff would end past what
+    /// `Instant` can represent fails instead.
     pub retry_backoff: Duration,
     /// Consecutive batch-execution failures that open a model's circuit
     /// breaker (requests then fast-fail as [`ServeError::Unavailable`]).
@@ -188,16 +194,32 @@ struct Request {
 }
 
 impl Request {
-    /// A request the scheduler must drop instead of running: its ticket was
-    /// cancelled (or abandoned), or its deadline has passed.
-    fn dead_at(&self, now: Instant) -> bool {
-        self.promise.is_cancelled() || self.deadline.is_some_and(|d| d <= now)
+    /// Why the scheduler must drop this request instead of running it, if it
+    /// must: its ticket was cancelled (or abandoned), or its deadline passed
+    /// by `now`. Cancellation wins when both apply. The one place either is
+    /// decided.
+    fn ended(&self, now: Instant) -> Option<ServeError> {
+        if self.promise.is_cancelled() {
+            Some(ServeError::Cancelled)
+        } else if self.deadline.is_some_and(|d| d <= now) {
+            Some(ServeError::Timeout)
+        } else {
+            None
+        }
     }
 
     /// Whether a batch may take this request at `now` (its retry backoff,
     /// if any, has elapsed).
     fn eligible_at(&self, now: Instant) -> bool {
         self.not_before.map_or(true, |t| t <= now)
+    }
+
+    /// Ends this request: books `result` into `stats` (the one settlement,
+    /// [`ServerStats::settle`]), then fulfils the ticket with that same
+    /// result.
+    fn settle(self, stats: &mut ServerStats, result: Result<Response, ServeError>) {
+        stats.settle(&self.tenant, result.as_ref());
+        self.promise.fulfill(result);
     }
 }
 
@@ -212,15 +234,87 @@ struct TenantQueue {
     deficit: i64,
 }
 
-/// The per-tenant admission queues plus the open/closed flag, under one lock.
+/// The per-tenant admission queues, the open/closed flag and the overload
+/// state, under one lock.
 struct QueueState {
     tenants: BTreeMap<String, TenantQueue>,
     open: bool,
+    overload: Overload,
 }
 
 impl QueueState {
     fn backlogged(&self) -> bool {
         self.tenants.values().any(|tq| !tq.requests.is_empty())
+    }
+
+    /// Requests queued across all tenants.
+    fn queued(&self) -> usize {
+        self.tenants.values().map(|tq| tq.requests.len()).sum()
+    }
+}
+
+/// The overload policy's state. It lives in [`QueueState`], so admission
+/// and the leader read and write it under the queue lock they already hold;
+/// a worker takes that lock once per replay to record its time. Every rule
+/// is a method on plain inputs — it reads no clock and takes no lock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Overload {
+    /// Whether the last batch was formed in brownout.
+    brownout: bool,
+    /// The batch size the last leader formed to: the configured
+    /// `max_batch`, halved (floor 1) in brownout; 0 before the first batch.
+    max_batch: usize,
+    /// EWMA of batch replay time in µs, zero until the first replay: the
+    /// shed estimate's service time and the hold's one batch time.
+    replay_us: u64,
+    /// EWMA of queue timeouts per formed batch, in 1/256ths: sustained ≥ 1
+    /// timeout per batch converges to ≥ 256 and trips brownout.
+    misses: u64,
+}
+
+impl Overload {
+    /// The trip rule, taken once per formed batch from the freshest backlog
+    /// view: the fullest tenant queue at `occupancy_pct` ≥
+    /// [`ServeConfig::brownout_pct`] of its depth (admission bounds are
+    /// per-tenant), or a sustained miss rate, puts the server in brownout,
+    /// which halves the batch (floor 1) so the queue head drains sooner.
+    /// Returns the batch size to form to.
+    fn assess(&mut self, cfg: &ServeConfig, occupancy_pct: usize) -> usize {
+        self.brownout = occupancy_pct >= cfg.brownout_pct || self.misses >= 256;
+        self.max_batch = if self.brownout {
+            (cfg.max_batch / 2).max(1)
+        } else {
+            cfg.max_batch
+        };
+        self.max_batch
+    }
+
+    /// The shed estimate: in brownout, a request whose `deadline` is shorter
+    /// than the replays needed to drain the `queued` requests ahead of it
+    /// plus its own would only time out in the queue.
+    fn sheds(&self, queued: usize, deadline: Duration) -> bool {
+        let replays = (queued / self.max_batch.max(1) + 1) as u64;
+        self.brownout && deadline < Duration::from_micros(replays.saturating_mul(self.replay_us))
+    }
+
+    /// Folds one batch replay's wall time into the replay EWMA (quarter
+    /// weight, like the miss EWMA); the first sample seeds it.
+    fn record_replay(&mut self, elapsed_us: u64) {
+        self.replay_us = match self.replay_us {
+            0 => elapsed_us,
+            old => old - old / 4 + elapsed_us / 4,
+        };
+    }
+
+    /// Folds one formed batch's queue-timeout count into the miss EWMA: a
+    /// quarter of the way to `timeouts` × 256.
+    fn record_misses(&mut self, timeouts: usize) {
+        self.misses = self.misses - self.misses / 4 + (timeouts as u64).saturating_mul(64);
+    }
+
+    /// One batch time, as the hold rule reads it.
+    fn batch_time(&self) -> Duration {
+        Duration::from_micros(self.replay_us)
     }
 }
 
@@ -244,8 +338,9 @@ struct Inner {
     /// on it. Taken through `lock_recover`, so a panic while forming
     /// poisons nothing the next leader needs.
     lead: Mutex<()>,
-    /// Admission-side counters: rejects plus timeouts and cancellations
-    /// pruned before execution. Executor-side counters live in `worker_stats`.
+    /// Admission-side counters: refusals at submit, requests pruned as
+    /// cancelled or expired, and respawns. Executor-side counters live in
+    /// `worker_stats`.
     stats: Mutex<ServerStats>,
     /// One counter shard per executor worker — the hot path never contends
     /// on a global stats lock.
@@ -258,18 +353,6 @@ struct Inner {
     /// The seeded fault-injection plan, if any. `None` (the production
     /// default) keeps the hot path to a single null check per site.
     fault: Option<FaultPlan>,
-    /// Whether the last batch was formed in overload brownout.
-    brownout: AtomicBool,
-    /// The batch size the last leader formed to: `max_batch` normally,
-    /// halved under brownout. Read by admission for its shed estimate.
-    effective_max_batch: AtomicU64,
-    /// EWMA of batch replay time in microseconds (admission's service-rate
-    /// estimate for the brownout infeasibility check, and the hold's one
-    /// batch time).
-    batch_ewma_us: AtomicU64,
-    /// EWMA of queue timeouts per formed batch, in 1/256ths (the
-    /// deadline-miss-rate brownout trigger).
-    miss_ewma: AtomicU64,
     /// Join handles of every worker thread, replacements included; drained
     /// by [`Server::shutdown`].
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -309,6 +392,7 @@ impl Server {
             queue: Mutex::new(QueueState {
                 tenants: BTreeMap::new(),
                 open: true,
+                overload: Overload::default(),
             }),
             arrived: Condvar::new(),
             weights: RwLock::new(BTreeMap::new()),
@@ -321,10 +405,6 @@ impl Server {
             max_executing: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             fault,
-            brownout: AtomicBool::new(false),
-            effective_max_batch: AtomicU64::new(cfg.max_batch as u64),
-            batch_ewma_us: AtomicU64::new(0),
-            miss_ewma: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
         });
         for worker in 0..cfg.workers {
@@ -398,8 +478,8 @@ impl Server {
         self.submit_with_deadline(tenant, model, iacts, self.inner.cfg.default_deadline)
     }
 
-    /// [`Server::submit`] with an explicit per-request deadline (`None`
-    /// waits indefinitely).
+    /// [`Server::submit`] with an explicit per-request deadline (`None`, or
+    /// one past what `Instant` can represent, waits indefinitely).
     ///
     /// # Errors
     /// Same as [`Server::submit`], plus [`ServeError::Unavailable`] when the
@@ -424,13 +504,15 @@ impl Server {
             )));
         }
 
+        // Settles a request refused once submitted, then hands back its error.
+        let refuse = |error: ServeError| {
+            lock_recover(&self.inner.stats).settle(tenant, Err(&error));
+            Err(error)
+        };
         let enqueued = Instant::now();
         if !registered.breaker.admit(enqueued) {
-            let mut stats = lock_recover(&self.inner.stats);
-            stats.submitted += 1;
-            stats.shed += 1;
-            stats.tenants.entry(tenant.to_string()).or_default().shed += 1;
-            return Err(ServeError::Unavailable {
+            lock_recover(&self.inner.stats).submitted += 1;
+            return refuse(ServeError::Unavailable {
                 model: model.to_string(),
             });
         }
@@ -445,63 +527,31 @@ impl Server {
                 return Err(ServeError::Shutdown);
             }
             lock_recover(&self.inner.stats).submitted += 1;
-            // Brownout shedding: with the server in overload, a request
-            // whose deadline cannot outlast the backlog ahead of it would
-            // only time out in the queue — resolve that at admission, where
-            // the client can still react.
-            if self.inner.brownout.load(Ordering::Relaxed) {
-                if let Some(d) = deadline {
-                    let queued: usize = queue.tenants.values().map(|tq| tq.requests.len()).sum();
-                    let eff = self
-                        .inner
-                        .effective_max_batch
-                        .load(Ordering::Relaxed)
-                        .max(1);
-                    let ewma = self.inner.batch_ewma_us.load(Ordering::Relaxed);
-                    let wait_us = (queued as u64 / eff + 1).saturating_mul(ewma);
-                    if d < Duration::from_micros(wait_us) {
-                        let mut stats = lock_recover(&self.inner.stats);
-                        stats.shed += 1;
-                        stats.tenants.entry(tenant.to_string()).or_default().shed += 1;
-                        return Err(ServeError::Overloaded);
-                    }
-                }
+            // Brownout shedding: a request whose deadline cannot outlast the
+            // backlog ahead of it would only time out in the queue — resolve
+            // that at admission, where the client can still react.
+            if deadline.is_some_and(|d| queue.overload.sheds(queue.queued(), d)) {
+                return refuse(ServeError::Overloaded);
             }
+            let depth = self.inner.cfg.queue_depth;
             let tq = queue.tenants.entry(tenant.to_string()).or_default();
-            if tq.requests.len() >= self.inner.cfg.queue_depth {
+            if tq.requests.len() >= depth {
                 // Cancelled or expired requests still parked in the queue
                 // should not hold capacity against live ones: prune, then
                 // re-check before bouncing.
-                let dead = take_dead(tq, enqueued);
-                resolve_dead(&self.inner, dead);
-                let tq = queue
-                    .tenants
-                    .get_mut(tenant)
-                    .expect("tenant entry just touched");
-                if tq.requests.len() >= self.inner.cfg.queue_depth {
-                    let mut stats = lock_recover(&self.inner.stats);
-                    stats.rejected += 1;
-                    stats
-                        .tenants
-                        .entry(tenant.to_string())
-                        .or_default()
-                        .rejected += 1;
-                    return Err(ServeError::QueueFull {
-                        depth: self.inner.cfg.queue_depth,
-                    });
+                prune(&self.inner, [&mut *tq]);
+                if tq.requests.len() >= depth {
+                    return refuse(ServeError::QueueFull { depth });
                 }
             }
-            let tq = queue
-                .tenants
-                .get_mut(tenant)
-                .expect("tenant entry just touched");
             tq.requests.push_back(Request {
                 id: ticket.id(),
                 tenant: tenant.to_string(),
                 model: model.to_string(),
                 iacts,
                 enqueued,
-                deadline: deadline.map(|d| enqueued + d),
+                // A deadline past what `Instant` can represent is no deadline.
+                deadline: deadline.and_then(|d| enqueued.checked_add(d)),
                 promise,
                 attempts: 0,
                 not_before: None,
@@ -571,54 +621,49 @@ impl Drop for Server {
 /// signaling path.
 const IDLE_POLL: Duration = Duration::from_millis(5);
 
-/// Removes `tq`'s cancelled/expired requests (front to back, preserving the
-/// order of survivors) and returns them for resolution.
-fn take_dead(tq: &mut TenantQueue, now: Instant) -> Vec<Request> {
-    let mut dead = Vec::new();
-    let mut kept = VecDeque::with_capacity(tq.requests.len());
-    while let Some(request) = tq.requests.pop_front() {
-        if request.dead_at(now) {
-            dead.push(request);
-        } else {
-            kept.push_back(request);
+/// Splits `requests` into those still live at `now` and those that ended,
+/// each with the error it ends with; both keep their order.
+fn split_dead(
+    requests: impl IntoIterator<Item = Request>,
+    now: Instant,
+) -> (Vec<Request>, Vec<(Request, ServeError)>) {
+    let requests = requests.into_iter();
+    let (mut live, mut dead) = (Vec::with_capacity(requests.size_hint().0), Vec::new());
+    for request in requests {
+        match request.ended(now) {
+            Some(error) => dead.push((request, error)),
+            None => live.push(request),
         }
     }
-    tq.requests = kept;
-    dead
+    (live, dead)
 }
 
-/// Fulfils pruned requests and books them into the admission-side stats:
-/// cancellation wins over expiry when both apply. Returns how many resolved
-/// as timeouts (the deadline-miss-rate signal).
-fn resolve_dead(inner: &Inner, dead: Vec<Request>) -> usize {
+/// Settles dropped requests into the admission-side stats. Returns how many
+/// were timeouts (the deadline-miss-rate signal).
+fn resolve_dead(inner: &Inner, dead: Vec<(Request, ServeError)>) -> usize {
     if dead.is_empty() {
         return 0;
     }
-    let mut timeouts = 0;
+    let timeouts = dead
+        .iter()
+        .filter(|(_, error)| *error == ServeError::Timeout)
+        .count();
     let mut stats = lock_recover(&inner.stats);
-    for request in dead {
-        let tenant = stats.tenants.entry(request.tenant.clone()).or_default();
-        if request.promise.is_cancelled() {
-            tenant.cancelled += 1;
-            stats.cancelled += 1;
-            request.promise.fulfill(Err(ServeError::Cancelled));
-        } else {
-            tenant.timed_out += 1;
-            stats.timed_out += 1;
-            timeouts += 1;
-            request.promise.fulfill(Err(ServeError::Timeout));
-        }
+    for (request, error) in dead {
+        request.settle(&mut stats, Err(error));
     }
     timeouts
 }
 
-/// Prunes every tenant's dead requests under the queue lock; returns the
-/// number resolved as timeouts.
-fn prune_queues(inner: &Inner, queue: &mut QueueState) -> usize {
+/// Removes the requests of `queues` that have ended and settles them;
+/// returns how many were timeouts.
+fn prune<'a>(inner: &Inner, queues: impl IntoIterator<Item = &'a mut TenantQueue>) -> usize {
     let now = Instant::now();
     let mut dead = Vec::new();
-    for tq in queue.tenants.values_mut() {
-        dead.extend(take_dead(tq, now));
+    for tq in queues {
+        let (live, ended) = split_dead(std::mem::take(&mut tq.requests), now);
+        tq.requests = live.into();
+        dead.extend(ended);
     }
     resolve_dead(inner, dead)
 }
@@ -638,116 +683,94 @@ fn spawn_worker(inner: &Arc<Inner>, worker: usize) {
     lock_recover(&inner.workers).push(handle);
 }
 
-/// Spawns a replacement for dead `worker` (same index, so it inherits the
-/// stats shard). The dying worker calls it itself, after it re-enqueued
-/// its batch's retries: the replacement drains them, even after admission
-/// closed.
-fn spawn_replacement(inner: &Arc<Inner>, worker: usize) {
-    lock_recover(&inner.stats).respawns += 1;
-    spawn_worker(inner, worker);
-}
-
-/// Guards an executor worker's thread: dropped during an unwinding panic
-/// (an injected pickup panic, or any unexpected one), it spawns the
-/// worker's replacement. Disarmed on clean exit.
+/// Guards an executor worker's thread. Dropped while the thread unwinds — a
+/// pickup or replay panic, after the worker settled its batch, or any
+/// unexpected one — it spawns the worker's replacement: the one respawn
+/// path.
 struct WorkerSentinel {
     inner: Arc<Inner>,
     worker: usize,
-    armed: bool,
 }
 
 impl Drop for WorkerSentinel {
     fn drop(&mut self) {
-        if self.armed && std::thread::panicking() {
-            spawn_replacement(&self.inner, self.worker);
+        if std::thread::panicking() {
+            // Same index, so the replacement inherits the stats shard. It is
+            // spawned before the dying thread exits, after that thread
+            // re-enqueued its batch's retries: the replacement drains them,
+            // even after admission closed.
+            lock_recover(&self.inner.stats).respawns += 1;
+            spawn_worker(&self.inner, self.worker);
         }
     }
 }
 
+/// When a request that has failed `attempts` times may run again: after a
+/// backoff of `retry_backoff * 2^attempts` from `now`. `None` when its retry
+/// budget is spent, or when that backoff overflows what `Instant` can
+/// represent.
+fn retry_at(cfg: &ServeConfig, attempts: u32, now: Instant) -> Option<Instant> {
+    if attempts >= cfg.max_retries {
+        return None;
+    }
+    let backoff = cfg.retry_backoff.checked_mul(1 << attempts.min(16))?;
+    now.checked_add(backoff)
+}
+
 /// Resolves the members of a failed batch execution: cancelled/expired
-/// members resolve as usual, members with retry budget left are re-enqueued
-/// at their tenant's queue head with exponential backoff, the rest fail as
+/// members end as such, members with retry budget left are re-enqueued at
+/// their tenant's queue head with exponential backoff, the rest fail as
 /// [`ServeError::Failed`]. Only a worker calls this, and it (or its
 /// replacement) forms again afterwards, so a re-enqueued retry is always
 /// drained — shutdown included.
 fn retry_or_fail(inner: &Inner, worker: usize, requests: Vec<Request>, reason: &str) {
-    if requests.is_empty() {
-        return;
-    }
     let now = Instant::now();
     let mut requeue = Vec::new();
-    let fail = |stats: &mut ServerStats, request: Request| {
-        if request.promise.is_cancelled() {
-            stats.cancelled += 1;
-            stats
-                .tenants
-                .entry(request.tenant.clone())
-                .or_default()
-                .cancelled += 1;
-            request.promise.fulfill(Err(ServeError::Cancelled));
-        } else if request.deadline.is_some_and(|d| d <= now) {
-            stats.timed_out += 1;
-            stats
-                .tenants
-                .entry(request.tenant.clone())
-                .or_default()
-                .timed_out += 1;
-            request.promise.fulfill(Err(ServeError::Timeout));
-        } else {
-            stats.failed += 1;
-            stats
-                .tenants
-                .entry(request.tenant.clone())
-                .or_default()
-                .failed += 1;
-            request.promise.fulfill(Err(ServeError::Failed(format!(
-                "{reason} (attempt {} of {})",
-                request.attempts + 1,
-                inner.cfg.max_retries + 1
-            ))));
-        }
-    };
     {
         let mut stats = lock_recover(&inner.worker_stats[worker]);
         for mut request in requests {
-            if !request.dead_at(now) && request.attempts < inner.cfg.max_retries {
-                request.attempts += 1;
-                // Exponential backoff: attempt n waits backoff * 2^(n-1).
-                let exp = (request.attempts - 1).min(16);
-                request.not_before = Some(now + inner.cfg.retry_backoff * (1u32 << exp));
-                stats.retries += 1;
-                requeue.push(request);
-            } else {
-                fail(&mut stats, request);
-            }
+            let error = match request.ended(now) {
+                Some(error) => error,
+                None => match retry_at(&inner.cfg, request.attempts, now) {
+                    Some(not_before) => {
+                        request.attempts += 1;
+                        request.not_before = Some(not_before);
+                        stats.retries += 1;
+                        requeue.push(request);
+                        continue;
+                    }
+                    None => ServeError::Failed(format!(
+                        "{reason} (attempt {} of {})",
+                        request.attempts + 1,
+                        inner.cfg.max_retries + 1
+                    )),
+                },
+            };
+            request.settle(&mut stats, Err(error));
         }
     }
     if requeue.is_empty() {
         return;
     }
-    {
-        let mut queue = lock_recover(&inner.queue);
-        // Queue-head re-enqueue: retries go back out ahead of newer
-        // arrivals from the same tenant.
-        for request in requeue {
-            queue
-                .tenants
-                .entry(request.tenant.clone())
-                .or_default()
-                .requests
-                .push_front(request);
-        }
+    let mut queue = lock_recover(&inner.queue);
+    // Queue-head re-enqueue: retries go back out ahead of newer arrivals
+    // from the same tenant.
+    for request in requeue {
+        queue
+            .tenants
+            .entry(request.tenant.clone())
+            .or_default()
+            .requests
+            .push_front(request);
     }
+    drop(queue);
     inner.arrived.notify_all();
 }
 
 /// The tenant with the largest deficit among those `eligible` selects; ties
 /// break toward the lexicographically first name, so selection is
 /// deterministic.
-fn richest_tenant<F>(queue: &QueueState, eligible: F) -> Option<String>
-where
-    F: Fn(&TenantQueue) -> bool,
-{
+fn richest_tenant(queue: &QueueState, eligible: impl Fn(&TenantQueue) -> bool) -> Option<String> {
     queue
         .tenants
         .iter()
@@ -763,6 +786,8 @@ enum Hold {
     Launch,
     /// Keep it open for same-model arrivals until this instant.
     Until(Instant),
+    /// Keep it open with no end: only a full batch or shutdown launches it.
+    Open,
 }
 
 /// A batch being formed: when its lead request became schedulable, the
@@ -780,7 +805,8 @@ impl Forming {
     /// leader is an idle worker, so there is no busy executor to wait for:
     ///
     /// 1. `max_batch` requests wait → launch;
-    /// 2. the floor has not elapsed since `start` → hold until it does;
+    /// 2. the floor has not elapsed since `start` → hold until it does (a
+    ///    floor that ends past what `Instant` can represent never does);
     /// 3. fewer requests wait than `expected` (the model's last batch size:
     ///    in a closed loop, the returns that batch's answers will send) →
     ///    hold for them, but never past one `batch_time` after `start`. A
@@ -795,7 +821,9 @@ impl Forming {
         if waiting >= self.max_batch {
             return Hold::Launch;
         }
-        let floor_end = self.start + self.floor;
+        let Some(floor_end) = self.start.checked_add(self.floor) else {
+            return Hold::Open;
+        };
         if now < floor_end {
             return Hold::Until(floor_end);
         }
@@ -831,7 +859,7 @@ fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
     // elapsed. Ineligible retries still count as backlog — shutdown must
     // not abandon them — but only an eligible request starts a batch.
     loop {
-        timeouts += prune_queues(inner, &mut queue);
+        timeouts += prune(inner, queue.tenants.values_mut());
         let now = Instant::now();
         if queue
             .tenants
@@ -841,7 +869,7 @@ fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
             break;
         }
         if !queue.open && !queue.backlogged() {
-            record_miss_ewma(inner, timeouts);
+            queue.overload.record_misses(timeouts);
             return None;
         }
         let (guard, _) = inner
@@ -851,27 +879,14 @@ fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
         queue = guard;
     }
 
-    // Brownout decision, taken once per batch from the freshest backlog
-    // view: occupancy of the fullest tenant queue (admission bounds are
-    // per-tenant) or a sustained deadline-miss rate trips it; either way
-    // the effective batch halves so the queue head drains sooner.
+    // Brownout decision, once per batch (`Overload::assess`).
     let occupancy_pct = queue
         .tenants
         .values()
-        .map(|tq| tq.requests.len() * 100 / inner.cfg.queue_depth.max(1))
+        .map(|tq| tq.requests.len() * 100 / inner.cfg.queue_depth)
         .max()
         .unwrap_or(0);
-    let miss_rate = inner.miss_ewma.load(Ordering::Relaxed);
-    let brownout = occupancy_pct >= inner.cfg.brownout_pct || miss_rate >= 256;
-    inner.brownout.store(brownout, Ordering::Relaxed);
-    let max_batch = if brownout {
-        (inner.cfg.max_batch / 2).max(1)
-    } else {
-        inner.cfg.max_batch
-    };
-    inner
-        .effective_max_batch
-        .store(max_batch as u64, Ordering::Relaxed);
+    let max_batch = queue.overload.assess(&inner.cfg, occupancy_pct);
 
     // The DRR round: every backlogged tenant earns its weight; the richest
     // (among those with an eligible request) leads, and its oldest eligible
@@ -912,7 +927,7 @@ fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
         .cloned()
         .expect("submit validated the model; models are never unregistered");
     while queue.open {
-        timeouts += prune_queues(inner, &mut queue);
+        timeouts += prune(inner, queue.tenants.values_mut());
         let now = Instant::now();
         let waiting: usize = queue
             .tenants
@@ -928,16 +943,20 @@ fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
             now,
             waiting,
             served.last_batch.load(Ordering::Relaxed),
-            Duration::from_micros(inner.batch_ewma_us.load(Ordering::Relaxed)),
+            queue.overload.batch_time(),
         );
-        let Hold::Until(end) = hold else { break };
+        let wait = match hold {
+            Hold::Launch => break,
+            Hold::Until(end) => end - now,
+            Hold::Open => IDLE_POLL,
+        };
         let (guard, _) = inner
             .arrived
-            .wait_timeout(queue, end - now)
+            .wait_timeout(queue, wait)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         queue = guard;
     }
-    timeouts += prune_queues(inner, &mut queue);
+    timeouts += prune(inner, queue.tenants.values_mut());
 
     // Extraction: repeatedly take the oldest eligible same-model request of
     // the richest tenant still holding one; each admitted request pays one
@@ -972,22 +991,11 @@ fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
 
     // Admission order within the batch, so coalescing stays deterministic.
     batch.sort_by_key(|r| r.id);
-    record_miss_ewma(inner, timeouts);
+    queue.overload.record_misses(timeouts);
     Some(Batch {
         model,
         requests: batch,
     })
-}
-
-/// Folds one formed batch's queue-timeout count into the deadline-miss
-/// EWMA (fixed-point 1/256ths, quarter-weight): sustained ≥ 1 miss per
-/// batch converges to ≥ 256 and trips brownout.
-fn record_miss_ewma(inner: &Inner, timeouts: usize) {
-    let old = inner.miss_ewma.load(Ordering::Relaxed);
-    let sample = (timeouts as u64).saturating_mul(256);
-    inner
-        .miss_ewma
-        .store(old - old / 4 + sample / 4, Ordering::Relaxed);
 }
 
 /// One executor worker, leader/follower: take the lead lock, form a batch,
@@ -996,10 +1004,9 @@ fn record_miss_ewma(inner: &Inner, timeouts: usize) {
 /// program at one lane or eight — so its steady state allocates no buffer
 /// memory.
 fn run_worker(inner: &Arc<Inner>, worker: usize) {
-    let mut sentinel = WorkerSentinel {
+    let _sentinel = WorkerSentinel {
         inner: inner.clone(),
         worker,
-        armed: true,
     };
     let mut scratch = ReplayScratch::new();
     loop {
@@ -1007,10 +1014,7 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             let _lead = lock_recover(&inner.lead);
             form_batch(inner)
         };
-        let Some(batch) = formed else {
-            sentinel.armed = false;
-            return;
-        };
+        let Some(batch) = formed else { return };
         if batch.requests.is_empty() {
             continue;
         }
@@ -1033,47 +1037,23 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             }
             continue;
         }
-        match execute_batch(inner, worker, batch, &mut scratch) {
-            BatchOutcome::Done => {}
-            BatchOutcome::WorkerDied => {
-                // The replay panicked (caught, batch resolved). Retire this
-                // worker thread — its scratch state dies with it — and
-                // spawn a replacement.
-                sentinel.armed = false;
-                spawn_replacement(inner, worker);
-                return;
-            }
-        }
+        execute_batch(inner, worker, batch, &mut scratch);
     }
-}
-
-/// How [`execute_batch`] ended: normally, or with a caught replay panic
-/// that retires the worker thread.
-enum BatchOutcome {
-    Done,
-    WorkerDied,
 }
 
 /// Runs one formed batch on `worker` and resolves every member's promise.
 /// Requests cancelled or expired since formation are resolved here without
 /// executing — the final gate that keeps dead requests out of the
 /// accelerator. The replay itself runs under `catch_unwind`: a panic
-/// resolves only this batch (retry or fail per member), feeds the model's
-/// breaker, and retires the worker for respawn.
-fn execute_batch(
-    inner: &Arc<Inner>,
-    worker: usize,
-    batch: Batch,
-    scratch: &mut ReplayScratch,
-) -> BatchOutcome {
+/// settles only this batch (retry or fail per member) and feeds the model's
+/// breaker, then resumes unwinding, so the worker's sentinel replaces it —
+/// its scratch state dies with the thread.
+fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut ReplayScratch) {
     let launched = Instant::now();
-    let (dead, live): (Vec<Request>, Vec<Request>) = batch
-        .requests
-        .into_iter()
-        .partition(|request| request.dead_at(launched));
+    let (live, dead) = split_dead(batch.requests, launched);
     resolve_dead(inner, dead);
     if live.is_empty() {
-        return BatchOutcome::Done;
+        return;
     }
 
     let size = live.len();
@@ -1113,26 +1093,18 @@ fn execute_batch(
             .map_err(ServeError::Exec)
     }));
     inner.executing.fetch_sub(1, Ordering::SeqCst);
-    // Feed the service-rate estimate (quarter-weight EWMA).
     let elapsed_us = replay_start.elapsed().as_micros() as u64;
-    let old = inner.batch_ewma_us.load(Ordering::Relaxed);
-    let ewma = if old == 0 {
-        elapsed_us
-    } else {
-        old - old / 4 + elapsed_us / 4
-    };
-    inner.batch_ewma_us.store(ewma, Ordering::Relaxed);
+    lock_recover(&inner.queue)
+        .overload
+        .record_replay(elapsed_us);
 
     let runs = match runs {
         Ok(Ok(runs)) => runs,
-        Ok(Err(err)) => {
-            strike(&err.to_string(), live);
-            return BatchOutcome::Done;
-        }
-        Err(_panic) => {
+        Ok(Err(err)) => return strike(&err.to_string(), live),
+        Err(panic) => {
             lock_recover(&inner.worker_stats[worker]).worker_panics += 1;
             strike("replay panicked", live);
-            return BatchOutcome::WorkerDied;
+            resume_unwind(panic);
         }
     };
     model.breaker.record_success();
@@ -1146,26 +1118,17 @@ fn execute_batch(
     *stats.batches.entry(size).or_insert(0) += 1;
     *stats.worker_batches.entry(worker).or_insert(0) += 1;
     for (request, run) in live.into_iter().zip(runs) {
-        let latency_us = request.enqueued.elapsed().as_micros() as u64;
         let response = Response {
             oacts: run.oacts,
             batch_size: size,
             worker,
             queue_us: launched.duration_since(request.enqueued).as_micros() as u64,
-            latency_us,
+            latency_us: request.enqueued.elapsed().as_micros() as u64,
             cycles,
             dram_bytes,
         };
-        let tenant = stats.tenants.entry(request.tenant.clone()).or_default();
-        tenant.completed += 1;
-        tenant.latency_us += latency_us;
-        tenant.max_latency_us = tenant.max_latency_us.max(latency_us);
-        tenant.cycles += response.cycles;
-        tenant.dram_bytes += response.dram_bytes;
-        stats.completed += 1;
-        request.promise.fulfill(Ok(response));
+        request.settle(&mut stats, Ok(response));
     }
-    BatchOutcome::Done
 }
 
 #[cfg(test)]
@@ -1660,7 +1623,7 @@ mod tests {
 
     #[test]
     fn hold_rule_on_virtual_time() {
-        use Hold::{Launch, Until};
+        use Hold::{Launch, Open, Until};
         // Virtual instants: the lead became schedulable at `t0`, `now` is µs
         // after it; floor and batch time are µs too. Nothing sleeps.
         let t0 = Instant::now();
@@ -1695,6 +1658,96 @@ mod tests {
                 "{case}"
             );
         }
+        // A floor that ends past what `Instant` can represent never expires:
+        // only a full batch (or shutdown) launches.
+        let endless = Forming {
+            start: t0,
+            floor: Duration::MAX,
+            max_batch: 8,
+        };
+        assert_eq!(endless.hold(at(10), 1, 1, Duration::ZERO), Open);
+        assert_eq!(endless.hold(at(10), 8, 1, Duration::ZERO), Launch);
+    }
+
+    #[test]
+    fn overload_rules_on_plain_inputs() {
+        let cfg = ServeConfig {
+            max_batch: 8,
+            brownout_pct: 90,
+            ..ServeConfig::default()
+        };
+
+        // Occupancy at or past `brownout_pct` trips brownout and halves the
+        // batch, floored at one; below it, brownout clears.
+        let mut overload = Overload::default();
+        assert_eq!(overload.assess(&cfg, 89), 8);
+        assert!(!overload.brownout);
+        assert_eq!(overload.assess(&cfg, 90), 4);
+        assert!(overload.brownout);
+        assert_eq!(overload.assess(&cfg, 0), 8);
+        assert!(!overload.brownout);
+        for (max_batch, halved) in [(1, 1), (2, 1), (3, 1), (9, 4)] {
+            let cfg = ServeConfig { max_batch, ..cfg };
+            assert_eq!(Overload::default().assess(&cfg, 100), halved);
+        }
+
+        // One timeout per formed batch, sustained, trips brownout through
+        // the miss EWMA with the queues empty; two per batch trip it sooner.
+        // Once the timeouts stop, the EWMA decays and brownout clears.
+        let batches_to_trip = |timeouts: usize| {
+            let mut overload = Overload::default();
+            let mut batches = 0;
+            while overload.assess(&cfg, 0) == cfg.max_batch {
+                assert!(batches < 64, "{timeouts} per batch never tripped");
+                overload.record_misses(timeouts);
+                batches += 1;
+            }
+            (batches, overload)
+        };
+        let (one, mut overload) = batches_to_trip(1);
+        let (two, _) = batches_to_trip(2);
+        assert!(one > 1, "a single timeout must not trip brownout");
+        assert!(
+            two < one,
+            "two per batch tripped after {two}, one after {one}"
+        );
+        assert!(overload.brownout);
+        let peak = overload.misses;
+        overload.record_misses(0);
+        assert!(overload.misses < peak);
+        assert_eq!(overload.assess(&cfg, 0), cfg.max_batch);
+
+        // The first replay sample seeds the replay EWMA; later ones move it
+        // a quarter of the way.
+        let mut overload = Overload::default();
+        overload.record_replay(100);
+        assert_eq!(overload.batch_time(), Duration::from_micros(100));
+
+        // Shedding: in brownout only, and exactly when the deadline is
+        // shorter than (queued / effective max_batch + 1) replays.
+        let us = Duration::from_micros;
+        assert!(!overload.sheds(1000, us(1)), "no shedding outside brownout");
+        assert_eq!(overload.assess(&cfg, 100), 4);
+        #[rustfmt::skip]
+        let cases = [
+            // queued  deadline µs  shed
+            (0,         99,         true),
+            (0,        100,         false),
+            (3,         99,         true),
+            (4,        199,         true),
+            (4,        200,         false),
+            (10,       299,         true),
+            (10,       300,         false),
+        ];
+        for (queued, deadline, shed) in cases {
+            assert_eq!(
+                overload.sheds(queued, us(deadline)),
+                shed,
+                "queued {queued}, deadline {deadline} µs"
+            );
+        }
+        overload.record_replay(500);
+        assert_eq!(overload.batch_time(), us(100 - 25 + 125));
     }
 
     #[test]
@@ -1738,7 +1791,7 @@ mod tests {
             .unwrap();
         let iacts = Tensor4::random([1, 2, 2, 2], 96);
         server.submit("t", "m", iacts).unwrap().wait().unwrap();
-        let estimate = Duration::from_micros(server.inner.batch_ewma_us.load(Ordering::Relaxed));
+        let estimate = lock_recover(&server.inner.queue).overload.batch_time();
         let compile = (0..3)
             .map(|_| {
                 let session = GraphSession::auto(config(), &g).unwrap();
@@ -1752,6 +1805,16 @@ mod tests {
             estimate < compile,
             "batch time {estimate:?} is no less than a whole compile ({compile:?})"
         );
+    }
+
+    /// `ticket.wait()`, bounded: a ticket the server stranded fails the test
+    /// instead of hanging it.
+    fn wait_within(ticket: Ticket, limit: Duration) -> Result<Response, ServeError> {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::spawn(move || sender.send(ticket.wait()));
+        receiver
+            .recv_timeout(limit)
+            .expect("the ticket was never resolved")
     }
 
     /// `submitted == completed + rejected + timed_out + cancelled + failed
@@ -2018,6 +2081,103 @@ mod tests {
         let stats = server.stats();
         assert!(stats.shed >= 1);
         assert!(stats.tenants["probe"].shed >= 1);
+        assert_conserved(&stats);
+    }
+
+    #[test]
+    fn a_deadline_beyond_instant_range_is_no_deadline() {
+        let g = tiny_graph("m");
+        let weights = g.random_weights(100);
+        let solo = GraphSession::auto(config(), &g).unwrap();
+        let iacts = Tensor4::random([1, 2, 4, 4], 101);
+        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+
+        // Explicitly, and through the configured default.
+        let mut server = Server::new(ServeConfig {
+            default_deadline: Some(Duration::MAX),
+            ..ServeConfig::default()
+        });
+        server.register_model("m", config(), &g, weights).unwrap();
+        let explicit = server
+            .submit_with_deadline("t", "m", iacts.clone(), Some(Duration::MAX))
+            .unwrap();
+        let default = server.submit("t", "m", iacts).unwrap();
+        assert_eq!(explicit.wait().unwrap().oacts, golden);
+        assert_eq!(default.wait().unwrap().oacts, golden);
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(stats.completed, 2);
+        assert_conserved(&stats);
+    }
+
+    #[test]
+    fn an_overflowing_retry_backoff_fails_the_request() {
+        // The one retry the budget allows would wait past what `Instant`
+        // can represent: the request fails instead of being dropped.
+        let g = tiny_graph("m");
+        let plan = FaultPlan::seeded(6).with_fail_first(FaultSite::ReplayEntry, 1);
+        let mut server = Server::with_fault_plan(
+            ServeConfig {
+                retry_backoff: Duration::MAX,
+                ..ServeConfig::default()
+            },
+            Some(plan),
+        );
+        server
+            .register_model("m", config(), &g, g.random_weights(102))
+            .unwrap();
+        let ticket = server
+            .submit("t", "m", Tensor4::random([1, 2, 4, 4], 103))
+            .unwrap();
+        let result = wait_within(ticket, Duration::from_secs(10));
+        assert!(matches!(result, Err(ServeError::Failed(_))), "{result:?}");
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.respawns, 0);
+        assert_conserved(&stats);
+    }
+
+    #[test]
+    fn an_overflowing_batch_window_holds_until_full_or_shutdown() {
+        let g = tiny_graph("m");
+        let weights = g.random_weights(104);
+        let solo = GraphSession::auto(config(), &g).unwrap();
+        let inputs: Vec<Tensor4<i8>> = (0..3)
+            .map(|i| Tensor4::random([1, 2, 4, 4], 105 + i))
+            .collect();
+        let goldens: Vec<Tensor4<i32>> = inputs
+            .iter()
+            .map(|iacts| solo.run(iacts, &weights).unwrap().oacts)
+            .collect();
+
+        let mut server = Server::new(ServeConfig {
+            max_batch: 2,
+            batch_window: Duration::MAX,
+            ..ServeConfig::default()
+        });
+        server.register_model("m", config(), &g, weights).unwrap();
+        // The pause lets a leader take up each lone request and judge its
+        // hold. A full batch launches whatever the floor says...
+        let pause = Duration::from_millis(20);
+        let first = server.submit("t", "m", inputs[0].clone()).unwrap();
+        std::thread::sleep(pause);
+        let second = server.submit("t", "m", inputs[1].clone()).unwrap();
+        for (ticket, golden) in [first, second].into_iter().zip(&goldens) {
+            let response = wait_within(ticket, Duration::from_secs(10)).unwrap();
+            assert_eq!(&response.oacts, golden);
+            assert_eq!(response.batch_size, 2);
+        }
+        // ...and a lone request waits for shutdown, which launches it.
+        let lone = server.submit("t", "m", inputs[2].clone()).unwrap();
+        std::thread::sleep(pause);
+        server.shutdown();
+        let response = wait_within(lone, Duration::from_secs(10)).unwrap();
+        assert_eq!(response.oacts, goldens[2]);
+        let stats = server.stats();
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.respawns, 0);
         assert_conserved(&stats);
     }
 }

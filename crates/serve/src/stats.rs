@@ -5,6 +5,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::error::ServeError;
+use crate::server::Response;
+
 /// Aggregates for one tenant (the `tenant` string passed to `submit`).
 ///
 /// `cycles` and `dram_bytes` sum what each completed request was charged —
@@ -161,6 +164,38 @@ impl ServerStats {
         self.completed + self.rejected + self.timed_out + self.cancelled + self.failed + self.shed
     }
 
+    /// Books one submitted request's terminal outcome, globally and for
+    /// `tenant`: the only writer of the six terminal counters and of a
+    /// completed request's latency, cycles and DRAM bytes. Every submitted
+    /// request ends in exactly one call, so `accounted()` meets `submitted`.
+    pub(crate) fn settle(&mut self, tenant: &str, outcome: Result<&Response, &ServeError>) {
+        let stats = self.tenants.entry(tenant.to_string()).or_default();
+        let (total, own) = match outcome {
+            Ok(response) => {
+                stats.latency_us += response.latency_us;
+                stats.max_latency_us = stats.max_latency_us.max(response.latency_us);
+                stats.cycles += response.cycles;
+                stats.dram_bytes += response.dram_bytes;
+                (&mut self.completed, &mut stats.completed)
+            }
+            Err(ServeError::QueueFull { .. }) => (&mut self.rejected, &mut stats.rejected),
+            Err(ServeError::Timeout) => (&mut self.timed_out, &mut stats.timed_out),
+            Err(ServeError::Cancelled) => (&mut self.cancelled, &mut stats.cancelled),
+            Err(ServeError::Failed(_) | ServeError::Exec(_)) => {
+                (&mut self.failed, &mut stats.failed)
+            }
+            Err(ServeError::Unavailable { .. } | ServeError::Overloaded) => {
+                (&mut self.shed, &mut stats.shed)
+            }
+            // Refused before admission: never submitted, so nothing to settle.
+            Err(ServeError::Shutdown | ServeError::UnknownModel(_) | ServeError::BadInput(_)) => {
+                return
+            }
+        };
+        *total += 1;
+        *own += 1;
+    }
+
     /// Mean coalesced batch size over all executed batches.
     pub fn mean_batch(&self) -> f64 {
         let batches = self.executed_batches();
@@ -181,6 +216,72 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use feather_arch::tensor::Tensor4;
+    use feather_arch::ArchError;
+
+    #[test]
+    fn settle_books_each_outcome_into_its_one_counter() {
+        let response = Response {
+            oacts: Tensor4::zeros([1, 1, 1, 1]),
+            batch_size: 1,
+            worker: 0,
+            queue_us: 5,
+            latency_us: 40,
+            cycles: 7,
+            dram_bytes: 9,
+        };
+        let mut stats = ServerStats::default();
+        stats.settle("t", Ok(&response));
+        let slower = Response {
+            latency_us: 60,
+            ..response.clone()
+        };
+        stats.settle("t", Ok(&slower));
+        for error in [
+            ServeError::QueueFull { depth: 1 },
+            ServeError::Timeout,
+            ServeError::Cancelled,
+            ServeError::Failed("budget spent".into()),
+            ServeError::Exec(ArchError::InvalidDataflow("no route".into())),
+            ServeError::Unavailable { model: "m".into() },
+            ServeError::Overloaded,
+        ] {
+            stats.settle("t", Err(&error));
+        }
+        // Refusals before admission are never submitted, so never settled.
+        for error in [
+            ServeError::Shutdown,
+            ServeError::UnknownModel("m".into()),
+            ServeError::BadInput("shape".into()),
+        ] {
+            stats.settle("t", Err(&error));
+        }
+
+        let t = &stats.tenants["t"];
+        let global = (
+            stats.completed,
+            stats.rejected,
+            stats.timed_out,
+            stats.cancelled,
+            stats.failed,
+            stats.shed,
+        );
+        let own = (
+            t.completed,
+            t.rejected,
+            t.timed_out,
+            t.cancelled,
+            t.failed,
+            t.shed,
+        );
+        assert_eq!(global, (2, 1, 1, 1, 2, 2));
+        assert_eq!(own, global);
+        assert_eq!(stats.accounted(), 9);
+        assert_eq!(t.latency_us, 100);
+        assert_eq!(t.max_latency_us, 60);
+        assert_eq!(t.cycles, 14);
+        assert_eq!(t.dram_bytes, 18);
+    }
 
     #[test]
     fn histogram_rollups() {
