@@ -110,18 +110,6 @@ impl LoopNest {
     pub fn position_of(&self, dim: Dim) -> Option<usize> {
         self.loops.iter().position(|l| l.dim == dim)
     }
-
-    /// Number of iterations of the loops strictly *inside* the outermost loop
-    /// that touches `dim`. Used for reuse-distance style heuristics.
-    pub fn iterations_below(&self, dim: Dim) -> u64 {
-        match self.position_of(dim) {
-            Some(pos) => self.loops[pos + 1..]
-                .iter()
-                .map(|l| l.extent as u64)
-                .product(),
-            None => self.total_iterations(),
-        }
-    }
 }
 
 impl fmt::Display for LoopNest {
@@ -569,7 +557,6 @@ mod tests {
         assert_eq!(nest.extent_of(Dim::P), 1);
         assert_eq!(nest.innermost(), Some(Dim::Q));
         assert_eq!(nest.position_of(Dim::C), Some(1));
-        assert_eq!(nest.iterations_below(Dim::M), 16);
     }
 
     #[test]

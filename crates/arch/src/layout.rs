@@ -286,11 +286,6 @@ impl Layout {
         })
     }
 
-    /// PyTorch-style channel-last layout with `c_per_line` channels per line.
-    pub fn channels_last(c_per_line: usize) -> Layout {
-        Layout::new([Dim::H, Dim::W, Dim::C], [(Dim::C, c_per_line)])
-    }
-
     /// Row-major layout with `w_per_line` width elements per line.
     pub fn row_major(w_per_line: usize) -> Layout {
         Layout::new([Dim::H, Dim::C, Dim::W], [(Dim::W, w_per_line)])
@@ -667,7 +662,6 @@ mod tests {
 
     #[test]
     fn helper_constructors() {
-        assert_eq!(Layout::channels_last(32).to_string(), "HWC_C32");
         assert_eq!(Layout::row_major(8).to_string(), "HCW_W8");
     }
 

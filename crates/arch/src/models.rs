@@ -254,11 +254,6 @@ pub fn bert(num_layers: usize, seq_len: usize, hidden: usize, heads: usize, ffn:
     Network::new("bert", layers)
 }
 
-/// The three evaluation workloads of Fig. 13: BERT, ResNet-50, MobileNet-V3.
-pub fn evaluation_suite() -> Vec<Network> {
-    vec![bert_base(), resnet50(), mobilenet_v3()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,8 +335,8 @@ mod tests {
 
     #[test]
     fn evaluation_suite_has_three_networks() {
-        let suite = evaluation_suite();
-        assert_eq!(suite.len(), 3);
+        // The three evaluation workloads of Fig. 13.
+        let suite = [bert_base(), resnet50(), mobilenet_v3()];
         let names: Vec<&str> = suite.iter().map(|n| n.name.as_str()).collect();
         assert!(names.contains(&"bert"));
         assert!(names.contains(&"resnet50"));

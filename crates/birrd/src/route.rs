@@ -145,11 +145,6 @@ impl ReductionRequest {
     pub fn num_groups(&self) -> usize {
         self.group_destinations.len()
     }
-
-    /// Number of live inputs (ports that carry data).
-    pub fn live_inputs(&self) -> usize {
-        self.input_groups.iter().filter(|g| g.is_some()).count()
-    }
 }
 
 /// Routing failures.
@@ -506,7 +501,6 @@ mod tests {
         assert!(ReductionRequest::from_groups(4, &[(vec![], 1)]).is_err());
         let ok = ReductionRequest::from_groups(4, &[(vec![0, 1], 3), (vec![2, 3], 0)]).unwrap();
         assert_eq!(ok.num_groups(), 2);
-        assert_eq!(ok.live_inputs(), 4);
     }
 
     #[test]

@@ -117,12 +117,6 @@ impl Topology {
         self.stages * self.switches_per_stage()
     }
 
-    /// Width of one configuration word in bits (2 bits per switch), excluding
-    /// the write-address field carried alongside in the instruction buffer.
-    pub fn config_bits(&self) -> usize {
-        2 * self.total_switches()
-    }
-
     /// The permutation applied after stage `s` (`s == stages-1` maps onto the
     /// output ports).
     ///
@@ -196,7 +190,6 @@ mod tests {
         let t = Topology::new(16).unwrap();
         assert_eq!(t.switches_per_stage(), 8);
         assert_eq!(t.total_switches(), 64);
-        assert_eq!(t.config_bits(), 128);
     }
 
     #[test]

@@ -517,7 +517,7 @@ mod tests {
     /// A session's `run` and a `ProgramSession` over its `compile()` are the
     /// same replay, and both produce the reference executor's output.
     #[test]
-    fn replay_matches_interpreted_run_exactly() {
+    fn session_run_equals_program_session_replay() {
         let g = residual_graph();
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let iacts = Tensor4::random([1, 4, 6, 6], 11);
@@ -562,7 +562,7 @@ mod tests {
     /// simulator is
     /// `compiled_layer_costs_equal_accounted_real_data_runs`.)
     #[test]
-    fn cost_is_the_interpreted_report_without_saturation() {
+    fn cost_oracle_equals_a_runs_report_without_saturation() {
         let g = residual_graph();
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let program = session.compile().unwrap();

@@ -208,11 +208,6 @@ impl GraphReport {
         1.0 - self.dram_activation_bytes() as f64 / baseline as f64
     }
 
-    /// Bytes moved through the shortcut scratch region (INT8 parks + fetches).
-    pub fn shortcut_bytes(&self) -> u64 {
-        self.scratch.element_writes + self.scratch.element_reads
-    }
-
     /// Total residual-add elements that saturated at the INT8 boundary.
     pub fn saturated_join_elements(&self) -> u64 {
         self.joins.iter().map(|j| j.saturated).sum()

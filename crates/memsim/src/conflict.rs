@@ -59,11 +59,6 @@ impl ConflictModel {
         self.assess_reads(lines).slowdown
     }
 
-    /// Write slowdown factor (`1.0` = conflict-free).
-    pub fn write_slowdown(&self, lines: impl IntoIterator<Item = usize>) -> f64 {
-        self.assess_writes(lines).slowdown
-    }
-
     /// [`ConflictModel::assess_reads`] on a caller-owned buffer: `lines` is
     /// sorted, deduplicated and then overwritten in place, so a hot loop can
     /// refill and re-assess one `Vec` without allocating.
@@ -189,7 +184,7 @@ mod tests {
         let spec = BufferSpec::new(64, 8, 4, Banking::VerticalBlocked).with_ports(2, 1);
         let m = ConflictModel::new(spec);
         assert_eq!(m.read_slowdown([0usize, 1]), 1.0);
-        assert_eq!(m.write_slowdown([0usize, 1]), 2.0);
+        assert_eq!(m.assess_writes([0usize, 1]).slowdown, 2.0);
     }
 
     #[test]

@@ -237,11 +237,6 @@ impl NestArray {
     pub fn total_macs(&self) -> u64 {
         self.pes.iter().map(|pe| pe.mac_count).sum::<u64>() + self.operand_macs
     }
-
-    /// Total weight-register loads performed by all PEs.
-    pub fn total_weight_loads(&self) -> u64 {
-        self.pes.iter().map(|pe| pe.weight_loads).sum()
-    }
 }
 
 #[cfg(test)]
@@ -345,6 +340,5 @@ mod tests {
             }
         }
         assert_eq!(arr.total_macs(), 8);
-        assert_eq!(arr.total_weight_loads(), 8);
     }
 }

@@ -21,11 +21,10 @@
 //!   the batch it formed, so different batches replay concurrently. Forming
 //!   is work-conserving: an idle worker never waits out a fixed window — a
 //!   batch is held only for the returns the model's last batch predicts,
-//!   and never past one batch time after its lead request arrived
-//!   ([`ServeConfig::batch_window`] is an optional floor, zero by default).
-//!   A batch is one replay of the model's program with one request per
-//!   lane, each lane bit-identical to a solo run, so neither coalescing nor
-//!   the worker that ran a request is observable in the results.
+//!   and never past one batch time after its lead request arrived. A batch
+//!   is one replay of the model's program with one request per lane, each
+//!   lane bit-identical to a solo run, so neither coalescing nor the worker
+//!   that ran a request is observable in the results.
 //! - **Cancellation** — dropping a [`Ticket`] (or calling
 //!   [`Ticket::cancel`]) flags the request; batch forming and the executor
 //!   boundary prune flagged or deadline-expired requests into

@@ -3,21 +3,19 @@
 //!
 //! There is one kind of server thread: the **executor worker**
 //! ([`ServeConfig::workers`] of them), scheduled leader/follower. An idle
-//! worker takes the lead lock and forms the next batch: it runs a
-//! deficit-round-robin pass over the backlogged tenants (each earns its
-//! configured weight per batch formed, pays one unit per admitted request),
-//! picks the richest tenant's oldest request to choose the model, and fills
-//! the batch with same-model requests (up to [`ServeConfig::max_batch`],
-//! across tenants in deficit order). It then releases the lead to the next
-//! idle worker and replays the batch it formed, so different models, or
-//! different batches of one model, can be in flight at once. Forming is
+//! worker takes the lead lock and forms the next batch: a deficit-round-robin
+//! pass over the backlogged tenants picks the richest tenant's oldest request
+//! to choose the model, and same-model requests fill the batch (up to
+//! [`ServeConfig::max_batch`], across tenants in deficit order). It then
+//! releases the lead and replays the batch it formed, so different models,
+//! or different batches of one model, can be in flight at once. Forming is
 //! **work-conserving**: the batch launches at once unless fewer requests wait
 //! than the model's last batch answered — then the leader holds for those
-//! returns, never past one batch time after the lead request arrived (or the
-//! [`ServeConfig::batch_window`] floor, zero by default). A batch is one
-//! replay of the model's program, one request per lane, and each lane is
-//! bit-identical to a solo run, so a tenant can observe neither coalescing
-//! nor which worker ran its request.
+//! returns, never past one batch time after the lead request arrived. The
+//! whole decision is a pure method of the queue state at a given `now`. A
+//! batch is one replay of the model's program, one request per lane, and
+//! each lane is bit-identical to a solo run, so a tenant can observe neither
+//! coalescing nor which worker ran its request.
 //!
 //! A model has **one** compiled program: [`Server::register_model`] compiles
 //! the planned batch-1 [`GraphSession`] into a [`feather::Program`], and
@@ -56,8 +54,9 @@
 //! injection plane (`FEATHER_FAULT_PLAN`).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,20 +81,13 @@ pub struct ServeConfig {
     /// gets further submissions rejected with [`ServeError::QueueFull`].
     /// Other tenants' queues are unaffected.
     pub queue_depth: usize,
-    /// A floor on how long a non-full batch is held open for more
-    /// same-model requests, counted from its lead request's arrival. Zero
-    /// (the default) leaves the decision to the work-conserving rule:
-    /// launch at once, unless fewer requests wait than the model's last
-    /// batch answered — then hold for them, up to one batch time. A floor
-    /// past what `Instant` can represent holds until the batch is full.
-    pub batch_window: Duration,
     /// Deadline applied to every request without an explicit one: requests
     /// still queued past it are dropped with [`ServeError::Timeout`].
     /// `None`, or a deadline past what `Instant` can represent, means
     /// requests wait indefinitely.
     pub default_deadline: Option<Duration>,
     /// Executor pool size: how many formed batches can execute
-    /// concurrently. `1` reproduces the old single-scheduler behavior.
+    /// concurrently.
     pub workers: usize,
     /// How many times a failed request (transient executor error, injected
     /// fault, or worker panic) is re-enqueued before resolving as
@@ -127,7 +119,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 8,
             queue_depth: 64,
-            batch_window: Duration::ZERO,
             default_deadline: None,
             workers: 1,
             max_retries: 2,
@@ -171,10 +162,6 @@ struct Model {
     /// Trips after [`ServeConfig::breaker_threshold`] consecutive failed
     /// batch executions; open, this model's submits fast-fail.
     breaker: CircuitBreaker,
-    /// Size of this model's last resolved batch, stored by the worker before
-    /// it answers the batch: how many returns the next leader expects when
-    /// the model's clients run a closed loop (see [`Forming::hold`]).
-    last_batch: AtomicUsize,
 }
 
 /// One queued request.
@@ -234,22 +221,194 @@ struct TenantQueue {
     deficit: i64,
 }
 
-/// The per-tenant admission queues, the open/closed flag and the overload
-/// state, under one lock.
+/// The per-tenant admission queues, the open/closed flag, the overload
+/// state and the batch being formed, under one lock.
+#[derive(Default)]
 struct QueueState {
     tenants: BTreeMap<String, TenantQueue>,
     open: bool,
     overload: Overload,
+    /// Each model's last resolved batch size, stored by the worker before it
+    /// answers the batch: how many returns the next leader expects when the
+    /// model's clients run a closed loop (see [`Forming::hold`]).
+    last_batch: BTreeMap<String, usize>,
+    /// The batch a leader holds open, kept across its wake-ups.
+    forming: Option<Forming>,
+    /// Queue timeouts pruned since the last formed batch.
+    timeouts: usize,
+}
+
+/// What the leader does next: the outcome of [`QueueState::decide`].
+enum Decision {
+    /// Replay this batch (never empty).
+    Launch(Batch),
+    /// Nothing to launch yet: wait for an arrival, or until this instant at
+    /// the latest.
+    Wait(Option<Instant>),
+    /// Admission is closed and every queue is empty.
+    Closed,
 }
 
 impl QueueState {
-    fn backlogged(&self) -> bool {
-        self.tenants.values().any(|tq| !tq.requests.is_empty())
+    /// Every queued request, tenant by tenant.
+    fn requests(&self) -> impl Iterator<Item = &Request> {
+        self.tenants.values().flat_map(|tq| &tq.requests)
     }
 
-    /// Requests queued across all tenants.
-    fn queued(&self) -> usize {
-        self.tenants.values().map(|tq| tq.requests.len()).sum()
+    /// The tenant with the largest deficit among those `eligible` selects;
+    /// ties break toward the lexicographically first name, so selection is
+    /// deterministic.
+    fn richest_tenant(
+        &mut self,
+        eligible: impl Fn(&TenantQueue) -> bool,
+    ) -> Option<&mut TenantQueue> {
+        self.tenants
+            .iter_mut()
+            .filter(|(_, tq)| eligible(tq))
+            .max_by(|(a_name, a), (b_name, b)| a.deficit.cmp(&b.deficit).then(b_name.cmp(a_name)))
+            .map(|(_, tq)| tq)
+    }
+
+    /// The leader's whole forming decision at `now`, on the queues, the
+    /// tenant `weights` and each model's last batch size. It reads no
+    /// clock, takes no lock and spawns no thread. Requests that ended by
+    /// `now` move into `dead` (passed in empty), for the caller to settle.
+    /// Then:
+    ///
+    /// 1. with no batch in progress, the leader waits for an eligible
+    ///    request (one whose retry backoff has elapsed), or reports
+    ///    [`Decision::Closed`] once admission closed and the queues ran dry
+    ///    — shutdown still serves everything already admitted. Ineligible
+    ///    retries count as backlog, so shutdown never abandons them;
+    /// 2. once per batch: the brownout assessment ([`Overload::assess`]),
+    ///    then the DRR round — every backlogged tenant earns its weight, and
+    ///    the richest tenant's oldest eligible request picks the model;
+    /// 3. [`Forming::hold`] decides how long the batch stays open for
+    ///    same-model arrivals — kept in `self` across wake-ups, and skipped
+    ///    once admission closed (latency no longer matters, drain fast);
+    /// 4. extraction fills the batch across tenants in deficit order.
+    ///
+    /// A batch whose candidates all ended before extraction is dropped and
+    /// forming starts over, so a launched batch is never empty.
+    fn decide(
+        &mut self,
+        cfg: &ServeConfig,
+        weights: &BTreeMap<String, u64>,
+        now: Instant,
+        dead: &mut Vec<(Request, ServeError)>,
+    ) -> Decision {
+        for tq in self.tenants.values_mut() {
+            let (live, ended) = split_dead(mem::take(&mut tq.requests), now);
+            tq.requests = live.into();
+            dead.extend(ended);
+        }
+        self.timeouts += dead
+            .iter()
+            .filter(|(_, error)| *error == ServeError::Timeout)
+            .count();
+        loop {
+            if self.forming.is_none() {
+                self.forming = self.begin(cfg, weights, now);
+            }
+            let Some(forming) = self.forming.take() else {
+                if !self.open && self.requests().next().is_none() {
+                    self.overload.record_misses(mem::take(&mut self.timeouts));
+                    return Decision::Closed;
+                }
+                // Only retries in backoff are queued, if anything.
+                return Decision::Wait(self.requests().filter_map(|r| r.not_before).min());
+            };
+            if self.open {
+                let waiting = self
+                    .requests()
+                    .filter(|r| r.model == forming.model && r.eligible_at(now))
+                    .count();
+                let expected = self.last_batch.get(&forming.model).copied().unwrap_or(0);
+                if let Hold::Until(end) =
+                    forming.hold(now, waiting, expected, self.overload.batch_time())
+                {
+                    self.forming = Some(forming);
+                    return Decision::Wait(Some(end));
+                }
+            }
+            let batch = self.extract(forming, cfg, now);
+            if !batch.requests.is_empty() {
+                return Decision::Launch(batch);
+            }
+        }
+    }
+
+    /// Starts a batch if a request is eligible at `now`: assesses brownout,
+    /// runs the DRR round and picks the lead.
+    fn begin(
+        &mut self,
+        cfg: &ServeConfig,
+        weights: &BTreeMap<String, u64>,
+        now: Instant,
+    ) -> Option<Forming> {
+        let eligible = |tq: &TenantQueue| tq.requests.iter().any(|r| r.eligible_at(now));
+        if !self.tenants.values().any(eligible) {
+            return None;
+        }
+        let occupancy_pct = self
+            .tenants
+            .values()
+            .map(|tq| tq.requests.len() * 100 / cfg.queue_depth)
+            .max()
+            .unwrap_or(0);
+        let max_batch = self.overload.assess(cfg, occupancy_pct);
+        for (name, tq) in self.tenants.iter_mut() {
+            if !tq.requests.is_empty() {
+                tq.deficit += *weights.get(name).unwrap_or(&1) as i64;
+            }
+        }
+        let lead = self
+            .richest_tenant(eligible)
+            .and_then(|tq| tq.requests.iter().find(|r| r.eligible_at(now)))
+            .expect("an eligible request leads");
+        Some(Forming {
+            model: lead.model.clone(),
+            start: lead.not_before.unwrap_or(lead.enqueued),
+            max_batch,
+        })
+    }
+
+    /// Fills the batch `forming` started: repeatedly takes the oldest
+    /// eligible same-model request of the richest tenant still holding one,
+    /// each paying one credit; other models' requests keep their queue
+    /// positions. Drained tenants then leave the round, and the miss EWMA
+    /// takes the timeouts pruned while the batch formed.
+    fn extract(&mut self, forming: Forming, cfg: &ServeConfig, now: Instant) -> Batch {
+        let candidate = |r: &Request| r.model == forming.model && r.eligible_at(now);
+        let mut requests = Vec::new();
+        while requests.len() < forming.max_batch {
+            let Some(tq) = self.richest_tenant(|tq| tq.requests.iter().any(candidate)) else {
+                break;
+            };
+            let pos = tq
+                .requests
+                .iter()
+                .position(candidate)
+                .expect("tenant had a candidate");
+            requests.push(tq.requests.remove(pos).expect("position in bounds"));
+            tq.deficit -= 1;
+        }
+        // Credit (or debt) does not bank across idle periods. Debt is
+        // floored at one batch's worth: a tenant that served alone (paying
+        // more than it earned, with nobody competing) must not carry that
+        // artificial debt into a later contended phase.
+        self.tenants.retain(|_, tq| !tq.requests.is_empty());
+        let debt_floor = -(cfg.max_batch as i64);
+        for tq in self.tenants.values_mut() {
+            tq.deficit = tq.deficit.max(debt_floor);
+        }
+        // Admission order within the batch, so coalescing stays deterministic.
+        requests.sort_by_key(|r| r.id);
+        self.overload.record_misses(mem::take(&mut self.timeouts));
+        Batch {
+            model: forming.model,
+            requests,
+        }
     }
 }
 
@@ -380,6 +539,14 @@ impl Server {
     /// environment's — how tests inject faults without mutating the
     /// process-global environment.
     pub fn with_fault_plan(cfg: ServeConfig, fault: Option<FaultPlan>) -> Self {
+        let server = Server::unstarted(cfg, fault);
+        server.start();
+        server
+    }
+
+    /// [`Server::with_fault_plan`] without its executor pool: admission
+    /// works, but nothing forms or replays until [`Server::start`].
+    fn unstarted(cfg: ServeConfig, fault: Option<FaultPlan>) -> Self {
         let cfg = ServeConfig {
             max_batch: cfg.max_batch.max(1),
             queue_depth: cfg.queue_depth.max(1),
@@ -390,9 +557,8 @@ impl Server {
             cfg,
             models: RwLock::new(BTreeMap::new()),
             queue: Mutex::new(QueueState {
-                tenants: BTreeMap::new(),
                 open: true,
-                overload: Overload::default(),
+                ..QueueState::default()
             }),
             arrived: Condvar::new(),
             weights: RwLock::new(BTreeMap::new()),
@@ -407,10 +573,14 @@ impl Server {
             fault,
             workers: Mutex::new(Vec::new()),
         });
-        for worker in 0..cfg.workers {
-            spawn_worker(&inner, worker);
-        }
         Server { inner }
+    }
+
+    /// Spawns the executor pool.
+    fn start(&self) {
+        for worker in 0..self.inner.cfg.workers {
+            spawn_worker(&self.inner, worker);
+        }
     }
 
     /// Registers a model under `name`: plans a batch-1 [`GraphSession`] for
@@ -446,7 +616,6 @@ impl Server {
                 self.inner.cfg.breaker_threshold,
                 self.inner.cfg.breaker_cooldown,
             ),
-            last_batch: AtomicUsize::new(0),
         });
         write_recover(&self.inner.models).insert(name, model);
         Ok(())
@@ -530,7 +699,7 @@ impl Server {
             // Brownout shedding: a request whose deadline cannot outlast the
             // backlog ahead of it would only time out in the queue — resolve
             // that at admission, where the client can still react.
-            if deadline.is_some_and(|d| queue.overload.sheds(queue.queued(), d)) {
+            if deadline.is_some_and(|d| queue.overload.sheds(queue.requests().count(), d)) {
                 return refuse(ServeError::Overloaded);
             }
             let depth = self.inner.cfg.queue_depth;
@@ -539,7 +708,9 @@ impl Server {
                 // Cancelled or expired requests still parked in the queue
                 // should not hold capacity against live ones: prune, then
                 // re-check before bouncing.
-                prune(&self.inner, [&mut *tq]);
+                let (live, dead) = split_dead(mem::take(&mut tq.requests), enqueued);
+                tq.requests = live.into();
+                settle_dead(&self.inner, dead);
                 if tq.requests.len() >= depth {
                     return refuse(ServeError::QueueFull { depth });
                 }
@@ -616,9 +787,8 @@ impl Drop for Server {
     }
 }
 
-/// How long the leader sleeps between checks while nothing is schedulable —
-/// a backstop for missed wakeups and running-out retry backoffs, not the
-/// signaling path.
+/// How long a leader with nothing queued sleeps before it decides again — a
+/// backstop for missed wakeups, not the signaling path.
 const IDLE_POLL: Duration = Duration::from_millis(5);
 
 /// Splits `requests` into those still live at `now` and those that ended,
@@ -638,34 +808,16 @@ fn split_dead(
     (live, dead)
 }
 
-/// Settles dropped requests into the admission-side stats. Returns how many
-/// were timeouts (the deadline-miss-rate signal).
-fn resolve_dead(inner: &Inner, dead: Vec<(Request, ServeError)>) -> usize {
+/// Settles requests that ended before they ran into the admission-side
+/// stats.
+fn settle_dead(inner: &Inner, dead: Vec<(Request, ServeError)>) {
     if dead.is_empty() {
-        return 0;
+        return;
     }
-    let timeouts = dead
-        .iter()
-        .filter(|(_, error)| *error == ServeError::Timeout)
-        .count();
     let mut stats = lock_recover(&inner.stats);
     for (request, error) in dead {
         request.settle(&mut stats, Err(error));
     }
-    timeouts
-}
-
-/// Removes the requests of `queues` that have ended and settles them;
-/// returns how many were timeouts.
-fn prune<'a>(inner: &Inner, queues: impl IntoIterator<Item = &'a mut TenantQueue>) -> usize {
-    let now = Instant::now();
-    let mut dead = Vec::new();
-    for tq in queues {
-        let (live, ended) = split_dead(std::mem::take(&mut tq.requests), now);
-        tq.requests = live.into();
-        dead.extend(ended);
-    }
-    resolve_dead(inner, dead)
 }
 
 /// One injection decision at `site`; `None` whenever no plan is loaded.
@@ -767,18 +919,6 @@ fn retry_or_fail(inner: &Inner, worker: usize, requests: Vec<Request>, reason: &
     inner.arrived.notify_all();
 }
 
-/// The tenant with the largest deficit among those `eligible` selects; ties
-/// break toward the lexicographically first name, so selection is
-/// deterministic.
-fn richest_tenant(queue: &QueueState, eligible: impl Fn(&TenantQueue) -> bool) -> Option<String> {
-    queue
-        .tenants
-        .iter()
-        .filter(|(_, tq)| eligible(tq))
-        .max_by(|(a_name, a), (b_name, b)| a.deficit.cmp(&b.deficit).then(b_name.cmp(a_name)))
-        .map(|(name, _)| name.clone())
-}
-
 /// What the leader does next with the batch it is forming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Hold {
@@ -786,49 +926,41 @@ enum Hold {
     Launch,
     /// Keep it open for same-model arrivals until this instant.
     Until(Instant),
-    /// Keep it open with no end: only a full batch or shutdown launches it.
-    Open,
 }
 
-/// A batch being formed: when its lead request became schedulable, the
-/// configured floor, and the (brownout-adjusted) size that launches it at
-/// once.
+/// A batch being formed: the model its lead request chose, when that
+/// request became schedulable, and the (brownout-adjusted) size that
+/// launches it at once.
 struct Forming {
+    model: String,
     start: Instant,
-    floor: Duration,
     max_batch: usize,
 }
 
 impl Forming {
     /// The work-conserving hold rule, a pure function of the leader's view
-    /// at `now` — it reads no clock, takes no lock and spawns no thread. The
-    /// leader is an idle worker, so there is no busy executor to wait for:
+    /// at `now`. The leader is an idle worker, so there is no busy executor
+    /// to wait for:
     ///
-    /// 1. `max_batch` requests wait → launch;
-    /// 2. the floor has not elapsed since `start` → hold until it does (a
-    ///    floor that ends past what `Instant` can represent never does);
-    /// 3. fewer requests wait than `expected` (the model's last batch size:
+    /// 1. nothing of the model waits (its lead was cancelled or expired
+    ///    mid-hold), or `max_batch` requests wait → launch;
+    /// 2. fewer requests wait than `expected` (the model's last batch size:
     ///    in a closed loop, the returns that batch's answers will send) →
     ///    hold for them, but never past one `batch_time` after `start`. A
     ///    `batch_time` of zero (no batch has run) holds nothing;
-    /// 4. otherwise → launch.
+    /// 3. otherwise → launch.
     ///
     /// `start` is the lead request's arrival (or the end of its retry
     /// backoff), not the moment a worker came free: a lead that waited out
     /// a busy pool has already waited, and counting its hold from the
-    /// pickup would stack one more batch time on that wait.
+    /// pickup would stack one more batch time on that wait. Measured on
+    /// closed-loop Model A (req/s, medians of ten 5 s rounds, a fixed
+    /// 500 µs window → this rule): 1 client 1049 → 3722, 2: 1246 → 1865, 4:
+    /// 2148 → 3313, 8: 6177 → 6231 at mean batch 8.0 on both; launching at
+    /// once always breaks that loop up (mean batch 6.0, 4288 req/s).
     fn hold(&self, now: Instant, waiting: usize, expected: usize, batch_time: Duration) -> Hold {
-        if waiting >= self.max_batch {
-            return Hold::Launch;
-        }
-        let Some(floor_end) = self.start.checked_add(self.floor) else {
-            return Hold::Open;
-        };
-        if now < floor_end {
-            return Hold::Until(floor_end);
-        }
         let returns_end = self.start + batch_time;
-        if waiting < expected && now < returns_end {
+        if waiting > 0 && waiting < self.max_batch && waiting < expected && now < returns_end {
             Hold::Until(returns_end)
         } else {
             Hold::Launch
@@ -836,15 +968,10 @@ impl Forming {
     }
 }
 
-/// Forms the next batch; the caller is an idle worker holding the lead
-/// lock. Blocks until a batch is formed, or returns `None` once admission
-/// is closed *and* the queues are empty (shutdown still serves everything
-/// already admitted). One deficit-round-robin pass picks the leading tenant
-/// (whose oldest request chooses the model); [`Forming::hold`] then decides
-/// how long the batch stays open for same-model arrivals, and extraction
-/// fills it across tenants in deficit order. Dead requests are pruned (and
-/// resolved) along the way, so an empty batch is possible when every
-/// candidate was cancelled or expired.
+/// Forms the next batch, or `None` once admission closed and the queues ran
+/// dry; the caller is an idle worker holding the lead lock. Each wake-up
+/// reads the clock once, lets [`QueueState::decide`] decide, settles what it
+/// pruned, then returns or waits.
 ///
 /// Forming only when an executor is free is what keeps batches full under
 /// load: requests accumulate in the admission queues while every worker
@@ -852,150 +979,24 @@ impl Forming {
 /// and cancellation decided as late as possible. Forming eagerly ahead of
 /// execution locked undersized batches in (measured: mean batch 3.9
 /// instead of 8 on the closed-loop sweep, a 27% throughput loss).
-fn form_batch(inner: &Arc<Inner>) -> Option<Batch> {
-    let mut timeouts = 0usize;
+fn form_batch(inner: &Inner) -> Option<Batch> {
     let mut queue = lock_recover(&inner.queue);
-    // Wait for schedulable work: a request whose retry backoff (if any) has
-    // elapsed. Ineligible retries still count as backlog — shutdown must
-    // not abandon them — but only an eligible request starts a batch.
     loop {
-        timeouts += prune(inner, queue.tenants.values_mut());
         let now = Instant::now();
-        if queue
-            .tenants
-            .values()
-            .any(|tq| tq.requests.iter().any(|r| r.eligible_at(now)))
-        {
-            break;
-        }
-        if !queue.open && !queue.backlogged() {
-            queue.overload.record_misses(timeouts);
-            return None;
-        }
-        let (guard, _) = inner
-            .arrived
-            .wait_timeout(queue, IDLE_POLL)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        queue = guard;
-    }
-
-    // Brownout decision, once per batch (`Overload::assess`).
-    let occupancy_pct = queue
-        .tenants
-        .values()
-        .map(|tq| tq.requests.len() * 100 / inner.cfg.queue_depth)
-        .max()
-        .unwrap_or(0);
-    let max_batch = queue.overload.assess(&inner.cfg, occupancy_pct);
-
-    // The DRR round: every backlogged tenant earns its weight; the richest
-    // (among those with an eligible request) leads, and its oldest eligible
-    // request picks the model this batch serves.
-    {
-        let weights = read_recover(&inner.weights);
-        for (name, tq) in queue.tenants.iter_mut() {
-            if !tq.requests.is_empty() {
-                tq.deficit += *weights.get(name).unwrap_or(&1) as i64;
-            }
-        }
-    }
-    let now = Instant::now();
-    let lead = richest_tenant(&queue, |tq| tq.requests.iter().any(|r| r.eligible_at(now)))
-        .expect("an eligible request broke the wait");
-    let lead = queue.tenants[&lead]
-        .requests
-        .iter()
-        .find(|r| r.eligible_at(now))
-        .expect("lead tenant had an eligible request");
-    let (model, start) = (lead.model.clone(), lead.not_before.unwrap_or(lead.enqueued));
-
-    // Hold the batch open only as long as `Forming::hold` says (shutdown
-    // launches immediately — latency no longer matters, drain fast): at once
-    // unless the model's last batch predicts more returns than wait.
-    // Measured on closed-loop Model A (req/s, medians of ten 5 s rounds, a
-    // fixed 500 µs window → this rule): 1 client 1049 → 3722, 2: 1246 →
-    // 1865, 4: 2148 → 3313, 8: 6177 → 6231 at mean batch 8.0 on both — a
-    // plain zero window breaks that loop up (mean batch 6.0, 4288 req/s),
-    // which is what the expectation hold is for.
-    let forming = Forming {
-        start,
-        floor: inner.cfg.batch_window,
-        max_batch,
-    };
-    let served = read_recover(&inner.models)
-        .get(&model)
-        .cloned()
-        .expect("submit validated the model; models are never unregistered");
-    while queue.open {
-        timeouts += prune(inner, queue.tenants.values_mut());
-        let now = Instant::now();
-        let waiting: usize = queue
-            .tenants
-            .values()
-            .map(|tq| {
-                tq.requests
-                    .iter()
-                    .filter(|r| r.model == model && r.eligible_at(now))
-                    .count()
-            })
-            .sum();
-        let hold = forming.hold(
-            now,
-            waiting,
-            served.last_batch.load(Ordering::Relaxed),
-            queue.overload.batch_time(),
-        );
-        let wait = match hold {
-            Hold::Launch => break,
-            Hold::Until(end) => end - now,
-            Hold::Open => IDLE_POLL,
+        let mut dead = Vec::new();
+        let decision = queue.decide(&inner.cfg, &read_recover(&inner.weights), now, &mut dead);
+        settle_dead(inner, dead);
+        let timeout = match decision {
+            Decision::Launch(batch) => return Some(batch),
+            Decision::Closed => return None,
+            Decision::Wait(until) => until.map_or(IDLE_POLL, |t| t.saturating_duration_since(now)),
         };
-        let (guard, _) = inner
+        queue = inner
             .arrived
-            .wait_timeout(queue, wait)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        queue = guard;
+            .wait_timeout(queue, timeout)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
     }
-    timeouts += prune(inner, queue.tenants.values_mut());
-
-    // Extraction: repeatedly take the oldest eligible same-model request of
-    // the richest tenant still holding one; each admitted request pays one
-    // credit. Other models' requests keep their queue positions.
-    let now = Instant::now();
-    let candidate = |r: &Request| r.model == model && r.eligible_at(now);
-    let mut batch = Vec::new();
-    while batch.len() < max_batch {
-        let Some(tenant) = richest_tenant(&queue, |tq| tq.requests.iter().any(&candidate)) else {
-            break;
-        };
-        let tq = queue.tenants.get_mut(&tenant).expect("tenant selected");
-        let pos = tq
-            .requests
-            .iter()
-            .position(&candidate)
-            .expect("tenant had a candidate");
-        let request = tq.requests.remove(pos).expect("position in bounds");
-        tq.deficit -= 1;
-        batch.push(request);
-    }
-
-    // Drained tenants leave the round: credit (or debt) does not bank
-    // across idle periods. Debt is floored at one batch's worth — a tenant
-    // that served alone (paying more than it earned, with nobody competing)
-    // must not carry that artificial debt into a later contended phase.
-    queue.tenants.retain(|_, tq| !tq.requests.is_empty());
-    let debt_floor = -(inner.cfg.max_batch as i64);
-    for tq in queue.tenants.values_mut() {
-        tq.deficit = tq.deficit.max(debt_floor);
-    }
-
-    // Admission order within the batch, so coalescing stays deterministic.
-    batch.sort_by_key(|r| r.id);
-    queue.overload.record_misses(timeouts);
-    Some(Batch {
-        model,
-        requests: batch,
-    })
 }
 
 /// One executor worker, leader/follower: take the lead lock, form a batch,
@@ -1015,9 +1016,6 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             form_batch(inner)
         };
         let Some(batch) = formed else { return };
-        if batch.requests.is_empty() {
-            continue;
-        }
         // Injected pickup faults. Both resolve the batch's members first
         // (retry or fail — never strand a ticket); the panic then unwinds
         // the worker thread and the sentinel spawns its replacement.
@@ -1051,7 +1049,7 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
 fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut ReplayScratch) {
     let launched = Instant::now();
     let (live, dead) = split_dead(batch.requests, launched);
-    resolve_dead(inner, dead);
+    settle_dead(inner, dead);
     if live.is_empty() {
         return;
     }
@@ -1094,9 +1092,13 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
     }));
     inner.executing.fetch_sub(1, Ordering::SeqCst);
     let elapsed_us = replay_start.elapsed().as_micros() as u64;
-    lock_recover(&inner.queue)
-        .overload
-        .record_replay(elapsed_us);
+    let mut queue = lock_recover(&inner.queue);
+    queue.overload.record_replay(elapsed_us);
+    // Before any member is answered: their returns find it already set.
+    if let Ok(Ok(_)) = runs {
+        queue.last_batch.insert(batch.model, size);
+    }
+    drop(queue);
 
     let runs = match runs {
         Ok(Ok(runs)) => runs,
@@ -1108,8 +1110,6 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
         }
     };
     model.breaker.record_success();
-    // Before any member is answered: their returns find it already set.
-    model.last_batch.store(size, Ordering::Relaxed);
 
     // Every member is charged the program's constant: a solo inference.
     let cost = model.program.program().cost();
@@ -1169,14 +1169,16 @@ mod tests {
             .map(|iacts| solo.run(iacts, &weights).unwrap().oacts)
             .collect();
 
-        let server = Server::new(ServeConfig {
-            max_batch: 4,
-            batch_window: Duration::from_secs(2),
-            ..ServeConfig::default()
-        });
+        let server = Server::unstarted(
+            ServeConfig {
+                max_batch: 4,
+                ..ServeConfig::default()
+            },
+            None,
+        );
         server.register_model("m", config(), &g, weights).unwrap();
-        // All four land inside the window, so the leader coalesces them
-        // into one batch-4 run the moment the fourth arrives.
+        // All four are queued before any worker runs, so the first leader
+        // coalesces them into one batch-4 run.
         let tickets: Vec<Ticket> = inputs
             .iter()
             .enumerate()
@@ -1186,6 +1188,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        server.start();
         for (ticket, golden) in tickets.into_iter().zip(&goldens) {
             let response = ticket.wait().unwrap();
             assert_eq!(&response.oacts, golden);
@@ -1211,36 +1214,27 @@ mod tests {
             .map(|i| Tensor4::random([1, 2, 4, 4], 90 + i))
             .collect();
 
-        // A floor: with none, an idle worker launches each burst's head at
-        // once and holds only up to the last batch's size, so a burst one
-        // larger than the last can split — every time, on one CPU.
-        let server = Server::new(ServeConfig {
-            batch_window: Duration::from_millis(5),
-            ..ServeConfig::default()
-        });
-        server
-            .register_model("m", config(), &g, weights.clone())
-            .unwrap();
-        // A burst of `size` submits lands inside the floor unless
-        // this thread is descheduled mid-burst, so repeat each size until
-        // the histogram shows a batch of exactly that many requests.
-        for size in 1..=server.config().max_batch {
-            let mut rounds = 0;
-            while !server.stats().batches.contains_key(&size) {
-                rounds += 1;
-                assert!(rounds <= 1000, "never formed a batch of {size}");
-                let burst = &inputs[..size];
-                let tickets: Vec<Ticket> = burst
-                    .iter()
-                    .map(|iacts| server.submit("t", "m", iacts.clone()).unwrap())
-                    .collect();
-                for (ticket, iacts) in tickets.into_iter().zip(burst) {
-                    let response = ticket.wait().unwrap();
-                    assert_eq!(response.oacts, solo.run(iacts, &weights).unwrap().oacts);
-                    // Whatever it was batched with: one solo inference.
-                    assert_eq!((response.cycles, response.dram_bytes), charge);
-                }
+        // A burst of each size is queued before the workers spawn, so the
+        // first leader forms exactly one batch of that size (on virtual
+        // time: `a_burst_of_each_size_forms_one_batch`).
+        for size in 1..=ServeConfig::default().max_batch {
+            let server = Server::unstarted(ServeConfig::default(), None);
+            server
+                .register_model("m", config(), &g, weights.clone())
+                .unwrap();
+            let burst = &inputs[..size];
+            let tickets: Vec<Ticket> = burst
+                .iter()
+                .map(|iacts| server.submit("t", "m", iacts.clone()).unwrap())
+                .collect();
+            server.start();
+            for (ticket, iacts) in tickets.into_iter().zip(burst) {
+                let response = ticket.wait().unwrap();
+                assert_eq!(response.oacts, solo.run(iacts, &weights).unwrap().oacts);
+                // Whatever it was batched with: one solo inference.
+                assert_eq!((response.cycles, response.dram_bytes), charge);
             }
+            assert_eq!(server.stats().batches, BTreeMap::from([(size, 1)]));
         }
     }
 
@@ -1306,14 +1300,16 @@ mod tests {
         let iacts = Tensor4::random([1, 2, 4, 4], 9);
         let golden = solo.run(&iacts, &weights).unwrap().oacts;
 
-        // A wide window plus a large max_batch keeps requests parked in the
-        // queue, so the depth bound is observable deterministically.
-        let mut server = Server::new(ServeConfig {
-            max_batch: 8,
-            queue_depth: 2,
-            batch_window: Duration::from_secs(5),
-            ..ServeConfig::default()
-        });
+        // No worker runs yet, so requests stay queued and the depth bound
+        // is observable deterministically.
+        let mut server = Server::unstarted(
+            ServeConfig {
+                max_batch: 8,
+                queue_depth: 2,
+                ..ServeConfig::default()
+            },
+            None,
+        );
         server.register_model("m", config(), &g, weights).unwrap();
         let t1 = server.submit("t", "m", iacts.clone()).unwrap();
         let t2 = server.submit("t", "m", iacts.clone()).unwrap();
@@ -1323,8 +1319,10 @@ mod tests {
         ));
         assert_eq!(server.stats().rejected, 1);
 
-        // Shutdown closes admission but still serves what was admitted.
+        // Shutdown closes admission but still serves what was admitted: the
+        // workers spawn only after admission closed.
         server.shutdown();
+        server.start();
         assert_eq!(t1.wait().unwrap().oacts, golden);
         assert_eq!(t2.wait().unwrap().oacts, golden);
         assert!(matches!(
@@ -1339,12 +1337,14 @@ mod tests {
         let weights = g.random_weights(6);
         let iacts = Tensor4::random([1, 2, 4, 4], 11);
 
-        let mut server = Server::new(ServeConfig {
-            max_batch: 8,
-            queue_depth: 2,
-            batch_window: Duration::from_secs(5),
-            ..ServeConfig::default()
-        });
+        let mut server = Server::unstarted(
+            ServeConfig {
+                max_batch: 8,
+                queue_depth: 2,
+                ..ServeConfig::default()
+            },
+            None,
+        );
         server.register_model("m", config(), &g, weights).unwrap();
         let _a1 = server.submit("a", "m", iacts.clone()).unwrap();
         let _a2 = server.submit("a", "m", iacts.clone()).unwrap();
@@ -1358,6 +1358,7 @@ mod tests {
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.tenants["a"].rejected, 1);
         assert!(!stats.tenants.contains_key("b") || stats.tenants["b"].rejected == 0);
+        server.start();
         server.shutdown();
     }
 
@@ -1369,12 +1370,14 @@ mod tests {
         let iacts = Tensor4::random([1, 2, 4, 4], 13);
         let golden = solo.run(&iacts, &weights).unwrap().oacts;
 
-        // A wide window keeps all three parked while we cancel two of them.
-        let mut server = Server::new(ServeConfig {
-            max_batch: 8,
-            batch_window: Duration::from_secs(5),
-            ..ServeConfig::default()
-        });
+        // No worker runs until two of the three are cancelled.
+        let mut server = Server::unstarted(
+            ServeConfig {
+                max_batch: 8,
+                ..ServeConfig::default()
+            },
+            None,
+        );
         server.register_model("m", config(), &g, weights).unwrap();
         let keep = server.submit("t", "m", iacts.clone()).unwrap();
         let explicit = server.submit("t", "m", iacts.clone()).unwrap();
@@ -1383,6 +1386,7 @@ mod tests {
         explicit.cancel();
         drop(abandoned); // dropping the ticket cancels too
 
+        server.start();
         server.shutdown();
         assert_eq!(keep.wait().unwrap().oacts, golden);
         assert_eq!(explicit.wait(), Err(ServeError::Cancelled));
@@ -1396,71 +1400,122 @@ mod tests {
         assert_eq!(stats.batches, BTreeMap::from([(1, 1)]));
     }
 
+    /// Queues a request for the forming decision on virtual time — no
+    /// server, no thread, no clock — and hands back its promise.
+    fn enqueue(
+        q: &mut QueueState,
+        id: u64,
+        tenant: &str,
+        model: &str,
+        at: Instant,
+    ) -> Arc<Promise> {
+        let promise = Promise::new();
+        let tq = q.tenants.entry(tenant.to_string()).or_default();
+        tq.requests.push_back(Request {
+            id,
+            tenant: tenant.to_string(),
+            model: model.to_string(),
+            iacts: Tensor4::zeros([1, 1, 1, 1]),
+            enqueued: at,
+            deadline: None,
+            promise: promise.clone(),
+            attempts: 0,
+            not_before: None,
+        });
+        promise
+    }
+
+    fn open_queue() -> QueueState {
+        QueueState {
+            open: true,
+            ..QueueState::default()
+        }
+    }
+
+    /// A [`Decision`], as tests compare it: a launch is its model and its
+    /// request ids.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Seen {
+        Launch(String, Vec<u64>),
+        Wait(Option<Instant>),
+        Closed,
+    }
+
+    /// One decision at `now`, plus the ids of the requests it pruned, each
+    /// with the error it ends with.
+    fn decide_at(
+        q: &mut QueueState,
+        cfg: &ServeConfig,
+        weights: &BTreeMap<String, u64>,
+        now: Instant,
+    ) -> (Seen, Vec<(u64, ServeError)>) {
+        let mut dead = Vec::new();
+        let seen = match q.decide(cfg, weights, now, &mut dead) {
+            Decision::Launch(batch) => {
+                Seen::Launch(batch.model, batch.requests.iter().map(|r| r.id).collect())
+            }
+            Decision::Wait(until) => Seen::Wait(until),
+            Decision::Closed => Seen::Closed,
+        };
+        (seen, dead.into_iter().map(|(r, e)| (r.id, e)).collect())
+    }
+
     #[test]
     fn weighted_fair_admission_shares_batches_by_weight() {
-        let g_light = tiny_graph("ml");
-        let g_flood = tiny_graph("mf");
-        let g_plug = tiny_graph("mp");
-        let w_light = g_light.random_weights(21);
-        let w_flood = g_flood.random_weights(22);
-
-        // One worker forms each batch only when it is free; a long first
-        // window lets both tenants pile up their backlogs before any
-        // fairness decision is made.
-        let mut server = Server::new(ServeConfig {
+        // On virtual time, one worker: every request is queued before the
+        // first fairness round, and each batch answers before the next
+        // decision. The plug leads a batch on a model of its own. Brownout
+        // is off: 64 queued of 64 would halve the batch, and this test is
+        // about the shares alone.
+        let cfg = ServeConfig {
             max_batch: 4,
             queue_depth: 64,
-            batch_window: Duration::from_millis(150),
             workers: 1,
+            brownout_pct: 101,
             ..ServeConfig::default()
-        });
-        server
-            .register_model("ml", config(), &g_light, w_light)
-            .unwrap();
-        server
-            .register_model("mf", config(), &g_flood, w_flood)
-            .unwrap();
-        server
-            .register_model("mp", config(), &g_plug, g_plug.random_weights(23))
-            .unwrap();
-        server.set_tenant_weight("light", 4);
-        server.set_tenant_weight("flood", 1);
-
-        // The plug leads a batch on a model of its own, so nothing joins it
-        // and its floor holds the worker for the full 150 ms: both backlogs
-        // below are queued before the first fairness round. (A plug on the
-        // flood's model would launch as soon as four flood requests joined
-        // it, and the flood could drain before light's submits landed.)
-        let plug = server
-            .submit("warm", "mp", Tensor4::random([1, 2, 4, 4], 30))
-            .unwrap();
-        let flood: Vec<Ticket> = (0..64)
-            .map(|i| {
-                server
-                    .submit("flood", "mf", Tensor4::random([1, 2, 4, 4], 100 + i))
-                    .unwrap()
-            })
-            .collect();
-        let light: Vec<Ticket> = (0..32)
-            .map(|i| {
-                server
-                    .submit("light", "ml", Tensor4::random([1, 2, 4, 4], 200 + i))
-                    .unwrap()
-            })
-            .collect();
-
-        // Despite submitting after 64 flooding requests, the weight-4
-        // tenant's 32 requests finish while the flood is still deeply
-        // backlogged: under sustained contention it earns 4 of every 5
-        // batches, so the flood advances by roughly a quarter of light's
-        // volume. Equal weights would leave the flood at ~43 of 64 here;
-        // FIFO would drain it completely first.
-        for ticket in light {
-            ticket.wait().unwrap();
+        };
+        let weights = BTreeMap::from([("light".to_string(), 4), ("flood".to_string(), 1)]);
+        let t0 = Instant::now();
+        let mut q = open_queue();
+        enqueue(&mut q, 0, "warm", "mp", t0);
+        for id in 1..=64 {
+            enqueue(&mut q, id, "flood", "mf", t0);
         }
-        let mid = server.stats();
-        assert_eq!(mid.tenants["light"].completed, 32);
-        let flood_done = mid.tenants.get("flood").map_or(0, |t| t.completed);
+        for id in 65..=96 {
+            enqueue(&mut q, id, "light", "ml", t0);
+        }
+        let tenant_of = |model: &str| match model {
+            "ml" => "light",
+            "mf" => "flood",
+            _ => "warm",
+        };
+        let mut completed: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut led: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut flood_done = None;
+        loop {
+            match decide_at(&mut q, &cfg, &weights, t0).0 {
+                Seen::Launch(model, ids) => {
+                    *completed.entry(tenant_of(&model)).or_default() += ids.len() as u64;
+                    if flood_done.is_none() {
+                        *led.entry(tenant_of(&model)).or_default() += 1;
+                    }
+                }
+                Seen::Wait(None) => break,
+                other => panic!("unexpected decision {other:?}"),
+            }
+            if flood_done.is_none() && completed.get("light") == Some(&32) {
+                flood_done = Some(completed.get("flood").copied().unwrap_or(0));
+            }
+        }
+
+        // Despite queueing after 64 flooding requests, the weight-4
+        // tenant's 32 requests finish while the flood is still deeply
+        // backlogged: under sustained contention it leads at least 4 of
+        // every 5 batches (8 to the flood's 1 here), so the flood advances
+        // by at most a quarter of light's volume. Equal weights would leave
+        // the flood at ~43 of 64 here; FIFO would drain it completely first.
+        assert!(led["light"] >= 4 * led["flood"], "batches led: {led:?}");
+        let flood_done = flood_done.expect("light drained");
         assert!(
             flood_done < 64,
             "flood must still be backlogged when light drains (saw {flood_done})"
@@ -1472,14 +1527,8 @@ mod tests {
         );
 
         // Drain: nobody is starved forever, nothing is lost.
-        plug.wait().unwrap();
-        for ticket in flood {
-            ticket.wait().unwrap();
-        }
-        let stats = server.stats();
-        assert_eq!(stats.completed, 1 + 64 + 32);
-        assert_eq!(stats.tenants["flood"].completed, 64);
-        server.shutdown();
+        assert_eq!(completed.values().sum::<u64>(), 1 + 64 + 32);
+        assert_eq!(completed["flood"], 64);
     }
 
     /// Three convs deep on an `hw`×`hw` input: at 8×8 a release replay
@@ -1531,7 +1580,6 @@ mod tests {
 
         let server = Server::new(ServeConfig {
             max_batch: 1,
-            batch_window: Duration::ZERO,
             workers: 2,
             ..ServeConfig::default()
         });
@@ -1573,10 +1621,7 @@ mod tests {
     #[test]
     fn expired_requests_resolve_as_timeouts() {
         let g = tiny_graph("m");
-        let server = Server::new(ServeConfig {
-            batch_window: Duration::ZERO,
-            ..ServeConfig::default()
-        });
+        let server = Server::new(ServeConfig::default());
         server
             .register_model("m", config(), &g, g.random_weights(1))
             .unwrap();
@@ -1600,7 +1645,6 @@ mod tests {
         let cfg = ServeConfig::default();
         assert_eq!(cfg.max_batch, 8);
         assert_eq!(cfg.queue_depth, 64);
-        assert_eq!(cfg.batch_window, Duration::ZERO);
         assert_eq!(cfg.default_deadline, None);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.max_retries, 2);
@@ -1623,32 +1667,29 @@ mod tests {
 
     #[test]
     fn hold_rule_on_virtual_time() {
-        use Hold::{Launch, Open, Until};
+        use Hold::{Launch, Until};
         // Virtual instants: the lead became schedulable at `t0`, `now` is µs
-        // after it; floor and batch time are µs too. Nothing sleeps.
+        // after it; the batch time is µs too. Nothing sleeps.
         let t0 = Instant::now();
         let at = |us: u64| t0 + Duration::from_micros(us);
         #[rustfmt::skip]
         let cases = [
-            // case                            floor max  now  wait exp  batch  decision
-            ("lone request, idle executor",      0,   8,    0,  1,   1,  200, Launch),
-            ("returns expected",                 0,   8,   50,  3,   8,  200, Until(at(200))),
-            ("one batch time elapsed",           0,   8,  200,  3,   8,  200, Launch),
-            ("past one batch time",              0,   8,  900,  3,   8,  200, Launch),
-            ("waiting reaches expected",         0,   8,   50,  5,   5,  200, Launch),
-            ("full batch",                       0,   8,    0,  8,   8,  200, Launch),
-            ("brownout-halved full batch",       0,   4,    0,  4,   8,  200, Launch),
-            ("full batch inside the floor",    500,   8,   10,  8,   1,    0, Launch),
-            ("floor not elapsed",              500,   8,   10,  1,   1,    0, Until(at(500))),
-            ("floor elapsed",                  500,   8,  500,  1,   1,    0, Launch),
-            ("floor outlasts the batch time",  500,   8,  500,  1,   8,  200, Launch),
-            ("batch time 0: no hold",            0,   8,    0,  3,   8,    0, Launch),
-            ("first batch: nothing expected",    0,   8,    0,  1,   0,    0, Launch),
+            // case                            max  now  wait exp  batch  decision
+            ("lone request, idle executor",      8,    0,  1,   1,  200, Launch),
+            ("returns expected",                 8,   50,  3,   8,  200, Until(at(200))),
+            ("one batch time elapsed",           8,  200,  3,   8,  200, Launch),
+            ("past one batch time",              8,  900,  3,   8,  200, Launch),
+            ("waiting reaches expected",         8,   50,  5,   5,  200, Launch),
+            ("full batch",                       8,    0,  8,   8,  200, Launch),
+            ("brownout-halved full batch",       4,    0,  4,   8,  200, Launch),
+            ("model emptied mid-hold",           8,   50,  0,   8,  200, Launch),
+            ("batch time 0: no hold",            8,    0,  3,   8,    0, Launch),
+            ("first batch: nothing expected",    8,    0,  1,   0,    0, Launch),
         ];
-        for (case, floor, max_batch, now, waiting, expected, batch, decision) in cases {
+        for (case, max_batch, now, waiting, expected, batch, decision) in cases {
             let forming = Forming {
+                model: "m".to_string(),
                 start: t0,
-                floor: Duration::from_micros(floor),
                 max_batch,
             };
             let batch_time = Duration::from_micros(batch);
@@ -1658,15 +1699,93 @@ mod tests {
                 "{case}"
             );
         }
-        // A floor that ends past what `Instant` can represent never expires:
-        // only a full batch (or shutdown) launches.
-        let endless = Forming {
-            start: t0,
-            floor: Duration::MAX,
-            max_batch: 8,
+    }
+
+    #[test]
+    fn a_burst_of_each_size_forms_one_batch() {
+        // On virtual time: bursts of 1..=8 arrive whole between two
+        // decisions, each after the last burst's batch answered — a burst
+        // one larger than the last batch still launches whole, and nothing
+        // of it is left behind for a second batch.
+        let cfg = ServeConfig::default();
+        let weights = BTreeMap::new();
+        let t0 = Instant::now();
+        let mut q = open_queue();
+        q.overload.record_replay(200);
+        let mut next_id = 0..;
+        for size in 1..=cfg.max_batch {
+            let now = t0 + Duration::from_millis(size as u64);
+            let ids: Vec<u64> = next_id.by_ref().take(size).collect();
+            for &id in &ids {
+                enqueue(&mut q, id, "t", "m", now);
+            }
+            let launch = Seen::Launch("m".to_string(), ids);
+            assert_eq!(
+                decide_at(&mut q, &cfg, &weights, now).0,
+                launch,
+                "burst of {size}"
+            );
+            let after = decide_at(&mut q, &cfg, &weights, now).0;
+            assert_eq!(after, Seen::Wait(None), "burst of {size} split");
+            q.last_batch.insert("m".to_string(), size);
+        }
+    }
+
+    #[test]
+    fn a_closed_loop_hold_waits_one_batch_time_for_every_return() {
+        // The model's last batch answered 8 clients in 200 µs; their returns
+        // arrive 10 µs apart. Each of the first 7 holds the batch until one
+        // batch time after the first arrived; the 8th launches it.
+        let cfg = ServeConfig::default();
+        let weights = BTreeMap::new();
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let closed_loop = || {
+            let mut q = open_queue();
+            q.overload.record_replay(200);
+            q.last_batch.insert("m".to_string(), 8);
+            for id in 0..7 {
+                enqueue(&mut q, id, "t", "m", at(10 * id));
+            }
+            q
         };
-        assert_eq!(endless.hold(at(10), 1, 1, Duration::ZERO), Open);
-        assert_eq!(endless.hold(at(10), 8, 1, Duration::ZERO), Launch);
+        let mut q = closed_loop();
+        for now in [0, 10, 30, 60, 199] {
+            let seen = decide_at(&mut q, &cfg, &weights, at(now)).0;
+            assert_eq!(seen, Seen::Wait(Some(at(200))), "7 returns at {now} µs");
+        }
+        enqueue(&mut q, 7, "t", "m", at(70));
+        let seen = decide_at(&mut q, &cfg, &weights, at(70)).0;
+        assert_eq!(seen, Seen::Launch("m".to_string(), (0..8).collect()));
+        // Without the 8th, one batch time launches the 7.
+        let mut q = closed_loop();
+        let seen = decide_at(&mut q, &cfg, &weights, at(200)).0;
+        assert_eq!(seen, Seen::Launch("m".to_string(), (0..7).collect()));
+    }
+
+    #[test]
+    fn a_lead_cancelled_mid_hold_does_not_hold_up_other_models() {
+        // Model `a`'s last batch predicts 8 returns, so its lone lead holds.
+        // Cancelled mid-hold, it leaves nothing of `a` to wait for: the next
+        // decision prunes it and launches the `b` request queued meanwhile.
+        let cfg = ServeConfig::default();
+        let weights = BTreeMap::new();
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let mut q = open_queue();
+        q.overload.record_replay(200);
+        q.last_batch.insert("a".to_string(), 8);
+        let lead = enqueue(&mut q, 0, "t", "a", at(0));
+        let seen = decide_at(&mut q, &cfg, &weights, at(0)).0;
+        assert_eq!(seen, Seen::Wait(Some(at(200))));
+        enqueue(&mut q, 1, "u", "b", at(10));
+        lead.cancel();
+        let (seen, dead) = decide_at(&mut q, &cfg, &weights, at(20));
+        assert_eq!(dead, vec![(0, ServeError::Cancelled)]);
+        assert_eq!(seen, Seen::Launch("b".to_string(), vec![1]));
+        // Admission closed and nothing queued: the leader's pool exits.
+        q.open = false;
+        assert_eq!(decide_at(&mut q, &cfg, &weights, at(30)).0, Seen::Closed);
     }
 
     #[test]
@@ -1838,13 +1957,7 @@ mod tests {
         // The first replay draw fails; the retry must return exactly what
         // the first attempt would have.
         let plan = FaultPlan::seeded(1).with_fail_first(FaultSite::ReplayEntry, 1);
-        let mut server = Server::with_fault_plan(
-            ServeConfig {
-                batch_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            Some(plan),
-        );
+        let mut server = Server::with_fault_plan(ServeConfig::default(), Some(plan));
         server.register_model("m", config(), &g, weights).unwrap();
         let response = server.submit("t", "m", iacts).unwrap().wait().unwrap();
         assert_eq!(response.oacts, golden);
@@ -1865,7 +1978,6 @@ mod tests {
         let plan = FaultPlan::seeded(2).with_fail(FaultSite::ReplayEntry, 1.0);
         let mut server = Server::with_fault_plan(
             ServeConfig {
-                batch_window: Duration::ZERO,
                 max_retries: 1,
                 ..ServeConfig::default()
             },
@@ -1901,7 +2013,6 @@ mod tests {
         let plan = FaultPlan::seeded(3).with_panic_first(FaultSite::ReplayEntry, 1);
         let mut server = Server::with_fault_plan(
             ServeConfig {
-                batch_window: Duration::ZERO,
                 workers: 1,
                 ..ServeConfig::default()
             },
@@ -1940,7 +2051,6 @@ mod tests {
         let plan = FaultPlan::seeded(4).with_panic_first(FaultSite::WorkerPickup, 1);
         let mut server = Server::with_fault_plan(
             ServeConfig {
-                batch_window: Duration::ZERO,
                 workers: 1,
                 max_retries: 0,
                 ..ServeConfig::default()
@@ -1974,7 +2084,6 @@ mod tests {
         let plan = FaultPlan::seeded(5).with_fail_first(FaultSite::ReplayEntry, 2);
         let mut server = Server::with_fault_plan(
             ServeConfig {
-                batch_window: Duration::ZERO,
                 max_retries: 0,
                 breaker_threshold: 2,
                 breaker_cooldown: Duration::from_millis(30),
@@ -2025,7 +2134,6 @@ mod tests {
         let mut server = Server::new(ServeConfig {
             max_batch: 1,
             queue_depth: 8,
-            batch_window: Duration::ZERO,
             brownout_pct: 50,
             ..ServeConfig::default()
         });
@@ -2135,48 +2243,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.retries, 0);
-        assert_eq!(stats.respawns, 0);
-        assert_conserved(&stats);
-    }
-
-    #[test]
-    fn an_overflowing_batch_window_holds_until_full_or_shutdown() {
-        let g = tiny_graph("m");
-        let weights = g.random_weights(104);
-        let solo = GraphSession::auto(config(), &g).unwrap();
-        let inputs: Vec<Tensor4<i8>> = (0..3)
-            .map(|i| Tensor4::random([1, 2, 4, 4], 105 + i))
-            .collect();
-        let goldens: Vec<Tensor4<i32>> = inputs
-            .iter()
-            .map(|iacts| solo.run(iacts, &weights).unwrap().oacts)
-            .collect();
-
-        let mut server = Server::new(ServeConfig {
-            max_batch: 2,
-            batch_window: Duration::MAX,
-            ..ServeConfig::default()
-        });
-        server.register_model("m", config(), &g, weights).unwrap();
-        // The pause lets a leader take up each lone request and judge its
-        // hold. A full batch launches whatever the floor says...
-        let pause = Duration::from_millis(20);
-        let first = server.submit("t", "m", inputs[0].clone()).unwrap();
-        std::thread::sleep(pause);
-        let second = server.submit("t", "m", inputs[1].clone()).unwrap();
-        for (ticket, golden) in [first, second].into_iter().zip(&goldens) {
-            let response = wait_within(ticket, Duration::from_secs(10)).unwrap();
-            assert_eq!(&response.oacts, golden);
-            assert_eq!(response.batch_size, 2);
-        }
-        // ...and a lone request waits for shutdown, which launches it.
-        let lone = server.submit("t", "m", inputs[2].clone()).unwrap();
-        std::thread::sleep(pause);
-        server.shutdown();
-        let response = wait_within(lone, Duration::from_secs(10)).unwrap();
-        assert_eq!(response.oacts, goldens[2]);
-        let stats = server.stats();
-        assert_eq!(stats.completed, 3);
         assert_eq!(stats.respawns, 0);
         assert_conserved(&stats);
     }

@@ -199,7 +199,7 @@ proptest! {
     /// authored batch sizes; the session's own `run` and a `ProgramSession`
     /// agree on the complete `GraphRun`.
     #[test]
-    fn replayed_program_equals_interpreted_session(
+    fn program_session_replay_equals_session_run_on_random_dags(
         batch in 1usize..3,
         c0 in 1usize..5,
         hw in 4usize..7,
@@ -450,7 +450,7 @@ proptest! {
     /// all-`i8::MIN` and all-`i8::MAX` inputs and weights alike, next to the
     /// reference executor's output.
     #[test]
-    fn cost_oracle_equals_the_interpreted_report(
+    fn cost_oracle_equals_every_runs_report(
         c_in in 1usize..7,
         c_mid in 1usize..7,
         c_out in 1usize..7,

@@ -129,7 +129,6 @@ fn mixed_model_traffic(workers: usize) {
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 4,
         queue_depth: 64,
-        batch_window: Duration::from_micros(300),
         workers,
         ..ServeConfig::default()
     }));
@@ -245,7 +244,6 @@ fn contended_admission_never_loses_or_duplicates_requests() {
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 2,
         queue_depth: 4,
-        batch_window: Duration::from_micros(100),
         workers: 2,
         ..ServeConfig::default()
     }));
@@ -316,9 +314,6 @@ fn cancellation_mid_queue_conserves_every_request() {
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 8,
         queue_depth: 256,
-        // A window wide enough that a cancel fired right after submit
-        // usually lands while the request is still parked in the queue.
-        batch_window: Duration::from_millis(5),
         workers: 2,
         ..ServeConfig::default()
     }));
@@ -404,8 +399,9 @@ fn cancellation_mid_queue_conserves_every_request() {
     );
     assert!(fickle.completed >= cancel_ok);
     assert!(fickle.cancelled >= cancel_cancelled);
-    // With a 5 ms window, cancels fired microseconds after submit land in
-    // the queue essentially always — the pruning path really ran.
+    // Six clients share two workers, so a cancel fired microseconds after
+    // submit finds its request still queued essentially always — the
+    // pruning path really ran.
     assert!(
         stats.cancelled > 0,
         "no cancellation was ever pruned mid-queue"
@@ -431,7 +427,6 @@ fn weighted_fair_scheduling_bounds_light_tenant_service_delay() {
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 4,
         queue_depth: 32,
-        batch_window: Duration::from_micros(100),
         workers: 1,
         ..ServeConfig::default()
     }));
@@ -559,7 +554,6 @@ fn chaos_round(seed: u64, workers: usize) {
         ServeConfig {
             max_batch: 4,
             queue_depth: 64,
-            batch_window: Duration::from_micros(300),
             workers,
             max_retries: 2,
             retry_backoff: Duration::from_micros(50),
@@ -663,7 +657,6 @@ fn chaos_every_pickup_panicking_still_terminates() {
         ServeConfig {
             max_batch: 2,
             queue_depth: 16,
-            batch_window: Duration::from_micros(100),
             workers: 2,
             max_retries: 1,
             retry_backoff: Duration::from_micros(50),
@@ -713,13 +706,7 @@ fn chaos_empty_plan_is_inert_and_parses_from_env_format() {
 
     // A server built with no plan behaves exactly like `Server::new`.
     let f = fixture("chain", chain_model(), 43);
-    let mut server = Server::with_fault_plan(
-        ServeConfig {
-            batch_window: Duration::ZERO,
-            ..ServeConfig::default()
-        },
-        None,
-    );
+    let mut server = Server::with_fault_plan(ServeConfig::default(), None);
     server
         .register_model(
             f.name,
