@@ -1,22 +1,19 @@
 //! Per-model circuit breaker.
 //!
 //! When a model fails `threshold` batch executions in a row — a replay that
-//! keeps failing or panicking — continuing to admit its
-//! requests just burns queue slots and worker time on work that will fail
-//! anyway, and starves healthy models behind it. The breaker cuts that off:
-//! after the threshold trips it **opens** and requests for the model
-//! fast-fail as [`Unavailable`](crate::ServeError::Unavailable) at submit,
-//! without ever touching the queue. Once `cooldown` has elapsed, the next
-//! submit is admitted as a **half-open probe**; if it completes, the breaker
-//! closes and traffic resumes, and if it fails the breaker re-opens for
-//! another cooldown.
+//! keeps failing or panicking — admitting its requests just burns queue
+//! slots and worker time, and starves healthy models behind it. The breaker
+//! cuts that off: after the threshold trips it **opens** and the model's
+//! requests fast-fail as [`Unavailable`](crate::ServeError::Unavailable) at
+//! submit. Once `cooldown` has elapsed, the next request admitted is the
+//! **half-open probe**; if it completes, the breaker closes, and if it fails
+//! the breaker re-opens for another cooldown. A `threshold` of 0 disables it.
 //!
-//! A `threshold` of 0 disables the breaker entirely.
+//! A breaker is plain data in the scheduler's queue state, and every
+//! transition is a method on a given `now`: it reads no clock and takes no
+//! lock.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::sync::lock_recover;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -33,89 +30,77 @@ enum State {
 
 /// Consecutive-failure circuit breaker; one per registered model.
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     threshold: u32,
     cooldown: Duration,
-    state: Mutex<State>,
+    state: State,
 }
 
 impl CircuitBreaker {
     /// A closed breaker tripping after `threshold` consecutive failures and
     /// probing again `cooldown` after opening. `threshold == 0` disables it.
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown: Duration) -> Self {
         CircuitBreaker {
             threshold,
             cooldown,
-            state: Mutex::new(State::Closed { consecutive: 0 }),
+            state: State::Closed { consecutive: 0 },
         }
     }
 
-    /// Whether a request arriving at `now` may enter the queue. Transitions
-    /// `Open → HalfOpen` (admitting exactly one probe) once the cooldown has
-    /// elapsed.
-    pub fn admit(&self, now: Instant) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
-        let mut state = lock_recover(&self.state);
-        match *state {
+    /// Whether a request arriving at `now` may pass the breaker, without
+    /// changing its state: closed, or open (or probing) for at least one
+    /// cooldown.
+    pub(crate) fn admits(&self, now: Instant) -> bool {
+        match self.state {
+            _ if self.threshold == 0 => true,
             State::Closed { .. } => true,
             State::HalfOpen { since } | State::Open { since } => {
-                if now.duration_since(since) >= self.cooldown {
-                    *state = State::HalfOpen { since: now };
-                    true
-                } else {
-                    false
-                }
+                now.duration_since(since) >= self.cooldown
             }
         }
     }
 
+    /// [`CircuitBreaker::admits`], committed: past a cooldown, the request
+    /// becomes the half-open probe (`Open → HalfOpen`), so one probe is
+    /// admitted per cooldown. Call it only for a request that is enqueued.
+    pub(crate) fn admit(&mut self, now: Instant) -> bool {
+        let admits = self.admits(now);
+        if admits && !matches!(self.state, State::Closed { .. }) {
+            self.state = State::HalfOpen { since: now };
+        }
+        admits
+    }
+
     /// Records a successful execution: closes the breaker and resets the
     /// consecutive-failure count.
-    pub fn record_success(&self) {
-        if self.threshold == 0 {
-            return;
-        }
-        *lock_recover(&self.state) = State::Closed { consecutive: 0 };
+    pub(crate) fn record_success(&mut self) {
+        self.state = State::Closed { consecutive: 0 };
     }
 
     /// Records a failed execution at `now`; returns `true` when this failure
     /// transitions the breaker to open (so the caller can count distinct
     /// opens rather than every failure while open).
-    pub fn record_failure(&self, now: Instant) -> bool {
+    pub(crate) fn record_failure(&mut self, now: Instant) -> bool {
         if self.threshold == 0 {
             return false;
         }
-        let mut state = lock_recover(&self.state);
-        match *state {
-            State::Closed { consecutive } => {
+        self.state = match self.state {
+            State::Closed { consecutive } if consecutive + 1 < self.threshold => {
                 let consecutive = consecutive + 1;
-                if consecutive >= self.threshold {
-                    *state = State::Open { since: now };
-                    true
-                } else {
-                    *state = State::Closed { consecutive };
-                    false
-                }
+                State::Closed { consecutive }
             }
-            // The half-open probe failed: back to a full cooldown.
-            State::HalfOpen { .. } => {
-                *state = State::Open { since: now };
-                true
-            }
-            State::Open { .. } => false,
-        }
+            // The threshold trips, or the half-open probe failed: a full
+            // cooldown.
+            State::Closed { .. } | State::HalfOpen { .. } => State::Open { since: now },
+            State::Open { .. } => return false,
+        };
+        matches!(self.state, State::Open { .. })
     }
 
-    /// Whether the breaker is currently rejecting traffic (open and still
-    /// cooling down, or waiting on a half-open probe). Diagnostic only; use
-    /// [`CircuitBreaker::admit`] on the submit path.
-    pub fn is_open(&self) -> bool {
-        matches!(
-            *lock_recover(&self.state),
-            State::Open { .. } | State::HalfOpen { .. }
-        )
+    /// Whether the breaker is open or probing. Diagnostic only; admission
+    /// asks [`CircuitBreaker::admits`] at its own `now`.
+    pub(crate) fn is_open(&self) -> bool {
+        matches!(self.state, State::Open { .. } | State::HalfOpen { .. })
     }
 }
 
@@ -127,7 +112,7 @@ mod tests {
 
     #[test]
     fn opens_after_threshold_consecutive_failures_only() {
-        let b = CircuitBreaker::new(3, COOLDOWN);
+        let mut b = CircuitBreaker::new(3, COOLDOWN);
         let t = Instant::now();
         assert!(!b.record_failure(t));
         assert!(!b.record_failure(t));
@@ -142,12 +127,16 @@ mod tests {
 
     #[test]
     fn half_open_probe_admits_one_and_its_outcome_decides() {
-        let b = CircuitBreaker::new(1, COOLDOWN);
+        let mut b = CircuitBreaker::new(1, COOLDOWN);
         let t = Instant::now();
         assert!(b.record_failure(t));
         assert!(!b.admit(t), "open while cooling down");
         let after = t + COOLDOWN;
+        // Asking commits nothing: a request refused later in admission
+        // must not use up the probe.
+        assert!(b.admits(after) && b.admits(after));
         assert!(b.admit(after), "cooldown elapsed: one probe admitted");
+        assert!(!b.admits(after));
         assert!(!b.admit(after), "second request during probe is rejected");
         // Probe fails: re-open, full cooldown again.
         assert!(b.record_failure(after));
@@ -161,7 +150,7 @@ mod tests {
 
     #[test]
     fn a_lost_probe_rearms_after_another_cooldown() {
-        let b = CircuitBreaker::new(1, COOLDOWN);
+        let mut b = CircuitBreaker::new(1, COOLDOWN);
         let t = Instant::now();
         assert!(b.record_failure(t));
         assert!(b.admit(t + COOLDOWN), "probe admitted");
@@ -173,7 +162,7 @@ mod tests {
 
     #[test]
     fn zero_threshold_disables_the_breaker() {
-        let b = CircuitBreaker::new(0, COOLDOWN);
+        let mut b = CircuitBreaker::new(0, COOLDOWN);
         let t = Instant::now();
         for _ in 0..100 {
             assert!(!b.record_failure(t));

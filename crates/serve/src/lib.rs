@@ -8,12 +8,13 @@
 //! - **Weighted-fair admission** — each tenant gets its own bounded queue
 //!   ([`ServeConfig::queue_depth`]); submissions beyond a tenant's bound are
 //!   rejected with [`ServeError::QueueFull`] without touching anyone else's
-//!   capacity. A deficit-round-robin pass over the backlogged tenants
-//!   decides which one each batch serves: a tenant earns its weight
-//!   ([`Server::set_tenant_weight`], default 1) per batch formed and pays
-//!   one per admitted request, so sustained-contention batch shares are
-//!   proportional to weights and a flooding tenant cannot starve a light
-//!   one.
+//!   capacity. Smooth weighted round-robin over the backlogged tenants
+//!   picks the tenant each request of a batch is taken from
+//!   ([`Server::set_tenant_weight`], default 1): tenants that stay
+//!   backlogged are each served within one batch of their weighted share.
+//!   The queues, weights, breakers, overload state and admission counters
+//!   are one struct under one lock, and admission, forming and failure
+//!   handling are methods on it at a given `now`, tested on virtual time.
 //! - **Dynamic batching on an executor pool** — [`ServeConfig::workers`]
 //!   executor workers take turns as leader: an idle worker takes the lead,
 //!   coalesces concurrent same-model requests (up to
@@ -40,15 +41,17 @@
 //! - **Per-tenant accounting** — [`ServerStats`]/[`TenantStats`] aggregate
 //!   latency plus the modeled cycles and DRAM bytes each request is charged:
 //!   its program's exact [`cost`](feather::Program::cost) totals — a solo
-//!   inference on FEATHER, whatever it was co-scheduled with. Counters are
-//!   sharded per worker and merged on [`Server::stats`];
+//!   inference on FEATHER, whatever it was co-scheduled with. Completions
+//!   are counted per worker, the rest in the scheduler state, and
+//!   [`Server::stats`] merges them;
 //!   `max_concurrent_batches` is the observable proof of executor overlap.
 //! - **Fault tolerance** — workers replay under `catch_unwind` and are
 //!   respawned if a batch panics; failed batch members are retried with
 //!   exponential backoff up to [`ServeConfig::max_retries`] (retry results
-//!   stay bit-identical to first-attempt runs); a per-model
-//!   [`CircuitBreaker`] fast-fails requests as [`ServeError::Unavailable`]
-//!   while a model keeps failing; and overload brownout shrinks the
+//!   stay bit-identical to first-attempt runs); a per-model circuit
+//!   breaker fast-fails requests as [`ServeError::Unavailable`] while a
+//!   model keeps failing (a request refused at admission never uses up its
+//!   half-open probe); and overload brownout shrinks the
 //!   effective batch bound and sheds infeasible-deadline requests as
 //!   [`ServeError::Overloaded`]. A deterministic, seeded [`FaultPlan`]
 //!   (env `FEATHER_FAULT_PLAN`) injects failures and panics at fixed
@@ -88,7 +91,7 @@
 
 #![warn(missing_docs)]
 
-pub mod breaker;
+mod breaker;
 pub mod error;
 pub mod fault;
 pub mod server;
@@ -96,7 +99,6 @@ pub mod stats;
 mod sync;
 pub mod ticket;
 
-pub use breaker::CircuitBreaker;
 pub use error::ServeError;
 pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use server::{Response, ServeConfig, Server};

@@ -73,10 +73,10 @@ impl TenantStats {
 
 /// A snapshot of the whole server's counters.
 ///
-/// With an executor pool, each worker keeps its own shard of these counters
-/// on its private lock; [`Server::stats`](crate::Server::stats) merges the
-/// shards (via [`ServerStats::merge`]) into the snapshot you see here, so
-/// the hot path never contends on one global stats mutex.
+/// Each executor worker counts its completions in a shard on its private
+/// lock, and the scheduler state under the queue lock counts the rest;
+/// [`Server::stats`](crate::Server::stats) merges them (via
+/// [`ServerStats::merge`]) into the snapshot you see here.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Per-tenant aggregates, keyed by tenant name.

@@ -10,7 +10,6 @@
 //! no-poisoned-locks check.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -418,112 +417,6 @@ fn cancellation_mid_queue_conserves_every_request() {
             .sum::<u64>(),
         stats.completed
     );
-}
-
-#[test]
-fn weighted_fair_scheduling_bounds_light_tenant_service_delay() {
-    let light_model = Arc::new(fixture("chain", chain_model(), 31));
-    let flood_model = Arc::new(fixture("residual", residual_model(), 37));
-    let server = Arc::new(Server::new(ServeConfig {
-        max_batch: 4,
-        queue_depth: 32,
-        workers: 1,
-        ..ServeConfig::default()
-    }));
-    for f in [&light_model, &flood_model] {
-        server
-            .register_model(
-                f.name,
-                FeatherConfig::new(4, 8),
-                &f.graph,
-                f.weights.clone(),
-            )
-            .unwrap();
-    }
-    server.set_tenant_weight("light", 4);
-    server.set_tenant_weight("flood", 1);
-
-    // The flooder keeps a deep backlog of its own model outstanding for the
-    // whole run; the light tenant submits sparse single requests. On a solo
-    // (idle) server a light request costs exactly one formed batch; under
-    // the flood, deficit round-robin must keep its service delay within the
-    // pipeline slack (executing + ready + one fairness round + its own
-    // batch) instead of the flood's whole backlog (~16 batches here under
-    // FIFO).
-    const LIGHT_REQUESTS: usize = 25;
-    const FLOOD_OUTSTANDING: usize = 24;
-    let done = AtomicBool::new(false);
-    let mut batch_deltas = Vec::with_capacity(LIGHT_REQUESTS);
-    std::thread::scope(|scope| {
-        let flooder = {
-            let server = server.clone();
-            let f = flood_model.clone();
-            let done = &done;
-            scope.spawn(move || {
-                let mut outstanding: Vec<Ticket> = Vec::new();
-                let mut i = 0usize;
-                while !done.load(Ordering::Acquire) {
-                    if outstanding.len() >= FLOOD_OUTSTANDING {
-                        outstanding.remove(0).wait().unwrap();
-                    }
-                    let input = i % f.inputs.len();
-                    match server.submit("flood", f.name, f.inputs[input].clone()) {
-                        Ok(ticket) => outstanding.push(ticket),
-                        Err(ServeError::QueueFull { .. }) => {
-                            outstanding.remove(0).wait().unwrap();
-                        }
-                        Err(e) => panic!("flooder hit {e}"),
-                    }
-                    i += 1;
-                }
-                for ticket in outstanding {
-                    ticket.wait().unwrap();
-                }
-            })
-        };
-
-        // Give the flood time to build its backlog before measuring.
-        std::thread::sleep(Duration::from_millis(20));
-        for i in 0..LIGHT_REQUESTS {
-            let input = i % light_model.inputs.len();
-            let before = server.stats().executed_batches();
-            let response = server
-                .submit("light", light_model.name, light_model.inputs[input].clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(response.oacts, light_model.goldens[input]);
-            let after = server.stats().executed_batches();
-            batch_deltas.push(after - before);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        done.store(true, Ordering::Release);
-        flooder.join().unwrap();
-    });
-
-    // Tail bound in formed-batch counts, with slack for the light thread
-    // being descheduled around its stats snapshots: the bulk of requests
-    // must be served within the pipeline slack, and even the worst case
-    // must stay far below the FIFO backlog.
-    batch_deltas.sort_unstable();
-    let p90 = batch_deltas[(batch_deltas.len() * 9 / 10).min(batch_deltas.len() - 1)];
-    let worst = *batch_deltas.last().unwrap();
-    assert!(
-        p90 <= 6,
-        "light tenant's 90th-percentile service delay is {p90} formed batches \
-         ({batch_deltas:?}) — the flood is starving it"
-    );
-    assert!(
-        worst <= 16,
-        "light tenant's worst service delay is {worst} formed batches \
-         ({batch_deltas:?}) — no better than FIFO behind the flood's backlog"
-    );
-
-    let stats = server.stats();
-    assert_eq!(stats.tenants["light"].completed, LIGHT_REQUESTS as u64);
-    assert!(stats.tenants["flood"].completed > 0);
-    assert_eq!(stats.timed_out, 0);
-    assert_eq!(stats.cancelled, 0);
 }
 
 // ---------------------------------------------------------------- chaos
