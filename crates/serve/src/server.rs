@@ -452,7 +452,6 @@ impl QueueState {
         Batch {
             model: forming.model,
             requests,
-            formed: now,
         }
     }
 
@@ -598,8 +597,6 @@ impl Overload {
 struct Batch {
     model: String,
     requests: Vec<Request>,
-    /// The `now` of the decision that formed it.
-    formed: Instant,
 }
 
 /// State shared between the front-end handles and the workers.
@@ -820,6 +817,8 @@ impl Server {
 
     /// A snapshot of the server's counters: the scheduler state's merged
     /// with every executor worker's shard, plus the concurrency watermark.
+    /// The scheduler's counters are cloned under the queue lock — the price
+    /// of one lock — so each call briefly holds up admission and forming.
     pub fn stats(&self) -> ServerStats {
         let mut stats = lock_recover(&self.inner.queue).stats.clone();
         for shard in &self.inner.worker_stats {
@@ -1046,7 +1045,7 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             let mut queue = lock_recover(&inner.queue);
             queue.stats.worker_panics += u64::from(panics);
             let reason = "injected: worker pickup fault";
-            fail_batch(inner, queue, None, batch.requests, reason, batch.formed);
+            fail_batch(inner, queue, None, batch.requests, reason, Instant::now());
             if panics {
                 panic!("injected fault: worker pickup");
             }
@@ -1082,6 +1081,7 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
 
     let executing = inner.executing.fetch_add(1, Ordering::SeqCst) + 1;
     inner.max_executing.fetch_max(executing, Ordering::SeqCst);
+    let replay_start = Instant::now();
     // One replay of the model's program, request `i` riding lane `i`, under
     // a supervision boundary: an injected (or real) panic inside the replay
     // must fail only this batch, not the server.
@@ -1102,8 +1102,8 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
     }));
     inner.executing.fetch_sub(1, Ordering::SeqCst);
     let done = Instant::now();
+    let replay_us = done.duration_since(replay_start).as_micros() as u64;
     let mut queue = lock_recover(&inner.queue);
-    let replay_us = done.duration_since(launched).as_micros() as u64;
     queue.overload.record_replay(replay_us);
     // A failed replay is one strike on the model's breaker.
     let strike = Some(batch.model.as_str());
@@ -1132,7 +1132,7 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
             batch_size: size,
             worker,
             queue_us: launched.duration_since(request.enqueued).as_micros() as u64,
-            latency_us: done.duration_since(request.enqueued).as_micros() as u64,
+            latency_us: request.enqueued.elapsed().as_micros() as u64,
             cycles,
             dram_bytes,
         };
@@ -1654,10 +1654,8 @@ mod tests {
         let t0 = Instant::now();
         let mut second_batch = BTreeMap::new();
         for light_weight in [1, 4] {
-            let server = Server::unstarted(cfg, None);
-            server.set_tenant_weight("light", light_weight);
             let mut q = open_queue();
-            q.weights = lock_recover(&server.inner.queue).weights.clone();
+            q.weights.insert("light".to_string(), light_weight);
             let mut ids = 0..;
             let mut waited = 0;
             for _ in 0..24 {
