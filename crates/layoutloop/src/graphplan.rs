@@ -1,23 +1,25 @@
 //! Whole-graph (DAG) co-search planning: `plan_network` generalized from a
 //! flat layer chain to a tensor DAG with branches and residual joins.
 //!
-//! The planner works per [`GraphSegment`]: every linear segment is planned
-//! like a small network — each layer's chosen layout chains into the next
-//! layer's predecessor constraint — and the layout context propagates across
-//! segment boundaries, through joins (a join hands its *main-path* operand's
-//! layout downstream; the shortcut operand is reordered into the consumer's
-//! layout at the join itself, which RIR prices at zero for FEATHER).
+//! The planner works per [`GraphSegment`](feather_arch::graph::GraphSegment):
+//! every linear segment is planned like a small network — each layer's
+//! chosen layout chains into the next layer's predecessor constraint — and
+//! the layout context propagates across segment boundaries, through joins
+//! (a join hands its *main-path* operand's layout downstream; the shortcut
+//! operand is reordered into the consumer's layout at the join itself, which
+//! RIR prices at zero for FEATHER).
 //!
 //! Both steps are exact because co-search tables are predecessor-independent
 //! ([`crate::cosearch::LayoutChoice`]): all missing tables — across *every*
 //! branch and layer of the graph — are computed concurrently, after which
-//! the chaining passes are table lookups, run segment by segment in
-//! dependency waves.
+//! chaining is table lookups in one walk over the (topologically ordered)
+//! nodes: a segment is chained at its head node, and a join forwards its
+//! main-path operand's layout.
 
 use std::collections::BTreeMap;
 
 use feather_arch::dataflow::Dataflow;
-use feather_arch::graph::{Graph, GraphSegment, NodeId, TensorId};
+use feather_arch::graph::{Graph, NodeId, TensorId};
 use feather_arch::layout::Layout;
 use feather_arch::workload::Workload;
 use feather_arch::ArchError;
@@ -128,16 +130,18 @@ pub fn plan_graph(
         })
         .collect();
 
-    // Phase 2: chain layouts per segment, in dependency waves (independent
-    // branches share a wave).
-    let (seg_levels, max_level) = segment_levels(graph, &segments);
+    // Phase 2: one walk in node order, which is topological, so every
+    // segment's input layout is known by the time its head node comes up.
+    let head_of: BTreeMap<NodeId, _> = segments.iter().map(|s| (s.nodes[0], s)).collect();
     let mut tensor_layout: BTreeMap<TensorId, Layout> = BTreeMap::new();
     let mut per_node: BTreeMap<NodeId, CoSearchResult> = BTreeMap::new();
-    for level in 0..=max_level {
-        for seg in (0..segments.len())
-            .filter(|&si| seg_levels[si] == level)
-            .map(|si| &segments[si])
-        {
+    for node in graph.nodes() {
+        if node.op.is_add() {
+            // A join forwards its main-path layout.
+            if let Some(layout) = tensor_layout.get(&node.inputs[0]).cloned() {
+                tensor_layout.insert(node.output, layout);
+            }
+        } else if let Some(seg) = head_of.get(&node.id) {
             let layers = seg
                 .nodes
                 .iter()
@@ -146,22 +150,6 @@ pub fn plan_graph(
             let last = planned.last().expect("segments are non-empty");
             tensor_layout.insert(seg.output, last.layout.clone());
             per_node.extend(seg.nodes.iter().copied().zip(planned));
-        }
-        // Resolve joins whose operands are now planned (a join forwards its
-        // main-path layout).
-        loop {
-            let mut changed = false;
-            for node in graph.nodes() {
-                if node.op.is_add() && !tensor_layout.contains_key(&node.output) {
-                    if let Some(layout) = tensor_layout.get(&node.inputs[0]).cloned() {
-                        tensor_layout.insert(node.output, layout);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
         }
     }
 
@@ -172,40 +160,6 @@ pub fn plan_graph(
         cache_hits: cache.hits() - hits_before,
         cache_misses: cache.misses() - misses_before,
     })
-}
-
-/// Dependency level of every segment: a segment's level is its input
-/// tensor's level; a segment's output lands one level deeper; a join's output
-/// sits at the deepest of its operands. Segments of equal level are
-/// independent of each other.
-fn segment_levels(graph: &Graph, segments: &[GraphSegment]) -> (Vec<usize>, usize) {
-    let head_of: BTreeMap<NodeId, usize> = segments
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.nodes[0], i))
-        .collect();
-    let mut tensor_level: BTreeMap<TensorId, usize> = BTreeMap::new();
-    tensor_level.insert(graph.input(), 0);
-    let mut seg_levels = vec![0usize; segments.len()];
-    let mut max_level = 0usize;
-    for node in graph.nodes() {
-        if node.op.is_add() {
-            let level = node
-                .inputs
-                .iter()
-                .map(|t| tensor_level[t])
-                .max()
-                .unwrap_or(0);
-            tensor_level.insert(node.output, level);
-        } else if let Some(&si) = head_of.get(&node.id) {
-            let level = tensor_level[&segments[si].input];
-            seg_levels[si] = level;
-            max_level = max_level.max(level);
-            tensor_level.insert(segments[si].output, level + 1);
-            max_level = max_level.max(level + 1);
-        }
-    }
-    (seg_levels, max_level)
 }
 
 #[cfg(test)]
@@ -344,16 +298,5 @@ mod tests {
         assert_eq!(plan.fingerprint(), 0x2605_bb24_d6d2_f58e);
         assert_eq!(plan.total_cycles(), 17701);
         assert_eq!((plan.cache_misses, plan.cache_hits), (26, 30));
-    }
-
-    #[test]
-    fn segment_levels_put_branches_in_the_same_wave() {
-        let g = branched_graph();
-        let segments = g.segments();
-        let (levels, max_level) = segment_levels(&g, &segments);
-        // stem at level 0; main and proj both at level 1 (independent);
-        // head at level 2.
-        assert_eq!(levels, vec![0, 1, 1, 2]);
-        assert_eq!(max_level, 3);
     }
 }

@@ -12,9 +12,10 @@
 //!   picks the tenant each request of a batch is taken from
 //!   ([`Server::set_tenant_weight`], default 1): tenants that stay
 //!   backlogged are each served within one batch of their weighted share.
-//!   The queues, weights, breakers, overload state and admission counters
-//!   are one struct under one lock, and admission, forming and failure
-//!   handling are methods on it at a given `now`, tested on virtual time.
+//!   The queues, weights, breakers, overload state, request ids and every
+//!   counter are one struct under one lock, and admission, forming and a
+//!   batch's end are methods on it at a given `now`, tested on virtual time.
+//!   A request's id is its admission sequence number.
 //! - **Dynamic batching on an executor pool** — [`ServeConfig::workers`]
 //!   executor workers take turns as leader: an idle worker takes the lead,
 //!   coalesces concurrent same-model requests (up to
@@ -27,10 +28,10 @@
 //!   lane bit-identical to a solo run, so neither coalescing nor the worker
 //!   that ran a request is observable in the results.
 //! - **Cancellation** — dropping a [`Ticket`] (or calling
-//!   [`Ticket::cancel`]) flags the request; batch forming and the executor
-//!   boundary prune flagged or deadline-expired requests into
+//!   [`Ticket::cancel`]) flags the request; batch forming prunes flagged
+//!   or deadline-expired requests into
 //!   [`ServeError::Cancelled`]/[`ServeError::Timeout`] before they ever
-//!   run.
+//!   run. Best effort: a launched batch completes.
 //! - **One compiled program per model** — [`Server::register_model`]
 //!   compiles the model's planned [`feather::GraphSession`] into a flat
 //!   [`feather::Program`] (a model that does not compile is refused there);
@@ -41,10 +42,11 @@
 //! - **Per-tenant accounting** — [`ServerStats`]/[`TenantStats`] aggregate
 //!   latency plus the modeled cycles and DRAM bytes each request is charged:
 //!   its program's exact [`cost`](feather::Program::cost) totals — a solo
-//!   inference on FEATHER, whatever it was co-scheduled with. Completions
-//!   are counted per worker, the rest in the scheduler state, and
-//!   [`Server::stats`] merges them;
-//!   `max_concurrent_batches` is the observable proof of executor overlap.
+//!   inference on FEATHER, whatever it was co-scheduled with. Every counter
+//!   lives in the scheduler state, where a batch's end books its completions
+//!   in the same lock section as its replay time, and [`Server::stats`]
+//!   clones them; `max_concurrent_batches`, the high-water mark of launched
+//!   batches not yet ended, is the observable proof of executor overlap.
 //! - **Fault tolerance** — workers replay under `catch_unwind` and are
 //!   respawned if a batch panics; failed batch members are retried with
 //!   exponential backoff up to [`ServeConfig::max_retries`] (retry results

@@ -3,14 +3,14 @@
 //!
 //! **One scheduler state under one lock.** Everything the scheduling rules
 //! read or write — the per-tenant queues and weights, each model's circuit
-//! breaker, the overload state, the batch being formed and the
-//! admission-side counters — is one plain struct under the queue lock. Its
-//! rules are methods on a given `now` that read no clock and take no lock:
-//! admission (open, breaker, brownout shedding, the per-tenant bound of
-//! [`ServeConfig::queue_depth`]), forming a batch, and a failed batch's
-//! breaker strike and retries. The threads around them read the clock,
-//! lock, call the rule, settle what it ended and notify; the rules are
-//! tested on virtual time.
+//! breaker, the overload state, the batch being formed, the request ids and
+//! every counter and gauge of [`ServerStats`] — is one plain struct under
+//! the queue lock. Its rules are methods on a given `now` that read no clock
+//! and take no lock: admission (open, breaker, brownout shedding, the
+//! per-tenant bound of [`ServeConfig::queue_depth`]), forming a batch, and
+//! a batch's end — success, or a failure's breaker strike and retries. The
+//! threads around them read the clock, lock, call the rule, settle what it
+//! ended and notify; the rules are tested on virtual time.
 //!
 //! **Forming.** The executor workers ([`ServeConfig::workers`]) run
 //! leader/follower: an idle worker takes the lead lock, forms the next batch,
@@ -33,8 +33,8 @@
 //! **One way a request ends.** Besides completing, a submitted request can be
 //! refused at admission, be cancelled ([`crate::Ticket::cancel`], or dropping
 //! the ticket), expire, or fail once its retries are spent. Cancelled and
-//! expired requests are pruned while a batch forms and again at the executor
-//! boundary, never run. Whatever the outcome, one call books it into
+//! expired requests are pruned while a batch forms, never run; a launched
+//! batch completes. Whatever the outcome, one call books it into
 //! [`ServerStats`] and the ticket receives that same result.
 //!
 //! **Supervision and overload.** Replays run under `catch_unwind`. Failed
@@ -52,7 +52,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -159,7 +158,7 @@ struct Model {
 
 /// One queued request.
 struct Request {
-    /// Admission sequence number — orders requests within a formed batch.
+    /// Admission sequence number ([`QueueState::admit`]): a batch's order.
     id: u64,
     tenant: String,
     model: String,
@@ -217,9 +216,10 @@ struct TenantQueue {
 /// for the caller to settle ([`QueueState::settle`]).
 type Ended = Vec<(Request, ServeError)>;
 
-/// All of the scheduler's state, under the one queue lock. Every rule on it
-/// ([`QueueState::admit`], [`QueueState::decide`], [`QueueState::fail`]) is
-/// a method on a given `now` that reads no clock and takes no lock.
+/// All of the server's state but its models and threads, under the one
+/// queue lock. Every rule on it ([`QueueState::admit`],
+/// [`QueueState::decide`], [`QueueState::succeeded`], [`QueueState::fail`])
+/// is a method on plain inputs that reads no clock and takes no lock.
 #[derive(Default)]
 struct QueueState {
     tenants: BTreeMap<String, TenantQueue>,
@@ -237,8 +237,12 @@ struct QueueState {
     forming: Option<Forming>,
     /// Queue timeouts pruned since the last formed batch.
     timeouts: usize,
-    /// Every counter but completions, which the executor workers book in
-    /// shards of their own.
+    /// The id the next enqueued request takes.
+    next_id: u64,
+    /// Launched batches not yet ended: up in [`QueueState::decide`], down in
+    /// [`QueueState::succeeded`] or [`QueueState::fail`].
+    executing: u64,
+    /// Every counter of the server.
     stats: ServerStats,
 }
 
@@ -266,15 +270,16 @@ impl QueueState {
     /// ([`ServeError::Overloaded`]); or when its tenant's queue is still
     /// full after the requests that ended in it are pruned into `ended`
     /// ([`ServeError::QueueFull`]). A refusal is settled into `self.stats`.
-    /// Only an enqueued request commits the breaker's half-open probe, so a
-    /// request refused later in admission does not use it up.
+    /// Only an enqueued request commits the breaker's half-open probe and
+    /// takes an id, the next admission sequence number, which it returns;
+    /// a request refused later in admission uses up neither.
     fn admit(
         &mut self,
         cfg: &ServeConfig,
-        request: Request,
+        mut request: Request,
         now: Instant,
         ended: &mut Ended,
-    ) -> Result<(), ServeError> {
+    ) -> Result<u64, ServeError> {
         if !self.open {
             return Err(ServeError::Shutdown);
         }
@@ -309,8 +314,11 @@ impl QueueState {
         if let Some(breaker) = self.breakers.get_mut(&request.model) {
             breaker.admit(now);
         }
+        let id = self.next_id;
+        self.next_id += 1;
+        request.id = id;
         tq.requests.push_back(request);
-        Ok(())
+        Ok(id)
     }
 
     /// The position, in name order, of the tenant round-robin serves next
@@ -361,7 +369,8 @@ impl QueueState {
     /// 4. extraction fills the batch, one round-robin step per request.
     ///
     /// A batch whose candidates all ended before extraction is dropped and
-    /// forming starts over, so a launched batch is never empty.
+    /// forming starts over, so a launched batch is never empty. A launch
+    /// raises the executing gauge and its high-water mark.
     fn decide(&mut self, cfg: &ServeConfig, now: Instant, ended: &mut Ended) -> Decision {
         for tq in self.tenants.values_mut() {
             prune(&mut tq.requests, now, ended);
@@ -396,6 +405,9 @@ impl QueueState {
             }
             let batch = self.extract(forming, now);
             if !batch.requests.is_empty() {
+                self.executing += 1;
+                let peak = &mut self.stats.max_concurrent_batches;
+                *peak = (*peak).max(self.executing);
                 return Decision::Launch(batch);
             }
         }
@@ -455,9 +467,10 @@ impl QueueState {
         }
     }
 
-    /// A failed attempt at a batch of `requests`, at `now`. A failed replay
-    /// of the model `strike` names is one strike on its breaker, whatever
-    /// the members' retry budgets decide; a worker's own fault (`None`)
+    /// A launched batch of `requests` failed at `now`, and leaves the
+    /// executing gauge. A failed replay of the model `strike` names is one
+    /// strike on its breaker, whatever the members' retry budgets decide; a
+    /// worker's own fault (`None`)
     /// strikes nothing. Then each member that was cancelled or expired ends
     /// as such, one with retry budget left is re-enqueued at its tenant's
     /// queue head with exponential backoff, and the rest fail as
@@ -471,6 +484,7 @@ impl QueueState {
         now: Instant,
         ended: &mut Ended,
     ) {
+        self.executing -= 1;
         let breaker = strike.and_then(|model| self.breakers.get_mut(model));
         if breaker.is_some_and(|b| b.record_failure(now)) {
             self.stats.breaker_opens += 1;
@@ -505,9 +519,14 @@ impl QueueState {
         }
     }
 
-    /// A replay of `model`'s batch of `size` succeeded: its breaker closes,
-    /// and its next batch expects `size` returns.
-    fn succeeded(&mut self, model: String, size: usize) {
+    /// A launched batch of `size` for `model` replayed on `worker`: it
+    /// leaves the executing gauge and enters the batch histograms, the
+    /// model's breaker closes, and its next batch expects `size` returns.
+    /// The caller then settles each member's response.
+    fn succeeded(&mut self, model: String, size: usize, worker: usize) {
+        self.executing -= 1;
+        *self.stats.batches.entry(size).or_insert(0) += 1;
+        *self.stats.worker_batches.entry(worker).or_insert(0) += 1;
         if let Some(breaker) = self.breakers.get_mut(&model) {
             breaker.record_success();
         }
@@ -611,14 +630,6 @@ struct Inner {
     /// on it. Taken through `lock_recover`, so a panic while forming
     /// poisons nothing the next leader needs.
     lead: Mutex<()>,
-    /// One completion-counter shard per executor worker — answering a batch
-    /// never contends on the queue lock.
-    worker_stats: Vec<Mutex<ServerStats>>,
-    /// Batches currently inside a `ProgramSession` run, and the high-water
-    /// mark thereof — the observable proof of executor overlap.
-    executing: AtomicU64,
-    max_executing: AtomicU64,
-    next_id: AtomicU64,
     /// The seeded fault-injection plan, if any. `None` (the production
     /// default) keeps the hot path to a single null check per site.
     fault: Option<FaultPlan>,
@@ -672,12 +683,6 @@ impl Server {
             }),
             arrived: Condvar::new(),
             lead: Mutex::new(()),
-            worker_stats: (0..cfg.workers)
-                .map(|_| Mutex::new(ServerStats::default()))
-                .collect(),
-            executing: AtomicU64::new(0),
-            max_executing: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
             fault,
             workers: Mutex::new(Vec::new()),
         });
@@ -789,19 +794,15 @@ impl Server {
 
         let enqueued = Instant::now();
         let promise = Promise::new();
-        let ticket = Ticket::new(
-            promise.clone(),
-            self.inner.next_id.fetch_add(1, Ordering::Relaxed),
-        );
         let request = Request {
-            id: ticket.id(),
+            id: 0,
             tenant: tenant.to_string(),
             model: model.to_string(),
             iacts,
             enqueued,
             // A deadline past what `Instant` can represent is no deadline.
             deadline: deadline.and_then(|d| enqueued.checked_add(d)),
-            promise,
+            promise: promise.clone(),
             attempts: 0,
             not_before: None,
         };
@@ -810,24 +811,16 @@ impl Server {
         let admitted = queue.admit(&self.inner.cfg, request, enqueued, &mut ended);
         queue.settle(ended);
         drop(queue);
-        admitted?;
+        let id = admitted?;
         self.inner.arrived.notify_all();
-        Ok(ticket)
+        Ok(Ticket::new(promise, id))
     }
 
-    /// A snapshot of the server's counters: the scheduler state's merged
-    /// with every executor worker's shard, plus the concurrency watermark.
-    /// The scheduler's counters are cloned under the queue lock — the price
-    /// of one lock — so each call briefly holds up admission and forming.
+    /// A snapshot of the server's counters, cloned under the queue lock —
+    /// the price of one lock — so each call briefly holds up admission,
+    /// forming and the end of a batch.
     pub fn stats(&self) -> ServerStats {
-        let mut stats = lock_recover(&self.inner.queue).stats.clone();
-        for shard in &self.inner.worker_stats {
-            stats.merge(&lock_recover(shard));
-        }
-        stats.max_concurrent_batches = stats
-            .max_concurrent_batches
-            .max(self.inner.max_executing.load(Ordering::Acquire));
-        stats
+        lock_recover(&self.inner.queue).stats.clone()
     }
 
     /// Whether `model`'s circuit breaker is currently rejecting traffic.
@@ -877,14 +870,11 @@ const IDLE_POLL: Duration = Duration::from_millis(5);
 
 /// Moves the requests that ended by `now` out of `requests` into `ended`,
 /// each with the error it ends with; the rest keep their order.
-fn prune<Q>(requests: &mut Q, now: Instant, ended: &mut Ended)
-where
-    Q: Default + IntoIterator<Item = Request> + Extend<Request>,
-{
+fn prune(requests: &mut VecDeque<Request>, now: Instant, ended: &mut Ended) {
     for request in mem::take(requests) {
         match request.ended(now) {
             Some(error) => ended.push((request, error)),
-            None => requests.extend([request]),
+            None => requests.push_back(request),
         }
     }
 }
@@ -916,10 +906,10 @@ struct WorkerSentinel {
 impl Drop for WorkerSentinel {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            // Same index, so the replacement inherits the stats shard. It is
-            // spawned before the dying thread exits, after that thread
-            // re-enqueued its batch's retries: the replacement drains them,
-            // even after admission closed.
+            // Same index, so the replacement's batches count under it in
+            // `worker_batches`. It is spawned before the dying thread exits,
+            // after that thread re-enqueued its batch's retries: the
+            // replacement drains them, even after admission closed.
             lock_recover(&self.inner.queue).stats.respawns += 1;
             spawn_worker(&self.inner, self.worker);
         }
@@ -1056,31 +1046,20 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
 }
 
 /// Runs one formed batch on `worker` and resolves every member's promise.
-/// Requests cancelled or expired since formation are resolved here without
-/// executing — the final gate that keeps dead requests out of the
-/// accelerator. The replay itself runs under `catch_unwind`: a panic
-/// settles only this batch (retry or fail per member) and feeds the model's
-/// breaker, then resumes unwinding, so the worker's sentinel replaces it —
-/// its scratch state dies with the thread.
+/// The replay runs under `catch_unwind`: a panic settles only this batch
+/// (retry or fail per member) and feeds the model's breaker, then resumes
+/// unwinding, so the worker's sentinel replaces it — its scratch state dies
+/// with the thread. Success or failure, the batch then ends in one section
+/// of the queue lock.
 fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut ReplayScratch) {
     let launched = Instant::now();
-    let (mut live, mut dead) = (batch.requests, Vec::new());
-    prune(&mut live, launched, &mut dead);
-    if !dead.is_empty() {
-        lock_recover(&inner.queue).settle(dead);
-    }
-    if live.is_empty() {
-        return;
-    }
-
+    let live = batch.requests;
     let size = live.len();
     let model = read_recover(&inner.models)
         .get(&batch.model)
         .cloned()
         .expect("submit validated the model; models are never unregistered");
 
-    let executing = inner.executing.fetch_add(1, Ordering::SeqCst) + 1;
-    inner.max_executing.fetch_max(executing, Ordering::SeqCst);
     let replay_start = Instant::now();
     // One replay of the model's program, request `i` riding lane `i`, under
     // a supervision boundary: an injected (or real) panic inside the replay
@@ -1100,9 +1079,11 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
             .run_batched_with_scratch(scratch, &inputs, &model.weights)
             .map_err(ServeError::Exec)
     }));
-    inner.executing.fetch_sub(1, Ordering::SeqCst);
     let done = Instant::now();
     let replay_us = done.duration_since(replay_start).as_micros() as u64;
+    // Every member is charged the program's constant: a solo inference.
+    let cost = model.program.program().cost();
+    let (cycles, dram_bytes) = (cost.total_cycles(), cost.dram_bytes());
     let mut queue = lock_recover(&inner.queue);
     queue.overload.record_replay(replay_us);
     // A failed replay is one strike on the model's breaker.
@@ -1117,15 +1098,7 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
         }
     };
     // Before any member is answered: their returns find it already set.
-    queue.succeeded(batch.model, size);
-    drop(queue);
-
-    // Every member is charged the program's constant: a solo inference.
-    let cost = model.program.program().cost();
-    let (cycles, dram_bytes) = (cost.total_cycles(), cost.dram_bytes());
-    let mut stats = lock_recover(&inner.worker_stats[worker]);
-    *stats.batches.entry(size).or_insert(0) += 1;
-    *stats.worker_batches.entry(worker).or_insert(0) += 1;
+    queue.succeeded(batch.model, size, worker);
     for (request, run) in live.into_iter().zip(runs) {
         let response = Response {
             oacts: run.oacts,
@@ -1136,7 +1109,7 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
             cycles,
             dram_bytes,
         };
-        request.settle(&mut stats, Ok(response));
+        request.settle(&mut queue.stats, Ok(response));
     }
 }
 
@@ -1442,17 +1415,16 @@ mod tests {
     }
 
     /// Submits a request through admission at `now` on virtual time,
-    /// settling what admission pruned.
+    /// settling what admission pruned; an enqueued request's id comes back.
     fn admit_at(
         q: &mut QueueState,
         cfg: &ServeConfig,
-        id: u64,
         tenant: &str,
         model: &str,
         now: Instant,
-    ) -> Result<(), ServeError> {
+    ) -> Result<u64, ServeError> {
         let mut ended = Vec::new();
-        let admitted = q.admit(cfg, request(id, tenant, model, now), now, &mut ended);
+        let admitted = q.admit(cfg, request(0, tenant, model, now), now, &mut ended);
         q.settle(ended);
         admitted
     }
@@ -2249,26 +2221,26 @@ mod tests {
         });
         // Two failed batches open the breaker; submits then fast-fail.
         for id in 0..2 {
-            assert_eq!(admit_at(&mut q, &cfg, id, "t", "m", t0), Ok(()));
+            assert_eq!(admit_at(&mut q, &cfg, "t", "m", t0), Ok(id));
             fail_next_batch(&mut q, &cfg, t0);
         }
         assert!(q.breakers["m"].is_open());
-        assert_eq!(admit_at(&mut q, &cfg, 2, "t", "m", at(1)), unavailable);
+        assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(1)), unavailable);
         // One cooldown on, one probe is admitted, and only one.
-        assert_eq!(admit_at(&mut q, &cfg, 3, "t", "m", at(2)), Ok(()));
-        assert_eq!(admit_at(&mut q, &cfg, 4, "u", "m", at(2)), unavailable);
+        assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(2)), Ok(2));
+        assert_eq!(admit_at(&mut q, &cfg, "u", "m", at(2)), unavailable);
         // The probe fails: a full cooldown again.
         fail_next_batch(&mut q, &cfg, at(2));
-        assert_eq!(admit_at(&mut q, &cfg, 5, "t", "m", at(3)), unavailable);
+        assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(3)), unavailable);
         // The next probe succeeds: the breaker closes and traffic flows.
-        assert_eq!(admit_at(&mut q, &cfg, 6, "t", "m", at(4)), Ok(()));
+        assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(4)), Ok(3));
         let Decision::Launch(probe) = q.decide(&cfg, at(4), &mut Vec::new()) else {
             panic!("the probe launches");
         };
-        q.succeeded(probe.model, probe.requests.len());
+        q.succeeded(probe.model, probe.requests.len(), 0);
         assert!(!q.breakers["m"].is_open());
-        assert_eq!(admit_at(&mut q, &cfg, 7, "t", "m", at(4)), Ok(()));
-        assert_eq!(admit_at(&mut q, &cfg, 8, "u", "m", at(4)), Ok(()));
+        assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(4)), Ok(4));
+        assert_eq!(admit_at(&mut q, &cfg, "u", "m", at(4)), Ok(5));
 
         let stats = &q.stats;
         assert_eq!(stats.submitted, 9);
@@ -2291,18 +2263,173 @@ mod tests {
         assert!(breaker.record_failure(t0));
         q.breakers.insert("m".to_string(), breaker);
         enqueue(&mut q, 0, "t", "other", t0);
-        let full = admit_at(&mut q, &cfg, 1, "t", "m", now);
+        let full = admit_at(&mut q, &cfg, "t", "m", now);
         assert_eq!(full, Err(ServeError::QueueFull { depth: 1 }));
         // Room frees at the same `now`: the queued request launches.
         let launch = Seen::Launch("other".to_string(), vec![0]);
         assert_eq!(decide_at(&mut q, &cfg, now).0, launch);
-        assert_eq!(
-            admit_at(&mut q, &cfg, 2, "t", "m", now),
-            Ok(()),
-            "the probe"
-        );
-        let probing = admit_at(&mut q, &cfg, 3, "u", "m", now);
+        assert!(admit_at(&mut q, &cfg, "t", "m", now).is_ok(), "the probe");
+        let probing = admit_at(&mut q, &cfg, "u", "m", now);
         assert!(matches!(probing, Err(ServeError::Unavailable { .. })));
+    }
+
+    #[test]
+    fn request_ids_are_admission_sequence_numbers() {
+        // On virtual time: each enqueued request takes the next id, and a
+        // request refused at admission (queue full, breaker open, shut
+        // down) takes none. A batch holds its members in id order.
+        let cfg = ServeConfig {
+            queue_depth: 2,
+            ..ServeConfig::default()
+        };
+        let t0 = Instant::now();
+        let mut q = open_queue();
+        let mut breaker = CircuitBreaker::new(1, cfg.breaker_cooldown);
+        assert!(breaker.record_failure(t0));
+        q.breakers.insert("down".to_string(), breaker);
+        assert_eq!(admit_at(&mut q, &cfg, "b", "m", t0), Ok(0));
+        assert_eq!(admit_at(&mut q, &cfg, "a", "m", t0), Ok(1));
+        assert_eq!(admit_at(&mut q, &cfg, "a", "m", t0), Ok(2));
+        let full = admit_at(&mut q, &cfg, "a", "m", t0);
+        assert_eq!(full, Err(ServeError::QueueFull { depth: 2 }));
+        let down = admit_at(&mut q, &cfg, "c", "down", t0);
+        assert!(matches!(down, Err(ServeError::Unavailable { .. })));
+        let launch = Seen::Launch("m".to_string(), vec![0, 1, 2]);
+        assert_eq!(decide_at(&mut q, &cfg, t0).0, launch);
+        assert_eq!(admit_at(&mut q, &cfg, "a", "m", t0), Ok(3));
+        q.open = false;
+        let closed = admit_at(&mut q, &cfg, "a", "m", t0);
+        assert_eq!(closed, Err(ServeError::Shutdown));
+        q.open = true;
+        assert_eq!(admit_at(&mut q, &cfg, "c", "m", t0), Ok(4));
+    }
+
+    /// Ends a launched `batch` as a successful replay on `worker` does:
+    /// [`QueueState::succeeded`], then every member settled with its
+    /// response.
+    fn succeed(q: &mut QueueState, batch: Batch, worker: usize) {
+        let size = batch.requests.len();
+        q.succeeded(batch.model, size, worker);
+        for request in batch.requests {
+            let response = Response {
+                oacts: Tensor4::zeros([1, 1, 1, 1]),
+                batch_size: size,
+                worker,
+                queue_us: 0,
+                latency_us: 0,
+                cycles: 1,
+                dram_bytes: 1,
+            };
+            request.settle(&mut q.stats, Ok(response));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Conservation on virtual time, from the counters alone: random
+        /// admissions (with deadlines), cancels, decisions and batch ends
+        /// (replays that succeed, fail, or fault at pickup), under retry
+        /// budgets, breakers and brownout. After every step each submitted
+        /// request is accounted, queued, or in a launched batch; the
+        /// executing gauge counts the launched batches not yet ended, and
+        /// its high-water mark is theirs. Admission then closes and the
+        /// queues drain to quiescence.
+        #[test]
+        fn every_submitted_request_is_accounted_queued_or_launched(
+            steps in proptest::collection::vec(0u64..1 << 40, 1..160),
+            max_batch in 1usize..=4,
+            queue_depth in 1usize..=4,
+            max_retries in 0u32..=2,
+            breaker_threshold in 0u32..=3,
+            brownout in 0u8..2,
+        ) {
+            let cfg = ServeConfig {
+                max_batch,
+                queue_depth,
+                max_retries,
+                breaker_threshold,
+                brownout_pct: if brownout == 1 { 50 } else { 101 },
+                ..ServeConfig::default()
+            };
+            let models = ["m0", "m1"];
+            let mut q = open_queue();
+            for model in models {
+                let breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
+                q.breakers.insert(model.to_string(), breaker);
+            }
+            let mut now = Instant::now();
+            let mut promises = Vec::new();
+            let mut launched: Vec<Batch> = Vec::new();
+            let mut peak = 0;
+            let us = Duration::from_micros;
+            for step in steps {
+                let (op, arg) = (step % 8, (step / 8 % 64) as usize);
+                now += us(step / 512 % 400);
+                let mut ended = Vec::new();
+                match op {
+                    0 | 1 => {
+                        let tenant = ["t0", "t1", "t2"][arg % 3];
+                        let mut request = request(0, tenant, models[arg / 3 % 2], now);
+                        request.deadline = (arg >= 32).then(|| now + us(arg as u64 * 10));
+                        let promise = request.promise.clone();
+                        if q.admit(&cfg, request, now, &mut ended).is_ok() {
+                            promises.push(promise);
+                        }
+                    }
+                    2 if !promises.is_empty() => promises[arg % promises.len()].cancel(),
+                    3 | 4 => {
+                        if let Decision::Launch(batch) = q.decide(&cfg, now, &mut ended) {
+                            launched.push(batch);
+                        }
+                    }
+                    5 if !launched.is_empty() => {
+                        let batch = launched.swap_remove(arg % launched.len());
+                        q.overload.record_replay(50 + arg as u64);
+                        succeed(&mut q, batch, arg % 2);
+                    }
+                    6 | 7 if !launched.is_empty() => {
+                        let batch = launched.swap_remove(arg % launched.len());
+                        // An odd `arg` is a worker's own fault at pickup.
+                        let strike = (arg % 2 == 0).then_some(batch.model.as_str());
+                        q.fail(&cfg, strike, batch.requests, "injected", now, &mut ended);
+                    }
+                    _ => {}
+                }
+                q.settle(ended);
+                peak = peak.max(launched.len() as u64);
+                let queued = q.requests().count() as u64;
+                let in_flight: u64 = launched.iter().map(|b| b.requests.len() as u64).sum();
+                let stats = &q.stats;
+                prop_assert_eq!(stats.submitted, stats.accounted() + queued + in_flight);
+                prop_assert_eq!(q.executing, launched.len() as u64);
+                prop_assert_eq!(stats.max_concurrent_batches, peak);
+            }
+
+            // Quiescence: admission closes, every launched batch succeeds,
+            // and the leader drains the rest, retries in backoff included.
+            q.open = false;
+            for batch in launched.drain(..) {
+                succeed(&mut q, batch, 0);
+            }
+            for _ in 0..10_000 {
+                let mut ended = Vec::new();
+                let decision = q.decide(&cfg, now, &mut ended);
+                q.settle(ended);
+                match decision {
+                    Decision::Launch(batch) => {
+                        peak = peak.max(1);
+                        succeed(&mut q, batch, 0);
+                    }
+                    Decision::Wait(until) => now = until.unwrap_or(now + us(1)),
+                    Decision::Closed => break,
+                }
+            }
+            prop_assert_eq!(q.requests().count(), 0);
+            prop_assert_eq!(q.executing, 0);
+            prop_assert_eq!(q.stats.submitted, q.stats.accounted());
+            prop_assert_eq!(q.stats.max_concurrent_batches, peak);
+        }
     }
 
     #[test]

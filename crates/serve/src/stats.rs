@@ -54,29 +54,13 @@ impl TenantStats {
             self.latency_us as f64 / self.completed as f64
         }
     }
-
-    /// Folds another aggregate into this one (sums, except the latency
-    /// high-water mark which takes the max).
-    pub fn merge(&mut self, other: &TenantStats) {
-        self.completed += other.completed;
-        self.rejected += other.rejected;
-        self.timed_out += other.timed_out;
-        self.cancelled += other.cancelled;
-        self.failed += other.failed;
-        self.shed += other.shed;
-        self.latency_us += other.latency_us;
-        self.max_latency_us = self.max_latency_us.max(other.max_latency_us);
-        self.cycles += other.cycles;
-        self.dram_bytes += other.dram_bytes;
-    }
 }
 
 /// A snapshot of the whole server's counters.
 ///
-/// Each executor worker counts its completions in a shard on its private
-/// lock, and the scheduler state under the queue lock counts the rest;
-/// [`Server::stats`](crate::Server::stats) merges them (via
-/// [`ServerStats::merge`]) into the snapshot you see here.
+/// Every counter lives in the scheduler state under the queue lock, and a
+/// batch books its end there in the same lock section that settles its
+/// members; [`Server::stats`](crate::Server::stats) clones them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Per-tenant aggregates, keyed by tenant name.
@@ -108,53 +92,26 @@ pub struct ServerStats {
     /// Batch re-executions triggered by the retry path (each counts the
     /// requests re-enqueued, not the batches).
     pub retries: u64,
-    /// Replay panics caught by worker supervision (injected or real).
+    /// Worker panics, at pickup or in a replay (injected or real).
     pub worker_panics: u64,
     /// Replacement workers spawned after a panic took one down.
     pub respawns: u64,
     /// Times a per-model circuit breaker transitioned closed/half-open →
     /// open.
     pub breaker_opens: u64,
-    /// High-water mark of batches executing simultaneously across the pool.
-    /// `>= 2` proves real overlap; always `<=` the configured worker count.
+    /// High-water mark of launched batches not yet ended (a batch is
+    /// launched when its leader forms it, and ends when its replay succeeds
+    /// or fails). `>= 2` proves real overlap; always `<=` the configured
+    /// worker count.
     pub max_concurrent_batches: u64,
 }
 
 impl ServerStats {
-    /// Number of batches the executor pool replayed: one
+    /// Number of batches the executor pool replayed successfully: one
     /// `ProgramSession::run_batched_with_scratch` call each, whatever its
     /// size.
     pub fn executed_batches(&self) -> u64 {
         self.batches.values().sum()
-    }
-
-    /// Folds another shard of counters into this one: sums everywhere,
-    /// except per-tenant latency high-water marks (max) and the concurrency
-    /// watermark (max).
-    pub fn merge(&mut self, other: &ServerStats) {
-        for (tenant, stats) in &other.tenants {
-            self.tenants.entry(tenant.clone()).or_default().merge(stats);
-        }
-        for (size, count) in &other.batches {
-            *self.batches.entry(*size).or_insert(0) += count;
-        }
-        for (worker, count) in &other.worker_batches {
-            *self.worker_batches.entry(*worker).or_insert(0) += count;
-        }
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.rejected += other.rejected;
-        self.timed_out += other.timed_out;
-        self.cancelled += other.cancelled;
-        self.failed += other.failed;
-        self.shed += other.shed;
-        self.retries += other.retries;
-        self.worker_panics += other.worker_panics;
-        self.respawns += other.respawns;
-        self.breaker_opens += other.breaker_opens;
-        self.max_concurrent_batches = self
-            .max_concurrent_batches
-            .max(other.max_concurrent_batches);
     }
 
     /// Sum of all terminal outcomes — the right-hand side of the
@@ -303,82 +260,5 @@ mod tests {
         t.completed = 4;
         t.latency_us = 1000;
         assert_eq!(t.mean_latency_us(), 250.0);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_maxes_watermarks() {
-        let mut a = ServerStats {
-            submitted: 4,
-            completed: 3,
-            rejected: 1,
-            retries: 2,
-            worker_panics: 1,
-            respawns: 1,
-            max_concurrent_batches: 2,
-            ..ServerStats::default()
-        };
-        a.batches.insert(2, 1);
-        a.worker_batches.insert(0, 1);
-        a.tenants.insert(
-            "t".into(),
-            TenantStats {
-                completed: 3,
-                latency_us: 300,
-                max_latency_us: 200,
-                ..TenantStats::default()
-            },
-        );
-
-        let mut b = ServerStats {
-            submitted: 9,
-            completed: 2,
-            cancelled: 4,
-            timed_out: 1,
-            failed: 1,
-            shed: 1,
-            breaker_opens: 1,
-            max_concurrent_batches: 1,
-            ..ServerStats::default()
-        };
-        b.batches.insert(2, 2);
-        b.batches.insert(4, 1);
-        b.worker_batches.insert(1, 3);
-        b.tenants.insert(
-            "t".into(),
-            TenantStats {
-                completed: 2,
-                cancelled: 4,
-                timed_out: 1,
-                latency_us: 100,
-                max_latency_us: 90,
-                ..TenantStats::default()
-            },
-        );
-
-        a.merge(&b);
-        assert_eq!(a.submitted, 13);
-        assert_eq!(a.completed, 5);
-        assert_eq!(a.rejected, 1);
-        assert_eq!(a.timed_out, 1);
-        assert_eq!(a.cancelled, 4);
-        assert_eq!(a.failed, 1);
-        assert_eq!(a.shed, 1);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.worker_panics, 1);
-        assert_eq!(a.respawns, 1);
-        assert_eq!(a.breaker_opens, 1);
-        assert_eq!(a.accounted(), 5 + 1 + 1 + 4 + 1 + 1);
-        assert_eq!(a.accounted(), a.submitted);
-        assert_eq!(a.max_concurrent_batches, 2);
-        assert_eq!(a.batches[&2], 3);
-        assert_eq!(a.batches[&4], 1);
-        assert_eq!(a.executed_batches(), 4);
-        assert_eq!(a.worker_batches[&0], 1);
-        assert_eq!(a.worker_batches[&1], 3);
-        let t = &a.tenants["t"];
-        assert_eq!(t.completed, 5);
-        assert_eq!(t.cancelled, 4);
-        assert_eq!(t.latency_us, 400);
-        assert_eq!(t.max_latency_us, 200);
     }
 }

@@ -15,10 +15,9 @@ use crate::sync::lock_recover;
 pub(crate) struct Promise {
     slot: Mutex<Slot>,
     ready: Condvar,
-    /// Set by [`Ticket::cancel`] (or the ticket's `Drop`). A worker checks
-    /// it while forming a batch and again just before replaying it, and
-    /// resolves flagged requests as [`ServeError::Cancelled`] without
-    /// running them.
+    /// Set by [`Ticket::cancel`] (or the ticket's `Drop`). The worker
+    /// forming a batch checks it and resolves flagged requests as
+    /// [`ServeError::Cancelled`] without running them.
     cancelled: AtomicBool,
 }
 
