@@ -11,31 +11,17 @@ pub struct FeatherConfig {
     /// Number of PE columns (`AW`) — also the BIRRD width and the number of
     /// StaB banks. Must be a power of two ([`FeatherConfig::validate`]).
     pub cols: usize,
-    /// Depth (lines per bank) of each StaB half. Hashed into a session's
-    /// fingerprint and printed in `Program::dump`, but it bounds nothing
-    /// yet: a layer's StaB halves are sized to its tensors whatever this
-    /// says (ROADMAP item Q: make it a checked capacity, or delete it).
-    pub stab_lines: usize,
-    /// Depth of the streaming buffer. Like [`FeatherConfig::stab_lines`],
-    /// hashed into the fingerprint and printed in the dump, but it bounds
-    /// nothing yet (ROADMAP item Q).
-    pub strb_lines: usize,
 }
 
 impl FeatherConfig {
-    /// Creates a configuration with default buffer depths sized generously
-    /// enough for the evaluation layers.
+    /// Creates a `rows`×`cols` configuration. A layer's StaB halves are
+    /// sized to its tensors, so the array shape is the whole configuration.
     ///
     /// # Panics
     /// Panics if `cols` is not a power of two (BIRRD requirement) or either
     /// dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
-        let config = FeatherConfig {
-            rows,
-            cols,
-            stab_lines: 65_536,
-            strb_lines: 16_384,
-        };
+        let config = FeatherConfig { rows, cols };
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
@@ -61,12 +47,6 @@ impl FeatherConfig {
             )));
         }
         Ok(())
-    }
-
-    /// Overrides the StaB depth (builder style).
-    pub fn with_stab_lines(mut self, lines: usize) -> Self {
-        self.stab_lines = lines;
-        self
     }
 
     /// Total number of PEs.
@@ -105,25 +85,14 @@ mod tests {
     #[test]
     fn validate_names_each_bad_shape() {
         assert_eq!(FeatherConfig::new(4, 8).validate(), Ok(()));
-        let shaped = |rows, cols| FeatherConfig {
-            rows,
-            cols,
-            ..FeatherConfig::new(1, 1)
-        };
         for (rows, cols, what) in [
             (0, 8, "non-zero"),
             (4, 0, "non-zero"),
             (4, 12, "power of two"),
         ] {
-            let err = shaped(rows, cols).validate().unwrap_err();
+            let err = FeatherConfig { rows, cols }.validate().unwrap_err();
             assert!(matches!(err, ArchError::InvalidDataflow(_)), "{err}");
             assert!(err.to_string().contains(what), "{rows}x{cols}: {err}");
         }
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let c = FeatherConfig::new(4, 4).with_stab_lines(128);
-        assert_eq!(c.stab_lines, 128);
     }
 }

@@ -830,11 +830,7 @@ mod tests {
     /// anything is planned, by the graph constructors and the chain one
     /// alike: a bad array shape is `config.validate()`'s error.
     fn assert_shape_refused(rows: usize, cols: usize, what: &str) {
-        let config = FeatherConfig {
-            rows,
-            cols,
-            ..FeatherConfig::new(4, 8)
-        };
+        let config = FeatherConfig { rows, cols };
         let layer = ConvLayer::new(1, 4, 4, 4, 4, 1, 1);
         let mut g = Graph::new("tiny", [1, 4, 4, 4]);
         g.conv(g.input(), layer.clone()).unwrap();

@@ -309,12 +309,10 @@ pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "program|{}|rows={}|cols={}|stab={}|strb={}|batch={}|shift={shift}|zero={zero}",
+        "program|{}|rows={}|cols={}|batch={}|shift={shift}|zero={zero}",
         graph.name,
         config.rows,
         config.cols,
-        config.stab_lines,
-        config.strb_lines,
         session.batch()
     );
     for node in graph.nodes() {

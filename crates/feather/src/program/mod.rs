@@ -292,11 +292,7 @@ impl Program {
             "program \"{}\" fingerprint {:016x}",
             t.name, t.fingerprint
         );
-        let _ = writeln!(
-            out,
-            "fabric {}x{} stab_lines={} strb_lines={}",
-            t.config.rows, t.config.cols, t.config.stab_lines, t.config.strb_lines
-        );
+        let _ = writeln!(out, "fabric {}x{}", t.config.rows, t.config.cols);
         let _ = writeln!(
             out,
             "batch {} quant shift={} zero={}",

@@ -128,31 +128,6 @@ impl BufferSpec {
     pub fn capacity(&self) -> usize {
         self.num_lines * self.line_size
     }
-
-    /// FEATHER's Stationary Buffer organization (one ping/pong half): `aw`
-    /// one-byte-wide banks, `depth` lines per bank.
-    pub fn feather_stab(aw: usize, depth: usize) -> Self {
-        BufferSpec {
-            num_lines: depth,
-            line_size: aw,
-            num_banks: aw,
-            read_ports: 2,
-            write_ports: 2,
-            banking: Banking::Horizontal,
-        }
-    }
-
-    /// FEATHER's Streaming Buffer organization: a single wide bank.
-    pub fn feather_strb(aw: usize, depth: usize) -> Self {
-        BufferSpec {
-            num_lines: depth,
-            line_size: aw,
-            num_banks: 1,
-            read_ports: 2,
-            write_ports: 2,
-            banking: Banking::VerticalBlocked,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,17 +157,6 @@ mod tests {
 
         let horiz = BufferSpec::new(8, 4, 2, Banking::Horizontal);
         assert_eq!(horiz.bank_of_line(5), None);
-    }
-
-    #[test]
-    fn stab_and_strb_presets() {
-        let stab = BufferSpec::feather_stab(16, 2048);
-        assert_eq!(stab.num_banks, 16);
-        assert_eq!(stab.line_size, 16);
-        assert_eq!(stab.banking, Banking::Horizontal);
-        let strb = BufferSpec::feather_strb(16, 1024);
-        assert_eq!(strb.num_banks, 1);
-        assert_eq!(strb.capacity(), 16 * 1024);
     }
 
     #[test]

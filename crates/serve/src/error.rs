@@ -24,7 +24,8 @@ pub enum ServeError {
     Shutdown,
     /// No model is registered under the requested name.
     UnknownModel(String),
-    /// The request tensor (or a registered graph) has the wrong shape.
+    /// The request tensor (or a registered graph) has the wrong shape, or a
+    /// model name is registered a second time.
     BadInput(String),
     /// The executor failed while running the batch this request was part of.
     Exec(ArchError),

@@ -12,10 +12,11 @@
 //!   picks the tenant each request of a batch is taken from
 //!   ([`Server::set_tenant_weight`], default 1): tenants that stay
 //!   backlogged are each served within one batch of their weighted share.
-//!   The queues, weights, breakers, overload state, request ids and every
-//!   counter are one struct under one lock, and admission, forming and a
-//!   batch's end are methods on it at a given `now`, tested on virtual time.
-//!   A request's id is its admission sequence number.
+//!   The models (program, breaker, last batch size), queues, weights,
+//!   overload state, request ids and every counter are one struct under one
+//!   lock, and admission, forming and a batch's end are methods on it at a
+//!   given `now`, tested on virtual time. A request's id is its admission
+//!   sequence number.
 //! - **Dynamic batching on an executor pool** — [`ServeConfig::workers`]
 //!   executor workers take turns as leader: an idle worker takes the lead,
 //!   coalesces concurrent same-model requests (up to
@@ -34,8 +35,8 @@
 //!   run. Best effort: a launched batch completes.
 //! - **One compiled program per model** — [`Server::register_model`]
 //!   compiles the model's planned [`feather::GraphSession`] into a flat
-//!   [`feather::Program`] (a model that does not compile is refused there);
-//!   every batch, whatever its size, lane-stripes that one resident
+//!   [`feather::Program`] (a model that does not compile is refused there,
+//!   and so is a name already registered); every batch, whatever its size, lane-stripes that one resident
 //!   [`feather::ProgramSession`] with zero planning, compiling or per-layer
 //!   dispatch work, and each worker reuses one [`feather::ReplayScratch`] so
 //!   steady-state replay allocates no buffer memory either.

@@ -1,34 +1,25 @@
-//! The serving core: weighted-fair admission and a pool of executor workers
-//! that form their own batches.
+//! The serving core: the scheduler state and the threads around it. What
+//! the server does — fair admission, batching, one compiled program per
+//! model, cancellation, accounting, supervision and overload — is in the
+//! [crate docs](crate); this module is how.
 //!
 //! **One scheduler state under one lock.** Everything the scheduling rules
-//! read or write — the per-tenant queues and weights, each model's circuit
-//! breaker, the overload state, the batch being formed, the request ids and
-//! every counter and gauge of [`ServerStats`] — is one plain struct under
-//! the queue lock. Its rules are methods on a given `now` that read no clock
-//! and take no lock: admission (open, breaker, brownout shedding, the
-//! per-tenant bound of [`ServeConfig::queue_depth`]), forming a batch, and
-//! a batch's end — success, or a failure's breaker strike and retries. The
-//! threads around them read the clock, lock, call the rule, settle what it
-//! ended and notify; the rules are tested on virtual time.
+//! read or write — each registered model (its program, breaker and last
+//! batch size), the per-tenant queues and weights, the overload state, the
+//! batch being formed, the request ids and every counter of [`ServerStats`]
+//! — is one plain struct under the queue lock. Its rules are methods on a
+//! given `now` that read no clock and take no lock: admission, forming a
+//! batch, and a batch's end. A submit takes the lock once; a batch carries
+//! its model out of the section that formed it and takes the lock once
+//! more, after its replay. The rules are tested on virtual time.
 //!
-//! **Forming.** The executor workers ([`ServeConfig::workers`]) run
-//! leader/follower: an idle worker takes the lead lock, forms the next batch,
-//! hands the lead on and replays the batch, so different batches can be in
-//! flight at once. Smooth weighted round-robin over the backlogged tenants
-//! picks the tenant each request is taken from, so tenants that stay
-//! backlogged are served within one batch of their weighted shares
-//! ([`Server::set_tenant_weight`]). Forming is **work-conserving**: a batch
-//! launches at once unless fewer requests wait than the model's last batch
-//! answered — then the leader holds for those returns, never past one batch
-//! time after the lead request arrived.
-//!
-//! A model has **one** compiled program: [`Server::register_model`] compiles
-//! the planned batch-1 [`GraphSession`] into a [`feather::Program`], and
-//! every batch lane-stripes that same [`ProgramSession`], one request per
-//! lane, each lane bit-identical to a solo run. A request is charged the
-//! program's [`cost`](feather::Program::cost): a solo inference on FEATHER,
-//! whatever it was co-scheduled with.
+//! **The threads.** The executor workers ([`ServeConfig::workers`]) run
+//! leader/follower: an idle worker takes the lead lock, forms the next
+//! batch, hands the lead on and replays the batch, so different batches can
+//! be in flight at once. A replay runs under `catch_unwind`: a worker that
+//! panics settles its own batch first, and its sentinel spawns the
+//! replacement. The seeded [`FaultPlan`] (`FEATHER_FAULT_PLAN`) drives every
+//! failure path on demand.
 //!
 //! **One way a request ends.** Besides completing, a submitted request can be
 //! refused at admission, be cancelled ([`crate::Ticket::cancel`], or dropping
@@ -36,23 +27,12 @@
 //! expired requests are pruned while a batch forms, never run; a launched
 //! batch completes. Whatever the outcome, one call books it into
 //! [`ServerStats`] and the ticket receives that same result.
-//!
-//! **Supervision and overload.** Replays run under `catch_unwind`. Failed
-//! batch members are re-enqueued at their tenant's queue head with
-//! exponential backoff up to [`ServeConfig::max_retries`]; a worker that
-//! panics settles its own batch first, and its sentinel spawns the
-//! replacement. Sustained failures open a model's breaker
-//! ([`ServeError::Unavailable`]); past [`ServeConfig::brownout_pct`]
-//! occupancy, or with sustained deadline misses, the batch halves and
-//! admission sheds infeasible deadlines ([`ServeError::Overloaded`]). The
-//! seeded [`FaultPlan`] (`FEATHER_FAULT_PLAN`) drives every one of these
-//! paths on demand.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,7 +44,7 @@ use crate::breaker::CircuitBreaker;
 use crate::error::ServeError;
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::stats::ServerStats;
-use crate::sync::{lock_recover, read_recover, write_recover};
+use crate::sync::lock_recover;
 use crate::ticket::{Promise, Ticket};
 
 /// Scheduling and admission knobs.
@@ -147,13 +127,27 @@ pub struct Response {
     pub dram_bytes: u64,
 }
 
-/// A registered model: its weights plus its compiled program.
+/// A registered model, fixed at registration: its weights, the program the
+/// planned batch-1 session compiled, which every batch replays, and that
+/// program's cost totals, charged to every request ([`Response::cycles`],
+/// [`Response::dram_bytes`]).
 struct Model {
     weights: BTreeMap<NodeId, Tensor4<i8>>,
     input_shape: [usize; 4],
-    /// The program the planned batch-1 session compiled at registration,
-    /// which every batch replays.
     program: ProgramSession,
+    cycles: u64,
+    dram_bytes: u64,
+}
+
+/// One registered name in [`QueueState::models`]: the model, shared with
+/// each of its launched batches; its breaker; and its last resolved batch
+/// size, stored before that batch is answered — how many returns the next
+/// leader expects when the model's clients run a closed loop
+/// ([`Forming::hold`]).
+struct Registered {
+    model: Arc<Model>,
+    breaker: CircuitBreaker,
+    last_batch: usize,
 }
 
 /// One queued request.
@@ -216,23 +210,19 @@ struct TenantQueue {
 /// for the caller to settle ([`QueueState::settle`]).
 type Ended = Vec<(Request, ServeError)>;
 
-/// All of the server's state but its models and threads, under the one
-/// queue lock. Every rule on it ([`QueueState::admit`],
+/// All of the server's state but its threads, under the one queue lock.
+/// Every rule on it ([`QueueState::register`], [`QueueState::admit`],
 /// [`QueueState::decide`], [`QueueState::succeeded`], [`QueueState::fail`])
 /// is a method on plain inputs that reads no clock and takes no lock.
 #[derive(Default)]
 struct QueueState {
+    /// The registered models by name; a name is never removed or replaced.
+    models: BTreeMap<String, Registered>,
     tenants: BTreeMap<String, TenantQueue>,
     /// Per-tenant round-robin weights (default 1).
     weights: BTreeMap<String, u64>,
     open: bool,
-    /// One circuit breaker per registered model.
-    breakers: BTreeMap<String, CircuitBreaker>,
     overload: Overload,
-    /// Each model's last resolved batch size, stored by the worker before it
-    /// answers the batch: how many returns the next leader expects when the
-    /// model's clients run a closed loop (see [`Forming::hold`]).
-    last_batch: BTreeMap<String, usize>,
     /// The batch a leader holds open, kept across its wake-ups.
     forming: Option<Forming>,
     /// Queue timeouts pruned since the last formed batch.
@@ -263,16 +253,40 @@ impl QueueState {
         self.tenants.values().flat_map(|tq| &tq.requests)
     }
 
-    /// Admission of `request` at `now`, its arrival. Refused, in order: once
-    /// admission closed ([`ServeError::Shutdown`], not counted as
-    /// submitted); while its model's breaker rejects
+    /// Registers `model` under `name`, its breaker closed. A name registers
+    /// once, so a queued request always replays the program it was admitted
+    /// against: an existing name is refused with [`ServeError::BadInput`].
+    fn register(
+        &mut self,
+        cfg: &ServeConfig,
+        name: &str,
+        model: Arc<Model>,
+    ) -> Result<(), ServeError> {
+        if self.models.contains_key(name) {
+            let taken = format!("model `{name}` is already registered");
+            return Err(ServeError::BadInput(taken));
+        }
+        let entry = Registered {
+            model,
+            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+            last_batch: 0,
+        };
+        self.models.insert(name.to_string(), entry);
+        Ok(())
+    }
+
+    /// Admission of `request` at `now`, its arrival. Refused, in order: for
+    /// a model not registered ([`ServeError::UnknownModel`]) or an input of
+    /// another shape than the model's ([`ServeError::BadInput`]); once
+    /// admission closed ([`ServeError::Shutdown`]) — these three are not
+    /// counted as submitted; while its model's breaker rejects
     /// ([`ServeError::Unavailable`]); when brownout sheds its deadline
     /// ([`ServeError::Overloaded`]); or when its tenant's queue is still
     /// full after the requests that ended in it are pruned into `ended`
-    /// ([`ServeError::QueueFull`]). A refusal is settled into `self.stats`.
-    /// Only an enqueued request commits the breaker's half-open probe and
-    /// takes an id, the next admission sequence number, which it returns;
-    /// a request refused later in admission uses up neither.
+    /// ([`ServeError::QueueFull`]). A counted refusal is settled into
+    /// `self.stats`. Only an enqueued request commits the breaker's
+    /// half-open probe and takes an id, the next admission sequence number,
+    /// which it returns; a request refused in admission uses up neither.
     fn admit(
         &mut self,
         cfg: &ServeConfig,
@@ -280,6 +294,15 @@ impl QueueState {
         now: Instant,
         ended: &mut Ended,
     ) -> Result<u64, ServeError> {
+        let Some(registered) = self.models.get_mut(&request.model) else {
+            return Err(ServeError::UnknownModel(request.model));
+        };
+        let (expected, got) = (registered.model.input_shape, request.iacts.shape());
+        if got != expected {
+            let model = &request.model;
+            let mismatch = format!("model `{model}` expects input {expected:?}, got {got:?}");
+            return Err(ServeError::BadInput(mismatch));
+        }
         if !self.open {
             return Err(ServeError::Shutdown);
         }
@@ -288,15 +311,15 @@ impl QueueState {
             stats.settle(&request.tenant, Err(&error));
             Err(error)
         };
-        let breaker = self.breakers.get(&request.model);
-        if breaker.is_some_and(|b| !b.admits(now)) {
+        if !registered.breaker.admits(now) {
             let model = request.model.clone();
             return refuse(&mut self.stats, ServeError::Unavailable { model });
         }
         // Brownout shedding: a request whose deadline cannot outlast the
         // backlog ahead of it would only time out in the queue — resolve
         // that at admission, where the client can still react.
-        let sheds = |d: Instant| self.overload.sheds(self.requests().count(), d - now);
+        let queued = self.tenants.values().map(|tq| tq.requests.len()).sum();
+        let sheds = |d: Instant| self.overload.sheds(queued, d - now);
         if request.deadline.is_some_and(sheds) {
             return refuse(&mut self.stats, ServeError::Overloaded);
         }
@@ -311,9 +334,7 @@ impl QueueState {
                 return refuse(&mut self.stats, ServeError::QueueFull { depth });
             }
         }
-        if let Some(breaker) = self.breakers.get_mut(&request.model) {
-            breaker.admit(now);
-        }
+        registered.breaker.admit(now);
         let id = self.next_id;
         self.next_id += 1;
         request.id = id;
@@ -396,7 +417,7 @@ impl QueueState {
                     .requests()
                     .filter(|r| r.model == forming.model && r.eligible_at(now))
                     .count();
-                let expected = self.last_batch.get(&forming.model).copied().unwrap_or(0);
+                let expected = self.models[&forming.model].last_batch;
                 if let Some(end) = forming.hold(now, waiting, expected, self.overload.batch_time())
                 {
                     self.forming = Some(forming);
@@ -462,7 +483,8 @@ impl QueueState {
         requests.sort_by_key(|r| r.id);
         self.overload.record_misses(mem::take(&mut self.timeouts));
         Batch {
-            model: forming.model,
+            model: self.models[&forming.model].model.clone(),
+            name: forming.model,
             requests,
         }
     }
@@ -485,8 +507,8 @@ impl QueueState {
         ended: &mut Ended,
     ) {
         self.executing -= 1;
-        let breaker = strike.and_then(|model| self.breakers.get_mut(model));
-        if breaker.is_some_and(|b| b.record_failure(now)) {
+        let registered = strike.and_then(|model| self.models.get_mut(model));
+        if registered.is_some_and(|m| m.breaker.record_failure(now)) {
             self.stats.breaker_opens += 1;
         }
         for mut request in requests {
@@ -523,14 +545,14 @@ impl QueueState {
     /// leaves the executing gauge and enters the batch histograms, the
     /// model's breaker closes, and its next batch expects `size` returns.
     /// The caller then settles each member's response.
-    fn succeeded(&mut self, model: String, size: usize, worker: usize) {
+    fn succeeded(&mut self, model: &str, size: usize, worker: usize) {
         self.executing -= 1;
         *self.stats.batches.entry(size).or_insert(0) += 1;
         *self.stats.worker_batches.entry(worker).or_insert(0) += 1;
-        if let Some(breaker) = self.breakers.get_mut(&model) {
-            breaker.record_success();
+        if let Some(registered) = self.models.get_mut(model) {
+            registered.breaker.record_success();
+            registered.last_batch = size;
         }
-        self.last_batch.insert(model, size);
     }
 
     /// Settles what a rule `ended` into this state's counters and fulfils
@@ -612,16 +634,17 @@ impl Overload {
     }
 }
 
-/// A formed batch: same-model requests in admission order.
+/// A formed batch: same-model requests in admission order, with the model
+/// they were admitted against, taken in the lock section that formed them.
 struct Batch {
-    model: String,
+    name: String,
+    model: Arc<Model>,
     requests: Vec<Request>,
 }
 
 /// State shared between the front-end handles and the workers.
 struct Inner {
     cfg: ServeConfig,
-    models: RwLock<BTreeMap<String, Arc<Model>>>,
     queue: Mutex<QueueState>,
     /// Signaled on every admission, every re-enqueued retry and on
     /// shutdown; only the leader waits on it.
@@ -676,7 +699,6 @@ impl Server {
         };
         let inner = Arc::new(Inner {
             cfg,
-            models: RwLock::new(BTreeMap::new()),
             queue: Mutex::new(QueueState {
                 open: true,
                 ..QueueState::default()
@@ -699,11 +721,14 @@ impl Server {
     /// Registers a model under `name`: plans a batch-1 [`GraphSession`] for
     /// `graph` on `accelerator`, compiles it to the one program every batch
     /// replays and keeps `weights` resident. The graph must be authored at
-    /// batch 1 (requests are single-sample; the scheduler batches them).
+    /// batch 1 (requests are single-sample; the scheduler batches them). A
+    /// name registers once: it is never replaced, so a queued request
+    /// always replays the program it was admitted against.
     ///
     /// # Errors
-    /// [`ServeError::BadInput`] if the graph's batch extent is not 1, or a
-    /// wrapped [`ServeError::Exec`] if the graph does not compile.
+    /// [`ServeError::BadInput`] if `name` is already registered or the
+    /// graph's batch extent is not 1, or a wrapped [`ServeError::Exec`] if
+    /// the graph does not compile.
     pub fn register_model(
         &self,
         name: impl Into<String>,
@@ -721,19 +746,16 @@ impl Server {
             )));
         }
         let program = ProgramSession::new(GraphSession::auto(accelerator, graph)?.compile()?);
-        let cfg = &self.inner.cfg;
-        let breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
-        // The breaker first: a submit that finds the model finds its breaker.
-        lock_recover(&self.inner.queue)
-            .breakers
-            .insert(name.clone(), breaker);
+        let cost = program.program().cost();
         let model = Model {
+            cycles: cost.total_cycles(),
+            dram_bytes: cost.dram_bytes(),
             weights,
             input_shape,
             program,
         };
-        write_recover(&self.inner.models).insert(name, Arc::new(model));
-        Ok(())
+        let mut queue = lock_recover(&self.inner.queue);
+        queue.register(&self.inner.cfg, &name, Arc::new(model))
     }
 
     /// Sets `tenant`'s weight for the round-robin that picks which tenant
@@ -780,18 +802,6 @@ impl Server {
         iacts: Tensor4<i8>,
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        let registered = read_recover(&self.inner.models)
-            .get(model)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        if iacts.shape() != registered.input_shape {
-            return Err(ServeError::BadInput(format!(
-                "model `{model}` expects input {:?}, got {:?}",
-                registered.input_shape,
-                iacts.shape()
-            )));
-        }
-
         let enqueued = Instant::now();
         let promise = Promise::new();
         let request = Request {
@@ -827,7 +837,7 @@ impl Server {
     /// `None` for unregistered models.
     pub fn breaker_open(&self, model: &str) -> Option<bool> {
         let queue = lock_recover(&self.inner.queue);
-        queue.breakers.get(model).map(CircuitBreaker::is_open)
+        queue.models.get(model).map(|m| m.breaker.is_open())
     }
 
     /// The scheduling configuration the server runs with.
@@ -1046,20 +1056,16 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
 }
 
 /// Runs one formed batch on `worker` and resolves every member's promise.
-/// The replay runs under `catch_unwind`: a panic settles only this batch
-/// (retry or fail per member) and feeds the model's breaker, then resumes
-/// unwinding, so the worker's sentinel replaces it — its scratch state dies
-/// with the thread. Success or failure, the batch then ends in one section
-/// of the queue lock.
+/// It takes no lock before its replay. The replay runs under
+/// `catch_unwind`: a panic settles only this batch (retry or fail per
+/// member) and feeds the model's breaker, then resumes unwinding, so the
+/// worker's sentinel replaces it — its scratch state dies with the thread.
+/// Success or failure, the batch then ends in one section of the queue
+/// lock.
 fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut ReplayScratch) {
     let launched = Instant::now();
     let live = batch.requests;
     let size = live.len();
-    let model = read_recover(&inner.models)
-        .get(&batch.model)
-        .cloned()
-        .expect("submit validated the model; models are never unregistered");
-
     let replay_start = Instant::now();
     // One replay of the model's program, request `i` riding lane `i`, under
     // a supervision boundary: an injected (or real) panic inside the replay
@@ -1074,20 +1080,19 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
             }
         }
         let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
-        model
-            .program
-            .run_batched_with_scratch(scratch, &inputs, &model.weights)
+        let Model {
+            program, weights, ..
+        } = &*batch.model;
+        program
+            .run_batched_with_scratch(scratch, &inputs, weights)
             .map_err(ServeError::Exec)
     }));
     let done = Instant::now();
     let replay_us = done.duration_since(replay_start).as_micros() as u64;
-    // Every member is charged the program's constant: a solo inference.
-    let cost = model.program.program().cost();
-    let (cycles, dram_bytes) = (cost.total_cycles(), cost.dram_bytes());
     let mut queue = lock_recover(&inner.queue);
     queue.overload.record_replay(replay_us);
     // A failed replay is one strike on the model's breaker.
-    let strike = Some(batch.model.as_str());
+    let strike = Some(batch.name.as_str());
     let runs = match runs {
         Ok(Ok(runs)) => runs,
         Ok(Err(err)) => return fail_batch(inner, queue, strike, live, &err.to_string(), done),
@@ -1098,7 +1103,7 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
         }
     };
     // Before any member is answered: their returns find it already set.
-    queue.succeeded(batch.model, size, worker);
+    queue.succeeded(&batch.name, size, worker);
     for (request, run) in live.into_iter().zip(runs) {
         let response = Response {
             oacts: run.oacts,
@@ -1106,8 +1111,10 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
             worker,
             queue_us: launched.duration_since(request.enqueued).as_micros() as u64,
             latency_us: request.enqueued.elapsed().as_micros() as u64,
-            cycles,
-            dram_bytes,
+            // Every member is charged the program's constant: a solo
+            // inference.
+            cycles: batch.model.cycles,
+            dram_bytes: batch.model.dram_bytes,
         };
         request.settle(&mut queue.stats, Ok(response));
     }
@@ -1118,6 +1125,7 @@ mod tests {
     use super::*;
     use feather_arch::workload::ConvLayer;
     use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     /// conv → conv, authored at batch 1 on a 4×8 fabric.
     fn tiny_graph(name: &str) -> Graph {
@@ -1261,6 +1269,37 @@ mod tests {
     }
 
     #[test]
+    fn a_name_registers_once() {
+        // A request queued for `m`, then a second registration of `m` with
+        // another input shape: it must be refused, and the request must run
+        // the program it was admitted against.
+        let g = tiny_graph("m");
+        let weights = g.random_weights(12);
+        let iacts = Tensor4::random([1, 2, 4, 4], 13);
+        let solo = GraphSession::auto(config(), &g).unwrap();
+        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let mut wider = Graph::new("m", [1, 3, 4, 4]);
+        wider
+            .conv(
+                wider.input(),
+                ConvLayer::new(1, 2, 3, 4, 4, 1, 1).with_name("only"),
+            )
+            .unwrap();
+
+        let mut server = Server::unstarted(ServeConfig::default(), None);
+        server.register_model("m", config(), &g, weights).unwrap();
+        let ticket = server.submit("t", "m", iacts).unwrap();
+        let again = server.register_model("m", config(), &wider, wider.random_weights(14));
+        assert!(matches!(again, Err(ServeError::BadInput(_))), "{again:?}");
+        server.start();
+        assert_eq!(ticket.wait().unwrap().oacts, golden);
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!((stats.completed, stats.retries, stats.failed), (1, 0, 0));
+        assert_eq!(server.breaker_open("m"), Some(false));
+    }
+
+    #[test]
     fn batched_graphs_are_rejected_at_registration() {
         let mut g = Graph::new("b2", [2, 2, 4, 4]);
         g.conv(
@@ -1399,13 +1438,14 @@ mod tests {
         promise
     }
 
-    /// A request arriving at `at`, with no deadline.
+    /// A request arriving at `at`, with no deadline, shaped for the tiny
+    /// model.
     fn request(id: u64, tenant: &str, model: &str, at: Instant) -> Request {
         Request {
             id,
             tenant: tenant.to_string(),
             model: model.to_string(),
-            iacts: Tensor4::zeros([1, 1, 1, 1]),
+            iacts: Tensor4::zeros([1, 2, 4, 4]),
             enqueued: at,
             deadline: None,
             promise: Promise::new(),
@@ -1438,7 +1478,7 @@ mod tests {
         };
         q.fail(
             cfg,
-            Some(&batch.model),
+            Some(&batch.name),
             batch.requests,
             "injected",
             now,
@@ -1452,6 +1492,24 @@ mod tests {
             open: true,
             ..QueueState::default()
         }
+    }
+
+    /// Registers the tiny model, compiled once per test binary, under `name`
+    /// in `q`, and hands back its entry: how a virtual-time test sets a
+    /// model's breaker or last batch size.
+    fn register<'q>(q: &'q mut QueueState, cfg: &ServeConfig, name: &str) -> &'q mut Registered {
+        static TINY: OnceLock<Arc<Model>> = OnceLock::new();
+        let tiny = TINY.get_or_init(|| {
+            let g = tiny_graph("m");
+            let server = Server::unstarted(ServeConfig::default(), None);
+            server
+                .register_model("m", config(), &g, g.random_weights(1))
+                .unwrap();
+            let model = lock_recover(&server.inner.queue).models["m"].model.clone();
+            model
+        });
+        q.register(cfg, name, tiny.clone()).unwrap();
+        q.models.get_mut(name).unwrap()
     }
 
     /// A [`Decision`], as tests compare it: a launch is its model and its
@@ -1473,7 +1531,7 @@ mod tests {
         let mut dead = Vec::new();
         let seen = match q.decide(cfg, now, &mut dead) {
             Decision::Launch(batch) => {
-                Seen::Launch(batch.model, batch.requests.iter().map(|r| r.id).collect())
+                Seen::Launch(batch.name, batch.requests.iter().map(|r| r.id).collect())
             }
             Decision::Wait(until) => Seen::Wait(until),
             Decision::Closed => Seen::Closed,
@@ -1496,6 +1554,9 @@ mod tests {
         let t0 = Instant::now();
         let mut q = open_queue();
         q.weights = BTreeMap::from([("light".to_string(), 4), ("flood".to_string(), 1)]);
+        for model in ["mp", "mf", "ml"] {
+            register(&mut q, &cfg, model);
+        }
         enqueue(&mut q, 0, "warm", "mp", t0);
         for id in 1..=64 {
             enqueue(&mut q, id, "flood", "mf", t0);
@@ -1577,8 +1638,10 @@ mod tests {
             let tenants: Vec<String> = (0..weights.len()).map(|i| format!("t{i}")).collect();
             let t0 = Instant::now();
             let mut q = open_queue();
-            for (tenant, &w) in tenants.iter().zip(&weights) {
+            register(&mut q, &cfg, "m");
+            for (i, (tenant, &w)) in tenants.iter().zip(&weights).enumerate() {
                 q.weights.insert(tenant.clone(), w);
+                register(&mut q, &cfg, &format!("m{i}"));
             }
             let total_weight: u64 = weights.iter().sum();
             let mut served = vec![0u64; tenants.len()];
@@ -1628,6 +1691,8 @@ mod tests {
         for light_weight in [1, 4] {
             let mut q = open_queue();
             q.weights.insert("light".to_string(), light_weight);
+            register(&mut q, &cfg, "chain");
+            register(&mut q, &cfg, "residual");
             let mut ids = 0..;
             let mut waited = 0;
             for _ in 0..24 {
@@ -1848,6 +1913,7 @@ mod tests {
         let t0 = Instant::now();
         let mut q = open_queue();
         q.overload.record_replay(200);
+        register(&mut q, &cfg, "m");
         let mut next_id = 0..;
         for size in 1..=cfg.max_batch {
             let now = t0 + Duration::from_millis(size as u64);
@@ -1859,7 +1925,7 @@ mod tests {
             assert_eq!(decide_at(&mut q, &cfg, now).0, launch, "burst of {size}");
             let after = decide_at(&mut q, &cfg, now).0;
             assert_eq!(after, Seen::Wait(None), "burst of {size} split");
-            q.last_batch.insert("m".to_string(), size);
+            q.models.get_mut("m").unwrap().last_batch = size;
         }
     }
 
@@ -1874,7 +1940,7 @@ mod tests {
         let closed_loop = || {
             let mut q = open_queue();
             q.overload.record_replay(200);
-            q.last_batch.insert("m".to_string(), 8);
+            register(&mut q, &cfg, "m").last_batch = 8;
             for id in 0..7 {
                 enqueue(&mut q, id, "t", "m", at(10 * id));
             }
@@ -1904,7 +1970,8 @@ mod tests {
         let at = |us: u64| t0 + Duration::from_micros(us);
         let mut q = open_queue();
         q.overload.record_replay(200);
-        q.last_batch.insert("a".to_string(), 8);
+        register(&mut q, &cfg, "a").last_batch = 8;
+        register(&mut q, &cfg, "b");
         let lead = enqueue(&mut q, 0, "t", "a", at(0));
         let seen = decide_at(&mut q, &cfg, at(0)).0;
         assert_eq!(seen, Seen::Wait(Some(at(200))));
@@ -2214,8 +2281,7 @@ mod tests {
         let t0 = Instant::now();
         let at = |halves: u32| t0 + cfg.breaker_cooldown * halves / 2;
         let mut q = open_queue();
-        let breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
-        q.breakers.insert("m".to_string(), breaker);
+        register(&mut q, &cfg, "m");
         let unavailable = Err(ServeError::Unavailable {
             model: "m".to_string(),
         });
@@ -2224,7 +2290,7 @@ mod tests {
             assert_eq!(admit_at(&mut q, &cfg, "t", "m", t0), Ok(id));
             fail_next_batch(&mut q, &cfg, t0);
         }
-        assert!(q.breakers["m"].is_open());
+        assert!(q.models["m"].breaker.is_open());
         assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(1)), unavailable);
         // One cooldown on, one probe is admitted, and only one.
         assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(2)), Ok(2));
@@ -2237,8 +2303,8 @@ mod tests {
         let Decision::Launch(probe) = q.decide(&cfg, at(4), &mut Vec::new()) else {
             panic!("the probe launches");
         };
-        q.succeeded(probe.model, probe.requests.len(), 0);
-        assert!(!q.breakers["m"].is_open());
+        q.succeeded(&probe.name, probe.requests.len(), 0);
+        assert!(!q.models["m"].breaker.is_open());
         assert_eq!(admit_at(&mut q, &cfg, "t", "m", at(4)), Ok(4));
         assert_eq!(admit_at(&mut q, &cfg, "u", "m", at(4)), Ok(5));
 
@@ -2261,7 +2327,8 @@ mod tests {
         let mut q = open_queue();
         let mut breaker = CircuitBreaker::new(1, cfg.breaker_cooldown);
         assert!(breaker.record_failure(t0));
-        q.breakers.insert("m".to_string(), breaker);
+        register(&mut q, &cfg, "m").breaker = breaker;
+        register(&mut q, &cfg, "other");
         enqueue(&mut q, 0, "t", "other", t0);
         let full = admit_at(&mut q, &cfg, "t", "m", now);
         assert_eq!(full, Err(ServeError::QueueFull { depth: 1 }));
@@ -2276,17 +2343,21 @@ mod tests {
     #[test]
     fn request_ids_are_admission_sequence_numbers() {
         // On virtual time: each enqueued request takes the next id, and a
-        // request refused at admission (queue full, breaker open, shut
-        // down) takes none. A batch holds its members in id order.
+        // request refused at admission (queue full, breaker open, unknown
+        // model, wrong input shape, shut down) takes none. An unknown model
+        // or a wrong shape is not even counted as submitted. A batch holds
+        // its members in id order.
         let cfg = ServeConfig {
             queue_depth: 2,
             ..ServeConfig::default()
         };
         let t0 = Instant::now();
         let mut q = open_queue();
+        register(&mut q, &cfg, "m");
         let mut breaker = CircuitBreaker::new(1, cfg.breaker_cooldown);
         assert!(breaker.record_failure(t0));
-        q.breakers.insert("down".to_string(), breaker);
+        register(&mut q, &cfg, "down").breaker = breaker;
+        let unknown = Err(ServeError::UnknownModel("nope".to_string()));
         assert_eq!(admit_at(&mut q, &cfg, "b", "m", t0), Ok(0));
         assert_eq!(admit_at(&mut q, &cfg, "a", "m", t0), Ok(1));
         assert_eq!(admit_at(&mut q, &cfg, "a", "m", t0), Ok(2));
@@ -2294,14 +2365,27 @@ mod tests {
         assert_eq!(full, Err(ServeError::QueueFull { depth: 2 }));
         let down = admit_at(&mut q, &cfg, "c", "down", t0);
         assert!(matches!(down, Err(ServeError::Unavailable { .. })));
+        assert_eq!(q.stats.submitted, 5);
+        assert_eq!(admit_at(&mut q, &cfg, "c", "nope", t0), unknown);
+        let mut wrong = request(0, "c", "m", t0);
+        wrong.iacts = Tensor4::zeros([1, 3, 4, 4]);
+        let misshapen = q.admit(&cfg, wrong, t0, &mut Vec::new());
+        assert!(
+            matches!(misshapen, Err(ServeError::BadInput(_))),
+            "{misshapen:?}"
+        );
+        assert_eq!(q.stats.submitted, 5);
         let launch = Seen::Launch("m".to_string(), vec![0, 1, 2]);
         assert_eq!(decide_at(&mut q, &cfg, t0).0, launch);
         assert_eq!(admit_at(&mut q, &cfg, "a", "m", t0), Ok(3));
         q.open = false;
         let closed = admit_at(&mut q, &cfg, "a", "m", t0);
         assert_eq!(closed, Err(ServeError::Shutdown));
+        // An unknown model reads as such even once admission closed.
+        assert_eq!(admit_at(&mut q, &cfg, "a", "nope", t0), unknown);
         q.open = true;
         assert_eq!(admit_at(&mut q, &cfg, "c", "m", t0), Ok(4));
+        assert_eq!(q.stats.submitted, 7);
     }
 
     /// Ends a launched `batch` as a successful replay on `worker` does:
@@ -2309,7 +2393,7 @@ mod tests {
     /// response.
     fn succeed(q: &mut QueueState, batch: Batch, worker: usize) {
         let size = batch.requests.len();
-        q.succeeded(batch.model, size, worker);
+        q.succeeded(&batch.name, size, worker);
         for request in batch.requests {
             let response = Response {
                 oacts: Tensor4::zeros([1, 1, 1, 1]),
@@ -2328,7 +2412,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Conservation on virtual time, from the counters alone: random
-        /// admissions (with deadlines), cancels, decisions and batch ends
+        /// admissions (with deadlines, some for a model never registered),
+        /// cancels, decisions and batch ends
         /// (replays that succeed, fail, or fault at pickup), under retry
         /// budgets, breakers and brownout. After every step each submitted
         /// request is accounted, queued, or in a launched batch; the
@@ -2355,8 +2440,7 @@ mod tests {
             let models = ["m0", "m1"];
             let mut q = open_queue();
             for model in models {
-                let breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
-                q.breakers.insert(model.to_string(), breaker);
+                register(&mut q, &cfg, model);
             }
             let mut now = Instant::now();
             let mut promises = Vec::new();
@@ -2370,10 +2454,16 @@ mod tests {
                 match op {
                     0 | 1 => {
                         let tenant = ["t0", "t1", "t2"][arg % 3];
-                        let mut request = request(0, tenant, models[arg / 3 % 2], now);
+                        // One submission in three names a model never
+                        // registered: refused, and not counted as submitted.
+                        let model = ["m0", "m1", "gone"][arg / 3 % 3];
+                        let mut request = request(0, tenant, model, now);
                         request.deadline = (arg >= 32).then(|| now + us(arg as u64 * 10));
                         let promise = request.promise.clone();
-                        if q.admit(&cfg, request, now, &mut ended).is_ok() {
+                        let admitted = q.admit(&cfg, request, now, &mut ended);
+                        let unknown = Err(ServeError::UnknownModel(model.to_string()));
+                        prop_assert_eq!(model == "gone", admitted == unknown);
+                        if admitted.is_ok() {
                             promises.push(promise);
                         }
                     }
@@ -2391,7 +2481,7 @@ mod tests {
                     6 | 7 if !launched.is_empty() => {
                         let batch = launched.swap_remove(arg % launched.len());
                         // An odd `arg` is a worker's own fault at pickup.
-                        let strike = (arg % 2 == 0).then_some(batch.model.as_str());
+                        let strike = (arg % 2 == 0).then_some(batch.name.as_str());
                         q.fail(&cfg, strike, batch.requests, "injected", now, &mut ended);
                     }
                     _ => {}

@@ -1,29 +1,19 @@
-//! Poison-recovering lock accessors.
+//! The poison-recovering lock accessor.
 //!
-//! A `Mutex`/`RwLock` poisons itself when a thread panics while holding it,
-//! and every later `.lock().unwrap()` then propagates that panic to an
-//! innocent thread — one injected fault would take the whole server down
-//! lock by lock. Every guard in this crate is taken through these helpers
-//! instead: the data under the server's locks is counters, queues of
-//! requests, and caches, all of which are written atomically enough that a
-//! panic mid-critical-section leaves them structurally valid (at worst a
-//! counter increment is lost), so recovering the guard is always safe.
+//! A `Mutex` poisons itself when a thread panics while holding it, and every
+//! later `.lock().unwrap()` then propagates that panic to an innocent thread
+//! — one injected fault would take the whole server down lock by lock. Every
+//! guard in this crate is taken through [`lock_recover`] instead: the data
+//! under the server's locks is counters, queues of requests and the model
+//! registry, all of which are written atomically enough that a panic
+//! mid-critical-section leaves them structurally valid (at worst a counter
+//! increment is lost), so recovering the guard is always safe.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard if a panicking thread poisoned it.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Read-locks `l`, recovering the guard if a panicking writer poisoned it.
-pub(crate) fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks `l`, recovering the guard if a panicking thread poisoned it.
-pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -49,22 +39,5 @@ mod tests {
         assert_eq!(*lock_recover(&m), 42);
         *lock_recover(&m) += 1;
         assert_eq!(*lock_recover(&m), 43);
-    }
-
-    #[test]
-    fn poisoned_rwlock_recovers_for_readers_and_writers() {
-        let l = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let poisoner = {
-            let l = l.clone();
-            std::thread::spawn(move || {
-                let _guard = l.write().unwrap();
-                panic!("poison the rwlock");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        assert!(l.is_poisoned());
-        assert_eq!(read_recover(&l).len(), 3);
-        write_recover(&l).push(4);
-        assert_eq!(read_recover(&l).len(), 4);
     }
 }
