@@ -372,6 +372,19 @@ impl LocationPlan4 {
             offset: a.offset + b.offset + c.offset + d.offset,
         }
     }
+
+    /// The `(line, offset)` summand that value `value` of the plan's
+    /// dimension `dim` (its position in the plan order) adds to every
+    /// location: [`LocationPlan4::location`] is the component-wise sum of
+    /// one summand per dimension, so two coordinates that differ in one
+    /// dimension differ by the difference of its two summands.
+    ///
+    /// # Panics
+    /// Panics if `dim > 3` or `value` is out of the dimension's extent.
+    #[inline]
+    pub fn summand(&self, dim: usize, value: usize) -> Location {
+        self.tables[dim][value]
+    }
 }
 
 /// A physical location inside a logical 2D buffer.
@@ -726,6 +739,12 @@ mod tests {
                                 golden,
                                 "{spec} at ({n},{c},{h},{w})"
                             );
+                            let summands = [n, c, h, w].into_iter().enumerate();
+                            let (line, offset) = summands.fold((0, 0), |(l, o), (dim, v)| {
+                                let part = plan.summand(dim, v);
+                                (l + part.line, o + part.offset)
+                            });
+                            assert_eq!(Location { line, offset }, golden, "{spec} summands");
                         }
                     }
                 }

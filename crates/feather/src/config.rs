@@ -9,7 +9,8 @@ pub struct FeatherConfig {
     /// Number of PE rows (`AH`).
     pub rows: usize,
     /// Number of PE columns (`AW`) — also the BIRRD width and the number of
-    /// StaB banks. Must be a power of two ([`FeatherConfig::validate`]).
+    /// StaB banks. Must be a power of two of at least 2
+    /// ([`FeatherConfig::validate`]).
     pub cols: usize,
 }
 
@@ -18,8 +19,8 @@ impl FeatherConfig {
     /// sized to its tensors, so the array shape is the whole configuration.
     ///
     /// # Panics
-    /// Panics if `cols` is not a power of two (BIRRD requirement) or either
-    /// dimension is zero.
+    /// Panics if `cols` is not a power of two of at least 2 (BIRRD
+    /// requirement) or `rows` is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
         let config = FeatherConfig { rows, cols };
         if let Err(e) = config.validate() {
@@ -29,8 +30,9 @@ impl FeatherConfig {
     }
 
     /// Checks the array shape: both dimensions non-zero and a power-of-two
-    /// width (BIRRD requirement). Sessions check it before planning, since
-    /// the fields are public.
+    /// width of at least 2 (BIRRD requirement: a one-column fabric has no
+    /// switch, and every compile on it would fail). Sessions check it before
+    /// planning, since the fields are public.
     ///
     /// # Errors
     /// [`ArchError::InvalidDataflow`] naming the violated constraint.
@@ -41,9 +43,9 @@ impl FeatherConfig {
                 "array dimensions must be non-zero, got {rows}x{cols}"
             )));
         }
-        if !cols.is_power_of_two() {
+        if !cols.is_power_of_two() || cols < 2 {
             return Err(ArchError::InvalidDataflow(format!(
-                "AW (columns / BIRRD width) must be a power of two, got {cols}"
+                "AW (columns / BIRRD width) must be a power of two >= 2, got {cols}"
             )));
         }
         Ok(())
@@ -89,6 +91,7 @@ mod tests {
             (0, 8, "non-zero"),
             (4, 0, "non-zero"),
             (4, 12, "power of two"),
+            (4, 1, "power of two >= 2"),
         ] {
             let err = FeatherConfig { rows, cols }.validate().unwrap_err();
             assert!(matches!(err, ArchError::InvalidDataflow(_)), "{err}");

@@ -595,25 +595,174 @@ impl SpanAccum {
     }
 }
 
+/// What the record pass counted of one `(n, p)` block of a tile — output
+/// row `p` of sample `n`, over every `q` tile and every kernel step (iAct
+/// reads) or every output channel of the tile (row fires): the BIRRD
+/// counters (passes, adder activations, serialization cycles) and the
+/// access statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Block {
+    counts: [u64; 3],
+    stats: AccessStats,
+}
+
+/// Accounts the `(n, p)` block of class `key`, whose highest line is `top`
+/// (`None` if it touches none). The first block of a class in a tile is
+/// walked (`walk(ledger, false)`) and kept in `classes`; a later one repeats
+/// it on shifted lines, so it is only checked at `top` against the buffer's
+/// last line (`op` names the access) and counted like the first — its
+/// offsets need no check, since a layout's offset summands sum below its
+/// line size. Debug builds walk it too (`walk(ledger, true)`) and assert
+/// that it counts what the first did.
+fn account_block<K: PartialEq + std::fmt::Debug>(
+    classes: &mut Vec<(K, Block)>,
+    (key, top): (K, Option<usize>),
+    ledger: &mut AccessLedger,
+    op: &str,
+    mut walk: impl FnMut(&mut AccessLedger, bool) -> Result<Block, ArchError>,
+) -> Result<Block, ArchError> {
+    if let Some(&(_, first)) = classes.iter().find(|(k, _)| *k == key) {
+        if let Some(top) = top {
+            ledger.check_line(op, top);
+        }
+        if cfg!(debug_assertions) {
+            assert_eq!(walk(ledger, true)?, first, "block of class {key:?}");
+        }
+        return Ok(first);
+    }
+    let block = walk(ledger, false)?;
+    classes.push((key, block));
+    Ok(block)
+}
+
+/// The reusable buffers of a tile's row fires.
+struct FireScratch {
+    c_ok: Vec<bool>,
+    bank_used: Vec<bool>,
+    groups: Vec<FireGroup>,
+    batch: Vec<FireGroup>,
+    pending: Vec<FireGroup>,
+    request: ReductionRequest,
+}
+
+/// Walks the iAct reads of output row `p` of sample `n` over `channels`:
+/// per `q` tile and kernel step, one cycle that reads every in-range input
+/// column of the tile at kernel row `taps[r]` (`None` in the halo).
+fn walk_iact_row(
+    ctx: &LayerExec,
+    iact: &mut AccessLedger,
+    channels: &std::ops::Range<usize>,
+    taps: &[Option<usize>],
+    n: usize,
+) -> Block {
+    let layer = &ctx.layer;
+    let base = *iact.stats();
+    for qt in 0..ctx.q_tiles {
+        let qs = qt * ctx.q_cols..ctx.q_total.min((qt + 1) * ctx.q_cols);
+        for rs_step in 0..ctx.rs {
+            iact.begin_cycle();
+            if let Some(h) = taps[rs_step / layer.s] {
+                let s_i = rs_step % layer.s;
+                for w in qs.clone().filter_map(|q| ctx.w_table[q * layer.s + s_i]) {
+                    for c in channels.clone() {
+                        let loc = ctx.iact_plan.location([n, c, h, w]);
+                        iact.read(loc.line, loc.offset);
+                    }
+                }
+            }
+            iact.flush_cycle();
+        }
+    }
+    Block {
+        counts: [0; 3],
+        stats: iact.stats().since(&base),
+    }
+}
+
+/// Walks the row fires of output row `p` of sample `n` under weight tile
+/// `wt_m`, with the channel tile's lane mask (`c_live` live columns per
+/// lane) already in `s.c_ok`: per `q` tile and mapped output channel, the
+/// fire's batches, each resolved through `memo` and written in one cycle.
+fn walk_fire_row(
+    ctx: &LayerExec,
+    oact: &mut AccessLedger,
+    memo: &mut RouteMemo,
+    s: &mut FireScratch,
+    c_live: usize,
+    [wt_m, n, p]: [usize; 3],
+) -> Result<Block, ArchError> {
+    let (base, mut counts) = (*oact.stats(), [0; 3]);
+    for qt in 0..ctx.q_tiles {
+        for m in wt_m * ctx.m_rows..ctx.layer.m.min((wt_m + 1) * ctx.m_rows) {
+            ctx.fire_groups([n, m, p, qt], &mut s.groups);
+            while !s.groups.is_empty() {
+                next_batch(
+                    &mut s.groups,
+                    &mut s.batch,
+                    &mut s.pending,
+                    &mut s.bank_used,
+                );
+                let route = memo.resolve(ctx, c_live, &s.c_ok, &s.batch, &mut s.request)?;
+                oact.begin_cycle();
+                for g in &s.batch {
+                    oact.write(g.loc.line, g.loc.offset);
+                }
+                oact.flush_cycle();
+                let extra = u64::from(!s.groups.is_empty());
+                let pass = [1, route.adder_activations() as u64, extra];
+                counts.iter_mut().zip(pass).for_each(|(t, k)| *t += k);
+            }
+        }
+    }
+    Ok(Block {
+        counts,
+        stats: oact.stats().since(&base),
+    })
+}
+
 /// The compiler's record pass over one layer: what the accounted loop counts
 /// and records, with no NEST array, weights, bus, route evaluation or cell
 /// value. Routes resolve through `memo`, which the compiler keeps for the
 /// whole program. None of it depends on data (paper §III), so the walk
 /// charges the same ledgers and route accounting at the same addresses —
 /// `ctx.iact_plan` reads, each fire group's `loc` writes — each distinct
-/// block once, and returns the counters with both halves' access
-/// statistics (`iact` and `oact` are charged the walked part only):
+/// pattern once, and returns the counters with both halves' access
+/// statistics (`iact` and `oact` are charged the walked part only).
+///
+/// Precondition: both StaB halves' conflict rule depends only on how many
+/// distinct lines a cycle touches — the iAct half is one dual-ported bank
+/// (`session::iact_spec`) and the oAct half is horizontally banked
+/// (`session::oact_spec`). So a block whose every cycle touches the lines of
+/// another block's cycle moved by one constant costs what that block costs.
+/// `S_N[n]`, `S_H[h]`, … below are a layout's per-dimension summands
+/// ([`LocationPlan4::summand`]): a location is their sum. What repeats:
 ///
 /// * **iAct reads** do not depend on `wt_m` outside depthwise layers: one
 ///   tile row is walked, counted `m_tiles` times, each read feeding `M`
 ///   MACs. Depthwise rows read their own channels: all walked, one MAC each.
+/// * **iAct rows**: within a tile, the `(n, p)` block's reads at kernel row
+///   `r` are one set of lines moved by `S_N[n].line + S_H[h].line`, so a
+///   block is fixed by which kernel rows fall inside the input — a run, so
+///   its first and last name it. One block per run is walked.
 /// * **Passes** depend only on `wt_m` and the live width `c_live`, which
 ///   only the last channel tile can narrow: a later tile as wide as the
 ///   first of its `wt_m` (all memo hits) repeats that tile's counts. Tiles
 ///   go in the accounted order, so slots are first seen alike — and, since
 ///   a memo hit never creates a slot, a memo that arrives holding earlier
 ///   layers' routes records the same slots.
+/// * **Fire rows**: within a tile, the `(n, p)` block's fires depend on
+///   `(n, p)` only through `S_N[n].offset + S_P[p].offset`, which fixes
+///   every group's bank, so its batches, memo keys, adds and serialization,
+///   and through a line shift `S_N[n].line + S_P[p].line`. One block per
+///   offset class is walked, the first in loop order: a later one would
+///   only have made memo hits.
 /// * **Row fires** are `n · p_total · q_tiles · m_rows` per tile.
+///
+/// A repeated block is checked against the buffer's last line at its own
+/// highest line: the location of its last channel, input or output row and
+/// column, since no summand falls as its coordinate grows. Debug builds walk
+/// it and assert that it repeats its class, as the memo's debug oracle
+/// rebuilds every hit.
 pub(crate) fn count_conv_core(
     ctx: &LayerExec,
     iact: &mut AccessLedger,
@@ -622,15 +771,12 @@ pub(crate) fn count_conv_core(
     expose_first_weight_load: bool,
 ) -> Result<(CoreRun, AccessStats, AccessStats), ArchError> {
     let layer = &ctx.layer;
-    let (c_ok, bank_used) = (&mut vec![false; ctx.cols], &mut vec![false; ctx.cols]);
-    let (groups, batch, pending) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
-    let request = &mut ReductionRequest {
-        input_groups: vec![None; ctx.cols],
-        group_destinations: BTreeMap::new(),
-    };
 
     // ---- Phase 1: iAct reads ----
-    let iact_base = *iact.stats();
+    // Per tile, each class of rows — the first and last kernel row inside
+    // the input, between which every row is — with its first block.
+    let last_w = ctx.w_table.iter().flatten().max();
+    let (mut row, mut classes) = (AccessStats::new(), Vec::new());
     for wt_m in 0..if ctx.depthwise { ctx.m_tiles } else { 1 } {
         for wt_c in 0..ctx.c_tiles {
             let channels = if ctx.depthwise {
@@ -638,29 +784,34 @@ pub(crate) fn count_conv_core(
             } else {
                 wt_c * ctx.c_cols..wt_c * ctx.c_cols + ctx.c_live(wt_c)
             };
+            classes.clear();
             for n in 0..layer.n {
                 for p in 0..ctx.p_total {
-                    for qt in 0..ctx.q_tiles {
-                        let qs = qt * ctx.q_cols..ctx.q_total.min((qt + 1) * ctx.q_cols);
-                        for rs_step in 0..ctx.rs {
-                            iact.begin_cycle();
-                            if let Some(h) = ctx.h_table[p * layer.r + rs_step / layer.s] {
-                                let s_i = rs_step % layer.s;
-                                for w in qs.clone().filter_map(|q| ctx.w_table[q * layer.s + s_i]) {
-                                    for c in channels.clone() {
-                                        let loc = ctx.iact_plan.location([n, c, h, w]);
-                                        iact.read(loc.line, loc.offset);
-                                    }
-                                }
-                            }
-                            iact.flush_cycle();
-                        }
-                    }
+                    let taps = &ctx.h_table[p * layer.r..(p + 1) * layer.r];
+                    let key = (
+                        taps.iter().position(Option::is_some),
+                        taps.iter().rposition(Option::is_some),
+                    );
+                    let last_h = taps.iter().rev().flatten().next();
+                    let top = last_h
+                        .zip(last_w)
+                        .map(|(&h, &w)| ctx.iact_plan.location([n, channels.end - 1, h, w]).line);
+                    let walk = |iact: &mut AccessLedger, _| {
+                        Ok(walk_iact_row(ctx, iact, &channels, taps, n))
+                    };
+                    #[cfg(test)]
+                    let walked = classes.len();
+                    let block = account_block(&mut classes, (key, top), iact, "read", walk)?;
+                    #[cfg(test)]
+                    tests::tally_repeat(
+                        classes.len() == walked,
+                        usize::from(key != (Some(0), Some(layer.r - 1))),
+                    );
+                    row.merge(&block.stats);
                 }
             }
         }
     }
-    let row = iact.stats().since(&iact_base);
     let (iact_stats, macs) = if ctx.depthwise {
         (row, row.element_reads)
     } else {
@@ -669,39 +820,58 @@ pub(crate) fn count_conv_core(
     };
 
     // ---- Phase 2: row fires through BIRRD (RIR) ----
-    // BIRRD passes, adder activations and serialization cycles.
-    let (mut counts, mut oact_stats) = ([0u64; 3], AccessStats::new());
+    // BIRRD passes, adder activations and serialization cycles; per walked
+    // tile, each offset class of rows with its first block.
+    let scratch = &mut FireScratch {
+        c_ok: vec![false; ctx.cols],
+        bank_used: vec![false; ctx.cols],
+        groups: Vec::new(),
+        batch: Vec::new(),
+        pending: Vec::new(),
+        request: ReductionRequest {
+            input_groups: vec![None; ctx.cols],
+            group_destinations: BTreeMap::new(),
+        },
+    };
+    let (mut counts, mut oact_stats, mut classes) = ([0u64; 3], AccessStats::new(), Vec::new());
     for wt_m in 0..ctx.m_tiles {
+        let last_m = layer.m.min((wt_m + 1) * ctx.m_rows) - 1;
         let mut first = ([0; 3], AccessStats::new());
         for wt_c in 0..ctx.c_tiles {
             let c_live = ctx.c_live(wt_c);
             let walked = if wt_c > 0 && c_live == ctx.c_live(0) {
                 first
             } else {
-                ctx.mark_live_lanes(wt_c, c_ok);
-                let (mut tile_counts, oact_base) = ([0; 3], *oact.stats());
+                ctx.mark_live_lanes(wt_c, &mut scratch.c_ok);
+                let mut tile = ([0; 3], AccessStats::new());
+                classes.clear();
                 for n in 0..layer.n {
                     for p in 0..ctx.p_total {
-                        for qt in 0..ctx.q_tiles {
-                            for m in wt_m * ctx.m_rows..layer.m.min((wt_m + 1) * ctx.m_rows) {
-                                ctx.fire_groups([n, m, p, qt], groups);
-                                while !groups.is_empty() {
-                                    next_batch(groups, batch, pending, bank_used);
-                                    let route = memo.resolve(ctx, c_live, c_ok, batch, request)?;
-                                    oact.begin_cycle();
-                                    for g in batch.iter() {
-                                        oact.write(g.loc.line, g.loc.offset);
-                                    }
-                                    oact.flush_cycle();
-                                    let extra = u64::from(!groups.is_empty());
-                                    let pass = [1, route.adder_activations() as u64, extra];
-                                    tile_counts.iter_mut().zip(pass).for_each(|(t, k)| *t += k);
-                                }
-                            }
-                        }
+                        let offset =
+                            ctx.oact_plan.summand(0, n).offset + ctx.oact_plan.summand(2, p).offset;
+                        let last = [n, last_m, p, ctx.q_total - 1];
+                        let class = (offset, Some(ctx.oact_plan.location(last).line));
+                        let walk = |oact: &mut AccessLedger, repeat: bool| {
+                            let routes = memo.entries.len();
+                            let block =
+                                walk_fire_row(ctx, oact, memo, scratch, c_live, [wt_m, n, p])?;
+                            let new_routes = memo.entries.len() - routes;
+                            debug_assert!(!repeat || new_routes == 0, "a repeated block routed");
+                            Ok(block)
+                        };
+                        #[cfg(test)]
+                        let walked = classes.len();
+                        let block = account_block(&mut classes, class, oact, "write", walk)?;
+                        #[cfg(test)]
+                        tests::tally_repeat(classes.len() == walked, 2);
+                        tile.0
+                            .iter_mut()
+                            .zip(block.counts)
+                            .for_each(|(t, k)| *t += k);
+                        tile.1.merge(&block.stats);
                     }
                 }
-                (tile_counts, oact.stats().since(&oact_base))
+                tile
             };
             first = if wt_c == 0 { walked } else { first };
             counts.iter_mut().zip(walked.0).for_each(|(t, k)| *t += k);
@@ -1477,6 +1647,7 @@ mod tests {
     use crate::Feather;
     use feather_arch::energy::EnergyModel;
     use feather_arch::tensor::{conv2d_reference, Tensor4};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The memo keys a batch by its layer's `c_cols` too: the same `c_live`
@@ -1623,6 +1794,75 @@ mod tests {
     const OACT_LAYOUTS: [&str; 6] = [
         "MPQ_Q8", "MPQ_Q4", "PQM_M4Q2", "PMQ_Q2M4", "MQP_P2M2", "PQM_M4",
     ];
+
+    /// `count_conv_core`'s precondition: each StaB half prices a cycle by
+    /// how many distinct lines it touches, never by which — one bank for the
+    /// iAct half, horizontal banks for the oAct half — so a block that
+    /// repeats another on shifted lines costs what that block costs.
+    #[test]
+    fn stab_halves_price_a_cycle_by_its_distinct_line_count() {
+        use crate::session::{iact_spec, oact_spec};
+        use feather_memsim::{Banking, ConflictModel};
+
+        let config = FeatherConfig::new(4, 8);
+        let layer = ConvLayer::new(2, 6, 5, 5, 5, 3, 3).with_padding(1);
+        for iact in ["HWC_C4", "HCW_W8", "CHW_W2H2C2", "HWC_C2W2"] {
+            for oact in OACT_LAYOUTS {
+                let mapping = LayerMapping::weight_stationary(&layer, &config, iact, oact).unwrap();
+                let (ispec, ospec) = (iact_spec(&layer, &mapping), oact_spec(&layer, &mapping));
+                assert_eq!(ispec.num_banks, 1, "{iact}");
+                assert_eq!(ospec.banking, Banking::Horizontal, "{oact}");
+                for spec in [ispec, ospec] {
+                    let model = ConflictModel::new(spec);
+                    for k in 0..6 {
+                        let packed: Vec<usize> = (0..k).collect();
+                        let spread: Vec<usize> = (0..k).map(|i| 1000 + 7 * i).collect();
+                        assert_eq!(
+                            model.assess_distinct_reads(&mut packed.clone()),
+                            model.assess_distinct_reads(&mut spread.clone())
+                        );
+                        assert_eq!(
+                            model.assess_distinct_writes(&mut packed.clone()),
+                            model.assess_distinct_writes(&mut spread.clone())
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Records a 1×1 layer whose output rows each take their own lines
+    /// (`HWC_C4` in, `PMQ_Q4` out), on halves with room for the first
+    /// output row only of the iAct half (`short_iact`) or the oAct half: row
+    /// 0 is walked and fits, and every later row repeats it past the buffer.
+    fn record_on_short_half(short_iact: bool) {
+        use crate::session::{iact_spec, oact_spec};
+
+        let config = FeatherConfig::new(4, 8);
+        let layer = ConvLayer::new(1, 4, 4, 4, 4, 1, 1);
+        let mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C4", "PMQ_Q4").unwrap();
+        let ctx = LayerExec::new(&config, &layer, &mapping).unwrap();
+        let (mut ispec, mut ospec) = (iact_spec(&layer, &mapping), oact_spec(&layer, &mapping));
+        let short = if short_iact { &mut ispec } else { &mut ospec };
+        short.num_lines /= 4;
+        let (mut iact, mut oact) = (AccessLedger::new(ispec), AccessLedger::new(ospec));
+        let _ = count_conv_core(&ctx, &mut iact, &mut oact, &mut RouteMemo::default(), true);
+    }
+
+    /// A repeated iAct row is not walked in release, yet a read past the
+    /// buffer still fails as the ledger's own check would.
+    #[test]
+    #[should_panic(expected = "read out of bounds: line 7")]
+    fn a_repeated_iact_row_past_the_buffer_panics() {
+        record_on_short_half(true);
+    }
+
+    /// Likewise a repeated fire row's write.
+    #[test]
+    #[should_panic(expected = "write out of bounds: line 7")]
+    fn a_repeated_fire_row_past_the_buffer_panics() {
+        record_on_short_half(false);
+    }
 
     /// Generated cases whose fires needed more than one BIRRD pass.
     static MULTI_BATCH_CASES: AtomicU64 = AtomicU64::new(0);
@@ -1795,6 +2035,28 @@ mod tests {
     /// Generated cases with a repeated channel tile beside a ragged one.
     static RAGGED_REPEAT_CASES: AtomicU64 = AtomicU64::new(0);
 
+    thread_local! {
+        /// Blocks the record pass repeated instead of walking them on this
+        /// thread: iAct rows with every kernel row inside the input, iAct
+        /// rows in the padding halo, fire rows.
+        static REPEATED_BLOCKS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    /// Counts a block of `kind` (an index into `REPEATED_BLOCKS`) if it was
+    /// `repeated`.
+    pub(super) fn tally_repeat(repeated: bool, kind: usize) {
+        REPEATED_BLOCKS.with(|tally| {
+            let mut counts = tally.get();
+            counts[kind] += u64::from(repeated);
+            tally.set(counts);
+        });
+    }
+
+    /// Generated cases that repeated a fire row under an oAct layout with
+    /// `P` in-line (`MQP_P2M2`), an iAct row under an iAct layout with `H`
+    /// in-line (`CHW_W2H2C2`), and an iAct row in the padding halo.
+    static ROW_REPEAT_CASES: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1839,7 +2101,18 @@ mod tests {
                 prop_assert!(record(&config, &layer, &mapping, true).is_err());
                 return Err(TestCaseError::reject("unroutable pattern"));
             };
+            let before = REPEATED_BLOCKS.with(Cell::get);
             prop_assert_eq!(record(&config, &layer, &mapping, true).unwrap(), oracle);
+            let after = REPEATED_BLOCKS.with(Cell::get);
+            let repeated = |kind: usize| after[kind] > before[kind];
+            let situations = [
+                oact == "MQP_P2M2" && repeated(2),
+                iact == "CHW_W2H2C2" && (repeated(0) || repeated(1)),
+                repeated(1),
+            ];
+            for (cases, seen) in ROW_REPEAT_CASES.iter().zip(situations) {
+                cases.fetch_add(u64::from(seen), Ordering::Relaxed);
+            }
 
             // What the public entry point, which compiles and replays,
             // returns for real operands: the oracle's outputs — the
@@ -1867,5 +2140,14 @@ mod tests {
             RAGGED_REPEAT_CASES.load(Ordering::Relaxed) > 0,
             "no generated case repeated a channel tile beside a ragged one"
         );
+        let situations = [
+            "an in-line-P fire row",
+            "an in-line-H iAct row",
+            "a halo row",
+        ];
+        for (cases, what) in ROW_REPEAT_CASES.iter().zip(situations) {
+            let cases = cases.load(Ordering::Relaxed);
+            assert!(cases > 0, "no generated case repeated {what}");
+        }
     }
 }

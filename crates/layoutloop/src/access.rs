@@ -177,20 +177,25 @@ impl SampledReads {
     }
 
     /// Joins the sampled reads with a layout's [`iact_plan`]: per sampled
-    /// cycle, the lines the lanes touch and what `conflicts` makes of them.
-    /// `lines` is scratch, reused across calls.
+    /// cycle, the distinct lines the lanes touch and what `conflicts` makes
+    /// of them. A cycle's lines are counted once each through `scratch`'s
+    /// seen table, with no sort: the table stamps a line with the cycle
+    /// that last touched it, so a new cycle starts by bumping the stamp, not
+    /// by clearing. `scratch` is reused across calls and layouts.
     pub fn analyze(
         &self,
         plan: &LocationPlan4,
         conflicts: &ConflictModel,
-        lines: &mut Vec<usize>,
+        scratch: &mut DistinctLines,
     ) -> AccessAnalysis {
         let mut total_slowdown = 0.0;
         let mut total_lines = 0.0;
         for cycle in self.coords.chunks(self.lanes) {
-            lines.clear();
-            lines.extend(cycle.iter().map(|&coord| plan.location(coord).line));
-            let assessment = conflicts.assess_reads_in_place(lines);
+            scratch.next_cycle();
+            for &coord in cycle {
+                scratch.insert(plan.location(coord).line);
+            }
+            let assessment = conflicts.assess_distinct_reads(&mut scratch.lines);
             total_slowdown += assessment.slowdown;
             total_lines += assessment.lines_touched as f64;
         }
@@ -200,6 +205,43 @@ impl SampledReads {
             avg_lines_per_cycle: total_lines / sampled_cycles as f64,
             concurrent_reads: self.lanes,
             sampled_cycles,
+        }
+    }
+}
+
+/// The scratch of [`SampledReads::analyze`]: one cycle's distinct lines,
+/// found through an epoch-stamped seen table that grows to the highest line
+/// any layout reaches.
+#[derive(Debug, Clone, Default)]
+pub struct DistinctLines {
+    /// `stamp[line] == epoch` iff the current cycle touched `line`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The current cycle's distinct lines, in first-touched order.
+    lines: Vec<usize>,
+}
+
+impl DistinctLines {
+    /// Starts a cycle with no line touched.
+    fn next_cycle(&mut self) {
+        self.lines.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Every stamp is from an older cycle; restart them below epoch 1.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `line` touched in the current cycle.
+    #[inline]
+    fn insert(&mut self, line: usize) {
+        if line >= self.stamp.len() {
+            self.stamp.resize(line + 1, 0);
+        }
+        if self.stamp[line] != self.epoch {
+            self.stamp[line] = self.epoch;
+            self.lines.push(line);
         }
     }
 }
@@ -225,7 +267,7 @@ pub fn analyze_iact_reads(
     SampledReads::new(workload, &signature).analyze(
         &iact_plan(workload, layout),
         conflicts,
-        &mut Vec::new(),
+        &mut DistinctLines::default(),
     )
 }
 
@@ -401,13 +443,23 @@ mod tests {
     fn assert_matches_oracle(
         w: &Workload,
         (shape_pick, mapper_pick, samples_pick): (usize, usize, usize),
+        (banking_pick, ports): (usize, usize),
         seed: u64,
     ) -> Result<(), TestCaseError> {
         let (rows, cols) = [(4, 4), (4, 8), (16, 16)][shape_pick];
         let arch = ArchSpec::feather_like(rows, cols);
         let mapper = [MapperConfig::fast(), MapperConfig::default()][mapper_pick];
         let max_samples = [1, 4, 16][samples_pick];
-        let models = [arch.conflict_model(), conflict_model()];
+        // Every path of the distinct-line assessment: one bank, several
+        // blocked or interleaved banks, horizontal banking.
+        let (banks, banking) = [
+            (1, Banking::VerticalBlocked),
+            (4, Banking::VerticalBlocked),
+            (4, Banking::VerticalInterleaved),
+            (4, Banking::Horizontal),
+        ][banking_pick];
+        let drawn = BufferSpec::new(4096, 8, banks, banking).with_ports(ports, ports);
+        let models = [arch.conflict_model(), ConflictModel::new(drawn)];
         let mut layouts = Layout::conv_candidates();
         layouts.extend(Layout::gemm_candidates());
         for df in search_dataflows(&arch, w, &mapper) {
@@ -441,6 +493,8 @@ mod tests {
             shape_pick in 0usize..3,
             mapper_pick in 0usize..2,
             samples_pick in 0usize..3,
+            banking_pick in 0usize..4,
+            ports in 1usize..=3,
             seed in 0u64..1000,
         ) {
             let k = [1, 3, 5, 7][kernel_pick];
@@ -449,7 +503,8 @@ mod tests {
                 .with_stride(stride)
                 .with_padding(padding)
                 .into();
-            assert_matches_oracle(&layer, (shape_pick, mapper_pick, samples_pick), seed)?;
+            let picks = (shape_pick, mapper_pick, samples_pick);
+            assert_matches_oracle(&layer, picks, (banking_pick, ports), seed)?;
         }
 
         #[test]
@@ -460,10 +515,13 @@ mod tests {
             shape_pick in 0usize..3,
             mapper_pick in 0usize..2,
             samples_pick in 0usize..3,
+            banking_pick in 0usize..4,
+            ports in 1usize..=3,
             seed in 0u64..1000,
         ) {
             let gemm: Workload = GemmLayer::new(m, k, n).into();
-            assert_matches_oracle(&gemm, (shape_pick, mapper_pick, samples_pick), seed)?;
+            let picks = (shape_pick, mapper_pick, samples_pick);
+            assert_matches_oracle(&gemm, picks, (banking_pick, ports), seed)?;
         }
     }
 
@@ -526,6 +584,21 @@ mod tests {
             a.concurrent_reads,
             df.concurrent_accesses(feather_arch::dims::Operand::IActs)
         );
+    }
+
+    #[test]
+    fn seen_table_restarts_when_its_epoch_wraps() {
+        let mut seen = DistinctLines {
+            epoch: u32::MAX - 1,
+            ..DistinctLines::default()
+        };
+        for (cycle, lines) in [[3, 5, 3], [5, 5, 9], [9, 3, 9]].into_iter().enumerate() {
+            seen.next_cycle();
+            lines.into_iter().for_each(|line| seen.insert(line));
+            let expected: &[usize] = [&[3, 5][..], &[5, 9], &[9, 3]][cycle];
+            assert_eq!(seen.lines, expected, "cycle {cycle}, epoch {}", seen.epoch);
+        }
+        assert_eq!(seen.epoch, 2);
     }
 
     #[test]

@@ -20,27 +20,41 @@ use crate::arch::ArchSpec;
 use crate::cosearch::CoSearchTable;
 use crate::mapper::MapperConfig;
 
-/// A name-agnostic signature of a co-search table problem.
-pub(crate) fn table_key(
-    arch: &ArchSpec,
-    workload: &Workload,
-    mapper: &MapperConfig,
-    seed: u64,
-) -> String {
-    let shape = match workload {
-        Workload::Conv(c) => format!(
-            "conv:n{}m{}c{}h{}w{}r{}s{}st{}p{}k{:?}",
-            c.n, c.m, c.c, c.h, c.w, c.r, c.s, c.stride, c.padding, c.kind
-        ),
-        Workload::Gemm(g) => format!("gemm:m{}k{}n{}", g.m, g.k, g.n),
-    };
-    // The whole arch spec and mapper config (Debug form) are part of the key,
-    // not just names or selected fields: several ArchSpec constructors reuse
-    // one name across array sizes (e.g. "SIGMA-like-HWC_C32" at 16x16 and
-    // 32x32), and every public field — buffer organization, bandwidth,
-    // policies, energy constants, candidate budgets — feeds the evaluation.
-    // Debug keeps the key in sync when fields are added later.
-    format!("{arch:?}|{shape}|{mapper:?}|seed{seed}")
+/// The name-agnostic signatures of co-search table problems on one
+/// (architecture, mapper settings, seed): the parts of every key that do
+/// not depend on the layer, formatted once.
+pub(crate) struct TableKeys {
+    head: String,
+    tail: String,
+}
+
+impl TableKeys {
+    /// Formats the layer-independent parts of the keys.
+    pub(crate) fn new(arch: &ArchSpec, mapper: &MapperConfig, seed: u64) -> Self {
+        // The whole arch spec and mapper config (Debug form) are part of the
+        // key, not just names or selected fields: several ArchSpec
+        // constructors reuse one name across array sizes (e.g.
+        // "SIGMA-like-HWC_C32" at 16x16 and 32x32), and every public field —
+        // buffer organization, bandwidth, policies, energy constants,
+        // candidate budgets — feeds the evaluation. Debug keeps the key in
+        // sync when fields are added later.
+        TableKeys {
+            head: format!("{arch:?}|"),
+            tail: format!("|{mapper:?}|seed{seed}"),
+        }
+    }
+
+    /// The key of `workload`'s table: `{arch:?}|{shape}|{mapper:?}|seed{seed}`.
+    pub(crate) fn key(&self, workload: &Workload) -> String {
+        let shape = match workload {
+            Workload::Conv(c) => format!(
+                "conv:n{}m{}c{}h{}w{}r{}s{}st{}p{}k{:?}",
+                c.n, c.m, c.c, c.h, c.w, c.r, c.s, c.stride, c.padding, c.kind
+            ),
+            Workload::Gemm(g) => format!("gemm:m{}k{}n{}", g.m, g.k, g.n),
+        };
+        [self.head.as_str(), &shape, &self.tail].concat()
+    }
 }
 
 /// A memo of whole [`CoSearchTable`]s, keyed by (architecture, layer shape,
@@ -86,7 +100,7 @@ impl CoSearchCache {
         self.tables.get(key)
     }
 
-    /// Stores a computed table under its [`table_key`].
+    /// Stores a computed table under its key ([`TableKeys::key`]).
     pub(crate) fn insert_table(&mut self, key: String, table: CoSearchTable) {
         self.tables.insert(key, table);
     }
@@ -107,7 +121,25 @@ impl CoSearchCache {
 mod tests {
     use super::*;
     use crate::cosearch::co_search_table;
-    use feather_arch::workload::ConvLayer;
+    use feather_arch::workload::{ConvLayer, GemmLayer};
+
+    fn table_key(arch: &ArchSpec, workload: &Workload, mapper: &MapperConfig, seed: u64) -> String {
+        TableKeys::new(arch, mapper, seed).key(workload)
+    }
+
+    #[test]
+    fn a_key_is_the_whole_problem_in_debug_form() {
+        let (arch, mapper) = (ArchSpec::feather_like(16, 16), MapperConfig::fast());
+        let gemm: Workload = GemmLayer::new(3, 4, 5).into();
+        let expected = format!("{arch:?}|gemm:m3k4n5|{mapper:?}|seed9");
+        assert_eq!(table_key(&arch, &gemm, &mapper, 9), expected);
+        let conv = layer("any");
+        let expected = format!(
+            "{arch:?}|conv:n1m32c16h14w14r3s3st1p1k{:?}|{mapper:?}|seed0",
+            conv.as_conv_layer().unwrap().kind
+        );
+        assert_eq!(table_key(&arch, &conv, &mapper, 0), expected);
+    }
 
     fn layer(name: &str) -> Workload {
         ConvLayer::new(1, 32, 16, 14, 14, 3, 3)

@@ -27,9 +27,9 @@ use feather_arch::workload::Workload;
 use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
-use crate::access::{iact_plan, AccessAnalysis, ReadSignature, SampledReads};
+use crate::access::{iact_plan, AccessAnalysis, DistinctLines, ReadSignature, SampledReads};
 use crate::arch::ArchSpec;
-use crate::cache::{table_key, CoSearchCache};
+use crate::cache::{CoSearchCache, TableKeys};
 use crate::evaluate::{check_dataflow, price, Evaluation, ACCESS_SAMPLES};
 use crate::mapper::{search_dataflows, MapperConfig};
 
@@ -184,7 +184,7 @@ pub fn co_search_table(
     let mut best: Vec<[Option<(&Dataflow, Evaluation)>; 2]> = vec![[None, None]; layouts.len()];
     // Per read signature, its analysis under every layout.
     let mut analyses: BTreeMap<ReadSignature, Vec<AccessAnalysis>> = BTreeMap::new();
-    let mut lines = Vec::new();
+    let mut lines = DistinctLines::default();
     for df in &dataflows {
         if check_dataflow(arch, workload, df).is_err() {
             continue;
@@ -320,8 +320,9 @@ pub(crate) fn ensure_tables<'a>(
     let mut pending = BTreeSet::new();
     // (index into `keys`, workload) of each distinct missing table.
     let mut missing: Vec<(usize, &Workload)> = Vec::new();
+    let table_keys = TableKeys::new(arch, mapper, seed);
     for workload in workloads {
-        let key = table_key(arch, workload, mapper, seed);
+        let key = table_keys.key(workload);
         if cache.peek_table(&key).is_some() || pending.contains(&key) {
             cache.record_hit();
         } else {

@@ -78,14 +78,14 @@ impl AccessLedger {
             // so the slowdown is exactly 1.0 and the full assessment — which
             // groups lines by bank — can be skipped. This is the common case
             // in the record pass.
-            // Otherwise the lines are assessed where they are retained; both
-            // lists are cleared below anyway.
+            // Otherwise the lines, distinct as recorded, are assessed where
+            // they are retained; both lists are cleared below anyway.
             if self.cycle_read_lines.len() > self.spec.read_ports.max(1)
                 || self.cycle_write_lines.len() > self.spec.write_ports.max(1)
             {
                 let model = ConflictModel::new(self.spec);
-                let read = model.assess_reads_in_place(&mut self.cycle_read_lines);
-                let write = model.assess_writes_in_place(&mut self.cycle_write_lines);
+                let read = model.assess_distinct_reads(&mut self.cycle_read_lines);
+                let write = model.assess_distinct_writes(&mut self.cycle_write_lines);
                 let slowdown = read.slowdown.max(write.slowdown);
                 // A slowdown of e.g. 2.0 means the accesses of this cycle
                 // actually take 2 cycles: one nominal + one stall.
@@ -102,6 +102,23 @@ impl AccessLedger {
         assert!(
             line < self.spec.num_lines && offset < self.spec.line_size,
             "{op} out of bounds: line {line}, offset {offset} (buffer is {}x{})",
+            self.spec.num_lines,
+            self.spec.line_size
+        );
+    }
+
+    /// Panics as [`AccessLedger::read`] or [`AccessLedger::write`] (`op`
+    /// names which) would if `line` is past the buffer, and records nothing:
+    /// for a caller that accounts a block of accesses without recording them
+    /// because it repeats a recorded block on shifted lines, so that only the
+    /// block's last line can leave the buffer.
+    ///
+    /// # Panics
+    /// Panics if the line is out of bounds.
+    pub fn check_line(&self, op: &str, line: usize) {
+        assert!(
+            line < self.spec.num_lines,
+            "{op} out of bounds: line {line} (buffer is {}x{})",
             self.spec.num_lines,
             self.spec.line_size
         );
@@ -161,6 +178,14 @@ mod tests {
     #[should_panic(expected = "read out of bounds")]
     fn out_of_bounds_offset_read_panics() {
         AccessLedger::new(spec()).read(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "write out of bounds: line 16")]
+    fn a_line_past_the_buffer_fails_its_check() {
+        let b = AccessLedger::new(spec());
+        b.check_line("write", 15);
+        b.check_line("write", 16);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! > `max(NL/NP, 1)` slowdown is introduced if NL lines are accessed from a
 //! > bank with NP ports."
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 
 use crate::{Banking, BufferSpec};
@@ -28,6 +30,16 @@ impl ConflictAssessment {
 }
 
 /// Bank-conflict model bound to a [`BufferSpec`].
+///
+/// One assessment serves every caller: it starts from the cycle's *distinct*
+/// lines. With one bank, or with horizontal banking (every line spans all
+/// banks), the fullest bank follows from how many lines there are, so no
+/// line is looked at twice; only several vertical banks group the lines by
+/// bank. Callers that already hold a cycle's distinct lines — the
+/// [`crate::AccessLedger`] and Layoutloop's sampled reads — pass them to
+/// [`ConflictModel::assess_distinct_reads`] / `_writes`; the iterator forms
+/// ([`ConflictModel::assess_reads`], [`ConflictModel::assess_writes`])
+/// collect their lines into a set first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConflictModel {
     spec: BufferSpec,
@@ -44,14 +56,16 @@ impl ConflictModel {
         &self.spec
     }
 
-    /// Assesses a set of lines read in the same cycle.
+    /// Assesses a set of lines read in the same cycle; a line listed twice
+    /// counts once.
     pub fn assess_reads(&self, lines: impl IntoIterator<Item = usize>) -> ConflictAssessment {
-        self.assess(lines, self.spec.read_ports)
+        self.assess_distinct(&mut distinct(lines), self.spec.read_ports)
     }
 
-    /// Assesses a set of lines written in the same cycle.
+    /// Assesses a set of lines written in the same cycle; a line listed twice
+    /// counts once.
     pub fn assess_writes(&self, lines: impl IntoIterator<Item = usize>) -> ConflictAssessment {
-        self.assess(lines, self.spec.write_ports)
+        self.assess_distinct(&mut distinct(lines), self.spec.write_ports)
     }
 
     /// Read slowdown factor (`1.0` = conflict-free).
@@ -59,34 +73,34 @@ impl ConflictModel {
         self.assess_reads(lines).slowdown
     }
 
-    /// [`ConflictModel::assess_reads`] on a caller-owned buffer: `lines` is
-    /// sorted, deduplicated and then overwritten in place, so a hot loop can
-    /// refill and re-assess one `Vec` without allocating.
-    pub fn assess_reads_in_place(&self, lines: &mut Vec<usize>) -> ConflictAssessment {
-        self.assess_in_place(lines, self.spec.read_ports)
+    /// [`ConflictModel::assess_reads`] of lines that are already distinct,
+    /// on a caller-owned buffer that a banked spec overwrites with the
+    /// lines' banks — so a hot loop can refill and re-assess one `Vec`
+    /// without allocating.
+    pub fn assess_distinct_reads(&self, lines: &mut [usize]) -> ConflictAssessment {
+        self.assess_distinct(lines, self.spec.read_ports)
     }
 
-    /// [`ConflictModel::assess_writes`] on a caller-owned buffer, which it
-    /// overwrites like [`ConflictModel::assess_reads_in_place`].
-    pub fn assess_writes_in_place(&self, lines: &mut Vec<usize>) -> ConflictAssessment {
-        self.assess_in_place(lines, self.spec.write_ports)
+    /// [`ConflictModel::assess_writes`] of lines that are already distinct,
+    /// on a buffer it may overwrite like
+    /// [`ConflictModel::assess_distinct_reads`].
+    pub fn assess_distinct_writes(&self, lines: &mut [usize]) -> ConflictAssessment {
+        self.assess_distinct(lines, self.spec.write_ports)
     }
 
-    fn assess(&self, lines: impl IntoIterator<Item = usize>, ports: usize) -> ConflictAssessment {
-        self.assess_in_place(&mut lines.into_iter().collect(), ports)
-    }
-
-    /// Sort + dedup leaves the distinct lines; mapping those to their banks
-    /// and sorting again turns the fullest bank into the longest run.
-    fn assess_in_place(&self, lines: &mut Vec<usize>, ports: usize) -> ConflictAssessment {
-        lines.sort_unstable();
-        lines.dedup();
+    /// The fullest bank of distinct `lines`: their count when one bank holds
+    /// them all, at most one line when every bank spans every line, and
+    /// otherwise the longest run once the lines are mapped to their banks
+    /// and sorted.
+    fn assess_distinct(&self, lines: &mut [usize], ports: usize) -> ConflictAssessment {
         let lines_touched = lines.len();
         let max_lines_per_bank = if self.spec.banking == Banking::Horizontal {
             // Horizontal banking: every line read engages all banks once, so
             // the effective "bank" is the line itself (each extra line costs a
             // full extra access of every bank).
             lines_touched.min(1)
+        } else if self.spec.num_banks == 1 {
+            lines_touched
         } else {
             for line in lines.iter_mut() {
                 *line = self.spec.bank_of_line(*line).unwrap_or(*line);
@@ -114,6 +128,12 @@ impl ConflictModel {
             slowdown,
         }
     }
+}
+
+/// The distinct values of `lines`, ascending.
+fn distinct(lines: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let set: BTreeSet<usize> = lines.into_iter().collect();
+    set.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -197,9 +217,8 @@ mod tests {
         assert_eq!(m.read_slowdown([0usize, 4, 8, 12]), 2.0);
     }
 
-    /// The set/map formulation `assess` had before it became sort + dedup +
-    /// run-length: distinct lines in a `BTreeSet`, lines per bank in a
-    /// `BTreeMap`.
+    /// The set/map formulation of the assessment: distinct lines in a
+    /// `BTreeSet`, lines per bank in a `BTreeMap`.
     fn reference_assess(spec: &BufferSpec, lines: &[usize], ports: usize) -> ConflictAssessment {
         let distinct: BTreeSet<usize> = lines.iter().copied().collect();
         let mut per_bank: BTreeMap<usize, usize> = BTreeMap::new();
@@ -228,6 +247,7 @@ mod tests {
             // A narrow value range forces duplicates; length 0 is the empty cycle.
             lines in collection::vec(0usize..96, 0..48),
             banking_pick in 0usize..3,
+            banks_pick in 0usize..2,
             read_pick in 0usize..3,
             write_pick in 0usize..3,
         ) {
@@ -237,14 +257,22 @@ mod tests {
                 Banking::Horizontal,
             ][banking_pick];
             let (read_ports, write_ports) = ([1, 2, 4][read_pick], [1, 2, 4][write_pick]);
-            let spec = BufferSpec::new(64, 8, 4, banking).with_ports(read_ports, write_ports);
+            let spec = BufferSpec::new(64, 8, [1, 4][banks_pick], banking)
+                .with_ports(read_ports, write_ports);
             let m = ConflictModel::new(spec);
+            // The distinct lines in first-seen order, as the ledger keeps them.
+            let mut first_seen = Vec::new();
+            for &line in &lines {
+                if !first_seen.contains(&line) {
+                    first_seen.push(line);
+                }
+            }
             let reads = reference_assess(&spec, &lines, read_ports);
             prop_assert_eq!(m.assess_reads(lines.iter().copied()), reads);
-            prop_assert_eq!(m.assess_reads_in_place(&mut lines.clone()), reads);
+            prop_assert_eq!(m.assess_distinct_reads(&mut first_seen.clone()), reads);
             let writes = reference_assess(&spec, &lines, write_ports);
             prop_assert_eq!(m.assess_writes(lines.iter().copied()), writes);
-            prop_assert_eq!(m.assess_writes_in_place(&mut lines.clone()), writes);
+            prop_assert_eq!(m.assess_distinct_writes(&mut first_seen.clone()), writes);
         }
     }
 }

@@ -256,16 +256,23 @@ impl QueueState {
     /// Registers `model` under `name`, its breaker closed. A name registers
     /// once, so a queued request always replays the program it was admitted
     /// against: an existing name is refused with [`ServeError::BadInput`].
+    /// Refuses `name` ([`ServeError::BadInput`]) if a model is registered
+    /// under it.
+    fn name_free(&self, name: &str) -> Result<(), ServeError> {
+        if self.models.contains_key(name) {
+            let taken = format!("model `{name}` is already registered");
+            return Err(ServeError::BadInput(taken));
+        }
+        Ok(())
+    }
+
     fn register(
         &mut self,
         cfg: &ServeConfig,
         name: &str,
         model: Arc<Model>,
     ) -> Result<(), ServeError> {
-        if self.models.contains_key(name) {
-            let taken = format!("model `{name}` is already registered");
-            return Err(ServeError::BadInput(taken));
-        }
+        self.name_free(name)?;
         let entry = Registered {
             model,
             breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
@@ -737,6 +744,9 @@ impl Server {
         weights: BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<(), ServeError> {
         let name = name.into();
+        // A taken name is refused before the compile; `register` checks it
+        // again for a registration of the same name that raced this one.
+        lock_recover(&self.inner.queue).name_free(&name)?;
         let input_shape = graph.tensor_shape(graph.input());
         if input_shape[0] != 1 {
             return Err(ServeError::BadInput(format!(
@@ -1297,6 +1307,24 @@ mod tests {
         let stats = server.stats();
         assert_eq!((stats.completed, stats.retries, stats.failed), (1, 0, 0));
         assert_eq!(server.breaker_open("m"), Some(false));
+    }
+
+    #[test]
+    fn a_taken_name_is_refused_before_the_compile() {
+        // A 128-wide fabric validates but does not route, so only a refusal
+        // that comes before the compile can name the taken name.
+        let g = tiny_graph("m");
+        let server = Server::unstarted(ServeConfig::default(), None);
+        server
+            .register_model("m", config(), &g, g.random_weights(12))
+            .unwrap();
+        let again = server.register_model("m", FeatherConfig::new(4, 128), &g, BTreeMap::new());
+        let Err(ServeError::BadInput(why)) = again else {
+            panic!("{again:?}");
+        };
+        assert!(why.contains("already registered"), "{why}");
+        let fresh = server.register_model("n", FeatherConfig::new(4, 128), &g, BTreeMap::new());
+        assert!(matches!(fresh, Err(ServeError::Exec(_))), "{fresh:?}");
     }
 
     #[test]
