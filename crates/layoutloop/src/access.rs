@@ -12,14 +12,16 @@
 //!
 //! * **dataflow only** — a [`ReadSignature`] (the spatial factors and the
 //!   sampled temporal base points, drawn from the seed, on the dims that index
-//!   iActs) and its expansion [`SampledReads`] (the `[n, c, h, w]` element
-//!   every lane requests in each sampled cycle); dataflows that differ only
-//!   where the buffer cannot see it (how they place `M`) share a signature;
+//!   iActs) and its expansion [`SampledReads`] (the values each of `n`, `c`,
+//!   `h` and `w` takes across the lanes in each sampled cycle); dataflows that
+//!   differ only where the buffer cannot see it (how they place `M`) share a
+//!   signature;
 //! * **layout only** — [`iact_plan`]: the `coordinate → line` tables of
 //!   [`Layout::plan4`], built per (workload, layout).
 //!
-//! [`SampledReads::analyze`] joins the two. Nothing here depends on the layout
-//! the previous layer left behind.
+//! [`SampledReads::analyze`] joins the two, counting each cycle's lines per
+//! dimension rather than per lane. Nothing here depends on the layout the
+//! previous layer left behind.
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Dim;
@@ -61,24 +63,6 @@ fn indexes_iacts(dim: Dim) -> bool {
     matches!(dim, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S)
 }
 
-/// Enumerates all spatial-lane offset combinations of `spatial` factors.
-fn iact_lanes(spatial: &PerDim) -> Vec<PerDim> {
-    let mut lanes = vec![[0; Dim::ALL.len()]];
-    for (dim, factor) in Dim::ALL.into_iter().zip(*spatial) {
-        lanes = lanes
-            .iter()
-            .flat_map(|lane| {
-                (0..factor).map(move |off| {
-                    let mut l = *lane;
-                    l[dim as usize] = off;
-                    l
-                })
-            })
-            .collect();
-    }
-    lanes
-}
-
 /// What the buffer sees of a dataflow's sampled cycles: its spatial factors
 /// on the dims that index iActs, and every sampled cycle's base point on
 /// them. Two dataflows with equal signatures request the same elements in
@@ -96,9 +80,9 @@ impl ReadSignature {
     /// `dataflow`, deterministically from `seed`.
     pub fn new(dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
         let mut spatial = [1; Dim::ALL.len()];
-        for (dim, factor) in dataflow.spatial_factors() {
-            if indexes_iacts(dim) {
-                spatial[dim as usize] = factor;
+        for p in dataflow.row_parallel.iter().chain(&dataflow.col_parallel) {
+            if indexes_iacts(p.dim) {
+                spatial[p.dim as usize] *= p.factor;
             }
         }
         let innermost = dataflow.temporal.innermost();
@@ -136,70 +120,124 @@ impl ReadSignature {
     }
 }
 
-/// The layout-independent half of the analysis: the `[n, c, h, w]` iAct
-/// element every lane requests in every sampled cycle.
+/// The layout-independent half of the analysis: per sampled cycle, the
+/// values each iAct dim `[n, c, h, w]` takes across the lanes. A lane's `n`
+/// depends only on its `N` offset, `c` on `C`, `h` on `P` and `R`, and `w`
+/// on `Q` and `S`, so a cycle reads the Cartesian product of its four value
+/// sets.
 #[derive(Debug, Clone)]
 pub struct SampledReads {
-    /// `lanes` coordinates per sampled cycle, cycle-major.
-    coords: Vec<[usize; 4]>,
+    /// Every cycle's four value sets, cycle by cycle in `[n, c, h, w]`
+    /// order, each as ascending runs `lo..=hi` of consecutive values with a
+    /// gap between any two runs.
+    runs: Vec<(usize, usize)>,
+    /// `ends[4 * cycle + d]` is where set `d` of `cycle` ends in `runs`; it
+    /// starts where the set before it ends.
+    ends: Vec<usize>,
+    /// Lanes per cycle: the product of the spatial factors.
     lanes: usize,
 }
 
 impl SampledReads {
-    /// Expands `signature` into the coordinates it reads on `workload`.
+    /// Expands `signature` into the values it reads on `workload`.
     pub fn new(workload: &Workload, signature: &ReadSignature) -> Self {
         let (stride, padding) = match workload.as_conv_layer() {
             Some(c) => (c.stride, c.padding),
             None => (1, 0),
         };
-        let last = |dim: Dim| workload.dim(dim).saturating_sub(1);
-        let (n_last, c_last, h_last, w_last) =
-            (last(Dim::N), last(Dim::C), last(Dim::H), last(Dim::W));
-        let lanes = iact_lanes(&signature.spatial);
-        let mut coords = Vec::with_capacity(signature.bases.len() * lanes.len());
+        let spatial = |dim: Dim| signature.spatial[dim as usize];
+        // Per iAct dim, the distinct offsets its lanes add to a cycle's
+        // start, ascending: `h` is `p * stride + r` past the start for lane
+        // offsets `p` of `P` and `r` of `R`, and `w` likewise.
+        let window = |out: Dim, kernel: Dim| {
+            let mut hit = vec![false; spatial(out).saturating_sub(1) * stride + spatial(kernel)];
+            for o in 0..spatial(out) {
+                hit[o * stride..o * stride + spatial(kernel)].fill(true);
+            }
+            (0..hit.len()).filter(|&i| hit[i]).collect::<Vec<_>>()
+        };
+        let offsets = [
+            (0..spatial(Dim::N)).collect(),
+            (0..spatial(Dim::C)).collect(),
+            window(Dim::P, Dim::R),
+            window(Dim::Q, Dim::S),
+        ];
+        let pads = [0, 0, padding, padding];
+        let last = Dim::IACT_DIMS.map(|dim| workload.dim(dim).saturating_sub(1));
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut ends = Vec::with_capacity(4 * signature.bases.len());
         for base in &signature.bases {
-            coords.extend(lanes.iter().map(|lane| {
-                let at = |dim: Dim| base[dim as usize] + lane[dim as usize];
-                let h = (at(Dim::P) * stride + at(Dim::R)).saturating_sub(padding);
-                let w = (at(Dim::Q) * stride + at(Dim::S)).saturating_sub(padding);
-                [
-                    at(Dim::N).min(n_last),
-                    at(Dim::C).min(c_last),
-                    h.min(h_last),
-                    w.min(w_last),
-                ]
-            }));
+            let at = |dim: Dim| base[dim as usize];
+            let starts = [
+                at(Dim::N),
+                at(Dim::C),
+                at(Dim::P) * stride + at(Dim::R),
+                at(Dim::Q) * stride + at(Dim::S),
+            ];
+            for d in 0..4 {
+                // Clamping keeps the values ascending: each one repeats or
+                // extends the set's last run, or starts a new one.
+                let first = runs.len();
+                for &offset in &offsets[d] {
+                    let value = (starts[d] + offset).saturating_sub(pads[d]).min(last[d]);
+                    match runs[first..].last_mut() {
+                        Some((_, hi)) if value <= *hi + 1 => *hi = value,
+                        _ => runs.push((value, value)),
+                    }
+                }
+                ends.push(runs.len());
+            }
         }
         SampledReads {
-            coords,
-            lanes: lanes.len(),
+            runs,
+            ends,
+            lanes: Dim::ALL.iter().map(|&dim| spatial(dim)).product(),
         }
     }
 
     /// Joins the sampled reads with a layout's [`iact_plan`]: per sampled
-    /// cycle, the distinct lines the lanes touch and what `conflicts` makes
-    /// of them. A cycle's lines are counted once each through `scratch`'s
-    /// seen table, with no sort: the table stamps a line with the cycle
-    /// that last touched it, so a new cycle starts by bumping the stamp, not
-    /// by clearing. `scratch` is reused across calls and layouts.
-    pub fn analyze(
-        &self,
-        plan: &LocationPlan4,
-        conflicts: &ConflictModel,
-        scratch: &mut DistinctLines,
-    ) -> AccessAnalysis {
+    /// cycle, how many distinct lines the lanes touch and what `conflicts`
+    /// makes of them.
+    ///
+    /// Lines are counted per dim, not per lane. This rests on
+    /// [`Layout::plan4`]'s line being mixed-radix: the sum of one digit per
+    /// dim times a fixed weight, each digit below its radix. Two coordinates
+    /// then share a line exactly when they share every dim's digit, so a
+    /// cycle's distinct lines number the product of its dims' distinct
+    /// digits, and a run of consecutive values has as many as its last
+    /// value's digit minus its first's, plus one. The lines themselves are
+    /// only built when `conflicts` groups them by bank
+    /// ([`ConflictModel::assess_read_count`] is `None`).
+    pub fn analyze(&self, plan: &IactPlan, conflicts: &ConflictModel) -> AccessAnalysis {
         let mut total_slowdown = 0.0;
         let mut total_lines = 0.0;
-        for cycle in self.coords.chunks(self.lanes) {
-            scratch.next_cycle();
-            for &coord in cycle {
-                scratch.insert(plan.location(coord).line);
-            }
-            let assessment = conflicts.assess_distinct_reads(&mut scratch.lines);
+        let mut start = 0;
+        for ends in self.ends.chunks_exact(4) {
+            let sets: [&[(usize, usize)]; 4] = std::array::from_fn(|d| {
+                let set = &self.runs[start..ends[d]];
+                start = ends[d];
+                set
+            });
+            let count: usize = sets
+                .iter()
+                .enumerate()
+                .map(|(d, set)| plan.distinct_digits(d, set))
+                .product();
+            let assessment = conflicts.assess_read_count(count).unwrap_or_else(|| {
+                let mut lines = vec![0];
+                for (d, set) in sets.iter().enumerate() {
+                    let summands: Vec<usize> = plan.line_summands(d, set).collect();
+                    lines = lines
+                        .iter()
+                        .flat_map(|&line| summands.iter().map(move |&summand| line + summand))
+                        .collect();
+                }
+                conflicts.assess_distinct_reads(&mut lines)
+            });
             total_slowdown += assessment.slowdown;
             total_lines += assessment.lines_touched as f64;
         }
-        let sampled_cycles = self.coords.len() / self.lanes;
+        let sampled_cycles = self.ends.len() / 4;
         AccessAnalysis {
             read_slowdown: total_slowdown / sampled_cycles as f64,
             avg_lines_per_cycle: total_lines / sampled_cycles as f64,
@@ -209,47 +247,68 @@ impl SampledReads {
     }
 }
 
-/// The scratch of [`SampledReads::analyze`]: one cycle's distinct lines,
-/// found through an epoch-stamped seen table that grows to the highest line
-/// any layout reaches.
-#[derive(Debug, Clone, Default)]
-pub struct DistinctLines {
-    /// `stamp[line] == epoch` iff the current cycle touched `line`.
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// The current cycle's distinct lines, in first-touched order.
-    lines: Vec<usize>,
+/// The layout-dependent half of the analysis ([`iact_plan`]): a layout
+/// precompiled over a workload's `[n, c, h, w]` iAct extents.
+#[derive(Debug, Clone)]
+pub struct IactPlan {
+    /// The `coordinate → (line, offset)` tables of [`Layout::plan4`].
+    plan: LocationPlan4,
+    /// Per dim, each value's line digit: how many distinct line summands
+    /// the dim's smaller values add. A summand never decreases as its value
+    /// grows, so consecutive values' digits step by 0 or 1.
+    digits: [Vec<usize>; 4],
 }
 
-impl DistinctLines {
-    /// Starts a cycle with no line touched.
-    fn next_cycle(&mut self) {
-        self.lines.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Every stamp is from an older cycle; restart them below epoch 1.
-            self.stamp.fill(0);
-            self.epoch = 1;
+impl IactPlan {
+    /// How many distinct line digits the values of `runs` have in dim `d`.
+    fn distinct_digits(&self, d: usize, runs: &[(usize, usize)]) -> usize {
+        let digits = &self.digits[d];
+        let mut count = 0;
+        let mut prev = None;
+        for &(lo, hi) in runs {
+            count += digits[hi] - digits[lo] + 1;
+            // The run's first digit is the previous run's last one.
+            if prev == Some(digits[lo]) {
+                count -= 1;
+            }
+            prev = Some(digits[hi]);
         }
+        count
     }
 
-    /// Marks `line` touched in the current cycle.
-    #[inline]
-    fn insert(&mut self, line: usize) {
-        if line >= self.stamp.len() {
-            self.stamp.resize(line + 1, 0);
-        }
-        if self.stamp[line] != self.epoch {
-            self.stamp[line] = self.epoch;
-            self.lines.push(line);
-        }
+    /// The distinct line summands the values of `runs` add in dim `d`,
+    /// ascending.
+    fn line_summands<'a>(
+        &'a self,
+        d: usize,
+        runs: &'a [(usize, usize)],
+    ) -> impl Iterator<Item = usize> + 'a {
+        let mut prev = None;
+        runs.iter()
+            .flat_map(|&(lo, hi)| lo..=hi)
+            .map(move |value| self.plan.summand(d, value).line)
+            .filter(move |&line| prev.replace(line) != Some(line))
     }
 }
 
 /// The layout-dependent half of the analysis: `layout` precompiled over the
 /// `[n, c, h, w]` extents of `workload`'s iAct tensor.
-pub fn iact_plan(workload: &Workload, layout: &Layout) -> LocationPlan4 {
-    layout.plan4(Dim::IACT_DIMS.map(|dim| (dim, workload.dim(dim))))
+pub fn iact_plan(workload: &Workload, layout: &Layout) -> IactPlan {
+    let extents = Dim::IACT_DIMS.map(|dim| workload.dim(dim));
+    let plan = layout.plan4(std::array::from_fn(|d| (Dim::IACT_DIMS[d], extents[d])));
+    let digits = std::array::from_fn(|d| {
+        let line = |value: usize| plan.summand(d, value).line;
+        let mut digit = 0;
+        (0..extents[d].max(1))
+            .map(|value| {
+                if value > 0 && line(value) != line(value - 1) {
+                    digit += 1;
+                }
+                digit
+            })
+            .collect()
+    });
+    IactPlan { plan, digits }
 }
 
 /// Analyzes the iAct read pattern of a (workload, dataflow, layout) triple
@@ -264,11 +323,7 @@ pub fn analyze_iact_reads(
     seed: u64,
 ) -> AccessAnalysis {
     let signature = ReadSignature::new(dataflow, max_samples, seed);
-    SampledReads::new(workload, &signature).analyze(
-        &iact_plan(workload, layout),
-        conflicts,
-        &mut DistinctLines::default(),
-    )
+    SampledReads::new(workload, &signature).analyze(&iact_plan(workload, layout), conflicts)
 }
 
 #[cfg(test)]
@@ -525,6 +580,76 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The precondition of [`SampledReads::analyze`]: under every
+        /// candidate layout, the product of per-dim value sets touches as
+        /// many distinct lines as the product of the dims' distinct line
+        /// summands — the line is mixed-radix — and a summand never
+        /// decreases as its value grows.
+        #[test]
+        fn plan_lines_are_mixed_radix(
+            n in 1usize..4,
+            c in 1usize..70,
+            h in 1usize..40,
+            w in 1usize..40,
+            n_set in collection::btree_set(0usize..4, 1..4),
+            c_set in collection::btree_set(0usize..70, 1..12),
+            h_set in collection::btree_set(0usize..40, 1..10),
+            w_set in collection::btree_set(0usize..40, 1..10),
+        ) {
+            use std::collections::BTreeSet;
+            let extents = [n, c, h, w];
+            // A value past its extent clamps to the last, as the reads do.
+            let sets: Vec<Vec<usize>> = [n_set, c_set, h_set, w_set]
+                .iter()
+                .zip(extents)
+                .map(|(set, extent)| {
+                    let clamped: BTreeSet<usize> = set.iter().map(|&v| v.min(extent - 1)).collect();
+                    clamped.into_iter().collect()
+                })
+                .collect();
+            let mut layouts = Layout::conv_candidates();
+            layouts.extend(Layout::gemm_candidates());
+            for layout in &layouts {
+                let plan = layout.plan4(std::array::from_fn(|d| (Dim::IACT_DIMS[d], extents[d])));
+                let mut lines = BTreeSet::new();
+                for &a in &sets[0] {
+                    for &b in &sets[1] {
+                        for &c in &sets[2] {
+                            for &d in &sets[3] {
+                                lines.insert(plan.location([a, b, c, d]).line);
+                            }
+                        }
+                    }
+                }
+                let digits: usize = (0..4)
+                    .map(|d| {
+                        let summands: BTreeSet<usize> =
+                            sets[d].iter().map(|&v| plan.summand(d, v).line).collect();
+                        summands.len()
+                    })
+                    .product();
+                prop_assert_eq!(lines.len(), digits, "{}", layout);
+                for (d, &extent) in extents.iter().enumerate() {
+                    let summands: Vec<usize> =
+                        (0..extent).map(|v| plan.summand(d, v).line).collect();
+                    prop_assert!(summands.windows(2).all(|p| p[0] <= p[1]), "{} dim {}", layout, d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn feather_counts_lines_without_building_them() {
+        // One bank: FEATHER's sampled reads take the count-only path of
+        // `SampledReads::analyze`.
+        let model = ArchSpec::feather_like(16, 16).conflict_model();
+        assert_eq!(model.spec().num_banks, 1);
+        assert!(model.assess_read_count(3).is_some());
+    }
+
     fn conflict_model() -> ConflictModel {
         // Single bank with dual ports: any access of more than two lines stalls.
         ConflictModel::new(BufferSpec::new(4096, 8, 1, Banking::VerticalBlocked).with_ports(2, 2))
@@ -584,21 +709,6 @@ mod tests {
             a.concurrent_reads,
             df.concurrent_accesses(feather_arch::dims::Operand::IActs)
         );
-    }
-
-    #[test]
-    fn seen_table_restarts_when_its_epoch_wraps() {
-        let mut seen = DistinctLines {
-            epoch: u32::MAX - 1,
-            ..DistinctLines::default()
-        };
-        for (cycle, lines) in [[3, 5, 3], [5, 5, 9], [9, 3, 9]].into_iter().enumerate() {
-            seen.next_cycle();
-            lines.into_iter().for_each(|line| seen.insert(line));
-            let expected: &[usize] = [&[3, 5][..], &[5, 9], &[9, 3]][cycle];
-            assert_eq!(seen.lines, expected, "cycle {cycle}, epoch {}", seen.epoch);
-        }
-        assert_eq!(seen.epoch, 2);
     }
 
     #[test]

@@ -5,17 +5,23 @@
 //! What each part of a candidate's cost depends on decides how often it is
 //! computed ([`co_search_table`]):
 //!
-//! * the **dataflow only** — validity, and the *read signature*
-//!   ([`ReadSignature`]): once per dataflow;
-//! * the **read signature only** — the sampled per-lane coordinates
-//!   ([`SampledReads`]): once per distinct signature, which dataflows share
-//!   when they differ only where the buffer cannot see it (how they place `M`);
-//! * the **layout only** — the coordinate → line tables ([`iact_plan`]): once
-//!   per layout;
+//! * the **dataflow only** — validity, which the mapper settles
+//!   ([`search_dataflows`] returns only valid candidates), the *read
+//!   signature* ([`ReadSignature`]) and the pricing terms no layout changes
+//!   (ideal cycles, operand bytes, compute / NoC / register energy, spatial
+//!   utilization): once per dataflow;
+//! * the **read signature only** — each sampled cycle's per-dimension value
+//!   sets ([`SampledReads`]): once per distinct signature, which dataflows
+//!   share when they differ only where the buffer cannot see it (how they
+//!   place `M`);
+//! * the **layout only** — the coordinate → line tables and each value's
+//!   line digit ([`iact_plan`]): once per layout;
 //! * the **(signature, layout) pair** — the bank-conflict analysis joining
-//!   the two: once per pair, then priced for every dataflow of the signature;
+//!   the two, which counts each sampled cycle's lines per dimension, not per
+//!   lane: once per pair, then priced for every dataflow of the signature;
 //! * the **predecessor layout only** — nothing but the reorder price: *stay*
-//!   and *switch* are two pricings of that one analysis.
+//!   and *switch* are two pricings of that one analysis, and one under RIR,
+//!   whose reorder changes no term.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,10 +33,10 @@ use feather_arch::workload::Workload;
 use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
-use crate::access::{iact_plan, AccessAnalysis, DistinctLines, ReadSignature, SampledReads};
+use crate::access::{iact_plan, AccessAnalysis, ReadSignature, SampledReads};
 use crate::arch::ArchSpec;
 use crate::cache::{CoSearchCache, TableKeys};
-use crate::evaluate::{check_dataflow, price, Evaluation, ACCESS_SAMPLES};
+use crate::evaluate::{DataflowCost, Evaluation, ACCESS_SAMPLES};
 use crate::mapper::{search_dataflows, MapperConfig};
 
 /// The winning (dataflow, layout) pair for one layer.
@@ -159,10 +165,10 @@ impl CoSearchTable {
 /// Computes the full predecessor-independent [`CoSearchTable`] for one layer
 /// on the calling thread: each `(read signature, layout)` pair is analysed
 /// once, and each `(dataflow, layout)` pair priced in both predecessor
-/// variants. Dataflows are the outer loop so only one signature's sampled
-/// coordinates are alive at a time; every layout still sees its candidates in
-/// dataflow order, which with the strict `<` keeps the first of equal-EDP
-/// candidates.
+/// variants from its dataflow's terms, which are computed once. Dataflows
+/// are the outer loop so only one signature's sampled values are alive at a
+/// time; every layout still sees its candidates in dataflow order, which
+/// with the strict `<` keeps the first of equal-EDP candidates.
 ///
 /// # Errors
 /// Returns an error if the workload or the architecture is malformed. An
@@ -184,22 +190,18 @@ pub fn co_search_table(
     let mut best: Vec<[Option<(&Dataflow, Evaluation)>; 2]> = vec![[None, None]; layouts.len()];
     // Per read signature, its analysis under every layout.
     let mut analyses: BTreeMap<ReadSignature, Vec<AccessAnalysis>> = BTreeMap::new();
-    let mut lines = DistinctLines::default();
     for df in &dataflows {
-        if check_dataflow(arch, workload, df).is_err() {
-            continue;
-        }
         let signature = ReadSignature::new(df, ACCESS_SAMPLES, seed);
         let per_layout = analyses.entry(signature).or_insert_with_key(|signature| {
             let reads = SampledReads::new(workload, signature);
             plans
                 .iter()
-                .map(|plan| reads.analyze(plan, &conflicts, &mut lines))
+                .map(|plan| reads.analyze(plan, &conflicts))
                 .collect()
         });
+        let cost = DataflowCost::new(arch, workload, df);
         for (analysis, slots) in per_layout.iter().zip(&mut best) {
-            for (slot, needs_reorder) in slots.iter_mut().zip([false, true]) {
-                let eval = price(arch, workload, df, analysis, needs_reorder);
+            for (slot, eval) in slots.iter_mut().zip(cost.price(analysis)) {
                 if slot.as_ref().map_or(true, |(_, b)| eval.edp < b.edp) {
                     *slot = Some((df, eval));
                 }
@@ -408,8 +410,8 @@ pub fn summarize(network: &Network, results: &[CoSearchResult]) -> NetworkSummar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::evaluate;
-    use feather_arch::models::Network;
+    use crate::evaluate::{check_dataflow, evaluate};
+    use feather_arch::models::{bert_base, mobilenet_v3, resnet50, Network};
     use feather_arch::workload::{ConvLayer, GemmLayer};
     use feather_memsim::{Banking, BufferSpec};
     use proptest::prelude::*;
@@ -635,6 +637,30 @@ mod tests {
         let offchip = ArchSpec::sigma_like_offchip_reorder(16, 16);
         let table = check_table(&offchip, &wide, &MapperConfig::fast(), 0).unwrap();
         assert!(table.choices.iter().any(|c| c.stay != c.switch));
+    }
+
+    #[test]
+    fn offchip_fig13_tables_are_pinned() {
+        // Full-size layers of Fig. 13's networks on a design whose *switch*
+        // differs from its *stay* (off-chip reordering), with the default
+        // mapper: an FNV-1a hash of every table's Debug form.
+        let arch = ArchSpec::sigma_like_offchip_reorder(16, 16);
+        let layers: Vec<Workload> = [resnet50(), mobilenet_v3(), bert_base()]
+            .into_iter()
+            .flat_map(|net| net.layers.into_iter().step_by(17).take(3))
+            .collect();
+        let tables: Vec<CoSearchTable> = layers
+            .iter()
+            .map(|layer| co_search_table(&arch, layer, &MapperConfig::default(), 0).unwrap())
+            .collect();
+        assert!(tables
+            .iter()
+            .any(|t| t.choices.iter().any(|c| c.stay != c.switch)));
+        let text = format!("{tables:?}");
+        assert_eq!(
+            feather_arch::fingerprint::fnv1a64(text.as_bytes()),
+            0x15e2_987c_1c77_431c
+        );
     }
 
     #[test]

@@ -89,7 +89,8 @@ pub fn evaluate(
         seed,
     );
     let needs_reorder = prev_layout.map(|p| p != layout).unwrap_or(false);
-    let mut evaluation = price(arch, workload, dataflow, &analysis, needs_reorder);
+    let mut evaluation =
+        DataflowCost::new(arch, workload, dataflow).price_for(&analysis, needs_reorder);
     evaluation.label(arch, workload.name(), dataflow, layout);
     Ok(evaluation)
 }
@@ -120,183 +121,226 @@ impl Evaluation {
     }
 }
 
-/// The pricing half of [`evaluate`]: every number of the [`Evaluation`] from
-/// one [`AccessAnalysis`]. The predecessor layout enters only as
-/// `needs_reorder`, so a co-search prices *stay* and *switch* from the same
-/// analysis. The names stay empty (no allocation) until [`Evaluation::label`]:
-/// candidates are compared by `edp` and only winners get labeled.
-pub(crate) fn price(
-    arch: &ArchSpec,
-    workload: &Workload,
-    dataflow: &Dataflow,
-    analysis: &AccessAnalysis,
-    needs_reorder: bool,
-) -> Evaluation {
-    let macs = workload.macs();
-    let ideal_cycles = dataflow.ideal_compute_cycles(workload);
+/// The dataflow-only terms of a pricing, computed once per dataflow and
+/// combined with each of its [`AccessAnalysis`]es by [`DataflowCost::price`]:
+/// ideal cycles, operand bytes, compute / NoC / register energy and spatial
+/// utilization.
+pub(crate) struct DataflowCost<'a> {
+    arch: &'a ArchSpec,
+    ideal_cycles: u64,
+    iact_bytes: u64,
+    weight_bytes: u64,
+    oact_bytes: u64,
+    compute_pj: f64,
+    noc_pj: f64,
+    register_pj: f64,
+    spatial_utilization: f64,
+}
 
-    // Designs with per-PE buffering (systolic FIFOs, Eyeriss scratchpads) are
-    // bandwidth-limited: stalls only appear when the aggregate line bandwidth
-    // cannot keep up with the distinct elements consumed per cycle. Designs
-    // that feed PEs directly from the buffer (SIGMA, FEATHER, NVDLA-style
-    // broadcast) are concurrency-limited and pay the per-cycle bank-conflict
-    // slowdown of §V-B.
-    let buffer = &arch.activation_buffer;
-    let total_read_ports = (buffer.read_ports * buffer.num_banks).max(1);
-    let slowdown = if arch.is_buffered_distribution() {
-        let lines_needed_per_cycle =
-            analysis.concurrent_reads as f64 / buffer.line_size.max(1) as f64;
-        (lines_needed_per_cycle / total_read_ports as f64).max(1.0)
-    } else {
-        analysis.read_slowdown
-    };
-    let stall_cycles = ((slowdown - 1.0) * ideal_cycles as f64).round() as u64;
-
-    // --- Layout reordering cost -------------------------------------------------
-    let dtype_bytes = arch.dtype.bytes() as u64;
-    // Borrowed for convolutions: a pricing must not clone the layer (its name).
-    let conv = match workload.as_conv_layer() {
-        Some(conv) => Cow::Borrowed(conv),
-        None => Cow::Owned(workload.to_conv()),
-    };
-    let oact_bytes = conv.operand_elems(Operand::OActs) * dtype_bytes;
-    let line_size = arch.activation_buffer.line_size.max(1) as u64;
-    let compute_cycles = ideal_cycles + stall_cycles;
-    let (reorder_cycles, reorder_energy_pj, reorder_dram_bytes) = if !needs_reorder {
-        (0u64, 0.0, 0u64)
-    } else {
-        match arch.reorder {
-            ReorderCapability::Rir => (0, 0.0, 0),
-            ReorderCapability::OffChip {
-                bandwidth_bytes_per_cycle,
-            } => {
-                // oActs written back to DRAM and re-read in the new layout.
-                let extra_bytes = 2 * oact_bytes;
-                let transfer_cycles =
-                    (extra_bytes as f64 / bandwidth_bytes_per_cycle).ceil() as u64;
-                let exposed = transfer_cycles.saturating_sub(compute_cycles);
-                (exposed, arch.energy.dram_pj(extra_bytes), extra_bytes)
-            }
-            ReorderCapability::Transpose | ReorderCapability::TransposeRowReorder => {
-                // Reorder-after-reduction: the oActs make one extra round trip
-                // through the on-chip buffer via the reorder unit, on the
-                // critical path (Fig. 6b).
-                let extra_bytes = 2 * oact_bytes;
-                let rar_cycles = (oact_bytes / line_size.max(1)).max(1) * 2;
-                (rar_cycles, arch.energy.sram_pj(extra_bytes), 0)
-            }
-            ReorderCapability::LineRotation | ReorderCapability::None => {
-                // These designs cannot produce a different layout on chip; the
-                // only way out is through DRAM at the baseline bandwidth.
-                let extra_bytes = 2 * oact_bytes;
-                let transfer_cycles =
-                    (extra_bytes as f64 / arch.dram_bandwidth_bytes_per_cycle).ceil() as u64;
-                let exposed = transfer_cycles.saturating_sub(compute_cycles);
-                (exposed, arch.energy.dram_pj(extra_bytes), extra_bytes)
-            }
+impl<'a> DataflowCost<'a> {
+    /// The terms of `dataflow` on `workload` that no layout changes.
+    pub(crate) fn new(arch: &'a ArchSpec, workload: &Workload, dataflow: &Dataflow) -> Self {
+        let macs = workload.macs();
+        let dtype_bytes = arch.dtype.bytes() as u64;
+        // Borrowed for convolutions: a pricing must not clone the layer (its name).
+        let conv = match workload.as_conv_layer() {
+            Some(conv) => Cow::Borrowed(conv),
+            None => Cow::Owned(workload.to_conv()),
+        };
+        let iact_bytes = conv.operand_elems(Operand::IActs) * dtype_bytes;
+        let weight_bytes = conv.operand_elems(Operand::Weights) * dtype_bytes;
+        let oact_bytes = conv.operand_elems(Operand::OActs) * dtype_bytes;
+        // Distribution + reduction NoC traffic.
+        let dist_factor = match arch.distribution {
+            DistributionStyle::PointToPoint => 0.5,
+            DistributionStyle::Systolic => 0.8,
+            DistributionStyle::Broadcast => 1.0,
+            DistributionStyle::Benes => 1.6,
+        };
+        let red_factor = match arch.reduction {
+            ReductionStyle::Linear => 0.8,
+            ReductionStyle::Tree => 1.0,
+            ReductionStyle::Birrd => 1.2,
+            ReductionStyle::FlexibleTree => 1.8,
+        };
+        DataflowCost {
+            arch,
+            ideal_cycles: dataflow.ideal_compute_cycles(workload),
+            iact_bytes,
+            weight_bytes,
+            oact_bytes,
+            compute_pj: macs as f64 * arch.energy.mac_pj(arch.dtype),
+            noc_pj: arch.energy.noc_pj(iact_bytes + weight_bytes) * dist_factor
+                + arch.energy.noc_pj(oact_bytes * 4) * red_factor,
+            // Local register traffic: one operand pair read per MAC, scaled by
+            // how often the dataflow style bounces operands through per-PE
+            // storage.
+            register_pj: macs as f64
+                * 2.0
+                * arch.energy.register_pj_per_byte
+                * arch.local_buffer_overhead,
+            spatial_utilization: dataflow.spatial_utilization(),
         }
-    };
+    }
 
-    // --- Energy ------------------------------------------------------------------
-    let iact_bytes = conv.operand_elems(Operand::IActs) * dtype_bytes;
-    let weight_bytes = conv.operand_elems(Operand::Weights) * dtype_bytes;
+    /// The pricing half of [`evaluate`]: every number of the [`Evaluation`]
+    /// from one [`AccessAnalysis`], as `[stay, switch]`. The predecessor
+    /// layout enters only through whether it differs (*switch*) or not
+    /// (*stay*), so a co-search prices both from the same analysis; under
+    /// RIR the reorder changes no term, and *switch* is *stay*. The names
+    /// stay empty (no allocation) until [`Evaluation::label`]: candidates are
+    /// compared by `edp` and only winners get labeled.
+    pub(crate) fn price(&self, analysis: &AccessAnalysis) -> [Evaluation; 2] {
+        let stay = self.price_for(analysis, false);
+        let switch = if self.arch.reorder == ReorderCapability::Rir {
+            stay.clone()
+        } else {
+            self.price_for(analysis, true)
+        };
+        [stay, switch]
+    }
 
-    let compute_pj = macs as f64 * arch.energy.mac_pj(arch.dtype);
-    // iAct SRAM traffic. For directly-fed designs this is the lines actually
-    // read per cycle times the cycles spent reading (this is where discordant
-    // layouts pay: they read more lines to deliver the same data). Buffered
-    // (systolic/scratchpad) designs fetch each element roughly once from the
-    // global buffer and reuse it locally.
-    let iact_sram_bytes = if arch.is_buffered_distribution() {
-        iact_bytes * 2
-    } else {
-        (analysis.avg_lines_per_cycle * ideal_cycles as f64 * line_size as f64) as u64
-    };
-    // Weights stream through once per layer; oActs are written once.
-    let sram_bytes = iact_sram_bytes + weight_bytes + oact_bytes;
-    let sram_pj = arch.energy.sram_pj(sram_bytes);
-    let dram_bytes = iact_bytes + weight_bytes + oact_bytes + reorder_dram_bytes;
-    let dram_pj = arch.energy.dram_pj(dram_bytes - reorder_dram_bytes);
-    // Distribution + reduction NoC traffic.
-    let dist_factor = match arch.distribution {
-        DistributionStyle::PointToPoint => 0.5,
-        DistributionStyle::Systolic => 0.8,
-        DistributionStyle::Broadcast => 1.0,
-        DistributionStyle::Benes => 1.6,
-    };
-    let red_factor = match arch.reduction {
-        ReductionStyle::Linear => 0.8,
-        ReductionStyle::Tree => 1.0,
-        ReductionStyle::Birrd => 1.2,
-        ReductionStyle::FlexibleTree => 1.8,
-    };
-    let noc_pj = arch.energy.noc_pj(iact_bytes + weight_bytes) * dist_factor
-        + arch.energy.noc_pj(oact_bytes * 4) * red_factor;
-    // Local register traffic: one operand pair read per MAC, scaled by how
-    // often the dataflow style bounces operands through per-PE storage.
-    let register_pj =
-        macs as f64 * 2.0 * arch.energy.register_pj_per_byte * arch.local_buffer_overhead;
+    /// One pricing: *switch* when `needs_reorder`, *stay* otherwise.
+    fn price_for(&self, analysis: &AccessAnalysis, needs_reorder: bool) -> Evaluation {
+        let arch = self.arch;
+        let ideal_cycles = self.ideal_cycles;
 
-    let total_cycles_pre_leak = {
-        // Memory-bound check: streaming the tile operands cannot go faster
-        // than DRAM allows.
-        let dram_cycles = (dram_bytes as f64 / arch.dram_bandwidth_bytes_per_cycle).ceil() as u64;
-        (compute_cycles + reorder_cycles).max(dram_cycles)
-    };
-    let leakage_pj = arch.shape.pes() as f64
-        * total_cycles_pre_leak as f64
-        * arch.energy.leakage_pj_per_pe_cycle;
+        // Designs with per-PE buffering (systolic FIFOs, Eyeriss scratchpads) are
+        // bandwidth-limited: stalls only appear when the aggregate line bandwidth
+        // cannot keep up with the distinct elements consumed per cycle. Designs
+        // that feed PEs directly from the buffer (SIGMA, FEATHER, NVDLA-style
+        // broadcast) are concurrency-limited and pay the per-cycle bank-conflict
+        // slowdown of §V-B.
+        let buffer = &arch.activation_buffer;
+        let total_read_ports = (buffer.read_ports * buffer.num_banks).max(1);
+        let slowdown = if arch.is_buffered_distribution() {
+            let lines_needed_per_cycle =
+                analysis.concurrent_reads as f64 / buffer.line_size.max(1) as f64;
+            (lines_needed_per_cycle / total_read_ports as f64).max(1.0)
+        } else {
+            analysis.read_slowdown
+        };
+        let stall_cycles = ((slowdown - 1.0) * ideal_cycles as f64).round() as u64;
 
-    let energy = EnergyBreakdown {
-        compute_pj,
-        register_pj,
-        sram_pj: sram_pj
-            + if matches!(
-                arch.reorder,
-                ReorderCapability::Transpose | ReorderCapability::TransposeRowReorder
-            ) && needs_reorder
-            {
-                reorder_energy_pj
-            } else {
-                0.0
-            },
-        dram_pj: dram_pj
-            + if matches!(
-                arch.reorder,
-                ReorderCapability::OffChip { .. }
-                    | ReorderCapability::None
-                    | ReorderCapability::LineRotation
-            ) && needs_reorder
-            {
-                reorder_energy_pj
-            } else {
-                0.0
-            },
-        noc_pj,
-        leakage_pj,
-    };
+        // --- Layout reordering cost -------------------------------------------------
+        let oact_bytes = self.oact_bytes;
+        let line_size = arch.activation_buffer.line_size.max(1) as u64;
+        let compute_cycles = ideal_cycles + stall_cycles;
+        let (reorder_cycles, reorder_energy_pj, reorder_dram_bytes) = if !needs_reorder {
+            (0u64, 0.0, 0u64)
+        } else {
+            match arch.reorder {
+                ReorderCapability::Rir => (0, 0.0, 0),
+                ReorderCapability::OffChip {
+                    bandwidth_bytes_per_cycle,
+                } => {
+                    // oActs written back to DRAM and re-read in the new layout.
+                    let extra_bytes = 2 * oact_bytes;
+                    let transfer_cycles =
+                        (extra_bytes as f64 / bandwidth_bytes_per_cycle).ceil() as u64;
+                    let exposed = transfer_cycles.saturating_sub(compute_cycles);
+                    (exposed, arch.energy.dram_pj(extra_bytes), extra_bytes)
+                }
+                ReorderCapability::Transpose | ReorderCapability::TransposeRowReorder => {
+                    // Reorder-after-reduction: the oActs make one extra round trip
+                    // through the on-chip buffer via the reorder unit, on the
+                    // critical path (Fig. 6b).
+                    let extra_bytes = 2 * oact_bytes;
+                    let rar_cycles = (oact_bytes / line_size.max(1)).max(1) * 2;
+                    (rar_cycles, arch.energy.sram_pj(extra_bytes), 0)
+                }
+                ReorderCapability::LineRotation | ReorderCapability::None => {
+                    // These designs cannot produce a different layout on chip; the
+                    // only way out is through DRAM at the baseline bandwidth.
+                    let extra_bytes = 2 * oact_bytes;
+                    let transfer_cycles =
+                        (extra_bytes as f64 / arch.dram_bandwidth_bytes_per_cycle).ceil() as u64;
+                    let exposed = transfer_cycles.saturating_sub(compute_cycles);
+                    (exposed, arch.energy.dram_pj(extra_bytes), extra_bytes)
+                }
+            }
+        };
 
-    let spatial_utilization = dataflow.spatial_utilization();
-    let utilization = (spatial_utilization / slowdown).min(1.0);
-    let cycles = total_cycles_pre_leak;
-    let edp = energy.total_pj() * cycles as f64;
+        // --- Energy ------------------------------------------------------------------
+        let (iact_bytes, weight_bytes) = (self.iact_bytes, self.weight_bytes);
+        // iAct SRAM traffic. For directly-fed designs this is the lines actually
+        // read per cycle times the cycles spent reading (this is where discordant
+        // layouts pay: they read more lines to deliver the same data). Buffered
+        // (systolic/scratchpad) designs fetch each element roughly once from the
+        // global buffer and reuse it locally.
+        let iact_sram_bytes = if arch.is_buffered_distribution() {
+            iact_bytes * 2
+        } else {
+            (analysis.avg_lines_per_cycle * ideal_cycles as f64 * line_size as f64) as u64
+        };
+        // Weights stream through once per layer; oActs are written once.
+        let sram_bytes = iact_sram_bytes + weight_bytes + oact_bytes;
+        let sram_pj = arch.energy.sram_pj(sram_bytes);
+        let dram_bytes = iact_bytes + weight_bytes + oact_bytes + reorder_dram_bytes;
+        let dram_pj = arch.energy.dram_pj(dram_bytes - reorder_dram_bytes);
 
-    Evaluation {
-        arch: String::new(),
-        layer: String::new(),
-        dataflow: String::new(),
-        layout: String::new(),
-        cycles,
-        ideal_cycles,
-        conflict_slowdown: slowdown,
-        stall_cycles,
-        reorder_cycles,
-        spatial_utilization,
-        utilization,
-        lines_per_cycle: analysis.avg_lines_per_cycle,
-        energy,
-        reorder_energy_pj,
-        edp,
+        let total_cycles_pre_leak = {
+            // Memory-bound check: streaming the tile operands cannot go faster
+            // than DRAM allows.
+            let dram_cycles =
+                (dram_bytes as f64 / arch.dram_bandwidth_bytes_per_cycle).ceil() as u64;
+            (compute_cycles + reorder_cycles).max(dram_cycles)
+        };
+        let leakage_pj = arch.shape.pes() as f64
+            * total_cycles_pre_leak as f64
+            * arch.energy.leakage_pj_per_pe_cycle;
+
+        let energy = EnergyBreakdown {
+            compute_pj: self.compute_pj,
+            register_pj: self.register_pj,
+            sram_pj: sram_pj
+                + if matches!(
+                    arch.reorder,
+                    ReorderCapability::Transpose | ReorderCapability::TransposeRowReorder
+                ) && needs_reorder
+                {
+                    reorder_energy_pj
+                } else {
+                    0.0
+                },
+            dram_pj: dram_pj
+                + if matches!(
+                    arch.reorder,
+                    ReorderCapability::OffChip { .. }
+                        | ReorderCapability::None
+                        | ReorderCapability::LineRotation
+                ) && needs_reorder
+                {
+                    reorder_energy_pj
+                } else {
+                    0.0
+                },
+            noc_pj: self.noc_pj,
+            leakage_pj,
+        };
+
+        let spatial_utilization = self.spatial_utilization;
+        let utilization = (spatial_utilization / slowdown).min(1.0);
+        let cycles = total_cycles_pre_leak;
+        let edp = energy.total_pj() * cycles as f64;
+
+        Evaluation {
+            arch: String::new(),
+            layer: String::new(),
+            dataflow: String::new(),
+            layout: String::new(),
+            cycles,
+            ideal_cycles,
+            conflict_slowdown: slowdown,
+            stall_cycles,
+            reorder_cycles,
+            spatial_utilization,
+            utilization,
+            lines_per_cycle: analysis.avg_lines_per_cycle,
+            energy,
+            reorder_energy_pj,
+            edp,
+        }
     }
 }
 

@@ -299,4 +299,32 @@ mod tests {
         assert_eq!(plan.total_cycles(), 17701);
         assert_eq!((plan.cache_misses, plan.cache_hits), (26, 30));
     }
+
+    #[test]
+    fn model_b_tables_are_pinned() {
+        // Every entry of the 26 tables behind `model_b_plan_is_pinned`, not
+        // only the winners the plan selects: an FNV-1a hash of their Debug
+        // forms, in key order.
+        let g = resnet50_graph_scaled(8, 8);
+        let (arch, mapper) = (ArchSpec::feather_like(16, 16), MapperConfig::fast());
+        let mut cache = CoSearchCache::new();
+        plan_graph(&arch, &g, &mapper, 0, &mut cache).unwrap();
+        let keys = crate::cache::TableKeys::new(&arch, &mapper, 0);
+        let tables: BTreeMap<String, &CoSearchTable> = g
+            .nodes()
+            .iter()
+            .filter_map(|node| node.execution_conv())
+            .map(|conv| {
+                let key = keys.key(&Workload::Conv(conv));
+                let table = cache.peek_table(&key).unwrap();
+                (key, table)
+            })
+            .collect();
+        assert_eq!(tables.len(), 26);
+        let text = format!("{:?}", tables.values().collect::<Vec<_>>());
+        assert_eq!(
+            feather_arch::fingerprint::fnv1a64(text.as_bytes()),
+            0x55c0_f1b0_8e06_3093
+        );
+    }
 }

@@ -96,38 +96,44 @@ fn axis_assignments(
     out
 }
 
-/// Builds the temporal remainder loop nest for a chosen spatial assignment.
-fn remainder_nest(workload: &Workload, spatial: &[ParallelDim]) -> LoopNest {
+/// Builds the temporal remainder loop nest for a chosen spatial assignment
+/// of `rows` and `cols`.
+fn remainder_nest(workload: &Workload, rows: &[ParallelDim], cols: &[ParallelDim]) -> LoopNest {
     let spatial_of = |d: Dim| -> usize {
-        spatial
-            .iter()
+        rows.iter()
+            .chain(cols)
             .filter(|p| p.dim == d)
             .map(|p| p.factor)
             .product::<usize>()
             .max(1)
     };
     let order = [Dim::N, Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
-    let mut loops = Vec::new();
-    for d in order {
+    LoopNest::new(order.into_iter().filter_map(|d| {
         let extent = workload.dim(d).div_ceil(spatial_of(d));
-        if extent > 1 {
-            loops.push((d, extent));
-        }
-    }
-    LoopNest::new(loops)
+        (extent > 1).then_some((d, extent))
+    }))
 }
 
 /// Generates the dataflow candidates the given architecture may run on the
-/// given workload.
+/// given workload. Every candidate is valid: it fits the workload
+/// ([`Dataflow::validate`]) on the architecture's array shape, so a design
+/// whose one dataflow does not fit the workload has none.
 pub fn search_dataflows(
     arch: &ArchSpec,
     workload: &Workload,
     config: &MapperConfig,
 ) -> Vec<Dataflow> {
-    match &arch.dataflow_policy {
+    let mut candidates = match &arch.dataflow_policy {
         DataflowPolicy::Fixed(kind) => vec![fixed_dataflow(*kind, arch.shape, workload)],
-        DataflowPolicy::Flexible => flexible_dataflows(arch, workload, config),
-    }
+        DataflowPolicy::Flexible if !arch.flexibility.parallelism => {
+            // A design that cannot re-choose its parallel dims at run time
+            // only runs its canonical weight-stationary mapping.
+            vec![Dataflow::weight_stationary(arch.shape, workload)]
+        }
+        DataflowPolicy::Flexible => return flexible_dataflows(arch, workload, config),
+    };
+    candidates.retain(|df| df.validate(workload).is_ok());
+    candidates
 }
 
 /// The single dataflow of a fixed-dataflow design.
@@ -160,9 +166,7 @@ fn row_stationary_folded(shape: ArrayShape, workload: &Workload) -> Dataflow {
     } else {
         vec![ParallelDim::new(Dim::P, p)]
     };
-    let mut all = row_parallel.clone();
-    all.extend(col_parallel.iter().copied());
-    let temporal = remainder_nest(workload, &all);
+    let temporal = remainder_nest(workload, &row_parallel, &col_parallel);
     Dataflow::new(
         "row-stationary-RM_rows-P_cols",
         shape,
@@ -178,19 +182,17 @@ fn dpu_dataflow(shape: ArrayShape, workload: &Workload) -> Dataflow {
     let m = fit_factor(workload.dim(Dim::M), shape.rows);
     let c = fit_factor(workload.dim(Dim::C), 12.min(shape.cols));
     let q = fit_factor(workload.dim(Dim::Q), shape.cols / c.max(1));
-    let spatial = vec![ParallelDim::new(Dim::C, c), ParallelDim::new(Dim::Q, q)];
-    let mut all = vec![ParallelDim::new(Dim::M, m)];
-    all.extend(spatial.iter().copied());
-    let temporal = remainder_nest(workload, &all);
-    Dataflow::new(
-        "dpu-fixed-M_rows-CQ_cols",
-        shape,
-        vec![ParallelDim::new(Dim::M, m)],
-        spatial,
-        temporal,
-    )
+    let rows = vec![ParallelDim::new(Dim::M, m)];
+    let cols = vec![ParallelDim::new(Dim::C, c), ParallelDim::new(Dim::Q, q)];
+    let temporal = remainder_nest(workload, &rows, &cols);
+    Dataflow::new("dpu-fixed-M_rows-CQ_cols", shape, rows, cols, temporal)
 }
 
+/// The candidates of a design that re-chooses its parallel dims per layer:
+/// every pair of a row and a column assignment that splits no dim across
+/// both axes and passes [`Dataflow::validate`], up to the configured cap.
+/// Each axis assignment is a distinct set of dims, so no two candidates
+/// share a spatial structure.
 fn flexible_dataflows(
     arch: &ArchSpec,
     workload: &Workload,
@@ -200,70 +202,40 @@ fn flexible_dataflows(
     let dims: &[Dim] = &[Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
     let include_pairs = config.include_pairs && arch.flexibility.shape;
 
-    // If the design cannot re-choose its parallel dims at run time, it only
-    // runs its canonical weight-stationary mapping.
-    if !arch.flexibility.parallelism {
-        return vec![Dataflow::weight_stationary(shape, workload)];
-    }
-
-    let row_options = axis_assignments(workload, shape.rows, dims, include_pairs);
-    let col_options = axis_assignments(workload, shape.cols, dims, include_pairs);
+    // Each assignment with its part of a candidate's name, joined once.
+    let labeled = |capacity: usize| {
+        axis_assignments(workload, capacity, dims, include_pairs)
+            .into_iter()
+            .map(|option| {
+                let label: Vec<String> = option.iter().map(|p| p.to_string()).collect();
+                (option, label.join("x"))
+            })
+            .collect::<Vec<_>>()
+    };
+    let row_options = labeled(shape.rows);
+    let col_options = labeled(shape.cols);
 
     let mut candidates = Vec::new();
-    for rows in &row_options {
-        for cols in &col_options {
+    for (rows, row_label) in &row_options {
+        for (cols, col_label) in &col_options {
             // A dimension should not be split across both axes in this simple
             // mapper (the evaluator would treat the two factors as independent
             // and over-count coverage).
             if rows.iter().any(|r| cols.iter().any(|c| c.dim == r.dim)) {
                 continue;
             }
-            let mut all = rows.clone();
-            all.extend(cols.iter().copied());
-            let temporal = remainder_nest(workload, &all);
-            let name = format!(
-                "flex-{}-rows_{}-cols",
-                rows.iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join("x"),
-                cols.iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join("x"),
-            );
-            let df = Dataflow::new(name, shape, rows.clone(), cols.clone(), temporal);
+            let temporal = remainder_nest(workload, rows, cols);
+            let mut df = Dataflow::new(String::new(), shape, rows.clone(), cols.clone(), temporal);
             if df.validate(workload).is_ok() {
+                df.name = ["flex-", row_label, "-rows_", col_label, "-cols"].concat();
                 candidates.push(df);
             }
             if candidates.len() >= config.max_candidates {
-                return dedupe(candidates);
+                return candidates;
             }
         }
     }
-    dedupe(candidates)
-}
-
-/// Removes candidates with identical spatial structure (same factors on the
-/// same dims), keeping the first occurrence.
-fn dedupe(candidates: Vec<Dataflow>) -> Vec<Dataflow> {
-    let mut seen = std::collections::BTreeSet::new();
     candidates
-        .into_iter()
-        .filter(|df| {
-            let key = (
-                df.row_parallel
-                    .iter()
-                    .map(|p| (p.dim, p.factor))
-                    .collect::<Vec<_>>(),
-                df.col_parallel
-                    .iter()
-                    .map(|p| (p.dim, p.factor))
-                    .collect::<Vec<_>>(),
-            );
-            seen.insert(key)
-        })
-        .collect()
 }
 
 #[cfg(test)]

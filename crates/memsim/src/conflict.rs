@@ -39,7 +39,9 @@ impl ConflictAssessment {
 /// [`crate::AccessLedger`] and Layoutloop's sampled reads — pass them to
 /// [`ConflictModel::assess_distinct_reads`] / `_writes`; the iterator forms
 /// ([`ConflictModel::assess_reads`], [`ConflictModel::assess_writes`])
-/// collect their lines into a set first.
+/// collect their lines into a set first. A caller that knows only how many
+/// distinct lines a cycle reads asks [`ConflictModel::assess_read_count`],
+/// which answers wherever the count is all that matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConflictModel {
     spec: BufferSpec,
@@ -88,45 +90,75 @@ impl ConflictModel {
         self.assess_distinct(lines, self.spec.write_ports)
     }
 
-    /// The fullest bank of distinct `lines`: their count when one bank holds
-    /// them all, at most one line when every bank spans every line, and
-    /// otherwise the longest run once the lines are mapped to their banks
-    /// and sorted.
-    fn assess_distinct(&self, lines: &mut [usize], ports: usize) -> ConflictAssessment {
-        let lines_touched = lines.len();
-        let max_lines_per_bank = if self.spec.banking == Banking::Horizontal {
+    /// [`ConflictModel::assess_distinct_reads`] of `lines_touched` distinct
+    /// lines, known by their count alone: `Some` with one bank or with
+    /// horizontal banking, where the fullest bank follows from the count;
+    /// `None` with several vertical banks, which only the lines themselves
+    /// tell apart.
+    pub fn assess_read_count(&self, lines_touched: usize) -> Option<ConflictAssessment> {
+        let max_lines_per_bank = self.fullest_bank_of_count(lines_touched)?;
+        Some(assessment(
+            lines_touched,
+            max_lines_per_bank,
+            self.spec.read_ports,
+        ))
+    }
+
+    /// The fullest bank of `lines_touched` distinct lines where the count
+    /// decides it: all of them in one bank, at most one when every bank
+    /// spans every line.
+    fn fullest_bank_of_count(&self, lines_touched: usize) -> Option<usize> {
+        if self.spec.banking == Banking::Horizontal {
             // Horizontal banking: every line read engages all banks once, so
             // the effective "bank" is the line itself (each extra line costs a
             // full extra access of every bank).
-            lines_touched.min(1)
+            Some(lines_touched.min(1))
         } else if self.spec.num_banks == 1 {
-            lines_touched
+            Some(lines_touched)
         } else {
-            for line in lines.iter_mut() {
-                *line = self.spec.bank_of_line(*line).unwrap_or(*line);
-            }
-            lines.sort_unstable();
-            let (mut longest, mut run) = (0, 0);
-            for (i, bank) in lines.iter().enumerate() {
-                run = if i > 0 && lines[i - 1] == *bank {
-                    run + 1
-                } else {
-                    1
-                };
-                longest = longest.max(run);
-            }
-            longest
-        };
-        let slowdown = if max_lines_per_bank == 0 {
-            1.0
-        } else {
-            (max_lines_per_bank as f64 / ports.max(1) as f64).max(1.0)
-        };
-        ConflictAssessment {
-            lines_touched,
-            max_lines_per_bank,
-            slowdown,
+            None
         }
+    }
+
+    /// The fullest bank of distinct `lines`: from their count where that
+    /// decides it, and otherwise the longest run once the lines are mapped
+    /// to their banks and sorted.
+    fn assess_distinct(&self, lines: &mut [usize], ports: usize) -> ConflictAssessment {
+        let lines_touched = lines.len();
+        let max_lines_per_bank = self
+            .fullest_bank_of_count(lines_touched)
+            .unwrap_or_else(|| {
+                for line in lines.iter_mut() {
+                    *line = self.spec.bank_of_line(*line).unwrap_or(*line);
+                }
+                lines.sort_unstable();
+                let (mut longest, mut run) = (0, 0);
+                for (i, bank) in lines.iter().enumerate() {
+                    run = if i > 0 && lines[i - 1] == *bank {
+                        run + 1
+                    } else {
+                        1
+                    };
+                    longest = longest.max(run);
+                }
+                longest
+            });
+        assessment(lines_touched, max_lines_per_bank, ports)
+    }
+}
+
+/// The `max(NL/NP, 1)` slowdown of a cycle whose fullest bank serves
+/// `max_lines_per_bank` of its `lines_touched` lines through `ports` ports.
+fn assessment(lines_touched: usize, max_lines_per_bank: usize, ports: usize) -> ConflictAssessment {
+    let slowdown = if max_lines_per_bank == 0 {
+        1.0
+    } else {
+        (max_lines_per_bank as f64 / ports.max(1) as f64).max(1.0)
+    };
+    ConflictAssessment {
+        lines_touched,
+        max_lines_per_bank,
+        slowdown,
     }
 }
 
@@ -270,6 +302,10 @@ mod tests {
             let reads = reference_assess(&spec, &lines, read_ports);
             prop_assert_eq!(m.assess_reads(lines.iter().copied()), reads);
             prop_assert_eq!(m.assess_distinct_reads(&mut first_seen.clone()), reads);
+            // The count alone answers unless several vertical banks split it.
+            let by_count = m.assess_read_count(first_seen.len());
+            let grouped = banks_pick == 1 && banking != Banking::Horizontal;
+            prop_assert_eq!(by_count, (!grouped).then_some(reads));
             let writes = reference_assess(&spec, &lines, write_ports);
             prop_assert_eq!(m.assess_writes(lines.iter().copied()), writes);
             prop_assert_eq!(m.assess_distinct_writes(&mut first_seen.clone()), writes);

@@ -1073,10 +1073,10 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
 /// Success or failure, the batch then ends in one section of the queue
 /// lock.
 fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut ReplayScratch) {
+    // One reading ends the members' queueing and starts the replay.
     let launched = Instant::now();
     let live = batch.requests;
     let size = live.len();
-    let replay_start = Instant::now();
     // One replay of the model's program, request `i` riding lane `i`, under
     // a supervision boundary: an injected (or real) panic inside the replay
     // must fail only this batch, not the server.
@@ -1098,7 +1098,7 @@ fn execute_batch(inner: &Arc<Inner>, worker: usize, batch: Batch, scratch: &mut 
             .map_err(ServeError::Exec)
     }));
     let done = Instant::now();
-    let replay_us = done.duration_since(replay_start).as_micros() as u64;
+    let replay_us = done.duration_since(launched).as_micros() as u64;
     let mut queue = lock_recover(&inner.queue);
     queue.overload.record_replay(replay_us);
     // A failed replay is one strike on the model's breaker.
