@@ -12,12 +12,14 @@ use std::sync::Arc;
 
 use feather_arch::fingerprint::fnv1a64;
 use feather_arch::graph::{NodeOp, TensorId};
+use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
-use feather_memsim::{AccessLedger, Banking, BufferSpec, ScratchRegion};
+use feather_memsim::{AccessLedger, AccessStats, Banking, BufferSpec, ScratchRegion};
 
 use crate::config::FeatherConfig;
-use crate::core::{count_conv_core, LayerExec, ReplayLayer, RouteMemo};
+use crate::core::{count_conv_core, CoreRun, LayerExec, ReplayLayer, RouteMemo};
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
+use crate::mapping::LayerMapping;
 use crate::report::{GraphReport, JoinSummary, LayerSummary, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
 
@@ -138,6 +140,13 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // over: each layer resets both ledgers to its own specs.
     let empty = BufferSpec::new(0, 0, 1, Banking::Horizontal);
     let (mut iact_half, mut oact_half) = (AccessLedger::new(empty), AccessLedger::new(empty));
+    // One record per distinct layer context: the layer without its name, its
+    // mapping, and whether it opens its segment (which exposes its first
+    // weight load). The buffer specs follow from those, and a repeat's walk
+    // would only make route-memo hits, so it would count the same and leave
+    // the route table alone. ResNet's repeated bottleneck blocks make about
+    // half the layers repeats.
+    let mut records: Vec<(LayerContext, LayerRecord)> = Vec::new();
     for exec in &session.segments {
         let (seg, steps) = (&exec.segment, &exec.steps);
         let (graph_input, graph_output) =
@@ -153,10 +162,37 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
             };
             let exec = LayerExec::new(&config, layer, mapping)?;
             let (ispec, ospec) = (iact_spec(layer, mapping), oact_spec(layer, mapping));
-            iact_half.reset(ispec);
-            oact_half.reset(ospec);
-            let (core, iact, oact) =
-                count_conv_core(&exec, &mut iact_half, &mut oact_half, &mut memo, i == 0)?;
+            let mut count = || {
+                iact_half.reset(ispec);
+                oact_half.reset(ospec);
+                count_conv_core(&exec, &mut iact_half, &mut oact_half, &mut memo, i == 0)
+            };
+            let context = (
+                ConvLayer {
+                    name: String::new(),
+                    ..layer.clone()
+                },
+                mapping.clone(),
+                i == 0,
+            );
+            let (core, iact, oact) = match records.iter().find(|(c, _)| *c == context) {
+                Some(&(_, record)) => {
+                    // Debug builds walk the repeat as well and check that it
+                    // counts what its first occurrence counted.
+                    if cfg!(debug_assertions) {
+                        let walked = count()?;
+                        assert_eq!(walked, record, "layer `{}` repeats a context", layer.name);
+                    }
+                    record
+                }
+                None => {
+                    let record = count()?;
+                    #[cfg(test)]
+                    tests::tally_record();
+                    records.push((context, record));
+                    record
+                }
+            };
             cost.push(layer_summary(
                 &config,
                 energy,
@@ -300,6 +336,13 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     })
 }
 
+/// What a layer's record pass depends on: the layer without its name, its
+/// mapping, and whether it is the first of its segment.
+type LayerContext = (ConvLayer, LayerMapping, bool);
+
+/// What a layer's record pass counts ([`count_conv_core`]).
+type LayerRecord = (CoreRun, AccessStats, AccessStats);
+
 /// FNV-1a 64 fingerprint of everything that determines a session's compiled
 /// program — the implementation behind [`GraphSession::fingerprint`].
 pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
@@ -366,7 +409,43 @@ pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use feather_arch::graph::resnet50_graph_scaled;
+
     use super::*;
+
+    thread_local! {
+        /// Layer records this thread's compiles counted, repeats not
+        /// included.
+        static RECORDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn tally_record() {
+        RECORDS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// `(records counted, layers)` of compiling `graph` on `config`.
+    fn records_of(config: FeatherConfig, graph: &feather_arch::graph::Graph) -> (usize, usize) {
+        let session = GraphSession::auto(config, graph).unwrap();
+        let before = RECORDS.with(Cell::get);
+        let program = session.compile().unwrap();
+        let layers = program.tables.segments.iter().map(|s| s.layers.len()).sum();
+        (RECORDS.with(Cell::get) - before, layers)
+    }
+
+    #[test]
+    fn the_benchmark_models_count_each_distinct_layer_once() {
+        // Model A: ÷16 ResNet-50 on 8×16. Model B: ÷8 on 16×16, which the
+        // planner's schedules reach as `auto` (same fingerprint). 29 of each
+        // model's 56 layers repeat a layer context and take its record.
+        let a = records_of(FeatherConfig::new(8, 16), &resnet50_graph_scaled(16, 16));
+        assert_eq!(a, (27, 56));
+        let b_graph = resnet50_graph_scaled(8, 8);
+        let b = GraphSession::auto(FeatherConfig::new(16, 16), &b_graph).unwrap();
+        assert_eq!(b.fingerprint(), 0x2d63_a0bd_c4a9_2374);
+        assert_eq!(records_of(FeatherConfig::new(16, 16), &b_graph), (27, 56));
+    }
 
     #[test]
     fn an_unpark_of_a_never_parked_slot_is_inconsistent() {

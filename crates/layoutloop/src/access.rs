@@ -51,6 +51,21 @@ impl AccessAnalysis {
     pub fn is_concordant(&self) -> bool {
         self.read_slowdown <= 1.0 + 1e-9
     }
+
+    /// The least analysis any layout can give `dataflow`'s reads, without
+    /// sampling them: no conflict (`read_slowdown` 1.0) and one line per
+    /// cycle (`avg_lines_per_cycle` 1.0), since every sampled cycle reads
+    /// at least one element; `concurrent_reads` is the lane count, which no
+    /// layout changes. [`SampledReads::analyze`] never goes below it in
+    /// either field.
+    pub(crate) fn floor(dataflow: &Dataflow, max_samples: usize) -> Self {
+        AccessAnalysis {
+            read_slowdown: 1.0,
+            avg_lines_per_cycle: 1.0,
+            concurrent_reads: iact_spatial(dataflow).iter().product(),
+            sampled_cycles: max_samples.max(4),
+        }
+    }
 }
 
 /// Per-[`Dim`] values (offsets or base coordinates), indexed by `dim as usize`.
@@ -61,6 +76,17 @@ type PerDim = [usize; Dim::ALL.len()];
 /// PEs and therefore neither multiply the distinct requests nor move them.
 fn indexes_iacts(dim: Dim) -> bool {
     matches!(dim, Dim::N | Dim::C | Dim::P | Dim::Q | Dim::R | Dim::S)
+}
+
+/// The spatial factor of every iAct-indexing dim of `dataflow` (1 elsewhere).
+fn iact_spatial(dataflow: &Dataflow) -> PerDim {
+    let mut spatial = [1; Dim::ALL.len()];
+    for p in dataflow.row_parallel.iter().chain(&dataflow.col_parallel) {
+        if indexes_iacts(p.dim) {
+            spatial[p.dim as usize] *= p.factor;
+        }
+    }
+    spatial
 }
 
 /// What the buffer sees of a dataflow's sampled cycles: its spatial factors
@@ -79,12 +105,7 @@ impl ReadSignature {
     /// Samples up to `max_samples` (at least four) execution cycles of
     /// `dataflow`, deterministically from `seed`.
     pub fn new(dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
-        let mut spatial = [1; Dim::ALL.len()];
-        for p in dataflow.row_parallel.iter().chain(&dataflow.col_parallel) {
-            if indexes_iacts(p.dim) {
-                spatial[p.dim as usize] *= p.factor;
-            }
-        }
+        let spatial = iact_spatial(dataflow);
         let innermost = dataflow.temporal.innermost();
 
         // Temporal base points: the per-dimension block index times the spatial
@@ -191,7 +212,7 @@ impl SampledReads {
         SampledReads {
             runs,
             ends,
-            lanes: Dim::ALL.iter().map(|&dim| spatial(dim)).product(),
+            lanes: signature.spatial.iter().product(),
         }
     }
 

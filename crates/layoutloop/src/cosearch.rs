@@ -22,6 +22,12 @@
 //! * the **predecessor layout only** — nothing but the reorder price: *stay*
 //!   and *switch* are two pricings of that one analysis, and one under RIR,
 //!   whose reorder changes no term.
+//!
+//! Most candidates need none of the per-signature work: a dataflow's
+//! *floor*, its pricing of the least analysis any layout can produce
+//! ([`AccessAnalysis::floor`]), already loses to every layout's best so far,
+//! so [`co_search_table`] samples and analyses only the reads of candidates
+//! whose floor can still win (branch and bound).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -165,10 +171,16 @@ impl CoSearchTable {
 /// Computes the full predecessor-independent [`CoSearchTable`] for one layer
 /// on the calling thread: each `(read signature, layout)` pair is analysed
 /// once, and each `(dataflow, layout)` pair priced in both predecessor
-/// variants from its dataflow's terms, which are computed once. Dataflows
-/// are the outer loop so only one signature's sampled values are alive at a
-/// time; every layout still sees its candidates in dataflow order, which
-/// with the strict `<` keeps the first of equal-EDP candidates.
+/// variants from its dataflow's terms, which are computed once.
+///
+/// Branch and bound: dataflows are visited in order of their *floor* — the
+/// *stay* pricing of [`AccessAnalysis::floor`] — and one whose floor cannot
+/// beat any (layout, stay | switch) slot is never sampled, analysed or
+/// priced. That is exact because a pricing's `edp` never falls as the
+/// analysis's `read_slowdown` or `avg_lines_per_cycle` grows
+/// ([`DataflowCost::price`]), and no analysis goes below the floor's. Slots
+/// compare `(edp, dataflow index)`, so each keeps the first of equal-EDP
+/// candidates in dataflow order, as an in-order scan with a strict `<`.
 ///
 /// # Errors
 /// Returns an error if the workload or the architecture is malformed. An
@@ -179,6 +191,25 @@ pub fn co_search_table(
     mapper: &MapperConfig,
     seed: u64,
 ) -> Result<CoSearchTable, ArchError> {
+    search_table(arch, workload, mapper, seed).map(|(table, _)| table)
+}
+
+/// How much of one table's candidate space [`search_table`] priced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TableWork {
+    /// Valid dataflows the mapper offered.
+    pub candidates: usize,
+    /// Of those, the ones whose reads were analysed and priced.
+    pub priced: usize,
+}
+
+/// [`co_search_table`] with a count of the work it did.
+pub(crate) fn search_table(
+    arch: &ArchSpec,
+    workload: &Workload,
+    mapper: &MapperConfig,
+    seed: u64,
+) -> Result<(CoSearchTable, TableWork), ArchError> {
     workload.validate()?;
     arch.validate()?;
     let dataflows = search_dataflows(arch, workload, mapper);
@@ -186,12 +217,45 @@ pub fn co_search_table(
     let plans: Vec<_> = layouts.iter().map(|l| iact_plan(workload, l)).collect();
     let conflicts = arch.conflict_model();
 
-    // Per layout, the best (dataflow, unlabeled evaluation) for [stay, switch].
-    let mut best: Vec<[Option<(&Dataflow, Evaluation)>; 2]> = vec![[None, None]; layouts.len()];
+    let costs: Vec<_> = dataflows
+        .iter()
+        .map(|df| DataflowCost::new(arch, workload, df))
+        .collect();
+    let floors: Vec<[f64; 2]> = dataflows
+        .iter()
+        .zip(&costs)
+        .map(|(df, cost)| {
+            cost.price(&AccessAnalysis::floor(df, ACCESS_SAMPLES))
+                .map(|e| e.edp)
+        })
+        .collect();
+    // Cheapest floors first: they fill the slots early with low EDPs, which
+    // most later floors cannot beat.
+    let mut order: Vec<usize> = (0..dataflows.len()).collect();
+    order.sort_by(|&a, &b| floors[a][0].total_cmp(&floors[b][0]));
+
+    // Per layout, the best (dataflow index, unlabeled evaluation) for
+    // [stay, switch].
+    let mut best: Vec<[Option<(usize, Evaluation)>; 2]> = vec![[None, None]; layouts.len()];
+    let beats = |edp: f64, i: usize, slot: &Option<(usize, Evaluation)>| {
+        slot.as_ref()
+            .map_or(true, |(j, b)| edp < b.edp || (edp == b.edp && i < *j))
+    };
     // Per read signature, its analysis under every layout.
     let mut analyses: BTreeMap<ReadSignature, Vec<AccessAnalysis>> = BTreeMap::new();
-    for df in &dataflows {
-        let signature = ReadSignature::new(df, ACCESS_SAMPLES, seed);
+    let mut priced = 0;
+    for i in order {
+        let open = best.iter().any(|slots| {
+            slots
+                .iter()
+                .zip(floors[i])
+                .any(|(slot, edp)| beats(edp, i, slot))
+        });
+        if !open {
+            continue;
+        }
+        priced += 1;
+        let signature = ReadSignature::new(&dataflows[i], ACCESS_SAMPLES, seed);
         let per_layout = analyses.entry(signature).or_insert_with_key(|signature| {
             let reads = SampledReads::new(workload, signature);
             plans
@@ -199,11 +263,10 @@ pub fn co_search_table(
                 .map(|plan| reads.analyze(plan, &conflicts))
                 .collect()
         });
-        let cost = DataflowCost::new(arch, workload, df);
         for (analysis, slots) in per_layout.iter().zip(&mut best) {
-            for (slot, eval) in slots.iter_mut().zip(cost.price(analysis)) {
-                if slot.as_ref().map_or(true, |(_, b)| eval.edp < b.edp) {
-                    *slot = Some((df, eval));
+            for (slot, eval) in slots.iter_mut().zip(costs[i].price(analysis)) {
+                if beats(eval.edp, i, slot) {
+                    *slot = Some((i, eval));
                 }
             }
         }
@@ -213,7 +276,8 @@ pub fn co_search_table(
         .into_iter()
         .zip(best)
         .filter_map(|(layout, [stay, switch])| {
-            let result = |(df, mut evaluation): (&Dataflow, Evaluation)| {
+            let result = |(i, mut evaluation): (usize, Evaluation)| {
+                let df = &dataflows[i];
                 evaluation.label(arch, workload.name(), df, &layout);
                 CoSearchResult {
                     dataflow: df.clone(),
@@ -229,7 +293,11 @@ pub fn co_search_table(
             })
         })
         .collect();
-    Ok(CoSearchTable { choices })
+    let work = TableWork {
+        candidates: dataflows.len(),
+        priced,
+    };
+    Ok((CoSearchTable { choices }, work))
 }
 
 /// The per-layer (dataflow, layout) schedule a pipeline executor consumes,
@@ -410,6 +478,8 @@ pub fn summarize(network: &Network, results: &[CoSearchResult]) -> NetworkSummar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::IactPlan;
+    use crate::arch::LayoutPolicy;
     use crate::evaluate::{check_dataflow, evaluate};
     use feather_arch::models::{bert_base, mobilenet_v3, resnet50, Network};
     use feather_arch::workload::{ConvLayer, GemmLayer};
@@ -565,6 +635,48 @@ mod tests {
         arch
     }
 
+    /// Every design Fig. 13 plans (`feather_baselines::suite::fig13_suite`),
+    /// at `rows × cols`: the fixed-layout designs, Eyeriss (buffered), SIGMA
+    /// with off-chip reordering, the on-chip reorderers and FEATHER, whose
+    /// GEMM column searches the GEMM layouts.
+    fn fig13_presets(rows: usize, cols: usize, gemm: bool) -> Vec<ArchSpec> {
+        let mut feather = ArchSpec::feather_like(rows, cols);
+        if gemm {
+            feather.layout_policy = LayoutPolicy::Searchable(Layout::gemm_candidates());
+        }
+        vec![
+            ArchSpec::nvdla_like(rows, cols),
+            ArchSpec::eyeriss_like(rows, cols),
+            ArchSpec::sigma_like_fixed_layout(rows, cols, "HWC_C32"),
+            ArchSpec::sigma_like_fixed_layout(rows, cols, "HWC_C4W8"),
+            ArchSpec::sigma_like_offchip_reorder(rows, cols),
+            ArchSpec::medusa_like(rows, cols),
+            ArchSpec::mtia_like(rows, cols),
+            ArchSpec::tpu_like(rows, cols),
+            feather,
+        ]
+    }
+
+    /// A conv or GEMM layer named `l`; the caller checks that it is valid.
+    fn random_layer(
+        gemm: bool,
+        [n, m, c, h, w]: [usize; 5],
+        kernel_pick: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Workload {
+        let (r, s) = [(1, 1), (3, 3), (3, 1)][kernel_pick];
+        if gemm {
+            GemmLayer::new(m, c, h * w).with_name("l").into()
+        } else {
+            ConvLayer::new(n, m, c, h, w, r, s)
+                .with_stride(stride)
+                .with_padding(padding)
+                .with_name("l")
+                .into()
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -579,33 +691,75 @@ mod tests {
             kernel_pick in 0usize..3,
             stride in 1usize..3,
             padding in 0usize..2,
-            arch_pick in 0usize..4,
+            arch_pick in 0usize..9,
+            shape_pick in 0usize..2,
             bank_pick in 0usize..2,
             mapper_pick in 0usize..2,
             seed in 0u64..1000,
         ) {
-            let (r, s) = [(1, 1), (3, 3), (3, 1)][kernel_pick];
-            let workload: Workload = if gemm == 1 {
-                GemmLayer::new(m, c, h * w).with_name("l").into()
-            } else {
-                ConvLayer::new(n, m, c, h, w, r, s)
-                    .with_stride(stride)
-                    .with_padding(padding)
-                    .with_name("l")
-                    .into()
-            };
+            let workload = random_layer(gemm == 1, [n, m, c, h, w], kernel_pick, stride, padding);
             prop_assume!(workload.validate().is_ok());
-            let mut arch = match arch_pick {
-                0 => ArchSpec::feather_like(16, 16),
-                1 => ArchSpec::sigma_like_offchip_reorder(16, 16),
-                2 => ArchSpec::nvdla_like(16, 16),
-                _ => ArchSpec::eyeriss_like(8, 8),
-            };
+            let (rows, cols) = [(16, 16), (8, 8)][shape_pick];
+            let mut arch = fig13_presets(rows, cols, gemm == 1).swap_remove(arch_pick);
             if bank_pick == 1 {
                 arch = banked(arch);
             }
             let mapper = [MapperConfig::fast(), MapperConfig::default()][mapper_pick];
             check_table(&arch, &workload, &mapper, seed)?;
+        }
+
+        /// The precondition of the branch and bound in `co_search_table`:
+        /// on every Fig. 13 design, no analysis goes below
+        /// `AccessAnalysis::floor` in either field it prices, and no
+        /// pricing — *stay* or *switch* — below the floor's; buffered
+        /// designs price their floor exactly.
+        #[test]
+        fn every_pricing_is_at_least_its_floor(
+            gemm in 0usize..2,
+            n in 1usize..4,
+            m in 1usize..40,
+            c in 1usize..40,
+            h in 1usize..12,
+            w in 1usize..12,
+            kernel_pick in 0usize..3,
+            stride in 1usize..3,
+            padding in 0usize..2,
+            bank_pick in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let workload = random_layer(gemm == 1, [n, m, c, h, w], kernel_pick, stride, padding);
+            prop_assume!(workload.validate().is_ok());
+            for mut arch in fig13_presets(16, 16, gemm == 1) {
+                if bank_pick == 1 {
+                    arch = banked(arch);
+                }
+                let plans: Vec<IactPlan> = arch
+                    .layout_policy
+                    .candidates()
+                    .iter()
+                    .map(|layout| iact_plan(&workload, layout))
+                    .collect();
+                let conflicts = arch.conflict_model();
+                for df in search_dataflows(&arch, &workload, &MapperConfig::default()) {
+                    let cost = DataflowCost::new(&arch, &workload, &df);
+                    let least = AccessAnalysis::floor(&df, ACCESS_SAMPLES);
+                    let floor = cost.price(&least);
+                    let signature = ReadSignature::new(&df, ACCESS_SAMPLES, seed);
+                    let reads = SampledReads::new(&workload, &signature);
+                    for plan in &plans {
+                        let analysis = reads.analyze(plan, &conflicts);
+                        prop_assert!(analysis.read_slowdown >= 1.0, "{:?}", analysis);
+                        prop_assert!(analysis.avg_lines_per_cycle >= 1.0, "{:?}", analysis);
+                        prop_assert_eq!(analysis.concurrent_reads, least.concurrent_reads);
+                        for (real, floor) in cost.price(&analysis).iter().zip(&floor) {
+                            prop_assert!(real.edp >= floor.edp, "{} on {}", df, arch.name);
+                            if arch.is_buffered_distribution() {
+                                prop_assert_eq!(real.edp, floor.edp);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -628,15 +782,24 @@ mod tests {
         let tall: Workload = ConvLayer::new(1, 1, 1, 5, 2, 5, 2).with_name("l").into();
         let narrow = ArchSpec::feather_like(4, 3);
         check_table(&narrow, &tall, &MapperConfig::fast(), 10567).unwrap();
-        // A full-size layer where off-chip reordering makes *switch* dearer
-        // than *stay*, so the predecessor matters.
+        // A full-size layer on every Fig. 13 design: most dataflows' floors
+        // lose there and are never priced, and off-chip reordering makes
+        // *switch* dearer than *stay*, so the predecessor matters.
         let wide: Workload = ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
             .with_padding(1)
             .with_name("l1")
             .into();
-        let offchip = ArchSpec::sigma_like_offchip_reorder(16, 16);
-        let table = check_table(&offchip, &wide, &MapperConfig::fast(), 0).unwrap();
-        assert!(table.choices.iter().any(|c| c.stay != c.switch));
+        let mapper = MapperConfig::fast();
+        for arch in fig13_presets(16, 16, false) {
+            let table = check_table(&arch, &wide, &mapper, 0).unwrap();
+            let (_, work) = search_table(&arch, &wide, &mapper, 0).unwrap();
+            // A fixed dataflow is one candidate, which is always priced.
+            let pruned = work.candidates == 1 || work.priced < work.candidates;
+            assert!(pruned, "{}: {work:?}", arch.name);
+            if arch.name == "SIGMA-like-offchip-reorder" {
+                assert!(table.choices.iter().any(|c| c.stay != c.switch));
+            }
+        }
     }
 
     #[test]

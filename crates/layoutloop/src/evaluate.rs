@@ -190,6 +190,13 @@ impl<'a> DataflowCost<'a> {
     /// RIR the reorder changes no term, and *switch* is *stay*. The names
     /// stay empty (no allocation) until [`Evaluation::label`]: candidates are
     /// compared by `edp` and only winners get labeled.
+    ///
+    /// Neither `edp` falls as the analysis's `read_slowdown` or
+    /// `avg_lines_per_cycle` grows: stall cycles, iAct SRAM bytes and
+    /// leakage rise with them, and an off-chip reorder's exposure keeps the
+    /// latency at `max(compute, transfer)`. So pricing
+    /// [`AccessAnalysis::floor`] bounds every layout's pricing from below —
+    /// the branch and bound of [`crate::cosearch::co_search_table`].
     pub(crate) fn price(&self, analysis: &AccessAnalysis) -> [Evaluation; 2] {
         let stay = self.price_for(analysis, false);
         let switch = if self.arch.reorder == ReorderCapability::Rir {

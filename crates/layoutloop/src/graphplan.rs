@@ -165,6 +165,7 @@ pub fn plan_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cosearch::{search_table, TableWork};
     use feather_arch::graph::resnet50_graph_scaled;
     use feather_arch::workload::ConvLayer;
 
@@ -326,5 +327,41 @@ mod tests {
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
             0x55c0_f1b0_8e06_3093
         );
+    }
+
+    #[test]
+    fn model_b_tables_price_only_candidates_whose_floor_can_win() {
+        // The branch and bound of `co_search_table` over Model B's 26
+        // distinct tables: how many of the mapper's valid dataflows get their
+        // reads sampled, analysed and priced. A search that quietly stops
+        // pruning (or prunes a candidate that could win, which the table pin
+        // above catches) moves this.
+        let g = resnet50_graph_scaled(8, 8);
+        let (arch, mapper) = (ArchSpec::feather_like(16, 16), MapperConfig::fast());
+        let keys = crate::cache::TableKeys::new(&arch, &mapper, 0);
+        let workloads: BTreeMap<String, Workload> = g
+            .nodes()
+            .iter()
+            .filter_map(|node| node.execution_conv())
+            .map(|conv| {
+                let workload = Workload::Conv(conv);
+                (keys.key(&workload), workload)
+            })
+            .collect();
+        assert_eq!(workloads.len(), 26);
+        let mut total = TableWork {
+            candidates: 0,
+            priced: 0,
+        };
+        for workload in workloads.values() {
+            let (_, work) = search_table(&arch, workload, &mapper, 0).unwrap();
+            total.candidates += work.candidates;
+            total.priced += work.priced;
+        }
+        let expected = TableWork {
+            candidates: 780,
+            priced: 138,
+        };
+        assert_eq!(total, expected);
     }
 }
