@@ -9,9 +9,12 @@
 //! * **S**hape — how the physical PE array is virtually grouped into rows and
 //!   columns.
 //!
-//! A [`Dataflow`] binds all four. The cost models only need the *structure*
-//! (factors and order); the functional simulators additionally iterate the
-//! loop nest to generate concrete coordinates.
+//! A [`Dataflow`] models Parallelism and Shape: its spatial factors over the
+//! PE rows and columns, and the array shape. Tiling and Ordering are not
+//! searched: every dataflow runs the canonical remainder nest
+//! ([`Dataflow::temporal`]), which is what the cost model's access sampler
+//! walks. The functional simulator does not read a `Dataflow`; it runs the
+//! `feather::LayerMapping` a planned dataflow is projected onto.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,81 +47,6 @@ impl fmt::Display for ParallelDim {
     }
 }
 
-/// One temporal loop level: a dimension and the number of iterations at that
-/// level (outer → inner order inside [`LoopNest`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TemporalLoop {
-    /// Iterated dimension.
-    pub dim: Dim,
-    /// Loop trip count at this level.
-    pub extent: usize,
-}
-
-impl TemporalLoop {
-    /// Creates a new temporal loop level.
-    pub fn new(dim: Dim, extent: usize) -> Self {
-        TemporalLoop { dim, extent }
-    }
-}
-
-impl fmt::Display for TemporalLoop {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "for {} in 0..{}", self.dim, self.extent)
-    }
-}
-
-/// An ordered temporal loop nest (outermost first).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct LoopNest {
-    /// Loop levels, outermost first.
-    pub loops: Vec<TemporalLoop>,
-}
-
-impl LoopNest {
-    /// Creates a loop nest from `(dim, extent)` pairs, outermost first.
-    pub fn new(levels: impl IntoIterator<Item = (Dim, usize)>) -> Self {
-        LoopNest {
-            loops: levels
-                .into_iter()
-                .map(|(dim, extent)| TemporalLoop::new(dim, extent))
-                .collect(),
-        }
-    }
-
-    /// Product of all loop extents (total temporal iterations).
-    pub fn total_iterations(&self) -> u64 {
-        self.loops.iter().map(|l| l.extent as u64).product()
-    }
-
-    /// Total extent contributed to one dimension across all levels.
-    pub fn extent_of(&self, dim: Dim) -> usize {
-        self.loops
-            .iter()
-            .filter(|l| l.dim == dim)
-            .map(|l| l.extent)
-            .product::<usize>()
-            .max(1)
-    }
-
-    /// The innermost loop dimension, if any. The innermost *non-reduction*
-    /// dimension determines which operand is "stationary" in common parlance.
-    pub fn innermost(&self) -> Option<Dim> {
-        self.loops.last().map(|l| l.dim)
-    }
-
-    /// Returns the position (0 = outermost) of the first loop over `dim`, if any.
-    pub fn position_of(&self, dim: Dim) -> Option<usize> {
-        self.loops.iter().position(|l| l.dim == dim)
-    }
-}
-
-impl fmt::Display for LoopNest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.loops.iter().map(|l| l.to_string()).collect();
-        write!(f, "{}", parts.join("; "))
-    }
-}
-
 /// The virtual grouping of the physical PE array (the "S" in TOPS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ArrayShape {
@@ -146,8 +74,8 @@ impl fmt::Display for ArrayShape {
     }
 }
 
-/// A complete dataflow: spatial unrollings over rows and columns, a temporal
-/// loop nest, and the virtual array shape.
+/// A dataflow: spatial unrollings over rows and columns and the virtual array
+/// shape. Its temporal loop nest follows from them ([`Dataflow::temporal`]).
 ///
 /// # Example
 /// ```
@@ -156,8 +84,8 @@ impl fmt::Display for ArrayShape {
 /// use feather_arch::workload::ConvLayer;
 ///
 /// let layer = ConvLayer::new(1, 64, 64, 56, 56, 3, 3).with_padding(1);
-/// let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &layer.clone().into());
-/// assert!(df.validate(&layer.into()).is_ok());
+/// let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &layer.into());
+/// assert!(df.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Dataflow {
@@ -167,8 +95,6 @@ pub struct Dataflow {
     pub row_parallel: Vec<ParallelDim>,
     /// Dimensions unrolled across PE *columns* (their factors multiply to ≤ cols).
     pub col_parallel: Vec<ParallelDim>,
-    /// Temporal loop nest executed by every PE (outermost first).
-    pub temporal: LoopNest,
     /// Virtual grouping of the PE array.
     pub shape: ArrayShape,
 }
@@ -180,13 +106,11 @@ impl Dataflow {
         shape: ArrayShape,
         row_parallel: Vec<ParallelDim>,
         col_parallel: Vec<ParallelDim>,
-        temporal: LoopNest,
     ) -> Self {
         Dataflow {
             name: name.into(),
             row_parallel,
             col_parallel,
-            temporal,
             shape,
         }
     }
@@ -246,9 +170,19 @@ impl Dataflow {
         out
     }
 
-    /// Combined (spatial × temporal) coverage of a dimension.
-    pub fn total_factor(&self, dim: Dim) -> usize {
-        self.spatial_factor(dim) * self.temporal.extent_of(dim)
+    /// The temporal loop nest every PE runs, outermost first: each of `N`,
+    /// `M`, `C`, `P`, `Q`, `R`, `S` in that order, iterated `⌈size / spatial
+    /// factor⌉` times, leaving out the dims iterated once. This canonical
+    /// remainder is the one nest of every dataflow.
+    pub fn temporal<'a>(
+        &'a self,
+        workload: &'a Workload,
+    ) -> impl Iterator<Item = (Dim, usize)> + 'a {
+        const ORDER: [Dim; 7] = [Dim::N, Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
+        ORDER.into_iter().filter_map(move |dim| {
+            let extent = workload.dim(dim).div_ceil(self.spatial_factor(dim));
+            (extent > 1).then_some((dim, extent))
+        })
     }
 
     /// Size of the spatial reduction group: the number of partial sums that
@@ -284,14 +218,13 @@ impl Dataflow {
             .max(1)
     }
 
-    /// Validates factor bounds against both the array shape and the workload.
+    /// Validates the spatial factors against the array shape.
     ///
     /// # Errors
-    /// Returns [`ArchError::InvalidDataflow`] if the spatial factors exceed the
-    /// array rows/columns, if any factor is zero, or if the combined coverage
-    /// of any dimension exceeds the workload dimension rounded up to the next
-    /// multiple of the spatial factor (over-tiling).
-    pub fn validate(&self, workload: &Workload) -> Result<(), ArchError> {
+    /// Returns [`ArchError::InvalidDataflow`] if the array shape or any
+    /// spatial factor is zero, or if the factors exceed the array rows or
+    /// columns.
+    pub fn validate(&self) -> Result<(), ArchError> {
         if self.shape.rows == 0 || self.shape.cols == 0 {
             return Err(ArchError::InvalidDataflow(
                 "array shape must be non-zero".to_string(),
@@ -302,14 +235,6 @@ impl Dataflow {
                 return Err(ArchError::InvalidDataflow(format!(
                     "spatial factor for {} is zero",
                     p.dim
-                )));
-            }
-        }
-        for l in &self.temporal.loops {
-            if l.extent == 0 {
-                return Err(ArchError::InvalidDataflow(format!(
-                    "temporal extent for {} is zero",
-                    l.dim
                 )));
             }
         }
@@ -327,26 +252,7 @@ impl Dataflow {
                 self.shape.cols
             )));
         }
-        for dim in Dim::ALL {
-            let need = workload.dim(dim);
-            let have = self.total_factor(dim);
-            // Coverage must be at least the workload size (padding the last
-            // tile is fine) but not more than one full spatial factor beyond,
-            // otherwise the mapping wastes whole tiles.
-            let spatial = self.spatial_factor(dim);
-            let max_allowed = need.div_ceil(spatial) * spatial * self.temporal_overshoot_slack();
-            if have > max_allowed.max(spatial) {
-                return Err(ArchError::InvalidDataflow(format!(
-                    "dimension {dim} covered {have} times but workload only needs {need}"
-                )));
-            }
-        }
         Ok(())
-    }
-
-    fn temporal_overshoot_slack(&self) -> usize {
-        // Allow one extra (padded) temporal iteration per dimension.
-        2
     }
 
     /// Steady-state cycles for a weight-stationary NEST-style execution of the
@@ -367,13 +273,11 @@ impl Dataflow {
     pub fn weight_stationary(shape: ArrayShape, workload: &Workload) -> Self {
         let m = workload.dim(Dim::M).min(shape.rows).max(1);
         let c = workload.dim(Dim::C).min(shape.cols).max(1);
-        let temporal = Self::remainder_loops(workload, &[(Dim::M, m), (Dim::C, c)]);
         Dataflow::new(
             "weight-stationary-M_rows-C_cols",
             shape,
             vec![ParallelDim::new(Dim::M, m)],
             vec![ParallelDim::new(Dim::C, c)],
-            temporal,
         )
     }
 
@@ -383,13 +287,11 @@ impl Dataflow {
     pub fn output_stationary(shape: ArrayShape, workload: &Workload) -> Self {
         let p = workload.dim(Dim::P).min(shape.rows).max(1);
         let q = workload.dim(Dim::Q).min(shape.cols).max(1);
-        let temporal = Self::remainder_loops(workload, &[(Dim::P, p), (Dim::Q, q)]);
         Dataflow::new(
             "output-stationary-P_rows-Q_cols",
             shape,
             vec![ParallelDim::new(Dim::P, p)],
             vec![ParallelDim::new(Dim::Q, q)],
-            temporal,
         )
     }
 
@@ -398,13 +300,11 @@ impl Dataflow {
     pub fn channel_parallel(shape: ArrayShape, workload: &Workload, c_par: usize) -> Self {
         let c = c_par.min(shape.cols).min(workload.dim(Dim::C)).max(1);
         let m = workload.dim(Dim::M).min(shape.rows).max(1);
-        let temporal = Self::remainder_loops(workload, &[(Dim::M, m), (Dim::C, c)]);
         Dataflow::new(
             format!("channel-parallel-C{c}"),
             shape,
             vec![ParallelDim::new(Dim::M, m)],
             vec![ParallelDim::new(Dim::C, c)],
-            temporal,
         )
     }
 
@@ -413,32 +313,12 @@ impl Dataflow {
     pub fn sliding_window_parallel(shape: ArrayShape, workload: &Workload, q_par: usize) -> Self {
         let q = q_par.min(shape.cols).max(1);
         let m = workload.dim(Dim::M).min(shape.rows).max(1);
-        let temporal = Self::remainder_loops(workload, &[(Dim::M, m), (Dim::Q, q)]);
         Dataflow::new(
             format!("sliding-window-parallel-Q{q}"),
             shape,
             vec![ParallelDim::new(Dim::M, m)],
             vec![ParallelDim::new(Dim::Q, q)],
-            temporal,
         )
-    }
-
-    /// Builds the temporal loop nest that covers whatever the given spatial
-    /// unrollings leave over, ordered output-channels-first (a reasonable
-    /// default reuse order).
-    fn remainder_loops(workload: &Workload, spatial: &[(Dim, usize)]) -> LoopNest {
-        let spatial_map: BTreeMap<Dim, usize> = spatial.iter().copied().collect();
-        let order = [Dim::N, Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
-        let mut loops = Vec::new();
-        for dim in order {
-            let total = workload.dim(dim);
-            let spatial_f = spatial_map.get(&dim).copied().unwrap_or(1);
-            let extent = total.div_ceil(spatial_f);
-            if extent > 1 {
-                loops.push((dim, extent));
-            }
-        }
-        LoopNest::new(loops)
     }
 }
 
@@ -477,7 +357,7 @@ mod tests {
         let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &layer());
         assert_eq!(df.mapped_pes(), 256);
         assert!((df.spatial_utilization() - 1.0).abs() < 1e-9);
-        df.validate(&layer()).unwrap();
+        df.validate().unwrap();
     }
 
     #[test]
@@ -518,7 +398,7 @@ mod tests {
         let w = layer();
         let mut df = Dataflow::weight_stationary(ArrayShape::new(4, 4), &w);
         df.row_parallel = vec![ParallelDim::new(Dim::M, 8)];
-        assert!(df.validate(&w).is_err());
+        assert!(df.validate().is_err());
     }
 
     #[test]
@@ -526,20 +406,7 @@ mod tests {
         let w = layer();
         let mut df = Dataflow::weight_stationary(ArrayShape::new(4, 4), &w);
         df.col_parallel = vec![ParallelDim::new(Dim::C, 0)];
-        assert!(df.validate(&w).is_err());
-    }
-
-    #[test]
-    fn validation_rejects_overcoverage() {
-        let w: Workload = GemmLayer::new(4, 4, 4).into();
-        let df = Dataflow::new(
-            "bad",
-            ArrayShape::new(4, 4),
-            vec![ParallelDim::new(Dim::M, 4)],
-            vec![ParallelDim::new(Dim::C, 4)],
-            LoopNest::new([(Dim::M, 64), (Dim::C, 64)]),
-        );
-        assert!(df.validate(&w).is_err());
+        assert!(df.validate().is_err());
     }
 
     #[test]
@@ -551,12 +418,24 @@ mod tests {
 
     #[test]
     fn loop_nest_queries() {
-        let nest = LoopNest::new([(Dim::M, 4), (Dim::C, 8), (Dim::Q, 2)]);
-        assert_eq!(nest.total_iterations(), 64);
-        assert_eq!(nest.extent_of(Dim::C), 8);
-        assert_eq!(nest.extent_of(Dim::P), 1);
-        assert_eq!(nest.innermost(), Some(Dim::Q));
-        assert_eq!(nest.position_of(Dim::C), Some(1));
+        // M and C unrolled 16 ways; P and Q are 56 after padding. Every dim
+        // left over is iterated ⌈size / factor⌉ times, N first; N (1) is not
+        // a loop.
+        let w = layer();
+        let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &w);
+        let nest: Vec<_> = df.temporal(&w).collect();
+        let expected = [
+            (Dim::M, 4),
+            (Dim::C, 4),
+            (Dim::P, 56),
+            (Dim::Q, 56),
+            (Dim::R, 3),
+            (Dim::S, 3),
+        ];
+        assert_eq!(nest, expected);
+        // A factor that does not divide its dim pads the last iteration.
+        let os = Dataflow::output_stationary(ArrayShape::new(5, 16), &w);
+        assert_eq!(os.temporal(&w).nth(2), Some((Dim::P, 12)));
     }
 
     #[test]
@@ -566,7 +445,7 @@ mod tests {
             Dataflow::weight_stationary(ArrayShape::new(16, 16), &g),
             Dataflow::output_stationary(ArrayShape::new(16, 16), &g),
         ] {
-            df.validate(&g).unwrap();
+            df.validate().unwrap();
         }
     }
 

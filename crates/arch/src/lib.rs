@@ -2,7 +2,7 @@
 //!
 //! Foundation types for the FEATHER accelerator reproduction (ISCA 2024,
 //! arXiv:2405.13170): tensor dimensions, convolution/GEMM workloads, dataflow
-//! mappings (tiling / ordering / parallelism / shape — "TOPS"), on-chip data
+//! mappings (the parallelism and shape of the paper's "TOPS"), on-chip data
 //! layouts in the paper's `CHW_W4H2C2` notation, a DNN model zoo (ResNet-50,
 //! MobileNet-V3, BERT), energy constants and reference (golden) kernels.
 //!
@@ -11,8 +11,11 @@
 //! * [`workload`] — [`ConvLayer`], [`GemmLayer`]
 //!   and the [`Workload`] enum with derived quantities
 //!   (output dims, MAC counts, tensor footprints).
-//! * [`dataflow`] — [`Dataflow`]: per-dimension spatial /
-//!   temporal tiling, loop order and the virtual PE-array shape.
+//! * [`dataflow`] — [`Dataflow`]: the parallelism and shape of the paper's
+//!   TOPS space (spatial factors over the PE rows and columns, and the
+//!   virtual PE-array shape). Tiling and ordering are the fixed canonical
+//!   remainder nest ([`Dataflow::temporal`]) the cost model's access
+//!   sampler walks; the functional simulator reads `feather::LayerMapping`.
 //! * [`layout`] — [`Layout`]: inter-line dimension order plus
 //!   intra-line `(dim, size)` interleaving, with parsing/printing of the
 //!   paper's textual notation and coordinate → (line, offset) mapping.
@@ -53,7 +56,7 @@ pub mod models;
 pub mod tensor;
 pub mod workload;
 
-pub use dataflow::{Dataflow, LoopNest, ParallelDim, TemporalLoop};
+pub use dataflow::{Dataflow, ParallelDim};
 pub use dims::{DataType, Dim};
 pub use error::ArchError;
 pub use graph::{Graph, GraphSegment, Node, NodeId, NodeOp, TensorId};

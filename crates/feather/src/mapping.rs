@@ -1,6 +1,6 @@
 //! Per-layer mapping: which (dataflow, layout) pair FEATHER runs a layer with.
 
-use feather_arch::dataflow::{ArrayShape, Dataflow, LoopNest, ParallelDim};
+use feather_arch::dataflow::{ArrayShape, Dataflow, ParallelDim};
 use feather_arch::dims::Dim;
 use feather_arch::layout::Layout;
 use feather_arch::workload::ConvLayer;
@@ -156,31 +156,17 @@ impl LayerMapping {
     }
 
     /// The equivalent [`Dataflow`] description (for reporting and for feeding
-    /// the analytic models).
-    pub fn as_dataflow(&self, layer: &ConvLayer, config: &FeatherConfig) -> Dataflow {
-        let shape = ArrayShape::new(config.rows, config.cols);
-        let temporal = LoopNest::new(
-            [
-                (Dim::N, layer.n),
-                (Dim::M, layer.m.div_ceil(self.m_rows)),
-                (Dim::C, layer.c.div_ceil(self.c_cols)),
-                (Dim::P, layer.output_height()),
-                (Dim::Q, layer.output_width().div_ceil(self.q_cols)),
-                (Dim::R, layer.r),
-                (Dim::S, layer.s),
-            ]
-            .into_iter()
-            .filter(|(_, e)| *e > 1),
-        );
+    /// the analytic models): `M` over `m_rows` PE rows, `C` and `Q` over
+    /// `c_cols · q_cols` columns of the array.
+    pub fn as_dataflow(&self, config: &FeatherConfig) -> Dataflow {
         Dataflow::new(
             format!("feather-M{}xC{}xQ{}", self.m_rows, self.c_cols, self.q_cols),
-            shape,
+            ArrayShape::new(config.rows, config.cols),
             vec![ParallelDim::new(Dim::M, self.m_rows)],
             vec![
                 ParallelDim::new(Dim::C, self.c_cols),
                 ParallelDim::new(Dim::Q, self.q_cols),
             ],
-            temporal,
         )
     }
 }
@@ -238,7 +224,7 @@ mod tests {
         let cfg = FeatherConfig::new(4, 4);
         let l = layer();
         let ws = LayerMapping::weight_stationary(&l, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
-        let df = ws.as_dataflow(&l, &cfg);
+        let df = ws.as_dataflow(&cfg);
         let projected = LayerMapping::from_dataflow(
             &l,
             &cfg,
@@ -252,7 +238,6 @@ mod tests {
 
     #[test]
     fn from_dataflow_clamps_foreign_parallelism() {
-        use feather_arch::dataflow::{ArrayShape, LoopNest};
         // A dataflow parallelizing P across columns projects to a plain
         // M-rows mapping with unit column factors.
         let cfg = FeatherConfig::new(4, 4);
@@ -262,7 +247,6 @@ mod tests {
             ArrayShape::new(4, 4),
             vec![ParallelDim::new(Dim::M, 4)],
             vec![ParallelDim::new(Dim::P, 4)],
-            LoopNest::new([(Dim::C, 8)]),
         );
         let m = LayerMapping::from_dataflow(
             &l,
@@ -282,8 +266,19 @@ mod tests {
         let cfg = FeatherConfig::new(4, 4);
         let l = layer();
         let m = LayerMapping::weight_stationary(&l, &cfg, "HWC_C4", "MPQ_Q4").unwrap();
-        let df = m.as_dataflow(&l, &cfg);
-        df.validate(&l.clone().into()).unwrap();
+        let df = m.as_dataflow(&cfg);
+        df.validate().unwrap();
         assert_eq!(df.spatial_reduction_size(), 4);
+        // M and C unrolled four ways, Q one way: the rest is iterated.
+        let nest: Vec<_> = df.temporal(&l.into()).collect();
+        let expected = [
+            (Dim::M, 2),
+            (Dim::C, 2),
+            (Dim::P, 6),
+            (Dim::Q, 6),
+            (Dim::R, 3),
+            (Dim::S, 3),
+        ];
+        assert_eq!(nest, expected);
     }
 }

@@ -103,10 +103,11 @@ pub struct ReadSignature {
 
 impl ReadSignature {
     /// Samples up to `max_samples` (at least four) execution cycles of
-    /// `dataflow`, deterministically from `seed`.
-    pub fn new(dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
+    /// `dataflow` on `workload`, deterministically from `seed`.
+    pub fn new(workload: &Workload, dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
         let spatial = iact_spatial(dataflow);
-        let innermost = dataflow.temporal.innermost();
+        let loops: Vec<(Dim, usize)> = dataflow.temporal(workload).collect();
+        let innermost = loops.last().map(|&(dim, _)| dim);
 
         // Temporal base points: the per-dimension block index times the spatial
         // factor gives the starting coordinate of the tile processed that cycle.
@@ -118,20 +119,19 @@ impl ReadSignature {
         let bases = (0..max_samples.max(4))
             .map(|k| {
                 let mut base: PerDim = [0; Dim::ALL.len()];
-                for l in &dataflow.temporal.loops {
+                for &(dim, extent) in &loops {
+                    // Every loop of the nest runs more than once.
                     let step = if k < 4 {
-                        if Some(l.dim) == innermost {
-                            k.min(l.extent.saturating_sub(1))
+                        if Some(dim) == innermost {
+                            k.min(extent - 1)
                         } else {
                             0
                         }
-                    } else if l.extent <= 1 {
-                        0
                     } else {
-                        rng.gen_range(0..l.extent)
+                        rng.gen_range(0..extent)
                     };
-                    if indexes_iacts(l.dim) {
-                        base[l.dim as usize] = step * spatial[l.dim as usize];
+                    if indexes_iacts(dim) {
+                        base[dim as usize] = step * spatial[dim as usize];
                     }
                 }
                 base
@@ -343,7 +343,7 @@ pub fn analyze_iact_reads(
     max_samples: usize,
     seed: u64,
 ) -> AccessAnalysis {
-    let signature = ReadSignature::new(dataflow, max_samples, seed);
+    let signature = ReadSignature::new(workload, dataflow, max_samples, seed);
     SampledReads::new(workload, &signature).analyze(&iact_plan(workload, layout), conflicts)
 }
 
@@ -445,12 +445,7 @@ mod oracle {
         // Fig. 4) and the steady state.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut samples: Vec<BTreeMap<Dim, usize>> = Vec::new();
-        let temporal_dims: Vec<(Dim, usize)> = dataflow
-            .temporal
-            .loops
-            .iter()
-            .map(|l| (l.dim, l.extent))
-            .collect();
+        let temporal_dims: Vec<(Dim, usize)> = dataflow.temporal(workload).collect();
         let base_for = |steps: &mut dyn FnMut(Dim, usize) -> usize| -> BTreeMap<Dim, usize> {
             let mut base = BTreeMap::new();
             for &(dim, extent) in &temporal_dims {
@@ -463,7 +458,7 @@ mod oracle {
         // First four deterministic steps of the innermost loops.
         for k in 0..4usize {
             samples.push(base_for(&mut |dim, extent| {
-                if Some(dim) == dataflow.temporal.innermost() {
+                if Some(dim) == temporal_dims.last().map(|&(d, _)| d) {
                     k.min(extent.saturating_sub(1))
                 } else {
                     0

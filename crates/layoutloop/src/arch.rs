@@ -2,8 +2,8 @@
 //!
 //! An [`ArchSpec`] captures exactly the knobs that matter for the paper's
 //! comparison (Tab. IV): array size and datatype, the physical organization of
-//! the on-chip activation buffer, how flexible the dataflow is (the TOPS
-//! dimensions of §II-A), which on-chip reordering pattern the design supports
+//! the on-chip activation buffer, which dataflows it runs (the parallelism
+//! and shape of §II-A's TOPS), which on-chip reordering pattern the design supports
 //! (§II-D/E), and how the reduction/distribution networks are built (for the
 //! NoC energy model).
 
@@ -14,58 +14,6 @@ use feather_arch::layout::Layout;
 use feather_arch::ArchError;
 use feather_memsim::{Banking, BufferSpec};
 use serde::{Deserialize, Serialize};
-
-/// Which of the four dataflow transformation axes (Tiling, Ordering,
-/// Parallelism, Shape) the hardware can exploit at run time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DataflowFlexibility {
-    /// Flexible tiling (all designs in the paper's table support this).
-    pub tiling: bool,
-    /// Flexible loop ordering (stationarity).
-    pub ordering: bool,
-    /// Flexible choice of which dimensions are parallelized.
-    pub parallelism: bool,
-    /// Flexible virtual array shape (grouping).
-    pub shape: bool,
-}
-
-impl DataflowFlexibility {
-    /// Full TOPS flexibility (SIGMA, FEATHER).
-    pub const TOPS: DataflowFlexibility = DataflowFlexibility {
-        tiling: true,
-        ordering: true,
-        parallelism: true,
-        shape: true,
-    };
-    /// Tiling only (NVDLA, Gemmini, Xilinx DPU, Edge TPU).
-    pub const T: DataflowFlexibility = DataflowFlexibility {
-        tiling: true,
-        ordering: false,
-        parallelism: false,
-        shape: false,
-    };
-    /// Tiling + ordering (TPU-like in Tab. IV).
-    pub const TO: DataflowFlexibility = DataflowFlexibility {
-        tiling: true,
-        ordering: true,
-        parallelism: false,
-        shape: false,
-    };
-    /// Tiling + ordering + parallelism (MTIA-like in Tab. IV).
-    pub const TOP: DataflowFlexibility = DataflowFlexibility {
-        tiling: true,
-        ordering: true,
-        parallelism: true,
-        shape: false,
-    };
-    /// Tiling + shape (Eyeriss row-stationary with folding).
-    pub const TS: DataflowFlexibility = DataflowFlexibility {
-        tiling: true,
-        ordering: false,
-        parallelism: false,
-        shape: true,
-    };
-}
 
 /// On-chip data-reordering support (§II-D, Tab. III).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -94,17 +42,6 @@ pub enum ReorderCapability {
 }
 
 impl ReorderCapability {
-    /// Can the design give every layer a different layout?
-    pub fn supports_per_layer_layout(&self) -> bool {
-        matches!(
-            self,
-            ReorderCapability::OffChip { .. }
-                | ReorderCapability::Transpose
-                | ReorderCapability::TransposeRowReorder
-                | ReorderCapability::Rir
-        )
-    }
-
     /// Effective number of lines one bank can serve per cycle, given its
     /// nominal port count (line rotation borrows a neighbouring bank's port).
     pub fn effective_read_ports(&self, nominal: usize) -> usize {
@@ -112,16 +49,6 @@ impl ReorderCapability {
             ReorderCapability::LineRotation => nominal + 1,
             _ => nominal,
         }
-    }
-
-    /// Does the reorder happen after reduction on the critical path (RAR)?
-    pub fn is_reorder_after_reduction(&self) -> bool {
-        matches!(
-            self,
-            ReorderCapability::LineRotation
-                | ReorderCapability::Transpose
-                | ReorderCapability::TransposeRowReorder
-        )
     }
 }
 
@@ -153,13 +80,22 @@ pub enum DistributionStyle {
     PointToPoint,
 }
 
-/// Which dataflow(s) the design can run — drives the mapper.
+/// Which dataflow(s) the design can run — the one decision the mapper reads
+/// of the paper's TOPS flexibility (§II-A, Tab. IV). Tiling and ordering are
+/// not searched (every dataflow runs the canonical remainder nest), so a
+/// design differs only in whether it re-chooses its parallel dims per layer
+/// and, if so, whether it may also regroup the array.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DataflowPolicy {
-    /// A single fixed dataflow family, identified by name.
+    /// A single fixed dataflow family: no run-time choice of parallel dims
+    /// (NVDLA, Gemmini, Eyeriss, Xilinx DPU, Edge TPU, TPU-like).
     Fixed(FixedDataflow),
-    /// Free choice of parallel dimensions (subject to `DataflowFlexibility`).
-    Flexible,
+    /// Free choice of parallel dims per layer (SIGMA, MTIA, FEATHER).
+    Flexible {
+        /// Whether one array axis may be split between two dims (the
+        /// virtual shape grouping, the "S" of TOPS).
+        shape: bool,
+    },
 }
 
 /// The fixed dataflows used by the paper's fixed-dataflow baselines.
@@ -182,9 +118,13 @@ pub enum FixedDataflow {
 pub enum LayoutPolicy {
     /// One compile-time layout for every layer.
     Fixed(Layout),
-    /// A per-layer search over the given candidates (requires a reorder
-    /// capability that supports per-layer layouts, otherwise the co-search
-    /// still picks a single network-wide layout).
+    /// A per-layer search over the given candidates. Every layer may pick
+    /// any of them: when its choice differs from the layout the previous
+    /// layer left behind, the co-search prices the switch with the
+    /// design's [`ReorderCapability`] (free under RIR, an extra on-chip
+    /// pass for a transpose unit, a DRAM round trip without on-chip
+    /// reordering), and the chaining pass picks, layer by layer, the
+    /// layout with the lowest EDP under that price.
     Searchable(Vec<Layout>),
 }
 
@@ -209,8 +149,6 @@ pub struct ArchSpec {
     pub dtype: DataType,
     /// Physical organization of the on-chip activation buffer.
     pub activation_buffer: BufferSpec,
-    /// Dataflow flexibility (TOPS).
-    pub flexibility: DataflowFlexibility,
     /// Dataflow policy (fixed vs flexible).
     pub dataflow_policy: DataflowPolicy,
     /// Layout policy (fixed vs searchable).
@@ -259,8 +197,7 @@ impl ArchSpec {
             shape: ArrayShape::new(rows, cols),
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
-            flexibility: DataflowFlexibility::TOPS,
-            dataflow_policy: DataflowPolicy::Flexible,
+            dataflow_policy: DataflowPolicy::Flexible { shape: true },
             layout_policy: LayoutPolicy::Searchable(Layout::conv_candidates()),
             reorder: ReorderCapability::Rir,
             reduction: ReductionStyle::Birrd,
@@ -279,7 +216,6 @@ impl ArchSpec {
             shape: ArrayShape::new(rows, cols),
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
-            flexibility: DataflowFlexibility::T,
             dataflow_policy: DataflowPolicy::Fixed(FixedDataflow::WeightStationaryMC),
             layout_policy: LayoutPolicy::Fixed("HWC_C32".parse().expect("valid layout")),
             reorder: ReorderCapability::None,
@@ -291,7 +227,7 @@ impl ArchSpec {
         }
     }
 
-    /// Eyeriss-like: row-stationary dataflow with flexible tiling/shape, fixed
+    /// Eyeriss-like: row-stationary dataflow with filter folding, fixed
     /// layout, no reordering.
     pub fn eyeriss_like(rows: usize, cols: usize) -> Self {
         ArchSpec {
@@ -299,7 +235,6 @@ impl ArchSpec {
             shape: ArrayShape::new(rows, cols),
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
-            flexibility: DataflowFlexibility::TS,
             dataflow_policy: DataflowPolicy::Fixed(FixedDataflow::RowStationary),
             layout_policy: LayoutPolicy::Fixed("HWC_C32".parse().expect("valid layout")),
             reorder: ReorderCapability::None,
@@ -319,8 +254,7 @@ impl ArchSpec {
             shape: ArrayShape::new(rows, cols),
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
-            flexibility: DataflowFlexibility::TOPS,
-            dataflow_policy: DataflowPolicy::Flexible,
+            dataflow_policy: DataflowPolicy::Flexible { shape: true },
             layout_policy: LayoutPolicy::Fixed(layout.parse().expect("valid layout")),
             reorder: ReorderCapability::None,
             reduction: ReductionStyle::FlexibleTree,
@@ -354,17 +288,19 @@ impl ArchSpec {
     pub fn mtia_like(rows: usize, cols: usize) -> Self {
         let mut spec = Self::sigma_like_fixed_layout(rows, cols, "HWC_C32");
         spec.name = "MTIA-like".to_string();
-        spec.flexibility = DataflowFlexibility::TOP;
+        spec.dataflow_policy = DataflowPolicy::Flexible { shape: false };
         spec.layout_policy = LayoutPolicy::Searchable(transpose_reachable_layouts());
         spec.reorder = ReorderCapability::Transpose;
         spec
     }
 
-    /// TPU-like: MTIA plus row reordering.
+    /// TPU-like: MTIA plus row reordering, on a fixed weight-stationary
+    /// dataflow (Tab. IV gives it tiling and ordering flexibility only, and
+    /// no parallelism choice).
     pub fn tpu_like(rows: usize, cols: usize) -> Self {
         let mut spec = Self::mtia_like(rows, cols);
         spec.name = "TPU-like".to_string();
-        spec.flexibility = DataflowFlexibility::TO;
+        spec.dataflow_policy = DataflowPolicy::Fixed(FixedDataflow::WeightStationaryMC);
         spec.reorder = ReorderCapability::TransposeRowReorder;
         spec
     }
@@ -387,7 +323,6 @@ impl ArchSpec {
             shape: ArrayShape::new(12, 96),
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
-            flexibility: DataflowFlexibility::T,
             dataflow_policy: DataflowPolicy::Fixed(FixedDataflow::DpuFixed),
             layout_policy: LayoutPolicy::Fixed("HWC_C32".parse().expect("valid layout")),
             reorder: ReorderCapability::None,
@@ -461,21 +396,27 @@ mod tests {
     #[test]
     fn presets_have_expected_capabilities() {
         let feather = ArchSpec::feather_like(16, 16);
-        assert!(feather.reorder.supports_per_layer_layout());
-        assert_eq!(feather.flexibility, DataflowFlexibility::TOPS);
-        assert!(matches!(feather.dataflow_policy, DataflowPolicy::Flexible));
+        assert_eq!(feather.reorder, ReorderCapability::Rir);
+        let flexible = DataflowPolicy::Flexible { shape: true };
+        assert_eq!(feather.dataflow_policy, flexible);
 
         let nvdla = ArchSpec::nvdla_like(16, 16);
-        assert!(!nvdla.reorder.supports_per_layer_layout());
+        assert_eq!(nvdla.reorder, ReorderCapability::None);
         assert!(matches!(nvdla.layout_policy, LayoutPolicy::Fixed(_)));
 
         let medusa = ArchSpec::medusa_like(16, 16);
         assert_eq!(medusa.reorder.effective_read_ports(2), 3);
-        assert!(medusa.reorder.is_reorder_after_reduction());
 
-        let sigma = ArchSpec::sigma_like_offchip_reorder(16, 16);
-        assert!(sigma.reorder.supports_per_layer_layout());
-        assert!(!sigma.reorder.is_reorder_after_reduction());
+        // MTIA re-chooses its parallel dims but cannot regroup the array;
+        // TPU-like runs the one weight-stationary dataflow.
+        let mtia = ArchSpec::mtia_like(16, 16);
+        assert_eq!(
+            mtia.dataflow_policy,
+            DataflowPolicy::Flexible { shape: false }
+        );
+        let tpu = ArchSpec::tpu_like(16, 16);
+        let ws = DataflowPolicy::Fixed(FixedDataflow::WeightStationaryMC);
+        assert_eq!(tpu.dataflow_policy, ws);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! Most candidates need none of the per-signature work: a dataflow's
 //! *floor*, its pricing of the least analysis any layout can produce
-//! ([`AccessAnalysis::floor`]), already loses to every layout's best so far,
+//! (`AccessAnalysis::floor`), already loses to every layout's best so far,
 //! so [`co_search_table`] samples and analyses only the reads of candidates
 //! whose floor can still win (branch and bound).
 
@@ -174,11 +174,11 @@ impl CoSearchTable {
 /// variants from its dataflow's terms, which are computed once.
 ///
 /// Branch and bound: dataflows are visited in order of their *floor* — the
-/// *stay* pricing of [`AccessAnalysis::floor`] — and one whose floor cannot
+/// *stay* pricing of `AccessAnalysis::floor` — and one whose floor cannot
 /// beat any (layout, stay | switch) slot is never sampled, analysed or
 /// priced. That is exact because a pricing's `edp` never falls as the
 /// analysis's `read_slowdown` or `avg_lines_per_cycle` grows
-/// ([`DataflowCost::price`]), and no analysis goes below the floor's. Slots
+/// (`DataflowCost::price`), and no analysis goes below the floor's. Slots
 /// compare `(edp, dataflow index)`, so each keeps the first of equal-EDP
 /// candidates in dataflow order, as an in-order scan with a strict `<`.
 ///
@@ -255,7 +255,7 @@ pub(crate) fn search_table(
             continue;
         }
         priced += 1;
-        let signature = ReadSignature::new(&dataflows[i], ACCESS_SAMPLES, seed);
+        let signature = ReadSignature::new(workload, &dataflows[i], ACCESS_SAMPLES, seed);
         let per_layout = analyses.entry(signature).or_insert_with_key(|signature| {
             let reads = SampledReads::new(workload, signature);
             plans
@@ -480,7 +480,7 @@ mod tests {
     use super::*;
     use crate::access::IactPlan;
     use crate::arch::LayoutPolicy;
-    use crate::evaluate::{check_dataflow, evaluate};
+    use crate::evaluate::evaluate;
     use feather_arch::models::{bert_base, mobilenet_v3, resnet50, Network};
     use feather_arch::workload::{ConvLayer, GemmLayer};
     use feather_memsim::{Banking, BufferSpec};
@@ -579,15 +579,11 @@ mod tests {
         seed: u64,
     ) -> Result<CoSearchTable, TestCaseError> {
         let dataflows = search_dataflows(arch, workload, mapper);
-        let valid: Vec<&Dataflow> = dataflows
+        let signatures: BTreeSet<ReadSignature> = dataflows
             .iter()
-            .filter(|df| check_dataflow(arch, workload, df).is_ok())
+            .map(|df| ReadSignature::new(workload, df, ACCESS_SAMPLES, seed))
             .collect();
-        let signatures: BTreeSet<ReadSignature> = valid
-            .iter()
-            .map(|df| ReadSignature::new(df, ACCESS_SAMPLES, seed))
-            .collect();
-        if signatures.len() < valid.len() {
+        if signatures.len() < dataflows.len() {
             SIGNATURE_HITS.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -744,7 +740,7 @@ mod tests {
                     let cost = DataflowCost::new(&arch, &workload, &df);
                     let least = AccessAnalysis::floor(&df, ACCESS_SAMPLES);
                     let floor = cost.price(&least);
-                    let signature = ReadSignature::new(&df, ACCESS_SAMPLES, seed);
+                    let signature = ReadSignature::new(&workload, &df, ACCESS_SAMPLES, seed);
                     let reads = SampledReads::new(&workload, &signature);
                     for plan in &plans {
                         let analysis = reads.analyze(plan, &conflicts);
@@ -822,7 +818,7 @@ mod tests {
         let text = format!("{tables:?}");
         assert_eq!(
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
-            0x15e2_987c_1c77_431c
+            0xfec1_2e9d_604f_af2a
         );
     }
 

@@ -69,7 +69,7 @@ impl Evaluation {
 ///
 /// # Errors
 /// Returns [`ArchError::InvalidDataflow`] if the architecture is malformed or
-/// the dataflow does not fit the workload or the architecture's array.
+/// the dataflow does not fit the architecture's array.
 pub fn evaluate(
     arch: &ArchSpec,
     workload: &Workload,
@@ -79,7 +79,13 @@ pub fn evaluate(
     seed: u64,
 ) -> Result<Evaluation, ArchError> {
     arch.validate()?;
-    check_dataflow(arch, workload, dataflow)?;
+    dataflow.validate()?;
+    if dataflow.shape != arch.shape {
+        return Err(ArchError::InvalidDataflow(format!(
+            "dataflow shape {} does not match architecture shape {}",
+            dataflow.shape, arch.shape
+        )));
+    }
     let analysis = analyze_iact_reads(
         workload,
         dataflow,
@@ -93,22 +99,6 @@ pub fn evaluate(
         DataflowCost::new(arch, workload, dataflow).price_for(&analysis, needs_reorder);
     evaluation.label(arch, workload.name(), dataflow, layout);
     Ok(evaluation)
-}
-
-/// The validity half of [`evaluate`]: depends on neither layout.
-pub(crate) fn check_dataflow(
-    arch: &ArchSpec,
-    workload: &Workload,
-    dataflow: &Dataflow,
-) -> Result<(), ArchError> {
-    dataflow.validate(workload)?;
-    if dataflow.shape != arch.shape {
-        return Err(ArchError::InvalidDataflow(format!(
-            "dataflow shape {} does not match architecture shape {}",
-            dataflow.shape, arch.shape
-        )));
-    }
-    Ok(())
 }
 
 impl Evaluation {
@@ -233,40 +223,37 @@ impl<'a> DataflowCost<'a> {
         let oact_bytes = self.oact_bytes;
         let line_size = arch.activation_buffer.line_size.max(1) as u64;
         let compute_cycles = ideal_cycles + stall_cycles;
-        let (reorder_cycles, reorder_energy_pj, reorder_dram_bytes) = if !needs_reorder {
-            (0u64, 0.0, 0u64)
-        } else {
+        // A reorder through DRAM: the oActs are written back and re-read in
+        // the new layout at `bandwidth`, hidden behind compute where it can be.
+        let off_chip = |bandwidth: f64| {
+            let extra_bytes = 2 * oact_bytes;
+            let transfer_cycles = (extra_bytes as f64 / bandwidth).ceil() as u64;
+            let exposed = transfer_cycles.saturating_sub(compute_cycles);
+            (exposed, extra_bytes, 0.0, arch.energy.dram_pj(extra_bytes))
+        };
+        // The reorder's exposed cycles, its DRAM bytes, and its energy on
+        // chip (SRAM) and off chip (DRAM).
+        let (reorder_cycles, reorder_dram_bytes, reorder_sram_pj, reorder_dram_pj) =
             match arch.reorder {
-                ReorderCapability::Rir => (0, 0.0, 0),
+                _ if !needs_reorder => (0, 0, 0.0, 0.0),
+                ReorderCapability::Rir => (0, 0, 0.0, 0.0),
                 ReorderCapability::OffChip {
                     bandwidth_bytes_per_cycle,
-                } => {
-                    // oActs written back to DRAM and re-read in the new layout.
-                    let extra_bytes = 2 * oact_bytes;
-                    let transfer_cycles =
-                        (extra_bytes as f64 / bandwidth_bytes_per_cycle).ceil() as u64;
-                    let exposed = transfer_cycles.saturating_sub(compute_cycles);
-                    (exposed, arch.energy.dram_pj(extra_bytes), extra_bytes)
-                }
+                } => off_chip(bandwidth_bytes_per_cycle),
                 ReorderCapability::Transpose | ReorderCapability::TransposeRowReorder => {
                     // Reorder-after-reduction: the oActs make one extra round trip
                     // through the on-chip buffer via the reorder unit, on the
                     // critical path (Fig. 6b).
                     let extra_bytes = 2 * oact_bytes;
                     let rar_cycles = (oact_bytes / line_size.max(1)).max(1) * 2;
-                    (rar_cycles, arch.energy.sram_pj(extra_bytes), 0)
+                    (rar_cycles, 0, arch.energy.sram_pj(extra_bytes), 0.0)
                 }
+                // These designs cannot produce a different layout on chip; the
+                // only way out is through DRAM at the baseline bandwidth.
                 ReorderCapability::LineRotation | ReorderCapability::None => {
-                    // These designs cannot produce a different layout on chip; the
-                    // only way out is through DRAM at the baseline bandwidth.
-                    let extra_bytes = 2 * oact_bytes;
-                    let transfer_cycles =
-                        (extra_bytes as f64 / arch.dram_bandwidth_bytes_per_cycle).ceil() as u64;
-                    let exposed = transfer_cycles.saturating_sub(compute_cycles);
-                    (exposed, arch.energy.dram_pj(extra_bytes), extra_bytes)
+                    off_chip(arch.dram_bandwidth_bytes_per_cycle)
                 }
-            }
-        };
+            };
 
         // --- Energy ------------------------------------------------------------------
         let (iact_bytes, weight_bytes) = (self.iact_bytes, self.weight_bytes);
@@ -300,28 +287,8 @@ impl<'a> DataflowCost<'a> {
         let energy = EnergyBreakdown {
             compute_pj: self.compute_pj,
             register_pj: self.register_pj,
-            sram_pj: sram_pj
-                + if matches!(
-                    arch.reorder,
-                    ReorderCapability::Transpose | ReorderCapability::TransposeRowReorder
-                ) && needs_reorder
-                {
-                    reorder_energy_pj
-                } else {
-                    0.0
-                },
-            dram_pj: dram_pj
-                + if matches!(
-                    arch.reorder,
-                    ReorderCapability::OffChip { .. }
-                        | ReorderCapability::None
-                        | ReorderCapability::LineRotation
-                ) && needs_reorder
-                {
-                    reorder_energy_pj
-                } else {
-                    0.0
-                },
+            sram_pj: sram_pj + reorder_sram_pj,
+            dram_pj: dram_pj + reorder_dram_pj,
             noc_pj: self.noc_pj,
             leakage_pj,
         };
@@ -345,7 +312,7 @@ impl<'a> DataflowCost<'a> {
             utilization,
             lines_per_cycle: analysis.avg_lines_per_cycle,
             energy,
-            reorder_energy_pj,
+            reorder_energy_pj: reorder_sram_pj + reorder_dram_pj,
             edp,
         }
     }

@@ -325,7 +325,7 @@ mod tests {
         let text = format!("{:?}", tables.values().collect::<Vec<_>>());
         assert_eq!(
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
-            0x55c0_f1b0_8e06_3093
+            0x1625_8a27_4a52_4669
         );
     }
 

@@ -11,7 +11,7 @@
 //!    `max(NL/NP, 1)` bank-conflict slowdown.
 //!
 //! On top of the evaluator sits a mapper ([`mapper`]) that searches the
-//! dataflow space under an architecture's flexibility constraints, and a
+//! dataflow space under an architecture's dataflow policy, and a
 //! co-search driver ([`cosearch`]) that explores (dataflow, layout) pairs and
 //! picks the EDP-optimal combination per layer — the flow used to produce
 //! Fig. 13 of the paper.
@@ -41,7 +41,7 @@ pub mod evaluate;
 pub mod graphplan;
 pub mod mapper;
 
-pub use arch::{ArchSpec, DataflowFlexibility, ReorderCapability};
+pub use arch::{ArchSpec, ReorderCapability};
 pub use cache::CoSearchCache;
 pub use cosearch::{co_search, plan_network, CoSearchResult, CoSearchTable, NetworkPlan};
 pub use evaluate::{evaluate, Evaluation};

@@ -3,10 +3,13 @@
 //! Timeloop's mapper enumerates loop-nest transformations; Layoutloop keeps
 //! the same role but only needs the subset of the space that distinguishes the
 //! paper's designs: which dimensions are parallelized across the PE rows and
-//! columns and with which factors, under each architecture's flexibility
-//! constraints (fixed dataflow, TOP, TOPS, ...).
+//! columns and with which factors, under each architecture's
+//! [`DataflowPolicy`] (one fixed dataflow, or a per-layer choice of parallel
+//! dims with or without splitting an array axis between two of them). Tiling
+//! and ordering are not searched: every candidate runs its canonical
+//! remainder nest ([`Dataflow::temporal`]).
 
-use feather_arch::dataflow::{ArrayShape, Dataflow, LoopNest, ParallelDim};
+use feather_arch::dataflow::{ArrayShape, Dataflow, ParallelDim};
 use feather_arch::dims::Dim;
 use feather_arch::workload::Workload;
 use serde::{Deserialize, Serialize};
@@ -19,7 +22,8 @@ pub struct MapperConfig {
     /// Also consider mappings that split one array axis between two dimensions
     /// (virtual shape grouping — only meaningful for shape-flexible designs).
     pub include_pairs: bool,
-    /// Hard cap on the number of candidates returned.
+    /// Hard cap on the number of candidates offered to a flexible design (a
+    /// fixed design has one).
     pub max_candidates: usize,
 }
 
@@ -69,13 +73,10 @@ fn axis_assignments(
     dims: &[Dim],
     include_pairs: bool,
 ) -> Vec<Vec<ParallelDim>> {
-    let mut out: Vec<Vec<ParallelDim>> = Vec::new();
-    for &d in dims {
-        let f = fit_factor(workload.dim(d), capacity);
-        if f >= 1 {
-            out.push(vec![ParallelDim::new(d, f)]);
-        }
-    }
+    let mut out: Vec<Vec<ParallelDim>> = dims
+        .iter()
+        .map(|&d| vec![ParallelDim::new(d, fit_factor(workload.dim(d), capacity))])
+        .collect();
     if include_pairs {
         for &d1 in dims {
             for &d2 in dims {
@@ -83,10 +84,10 @@ fn axis_assignments(
                     continue;
                 }
                 let f1 = fit_factor(workload.dim(d1), capacity);
-                if f1 == 0 || f1 >= capacity {
+                if f1 >= capacity {
                     continue;
                 }
-                let f2 = fit_factor(workload.dim(d2), capacity / f1.max(1));
+                let f2 = fit_factor(workload.dim(d2), capacity / f1);
                 if f1 > 1 && f2 > 1 {
                     out.push(vec![ParallelDim::new(d1, f1), ParallelDim::new(d2, f2)]);
                 }
@@ -96,44 +97,21 @@ fn axis_assignments(
     out
 }
 
-/// Builds the temporal remainder loop nest for a chosen spatial assignment
-/// of `rows` and `cols`.
-fn remainder_nest(workload: &Workload, rows: &[ParallelDim], cols: &[ParallelDim]) -> LoopNest {
-    let spatial_of = |d: Dim| -> usize {
-        rows.iter()
-            .chain(cols)
-            .filter(|p| p.dim == d)
-            .map(|p| p.factor)
-            .product::<usize>()
-            .max(1)
-    };
-    let order = [Dim::N, Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
-    LoopNest::new(order.into_iter().filter_map(|d| {
-        let extent = workload.dim(d).div_ceil(spatial_of(d));
-        (extent > 1).then_some((d, extent))
-    }))
-}
-
 /// Generates the dataflow candidates the given architecture may run on the
-/// given workload. Every candidate is valid: it fits the workload
-/// ([`Dataflow::validate`]) on the architecture's array shape, so a design
-/// whose one dataflow does not fit the workload has none.
+/// given workload. Every candidate is valid by construction: its factors are
+/// at least 1 and multiply to at most the axis they unroll over, so
+/// [`Dataflow::validate`] accepts it on any array with no zero axis.
 pub fn search_dataflows(
     arch: &ArchSpec,
     workload: &Workload,
     config: &MapperConfig,
 ) -> Vec<Dataflow> {
-    let mut candidates = match &arch.dataflow_policy {
-        DataflowPolicy::Fixed(kind) => vec![fixed_dataflow(*kind, arch.shape, workload)],
-        DataflowPolicy::Flexible if !arch.flexibility.parallelism => {
-            // A design that cannot re-choose its parallel dims at run time
-            // only runs its canonical weight-stationary mapping.
-            vec![Dataflow::weight_stationary(arch.shape, workload)]
+    match arch.dataflow_policy {
+        DataflowPolicy::Fixed(kind) => vec![fixed_dataflow(kind, arch.shape, workload)],
+        DataflowPolicy::Flexible { shape: regroup } => {
+            flexible_dataflows(arch.shape, regroup, workload, config)
         }
-        DataflowPolicy::Flexible => return flexible_dataflows(arch, workload, config),
-    };
-    candidates.retain(|df| df.validate(workload).is_ok());
-    candidates
+    }
 }
 
 /// The single dataflow of a fixed-dataflow design.
@@ -166,13 +144,11 @@ fn row_stationary_folded(shape: ArrayShape, workload: &Workload) -> Dataflow {
     } else {
         vec![ParallelDim::new(Dim::P, p)]
     };
-    let temporal = remainder_nest(workload, &row_parallel, &col_parallel);
     Dataflow::new(
         "row-stationary-RM_rows-P_cols",
         shape,
         row_parallel,
         col_parallel,
-        temporal,
     )
 }
 
@@ -184,23 +160,22 @@ fn dpu_dataflow(shape: ArrayShape, workload: &Workload) -> Dataflow {
     let q = fit_factor(workload.dim(Dim::Q), shape.cols / c.max(1));
     let rows = vec![ParallelDim::new(Dim::M, m)];
     let cols = vec![ParallelDim::new(Dim::C, c), ParallelDim::new(Dim::Q, q)];
-    let temporal = remainder_nest(workload, &rows, &cols);
-    Dataflow::new("dpu-fixed-M_rows-CQ_cols", shape, rows, cols, temporal)
+    Dataflow::new("dpu-fixed-M_rows-CQ_cols", shape, rows, cols)
 }
 
 /// The candidates of a design that re-chooses its parallel dims per layer:
 /// every pair of a row and a column assignment that splits no dim across
-/// both axes and passes [`Dataflow::validate`], up to the configured cap.
-/// Each axis assignment is a distinct set of dims, so no two candidates
-/// share a spatial structure.
+/// both axes, up to the configured cap; an axis is split between two dims
+/// only if the design may `regroup` its array. Each axis assignment is a
+/// distinct set of dims, so no two candidates share a spatial structure.
 fn flexible_dataflows(
-    arch: &ArchSpec,
+    shape: ArrayShape,
+    regroup: bool,
     workload: &Workload,
     config: &MapperConfig,
 ) -> Vec<Dataflow> {
-    let shape = arch.shape;
     let dims: &[Dim] = &[Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
-    let include_pairs = config.include_pairs && arch.flexibility.shape;
+    let include_pairs = config.include_pairs && regroup;
 
     // Each assignment with its part of a candidate's name, joined once.
     let labeled = |capacity: usize| {
@@ -215,33 +190,29 @@ fn flexible_dataflows(
     let row_options = labeled(shape.rows);
     let col_options = labeled(shape.cols);
 
-    let mut candidates = Vec::new();
-    for (rows, row_label) in &row_options {
-        for (cols, col_label) in &col_options {
-            // A dimension should not be split across both axes in this simple
-            // mapper (the evaluator would treat the two factors as independent
-            // and over-count coverage).
-            if rows.iter().any(|r| cols.iter().any(|c| c.dim == r.dim)) {
-                continue;
-            }
-            let temporal = remainder_nest(workload, rows, cols);
-            let mut df = Dataflow::new(String::new(), shape, rows.clone(), cols.clone(), temporal);
-            if df.validate(workload).is_ok() {
-                df.name = ["flex-", row_label, "-rows_", col_label, "-cols"].concat();
-                candidates.push(df);
-            }
-            if candidates.len() >= config.max_candidates {
-                return candidates;
-            }
-        }
-    }
-    candidates
+    row_options
+        .iter()
+        .flat_map(|(rows, row_label)| {
+            col_options
+                .iter()
+                // A dimension is not split across both axes in this simple
+                // mapper.
+                .filter(|(cols, _)| !rows.iter().any(|r| cols.iter().any(|c| c.dim == r.dim)))
+                .map(move |(cols, col_label)| {
+                    let name = ["flex-", row_label, "-rows_", col_label, "-cols"].concat();
+                    Dataflow::new(name, shape, rows.clone(), cols.clone())
+                })
+        })
+        .take(config.max_candidates)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use feather_arch::workload::{ConvLayer, GemmLayer};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn layer() -> Workload {
         ConvLayer::new(1, 128, 256, 14, 14, 3, 3)
@@ -274,8 +245,81 @@ mod tests {
         let c = search_dataflows(&arch, &w, &MapperConfig::default());
         assert!(c.len() > 10, "only {} candidates", c.len());
         for df in &c {
-            df.validate(&w).unwrap();
+            df.validate().unwrap();
             assert_eq!(df.shape, arch.shape);
+        }
+    }
+
+    #[test]
+    fn every_preset_candidate_is_valid_by_construction() {
+        // The mapper filters nothing: every Fig. 13 design and every Fig. 12
+        // device, at 16×16 and 8×8, on random conv and GEMM layers, offers
+        // only dataflows `validate` accepts, on its own array, within the cap.
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let mut layers: Vec<Workload> = Vec::new();
+        while layers.len() < 48 {
+            let layer: Workload = if layers.len() % 3 == 2 {
+                let [m, k, n] = [0; 3].map(|_| rng.gen_range(1..1024));
+                GemmLayer::new(m, k, n).into()
+            } else {
+                let (r, s) = [(1, 1), (3, 3), (7, 7), (3, 1)][rng.gen_range(0..4usize)];
+                let [m, c] = [0; 2].map(|_| rng.gen_range(1..512));
+                let [h, w] = [0; 2].map(|_| rng.gen_range(1..64));
+                ConvLayer::new(rng.gen_range(1..3), m, c, h, w, r, s)
+                    .with_stride(rng.gen_range(1..3))
+                    .with_padding(rng.gen_range(0..=r / 2))
+                    .into()
+            };
+            if layer.validate().is_ok() {
+                layers.push(layer);
+            }
+        }
+        for n in [16, 8] {
+            let mut presets = vec![
+                ArchSpec::nvdla_like(n, n),
+                ArchSpec::eyeriss_like(n, n),
+                ArchSpec::sigma_like_fixed_layout(n, n, "HWC_C32"),
+                ArchSpec::sigma_like_fixed_layout(n, n, "HWC_C4W8"),
+                ArchSpec::sigma_like_offchip_reorder(n, n),
+                ArchSpec::medusa_like(n, n),
+                ArchSpec::mtia_like(n, n),
+                ArchSpec::tpu_like(n, n),
+                ArchSpec::feather_like(n, n),
+            ];
+            for mut device in [
+                ArchSpec::gemmini_like(),
+                ArchSpec::xilinx_dpu_like(),
+                ArchSpec::edge_tpu_like(),
+            ] {
+                device.shape = ArrayShape::new(n, n);
+                presets.push(device);
+            }
+            for arch in &presets {
+                for config in [MapperConfig::default(), MapperConfig::fast()] {
+                    for w in &layers {
+                        let c = search_dataflows(arch, w, &config);
+                        assert!(!c.is_empty() && c.len() <= config.max_candidates);
+                        for df in &c {
+                            assert_eq!(df.validate(), Ok(()), "{} on {}: {df}", arch.name, n);
+                            assert_eq!(df.shape, arch.shape);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_candidates_caps_the_list() {
+        let arch = ArchSpec::feather_like(16, 16);
+        let w = layer();
+        let all = search_dataflows(&arch, &w, &MapperConfig::default());
+        for cap in [0, 1] {
+            let config = MapperConfig {
+                max_candidates: cap,
+                ..MapperConfig::default()
+            };
+            assert_eq!(search_dataflows(&arch, &w, &config), all[..cap]);
         }
     }
 
@@ -308,7 +352,7 @@ mod tests {
         let dims: Vec<Dim> = c[0].col_parallel.iter().map(|p| p.dim).collect();
         assert!(dims.contains(&Dim::C));
         assert!(dims.contains(&Dim::Q));
-        c[0].validate(&w).unwrap();
+        c[0].validate().unwrap();
     }
 
     #[test]
@@ -318,7 +362,7 @@ mod tests {
         let c = search_dataflows(&arch, &g, &MapperConfig::default());
         assert!(!c.is_empty());
         for df in &c {
-            df.validate(&g).unwrap();
+            df.validate().unwrap();
         }
     }
 
