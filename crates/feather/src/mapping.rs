@@ -13,7 +13,7 @@ use crate::config::FeatherConfig;
 /// input channels (and optionally output pixels) across PE columns, with the
 /// iAct layout the data currently sits in and the oAct layout RIR must produce
 /// for the next layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LayerMapping {
     /// Output channels mapped across PE rows.
     pub m_rows: usize,

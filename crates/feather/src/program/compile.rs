@@ -1,12 +1,13 @@
 //! The one lowering of a planned [`GraphSession`] into a [`Program`]: tensor
-//! table, per-layer replay contexts, op stream and [`Program::cost`] all come
-//! from the session; each layer's cost record — its
-//! [`LayerSummary`], made once from the counts — and the route table come
-//! from the record pass, a counting walk of each layer ([`count_conv_core`])
-//! that moves no value. The accounted tile loop over real data, which is test
+//! table, replay contexts, op stream and [`Program::cost`] all come from the
+//! session; each layer's cost record — its [`LayerSummary`], made once from
+//! the counts — and the route table come from the record pass, a counting
+//! walk ([`count_conv_core`]) of each distinct layer context that moves no
+//! value. The accounted tile loop over real data, which is test
 //! code, is the oracle it is tested against.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -89,8 +90,9 @@ fn cost_of(
 // ------------------------------------------------------------------ compile
 
 /// Lowers a planned session into a [`Program`] — what fills the cell behind
-/// [`GraphSession::compile`], once per session: every layer runs its
-/// counting record pass.
+/// [`GraphSession::compile`], once per session: each distinct layer context
+/// runs its counting record pass and is lowered once, and its repeats share
+/// both.
 ///
 /// # Errors
 /// Fails on a layer that does not fit the fabric or a route that cannot be
@@ -120,9 +122,9 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_slot = slot_of[&graph.input()];
     let input_shape = tensors[input_slot].shape;
 
-    // Lower every segment: build the owned layer contexts and walk each
-    // layer's tile loop once, counting, through the StaB sequence of a
-    // pipelined chain. Routes and costs are data-independent, so
+    // Lower every segment: build each distinct layer context and walk its
+    // tile loop once, counting, through the StaB sequence of a pipelined
+    // chain. Routes and costs are data-independent, so
     // this one pass resolves every BIRRD pass a replay's row fires stand for
     // and counts what every replay will report.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
@@ -140,13 +142,14 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     // over: each layer resets both ledgers to its own specs.
     let empty = BufferSpec::new(0, 0, 1, Banking::Horizontal);
     let (mut iact_half, mut oact_half) = (AccessLedger::new(empty), AccessLedger::new(empty));
-    // One record per distinct layer context: the layer without its name, its
-    // mapping, and whether it opens its segment (which exposes its first
-    // weight load). The buffer specs follow from those, and a repeat's walk
-    // would only make route-memo hits, so it would count the same and leave
-    // the route table alone. ResNet's repeated bottleneck blocks make about
-    // half the layers repeats.
-    let mut records: Vec<(LayerContext, LayerRecord)> = Vec::new();
+    // One record and one lowered layer per distinct layer context: the layer
+    // without its name, its mapping, and whether it opens its segment (which
+    // exposes its first weight load). The buffer specs follow from those, and
+    // a repeat's walk would only make route-memo hits, so it would count the
+    // same and leave the route table alone; its lowering would equal the
+    // first occurrence's but for the name, which replay never reads.
+    // ResNet's repeated bottleneck blocks make about half the layers repeats.
+    let mut lowered: HashMap<LayerContext, (LayerRecord, Arc<ReplayLayer>)> = HashMap::new();
     for exec in &session.segments {
         let (seg, steps) = (&exec.segment, &exec.steps);
         let (graph_input, graph_output) =
@@ -160,12 +163,11 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 NodeOp::PoolAsConv(_) => WeightSource::Pool(pool_window_weights(layer)),
                 _ => WeightSource::Node(node.id),
             };
-            let exec = LayerExec::new(&config, layer, mapping)?;
             let (ispec, ospec) = (iact_spec(layer, mapping), oact_spec(layer, mapping));
-            let mut count = || {
+            let mut count = |exec: &LayerExec| {
                 iact_half.reset(ispec);
                 oact_half.reset(ospec);
-                count_conv_core(&exec, &mut iact_half, &mut oact_half, &mut memo, i == 0)
+                count_conv_core(exec, &mut iact_half, &mut oact_half, &mut memo, i == 0)
             };
             let context = (
                 ConvLayer {
@@ -175,22 +177,25 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 mapping.clone(),
                 i == 0,
             );
-            let (core, iact, oact) = match records.iter().find(|(c, _)| *c == context) {
-                Some(&(_, record)) => {
-                    // Debug builds walk the repeat as well and check that it
-                    // counts what its first occurrence counted.
+            let ((core, iact, oact), replay) = match lowered.entry(context) {
+                Entry::Occupied(first) => {
+                    let (record, replay) = first.get();
+                    // Debug builds lower and walk the repeat as well and
+                    // check that it counts what its first occurrence counted.
                     if cfg!(debug_assertions) {
-                        let walked = count()?;
-                        assert_eq!(walked, record, "layer `{}` repeats a context", layer.name);
+                        let walked = count(&LayerExec::new(&config, layer, mapping)?)?;
+                        assert_eq!(walked, *record, "layer `{}` repeats a context", layer.name);
                     }
-                    record
+                    (*record, Arc::clone(replay))
                 }
-                None => {
-                    let record = count()?;
+                Entry::Vacant(slot) => {
+                    let exec = LayerExec::new(&config, layer, mapping)?;
+                    let record = count(&exec)?;
                     #[cfg(test)]
                     tests::tally_record();
-                    records.push((context, record));
-                    record
+                    let replay = ReplayLayer::new(exec, ispec.capacity(), ospec.capacity())?;
+                    let (record, replay) = slot.insert((record, Arc::new(replay)));
+                    (*record, Arc::clone(replay))
                 }
             };
             cost.push(layer_summary(
@@ -204,10 +209,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 graph_output && i + 1 == steps.len(),
                 matches!(weight, WeightSource::Node(_)),
             ));
-            layers.push(CompiledLayer {
-                replay: ReplayLayer::new(exec, ispec.capacity(), ospec.capacity())?,
-                weight,
-            });
+            layers.push(CompiledLayer { replay, weight });
         }
 
         costs.push(cost);
@@ -336,8 +338,8 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     })
 }
 
-/// What a layer's record pass depends on: the layer without its name, its
-/// mapping, and whether it is the first of its segment.
+/// What a layer's record pass and lowering depend on: the layer without its
+/// name, its mapping, and whether it is the first of its segment.
 type LayerContext = (ConvLayer, LayerMapping, bool);
 
 /// What a layer's record pass counts ([`count_conv_core`]).
@@ -425,26 +427,45 @@ mod tests {
         RECORDS.with(|n| n.set(n.get() + 1));
     }
 
-    /// `(records counted, layers)` of compiling `graph` on `config`.
-    fn records_of(config: FeatherConfig, graph: &feather_arch::graph::Graph) -> (usize, usize) {
+    /// `(records counted, distinct lowered layers, layers)` of compiling
+    /// `graph` on `config`.
+    fn records_of(
+        config: FeatherConfig,
+        graph: &feather_arch::graph::Graph,
+    ) -> (usize, usize, usize) {
         let session = GraphSession::auto(config, graph).unwrap();
         let before = RECORDS.with(Cell::get);
         let program = session.compile().unwrap();
-        let layers = program.tables.segments.iter().map(|s| s.layers.len()).sum();
-        (RECORDS.with(Cell::get) - before, layers)
+        let layers: Vec<&Arc<ReplayLayer>> = program
+            .tables
+            .segments
+            .iter()
+            .flat_map(|s| &s.layers)
+            .map(|l| &l.replay)
+            .collect();
+        let distinct = layers
+            .iter()
+            .enumerate()
+            .filter(|&(i, l)| !layers[..i].iter().any(|e| Arc::ptr_eq(e, l)))
+            .count();
+        (RECORDS.with(Cell::get) - before, distinct, layers.len())
     }
 
     #[test]
     fn the_benchmark_models_count_each_distinct_layer_once() {
         // Model A: ÷16 ResNet-50 on 8×16. Model B: ÷8 on 16×16, which the
         // planner's schedules reach as `auto` (same fingerprint). 29 of each
-        // model's 56 layers repeat a layer context and take its record.
+        // model's 56 layers repeat a layer context: they take its record and
+        // share its lowered layer.
         let a = records_of(FeatherConfig::new(8, 16), &resnet50_graph_scaled(16, 16));
-        assert_eq!(a, (27, 56));
+        assert_eq!(a, (27, 27, 56));
         let b_graph = resnet50_graph_scaled(8, 8);
         let b = GraphSession::auto(FeatherConfig::new(16, 16), &b_graph).unwrap();
         assert_eq!(b.fingerprint(), 0x2d63_a0bd_c4a9_2374);
-        assert_eq!(records_of(FeatherConfig::new(16, 16), &b_graph), (27, 56));
+        assert_eq!(
+            records_of(FeatherConfig::new(16, 16), &b_graph),
+            (27, 27, 56)
+        );
     }
 
     #[test]

@@ -37,8 +37,11 @@
 //! reduce-reorder pattern and the access pattern of every fire are pure
 //! functions of layer geometry (the mapped-lane pattern and the layouts'
 //! bank assignment) — never of activation or weight values. The compile pass
-//! therefore walks each layer's tile loop once, counting and moving no value
-//! — the only accounted pass a program ever gets. Its route table proves
+//! therefore walks each distinct layer context's tile loop once, counting and
+//! moving no value — the only accounted pass a program ever gets — and lowers
+//! it once: a layer that repeats a context (the layer without its name, its
+//! mapping, and whether it opens its segment) takes that context's record
+//! and shares its lowered layer. Its route table proves
 //! every folded pass delivers each `q_lane`'s live columns to that lane's
 //! own output cell, so replay sums a row's lanes straight into their cells
 //! and reads no pass at all. Every public entry
@@ -93,11 +96,14 @@ enum WeightSource {
 }
 
 /// One fully-resolved layer of a compiled segment: what its `Fire` replays
-/// and where its weights come from. What it costs is its entry in
-/// [`Program::cost`], at the same segment and layer index.
+/// and where its weights come from. What it costs, and its name, is its
+/// entry in [`Program::cost`], at the same segment and layer index.
 #[derive(Debug, Clone)]
 struct CompiledLayer {
-    replay: ReplayLayer,
+    /// Shared by every layer of the program with the same layer context, so
+    /// only its shape, mapping and tables are this layer's: the name inside
+    /// is the context's first occurrence's.
+    replay: Arc<ReplayLayer>,
     weight: WeightSource,
 }
 

@@ -122,48 +122,67 @@ pub(crate) fn chain<'t>(
 /// predecessor. This is what makes layer-parallel planning exact: tables are
 /// predecessor-independent and can be computed for all layers concurrently,
 /// with the sequential layout-chaining pass reduced to cheap table lookups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LayoutChoice {
+///
+/// Each winner is an index into its table's dataflows and an *unlabelled*
+/// evaluation (its four names empty): a table answers many more
+/// predecessors than one plan asks, so only [`CoSearchTable::select`]'s
+/// answer gets names.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LayoutChoice {
     /// The candidate iAct layout.
-    pub layout: Layout,
-    /// Best result when the predecessor already produces `layout` (or there
-    /// is no predecessor): no reorder cost.
-    pub stay: CoSearchResult,
-    /// Best result when the predecessor produces any *other* layout: the
-    /// architecture's reordering capability prices the conversion.
-    pub switch: CoSearchResult,
+    pub(crate) layout: Layout,
+    /// Best (dataflow index, evaluation) when the predecessor already
+    /// produces `layout` (or there is no predecessor): no reorder cost.
+    pub(crate) stay: (usize, Evaluation),
+    /// Best (dataflow index, evaluation) when the predecessor produces any
+    /// *other* layout: the architecture's reordering capability prices the
+    /// conversion.
+    pub(crate) switch: (usize, Evaluation),
 }
 
-/// The full per-layout answer table of one layer's co-search problem.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The full per-layout answer table of one layer's co-search problem, for
+/// every predecessor layout at once: per candidate layout that admits at
+/// least one valid dataflow, its *stay* and *switch* winners, over one list
+/// of the dataflows that win any of them. Tables are keyed by shape, not by
+/// name, so nothing in a table is labelled; [`CoSearchTable::select`] labels
+/// the one result it returns.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoSearchTable {
+    /// Name of the architecture searched, which labels every answer.
+    arch: String,
+    /// Each winning dataflow once, indexed by the choices.
+    dataflows: Vec<Dataflow>,
     /// One entry per candidate layout that admits at least one valid dataflow.
-    pub choices: Vec<LayoutChoice>,
+    choices: Vec<LayoutChoice>,
 }
 
 impl CoSearchTable {
     /// Answers the co-search for a concrete predecessor constraint: per
     /// layout, pick the *stay* result when the predecessor matches (or is
     /// absent) and the *switch* result otherwise, then take the lowest-EDP
-    /// layout. The returned evaluation is relabeled to `layer_name` (tables
-    /// are shape-keyed, not name-keyed).
+    /// layout, the first of equal ones. Only that answer is cloned out of the
+    /// table and labelled: with the architecture's name, `layer_name`, and
+    /// its dataflow's and layout's names.
     pub fn select(&self, layer_name: &str, prev: Option<&Layout>) -> Option<CoSearchResult> {
-        let mut best: Option<&CoSearchResult> = None;
+        let mut best: Option<(&Layout, &(usize, Evaluation))> = None;
         for choice in &self.choices {
             let candidate = match prev {
                 Some(p) if *p != choice.layout => &choice.switch,
                 _ => &choice.stay,
             };
-            let better = best
-                .map(|b| candidate.evaluation.edp < b.evaluation.edp)
-                .unwrap_or(true);
-            if better {
-                best = Some(candidate);
+            if best.map_or(true, |(_, (_, b))| candidate.1.edp < b.edp) {
+                best = Some((&choice.layout, candidate));
             }
         }
-        best.cloned().map(|mut result| {
-            result.evaluation.layer = layer_name.to_string();
-            result
+        best.map(|(layout, (i, evaluation))| {
+            let dataflow = self.dataflows[*i].clone();
+            let mut evaluation = evaluation.clone();
+            evaluation.label(&self.arch, layer_name, &dataflow, layout);
+            CoSearchResult {
+                dataflow,
+                layout: layout.clone(),
+                evaluation,
+            }
         })
     }
 }
@@ -272,24 +291,24 @@ pub(crate) fn search_table(
         }
     }
 
+    // The winners' dataflows, each once, in order of first win.
+    let mut winners: Vec<usize> = Vec::new();
+    let mut winner = |(i, evaluation): (usize, Evaluation)| {
+        let k = winners.iter().position(|&w| w == i).unwrap_or_else(|| {
+            winners.push(i);
+            winners.len() - 1
+        });
+        (k, evaluation)
+    };
     let choices = layouts
         .into_iter()
         .zip(best)
         .filter_map(|(layout, [stay, switch])| {
-            let result = |(i, mut evaluation): (usize, Evaluation)| {
-                let df = &dataflows[i];
-                evaluation.label(arch, workload.name(), df, &layout);
-                CoSearchResult {
-                    dataflow: df.clone(),
-                    layout: layout.clone(),
-                    evaluation,
-                }
-            };
-            let (stay, switch) = (result(stay?), result(switch?));
+            let (stay, switch) = (stay?, switch?);
             Some(LayoutChoice {
                 layout,
-                stay,
-                switch,
+                stay: winner(stay),
+                switch: winner(switch),
             })
         })
         .collect();
@@ -297,7 +316,12 @@ pub(crate) fn search_table(
         candidates: dataflows.len(),
         priced,
     };
-    Ok((CoSearchTable { choices }, work))
+    let table = CoSearchTable {
+        arch: arch.name.clone(),
+        dataflows: winners.iter().map(|&i| dataflows[i].clone()).collect(),
+        choices,
+    };
+    Ok((table, work))
 }
 
 /// The per-layer (dataflow, layout) schedule a pipeline executor consumes,
@@ -338,10 +362,9 @@ impl NetworkPlan {
 /// BERT encoder blocks) are searched once — regardless of the chained
 /// predecessor layouts, because whole [`CoSearchTable`]s are cached. Missing
 /// tables are computed in parallel across layers; the chaining pass is exact
-/// either way, because tables are predecessor-independent
-/// ([`LayoutChoice`]): it returns, layer for layer, what chaining
-/// [`co_search_with`] would. The same cache can be shared across networks,
-/// architectures and repeated planning calls.
+/// either way, because tables are predecessor-independent: it returns,
+/// layer for layer, what chaining [`co_search_with`] would. The same cache
+/// can be shared across networks, architectures and repeated planning calls.
 ///
 /// # Errors
 /// Propagates the first per-layer co-search failure.
@@ -598,19 +621,36 @@ mod tests {
         let search = |layouts: &[Layout], prev: Option<&Layout>| {
             exhaustive(arch, workload, &dataflows, layouts, prev, seed)
         };
-        let choices: Vec<LayoutChoice> = layouts
+        let name = workload.name();
+        // Every (layout, stay, switch) entry, labelled as `select` labels it:
+        // a table of that one entry answers a predecessor of the same layout
+        // with *stay* and any other with *switch*.
+        let entries: Vec<_> = table
+            .choices
+            .iter()
+            .map(|choice| {
+                let one = CoSearchTable {
+                    choices: vec![choice.clone()],
+                    ..table.clone()
+                };
+                let layout = &choice.layout;
+                let other = other_than(Some(layout));
+                let select = |prev| one.select(name, Some(prev)).unwrap();
+                (layout.clone(), select(layout), select(&other))
+            })
+            .collect();
+        let expected: Vec<_> = layouts
             .iter()
             .filter_map(|layout| {
                 let one = std::slice::from_ref(layout);
-                Some(LayoutChoice {
-                    layout: layout.clone(),
-                    stay: search(one, Some(layout))?,
-                    switch: search(one, Some(&other_than(Some(layout))))?,
-                })
+                Some((
+                    layout.clone(),
+                    search(one, Some(layout))?,
+                    search(one, Some(&other_than(Some(layout))))?,
+                ))
             })
             .collect();
-        prop_assert_eq!(&table.choices, &choices);
-        let name = workload.name();
+        prop_assert_eq!(entries, expected);
         let winner = table.select(name, None).map(|r| r.layout);
         let other = other_than(winner.as_ref());
         for prev in [None, winner.as_ref(), Some(&other)] {
@@ -818,8 +858,53 @@ mod tests {
         let text = format!("{tables:?}");
         assert_eq!(
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
-            0xfec1_2e9d_604f_af2a
+            0x4ae1_44d9_2bd9_7a78
         );
+    }
+
+    #[test]
+    fn capping_the_candidate_list_drops_no_winner() {
+        // `MapperConfig::default()` caps a flexible design's candidates at
+        // 128, dropping the last in enumeration order (two-dim pairs), not
+        // the worst. On FEATHER at 16×16 and 32×32 over Fig. 13's networks,
+        // two layers per size are capped; for every predecessor, each capped
+        // table answers what the uncapped table answers.
+        let nets = [resnet50(), mobilenet_v3(), bert_base()];
+        let capped = MapperConfig::default();
+        let uncapped = MapperConfig {
+            max_candidates: usize::MAX,
+            ..capped
+        };
+        for (size, expected) in [
+            (16, ["mobv3_l25_b8_dw3x3", "mobv3_l28_b9_dw3x3"]),
+            (32, ["mobv3_l00_stem", "mobv3_l01_b0_dw3x3"]),
+        ] {
+            let arch = ArchSpec::feather_like(size, size);
+            let layers: Vec<&Workload> = nets
+                .iter()
+                .flat_map(|net| &net.layers)
+                .filter(|layer| {
+                    search_dataflows(&arch, layer, &uncapped).len() > capped.max_candidates
+                })
+                .collect();
+            let names: Vec<&str> = layers.iter().map(|layer| layer.name()).collect();
+            assert_eq!(names, expected, "{size}×{size}");
+            let mut prevs = vec![None];
+            prevs.extend(arch.layout_policy.candidates().into_iter().map(Some));
+            for layer in layers {
+                let table = |mapper| co_search_table(&arch, layer, mapper, 0).unwrap();
+                let (short, full) = (table(&capped), table(&uncapped));
+                for prev in &prevs {
+                    let name = layer.name();
+                    let answer = short.select(name, prev.as_ref());
+                    assert_eq!(
+                        answer,
+                        full.select(name, prev.as_ref()),
+                        "{name} after {prev:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,14 +97,14 @@ pub fn evaluate(
     let needs_reorder = prev_layout.map(|p| p != layout).unwrap_or(false);
     let mut evaluation =
         DataflowCost::new(arch, workload, dataflow).price_for(&analysis, needs_reorder);
-    evaluation.label(arch, workload.name(), dataflow, layout);
+    evaluation.label(&arch.name, workload.name(), dataflow, layout);
     Ok(evaluation)
 }
 
 impl Evaluation {
     /// Fills in the four names [`price`] leaves empty.
-    pub(crate) fn label(&mut self, arch: &ArchSpec, layer: &str, df: &Dataflow, layout: &Layout) {
-        self.arch = arch.name.clone();
+    pub(crate) fn label(&mut self, arch: &str, layer: &str, df: &Dataflow, layout: &Layout) {
+        self.arch = arch.to_string();
         self.layer = layer.to_string();
         self.dataflow = df.name.clone();
         self.layout = layout.to_string();
@@ -179,7 +179,8 @@ impl<'a> DataflowCost<'a> {
     /// (*stay*), so a co-search prices both from the same analysis; under
     /// RIR the reorder changes no term, and *switch* is *stay*. The names
     /// stay empty (no allocation) until [`Evaluation::label`]: candidates are
-    /// compared by `edp` and only winners get labeled.
+    /// compared by `edp`, and a co-search table keeps its winners unlabelled
+    /// until [`crate::cosearch::CoSearchTable::select`] labels its answer.
     ///
     /// Neither `edp` falls as the analysis's `read_slowdown` or
     /// `avg_lines_per_cycle` grows: stall cycles, iAct SRAM bytes and

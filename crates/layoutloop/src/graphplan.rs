@@ -10,7 +10,7 @@
 //! RIR prices at zero for FEATHER).
 //!
 //! Both steps are exact because co-search tables are predecessor-independent
-//! ([`crate::cosearch::LayoutChoice`]): all missing tables — across *every*
+//! ([`crate::cosearch::CoSearchTable`]): all missing tables — across *every*
 //! branch and layer of the graph — are computed concurrently, after which
 //! chaining is table lookups in one walk over the (topologically ordered)
 //! nodes: a segment is chained at its head node, and a join forwards its
@@ -165,7 +165,7 @@ pub fn plan_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosearch::{search_table, TableWork};
+    use crate::cosearch::{co_search_table, search_table, TableWork};
     use feather_arch::graph::resnet50_graph_scaled;
     use feather_arch::workload::ConvLayer;
 
@@ -325,8 +325,49 @@ mod tests {
         let text = format!("{:?}", tables.values().collect::<Vec<_>>());
         assert_eq!(
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
-            0x1625_8a27_4a52_4669
+            0x5a12_aa1c_67e0_4613
         );
+    }
+
+    #[test]
+    fn model_b_selections_are_pinned() {
+        // What the tables behind `model_b_plan_is_pinned` answer, not how they
+        // store it: each distinct layer of Model B, in node order, selected
+        // under its first node's name for no predecessor and for every conv
+        // layout, hashed (FNV-1a) over the answers' Debug forms. Off-chip
+        // reordering makes *switch* differ from *stay*.
+        let g = resnet50_graph_scaled(8, 8);
+        let layouts = Layout::conv_candidates();
+        let selections = |arch: &ArchSpec| {
+            let mut seen: Vec<ConvLayer> = Vec::new();
+            let mut text = String::new();
+            for node in g.nodes() {
+                let Some(conv) = node.execution_conv() else {
+                    continue;
+                };
+                let shape = ConvLayer {
+                    name: String::new(),
+                    ..conv.clone()
+                };
+                if seen.contains(&shape) {
+                    continue;
+                }
+                seen.push(shape);
+                let workload = Workload::Conv(conv);
+                let table = co_search_table(arch, &workload, &MapperConfig::fast(), 0).unwrap();
+                for prev in std::iter::once(None).chain(layouts.iter().map(Some)) {
+                    text += &format!("{:?}\n", table.select(&node.name, prev));
+                }
+            }
+            (
+                seen.len(),
+                feather_arch::fingerprint::fnv1a64(text.as_bytes()),
+            )
+        };
+        let feather = selections(&ArchSpec::feather_like(16, 16));
+        assert_eq!(feather, (26, 0x01c5_71e3_de5c_4675));
+        let offchip = selections(&ArchSpec::sigma_like_offchip_reorder(16, 16));
+        assert_eq!(offchip, (26, 0x3d55_48bd_371e_dc01));
     }
 
     #[test]
