@@ -8,10 +8,11 @@
 //! pure overhead. [`CompiledRoute::compile`] pushes *port indices* through the
 //! stages once, symbolically: every wire carries the set of input ports whose
 //! values would merge on it, so after the final stage each live output port
-//! knows exactly which input ports sum into it. Steady-state evaluation
-//! ([`CompiledRoute::run`]) is then a flat gather-sum over those precomputed
-//! index lists — no stage walk, no allocation, bit-identical to `evaluate`
-//! for *any* input vector (the equivalence is property-tested below).
+//! knows exactly which input ports sum into it. Evaluation
+//! ([`CompiledRoute::run_batched`]) is then a flat gather-sum over those
+//! precomputed index lists — no stage walk, no allocation, bit-identical to
+//! `evaluate` lane by lane for *any* input vector (the equivalence is
+//! property-tested below).
 
 use serde::{Deserialize, Serialize};
 
@@ -30,12 +31,15 @@ use crate::topology::Topology;
 /// let config = birrd.route(&request).unwrap();
 /// let compiled = CompiledRoute::compile(birrd.topology(), &config).unwrap();
 ///
-/// let inputs = vec![Some(1), Some(2), Some(3), Some(4)];
-/// let mut outputs = vec![None; 4];
-/// compiled.run(&inputs, &mut outputs).unwrap();
-/// assert_eq!(outputs, birrd.evaluate(&config, &inputs).unwrap());
-/// assert_eq!(outputs[2], Some(3));
-/// assert_eq!(outputs[0], Some(7));
+/// // One lane: every port present.
+/// let (mut outputs, mut out_present) = (vec![0; 4], vec![false; 4]);
+/// compiled
+///     .run_batched(&[1, 2, 3, 4], &[true; 4], 1, &mut outputs, &mut out_present)
+///     .unwrap();
+/// let golden = birrd.evaluate(&config, &[Some(1), Some(2), Some(3), Some(4)]).unwrap();
+/// assert_eq!(golden, [Some(7), None, Some(3), None]);
+/// assert_eq!(outputs, [7, 0, 3, 0]);
+/// assert_eq!(out_present, [true, false, true, false]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompiledRoute {
@@ -165,67 +169,20 @@ impl CompiledRoute {
         }
     }
 
-    /// Evaluates the program: `outputs[port]` receives the sum of the present
-    /// inputs routed to `port` (`None` where no data arrives), exactly as
-    /// [`Birrd::evaluate`](crate::Birrd::evaluate) would produce for the
-    /// compiled configuration. `outputs` is caller-owned scratch so the steady
-    /// state allocates nothing.
-    ///
-    /// # Errors
-    /// Returns [`EvalError::WidthMismatch`] if either slice length differs
-    /// from the network width.
-    #[inline]
-    pub fn run(
-        &self,
-        inputs: &[Option<i64>],
-        outputs: &mut [Option<i64>],
-    ) -> Result<(), EvalError> {
-        if inputs.len() != self.width || outputs.len() != self.width {
-            return Err(EvalError::WidthMismatch {
-                expected: self.width,
-                got: if inputs.len() != self.width {
-                    inputs.len()
-                } else {
-                    outputs.len()
-                },
-            });
-        }
-        outputs.fill(None);
-        for &(port, src) in &self.copies {
-            outputs[port as usize] = inputs[src as usize];
-        }
-        for &(port, start, end) in &self.gathers {
-            let mut sum = 0i64;
-            let mut any = false;
-            for &src in &self.sources[start as usize..end as usize] {
-                if let Some(v) = inputs[src as usize] {
-                    sum += v;
-                    any = true;
-                }
-            }
-            if any {
-                outputs[port as usize] = Some(sum);
-            }
-        }
-        Ok(())
-    }
-
     /// Evaluates the program once across a whole batch of lanes.
     ///
     /// `inputs` and `outputs` are port-major lane stripes (`lanes` consecutive
     /// values per port, so port `p` lane `l` lives at `p * lanes + l`);
     /// `present` / `out_present` carry the per-port presence that
-    /// [`CompiledRoute::run`]'s `Option`s encode, shared by every lane. This
-    /// is exact for the batched replay backend because presence there is
-    /// data-independent: whether a column carries data depends only on the
-    /// dataflow mapping, never on the values, so all lanes agree on it.
+    /// [`Birrd::evaluate`](crate::Birrd::evaluate)'s `Option`s encode, shared
+    /// by every lane: whether a column carries data depends only on the
+    /// dataflow mapping, never on the values, so all lanes agree on it. The
+    /// values of absent input ports are never read.
     ///
-    /// For each lane the result is bit-identical to a scalar [`run`] over that
+    /// For each lane the result is bit-identical to `evaluate` over that
     /// lane's inputs: copies move stripes, gathers iterate the source ports
     /// once and sum the present sources' stripes with no per-lane checks.
     /// Output stripes of absent ports are zero-filled.
-    ///
-    /// [`run`]: CompiledRoute::run
     ///
     /// # Errors
     /// Returns [`EvalError::WidthMismatch`] if `present`/`out_present` are not
@@ -335,6 +292,47 @@ mod tests {
         (config, compiled)
     }
 
+    /// Checks [`CompiledRoute::run_batched`] against [`Birrd::evaluate`]
+    /// lane by lane at 1, 3 and 8 lanes. Presence is `pattern`'s, shared by
+    /// every lane; lane `l` carries `pattern`'s values times `l + 1`, minus
+    /// `l`, and absent ports carry a stray value that must never be read.
+    /// The output scratch starts dirty, so every slot must be written.
+    fn assert_lanes_match_evaluate(
+        birrd: &Birrd,
+        config: &NetworkConfig,
+        compiled: &CompiledRoute,
+        pattern: &[Option<i64>],
+    ) {
+        let width = pattern.len();
+        let present: Vec<bool> = pattern.iter().map(Option::is_some).collect();
+        for lanes in [1usize, 3, 8] {
+            let inputs: Vec<i64> = (0..width * lanes)
+                .map(|i| {
+                    let (port, lane) = (i / lanes, (i % lanes) as i64);
+                    pattern[port].map_or(1 << 40, |v| v * (lane + 1) - lane)
+                })
+                .collect();
+            let (mut outputs, mut out_present) = (vec![-1; width * lanes], vec![true; width]);
+            compiled
+                .run_batched(&inputs, &present, lanes, &mut outputs, &mut out_present)
+                .unwrap();
+            for lane in 0..lanes {
+                let lane_inputs: Vec<Option<i64>> = (0..width)
+                    .map(|p| present[p].then(|| inputs[p * lanes + lane]))
+                    .collect();
+                let golden = birrd.evaluate(config, &lane_inputs).unwrap();
+                for (port, want) in golden.iter().enumerate() {
+                    assert_eq!(out_present[port], want.is_some(), "port {port} presence");
+                    assert_eq!(
+                        outputs[port * lanes + lane],
+                        want.unwrap_or(0),
+                        "port {port} lane {lane} of {lanes}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn matches_evaluate_on_reductions_and_permutations() {
         let birrd = Birrd::new(8).unwrap();
@@ -347,22 +345,17 @@ mod tests {
         for groups in cases {
             let (config, compiled) = compile_for(&birrd, &groups);
             let inputs = seq(8);
-            let mut outputs = vec![None; 8];
-            compiled.run(&inputs, &mut outputs).unwrap();
-            assert_eq!(
-                outputs,
-                birrd.evaluate(&config, &inputs).unwrap(),
-                "compiled mismatch for {groups:?}"
-            );
+            assert_lanes_match_evaluate(&birrd, &config, &compiled, &inputs);
             assert_eq!(compiled.adder_activations(), config.adder_activations());
             // Ports not consumed by a reduction still pass through the
             // fabric, so the live-output count is at least the group count.
             assert!(compiled.live_outputs() >= groups.len());
-            // `sources_of` names exactly the inputs `run` sums per port.
-            for (port, &got) in outputs.iter().enumerate() {
+            // `sources_of` names exactly the inputs `evaluate` sums per port.
+            let golden = birrd.evaluate(&config, &inputs).unwrap();
+            for (port, &want) in golden.iter().enumerate() {
                 let sources = compiled.sources_of(port);
-                let want: i64 = sources.iter().map(|&s| inputs[s as usize].unwrap()).sum();
-                assert_eq!(got, (!sources.is_empty()).then_some(want), "port {port}");
+                let sum: i64 = sources.iter().map(|&s| inputs[s as usize].unwrap()).sum();
+                assert_eq!((!sources.is_empty()).then_some(sum), want, "port {port}");
             }
             assert!(compiled.sources_of(8).is_empty());
         }
@@ -378,9 +371,7 @@ mod tests {
             vec![None, None, Some(1), Some(2)],
             vec![None, None, None, None],
         ] {
-            let mut outputs = vec![None; 4];
-            compiled.run(&inputs, &mut outputs).unwrap();
-            assert_eq!(outputs, birrd.evaluate(&config, &inputs).unwrap());
+            assert_lanes_match_evaluate(&birrd, &config, &compiled, &inputs);
         }
     }
 
@@ -388,16 +379,18 @@ mod tests {
     fn width_and_shape_checks() {
         let birrd = Birrd::new(4).unwrap();
         let (_, compiled) = compile_for(&birrd, &[(vec![0], 0)]);
-        let mut outputs = vec![None; 4];
+        let (mut outputs, mut out_present) = (vec![0; 4], vec![false; 4]);
         assert!(matches!(
-            compiled.run(&seq(8), &mut outputs),
+            compiled.run_batched(&[0; 8], &[true; 4], 1, &mut outputs, &mut out_present),
             Err(EvalError::WidthMismatch {
                 expected: 4,
                 got: 8
             })
         ));
-        let mut short = vec![None; 2];
-        assert!(compiled.run(&seq(4), &mut short).is_err());
+        let mut short = vec![0; 2];
+        assert!(compiled
+            .run_batched(&[0; 4], &[true; 4], 1, &mut short, &mut out_present)
+            .is_err());
         let topology = Topology::new(8).unwrap();
         let bad = NetworkConfig::passthrough(2, 4);
         assert_eq!(
@@ -406,6 +399,8 @@ mod tests {
         );
     }
 
+    /// The scalar run of each lane is `evaluate`; presence is shared across
+    /// lanes and a couple of ports are absent.
     #[test]
     fn run_batched_matches_per_lane_scalar_runs() {
         let birrd = Birrd::new(8).unwrap();
@@ -414,39 +409,12 @@ mod tests {
             vec![(vec![0, 1, 2], 0), (vec![3], 1), (vec![4, 5, 6], 2)],
             vec![((0..8).collect(), 5)],
         ];
+        let pattern: Vec<Option<i64>> = (0..8)
+            .map(|p| (p != 3 && p != 6).then(|| (p as i64 + 1) * if p % 2 == 0 { 3 } else { -2 }))
+            .collect();
         for groups in cases {
-            let (_, compiled) = compile_for(&birrd, &groups);
-            for lanes in [1usize, 2, 4] {
-                // Presence shared across lanes; a couple of ports absent.
-                let present: Vec<bool> = (0..8).map(|p| p != 3 && p != 6).collect();
-                let inputs: Vec<i64> = (0..8 * lanes)
-                    .map(|i| (i as i64 + 1) * if i % 2 == 0 { 3 } else { -2 })
-                    .collect();
-                let mut outputs = vec![0i64; 8 * lanes];
-                let mut out_present = vec![false; 8];
-                compiled
-                    .run_batched(&inputs, &present, lanes, &mut outputs, &mut out_present)
-                    .unwrap();
-                for lane in 0..lanes {
-                    let solo_in: Vec<Option<i64>> = (0..8)
-                        .map(|p| present[p].then(|| inputs[p * lanes + lane]))
-                        .collect();
-                    let mut solo_out = vec![None; 8];
-                    compiled.run(&solo_in, &mut solo_out).unwrap();
-                    for p in 0..8 {
-                        assert_eq!(
-                            solo_out[p].is_some(),
-                            out_present[p],
-                            "presence mismatch at port {p} ({groups:?})"
-                        );
-                        assert_eq!(
-                            solo_out[p].unwrap_or(0),
-                            outputs[p * lanes + lane],
-                            "value mismatch at port {p} lane {lane} ({groups:?})"
-                        );
-                    }
-                }
-            }
+            let (config, compiled) = compile_for(&birrd, &groups);
+            assert_lanes_match_evaluate(&birrd, &config, &compiled, &pattern);
         }
     }
 
@@ -542,9 +510,7 @@ mod tests {
             proptest::prop_assert_eq!(&compiled, &lower_with_port_sets(&topology, &config));
             if width <= 16 {
                 let birrd = Birrd::new(width).unwrap();
-                let mut outputs = vec![None; width];
-                compiled.run(&seq(width), &mut outputs).unwrap();
-                proptest::prop_assert_eq!(outputs, birrd.evaluate(&config, &seq(width)).unwrap());
+                assert_lanes_match_evaluate(&birrd, &config, &compiled, &seq(width));
             }
         }
     }
@@ -560,10 +526,7 @@ mod tests {
             birrd.topology().switches_per_stage(),
         );
         let compiled = CompiledRoute::compile(birrd.topology(), &config).unwrap();
-        let inputs = seq(8);
-        let mut outputs = vec![None; 8];
-        compiled.run(&inputs, &mut outputs).unwrap();
-        assert_eq!(outputs, birrd.evaluate(&config, &inputs).unwrap());
+        assert_lanes_match_evaluate(&birrd, &config, &compiled, &seq(8));
         assert_eq!(compiled.live_outputs(), 8);
         assert_eq!(compiled.adder_activations(), 0);
     }

@@ -182,22 +182,6 @@ impl Birrd {
         }
         Ok(current)
     }
-
-    /// Convenience: route a request and evaluate it in one call, returning the
-    /// output port values.
-    ///
-    /// # Errors
-    /// Propagates routing errors; panics never.
-    pub fn reduce_reorder(
-        &self,
-        request: &ReductionRequest,
-        inputs: &[Option<i64>],
-    ) -> Result<Vec<Option<i64>>, RouteError> {
-        let config = self.route(request)?;
-        Ok(self
-            .evaluate(&config, inputs)
-            .expect("routed configuration always matches the network shape"))
-    }
 }
 
 #[cfg(test)]
@@ -211,9 +195,10 @@ mod tests {
     fn check(width: usize, groups: &[(Vec<usize>, usize)], inputs: Vec<Option<i64>>) {
         let birrd = Birrd::new(width).unwrap();
         let request = ReductionRequest::from_groups(width, groups).unwrap();
-        let outputs = birrd
-            .reduce_reorder(&request, &inputs)
+        let config = birrd
+            .route(&request)
             .unwrap_or_else(|e| panic!("routing failed for {groups:?}: {e}"));
+        let outputs = birrd.evaluate(&config, &inputs).unwrap();
         let mut expected: BTreeMap<usize, i64> = BTreeMap::new();
         for (members, dest) in groups {
             let sum: i64 = members.iter().map(|&p| inputs[p].unwrap_or(0)).sum();

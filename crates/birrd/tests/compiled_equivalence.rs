@@ -1,9 +1,10 @@
 //! Property test: the compiled gather-sum program of a routed configuration
-//! ([`CompiledRoute`]) is bit-identical to the golden stage-by-stage
-//! [`Birrd::evaluate`] — over random routed reduction-reorder requests, random
-//! widths and random (partially absent) input vectors.
+//! ([`CompiledRoute::run_batched`]) is bit-identical, lane by lane, to the
+//! golden stage-by-stage [`Birrd::evaluate`] — over random routed
+//! reduction-reorder requests, random widths, 1, 3 and 8 lanes of random
+//! values, and random presence patterns shared by the lanes.
 
-use feather_birrd::{Birrd, CompiledRoute, ReductionRequest};
+use feather_birrd::{Birrd, CompiledRoute, NetworkConfig, ReductionRequest};
 use proptest::prelude::*;
 
 /// Deterministic LCG so the generated groups depend only on the proptest
@@ -54,6 +55,42 @@ fn random_request(width: usize, live: usize, max_groups: usize, rng: &mut Lcg) -
     ReductionRequest::from_groups(width, &groups).expect("generated request is well-formed")
 }
 
+/// Runs `compiled` over `lanes` lanes of `values` (port-major stripes) whose
+/// presence is `present`, and checks every lane against `evaluate` of that
+/// lane's inputs. The output scratch starts dirty — as a reused one would
+/// be — so every slot must be written.
+fn check_lanes(
+    birrd: &Birrd,
+    config: &NetworkConfig,
+    compiled: &CompiledRoute,
+    values: &[i64],
+    present: &[bool],
+    lanes: usize,
+) -> Result<(), TestCaseError> {
+    let width = present.len();
+    let (mut outputs, mut out_present) = (vec![i64::MIN; width * lanes], vec![true; width]);
+    compiled
+        .run_batched(values, present, lanes, &mut outputs, &mut out_present)
+        .unwrap();
+    for lane in 0..lanes {
+        let inputs: Vec<Option<i64>> = (0..width)
+            .map(|p| present[p].then(|| values[p * lanes + lane]))
+            .collect();
+        let golden = birrd.evaluate(config, &inputs).unwrap();
+        for (port, want) in golden.iter().enumerate() {
+            prop_assert_eq!(out_present[port], want.is_some(), "port {}", port);
+            prop_assert_eq!(
+                outputs[port * lanes + lane],
+                want.unwrap_or(0),
+                "port {} lane {}",
+                port,
+                lane
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -74,33 +111,18 @@ proptest! {
         let birrd = Birrd::new(width).unwrap();
         let config = birrd.route(&request).expect("random request routes");
         let compiled = CompiledRoute::compile(birrd.topology(), &config).unwrap();
-
-        // Random inputs, including absent values on live ports (`holes` > 0
-        // knocks a fraction of them out) and stray values on dead ports —
-        // the equivalence must hold for *any* input vector, not only the
-        // request's own live set.
-        let mut irng = Lcg(input_seed.wrapping_mul(2) | 1);
-        let inputs: Vec<Option<i64>> = (0..width)
-            .map(|_| {
-                if holes > 0 && irng.below(4) == 0 {
-                    None
-                } else {
-                    Some(irng.below(2001) as i64 - 1000)
-                }
-            })
-            .collect();
-
-        let golden = birrd.evaluate(&config, &inputs).unwrap();
-        let mut outputs = vec![None; width];
-        compiled.run(&inputs, &mut outputs).unwrap();
-        prop_assert_eq!(&outputs, &golden);
         prop_assert_eq!(compiled.adder_activations(), config.adder_activations());
 
-        // Scratch reuse: a second pass over different inputs must not be
-        // polluted by the first.
-        let flipped: Vec<Option<i64>> = inputs.iter().map(|v| v.map(|x| -x)).collect();
-        let golden2 = birrd.evaluate(&config, &flipped).unwrap();
-        compiled.run(&flipped, &mut outputs).unwrap();
-        prop_assert_eq!(&outputs, &golden2);
+        // Random presence, including holes on live ports (`holes` > 0 knocks
+        // a fraction of them out) and stray values on dead ports — the
+        // equivalence must hold for *any* input vector, not only the
+        // request's own live set. Absent ports still carry values in their
+        // stripes, which must never be read.
+        let mut irng = Lcg(input_seed.wrapping_mul(2) | 1);
+        let present: Vec<bool> = (0..width).map(|_| holes == 0 || irng.below(4) != 0).collect();
+        for lanes in [1usize, 3, 8] {
+            let values: Vec<i64> = (0..width * lanes).map(|_| irng.below(2001) as i64 - 1000).collect();
+            check_lanes(&birrd, &config, &compiled, &values, &present, lanes)?;
+        }
     }
 }

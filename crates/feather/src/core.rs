@@ -1485,7 +1485,8 @@ pub(crate) mod accounted {
         // and the mask is only ever consulted inside a group's column span.
         let (c_ok, bank_used) = (&mut vec![false; cols], &mut vec![false; cols]);
         let (groups, batch, pending) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
-        let (inputs, outputs) = (&mut vec![None; cols], &mut vec![None; cols]);
+        let (inputs, present) = (&mut vec![0; cols], &mut vec![false; cols]);
+        let (outputs, out_present) = (&mut vec![0; cols], &mut vec![false; cols]);
         let request = &mut ReductionRequest {
             input_groups: vec![None; cols],
             group_destinations: BTreeMap::new(),
@@ -1537,24 +1538,25 @@ pub(crate) mod accounted {
                                     next_batch(groups, batch, pending, bank_used);
                                     let route = memo.resolve(ctx, c_live, c_ok, batch, request)?;
 
-                                    inputs.fill(None);
+                                    present.fill(false);
                                     for g in batch.iter() {
                                         let lane = g.q_lane * ctx.c_cols;
                                         for col in lane..lane + ctx.c_cols {
                                             if c_ok[col] {
-                                                inputs[col] = Some(bus[col] as i64);
+                                                inputs[col] = bus[col] as i64;
+                                                present[col] = true;
                                             }
                                         }
                                     }
                                     route
-                                        .run(inputs, outputs)
+                                        .run_batched(inputs, present, 1, outputs, out_present)
                                         .expect("compiled route matches the network width");
                                     accum.birrd_passes += 1;
                                     accum.birrd_adds += route.adder_activations() as u64;
 
                                     oact.ledger.begin_cycle();
                                     for g in batch.iter() {
-                                        let value = outputs[g.bank].unwrap_or(0) as i32;
+                                        let value = outputs[g.bank] as i32;
                                         // In-situ accumulation in the output
                                         // buffer across channel tiles.
                                         let prev = oact.cells[oact.cell(g.loc)];

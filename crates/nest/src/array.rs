@@ -2,40 +2,30 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::pe::ProcessingElement;
-
-/// The values one PE row places on the per-column output buses when it fires
-/// (one locally-reduced partial sum per column).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RowFire {
-    /// Index of the firing row.
-    pub row: usize,
-    /// One value per column (`None` for columns without mapped work).
-    pub values: Vec<Option<i32>>,
-}
-
-/// A functional `AH × AW` NEST array.
+/// A functional `AH × AW` NEST array with lane-striped accumulators.
 ///
-/// The array itself is dataflow-agnostic: the caller (the `feather` crate's
-/// controller) decides which iAct goes to which PE and which weight index it
-/// multiplies against; the array provides the PE storage, the per-column bus
-/// discipline (only one row may fire per cycle) and activity counters.
+/// The array is dataflow-agnostic: the caller decides which iAct goes to
+/// which PE and which weight it multiplies against; the array provides the
+/// ping/pong weight registers, the accumulators, the per-column bus
+/// discipline (one row fires at a time) and the activity counters.
+///
+/// Each PE carries `lanes` accumulators, one per batch sample (a single
+/// sample is `lanes = 1`); the stripe of PE `(row, col)` lives at
+/// `(row * cols + col) * lanes ..`. The counters describe one sample
+/// whatever the lane count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NestArray {
     rows: usize,
     cols: usize,
-    pes: Vec<ProcessingElement>,
-    fires: u64,
-    /// MACs performed through [`NestArray::mac_operand`].
-    operand_macs: u64,
     lanes: usize,
-    /// Per-PE lane-striped accumulators, the executor's working set: the
-    /// stripe of PE `(row, col)` lives at `index(row, col) * lanes ..`. One
-    /// lane carries one batch sample (scalar execution is `lanes = 1`); the
-    /// activity counters describe a single sample whatever the lane count.
-    /// The PEs' own accumulators serve the register-level `mac`/`fire_row`
-    /// API only.
-    lane_accs: Vec<i32>,
+    /// The ping register of every PE: the weights MACs read.
+    active: Vec<Vec<i8>>,
+    /// The pong register of every PE: the weights loads write, so the next
+    /// tile's weights stream in while the current tile computes (§III-A).
+    shadow: Vec<Vec<i8>>,
+    accs: Vec<i32>,
+    macs: u64,
+    fires: u64,
 }
 
 impl NestArray {
@@ -61,11 +51,12 @@ impl NestArray {
         NestArray {
             rows,
             cols,
-            pes: vec![ProcessingElement::new(); rows * cols],
-            fires: 0,
-            operand_macs: 0,
             lanes,
-            lane_accs: vec![0; rows * cols * lanes],
+            active: vec![Vec::new(); rows * cols],
+            shadow: vec![Vec::new(); rows * cols],
+            accs: vec![0; rows * cols * lanes],
+            macs: 0,
+            fires: 0,
         }
     }
 
@@ -94,6 +85,12 @@ impl NestArray {
         self.fires
     }
 
+    /// Total MACs performed, one per [`NestArray::mac_operand`] or
+    /// [`NestArray::mac_stripe`] call.
+    pub fn total_macs(&self) -> u64 {
+        self.macs
+    }
+
     fn index(&self, row: usize, col: usize) -> usize {
         assert!(
             row < self.rows && col < self.cols,
@@ -102,113 +99,58 @@ impl NestArray {
         row * self.cols + col
     }
 
-    /// Immutable access to one PE.
-    pub fn pe(&self, row: usize, col: usize) -> &ProcessingElement {
-        &self.pes[self.index(row, col)]
-    }
-
-    /// Mutable access to one PE.
-    pub fn pe_mut(&mut self, row: usize, col: usize) -> &mut ProcessingElement {
-        let idx = self.index(row, col);
-        &mut self.pes[idx]
-    }
-
-    /// Loads weights into the shadow registers of one PE.
+    /// Loads weights into the shadow register of one PE. Overwrites in
+    /// place, so reloading a register allocates nothing.
     pub fn load_weights(&mut self, row: usize, col: usize, weights: &[i8]) {
-        self.pe_mut(row, col).load_weights(weights);
+        let idx = self.index(row, col);
+        self.shadow[idx].clear();
+        self.shadow[idx].extend_from_slice(weights);
     }
 
     /// Swaps ping/pong weight registers across the whole array (new tile).
     pub fn swap_all_weights(&mut self) {
-        for pe in &mut self.pes {
-            pe.swap_weights();
-        }
+        std::mem::swap(&mut self.active, &mut self.shadow);
     }
 
-    /// Performs one Phase-1 MAC on a single PE.
-    pub fn mac(&mut self, row: usize, col: usize, iact: i8, weight_index: usize) {
-        self.pe_mut(row, col).mac(iact, weight_index);
-    }
-
-    /// Performs one Phase-1 MAC across all lanes of a PE: the weight is read
-    /// once, every lane's input activation multiplies against it into that
-    /// lane's accumulator, and the PE's `mac_count` advances by **one** — the
-    /// activity of a single sample, which is what each lane's report clones.
+    /// [`NestArray::mac_operand`] against active weight `weight_index` of the
+    /// PE's register.
     ///
     /// # Panics
     /// Panics if `weight_index` is out of range of the active weights or
     /// `iacts` is not one value per lane.
     #[inline]
     pub fn mac_stripe(&mut self, row: usize, col: usize, iacts: &[i8], weight_index: usize) {
-        let idx = self.index(row, col);
-        let weight = self.pes[idx].active_weights()[weight_index];
-        self.pes[idx].mac_count += 1;
-        self.accumulate_stripe(idx, iacts, weight);
+        let weight = self.active[self.index(row, col)][weight_index];
+        self.mac_operand(row, col, iacts, weight);
     }
 
-    /// [`NestArray::mac_stripe`] with the stationary operand supplied by the
-    /// caller instead of read from the PE's weight register: the executor
-    /// addresses the layer's filter tensor in place, so a tile's weights are
-    /// never copied into the array. The scalar MAC is this at `lanes = 1`.
-    /// Accumulators and [`NestArray::total_macs`] advance exactly as they do
-    /// for `mac_stripe` against a register holding `weight`; the MAC is
-    /// counted on the array, not in the PE's own `mac_count`, so the hot loop
-    /// touches nothing but the accumulator stripe.
+    /// Performs one Phase-1 MAC across all lanes of a PE: every lane's input
+    /// activation multiplies against the stationary `weight` into that
+    /// lane's accumulator, and [`NestArray::total_macs`] advances by **one**
+    /// — the activity of a single sample. The caller supplies the weight, so
+    /// a tile's filter tensor can be addressed in place instead of copied
+    /// into the registers.
     ///
     /// # Panics
     /// Panics if `iacts` is not one value per lane.
     #[inline]
     pub fn mac_operand(&mut self, row: usize, col: usize, iacts: &[i8], weight: i8) {
-        let idx = self.index(row, col);
-        self.operand_macs += 1;
-        self.accumulate_stripe(idx, iacts, weight);
-    }
-
-    #[inline]
-    fn accumulate_stripe(&mut self, idx: usize, iacts: &[i8], weight: i8) {
         assert_eq!(iacts.len(), self.lanes, "one iAct per lane");
+        let base = self.index(row, col) * self.lanes;
+        self.macs += 1;
         let w = weight as i32;
-        let base = idx * self.lanes;
-        for (acc, &iact) in self.lane_accs[base..base + self.lanes]
-            .iter_mut()
-            .zip(iacts)
-        {
+        for (acc, &iact) in self.accs[base..base + self.lanes].iter_mut().zip(iacts) {
             *acc += iact as i32 * w;
         }
     }
 
-    /// Fires one row: drains the accumulators of every PE in the row onto the
-    /// column buses (Phase 2). `mapped` marks which columns actually carry
-    /// data under the current dataflow; unmapped columns yield `None`.
-    ///
-    /// # Panics
-    /// Panics if `mapped` does not have one entry per column.
-    pub fn fire_row(&mut self, row: usize, mapped: &[bool]) -> RowFire {
-        assert_eq!(
-            mapped.len(),
-            self.cols,
-            "mapped mask must have one entry per column"
-        );
-        let values = (0..self.cols)
-            .map(|col| {
-                // Unmapped PEs drain anyway so stale partial sums never leak
-                // into the next tile, but put nothing on the bus.
-                let value = self.pe_mut(row, col).fire();
-                mapped[col].then_some(value)
-            })
-            .collect();
-        self.fires += 1;
-        RowFire { row, values }
-    }
-
-    /// [`NestArray::fire_row`] across all lanes, into caller-owned scratch —
-    /// the hot-loop variant: drains every column's lane-striped accumulators
-    /// of `row` onto the bus (column-major stripes, so column `c` lane `l`
-    /// lands at `bus[c * lanes + l]`). Unmapped columns drain too — stale
-    /// partial sums never leak into the next tile — but the caller's `mapped`
-    /// mask governs which stripes carry data, the analogue of `fire_row`'s
-    /// `None` bus slots. Counts one fire, matching a single sample's
-    /// activity.
+    /// Fires one row (Phase 2): drains every column's lane-striped
+    /// accumulators of `row` onto the bus, into caller-owned scratch
+    /// (column-major stripes, so column `c` lane `l` lands at
+    /// `bus[c * lanes + l]`). Unmapped columns drain too — stale partial
+    /// sums never leak into the next tile — but the caller's `mapped` mask
+    /// governs which stripes carry data. Counts one fire, matching a single
+    /// sample's activity.
     ///
     /// # Panics
     /// Panics if `mapped` is not one entry per column or `bus` is not
@@ -226,16 +168,11 @@ impl NestArray {
             "bus must have one stripe per column"
         );
         let row_base = self.index(row, 0) * self.lanes;
-        let row_accs = &mut self.lane_accs[row_base..row_base + self.cols * self.lanes];
+        let row_accs = &mut self.accs[row_base..row_base + self.cols * self.lanes];
         for (slot, acc) in bus.iter_mut().zip(row_accs.iter_mut()) {
             *slot = std::mem::take(acc);
         }
         self.fires += 1;
-    }
-
-    /// Total MACs performed by all PEs, register and explicit-operand alike.
-    pub fn total_macs(&self) -> u64 {
-        self.pes.iter().map(|pe| pe.mac_count).sum::<u64>() + self.operand_macs
     }
 }
 
@@ -243,40 +180,67 @@ impl NestArray {
 mod tests {
     use super::*;
 
+    /// Fires `row` of a one-lane array and returns its bus.
+    fn fire(arr: &mut NestArray, row: usize) -> Vec<i32> {
+        let mut bus = vec![0; arr.cols()];
+        arr.fire_row_stripe(row, &vec![true; arr.cols()], &mut bus);
+        bus
+    }
+
     #[test]
     fn array_indexing() {
         let mut arr = NestArray::new(2, 3);
         assert_eq!(arr.num_pes(), 6);
         arr.load_weights(1, 2, &[5]);
         arr.swap_all_weights();
-        arr.mac(1, 2, 2, 0);
-        assert_eq!(arr.pe(1, 2).peek(), 10);
-        assert_eq!(arr.pe(0, 0).peek(), 0);
+        arr.mac_stripe(1, 2, &[2], 0);
+        assert_eq!(fire(&mut arr, 1), [0, 0, 10]);
+        assert_eq!(fire(&mut arr, 0), [0, 0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_pe_panics() {
-        let arr = NestArray::new(2, 2);
-        let _ = arr.pe(2, 0);
+        let mut arr = NestArray::new(2, 2);
+        arr.mac_operand(2, 0, &[1], 1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn mac_with_missing_weight_panics() {
+        let mut arr = NestArray::new(1, 1);
+        arr.load_weights(0, 0, &[4]);
+        arr.swap_all_weights();
+        arr.mac_stripe(0, 0, &[1], 1);
+    }
+
+    #[test]
+    fn ping_pong_hides_next_tile_weights() {
+        let mut arr = NestArray::new(1, 1);
+        arr.load_weights(0, 0, &[1]);
+        arr.swap_all_weights();
+        // Next tile's weights load into the shadow register while the
+        // current tile computes on the old ones.
+        arr.load_weights(0, 0, &[10]);
+        arr.mac_stripe(0, 0, &[3], 0);
+        assert_eq!(fire(&mut arr, 0), [3]);
+        arr.swap_all_weights();
+        arr.mac_stripe(0, 0, &[3], 0);
+        assert_eq!(fire(&mut arr, 0), [30]);
     }
 
     #[test]
     fn fire_row_returns_column_values_and_clears() {
         let mut arr = NestArray::new(2, 4);
         for col in 0..4 {
-            arr.load_weights(0, col, &[1]);
+            arr.mac_operand(0, col, &[(col + 1) as i8], 1);
         }
-        arr.swap_all_weights();
-        for col in 0..4 {
-            arr.mac(0, col, (col + 1) as i8, 0);
-        }
-        let fire = arr.fire_row(0, &[true, true, false, true]);
-        assert_eq!(fire.row, 0);
-        assert_eq!(fire.values, vec![Some(1), Some(2), None, Some(4)]);
-        // Accumulators cleared, including the unmapped column.
-        assert_eq!(arr.pe(0, 2).peek(), 0);
+        let mut bus = vec![0; 4];
+        arr.fire_row_stripe(0, &[true, true, false, true], &mut bus);
+        assert_eq!(bus, [1, 2, 3, 4]);
         assert_eq!(arr.fires(), 1);
+        // Accumulators cleared, including the unmapped column.
+        assert_eq!(fire(&mut arr, 0), [0; 4]);
     }
 
     #[test]
@@ -300,7 +264,7 @@ mod tests {
                     .collect();
                 batched.mac_stripe(0, col, &iacts, widx);
                 for (solo, &iact) in solos.iter_mut().zip(&iacts) {
-                    solo.mac(0, col, iact, widx);
+                    solo.mac_stripe(0, col, &[iact], widx);
                 }
             }
         }
@@ -311,11 +275,9 @@ mod tests {
         batched.fire_row_stripe(0, &mapped, &mut bus);
         assert_eq!(batched.fires(), 1);
         for (lane, solo) in solos.iter_mut().enumerate() {
-            let fire = solo.fire_row(0, &mapped);
+            let solo_bus = fire(solo, 0);
             for col in 0..4 {
-                if mapped[col] {
-                    assert_eq!(bus[col * lanes + lane], fire.values[col].unwrap());
-                }
+                assert_eq!(bus[col * lanes + lane], solo_bus[col]);
             }
         }
         // Accumulators drained, mapped or not.
@@ -335,8 +297,8 @@ mod tests {
         arr.swap_all_weights();
         for r in 0..2 {
             for c in 0..2 {
-                arr.mac(r, c, 1, 0);
-                arr.mac(r, c, 1, 1);
+                arr.mac_stripe(r, c, &[1], 0);
+                arr.mac_operand(r, c, &[1], 2);
             }
         }
         assert_eq!(arr.total_macs(), 8);

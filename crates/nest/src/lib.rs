@@ -15,19 +15,18 @@
 //!   while the other rows keep computing. This time-multiplexing is what lets
 //!   a single `AW`-input BIRRD serve the whole 2-D array.
 //!
-//! The crate provides the functional PE array ([`array::NestArray`]), the
-//! steady-state/pipeline timing model ([`timing::NestTiming`]) and the
-//! cycle-by-cycle phase schedule used to reproduce the Fig. 9 walk-through
-//! ([`schedule::walkthrough`]).
+//! The crate provides the timing model the compiler charges
+//! ([`timing::NestTiming`]), the Fig. 9 phase schedule
+//! ([`schedule::walkthrough`]) and a functional PE array ([`NestArray`]) that
+//! the accounted test oracle and the benchmark's probes drive; replay moves
+//! values through its own datapath (`feather::core::replay_fire`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod array;
-pub mod pe;
 pub mod schedule;
 pub mod timing;
 
-pub use array::{NestArray, RowFire};
-pub use pe::ProcessingElement;
+pub use array::NestArray;
 pub use timing::{NestTiming, TileTiming};

@@ -108,7 +108,8 @@ proptest! {
                 }
             })
             .collect();
-        let outputs = birrd.reduce_reorder(&request, &inputs).unwrap();
+        let config = birrd.route(&request).unwrap();
+        let outputs = birrd.evaluate(&config, &inputs).unwrap();
         for (members, dest) in &request_groups {
             let expect: i64 = members.iter().map(|&m| inputs[m].unwrap()).sum();
             prop_assert_eq!(outputs[*dest], Some(expect));
