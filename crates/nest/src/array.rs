@@ -230,6 +230,29 @@ mod tests {
     }
 
     #[test]
+    fn mac_accumulates_locally() {
+        let mut arr = NestArray::new(1, 1);
+        arr.load_weights(0, 0, &[2, -3]);
+        arr.swap_all_weights();
+        arr.mac_stripe(0, 0, &[5], 0);
+        arr.mac_stripe(0, 0, &[4], 1);
+        assert_eq!(arr.total_macs(), 2);
+        assert_eq!(fire(&mut arr, 0), [10 - 12]);
+    }
+
+    #[test]
+    fn fire_clears_accumulator() {
+        let mut arr = NestArray::new(1, 1);
+        arr.load_weights(0, 0, &[1]);
+        arr.swap_all_weights();
+        arr.mac_stripe(0, 0, &[7], 0);
+        assert_eq!(fire(&mut arr, 0), [7]);
+        // The next output starts from zero, not from the fired sum.
+        arr.mac_stripe(0, 0, &[2], 0);
+        assert_eq!(fire(&mut arr, 0), [2]);
+    }
+
+    #[test]
     fn fire_row_returns_column_values_and_clears() {
         let mut arr = NestArray::new(2, 4);
         for col in 0..4 {
