@@ -15,7 +15,11 @@
 //!   TOPS space (spatial factors over the PE rows and columns, and the
 //!   virtual PE-array shape). Tiling and ordering are the fixed canonical
 //!   remainder nest ([`Dataflow::temporal`]) the cost model's access
-//!   sampler walks; the functional simulator reads `feather::LayerMapping`.
+//!   sampler walks.
+//! * [`fabric`] — [`FeatherConfig`](fabric::FeatherConfig), the array, and
+//!   [`LayerMapping`](fabric::LayerMapping), what its controller runs a
+//!   layer with: the one FEATHER description the planner and the
+//!   functional simulator share.
 //! * [`layout`] — [`Layout`]: inter-line dimension order plus
 //!   intra-line `(dim, size)` interleaving, with parsing/printing of the
 //!   paper's textual notation and coordinate → (line, offset) mapping.
@@ -49,6 +53,7 @@ pub mod dataflow;
 pub mod dims;
 pub mod energy;
 pub mod error;
+pub mod fabric;
 pub mod fingerprint;
 pub mod graph;
 pub mod layout;

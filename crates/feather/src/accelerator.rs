@@ -6,14 +6,13 @@
 
 use std::collections::BTreeMap;
 
+use feather_arch::fabric::{FeatherConfig, LayerMapping};
 use feather_arch::graph::NodeId;
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::{ConvLayer, GemmLayer};
 use feather_arch::ArchError;
 
-use crate::config::FeatherConfig;
 use crate::graph_session::GraphSession;
-use crate::mapping::LayerMapping;
 use crate::report::LayerRun;
 
 /// A FEATHER accelerator instance.

@@ -40,15 +40,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
 
+use feather_arch::fabric::{FeatherConfig, LayerMapping};
 use feather_arch::layout::{Location, LocationPlan4};
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, Dim};
 use feather_birrd::{Birrd, CompiledRoute, ReductionRequest};
 use feather_memsim::{AccessLedger, AccessStats};
 use feather_nest::NestTiming;
-
-use crate::config::FeatherConfig;
-use crate::mapping::LayerMapping;
 
 /// Raw counters produced by one pass of the inner tile loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

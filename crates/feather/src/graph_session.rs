@@ -74,14 +74,13 @@ use std::sync::OnceLock;
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::energy::EnergyModel;
+use feather_arch::fabric::{FeatherConfig, LayerMapping};
 use feather_arch::graph::{Graph, GraphSegment, Node, NodeId, NodeOp, TensorId};
 use feather_arch::layout::Layout;
 use feather_arch::tensor::{conv2d_reference, quantize_to_i8, saturating_add_i8, Tensor4};
 use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
 
-use crate::config::FeatherConfig;
-use crate::mapping::LayerMapping;
 use crate::program::{Program, ProgramSession};
 use crate::report::GraphRun;
 use crate::session::{validate_chain, DEFAULT_QUANT_SHIFT};
@@ -860,6 +859,20 @@ mod tests {
     #[test]
     fn a_width_that_is_not_a_power_of_two_is_an_error() {
         assert_shape_refused(4, 12, "power of two");
+    }
+
+    /// The StaB has `AW` one-element banks: a chain whose iAct line is wider
+    /// than the array is refused, as `from_schedules` refuses such a layout.
+    #[test]
+    fn an_iact_line_wider_than_the_array_is_an_error() {
+        let config = FeatherConfig::new(4, 4);
+        let layer = ConvLayer::new(1, 8, 8, 6, 6, 3, 3).with_padding(1);
+        let mapping = LayerMapping::weight_stationary(&layer, &config, "HWC_C8", "MPQ_Q4").unwrap();
+        match GraphSession::chain(config, vec![(layer, mapping)]) {
+            Err(ArchError::InvalidDataflow(msg)) => assert!(msg.contains("iAct"), "{msg}"),
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(_) => panic!("an eight-wide iAct line does not fit four StaB banks"),
+        }
     }
 
     /// A compile routes each distinct `(c_cols, request)` once, however many

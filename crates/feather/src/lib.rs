@@ -62,19 +62,16 @@
 #![warn(rust_2018_idioms)]
 
 pub mod accelerator;
-pub mod config;
 mod core;
 pub mod graph_session;
-pub mod mapping;
 pub mod profile;
 pub mod program;
 pub mod report;
 pub mod session;
 
 pub use accelerator::Feather;
-pub use config::FeatherConfig;
+pub use feather_arch::fabric::{FeatherConfig, LayerMapping};
 pub use graph_session::GraphSession;
-pub use mapping::LayerMapping;
 pub use profile::{OpFamily, ProfileRow, ReplayProfile};
 pub use program::{Program, ProgramSession, ReplayScratch};
 pub use report::{

@@ -11,16 +11,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use feather_arch::fabric::{FeatherConfig, LayerMapping};
 use feather_arch::fingerprint::fnv1a64;
 use feather_arch::graph::{NodeOp, TensorId};
 use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
 use feather_memsim::{AccessLedger, AccessStats, Banking, BufferSpec, ScratchRegion};
 
-use crate::config::FeatherConfig;
 use crate::core::{count_conv_core, CoreRun, LayerExec, ReplayLayer, RouteMemo};
 use crate::graph_session::{pool_window_weights, GraphSession, Step};
-use crate::mapping::LayerMapping;
 use crate::report::{GraphReport, JoinSummary, LayerSummary, SegmentSummary};
 use crate::session::{iact_spec, layer_summary, oact_spec};
 

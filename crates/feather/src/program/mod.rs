@@ -61,11 +61,11 @@ mod replay;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use feather_arch::fabric::FeatherConfig;
 use feather_arch::graph::{NodeId, TensorId};
 use feather_arch::tensor::Tensor4;
 use feather_arch::workload::ConvKind;
 
-use crate::config::FeatherConfig;
 use crate::core::{ReplayLayer, RouteTable};
 #[cfg(doc)]
 use crate::graph_session::GraphSession;

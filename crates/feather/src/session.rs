@@ -47,13 +47,12 @@
 
 use feather_arch::dims::Operand;
 use feather_arch::energy::{EnergyBreakdown, EnergyModel};
+use feather_arch::fabric::{FeatherConfig, LayerMapping};
 use feather_arch::workload::ConvLayer;
 use feather_arch::{ArchError, DataType};
 use feather_memsim::{AccessStats, Banking, BufferSpec};
 
-use crate::config::FeatherConfig;
 use crate::core::CoreRun;
-use crate::mapping::LayerMapping;
 use crate::report::{LayerSummary, RunReport};
 #[cfg(doc)]
 use crate::GraphSession;

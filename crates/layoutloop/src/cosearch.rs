@@ -339,19 +339,6 @@ pub struct NetworkPlan {
     pub cache_misses: u64,
 }
 
-impl NetworkPlan {
-    /// The `(dataflow, iAct layout)` schedule, one entry per layer in order:
-    /// entry `i` keyed by `NodeId(i)` is the schedule map
-    /// `feather::GraphSession::from_schedules` consumes for a
-    /// `Graph::linear` of the same layers.
-    pub fn schedule(&self) -> Vec<(Dataflow, Layout)> {
-        self.per_layer
-            .iter()
-            .map(|r| (r.dataflow.clone(), r.layout.clone()))
-            .collect()
-    }
-}
-
 /// Plans a whole network: per-layer co-search with layout chaining — each
 /// layer's chosen layout becomes the next layer's predecessor constraint, so
 /// designs without free reordering pay the conversion cost whenever the
@@ -1017,8 +1004,6 @@ mod tests {
         assert_eq!(replan.cache_hits, base.len() as u64);
         // Cached results carry the querying layer's name.
         assert_eq!(replan.per_layer[0].evaluation.layer, "l0");
-        // And the schedule has one (dataflow, layout) entry per layer.
-        assert_eq!(replan.schedule().len(), base.len());
     }
 
     #[test]

@@ -165,9 +165,14 @@ pub fn plan_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::LayoutPolicy;
     use crate::cosearch::{co_search_table, search_table, TableWork};
+    use feather_arch::dataflow::ParallelDim;
+    use feather_arch::dims::Dim;
+    use feather_arch::fabric::{FeatherConfig, LayerMapping};
     use feather_arch::graph::resnet50_graph_scaled;
     use feather_arch::workload::ConvLayer;
+    use feather_memsim::{Banking, BufferSpec};
 
     fn branched_graph() -> Graph {
         let mut g = Graph::new("branched", [1, 8, 14, 14]);
@@ -404,5 +409,95 @@ mod tests {
             priced: 138,
         };
         assert_eq!(total, expected);
+    }
+
+    /// A dataflow's spatial factors per dimension, one list per array side,
+    /// with unit factors dropped: what the array runs, whatever the name.
+    fn spatial_factors(df: &Dataflow) -> [BTreeMap<Dim, usize>; 2] {
+        let side = |dims: &[ParallelDim]| {
+            let mut factors = BTreeMap::new();
+            for p in dims.iter().filter(|p| p.factor > 1) {
+                *factors.entry(p.dim).or_insert(1) *= p.factor;
+            }
+            factors
+        };
+        [side(&df.row_parallel), side(&df.col_parallel)]
+    }
+
+    /// How far the plan is from the machine once the planner's line is the
+    /// array's own: Models A and B planned with `cols`-wide lines and layout
+    /// candidates (one bank, two read and two write ports), every node
+    /// projected onto the controller through `LayerMapping::from_dataflow`.
+    /// Counted are the nodes whose projection errs and those whose `M`-row
+    /// and `C`/`Q`-column factors differ from the planned dataflow's (the
+    /// projection's clamp), and among those the ones left on a single PE.
+    /// The count sizes the work of making the plan reach the machine; the
+    /// plan `feather_like` makes today never does (standing finding 1).
+    #[test]
+    fn cols_wide_plans_change_in_projection_on_this_many_nodes() {
+        let count = |g: &Graph, config: FeatherConfig| {
+            let cols = config.cols;
+            let candidates = [
+                "HWC_C16",
+                "HWC_W16",
+                "HWC_H16",
+                "HWC_C4W4",
+                "HWC_C4H4",
+                "HWC_W4H4",
+                "HWC_C4W2H2",
+            ];
+            let arch = ArchSpec {
+                activation_buffer: BufferSpec::new(
+                    128 * 1024 / cols,
+                    cols,
+                    1,
+                    Banking::VerticalBlocked,
+                )
+                .with_ports(2, 2),
+                layout_policy: LayoutPolicy::Searchable(
+                    candidates.iter().map(|s| s.parse().unwrap()).collect(),
+                ),
+                ..ArchSpec::feather_like(config.rows, cols)
+            };
+            let plan = plan_graph(
+                &arch,
+                g,
+                &MapperConfig::fast(),
+                0,
+                &mut CoSearchCache::new(),
+            )
+            .unwrap();
+            assert_eq!(plan.per_node.len(), 56);
+            let (mut errs, mut changed, mut one_pe) = (0, 0, 0);
+            for (&id, r) in &plan.per_node {
+                assert_eq!(r.layout.line_size(), cols, "{id}: {}", r.layout);
+                let conv = g.node(id).execution_conv().unwrap();
+                let oact = format!("MPQ_Q{}", conv.output_width().min(cols))
+                    .parse()
+                    .unwrap();
+                let projected = LayerMapping::from_dataflow(
+                    &conv,
+                    &config,
+                    &r.dataflow,
+                    r.layout.clone(),
+                    oact,
+                );
+                match projected {
+                    Err(_) => errs += 1,
+                    Ok(m) => {
+                        let runs = m.as_dataflow(&config);
+                        if spatial_factors(&runs) != spatial_factors(&r.dataflow) {
+                            changed += 1;
+                            one_pe += usize::from(runs.mapped_pes() == 1);
+                        }
+                    }
+                }
+            }
+            (errs, changed, one_pe)
+        };
+        let a = count(&resnet50_graph_scaled(16, 16), FeatherConfig::new(8, 16));
+        let b = count(&resnet50_graph_scaled(8, 8), FeatherConfig::new(16, 16));
+        // Model A: nine nodes clamped onto one PE; Model B: none changes.
+        assert_eq!((a, b), ((0, 9, 9), (0, 0, 0)));
     }
 }

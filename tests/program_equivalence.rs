@@ -547,6 +547,47 @@ fn model_b_cost_is_pinned_without_running_a_mac() {
     assert_eq!(cost, (73_969, 401_989, 0x4189_5a5d_3333_3334));
 }
 
+/// Standing finding 1: the co-searched plan never reaches the machine. The
+/// planner's FEATHER spec (`ArchSpec::feather_like`) prices 32-wide layouts,
+/// every node of Models A and B is scheduled with one, and `from_schedules`
+/// runs each such node with the `auto` defaults instead — so the planned
+/// session is the `auto` session, fingerprint for fingerprint. A change that
+/// makes the plan reach the machine has to change this test on purpose.
+#[test]
+fn planned_models_run_as_auto_standing_finding_1() {
+    for (g, config, auto_fingerprint) in [
+        (
+            resnet50_graph_scaled(16, 16),
+            FeatherConfig::new(8, 16),
+            0xf9a5_e92e_cf81_1429_u64,
+        ),
+        (
+            resnet50_graph_scaled(8, 8),
+            FeatherConfig::new(16, 16),
+            0x2d63_a0bd_c4a9_2374,
+        ),
+    ] {
+        let plan = plan_graph(
+            &ArchSpec::feather_like(config.rows, config.cols),
+            &g,
+            &MapperConfig::fast(),
+            0,
+            &mut CoSearchCache::new(),
+        )
+        .unwrap();
+        let schedules = plan.schedules();
+        assert_eq!(schedules.len(), 56);
+        for (id, (_, layout)) in &schedules {
+            assert_eq!(layout.line_size(), 32, "{id}: {layout}");
+            assert!(layout.line_size() > config.cols);
+        }
+        let planned = GraphSession::from_schedules(config, &g, &schedules).unwrap();
+        let auto = GraphSession::auto(config, &g).unwrap();
+        assert_eq!(auto.fingerprint(), auto_fingerprint);
+        assert_eq!(planned.fingerprint(), auto_fingerprint);
+    }
+}
+
 /// The program a session's first run compiled, as the `compile()` after it
 /// hands it out: `(distinct routes, BIRRD passes it replays)`.
 fn route_traffic(session: GraphSession, g: &Graph) -> (usize, usize) {
