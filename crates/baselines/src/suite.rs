@@ -76,9 +76,7 @@ pub fn fig13_bert_suite(rows: usize, cols: usize) -> Vec<SuiteEntry> {
     // GEMM workloads search the GEMM layout vocabulary.
     for entry in &mut entries {
         if entry.label == "FEATHER" {
-            entry.arch.layout_policy = layoutloop::arch::LayoutPolicy::Searchable(
-                feather_arch::layout::Layout::gemm_candidates(),
-            );
+            entry.arch.layouts = feather_arch::layout::Layout::gemm_candidates();
         }
     }
     entries
@@ -107,7 +105,7 @@ mod tests {
         let suite = fig13_bert_suite(16, 16);
         assert_eq!(suite.len(), 4);
         let feather = suite.last().unwrap();
-        assert_eq!(feather.arch.layout_policy.candidates().len(), 3);
+        assert_eq!(feather.arch.layouts.len(), 3);
     }
 
     #[test]

@@ -47,7 +47,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for (id, workload, dataflow, layout) in cases {
-        let a = analyze_iact_reads(workload, dataflow, layout, &conflict, 8, 0);
+        let a = analyze_iact_reads(workload, dataflow, layout, &conflict, 8, 0)
+            .expect("Fig. 4's dataflows are valid and its buffer has one bank");
         let theoretical = dataflow.spatial_utilization();
         let practical = theoretical / a.read_slowdown;
         rows.push(vec![

@@ -10,23 +10,27 @@
 //! The analysis has two halves, so a co-search over `D` dataflows and `L`
 //! layouts does each once instead of `D × L` times:
 //!
-//! * **dataflow only** — a [`ReadSignature`] (the spatial factors and the
+//! * **dataflow only** — a read signature (the spatial factors and the
 //!   sampled temporal base points, drawn from the seed, on the dims that index
-//!   iActs) and its expansion [`SampledReads`] (the values each of `n`, `c`,
+//!   iActs) and its expansion into sampled reads (the values each of `n`, `c`,
 //!   `h` and `w` takes across the lanes in each sampled cycle); dataflows that
 //!   differ only where the buffer cannot see it (how they place `M`) share a
 //!   signature;
-//! * **layout only** — [`iact_plan`]: the `coordinate → line` tables of
-//!   [`Layout::plan4`], built per (workload, layout).
+//! * **layout only** — each iAct value's line digit, from the `coordinate →
+//!   line` tables of [`Layout::plan4`], built per (workload, layout).
 //!
-//! [`SampledReads::analyze`] joins the two, counting each cycle's lines per
-//! dimension rather than per lane. Nothing here depends on the layout the
-//! previous layer left behind.
+//! Joining the two counts each cycle's distinct lines per dimension rather
+//! than per lane, and never builds the lines. The count decides the conflict
+//! of a buffer of one bank or of horizontal banks, and
+//! [`analyze_iact_reads`] refuses any other (several vertical banks, where
+//! only the lines themselves would tell). Nothing here depends on the layout
+//! the previous layer left behind.
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Dim;
-use feather_arch::layout::{Layout, LocationPlan4};
+use feather_arch::layout::Layout;
 use feather_arch::workload::Workload;
+use feather_arch::ArchError;
 use feather_memsim::ConflictModel;
 use rand::Rng;
 use rand::SeedableRng;
@@ -42,8 +46,6 @@ pub struct AccessAnalysis {
     pub avg_lines_per_cycle: f64,
     /// Number of distinct iAct elements requested per cycle.
     pub concurrent_reads: usize,
-    /// Number of cycles sampled.
-    pub sampled_cycles: usize,
 }
 
 impl AccessAnalysis {
@@ -58,12 +60,11 @@ impl AccessAnalysis {
     /// at least one element; `concurrent_reads` is the lane count, which no
     /// layout changes. [`SampledReads::analyze`] never goes below it in
     /// either field.
-    pub(crate) fn floor(dataflow: &Dataflow, max_samples: usize) -> Self {
+    pub(crate) fn floor(dataflow: &Dataflow) -> Self {
         AccessAnalysis {
             read_slowdown: 1.0,
             avg_lines_per_cycle: 1.0,
             concurrent_reads: iact_spatial(dataflow).iter().product(),
-            sampled_cycles: max_samples.max(4),
         }
     }
 }
@@ -94,7 +95,7 @@ fn iact_spatial(dataflow: &Dataflow) -> PerDim {
 /// them. Two dataflows with equal signatures request the same elements in
 /// every sampled cycle of a workload, so one analysis per layout serves both.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ReadSignature {
+pub(crate) struct ReadSignature {
     /// The spatial factor of every iAct-indexing dim (1 elsewhere).
     spatial: PerDim,
     /// Per sampled cycle, the base coordinate on those dims (0 elsewhere).
@@ -104,7 +105,12 @@ pub struct ReadSignature {
 impl ReadSignature {
     /// Samples up to `max_samples` (at least four) execution cycles of
     /// `dataflow` on `workload`, deterministically from `seed`.
-    pub fn new(workload: &Workload, dataflow: &Dataflow, max_samples: usize, seed: u64) -> Self {
+    pub(crate) fn new(
+        workload: &Workload,
+        dataflow: &Dataflow,
+        max_samples: usize,
+        seed: u64,
+    ) -> Self {
         let spatial = iact_spatial(dataflow);
         let loops: Vec<(Dim, usize)> = dataflow.temporal(workload).collect();
         let innermost = loops.last().map(|&(dim, _)| dim);
@@ -147,7 +153,7 @@ impl ReadSignature {
 /// on `Q` and `S`, so a cycle reads the Cartesian product of its four value
 /// sets.
 #[derive(Debug, Clone)]
-pub struct SampledReads {
+pub(crate) struct SampledReads {
     /// Every cycle's four value sets, cycle by cycle in `[n, c, h, w]`
     /// order, each as ascending runs `lo..=hi` of consecutive values with a
     /// gap between any two runs.
@@ -161,7 +167,7 @@ pub struct SampledReads {
 
 impl SampledReads {
     /// Expands `signature` into the values it reads on `workload`.
-    pub fn new(workload: &Workload, signature: &ReadSignature) -> Self {
+    pub(crate) fn new(workload: &Workload, signature: &ReadSignature) -> Self {
         let (stride, padding) = match workload.as_conv_layer() {
             Some(c) => (c.stride, c.padding),
             None => (1, 0),
@@ -218,7 +224,8 @@ impl SampledReads {
 
     /// Joins the sampled reads with a layout's [`iact_plan`]: per sampled
     /// cycle, how many distinct lines the lanes touch and what `conflicts`
-    /// makes of them.
+    /// makes of them. `conflicts` must be decided by the count
+    /// ([`uncounted`] is `None`), as every validated architecture's is.
     ///
     /// Lines are counted per dim, not per lane. This rests on
     /// [`Layout::plan4`]'s line being mixed-radix: the sum of one digit per
@@ -226,57 +233,41 @@ impl SampledReads {
     /// then share a line exactly when they share every dim's digit, so a
     /// cycle's distinct lines number the product of its dims' distinct
     /// digits, and a run of consecutive values has as many as its last
-    /// value's digit minus its first's, plus one. The lines themselves are
-    /// only built when `conflicts` groups them by bank
-    /// ([`ConflictModel::assess_read_count`] is `None`).
-    pub fn analyze(&self, plan: &IactPlan, conflicts: &ConflictModel) -> AccessAnalysis {
+    /// value's digit minus its first's, plus one.
+    pub(crate) fn analyze(&self, plan: &IactPlan, conflicts: &ConflictModel) -> AccessAnalysis {
         let mut total_slowdown = 0.0;
         let mut total_lines = 0.0;
         let mut start = 0;
         for ends in self.ends.chunks_exact(4) {
-            let sets: [&[(usize, usize)]; 4] = std::array::from_fn(|d| {
-                let set = &self.runs[start..ends[d]];
-                start = ends[d];
-                set
-            });
-            let count: usize = sets
-                .iter()
-                .enumerate()
-                .map(|(d, set)| plan.distinct_digits(d, set))
+            let count: usize = (0..4)
+                .map(|d| {
+                    let set = &self.runs[start..ends[d]];
+                    start = ends[d];
+                    plan.distinct_digits(d, set)
+                })
                 .product();
-            let assessment = conflicts.assess_read_count(count).unwrap_or_else(|| {
-                let mut lines = vec![0];
-                for (d, set) in sets.iter().enumerate() {
-                    let summands: Vec<usize> = plan.line_summands(d, set).collect();
-                    lines = lines
-                        .iter()
-                        .flat_map(|&line| summands.iter().map(move |&summand| line + summand))
-                        .collect();
-                }
-                conflicts.assess_distinct_reads(&mut lines)
-            });
+            let assessment = conflicts
+                .assess_read_count(count)
+                .expect("the line count decides the conflicts of a validated buffer");
             total_slowdown += assessment.slowdown;
             total_lines += assessment.lines_touched as f64;
         }
-        let sampled_cycles = self.ends.len() / 4;
+        let sampled_cycles = (self.ends.len() / 4) as f64;
         AccessAnalysis {
-            read_slowdown: total_slowdown / sampled_cycles as f64,
-            avg_lines_per_cycle: total_lines / sampled_cycles as f64,
+            read_slowdown: total_slowdown / sampled_cycles,
+            avg_lines_per_cycle: total_lines / sampled_cycles,
             concurrent_reads: self.lanes,
-            sampled_cycles,
         }
     }
 }
 
-/// The layout-dependent half of the analysis ([`iact_plan`]): a layout
-/// precompiled over a workload's `[n, c, h, w]` iAct extents.
+/// The layout-dependent half of the analysis ([`iact_plan`]): per dim of a
+/// workload's `[n, c, h, w]` iAct extents, each value's line digit under a
+/// layout — how many distinct line summands of [`Layout::plan4`] the dim's
+/// smaller values add. A summand never decreases as its value grows, so
+/// consecutive values' digits step by 0 or 1.
 #[derive(Debug, Clone)]
-pub struct IactPlan {
-    /// The `coordinate → (line, offset)` tables of [`Layout::plan4`].
-    plan: LocationPlan4,
-    /// Per dim, each value's line digit: how many distinct line summands
-    /// the dim's smaller values add. A summand never decreases as its value
-    /// grows, so consecutive values' digits step by 0 or 1.
+pub(crate) struct IactPlan {
     digits: [Vec<usize>; 4],
 }
 
@@ -296,25 +287,11 @@ impl IactPlan {
         }
         count
     }
-
-    /// The distinct line summands the values of `runs` add in dim `d`,
-    /// ascending.
-    fn line_summands<'a>(
-        &'a self,
-        d: usize,
-        runs: &'a [(usize, usize)],
-    ) -> impl Iterator<Item = usize> + 'a {
-        let mut prev = None;
-        runs.iter()
-            .flat_map(|&(lo, hi)| lo..=hi)
-            .map(move |value| self.plan.summand(d, value).line)
-            .filter(move |&line| prev.replace(line) != Some(line))
-    }
 }
 
 /// The layout-dependent half of the analysis: `layout` precompiled over the
 /// `[n, c, h, w]` extents of `workload`'s iAct tensor.
-pub fn iact_plan(workload: &Workload, layout: &Layout) -> IactPlan {
+pub(crate) fn iact_plan(workload: &Workload, layout: &Layout) -> IactPlan {
     let extents = Dim::IACT_DIMS.map(|dim| workload.dim(dim));
     let plan = layout.plan4(std::array::from_fn(|d| (Dim::IACT_DIMS[d], extents[d])));
     let digits = std::array::from_fn(|d| {
@@ -329,12 +306,27 @@ pub fn iact_plan(workload: &Workload, layout: &Layout) -> IactPlan {
             })
             .collect()
     });
-    IactPlan { plan, digits }
+    IactPlan { digits }
+}
+
+/// Why a cycle's count of distinct lines cannot decide `conflicts`, if it
+/// cannot: several vertical banks, where the fullest bank depends on which
+/// lines are read. One bank, or horizontal banks, are decided by the count.
+pub(crate) fn uncounted(conflicts: &ConflictModel) -> Option<String> {
+    let banks = conflicts.spec().num_banks;
+    conflicts.assess_read_count(0).is_none().then(|| {
+        format!("{banks} vertical banks, whose conflicts a cycle's line count cannot decide")
+    })
 }
 
 /// Analyzes the iAct read pattern of a (workload, dataflow, layout) triple
 /// against a conflict model, sampling up to `max_samples` execution cycles
 /// (deterministically, from `seed`).
+///
+/// # Errors
+/// Returns [`ArchError::InvalidDataflow`] if the dataflow is malformed, or if
+/// the buffer has several vertical banks, whose conflicts the count of a
+/// cycle's distinct lines cannot decide.
 pub fn analyze_iact_reads(
     workload: &Workload,
     dataflow: &Dataflow,
@@ -342,9 +334,14 @@ pub fn analyze_iact_reads(
     conflicts: &ConflictModel,
     max_samples: usize,
     seed: u64,
-) -> AccessAnalysis {
+) -> Result<AccessAnalysis, ArchError> {
+    dataflow.validate()?;
+    if let Some(problem) = uncounted(conflicts) {
+        return Err(ArchError::InvalidDataflow(format!("buffer has {problem}")));
+    }
     let signature = ReadSignature::new(workload, dataflow, max_samples, seed);
-    SampledReads::new(workload, &signature).analyze(&iact_plan(workload, layout), conflicts)
+    let reads = SampledReads::new(workload, &signature);
+    Ok(reads.analyze(&iact_plan(workload, layout), conflicts))
 }
 
 #[cfg(test)]
@@ -493,7 +490,6 @@ mod oracle {
             read_slowdown: total_slowdown / n,
             avg_lines_per_cycle: total_lines / n,
             concurrent_reads: lanes.len(),
-            sampled_cycles: samples.len(),
         }
     }
 }
@@ -521,14 +517,9 @@ mod tests {
         let arch = ArchSpec::feather_like(rows, cols);
         let mapper = [MapperConfig::fast(), MapperConfig::default()][mapper_pick];
         let max_samples = [1, 4, 16][samples_pick];
-        // Every path of the distinct-line assessment: one bank, several
-        // blocked or interleaved banks, horizontal banking.
-        let (banks, banking) = [
-            (1, Banking::VerticalBlocked),
-            (4, Banking::VerticalBlocked),
-            (4, Banking::VerticalInterleaved),
-            (4, Banking::Horizontal),
-        ][banking_pick];
+        // Both bankings the line count decides: one bank, horizontal banks.
+        let (banks, banking) =
+            [(1, Banking::VerticalBlocked), (4, Banking::Horizontal)][banking_pick];
         let drawn = BufferSpec::new(4096, 8, banks, banking).with_ports(ports, ports);
         let models = [arch.conflict_model(), ConflictModel::new(drawn)];
         let mut layouts = Layout::conv_candidates();
@@ -537,7 +528,7 @@ mod tests {
             for layout in &layouts {
                 for cm in &models {
                     prop_assert_eq!(
-                        analyze_iact_reads(w, &df, layout, cm, max_samples, seed),
+                        analyze_iact_reads(w, &df, layout, cm, max_samples, seed).unwrap(),
                         oracle::analyze_iact_reads(w, &df, layout, cm, max_samples, seed),
                         "{} under {}",
                         df,
@@ -564,7 +555,7 @@ mod tests {
             shape_pick in 0usize..3,
             mapper_pick in 0usize..2,
             samples_pick in 0usize..3,
-            banking_pick in 0usize..4,
+            banking_pick in 0usize..2,
             ports in 1usize..=3,
             seed in 0u64..1000,
         ) {
@@ -586,7 +577,7 @@ mod tests {
             shape_pick in 0usize..3,
             mapper_pick in 0usize..2,
             samples_pick in 0usize..3,
-            banking_pick in 0usize..4,
+            banking_pick in 0usize..2,
             ports in 1usize..=3,
             seed in 0u64..1000,
         ) {
@@ -659,11 +650,47 @@ mod tests {
 
     #[test]
     fn feather_counts_lines_without_building_them() {
-        // One bank: FEATHER's sampled reads take the count-only path of
-        // `SampledReads::analyze`.
+        // One bank: the count of FEATHER's distinct lines decides their
+        // conflicts, and `SampledReads::analyze` never builds the lines.
         let model = ArchSpec::feather_like(16, 16).conflict_model();
         assert_eq!(model.spec().num_banks, 1);
-        assert!(model.assess_read_count(3).is_some());
+        assert!(uncounted(&model).is_none());
+    }
+
+    #[test]
+    fn malformed_inputs_are_errors() {
+        // A zero spatial factor on C is refused, as `evaluate` refuses it,
+        // rather than analysed as zero lanes; so is a buffer whose conflicts
+        // the line count cannot decide.
+        let w = layer47();
+        let df = Dataflow::channel_parallel(ArrayShape::new(4, 4), &w, 4);
+        let mut zero_c = df.clone();
+        for p in zero_c
+            .row_parallel
+            .iter_mut()
+            .chain(&mut zero_c.col_parallel)
+        {
+            if p.dim == Dim::C {
+                p.factor = 0;
+            }
+        }
+        let banked = |banking| ConflictModel::new(BufferSpec::new(4096, 8, 4, banking));
+        let cases = [
+            (&zero_c, conflict_model(), "spatial factor for C is zero"),
+            (&df, banked(Banking::VerticalBlocked), "4 vertical banks"),
+            (
+                &df,
+                banked(Banking::VerticalInterleaved),
+                "4 vertical banks",
+            ),
+        ];
+        let layout: Layout = "HWC_C8".parse().unwrap();
+        for (df, cm, problem) in cases {
+            match analyze_iact_reads(&w, df, &layout, &cm, 8, 0) {
+                Err(ArchError::InvalidDataflow(msg)) => assert!(msg.contains(problem), "{msg}"),
+                other => panic!("{problem}: {other:?}"),
+            }
+        }
     }
 
     fn conflict_model() -> ConflictModel {
@@ -684,7 +711,7 @@ mod tests {
         let w = layer47();
         let df = Dataflow::channel_parallel(ArrayShape::new(4, 4), &w, 4);
         let layout: Layout = "HCW_W8".parse().unwrap();
-        let a = analyze_iact_reads(&w, &df, &layout, &conflict_model(), 8, 0);
+        let a = analyze_iact_reads(&w, &df, &layout, &conflict_model(), 8, 0).unwrap();
         assert!(a.read_slowdown >= 1.9, "expected ~2x slowdown, got {a:?}");
         assert!(!a.is_concordant());
     }
@@ -695,7 +722,7 @@ mod tests {
         let w = layer47();
         let df = Dataflow::channel_parallel(ArrayShape::new(4, 4), &w, 4);
         let layout: Layout = "HWC_C8".parse().unwrap();
-        let a = analyze_iact_reads(&w, &df, &layout, &conflict_model(), 8, 0);
+        let a = analyze_iact_reads(&w, &df, &layout, &conflict_model(), 8, 0).unwrap();
         assert!(a.is_concordant(), "{a:?}");
         assert!(a.avg_lines_per_cycle <= 1.5);
     }
@@ -710,8 +737,8 @@ mod tests {
         let row_major: Layout = "HCW_W8".parse().unwrap();
         let channel_last: Layout = "HWC_W2C3".parse().unwrap();
         let cm = conflict_model();
-        let rm = analyze_iact_reads(&w, &df, &row_major, &cm, 8, 0);
-        let cl = analyze_iact_reads(&w, &df, &channel_last, &cm, 8, 0);
+        let rm = analyze_iact_reads(&w, &df, &row_major, &cm, 8, 0).unwrap();
+        let cl = analyze_iact_reads(&w, &df, &channel_last, &cm, 8, 0).unwrap();
         assert!(rm.read_slowdown < cl.read_slowdown, "rm {rm:?} cl {cl:?}");
     }
 
@@ -720,7 +747,7 @@ mod tests {
         let w = layer47();
         let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &w);
         let layout: Layout = "HWC_C32".parse().unwrap();
-        let a = analyze_iact_reads(&w, &df, &layout, &conflict_model(), 4, 0);
+        let a = analyze_iact_reads(&w, &df, &layout, &conflict_model(), 4, 0).unwrap();
         assert_eq!(
             a.concurrent_reads,
             df.concurrent_accesses(feather_arch::dims::Operand::IActs)
@@ -733,8 +760,8 @@ mod tests {
         let df = Dataflow::channel_parallel(ArrayShape::new(8, 8), &w, 8);
         let layout: Layout = "HWC_C4W8".parse().unwrap();
         let cm = conflict_model();
-        let a = analyze_iact_reads(&w, &df, &layout, &cm, 16, 7);
-        let b = analyze_iact_reads(&w, &df, &layout, &cm, 16, 7);
+        let a = analyze_iact_reads(&w, &df, &layout, &cm, 16, 7).unwrap();
+        let b = analyze_iact_reads(&w, &df, &layout, &cm, 16, 7).unwrap();
         assert_eq!(a, b);
     }
 }

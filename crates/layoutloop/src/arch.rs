@@ -15,6 +15,8 @@ use feather_arch::ArchError;
 use feather_memsim::{Banking, BufferSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::access::uncounted;
+
 /// On-chip data-reordering support (§II-D, Tab. III).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ReorderCapability {
@@ -113,31 +115,6 @@ pub enum FixedDataflow {
     DpuFixed,
 }
 
-/// The layout policy: fixed for the whole network or searchable per layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LayoutPolicy {
-    /// One compile-time layout for every layer.
-    Fixed(Layout),
-    /// A per-layer search over the given candidates. Every layer may pick
-    /// any of them: when its choice differs from the layout the previous
-    /// layer left behind, the co-search prices the switch with the
-    /// design's [`ReorderCapability`] (free under RIR, an extra on-chip
-    /// pass for a transpose unit, a DRAM round trip without on-chip
-    /// reordering), and the chaining pass picks, layer by layer, the
-    /// layout with the lowest EDP under that price.
-    Searchable(Vec<Layout>),
-}
-
-impl LayoutPolicy {
-    /// The candidate layouts this policy allows for a layer.
-    pub fn candidates(&self) -> Vec<Layout> {
-        match self {
-            LayoutPolicy::Fixed(l) => vec![l.clone()],
-            LayoutPolicy::Searchable(ls) => ls.clone(),
-        }
-    }
-}
-
 /// A complete architecture description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArchSpec {
@@ -151,8 +128,14 @@ pub struct ArchSpec {
     pub activation_buffer: BufferSpec,
     /// Dataflow policy (fixed vs flexible).
     pub dataflow_policy: DataflowPolicy,
-    /// Layout policy (fixed vs searchable).
-    pub layout_policy: LayoutPolicy,
+    /// The iAct layouts a layer may pick; one entry is a layout fixed for
+    /// the whole network. When a layer's choice differs from the layout the
+    /// previous layer left behind, the co-search prices the switch with the
+    /// design's [`ReorderCapability`] (free under RIR, an extra on-chip pass
+    /// for a transpose unit, a DRAM round trip without on-chip reordering),
+    /// and the chaining pass picks, layer by layer, the layout with the
+    /// lowest EDP under that price.
+    pub layouts: Vec<Layout>,
     /// On-chip reordering capability.
     pub reorder: ReorderCapability,
     /// Reduction network style.
@@ -198,7 +181,7 @@ impl ArchSpec {
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
             dataflow_policy: DataflowPolicy::Flexible { shape: true },
-            layout_policy: LayoutPolicy::Searchable(Layout::conv_candidates()),
+            layouts: Layout::conv_candidates(),
             reorder: ReorderCapability::Rir,
             reduction: ReductionStyle::Birrd,
             distribution: DistributionStyle::PointToPoint,
@@ -217,7 +200,7 @@ impl ArchSpec {
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
             dataflow_policy: DataflowPolicy::Fixed(FixedDataflow::WeightStationaryMC),
-            layout_policy: LayoutPolicy::Fixed("HWC_C32".parse().expect("valid layout")),
+            layouts: vec!["HWC_C32".parse().expect("valid layout")],
             reorder: ReorderCapability::None,
             reduction: ReductionStyle::Tree,
             distribution: DistributionStyle::Broadcast,
@@ -236,7 +219,7 @@ impl ArchSpec {
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
             dataflow_policy: DataflowPolicy::Fixed(FixedDataflow::RowStationary),
-            layout_policy: LayoutPolicy::Fixed("HWC_C32".parse().expect("valid layout")),
+            layouts: vec!["HWC_C32".parse().expect("valid layout")],
             reorder: ReorderCapability::None,
             reduction: ReductionStyle::Linear,
             distribution: DistributionStyle::Systolic,
@@ -255,7 +238,7 @@ impl ArchSpec {
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
             dataflow_policy: DataflowPolicy::Flexible { shape: true },
-            layout_policy: LayoutPolicy::Fixed(layout.parse().expect("valid layout")),
+            layouts: vec![layout.parse().expect("valid layout")],
             reorder: ReorderCapability::None,
             reduction: ReductionStyle::FlexibleTree,
             distribution: DistributionStyle::Benes,
@@ -269,7 +252,7 @@ impl ArchSpec {
     pub fn sigma_like_offchip_reorder(rows: usize, cols: usize) -> Self {
         let mut spec = Self::sigma_like_fixed_layout(rows, cols, "HWC_C32");
         spec.name = "SIGMA-like-offchip-reorder".to_string();
-        spec.layout_policy = LayoutPolicy::Searchable(Layout::conv_candidates());
+        spec.layouts = Layout::conv_candidates();
         spec.reorder = ReorderCapability::OffChip {
             bandwidth_bytes_per_cycle: 128.0,
         };
@@ -289,7 +272,7 @@ impl ArchSpec {
         let mut spec = Self::sigma_like_fixed_layout(rows, cols, "HWC_C32");
         spec.name = "MTIA-like".to_string();
         spec.dataflow_policy = DataflowPolicy::Flexible { shape: false };
-        spec.layout_policy = LayoutPolicy::Searchable(transpose_reachable_layouts());
+        spec.layouts = transpose_reachable_layouts();
         spec.reorder = ReorderCapability::Transpose;
         spec
     }
@@ -324,7 +307,7 @@ impl ArchSpec {
             dtype: DataType::Int8,
             activation_buffer: Self::default_buffer(32),
             dataflow_policy: DataflowPolicy::Fixed(FixedDataflow::DpuFixed),
-            layout_policy: LayoutPolicy::Fixed("HWC_C32".parse().expect("valid layout")),
+            layouts: vec!["HWC_C32".parse().expect("valid layout")],
             reorder: ReorderCapability::None,
             reduction: ReductionStyle::Tree,
             distribution: DistributionStyle::Broadcast,
@@ -343,8 +326,10 @@ impl ArchSpec {
         spec
     }
 
-    /// Rejects a spec the cost model cannot price (it divides by these): a
-    /// zero buffer or array dimension, or a DRAM bandwidth not positive and finite.
+    /// Rejects a spec the cost model cannot price: a zero buffer or array
+    /// dimension or a DRAM bandwidth not positive and finite (it divides by
+    /// these), or an activation buffer of several vertical banks, whose
+    /// conflicts the count of a cycle's distinct lines cannot decide.
     pub(crate) fn validate(&self) -> Result<(), ArchError> {
         let buffer = &self.activation_buffer;
         let zero = [
@@ -358,10 +343,14 @@ impl ArchSpec {
         .into_iter()
         .find(|&(_, n)| n == 0);
         let bandwidth = self.dram_bandwidth_bytes_per_cycle;
-        let problem = match zero {
-            Some((field, _)) => format!("{field} is zero"),
-            None if bandwidth.is_finite() && bandwidth > 0.0 => return Ok(()),
-            None => format!("dram_bandwidth_bytes_per_cycle is {bandwidth}"),
+        let problem = if let Some((field, _)) = zero {
+            format!("{field} is zero")
+        } else if let Some(problem) = uncounted(&self.conflict_model()) {
+            format!("activation_buffer has {problem}")
+        } else if bandwidth.is_finite() && bandwidth > 0.0 {
+            return Ok(());
+        } else {
+            format!("dram_bandwidth_bytes_per_cycle is {bandwidth}")
         };
         Err(ArchError::InvalidDataflow(format!(
             "architecture `{}`: {problem}",
@@ -402,7 +391,7 @@ mod tests {
 
         let nvdla = ArchSpec::nvdla_like(16, 16);
         assert_eq!(nvdla.reorder, ReorderCapability::None);
-        assert!(matches!(nvdla.layout_policy, LayoutPolicy::Fixed(_)));
+        assert_eq!(nvdla.layouts.len(), 1);
 
         let medusa = ArchSpec::medusa_like(16, 16);
         assert_eq!(medusa.reorder.effective_read_ports(2), 3);
@@ -422,11 +411,11 @@ mod tests {
     #[test]
     fn layout_policy_candidates() {
         let feather = ArchSpec::feather_like(16, 16);
-        assert_eq!(feather.layout_policy.candidates().len(), 7);
+        assert_eq!(feather.layouts.len(), 7);
         let nvdla = ArchSpec::nvdla_like(16, 16);
-        assert_eq!(nvdla.layout_policy.candidates().len(), 1);
+        assert_eq!(nvdla.layouts.len(), 1);
         let mtia = ArchSpec::mtia_like(16, 16);
-        assert_eq!(mtia.layout_policy.candidates().len(), 3);
+        assert_eq!(mtia.layouts.len(), 3);
     }
 
     #[test]

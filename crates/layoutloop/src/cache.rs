@@ -167,11 +167,9 @@ mod tests {
         let cache = cache_with(&arch, &a, &mapper);
 
         let b = layer("b");
-        let hit = cache
+        cache
             .peek_table(&table_key(&arch, &b, &mapper, 0))
             .expect("the key ignores the layer name");
-        // Selection relabels the answer for the querying layer.
-        assert_eq!(hit.select("b", None).unwrap().evaluation.layer, "b");
         assert_eq!(cache.table_count(), 1);
         // A different seed or architecture is a different problem.
         assert!(cache

@@ -17,17 +17,11 @@ use crate::arch::{ArchSpec, DistributionStyle, ReductionStyle, ReorderCapability
 /// Number of execution cycles sampled by the access analyzer.
 pub(crate) const ACCESS_SAMPLES: usize = 16;
 
-/// Result of evaluating one layer under one (dataflow, layout) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Result of evaluating one layer under one (dataflow, layout) pair: numbers
+/// only. What was evaluated is named by the caller, or by the
+/// [`crate::cosearch::CoSearchResult`] that holds the evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Evaluation {
-    /// Architecture name the evaluation was produced for.
-    pub arch: String,
-    /// Layer name.
-    pub layer: String,
-    /// Dataflow name.
-    pub dataflow: String,
-    /// Layout used for the layer's input activations.
-    pub layout: String,
     /// Total latency in cycles (compute + stalls + exposed reorder, bounded
     /// below by the DRAM streaming time).
     pub cycles: u64,
@@ -69,7 +63,7 @@ impl Evaluation {
 ///
 /// # Errors
 /// Returns [`ArchError::InvalidDataflow`] if the architecture is malformed or
-/// the dataflow does not fit the architecture's array.
+/// the dataflow is malformed or does not fit the architecture's array.
 pub fn evaluate(
     arch: &ArchSpec,
     workload: &Workload,
@@ -79,7 +73,6 @@ pub fn evaluate(
     seed: u64,
 ) -> Result<Evaluation, ArchError> {
     arch.validate()?;
-    dataflow.validate()?;
     if dataflow.shape != arch.shape {
         return Err(ArchError::InvalidDataflow(format!(
             "dataflow shape {} does not match architecture shape {}",
@@ -93,22 +86,9 @@ pub fn evaluate(
         &arch.conflict_model(),
         ACCESS_SAMPLES,
         seed,
-    );
+    )?;
     let needs_reorder = prev_layout.map(|p| p != layout).unwrap_or(false);
-    let mut evaluation =
-        DataflowCost::new(arch, workload, dataflow).price_for(&analysis, needs_reorder);
-    evaluation.label(&arch.name, workload.name(), dataflow, layout);
-    Ok(evaluation)
-}
-
-impl Evaluation {
-    /// Fills in the four names [`price`] leaves empty.
-    pub(crate) fn label(&mut self, arch: &str, layer: &str, df: &Dataflow, layout: &Layout) {
-        self.arch = arch.to_string();
-        self.layer = layer.to_string();
-        self.dataflow = df.name.clone();
-        self.layout = layout.to_string();
-    }
+    Ok(DataflowCost::new(arch, workload, dataflow).price_for(&analysis, needs_reorder))
 }
 
 /// The dataflow-only terms of a pricing, computed once per dataflow and
@@ -177,10 +157,7 @@ impl<'a> DataflowCost<'a> {
     /// from one [`AccessAnalysis`], as `[stay, switch]`. The predecessor
     /// layout enters only through whether it differs (*switch*) or not
     /// (*stay*), so a co-search prices both from the same analysis; under
-    /// RIR the reorder changes no term, and *switch* is *stay*. The names
-    /// stay empty (no allocation) until [`Evaluation::label`]: candidates are
-    /// compared by `edp`, and a co-search table keeps its winners unlabelled
-    /// until [`crate::cosearch::CoSearchTable::select`] labels its answer.
+    /// RIR the reorder changes no term, and *switch* is *stay*.
     ///
     /// Neither `edp` falls as the analysis's `read_slowdown` or
     /// `avg_lines_per_cycle` grows: stall cycles, iAct SRAM bytes and
@@ -191,7 +168,7 @@ impl<'a> DataflowCost<'a> {
     pub(crate) fn price(&self, analysis: &AccessAnalysis) -> [Evaluation; 2] {
         let stay = self.price_for(analysis, false);
         let switch = if self.arch.reorder == ReorderCapability::Rir {
-            stay.clone()
+            stay
         } else {
             self.price_for(analysis, true)
         };
@@ -300,10 +277,6 @@ impl<'a> DataflowCost<'a> {
         let edp = energy.total_pj() * cycles as f64;
 
         Evaluation {
-            arch: String::new(),
-            layer: String::new(),
-            dataflow: String::new(),
-            layout: String::new(),
             cycles,
             ideal_cycles,
             conflict_slowdown: slowdown,

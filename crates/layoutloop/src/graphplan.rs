@@ -165,7 +165,6 @@ pub fn plan_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::LayoutPolicy;
     use crate::cosearch::{co_search_table, search_table, TableWork};
     use feather_arch::dataflow::ParallelDim;
     use feather_arch::dims::Dim;
@@ -224,8 +223,6 @@ mod tests {
         // `head` repeats `main`'s shape: one of the four searches is a hit.
         assert_eq!(plan.cache_misses, 3);
         assert_eq!(plan.cache_hits, 1);
-        // Results are labeled with node names.
-        assert_eq!(plan.per_node[&NodeId(0)].evaluation.layer, "stem");
     }
 
     #[test]
@@ -330,7 +327,7 @@ mod tests {
         let text = format!("{:?}", tables.values().collect::<Vec<_>>());
         assert_eq!(
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
-            0x5a12_aa1c_67e0_4613
+            0x7d25_229c_c711_f445
         );
     }
 
@@ -338,9 +335,9 @@ mod tests {
     fn model_b_selections_are_pinned() {
         // What the tables behind `model_b_plan_is_pinned` answer, not how they
         // store it: each distinct layer of Model B, in node order, selected
-        // under its first node's name for no predecessor and for every conv
-        // layout, hashed (FNV-1a) over the answers' Debug forms. Off-chip
-        // reordering makes *switch* differ from *stay*.
+        // for no predecessor and for every conv layout, hashed (FNV-1a) over
+        // the answers' Debug forms. Off-chip reordering makes *switch*
+        // differ from *stay*.
         let g = resnet50_graph_scaled(8, 8);
         let layouts = Layout::conv_candidates();
         let selections = |arch: &ArchSpec| {
@@ -361,7 +358,7 @@ mod tests {
                 let workload = Workload::Conv(conv);
                 let table = co_search_table(arch, &workload, &MapperConfig::fast(), 0).unwrap();
                 for prev in std::iter::once(None).chain(layouts.iter().map(Some)) {
-                    text += &format!("{:?}\n", table.select(&node.name, prev));
+                    text += &format!("{:?}\n", table.select(prev));
                 }
             }
             (
@@ -370,9 +367,9 @@ mod tests {
             )
         };
         let feather = selections(&ArchSpec::feather_like(16, 16));
-        assert_eq!(feather, (26, 0x01c5_71e3_de5c_4675));
+        assert_eq!(feather, (26, 0x7274_d08b_9c4a_ae45));
         let offchip = selections(&ArchSpec::sigma_like_offchip_reorder(16, 16));
-        assert_eq!(offchip, (26, 0x3d55_48bd_371e_dc01));
+        assert_eq!(offchip, (26, 0xa8bc_63ed_ea2f_d172));
     }
 
     #[test]
@@ -454,9 +451,7 @@ mod tests {
                     Banking::VerticalBlocked,
                 )
                 .with_ports(2, 2),
-                layout_policy: LayoutPolicy::Searchable(
-                    candidates.iter().map(|s| s.parse().unwrap()).collect(),
-                ),
+                layouts: candidates.iter().map(|s| s.parse().unwrap()).collect(),
                 ..ArchSpec::feather_like(config.rows, cols)
             };
             let plan = plan_graph(

@@ -5,7 +5,9 @@
 //!
 //! 1. **Physical storage modeling** — on-chip buffers are `num_line ×
 //!    line_size` arrays of SRAM banks with a `conflict_depth` and a limited
-//!    number of ports, not ideal bandwidth;
+//!    number of ports, not ideal bandwidth. The co-search prices a buffer
+//!    whose conflicts follow from how many distinct lines a cycle reads (one
+//!    bank, or horizontal banks) and refuses one of several vertical banks;
 //! 2. **Layout assessment** — every mapping is evaluated *under a concrete
 //!    data layout*; discordant (mapping, layout) pairs are charged the
 //!    `max(NL/NP, 1)` bank-conflict slowdown.

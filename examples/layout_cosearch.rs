@@ -9,7 +9,7 @@
 
 use feather_arch::layout::Layout;
 use feather_arch::workload::ConvLayer;
-use layoutloop::arch::{ArchSpec, LayoutPolicy};
+use layoutloop::arch::ArchSpec;
 use layoutloop::cosearch::co_search_with;
 use layoutloop::mapper::MapperConfig;
 
@@ -29,7 +29,7 @@ fn main() {
     let mut results = Vec::new();
     for layout in Layout::conv_candidates() {
         let mut arch = ArchSpec::feather_like(16, 16);
-        arch.layout_policy = LayoutPolicy::Fixed(layout.clone());
+        arch.layouts = vec![layout.clone()];
         let r = co_search_with(&arch, &layer, None, &MapperConfig::fast(), 0).expect("co-search");
         results.push((layout, r));
     }

@@ -48,10 +48,11 @@ fn main() {
     );
     let mut feather_total = 0u64;
     let mut sigma_total = 0u64;
-    for (f, s) in feather_plan.per_layer.iter().zip(&sigma_plan.per_layer) {
+    let plans = feather_plan.per_layer.iter().zip(&sigma_plan.per_layer);
+    for (layer, (f, s)) in subset.iter().zip(plans) {
         println!(
             "{:<28} {:>14} {:>14} {:>9.0}% | {:>12} {:>9.0}%",
-            f.evaluation.layer,
+            layer.name(),
             f.layout.to_string(),
             f.evaluation.cycles,
             f.evaluation.utilization * 100.0,
