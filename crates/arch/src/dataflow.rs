@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dims::{Dim, Operand};
 use crate::error::ArchError;
-use crate::workload::Workload;
+use crate::workload::ConvLayer;
 
 /// One spatially-unrolled dimension with its unrolling factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,7 +84,7 @@ impl fmt::Display for ArrayShape {
 /// use feather_arch::workload::ConvLayer;
 ///
 /// let layer = ConvLayer::new(1, 64, 64, 56, 56, 3, 3).with_padding(1);
-/// let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &layer.into());
+/// let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &layer);
 /// assert!(df.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -176,7 +176,7 @@ impl Dataflow {
     /// remainder is the one nest of every dataflow.
     pub fn temporal<'a>(
         &'a self,
-        workload: &'a Workload,
+        workload: &'a ConvLayer,
     ) -> impl Iterator<Item = (Dim, usize)> + 'a {
         const ORDER: [Dim; 7] = [Dim::N, Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
         ORDER.into_iter().filter_map(move |dim| {
@@ -258,7 +258,7 @@ impl Dataflow {
     /// Steady-state cycles for a weight-stationary NEST-style execution of the
     /// workload under this dataflow, ignoring memory stalls: total MACs divided
     /// by the number of mapped PEs (each PE does one MAC per cycle).
-    pub fn ideal_compute_cycles(&self, workload: &Workload) -> u64 {
+    pub fn ideal_compute_cycles(&self, workload: &ConvLayer) -> u64 {
         let macs = workload.macs();
         macs.div_ceil(self.mapped_pes() as u64)
     }
@@ -270,7 +270,7 @@ impl Dataflow {
     /// Weight-stationary dataflow: output channels `M` across rows, input
     /// channels `C` across columns (the NVDLA/Gemmini-style default and the
     /// dataflow of the Fig. 9 walk-through).
-    pub fn weight_stationary(shape: ArrayShape, workload: &Workload) -> Self {
+    pub fn weight_stationary(shape: ArrayShape, workload: &ConvLayer) -> Self {
         let m = workload.dim(Dim::M).min(shape.rows).max(1);
         let c = workload.dim(Dim::C).min(shape.cols).max(1);
         Dataflow::new(
@@ -284,7 +284,7 @@ impl Dataflow {
     /// Output-stationary dataflow: output pixels `P`/`Q` across the array,
     /// reduction dims iterated temporally (the fixed dataflow of Fig. 2's blue
     /// bars).
-    pub fn output_stationary(shape: ArrayShape, workload: &Workload) -> Self {
+    pub fn output_stationary(shape: ArrayShape, workload: &ConvLayer) -> Self {
         let p = workload.dim(Dim::P).min(shape.rows).max(1);
         let q = workload.dim(Dim::Q).min(shape.cols).max(1);
         Dataflow::new(
@@ -297,7 +297,7 @@ impl Dataflow {
 
     /// Input-channel-parallel dataflow (Fig. 4 "D1"): `C` across columns with
     /// a given parallelism, kernels `M` across rows.
-    pub fn channel_parallel(shape: ArrayShape, workload: &Workload, c_par: usize) -> Self {
+    pub fn channel_parallel(shape: ArrayShape, workload: &ConvLayer, c_par: usize) -> Self {
         let c = c_par.min(shape.cols).min(workload.dim(Dim::C)).max(1);
         let m = workload.dim(Dim::M).min(shape.rows).max(1);
         Dataflow::new(
@@ -310,7 +310,7 @@ impl Dataflow {
 
     /// Sliding-window-parallel dataflow (Fig. 4 "D2"): output width `Q` across
     /// columns (consecutive sliding windows computed concurrently).
-    pub fn sliding_window_parallel(shape: ArrayShape, workload: &Workload, q_par: usize) -> Self {
+    pub fn sliding_window_parallel(shape: ArrayShape, workload: &ConvLayer, q_par: usize) -> Self {
         let q = q_par.min(shape.cols).max(1);
         let m = workload.dim(Dim::M).min(shape.rows).max(1);
         Dataflow::new(
@@ -344,12 +344,10 @@ impl fmt::Display for Dataflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{ConvLayer, GemmLayer};
+    use crate::workload::GemmLayer;
 
-    fn layer() -> Workload {
-        ConvLayer::new(1, 64, 64, 56, 56, 3, 3)
-            .with_padding(1)
-            .into()
+    fn layer() -> ConvLayer {
+        ConvLayer::new(1, 64, 64, 56, 56, 3, 3).with_padding(1)
     }
 
     #[test]
@@ -363,10 +361,9 @@ mod tests {
     #[test]
     fn small_channel_count_underutilizes() {
         // ResNet-50 layer 1 has only C=3, so C-across-columns maps poorly.
-        let l1: Workload = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
+        let l1 = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
             .with_stride(2)
-            .with_padding(3)
-            .into();
+            .with_padding(3);
         let df = Dataflow::weight_stationary(ArrayShape::new(16, 16), &l1);
         assert_eq!(df.col_spatial_size(), 3);
         assert!(df.spatial_utilization() < 0.25);
@@ -440,7 +437,7 @@ mod tests {
 
     #[test]
     fn gemm_dataflows_validate() {
-        let g: Workload = GemmLayer::new(128, 768, 64).into();
+        let g = GemmLayer::new(128, 768, 64).as_conv();
         for df in [
             Dataflow::weight_stationary(ArrayShape::new(16, 16), &g),
             Dataflow::output_stationary(ArrayShape::new(16, 16), &g),

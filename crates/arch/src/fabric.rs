@@ -395,7 +395,7 @@ mod tests {
         df.validate().unwrap();
         assert_eq!(df.spatial_reduction_size(), 4);
         // M and C unrolled four ways, Q one way: the rest is iterated.
-        let nest: Vec<_> = df.temporal(&l.into()).collect();
+        let nest: Vec<_> = df.temporal(&l).collect();
         let expected = [
             (Dim::M, 2),
             (Dim::C, 2),

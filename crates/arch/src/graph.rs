@@ -687,11 +687,8 @@ mod tests {
         // pooling lowerings and the joins the flat list cannot express.
         let g = resnet50_graph();
         let flat = models::resnet50();
-        let flat_convs: BTreeMap<&str, &ConvLayer> = flat
-            .conv_layers()
-            .into_iter()
-            .map(|c| (c.name.as_str(), c))
-            .collect();
+        let flat_convs: BTreeMap<&str, &ConvLayer> =
+            flat.layers.iter().map(|c| (c.name.as_str(), c)).collect();
         let mut matched = 0;
         for node in g.nodes() {
             if let NodeOp::Conv(c) = &node.op {
@@ -708,19 +705,19 @@ mod tests {
     #[test]
     fn resnet50_graph_macs_match_flat_conv_macs() {
         let g = resnet50_graph();
-        let flat = models::resnet50();
-        let flat_conv_macs: u64 = flat.conv_layers().iter().map(|c| c.macs()).sum();
+        let flat_macs = models::resnet50().total_macs();
         let graph_conv_macs: u64 = g
             .nodes()
             .iter()
             .filter_map(|n| match &n.op {
                 NodeOp::Conv(c) => Some(c.macs()),
+                NodeOp::Gemm(gemm) => Some(gemm.macs()),
                 _ => None,
             })
             .sum();
-        assert_eq!(graph_conv_macs, flat_conv_macs);
-        // Pools and the FC only add on top.
-        assert!(g.total_macs() > flat_conv_macs);
+        assert_eq!(graph_conv_macs, flat_macs);
+        // The pools only add on top.
+        assert!(g.total_macs() > flat_macs);
     }
 
     #[test]

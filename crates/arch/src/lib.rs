@@ -8,9 +8,10 @@
 //!
 //! Every other crate in the workspace builds on these types:
 //!
-//! * [`workload`] — [`ConvLayer`], [`GemmLayer`]
-//!   and the [`Workload`] enum with derived quantities
-//!   (output dims, MAC counts, tensor footprints).
+//! * [`workload`] — [`ConvLayer`], the one layer vocabulary of the planner
+//!   and the machine, with derived quantities (output dims, MAC counts,
+//!   tensor footprints), and [`GemmLayer`], which reaches both as one of its
+//!   two 1×1-convolution lowerings.
 //! * [`dataflow`] — [`Dataflow`]: the parallelism and shape of the paper's
 //!   TOPS space (spatial factors over the PE rows and columns, and the
 //!   virtual PE-array shape). Tiling and ordering are the fixed canonical
@@ -66,7 +67,7 @@ pub use dims::{DataType, Dim};
 pub use error::ArchError;
 pub use graph::{Graph, GraphSegment, Node, NodeId, NodeOp, TensorId};
 pub use layout::Layout;
-pub use workload::{ConvLayer, GemmLayer, Workload};
+pub use workload::{ConvLayer, GemmLayer};
 
 /// Convenience result alias used throughout the workspace.
 pub type Result<T> = std::result::Result<T, ArchError>;

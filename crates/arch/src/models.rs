@@ -1,26 +1,31 @@
 //! DNN model zoo used by the paper's evaluation: ResNet-50 and MobileNet-V3
 //! (edge workloads), BERT-base (cloud workload).
 //!
-//! Layer shapes follow the standard published architectures. AvgPool / FC
-//! layers are included as their convolution/GEMM lowerings, matching how
-//! FEATHER executes them (§III-A: "AvgPooling layers are transformed into
-//! convolution operations").
+//! Layer shapes follow the standard published architectures. Every layer is
+//! a [`ConvLayer`], the one vocabulary of the planner: a GEMM (an FC layer,
+//! every BERT layer) is listed as the 1×1 convolution that streams its `B`
+//! operand ([`GemmLayer::as_conv`]), matching how FEATHER executes non-conv
+//! layers (§III-A: "AvgPooling layers are transformed into convolution
+//! operations"). That is not the orientation of a GEMM node in a model graph,
+//! which streams `A` ([`GemmLayer::as_activation_conv`]); a flat network
+//! prices its GEMMs one way and [`crate::graph`] the other.
 
 use crate::graph::{resnet50_graph, NodeOp};
-use crate::workload::{ConvLayer, GemmLayer, Workload};
+use crate::workload::{ConvLayer, GemmLayer};
 
 /// A named network: an ordered list of layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     /// Model name (e.g. `"resnet50"`).
     pub name: String,
-    /// Layers in execution order.
-    pub layers: Vec<Workload>,
+    /// Layers in execution order, GEMMs as their [`GemmLayer::as_conv`]
+    /// lowering.
+    pub layers: Vec<ConvLayer>,
 }
 
 impl Network {
     /// Creates a network from a layer list.
-    pub fn new(name: impl Into<String>, layers: Vec<Workload>) -> Self {
+    pub fn new(name: impl Into<String>, layers: Vec<ConvLayer>) -> Self {
         Network {
             name: name.into(),
             layers,
@@ -43,22 +48,14 @@ impl Network {
     }
 
     /// Iterates over the layers.
-    pub fn iter(&self) -> std::slice::Iter<'_, Workload> {
+    pub fn iter(&self) -> std::slice::Iter<'_, ConvLayer> {
         self.layers.iter()
-    }
-
-    /// Only the convolution layers (used by the FPGA-style per-layer sweeps).
-    pub fn conv_layers(&self) -> Vec<&ConvLayer> {
-        self.layers
-            .iter()
-            .filter_map(|w| w.as_conv_layer())
-            .collect()
     }
 }
 
 impl<'a> IntoIterator for &'a Network {
-    type Item = &'a Workload;
-    type IntoIter = std::slice::Iter<'a, Workload>;
+    type Item = &'a ConvLayer;
+    type IntoIter = std::slice::Iter<'a, ConvLayer>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.layers.iter()
@@ -73,35 +70,37 @@ fn conv(
     k: usize,
     stride: usize,
     padding: usize,
-) -> Workload {
+) -> ConvLayer {
     ConvLayer::new(1, m, c, hw, hw, k, k)
         .with_stride(stride)
         .with_padding(padding)
         .with_name(name)
-        .into()
 }
 
-fn depthwise(name: String, c: usize, hw: usize, k: usize, stride: usize) -> Workload {
+fn depthwise(name: String, c: usize, hw: usize, k: usize, stride: usize) -> ConvLayer {
     ConvLayer::new(1, c, c, hw, hw, k, k)
         .with_stride(stride)
         .with_padding(k / 2)
         .with_name(name)
         .depthwise()
-        .into()
 }
 
 /// ResNet-50 (ImageNet, batch 1): the 53 convolution layers plus the final FC
-/// lowered to a GEMM, in execution order — the `Conv` and `Gemm` nodes of
+/// GEMM, in execution order — the `Conv` and `Gemm` nodes of
 /// [`resnet50_graph`], without its two pooling lowerings and 16 residual
 /// adds. Layer indices match the usual torchvision enumeration (conv1 =
-/// layer 0).
+/// layer 0). The FC is listed streaming `B` ([`GemmLayer::as_conv`]: one
+/// output channel, the 1000 classes along the output width), where the
+/// graph's FC node streams `A` ([`GemmLayer::as_activation_conv`]: the 1000
+/// classes on the output channels), so Fig. 13 and `plan_graph` price it
+/// differently.
 pub fn resnet50() -> Network {
     let layers = resnet50_graph()
         .nodes()
         .iter()
         .filter_map(|node| match &node.op {
-            NodeOp::Conv(conv) => Some(conv.clone().into()),
-            NodeOp::Gemm(gemm) => Some(gemm.clone().into()),
+            NodeOp::Conv(conv) => Some(conv.clone()),
+            NodeOp::Gemm(gemm) => Some(gemm.as_conv()),
             NodeOp::PoolAsConv(_) | NodeOp::Add => None,
         })
         .collect();
@@ -109,7 +108,8 @@ pub fn resnet50() -> Network {
 }
 
 /// MobileNet-V3-Large (ImageNet, batch 1): expansion / depthwise / projection
-/// convolutions of every bottleneck block plus the head.
+/// convolutions of every bottleneck block plus the head, whose two classifier
+/// GEMMs are listed streaming `B` ([`GemmLayer::as_conv`]).
 pub fn mobilenet_v3() -> Network {
     // (kernel, expansion, out, stride) per bneck block; input resolution and
     // channels tracked as we go. Standard MobileNetV3-Large table.
@@ -189,13 +189,13 @@ pub fn mobilenet_v3() -> Network {
     layers.push(
         GemmLayer::new(1, 960, 1280)
             .with_name(format!("mobv3_l{idx:02}_fc1"))
-            .into(),
+            .as_conv(),
     );
     idx += 1;
     layers.push(
         GemmLayer::new(1, 1280, 1000)
             .with_name(format!("mobv3_l{idx:02}_fc2"))
-            .into(),
+            .as_conv(),
     );
 
     Network::new("mobilenet_v3", layers)
@@ -207,7 +207,9 @@ pub fn bert_base() -> Network {
     bert(12, 512, 768, 12, 3072)
 }
 
-/// Parameterized BERT encoder GEMM workload.
+/// Parameterized BERT encoder GEMM workload, each GEMM listed streaming `B`
+/// ([`GemmLayer::as_conv`]: `M` the sequence on the output channels, `K`
+/// reduced, `N` along the output width).
 pub fn bert(num_layers: usize, seq_len: usize, hidden: usize, heads: usize, ffn: usize) -> Network {
     let head_dim = hidden / heads;
     let mut layers = Vec::new();
@@ -217,7 +219,7 @@ pub fn bert(num_layers: usize, seq_len: usize, hidden: usize, heads: usize, ffn:
             layers.push(
                 GemmLayer::new(seq_len, hidden, hidden)
                     .with_name(format!("bert_l{l:02}_{name}"))
-                    .into(),
+                    .as_conv(),
             );
         }
         // Attention scores and context (per head, folded into one GEMM each
@@ -226,29 +228,29 @@ pub fn bert(num_layers: usize, seq_len: usize, hidden: usize, heads: usize, ffn:
             layers.push(
                 GemmLayer::new(seq_len, head_dim, seq_len)
                     .with_name(format!("bert_l{l:02}_attn_scores_h{h:02}"))
-                    .into(),
+                    .as_conv(),
             );
             layers.push(
                 GemmLayer::new(seq_len, seq_len, head_dim)
                     .with_name(format!("bert_l{l:02}_attn_context_h{h:02}"))
-                    .into(),
+                    .as_conv(),
             );
         }
         // Output projection and FFN.
         layers.push(
             GemmLayer::new(seq_len, hidden, hidden)
                 .with_name(format!("bert_l{l:02}_out_proj"))
-                .into(),
+                .as_conv(),
         );
         layers.push(
             GemmLayer::new(seq_len, hidden, ffn)
                 .with_name(format!("bert_l{l:02}_ffn_up"))
-                .into(),
+                .as_conv(),
         );
         layers.push(
             GemmLayer::new(seq_len, ffn, hidden)
                 .with_name(format!("bert_l{l:02}_ffn_down"))
-                .into(),
+                .as_conv(),
         );
     }
     Network::new("bert", layers)
@@ -262,9 +264,11 @@ mod tests {
     #[test]
     fn resnet50_layer_count_and_validity() {
         let net = resnet50();
-        // 53 convolutions + 1 FC GEMM.
-        assert_eq!(net.conv_layers().len(), 53);
+        // 53 convolutions + 1 FC GEMM, last, streaming `B`.
         assert_eq!(net.len(), 54);
+        let fc = GemmLayer::new(1, 2048, 1000).with_name("resnet50_l53_fc");
+        assert_eq!(net.layers[53], fc.as_conv());
+        assert!(net.layers[..53].iter().all(|l| !l.name.ends_with("_fc")));
         for layer in &net {
             layer.validate().unwrap();
         }
@@ -281,11 +285,11 @@ mod tests {
     #[test]
     fn resnet50_first_and_deep_layer_shapes_match_fig4() {
         let net = resnet50();
-        let l1 = net.conv_layers()[0];
+        let l1 = &net.layers[0];
         assert_eq!((l1.c, l1.h, l1.r, l1.stride, l1.padding), (3, 224, 7, 2, 3));
         // A deep layer with many channels and 7x7 spatial exists (Fig. 4 layer 47).
         assert!(net
-            .conv_layers()
+            .layers
             .iter()
             .any(|l| l.c >= 512 && l.h == 7 && l.r == 3));
     }
@@ -296,11 +300,7 @@ mod tests {
         for layer in &net {
             layer.validate().unwrap();
         }
-        let dw = net
-            .conv_layers()
-            .iter()
-            .filter(|l| l.is_depthwise())
-            .count();
+        let dw = net.layers.iter().filter(|l| l.is_depthwise()).count();
         assert_eq!(dw, 15);
         // MobileNet-V3-Large is ~0.22 GMACs.
         let gmacs = net.total_macs() as f64 / 1e9;
@@ -315,20 +315,22 @@ mod tests {
         }
         // 12 layers × (3 proj + 24 attention + out + 2 ffn) = 12 × 30 = 360 GEMMs.
         assert_eq!(net.len(), 360);
-        assert!(net.layers.iter().all(|l| l.as_gemm_layer().is_some()));
-        // FFN GEMM has N = 3072.
+        // Every GEMM streams `B`: the sequence on the output channels, `K`
+        // reduced, `N` along the output width.
         assert!(net
             .layers
             .iter()
-            .any(|l| l.as_gemm_layer().unwrap().n == 3072));
+            .all(|l| (l.n, l.m, l.h, l.r, l.s) == (1, 512, 1, 1, 1)));
+        // FFN GEMM has N = 3072.
+        assert!(net.layers.iter().any(|l| l.output_width() == 3072));
     }
 
     #[test]
     fn spatial_sizes_shrink_monotonically_in_resnet_stages() {
         let net = resnet50();
-        let convs = net.conv_layers();
-        let first = convs.first().unwrap();
-        let last = convs.last().unwrap();
+        // The last convolution is the one before the FC.
+        let first = &net.layers[0];
+        let last = &net.layers[net.len() - 2];
         assert!(first.dim(Dim::H) > last.dim(Dim::H));
         assert_eq!(last.dim(Dim::H), 7);
     }

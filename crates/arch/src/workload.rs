@@ -1,10 +1,13 @@
 //! Convolution and GEMM workload descriptions.
 //!
 //! A [`ConvLayer`] carries the seven convolution dimensions of Fig. 1 plus
-//! stride/padding/grouping; a [`GemmLayer`] carries the `(M, K, N)` triple used
-//! for the BERT evaluation and the irregular-GEMM study (Fig. 10). Both expose
-//! derived quantities (output sizes, MAC counts, per-operand footprints) that
-//! the cost models and simulators consume.
+//! stride/padding/grouping, and the derived quantities (output sizes, MAC
+//! counts, per-operand footprints) that the cost models and simulators
+//! consume: it is the one layer type of the planner and the machine. A
+//! [`GemmLayer`] carries the `(M, K, N)` triple used for the BERT evaluation
+//! and the irregular-GEMM study (Fig. 10), and reaches both as a 1×1
+//! convolution: [`GemmLayer::as_conv`] streams `B`,
+//! [`GemmLayer::as_activation_conv`] streams `A`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -345,55 +348,34 @@ impl GemmLayer {
         self.m as u64 * self.k as u64 * self.n as u64
     }
 
-    /// Size of a dimension using the conv-vocabulary aliasing (`M`→M, `C`→K, `Q`→N).
-    pub fn dim(&self, dim: Dim) -> usize {
-        match dim {
-            Dim::M => self.m,
-            Dim::C => self.c_alias(),
-            Dim::Q => self.n,
-            Dim::N | Dim::P | Dim::R | Dim::S => 1,
-            Dim::H => self.c_alias(),
-            Dim::W => self.n,
-        }
-    }
-
-    fn c_alias(&self) -> usize {
-        self.k
-    }
-
-    /// Lowers the GEMM into an equivalent 1×1 convolution (`C=K`, `M=M`,
-    /// `H=W=1` spatially folded into `Q=N`), which lets convolution-only
-    /// engines execute it.
+    /// Lowers the GEMM into the 1×1 convolution that *streams `B`*: `M` on
+    /// the output channels, `K` the input-channel reduction (`C = K`), and the
+    /// `N` columns of `B` along the output width (`W = Q = N`), with `A` as
+    /// the stationary `[M, K, 1, 1]` filters. This is how a GEMM of a flat
+    /// network ([`crate::models`]: the FC layers of Fig. 13's CNNs and every
+    /// BERT GEMM) reaches the planner, and how `Feather::execute_gemm` runs
+    /// one. The layer keeps the GEMM's name.
     pub fn as_conv(&self) -> ConvLayer {
-        ConvLayer::new(1, self.m, self.k, 1, self.n, 1, 1).with_name(if self.name.is_empty() {
-            "gemm_as_conv".to_string()
-        } else {
-            format!("{}_as_conv", self.name)
-        })
+        ConvLayer::new(1, self.m, self.k, 1, self.n, 1, 1).with_name(self.name.clone())
     }
 
-    /// Lowers the GEMM into a 1×1 convolution that *streams the activations*:
-    /// the rows of `A` (`M × K`) become output-width positions (`W = M`), `K`
-    /// becomes the input-channel reduction, and `Bᵀ` provides the stationary
-    /// filters (an `[N, K, 1, 1]` weight tensor). Unlike [`GemmLayer::as_conv`]
+    /// Lowers the GEMM into the 1×1 convolution that *streams `A`*: the rows
+    /// of `A` (`M × K`) become output-width positions (`W = M`), `K` becomes
+    /// the input-channel reduction, and `Bᵀ` provides the stationary filters
+    /// (an `[N, K, 1, 1]` weight tensor). Unlike [`GemmLayer::as_conv`]
     /// (which streams `B`), this form lets a GEMM node in a model graph chain
     /// from its producer's activations through the StaB like any convolution:
     /// a `(1, K, 1, M)` activation tensor in, a `(1, N, 1, M)` tensor out.
+    /// It is the graph's orientation
+    /// ([`Node::execution_conv`](crate::graph::Node::execution_conv)), so a
+    /// network's FC layer is priced streaming `B` in its flat form and
+    /// streaming `A` in its graph.
     pub fn as_activation_conv(&self) -> ConvLayer {
         ConvLayer::new(1, self.n, self.k, 1, self.m, 1, 1).with_name(if self.name.is_empty() {
             "gemm_as_activation_conv".to_string()
         } else {
             self.name.clone()
         })
-    }
-
-    /// Number of elements in one operand tensor (`A`, `B` or the output).
-    pub fn operand_elems(&self, operand: Operand) -> u64 {
-        match operand {
-            Operand::IActs => (self.m * self.k) as u64,
-            Operand::Weights => (self.k * self.n) as u64,
-            Operand::OActs => (self.m * self.n) as u64,
-        }
     }
 }
 
@@ -411,97 +393,6 @@ impl fmt::Display for GemmLayer {
             self.k,
             self.n
         )
-    }
-}
-
-/// Either a convolution or a GEMM layer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Workload {
-    /// Convolution layer.
-    Conv(ConvLayer),
-    /// GEMM layer.
-    Gemm(GemmLayer),
-}
-
-impl Workload {
-    /// Human-readable layer name.
-    pub fn name(&self) -> &str {
-        match self {
-            Workload::Conv(c) => &c.name,
-            Workload::Gemm(g) => &g.name,
-        }
-    }
-
-    /// Total MAC count.
-    pub fn macs(&self) -> u64 {
-        match self {
-            Workload::Conv(c) => c.macs(),
-            Workload::Gemm(g) => g.macs(),
-        }
-    }
-
-    /// Size of a dimension.
-    pub fn dim(&self, dim: Dim) -> usize {
-        match self {
-            Workload::Conv(c) => c.dim(dim),
-            Workload::Gemm(g) => g.dim(dim),
-        }
-    }
-
-    /// Validates the workload parameters.
-    ///
-    /// # Errors
-    /// Propagates the underlying layer validation error.
-    pub fn validate(&self) -> Result<(), ArchError> {
-        match self {
-            Workload::Conv(c) => c.validate(),
-            Workload::Gemm(g) => g.validate(),
-        }
-    }
-
-    /// A convolution view of the workload (GEMMs are lowered to 1×1 convs).
-    pub fn to_conv(&self) -> ConvLayer {
-        match self {
-            Workload::Conv(c) => c.clone(),
-            Workload::Gemm(g) => g.as_conv(),
-        }
-    }
-
-    /// Returns the inner convolution layer if this is a convolution.
-    pub fn as_conv_layer(&self) -> Option<&ConvLayer> {
-        match self {
-            Workload::Conv(c) => Some(c),
-            Workload::Gemm(_) => None,
-        }
-    }
-
-    /// Returns the inner GEMM layer if this is a GEMM.
-    pub fn as_gemm_layer(&self) -> Option<&GemmLayer> {
-        match self {
-            Workload::Conv(_) => None,
-            Workload::Gemm(g) => Some(g),
-        }
-    }
-}
-
-impl From<ConvLayer> for Workload {
-    fn from(value: ConvLayer) -> Self {
-        Workload::Conv(value)
-    }
-}
-
-impl From<GemmLayer> for Workload {
-    fn from(value: GemmLayer) -> Self {
-        Workload::Gemm(value)
-    }
-}
-
-impl fmt::Display for Workload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Workload::Conv(c) => c.fmt(f),
-            Workload::Gemm(g) => g.fmt(f),
-        }
     }
 }
 
@@ -605,9 +496,17 @@ mod tests {
 
     #[test]
     fn gemm_as_conv_preserves_macs() {
-        let g = GemmLayer::new(64, 256, 128);
+        let g = GemmLayer::new(64, 256, 128).with_name("fc");
         let c = g.as_conv();
         assert_eq!(g.macs(), c.macs());
+        assert_eq!(
+            (c.n, c.m, c.c, c.h, c.w, c.r, c.s),
+            (1, 64, 256, 1, 128, 1, 1)
+        );
+        assert_eq!((c.stride, c.padding, c.kind), (1, 0, ConvKind::Pointwise));
+        assert_eq!(c.name, "fc");
+        // `K` is the reduction `C`, `N` the output width `Q`.
+        assert_eq!((c.dim(Dim::C), c.dim(Dim::Q), c.dim(Dim::P)), (256, 128, 1));
     }
 
     #[test]
@@ -620,16 +519,6 @@ mod tests {
         // The activation tensor is (1, K, 1, M); the output (1, N, 1, M).
         assert_eq!(c.output_width(), 64);
         assert_eq!(c.output_height(), 1);
-    }
-
-    #[test]
-    fn workload_enum_roundtrip() {
-        let w: Workload = ConvLayer::new(1, 4, 4, 4, 4, 1, 1).into();
-        assert!(w.as_conv_layer().is_some());
-        assert!(w.as_gemm_layer().is_none());
-        let w: Workload = GemmLayer::new(4, 4, 4).into();
-        assert!(w.as_gemm_layer().is_some());
-        assert_eq!(w.macs(), 64);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! throughput, normalized by PE count and clock (as the paper does, so
 //! absolute MHz drops out of the comparison).
 
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 use layoutloop::arch::ArchSpec;
 use layoutloop::cosearch::co_search_with;
 use layoutloop::mapper::MapperConfig;
@@ -39,7 +39,7 @@ pub fn device_suite() -> Vec<ArchSpec> {
 /// Propagates co-search failures (malformed workloads).
 pub fn normalized_throughput_per_pe(
     arch: &ArchSpec,
-    layer: &Workload,
+    layer: &ConvLayer,
     seed: u64,
 ) -> Result<DeviceResult, feather_arch::ArchError> {
     let result = co_search_with(arch, layer, None, &MapperConfig::fast(), seed)?;
@@ -47,7 +47,7 @@ pub fn normalized_throughput_per_pe(
     let throughput = layer.macs() as f64 / cycles as f64 / arch.shape.pes() as f64;
     Ok(DeviceResult {
         device: arch.name.clone(),
-        layer: layer.name().to_string(),
+        layer: layer.name.clone(),
         cycles,
         throughput_per_pe: throughput,
     })
@@ -71,7 +71,6 @@ pub fn geomean_speedup(a: &[DeviceResult], b: &[DeviceResult]) -> f64 {
 mod tests {
     use super::*;
     use feather_arch::models::resnet50;
-    use feather_arch::workload::ConvLayer;
 
     #[test]
     fn suite_has_four_devices() {
@@ -83,11 +82,10 @@ mod tests {
     #[test]
     fn feather_beats_gemmini_on_low_channel_layer() {
         // ResNet-50 layer 1 (C=3) starves a fixed C-parallel systolic design.
-        let layer: Workload = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
+        let layer = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
             .with_stride(2)
             .with_padding(3)
-            .with_name("resnet50_conv1")
-            .into();
+            .with_name("resnet50_conv1");
         let feather =
             normalized_throughput_per_pe(&ArchSpec::feather_like(16, 16), &layer, 0).unwrap();
         let gemmini = normalized_throughput_per_pe(&ArchSpec::gemmini_like(), &layer, 0).unwrap();
@@ -101,10 +99,9 @@ mod tests {
 
     #[test]
     fn throughput_per_pe_is_at_most_one() {
-        let layer: Workload = ConvLayer::new(1, 256, 256, 14, 14, 3, 3)
+        let layer = ConvLayer::new(1, 256, 256, 14, 14, 3, 3)
             .with_padding(1)
-            .with_name("deep")
-            .into();
+            .with_name("deep");
         for arch in device_suite() {
             let r = normalized_throughput_per_pe(&arch, &layer, 0).unwrap();
             assert!(
@@ -121,7 +118,7 @@ mod tests {
     fn geomean_speedup_over_a_few_resnet_layers() {
         // Keep the test fast: first 6 conv layers only.
         let net = resnet50();
-        let layers: Vec<Workload> = net.layers.iter().take(6).cloned().collect();
+        let layers: Vec<ConvLayer> = net.layers.iter().take(6).cloned().collect();
         let feather_arch = ArchSpec::feather_like(16, 16);
         let gemmini_arch = ArchSpec::gemmini_like();
         let f: Vec<DeviceResult> = layers

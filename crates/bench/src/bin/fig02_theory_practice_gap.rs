@@ -5,24 +5,27 @@
 //!   (c) that same dataflow evaluated under every candidate layout
 //!       (practice: min..max range, showing the gap),
 //!   (d) FEATHER's (dataflow, layout) co-switching.
+//!
+//! An evaluation or co-search that fails ends the run with its error.
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::layout::Layout;
 use feather_arch::models::{mobilenet_v3, resnet50};
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
+use feather_arch::ArchError;
 use feather_bench::print_table;
 use layoutloop::arch::ArchSpec;
 use layoutloop::cosearch::co_search;
 use layoutloop::evaluate::evaluate;
 use layoutloop::mapper::{search_dataflows, MapperConfig};
 
-fn pick_layers(net: &feather_arch::models::Network, ids: &[usize]) -> Vec<Workload> {
+fn pick_layers(net: &feather_arch::models::Network, ids: &[usize]) -> Vec<ConvLayer> {
     ids.iter()
         .filter_map(|&i| net.layers.get(i).cloned())
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), ArchError> {
     let arch = ArchSpec::feather_like(16, 16);
     let layouts = Layout::conv_candidates();
     let mapper = MapperConfig::default();
@@ -36,9 +39,7 @@ fn main() {
             // (a) Fixed dataflow + fixed layout.
             let fixed_df = Dataflow::output_stationary(arch.shape, &layer);
             let fixed_layout: Layout = "HWC_C32".parse().unwrap();
-            let fixed = evaluate(&arch, &layer, &fixed_df, &fixed_layout, None, 0)
-                .map(|e| e.cycles)
-                .unwrap_or(u64::MAX);
+            let fixed = evaluate(&arch, &layer, &fixed_df, &fixed_layout, None, 0)?.cycles;
 
             // (b) Best dataflow ignoring layout: pick the candidate with the
             // lowest *ideal* cycles (pure compute-utilization view).
@@ -51,20 +52,19 @@ fn main() {
             let theory_cycles = theory_df.ideal_compute_cycles(&layer);
 
             // (c) That dataflow under every layout (practice range).
-            let mut practice: Vec<u64> = layouts
+            let mut practice = layouts
                 .iter()
-                .filter_map(|l| evaluate(&arch, &layer, &theory_df, l, None, 0).ok())
-                .map(|e| e.cycles)
-                .collect();
+                .map(|l| evaluate(&arch, &layer, &theory_df, l, None, 0).map(|e| e.cycles))
+                .collect::<Result<Vec<u64>, _>>()?;
             practice.sort_unstable();
             let best_practice = *practice.first().unwrap_or(&theory_cycles);
             let worst_practice = *practice.last().unwrap_or(&theory_cycles);
 
             // (d) FEATHER: full (dataflow, layout) co-search.
-            let feather = co_search(&arch, &layer, 0).expect("co-search succeeds");
+            let feather = co_search(&arch, &layer, 0)?;
 
             rows.push(vec![
-                layer.name().to_string(),
+                layer.name.clone(),
                 format!("{fixed}"),
                 format!("{theory_cycles}"),
                 format!("{best_practice}..{worst_practice}"),
@@ -88,4 +88,5 @@ fn main() {
             &rows,
         );
     }
+    Ok(())
 }

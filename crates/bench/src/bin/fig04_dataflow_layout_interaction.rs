@@ -4,7 +4,7 @@
 
 use feather_arch::dataflow::{ArrayShape, Dataflow};
 use feather_arch::layout::Layout;
-use feather_arch::workload::{ConvLayer, Workload};
+use feather_arch::workload::ConvLayer;
 use feather_bench::print_table;
 use feather_memsim::{Banking, BufferSpec, ConflictModel};
 use layoutloop::access::analyze_iact_reads;
@@ -15,15 +15,13 @@ fn main() {
         BufferSpec::new(1 << 16, 8, 1, Banking::VerticalBlocked).with_ports(2, 2),
     );
 
-    let layer1: Workload = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
+    let layer1 = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
         .with_stride(2)
         .with_padding(3)
-        .with_name("ResNet-50 layer 1")
-        .into();
-    let layer47: Workload = ConvLayer::new(1, 512, 2048, 7, 7, 3, 3)
+        .with_name("ResNet-50 layer 1");
+    let layer47 = ConvLayer::new(1, 512, 2048, 7, 7, 3, 3)
         .with_padding(1)
-        .with_name("ResNet-50 layer 47")
-        .into();
+        .with_name("ResNet-50 layer 47");
 
     let channel_last_l1: Layout = "HWC_W2C3".parse().unwrap();
     let row_major: Layout = "HCW_W8".parse().unwrap();
@@ -34,7 +32,7 @@ fn main() {
     let d2_l1 = Dataflow::sliding_window_parallel(shape, &layer1, 4);
     let d1_l47 = Dataflow::channel_parallel(shape, &layer47, 4);
     let d2_l47 = Dataflow::sliding_window_parallel(shape, &layer47, 4);
-    let cases: Vec<(&str, &Workload, &Dataflow, &Layout)> = vec![
+    let cases: Vec<(&str, &ConvLayer, &Dataflow, &Layout)> = vec![
         ("M1", &layer1, &d1_l1, &channel_last_l1),
         ("M2", &layer1, &d2_l1, &channel_last_l1),
         ("M3", &layer1, &d1_l1, &row_major),
@@ -53,7 +51,7 @@ fn main() {
         let practical = theoretical / a.read_slowdown;
         rows.push(vec![
             id.to_string(),
-            workload.name().to_string(),
+            workload.name.clone(),
             dataflow.name.clone(),
             layout.to_string(),
             format!("{:.1}", a.avg_lines_per_cycle),

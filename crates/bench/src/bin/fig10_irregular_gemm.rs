@@ -4,13 +4,13 @@
 //! shapes; pass `--no-cross-column-reduction` to ablate that capability.
 
 use feather_arch::dataflow::{ArrayShape, Dataflow};
-use feather_arch::workload::{GemmLayer, Workload};
+use feather_arch::workload::{ConvLayer, GemmLayer};
 use feather_baselines::systolic::SystolicArray;
 use feather_bench::print_table;
 use layoutloop::arch::ArchSpec;
 use layoutloop::cosearch::co_search;
 
-fn feather_utilization(layer: &Workload, ablate: bool) -> f64 {
+fn feather_utilization(layer: &ConvLayer, ablate: bool) -> f64 {
     let arch = ArchSpec::feather_like(4, 4);
     if ablate {
         // Without cross-column (BIRRD) reduction, FEATHER degenerates to the
@@ -54,8 +54,7 @@ fn main() {
         // the rigid array cannot hide on skewed shapes).
         let sa_steady = sa.steady_utilization(&gemm);
         let sa_run = sa.run_gemm(&gemm).utilization;
-        let workload: Workload = gemm.clone().into();
-        let feather_util = feather_utilization(&workload, ablate);
+        let feather_util = feather_utilization(&gemm.as_conv(), ablate);
         rows.push(vec![
             label.to_string(),
             format!("{:.0}%", sa_steady * 100.0),

@@ -23,7 +23,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (i, layer) in layers.iter().enumerate() {
-        let mut row = vec![layer.name().to_string()];
+        let mut row = vec![layer.name.clone()];
         for results in &per_device {
             row.push(format!("{:.3}", results[i].throughput_per_pe));
         }

@@ -7,7 +7,7 @@
 #![warn(rust_2018_idioms)]
 
 use feather_arch::models::Network;
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 
 /// Returns `true` when the `FEATHER_FULL` environment variable asks for the
 /// full (slow) sweep instead of the representative subset.
@@ -19,7 +19,7 @@ pub fn full_sweep() -> bool {
 
 /// A representative subset of a network's layers for quick runs: every
 /// `stride`-th layer. With [`full_sweep`] enabled, returns all layers.
-pub fn layer_subset(network: &Network, stride: usize) -> Vec<Workload> {
+pub fn layer_subset(network: &Network, stride: usize) -> Vec<ConvLayer> {
     if full_sweep() {
         network.layers.clone()
     } else {

@@ -479,8 +479,7 @@ mod tests {
             .iter()
             .zip(&layers)
             .map(|(node, l)| {
-                let dataflow =
-                    Dataflow::weight_stationary(ArrayShape::new(4, 8), &l.clone().into());
+                let dataflow = Dataflow::weight_stationary(ArrayShape::new(4, 8), l);
                 (node.id, (dataflow, "HWC_C4".parse().unwrap()))
             })
             .collect();

@@ -29,7 +29,7 @@
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Dim;
 use feather_arch::layout::Layout;
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
 use feather_memsim::ConflictModel;
 use rand::Rng;
@@ -106,7 +106,7 @@ impl ReadSignature {
     /// Samples up to `max_samples` (at least four) execution cycles of
     /// `dataflow` on `workload`, deterministically from `seed`.
     pub(crate) fn new(
-        workload: &Workload,
+        workload: &ConvLayer,
         dataflow: &Dataflow,
         max_samples: usize,
         seed: u64,
@@ -167,11 +167,8 @@ pub(crate) struct SampledReads {
 
 impl SampledReads {
     /// Expands `signature` into the values it reads on `workload`.
-    pub(crate) fn new(workload: &Workload, signature: &ReadSignature) -> Self {
-        let (stride, padding) = match workload.as_conv_layer() {
-            Some(c) => (c.stride, c.padding),
-            None => (1, 0),
-        };
+    pub(crate) fn new(workload: &ConvLayer, signature: &ReadSignature) -> Self {
+        let (stride, padding) = (workload.stride, workload.padding);
         let spatial = |dim: Dim| signature.spatial[dim as usize];
         // Per iAct dim, the distinct offsets its lanes add to a cycle's
         // start, ascending: `h` is `p * stride + r` past the start for lane
@@ -291,7 +288,7 @@ impl IactPlan {
 
 /// The layout-dependent half of the analysis: `layout` precompiled over the
 /// `[n, c, h, w]` extents of `workload`'s iAct tensor.
-pub(crate) fn iact_plan(workload: &Workload, layout: &Layout) -> IactPlan {
+pub(crate) fn iact_plan(workload: &ConvLayer, layout: &Layout) -> IactPlan {
     let extents = Dim::IACT_DIMS.map(|dim| workload.dim(dim));
     let plan = layout.plan4(std::array::from_fn(|d| (Dim::IACT_DIMS[d], extents[d])));
     let digits = std::array::from_fn(|d| {
@@ -328,7 +325,7 @@ pub(crate) fn uncounted(conflicts: &ConflictModel) -> Option<String> {
 /// the buffer has several vertical banks, whose conflicts the count of a
 /// cycle's distinct lines cannot decide.
 pub fn analyze_iact_reads(
-    workload: &Workload,
+    workload: &ConvLayer,
     dataflow: &Dataflow,
     layout: &Layout,
     conflicts: &ConflictModel,
@@ -352,7 +349,7 @@ mod oracle {
 
     /// The iAct coordinate a given lane touches for a given temporal base point.
     fn iact_coord(
-        workload: &Workload,
+        workload: &ConvLayer,
         base: &BTreeMap<Dim, usize>,
         lane: &BTreeMap<Dim, usize>,
         stride: usize,
@@ -406,7 +403,7 @@ mod oracle {
     }
 
     /// Dimension extents of the iAct tensor (what the layout maps over).
-    fn iact_dim_sizes(workload: &Workload) -> BTreeMap<Dim, usize> {
+    fn iact_dim_sizes(workload: &ConvLayer) -> BTreeMap<Dim, usize> {
         [
             (Dim::N, workload.dim(Dim::N)),
             (Dim::C, workload.dim(Dim::C)),
@@ -420,17 +417,14 @@ mod oracle {
     /// The map-based analysis [`super::analyze_iact_reads`] replaced, kept as the
     /// reference the equivalence proptest compares against.
     pub fn analyze_iact_reads(
-        workload: &Workload,
+        workload: &ConvLayer,
         dataflow: &Dataflow,
         layout: &Layout,
         conflicts: &ConflictModel,
         max_samples: usize,
         seed: u64,
     ) -> AccessAnalysis {
-        let (stride, padding) = match workload.as_conv_layer() {
-            Some(c) => (c.stride, c.padding),
-            None => (1, 0),
-        };
+        let (stride, padding) = (workload.stride, workload.padding);
         let dim_sizes = iact_dim_sizes(workload);
         let lanes = iact_lanes(dataflow);
         let spatial = dataflow.spatial_factors();
@@ -500,7 +494,7 @@ mod tests {
     use crate::arch::ArchSpec;
     use crate::mapper::{search_dataflows, MapperConfig};
     use feather_arch::dataflow::ArrayShape;
-    use feather_arch::workload::{ConvLayer, GemmLayer};
+    use feather_arch::workload::GemmLayer;
     use feather_memsim::{Banking, BufferSpec};
     use proptest::prelude::*;
 
@@ -508,7 +502,7 @@ mod tests {
     /// analysis against the map-based oracle, `==` on the f64s. The picks
     /// choose the array shape, the mapper and `max_samples`.
     fn assert_matches_oracle(
-        w: &Workload,
+        w: &ConvLayer,
         (shape_pick, mapper_pick, samples_pick): (usize, usize, usize),
         (banking_pick, ports): (usize, usize),
         seed: u64,
@@ -561,10 +555,9 @@ mod tests {
         ) {
             let k = [1, 3, 5, 7][kernel_pick];
             prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
-            let layer: Workload = ConvLayer::new(1, m, c, h, w, k, k)
+            let layer = ConvLayer::new(1, m, c, h, w, k, k)
                 .with_stride(stride)
-                .with_padding(padding)
-                .into();
+                .with_padding(padding);
             let picks = (shape_pick, mapper_pick, samples_pick);
             assert_matches_oracle(&layer, picks, (banking_pick, ports), seed)?;
         }
@@ -581,7 +574,7 @@ mod tests {
             ports in 1usize..=3,
             seed in 0u64..1000,
         ) {
-            let gemm: Workload = GemmLayer::new(m, k, n).into();
+            let gemm = GemmLayer::new(m, k, n).as_conv();
             let picks = (shape_pick, mapper_pick, samples_pick);
             assert_matches_oracle(&gemm, picks, (banking_pick, ports), seed)?;
         }
@@ -698,10 +691,8 @@ mod tests {
         ConflictModel::new(BufferSpec::new(4096, 8, 1, Banking::VerticalBlocked).with_ports(2, 2))
     }
 
-    fn layer47() -> Workload {
-        ConvLayer::new(1, 512, 2048, 7, 7, 3, 3)
-            .with_padding(1)
-            .into()
+    fn layer47() -> ConvLayer {
+        ConvLayer::new(1, 512, 2048, 7, 7, 3, 3).with_padding(1)
     }
 
     #[test]
@@ -729,10 +720,9 @@ mod tests {
 
     #[test]
     fn sliding_window_parallel_prefers_row_major() {
-        let w: Workload = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
+        let w = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
             .with_stride(2)
-            .with_padding(3)
-            .into();
+            .with_padding(3);
         let df = Dataflow::sliding_window_parallel(ArrayShape::new(4, 4), &w, 4);
         let row_major: Layout = "HCW_W8".parse().unwrap();
         let channel_last: Layout = "HWC_W2C3".parse().unwrap();

@@ -1,7 +1,7 @@
 //! Memoization of co-search tables.
 //!
 //! Real networks repeat layer shapes heavily — ResNet-50's 53 convolutions
-//! collapse to ~20 distinct shapes, and BERT's 360 GEMMs to 4 — so a
+//! collapse to ~20 distinct shapes, and BERT's 360 GEMMs to 5 — so a
 //! per-(layer-shape, arch) cache turns a full-network co-search into a handful
 //! of unique searches plus lookups. The cache key deliberately ignores layer
 //! *names*: two layers with identical dimensions, stride, padding and kind on
@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 
 use crate::arch::ArchSpec;
 use crate::cosearch::CoSearchTable;
@@ -44,15 +44,12 @@ impl TableKeys {
         }
     }
 
-    /// The key of `workload`'s table: `{arch:?}|{shape}|{mapper:?}|seed{seed}`.
-    pub(crate) fn key(&self, workload: &Workload) -> String {
-        let shape = match workload {
-            Workload::Conv(c) => format!(
-                "conv:n{}m{}c{}h{}w{}r{}s{}st{}p{}k{:?}",
-                c.n, c.m, c.c, c.h, c.w, c.r, c.s, c.stride, c.padding, c.kind
-            ),
-            Workload::Gemm(g) => format!("gemm:m{}k{}n{}", g.m, g.k, g.n),
-        };
+    /// The key of `c`'s table: `{arch:?}|{shape}|{mapper:?}|seed{seed}`.
+    pub(crate) fn key(&self, c: &ConvLayer) -> String {
+        let shape = format!(
+            "conv:n{}m{}c{}h{}w{}r{}s{}st{}p{}k{:?}",
+            c.n, c.m, c.c, c.h, c.w, c.r, c.s, c.stride, c.padding, c.kind
+        );
         [self.head.as_str(), &shape, &self.tail].concat()
     }
 }
@@ -63,7 +60,7 @@ impl TableKeys {
 /// chained predecessor layouts differ.
 ///
 /// The cache only grows — a network contributes its distinct shapes
-/// (ResNet-50 ≈ 20, BERT ≈ 4) — so a table the planners ensured is still
+/// (ResNet-50 ≈ 20, BERT 5) — so a table the planners ensured is still
 /// there when they chain through it.
 #[derive(Debug, Clone, Default)]
 pub struct CoSearchCache {
@@ -121,35 +118,37 @@ impl CoSearchCache {
 mod tests {
     use super::*;
     use crate::cosearch::co_search_table;
-    use feather_arch::workload::{ConvLayer, GemmLayer};
+    use feather_arch::workload::GemmLayer;
 
-    fn table_key(arch: &ArchSpec, workload: &Workload, mapper: &MapperConfig, seed: u64) -> String {
+    fn table_key(
+        arch: &ArchSpec,
+        workload: &ConvLayer,
+        mapper: &MapperConfig,
+        seed: u64,
+    ) -> String {
         TableKeys::new(arch, mapper, seed).key(workload)
     }
 
     #[test]
     fn a_key_is_the_whole_problem_in_debug_form() {
         let (arch, mapper) = (ArchSpec::feather_like(16, 16), MapperConfig::fast());
-        let gemm: Workload = GemmLayer::new(3, 4, 5).into();
-        let expected = format!("{arch:?}|gemm:m3k4n5|{mapper:?}|seed9");
+        // A GEMM is keyed as the 1×1 convolution it is priced as.
+        let gemm = GemmLayer::new(3, 4, 5).as_conv();
+        let expected = format!("{arch:?}|conv:n1m3c4h1w5r1s1st1p0kPointwise|{mapper:?}|seed9");
         assert_eq!(table_key(&arch, &gemm, &mapper, 9), expected);
         let conv = layer("any");
-        let expected = format!(
-            "{arch:?}|conv:n1m32c16h14w14r3s3st1p1k{:?}|{mapper:?}|seed0",
-            conv.as_conv_layer().unwrap().kind
-        );
+        let expected = format!("{arch:?}|conv:n1m32c16h14w14r3s3st1p1kStandard|{mapper:?}|seed0");
         assert_eq!(table_key(&arch, &conv, &mapper, 0), expected);
     }
 
-    fn layer(name: &str) -> Workload {
+    fn layer(name: &str) -> ConvLayer {
         ConvLayer::new(1, 32, 16, 14, 14, 3, 3)
             .with_padding(1)
             .with_name(name)
-            .into()
     }
 
     /// A cache holding `workload`'s table for (`arch`, `mapper`, seed 0).
-    fn cache_with(arch: &ArchSpec, workload: &Workload, mapper: &MapperConfig) -> CoSearchCache {
+    fn cache_with(arch: &ArchSpec, workload: &ConvLayer, mapper: &MapperConfig) -> CoSearchCache {
         let mut cache = CoSearchCache::new();
         let table = co_search_table(arch, workload, mapper, 0).unwrap();
         cache.insert_table(table_key(arch, workload, mapper, 0), table);

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use feather_arch::dataflow::Dataflow;
 use feather_arch::layout::Layout;
 use feather_arch::models::Network;
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
@@ -64,7 +64,7 @@ pub struct CoSearchResult {
 /// workload (e.g. the workload itself is malformed).
 pub fn co_search(
     arch: &ArchSpec,
-    workload: &Workload,
+    workload: &ConvLayer,
     seed: u64,
 ) -> Result<CoSearchResult, ArchError> {
     co_search_with(arch, workload, None, &MapperConfig::default(), seed)
@@ -77,13 +77,13 @@ pub fn co_search(
 /// Returns an error if no candidate (dataflow, layout) pair is valid.
 pub fn co_search_with(
     arch: &ArchSpec,
-    workload: &Workload,
+    workload: &ConvLayer,
     prev_layout: Option<&Layout>,
     mapper: &MapperConfig,
     seed: u64,
 ) -> Result<CoSearchResult, ArchError> {
     let table = co_search_table(arch, workload, mapper, seed)?;
-    let mut chained = chain(arch, prev_layout, [(workload.name(), &table)])?;
+    let mut chained = chain(arch, prev_layout, [(&*workload.name, &table)])?;
     Ok(chained.pop().expect("one layer in, one result out"))
 }
 
@@ -196,7 +196,7 @@ impl CoSearchTable {
 /// pair at all) is reported at selection time.
 pub fn co_search_table(
     arch: &ArchSpec,
-    workload: &Workload,
+    workload: &ConvLayer,
     mapper: &MapperConfig,
     seed: u64,
 ) -> Result<CoSearchTable, ArchError> {
@@ -215,7 +215,7 @@ pub(crate) struct TableWork {
 /// [`co_search_table`] with a count of the work it did.
 pub(crate) fn search_table(
     arch: &ArchSpec,
-    workload: &Workload,
+    workload: &ConvLayer,
     mapper: &MapperConfig,
     seed: u64,
 ) -> Result<(CoSearchTable, TableWork), ArchError> {
@@ -354,7 +354,7 @@ pub fn plan_network(
     // Chaining pass: pure table lookups at this point.
     let tables = network.iter().zip(&keys).map(|(layer, key)| {
         let table = cache.peek_table(key);
-        (layer.name(), table.expect("ensure_tables filled the cache"))
+        (&*layer.name, table.expect("ensure_tables filled the cache"))
     });
     let per_layer = chain(arch, None, tables)?;
     Ok(NetworkPlan {
@@ -376,7 +376,7 @@ pub fn plan_network(
 /// The first failing table in input order, whichever worker finished first.
 pub(crate) fn ensure_tables<'a>(
     arch: &ArchSpec,
-    workloads: impl Iterator<Item = &'a Workload>,
+    workloads: impl Iterator<Item = &'a ConvLayer>,
     mapper: &MapperConfig,
     seed: u64,
     cache: &mut CoSearchCache,
@@ -384,7 +384,7 @@ pub(crate) fn ensure_tables<'a>(
     let mut keys = Vec::new();
     let mut pending = BTreeSet::new();
     // (index into `keys`, workload) of each distinct missing table.
-    let mut missing: Vec<(usize, &Workload)> = Vec::new();
+    let mut missing: Vec<(usize, &ConvLayer)> = Vec::new();
     let table_keys = TableKeys::new(arch, mapper, seed);
     for workload in workloads {
         let key = table_keys.key(workload);
@@ -478,7 +478,7 @@ mod tests {
     use crate::graphplan::plan_graph;
     use feather_arch::graph::Graph;
     use feather_arch::models::{bert_base, mobilenet_v3, resnet50, Network};
-    use feather_arch::workload::{ConvLayer, GemmLayer};
+    use feather_arch::workload::GemmLayer;
     use feather_memsim::{Banking, BufferSpec};
     use proptest::prelude::*;
 
@@ -488,15 +488,11 @@ mod tests {
             vec![
                 ConvLayer::new(1, 32, 3, 32, 32, 3, 3)
                     .with_padding(1)
-                    .with_name("l0")
-                    .into(),
+                    .with_name("l0"),
                 ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
                     .with_padding(1)
-                    .with_name("l1")
-                    .into(),
-                ConvLayer::new(1, 128, 64, 8, 8, 1, 1)
-                    .with_name("l2")
-                    .into(),
+                    .with_name("l1"),
+                ConvLayer::new(1, 128, 64, 8, 8, 1, 1).with_name("l2"),
             ],
         )
     }
@@ -504,9 +500,7 @@ mod tests {
     #[test]
     fn feather_cosearch_finds_concordant_pair() {
         let arch = ArchSpec::feather_like(16, 16);
-        let layer = ConvLayer::new(1, 128, 256, 14, 14, 3, 3)
-            .with_padding(1)
-            .into();
+        let layer = ConvLayer::new(1, 128, 256, 14, 14, 3, 3).with_padding(1);
         let best = co_search(&arch, &layer, 0).unwrap();
         assert!(best.evaluation.conflict_slowdown <= 1.0 + 1e-9);
         assert!(best.evaluation.utilization > 0.9);
@@ -518,8 +512,7 @@ mod tests {
         // FEATHER pick concordant pairs that fixed-layout designs cannot.
         let layer = ConvLayer::new(1, 64, 3, 112, 112, 7, 7)
             .with_stride(2)
-            .with_padding(3)
-            .into();
+            .with_padding(3);
         let feather = ArchSpec::feather_like(16, 16);
         let sigma = ArchSpec::sigma_like_fixed_layout(16, 16, "HWC_C32");
         let f = co_search(&feather, &layer, 0).unwrap();
@@ -540,7 +533,7 @@ mod tests {
     /// layout-then-dataflow order, with `prev` as every pair's predecessor.
     fn exhaustive(
         arch: &ArchSpec,
-        workload: &Workload,
+        workload: &ConvLayer,
         dataflows: &[Dataflow],
         layouts: &[Layout],
         prev: Option<&Layout>,
@@ -570,7 +563,7 @@ mod tests {
     /// reads differ fails this. Returns the checked table.
     fn check_table(
         arch: &ArchSpec,
-        workload: &Workload,
+        workload: &ConvLayer,
         mapper: &MapperConfig,
         seed: u64,
     ) -> Result<CoSearchTable, TestCaseError> {
@@ -673,16 +666,15 @@ mod tests {
         kernel_pick: usize,
         stride: usize,
         padding: usize,
-    ) -> Workload {
+    ) -> ConvLayer {
         let (r, s) = [(1, 1), (3, 3), (3, 1)][kernel_pick];
         if gemm {
-            GemmLayer::new(m, c, h * w).with_name("l").into()
+            GemmLayer::new(m, c, h * w).with_name("l").as_conv()
         } else {
             ConvLayer::new(n, m, c, h, w, r, s)
                 .with_stride(stride)
                 .with_padding(padding)
                 .with_name("l")
-                .into()
         }
     }
 
@@ -782,19 +774,18 @@ mod tests {
         // other iAct dim fits the array, so only `N` moves. `R` factors: R4
         // on the rows vs R3 on the columns (both two steps of `R`), and this
         // seed draws step 0 of `R` in every sampled cycle.
-        let batch: Workload = ConvLayer::new(2, 3, 2, 2, 3, 1, 1).with_name("l").into();
+        let batch = ConvLayer::new(2, 3, 2, 2, 3, 1, 1).with_name("l");
         let feather = ArchSpec::feather_like(16, 16);
         check_table(&feather, &batch, &MapperConfig::default(), 0).unwrap();
-        let tall: Workload = ConvLayer::new(1, 1, 1, 5, 2, 5, 2).with_name("l").into();
+        let tall = ConvLayer::new(1, 1, 1, 5, 2, 5, 2).with_name("l");
         let narrow = ArchSpec::feather_like(4, 3);
         check_table(&narrow, &tall, &MapperConfig::fast(), 10567).unwrap();
         // A full-size layer on every Fig. 13 design: most dataflows' floors
         // lose there and are never priced, and off-chip reordering makes
         // *switch* dearer than *stay*, so the predecessor matters.
-        let wide: Workload = ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
+        let wide = ConvLayer::new(1, 64, 32, 16, 16, 3, 3)
             .with_padding(1)
-            .with_name("l1")
-            .into();
+            .with_name("l1");
         let mapper = MapperConfig::fast();
         for arch in fig13_presets(16, 16, false) {
             let table = check_table(&arch, &wide, &mapper, 0).unwrap();
@@ -814,7 +805,7 @@ mod tests {
         // differs from its *stay* (off-chip reordering), with the default
         // mapper: an FNV-1a hash of every table's Debug form.
         let arch = ArchSpec::sigma_like_offchip_reorder(16, 16);
-        let layers: Vec<Workload> = [resnet50(), mobilenet_v3(), bert_base()]
+        let layers: Vec<ConvLayer> = [resnet50(), mobilenet_v3(), bert_base()]
             .into_iter()
             .flat_map(|net| net.layers.into_iter().step_by(17).take(3))
             .collect();
@@ -829,6 +820,36 @@ mod tests {
         assert_eq!(
             feather_arch::fingerprint::fnv1a64(text.as_bytes()),
             0x8746_a5a6_ec08_8b9d
+        );
+    }
+
+    #[test]
+    fn bert_feather_gemm_tables_are_pinned() {
+        // FEATHER's GEMM column of Fig. 13: BERT-base's five distinct GEMM
+        // shapes, in first-occurrence order, each the 1×1 convolution that
+        // streams `B`, under the GEMM layouts. An FNV-1a hash of every
+        // table's Debug form.
+        let mut arch = ArchSpec::feather_like(16, 16);
+        arch.layouts = Layout::gemm_candidates();
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for layer in &bert_base() {
+            let shape = (layer.m, layer.c, layer.w);
+            if !shapes.contains(&shape) {
+                shapes.push(shape);
+            }
+        }
+        assert_eq!(shapes.len(), 5);
+        let tables: Vec<CoSearchTable> = shapes
+            .iter()
+            .map(|&(m, k, n)| {
+                let layer = GemmLayer::new(m, k, n).as_conv();
+                co_search_table(&arch, &layer, &MapperConfig::fast(), 0).unwrap()
+            })
+            .collect();
+        let text = format!("{tables:?}");
+        assert_eq!(
+            feather_arch::fingerprint::fnv1a64(text.as_bytes()),
+            0xddbd_cd9f_dff3_3209
         );
     }
 
@@ -850,21 +871,21 @@ mod tests {
             (32, ["mobv3_l00_stem", "mobv3_l01_b0_dw3x3"]),
         ] {
             let arch = ArchSpec::feather_like(size, size);
-            let layers: Vec<&Workload> = nets
+            let layers: Vec<&ConvLayer> = nets
                 .iter()
                 .flat_map(|net| &net.layers)
                 .filter(|layer| {
                     search_dataflows(&arch, layer, &uncapped).len() > capped.max_candidates
                 })
                 .collect();
-            let names: Vec<&str> = layers.iter().map(|layer| layer.name()).collect();
+            let names: Vec<&str> = layers.iter().map(|layer| layer.name.as_str()).collect();
             assert_eq!(names, expected, "{size}×{size}");
             let prevs = std::iter::once(None).chain(arch.layouts.iter().map(Some));
             for layer in layers {
                 let table = |mapper| co_search_table(&arch, layer, mapper, 0).unwrap();
                 let (short, full) = (table(&capped), table(&uncapped));
                 for prev in prevs.clone() {
-                    let name = layer.name();
+                    let name = &layer.name;
                     let answer = short.select(prev);
                     assert_eq!(answer, full.select(prev), "{name} after {prev:?}");
                 }
@@ -875,7 +896,7 @@ mod tests {
     #[test]
     fn malformed_architectures_are_errors() {
         let conv = ConvLayer::new(1, 16, 16, 8, 8, 3, 3).with_padding(1);
-        let layer: Workload = conv.clone().into();
+        let layer = conv.clone();
         let mut graph = Graph::new("one_conv", [1, 16, 8, 8]);
         graph.conv(graph.input(), conv).unwrap();
         let base = ArchSpec::feather_like(16, 16);
@@ -926,14 +947,8 @@ mod tests {
     #[test]
     fn plan_network_reports_the_first_failing_layer_in_input_order() {
         let mut layers = small_net().layers;
-        layers.insert(
-            1,
-            ConvLayer::new(1, 0, 8, 8, 8, 1, 1).with_name("bad1").into(),
-        );
-        layers.insert(
-            3,
-            ConvLayer::new(1, 8, 0, 8, 8, 1, 1).with_name("bad3").into(),
-        );
+        layers.insert(1, ConvLayer::new(1, 0, 8, 8, 8, 1, 1).with_name("bad1"));
+        layers.insert(3, ConvLayer::new(1, 8, 0, 8, 8, 1, 1).with_name("bad3"));
         let net = Network::new("two_bad", layers);
         let err = plan_network(
             &ArchSpec::feather_like(16, 16),
@@ -973,11 +988,7 @@ mod tests {
         let base = small_net();
         let mut layers = base.layers.clone();
         for (i, l) in base.layers.iter().enumerate() {
-            if let feather_arch::workload::Workload::Conv(c) = l {
-                layers.push(feather_arch::workload::Workload::Conv(
-                    c.clone().with_name(format!("dup{i}")),
-                ));
-            }
+            layers.push(l.clone().with_name(format!("dup{i}")));
         }
         // Make the duplicated run chainable cache-wise: shapes repeat, so
         // after the first layer of the duplicate block, prev layouts repeat
@@ -1017,8 +1028,7 @@ mod tests {
         let arch = ArchSpec::nvdla_like(16, 16);
         let layer = ConvLayer::new(1, 64, 3, 112, 112, 7, 7)
             .with_stride(2)
-            .with_padding(3)
-            .into();
+            .with_padding(3);
         let result = co_search(&arch, &layer, 0).unwrap();
         // C = 3 across 16 columns → at most 3/16 of the array busy.
         assert!(result.evaluation.spatial_utilization < 0.25);

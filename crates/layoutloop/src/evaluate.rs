@@ -1,13 +1,11 @@
 //! The Layoutloop cost model: latency, energy and utilization of one layer
 //! executed with a given (dataflow, layout) pair on a given architecture.
 
-use std::borrow::Cow;
-
 use feather_arch::dataflow::Dataflow;
 use feather_arch::dims::Operand;
 use feather_arch::energy::EnergyBreakdown;
 use feather_arch::layout::Layout;
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +64,7 @@ impl Evaluation {
 /// the dataflow is malformed or does not fit the architecture's array.
 pub fn evaluate(
     arch: &ArchSpec,
-    workload: &Workload,
+    workload: &ConvLayer,
     dataflow: &Dataflow,
     layout: &Layout,
     prev_layout: Option<&Layout>,
@@ -109,17 +107,12 @@ pub(crate) struct DataflowCost<'a> {
 
 impl<'a> DataflowCost<'a> {
     /// The terms of `dataflow` on `workload` that no layout changes.
-    pub(crate) fn new(arch: &'a ArchSpec, workload: &Workload, dataflow: &Dataflow) -> Self {
+    pub(crate) fn new(arch: &'a ArchSpec, workload: &ConvLayer, dataflow: &Dataflow) -> Self {
         let macs = workload.macs();
         let dtype_bytes = arch.dtype.bytes() as u64;
-        // Borrowed for convolutions: a pricing must not clone the layer (its name).
-        let conv = match workload.as_conv_layer() {
-            Some(conv) => Cow::Borrowed(conv),
-            None => Cow::Owned(workload.to_conv()),
-        };
-        let iact_bytes = conv.operand_elems(Operand::IActs) * dtype_bytes;
-        let weight_bytes = conv.operand_elems(Operand::Weights) * dtype_bytes;
-        let oact_bytes = conv.operand_elems(Operand::OActs) * dtype_bytes;
+        let iact_bytes = workload.operand_elems(Operand::IActs) * dtype_bytes;
+        let weight_bytes = workload.operand_elems(Operand::Weights) * dtype_bytes;
+        let oact_bytes = workload.operand_elems(Operand::OActs) * dtype_bytes;
         // Distribution + reduction NoC traffic.
         let dist_factor = match arch.distribution {
             DistributionStyle::PointToPoint => 0.5,
@@ -295,13 +288,11 @@ impl<'a> DataflowCost<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feather_arch::workload::ConvLayer;
 
-    fn layer() -> Workload {
+    fn layer() -> ConvLayer {
         ConvLayer::new(1, 128, 256, 14, 14, 3, 3)
             .with_padding(1)
             .with_name("test_layer")
-            .into()
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use feather_arch::dataflow::Dataflow;
 use feather_arch::graph::{Graph, NodeId, TensorId};
 use feather_arch::layout::Layout;
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 use feather_arch::ArchError;
 
 use crate::arch::ArchSpec;
@@ -104,24 +104,21 @@ pub fn plan_graph(
     let misses_before = cache.misses();
     let segments = graph.segments();
 
-    // The execution workload of every conv-like node (GEMMs and pools as
+    // The execution convolution of every conv-like node (GEMMs and pools as
     // their convolution lowerings).
-    let workloads: BTreeMap<NodeId, Workload> = segments
+    let convs: BTreeMap<NodeId, ConvLayer> = segments
         .iter()
         .flat_map(|s| s.nodes.iter())
         .map(|&id| {
-            let conv = graph
-                .node(id)
-                .execution_conv()
-                .expect("segments hold conv-like nodes");
-            (id, Workload::Conv(conv))
+            let conv = graph.node(id).execution_conv();
+            (id, conv.expect("segments hold conv-like nodes"))
         })
         .collect();
 
     // Phase 1: compute every missing co-search table, concurrently across all
     // branches and layers of the graph.
-    let keys = ensure_tables(arch, workloads.values(), mapper, seed, cache)?;
-    let tables: BTreeMap<NodeId, &CoSearchTable> = workloads
+    let keys = ensure_tables(arch, convs.values(), mapper, seed, cache)?;
+    let tables: BTreeMap<NodeId, &CoSearchTable> = convs
         .keys()
         .zip(&keys)
         .map(|(&id, key)| {
@@ -170,7 +167,6 @@ mod tests {
     use feather_arch::dims::Dim;
     use feather_arch::fabric::{FeatherConfig, LayerMapping};
     use feather_arch::graph::resnet50_graph_scaled;
-    use feather_arch::workload::ConvLayer;
     use feather_memsim::{Banking, BufferSpec};
 
     fn branched_graph() -> Graph {
@@ -318,7 +314,7 @@ mod tests {
             .iter()
             .filter_map(|node| node.execution_conv())
             .map(|conv| {
-                let key = keys.key(&Workload::Conv(conv));
+                let key = keys.key(&conv);
                 let table = cache.peek_table(&key).unwrap();
                 (key, table)
             })
@@ -355,8 +351,7 @@ mod tests {
                     continue;
                 }
                 seen.push(shape);
-                let workload = Workload::Conv(conv);
-                let table = co_search_table(arch, &workload, &MapperConfig::fast(), 0).unwrap();
+                let table = co_search_table(arch, &conv, &MapperConfig::fast(), 0).unwrap();
                 for prev in std::iter::once(None).chain(layouts.iter().map(Some)) {
                     text += &format!("{:?}\n", table.select(prev));
                 }
@@ -382,14 +377,11 @@ mod tests {
         let g = resnet50_graph_scaled(8, 8);
         let (arch, mapper) = (ArchSpec::feather_like(16, 16), MapperConfig::fast());
         let keys = crate::cache::TableKeys::new(&arch, &mapper, 0);
-        let workloads: BTreeMap<String, Workload> = g
+        let workloads: BTreeMap<String, ConvLayer> = g
             .nodes()
             .iter()
             .filter_map(|node| node.execution_conv())
-            .map(|conv| {
-                let workload = Workload::Conv(conv);
-                (keys.key(&workload), workload)
-            })
+            .map(|conv| (keys.key(&conv), conv))
             .collect();
         assert_eq!(workloads.len(), 26);
         let mut total = TableWork {

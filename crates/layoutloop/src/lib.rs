@@ -18,6 +18,14 @@
 //! picks the EDP-optimal combination per layer — the flow used to produce
 //! Fig. 13 of the paper.
 //!
+//! Every entry point takes a layer as a
+//! [`ConvLayer`](feather_arch::workload::ConvLayer), the vocabulary the
+//! functional simulator runs too. A GEMM arrives as a 1×1 convolution: a flat
+//! network's GEMMs as [`GemmLayer::as_conv`](feather_arch::workload::GemmLayer::as_conv)
+//! (streaming `B`), a graph's GEMM nodes as their
+//! [`execution_conv`](feather_arch::graph::Node::execution_conv) (streaming
+//! `A`).
+//!
 //! # Example
 //!
 //! ```
@@ -25,7 +33,7 @@
 //! use layoutloop::arch::ArchSpec;
 //! use layoutloop::cosearch::co_search;
 //!
-//! let layer = ConvLayer::new(1, 64, 64, 14, 14, 3, 3).with_padding(1).into();
+//! let layer = ConvLayer::new(1, 64, 64, 14, 14, 3, 3).with_padding(1);
 //! let arch = ArchSpec::feather_like(16, 16);
 //! let best = co_search(&arch, &layer, 0).unwrap();
 //! assert!(best.evaluation.utilization > 0.9);

@@ -11,7 +11,7 @@
 
 use feather_arch::dataflow::{ArrayShape, Dataflow, ParallelDim};
 use feather_arch::dims::Dim;
-use feather_arch::workload::Workload;
+use feather_arch::workload::ConvLayer;
 use serde::{Deserialize, Serialize};
 
 use crate::arch::{ArchSpec, DataflowPolicy, FixedDataflow};
@@ -68,7 +68,7 @@ fn fit_factor(dim_size: usize, capacity: usize) -> usize {
 
 /// One axis assignment: dims with their factors, multiplying to ≤ capacity.
 fn axis_assignments(
-    workload: &Workload,
+    workload: &ConvLayer,
     capacity: usize,
     dims: &[Dim],
     include_pairs: bool,
@@ -103,7 +103,7 @@ fn axis_assignments(
 /// [`Dataflow::validate`] accepts it on any array with no zero axis.
 pub fn search_dataflows(
     arch: &ArchSpec,
-    workload: &Workload,
+    workload: &ConvLayer,
     config: &MapperConfig,
 ) -> Vec<Dataflow> {
     match arch.dataflow_policy {
@@ -115,7 +115,7 @@ pub fn search_dataflows(
 }
 
 /// The single dataflow of a fixed-dataflow design.
-pub fn fixed_dataflow(kind: FixedDataflow, shape: ArrayShape, workload: &Workload) -> Dataflow {
+pub fn fixed_dataflow(kind: FixedDataflow, shape: ArrayShape, workload: &ConvLayer) -> Dataflow {
     match kind {
         FixedDataflow::WeightStationaryMC => Dataflow::weight_stationary(shape, workload),
         FixedDataflow::OutputStationaryPQ => Dataflow::output_stationary(shape, workload),
@@ -129,7 +129,7 @@ pub fn fixed_dataflow(kind: FixedDataflow, shape: ArrayShape, workload: &Workloa
 /// GEMMs), multiple output channels fold onto the remaining rows — mirroring
 /// how Eyeriss packs several filters per PE to keep the array busy. Output
 /// rows `P` map across columns.
-fn row_stationary_folded(shape: ArrayShape, workload: &Workload) -> Dataflow {
+fn row_stationary_folded(shape: ArrayShape, workload: &ConvLayer) -> Dataflow {
     let r = fit_factor(workload.dim(Dim::R), shape.rows);
     let m = fit_factor(workload.dim(Dim::M), shape.rows / r.max(1));
     let p = fit_factor(workload.dim(Dim::P), shape.cols);
@@ -154,7 +154,7 @@ fn row_stationary_folded(shape: ArrayShape, workload: &Workload) -> Dataflow {
 
 /// Xilinx-DPU-style fixed parallelism: M across rows, C and output pixels
 /// across columns (conceptually (12, 12, 8) for the B1152 configuration).
-fn dpu_dataflow(shape: ArrayShape, workload: &Workload) -> Dataflow {
+fn dpu_dataflow(shape: ArrayShape, workload: &ConvLayer) -> Dataflow {
     let m = fit_factor(workload.dim(Dim::M), shape.rows);
     let c = fit_factor(workload.dim(Dim::C), 12.min(shape.cols));
     let q = fit_factor(workload.dim(Dim::Q), shape.cols / c.max(1));
@@ -171,7 +171,7 @@ fn dpu_dataflow(shape: ArrayShape, workload: &Workload) -> Dataflow {
 fn flexible_dataflows(
     shape: ArrayShape,
     regroup: bool,
-    workload: &Workload,
+    workload: &ConvLayer,
     config: &MapperConfig,
 ) -> Vec<Dataflow> {
     let dims: &[Dim] = &[Dim::M, Dim::C, Dim::P, Dim::Q, Dim::R, Dim::S];
@@ -210,14 +210,12 @@ fn flexible_dataflows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feather_arch::workload::{ConvLayer, GemmLayer};
+    use feather_arch::workload::GemmLayer;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn layer() -> Workload {
-        ConvLayer::new(1, 128, 256, 14, 14, 3, 3)
-            .with_padding(1)
-            .into()
+    fn layer() -> ConvLayer {
+        ConvLayer::new(1, 128, 256, 14, 14, 3, 3).with_padding(1)
     }
 
     #[test]
@@ -256,11 +254,11 @@ mod tests {
         // device, at 16×16 and 8×8, on random conv and GEMM layers, offers
         // only dataflows `validate` accepts, on its own array, within the cap.
         let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let mut layers: Vec<Workload> = Vec::new();
+        let mut layers: Vec<ConvLayer> = Vec::new();
         while layers.len() < 48 {
-            let layer: Workload = if layers.len() % 3 == 2 {
+            let layer = if layers.len() % 3 == 2 {
                 let [m, k, n] = [0; 3].map(|_| rng.gen_range(1..1024));
-                GemmLayer::new(m, k, n).into()
+                GemmLayer::new(m, k, n).as_conv()
             } else {
                 let (r, s) = [(1, 1), (3, 3), (7, 7), (3, 1)][rng.gen_range(0..4usize)];
                 let [m, c] = [0; 2].map(|_| rng.gen_range(1..512));
@@ -268,7 +266,6 @@ mod tests {
                 ConvLayer::new(rng.gen_range(1..3), m, c, h, w, r, s)
                     .with_stride(rng.gen_range(1..3))
                     .with_padding(rng.gen_range(0..=r / 2))
-                    .into()
             };
             if layer.validate().is_ok() {
                 layers.push(layer);
@@ -358,7 +355,9 @@ mod tests {
     #[test]
     fn gemm_candidates_are_valid() {
         let arch = ArchSpec::feather_like(16, 16);
-        let g: Workload = GemmLayer::new(512, 768, 768).with_name("bert_gemm").into();
+        let g = GemmLayer::new(512, 768, 768)
+            .with_name("bert_gemm")
+            .as_conv();
         let c = search_dataflows(&arch, &g, &MapperConfig::default());
         assert!(!c.is_empty());
         for df in &c {

@@ -109,9 +109,10 @@ impl ConflictModel {
     /// spans every line.
     fn fullest_bank_of_count(&self, lines_touched: usize) -> Option<usize> {
         if self.spec.banking == Banking::Horizontal {
-            // Horizontal banking: every line read engages all banks once, so
-            // the effective "bank" is the line itself (each extra line costs a
-            // full extra access of every bank).
+            // Horizontal banking: every bank holds a slice of every line, and
+            // distinct lines of the buffer never conflict with one another,
+            // so a cycle that reads any line fills its fullest bank once,
+            // however many lines it reads.
             Some(lines_touched.min(1))
         } else if self.spec.num_banks == 1 {
             Some(lines_touched)

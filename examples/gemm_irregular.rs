@@ -50,7 +50,7 @@ fn main() {
         ("D (4,16,1)", GemmLayer::new(4, 16, 1)),
     ] {
         let sa_util = sa.steady_utilization(&g);
-        let f = co_search(&feather_arch, &g.clone().into(), 0).expect("co-search");
+        let f = co_search(&feather_arch, &g.as_conv(), 0).expect("co-search");
         println!(
             "{:<16} {:>15.0}% {:>9.0}%",
             label,

@@ -19,8 +19,7 @@ fn main() {
     let layer = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
         .with_stride(2)
         .with_padding(3)
-        .with_name("resnet50_conv1")
-        .into();
+        .with_name("resnet50_conv1");
 
     println!(
         "{:<14} {:>12} {:>12} {:>10} {:>14}",

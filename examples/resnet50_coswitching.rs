@@ -52,7 +52,7 @@ fn main() {
     for (layer, (f, s)) in subset.iter().zip(plans) {
         println!(
             "{:<28} {:>14} {:>14} {:>9.0}% | {:>12} {:>9.0}%",
-            layer.name(),
+            layer.name,
             f.layout.to_string(),
             f.evaluation.cycles,
             f.evaluation.utilization * 100.0,

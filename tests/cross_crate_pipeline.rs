@@ -24,14 +24,13 @@ fn feather_never_loses_to_fixed_layout_designs_on_edp() {
     ];
     let mapper = MapperConfig::fast();
     for layer in layers {
-        let w = layer.clone().into();
         let feather =
-            co_search_with(&ArchSpec::feather_like(16, 16), &w, None, &mapper, 0).unwrap();
+            co_search_with(&ArchSpec::feather_like(16, 16), &layer, None, &mapper, 0).unwrap();
         for entry in fig13_suite(16, 16) {
             if entry.label == "FEATHER" {
                 continue;
             }
-            if let Ok(base) = co_search_with(&entry.arch, &w, None, &mapper, 0) {
+            if let Ok(base) = co_search_with(&entry.arch, &layer, None, &mapper, 0) {
                 assert!(
                     feather.evaluation.edp <= base.evaluation.edp * 1.05,
                     "{} beats FEATHER on {layer}: {} vs {}",
@@ -82,8 +81,7 @@ fn fixed_dataflow_designs_report_lower_utilization_on_shallow_layers() {
     // C-parallel designs cannot fill their arrays while FEATHER can.
     let stem = ConvLayer::new(1, 64, 3, 224, 224, 7, 7)
         .with_stride(2)
-        .with_padding(3)
-        .into();
+        .with_padding(3);
     let mapper = MapperConfig::fast();
     let feather = co_search_with(&ArchSpec::feather_like(16, 16), &stem, None, &mapper, 0).unwrap();
     let nvdla = co_search_with(&ArchSpec::nvdla_like(16, 16), &stem, None, &mapper, 0).unwrap();
